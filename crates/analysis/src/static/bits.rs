@@ -33,6 +33,7 @@
 use super::taint::TaintEngine;
 use flowery_backend::mir::{AKind, AOp, AluOp, FaultDest, Loc, MemRef, OutKind, Reg, ShiftOp, CC};
 use flowery_backend::AsmProgram;
+use flowery_ir::fnv1a;
 use flowery_ir::module::Module;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
@@ -99,15 +100,6 @@ impl BitTable {
         }
         h
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 fn fnv_fold(mut h: u64, word: u64) -> u64 {

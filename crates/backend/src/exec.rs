@@ -31,20 +31,21 @@
 //! fault models.
 //!
 //! Snapshot capture and fast-forward work unchanged in both modes: the
-//! compiled slow loop drives the same `AsmSnapshotRecorder` hooks
-//! (`due`/`capture`/`note_exec`) at the same points as the interpreter,
+//! compiled slow loop drives the same `Recorder` hooks
+//! (`due`/`capture`/`note_first`) at the same points as the interpreter,
 //! and dirty-page tracking lives inside [`Memory`], below either engine.
 //!
 //! The native x86-64 JIT ([`crate::jit`]) is the third `Executor`
 //! implementation behind the same trait: whole-program host machine code
 //! with a one-shot trap at the armed fault site that detours through the
-//! same [`step`] path, falling back to `compiled` where it cannot run.
+//! same `step` path, falling back to `compiled` where it cannot run.
 
 use crate::machine::{width_ty, AsmFaultSpec, Halt, MachResult, Machine, State, SENTINEL};
 use crate::mir::{flags, AInst, AKind, AOp, AluOp, AsmProgram, MathKind, MemRef, OutKind, Reg, ShiftOp, SseOp, CC};
-use crate::snapshot::AsmSnapshotRecorder;
+use crate::snapshot::{AsmLayer, AsmState};
 use flowery_ir::inst::Intrinsic;
 use flowery_ir::interp::memory::TrapKind;
+use flowery_ir::interp::snapshot::Recorder;
 use flowery_ir::interp::{ops, ExecConfig, ExecMode, ExecStatus, FaultEffect, Memory};
 
 const RAX: usize = Reg::Rax as usize;
@@ -62,7 +63,7 @@ pub struct TrialRun<'a, 'p> {
     pub(crate) fault: Option<AsmFaultSpec>,
     pub(crate) st: State,
     pub(crate) ip: u32,
-    pub(crate) recorder: Option<&'a mut AsmSnapshotRecorder>,
+    pub(crate) recorder: Option<&'a mut Recorder<AsmLayer>>,
 }
 
 /// A machine-layer execution engine. Implementations must be bit-identical
@@ -1414,21 +1415,13 @@ pub(crate) fn step(
     st: &mut State,
     ip: &mut u32,
     armed: &mut Option<AsmFaultSpec>,
-    recorder: &mut Option<&mut AsmSnapshotRecorder>,
+    recorder: &mut Option<&mut Recorder<AsmLayer>>,
 ) -> Result<(), ExecStatus> {
     // ---- snapshot hook: `st.dyn_insts` executed, `*ip` next --------------
     if let Some(rec) = recorder.as_deref_mut() {
         if rec.due(st.dyn_insts, st.fault_sites) {
-            rec.capture(
-                st.dyn_insts,
-                st.fault_sites,
-                st.cycles,
-                *ip,
-                st.regs,
-                st.output.len(),
-                st.profile.as_ref(),
-                &mut st.mem,
-            );
+            let state = AsmState { cycles: st.cycles, ip: *ip, regs: st.regs };
+            rec.capture(st.dyn_insts, st.fault_sites, st.output.len(), state, st.profile.as_ref(), &mut st.mem);
         }
     }
 
@@ -1438,7 +1431,7 @@ pub(crate) fn step(
     let meta = prog.meta[*ip as usize];
     let is_site = meta & META_SITE != 0;
     if let Some(rec) = recorder.as_deref_mut() {
-        rec.note_exec(*ip, st.dyn_insts);
+        rec.note_first(|first| &mut first[*ip as usize], st.dyn_insts);
     }
     st.dyn_insts += 1;
     if st.dyn_insts > config.max_dyn_insts {

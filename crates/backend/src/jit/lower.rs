@@ -68,7 +68,7 @@ use super::{
 };
 use crate::machine::{width_ty, SENTINEL};
 use crate::mir::{AKind, AOp, AluOp, AsmProgram, MathKind, MemRef, OutKind, Reg, ShiftOp, SseOp, CC};
-use flowery_ir::interp::memory::TrapKind;
+use flowery_ir::interp::memory::{trap_code, TrapKind};
 use flowery_ir::interp::GLOBAL_BASE;
 
 /// Flag bits shared with the host RFLAGS layout (CF|ZF|SF|OF).
@@ -383,7 +383,7 @@ pub(super) fn emit(program: &AsmProgram, helpers: &Helpers) -> Result<Emitted, F
         (stubs.flood, TrapKind::OutputFlood),
     ] {
         a.bind(label);
-        a.mov_ri32(RAX, (EXIT_TRAP_BASE + super::trap_code(kind)) as u32);
+        a.mov_ri32(RAX, (EXIT_TRAP_BASE + u64::from(trap_code(kind))) as u32);
         a.jmp(epilogue);
     }
     a.bind(epilogue);

@@ -1,11 +1,11 @@
 //! Native x86-64 JIT executor (`--executor native`).
 //!
 //! The whole [`AsmProgram`] is lowered once per [`crate::machine::Machine`]
-//! to host machine code in an mmap'd buffer (see [`lower`] for the
+//! to host machine code in an mmap'd buffer (see `lower` for the
 //! encoding scheme) and every trial then runs as real machine code. The
 //! engine is bit-identical to the interpreter by construction:
 //!
-//! - Guest registers stay in the [`State::regs`] slot array (host `rbp`
+//! - Guest registers stay in the `State::regs` slot array (host `rbp`
 //!   points at it); every instruction loads its operands canonically and
 //!   stores the full 64-bit slot back, exactly like the interpreter.
 //! - Guest flags are computed eagerly into the `Rflags` slot. For
@@ -23,7 +23,7 @@
 //!   block's entry. When a guard trips — the armed fault site or the
 //!   dyn-instruction limit falls within the block — the code exits with
 //!   `EXIT_STEP` and the driver advances exactly one instruction through
-//!   the fully bookkept [`crate::exec::step`] path (fault application,
+//!   the fully bookkept `crate::exec::step` path (fault application,
 //!   attribution, jump redirects, `last_mem_write`, budget traps), then
 //!   re-enters the native code. Disarmed runs (`trap_site = u64::MAX`)
 //!   never trip the site guard, so golden runs stay native end to end.
@@ -41,9 +41,10 @@ mod lower;
 use crate::exec::{exec_compiled, step, TrialRun};
 use crate::machine::MachResult;
 use crate::mir::{AsmProgram, Reg};
-use crate::snapshot::AsmSnapshotRecorder;
+use crate::snapshot::AsmLayer;
 use flowery_ir::inst::Intrinsic;
-use flowery_ir::interp::memory::TrapKind;
+use flowery_ir::interp::memory::{trap_from, TrapKind};
+use flowery_ir::interp::snapshot::Recorder;
 use flowery_ir::interp::{ops, ExecStatus, Memory, GLOBAL_BASE};
 use std::sync::Mutex;
 
@@ -114,33 +115,12 @@ pub(crate) const EXIT_DETECTED: u64 = 1;
 /// A block-entry guard tripped (armed site or budget within the block):
 /// single-step from `aux` through [`step`], then re-enter.
 pub(crate) const EXIT_STEP: u64 = 2;
-/// Trap exits are `EXIT_TRAP_BASE + TrapKind discriminant`.
+/// Trap exits are `EXIT_TRAP_BASE + trap_code(kind)` (the numbering
+/// `flowery_ir::interp::memory::trap_code` fixes).
 pub(crate) const EXIT_TRAP_BASE: u64 = 16;
 
 fn trap_kind(code: u64) -> TrapKind {
-    match code {
-        0 => TrapKind::OobLoad,
-        1 => TrapKind::OobStore,
-        2 => TrapKind::DivFault,
-        3 => TrapKind::InstLimit,
-        4 => TrapKind::CallDepth,
-        5 => TrapKind::StackOverflow,
-        6 => TrapKind::BadControl,
-        _ => TrapKind::OutputFlood,
-    }
-}
-
-pub(crate) fn trap_code(k: TrapKind) -> u64 {
-    match k {
-        TrapKind::OobLoad => 0,
-        TrapKind::OobStore => 1,
-        TrapKind::DivFault => 2,
-        TrapKind::InstLimit => 3,
-        TrapKind::CallDepth => 4,
-        TrapKind::StackOverflow => 5,
-        TrapKind::BadControl => 6,
-        TrapKind::OutputFlood => 7,
-    }
+    u8::try_from(code).ok().and_then(trap_from).unwrap_or(TrapKind::OutputFlood)
 }
 
 // ---- runtime helpers called from generated code ----------------------------
@@ -496,7 +476,7 @@ pub(crate) fn exec_native(run: TrialRun<'_, '_>) -> (MachResult, Memory) {
         let len = insts.len();
         debug_assert_eq!(len, jit.len);
         let mut armed = fault;
-        let mut no_recorder: Option<&mut AsmSnapshotRecorder> = None;
+        let mut no_recorder: Option<&mut Recorder<AsmLayer>> = None;
 
         let raw = st.mem.raw_parts_mut();
         if raw.len < GLOBAL_BASE + 8 {
@@ -591,7 +571,7 @@ mod tests {
             TrapKind::BadControl,
             TrapKind::OutputFlood,
         ] {
-            assert_eq!(trap_kind(trap_code(k)), k);
+            assert_eq!(trap_kind(u64::from(flowery_ir::interp::memory::trap_code(k))), k);
         }
     }
 }

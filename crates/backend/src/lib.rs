@@ -25,7 +25,6 @@ pub mod jit;
 pub mod machine;
 pub mod mir;
 pub mod regcache;
-pub mod snapio;
 pub mod snapshot;
 
 pub use exec::{executor_for, CompiledExec, Executor, InterpExec, NativeExec};
@@ -35,4 +34,4 @@ pub use isel::{compile_module, BackendConfig};
 pub use jit::{jit_stats, FallbackReason, JitStatsSnapshot};
 pub use machine::{AsmFaultSpec, MachResult, Machine};
 pub use mir::{print_program, AInst, AKind, AsmProgram, AsmRole, FaultDest, Loc, Reg};
-pub use snapshot::{AsmScratch, AsmSnapshotSet};
+pub use snapshot::{AsmLayer, AsmScratch, AsmSnapshotSet};

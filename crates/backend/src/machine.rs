@@ -10,11 +10,12 @@
 use crate::mir::{
     flags, AInst, AKind, AOp, AluOp, AsmProgram, FaultDest, MathKind, MemRef, OutKind, Reg, ShiftOp, SseOp, CC,
 };
-use crate::snapshot::{AsmScratch, AsmSnapshot, AsmSnapshotRecorder, AsmSnapshotSet};
+use crate::snapshot::{AsmLayer, AsmScratch, AsmSnapshotSet, AsmState};
 use flowery_ir::inst::{BinOp, CastKind, Intrinsic};
-use flowery_ir::interp::memory::{PageMap, TrapKind};
-use flowery_ir::interp::snapshot::{AUTO_MAX_SNAPS, AUTO_SITE_CADENCE};
-use flowery_ir::interp::{ops, Cadence, ExecConfig, ExecStatus, FaultEffect, Memory, GLOBAL_BASE};
+use flowery_ir::interp::memory::TrapKind;
+use flowery_ir::interp::snapshot::Recorder;
+use flowery_ir::interp::substrate::{self, Start};
+use flowery_ir::interp::{mem_fault_region, ops, Cadence, ExecConfig, ExecStatus, FaultEffect, Memory};
 use flowery_ir::module::Module;
 use flowery_ir::types::Type;
 use serde::{Deserialize, Serialize};
@@ -118,8 +119,6 @@ pub struct Machine<'p> {
     /// Host machine code for the native engine, or the reason it is
     /// unavailable for this program/host (see [`Machine::jit`]).
     jit: std::sync::OnceLock<Result<crate::jit::JitProgram, crate::jit::FallbackReason>>,
-    /// Pristine boot image shared by scratch trials (see [`Machine::base_mem`]).
-    base: std::sync::OnceLock<Memory>,
 }
 
 impl<'p> Machine<'p> {
@@ -129,8 +128,12 @@ impl<'p> Machine<'p> {
             module,
             compiled: std::sync::OnceLock::new(),
             jit: std::sync::OnceLock::new(),
-            base: std::sync::OnceLock::new(),
         }
+    }
+
+    /// The program this machine executes.
+    pub fn program(&self) -> &'p AsmProgram {
+        self.program
     }
 
     /// The threaded-code translation of this program, built on first use.
@@ -149,199 +152,36 @@ impl<'p> Machine<'p> {
             .map_err(|e| *e)
     }
 
-    /// The pristine boot image for `config`'s memory geometry, built once
-    /// and shared by every scratch trial — the same image
-    /// [`Machine::run_fast_forward`] gets from its snapshot set's base.
-    /// `None` when `config` asks for a different geometry than the cached
-    /// image (first caller wins); such callers build fresh.
-    fn base_mem(&self, config: &ExecConfig) -> Option<&Memory> {
-        let base = self
-            .base
-            .get_or_init(|| Memory::new(self.module, config.mem_size, config.stack_size));
-        (base.size() == config.mem_size && base.stack_limit() == config.mem_size - config.stack_size).then_some(base)
-    }
-
     /// Execute from `main` under `config`, optionally injecting a fault.
     pub fn run(&self, config: &ExecConfig, fault: Option<AsmFaultSpec>) -> MachResult {
-        let mem = Memory::new(self.module, config.mem_size, config.stack_size);
-        let (st, ip) = self.boot(mem, Vec::new(), config);
-        self.exec(config, fault, st, ip, None).0
-    }
-
-    /// Like [`Machine::run`], but reuses `scratch`'s buffers across trials:
-    /// the output vector, and — when the geometries line up — the memory
-    /// image, reverted to the pristine boot image by a dirty-page reset
-    /// instead of a fresh multi-megabyte allocation and clear per trial.
-    /// Sound for the same reason snapshot fast-forward's reuse is: a page
-    /// never marked dirty is byte-identical to the base image.
-    pub fn run_scratch(
-        &self,
-        config: &ExecConfig,
-        fault: Option<AsmFaultSpec>,
-        scratch: &mut AsmScratch,
-    ) -> MachResult {
-        let mem = match self.base_mem(config) {
-            Some(base) => {
-                let recycled = scratch
-                    .mem
-                    .take()
-                    .filter(|m| m.size() == base.size() && m.stack_limit() == base.stack_limit());
-                match recycled {
-                    Some(mut m) => {
-                        m.reset_to(base, &PageMap::new());
-                        m
-                    }
-                    None => base.clone(),
-                }
-            }
-            None => Memory::new(self.module, config.mem_size, config.stack_size),
-        };
-        let output = std::mem::take(&mut scratch.output);
-        let (st, ip) = self.boot(mem, output, config);
-        let (res, mem) = self.exec(config, fault, st, ip, None);
-        scratch.mem = Some(mem);
-        res
+        substrate::run::<AsmLayer>(self, config, fault)
     }
 
     /// One fault-free run that captures a snapshot every `interval` dynamic
-    /// instructions. When `config.profile` is set the snapshots carry the
-    /// profile accumulator, so profiled trials can fast-forward too.
+    /// instructions (see [`substrate::capture`]).
     pub fn capture_snapshots(&self, config: &ExecConfig, interval: u64) -> AsmSnapshotSet {
-        self.capture_with(config, Cadence::Insts(interval), None)
+        substrate::capture(self, config, Cadence::Insts(interval), None)
     }
 
-    /// One fault-free run with a self-tuning site-spaced cadence: start at
-    /// one snapshot per [`AUTO_SITE_CADENCE`] fault sites and widen whenever
-    /// the set outgrows [`AUTO_MAX_SNAPS`]. Site spacing matches the
-    /// uniform-over-sites trial distribution, so restore points land where
-    /// the trials do.
+    /// Self-tuning site-spaced capture (see [`substrate::capture_auto`]).
     pub fn capture_snapshots_auto(&self, config: &ExecConfig) -> AsmSnapshotSet {
-        self.capture_with(config, Cadence::Sites(AUTO_SITE_CADENCE), Some(AUTO_MAX_SNAPS))
+        substrate::capture_auto(self, config)
     }
 
-    fn capture_with(&self, config: &ExecConfig, cadence: Cadence, max_snaps: Option<usize>) -> AsmSnapshotSet {
-        let base = Memory::new(self.module, config.mem_size, config.stack_size);
-        let mut rec = AsmSnapshotRecorder::new(self.program.insts.len(), cadence, config.snapshot_budget, max_snaps);
-        let (st, ip) = self.boot(base.clone(), Vec::new(), config);
-        let (golden, _mem) = self.exec(config, None, st, ip, Some(&mut rec));
-        AsmSnapshotSet {
-            base,
-            golden,
-            cadence: rec.final_cadence(),
-            snaps: rec.snaps,
-            first_exec: rec.first_exec,
-            shared_snaps: 0,
-        }
-    }
-
-    /// Build this variant's snapshot set by *sharing* the golden prefix of
-    /// its raw program's set: every raw snapshot taken before the first
-    /// dynamic instruction at which the two programs can diverge is also a
-    /// valid snapshot of this program (hardening only changes code, never
-    /// the shared prefix of the trace), so only the suffix past the
-    /// divergence point is re-executed — and that execution starts *from*
-    /// the last shared snapshot, not from scratch.
-    ///
-    /// Returns `None` when nothing can be shared: profiled captures (the
-    /// per-position profile vector cannot be translated between programs),
-    /// mismatched memory geometry or entry points, a raw set without a
-    /// first-execution profile, or divergence before the first snapshot.
+    /// Build this variant's snapshot set by sharing the golden prefix of
+    /// its raw program's set (see [`substrate::capture_from`]).
     pub fn capture_snapshots_from(
         &self,
         config: &ExecConfig,
         raw: (&Module, &AsmProgram),
         raw_set: &AsmSnapshotSet,
     ) -> Option<AsmSnapshotSet> {
-        let (raw_module, raw_program) = raw;
-        if config.profile {
-            return None;
-        }
-        if raw_set.base.size() != config.mem_size || raw_set.base.stack_limit() != config.mem_size - config.stack_size {
-            return None;
-        }
-        let first_exec = raw_set.first_exec.as_ref()?;
-        // The variant may *extend* the raw global list (Flowery appends its
-        // expectation/guard cells); existing globals keep their addresses
-        // and the appended ones are only referenced by appended code.
-        if self.module.globals.len() < raw_module.globals.len()
-            || self.module.globals[..raw_module.globals.len()] != raw_module.globals[..]
-            || raw_program.main_entry != self.program.main_entry
-        {
-            return None;
-        }
-        let d = divergence_dyn(&raw_program.insts, &self.program.insts, first_exec)?;
-        let shared: Vec<AsmSnapshot> = raw_set
-            .snaps
-            .iter()
-            .take_while(|s| s.dyn_insts <= d && (s.ip as usize) < self.program.insts.len())
-            .map(|s| AsmSnapshot {
-                dyn_insts: s.dyn_insts,
-                fault_sites: s.fault_sites,
-                cycles: s.cycles,
-                ip: s.ip,
-                regs: s.regs,
-                output_len: s.output_len,
-                profile: None,
-                pages: s.pages.clone(),
-            })
-            .collect();
-        if shared.is_empty() {
-            return None;
-        }
-        let last = shared.last().unwrap();
-        // Appended globals live in [raw_end, var_end). A raw overlay page
-        // covering that range holds raw heap bytes (zeros), not the
-        // variant's initializers — restoring it would clobber them, so
-        // such sets cannot be shared.
-        let raw_end = Memory::globals_end(raw_module);
-        let var_end = Memory::globals_end(self.module);
-        if var_end > raw_end {
-            let page = flowery_ir::interp::PAGE_SIZE;
-            let lo = (raw_end / page) as u32;
-            let hi = ((var_end - 1) / page) as u32;
-            if last.pages.keys().any(|&p| (lo..=hi).contains(&p)) {
-                return None;
-            }
-        }
-        let base = Memory::new(self.module, config.mem_size, config.stack_size);
-        let mut mem = base.clone();
-        mem.reset_to(&base, &last.pages);
-        // The restored overlay pages must not be re-copied by the first
-        // recorder sync — they are already owned by the shared snapshots.
-        mem.drain_dirty_pages();
-        let mut output = Vec::new();
-        output.extend_from_slice(&raw_set.golden.output[..last.output_len]);
-        let st = State {
-            regs: last.regs,
-            mem,
-            output,
-            dyn_insts: last.dyn_insts,
-            fault_sites: last.fault_sites,
-            cycles: last.cycles,
-            injected_inst: None,
-            profile: None,
-            last_ip: 0,
-            last_mem_write: None,
-        };
-        let ip = last.ip;
-        let mut rec = AsmSnapshotRecorder::from_shared(raw_set.cadence, config.snapshot_budget, None, shared);
-        let (golden, _mem) = self.exec(config, None, st, ip, Some(&mut rec));
-        let shared_snaps = rec.snaps.iter().take_while(|s| s.dyn_insts <= d).count();
-        Some(AsmSnapshotSet {
-            base,
-            golden,
-            cadence: rec.final_cadence(),
-            snaps: rec.snaps,
-            first_exec: None,
-            shared_snaps,
-        })
+        substrate::capture_from(self, config, &Machine::new(raw.0, raw.1), raw_set)
     }
 
-    /// Run one faulty trial, restoring the nearest snapshot at-or-before
-    /// the injection site instead of executing the golden prefix. Returns
-    /// the result plus the number of dynamic instructions skipped.
-    ///
-    /// The result is bit-identical to `run(config, Some(fault))`.
+    /// Run one faulty trial from the nearest snapshot at-or-before the
+    /// injection site (see [`substrate::trial`]); bit-identical to
+    /// `run(config, Some(fault))`.
     pub fn run_fast_forward(
         &self,
         config: &ExecConfig,
@@ -349,88 +189,41 @@ impl<'p> Machine<'p> {
         set: &AsmSnapshotSet,
         scratch: &mut AsmScratch,
     ) -> (MachResult, u64) {
-        let mut mem = scratch
-            .mem
-            .take()
-            .filter(|m| m.size() == set.base.size())
-            .unwrap_or_else(|| set.base.clone());
-        let mut output = std::mem::take(&mut scratch.output);
-        output.clear();
-        // A profiled trial can only restore a snapshot that carries the
-        // profile accumulator; otherwise it falls back to a scratch start.
-        // Scoped faults index a region-local site counter that snapshots
-        // (keyed by the global counter) cannot seed: always start scratch.
-        let snap = if fault.scope.is_none() {
-            set.nearest(fault.site_index)
-        } else {
-            None
-        };
-        let (st, ip) = match snap {
-            Some(snap) if !config.profile || snap.profile.is_some() => {
-                mem.reset_to(&set.base, &snap.pages);
-                output.extend_from_slice(&set.golden.output[..snap.output_len]);
-                let st = State {
-                    regs: snap.regs,
-                    mem,
-                    output,
-                    dyn_insts: snap.dyn_insts,
-                    fault_sites: snap.fault_sites,
-                    cycles: snap.cycles,
-                    injected_inst: None,
-                    profile: if config.profile { snap.profile.clone() } else { None },
-                    last_ip: 0,
-                    last_mem_write: None,
-                };
-                (st, snap.ip)
-            }
-            _ => {
-                // Site earlier than the first snapshot: run from the start,
-                // but still reuse the scratch image via a dirty-page reset.
-                mem.reset_to(&set.base, &PageMap::new());
-                self.boot(mem, output, config)
-            }
-        };
-        let skipped = st.dyn_insts;
-        let (res, mem) = self.exec(config, Some(fault), st, ip, None);
-        scratch.mem = Some(mem);
-        (res, skipped)
+        substrate::trial(self, config, fault, Some(set), scratch)
     }
 
-    /// Fresh machine state: zeroed registers, sentinel return address
-    /// pushed for `main`, entry ip.
-    fn boot(&self, mem: Memory, mut output: Vec<u8>, config: &ExecConfig) -> (State, u32) {
-        output.clear();
-        let mut st = State {
-            regs: [0u64; Reg::COUNT],
-            mem,
-            output,
-            dyn_insts: 0,
-            fault_sites: 0,
-            cycles: 0,
+    /// The engines' working state for a run starting at `start`, plus the
+    /// first instruction pointer.
+    fn state_from(&self, start: Start<AsmLayer>, config: &ExecConfig) -> (State, u32) {
+        let AsmState { cycles, ip, regs } = start.state;
+        let st = State {
+            regs,
+            mem: start.mem,
+            output: start.output,
+            dyn_insts: start.dyn_insts,
+            fault_sites: start.fault_sites,
+            cycles,
             injected_inst: None,
-            profile: config.profile.then(|| vec![0u64; self.program.insts.len()]),
+            profile: start
+                .profile
+                .or_else(|| config.profile.then(|| vec![0u64; self.program.insts.len()])),
             last_ip: 0,
             last_mem_write: None,
         };
-        st.regs[Reg::Rsp.index()] = st.mem.initial_sp();
-        // Push the sentinel return address for main.
-        st.regs[Reg::Rsp.index()] -= 8;
-        let sp = st.regs[Reg::Rsp.index()];
-        st.mem.store(sp, 8, SENTINEL).expect("initial stack in bounds");
-        (st, self.program.main_entry)
+        (st, ip)
     }
 
-    /// Execute from `st`/`ip` (fresh or restored), optionally capturing
+    /// Execute from `start` (fresh or restored), optionally capturing
     /// snapshots, on the engine [`ExecConfig::executor`] selects. Returns
     /// the result plus the memory image so callers can recycle it.
-    fn exec(
+    pub(crate) fn exec(
         &self,
         config: &ExecConfig,
         fault: Option<AsmFaultSpec>,
-        st: State,
-        ip: u32,
-        recorder: Option<&mut AsmSnapshotRecorder>,
+        start: Start<AsmLayer>,
+        recorder: Option<&mut Recorder<AsmLayer>>,
     ) -> (MachResult, Memory) {
+        let (st, ip) = self.state_from(start, config);
         // Scoped faults count a region-local site index, which only the
         // reference interpreter implements — region bookkeeping is not a
         // hot-path concern, so the threaded-code engine stays oblivious.
@@ -455,7 +248,7 @@ impl<'p> Machine<'p> {
         fault: Option<AsmFaultSpec>,
         mut st: State,
         mut ip: u32,
-        mut recorder: Option<&mut AsmSnapshotRecorder>,
+        mut recorder: Option<&mut Recorder<AsmLayer>>,
     ) -> (MachResult, Memory) {
         let insts = &self.program.insts;
         // Region-local site counter for scoped faults (see
@@ -466,16 +259,8 @@ impl<'p> Machine<'p> {
             // ---- snapshot hook: `st.dyn_insts` executed, `ip` next -------
             if let Some(rec) = recorder.as_deref_mut() {
                 if rec.due(st.dyn_insts, st.fault_sites) {
-                    rec.capture(
-                        st.dyn_insts,
-                        st.fault_sites,
-                        st.cycles,
-                        ip,
-                        st.regs,
-                        st.output.len(),
-                        st.profile.as_ref(),
-                        &mut st.mem,
-                    );
+                    let state = AsmState { cycles: st.cycles, ip, regs: st.regs };
+                    rec.capture(st.dyn_insts, st.fault_sites, st.output.len(), state, st.profile.as_ref(), &mut st.mem);
                 }
             }
 
@@ -483,7 +268,7 @@ impl<'p> Machine<'p> {
                 break 'exec ExecStatus::Trapped(TrapKind::BadControl);
             }
             if let Some(rec) = recorder.as_deref_mut() {
-                rec.note_exec(ip, st.dyn_insts);
+                rec.note_first(|first| &mut first[ip as usize], st.dyn_insts);
             }
             st.dyn_insts += 1;
             if st.dyn_insts > config.max_dyn_insts {
@@ -548,7 +333,7 @@ impl<'p> Machine<'p> {
     /// exact.
     pub fn site_trace(&self, config: &ExecConfig, cap: usize) -> Vec<u32> {
         let mem = Memory::new(self.module, config.mem_size, config.stack_size);
-        let (mut st, mut ip) = self.boot(mem, Vec::new(), config);
+        let (mut st, mut ip) = self.state_from(Start::boot(self, mem, Vec::new(), &mut ()), config);
         let insts = &self.program.insts;
         let mut trace = Vec::new();
         loop {
@@ -849,8 +634,6 @@ pub(crate) struct State {
     pub(crate) last_mem_write: Option<(u64, u8)>,
 }
 
-// Manual Default-ish construction is in Machine::boot; State has extra
-// transient fields initialised there.
 impl State {
     /// Consume the state into a result, handing the memory image back for
     /// reuse.
@@ -1063,14 +846,8 @@ impl Machine<'_> {
                 st.regs[Reg::Rflags.index()] ^= which;
             }
             FaultEffect::Mem { offset } => {
-                // Same deterministic cell selection as the IR interpreter:
-                // globals segment when present, else the stack segment.
-                let globals_end = Memory::globals_end(self.module);
-                let (lo, hi) = if globals_end > GLOBAL_BASE {
-                    (GLOBAL_BASE, globals_end)
-                } else {
-                    (st.mem.stack_limit(), st.mem.size())
-                };
+                // The same deterministic cell as the IR interpreter's.
+                let (lo, hi) = mem_fault_region(self.module, &st.mem);
                 let addr = lo + offset % (hi - lo);
                 if let Ok(b) = st.mem.load(addr, 1) {
                     let _ = st.mem.store(addr, 1, b ^ (1u64 << (spec.bit % 8)));
@@ -1089,7 +866,7 @@ impl Machine<'_> {
 /// targets included, so identical state steps identically. `u64::MAX` means
 /// the raw trace never reaches a divergent position; `None` means the
 /// divergence precedes any execution we could share.
-fn divergence_dyn(raw: &[AInst], var: &[AInst], first_exec: &[u64]) -> Option<u64> {
+pub(crate) fn divergence_dyn(raw: &[AInst], var: &[AInst], first_exec: &[u64]) -> Option<u64> {
     if first_exec.len() != raw.len() {
         return None;
     }
@@ -1226,379 +1003,6 @@ mod tests {
             }
         }
         assert!(flipped, "a flags fault must be able to steer the branch");
-    }
-
-    #[test]
-    fn fast_forward_is_bit_identical() {
-        // A loop with stores + calls so snapshots carry memory and stack
-        // state; every site restored vs scratch.
-        let mut mb = ModuleBuilder::new("m");
-        let f = mb.declare_func("sq", vec![Type::I64], Some(Type::I64));
-        let mut fb = FuncBuilder::new("sq", vec![Type::I64], Some(Type::I64));
-        let v = fb.bin(flowery_ir::BinOp::Mul, Type::I64, Op::param(0), Op::param(0));
-        fb.ret(Some(Op::inst(v)));
-        mb.define_func(f, fb.finish());
-        let mut fb = FuncBuilder::new("main", vec![], Some(Type::I64));
-        let acc = fb.alloca(Type::I64, 1);
-        let i = fb.alloca(Type::I64, 1);
-        fb.store(Type::I64, Op::ci64(0), Op::inst(acc));
-        fb.store(Type::I64, Op::ci64(0), Op::inst(i));
-        let header = fb.new_block("header");
-        let body = fb.new_block("body");
-        let exit = fb.new_block("exit");
-        fb.jmp(header);
-        fb.switch_to(header);
-        let iv = fb.load(Type::I64, Op::inst(i));
-        let c = fb.icmp(flowery_ir::IPred::Slt, Type::I64, Op::inst(iv), Op::ci64(8));
-        fb.br(Op::inst(c), body, exit);
-        fb.switch_to(body);
-        let iv2 = fb.load(Type::I64, Op::inst(i));
-        let s = fb.call(f, vec![Op::inst(iv2)]);
-        let av = fb.load(Type::I64, Op::inst(acc));
-        let ns = fb.bin(flowery_ir::BinOp::Add, Type::I64, Op::inst(av), Op::inst(s));
-        fb.store(Type::I64, Op::inst(ns), Op::inst(acc));
-        let ni = fb.bin(flowery_ir::BinOp::Add, Type::I64, Op::inst(iv2), Op::ci64(1));
-        fb.store(Type::I64, Op::inst(ni), Op::inst(i));
-        fb.jmp(header);
-        fb.switch_to(exit);
-        let r = fb.load(Type::I64, Op::inst(acc));
-        fb.output_i64(Op::inst(r));
-        fb.ret(Some(Op::inst(r)));
-        mb.add_func(fb.finish());
-        let m = mb.finish();
-        flowery_ir::verify::verify_module(&m).unwrap();
-        let prog = compile_module(&m, &BackendConfig::default());
-        let mach = Machine::new(&m, &prog);
-
-        let cfg = ExecConfig { max_dyn_insts: 10_000, ..Default::default() };
-        let set = mach.capture_snapshots(&cfg, 16);
-        assert!(set.len() > 2, "expected several snapshots");
-        assert_eq!(set.golden().status, ExecStatus::Completed(140));
-        let mut scratch = AsmScratch::new();
-        for site in 0..set.golden().fault_sites {
-            for bit in [0u32, 5, 31, 62] {
-                let spec = AsmFaultSpec::single(site, bit);
-                let scratch_res = mach.run(&cfg, Some(spec));
-                let (ff_res, skipped) = mach.run_fast_forward(&cfg, spec, &set, &mut scratch);
-                assert_eq!(ff_res.status, scratch_res.status, "site {site} bit {bit}");
-                assert_eq!(ff_res.output, scratch_res.output, "site {site} bit {bit}");
-                assert_eq!(ff_res.dyn_insts, scratch_res.dyn_insts, "site {site} bit {bit}");
-                assert_eq!(ff_res.fault_sites, scratch_res.fault_sites, "site {site} bit {bit}");
-                assert_eq!(ff_res.cycles, scratch_res.cycles, "site {site} bit {bit}");
-                assert_eq!(ff_res.injected_inst, scratch_res.injected_inst, "site {site} bit {bit}");
-                assert!(skipped <= scratch_res.dyn_insts);
-                scratch.recycle_output(ff_res.output);
-            }
-        }
-    }
-
-    #[test]
-    fn capture_golden_matches_plain_run() {
-        let r = {
-            let mut mb = ModuleBuilder::new("m");
-            let mut fb = FuncBuilder::new("main", vec![], Some(Type::I64));
-            let v = fb.bin(flowery_ir::BinOp::Add, Type::I64, Op::ci64(40), Op::ci64(2));
-            fb.output_i64(Op::inst(v));
-            fb.ret(Some(Op::inst(v)));
-            mb.add_func(fb.finish());
-            mb.finish()
-        };
-        let prog = compile_module(&r, &BackendConfig::default());
-        let mach = Machine::new(&r, &prog);
-        let cfg = ExecConfig::default();
-        let plain = mach.run(&cfg, None);
-        let set = mach.capture_snapshots(&cfg, 4);
-        assert_eq!(set.golden().status, plain.status);
-        assert_eq!(set.golden().output, plain.output);
-        assert_eq!(set.golden().dyn_insts, plain.dyn_insts);
-        assert_eq!(set.golden().fault_sites, plain.fault_sites);
-        assert_eq!(set.golden().cycles, plain.cycles);
-    }
-
-    /// Bytes of distinct page copies held across all snapshots of a set.
-    fn overlay_bytes(set: &AsmSnapshotSet) -> u64 {
-        let mut seen = std::collections::HashSet::new();
-        let mut total = 0u64;
-        for s in &set.snaps {
-            for p in s.pages.values() {
-                if seen.insert(std::sync::Arc::as_ptr(p)) {
-                    total += p.len() as u64;
-                }
-            }
-        }
-        total
-    }
-
-    #[test]
-    fn snapshot_budget_widens_cadence_on_store_heavy_runs() {
-        // The asm twin of the IR-level budget test: a loop cycling writes
-        // through an 8-page global array blows any fixed overlay budget
-        // unless the recorder widens its cadence.
-        let mut mb = ModuleBuilder::new("stores");
-        let g = mb.global_i64("arr", &vec![0i64; 4096]);
-        let mut fb = FuncBuilder::new("main", vec![], Some(Type::I64));
-        let i = fb.alloca(Type::I64, 1);
-        fb.store(Type::I64, Op::ci64(0), Op::inst(i));
-        let header = fb.new_block("header");
-        let body = fb.new_block("body");
-        let exit = fb.new_block("exit");
-        fb.jmp(header);
-        fb.switch_to(header);
-        let iv = fb.load(Type::I64, Op::inst(i));
-        let c = fb.icmp(flowery_ir::IPred::Slt, Type::I64, Op::inst(iv), Op::ci64(4096));
-        fb.br(Op::inst(c), body, exit);
-        fb.switch_to(body);
-        let iv2 = fb.load(Type::I64, Op::inst(i));
-        let idx = fb.bin(flowery_ir::BinOp::And, Type::I64, Op::inst(iv2), Op::ci64(4095));
-        let p = fb.gep(Op::Global(g), Op::inst(idx), Type::I64);
-        fb.store(Type::I64, Op::inst(iv2), Op::inst(p));
-        let ni = fb.bin(flowery_ir::BinOp::Add, Type::I64, Op::inst(iv2), Op::ci64(1));
-        fb.store(Type::I64, Op::inst(ni), Op::inst(i));
-        fb.jmp(header);
-        fb.switch_to(exit);
-        let p7 = fb.gep(Op::Global(g), Op::ci64(7), Type::I64);
-        let r = fb.load(Type::I64, Op::inst(p7));
-        fb.output_i64(Op::inst(r));
-        fb.ret(Some(Op::inst(r)));
-        mb.add_func(fb.finish());
-        let m = mb.finish();
-        let prog = compile_module(&m, &BackendConfig::default());
-        let mach = Machine::new(&m, &prog);
-
-        let cfg = ExecConfig { max_dyn_insts: 2_000_000, ..Default::default() };
-        let unbounded = mach.capture_snapshots(&cfg, 512);
-        assert_eq!(unbounded.interval(), 512);
-        let budget = 16 * flowery_ir::interp::PAGE_SIZE;
-        assert!(
-            overlay_bytes(&unbounded) > budget,
-            "workload must be store-heavy enough to blow the budget: {} bytes",
-            overlay_bytes(&unbounded)
-        );
-
-        let capped_cfg = ExecConfig { snapshot_budget: Some(budget), ..cfg.clone() };
-        let capped = mach.capture_snapshots(&capped_cfg, 512);
-        assert!(capped.interval() > 512, "budget pressure must widen the cadence");
-        assert!(capped.len() < unbounded.len(), "{} vs {}", capped.len(), unbounded.len());
-        assert!(capped.len() > 1, "widening must not degenerate to a single snapshot");
-        assert!(
-            overlay_bytes(&capped) <= budget,
-            "{} bytes over a {budget} budget",
-            overlay_bytes(&capped)
-        );
-        assert_eq!(capped.golden().output, unbounded.golden().output, "the budget must not perturb execution");
-        assert_eq!(capped.golden().dyn_insts, unbounded.golden().dyn_insts);
-
-        // The thinned set still fast-forwards bit-identically.
-        let mut scratch = AsmScratch::new();
-        for site in (0..capped.golden().fault_sites).step_by(4999) {
-            let spec = AsmFaultSpec::single(site, 21);
-            let scratch_res = mach.run(&cfg, Some(spec));
-            let (ff_res, _) = mach.run_fast_forward(&cfg, spec, &capped, &mut scratch);
-            assert_eq!(ff_res.status, scratch_res.status, "site {site}");
-            assert_eq!(ff_res.output, scratch_res.output, "site {site}");
-            assert_eq!(ff_res.dyn_insts, scratch_res.dyn_insts, "site {site}");
-            assert_eq!(ff_res.cycles, scratch_res.cycles, "site {site}");
-            scratch.recycle_output(ff_res.output);
-        }
-    }
-
-    /// Loop-with-call module; `extra` adds one instruction to the helper,
-    /// which `main` calls once at the *end* of the run — so the compiled
-    /// raw/variant programs are identical until the helper's body, and the
-    /// helper first executes late in the trace.
-    fn late_call_module(extra: bool) -> Module {
-        let mut mb = ModuleBuilder::new("late");
-        let main_id = mb.declare_func("main", vec![], Some(Type::I64));
-        let fin = mb.declare_func("fin", vec![Type::I64], Some(Type::I64));
-        let mut fb = FuncBuilder::new("main", vec![], Some(Type::I64));
-        let acc = fb.alloca(Type::I64, 1);
-        let i = fb.alloca(Type::I64, 1);
-        fb.store(Type::I64, Op::ci64(0), Op::inst(acc));
-        fb.store(Type::I64, Op::ci64(0), Op::inst(i));
-        let header = fb.new_block("header");
-        let body = fb.new_block("body");
-        let exit = fb.new_block("exit");
-        fb.jmp(header);
-        fb.switch_to(header);
-        let iv = fb.load(Type::I64, Op::inst(i));
-        let c = fb.icmp(flowery_ir::IPred::Slt, Type::I64, Op::inst(iv), Op::ci64(200));
-        fb.br(Op::inst(c), body, exit);
-        fb.switch_to(body);
-        let iv2 = fb.load(Type::I64, Op::inst(i));
-        let av = fb.load(Type::I64, Op::inst(acc));
-        let ns = fb.bin(flowery_ir::BinOp::Add, Type::I64, Op::inst(av), Op::inst(iv2));
-        fb.store(Type::I64, Op::inst(ns), Op::inst(acc));
-        let ni = fb.bin(flowery_ir::BinOp::Add, Type::I64, Op::inst(iv2), Op::ci64(1));
-        fb.store(Type::I64, Op::inst(ni), Op::inst(i));
-        fb.jmp(header);
-        fb.switch_to(exit);
-        let r = fb.load(Type::I64, Op::inst(acc));
-        let fv = fb.call(fin, vec![Op::inst(r)]);
-        fb.output_i64(Op::inst(fv));
-        fb.ret(Some(Op::inst(fv)));
-        mb.define_func(main_id, fb.finish());
-        let mut fb = FuncBuilder::new("fin", vec![Type::I64], Some(Type::I64));
-        let v = fb.bin(flowery_ir::BinOp::Mul, Type::I64, Op::param(0), Op::ci64(3));
-        if extra {
-            let w = fb.bin(flowery_ir::BinOp::Add, Type::I64, Op::inst(v), Op::ci64(1));
-            fb.ret(Some(Op::inst(w)));
-        } else {
-            fb.ret(Some(Op::inst(v)));
-        }
-        mb.define_func(fin, fb.finish());
-        let m = mb.finish();
-        flowery_ir::verify::verify_module(&m).unwrap();
-        m
-    }
-
-    #[test]
-    fn profiled_fast_forward_matches_scratch() {
-        let m = late_call_module(false);
-        let prog = compile_module(&m, &BackendConfig::default());
-        let mach = Machine::new(&m, &prog);
-        let cfg = ExecConfig { profile: true, max_dyn_insts: 100_000, ..Default::default() };
-        let set = mach.capture_snapshots(&cfg, 64);
-        assert!(set.len() > 2);
-        assert!(
-            set.snaps.iter().all(|s| s.profile.is_some()),
-            "profiled capture must store the accumulator"
-        );
-        let mut scratch = AsmScratch::new();
-        let mut late_skipped = 0u64;
-        for site in 0..set.golden().fault_sites {
-            let spec = AsmFaultSpec::single(site, 13);
-            let scratch_res = mach.run(&cfg, Some(spec));
-            let (ff_res, skipped) = mach.run_fast_forward(&cfg, spec, &set, &mut scratch);
-            assert_eq!(ff_res.status, scratch_res.status, "site {site}");
-            assert_eq!(ff_res.output, scratch_res.output, "site {site}");
-            assert_eq!(ff_res.dyn_insts, scratch_res.dyn_insts, "site {site}");
-            assert_eq!(ff_res.cycles, scratch_res.cycles, "site {site}");
-            assert_eq!(ff_res.profile, scratch_res.profile, "site {site}: profile counts must be restored");
-            late_skipped = late_skipped.max(skipped);
-            scratch.recycle_output(ff_res.output);
-        }
-        assert!(late_skipped > 0, "late sites must actually fast-forward");
-    }
-
-    #[test]
-    fn unprofiled_set_falls_back_for_profiled_trials() {
-        let m = late_call_module(false);
-        let prog = compile_module(&m, &BackendConfig::default());
-        let mach = Machine::new(&m, &prog);
-        let plain = ExecConfig { max_dyn_insts: 100_000, ..Default::default() };
-        let set = mach.capture_snapshots(&plain, 64);
-        let profiled = ExecConfig { profile: true, ..plain.clone() };
-        let mut scratch = AsmScratch::new();
-        let site = set.golden().fault_sites - 1;
-        let spec = AsmFaultSpec::single(site, 3);
-        let (ff_res, skipped) = mach.run_fast_forward(&profiled, spec, &set, &mut scratch);
-        assert_eq!(skipped, 0, "no profile in the set: must fall back to scratch");
-        let scratch_res = mach.run(&profiled, Some(spec));
-        assert_eq!(ff_res.status, scratch_res.status);
-        assert_eq!(ff_res.output, scratch_res.output);
-        assert_eq!(ff_res.profile, scratch_res.profile);
-    }
-
-    #[test]
-    fn auto_capture_is_site_spaced_and_capped() {
-        let m = late_call_module(false);
-        let prog = compile_module(&m, &BackendConfig::default());
-        let mach = Machine::new(&m, &prog);
-        let cfg = ExecConfig { max_dyn_insts: 100_000, ..Default::default() };
-        let set = mach.capture_snapshots_auto(&cfg);
-        assert!(matches!(set.cadence(), Cadence::Sites(_)), "auto capture is site-spaced");
-        assert!(set.len() <= AUTO_MAX_SNAPS);
-        assert!(!set.is_empty());
-        let plain = mach.run(&cfg, None);
-        assert_eq!(set.golden().output, plain.output);
-        assert_eq!(set.golden().dyn_insts, plain.dyn_insts);
-        let k = set.interval();
-        for w in set.snaps.windows(2) {
-            assert!(w[1].fault_sites - w[0].fault_sites >= k, "snapshots must be at least one cadence apart");
-        }
-        let mut scratch = AsmScratch::new();
-        for site in (0..set.golden().fault_sites).step_by(97) {
-            let spec = AsmFaultSpec::single(site, 5);
-            let scratch_res = mach.run(&cfg, Some(spec));
-            let (ff_res, _) = mach.run_fast_forward(&cfg, spec, &set, &mut scratch);
-            assert_eq!(ff_res.status, scratch_res.status, "site {site}");
-            assert_eq!(ff_res.output, scratch_res.output, "site {site}");
-            assert_eq!(ff_res.dyn_insts, scratch_res.dyn_insts, "site {site}");
-            scratch.recycle_output(ff_res.output);
-        }
-    }
-
-    #[test]
-    fn shared_prefix_capture_matches_fresh_capture() {
-        let raw_m = late_call_module(false);
-        let var_m = late_call_module(true);
-        let bc = BackendConfig::default();
-        let raw_p = compile_module(&raw_m, &bc);
-        let var_p = compile_module(&var_m, &bc);
-        assert_eq!(raw_p.main_entry, var_p.main_entry, "test premise: main compiles identically");
-        let raw_mach = Machine::new(&raw_m, &raw_p);
-        let var_mach = Machine::new(&var_m, &var_p);
-        let cfg = ExecConfig { max_dyn_insts: 100_000, ..Default::default() };
-        let raw_set = raw_mach.capture_snapshots(&cfg, 64);
-        assert!(raw_set.len() > 2);
-
-        let set = var_mach
-            .capture_snapshots_from(&cfg, (&raw_m, &raw_p), &raw_set)
-            .expect("late-diverging variant must share the raw prefix");
-        assert!(set.shared_snaps() >= 1, "at least one snapshot shared");
-        assert!(set.first_exec.is_none(), "derived sets cannot seed further sharing");
-        // Shared snapshots reuse the raw set's pages by Arc identity.
-        for (s, r) in set.snaps.iter().zip(&raw_set.snaps).take(set.shared_snaps()) {
-            assert_eq!(s.dyn_insts, r.dyn_insts);
-            for (k, v) in &s.pages {
-                assert!(std::sync::Arc::ptr_eq(v, &r.pages[k]), "page {k} must be shared, not copied");
-            }
-        }
-        // The continued golden equals a fresh variant run, and differs from raw.
-        let fresh = var_mach.run(&cfg, None);
-        assert_eq!(set.golden().status, fresh.status);
-        assert_eq!(set.golden().output, fresh.output);
-        assert_eq!(set.golden().dyn_insts, fresh.dyn_insts);
-        assert_eq!(set.golden().cycles, fresh.cycles);
-        assert_ne!(set.golden().output, raw_set.golden().output, "test premise: the variant diverges");
-
-        // Fast-forward from the shared-prefix set is bit-identical.
-        let mut scratch = AsmScratch::new();
-        for site in 0..set.golden().fault_sites {
-            for bit in [0u32, 9, 33] {
-                let spec = AsmFaultSpec::single(site, bit);
-                let scratch_res = var_mach.run(&cfg, Some(spec));
-                let (ff_res, _) = var_mach.run_fast_forward(&cfg, spec, &set, &mut scratch);
-                assert_eq!(ff_res.status, scratch_res.status, "site {site} bit {bit}");
-                assert_eq!(ff_res.output, scratch_res.output, "site {site} bit {bit}");
-                assert_eq!(ff_res.dyn_insts, scratch_res.dyn_insts, "site {site} bit {bit}");
-                assert_eq!(ff_res.cycles, scratch_res.cycles, "site {site} bit {bit}");
-                assert_eq!(ff_res.injected_inst, scratch_res.injected_inst, "site {site} bit {bit}");
-                scratch.recycle_output(ff_res.output);
-            }
-        }
-    }
-
-    #[test]
-    fn shared_prefix_refuses_incompatible_shapes() {
-        let raw_m = late_call_module(false);
-        let var_m = late_call_module(true);
-        let bc = BackendConfig::default();
-        let raw_p = compile_module(&raw_m, &bc);
-        let var_p = compile_module(&var_m, &bc);
-        let raw_mach = Machine::new(&raw_m, &raw_p);
-        let var_mach = Machine::new(&var_m, &var_p);
-        let cfg = ExecConfig { max_dyn_insts: 100_000, ..Default::default() };
-        let raw_set = raw_mach.capture_snapshots(&cfg, 64);
-        // Profiled captures cannot share (per-position counts do not map).
-        let prof_cfg = ExecConfig { profile: true, ..cfg.clone() };
-        assert!(var_mach.capture_snapshots_from(&prof_cfg, (&raw_m, &raw_p), &raw_set).is_none());
-        // Mismatched memory geometry cannot share.
-        let small = ExecConfig { mem_size: 2 << 20, ..cfg.clone() };
-        assert!(var_mach.capture_snapshots_from(&small, (&raw_m, &raw_p), &raw_set).is_none());
-        // A derived set (no first_exec) cannot seed sharing.
-        let derived = var_mach.capture_snapshots_from(&cfg, (&raw_m, &raw_p), &raw_set).unwrap();
-        assert!(var_mach.capture_snapshots_from(&cfg, (&var_m, &var_p), &derived).is_none());
     }
 
     #[test]

@@ -1,261 +1,190 @@
-//! Periodic machine-state snapshots for fast-forwarded injection trials.
-//!
-//! The asm-level twin of [`flowery_ir::interp::snapshot`]: during one
-//! instrumented golden run the [`Machine`](crate::machine::Machine)
-//! captures the register file, cycle/instruction counters, optionally the
-//! profile accumulator, and a cumulative dirty-page memory overlay on a
-//! [`Cadence`]. A trial restores the nearest snapshot at-or-before its
-//! injection site and executes only the suffix, bit-identical to a
-//! scratch run.
+//! The assembly injection layer: [`AsmLayer`]'s [`Substrate`] impl for
+//! [`Machine`] — what a machine snapshot holds, how a run boots and
+//! continues, and how that state is laid out in a snapshot file. Capture,
+//! restore, fast-forward, persistence and the trial runner are the shared
+//! ones in `flowery_ir::interp`.
 
-use crate::machine::MachResult;
-use crate::mir::Reg;
-use flowery_ir::interp::memory::{Memory, PageMap, PageRecorder};
-use flowery_ir::interp::Cadence;
+use crate::machine::{divergence_dyn, AsmFaultSpec, MachResult, Machine, SENTINEL};
+use crate::mir::{AsmProgram, Reg};
+use flowery_ir::interp::snapio::{w_bytes, w_opt, w_status, w_u32, w_u64, w_u64s, Cursor};
+use flowery_ir::interp::snapshot::Recorder;
+use flowery_ir::interp::substrate::{Linked, RunHead, RunResult, Start, Substrate};
+use flowery_ir::interp::{ExecConfig, ExecMode, Memory, Scratch, SnapshotSet};
+use flowery_ir::module::Module;
 
-/// One point-in-time capture of machine state. Memory is a cumulative
-/// dirty-page overlay against the pristine post-init image; pages are
-/// `Arc`-shared across snapshots.
-#[derive(Debug)]
-pub struct AsmSnapshot {
-    /// Dynamic instructions executed before this point (absolute).
-    pub(crate) dyn_insts: u64,
-    /// Fault sites executed before this point (absolute).
-    pub(crate) fault_sites: u64,
+/// The assembly injection layer (marker type).
+#[derive(Debug, Clone, Copy)]
+pub struct AsmLayer;
+
+/// All snapshots from one golden machine run.
+pub type AsmSnapshotSet = SnapshotSet<AsmLayer>;
+
+/// Per-worker reusable buffers for machine trials.
+pub type AsmScratch = Scratch<AsmLayer>;
+
+/// What a machine snapshot holds besides counters and memory.
+#[derive(Debug, Clone, Copy)]
+pub struct AsmState {
     /// Modelled cycles accumulated before this point.
     pub(crate) cycles: u64,
     /// Next instruction to execute.
     pub(crate) ip: u32,
     /// The whole register file, flags included.
     pub(crate) regs: [u64; Reg::COUNT],
-    /// Output bytes emitted so far (restored from the golden output).
-    pub(crate) output_len: usize,
-    /// Per-instruction execution counts at this point, when the capture
-    /// run profiled. Restoring it is what lets profiled campaigns
-    /// fast-forward.
-    pub(crate) profile: Option<Vec<u64>>,
-    /// Cumulative dirty-page overlay against the base image.
-    pub(crate) pages: PageMap,
 }
 
-/// All snapshots from one golden machine run. Built once per cached
-/// golden, shared read-only across worker threads.
-#[derive(Debug)]
-pub struct AsmSnapshotSet {
-    pub(crate) base: Memory,
-    pub(crate) golden: MachResult,
-    pub(crate) cadence: Cadence,
-    pub(crate) snaps: Vec<AsmSnapshot>,
-    /// `first_exec[ip]` = `dyn_insts` at the instruction's *first* execution
-    /// during the capture run (`u64::MAX` = never executed). Recorded only
-    /// by fresh captures; `None` for sets built by shared-prefix
-    /// continuation, which therefore cannot themselves seed further sharing.
-    pub(crate) first_exec: Option<Vec<u64>>,
-    /// Leading snapshots `Arc`-shared with the raw set this set was derived
-    /// from (0 for fresh captures).
-    pub(crate) shared_snaps: usize,
-}
+impl RunResult for MachResult {
+    type Profile = Vec<u64>;
 
-impl AsmSnapshotSet {
-    /// The fault-free result of the capture run.
-    pub fn golden(&self) -> &MachResult {
-        &self.golden
-    }
-
-    /// Snapshot cadence in dynamic instructions or fault sites.
-    pub fn cadence(&self) -> Cadence {
-        self.cadence
-    }
-
-    /// Numeric cadence spacing (see [`Cadence::value`]).
-    pub fn interval(&self) -> u64 {
-        self.cadence.value()
-    }
-
-    /// Number of captured snapshots.
-    pub fn len(&self) -> usize {
-        self.snaps.len()
-    }
-
-    /// True when no snapshot was captured (program shorter than interval).
-    pub fn is_empty(&self) -> bool {
-        self.snaps.is_empty()
-    }
-
-    /// Leading snapshots shared with the raw variant's set (see
-    /// [`crate::machine::Machine::capture_snapshots_from`]).
-    pub fn shared_snaps(&self) -> usize {
-        self.shared_snaps
-    }
-
-    /// True when the set was captured under the given memory geometry —
-    /// restoring into a differently-sized image would be unsound, so
-    /// callers holding a deserialized set must check before attaching it.
-    pub fn matches_geometry(&self, mem_size: u64, stack_size: u64) -> bool {
-        self.base.size() == mem_size && self.base.stack_limit() == mem_size - stack_size
-    }
-
-    /// The last snapshot whose fault-site counter has not yet passed
-    /// `site_index`.
-    pub(crate) fn nearest(&self, site_index: u64) -> Option<&AsmSnapshot> {
-        let i = self.snaps.partition_point(|s| s.fault_sites <= site_index);
-        i.checked_sub(1).map(|i| &self.snaps[i])
-    }
-}
-
-/// Capture-side hook threaded through the machine's golden run.
-pub(crate) struct AsmSnapshotRecorder {
-    cadence: Cadence,
-    next: u64,
-    budget: Option<u64>,
-    /// Snapshot-count cap for self-tuning captures; `None` preserves the
-    /// caller's explicit cadence exactly (only the byte budget may widen).
-    max_snaps: Option<usize>,
-    pages: PageRecorder,
-    /// First-execution `dyn_insts` per program position; `None` on
-    /// continuation captures (the shared prefix's entries are unknown).
-    pub(crate) first_exec: Option<Vec<u64>>,
-    pub(crate) snaps: Vec<AsmSnapshot>,
-}
-
-impl AsmSnapshotRecorder {
-    pub(crate) fn new(
-        program_len: usize,
-        cadence: Cadence,
-        budget: Option<u64>,
-        max_snaps: Option<usize>,
-    ) -> AsmSnapshotRecorder {
-        assert!(cadence.value() > 0, "snapshot cadence must be positive");
-        AsmSnapshotRecorder {
-            cadence,
-            next: cadence.value(),
-            budget,
-            max_snaps,
-            pages: PageRecorder::new(),
-            first_exec: Some(vec![u64::MAX; program_len]),
-            snaps: Vec::new(),
+    fn head(&self) -> RunHead<'_> {
+        RunHead {
+            status: self.status,
+            output: &self.output,
+            dyn_insts: self.dyn_insts,
+            fault_sites: self.fault_sites,
         }
     }
 
-    /// A recorder that continues capturing after a translated shared prefix:
-    /// `snaps` are the prefix snapshots, the cumulative overlay starts from
-    /// the last of them, and the next capture is scheduled one cadence step
-    /// past it. First executions are not recorded (the prefix's are
-    /// unknown).
-    pub(crate) fn from_shared(
-        cadence: Cadence,
-        budget: Option<u64>,
-        max_snaps: Option<usize>,
-        snaps: Vec<AsmSnapshot>,
-    ) -> AsmSnapshotRecorder {
-        assert!(cadence.value() > 0, "snapshot cadence must be positive");
-        let last = snaps.last().expect("shared prefix must be nonempty");
-        let next = match cadence {
-            Cadence::Insts(k) => last.dyn_insts + k,
-            Cadence::Sites(k) => last.fault_sites + k,
+    fn into_parts(self) -> (Vec<u8>, Option<Vec<u64>>) {
+        (self.output, self.profile)
+    }
+}
+
+/// A `u64` per program position.
+fn r_counts(c: &mut Cursor, program: &AsmProgram, what: &str) -> Result<Option<Vec<u64>>, String> {
+    c.opt(what, |c| {
+        let v = c.u64s()?;
+        if v.len() != program.insts.len() {
+            return Err(format!("snapshot file: {what} shape does not match program"));
+        }
+        Ok(v)
+    })
+}
+
+impl Substrate for AsmLayer {
+    const MAGIC: &'static [u8; 8] = b"FLSNAPAS";
+    const NAME: &'static str = "asm";
+
+    type Exec<'a> = Machine<'a>;
+    type State = AsmState;
+    type Golden = MachResult;
+    type Fault = AsmFaultSpec;
+    /// `[ip]` = `dyn_insts` at the instruction's first execution.
+    type FirstExec = Vec<u64>;
+    type Pool = ();
+
+    fn module<'a>(exec: &'a Machine<'_>) -> &'a Module {
+        exec.module
+    }
+
+    /// Scoped faults count a region-local site index, which only the
+    /// reference interpreter implements (see `Machine::exec`).
+    fn engine(config: &ExecConfig, scoped: bool) -> ExecMode {
+        if scoped {
+            ExecMode::Interp
+        } else {
+            config.executor
+        }
+    }
+
+    fn global_site(fault: &AsmFaultSpec) -> Option<u64> {
+        fault.scope.is_none().then_some(fault.site_index)
+    }
+
+    fn first_exec_table(exec: &Machine<'_>) -> Vec<u64> {
+        vec![u64::MAX; exec.program.insts.len()]
+    }
+
+    /// Fresh machine state: zeroed registers, sentinel return address
+    /// pushed for `main`, entry ip.
+    fn start(exec: &Machine<'_>, from: Option<&AsmState>, mem: &mut Memory, _pool: &mut ()) -> AsmState {
+        if let Some(s) = from {
+            return *s;
+        }
+        let mut regs = [0u64; Reg::COUNT];
+        let sp = mem.initial_sp() - 8;
+        mem.store(sp, 8, SENTINEL).expect("initial stack in bounds");
+        regs[Reg::Rsp.index()] = sp;
+        AsmState { cycles: 0, ip: exec.program.main_entry, regs }
+    }
+
+    fn run_suffix(
+        exec: &Machine<'_>,
+        config: &ExecConfig,
+        fault: Option<AsmFaultSpec>,
+        start: Start<AsmLayer>,
+        recorder: Option<&mut Recorder<AsmLayer>>,
+        _pool: &mut (),
+    ) -> (MachResult, Memory) {
+        exec.exec(config, fault, start, recorder)
+    }
+
+    fn divergence(exec: &Machine<'_>, raw: &Machine<'_>, first_exec: &Vec<u64>) -> Option<u64> {
+        if raw.program.main_entry != exec.program.main_entry {
+            return None;
+        }
+        divergence_dyn(&raw.program.insts, &exec.program.insts, first_exec)
+    }
+
+    /// Register files and program positions carry over verbatim; a position
+    /// past the variant's end has no counterpart.
+    fn translate(exec: &Machine<'_>, state: &AsmState) -> Option<AsmState> {
+        ((state.ip as usize) < exec.program.insts.len()).then_some(*state)
+    }
+
+    fn encode_head(w: &mut Vec<u8>, r: &MachResult, first_exec: Option<&Vec<u64>>) {
+        w_status(w, r.status);
+        w_bytes(w, &r.output);
+        w_u64(w, r.dyn_insts);
+        w_u64(w, r.fault_sites);
+        w_u64(w, r.cycles);
+        w_opt(w, r.injected_inst, w_u32);
+        w_opt(w, r.profile.as_deref(), w_u64s);
+        w_opt(w, first_exec.map(Vec::as_slice), w_u64s);
+    }
+
+    fn decode_head(c: &mut Cursor, exec: &Machine<'_>) -> Result<(MachResult, Option<Vec<u64>>), String> {
+        let golden = MachResult {
+            status: c.status()?,
+            output: c.bytes()?,
+            dyn_insts: c.u64()?,
+            fault_sites: c.u64()?,
+            cycles: c.u64()?,
+            injected_inst: c.opt("injected_inst", Cursor::u32)?,
+            profile: r_counts(c, exec.program, "profile")?,
         };
-        AsmSnapshotRecorder {
-            cadence,
-            next,
-            budget,
-            max_snaps,
-            pages: PageRecorder::from_overlay(&last.pages),
-            first_exec: None,
-            snaps,
-        }
+        Ok((golden, r_counts(c, exec.program, "first-exec")?))
     }
 
-    /// Called at the top of the dispatch loop, before the next instruction.
-    pub(crate) fn due(&self, dyn_insts: u64, fault_sites: u64) -> bool {
-        match self.cadence {
-            Cadence::Insts(_) => dyn_insts >= self.next,
-            Cadence::Sites(_) => fault_sites >= self.next,
+    fn encode_snap(w: &mut Vec<u8>, state: &AsmState, output_len: usize, profile: Option<&Vec<u64>>) {
+        w_u64(w, state.cycles);
+        w_u32(w, state.ip);
+        for &r in &state.regs {
+            w_u64(w, r);
         }
+        w_u64(w, output_len as u64);
+        w_opt(w, profile.map(Vec::as_slice), w_u64s);
     }
 
-    /// The cadence after any budget-driven widening.
-    pub(crate) fn final_cadence(&self) -> Cadence {
-        self.cadence
-    }
-
-    /// Record the first execution of the instruction at `ip`. `dyn_insts`
-    /// uses the snapshot-hook convention: that instruction has not yet
-    /// started.
-    #[inline]
-    pub(crate) fn note_exec(&mut self, ip: u32, dyn_insts: u64) {
-        if let Some(first) = self.first_exec.as_mut() {
-            let slot = &mut first[ip as usize];
-            if *slot == u64::MAX {
-                *slot = dyn_insts;
-            }
+    fn decode_snap(c: &mut Cursor, exec: &Machine<'_>) -> Result<(AsmState, usize, Option<Vec<u64>>), String> {
+        let cycles = c.u64()?;
+        let ip = c.u32()?;
+        if ip as usize > exec.program.insts.len() {
+            return Err("snapshot file: snapshot ip out of range".into());
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn capture(
-        &mut self,
-        dyn_insts: u64,
-        fault_sites: u64,
-        cycles: u64,
-        ip: u32,
-        regs: [u64; Reg::COUNT],
-        output_len: usize,
-        profile: Option<&Vec<u64>>,
-        mem: &mut Memory,
-    ) {
-        let pages = self.pages.sync(mem);
-        self.snaps.push(AsmSnapshot {
-            dyn_insts,
-            fault_sites,
-            cycles,
-            ip,
-            regs,
-            output_len,
-            profile: profile.cloned(),
-            pages,
-        });
-        while self.budget.is_some_and(|b| self.pages.live_bytes() > b) && self.snaps.len() > 1 {
-            self.widen();
+        let mut regs = [0u64; Reg::COUNT];
+        for r in regs.iter_mut() {
+            *r = c.u64()?;
         }
-        while self.max_snaps.is_some_and(|m| self.snaps.len() > m) && self.snaps.len() > 1 {
-            self.widen();
-        }
-        self.next = match self.cadence {
-            Cadence::Insts(k) => dyn_insts + k,
-            Cadence::Sites(k) => fault_sites + k,
-        };
-    }
-
-    /// Double the cadence and keep every other snapshot, reclaiming the
-    /// page copies the dropped snapshots were the sole owners of. See the
-    /// IR twin in `flowery_ir::interp::snapshot` for the rationale.
-    fn widen(&mut self) {
-        self.cadence = self.cadence.widened();
-        let mut keep = false;
-        self.snaps.retain(|_| {
-            keep = !keep;
-            keep
-        });
+        let output_len = c.u64()? as usize;
+        Ok((AsmState { cycles, ip, regs }, output_len, r_counts(c, exec.program, "profile")?))
     }
 }
 
-/// Per-worker reusable buffers for machine trials: the scratch memory
-/// image (reset via dirty-page reverts) and the output buffer.
-#[derive(Default)]
-pub struct AsmScratch {
-    pub(crate) mem: Option<Memory>,
-    pub(crate) output: Vec<u8>,
-}
+impl Linked for AsmLayer {
+    type Program = AsmProgram;
 
-impl AsmScratch {
-    pub fn new() -> AsmScratch {
-        AsmScratch::default()
-    }
-
-    /// Hand a trial's output buffer back for reuse once it has been
-    /// classified.
-    pub fn recycle_output(&mut self, mut output: Vec<u8>) {
-        output.clear();
-        self.output = output;
+    fn bind<'a>(module: &'a Module, program: &'a AsmProgram) -> Machine<'a> {
+        Machine::new(module, program)
     }
 }

@@ -427,9 +427,8 @@ fn finalize_diff(ctx: &Ctx, interrupted: bool) -> Result<DistDiffReport, String>
         batches.sort_unstable();
         for b in batches {
             let r = &d.frags[ti][&b];
-            let compiled = ctx.units[task.unit_index].key.layer == flowery_harness::Layer::Asm
-                && ctx.hcfg.exec.executor == flowery_backend::ExecMode::Compiled;
-            metrics.record_batch(&r.counts, false, r.ff_insts, r.exec_insts, compiled);
+            let engine = ctx.units[task.unit_index].engine(&ctx.hcfg.exec, true);
+            metrics.record_batch(&r.counts, r.ff_insts, r.exec_insts, engine);
             fold_task_result(&mut d.reports[task.unit_index].regions[task.region_index].profile, r);
         }
     }

@@ -22,26 +22,18 @@
 
 use crate::snapstore::SnapshotStore;
 use flowery_analysis::statline::{analyze_bits, BitTable};
-use flowery_backend::{print_program, AsmProgram, AsmSnapshotSet, MachResult, Machine};
-use flowery_ir::interp::{ExecConfig, ExecResult, Interpreter, IrSnapshotSet, Profile};
+use flowery_backend::{print_program, AsmLayer, AsmProgram, AsmSnapshotSet, MachResult, Machine};
+use flowery_inject::campaign::{InjectLayer, TrialRunner};
+use flowery_ir::interp::substrate::{self, ProfileOf, RunResult};
+use flowery_ir::interp::{ExecConfig, ExecResult, Interpreter, IrLayer, IrSnapshotSet, SnapshotSet, Substrate};
 use flowery_ir::printer::print_module;
-use flowery_ir::Module;
+use flowery_ir::{fnv1a, Module};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// FNV-1a over the canonical textual form — stable across runs and
-/// platforms, which keeps checkpoint logs portable.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Content hash of a module (its printed IR).
+/// Content hash of a module (its printed IR) — FNV-1a over the canonical
+/// textual form, which keeps checkpoint logs portable.
 pub fn module_hash(m: &Module) -> u64 {
     fnv1a(print_module(m).as_bytes())
 }
@@ -69,17 +61,58 @@ pub struct CacheStats {
     pub snap_shared: u64,
 }
 
+/// One layer's share of the cache, keyed by program content hash.
+pub(crate) struct LayerMaps<S: Substrate> {
+    goldens: Mutex<HashMap<u64, Arc<S::Golden>>>,
+    snaps: Mutex<HashMap<u64, Arc<SnapshotSet<S>>>>,
+    /// Per-instruction execution profiles from a profiled golden run —
+    /// the dynamic fault-site masses of the region model.
+    profiles: Mutex<HashMap<u64, Arc<ProfileOf<S>>>>,
+}
+
+impl<S: Substrate> Default for LayerMaps<S> {
+    fn default() -> LayerMaps<S> {
+        LayerMaps {
+            goldens: Mutex::default(),
+            snaps: Mutex::default(),
+            profiles: Mutex::default(),
+        }
+    }
+}
+
+/// A layer the cache serves: what keys its programs and where its maps are.
+pub(crate) trait CacheLayer: Substrate {
+    /// Content hash of the program `exec` is bound to.
+    fn key(exec: &Self::Exec<'_>) -> u64;
+
+    fn maps(cache: &GoldenCache) -> &LayerMaps<Self>;
+}
+
+impl CacheLayer for IrLayer {
+    fn key(exec: &Interpreter<'_>) -> u64 {
+        module_hash(IrLayer::module(exec))
+    }
+
+    fn maps(cache: &GoldenCache) -> &LayerMaps<IrLayer> {
+        &cache.ir
+    }
+}
+
+impl CacheLayer for AsmLayer {
+    fn key(exec: &Machine<'_>) -> u64 {
+        program_hash(exec.program())
+    }
+
+    fn maps(cache: &GoldenCache) -> &LayerMaps<AsmLayer> {
+        &cache.asm
+    }
+}
+
 /// Thread-safe golden-run / snapshot-set cache with provenance accounting.
 #[derive(Default)]
 pub struct GoldenCache {
-    ir: Mutex<HashMap<u64, Arc<ExecResult>>>,
-    asm: Mutex<HashMap<u64, Arc<MachResult>>>,
-    ir_snaps: Mutex<HashMap<u64, Arc<IrSnapshotSet>>>,
-    asm_snaps: Mutex<HashMap<u64, Arc<AsmSnapshotSet>>>,
-    /// Per-instruction execution profiles from a profiled golden run —
-    /// the dynamic fault-site masses of the region model.
-    ir_profiles: Mutex<HashMap<u64, Arc<Profile>>>,
-    asm_profiles: Mutex<HashMap<u64, Arc<Vec<u64>>>>,
+    ir: LayerMaps<IrLayer>,
+    asm: LayerMaps<AsmLayer>,
     /// Static bit-verdict tables (the prune oracle's proof side).
     bit_tables: Mutex<HashMap<u64, Arc<BitTable>>>,
     /// Golden dynamic-site → static-instruction traces (its lookup side).
@@ -105,81 +138,59 @@ impl GoldenCache {
         GoldenCache { store: Some(store), ..GoldenCache::default() }
     }
 
-    /// Golden run of `m` at the IR layer, computed at most once per
-    /// distinct program content.
-    pub fn ir_golden(&self, m: &Module, exec: &ExecConfig) -> Arc<ExecResult> {
-        let key = module_hash(m);
-        if let Some(g) = self.ir.lock().unwrap().get(&key) {
+    /// `map[key]`, made by `make` on a miss — outside the lock, executions
+    /// being the expensive part; of two racing makers the first insert wins.
+    fn memo<T>(&self, map: &Mutex<HashMap<u64, Arc<T>>>, key: u64, make: impl FnOnce() -> T) -> Arc<T> {
+        if let Some(v) = map.lock().unwrap().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return g.clone();
+            return v.clone();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        // A persisted snapshot set carries the golden result, so a pure
-        // checkpoint replay (`--resume` of a finished run) serves even
-        // its merge-time golden lookups without executing anything.
-        if let Some(set) = self.store.as_ref().and_then(|st| st.load_ir(m, key)) {
-            if set.matches_geometry(exec.mem_size, exec.stack_size) {
-                self.snap_loads.fetch_add(1, Ordering::Relaxed);
-                self.insert_ir_set(key, set, false);
-                return self.ir.lock().unwrap().get(&key).unwrap().clone();
+        let v = Arc::new(make());
+        map.lock().unwrap().entry(key).or_insert(v).clone()
+    }
+
+    /// Golden run of the program `exec` is bound to, computed at most once
+    /// per distinct program content.
+    pub(crate) fn golden<S: CacheLayer>(&self, exec: &S::Exec<'_>, cfg: &ExecConfig) -> Arc<S::Golden> {
+        let key = S::key(exec);
+        self.memo(&S::maps(self).goldens, key, || match self.load_set::<S>(exec, key, cfg) {
+            // A persisted snapshot set carries the golden result, so a pure
+            // checkpoint replay (`--resume` of a finished run) serves even
+            // its merge-time golden lookups without executing anything.
+            Some(set) => {
+                let golden = set.golden().clone();
+                S::maps(self).snaps.lock().unwrap().entry(key).or_insert(Arc::new(set));
+                golden
             }
-        }
-        // Run outside the lock: golden executions are the expensive part.
-        let g = Arc::new(Interpreter::new(m).run(exec, None));
-        self.goldens_run.fetch_add(1, Ordering::Relaxed);
-        self.ir.lock().unwrap().entry(key).or_insert(g).clone()
+            None => {
+                self.goldens_run.fetch_add(1, Ordering::Relaxed);
+                substrate::run::<S>(exec, cfg, None)
+            }
+        })
+    }
+
+    /// Golden run of `m` at the IR layer.
+    pub fn ir_golden(&self, m: &Module, exec: &ExecConfig) -> Arc<ExecResult> {
+        self.golden::<IrLayer>(&Interpreter::new(m), exec)
     }
 
     /// Golden run of `p` at the assembly layer.
     pub fn asm_golden(&self, m: &Module, p: &AsmProgram, exec: &ExecConfig) -> Arc<MachResult> {
-        let key = program_hash(p);
-        if let Some(g) = self.asm.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return g.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(set) = self.store.as_ref().and_then(|st| st.load_asm(m, p, key)) {
-            if set.matches_geometry(exec.mem_size, exec.stack_size) {
-                self.snap_loads.fetch_add(1, Ordering::Relaxed);
-                self.insert_asm_set(key, set, false);
-                return self.asm.lock().unwrap().get(&key).unwrap().clone();
-            }
-        }
-        let g = Arc::new(Machine::new(m, p).run(exec, None));
-        self.goldens_run.fetch_add(1, Ordering::Relaxed);
-        self.asm.lock().unwrap().entry(key).or_insert(g).clone()
+        self.golden::<AsmLayer>(&Machine::new(m, p), exec)
     }
 
-    /// Per-instruction execution profile of `m`'s golden run, computed at
+    /// Per-instruction execution profile of the golden run, computed at
     /// most once per distinct program content. This is a separate profiled
     /// execution (the plain golden run skips the counters); region site
     /// masses derive from it.
-    pub fn ir_profile(&self, m: &Module, exec: &ExecConfig) -> Arc<Profile> {
-        let key = module_hash(m);
-        if let Some(p) = self.ir_profiles.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return p.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let r = Interpreter::new(m).profile_run(exec);
-        self.goldens_run.fetch_add(1, Ordering::Relaxed);
-        let p = Arc::new(r.profile.expect("profiled run records a profile"));
-        self.ir_profiles.lock().unwrap().entry(key).or_insert(p).clone()
-    }
-
-    /// Assembly twin of [`GoldenCache::ir_profile`]: per-program-index
-    /// execution counts of `p`'s golden run.
-    pub fn asm_profile(&self, m: &Module, p: &AsmProgram, exec: &ExecConfig) -> Arc<Vec<u64>> {
-        let key = program_hash(p);
-        if let Some(pr) = self.asm_profiles.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return pr.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let r = Machine::new(m, p).profile_run(exec);
-        self.goldens_run.fetch_add(1, Ordering::Relaxed);
-        let pr = Arc::new(r.profile.expect("profiled run records a profile"));
-        self.asm_profiles.lock().unwrap().entry(key).or_insert(pr).clone()
+    pub(crate) fn profile<S: CacheLayer>(&self, exec: &S::Exec<'_>, cfg: &ExecConfig) -> Arc<ProfileOf<S>> {
+        self.memo(&S::maps(self).profiles, S::key(exec), || {
+            let cfg = ExecConfig { profile: true, ..cfg.clone() };
+            self.goldens_run.fetch_add(1, Ordering::Relaxed);
+            let (_, profile) = substrate::run::<S>(exec, &cfg, None).into_parts();
+            profile.expect("profiled run records a profile")
+        })
     }
 
     /// Upper bound on prunable dynamic sites per program: past this many,
@@ -190,14 +201,7 @@ impl GoldenCache {
     /// Static bit-verdict table for `p`, computed at most once per
     /// distinct program content. Pure static analysis — no execution.
     pub fn asm_bits(&self, m: &Module, p: &AsmProgram) -> Arc<BitTable> {
-        let key = program_hash(p);
-        if let Some(t) = self.bit_tables.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return t.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let t = Arc::new(analyze_bits(m, p));
-        self.bit_tables.lock().unwrap().entry(key).or_insert(t).clone()
+        self.memo(&self.bit_tables, program_hash(p), || analyze_bits(m, p))
     }
 
     /// Golden site trace of `p`: static instruction index of each dynamic
@@ -205,79 +209,94 @@ impl GoldenCache {
     /// [`GoldenCache::SITE_TRACE_CAP`] entries. A fault-free replay (not a
     /// golden run — it records site indices, nothing else).
     pub fn asm_site_map(&self, m: &Module, p: &AsmProgram, exec: &ExecConfig) -> Arc<Vec<u32>> {
-        let key = program_hash(p);
-        if let Some(s) = self.site_maps.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return s.clone();
+        self.memo(&self.site_maps, program_hash(p), || {
+            self.goldens_run.fetch_add(1, Ordering::Relaxed);
+            Machine::new(m, p).site_trace(exec, Self::SITE_TRACE_CAP)
+        })
+    }
+
+    /// A trial runner for `exec`'s program on the cached golden. With
+    /// `snapshots` on, the set is fetched first: its capture run doubles as
+    /// the golden run (and seeds the golden cache), so no separate golden
+    /// execution happens.
+    pub(crate) fn runner<'u, S: CacheLayer + InjectLayer>(
+        &self,
+        exec: S::Exec<'u>,
+        raw: Option<S::Exec<'u>>,
+        snapshots: bool,
+        cfg: &ExecConfig,
+    ) -> TrialRunner<'u, S> {
+        if snapshots {
+            let set = self.snapshots_for::<S>(&exec, raw.as_ref(), cfg);
+            let mut r = TrialRunner::from_golden(exec, set.golden().clone(), cfg);
+            r.attach_snapshots(set);
+            r
+        } else {
+            let g = self.golden::<S>(&exec, cfg);
+            TrialRunner::from_golden(exec, (*g).clone(), cfg)
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let s = Arc::new(Machine::new(m, p).site_trace(exec, Self::SITE_TRACE_CAP));
-        self.goldens_run.fetch_add(1, Ordering::Relaxed);
-        self.site_maps.lock().unwrap().entry(key).or_insert(s).clone()
     }
 
-    /// Snapshot set for fast-forwarded IR trials over `m` (no raw twin).
-    pub fn ir_snapshots(&self, m: &Module, exec: &ExecConfig) -> Arc<IrSnapshotSet> {
-        self.ir_snapshots_for(m, None, exec)
+    /// The persisted set for `key`, when the store has one captured under
+    /// `cfg`'s memory geometry.
+    fn load_set<S: CacheLayer>(&self, exec: &S::Exec<'_>, key: u64, cfg: &ExecConfig) -> Option<SnapshotSet<S>> {
+        let set = self.store.as_ref()?.load::<S>(exec, key)?;
+        if !set.matches_geometry(cfg.mem_size, cfg.stack_size) {
+            return None;
+        }
+        self.snap_loads.fetch_add(1, Ordering::Relaxed);
+        Some(set)
     }
 
-    /// Snapshot set for fast-forwarded IR trials over `m`, obtained (in
-    /// order of preference) from the in-memory cache, the persistent
-    /// store, a shared-prefix capture off `raw`'s set, or a fresh capture.
-    /// The set's golden result seeds the golden cache, so subsequent
-    /// [`GoldenCache::ir_golden`] calls for the same content are free.
+    /// Snapshot set for fast-forwarded trials over `exec`'s program,
+    /// obtained (in order of preference) from the in-memory cache, the
+    /// persistent store, a shared-prefix capture off `raw`'s set, or a
+    /// fresh capture. The set's golden result seeds the golden cache, so
+    /// subsequent [`GoldenCache::golden`] calls for the same content are
+    /// free.
+    pub(crate) fn snapshots_for<S: CacheLayer>(
+        &self,
+        exec: &S::Exec<'_>,
+        raw: Option<&S::Exec<'_>>,
+        cfg: &ExecConfig,
+    ) -> Arc<SnapshotSet<S>> {
+        let key = S::key(exec);
+        self.memo(&S::maps(self).snaps, key, || {
+            let set = self.load_set::<S>(exec, key, cfg).unwrap_or_else(|| {
+                let shared = raw.filter(|raw| S::key(raw) != key).and_then(|raw| {
+                    let raw_set = self.snapshots_for::<S>(raw, None, cfg);
+                    substrate::capture_from::<S>(exec, cfg, raw, &raw_set)
+                });
+                if shared.is_some() {
+                    self.snap_shared.fetch_add(1, Ordering::Relaxed);
+                }
+                let set = shared.unwrap_or_else(|| substrate::capture_auto::<S>(exec, cfg));
+                self.snap_captures.fetch_add(1, Ordering::Relaxed);
+                if let Some(st) = &self.store {
+                    st.save(&set, key);
+                }
+                set
+            });
+            // The capture (or the loaded file) carries the golden result: seed
+            // the golden map so no plain golden execution ever repeats it.
+            let goldens = &S::maps(self).goldens;
+            goldens
+                .lock()
+                .unwrap()
+                .entry(key)
+                .or_insert_with(|| Arc::new(set.golden().clone()));
+            set
+        })
+    }
+
+    /// Snapshot set for fast-forwarded IR trials over `m`: from the cache,
+    /// the persistent store, a shared-prefix capture off `raw`'s set, or a
+    /// fresh capture, in that order of preference.
     pub fn ir_snapshots_for(&self, m: &Module, raw: Option<&Module>, exec: &ExecConfig) -> Arc<IrSnapshotSet> {
-        let key = module_hash(m);
-        if let Some(s) = self.ir_snaps.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return s.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(set) = self.store.as_ref().and_then(|st| st.load_ir(m, key)) {
-            if set.matches_geometry(exec.mem_size, exec.stack_size) {
-                self.snap_loads.fetch_add(1, Ordering::Relaxed);
-                return self.insert_ir_set(key, set, false);
-            }
-        }
-        let shared = raw.and_then(|raw_m| {
-            let raw_key = module_hash(raw_m);
-            if raw_key == key {
-                return None;
-            }
-            let raw_set = self.ir_snapshots_for(raw_m, None, exec);
-            Interpreter::new(m).capture_snapshots_from(exec, raw_m, &raw_set)
-        });
-        if shared.is_some() {
-            self.snap_shared.fetch_add(1, Ordering::Relaxed);
-        }
-        let set = shared.unwrap_or_else(|| Interpreter::new(m).capture_snapshots_auto(exec));
-        self.snap_captures.fetch_add(1, Ordering::Relaxed);
-        self.insert_ir_set(key, set, true)
+        self.snapshots_for::<IrLayer>(&Interpreter::new(m), raw.map(Interpreter::new).as_ref(), exec)
     }
 
-    fn insert_ir_set(&self, key: u64, set: IrSnapshotSet, save: bool) -> Arc<IrSnapshotSet> {
-        // The capture (or the loaded file) carries the golden result: seed
-        // the golden map so no plain golden execution ever repeats it.
-        self.ir
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert_with(|| Arc::new(set.golden().clone()));
-        if save {
-            if let Some(st) = &self.store {
-                st.save_ir(&set, key);
-            }
-        }
-        self.ir_snaps.lock().unwrap().entry(key).or_insert(Arc::new(set)).clone()
-    }
-
-    /// Snapshot set for fast-forwarded assembly trials over `p` (no raw
-    /// twin).
-    pub fn asm_snapshots(&self, m: &Module, p: &AsmProgram, exec: &ExecConfig) -> Arc<AsmSnapshotSet> {
-        self.asm_snapshots_for(m, p, None, exec)
-    }
-
-    /// Assembly twin of [`GoldenCache::ir_snapshots_for`].
+    /// [`GoldenCache::ir_snapshots_for`] at the assembly layer.
     pub fn asm_snapshots_for(
         &self,
         m: &Module,
@@ -285,46 +304,8 @@ impl GoldenCache {
         raw: Option<(&Module, &AsmProgram)>,
         exec: &ExecConfig,
     ) -> Arc<AsmSnapshotSet> {
-        let key = program_hash(p);
-        if let Some(s) = self.asm_snaps.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return s.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(set) = self.store.as_ref().and_then(|st| st.load_asm(m, p, key)) {
-            if set.matches_geometry(exec.mem_size, exec.stack_size) {
-                self.snap_loads.fetch_add(1, Ordering::Relaxed);
-                return self.insert_asm_set(key, set, false);
-            }
-        }
-        let shared = raw.and_then(|(raw_m, raw_p)| {
-            let raw_key = program_hash(raw_p);
-            if raw_key == key {
-                return None;
-            }
-            let raw_set = self.asm_snapshots_for(raw_m, raw_p, None, exec);
-            Machine::new(m, p).capture_snapshots_from(exec, (raw_m, raw_p), &raw_set)
-        });
-        if shared.is_some() {
-            self.snap_shared.fetch_add(1, Ordering::Relaxed);
-        }
-        let set = shared.unwrap_or_else(|| Machine::new(m, p).capture_snapshots_auto(exec));
-        self.snap_captures.fetch_add(1, Ordering::Relaxed);
-        self.insert_asm_set(key, set, true)
-    }
-
-    fn insert_asm_set(&self, key: u64, set: AsmSnapshotSet, save: bool) -> Arc<AsmSnapshotSet> {
-        self.asm
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert_with(|| Arc::new(set.golden().clone()));
-        if save {
-            if let Some(st) = &self.store {
-                st.save_asm(&set, key);
-            }
-        }
-        self.asm_snaps.lock().unwrap().entry(key).or_insert(Arc::new(set)).clone()
+        let raw = raw.map(|(m, p)| Machine::new(m, p));
+        self.snapshots_for::<AsmLayer>(&Machine::new(m, p), raw.as_ref(), exec)
     }
 
     pub fn hits(&self) -> u64 {
@@ -394,8 +375,8 @@ mod tests {
         let b = module(LOOP_SRC);
         let cache = GoldenCache::new();
         let exec = ExecConfig::default();
-        let s1 = cache.ir_snapshots(&a, &exec);
-        let s2 = cache.ir_snapshots(&b, &exec);
+        let s1 = cache.ir_snapshots_for(&a, None, &exec);
+        let s2 = cache.ir_snapshots_for(&b, None, &exec);
         assert!(Arc::ptr_eq(&s1, &s2), "same content must share one snapshot set");
         assert!(!s1.is_empty(), "a multi-thousand-instruction run must snapshot");
         assert_eq!(s1.golden().dyn_insts, cache.ir_golden(&a, &exec).dyn_insts);
@@ -429,16 +410,16 @@ mod tests {
 
         // First campaign: captures and persists.
         let first = GoldenCache::with_store(SnapshotStore::at(&dir));
-        let s1 = first.ir_snapshots(&m, &exec);
-        let a1 = first.asm_snapshots(&m, &p, &exec);
+        let s1 = first.ir_snapshots_for(&m, None, &exec);
+        let a1 = first.asm_snapshots_for(&m, &p, None, &exec);
         let st = first.stats();
         assert_eq!(st.snap_captures, 2);
         assert_eq!(st.snap_loads, 0);
 
         // Resumed campaign: loads both sets, executes nothing.
         let resumed = GoldenCache::with_store(SnapshotStore::at(&dir));
-        let s2 = resumed.ir_snapshots(&m, &exec);
-        let a2 = resumed.asm_snapshots(&m, &p, &exec);
+        let s2 = resumed.ir_snapshots_for(&m, None, &exec);
+        let a2 = resumed.asm_snapshots_for(&m, &p, None, &exec);
         let st = resumed.stats();
         assert_eq!(st.snap_loads, 2, "resume must load from the store");
         assert_eq!(st.snap_captures, 0, "resume must not re-capture");
@@ -452,7 +433,7 @@ mod tests {
         // A geometry mismatch refuses the file and recaptures.
         let small = ExecConfig { mem_size: 2 << 20, ..ExecConfig::default() };
         let strict = GoldenCache::with_store(SnapshotStore::at(&dir));
-        let s3 = strict.ir_snapshots(&m, &small);
+        let s3 = strict.ir_snapshots_for(&m, None, &small);
         assert!(s3.matches_geometry(small.mem_size, small.stack_size));
         assert_eq!(strict.stats().snap_captures, 1, "wrong geometry must recapture");
 

@@ -30,7 +30,7 @@ use crate::progress::{merge_region_counts, BatchOutcome, UnitProgress};
 use flowery_faultmodel::{DetectorSpec, ModelSpec};
 use flowery_inject::campaign::{AsmTrialRunner, IrTrialRunner};
 use flowery_inject::{Estimate, Outcome, OutcomeCounts};
-use flowery_ir::interp::ExecConfig;
+use flowery_ir::interp::{ExecConfig, Interpreter};
 use flowery_ir::value::{FuncId, InstId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -259,12 +259,8 @@ impl Shared<'_> {
                 self.stop.store(true, Ordering::Relaxed);
             }
         }
-        // The IR interpreter has a single engine; only assembly-layer work
-        // under `compiled` runs on the threaded-code executor.
-        let compiled =
-            self.units[ui].key.layer == Layer::Asm && self.cfg.exec.executor == flowery_ir::interp::ExecMode::Compiled;
-        self.metrics
-            .record_batch(&data.counts, false, data.ff_insts, data.exec_insts, compiled);
+        let engine = self.units[ui].engine(&self.cfg.exec, false);
+        self.metrics.record_batch(&data.counts, data.ff_insts, data.exec_insts, engine);
         if data.pruned > 0 {
             self.metrics.record_pruned(data.pruned);
         }
@@ -307,34 +303,10 @@ impl<'u> UnitRunner<'u> {
         let exec = &cfg.exec;
         let inner = match unit.key.layer {
             Layer::Ir => {
-                // With snapshots on, the set is fetched first: its capture
-                // run doubles as the golden run (and seeds the golden
-                // cache), so no separate golden execution happens.
-                let r = if cfg.snapshots {
-                    let set = cache.ir_snapshots_for(&unit.module, unit.raw.as_deref(), exec);
-                    let mut r = IrTrialRunner::with_golden(&unit.module, set.golden().clone(), exec);
-                    r.attach_snapshots(set);
-                    r
-                } else {
-                    let g = cache.ir_golden(&unit.module, exec);
-                    IrTrialRunner::with_golden(&unit.module, (*g).clone(), exec)
-                };
-                RunnerInner::Ir(r)
+                let raw = unit.raw.as_deref().map(Interpreter::new);
+                RunnerInner::Ir(cache.runner(Interpreter::new(&unit.module), raw, cfg.snapshots, exec))
             }
-            Layer::Asm => {
-                let p = unit.program.as_ref().expect("asm unit has a program");
-                let r = if cfg.snapshots {
-                    let raw = unit.raw.as_deref().zip(unit.raw_program.as_deref());
-                    let set = cache.asm_snapshots_for(&unit.module, p, raw, exec);
-                    let mut r = AsmTrialRunner::with_golden(&unit.module, p, set.golden().clone(), exec);
-                    r.attach_snapshots(set);
-                    r
-                } else {
-                    let g = cache.asm_golden(&unit.module, p, exec);
-                    AsmTrialRunner::with_golden(&unit.module, p, (*g).clone(), exec)
-                };
-                RunnerInner::Asm(r)
-            }
+            Layer::Asm => RunnerInner::Asm(cache.runner(unit.machine(), unit.raw_machine(), cfg.snapshots, exec)),
         };
         let prior = (cfg.static_prune && unit.key.layer == Layer::Asm).then(|| {
             let p = unit.program.as_ref().expect("asm unit has a program");
@@ -370,56 +342,31 @@ impl<'u> UnitRunner<'u> {
             data.region_counts[i].1.record(outcome);
         };
         for i in start..end {
-            match &mut self.inner {
-                RunnerInner::Ir(r) => {
-                    let t = r.run_trial_model(cfg.seed, i, model, &cfg.detectors);
-                    data.counts.record(t.outcome);
-                    data.ff_insts += t.ff_insts;
-                    data.exec_insts += t.exec_insts;
-                    let name = t
-                        .injected_at
-                        .map(|loc| self.unit.module.func(loc.0).name.as_str())
-                        .unwrap_or(flowery_regions::OTHER_REGION);
-                    attribute(&mut data, name, t.outcome);
-                    if t.outcome == Outcome::Sdc {
-                        if let Some(loc) = t.injected_at {
-                            *data.sdc_by_inst.entry(loc).or_insert(0) += 1;
-                        }
-                    }
+            let t = match (&mut self.inner, &self.prior) {
+                (RunnerInner::Ir(r), _) => r.run_trial_model(cfg.seed, i, model, &cfg.detectors),
+                (RunnerInner::Asm(r), None) => r.run_trial_model(cfg.seed, i, model, &cfg.detectors),
+                (RunnerInner::Asm(r), Some(prior)) => {
+                    let (t, pruned) =
+                        r.run_trial_model_pruned(cfg.seed, i, model, &cfg.detectors, &|s| prior.masked_inst(s));
+                    data.pruned += u64::from(pruned);
+                    t
                 }
-                RunnerInner::Asm(r) => {
-                    let t = match &self.prior {
-                        Some(prior) => {
-                            let (t, pruned) =
-                                r.run_trial_model_pruned(cfg.seed, i, model, &cfg.detectors, &|s| prior.masked_inst(s));
-                            if pruned {
-                                data.pruned += 1;
-                            }
-                            t
-                        }
-                        None => r.run_trial_model(cfg.seed, i, model, &cfg.detectors),
-                    };
-                    data.counts.record(t.outcome);
-                    data.ff_insts += t.ff_insts;
-                    data.exec_insts += t.exec_insts;
-                    let program = self.unit.program.as_ref().expect("asm unit has a program");
-                    let name = t
-                        .injected_inst
-                        .and_then(|idx| {
-                            program
-                                .funcs
-                                .iter()
-                                .find(|f| (f.entry..f.end).contains(&idx))
-                                .map(|f| f.name.as_str())
-                        })
-                        .unwrap_or(flowery_regions::OTHER_REGION);
-                    attribute(&mut data, name, t.outcome);
-                    if t.outcome == Outcome::Sdc {
-                        if let Some(idx) = t.injected_inst {
-                            data.sdc_insts.push(idx);
-                        }
-                    }
+            };
+            data.counts.record(t.outcome);
+            data.ff_insts += t.ff_insts;
+            data.exec_insts += t.exec_insts;
+            let ir_func = t.injected_at.map(|loc| self.unit.module.func(loc.0).name.as_str());
+            let asm_func = t.injected_inst.and_then(|idx| {
+                let program = self.unit.program.as_ref().expect("asm unit has a program");
+                let func = program.funcs.iter().find(|f| (f.entry..f.end).contains(&idx));
+                func.map(|f| f.name.as_str())
+            });
+            attribute(&mut data, ir_func.or(asm_func).unwrap_or(flowery_regions::OTHER_REGION), t.outcome);
+            if t.outcome == Outcome::Sdc {
+                if let Some(loc) = t.injected_at {
+                    *data.sdc_by_inst.entry(loc).or_insert(0) += 1;
                 }
+                data.sdc_insts.extend(t.injected_inst);
             }
         }
         data
@@ -564,7 +511,7 @@ pub fn run_units(
         if p.has_batch(rec.batch) {
             continue;
         }
-        sh.metrics.record_batch(&rec.counts, true, 0, 0, false);
+        sh.metrics.record_reused(&rec.counts);
         if rec.pruned > 0 {
             sh.metrics.record_pruned(rec.pruned);
         }
@@ -672,6 +619,44 @@ mod tests {
         assert_eq!(a.decided(), b.decided());
         // 0 SDC in 20 trials: Wilson half-width ~0.087 <= 0.2.
         assert_eq!(a.decided(), Some(2));
+    }
+
+    #[test]
+    fn executed_instructions_are_booked_under_the_engine_that_ran_them() {
+        use crate::plan::Variant;
+        use flowery_ir::interp::ExecMode;
+        use std::sync::Arc;
+        let m = Arc::new(
+            flowery_lang::compile(
+                "t",
+                "int main() { int s = 0; int i; for (i = 0; i < 40; i = i + 1) { s = s + i * i; } output(s); return 0; }",
+            )
+            .unwrap(),
+        );
+        let p = Arc::new(flowery_backend::compile_module(&m, &flowery_backend::BackendConfig::default()));
+        let units = [
+            TrialUnit::asm(UnitKey::new("t", Variant::Raw, 0.0, Layer::Asm), m.clone(), p),
+            TrialUnit::ir(UnitKey::new("t", Variant::Raw, 0.0, Layer::Ir), m),
+        ];
+        for mode in [ExecMode::Interp, ExecMode::Compiled, ExecMode::Native] {
+            let cfg = HarnessConfig {
+                batch_size: 20,
+                max_trials: 40,
+                threads: 1,
+                exec: ExecConfig { executor: mode, ..ExecConfig::default() },
+                ..Default::default()
+            };
+            let buckets = |s: &MetricsSnapshot| [s.interp_insts, s.compiled_insts, s.native_insts];
+            // An assembly-only matrix books everything under the configured engine.
+            let asm = run_units(&units[..1], &cfg, &GoldenCache::new(), RunOptions::default()).metrics;
+            assert!(asm.exec_insts > 0);
+            let mut want = [0; 3];
+            want[mode as usize] = asm.exec_insts;
+            assert_eq!(buckets(&asm), want, "{mode}");
+            // IR units always run on the IR interpreter, whatever the engine.
+            let ir = run_units(&units[1..], &cfg, &GoldenCache::new(), RunOptions::default()).metrics;
+            assert_eq!(buckets(&ir), [ir.exec_insts, 0, 0], "{mode}");
+        }
     }
 
     #[test]

@@ -22,10 +22,10 @@
 
 use crate::cache::GoldenCache;
 use crate::plan::{build_matrix, Layer, MatrixSpec, TrialUnit, Variant};
+use flowery_backend::AsmLayer;
 use flowery_faultmodel::{
     any_catches, classify_asm_fault, detector_overhead_permille, flip_count, DetectorSpec, ModelSpec, REGISTERED_MODELS,
 };
-use flowery_inject::campaign::AsmTrialRunner;
 use flowery_inject::{Coverage, Estimate, Outcome, OutcomeCounts};
 use flowery_ir::interp::ExecConfig;
 use flowery_workloads::Scale;
@@ -190,17 +190,7 @@ fn run_job(
     cache: &GoldenCache,
 ) -> JobResult {
     let program = unit.program.as_ref().expect("explore sweeps assembly units");
-    let exec = &spec.exec;
-    let mut runner = if spec.snapshots {
-        let raw = unit.raw.as_deref().zip(unit.raw_program.as_deref());
-        let set = cache.asm_snapshots_for(&unit.module, program, raw, exec);
-        let mut r = AsmTrialRunner::with_golden(&unit.module, program, set.golden().clone(), exec);
-        r.attach_snapshots(set);
-        r
-    } else {
-        let g = cache.asm_golden(&unit.module, program, exec);
-        AsmTrialRunner::with_golden(&unit.module, program, (*g).clone(), exec)
-    };
+    let mut runner = cache.runner::<AsmLayer>(unit.machine(), unit.raw_machine(), spec.snapshots, &spec.exec);
     let sites = runner.sites();
     let golden_cycles = runner.golden().cycles;
     let mut counts_per_set = vec![OutcomeCounts::default(); sets.len()];

@@ -26,11 +26,14 @@ use crate::checkpoint::{self, Header, RegionRecord};
 use crate::engine::{HarnessConfig, UnitResult};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::plan::{Layer, TrialUnit, UnitKey};
-use flowery_inject::campaign::{AsmTrialRunner, IrTrialRunner};
+use flowery_backend::AsmLayer;
+use flowery_inject::campaign::TrialOutcome;
 use flowery_inject::{Outcome, OutcomeCounts};
+use flowery_ir::fnv1a;
+use flowery_ir::interp::{Interpreter, IrLayer};
 use flowery_ir::value::FuncId;
 use flowery_regions::{
-    combine, compose_exact, compose_weighted, diff, fnv1a, Fate, RegionProfile, RegionSet, WeightedEstimate,
+    combine, compose_exact, compose_weighted, diff, Fate, RegionProfile, RegionSet, WeightedEstimate,
     REGION_SCHEMA_VERSION,
 };
 use std::collections::HashMap;
@@ -60,12 +63,12 @@ pub fn unit_region_set(unit: &TrialUnit, cache: &GoldenCache, cfg: &HarnessConfi
     let salt = unit_salt(&unit.key, cfg);
     match unit.key.layer {
         Layer::Ir => {
-            let profile = cache.ir_profile(&unit.module, &cfg.exec);
+            let profile = cache.profile::<IrLayer>(&Interpreter::new(&unit.module), &cfg.exec);
             flowery_regions::ir_region_set(&unit.module, &profile, salt)
         }
         Layer::Asm => {
             let program = unit.program.as_ref().expect("asm unit has a program");
-            let profile = cache.asm_profile(&unit.module, program, &cfg.exec);
+            let profile = cache.profile::<AsmLayer>(&unit.machine(), &cfg.exec);
             flowery_regions::asm_region_set(&unit.module, program, &profile, salt)
         }
     }
@@ -356,42 +359,34 @@ pub fn run_region_task(
     range: std::ops::Range<u64>,
 ) -> Option<RegionTaskResult> {
     let model = cfg.effective_model();
-    let mut out = RegionTaskResult::default();
-    match resolve_scope(unit, region) {
+    Some(match resolve_scope(unit, region) {
         Scope::IrFunc(fid) => {
-            let g = cache.ir_golden(&unit.module, &cfg.exec);
-            let mut r = IrTrialRunner::with_golden(&unit.module, (*g).clone(), &cfg.exec);
-            for i in range {
-                let t = r.run_trial_model_scoped(seed, i, model, &cfg.detectors, fid, mass);
-                out.counts.record(t.outcome);
-                out.ff_insts += t.ff_insts;
-                out.exec_insts += t.exec_insts;
-                if t.outcome == Outcome::Sdc {
-                    if let Some(loc) = t.injected_at {
-                        *out.sdc_by_inst.entry(loc).or_insert(0) += 1;
-                    }
-                }
-            }
+            let mut r = cache.runner::<IrLayer>(Interpreter::new(&unit.module), None, false, &cfg.exec);
+            tally_trials(range, |i| r.run_trial_model_scoped(seed, i, model, &cfg.detectors, fid, mass))
         }
         Scope::AsmRange(lo, hi) => {
-            let program = unit.program.as_ref().expect("asm unit has a program");
-            let g = cache.asm_golden(&unit.module, program, &cfg.exec);
-            let mut r = AsmTrialRunner::with_golden(&unit.module, program, (*g).clone(), &cfg.exec);
-            for i in range {
-                let t = r.run_trial_model_scoped(seed, i, model, &cfg.detectors, lo..hi, mass);
-                out.counts.record(t.outcome);
-                out.ff_insts += t.ff_insts;
-                out.exec_insts += t.exec_insts;
-                if t.outcome == Outcome::Sdc {
-                    if let Some(idx) = t.injected_inst {
-                        out.sdc_insts.push(idx);
-                    }
-                }
-            }
+            let mut r = cache.runner::<AsmLayer>(unit.machine(), None, false, &cfg.exec);
+            tally_trials(range, |i| r.run_trial_model_scoped(seed, i, model, &cfg.detectors, lo..hi, mass))
         }
         Scope::None => return None,
+    })
+}
+
+fn tally_trials(range: std::ops::Range<u64>, mut run_trial: impl FnMut(u64) -> TrialOutcome) -> RegionTaskResult {
+    let mut out = RegionTaskResult::default();
+    for i in range {
+        let t = run_trial(i);
+        out.counts.record(t.outcome);
+        out.ff_insts += t.ff_insts;
+        out.exec_insts += t.exec_insts;
+        if t.outcome == Outcome::Sdc {
+            if let Some(loc) = t.injected_at {
+                *out.sdc_by_inst.entry(loc).or_insert(0) += 1;
+            }
+            out.sdc_insts.extend(t.injected_inst);
+        }
     }
-    Some(out)
+    out
 }
 
 /// Fold one task slice into its region profile. Slices must be folded in
@@ -546,9 +541,7 @@ pub fn run_diff(
                 else {
                     continue;
                 };
-                let compiled =
-                    unit.key.layer == Layer::Asm && cfg.exec.executor == flowery_ir::interp::ExecMode::Compiled;
-                metrics.record_batch(&r.counts, false, r.ff_insts, r.exec_insts, compiled);
+                metrics.record_batch(&r.counts, r.ff_insts, r.exec_insts, unit.engine(&cfg.exec, true));
                 done.lock().unwrap().push((task.unit_index, task.region_index, r));
             });
         }

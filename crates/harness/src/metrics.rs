@@ -27,9 +27,11 @@ pub struct Metrics {
     ff_insts: AtomicU64,
     /// Instructions actually executed by trials.
     exec_insts: AtomicU64,
-    /// Subset of `exec_insts` run by the threaded-code engine (assembly
-    /// layer under `compiled`; the IR interpreter always counts as interp).
+    /// Subsets of `exec_insts` run by the threaded-code engine and by the
+    /// native JIT (assembly layer under `compiled` / `native`); the rest —
+    /// all IR-layer work included — ran on a decode-and-dispatch interpreter.
     compiled_insts: AtomicU64,
+    native_insts: AtomicU64,
     /// Region accounting from `flowery diff`: how many regions the
     /// incremental plan saw, reused, and re-ran, and the trials the reuse
     /// avoided. Zero for non-incremental campaigns.
@@ -59,6 +61,7 @@ impl Default for Metrics {
             ff_insts: AtomicU64::new(0),
             exec_insts: AtomicU64::new(0),
             compiled_insts: AtomicU64::new(0),
+            native_insts: AtomicU64::new(0),
             regions_total: AtomicU64::new(0),
             regions_reused: AtomicU64::new(0),
             regions_rerun: AtomicU64::new(0),
@@ -80,24 +83,33 @@ impl Metrics {
         Metrics { exec_mode: mode, ..Metrics::default() }
     }
 
-    /// `ff_insts`/`exec_insts` are the batch's skipped/executed dynamic
-    /// instruction totals (0 for checkpoint-replayed batches, which did
-    /// their work in an earlier run); `compiled` says whether the executed
-    /// instructions ran on the threaded-code engine.
-    pub fn record_batch(&self, counts: &OutcomeCounts, reused: bool, ff_insts: u64, exec_insts: u64, compiled: bool) {
+    fn record_counts(&self, counts: &OutcomeCounts) {
         self.benign.fetch_add(counts.benign, Ordering::Relaxed);
         self.sdc.fetch_add(counts.sdc, Ordering::Relaxed);
         self.detected.fetch_add(counts.detected, Ordering::Relaxed);
         self.due.fetch_add(counts.due, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// An executed batch. `ff_insts`/`exec_insts` are its skipped/executed
+    /// dynamic instruction totals; `engine` is the engine the unit's
+    /// substrate ran them on (see `TrialUnit::engine`).
+    pub fn record_batch(&self, counts: &OutcomeCounts, ff_insts: u64, exec_insts: u64, engine: ExecMode) {
+        self.record_counts(counts);
         self.ff_insts.fetch_add(ff_insts, Ordering::Relaxed);
         self.exec_insts.fetch_add(exec_insts, Ordering::Relaxed);
-        if compiled {
-            self.compiled_insts.fetch_add(exec_insts, Ordering::Relaxed);
+        match engine {
+            ExecMode::Interp => {}
+            ExecMode::Compiled => _ = self.compiled_insts.fetch_add(exec_insts, Ordering::Relaxed),
+            ExecMode::Native => _ = self.native_insts.fetch_add(exec_insts, Ordering::Relaxed),
         }
-        if reused {
-            self.batches_reused.fetch_add(1, Ordering::Relaxed);
-        }
+    }
+
+    /// A batch satisfied from a checkpoint: its work happened in an
+    /// earlier run, so it contributes outcomes but no instructions.
+    pub fn record_reused(&self, counts: &OutcomeCounts) {
+        self.record_counts(counts);
+        self.batches_reused.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn record_unit_done(&self) {
@@ -144,6 +156,7 @@ impl Metrics {
         let ff_insts = self.ff_insts.load(Ordering::Relaxed);
         let exec_insts = self.exec_insts.load(Ordering::Relaxed);
         let compiled_insts = self.compiled_insts.load(Ordering::Relaxed);
+        let native_insts = self.native_insts.load(Ordering::Relaxed);
         let work = ff_insts + exec_insts;
         // Process-wide JIT counters; zero unless a native run compiled
         // (or failed to compile) a program.
@@ -170,8 +183,9 @@ impl Metrics {
             exec_insts,
             ff_ratio: if work == 0 { 0.0 } else { ff_insts as f64 / work as f64 },
             exec_mode: self.exec_mode.to_string(),
-            interp_insts: exec_insts - compiled_insts,
+            interp_insts: exec_insts - compiled_insts - native_insts,
             compiled_insts,
+            native_insts,
             regions_total: self.regions_total.load(Ordering::Relaxed),
             regions_reused: self.regions_reused.load(Ordering::Relaxed),
             regions_rerun: self.regions_rerun.load(Ordering::Relaxed),
@@ -225,17 +239,22 @@ pub struct MetricsSnapshot {
     /// Fraction of total trial work (skipped + executed) that snapshot
     /// fast-forward avoided re-executing.
     pub ff_ratio: f64,
-    /// Configured machine-layer engine (`interp` or `compiled`). Engines
-    /// are bit-identical; this is provenance, not schedule.
+    /// Configured machine-layer engine (`interp`, `compiled` or `native`).
+    /// Engines are bit-identical; this is provenance, not schedule.
     #[serde(default)]
     pub exec_mode: String,
-    /// Executed instructions attributed to the decode-and-dispatch
-    /// interpreter (all IR-layer work plus assembly under `interp`).
+    /// Executed instructions attributed to a decode-and-dispatch
+    /// interpreter (all IR-layer work, assembly under `interp`, and
+    /// region-scoped assembly trials under any engine).
     #[serde(default)]
     pub interp_insts: u64,
     /// Executed instructions attributed to the threaded-code engine.
     #[serde(default)]
     pub compiled_insts: u64,
+    /// Executed instructions attributed to the native JIT (including
+    /// programs it handed to its `compiled` fallback; see `jit_fallbacks`).
+    #[serde(default)]
+    pub native_insts: u64,
     /// Regions across all units of an incremental (`flowery diff`) plan;
     /// 0 for plain campaigns.
     #[serde(default)]
@@ -300,10 +319,11 @@ impl MetricsSnapshot {
         };
         let jit = if self.jit_programs > 0 || self.jit_fallbacks > 0 {
             let mut s = format!(
-                " | jit {} progs {:.1}ms {}KB",
+                " | jit {} progs {:.1}ms {}KB, {} native insts",
                 self.jit_programs,
                 self.jit_compile_ms,
-                self.jit_code_bytes / 1024
+                self.jit_code_bytes / 1024,
+                self.native_insts
             );
             if self.jit_fallbacks > 0 {
                 s.push_str(&format!(", {} fallbacks", self.jit_fallbacks));
@@ -411,8 +431,8 @@ mod tests {
     fn snapshot_aggregates_counters() {
         let m = Metrics::with_mode(ExecMode::Compiled);
         let c = OutcomeCounts { benign: 7, sdc: 2, detected: 1, due: 0 };
-        m.record_batch(&c, false, 300, 100, true);
-        m.record_batch(&c, true, 0, 0, false);
+        m.record_batch(&c, 300, 100, ExecMode::Compiled);
+        m.record_reused(&c);
         m.record_unit_done();
         let cache = CacheStats {
             hits: 3,
@@ -440,21 +460,28 @@ mod tests {
         assert_eq!(s.exec_mode, "compiled");
         assert_eq!(s.compiled_insts, 100);
         assert_eq!(s.interp_insts, 0);
+        assert_eq!(s.native_insts, 0);
         assert!(s.trials_per_sec >= 0.0);
         assert!(!s.render().is_empty());
     }
 
     #[test]
-    fn interp_batches_attribute_to_interp() {
-        let m = Metrics::with_mode(ExecMode::Interp);
+    fn batches_attribute_to_the_engine_that_ran_them() {
+        // A native campaign over both layers: IR units run on the IR
+        // interpreter whatever the configured machine-layer engine is.
+        let m = Metrics::with_mode(ExecMode::Native);
         let c = OutcomeCounts { benign: 5, ..Default::default() };
-        m.record_batch(&c, false, 0, 40, false);
-        m.record_batch(&c, false, 0, 60, true);
+        m.record_batch(&c, 0, 40, ExecMode::Interp);
+        m.record_batch(&c, 0, 60, ExecMode::Compiled);
+        m.record_batch(&c, 0, 900, ExecMode::Native);
         let s = m.snapshot(1, 0, CacheStats::default());
-        assert_eq!(s.exec_mode, "interp");
-        assert_eq!(s.exec_insts, 100);
+        assert_eq!(s.exec_mode, "native");
+        assert_eq!(s.exec_insts, 1000);
         assert_eq!(s.interp_insts, 40);
         assert_eq!(s.compiled_insts, 60);
+        assert_eq!(s.native_insts, 900);
+        let back: MetricsSnapshot = serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();
+        assert_eq!(back.native_insts, 900);
     }
 
     #[test]
@@ -499,7 +526,8 @@ mod tests {
         s.jit_programs = 3;
         s.jit_compile_ms = 1.25;
         s.jit_code_bytes = 64 * 1024;
-        assert!(s.render().contains("jit 3 progs 1.2ms 64KB"), "{}", s.render());
+        s.native_insts = 7_000;
+        assert!(s.render().contains("jit 3 progs 1.2ms 64KB, 7000 native insts"), "{}", s.render());
         s.jit_fallbacks = 2;
         s.jit_fallback_reasons = vec![("forced".to_string(), 2)];
         assert!(s.render().contains("2 fallbacks forced:2"), "{}", s.render());

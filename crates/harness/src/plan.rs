@@ -1,7 +1,8 @@
 //! The experiment matrix: benchmark × variant × layer decomposed into
 //! [`TrialUnit`]s, the schedulable atoms of a campaign.
 
-use flowery_backend::{compile_module, AsmProgram, BackendConfig};
+use flowery_backend::{compile_module, AsmLayer, AsmProgram, BackendConfig, Machine};
+use flowery_ir::interp::{ExecConfig, ExecMode, IrLayer, Substrate};
 use flowery_ir::Module;
 use flowery_passes::{apply_flowery, choose_protection, duplicate_module, DupConfig, FloweryConfig, ProtectionPlan};
 use flowery_workloads::Scale;
@@ -108,6 +109,25 @@ impl TrialUnit {
         self.raw_program = raw_program;
         self
     }
+
+    /// The machine of this (assembly) unit's program.
+    pub(crate) fn machine(&self) -> Machine<'_> {
+        Machine::new(&self.module, self.program.as_ref().expect("asm unit has a program"))
+    }
+
+    /// The raw twin's machine, when this assembly unit has one.
+    pub(crate) fn raw_machine(&self) -> Option<Machine<'_>> {
+        Some(Machine::new(self.raw.as_deref()?, self.raw_program.as_deref()?))
+    }
+
+    /// The engine this unit's trials execute on under `exec` — what the
+    /// unit's substrate actually runs, for instruction attribution.
+    pub fn engine(&self, exec: &ExecConfig, scoped: bool) -> ExecMode {
+        match self.key.layer {
+            Layer::Ir => IrLayer::engine(exec, scoped),
+            Layer::Asm => AsmLayer::engine(exec, scoped),
+        }
+    }
 }
 
 /// Parameters for building the standard study matrix from workload names.
@@ -162,7 +182,7 @@ pub fn matrix_fingerprint(units: &[TrialUnit]) -> u64 {
         }
         text.push('\n');
     }
-    crate::cache::fnv1a(text.as_bytes())
+    flowery_ir::fnv1a(text.as_bytes())
 }
 
 /// Build the standard matrix: for every benchmark, Raw at both layers,

@@ -15,6 +15,7 @@
 
 use flowery_analysis::statline::bits::{BitTable, BITS_VERSION};
 use flowery_backend::AsmFaultSpec;
+use flowery_ir::fnv1a;
 use flowery_ir::interp::FaultEffect;
 use std::sync::Arc;
 
@@ -25,15 +26,6 @@ use std::sync::Arc;
 /// mixed.
 pub fn prune_signature() -> u64 {
     fnv1a(b"static-prune/virtual-benign/") ^ fnv1a(BITS_VERSION.as_bytes())
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// Per-unit prune oracle (assembly layer only).

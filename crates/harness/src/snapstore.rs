@@ -5,16 +5,15 @@
 //! `--resume` — the resumed run then performs *zero* golden re-executions
 //! and zero snapshot re-captures. Sets live in a `<checkpoint>.snaps/`
 //! directory next to the log, one file per content hash and layer, in the
-//! stable checksummed format of `IrSnapshotSet::to_bytes` /
-//! `AsmSnapshotSet::to_bytes`.
+//! stable checksummed format of `SnapshotSet::to_bytes`.
 //!
 //! Everything here is best-effort: a failed save costs a future
 //! re-capture, a corrupt or stale file is rejected by the loader's
 //! checksum/shape validation and simply falls back to capture. Loaded
 //! sets are still geometry-checked by the cache before use.
 
-use flowery_backend::{AsmProgram, AsmSnapshotSet};
-use flowery_ir::interp::IrSnapshotSet;
+use flowery_backend::{AsmLayer, AsmProgram, AsmSnapshotSet, Machine};
+use flowery_ir::interp::{Interpreter, IrLayer, IrSnapshotSet, SnapshotSet, Substrate};
 use flowery_ir::Module;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -46,32 +45,41 @@ impl SnapshotStore {
         &self.dir
     }
 
-    fn path(&self, layer: &str, hash: u64) -> PathBuf {
-        self.dir.join(format!("{layer}-{hash:016x}.snap"))
+    fn path<S: Substrate>(&self, hash: u64) -> PathBuf {
+        self.dir.join(format!("{}-{hash:016x}.snap", S::NAME))
     }
 
-    /// Load the IR snapshot set for the module with content hash `hash`.
-    /// `None` on a missing, corrupt, truncated, or mismatched file.
+    /// Load the snapshot set of the program `exec` is bound to, stored
+    /// under content hash `hash`. `None` on a missing, corrupt, truncated,
+    /// or mismatched file.
+    pub fn load<S: Substrate>(&self, exec: &S::Exec<'_>, hash: u64) -> Option<SnapshotSet<S>> {
+        let bytes = fs::read(self.path::<S>(hash)).ok()?;
+        SnapshotSet::decode(&bytes, exec, hash).ok()
+    }
+
+    /// Persist a snapshot set. Returns whether the file was published.
+    pub fn save<S: Substrate>(&self, set: &SnapshotSet<S>, hash: u64) -> bool {
+        self.publish(self.path::<S>(hash), set.to_bytes(hash))
+    }
+
+    /// [`SnapshotStore::load`] at the IR layer.
     pub fn load_ir(&self, module: &Module, hash: u64) -> Option<IrSnapshotSet> {
-        let bytes = fs::read(self.path("ir", hash)).ok()?;
-        IrSnapshotSet::from_bytes(&bytes, module, hash).ok()
+        self.load::<IrLayer>(&Interpreter::new(module), hash)
     }
 
-    /// Persist an IR snapshot set. Returns whether the file was published.
+    /// [`SnapshotStore::save`] at the IR layer.
     pub fn save_ir(&self, set: &IrSnapshotSet, hash: u64) -> bool {
-        self.publish(self.path("ir", hash), set.to_bytes(hash))
+        self.save(set, hash)
     }
 
-    /// Load the assembly snapshot set for the program with content hash
-    /// `hash`.
+    /// [`SnapshotStore::load`] at the assembly layer.
     pub fn load_asm(&self, module: &Module, program: &AsmProgram, hash: u64) -> Option<AsmSnapshotSet> {
-        let bytes = fs::read(self.path("asm", hash)).ok()?;
-        AsmSnapshotSet::from_bytes(&bytes, module, program, hash).ok()
+        self.load::<AsmLayer>(&Machine::new(module, program), hash)
     }
 
-    /// Persist an assembly snapshot set.
+    /// [`SnapshotStore::save`] at the assembly layer.
     pub fn save_asm(&self, set: &AsmSnapshotSet, hash: u64) -> bool {
-        self.publish(self.path("asm", hash), set.to_bytes(hash))
+        self.save(set, hash)
     }
 
     /// Atomic write: unique tmp file, then rename. Concurrent savers of

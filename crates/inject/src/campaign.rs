@@ -10,13 +10,16 @@
 //! here remain the convenient single-campaign entry points.
 
 use crate::outcome::{classify, Outcome, OutcomeCounts};
-use flowery_backend::{AsmFaultSpec, AsmProgram, AsmScratch, AsmSnapshotSet, MachResult, Machine};
+use flowery_backend::{AsmFaultSpec, AsmLayer, AsmProgram, MachResult, Machine};
 use flowery_faultmodel::{any_catches, classify_asm_fault, classify_ir_fault, flip_count, DetectorSpec, ModelSpec};
-use flowery_ir::interp::{ExecConfig, ExecResult, FaultSpec, Interpreter, IrScratch, IrSnapshotSet, Profile};
+use flowery_ir::interp::substrate::{self, RunResult};
+use flowery_ir::interp::{ExecConfig, ExecResult, FaultSpec, Interpreter, IrLayer, Profile};
+use flowery_ir::interp::{Scratch, SnapshotSet, Substrate};
 use flowery_ir::module::Module;
 use flowery_ir::value::{FuncId, InstId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -155,23 +158,14 @@ pub fn asm_fault_spec(seed: u64, trial_index: u64, sites: u64, double_bit: bool)
     legacy_model(double_bit).sample_asm(seed, trial_index, sites)
 }
 
-/// Outcome of one IR-level trial.
+/// Outcome of one trial, at either layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IrTrialOutcome {
+pub struct TrialOutcome {
     pub outcome: Outcome,
-    /// Static location of the injection when it landed.
+    /// IR layer: static location of the injection when it landed.
     pub injected_at: Option<(FuncId, InstId)>,
-    /// Golden-prefix instructions skipped by snapshot fast-forward.
-    pub ff_insts: u64,
-    /// Instructions actually executed by this trial.
-    pub exec_insts: u64,
-}
-
-/// Outcome of one assembly-level trial.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AsmTrialOutcome {
-    pub outcome: Outcome,
-    /// Program instruction index of the injection when it landed.
+    /// Assembly layer: program instruction index of the injection when it
+    /// landed.
     pub injected_inst: Option<u32>,
     /// Golden-prefix instructions skipped by snapshot fast-forward.
     pub ff_insts: u64,
@@ -179,247 +173,116 @@ pub struct AsmTrialOutcome {
     pub exec_insts: u64,
 }
 
-/// Reusable single-trial executor for IR-level injections. Construct once
-/// per (module, golden) pair, then run any subset of trial indices in any
+pub type IrTrialOutcome = TrialOutcome;
+pub type AsmTrialOutcome = TrialOutcome;
+
+/// What trial running needs from a layer on top of its [`Substrate`]: how a
+/// fault is drawn, where it landed, and which modeled detectors cover it.
+pub trait InjectLayer: Substrate {
+    /// The region a scoped trial samples inside.
+    type Scope;
+
+    /// The fault of trial `trial_index` — a pure function of `(seed,
+    /// trial_index)`. With a `scope`, the site draw indexes only the
+    /// `sites` fault sites executed inside it (region-local stream).
+    fn sample(model: ModelSpec, seed: u64, trial_index: u64, sites: u64, scope: Option<Self::Scope>) -> Self::Fault;
+
+    /// Record where `result`'s injection landed in the layer's field of
+    /// `out`.
+    fn locate(result: &Self::Golden, out: &mut TrialOutcome);
+
+    /// Whether one of `detectors` covers `fault` as it landed in `result`.
+    fn caught(exec: &Self::Exec<'_>, detectors: &[DetectorSpec], fault: &Self::Fault, result: &Self::Golden) -> bool;
+}
+
+impl InjectLayer for IrLayer {
+    type Scope = FuncId;
+
+    fn sample(model: ModelSpec, seed: u64, trial_index: u64, sites: u64, scope: Option<FuncId>) -> FaultSpec {
+        let spec = model.sample_ir(seed, trial_index, sites);
+        scope.map_or(spec, |f| spec.scoped(f))
+    }
+
+    fn locate(result: &ExecResult, out: &mut TrialOutcome) {
+        out.injected_at = result.injected_at;
+    }
+
+    fn caught(_: &Interpreter<'_>, detectors: &[DetectorSpec], spec: &FaultSpec, _: &ExecResult) -> bool {
+        any_catches(detectors, classify_ir_fault(spec.effect), flip_count(spec.second_bit, spec.effect))
+    }
+}
+
+impl InjectLayer for AsmLayer {
+    type Scope = Range<u32>;
+
+    fn sample(model: ModelSpec, seed: u64, trial_index: u64, sites: u64, scope: Option<Range<u32>>) -> AsmFaultSpec {
+        let spec = model.sample_asm(seed, trial_index, sites);
+        scope.map_or(spec, |r| spec.scoped(r.start, r.end))
+    }
+
+    fn locate(result: &MachResult, out: &mut TrialOutcome) {
+        out.injected_inst = result.injected_inst;
+    }
+
+    /// Detector coverage is decided against the *architected destination*
+    /// of the instruction the fault actually landed on.
+    fn caught(mach: &Machine<'_>, detectors: &[DetectorSpec], spec: &AsmFaultSpec, result: &MachResult) -> bool {
+        result.injected_inst.is_some_and(|idx| {
+            let dest = mach.program().insts[idx as usize].kind.fault_dest();
+            any_catches(detectors, classify_asm_fault(spec.effect, dest), flip_count(spec.second_bit, spec.effect))
+        })
+    }
+}
+
+/// Reusable single-trial executor for one layer. Construct once per
+/// (program, golden) pair, then run any subset of trial indices in any
 /// order — results depend only on the trial index and seed.
-pub struct IrTrialRunner<'m> {
-    interp: Interpreter<'m>,
-    golden: ExecResult,
-    exec: ExecConfig,
-    sites: u64,
+pub struct TrialRunner<'a, S: InjectLayer> {
+    exec: S::Exec<'a>,
+    golden: S::Golden,
+    cfg: ExecConfig,
     /// Golden-run snapshots for fast-forwarded trials (shared read-only
     /// across the worker threads of a campaign).
-    snapshots: Option<Arc<IrSnapshotSet>>,
-    /// Per-runner reusable memory image, output buffer, and frame pool.
-    scratch: IrScratch,
+    snapshots: Option<Arc<SnapshotSet<S>>>,
+    /// Per-runner reusable memory image, output buffer, and layer pool.
+    scratch: Scratch<S>,
 }
+
+/// Reusable single-trial executor for IR-level injections.
+pub type IrTrialRunner<'m> = TrialRunner<'m, IrLayer>;
+
+/// Reusable single-trial executor for assembly-level injections.
+pub type AsmTrialRunner<'p> = TrialRunner<'p, AsmLayer>;
 
 impl<'m> IrTrialRunner<'m> {
     /// Runs the golden execution.
     pub fn new(module: &'m Module, exec: &ExecConfig) -> IrTrialRunner<'m> {
-        let interp = Interpreter::new(module);
-        let golden = interp.run(exec, None);
-        Self::with_golden(module, golden, exec)
+        Self::with_golden(module, Interpreter::new(module).run(exec, None), exec)
     }
 
-    /// Build from an already-computed golden run (e.g. the harness's
-    /// golden-run cache). `exec` supplies the base limits; the dynamic
-    /// instruction budget is tightened around the golden run to catch
-    /// fault-induced livelock quickly.
+    /// See [`TrialRunner::from_golden`].
     pub fn with_golden(module: &'m Module, golden: ExecResult, exec: &ExecConfig) -> IrTrialRunner<'m> {
-        assert!(golden.status.is_completed(), "golden run must complete: {:?}", golden.status);
-        let sites = golden.fault_sites;
-        assert!(sites > 0, "program has no IR fault sites");
-        let exec = ExecConfig {
-            max_dyn_insts: golden.dyn_insts.saturating_mul(4).max(100_000),
-            ..exec.clone()
-        };
-        IrTrialRunner {
-            interp: Interpreter::new(module),
-            golden,
-            exec,
-            sites,
-            snapshots: None,
-            scratch: IrScratch::new(),
-        }
+        Self::from_golden(Interpreter::new(module), golden, exec)
     }
-
-    pub fn golden(&self) -> &ExecResult {
-        &self.golden
-    }
-
-    pub fn sites(&self) -> u64 {
-        self.sites
-    }
-
-    /// Capture a snapshot set from this runner's golden execution, with the
-    /// self-tuning site-spaced cadence. The set can be shared across the
-    /// campaign's worker threads via [`IrTrialRunner::attach_snapshots`].
-    pub fn build_snapshots(&self) -> IrSnapshotSet {
-        let set = self.interp.capture_snapshots_auto(&self.exec);
-        debug_assert_eq!(set.golden().dyn_insts, self.golden.dyn_insts, "capture run diverged from golden");
-        debug_assert_eq!(set.golden().output, self.golden.output, "capture run diverged from golden");
-        set
-    }
-
-    /// Fast-forward subsequent trials from `set`. The set must stem from
-    /// the same program content as this runner's golden run.
-    pub fn attach_snapshots(&mut self, set: Arc<IrSnapshotSet>) {
-        debug_assert_eq!(set.golden().dyn_insts, self.golden.dyn_insts, "snapshot set golden mismatch");
-        debug_assert_eq!(set.golden().fault_sites, self.golden.fault_sites, "snapshot set golden mismatch");
-        self.snapshots = Some(set);
-    }
-
-    /// Capture and attach in one step (single-threaded convenience).
-    pub fn enable_snapshots(&mut self) {
-        let set = Arc::new(self.build_snapshots());
-        self.attach_snapshots(set);
-    }
-
-    /// The attached snapshot set, for sharing with sibling runners.
-    pub fn snapshots(&self) -> Option<Arc<IrSnapshotSet>> {
-        self.snapshots.clone()
-    }
-
-    /// Execute trial `trial_index` of the campaign identified by `seed`,
-    /// under the legacy single/double-bit model with no detectors.
-    pub fn run_trial(&mut self, seed: u64, trial_index: u64, double_bit: bool) -> IrTrialOutcome {
-        self.run_trial_model(seed, trial_index, legacy_model(double_bit), &[])
-    }
-
-    /// Execute trial `trial_index` under an arbitrary fault model, with a
-    /// set of modeled hardware detectors post-classifying the outcome.
-    pub fn run_trial_model(
-        &mut self,
-        seed: u64,
-        trial_index: u64,
-        model: ModelSpec,
-        detectors: &[DetectorSpec],
-    ) -> IrTrialOutcome {
-        let spec = model.sample_ir(seed, trial_index, self.sites);
-        self.run_spec(spec, detectors)
-    }
-
-    /// Execute trial `trial_index` re-sampled *inside one region*: the
-    /// model's site draw indexes only the `mass` fault sites of `scope`'s
-    /// function body (region-local stream; see `FaultSpec::scope`).
-    pub fn run_trial_model_scoped(
-        &mut self,
-        seed: u64,
-        trial_index: u64,
-        model: ModelSpec,
-        detectors: &[DetectorSpec],
-        scope: flowery_ir::value::FuncId,
-        mass: u64,
-    ) -> IrTrialOutcome {
-        assert!(mass > 0, "scoped trials need a nonzero region site mass");
-        let spec = model.sample_ir(seed, trial_index, mass).scoped(scope);
-        self.run_spec(spec, detectors)
-    }
-
-    fn run_spec(&mut self, spec: FaultSpec, detectors: &[DetectorSpec]) -> IrTrialOutcome {
-        let (r, skipped) = match self.snapshots.clone() {
-            Some(set) => self.interp.run_fast_forward(&self.exec, spec, &set, &mut self.scratch),
-            None => (self.interp.run_scratch(&self.exec, Some(spec), &mut self.scratch), 0),
-        };
-        let mut outcome = classify(r.status, &r.output, self.golden.status, &self.golden.output);
-        if outcome == Outcome::Sdc
-            && any_catches(detectors, classify_ir_fault(spec.effect), flip_count(spec.second_bit, spec.effect))
-        {
-            outcome = Outcome::Detected;
-        }
-        let out = IrTrialOutcome {
-            outcome,
-            injected_at: r.injected_at,
-            ff_insts: skipped,
-            exec_insts: r.dyn_insts - skipped,
-        };
-        self.scratch.recycle_output(r.output);
-        out
-    }
-}
-
-/// Reusable single-trial executor for assembly-level injections.
-pub struct AsmTrialRunner<'p> {
-    mach: Machine<'p>,
-    program: &'p AsmProgram,
-    golden: MachResult,
-    exec: ExecConfig,
-    sites: u64,
-    /// Golden-run snapshots for fast-forwarded trials.
-    snapshots: Option<Arc<AsmSnapshotSet>>,
-    /// Per-runner reusable memory image and output buffer.
-    scratch: AsmScratch,
 }
 
 impl<'p> AsmTrialRunner<'p> {
+    /// Runs the golden execution.
     pub fn new(module: &'p Module, program: &'p AsmProgram, exec: &ExecConfig) -> AsmTrialRunner<'p> {
-        let mach = Machine::new(module, program);
-        let golden = mach.run(exec, None);
-        Self::with_golden(module, program, golden, exec)
+        Self::with_golden(module, program, Machine::new(module, program).run(exec, None), exec)
     }
 
+    /// See [`TrialRunner::from_golden`].
     pub fn with_golden(
         module: &'p Module,
         program: &'p AsmProgram,
         golden: MachResult,
         exec: &ExecConfig,
     ) -> AsmTrialRunner<'p> {
-        assert!(golden.status.is_completed(), "golden run must complete: {:?}", golden.status);
-        let sites = golden.fault_sites;
-        assert!(sites > 0, "program has no assembly fault sites");
-        let exec = ExecConfig {
-            max_dyn_insts: golden.dyn_insts.saturating_mul(4).max(100_000),
-            ..exec.clone()
-        };
-        AsmTrialRunner {
-            mach: Machine::new(module, program),
-            program,
-            golden,
-            exec,
-            sites,
-            snapshots: None,
-            scratch: AsmScratch::new(),
-        }
+        Self::from_golden(Machine::new(module, program), golden, exec)
     }
 
-    pub fn golden(&self) -> &MachResult {
-        &self.golden
-    }
-
-    pub fn sites(&self) -> u64 {
-        self.sites
-    }
-
-    /// Capture a snapshot set from this runner's golden execution, with the
-    /// self-tuning site-spaced cadence.
-    pub fn build_snapshots(&self) -> AsmSnapshotSet {
-        let set = self.mach.capture_snapshots_auto(&self.exec);
-        debug_assert_eq!(set.golden().dyn_insts, self.golden.dyn_insts, "capture run diverged from golden");
-        debug_assert_eq!(set.golden().output, self.golden.output, "capture run diverged from golden");
-        set
-    }
-
-    /// Fast-forward subsequent trials from `set`.
-    pub fn attach_snapshots(&mut self, set: Arc<AsmSnapshotSet>) {
-        debug_assert_eq!(set.golden().dyn_insts, self.golden.dyn_insts, "snapshot set golden mismatch");
-        debug_assert_eq!(set.golden().fault_sites, self.golden.fault_sites, "snapshot set golden mismatch");
-        self.snapshots = Some(set);
-    }
-
-    /// Capture and attach in one step (single-threaded convenience).
-    pub fn enable_snapshots(&mut self) {
-        let set = Arc::new(self.build_snapshots());
-        self.attach_snapshots(set);
-    }
-
-    /// The attached snapshot set, for sharing with sibling runners.
-    pub fn snapshots(&self) -> Option<Arc<AsmSnapshotSet>> {
-        self.snapshots.clone()
-    }
-
-    /// Execute trial `trial_index` under the legacy single/double-bit
-    /// model with no detectors.
-    pub fn run_trial(&mut self, seed: u64, trial_index: u64, double_bit: bool) -> AsmTrialOutcome {
-        self.run_trial_model(seed, trial_index, legacy_model(double_bit), &[])
-    }
-
-    /// Execute trial `trial_index` under an arbitrary fault model, with a
-    /// set of modeled hardware detectors post-classifying the outcome.
-    /// Detector coverage is decided against the *architected destination*
-    /// of the instruction the fault actually landed on.
-    pub fn run_trial_model(
-        &mut self,
-        seed: u64,
-        trial_index: u64,
-        model: ModelSpec,
-        detectors: &[DetectorSpec],
-    ) -> AsmTrialOutcome {
-        let spec = model.sample_asm(seed, trial_index, self.sites);
-        self.run_spec(spec, detectors)
-    }
-
-    /// Like [`AsmTrialRunner::run_trial_model`], but with a static prune
+    /// Like [`TrialRunner::run_trial_model`], but with a static prune
     /// oracle: `prune(spec)` returns the instruction index the fault would
     /// land on when the (site, bit) pair is *statically proven masked*.
     /// Such trials resolve as Benign with golden-identical attribution
@@ -435,10 +298,11 @@ impl<'p> AsmTrialRunner<'p> {
         detectors: &[DetectorSpec],
         prune: &dyn Fn(&AsmFaultSpec) -> Option<u32>,
     ) -> (AsmTrialOutcome, bool) {
-        let spec = model.sample_asm(seed, trial_index, self.sites);
+        let spec = model.sample_asm(seed, trial_index, self.sites());
         if let Some(inst) = prune(&spec) {
-            let out = AsmTrialOutcome {
+            let out = TrialOutcome {
                 outcome: Outcome::Benign,
+                injected_at: None,
                 injected_inst: Some(inst),
                 ff_insts: 0,
                 exec_insts: 0,
@@ -447,136 +311,189 @@ impl<'p> AsmTrialRunner<'p> {
         }
         (self.run_spec(spec, detectors), false)
     }
+}
+
+impl<'a, S: InjectLayer> TrialRunner<'a, S> {
+    /// Build from an already-computed golden run (e.g. the harness's
+    /// golden-run cache). `cfg` supplies the base limits; the dynamic
+    /// instruction budget is tightened around the golden run to catch
+    /// fault-induced livelock quickly.
+    pub fn from_golden(exec: S::Exec<'a>, golden: S::Golden, cfg: &ExecConfig) -> TrialRunner<'a, S> {
+        let head = golden.head();
+        assert!(head.status.is_completed(), "golden run must complete: {:?}", head.status);
+        assert!(head.fault_sites > 0, "program has no {} fault sites", S::NAME);
+        let cfg = ExecConfig {
+            max_dyn_insts: head.dyn_insts.saturating_mul(4).max(100_000),
+            ..cfg.clone()
+        };
+        TrialRunner { exec, golden, cfg, snapshots: None, scratch: Scratch::new() }
+    }
+
+    pub fn golden(&self) -> &S::Golden {
+        &self.golden
+    }
+
+    pub fn sites(&self) -> u64 {
+        self.golden.head().fault_sites
+    }
+
+    /// Capture a snapshot set from this runner's golden execution, with the
+    /// self-tuning site-spaced cadence. The set can be shared across the
+    /// campaign's worker threads via [`TrialRunner::attach_snapshots`].
+    pub fn build_snapshots(&self) -> SnapshotSet<S> {
+        let set = substrate::capture_auto::<S>(&self.exec, &self.cfg);
+        debug_assert_eq!(set.golden().head().output, self.golden.head().output, "capture run diverged from golden");
+        set
+    }
+
+    /// Fast-forward subsequent trials from `set`. The set must stem from
+    /// the same program content as this runner's golden run.
+    pub fn attach_snapshots(&mut self, set: Arc<SnapshotSet<S>>) {
+        debug_assert_eq!(
+            set.golden().head().dyn_insts,
+            self.golden.head().dyn_insts,
+            "snapshot set golden mismatch"
+        );
+        self.snapshots = Some(set);
+    }
+
+    /// Capture and attach in one step (single-threaded convenience).
+    pub fn enable_snapshots(&mut self) {
+        let set = Arc::new(self.build_snapshots());
+        self.attach_snapshots(set);
+    }
+
+    /// The attached snapshot set, for sharing with sibling runners.
+    pub fn snapshots(&self) -> Option<Arc<SnapshotSet<S>>> {
+        self.snapshots.clone()
+    }
+
+    /// Execute trial `trial_index` of the campaign identified by `seed`,
+    /// under the legacy single/double-bit model with no detectors.
+    pub fn run_trial(&mut self, seed: u64, trial_index: u64, double_bit: bool) -> TrialOutcome {
+        self.run_trial_model(seed, trial_index, legacy_model(double_bit), &[])
+    }
+
+    /// Execute trial `trial_index` under an arbitrary fault model, with a
+    /// set of modeled hardware detectors post-classifying the outcome.
+    pub fn run_trial_model(
+        &mut self,
+        seed: u64,
+        trial_index: u64,
+        model: ModelSpec,
+        detectors: &[DetectorSpec],
+    ) -> TrialOutcome {
+        let spec = S::sample(model, seed, trial_index, self.sites(), None);
+        self.run_spec(spec, detectors)
+    }
 
     /// Execute trial `trial_index` re-sampled *inside one region*: the
     /// model's site draw indexes only the `mass` fault sites executed in
-    /// the program instruction `range` (region-local stream; see
-    /// `AsmFaultSpec::scope`).
+    /// `scope` (region-local stream; see the layer's fault spec).
     pub fn run_trial_model_scoped(
         &mut self,
         seed: u64,
         trial_index: u64,
         model: ModelSpec,
         detectors: &[DetectorSpec],
-        range: std::ops::Range<u32>,
+        scope: S::Scope,
         mass: u64,
-    ) -> AsmTrialOutcome {
+    ) -> TrialOutcome {
         assert!(mass > 0, "scoped trials need a nonzero region site mass");
-        let spec = model.sample_asm(seed, trial_index, mass).scoped(range.start, range.end);
+        let spec = S::sample(model, seed, trial_index, mass, Some(scope));
         self.run_spec(spec, detectors)
     }
 
-    fn run_spec(&mut self, spec: AsmFaultSpec, detectors: &[DetectorSpec]) -> AsmTrialOutcome {
-        let (r, skipped) = match self.snapshots.clone() {
-            Some(set) => self.mach.run_fast_forward(&self.exec, spec, &set, &mut self.scratch),
-            None => (self.mach.run_scratch(&self.exec, Some(spec), &mut self.scratch), 0),
-        };
-        let mut outcome = classify(r.status, &r.output, self.golden.status, &self.golden.output);
-        if outcome == Outcome::Sdc && !detectors.is_empty() {
-            if let Some(idx) = r.injected_inst {
-                let dest = self.program.insts[idx as usize].kind.fault_dest();
-                if any_catches(
-                    detectors,
-                    classify_asm_fault(spec.effect, dest),
-                    flip_count(spec.second_bit, spec.effect),
-                ) {
-                    outcome = Outcome::Detected;
-                }
-            }
-        }
-        let out = AsmTrialOutcome {
-            outcome,
-            injected_inst: r.injected_inst,
+    fn run_spec(&mut self, spec: S::Fault, detectors: &[DetectorSpec]) -> TrialOutcome {
+        let (r, skipped) = substrate::trial(&self.exec, &self.cfg, spec, self.snapshots.as_deref(), &mut self.scratch);
+        let (head, golden) = (r.head(), self.golden.head());
+        let mut out = TrialOutcome {
+            outcome: classify(head.status, head.output, golden.status, golden.output),
+            injected_at: None,
+            injected_inst: None,
             ff_insts: skipped,
-            exec_insts: r.dyn_insts - skipped,
+            exec_insts: head.dyn_insts - skipped,
         };
-        self.scratch.recycle_output(r.output);
+        S::locate(&r, &mut out);
+        if out.outcome == Outcome::Sdc && !detectors.is_empty() && S::caught(&self.exec, detectors, &spec, &r) {
+            out.outcome = Outcome::Detected;
+        }
+        self.scratch.recycle_output(r.into_parts().0);
         out
     }
 }
 
-/// Dynamic work distribution over the trial-index space: threads claim
-/// fixed-size chunks from a shared cursor, so a slow chunk on one thread
-/// never leaves the others idle.
-fn for_each_trial<R, W>(
-    trials: u64,
-    threads: usize,
-    make_worker: impl Fn() -> W + Sync,
-    collect: impl Fn(u64, R) + Sync,
-) where
-    R: Send,
-    W: FnMut(u64) -> R + Send,
+/// Run one campaign at layer `S`: the golden result plus every trial's
+/// outcome, in trial order (so aggregates are deterministic); `bind` makes
+/// each worker's executor. A single execution under `capture_cfg` provides
+/// the golden result and the snapshot set (and, when that config profiles,
+/// the golden profile): the capture run *is* the golden run, so enabling
+/// snapshots or profiling never adds a second pass.
+fn run_campaign<'a, S: InjectLayer>(
+    bind: impl Fn() -> S::Exec<'a> + Sync,
+    cfg: &CampaignConfig,
+    capture_cfg: &ExecConfig,
+) -> (S::Golden, Vec<TrialOutcome>)
+where
+    S::Golden: Send + Sync,
+    SnapshotSet<S>: Send + Sync,
 {
+    let (golden, snaps) = if cfg.snapshots {
+        let set = substrate::capture_auto::<S>(&bind(), capture_cfg);
+        (set.golden().clone(), Some(Arc::new(set)))
+    } else {
+        (substrate::run::<S>(&bind(), capture_cfg, None), None)
+    };
+    // Threads claim fixed-size chunks of the trial-index space from a
+    // shared cursor, so a slow chunk on one thread never leaves the others
+    // idle.
     const CHUNK: u64 = 32;
-    let threads = threads.max(1);
     let cursor = AtomicU64::new(0);
+    let results = std::sync::Mutex::new(Vec::with_capacity(cfg.trials as usize));
+    let model = cfg.effective_model();
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let cursor = &cursor;
-            let make_worker = &make_worker;
-            let collect = &collect;
-            scope.spawn(move || {
-                let mut work = make_worker();
+        for _ in 0..cfg.effective_threads().max(1) {
+            scope.spawn(|| {
+                let mut local = TrialRunner::<S>::from_golden(bind(), golden.clone(), &cfg.exec);
+                if let Some(set) = &snaps {
+                    local.attach_snapshots(set.clone());
+                }
                 loop {
                     let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-                    if start >= trials {
+                    if start >= cfg.trials {
                         return;
                     }
-                    let end = (start + CHUNK).min(trials);
-                    for i in start..end {
-                        collect(i, work(i));
-                    }
+                    let chunk: Vec<(u64, TrialOutcome)> = (start..(start + CHUNK).min(cfg.trials))
+                        .map(|i| (i, local.run_trial_model(cfg.seed, i, model, &cfg.detectors)))
+                        .collect();
+                    results.lock().unwrap().extend(chunk);
                 }
             });
         }
     });
+    let mut results = results.into_inner().unwrap();
+    results.sort_unstable_by_key(|(i, _)| *i);
+    (golden, results.into_iter().map(|(_, t)| t).collect())
+}
+
+/// Outcome counts plus the skipped / executed instruction totals.
+fn totals(trials: &[TrialOutcome]) -> (OutcomeCounts, u64, u64) {
+    let mut counts = OutcomeCounts::default();
+    for t in trials {
+        counts.record(t.outcome);
+    }
+    (counts, trials.iter().map(|t| t.ff_insts).sum(), trials.iter().map(|t| t.exec_insts).sum())
 }
 
 /// Run an IR-level ("LLVM level") campaign.
 pub fn run_ir_campaign(m: &Module, cfg: &CampaignConfig) -> IrCampaign {
-    // A single execution provides the golden result, the snapshot set, and
-    // (when requested) the golden profile; the capture run *is* the golden
-    // run, so enabling snapshots or profiling never adds a second pass.
-    let interp = Interpreter::new(m);
-    let capture_exec = ExecConfig { profile: cfg.golden_profile, ..cfg.exec.clone() };
-    let (mut golden, snaps) = if cfg.snapshots {
-        let set = interp.capture_snapshots_auto(&capture_exec);
-        (set.golden().clone(), Some(Arc::new(set)))
-    } else {
-        (interp.run(&capture_exec, None), None)
-    };
-    let golden_profile = golden.profile.take();
-    let results = std::sync::Mutex::new(Vec::<(u64, IrTrialOutcome)>::with_capacity(cfg.trials as usize));
-    for_each_trial(
-        cfg.trials,
-        cfg.effective_threads(),
-        || {
-            let mut local = IrTrialRunner::with_golden(m, golden.clone(), &cfg.exec);
-            if let Some(set) = &snaps {
-                local.attach_snapshots(set.clone());
-            }
-            let seed = cfg.seed;
-            let model = cfg.effective_model();
-            let detectors = &cfg.detectors;
-            move |i| local.run_trial_model(seed, i, model, detectors)
-        },
-        |i, r| results.lock().unwrap().push((i, r)),
-    );
-    let mut results = results.into_inner().unwrap();
-    // Merge in trial order so aggregate structures are deterministic.
-    results.sort_unstable_by_key(|(i, _)| *i);
-
-    let mut counts = OutcomeCounts::default();
+    let capture_cfg = ExecConfig { profile: cfg.golden_profile, ..cfg.exec.clone() };
+    let (mut golden, trials) = run_campaign::<IrLayer>(|| Interpreter::new(m), cfg, &capture_cfg);
+    let (counts, ff_insts, exec_insts) = totals(&trials);
     let mut sdc_by_inst: HashMap<(FuncId, InstId), u64> = HashMap::new();
-    let (mut ff_insts, mut exec_insts) = (0u64, 0u64);
-    for (_, t) in &results {
-        counts.record(t.outcome);
-        ff_insts += t.ff_insts;
-        exec_insts += t.exec_insts;
-        if t.outcome == Outcome::Sdc {
-            if let Some(loc) = t.injected_at {
-                *sdc_by_inst.entry(loc).or_insert(0) += 1;
-            }
+    for t in trials.iter().filter(|t| t.outcome == Outcome::Sdc) {
+        if let Some(loc) = t.injected_at {
+            *sdc_by_inst.entry(loc).or_insert(0) += 1;
         }
     }
     IrCampaign {
@@ -586,55 +503,18 @@ pub fn run_ir_campaign(m: &Module, cfg: &CampaignConfig) -> IrCampaign {
         golden_sites: golden.fault_sites,
         ff_insts,
         exec_insts,
-        golden_profile,
+        golden_profile: golden.profile.take(),
     }
 }
 
 /// Run an assembly-level campaign on a compiled program.
 pub fn run_asm_campaign(m: &Module, program: &AsmProgram, cfg: &CampaignConfig) -> AsmCampaign {
-    // As at the IR layer, the capture run doubles as the golden run.
-    let mach = Machine::new(m, program);
-    let (golden, snaps) = if cfg.snapshots {
-        let set = mach.capture_snapshots_auto(&cfg.exec);
-        (set.golden().clone(), Some(Arc::new(set)))
-    } else {
-        (mach.run(&cfg.exec, None), None)
-    };
-    let results = std::sync::Mutex::new(Vec::<(u64, AsmTrialOutcome)>::with_capacity(cfg.trials as usize));
-    for_each_trial(
-        cfg.trials,
-        cfg.effective_threads(),
-        || {
-            let mut local = AsmTrialRunner::with_golden(m, program, golden.clone(), &cfg.exec);
-            if let Some(set) = &snaps {
-                local.attach_snapshots(set.clone());
-            }
-            let seed = cfg.seed;
-            let model = cfg.effective_model();
-            let detectors = &cfg.detectors;
-            move |i| local.run_trial_model(seed, i, model, detectors)
-        },
-        |i, r| results.lock().unwrap().push((i, r)),
-    );
-    let mut results = results.into_inner().unwrap();
-    results.sort_unstable_by_key(|(i, _)| *i);
-
-    let mut counts = OutcomeCounts::default();
-    let mut sdc_insts = Vec::new();
-    let (mut ff_insts, mut exec_insts) = (0u64, 0u64);
-    for (_, t) in &results {
-        counts.record(t.outcome);
-        ff_insts += t.ff_insts;
-        exec_insts += t.exec_insts;
-        if t.outcome == Outcome::Sdc {
-            if let Some(idx) = t.injected_inst {
-                sdc_insts.push(idx);
-            }
-        }
-    }
+    let (golden, trials) = run_campaign::<AsmLayer>(|| Machine::new(m, program), cfg, &cfg.exec);
+    let (counts, ff_insts, exec_insts) = totals(&trials);
+    let sdc = trials.iter().filter(|t| t.outcome == Outcome::Sdc);
     AsmCampaign {
         counts,
-        sdc_insts,
+        sdc_insts: sdc.filter_map(|t| t.injected_inst).collect(),
         golden_dyn_insts: golden.dyn_insts,
         golden_sites: golden.fault_sites,
         golden_cycles: golden.cycles,

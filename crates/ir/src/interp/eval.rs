@@ -1,12 +1,15 @@
 //! The evaluation engine: an explicit-stack interpreter over verified IR.
 
 use crate::inst::{Callee, InstKind, Intrinsic, Terminator};
-use crate::interp::memory::{align_up, Memory, PageMap, TrapKind, GLOBAL_BASE, PAGE_SIZE};
+use crate::interp::memory::{align_up, Memory, TrapKind, GLOBAL_BASE};
 use crate::interp::ops;
 use crate::interp::prefix;
-use crate::interp::snapshot::{Cadence, IrScratch, IrSnapshot, IrSnapshotSet, SnapshotRecorder};
-use crate::interp::snapshot::{AUTO_MAX_SNAPS, AUTO_SITE_CADENCE};
-use crate::interp::{ExecConfig, ExecResult, ExecStatus, FaultEffect, FaultSpec, Profile, TAG_BYTE, TAG_F64, TAG_I64};
+use crate::interp::snapio::{w_bytes, w_opt, w_status, w_u32, w_u64, w_u64s, Cursor};
+use crate::interp::snapshot::{Cadence, Recorder};
+use crate::interp::substrate::{self, RunHead, RunResult, Start, Substrate};
+use crate::interp::{ExecConfig, ExecMode, ExecResult, ExecStatus, FaultEffect, FaultSpec, Profile};
+use crate::interp::{IrScratch, IrSnapshotSet, TAG_BYTE, TAG_F64, TAG_I64};
+use crate::module::Function;
 use crate::module::Module;
 use crate::types::Type;
 use crate::value::{BlockId, FuncId, InstId, Op, Value};
@@ -32,7 +35,7 @@ pub(crate) struct Frame {
 /// Recycles frame value/param buffers (and the stack vector itself) across
 /// calls and across trials, so steady-state execution allocates nothing.
 #[derive(Default)]
-pub(crate) struct FramePool {
+pub struct FramePool {
     bufs: Vec<Vec<u64>>,
     stacks: Vec<Vec<Frame>>,
 }
@@ -87,18 +90,17 @@ impl FramePool {
     }
 }
 
-/// Everything mutable a run starts from — either fresh program state or a
-/// restored snapshot. All counters are absolute, which is what makes
-/// restored runs bit-identical to scratch runs.
-struct ExecInit {
-    mem: Memory,
-    sp: u64,
-    output: Vec<u8>,
-    dyn_insts: u64,
-    fault_sites: u64,
-    stack: Vec<Frame>,
-    /// Profile accumulator restored from a snapshot (`None` starts fresh).
-    profile: Option<Profile>,
+/// The IR injection layer (the paper's "LLVM level"): marker type carrying
+/// the [`Substrate`] impl for [`Interpreter`].
+#[derive(Debug, Clone, Copy)]
+pub struct IrLayer;
+
+/// What an IR snapshot holds besides counters and memory: the stack pointer
+/// and the call stack, deep-cloned.
+#[derive(Clone, Debug)]
+pub struct IrState {
+    pub(crate) sp: u64,
+    pub(crate) stack: Vec<Frame>,
 }
 
 /// Interpreter for one module. Reusable across runs; each [`Interpreter::run`]
@@ -116,150 +118,35 @@ impl<'m> Interpreter<'m> {
     /// Execute `main` to completion under `config`, optionally injecting a
     /// fault.
     pub fn run(&self, config: &ExecConfig, fault: Option<FaultSpec>) -> ExecResult {
-        let mut pool = FramePool::default();
-        let mem = Memory::new(self.module, config.mem_size, config.stack_size);
-        let init = self.fresh_init(mem, Vec::new(), &mut pool);
-        self.exec(config, fault, init, None, &mut pool).0
-    }
-
-    /// Like [`Interpreter::run`], but reuses `scratch`'s output buffer and
-    /// frame pool across trials. Memory is still built fresh — only the
-    /// snapshot path ([`Interpreter::run_fast_forward`]) can reuse it.
-    pub fn run_scratch(&self, config: &ExecConfig, fault: Option<FaultSpec>, scratch: &mut IrScratch) -> ExecResult {
-        let mem = Memory::new(self.module, config.mem_size, config.stack_size);
-        let output = std::mem::take(&mut scratch.output);
-        let init = self.fresh_init(mem, output, &mut scratch.pool);
-        self.exec(config, fault, init, None, &mut scratch.pool).0
+        substrate::run::<IrLayer>(self, config, fault)
     }
 
     /// One fault-free run that captures a snapshot every `interval` dynamic
-    /// instructions (see [`crate::interp::snapshot::auto_interval`]).
-    /// Honors `config.profile`: each snapshot then carries the profile
-    /// accumulator at that point, so profiled campaigns fast-forward too.
+    /// instructions (see [`substrate::capture`]).
     pub fn capture_snapshots(&self, config: &ExecConfig, interval: u64) -> IrSnapshotSet {
-        self.capture_with(config, Cadence::Insts(interval), None)
+        substrate::capture(self, config, Cadence::Insts(interval), None)
     }
 
-    /// Self-tuning capture: snapshots every [`AUTO_SITE_CADENCE`] fault
-    /// sites (trials sample sites uniformly, so site spacing puts restore
-    /// points where trials land — sites cluster late in duplicated code),
-    /// with the cadence doubling whenever the set would exceed
-    /// [`AUTO_MAX_SNAPS`] snapshots. One run regardless of program length.
+    /// Self-tuning site-spaced capture (see [`substrate::capture_auto`]).
     pub fn capture_snapshots_auto(&self, config: &ExecConfig) -> IrSnapshotSet {
-        self.capture_with(config, Cadence::Sites(AUTO_SITE_CADENCE), Some(AUTO_MAX_SNAPS))
+        substrate::capture_auto(self, config)
     }
 
-    fn capture_with(&self, config: &ExecConfig, cadence: Cadence, max_snaps: Option<usize>) -> IrSnapshotSet {
-        let base = Memory::new(self.module, config.mem_size, config.stack_size);
-        let mut pool = FramePool::default();
-        let mut rec = SnapshotRecorder::new(self.module, cadence, config.snapshot_budget, max_snaps);
-        let init = self.fresh_init(base.clone(), Vec::new(), &mut pool);
-        let (golden, _mem) = self.exec(config, None, init, Some(&mut rec), &mut pool);
-        IrSnapshotSet {
-            base,
-            golden,
-            cadence: rec.final_cadence(),
-            block_entry: rec.entry,
-            snaps: rec.snaps,
-            shared_snaps: 0,
-        }
-    }
-
-    /// Build this (variant) module's snapshot set by *sharing* the golden
+    /// Build this (variant) module's snapshot set by sharing the golden
     /// prefix of `raw_set`, a fresh capture of the `raw` module the variant
-    /// was derived from. The raw capture's per-block first-entry profile
-    /// pins down the first dynamic instruction at which the two golden
-    /// traces can diverge; every raw snapshot at-or-before that point is a
-    /// valid variant snapshot (pages `Arc`-shared, value arrays zero-padded
-    /// to the variant's arena), and one suffix-only run from the last of
-    /// them produces the variant's golden result and its remaining
-    /// snapshots. Returns `None` when nothing is shareable — profiling
-    /// requested (accumulators are arena-shaped), incompatible configs or
-    /// module shells, divergence before the first snapshot — in which case
-    /// the caller should fall back to a full capture.
+    /// was derived from (see [`substrate::capture_from`]).
     pub fn capture_snapshots_from(
         &self,
         config: &ExecConfig,
         raw: &Module,
         raw_set: &IrSnapshotSet,
     ) -> Option<IrSnapshotSet> {
-        if config.profile {
-            return None;
-        }
-        if raw_set.base.size() != config.mem_size || raw_set.base.stack_limit() != config.mem_size - config.stack_size {
-            return None;
-        }
-        let entry = raw_set.block_entry.as_ref()?;
-        let d = prefix::divergence_dyn(raw, self.module, entry)?;
-        let mut shared = Vec::new();
-        for s in raw_set.snaps.iter().take_while(|s| s.dyn_insts <= d) {
-            shared.push(IrSnapshot {
-                dyn_insts: s.dyn_insts,
-                fault_sites: s.fault_sites,
-                sp: s.sp,
-                output_len: s.output_len,
-                stack: prefix::translate_stack(&s.stack, self.module)?,
-                profile: None,
-                pages: s.pages.clone(),
-            });
-        }
-        if shared.is_empty() {
-            return None;
-        }
-        // The variant may append globals (Flowery's expect/guard cells) in
-        // [raw_end, var_end). Those bytes hold their initializers below the
-        // divergence point, but a raw overlay page covering them carries
-        // raw heap bytes (zeros) instead — restoring it would wipe the
-        // variant's initializers, so such sets cannot be shared.
-        let raw_end = Memory::globals_end(raw);
-        let var_end = Memory::globals_end(self.module);
-        if var_end > raw_end {
-            let lo = (raw_end / PAGE_SIZE) as u32;
-            let hi = ((var_end - 1) / PAGE_SIZE) as u32;
-            if shared.last().unwrap().pages.keys().any(|&p| (lo..=hi).contains(&p)) {
-                return None;
-            }
-        }
-        let base = Memory::new(self.module, config.mem_size, config.stack_size);
-        let last = shared.last().unwrap();
-        let mut mem = base.clone();
-        mem.reset_to(&base, &last.pages);
-        // The overlay pages already live in the recorder's cumulative map;
-        // clear the dirty marks `reset_to` left so the first sync does not
-        // re-copy them (which would break `Arc` sharing with the raw set).
-        mem.drain_dirty_pages();
-        let mut pool = FramePool::default();
-        let mut output = Vec::with_capacity(raw_set.golden.output.len());
-        output.extend_from_slice(&raw_set.golden.output[..last.output_len]);
-        let init = ExecInit {
-            mem,
-            sp: last.sp,
-            output,
-            dyn_insts: last.dyn_insts,
-            fault_sites: last.fault_sites,
-            stack: pool.clone_stack(&last.stack),
-            profile: None,
-        };
-        let mut rec = SnapshotRecorder::from_shared(raw_set.cadence, config.snapshot_budget, None, shared);
-        let (golden, _mem) = self.exec(config, None, init, Some(&mut rec), &mut pool);
-        let cadence = rec.final_cadence();
-        let snaps = rec.snaps;
-        let shared_snaps = snaps.iter().take_while(|s| s.dyn_insts <= d).count();
-        Some(IrSnapshotSet {
-            base,
-            golden,
-            cadence,
-            snaps,
-            block_entry: None,
-            shared_snaps,
-        })
+        substrate::capture_from(self, config, &Interpreter::new(raw), raw_set)
     }
 
-    /// Run one faulty trial, restoring the nearest snapshot at-or-before
-    /// the injection site instead of executing the golden prefix. Returns
-    /// the result plus the number of dynamic instructions skipped.
-    ///
-    /// The result is bit-identical to `run(config, Some(fault))`.
+    /// Run one faulty trial from the nearest snapshot at-or-before the
+    /// injection site (see [`substrate::trial`]); bit-identical to
+    /// `run(config, Some(fault))`.
     pub fn run_fast_forward(
         &self,
         config: &ExecConfig,
@@ -267,95 +154,28 @@ impl<'m> Interpreter<'m> {
         set: &IrSnapshotSet,
         scratch: &mut IrScratch,
     ) -> (ExecResult, u64) {
-        let mut mem = scratch
-            .mem
-            .take()
-            .filter(|m| m.size() == set.base.size())
-            .unwrap_or_else(|| set.base.clone());
-        let mut output = std::mem::take(&mut scratch.output);
-        output.clear();
-        // A profiled trial can only restore a snapshot that carries the
-        // profile accumulator; otherwise fall back to a scratch start.
-        // Scoped faults index a region-local site counter, which snapshot
-        // restore points (keyed by the global counter) cannot seed — they
-        // always start from scratch.
-        let snap = if fault.scope.is_none() {
-            set.nearest(fault.site_index)
-        } else {
-            None
-        };
-        let init = match snap {
-            Some(snap) if !config.profile || snap.profile.is_some() => {
-                mem.reset_to(&set.base, &snap.pages);
-                output.extend_from_slice(&set.golden.output[..snap.output_len]);
-                ExecInit {
-                    mem,
-                    sp: snap.sp,
-                    output,
-                    dyn_insts: snap.dyn_insts,
-                    fault_sites: snap.fault_sites,
-                    stack: scratch.pool.clone_stack(&snap.stack),
-                    profile: if config.profile { snap.profile.clone() } else { None },
-                }
-            }
-            _ => {
-                // Site earlier than the first snapshot: run from the start,
-                // but still reuse the scratch image via a dirty-page reset.
-                mem.reset_to(&set.base, &PageMap::new());
-                self.fresh_init(mem, output, &mut scratch.pool)
-            }
-        };
-        let skipped = init.dyn_insts;
-        let (res, mem) = self.exec(config, Some(fault), init, None, &mut scratch.pool);
-        scratch.mem = Some(mem);
-        (res, skipped)
+        substrate::trial(self, config, fault, Some(set), scratch)
     }
 
-    fn fresh_init(&self, mem: Memory, mut output: Vec<u8>, pool: &mut FramePool) -> ExecInit {
-        let main = self.module.main_func().expect("module has no @main");
-        let sp = mem.initial_sp();
-        output.clear();
-        let mut stack = pool.take_stack();
-        stack.push(Frame {
-            func: main,
-            block: BlockId(0),
-            ip: 0,
-            values: pool.take_zeroed(self.module.func(main).insts.len()),
-            params: pool.take_buf(),
-            saved_sp: sp,
-            ret_dest: None,
-        });
-        ExecInit {
-            mem,
-            sp,
-            output,
-            dyn_insts: 0,
-            fault_sites: 0,
-            stack,
-            profile: None,
-        }
-    }
-
-    /// The dispatch loop. Starts from `init` (fresh or restored), optionally
-    /// capturing snapshots into `recorder`. Returns the result plus the
-    /// memory image so callers can recycle it.
+    /// The dispatch loop. Starts from `start` (fresh or restored),
+    /// optionally capturing snapshots into `recorder`. Returns the result
+    /// plus the memory image so callers can recycle it.
     fn exec(
         &self,
         config: &ExecConfig,
         fault: Option<FaultSpec>,
-        init: ExecInit,
-        mut recorder: Option<&mut SnapshotRecorder>,
+        start: Start<IrLayer>,
+        mut recorder: Option<&mut Recorder<IrLayer>>,
         pool: &mut FramePool,
     ) -> (ExecResult, Memory) {
-        let ExecInit {
+        let Start {
             mut mem,
-            mut sp,
             mut output,
             mut dyn_insts,
             mut fault_sites,
-            mut stack,
+            state: IrState { mut sp, mut stack },
             profile: init_profile,
-        } = init;
+        } = start;
         let mut injected_at: Option<(FuncId, InstId)> = None;
         // Region-local site counter for scoped faults (see `FaultSpec::scope`).
         let mut scope_sites: u64 = 0;
@@ -368,7 +188,7 @@ impl<'m> Interpreter<'m> {
         // A fresh capture run records the entry of `main`'s first block.
         if dyn_insts == 0 {
             if let (Some(rec), Some(f)) = (recorder.as_deref_mut(), stack.last()) {
-                rec.note_entry(f.func, f.block, 0);
+                note_entry(rec, f.func, f.block, 0);
             }
         }
 
@@ -377,7 +197,8 @@ impl<'m> Interpreter<'m> {
             // instruction with index dyn_insts not yet started" -----------
             if let Some(rec) = recorder.as_deref_mut() {
                 if rec.due(dyn_insts, fault_sites) {
-                    rec.capture(dyn_insts, fault_sites, sp, output.len(), &stack, profile.as_ref(), &mut mem);
+                    let state = IrState { sp, stack: stack.to_vec() };
+                    rec.capture(dyn_insts, fault_sites, output.len(), state, profile.as_ref(), &mut mem);
                 }
             }
 
@@ -504,7 +325,7 @@ impl<'m> Interpreter<'m> {
                             };
                             stack.push(new_frame);
                             if let Some(rec) = recorder.as_deref_mut() {
-                                rec.note_entry(callee, BlockId(0), dyn_insts);
+                                note_entry(rec, callee, BlockId(0), dyn_insts);
                             }
                             continue 'exec; // do not fall through to result write
                         }
@@ -585,7 +406,7 @@ impl<'m> Interpreter<'m> {
                         frame.block = *dest;
                         frame.ip = 0;
                         if let Some(rec) = recorder.as_deref_mut() {
-                            rec.note_entry(frame.func, *dest, dyn_insts);
+                            note_entry(rec, frame.func, *dest, dyn_insts);
                         }
                     }
                     Terminator::Br { cond, then_bb, else_bb } => {
@@ -594,7 +415,7 @@ impl<'m> Interpreter<'m> {
                         frame.block = dest;
                         frame.ip = 0;
                         if let Some(rec) = recorder.as_deref_mut() {
-                            rec.note_entry(frame.func, dest, dyn_insts);
+                            note_entry(rec, frame.func, dest, dyn_insts);
                         }
                     }
                     Terminator::Ret { val } => {
@@ -644,11 +465,204 @@ impl<'m> Interpreter<'m> {
     }
 }
 
+/// Record the first entry into `block` (a jump/branch target, a callee's
+/// entry block, or `main`'s entry).
+#[inline]
+fn note_entry(rec: &mut Recorder<IrLayer>, func: FuncId, block: BlockId, dyn_insts: u64) {
+    rec.note_first(|entry| &mut entry[func.index()][block.index()], dyn_insts);
+}
+
+impl RunResult for ExecResult {
+    type Profile = Profile;
+
+    fn head(&self) -> RunHead<'_> {
+        RunHead {
+            status: self.status,
+            output: &self.output,
+            dyn_insts: self.dyn_insts,
+            fault_sites: self.fault_sites,
+        }
+    }
+
+    fn into_parts(self) -> (Vec<u8>, Option<Profile>) {
+        (self.output, self.profile)
+    }
+}
+
+fn w_tables(w: &mut Vec<u8>, tables: &[Vec<u64>]) {
+    w_u64(w, tables.len() as u64);
+    for t in tables {
+        w_u64s(w, t);
+    }
+}
+
+/// One `u64` table per function, each as long as `len` says it must be.
+fn r_tables(c: &mut Cursor, m: &Module, what: &str, len: impl Fn(&Function) -> usize) -> Result<Vec<Vec<u64>>, String> {
+    let mismatch = || format!("snapshot file: {what} shape does not match module");
+    if c.count(8)? != m.functions.len() {
+        return Err(mismatch());
+    }
+    let mut tables = Vec::with_capacity(m.functions.len());
+    for f in &m.functions {
+        let t = c.u64s()?;
+        if t.len() != len(f) {
+            return Err(mismatch());
+        }
+        tables.push(t);
+    }
+    Ok(tables)
+}
+
+fn r_profile(c: &mut Cursor, m: &Module) -> Result<Option<Profile>, String> {
+    c.opt("profile", |c| Ok(Profile { counts: r_tables(c, m, "profile", |f| f.insts.len())? }))
+}
+
+impl Substrate for IrLayer {
+    const MAGIC: &'static [u8; 8] = b"FLSNAPIR";
+    const NAME: &'static str = "ir";
+
+    type Exec<'a> = Interpreter<'a>;
+    type State = IrState;
+    type Golden = ExecResult;
+    type Fault = FaultSpec;
+    /// `[func][block]` = `dyn_insts` at the block's first entry.
+    type FirstExec = Vec<Vec<u64>>;
+    type Pool = FramePool;
+
+    fn module<'a>(exec: &'a Interpreter<'_>) -> &'a Module {
+        exec.module
+    }
+
+    /// The IR layer has a single engine.
+    fn engine(_config: &ExecConfig, _scoped: bool) -> ExecMode {
+        ExecMode::Interp
+    }
+
+    fn global_site(fault: &FaultSpec) -> Option<u64> {
+        fault.scope.is_none().then_some(fault.site_index)
+    }
+
+    fn first_exec_table(exec: &Interpreter<'_>) -> Vec<Vec<u64>> {
+        exec.module.functions.iter().map(|f| vec![u64::MAX; f.blocks.len()]).collect()
+    }
+
+    fn start(exec: &Interpreter<'_>, from: Option<&IrState>, mem: &mut Memory, pool: &mut FramePool) -> IrState {
+        if let Some(s) = from {
+            return IrState { sp: s.sp, stack: pool.clone_stack(&s.stack) };
+        }
+        let main = exec.module.main_func().expect("module has no @main");
+        let sp = mem.initial_sp();
+        let mut stack = pool.take_stack();
+        stack.push(Frame {
+            func: main,
+            block: BlockId(0),
+            ip: 0,
+            values: pool.take_zeroed(exec.module.func(main).insts.len()),
+            params: pool.take_buf(),
+            saved_sp: sp,
+            ret_dest: None,
+        });
+        IrState { sp, stack }
+    }
+
+    fn run_suffix(
+        exec: &Interpreter<'_>,
+        config: &ExecConfig,
+        fault: Option<FaultSpec>,
+        start: Start<IrLayer>,
+        recorder: Option<&mut Recorder<IrLayer>>,
+        pool: &mut FramePool,
+    ) -> (ExecResult, Memory) {
+        exec.exec(config, fault, start, recorder, pool)
+    }
+
+    fn divergence(exec: &Interpreter<'_>, raw: &Interpreter<'_>, block_entry: &Vec<Vec<u64>>) -> Option<u64> {
+        prefix::divergence_dyn(raw.module, exec.module, block_entry)
+    }
+
+    fn translate(exec: &Interpreter<'_>, state: &IrState) -> Option<IrState> {
+        Some(IrState {
+            sp: state.sp,
+            stack: prefix::translate_stack(&state.stack, exec.module)?,
+        })
+    }
+
+    fn encode_head(w: &mut Vec<u8>, r: &ExecResult, block_entry: Option<&Vec<Vec<u64>>>) {
+        w_status(w, r.status);
+        w_bytes(w, &r.output);
+        w_u64(w, r.dyn_insts);
+        w_u64(w, r.fault_sites);
+        w_opt(w, r.injected_at, |w, (f, i)| {
+            w_u32(w, f.0);
+            w_u32(w, i.0);
+        });
+        w_opt(w, r.profile.as_ref(), |w, p| w_tables(w, &p.counts));
+        w_opt(w, block_entry, |w, e| w_tables(w, e));
+    }
+
+    fn decode_head(c: &mut Cursor, exec: &Interpreter<'_>) -> Result<(ExecResult, Option<Vec<Vec<u64>>>), String> {
+        let m = exec.module;
+        let golden = ExecResult {
+            status: c.status()?,
+            output: c.bytes()?,
+            dyn_insts: c.u64()?,
+            fault_sites: c.u64()?,
+            injected_at: c.opt("injected_at", |c| Ok((FuncId(c.u32()?), InstId(c.u32()?))))?,
+            profile: r_profile(c, m)?,
+        };
+        let block_entry = c.opt("block-entry", |c| r_tables(c, m, "block-entry", |f| f.blocks.len()))?;
+        Ok((golden, block_entry))
+    }
+
+    fn encode_snap(w: &mut Vec<u8>, state: &IrState, output_len: usize, profile: Option<&Profile>) {
+        w_u64(w, state.sp);
+        w_u64(w, output_len as u64);
+        w_u64(w, state.stack.len() as u64);
+        for f in &state.stack {
+            w_u32(w, f.func.0);
+            w_u32(w, f.block.0);
+            w_u64(w, f.ip as u64);
+            w_u64(w, f.saved_sp);
+            w_opt(w, f.ret_dest, |w, i| w_u32(w, i.0));
+            w_u64s(w, &f.values);
+            w_u64s(w, &f.params);
+        }
+        w_opt(w, profile, |w, p| w_tables(w, &p.counts));
+    }
+
+    fn decode_snap(c: &mut Cursor, exec: &Interpreter<'_>) -> Result<(IrState, usize, Option<Profile>), String> {
+        let m = exec.module;
+        let sp = c.u64()?;
+        let output_len = c.u64()? as usize;
+        let n_frames = c.count(1)?;
+        let mut stack = Vec::with_capacity(n_frames);
+        for _ in 0..n_frames {
+            let func = FuncId(c.u32()?);
+            let block = BlockId(c.u32()?);
+            let ip = c.u64()? as usize;
+            let saved_sp = c.u64()?;
+            let ret_dest = c.opt("ret_dest", |c| Ok(InstId(c.u32()?)))?;
+            let values = c.u64s()?;
+            let params = c.u64s()?;
+            let f = m
+                .functions
+                .get(func.index())
+                .ok_or("snapshot file: frame function out of range")?;
+            let b = f.blocks.get(block.index()).ok_or("snapshot file: frame block out of range")?;
+            if ip > b.insts.len() || values.len() != f.insts.len() {
+                return Err("snapshot file: frame shape does not match module".into());
+            }
+            stack.push(Frame { func, block, ip, values, params, saved_sp, ret_dest });
+        }
+        Ok((IrState { sp, stack }, output_len, r_profile(c, m)?))
+    }
+}
+
 /// The address range memory-cell faults land in: the globals segment when
 /// the module has one, else the stack segment. Both are a pure function of
 /// the module and memory geometry, so the same spec flips the same cell
 /// whether a trial runs from scratch or from a restored snapshot.
-pub(crate) fn mem_fault_region(module: &Module, mem: &Memory) -> (u64, u64) {
+pub fn mem_fault_region(module: &Module, mem: &Memory) -> (u64, u64) {
     let globals_end = Memory::globals_end(module);
     if globals_end > GLOBAL_BASE {
         (GLOBAL_BASE, globals_end)
@@ -903,32 +917,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_forward_is_bit_identical() {
-        // Every site of the loop module, restored vs scratch, tiny interval
-        // so several snapshots exist.
-        let m = loop_module();
-        let interp = Interpreter::new(&m);
-        let cfg = ExecConfig { max_dyn_insts: 10_000, ..Default::default() };
-        let set = interp.capture_snapshots(&cfg, 16);
-        assert!(set.len() > 2, "expected several snapshots");
-        let mut scratch = IrScratch::new();
-        for site in 0..set.golden().fault_sites {
-            for bit in [0u32, 1, 17, 63] {
-                let spec = FaultSpec::single(site, bit);
-                let scratch_res = interp.run(&cfg, Some(spec));
-                let (ff_res, skipped) = interp.run_fast_forward(&cfg, spec, &set, &mut scratch);
-                assert_eq!(ff_res.status, scratch_res.status, "site {site} bit {bit}");
-                assert_eq!(ff_res.output, scratch_res.output, "site {site} bit {bit}");
-                assert_eq!(ff_res.dyn_insts, scratch_res.dyn_insts, "site {site} bit {bit}");
-                assert_eq!(ff_res.fault_sites, scratch_res.fault_sites, "site {site} bit {bit}");
-                assert_eq!(ff_res.injected_at, scratch_res.injected_at, "site {site} bit {bit}");
-                assert!(skipped <= scratch_res.dyn_insts);
-                scratch.recycle_output(ff_res.output);
-            }
-        }
-    }
-
-    #[test]
     fn fast_forward_recursion_restores_deep_stacks() {
         // fib(12): snapshots land mid-recursion, so restore must rebuild a
         // multi-frame call stack with correct saved_sp/ret_dest chains.
@@ -959,7 +947,10 @@ mod tests {
         let interp = Interpreter::new(&m);
         let cfg = ExecConfig { max_dyn_insts: 100_000, ..Default::default() };
         let set = interp.capture_snapshots(&cfg, 64);
-        assert!(set.snaps.iter().any(|s| s.stack.len() > 2), "snapshots should catch deep recursion");
+        assert!(
+            set.snapshots().iter().any(|s| s.state.stack.len() > 2),
+            "snapshots should catch deep recursion"
+        );
         let mut scratch = IrScratch::new();
         let golden = set.golden();
         for site in (0..golden.fault_sites).step_by(31) {
@@ -972,289 +963,5 @@ mod tests {
             assert_eq!(ff_res.fault_sites, scratch_res.fault_sites, "site {site}");
             assert_eq!(ff_res.injected_at, scratch_res.injected_at, "site {site}");
         }
-    }
-
-    #[test]
-    fn capture_golden_matches_plain_run() {
-        let m = loop_module();
-        let interp = Interpreter::new(&m);
-        let cfg = ExecConfig::default();
-        let plain = interp.run(&cfg, None);
-        let set = interp.capture_snapshots(&cfg, 32);
-        assert_eq!(set.golden().status, plain.status);
-        assert_eq!(set.golden().output, plain.output);
-        assert_eq!(set.golden().dyn_insts, plain.dyn_insts);
-        assert_eq!(set.golden().fault_sites, plain.fault_sites);
-    }
-
-    /// A loop that cycles writes through an 8-page global array, so every
-    /// snapshot window rewrites pages and the overlay grows without bound
-    /// unless capped.
-    fn store_heavy_module(iters: i64) -> Module {
-        let mut mb = ModuleBuilder::new("stores");
-        let g = mb.global_i64("arr", &vec![0i64; 4096]);
-        let mut fb = FuncBuilder::new("main", vec![], Some(Type::I64));
-        let i = fb.alloca(Type::I64, 1);
-        fb.store(Type::I64, Op::ci64(0), Op::inst(i));
-        let header = fb.new_block("header");
-        let body = fb.new_block("body");
-        let exit = fb.new_block("exit");
-        fb.jmp(header);
-        fb.switch_to(header);
-        let iv = fb.load(Type::I64, Op::inst(i));
-        let c = fb.icmp(IPred::Slt, Type::I64, Op::inst(iv), Op::ci64(iters));
-        fb.br(Op::inst(c), body, exit);
-        fb.switch_to(body);
-        let iv2 = fb.load(Type::I64, Op::inst(i));
-        let idx = fb.bin(BinOp::And, Type::I64, Op::inst(iv2), Op::ci64(4095));
-        let p = fb.gep(Op::Global(g), Op::inst(idx), Type::I64);
-        fb.store(Type::I64, Op::inst(iv2), Op::inst(p));
-        let ni = fb.bin(BinOp::Add, Type::I64, Op::inst(iv2), Op::ci64(1));
-        fb.store(Type::I64, Op::inst(ni), Op::inst(i));
-        fb.jmp(header);
-        fb.switch_to(exit);
-        let p7 = fb.gep(Op::Global(g), Op::ci64(7), Type::I64);
-        let r = fb.load(Type::I64, Op::inst(p7));
-        fb.output_i64(Op::inst(r));
-        fb.ret(Some(Op::inst(r)));
-        mb.add_func(fb.finish());
-        mb.finish()
-    }
-
-    /// Bytes of distinct page copies held across all snapshots of a set —
-    /// the memory the budget bounds.
-    fn overlay_bytes(set: &IrSnapshotSet) -> u64 {
-        let mut seen = std::collections::HashSet::new();
-        let mut total = 0u64;
-        for s in &set.snaps {
-            for p in s.pages.values() {
-                if seen.insert(std::sync::Arc::as_ptr(p)) {
-                    total += p.len() as u64;
-                }
-            }
-        }
-        total
-    }
-
-    #[test]
-    fn snapshot_budget_widens_cadence_on_store_heavy_runs() {
-        let m = store_heavy_module(8192);
-        verify_module(&m).unwrap();
-        let interp = Interpreter::new(&m);
-        let cfg = ExecConfig { max_dyn_insts: 1_000_000, ..Default::default() };
-        let unbounded = interp.capture_snapshots(&cfg, 256);
-        assert_eq!(unbounded.interval(), 256);
-        let budget = 16 * crate::interp::PAGE_SIZE; // 16 pages; the final overlay alone needs ~9
-        assert!(
-            overlay_bytes(&unbounded) > budget,
-            "workload must be store-heavy enough to blow the budget: {} bytes",
-            overlay_bytes(&unbounded)
-        );
-
-        let capped_cfg = ExecConfig { snapshot_budget: Some(budget), ..cfg.clone() };
-        let capped = interp.capture_snapshots(&capped_cfg, 256);
-        assert!(capped.interval() > 256, "budget pressure must widen the cadence");
-        assert!(capped.len() < unbounded.len(), "{} vs {}", capped.len(), unbounded.len());
-        assert!(capped.len() > 1, "widening must not degenerate to a single snapshot");
-        assert!(
-            overlay_bytes(&capped) <= budget,
-            "{} bytes over a {budget} budget",
-            overlay_bytes(&capped)
-        );
-        assert_eq!(capped.golden().output, unbounded.golden().output, "the budget must not perturb execution");
-        assert_eq!(capped.golden().dyn_insts, unbounded.golden().dyn_insts);
-
-        // The thinned set still fast-forwards bit-identically.
-        let mut scratch = IrScratch::new();
-        for site in (0..capped.golden().fault_sites).step_by(997) {
-            let spec = FaultSpec::single(site, 13);
-            let scratch_res = interp.run(&cfg, Some(spec));
-            let (ff_res, _) = interp.run_fast_forward(&cfg, spec, &capped, &mut scratch);
-            assert_eq!(ff_res.status, scratch_res.status, "site {site}");
-            assert_eq!(ff_res.output, scratch_res.output, "site {site}");
-            assert_eq!(ff_res.dyn_insts, scratch_res.dyn_insts, "site {site}");
-            scratch.recycle_output(ff_res.output);
-        }
-    }
-
-    #[test]
-    fn profiled_fast_forward_matches_scratch() {
-        // Capture with profiling on: every snapshot carries the accumulator,
-        // and a profiled trial restored mid-run must produce counts
-        // identical to a profiled scratch run — the profile_sdc path.
-        let m = loop_module();
-        let interp = Interpreter::new(&m);
-        let cfg = ExecConfig { profile: true, max_dyn_insts: 10_000, ..Default::default() };
-        let set = interp.capture_snapshots(&cfg, 16);
-        assert!(set.len() > 2, "expected several snapshots");
-        assert!(
-            set.snaps.iter().all(|s| s.profile.is_some()),
-            "profiled capture snapshots carry the accumulator"
-        );
-        assert!(set.golden().profile.is_some());
-        let mut scratch = IrScratch::new();
-        for site in 0..set.golden().fault_sites {
-            let spec = FaultSpec::single(site, 5);
-            let scratch_res = interp.run(&cfg, Some(spec));
-            let (ff_res, skipped) = interp.run_fast_forward(&cfg, spec, &set, &mut scratch);
-            assert_eq!(ff_res, scratch_res, "site {site}");
-            assert!(skipped <= scratch_res.dyn_insts);
-        }
-        // A late site actually fast-forwards (profile restore exercised).
-        let late = set.golden().fault_sites - 1;
-        let (_, skipped) = interp.run_fast_forward(&cfg, FaultSpec::single(late, 0), &set, &mut scratch);
-        assert!(skipped > 0, "late sites must restore a snapshot");
-    }
-
-    #[test]
-    fn unprofiled_set_falls_back_for_profiled_trials() {
-        // An unprofiled capture cannot serve a profiled trial from a
-        // snapshot; it must fall back to scratch and still be correct.
-        let m = loop_module();
-        let interp = Interpreter::new(&m);
-        let plain_cfg = ExecConfig { max_dyn_insts: 10_000, ..Default::default() };
-        let prof_cfg = ExecConfig { profile: true, ..plain_cfg.clone() };
-        let set = interp.capture_snapshots(&plain_cfg, 16);
-        let mut scratch = IrScratch::new();
-        let late = set.golden().fault_sites - 1;
-        let spec = FaultSpec::single(late, 1);
-        let scratch_res = interp.run(&prof_cfg, Some(spec));
-        let (ff_res, skipped) = interp.run_fast_forward(&prof_cfg, spec, &set, &mut scratch);
-        assert_eq!(skipped, 0, "no profile in the snapshot: must start from scratch");
-        assert_eq!(ff_res, scratch_res);
-    }
-
-    #[test]
-    fn auto_capture_is_site_spaced_and_capped() {
-        let m = store_heavy_module(8192);
-        let interp = Interpreter::new(&m);
-        let cfg = ExecConfig { max_dyn_insts: 1_000_000, ..Default::default() };
-        let set = interp.capture_snapshots_auto(&cfg);
-        assert!(matches!(set.cadence(), Cadence::Sites(_)), "auto capture spaces by fault sites");
-        assert!(set.len() <= AUTO_MAX_SNAPS, "{} snapshots over the cap", set.len());
-        assert!(set.len() > AUTO_MAX_SNAPS / 4, "self-tuning should land near the cap, got {}", set.len());
-        let plain = interp.run(&cfg, None);
-        assert_eq!(set.golden().output, plain.output);
-        assert_eq!(set.golden().dyn_insts, plain.dyn_insts);
-        // Site-spaced snapshots: consecutive snapshots are close in site
-        // index (within the final cadence), even where sites are sparse.
-        let k = set.interval();
-        for pair in set.snaps.windows(2) {
-            assert!(pair[1].fault_sites - pair[0].fault_sites >= k, "cadence respected");
-        }
-        let mut scratch = IrScratch::new();
-        for site in (0..set.golden().fault_sites).step_by(1009) {
-            let spec = FaultSpec::single(site, 7);
-            let scratch_res = interp.run(&cfg, Some(spec));
-            let (ff_res, _) = interp.run_fast_forward(&cfg, spec, &set, &mut scratch);
-            assert_eq!(ff_res, scratch_res, "site {site}");
-            scratch.recycle_output(ff_res.output);
-        }
-    }
-
-    /// The loop module plus a "hardened" twin built by the same builder
-    /// calls with extra instructions appended in the exit block — the same
-    /// arena-append shape the duplication passes produce, so the golden
-    /// traces are identical until the exit block's second instruction.
-    fn loop_module_variant() -> Module {
-        let mut mb = ModuleBuilder::new("loop");
-        let mut fb = FuncBuilder::new("main", vec![], Some(Type::I64));
-        let s = fb.alloca(Type::I64, 1);
-        let i = fb.alloca(Type::I64, 1);
-        fb.store(Type::I64, Op::ci64(0), Op::inst(s));
-        fb.store(Type::I64, Op::ci64(0), Op::inst(i));
-        let header = fb.new_block("header");
-        let body = fb.new_block("body");
-        let exit = fb.new_block("exit");
-        fb.jmp(header);
-        fb.switch_to(header);
-        let iv = fb.load(Type::I64, Op::inst(i));
-        let c = fb.icmp(IPred::Slt, Type::I64, Op::inst(iv), Op::ci64(10));
-        fb.br(Op::inst(c), body, exit);
-        fb.switch_to(body);
-        let sv = fb.load(Type::I64, Op::inst(s));
-        let iv2 = fb.load(Type::I64, Op::inst(i));
-        let ns = fb.bin(BinOp::Add, Type::I64, Op::inst(sv), Op::inst(iv2));
-        fb.store(Type::I64, Op::inst(ns), Op::inst(s));
-        let ni = fb.bin(BinOp::Add, Type::I64, Op::inst(iv2), Op::ci64(1));
-        fb.store(Type::I64, Op::inst(ni), Op::inst(i));
-        fb.jmp(header);
-        fb.switch_to(exit);
-        let r = fb.load(Type::I64, Op::inst(s));
-        // Divergence: the variant doubles the result before emitting it.
-        let r2 = fb.bin(BinOp::Add, Type::I64, Op::inst(r), Op::inst(r));
-        fb.output_i64(Op::inst(r2));
-        fb.ret(Some(Op::inst(r2)));
-        mb.add_func(fb.finish());
-        mb.finish()
-    }
-
-    #[test]
-    fn shared_prefix_capture_matches_fresh_capture() {
-        let raw = loop_module();
-        let var = loop_module_variant();
-        verify_module(&var).unwrap();
-        let cfg = ExecConfig { max_dyn_insts: 10_000, ..Default::default() };
-        let raw_interp = Interpreter::new(&raw);
-        let var_interp = Interpreter::new(&var);
-        let raw_set = raw_interp.capture_snapshots(&cfg, 16);
-        assert!(raw_set.len() > 2);
-        let shared = var_interp
-            .capture_snapshots_from(&cfg, &raw, &raw_set)
-            .expect("late divergence must allow sharing");
-        assert!(shared.shared_snaps() >= 1, "at least one snapshot shared below the divergence");
-        assert!(shared.block_entry.is_none(), "continuation sets cannot seed further sharing");
-        // Shared snapshots Arc-share their pages with the raw set.
-        for (s, r) in shared.snaps.iter().zip(&raw_set.snaps).take(shared.shared_snaps()) {
-            assert_eq!(s.dyn_insts, r.dyn_insts);
-            for (k, v) in &s.pages {
-                assert!(std::sync::Arc::ptr_eq(v, &r.pages[k]), "page {k} not shared");
-            }
-        }
-        // The continuation golden equals a fresh variant run...
-        let fresh = var_interp.run(&cfg, None);
-        assert_eq!(shared.golden().status, fresh.status);
-        assert_eq!(shared.golden().output, fresh.output);
-        assert_eq!(shared.golden().dyn_insts, fresh.dyn_insts);
-        assert_eq!(shared.golden().fault_sites, fresh.fault_sites);
-        // ... and the variant diverges from the raw golden (i.e. this is a
-        // real cross-variant case, not two identical modules).
-        assert_ne!(shared.golden().output, raw_set.golden().output);
-        // Every fast-forwarded trial on the shared set is bit-identical.
-        let mut scratch = IrScratch::new();
-        for site in 0..shared.golden().fault_sites {
-            for bit in [0u32, 9, 33] {
-                let spec = FaultSpec::single(site, bit);
-                let scratch_res = var_interp.run(&cfg, Some(spec));
-                let (ff_res, _) = var_interp.run_fast_forward(&cfg, spec, &shared, &mut scratch);
-                assert_eq!(ff_res, scratch_res, "site {site} bit {bit}");
-                scratch.recycle_output(ff_res.output);
-            }
-        }
-    }
-
-    #[test]
-    fn shared_prefix_refuses_incompatible_shapes() {
-        let raw = loop_module();
-        let cfg = ExecConfig { max_dyn_insts: 10_000, ..Default::default() };
-        let raw_set = Interpreter::new(&raw).capture_snapshots(&cfg, 16);
-
-        // Different globals: nothing shareable.
-        let mut mb = ModuleBuilder::new("g");
-        mb.global_i64("x", &[1]);
-        let mut fb = FuncBuilder::new("main", vec![], Some(Type::I64));
-        fb.ret(Some(Op::ci64(0)));
-        mb.add_func(fb.finish());
-        let other = mb.finish();
-        assert!(Interpreter::new(&other).capture_snapshots_from(&cfg, &raw, &raw_set).is_none());
-
-        // Profiling requested: sharing declines (accumulators are arena-shaped).
-        let var = loop_module_variant();
-        let prof = ExecConfig { profile: true, ..cfg.clone() };
-        assert!(Interpreter::new(&var).capture_snapshots_from(&prof, &raw, &raw_set).is_none());
-
-        // Mismatched memory geometry: sharing declines.
-        let small = ExecConfig { mem_size: 2 << 20, ..cfg.clone() };
-        assert!(Interpreter::new(&var).capture_snapshots_from(&small, &raw, &raw_set).is_none());
     }
 }

@@ -53,6 +53,36 @@ pub enum TrapKind {
     OutputFlood,
 }
 
+/// The stable numbering of [`TrapKind`]: the code a trap has in snapshot
+/// files and in the native engine's exit codes.
+pub fn trap_code(t: TrapKind) -> u8 {
+    match t {
+        TrapKind::OobLoad => 0,
+        TrapKind::OobStore => 1,
+        TrapKind::DivFault => 2,
+        TrapKind::InstLimit => 3,
+        TrapKind::CallDepth => 4,
+        TrapKind::StackOverflow => 5,
+        TrapKind::BadControl => 6,
+        TrapKind::OutputFlood => 7,
+    }
+}
+
+/// The trap numbered `c` by [`trap_code`], if any.
+pub fn trap_from(c: u8) -> Option<TrapKind> {
+    Some(match c {
+        0 => TrapKind::OobLoad,
+        1 => TrapKind::OobStore,
+        2 => TrapKind::DivFault,
+        3 => TrapKind::InstLimit,
+        4 => TrapKind::CallDepth,
+        5 => TrapKind::StackOverflow,
+        6 => TrapKind::BadControl,
+        7 => TrapKind::OutputFlood,
+        _ => return None,
+    })
+}
+
 /// Byte-addressed memory image.
 #[derive(Debug, Clone)]
 pub struct Memory {
@@ -127,6 +157,11 @@ impl Memory {
     /// Lowest valid stack address.
     pub fn stack_limit(&self) -> u64 {
         self.stack_limit
+    }
+
+    /// True for an image of `mem_size` bytes with a `stack_size` stack.
+    pub fn has_geometry(&self, mem_size: u64, stack_size: u64) -> bool {
+        self.size() == mem_size && self.stack_limit() == mem_size - stack_size
     }
 
     /// Initial stack pointer (top of memory, 16-byte aligned).

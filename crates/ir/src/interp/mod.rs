@@ -1,6 +1,6 @@
 //! The IR interpreter ("LLVM level" in the paper's terminology).
 //!
-//! Executes a verified [`Module`](crate::module::Module) with:
+//! Executes a verified [`Module`] with:
 //! - dynamic-instruction counting and per-static-instruction profiling,
 //! - a program output stream (the SDC comparand),
 //! - a single-bit fault-injection hook on instruction *results* — the exact
@@ -9,20 +9,36 @@
 
 pub mod memory;
 pub mod ops;
+pub mod snapio;
 pub mod snapshot;
+pub mod substrate;
 
 mod eval;
 mod prefix;
-mod snapio;
 
-pub use eval::Interpreter;
+pub use eval::{mem_fault_region, Interpreter, IrLayer};
 pub use memory::{Memory, TrapKind, GLOBAL_BASE, PAGE_SIZE};
-pub use snapshot::{auto_interval, Cadence, IrScratch, IrSnapshotSet};
+pub use snapshot::{Cadence, SnapshotSet};
+pub use substrate::{Scratch, Substrate};
 
+use crate::module::Module;
 use crate::value::{FuncId, InstId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
+
+/// All snapshots from one IR golden run.
+pub type IrSnapshotSet = SnapshotSet<IrLayer>;
+
+/// Per-worker reusable buffers for IR trials.
+pub type IrScratch = Scratch<IrLayer>;
+
+impl IrSnapshotSet {
+    /// [`SnapshotSet::decode`] for `module`'s interpreter.
+    pub fn from_bytes(bytes: &[u8], module: &Module, module_hash: u64) -> Result<IrSnapshotSet, String> {
+        Self::decode(bytes, &Interpreter::new(module), module_hash)
+    }
+}
 
 /// Which execution engine runs machine-layer trials. The engines are
 /// bit-identical by contract — every observable stream (status, output,

@@ -34,21 +34,12 @@ use crate::module::{Block, Function, Module};
 /// has not yet started) at which the variant's golden trace can diverge
 /// from the raw module's. `u64::MAX` when the modules are execution-
 /// equivalent over the raw trace; `None` when the module shells are too
-/// different to share anything (globals, function count/signatures).
-///
-/// The variant may *extend* the raw global list (Flowery appends its
-/// branch-expectation and opaque-guard globals): existing globals keep
-/// their addresses, and the appended ones are untouched below `D` because
-/// only appended — i.e. post-divergence — code references them. The
-/// caller must still refuse raw overlay pages that overlap the appended
-/// region (see `capture_snapshots_from`), since those would clobber the
-/// variant's initializers.
+/// different to share anything (function count/signatures). The caller
+/// (`substrate::capture_from`) checks the globals: the variant may only
+/// *extend* the raw list, and raw overlay pages overlapping the appended
+/// region are refused, since those would clobber the variant's initializers.
 pub(crate) fn divergence_dyn(raw: &Module, var: &Module, entry: &[Vec<u64>]) -> Option<u64> {
-    if var.globals.len() < raw.globals.len()
-        || var.globals[..raw.globals.len()] != raw.globals[..]
-        || raw.functions.len() != var.functions.len()
-        || entry.len() != raw.functions.len()
-    {
+    if raw.functions.len() != var.functions.len() || entry.len() != raw.functions.len() {
         return None;
     }
     let mut d = u64::MAX;

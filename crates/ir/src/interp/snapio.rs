@@ -1,14 +1,17 @@
-//! Stable binary serialization for [`IrSnapshotSet`] — persisted next to a
+//! Stable binary serialization for [`SnapshotSet`] — persisted next to a
 //! campaign checkpoint so `--resume` skips the capture runs.
 //!
-//! Format (all integers little-endian):
+//! Format (all integers little-endian), one envelope for both layers:
 //!
 //! ```text
-//!   magic "FLSNAPIR" | version u32 | module_hash u64
+//!   magic "FLSNAPIR" / "FLSNAPAS" | version u32 | content_hash u64
 //!   mem_size u64 | stack_size u64            (base image is rebuilt, not stored)
 //!   cadence tag u8 + value u64 | shared_snaps u64
-//!   golden ExecResult | block_entry option | snapshot count u64
-//!   per snapshot: counters, stack frames, optional profile, page DELTA
+//!   HEAD: golden result, first-execution table option   (the layer's payload)
+//!   snapshot count u64
+//!   per snapshot: dyn_insts u64, fault_sites u64,
+//!                 SNAP: state, output length, profile option  (the layer's payload)
+//!                 page DELTA
 //!   fnv1a-64 checksum over everything above
 //! ```
 //!
@@ -18,92 +21,54 @@
 //! which round-trips the sharing structure without duplicating pages.
 //!
 //! Loading never panics on bad input: the checksum is verified before any
-//! parsing, and every length/index is validated against the module.
+//! parsing, and every length/index is validated against the program the
+//! executor is bound to.
 
-use crate::interp::eval::Frame;
-use crate::interp::memory::{Memory, PageMap, TrapKind, GLOBAL_BASE};
-use crate::interp::snapshot::{Cadence, IrSnapshot, IrSnapshotSet};
-use crate::interp::{ExecResult, ExecStatus, Profile};
+use crate::fnv1a;
+use crate::interp::memory::{trap_code, trap_from, Memory, PageMap, GLOBAL_BASE};
+use crate::interp::snapshot::{Cadence, Snapshot, SnapshotSet};
+use crate::interp::substrate::{Linked, RunResult, Substrate};
+use crate::interp::ExecStatus;
 use crate::module::Module;
-use crate::value::{BlockId, FuncId, InstId};
 use std::sync::Arc;
 
-const MAGIC: &[u8; 8] = b"FLSNAPIR";
 const VERSION: u32 = 1;
-
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 // ---- writer helpers -------------------------------------------------------
 
-fn w_u32(w: &mut Vec<u8>, v: u32) {
+pub fn w_u32(w: &mut Vec<u8>, v: u32) {
     w.extend_from_slice(&v.to_le_bytes());
 }
 
-fn w_u64(w: &mut Vec<u8>, v: u64) {
+pub fn w_u64(w: &mut Vec<u8>, v: u64) {
     w.extend_from_slice(&v.to_le_bytes());
 }
 
-fn w_bytes(w: &mut Vec<u8>, b: &[u8]) {
+pub fn w_bytes(w: &mut Vec<u8>, b: &[u8]) {
     w_u64(w, b.len() as u64);
     w.extend_from_slice(b);
 }
 
-fn w_u64s(w: &mut Vec<u8>, vs: &[u64]) {
+pub fn w_u64s(w: &mut Vec<u8>, vs: &[u64]) {
     w_u64(w, vs.len() as u64);
     for &v in vs {
         w_u64(w, v);
     }
 }
 
-fn trap_code(t: TrapKind) -> u8 {
-    match t {
-        TrapKind::OobLoad => 0,
-        TrapKind::OobStore => 1,
-        TrapKind::DivFault => 2,
-        TrapKind::InstLimit => 3,
-        TrapKind::CallDepth => 4,
-        TrapKind::StackOverflow => 5,
-        TrapKind::BadControl => 6,
-        TrapKind::OutputFlood => 7,
-    }
-}
-
-fn trap_from(c: u8) -> Result<TrapKind, String> {
-    Ok(match c {
-        0 => TrapKind::OobLoad,
-        1 => TrapKind::OobStore,
-        2 => TrapKind::DivFault,
-        3 => TrapKind::InstLimit,
-        4 => TrapKind::CallDepth,
-        5 => TrapKind::StackOverflow,
-        6 => TrapKind::BadControl,
-        7 => TrapKind::OutputFlood,
-        _ => return Err(format!("snapshot file: unknown trap kind {c}")),
-    })
-}
-
-fn write_profile(w: &mut Vec<u8>, p: Option<&Profile>) {
-    match p {
+/// A presence tag, then the value's own encoding.
+pub fn w_opt<T>(w: &mut Vec<u8>, v: Option<T>, put: impl FnOnce(&mut Vec<u8>, T)) {
+    match v {
         None => w.push(0),
-        Some(p) => {
+        Some(v) => {
             w.push(1);
-            w_u64(w, p.counts.len() as u64);
-            for v in &p.counts {
-                w_u64s(w, v);
-            }
+            put(w, v);
         }
     }
 }
 
-fn write_result(w: &mut Vec<u8>, r: &ExecResult) {
-    match r.status {
+pub fn w_status(w: &mut Vec<u8>, status: ExecStatus) {
+    match status {
         ExecStatus::Completed(v) => {
             w.push(0);
             w_u64(w, v);
@@ -114,29 +79,18 @@ fn write_result(w: &mut Vec<u8>, r: &ExecResult) {
             w.push(trap_code(t));
         }
     }
-    w_bytes(w, &r.output);
-    w_u64(w, r.dyn_insts);
-    w_u64(w, r.fault_sites);
-    match r.injected_at {
-        None => w.push(0),
-        Some((f, i)) => {
-            w.push(1);
-            w_u32(w, f.0);
-            w_u32(w, i.0);
-        }
-    }
-    write_profile(w, r.profile.as_ref());
 }
 
 // ---- reader ---------------------------------------------------------------
 
-struct Cursor<'a> {
+/// Bounds-checked reader over a checksum-verified file body.
+pub struct Cursor<'a> {
     b: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         if self.b.len() - self.pos < n {
             return Err("snapshot file: truncated".into());
         }
@@ -145,21 +99,21 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, String> {
+    pub fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, String> {
+    pub fn u32(&mut self) -> Result<u32, String> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self) -> Result<u64, String> {
+    pub fn u64(&mut self) -> Result<u64, String> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// A count of items that each occupy at least `elem` bytes — bounds the
     /// allocation a corrupt length field could otherwise trigger.
-    fn count(&mut self, elem: usize) -> Result<usize, String> {
+    pub fn count(&mut self, elem: usize) -> Result<usize, String> {
         let n = self.u64()?;
         let remaining = (self.b.len() - self.pos) as u64;
         if n.saturating_mul(elem as u64) > remaining {
@@ -168,7 +122,7 @@ impl<'a> Cursor<'a> {
         Ok(n as usize)
     }
 
-    fn u64s(&mut self) -> Result<Vec<u64>, String> {
+    pub fn u64s(&mut self) -> Result<Vec<u64>, String> {
         let n = self.count(8)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
@@ -177,136 +131,61 @@ impl<'a> Cursor<'a> {
         Ok(out)
     }
 
-    fn bytes(&mut self) -> Result<Vec<u8>, String> {
+    pub fn bytes(&mut self) -> Result<Vec<u8>, String> {
         let n = self.count(1)?;
         Ok(self.take(n)?.to_vec())
     }
-}
 
-fn read_profile(c: &mut Cursor, m: &Module) -> Result<Option<Profile>, String> {
-    match c.u8()? {
-        0 => Ok(None),
-        1 => {
-            let n = c.count(8)?;
-            if n != m.functions.len() {
-                return Err("snapshot file: profile shape does not match module".into());
-            }
-            let mut counts = Vec::with_capacity(n);
-            for f in &m.functions {
-                let v = c.u64s()?;
-                if v.len() != f.insts.len() {
-                    return Err("snapshot file: profile shape does not match module".into());
-                }
-                counts.push(v);
-            }
-            Ok(Some(Profile { counts }))
+    /// The reader side of [`w_opt`]; `what` names the field in the error.
+    pub fn opt<T>(
+        &mut self,
+        what: &str,
+        get: impl FnOnce(&mut Cursor<'a>) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => get(self).map(Some),
+            t => Err(format!("snapshot file: bad {what} tag {t}")),
         }
-        t => Err(format!("snapshot file: bad profile tag {t}")),
+    }
+
+    pub fn status(&mut self) -> Result<ExecStatus, String> {
+        Ok(match self.u8()? {
+            0 => ExecStatus::Completed(self.u64()?),
+            1 => ExecStatus::Detected,
+            2 => {
+                let c = self.u8()?;
+                ExecStatus::Trapped(trap_from(c).ok_or_else(|| format!("snapshot file: unknown trap kind {c}"))?)
+            }
+            t => return Err(format!("snapshot file: bad status tag {t}")),
+        })
     }
 }
 
-fn read_result(c: &mut Cursor, m: &Module) -> Result<ExecResult, String> {
-    let status = match c.u8()? {
-        0 => ExecStatus::Completed(c.u64()?),
-        1 => ExecStatus::Detected,
-        2 => ExecStatus::Trapped(trap_from(c.u8()?)?),
-        t => return Err(format!("snapshot file: bad status tag {t}")),
-    };
-    let output = c.bytes()?;
-    let dyn_insts = c.u64()?;
-    let fault_sites = c.u64()?;
-    let injected_at = match c.u8()? {
-        0 => None,
-        1 => Some((FuncId(c.u32()?), InstId(c.u32()?))),
-        t => return Err(format!("snapshot file: bad injected_at tag {t}")),
-    };
-    let profile = read_profile(c, m)?;
-    Ok(ExecResult { status, output, dyn_insts, fault_sites, injected_at, profile })
-}
-
-fn read_frame(c: &mut Cursor, m: &Module) -> Result<Frame, String> {
-    let func = FuncId(c.u32()?);
-    let block = BlockId(c.u32()?);
-    let ip = c.u64()? as usize;
-    let saved_sp = c.u64()?;
-    let ret_dest = match c.u8()? {
-        0 => None,
-        1 => Some(InstId(c.u32()?)),
-        t => return Err(format!("snapshot file: bad ret_dest tag {t}")),
-    };
-    let values = c.u64s()?;
-    let params = c.u64s()?;
-    let f = m
-        .functions
-        .get(func.index())
-        .ok_or_else(|| "snapshot file: frame function out of range".to_string())?;
-    let b = f
-        .blocks
-        .get(block.index())
-        .ok_or_else(|| "snapshot file: frame block out of range".to_string())?;
-    if ip > b.insts.len() || values.len() != f.insts.len() {
-        return Err("snapshot file: frame shape does not match module".into());
-    }
-    Ok(Frame { func, block, ip, values, params, saved_sp, ret_dest })
-}
-
-impl IrSnapshotSet {
-    /// Serialize to the stable on-disk format. `module_hash` is the content
-    /// hash of the module this set was captured from; the loader refuses a
-    /// file whose hash does not match.
-    pub fn to_bytes(&self, module_hash: u64) -> Vec<u8> {
+impl<S: Substrate> SnapshotSet<S> {
+    /// Serialize to the stable on-disk format. `content_hash` covers the
+    /// program this set was captured from; the loader refuses a file whose
+    /// hash does not match.
+    pub fn to_bytes(&self, content_hash: u64) -> Vec<u8> {
         let mut w = Vec::new();
-        w.extend_from_slice(MAGIC);
+        w.extend_from_slice(S::MAGIC);
         w_u32(&mut w, VERSION);
-        w_u64(&mut w, module_hash);
+        w_u64(&mut w, content_hash);
         w_u64(&mut w, self.base.size());
         w_u64(&mut w, self.base.size() - self.base.stack_limit());
-        match self.cadence {
-            Cadence::Insts(k) => {
-                w.push(0);
-                w_u64(&mut w, k);
-            }
-            Cadence::Sites(k) => {
-                w.push(1);
-                w_u64(&mut w, k);
-            }
-        }
+        w.push(match self.cadence {
+            Cadence::Insts(_) => 0,
+            Cadence::Sites(_) => 1,
+        });
+        w_u64(&mut w, self.cadence.value());
         w_u64(&mut w, self.shared_snaps as u64);
-        write_result(&mut w, &self.golden);
-        match &self.block_entry {
-            None => w.push(0),
-            Some(e) => {
-                w.push(1);
-                w_u64(&mut w, e.len() as u64);
-                for v in e {
-                    w_u64s(&mut w, v);
-                }
-            }
-        }
+        S::encode_head(&mut w, &self.golden, self.first_exec.as_ref());
         w_u64(&mut w, self.snaps.len() as u64);
         let mut prev: Option<&PageMap> = None;
         for s in &self.snaps {
             w_u64(&mut w, s.dyn_insts);
             w_u64(&mut w, s.fault_sites);
-            w_u64(&mut w, s.sp);
-            w_u64(&mut w, s.output_len as u64);
-            w_u64(&mut w, s.stack.len() as u64);
-            for f in &s.stack {
-                w_u32(&mut w, f.func.0);
-                w_u32(&mut w, f.block.0);
-                w_u64(&mut w, f.ip as u64);
-                w_u64(&mut w, f.saved_sp);
-                match f.ret_dest {
-                    None => w.push(0),
-                    Some(i) => {
-                        w.push(1);
-                        w_u32(&mut w, i.0);
-                    }
-                }
-                w_u64s(&mut w, &f.values);
-                w_u64s(&mut w, &f.params);
-            }
-            write_profile(&mut w, s.profile.as_ref());
+            S::encode_snap(&mut w, &s.state, s.output_len, s.profile.as_ref());
             // Overlays only grow; encode the pages whose Arc is new.
             debug_assert!(prev.is_none_or(|p| p.keys().all(|k| s.pages.contains_key(k))));
             let mut delta: Vec<(u32, &Arc<[u8]>)> = s
@@ -329,11 +208,12 @@ impl IrSnapshotSet {
         w
     }
 
-    /// Deserialize a set previously written by [`IrSnapshotSet::to_bytes`]
-    /// for the same module. Rejects corrupt, truncated, version-mismatched,
-    /// or wrong-module files with a descriptive error — never panics.
-    pub fn from_bytes(bytes: &[u8], module: &Module, module_hash: u64) -> Result<IrSnapshotSet, String> {
-        if bytes.len() < MAGIC.len() + 8 {
+    /// Deserialize a set previously written by [`SnapshotSet::to_bytes`]
+    /// for the program `exec` is bound to. Rejects corrupt, truncated,
+    /// version-mismatched, or wrong-content files with a descriptive error
+    /// — never panics.
+    pub fn decode(bytes: &[u8], exec: &S::Exec<'_>, content_hash: u64) -> Result<SnapshotSet<S>, String> {
+        if bytes.len() < S::MAGIC.len() + 8 {
             return Err("snapshot file: truncated".into());
         }
         let (body, tail) = bytes.split_at(bytes.len() - 8);
@@ -342,16 +222,15 @@ impl IrSnapshotSet {
             return Err("snapshot file: checksum mismatch (corrupt or truncated)".into());
         }
         let mut c = Cursor { b: body, pos: 0 };
-        if c.take(MAGIC.len())? != MAGIC {
-            return Err("snapshot file: bad magic (not an IR snapshot set)".into());
+        if c.take(S::MAGIC.len())? != S::MAGIC {
+            return Err(format!("snapshot file: bad magic (not an {} snapshot set)", S::NAME));
         }
         let version = c.u32()?;
         if version != VERSION {
             return Err(format!("snapshot file: unsupported format version {version} (expected {VERSION})"));
         }
-        let hash = c.u64()?;
-        if hash != module_hash {
-            return Err("snapshot file: module content hash mismatch".into());
+        if c.u64()? != content_hash {
+            return Err("snapshot file: content hash mismatch".into());
         }
         let mem_size = c.u64()?;
         let stack_size = c.u64()?;
@@ -367,44 +246,18 @@ impl IrSnapshotSet {
             return Err("snapshot file: zero cadence".into());
         }
         let shared_snaps = c.u64()? as usize;
-        let golden = read_result(&mut c, module)?;
-        let block_entry = match c.u8()? {
-            0 => None,
-            1 => {
-                let n = c.count(8)?;
-                if n != module.functions.len() {
-                    return Err("snapshot file: block-entry shape does not match module".into());
-                }
-                let mut e = Vec::with_capacity(n);
-                for f in &module.functions {
-                    let v = c.u64s()?;
-                    if v.len() != f.blocks.len() {
-                        return Err("snapshot file: block-entry shape does not match module".into());
-                    }
-                    e.push(v);
-                }
-                Some(e)
-            }
-            t => return Err(format!("snapshot file: bad block-entry tag {t}")),
-        };
-        let base = Memory::new(module, mem_size, stack_size);
+        let (golden, first_exec) = S::decode_head(&mut c, exec)?;
+        let base = Memory::new(S::module(exec), mem_size, stack_size);
         let n_snaps = c.count(8)?;
         let mut snaps = Vec::with_capacity(n_snaps);
         let mut prev = PageMap::new();
         for _ in 0..n_snaps {
             let dyn_insts = c.u64()?;
             let fault_sites = c.u64()?;
-            let sp = c.u64()?;
-            let output_len = c.u64()? as usize;
-            if output_len > golden.output.len() {
+            let (state, output_len, profile) = S::decode_snap(&mut c, exec)?;
+            if output_len > golden.head().output.len() {
                 return Err("snapshot file: snapshot output length exceeds golden output".into());
             }
-            let n_frames = c.count(1)?;
-            let mut stack = Vec::with_capacity(n_frames);
-            for _ in 0..n_frames {
-                stack.push(read_frame(&mut c, module)?);
-            }
-            let profile = read_profile(&mut c, module)?;
             let n_delta = c.count(8)?;
             let mut pages = prev.clone();
             for _ in 0..n_delta {
@@ -417,15 +270,7 @@ impl IrSnapshotSet {
                 pages.insert(page, data);
             }
             prev = pages.clone();
-            snaps.push(IrSnapshot {
-                dyn_insts,
-                fault_sites,
-                sp,
-                output_len,
-                stack,
-                profile,
-                pages,
-            });
+            snaps.push(Snapshot { dyn_insts, fault_sites, output_len, state, profile, pages });
         }
         if c.pos != body.len() {
             return Err("snapshot file: trailing garbage".into());
@@ -433,139 +278,18 @@ impl IrSnapshotSet {
         if shared_snaps > snaps.len() {
             return Err("snapshot file: shared_snaps exceeds snapshot count".into());
         }
-        Ok(IrSnapshotSet { base, golden, cadence, snaps, block_entry, shared_snaps })
+        Ok(SnapshotSet { base, golden, cadence, snaps, first_exec, shared_snaps })
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::builder::{FuncBuilder, ModuleBuilder};
-    use crate::inst::{BinOp, IPred};
-    use crate::interp::{ExecConfig, FaultSpec, Interpreter, IrScratch};
-    use crate::types::Type;
-    use crate::value::Op;
-
-    fn loop_module() -> Module {
-        let mut mb = ModuleBuilder::new("loop");
-        let mut fb = FuncBuilder::new("main", vec![], Some(Type::I64));
-        let s = fb.alloca(Type::I64, 1);
-        let i = fb.alloca(Type::I64, 1);
-        fb.store(Type::I64, Op::ci64(0), Op::inst(s));
-        fb.store(Type::I64, Op::ci64(0), Op::inst(i));
-        let header = fb.new_block("header");
-        let body = fb.new_block("body");
-        let exit = fb.new_block("exit");
-        fb.jmp(header);
-        fb.switch_to(header);
-        let iv = fb.load(Type::I64, Op::inst(i));
-        let c = fb.icmp(IPred::Slt, Type::I64, Op::inst(iv), Op::ci64(25));
-        fb.br(Op::inst(c), body, exit);
-        fb.switch_to(body);
-        let sv = fb.load(Type::I64, Op::inst(s));
-        let iv2 = fb.load(Type::I64, Op::inst(i));
-        let ns = fb.bin(BinOp::Add, Type::I64, Op::inst(sv), Op::inst(iv2));
-        fb.store(Type::I64, Op::inst(ns), Op::inst(s));
-        let ni = fb.bin(BinOp::Add, Type::I64, Op::inst(iv2), Op::ci64(1));
-        fb.store(Type::I64, Op::inst(ni), Op::inst(i));
-        fb.jmp(header);
-        fb.switch_to(exit);
-        let r = fb.load(Type::I64, Op::inst(s));
-        fb.output_i64(Op::inst(r));
-        fb.ret(Some(Op::inst(r)));
-        mb.add_func(fb.finish());
-        mb.finish()
-    }
-
-    const HASH: u64 = 0x1234_5678_9ABC_DEF0;
-
-    #[test]
-    fn round_trip_is_bit_identical() {
-        let m = loop_module();
-        let interp = Interpreter::new(&m);
-        let cfg = ExecConfig { profile: true, max_dyn_insts: 10_000, ..Default::default() };
-        let set = interp.capture_snapshots(&cfg, 16);
-        assert!(set.len() > 2);
-        let bytes = set.to_bytes(HASH);
-        let loaded = IrSnapshotSet::from_bytes(&bytes, &m, HASH).unwrap();
-        assert_eq!(loaded.golden, set.golden);
-        assert_eq!(loaded.cadence, set.cadence);
-        assert_eq!(loaded.shared_snaps, set.shared_snaps);
-        assert_eq!(loaded.block_entry, set.block_entry);
-        assert_eq!(loaded.snaps.len(), set.snaps.len());
-        for (a, b) in loaded.snaps.iter().zip(&set.snaps) {
-            assert_eq!(a.dyn_insts, b.dyn_insts);
-            assert_eq!(a.fault_sites, b.fault_sites);
-            assert_eq!(a.sp, b.sp);
-            assert_eq!(a.output_len, b.output_len);
-            assert_eq!(a.profile, b.profile);
-            assert_eq!(a.pages.len(), b.pages.len());
-            for (k, v) in &a.pages {
-                assert_eq!(&b.pages[k][..], &v[..], "page {k} content differs");
-            }
-        }
-        // Arc sharing survives the round trip: where the original set shares
-        // a page between consecutive snapshots, the loaded set does too.
-        for (lw, ow) in loaded.snaps.windows(2).zip(set.snaps.windows(2)) {
-            for (k, ov) in &ow[0].pages {
-                if ow[1].pages.get(k).is_some_and(|ov2| Arc::ptr_eq(ov, ov2)) {
-                    let (lv, lv2) = (&lw[0].pages[k], &lw[1].pages[k]);
-                    assert!(Arc::ptr_eq(lv, lv2), "page {k} duplicated on load");
-                }
-            }
-        }
-        // Fast-forward from the loaded set is bit-identical at every site.
-        let mut s1 = IrScratch::new();
-        let mut s2 = IrScratch::new();
-        for site in 0..set.golden.fault_sites {
-            let spec = FaultSpec::single(site, 3);
-            let (a, ska) = interp.run_fast_forward(&cfg, spec, &set, &mut s1);
-            let (b, skb) = interp.run_fast_forward(&cfg, spec, &loaded, &mut s2);
-            assert_eq!(a, b, "site {site}");
-            assert_eq!(ska, skb, "site {site}");
-        }
-    }
-
-    #[test]
-    fn rejects_corruption_and_mismatches() {
-        let m = loop_module();
-        let cfg = ExecConfig { max_dyn_insts: 10_000, ..Default::default() };
-        let set = Interpreter::new(&m).capture_snapshots(&cfg, 16);
-        let bytes = set.to_bytes(HASH);
-        assert!(IrSnapshotSet::from_bytes(&bytes, &m, HASH).is_ok());
-
-        // Any flipped byte fails the checksum.
-        for pos in [0usize, 9, bytes.len() / 2, bytes.len() - 9] {
-            let mut bad = bytes.clone();
-            bad[pos] ^= 0x40;
-            let err = IrSnapshotSet::from_bytes(&bad, &m, HASH).unwrap_err();
-            assert!(
-                err.contains("checksum") || err.contains("magic") || err.contains("version"),
-                "pos {pos}: {err}"
-            );
-        }
-        // Truncation is rejected, never a panic, at every length.
-        for cut in 0..bytes.len() {
-            assert!(IrSnapshotSet::from_bytes(&bytes[..cut], &m, HASH).is_err(), "cut {cut}");
-        }
-        // Wrong module hash.
-        let err = IrSnapshotSet::from_bytes(&bytes, &m, HASH ^ 1).unwrap_err();
-        assert!(err.contains("hash"), "{err}");
-        // A future format version is refused even with a valid checksum.
-        let mut v2 = bytes.clone();
-        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let l = v2.len();
-        let c = fnv1a(&v2[..l - 8]);
-        v2[l - 8..].copy_from_slice(&c.to_le_bytes());
-        let err = IrSnapshotSet::from_bytes(&v2, &m, HASH).unwrap_err();
-        assert!(err.contains("version 2"), "{err}");
-        // A different magic (e.g. an asm set) is refused.
-        let mut wrong = bytes.clone();
-        wrong[..8].copy_from_slice(b"FLSNAPAS");
-        let l = wrong.len();
-        let c = fnv1a(&wrong[..l - 8]);
-        wrong[l - 8..].copy_from_slice(&c.to_le_bytes());
-        let err = IrSnapshotSet::from_bytes(&wrong, &m, HASH).unwrap_err();
-        assert!(err.contains("magic"), "{err}");
+impl<S: Linked> SnapshotSet<S> {
+    /// [`SnapshotSet::decode`] for the executor of `module` + `program`.
+    pub fn from_bytes(
+        bytes: &[u8],
+        module: &Module,
+        program: &S::Program,
+        content_hash: u64,
+    ) -> Result<SnapshotSet<S>, String> {
+        Self::decode(bytes, &S::bind(module, program), content_hash)
     }
 }

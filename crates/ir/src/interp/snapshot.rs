@@ -1,33 +1,20 @@
-//! Periodic execution snapshots for fast-forwarded fault-injection trials.
+//! Periodic execution snapshots for fast-forwarded fault-injection trials,
+//! written once for both injection layers (see [`Substrate`]).
 //!
 //! A fault-injection trial is bit-identical to the golden run up to its
 //! injection site, so re-executing that prefix is pure waste — for late
-//! sites, >90% of the trial. During one instrumented golden run the
-//! interpreter captures a snapshot on a [`Cadence`]: the call stack, stack
-//! pointer, output length, optionally the profile accumulator, and the
-//! memory image as a *cumulative* dirty-page overlay against the pristine
-//! post-init image. A trial then restores the nearest snapshot at-or-before
-//! its injection site and executes only the suffix.
+//! sites, >90% of the trial. During one instrumented golden run the layer's
+//! engine captures a [`Snapshot`] on a [`Cadence`]; a trial then restores
+//! the nearest one at-or-before its injection site and executes only the
+//! suffix.
 //!
-//! The invariant (enforced by differential tests): restored execution is
-//! **byte-identical** to scratch execution — same status, output bytes,
-//! `dyn_insts`, `fault_sites`, `injected_at`, and profile counts — because
-//! every counter in the snapshot is absolute and every restored byte equals
-//! what a scratch run would have computed at that point.
+//! The invariant (enforced by differential tests at both layers): restored
+//! execution is **byte-identical** to scratch execution, because every
+//! counter in a snapshot is absolute and every restored byte equals what a
+//! scratch run would have computed at that point.
 
-use crate::interp::eval::{Frame, FramePool};
 use crate::interp::memory::{Memory, PageMap, PageRecorder};
-use crate::interp::{ExecResult, Profile};
-use crate::module::Module;
-use crate::value::{BlockId, FuncId};
-
-/// Snapshot cadence from a golden dynamic-instruction count: aim for ~64
-/// snapshots per golden run, but never snapshot more often than every 512
-/// instructions (capture overhead) or less often than every 2^20 (restore
-/// cost for long programs).
-pub fn auto_interval(golden_dyn_insts: u64) -> u64 {
-    (golden_dyn_insts / 64).clamp(512, 1 << 20)
-}
+use crate::interp::substrate::{ProfileOf, Substrate};
 
 /// When the recorder captures. Trials draw their injection sites uniformly
 /// over *fault sites*, not dynamic instructions, so site-spaced snapshots
@@ -58,10 +45,18 @@ impl Cadence {
             Cadence::Sites(k) => Cadence::Sites(k.saturating_mul(2)),
         }
     }
+
+    /// The counter value one cadence step past `(dyn_insts, fault_sites)`.
+    fn next_after(self, dyn_insts: u64, fault_sites: u64) -> u64 {
+        match self {
+            Cadence::Insts(k) => dyn_insts + k,
+            Cadence::Sites(k) => fault_sites + k,
+        }
+    }
 }
 
 /// Starting cadence for self-tuning captures: every 64 fault sites, widened
-/// by `SnapshotRecorder` whenever the set exceeds [`AUTO_MAX_SNAPS`].
+/// by the [`Recorder`] whenever the set exceeds [`AUTO_MAX_SNAPS`].
 pub const AUTO_SITE_CADENCE: u64 = 64;
 
 /// Snapshot-count cap for self-tuning captures. Each time the cap is hit
@@ -69,55 +64,54 @@ pub const AUTO_SITE_CADENCE: u64 = 64;
 /// set holds 64..=128 snapshots regardless of run length.
 pub const AUTO_MAX_SNAPS: usize = 128;
 
-/// One point-in-time capture of interpreter state.
+/// One point-in-time capture of a layer's execution state.
 ///
 /// `pages` is cumulative: it holds every page dirtied since program start,
 /// so a restore is `base + pages`, never a walk over earlier snapshots.
 /// Pages are `Arc`-shared across snapshots — each snapshot only pays for
 /// pages dirtied since the previous one.
 #[derive(Debug)]
-pub struct IrSnapshot {
+pub struct Snapshot<S: Substrate> {
     /// Dynamic instructions executed before this point (absolute).
-    pub(crate) dyn_insts: u64,
+    pub dyn_insts: u64,
     /// Fault sites executed before this point (absolute). The site with
     /// this index has *not* yet executed.
-    pub(crate) fault_sites: u64,
-    /// Stack pointer.
-    pub(crate) sp: u64,
+    pub fault_sites: u64,
     /// Output bytes emitted so far; the bytes themselves are a prefix of
     /// the golden output and are restored from there.
-    pub(crate) output_len: usize,
-    /// The call stack, deep-cloned.
-    pub(crate) stack: Vec<Frame>,
+    pub output_len: usize,
+    /// The layer's architectural state (IR: stack pointer and call stack;
+    /// asm: instruction pointer, register file and cycle counter).
+    pub state: S::State,
     /// Profile accumulator at this point, when the capture run profiled.
     /// Restoring it is what lets profiled campaigns fast-forward.
-    pub(crate) profile: Option<Profile>,
+    pub profile: Option<ProfileOf<S>>,
     /// Cumulative dirty-page overlay against the base image.
-    pub(crate) pages: PageMap,
+    pub pages: PageMap,
 }
 
 /// All snapshots from one golden run, plus what a restore needs: the
 /// pristine post-init memory image and the golden result. Built once per
 /// cached golden, shared read-only across worker threads.
 #[derive(Debug)]
-pub struct IrSnapshotSet {
+pub struct SnapshotSet<S: Substrate> {
     pub(crate) base: Memory,
-    pub(crate) golden: ExecResult,
+    pub(crate) golden: S::Golden,
     pub(crate) cadence: Cadence,
-    pub(crate) snaps: Vec<IrSnapshot>,
-    /// `block_entry[func][block]` = `dyn_insts` at the block's *first* entry
-    /// during the capture run (`u64::MAX` = never entered). Recorded only by
-    /// fresh captures; `None` for sets built by shared-prefix continuation,
-    /// which therefore cannot themselves seed further sharing.
-    pub(crate) block_entry: Option<Vec<Vec<u64>>>,
+    pub(crate) snaps: Vec<Snapshot<S>>,
+    /// `dyn_insts` at each code position's *first* execution during the
+    /// capture run (`u64::MAX` = never reached). Recorded only by fresh
+    /// captures; `None` for sets built by shared-prefix continuation, which
+    /// therefore cannot themselves seed further sharing.
+    pub(crate) first_exec: Option<S::FirstExec>,
     /// Leading snapshots `Arc`-shared with the raw set this set was derived
     /// from (0 for fresh captures).
     pub(crate) shared_snaps: usize,
 }
 
-impl IrSnapshotSet {
+impl<S: Substrate> SnapshotSet<S> {
     /// The fault-free result of the capture run.
-    pub fn golden(&self) -> &ExecResult {
+    pub fn golden(&self) -> &S::Golden {
         &self.golden
     }
 
@@ -141,8 +135,18 @@ impl IrSnapshotSet {
         self.snaps.is_empty()
     }
 
+    /// The captured snapshots, in execution order.
+    pub fn snapshots(&self) -> &[Snapshot<S>] {
+        &self.snaps
+    }
+
+    /// The capture run's first-execution table (fresh captures only).
+    pub fn first_exec(&self) -> Option<&S::FirstExec> {
+        self.first_exec.as_ref()
+    }
+
     /// Leading snapshots shared with the raw variant's set (see
-    /// [`crate::interp::Interpreter::capture_snapshots_from`]).
+    /// [`crate::interp::substrate::capture_from`]).
     pub fn shared_snaps(&self) -> usize {
         self.shared_snaps
     }
@@ -151,19 +155,21 @@ impl IrSnapshotSet {
     /// restoring into a differently-sized image would be unsound, so
     /// callers holding a deserialized set must check before attaching it.
     pub fn matches_geometry(&self, mem_size: u64, stack_size: u64) -> bool {
-        self.base.size() == mem_size && self.base.stack_limit() == mem_size - stack_size
+        self.base.has_geometry(mem_size, stack_size)
     }
 
     /// The last snapshot whose fault-site counter has not yet passed
     /// `site_index` — i.e. the injection site is still in the future.
-    pub(crate) fn nearest(&self, site_index: u64) -> Option<&IrSnapshot> {
+    pub(crate) fn nearest(&self, site_index: u64) -> Option<&Snapshot<S>> {
         let i = self.snaps.partition_point(|s| s.fault_sites <= site_index);
         i.checked_sub(1).map(|i| &self.snaps[i])
     }
 }
 
-/// Capture-side hook threaded through the interpreter's golden run.
-pub(crate) struct SnapshotRecorder {
+/// Capture-side hook threaded through a layer's golden run: the engine
+/// polls [`Recorder::due`] at the top of its dispatch loop and hands over
+/// its state with [`Recorder::capture`].
+pub struct Recorder<S: Substrate> {
     cadence: Cadence,
     next: u64,
     budget: Option<u64>,
@@ -171,104 +177,82 @@ pub(crate) struct SnapshotRecorder {
     /// caller's explicit cadence exactly (only the byte budget may widen).
     max_snaps: Option<usize>,
     pages: PageRecorder,
-    /// First-entry `dyn_insts` per `[func][block]`; `None` on continuation
-    /// captures (the shared prefix's entries are unknown in variant terms).
-    pub(crate) entry: Option<Vec<Vec<u64>>>,
-    pub(crate) snaps: Vec<IrSnapshot>,
+    /// `None` on continuation captures (the shared prefix's first
+    /// executions are unknown in variant terms).
+    first_exec: Option<S::FirstExec>,
+    snaps: Vec<Snapshot<S>>,
 }
 
-impl SnapshotRecorder {
+impl<S: Substrate> Recorder<S> {
+    /// A recorder for a fresh capture. With `shared` snapshots it instead
+    /// continues after a translated shared prefix: the cumulative overlay
+    /// starts from the last of them, the next capture is scheduled one
+    /// cadence step past it, and first executions are not recorded.
     pub(crate) fn new(
-        module: &Module,
         cadence: Cadence,
         budget: Option<u64>,
         max_snaps: Option<usize>,
-    ) -> SnapshotRecorder {
+        first_exec: Option<S::FirstExec>,
+        shared: Vec<Snapshot<S>>,
+    ) -> Recorder<S> {
         assert!(cadence.value() > 0, "snapshot cadence must be positive");
-        let entry = module.functions.iter().map(|f| vec![u64::MAX; f.blocks.len()]).collect();
-        SnapshotRecorder {
-            cadence,
-            next: cadence.value(),
-            budget,
-            max_snaps,
-            pages: PageRecorder::new(),
-            entry: Some(entry),
-            snaps: Vec::new(),
-        }
-    }
-
-    /// A recorder that continues capturing after a translated shared prefix:
-    /// `snaps` are the prefix snapshots, the cumulative overlay starts from
-    /// the last of them, and the next capture is scheduled one cadence step
-    /// past it. Block entries are not recorded (the prefix's are unknown).
-    pub(crate) fn from_shared(
-        cadence: Cadence,
-        budget: Option<u64>,
-        max_snaps: Option<usize>,
-        snaps: Vec<IrSnapshot>,
-    ) -> SnapshotRecorder {
-        assert!(cadence.value() > 0, "snapshot cadence must be positive");
-        let last = snaps.last().expect("shared prefix must be nonempty");
-        let next = match cadence {
-            Cadence::Insts(k) => last.dyn_insts + k,
-            Cadence::Sites(k) => last.fault_sites + k,
+        let (next, pages) = match shared.last() {
+            Some(last) => (
+                cadence.next_after(last.dyn_insts, last.fault_sites),
+                PageRecorder::from_overlay(&last.pages),
+            ),
+            None => (cadence.value(), PageRecorder::new()),
         };
-        SnapshotRecorder {
+        Recorder {
             cadence,
             next,
             budget,
             max_snaps,
-            pages: PageRecorder::from_overlay(&last.pages),
-            entry: None,
-            snaps,
+            pages,
+            first_exec,
+            snaps: shared,
         }
     }
 
     /// Called at the top of the dispatch loop, before the next instruction.
-    pub(crate) fn due(&self, dyn_insts: u64, fault_sites: u64) -> bool {
+    #[inline]
+    pub fn due(&self, dyn_insts: u64, fault_sites: u64) -> bool {
         match self.cadence {
             Cadence::Insts(_) => dyn_insts >= self.next,
             Cadence::Sites(_) => fault_sites >= self.next,
         }
     }
 
-    /// The cadence after any budget-driven widening; the set records this
-    /// so its reported spacing matches the snapshots it actually holds.
-    pub(crate) fn final_cadence(&self) -> Cadence {
-        self.cadence
-    }
-
-    /// Record the first entry into `block` (a jump/branch target, a callee's
-    /// entry block, or `main`'s entry). `dyn_insts` uses the snapshot-hook
-    /// convention: the block's first instruction has not yet started.
+    /// Record the first execution of the code position `slot` selects in
+    /// the layer's table. `dyn_insts` uses the snapshot-hook convention:
+    /// the instruction at that position has not yet started.
     #[inline]
-    pub(crate) fn note_entry(&mut self, func: FuncId, block: BlockId, dyn_insts: u64) {
-        if let Some(entry) = self.entry.as_mut() {
-            let slot = &mut entry[func.index()][block.index()];
+    pub fn note_first(&mut self, slot: impl FnOnce(&mut S::FirstExec) -> &mut u64, dyn_insts: u64) {
+        if let Some(table) = self.first_exec.as_mut() {
+            let slot = slot(table);
             if *slot == u64::MAX {
                 *slot = dyn_insts;
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn capture(
+    /// Capture the engine's state at `(dyn_insts, fault_sites)`, then widen
+    /// the cadence while the set is over its byte budget or count cap.
+    pub fn capture(
         &mut self,
         dyn_insts: u64,
         fault_sites: u64,
-        sp: u64,
         output_len: usize,
-        stack: &[Frame],
-        profile: Option<&Profile>,
+        state: S::State,
+        profile: Option<&ProfileOf<S>>,
         mem: &mut Memory,
     ) {
         let pages = self.pages.sync(mem);
-        self.snaps.push(IrSnapshot {
+        self.snaps.push(Snapshot {
             dyn_insts,
             fault_sites,
-            sp,
             output_len,
-            stack: stack.to_vec(),
+            state,
             profile: profile.cloned(),
             pages,
         });
@@ -278,10 +262,7 @@ impl SnapshotRecorder {
         while self.max_snaps.is_some_and(|m| self.snaps.len() > m) && self.snaps.len() > 1 {
             self.widen();
         }
-        self.next = match self.cadence {
-            Cadence::Insts(k) => dyn_insts + k,
-            Cadence::Sites(k) => fault_sites + k,
-        };
+        self.next = self.cadence.next_after(dyn_insts, fault_sites);
     }
 
     /// Double the cadence and keep every other snapshot (starting with the
@@ -298,27 +279,18 @@ impl SnapshotRecorder {
             keep
         });
     }
-}
 
-/// Per-worker reusable buffers for trial execution: the scratch memory
-/// image (reset via dirty-page reverts, never reallocated), the output
-/// buffer, and a pool of frame value/param vectors.
-#[derive(Default)]
-pub struct IrScratch {
-    pub(crate) mem: Option<Memory>,
-    pub(crate) output: Vec<u8>,
-    pub(crate) pool: FramePool,
-}
-
-impl IrScratch {
-    pub fn new() -> IrScratch {
-        IrScratch::default()
-    }
-
-    /// Hand a trial's output buffer back for reuse once it has been
-    /// classified (the `ExecResult` no longer needs it).
-    pub fn recycle_output(&mut self, mut output: Vec<u8>) {
-        output.clear();
-        self.output = output;
+    /// Close the capture run into a set. The recorded cadence is the one
+    /// after any widening, so the set's reported spacing matches the
+    /// snapshots it actually holds.
+    pub(crate) fn finish(self, base: Memory, golden: S::Golden) -> SnapshotSet<S> {
+        SnapshotSet {
+            base,
+            golden,
+            cadence: self.cadence,
+            snaps: self.snaps,
+            first_exec: self.first_exec,
+            shared_snaps: 0,
+        }
     }
 }

@@ -48,3 +48,16 @@ pub use inst::{BinOp, Callee, CastKind, FPred, IPred, InstData, InstKind, Intrin
 pub use module::{Block, Function, Global, GlobalInit, Module};
 pub use types::Type;
 pub use value::{BlockId, Const, FuncId, GlobalId, InstId, Op, Value};
+
+/// 64-bit FNV-1a — the one content hash behind module/program cache keys,
+/// region hashes, prune fingerprints and the snapshot-file checksum.
+/// Stable across runs and platforms, which keeps checkpoints and persisted
+/// snapshot sets portable.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}

@@ -31,6 +31,7 @@
 use flowery_backend::mir::AsmProgram;
 use flowery_inject::stats::{wilson_half_width, Estimate};
 use flowery_inject::OutcomeCounts;
+use flowery_ir::fnv1a;
 use flowery_ir::inst::{Callee, InstKind};
 use flowery_ir::interp::Profile;
 use flowery_ir::module::Module;
@@ -47,17 +48,6 @@ pub const REGION_SCHEMA_VERSION: u32 = 1;
 /// Catch-all region for injection sites outside every function body
 /// (machine-layer prologue/veneer code, or attribution fallback).
 pub const OTHER_REGION: &str = "<other>";
-
-/// FNV-1a over a byte string. Matches the harness cache's content hash so
-/// region hashes are stable across processes and sessions.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Fold one more word into an FNV-style hash.
 pub fn combine(h: u64, x: u64) -> u64 {

@@ -184,8 +184,8 @@ fn main() {
     // Prime the raw sets outside the timed region so the suffix timings
     // charge only the variant captures themselves.
     let cache = GoldenCache::new();
-    let _ = cache.ir_snapshots(&raw, &exec);
-    let _ = cache.asm_snapshots(&raw, &raw_prog, &exec);
+    let _ = cache.ir_snapshots_for(&raw, None, &exec);
+    let _ = cache.asm_snapshots_for(&raw, &raw_prog, None, &exec);
     let mut shared_sets = 0usize;
     let mut variant_sets = 0usize;
     let (mut d_full, mut d_suffix) = (0.0f64, 0.0f64);

@@ -1,0 +1,439 @@
+//! One snapshot / fast-forward / persistence suite, instantiated for both
+//! injection layers. Everything under test is the shared machinery of
+//! `flowery_ir::interp::{substrate, snapshot, snapio}`; a layer contributes
+//! only its `Substrate` impl, so every behaviour is asserted at both layers
+//! on the same programs.
+
+use flowery_backend::{compile_module, AsmFaultSpec, AsmLayer, AsmProgram, BackendConfig, Machine};
+use flowery_ir::interp::snapshot::AUTO_MAX_SNAPS;
+use flowery_ir::interp::substrate::{self, RunResult};
+use flowery_ir::interp::{Cadence, ExecConfig, ExecStatus, FaultSpec, Interpreter, IrLayer};
+use flowery_ir::interp::{Scratch, SnapshotSet, Substrate, PAGE_SIZE};
+use flowery_ir::Module;
+use std::sync::Arc;
+
+/// What the suite needs from a layer beyond its `Substrate` impl: an
+/// executor for a module, a single-bit fault, and the tuning of the
+/// store-heavy budget test.
+trait Layer: Substrate {
+    /// What the executor binds besides the module.
+    type Program;
+    fn compile(m: &Module) -> Self::Program;
+    fn bind<'a>(m: &'a Module, p: &'a Self::Program) -> Self::Exec<'a>;
+    fn single(site: u64, bit: u32) -> Self::Fault;
+    /// Budget test: (loop iterations, capture interval, site stride).
+    const BUDGET: (u32, u64, usize);
+}
+
+impl Layer for IrLayer {
+    type Program = ();
+    fn compile(_: &Module) {}
+    fn bind<'a>(m: &'a Module, _: &'a ()) -> Interpreter<'a> {
+        Interpreter::new(m)
+    }
+    fn single(site: u64, bit: u32) -> FaultSpec {
+        FaultSpec::single(site, bit)
+    }
+    const BUDGET: (u32, u64, usize) = (8192, 256, 997);
+}
+
+impl Layer for AsmLayer {
+    type Program = AsmProgram;
+    fn compile(m: &Module) -> AsmProgram {
+        compile_module(m, &BackendConfig::default())
+    }
+    fn bind<'a>(m: &'a Module, p: &'a AsmProgram) -> Machine<'a> {
+        Machine::new(m, p)
+    }
+    fn single(site: u64, bit: u32) -> AsmFaultSpec {
+        AsmFaultSpec::single(site, bit)
+    }
+    const BUDGET: (u32, u64, usize) = (4096, 512, 4999);
+}
+
+fn module(src: &str) -> Module {
+    flowery_lang::compile("suite", src).unwrap_or_else(|e| panic!("suite program must compile: {e}\n{src}"))
+}
+
+/// A loop with stores and calls, so snapshots carry memory and call-stack
+/// state: sum of squares of 0..8 = 140.
+fn loop_module() -> Module {
+    module(
+        "int sq(int x) { return x * x; }\n\
+         int main() { int acc = 0; int i;\n\
+           for (i = 0; i < 8; i = i + 1) { acc = acc + sq(i); }\n\
+           output(acc); return acc; }",
+    )
+}
+
+/// A loop that cycles writes through an 8-page global array, so every
+/// snapshot window rewrites pages and the overlay grows without bound
+/// unless capped.
+fn store_heavy_module(iters: u32) -> Module {
+    module(&format!(
+        "global int arr[4096];\n\
+         int main() {{ int i;\n\
+           for (i = 0; i < {iters}; i = i + 1) {{ arr[i & 4095] = i; }}\n\
+           output(arr[7]); return arr[7]; }}"
+    ))
+}
+
+/// A long loop, then one call to a helper at the *end* of the run. `extra`
+/// adds an instruction to the helper, which is laid out after `main` — so
+/// raw and variant are identical (IR coordinates and program positions
+/// alike) until the helper's body, which first executes late in the trace.
+fn late_call_module(extra: bool) -> Module {
+    let tail = if extra { "x * 3 + 1" } else { "x * 3" };
+    module(&format!(
+        "int main() {{ int acc = 0; int i;\n\
+           for (i = 0; i < 200; i = i + 1) {{ acc = acc + i; }}\n\
+           int r = fin(acc); output(r); return r; }}\n\
+         int fin(int x) {{ return {tail}; }}"
+    ))
+}
+
+fn limits(max_dyn_insts: u64) -> ExecConfig {
+    ExecConfig { max_dyn_insts, ..ExecConfig::default() }
+}
+
+/// Bytes of distinct page copies held across all snapshots of a set — the
+/// memory the budget bounds.
+fn overlay_bytes<S: Substrate>(set: &SnapshotSet<S>) -> u64 {
+    let mut seen = std::collections::HashSet::new();
+    let mut total = 0u64;
+    for s in set.snapshots() {
+        for p in s.pages.values() {
+            if seen.insert(Arc::as_ptr(p)) {
+                total += p.len() as u64;
+            }
+        }
+    }
+    total
+}
+
+fn fast_forward_is_bit_identical<S: Layer>() {
+    // Every site of the loop module, restored vs scratch, tiny interval so
+    // several snapshots exist.
+    let m = loop_module();
+    let p = S::compile(&m);
+    let exec = S::bind(&m, &p);
+    let cfg = limits(10_000);
+    let set = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(16), None);
+    assert!(set.len() > 2, "expected several snapshots");
+    assert_eq!(set.golden().head().status, ExecStatus::Completed(140));
+    let mut scratch = Scratch::new();
+    for site in 0..set.golden().head().fault_sites {
+        for bit in [0u32, 1, 5, 17, 31, 62, 63] {
+            let spec = S::single(site, bit);
+            let scratch_res = substrate::run::<S>(&exec, &cfg, Some(spec));
+            let (ff_res, skipped) = substrate::trial(&exec, &cfg, spec, Some(&set), &mut scratch);
+            assert_eq!(ff_res, scratch_res, "site {site} bit {bit}");
+            assert!(skipped <= scratch_res.head().dyn_insts);
+            scratch.recycle_output(ff_res.into_parts().0);
+        }
+    }
+}
+
+fn capture_golden_matches_plain_run<S: Layer>() {
+    let m = loop_module();
+    let p = S::compile(&m);
+    let exec = S::bind(&m, &p);
+    let cfg = ExecConfig::default();
+    let plain = substrate::run::<S>(&exec, &cfg, None);
+    let set = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(32), None);
+    assert_eq!(set.golden(), &plain);
+}
+
+fn snapshot_budget_widens_cadence_on_store_heavy_runs<S: Layer>() {
+    let (iters, interval, stride) = S::BUDGET;
+    let m = store_heavy_module(iters);
+    let p = S::compile(&m);
+    let exec = S::bind(&m, &p);
+    let cfg = limits(2_000_000);
+    let unbounded = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(interval), None);
+    assert_eq!(unbounded.interval(), interval);
+    let budget = 16 * PAGE_SIZE; // 16 pages; the final overlay alone needs ~9
+    assert!(
+        overlay_bytes(&unbounded) > budget,
+        "workload must be store-heavy enough to blow the budget: {} bytes",
+        overlay_bytes(&unbounded)
+    );
+
+    let capped_cfg = ExecConfig { snapshot_budget: Some(budget), ..cfg.clone() };
+    let capped = substrate::capture::<S>(&exec, &capped_cfg, Cadence::Insts(interval), None);
+    assert!(capped.interval() > interval, "budget pressure must widen the cadence");
+    assert!(capped.len() < unbounded.len(), "{} vs {}", capped.len(), unbounded.len());
+    assert!(capped.len() > 1, "widening must not degenerate to a single snapshot");
+    assert!(
+        overlay_bytes(&capped) <= budget,
+        "{} bytes over a {budget} budget",
+        overlay_bytes(&capped)
+    );
+    assert_eq!(capped.golden(), unbounded.golden(), "the budget must not perturb execution");
+
+    // The thinned set still fast-forwards bit-identically.
+    let mut scratch = Scratch::new();
+    for site in (0..capped.golden().head().fault_sites).step_by(stride) {
+        let spec = S::single(site, 13);
+        let scratch_res = substrate::run::<S>(&exec, &cfg, Some(spec));
+        let (ff_res, _) = substrate::trial(&exec, &cfg, spec, Some(&capped), &mut scratch);
+        assert_eq!(ff_res, scratch_res, "site {site}");
+        scratch.recycle_output(ff_res.into_parts().0);
+    }
+}
+
+fn profiled_fast_forward_matches_scratch<S: Layer>() {
+    // Capture with profiling on: every snapshot carries the accumulator,
+    // and a profiled trial restored mid-run must produce counts identical
+    // to a profiled scratch run — the profile_sdc path.
+    let m = late_call_module(false);
+    let p = S::compile(&m);
+    let exec = S::bind(&m, &p);
+    let cfg = ExecConfig { profile: true, ..limits(100_000) };
+    let set = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(64), None);
+    assert!(set.len() > 2, "expected several snapshots");
+    assert!(
+        set.snapshots().iter().all(|s| s.profile.is_some()),
+        "profiled capture snapshots carry the accumulator"
+    );
+    assert!(set.golden().clone().into_parts().1.is_some());
+    let mut scratch = Scratch::new();
+    let mut late_skipped = 0u64;
+    for site in 0..set.golden().head().fault_sites {
+        let spec = S::single(site, 5);
+        let scratch_res = substrate::run::<S>(&exec, &cfg, Some(spec));
+        let (ff_res, skipped) = substrate::trial(&exec, &cfg, spec, Some(&set), &mut scratch);
+        assert_eq!(ff_res, scratch_res, "site {site}: profile counts must be restored");
+        assert!(skipped <= scratch_res.head().dyn_insts);
+        late_skipped = late_skipped.max(skipped);
+    }
+    assert!(late_skipped > 0, "late sites must restore a snapshot");
+}
+
+fn unprofiled_set_falls_back_for_profiled_trials<S: Layer>() {
+    // An unprofiled capture cannot serve a profiled trial from a snapshot;
+    // it must fall back to scratch and still be correct.
+    let m = late_call_module(false);
+    let p = S::compile(&m);
+    let exec = S::bind(&m, &p);
+    let plain_cfg = limits(100_000);
+    let prof_cfg = ExecConfig { profile: true, ..plain_cfg.clone() };
+    let set = substrate::capture::<S>(&exec, &plain_cfg, Cadence::Insts(64), None);
+    let mut scratch = Scratch::new();
+    let spec = S::single(set.golden().head().fault_sites - 1, 1);
+    let scratch_res = substrate::run::<S>(&exec, &prof_cfg, Some(spec));
+    let (ff_res, skipped) = substrate::trial(&exec, &prof_cfg, spec, Some(&set), &mut scratch);
+    assert_eq!(skipped, 0, "no profile in the snapshot: must start from scratch");
+    assert_eq!(ff_res, scratch_res);
+}
+
+fn auto_capture_is_site_spaced_and_capped<S: Layer>() {
+    let m = store_heavy_module(8192);
+    let p = S::compile(&m);
+    let exec = S::bind(&m, &p);
+    let cfg = limits(2_000_000);
+    let set = substrate::capture_auto::<S>(&exec, &cfg);
+    assert!(matches!(set.cadence(), Cadence::Sites(_)), "auto capture spaces by fault sites");
+    assert!(set.len() <= AUTO_MAX_SNAPS, "{} snapshots over the cap", set.len());
+    assert!(set.len() > AUTO_MAX_SNAPS / 4, "self-tuning should land near the cap, got {}", set.len());
+    assert_eq!(set.golden(), &substrate::run::<S>(&exec, &cfg, None));
+    // Site-spaced snapshots: consecutive snapshots are at least one (final)
+    // cadence step apart in site index, even where sites are sparse.
+    let k = set.interval();
+    for pair in set.snapshots().windows(2) {
+        assert!(pair[1].fault_sites - pair[0].fault_sites >= k, "cadence respected");
+    }
+    let mut scratch = Scratch::new();
+    for site in (0..set.golden().head().fault_sites).step_by(1009) {
+        let spec = S::single(site, 7);
+        let scratch_res = substrate::run::<S>(&exec, &cfg, Some(spec));
+        let (ff_res, _) = substrate::trial(&exec, &cfg, spec, Some(&set), &mut scratch);
+        assert_eq!(ff_res, scratch_res, "site {site}");
+        scratch.recycle_output(ff_res.into_parts().0);
+    }
+}
+
+fn shared_prefix_capture_matches_fresh_capture<S: Layer>() {
+    let (raw_m, var_m) = (late_call_module(false), late_call_module(true));
+    let (raw_p, var_p) = (S::compile(&raw_m), S::compile(&var_m));
+    let (raw, var) = (S::bind(&raw_m, &raw_p), S::bind(&var_m, &var_p));
+    let cfg = limits(100_000);
+    let raw_set = substrate::capture::<S>(&raw, &cfg, Cadence::Insts(64), None);
+    assert!(raw_set.len() > 2);
+
+    let set = substrate::capture_from::<S>(&var, &cfg, &raw, &raw_set)
+        .expect("late-diverging variant must share the raw prefix");
+    assert!(set.shared_snaps() >= 1, "at least one snapshot shared below the divergence");
+    assert!(set.first_exec().is_none(), "continuation sets cannot seed further sharing");
+    // Shared snapshots reuse the raw set's pages by Arc identity.
+    for (s, r) in set.snapshots().iter().zip(raw_set.snapshots()).take(set.shared_snaps()) {
+        assert_eq!(s.dyn_insts, r.dyn_insts);
+        for (k, v) in &s.pages {
+            assert!(Arc::ptr_eq(v, &r.pages[k]), "page {k} must be shared, not copied");
+        }
+    }
+    // The continued golden equals a fresh variant run, and differs from
+    // raw (a real cross-variant case, not two identical programs).
+    assert_eq!(set.golden(), &substrate::run::<S>(&var, &cfg, None));
+    assert_ne!(set.golden().head().output, raw_set.golden().head().output);
+
+    // Every fast-forwarded trial on the shared set is bit-identical.
+    let mut scratch = Scratch::new();
+    for site in 0..set.golden().head().fault_sites {
+        for bit in [0u32, 9, 33] {
+            let spec = S::single(site, bit);
+            let scratch_res = substrate::run::<S>(&var, &cfg, Some(spec));
+            let (ff_res, _) = substrate::trial(&var, &cfg, spec, Some(&set), &mut scratch);
+            assert_eq!(ff_res, scratch_res, "site {site} bit {bit}");
+            scratch.recycle_output(ff_res.into_parts().0);
+        }
+    }
+}
+
+fn shared_prefix_refuses_incompatible_shapes<S: Layer>() {
+    let (raw_m, var_m) = (late_call_module(false), late_call_module(true));
+    let (raw_p, var_p) = (S::compile(&raw_m), S::compile(&var_m));
+    let (raw, var) = (S::bind(&raw_m, &raw_p), S::bind(&var_m, &var_p));
+    let cfg = limits(100_000);
+    let raw_set = substrate::capture::<S>(&raw, &cfg, Cadence::Insts(64), None);
+
+    // A different program shell: nothing shareable.
+    let other_m = module("global int x[1] = {1};\nint main() { return 0; }");
+    let other_p = S::compile(&other_m);
+    assert!(substrate::capture_from::<S>(&S::bind(&other_m, &other_p), &cfg, &raw, &raw_set).is_none());
+    // Profiling requested: sharing declines (accumulators do not map).
+    let prof = ExecConfig { profile: true, ..cfg.clone() };
+    assert!(substrate::capture_from::<S>(&var, &prof, &raw, &raw_set).is_none());
+    // Mismatched memory geometry: sharing declines.
+    let small = ExecConfig { mem_size: 2 << 20, ..cfg.clone() };
+    assert!(substrate::capture_from::<S>(&var, &small, &raw, &raw_set).is_none());
+    // A derived set (no first-execution table) cannot seed sharing.
+    let derived = substrate::capture_from::<S>(&var, &cfg, &raw, &raw_set).unwrap();
+    assert!(substrate::capture_from::<S>(&var, &cfg, &var, &derived).is_none());
+}
+
+const HASH: u64 = 0x1234_5678_9ABC_DEF0;
+
+fn round_trip_is_bit_identical<S: Layer>() {
+    let m = loop_module();
+    let p = S::compile(&m);
+    let exec = S::bind(&m, &p);
+    let cfg = ExecConfig { profile: true, ..limits(10_000) };
+    let set = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(16), None);
+    assert!(set.len() > 2);
+    let loaded = SnapshotSet::<S>::decode(&set.to_bytes(HASH), &exec, HASH).unwrap();
+    assert_eq!(loaded.golden(), set.golden());
+    assert_eq!(loaded.cadence(), set.cadence());
+    assert_eq!(loaded.shared_snaps(), set.shared_snaps());
+    assert_eq!(loaded.first_exec(), set.first_exec());
+    assert_eq!(loaded.len(), set.len());
+    for (a, b) in loaded.snapshots().iter().zip(set.snapshots()) {
+        assert_eq!(a.dyn_insts, b.dyn_insts);
+        assert_eq!(a.fault_sites, b.fault_sites);
+        assert_eq!(a.output_len, b.output_len);
+        assert_eq!(format!("{:?}", a.state), format!("{:?}", b.state));
+        assert_eq!(a.profile, b.profile);
+        assert_eq!(a.pages.len(), b.pages.len());
+        for (k, v) in &a.pages {
+            assert_eq!(&b.pages[k][..], &v[..], "page {k} content differs");
+        }
+    }
+    // Arc sharing survives the round trip: where the original set shares a
+    // page between consecutive snapshots, the loaded set does too.
+    for (lw, ow) in loaded.snapshots().windows(2).zip(set.snapshots().windows(2)) {
+        for (k, ov) in &ow[0].pages {
+            if ow[1].pages.get(k).is_some_and(|ov2| Arc::ptr_eq(ov, ov2)) {
+                assert!(Arc::ptr_eq(&lw[0].pages[k], &lw[1].pages[k]), "page {k} duplicated on load");
+            }
+        }
+    }
+    // Fast-forward from the loaded set is bit-identical at every site.
+    let (mut s1, mut s2) = (Scratch::new(), Scratch::new());
+    for site in 0..set.golden().head().fault_sites {
+        let spec = S::single(site, 3);
+        let fresh = substrate::trial(&exec, &cfg, spec, Some(&set), &mut s1);
+        let reloaded = substrate::trial(&exec, &cfg, spec, Some(&loaded), &mut s2);
+        assert_eq!(fresh, reloaded, "site {site}");
+    }
+}
+
+/// `bytes` with `edit` applied to the body and the trailing checksum redone.
+fn resealed(bytes: &[u8], edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let body = out.len() - 8;
+    edit(&mut out[..body]);
+    let sum = flowery_ir::fnv1a(&out[..body]);
+    out[body..].copy_from_slice(&sum.to_le_bytes());
+    out
+}
+
+fn rejects_corruption_and_mismatches<S: Layer>() {
+    let m = loop_module();
+    let p = S::compile(&m);
+    let exec = S::bind(&m, &p);
+    let set = substrate::capture::<S>(&exec, &limits(10_000), Cadence::Insts(16), None);
+    let bytes = set.to_bytes(HASH);
+    let load = |b: &[u8], hash: u64| SnapshotSet::<S>::decode(b, &exec, hash);
+    assert!(load(&bytes, HASH).is_ok());
+
+    // Any flipped byte fails the checksum.
+    for pos in [0usize, 9, bytes.len() / 2, bytes.len() - 9] {
+        let mut bad = bytes.clone();
+        bad[pos] ^= 0x40;
+        let err = load(&bad, HASH).unwrap_err();
+        assert!(
+            err.contains("checksum") || err.contains("magic") || err.contains("version"),
+            "pos {pos}: {err}"
+        );
+    }
+    // Truncation is rejected, never a panic: at every length through the
+    // envelope and the head, then (each cut re-hashes the file) every 7th.
+    for cut in (0..bytes.len().min(4096)).chain((4096..bytes.len()).step_by(7)) {
+        assert!(load(&bytes[..cut], HASH).is_err(), "cut {cut}");
+    }
+    // Wrong content hash.
+    let err = load(&bytes, HASH ^ 1).unwrap_err();
+    assert!(err.contains("hash"), "{err}");
+    // A future format version is refused even with a valid checksum.
+    let v2 = resealed(&bytes, |b| b[8..12].copy_from_slice(&2u32.to_le_bytes()));
+    let err = load(&v2, HASH).unwrap_err();
+    assert!(err.contains("version 2"), "{err}");
+    // The other layer's magic is refused even with a valid checksum.
+    let other = if S::MAGIC == b"FLSNAPIR" { b"FLSNAPAS" } else { b"FLSNAPIR" };
+    let wrong = resealed(&bytes, |b| b[..8].copy_from_slice(other));
+    let err = load(&wrong, HASH).unwrap_err();
+    assert!(err.contains("magic"), "{err}");
+}
+
+macro_rules! suite {
+    ($layer:ident, $S:ty, [$($test:ident),* $(,)?]) => {
+        mod $layer {
+            $(
+                #[test]
+                fn $test() {
+                    super::$test::<$S>();
+                }
+            )*
+        }
+    };
+}
+
+macro_rules! both_layers {
+    ($($test:ident),* $(,)?) => {
+        suite!(ir, flowery_ir::interp::IrLayer, [$($test),*]);
+        suite!(asm, flowery_backend::AsmLayer, [$($test),*]);
+    };
+}
+
+both_layers![
+    fast_forward_is_bit_identical,
+    capture_golden_matches_plain_run,
+    snapshot_budget_widens_cadence_on_store_heavy_runs,
+    profiled_fast_forward_matches_scratch,
+    unprofiled_set_falls_back_for_profiled_trials,
+    auto_capture_is_site_spaced_and_capped,
+    shared_prefix_capture_matches_fresh_capture,
+    shared_prefix_refuses_incompatible_shapes,
+    round_trip_is_bit_identical,
+    rejects_corruption_and_mismatches,
+];
