@@ -22,7 +22,7 @@ fn bench(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            runner.run_trial(SEED, i % 3000, false)
+            runner.run_trial(SEED, i % 3000)
         })
     });
     group.bench_function("fast_forward", |b| {
@@ -31,7 +31,7 @@ fn bench(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            runner.run_trial(SEED, i % 3000, false)
+            runner.run_trial(SEED, i % 3000)
         })
     });
     group.finish();
@@ -44,7 +44,7 @@ fn bench(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            runner.run_trial(SEED, i % 3000, false)
+            runner.run_trial(SEED, i % 3000)
         })
     });
     group.bench_function("fast_forward", |b| {
@@ -53,7 +53,7 @@ fn bench(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            runner.run_trial(SEED, i % 3000, false)
+            runner.run_trial(SEED, i % 3000)
         })
     });
     group.finish();

@@ -91,7 +91,6 @@ impl ExperimentConfig {
             ci_target: self.ci_target,
             seed: self.seed,
             threads: self.threads,
-            double_bit: false,
             snapshots: self.snapshots,
             exec: self.exec(),
             ..Default::default()
@@ -107,7 +106,6 @@ impl ExperimentConfig {
             trials: self.trials,
             seed: self.seed,
             threads: self.threads,
-            double_bit: false,
             snapshots: self.snapshots,
             golden_profile: false,
             exec: self.exec(),
@@ -119,12 +117,7 @@ impl ExperimentConfig {
         flowery_inject::CampaignConfig {
             trials: self.profile_trials,
             seed: self.seed ^ 0x9E37_79B9,
-            threads: self.threads,
-            double_bit: false,
-            snapshots: self.snapshots,
-            golden_profile: false,
-            exec: self.exec(),
-            ..Default::default()
+            ..self.campaign()
         }
     }
 }

@@ -134,7 +134,10 @@ pub fn multi_bit_study(names: &[&str], cfg: &ExperimentConfig) -> Vec<MultiBitRo
         names.to_vec()
     };
     let single = cfg.campaign();
-    let double = flowery_inject::CampaignConfig { double_bit: true, ..single.clone() };
+    let double = flowery_inject::CampaignConfig {
+        fault_model: flowery_inject::ModelSpec::DoubleBitReg,
+        ..single.clone()
+    };
     let mut rows = Vec::new();
     for name in names {
         if cfg.verbose {

@@ -11,7 +11,9 @@
 use crate::config::ExperimentConfig;
 use flowery_analysis::PenetrationBreakdown;
 use flowery_backend::{compile_module, AsmProgram};
-use flowery_harness::{run_units, Control, GoldenCache, Layer, RunOptions, TrialUnit, UnitKey, UnitResult, Variant};
+use flowery_harness::{
+    run_units, status_printer, GoldenCache, Layer, Progress, RunOptions, TrialUnit, UnitKey, UnitResult, Variant,
+};
 use flowery_inject::{Coverage, OutcomeCounts};
 use flowery_ir::Module;
 use flowery_passes::{
@@ -238,28 +240,13 @@ fn assemble_bench(
     }
 }
 
-/// Progress callback printing a throttled status line to stderr.
-fn stderr_progress() -> impl Fn(&flowery_harness::MetricsSnapshot) -> Control + Sync {
-    let last = std::sync::Mutex::new(Instant::now());
-    move |snap| {
-        let mut last = last.lock().unwrap();
-        if last.elapsed().as_secs_f64() >= 1.0 {
-            eprintln!("[harness] {}", snap.render());
-            *last = Instant::now();
-        }
-        Control::Continue
-    }
-}
-
 /// Run campaigns over a prepared benchmark through the harness engine.
 pub fn run_prepared(p: &PreparedBench, cfg: &ExperimentConfig) -> BenchResults {
     let (units, progs) = bench_units(p, cfg);
     let cache = GoldenCache::new();
-    let progress = stderr_progress();
+    let progress = status_printer("[harness]");
     let opts = RunOptions {
-        progress: cfg
-            .verbose
-            .then_some(&progress as &(dyn Fn(&flowery_harness::MetricsSnapshot) -> Control + Sync)),
+        progress: cfg.verbose.then_some(&progress as Progress<'_>),
         ..Default::default()
     };
     let report = run_units(&units, &cfg.harness(), &cache, opts);
@@ -354,11 +341,9 @@ pub fn run_prepared_study(prepared: &[PreparedBench], cfg: &ExperimentConfig) ->
         all_progs.push(progs);
     }
     let cache = GoldenCache::new();
-    let progress = stderr_progress();
+    let progress = status_printer("[harness]");
     let opts = RunOptions {
-        progress: cfg
-            .verbose
-            .then_some(&progress as &(dyn Fn(&flowery_harness::MetricsSnapshot) -> Control + Sync)),
+        progress: cfg.verbose.then_some(&progress as Progress<'_>),
         ..Default::default()
     };
     let report = run_units(&all_units, &cfg.harness(), &cache, opts);

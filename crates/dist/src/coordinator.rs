@@ -3,13 +3,13 @@
 //!
 //! ## Determinism
 //!
-//! The coordinator never trusts arrival order. Results are merged
-//! idempotently into the same [`UnitProgress`] fold the in-process engine
-//! uses (duplicates are dropped after an equality check; conflicting
-//! duplicates abort the campaign), and at the end the checkpoint is
-//! [`compact`]ed into canonical form — so a distributed run's checkpoint
-//! is byte-identical to a single-process run of the same plan, including
-//! after worker deaths and lease requeues.
+//! The coordinator never trusts arrival order. Results pass the same
+//! admission rule and merge idempotently into the same [`UnitProgress`]
+//! fold the in-process engine uses (duplicates are dropped after an
+//! equality check; conflicting duplicates abort the campaign), and the
+//! checkpoint goes through the same [`open`] → [`seal`] lifecycle — so a
+//! distributed run's checkpoint is byte-identical to a single-process
+//! run of the same plan, including after worker deaths and lease requeues.
 //!
 //! ## Failure model
 //!
@@ -26,16 +26,17 @@
 //! `--resume` reads.
 
 use crate::lease::LeaseTable;
-use crate::protocol::{ClientMsg, PlanSpec, ScopeSpec, ServerMsg, PROTO_VERSION};
+use crate::protocol::{ClientMsg, PlanSpec, ServerMsg, PROTO_VERSION};
 use crate::{framing, FrameError};
-use flowery_harness::checkpoint::{compact, load as load_checkpoint, write_canonical_full, CheckpointLog, Header};
+use flowery_harness::checkpoint::{
+    load as load_checkpoint, open, refused_note, seal, write_canonical_full, CheckpointLog, Header,
+};
 use flowery_harness::{
-    build_matrix, compose_units, fold_task_result, matrix_fingerprint, plan_diff, region_fingerprint, run_units,
-    Baseline, BatchOutcome, BatchRecord, CampaignReport, DiffReport, DiffTask, DiffUnitReport, DistStats, GoldenCache,
-    HarnessConfig, Layer, Metrics, RegionTaskResult, RunOptions, TrialUnit, UnitKey, UnitProgress, WorkerStats,
+    build_matrix, compose_diff, matrix_fingerprint, plan_diff, region_fingerprint, region_records, run_units, Baseline,
+    BatchRecord, CampaignReport, DiffReport, DiffTask, DiffUnitReport, DistStats, GoldenCache, HarnessConfig, Metrics,
+    RunOptions, TrialUnit, UnitKey, UnitProgress, WorkerStats,
 };
 use std::collections::HashMap;
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -88,62 +89,52 @@ impl Default for CoordinatorConfig {
     }
 }
 
-/// What `run` hands back: the deterministic report plus the
-/// distribution-side counters.
-pub struct DistReport {
-    pub report: CampaignReport,
+/// What a run hands back: the deterministic report — the same a local
+/// run of the plan produces — plus the distribution-side counters.
+pub struct DistReport<R = CampaignReport> {
+    pub report: R,
     pub stats: DistStats,
-    /// True when the run drained early (Ctrl-C / requested shutdown) and
-    /// undecided units remain.
+    /// True when the run drained early (Ctrl-C / requested shutdown):
+    /// undecided units remain, or — in diff mode — incomplete region
+    /// profiles were composed and no composed checkpoint was written.
     pub interrupted: bool,
 }
 
-/// What a diff-mode run hands back: the composed incremental report plus
-/// the distribution-side counters.
-pub struct DistDiffReport {
-    pub report: DiffReport,
-    pub stats: DistStats,
-    /// True when the run drained early; incomplete region profiles were
-    /// still composed, but no composed checkpoint was written.
-    pub interrupted: bool,
-}
+/// What a diff-mode run hands back.
+pub type DistDiffReport = DistReport<DiffReport>;
 
-/// Diff-mode coordinator state: the plan from [`plan_diff`] plus the
-/// fragments workers have reported so far. Fragments are folded in batch
-/// order at finalize, so the composed result is bit-identical to a local
+/// Diff mode: the plan from [`plan_diff`]. Its tasks are the coordinator's
+/// schedulable items — each drains into its own [`UnitProgress`] exactly
+/// like a unit, and the decided prefixes are folded in batch order at
+/// finalize, so the composed result is bit-identical to a local
 /// `flowery diff` of the same plan regardless of worker count or arrival
 /// order.
-struct DiffState {
+struct DiffPlan {
     reports: Vec<DiffUnitReport>,
     tasks: Vec<DiffTask>,
-    /// Wire form of each task, indexed like `tasks`.
-    specs: Vec<ScopeSpec>,
-    batches_per_task: Vec<u64>,
-    /// Per task: batch index → that slice's result.
-    frags: Vec<HashMap<u64, RegionTaskResult>>,
     region_fp: u64,
+    /// Region-plan counters plus every merged scoped batch.
+    metrics: Metrics,
 }
 
 struct CoordState {
+    /// One per schedulable item: the matrix's units, or the diff plan's
+    /// tasks.
     progress: Vec<UnitProgress>,
     leases: LeaseTable,
     workers: HashMap<u64, WorkerStats>,
     next_worker_id: u64,
+    /// The batch log; diff mode keeps none (the composed region checkpoint
+    /// is written whole at finalize).
     log: Option<CheckpointLog>,
-    batches_merged: u64,
     shutting_down: bool,
     finalized: bool,
     error: Option<String>,
-    /// `Some` switches the coordinator to incremental (diff) mode.
-    diff: Option<DiffState>,
 }
 
 impl CoordState {
     fn all_decided(&self) -> bool {
-        match &self.diff {
-            Some(d) => (0..d.tasks.len()).all(|ti| d.frags[ti].len() as u64 >= d.batches_per_task[ti]),
-            None => self.progress.iter().all(|p| p.decided().is_some()),
-        }
+        self.progress.iter().all(|p| p.decided().is_some())
     }
 
     fn live_workers(&self) -> u64 {
@@ -167,7 +158,11 @@ struct Ctx {
     key_index: HashMap<UnitKey, usize>,
     plan: PlanSpec,
     hcfg: HarnessConfig,
-    header: Header,
+    /// Per item: the stopping and admission rule — the campaign header, or its
+    /// [`Header::scoped`] form for a diff task.
+    rules: Vec<Header>,
+    /// `Some` switches the coordinator to incremental (diff) mode.
+    diff: Option<DiffPlan>,
     fingerprint: u64,
     ccfg: CoordinatorConfig,
     start: Instant,
@@ -200,8 +195,6 @@ impl Coordinator {
         }
         let fingerprint = matrix_fingerprint(&units);
         let header = hcfg.header();
-        let max_batches = hcfg.max_batches();
-        let mut progress: Vec<UnitProgress> = units.iter().map(|_| UnitProgress::new(max_batches)).collect();
         let key_index: HashMap<UnitKey, usize> = units.iter().enumerate().map(|(i, u)| (u.key.clone(), i)).collect();
 
         // Incremental mode: plan the diff up front. Workers never see the
@@ -216,50 +209,35 @@ impl Coordinator {
                     eprintln!("  [serve] baseline {} predates region records; every region runs fresh", base.display());
                 }
                 let cache = GoldenCache::new();
-                let (reports, tasks) = plan_diff(&units, &hcfg, &cache, &baseline, &HashMap::new());
-                let specs: Vec<ScopeSpec> = tasks
-                    .iter()
-                    .map(|t| ScopeSpec {
-                        unit: units[t.unit_index].key.clone(),
-                        region: t.region.clone(),
-                        trials: t.trials,
-                        seed: t.seed,
-                        mass: t.mass,
-                    })
-                    .collect();
-                let batches_per_task: Vec<u64> = tasks.iter().map(|t| t.trials.div_ceil(hcfg.batch_size)).collect();
-                let frags = tasks.iter().map(|_| HashMap::new()).collect();
+                let metrics = Metrics::with_mode(hcfg.exec.executor);
+                let (reports, tasks) = plan_diff(&units, &hcfg, &cache, &baseline, &HashMap::new(), &metrics);
                 let region_fp = region_fingerprint(&units, &cache, &hcfg);
-                Some(DiffState { reports, tasks, specs, batches_per_task, frags, region_fp })
+                Some(DiffPlan { reports, tasks, region_fp, metrics })
             }
             None => None,
         };
+        let rules: Vec<Header> = match &diff {
+            Some(d) => d.tasks.iter().map(|t| header.scoped(t.scope.trials)).collect(),
+            None => vec![header.clone(); units.len()],
+        };
+        let mut progress: Vec<UnitProgress> = rules.iter().map(|r| UnitProgress::new(r.max_batches())).collect();
 
-        // Resume: preload the existing log; otherwise start fresh. Diff
-        // mode keeps no batch log — the composed region checkpoint is
-        // written whole at finalize.
         let log = if diff.is_some() {
             None
-        } else if ccfg.resume && ccfg.checkpoint.exists() {
-            let (h, records) = load_checkpoint(&ccfg.checkpoint)?;
-            // Executor differences are provenance, not schedule: engines
-            // are bit-identical, so mixed-executor resumes are sound.
-            if let Some(why) = h.describe_mismatch(&header) {
-                return Err(format!(
-                    "{}: checkpoint was written with different campaign parameters — {why}",
-                    ccfg.checkpoint.display()
-                ));
-            }
-            for rec in &records {
-                let Some(&ui) = key_index.get(&rec.unit) else { continue };
-                if rec.batch >= max_batches || progress[ui].has_batch(rec.batch) {
-                    continue;
-                }
-                progress[ui].insert(rec.batch, BatchOutcome::from_record(rec), &header);
-            }
-            Some(CheckpointLog::append_to(&ccfg.checkpoint)?)
         } else {
-            Some(CheckpointLog::create(&ccfg.checkpoint, &header)?)
+            let resume = ccfg.resume && ccfg.checkpoint.exists();
+            let (log, preloaded) = open(&ccfg.checkpoint, &header, resume)?;
+            if resume && ccfg.verbose {
+                let (n, path) = (preloaded.len(), ccfg.checkpoint.display());
+                eprintln!("  [serve] resuming: {n} batches from {path}{}", refused_note(&header, &preloaded));
+            }
+            for rec in &preloaded {
+                let Some(&ui) = key_index.get(&rec.unit) else { continue };
+                if header.admit(rec).is_ok() {
+                    progress[ui].insert(rec.batch, rec.outcome(), &header);
+                }
+            }
+            Some(log)
         };
 
         let listener = TcpListener::bind(&ccfg.addr).map_err(|e| format!("bind {}: {e}", ccfg.addr))?;
@@ -267,28 +245,23 @@ impl Coordinator {
             .set_nonblocking(true)
             .map_err(|e| format!("listener nonblocking: {e}"))?;
 
-        let leases = match &diff {
-            Some(d) => LeaseTable::with_limits(d.batches_per_task.clone()),
-            None => LeaseTable::new(units.len(), max_batches),
-        };
         let state = CoordState {
+            leases: LeaseTable::with_limits(rules.iter().map(Header::max_batches).collect()),
             progress,
-            leases,
             workers: HashMap::new(),
             next_worker_id: 1,
             log,
-            batches_merged: 0,
             shutting_down: false,
             finalized: false,
             error: None,
-            diff,
         };
         let ctx = Arc::new(Ctx {
             units,
             key_index,
             plan,
             hcfg,
-            header,
+            rules,
+            diff,
             fingerprint,
             ccfg,
             start: Instant::now(),
@@ -306,10 +279,7 @@ impl Coordinator {
     /// requested shutdown). Returns the same deterministic report a local
     /// run of the plan produces.
     pub fn run(self) -> Result<DistReport, String> {
-        if self.ctx.state.lock().unwrap().diff.is_some() {
-            return Err("coordinator was bound with a baseline; use run_diff / serve_diff".into());
-        }
-        let (ctx, interrupted) = self.run_loop()?;
+        let (ctx, interrupted) = self.run_loop(false)?;
         finalize(&ctx, interrupted)
     }
 
@@ -318,15 +288,20 @@ impl Coordinator {
     /// write the composed region checkpoint. Bit-identical to a local
     /// `flowery diff` of the same plan and baseline.
     pub fn run_diff(self) -> Result<DistDiffReport, String> {
-        if self.ctx.state.lock().unwrap().diff.is_none() {
-            return Err("coordinator has no baseline; use run / serve".into());
-        }
-        let (ctx, interrupted) = self.run_loop()?;
+        let (ctx, interrupted) = self.run_loop(true)?;
         finalize_diff(&ctx, interrupted)
     }
 
-    fn run_loop(self) -> Result<(Arc<Ctx>, bool), String> {
+    fn run_loop(self, diff: bool) -> Result<(Arc<Ctx>, bool), String> {
         let ctx = self.ctx;
+        if ctx.diff.is_some() != diff {
+            return Err(
+                "a coordinator bound with a baseline runs with run_diff / serve_diff, one without with run / serve"
+                    .into(),
+            );
+        }
+        let mode = if diff { " (incremental)" } else { "" };
+        eprintln!("  [serve] listening on {}{mode}", self.listener.local_addr().map_err(|e| e.to_string())?);
         let mut handlers = Vec::new();
         let mut last_render = Instant::now();
         let interrupted = loop {
@@ -384,17 +359,17 @@ fn drain(ctx: &Ctx) {
     }
 }
 
-/// Flush + compact the checkpoint, then fold it into the final report
-/// without executing anything (goldens are computed locally for the
-/// per-unit reference fields).
+/// Fold the batch log into the final report without executing anything
+/// (goldens are computed locally for the per-unit reference fields), then
+/// seal it exactly as a local campaign does: region records on a clean
+/// finish, close, compact.
 fn finalize(ctx: &Ctx, interrupted: bool) -> Result<DistReport, String> {
-    let stats = {
+    let (stats, log) = {
         let mut st = ctx.state.lock().unwrap();
         st.finalized = true;
-        st.log = None; // close the writer before rewriting the file
-        st.dist_stats()
+        (st.dist_stats(), st.log.take())
     };
-    compact(&ctx.ccfg.checkpoint)?;
+    let log = log.ok_or("coordinator keeps no batch log")?;
     let (_, records) = load_checkpoint(&ctx.ccfg.checkpoint)?;
     let cache = GoldenCache::new();
     let report = run_units(
@@ -403,40 +378,30 @@ fn finalize(ctx: &Ctx, interrupted: bool) -> Result<DistReport, String> {
         &cache,
         RunOptions { preloaded: records, replay_only: true, ..Default::default() },
     );
+    let regions = (!interrupted).then(|| region_records(&ctx.units, &report.units, &cache, &ctx.hcfg));
+    seal(&ctx.ccfg.checkpoint, log, &regions.unwrap_or_default())?;
     Ok(DistReport { report, stats, interrupted })
 }
 
-/// Diff-mode finalize: fold every task's fragments in batch-index order
-/// (the same order a local run executes them), compose the per-unit
-/// reports, and — on a clean completion — write the composed region
-/// checkpoint, the next diff's baseline.
+/// Diff-mode finalize: fold every task's batches in batch-index order (the
+/// same order a local run merges them), compose the per-unit reports, and
+/// — on a clean completion — write the composed region checkpoint, the
+/// next diff's baseline.
 fn finalize_diff(ctx: &Ctx, interrupted: bool) -> Result<DistDiffReport, String> {
-    let (stats, diff) = {
+    let plan = ctx.diff.as_ref().ok_or("coordinator is not in diff mode")?;
+    let (stats, tallies) = {
         let mut st = ctx.state.lock().unwrap();
         st.finalized = true;
-        (st.dist_stats(), st.diff.take())
+        let tallies: Vec<_> = st.progress.iter().map(|p| Some(p.merged())).collect();
+        (st.dist_stats(), tallies)
     };
-    let mut d = diff.ok_or("coordinator is not in diff mode")?;
-    let metrics = Metrics::with_mode(ctx.hcfg.exec.executor);
-    for rep in &d.reports {
-        let (reused, rerun, _) = rep.fate_counts();
-        metrics.record_region_plan(rep.regions.len() as u64, reused, rerun, rep.trials_saved);
-    }
-    for (ti, task) in d.tasks.iter().enumerate() {
-        let mut batches: Vec<u64> = d.frags[ti].keys().copied().collect();
-        batches.sort_unstable();
-        for b in batches {
-            let r = &d.frags[ti][&b];
-            let engine = ctx.units[task.unit_index].engine(&ctx.hcfg.exec, true);
-            metrics.record_batch(&r.counts, r.ff_insts, r.exec_insts, engine);
-            fold_task_result(&mut d.reports[task.unit_index].regions[task.region_index].profile, r);
-        }
-    }
-    compose_units(&mut d.reports);
-    let metrics = metrics.snapshot(ctx.units.len(), 0, GoldenCache::new().stats());
-    let report = DiffReport { units: d.reports, metrics };
+    let report = DiffReport {
+        units: compose_diff(plan.reports.clone(), &plan.tasks, tallies),
+        metrics: plan.metrics.snapshot(ctx.units.len(), 0, GoldenCache::new().stats()),
+        interrupted,
+    };
     if !interrupted {
-        write_canonical_full(&ctx.ccfg.checkpoint, &ctx.header, &[], &report.records())?;
+        write_canonical_full(&ctx.ccfg.checkpoint, &ctx.hcfg.header(), &[], &report.records())?;
     }
     Ok(DistDiffReport { report, stats, interrupted })
 }
@@ -482,23 +447,19 @@ fn handle_connection(mut stream: TcpStream, ctx: &Ctx) {
                 }
             }
             ClientMsg::Ready { fingerprint, models_hash } => {
-                if fingerprint != ctx.fingerprint {
-                    let msg = format!(
-                        "matrix fingerprint {fingerprint:016x} != coordinator's {:016x} (divergent build?)",
-                        ctx.fingerprint
-                    );
-                    let _ = framing::write_frame(&mut stream, &ServerMsg::Error { msg });
-                    break Ok("fingerprint mismatch");
-                }
-                let ours = flowery_faultmodel::registry_hash();
-                if models_hash != ours {
-                    let msg = format!(
-                        "fault-model registry {models_hash:016x} != coordinator's {ours:016x} \
+                let (ours, models) = (ctx.fingerprint, flowery_faultmodel::registry_hash());
+                let msg = if fingerprint != ours {
+                    format!("matrix fingerprint {fingerprint:016x} != coordinator's {ours:016x} (divergent build?)")
+                } else if models_hash != models {
+                    format!(
+                        "fault-model registry {models_hash:016x} != coordinator's {models:016x} \
                          (divergent model sets would sample different faults)"
-                    );
-                    let _ = framing::write_frame(&mut stream, &ServerMsg::Error { msg });
-                    break Ok("fault-model registry mismatch");
-                }
+                    )
+                } else {
+                    continue;
+                };
+                let _ = framing::write_frame(&mut stream, &ServerMsg::Error { msg });
+                break Ok("build mismatch");
             }
             ClientMsg::LeaseRequest => {
                 let Some(id) = worker_id else {
@@ -511,44 +472,25 @@ fn handle_connection(mut stream: TcpStream, ctx: &Ctx) {
                     } else if st.all_decided() {
                         ServerMsg::Shutdown { reason: "campaign complete".into() }
                     } else {
-                        let CoordState { leases, progress, diff, .. } = &mut *st;
-                        match diff {
-                            Some(d) => {
-                                let grant = leases.claim(
-                                    id,
-                                    ctx.now_ms(),
-                                    ctx.lease_ttl_ms(),
-                                    ctx.ccfg.lease_batches,
-                                    |ti| d.frags[ti].len() as u64 >= d.batches_per_task[ti],
-                                    |ti, b| d.frags[ti].contains_key(&b),
-                                );
-                                match grant.first() {
-                                    Some(&(ti, _)) => ServerMsg::ScopedLease {
-                                        scope: ti as u32,
-                                        spec: d.specs[ti].clone(),
-                                        batches: grant.iter().map(|&(_, b)| b).collect(),
-                                        region_fingerprint: d.region_fp,
-                                    },
-                                    None => ServerMsg::Wait { ms: 200 },
-                                }
-                            }
-                            None => {
-                                let grant = leases.claim(
-                                    id,
-                                    ctx.now_ms(),
-                                    ctx.lease_ttl_ms(),
-                                    ctx.ccfg.lease_batches,
-                                    |ui| progress[ui].decided().is_some(),
-                                    |ui, b| progress[ui].has_batch(b),
-                                );
-                                match grant.first() {
-                                    Some(&(ui, _)) => ServerMsg::Lease {
-                                        unit: ctx.units[ui].key.clone(),
-                                        batches: grant.iter().map(|&(_, b)| b).collect(),
-                                    },
-                                    None => ServerMsg::Wait { ms: 200 },
-                                }
-                            }
+                        let CoordState { leases, progress, .. } = &mut *st;
+                        let grant = leases.claim(
+                            id,
+                            ctx.now_ms(),
+                            ctx.lease_ttl_ms(),
+                            ctx.ccfg.lease_batches,
+                            |i| progress[i].decided().is_some(),
+                            |i, b| progress[i].has_batch(b),
+                        );
+                        let batches = grant.iter().map(|&(_, b)| b).collect();
+                        match (grant.first(), &ctx.diff) {
+                            (None, _) => ServerMsg::Wait { ms: 200 },
+                            (Some(&(ui, _)), None) => ServerMsg::Lease { unit: ctx.units[ui].key.clone(), batches },
+                            (Some(&(ti, _)), Some(d)) => ServerMsg::ScopedLease {
+                                scope: ti as u32,
+                                spec: d.tasks[ti].scope.clone(),
+                                batches,
+                                region_fingerprint: d.region_fp,
+                            },
                         }
                     }
                 };
@@ -561,7 +503,7 @@ fn handle_connection(mut stream: TcpStream, ctx: &Ctx) {
                 let Some(id) = worker_id else {
                     break Ok("result before hello");
                 };
-                if let Err(e) = merge_result(ctx, id, record, ff_insts, exec_insts) {
+                if let Err(e) = merge_result(ctx, id, None, record, ff_insts, exec_insts) {
                     ctx.state.lock().unwrap().error.get_or_insert(e);
                     break Ok("merge conflict");
                 }
@@ -570,7 +512,7 @@ fn handle_connection(mut stream: TcpStream, ctx: &Ctx) {
                 let Some(id) = worker_id else {
                     break Ok("result before hello");
                 };
-                if let Err(e) = merge_scoped(ctx, id, scope, record, ff_insts, exec_insts) {
+                if let Err(e) = merge_result(ctx, id, Some(scope), record, ff_insts, exec_insts) {
                     ctx.state.lock().unwrap().error.get_or_insert(e);
                     break Ok("merge conflict");
                 }
@@ -594,71 +536,16 @@ fn handle_connection(mut stream: TcpStream, ctx: &Ctx) {
     }
 }
 
-/// Idempotent merge of one remotely executed batch: exact duplicates are
-/// dropped, conflicting duplicates are fatal (they mean a diverging
-/// worker — the campaign's determinism guarantee is gone).
-fn merge_result(ctx: &Ctx, worker: u64, record: BatchRecord, ff_insts: u64, exec_insts: u64) -> Result<(), String> {
-    let mut st = ctx.state.lock().unwrap();
-    if st.finalized {
-        return Ok(());
-    }
-    if st.diff.is_some() {
-        return Err(format!("worker {worker} sent an unscoped result to an incremental (diff) coordinator"));
-    }
-    let Some(&ui) = ctx.key_index.get(&record.unit) else {
-        return Err(format!("worker {worker} reported unknown unit {}", record.unit));
-    };
-    if record.batch >= ctx.header.max_batches() {
-        return Err(format!(
-            "worker {worker} reported out-of-schedule batch {} of {}",
-            record.batch, record.unit
-        ));
-    }
-    if record.fault_model != ctx.header.fault_model {
-        return Err(format!(
-            "worker {worker} reported batch {} of {} under model `{}` (schedule runs `{}`)",
-            record.batch, record.unit, record.fault_model, ctx.header.fault_model
-        ));
-    }
-    if record.unit.layer == Layer::Asm && (record.prune_table != 0) != (ctx.header.static_prune != 0) {
-        return Err(format!(
-            "worker {worker} reported batch {} of {} with prune provenance {:#x} (schedule's static_prune is {:#x})",
-            record.batch, record.unit, record.prune_table, ctx.header.static_prune
-        ));
-    }
-    st.leases.complete((ui, record.batch), worker);
-    if st.progress[ui].has_batch(record.batch) {
-        let existing = st.progress[ui].batch(record.batch).unwrap().to_record(
-            record.unit.clone(),
-            record.batch,
-            ctx.header.fault_model,
-        );
-        if existing != record {
-            return Err(format!("conflicting duplicate for batch {} of {}", record.batch, record.unit));
-        }
-        return Ok(()); // idempotent: a requeued batch re-ran identically
-    }
-    if let Some(log) = &st.log {
-        log.record_batch(&record)?;
-    }
-    let outcome = BatchOutcome::from_record(&record);
-    st.progress[ui].insert(record.batch, outcome, &ctx.header);
-    st.batches_merged += 1;
-    if let Some(w) = st.workers.get_mut(&worker) {
-        w.batches += 1;
-        w.ff_insts += ff_insts;
-        w.exec_insts += exec_insts;
-    }
-    Ok(())
-}
-
-/// Idempotent merge of one remotely executed *scoped* batch: the fragment
-/// is parked under its (task, batch) slot; folding into region profiles
-/// happens at finalize, in batch order, so arrival order never matters.
-fn merge_scoped(
+/// Idempotent merge of one remotely executed batch — of a unit, or of
+/// diff task `scope`. The record must pass the item's admission rule
+/// (here a refusal means a diverging worker, so it is fatal); exact
+/// duplicates are dropped, conflicting ones are fatal too (the campaign's
+/// determinism guarantee is gone). Batches land in the item's
+/// [`UnitProgress`], so arrival order never matters.
+fn merge_result(
     ctx: &Ctx,
     worker: u64,
-    scope: u32,
+    scope: Option<u32>,
     record: BatchRecord,
     ff_insts: u64,
     exec_insts: u64,
@@ -667,60 +554,60 @@ fn merge_scoped(
     if st.finalized {
         return Ok(());
     }
-    let CoordState { diff, leases, workers, batches_merged, .. } = &mut *st;
-    let Some(d) = diff else {
-        return Err(format!("worker {worker} sent a scoped result to a non-diff coordinator"));
+    let item = match (scope, &ctx.diff) {
+        (None, None) => *ctx
+            .key_index
+            .get(&record.unit)
+            .ok_or_else(|| format!("worker {worker} reported unknown unit {}", record.unit))?,
+        (Some(scope), Some(d)) => {
+            let task = d
+                .tasks
+                .get(scope as usize)
+                .ok_or_else(|| format!("worker {worker} reported unknown scope {scope}"))?;
+            if record.unit != task.scope.unit {
+                return Err(format!(
+                    "worker {worker} reported scope {scope} under unit {} (scope belongs to {})",
+                    record.unit, task.scope.unit
+                ));
+            }
+            scope as usize
+        }
+        (None, Some(_)) => {
+            return Err(format!("worker {worker} sent an unscoped result to an incremental (diff) coordinator"))
+        }
+        (Some(_), None) => return Err(format!("worker {worker} sent a scoped result to a non-diff coordinator")),
     };
-    let ti = scope as usize;
-    let Some(spec) = d.specs.get(ti) else {
-        return Err(format!("worker {worker} reported unknown scope {scope}"));
-    };
-    if record.unit != spec.unit {
+    let rule = &ctx.rules[item];
+    if let Err(why) = rule.admit(&record) {
         return Err(format!(
-            "worker {worker} reported scope {scope} under unit {} (scope belongs to {})",
-            record.unit, spec.unit
+            "worker {worker} reported batch {} of {} (model `{}`, prune table {:#x}, {} pruned), refused as {why:?}: \
+             the schedule runs {} batches under `{}` with static_prune {:#x}",
+            record.batch,
+            record.unit,
+            record.fault_model,
+            record.prune_table,
+            record.pruned,
+            rule.max_batches(),
+            rule.fault_model,
+            rule.static_prune
         ));
     }
-    if record.batch >= d.batches_per_task[ti] {
-        return Err(format!(
-            "worker {worker} reported out-of-schedule batch {} of scope {scope} (`{}` of {})",
-            record.batch, spec.region, spec.unit
-        ));
-    }
-    if record.fault_model != ctx.header.fault_model {
-        return Err(format!(
-            "worker {worker} reported batch {} of scope {scope} under model `{}` (schedule runs `{}`)",
-            record.batch, record.fault_model, ctx.header.fault_model
-        ));
-    }
-    if record.prune_table != 0 || record.pruned != 0 {
-        return Err(format!(
-            "worker {worker} reported pruned trials in scoped batch {} of scope {scope} \
-             (scoped re-sampling is never prunable)",
-            record.batch
-        ));
-    }
-    let batch = record.batch;
-    let frag = RegionTaskResult {
-        counts: record.counts,
-        sdc_by_inst: record.sdc_by_inst,
-        sdc_insts: record.sdc_insts,
-        ff_insts,
-        exec_insts,
-    };
-    leases.complete((ti, batch), worker);
-    if let Some(existing) = d.frags[ti].get(&batch) {
-        if *existing != frag {
-            return Err(format!(
-                "conflicting duplicate for batch {batch} of scope {scope} (`{}` of {})",
-                spec.region, spec.unit
-            ));
+    st.leases.complete((item, record.batch), worker);
+    if let Some(existing) = st.progress[item].batch(record.batch) {
+        if BatchRecord::new(record.unit.clone(), record.batch, rule.fault_model, existing) != record {
+            return Err(format!("conflicting duplicate for batch {} of {}", record.batch, record.unit));
         }
         return Ok(()); // idempotent: a requeued batch re-ran identically
     }
-    d.frags[ti].insert(batch, frag);
-    *batches_merged += 1;
-    if let Some(w) = workers.get_mut(&worker) {
+    if let Some(log) = &st.log {
+        log.record_batch(&record)?;
+    }
+    if let Some(d) = &ctx.diff {
+        let engine = ctx.units[d.tasks[item].unit_index].engine(&ctx.hcfg.exec, true);
+        d.metrics.record_batch(&record.counts, ff_insts, exec_insts, engine);
+    }
+    st.progress[item].insert(record.batch, record.outcome(), rule);
+    if let Some(w) = st.workers.get_mut(&worker) {
         w.batches += 1;
         w.ff_insts += ff_insts;
         w.exec_insts += exec_insts;
@@ -728,23 +615,13 @@ fn merge_scoped(
     Ok(())
 }
 
-/// Convenience wrapper: bind and run in one call (the `flowery serve`
-/// entry point).
+/// Bind and run in one call (the `flowery serve` entry point).
 pub fn serve(plan: PlanSpec, hcfg: HarnessConfig, ccfg: CoordinatorConfig) -> Result<DistReport, String> {
-    let coord = Coordinator::bind(plan, hcfg, ccfg)?;
-    let mut out = std::io::stderr();
-    let _ = writeln!(out, "  [serve] listening on {}", coord.local_addr()?);
-    coord.run()
+    Coordinator::bind(plan, hcfg, ccfg)?.run()
 }
 
 /// Bind and run an incremental (diff) coordinator in one call (the
 /// `flowery serve --baseline` entry point). `ccfg.baseline` must be set.
 pub fn serve_diff(plan: PlanSpec, hcfg: HarnessConfig, ccfg: CoordinatorConfig) -> Result<DistDiffReport, String> {
-    if ccfg.baseline.is_none() {
-        return Err("serve_diff needs a baseline checkpoint".into());
-    }
-    let coord = Coordinator::bind(plan, hcfg, ccfg)?;
-    let mut out = std::io::stderr();
-    let _ = writeln!(out, "  [serve] listening on {} (incremental)", coord.local_addr()?);
-    coord.run_diff()
+    Coordinator::bind(plan, hcfg, ccfg)?.run_diff()
 }

@@ -42,12 +42,9 @@ pub struct LeaseTable {
 }
 
 impl LeaseTable {
-    pub fn new(n_units: usize, max_batches: u64) -> LeaseTable {
-        LeaseTable::with_limits(vec![max_batches; n_units])
-    }
-
-    /// A table whose items have individual batch counts (scoped diff
-    /// tasks: one item per changed region, sized by its trial budget).
+    /// A table of items with their batch counts: the schedule length for
+    /// every campaign unit; for scoped diff tasks, one item per changed
+    /// region sized by its trial budget.
     pub fn with_limits(limits: Vec<u64>) -> LeaseTable {
         LeaseTable {
             cursors: vec![0; limits.len()],
@@ -162,36 +159,26 @@ impl LeaseTable {
     /// Push every lease past its deadline back onto the requeue backlog.
     /// Returns how many expired.
     pub fn expire(&mut self, now_ms: u64) -> usize {
-        let expired: Vec<LeaseKey> = self
-            .outstanding
-            .iter()
-            .filter(|(_, h)| h.deadline_ms <= now_ms)
-            .map(|(&k, _)| k)
-            .collect();
-        for key in &expired {
-            self.outstanding.remove(key);
-            self.requeued.push_back(*key);
-        }
-        self.requeue_count += expired.len() as u64;
-        self.sort_requeued();
-        expired.len()
+        self.requeue_where(|h| h.deadline_ms <= now_ms)
     }
 
     /// Requeue every lease held by `worker` (its connection died).
     pub fn release_worker(&mut self, worker: u64) -> usize {
-        let lost: Vec<LeaseKey> = self
-            .outstanding
-            .iter()
-            .filter(|(_, h)| h.worker == worker)
-            .map(|(&k, _)| k)
-            .collect();
-        for key in &lost {
+        self.requeue_where(|h| h.worker == worker)
+    }
+
+    /// Move every outstanding lease whose holder `lost` picks to the
+    /// backlog, keeping it sorted: `outstanding` iterates in hash order,
+    /// so requeue bursts would otherwise land unordered.
+    fn requeue_where(&mut self, lost: impl Fn(&Holder) -> bool) -> usize {
+        let keys: Vec<LeaseKey> = self.outstanding.iter().filter(|(_, h)| lost(h)).map(|(&k, _)| k).collect();
+        for key in &keys {
             self.outstanding.remove(key);
             self.requeued.push_back(*key);
         }
-        self.requeue_count += lost.len() as u64;
-        self.sort_requeued();
-        lost.len()
+        self.requeue_count += keys.len() as u64;
+        self.requeued.make_contiguous().sort_unstable();
+        keys.len()
     }
 
     /// Refresh the deadlines of every lease `worker` holds — called on any
@@ -204,12 +191,6 @@ impl LeaseTable {
         }
     }
 
-    /// Keep the backlog deterministic: `outstanding` iterates in hash
-    /// order, so requeue bursts land unordered.
-    fn sort_requeued(&mut self) {
-        self.requeued.make_contiguous().sort_unstable();
-    }
-
     pub fn outstanding(&self) -> u64 {
         self.outstanding.len() as u64
     }
@@ -217,15 +198,6 @@ impl LeaseTable {
     /// Total batches ever requeued (expiry + worker death).
     pub fn requeues(&self) -> u64 {
         self.requeue_count
-    }
-
-    /// True once no cursor can produce a fresh batch and nothing is
-    /// requeued or outstanding. (Units decided early still show unspent
-    /// cursors, so callers combine this with their own progress check.)
-    pub fn drained(&self, done: impl Fn(usize) -> bool) -> bool {
-        self.outstanding.is_empty()
-            && self.requeued.is_empty()
-            && self.cursors.iter().enumerate().all(|(ui, &c)| done(ui) || c >= self.limits[ui])
     }
 }
 
@@ -238,7 +210,7 @@ mod tests {
 
     #[test]
     fn claims_are_batched_per_unit_and_skip_existing() {
-        let mut t = LeaseTable::new(2, 4);
+        let mut t = LeaseTable::with_limits(vec![4; 2]);
         let have = |ui: usize, b: u64| ui == 0 && b == 1; // batch (0,1) replayed from a checkpoint
         let g = t.claim(1, 0, 1000, 3, NEVER_DONE, have);
         assert_eq!(g, vec![(0, 0), (0, 2), (0, 3)], "same unit, checkpointed batch skipped");
@@ -257,12 +229,13 @@ mod tests {
         for (k, w) in [((0, 0), 1u64), ((1, 0), 2), ((1, 1), 2), ((1, 2), 2)] {
             t.complete(k, w);
         }
-        assert!(t.drained(NEVER_DONE));
+        assert_eq!(t.outstanding(), 0);
+        assert!(t.claim(3, 0, 1000, 4, NEVER_DONE, HAVE_NONE).is_empty(), "every cursor is spent");
     }
 
     #[test]
     fn expiry_requeues_and_requeues_are_served_first() {
-        let mut t = LeaseTable::new(1, 4);
+        let mut t = LeaseTable::with_limits(vec![4; 1]);
         let g = t.claim(1, 0, 1000, 2, NEVER_DONE, HAVE_NONE);
         assert_eq!(g, vec![(0, 0), (0, 1)]);
         // Deadline passes with no sign of life from worker 1.
@@ -279,7 +252,7 @@ mod tests {
 
     #[test]
     fn touch_defers_expiry_for_live_workers() {
-        let mut t = LeaseTable::new(1, 2);
+        let mut t = LeaseTable::with_limits(vec![2; 1]);
         t.claim(1, 0, 1000, 2, NEVER_DONE, HAVE_NONE);
         t.touch(1, 900, 1000); // heartbeat at t=900 pushes deadlines to 1900
         assert_eq!(t.expire(1500), 0, "heartbeat kept the lease alive");
@@ -288,7 +261,7 @@ mod tests {
 
     #[test]
     fn worker_death_releases_only_its_leases() {
-        let mut t = LeaseTable::new(2, 2);
+        let mut t = LeaseTable::with_limits(vec![2; 2]);
         let g1 = t.claim(1, 0, 1000, 2, NEVER_DONE, HAVE_NONE);
         let g2 = t.claim(2, 0, 1000, 2, NEVER_DONE, HAVE_NONE);
         assert_eq!(g1, vec![(0, 0), (0, 1)]);
@@ -301,7 +274,7 @@ mod tests {
 
     #[test]
     fn workers_converge_to_disjoint_unit_ownership() {
-        let mut t = LeaseTable::new(2, 4);
+        let mut t = LeaseTable::with_limits(vec![4; 2]);
         let mut owned: [HashSet<usize>; 2] = [HashSet::new(), HashSet::new()];
         // Two workers alternate single-batch claims on a fake clock,
         // completing each batch before the next tick. Affinity should
@@ -321,14 +294,14 @@ mod tests {
                 break;
             }
         }
-        assert!(t.drained(NEVER_DONE), "all batches were granted and completed");
+        assert_eq!(t.outstanding(), 0, "all batches were granted and completed");
         assert_eq!(owned[0], HashSet::from([0]), "worker 1 kept the unit it started");
         assert_eq!(owned[1], HashSet::from([1]), "worker 2 settled on the other unit");
     }
 
     #[test]
     fn requeued_work_prefers_the_unit_the_worker_completed() {
-        let mut t = LeaseTable::new(2, 2);
+        let mut t = LeaseTable::with_limits(vec![2; 2]);
         // Workers 3 and 4 lease everything, then die after worker 3's
         // batch (1,0) was reported by worker 1 (checkpoint replay path).
         assert_eq!(t.claim(3, 0, 100, 2, NEVER_DONE, HAVE_NONE), vec![(0, 0), (0, 1)]);
@@ -345,14 +318,14 @@ mod tests {
     }
 
     #[test]
-    fn moot_requeues_are_dropped_and_drained_reports_completion() {
-        let mut t = LeaseTable::new(1, 2);
+    fn moot_requeues_are_dropped() {
+        let mut t = LeaseTable::with_limits(vec![2; 1]);
         t.claim(1, 0, 1000, 2, NEVER_DONE, HAVE_NONE);
         t.release_worker(1);
-        assert!(!t.drained(NEVER_DONE), "requeue backlog counts as remaining work");
+        assert_eq!((t.outstanding(), t.requeues()), (0, 2), "the lost lease sits in the backlog");
         // The unit decided while the batches sat in the backlog.
         let done = |_ui: usize| true;
         assert!(t.claim(2, 0, 1000, 2, done, HAVE_NONE).is_empty());
-        assert!(t.drained(done));
+        assert!(t.claim(2, 0, 1000, 2, NEVER_DONE, HAVE_NONE).is_empty(), "and the backlog forgot them");
     }
 }

@@ -81,21 +81,9 @@ impl PlanSpec {
     }
 }
 
-/// One changed region's re-run budget in an incremental (diff) campaign.
-/// The worker resolves `region` to an injection scope (IR function /
-/// machine range) in its own build of `unit`; `seed` is the region-local
-/// stream and `mass` the region's dynamic fault-site count, so every
-/// scoped trial is a pure function of `(seed, trial index)` on any
-/// machine. Batches index `trials` in [`HarnessConfig::batch_size`]
-/// chunks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScopeSpec {
-    pub unit: UnitKey,
-    pub region: String,
-    pub trials: u64,
-    pub seed: u64,
-    pub mass: u64,
-}
+/// One changed region's re-run budget in an incremental (diff) campaign —
+/// the harness's own [`flowery_harness::Scope`], which travels as is.
+pub use flowery_harness::Scope as ScopeSpec;
 
 /// Worker → coordinator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

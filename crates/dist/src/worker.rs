@@ -11,10 +11,9 @@
 use crate::protocol::{ClientMsg, PlanSpec, ServerMsg, PROTO_VERSION};
 use crate::{framing, FrameError};
 use flowery_harness::{
-    build_matrix, matrix_fingerprint, region_fingerprint, run_region_task, BatchRecord, GoldenCache, TrialUnit,
-    UnitRunner,
+    build_matrix, matrix_fingerprint, region_fingerprint, BatchRecord, GoldenCache, TrialUnit, UnitRunner,
 };
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -181,7 +180,8 @@ fn session(
         end
     };
 
-    let mut runners: HashMap<usize, UnitRunner<'_>> = HashMap::new();
+    // One runner per leased item: a unit, or one scoped task of it.
+    let mut runners: HashMap<(usize, Option<u32>), UnitRunner<'_>> = HashMap::new();
     // Region fingerprint for scoped (diff) leases, computed at most once
     // per session — the partition golden runs are served by the persistent
     // cache, so this is cheap after the first session.
@@ -194,38 +194,10 @@ fn session(
             Ok(r) => r,
             Err(e) => return finish(Err(e)),
         };
-        match resp {
-            ServerMsg::Lease { unit, batches } => {
-                let Some(ui) = units.iter().position(|u| u.key == unit) else {
-                    return finish(Ok(SessionEnd::Fatal(format!("leased unknown unit {unit}"))));
-                };
-                if cfg.verbose {
-                    eprintln!("  [work] worker {worker_id}: {} batches of {unit}", batches.len());
-                }
-                let runner = runners.entry(ui).or_insert_with(|| UnitRunner::new(&units[ui], cache, &hcfg));
-                for b in batches {
-                    let out = runner.run_batch(&hcfg, b);
-                    let msg = ClientMsg::Completed {
-                        record: out.to_record(units[ui].key.clone(), b, hcfg.effective_model()),
-                        ff_insts: out.ff_insts,
-                        exec_insts: out.exec_insts,
-                    };
-                    if let Err(e) = send(&msg) {
-                        return finish(Err(e));
-                    }
-                    *batches_done += 1;
-                    if cfg.die_after_batches.is_some_and(|n| *batches_done >= n) {
-                        // Crash simulation: sever the socket so the
-                        // coordinator sees a hard close, not a goodbye.
-                        let _ = writer.lock().unwrap().shutdown(std::net::Shutdown::Both);
-                        return finish(Ok(SessionEnd::Died));
-                    }
-                }
-            }
+        // Both lease kinds are the same work: batches of one item.
+        let (unit, scoped, batches) = match resp {
+            ServerMsg::Lease { unit, batches } => (unit, None, batches),
             ServerMsg::ScopedLease { scope, spec, batches, region_fingerprint: theirs } => {
-                let Some(ui) = units.iter().position(|u| u.key == spec.unit) else {
-                    return finish(Ok(SessionEnd::Fatal(format!("scoped lease for unknown unit {}", spec.unit))));
-                };
                 let ours = *region_fp.get_or_insert_with(|| region_fingerprint(units, cache, &hcfg));
                 if ours != theirs {
                     return finish(Ok(SessionEnd::Fatal(format!(
@@ -233,56 +205,12 @@ fn session(
                          (divergent region partition would scope trials wrongly)"
                     ))));
                 }
-                if cfg.verbose {
-                    eprintln!(
-                        "  [work] worker {worker_id}: {} scoped batches of `{}` in {}",
-                        batches.len(),
-                        spec.region,
-                        spec.unit
-                    );
-                }
-                for b in batches {
-                    let lo = b * hcfg.batch_size;
-                    let hi = (lo + hcfg.batch_size).min(spec.trials);
-                    let Some(out) =
-                        run_region_task(&units[ui], cache, &hcfg, &spec.region, spec.seed, spec.mass, lo..hi)
-                    else {
-                        return finish(Ok(SessionEnd::Fatal(format!(
-                            "region `{}` of {} has no injection scope in this build",
-                            spec.region, spec.unit
-                        ))));
-                    };
-                    let record = BatchRecord {
-                        unit: spec.unit.clone(),
-                        batch: b,
-                        counts: out.counts,
-                        sdc_by_inst: out.sdc_by_inst,
-                        sdc_insts: out.sdc_insts,
-                        fault_model: hcfg.effective_model(),
-                        region_counts: vec![(spec.region.clone(), out.counts)],
-                        // Scoped region re-runs never prune: the scoped
-                        // sampler re-draws sites within the region, which
-                        // the site-trace proofs do not cover.
-                        prune_table: 0,
-                        pruned: 0,
-                    };
-                    let msg = ClientMsg::ScopedCompleted {
-                        scope,
-                        record,
-                        ff_insts: out.ff_insts,
-                        exec_insts: out.exec_insts,
-                    };
-                    if let Err(e) = send(&msg) {
-                        return finish(Err(e));
-                    }
-                    *batches_done += 1;
-                    if cfg.die_after_batches.is_some_and(|n| *batches_done >= n) {
-                        let _ = writer.lock().unwrap().shutdown(std::net::Shutdown::Both);
-                        return finish(Ok(SessionEnd::Died));
-                    }
-                }
+                (spec.unit.clone(), Some((scope, spec)), batches)
             }
-            ServerMsg::Wait { ms } => std::thread::sleep(Duration::from_millis(ms.min(1000))),
+            ServerMsg::Wait { ms } => {
+                std::thread::sleep(Duration::from_millis(ms.min(1000)));
+                continue;
+            }
             ServerMsg::Shutdown { reason } => {
                 if cfg.verbose {
                     eprintln!("  [work] worker {worker_id}: shutdown ({reason})");
@@ -292,6 +220,44 @@ fn session(
             }
             ServerMsg::Error { msg } => return finish(Ok(SessionEnd::Fatal(msg))),
             ServerMsg::Welcome { .. } => return finish(Ok(SessionEnd::Fatal("unexpected second welcome".into()))),
+        };
+        let Some(ui) = units.iter().position(|u| u.key == unit) else {
+            return finish(Ok(SessionEnd::Fatal(format!("leased unknown unit {unit}"))));
+        };
+        if cfg.verbose {
+            let what = scoped.as_ref().map_or(String::new(), |(_, s)| format!("`{}` in ", s.region));
+            eprintln!("  [work] worker {worker_id}: {} batches of {what}{unit}", batches.len());
+        }
+        let runner = match runners.entry((ui, scoped.as_ref().map(|(scope, _)| *scope))) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(v) => {
+                let scope = scoped.as_ref().map(|(_, scope)| scope);
+                let Some(runner) = UnitRunner::for_item(&units[ui], cache, &hcfg, scope) else {
+                    return finish(Ok(SessionEnd::Fatal(format!(
+                        "a leased region of {unit} has no injection scope in this build"
+                    ))));
+                };
+                v.insert(runner)
+            }
+        };
+        for b in batches {
+            let out = runner.run_batch(&hcfg, b);
+            let record = BatchRecord::new(unit.clone(), b, hcfg.fault_model, &out);
+            let (ff_insts, exec_insts) = (out.ff_insts, out.exec_insts);
+            let msg = match &scoped {
+                None => ClientMsg::Completed { record, ff_insts, exec_insts },
+                Some((scope, _)) => ClientMsg::ScopedCompleted { scope: *scope, record, ff_insts, exec_insts },
+            };
+            if let Err(e) = send(&msg) {
+                return finish(Err(e));
+            }
+            *batches_done += 1;
+            if cfg.die_after_batches.is_some_and(|n| *batches_done >= n) {
+                // Crash simulation: sever the socket so the
+                // coordinator sees a hard close, not a goodbye.
+                let _ = writer.lock().unwrap().shutdown(std::net::Shutdown::Both);
+                return finish(Ok(SessionEnd::Died));
+            }
         }
     }
 }

@@ -53,7 +53,7 @@ fn distributed_diff_matches_local_diff_bit_for_bit() {
         regions: HashMap::new(),
         pre_region: true,
     };
-    let base = run_diff(&base_units, &cfg, &cache, &empty, &HashMap::new());
+    let base = run_diff(&base_units, &cfg, &cache, &empty, &HashMap::new(), None);
     let base_path = tmp("base");
     write_canonical_full(&base_path, &cfg.header(), &[], &base.records()).unwrap();
 
@@ -61,7 +61,7 @@ fn distributed_diff_matches_local_diff_bit_for_bit() {
     let edited = plan(&SRC.replace("x * 3 + 1", "x * 3 + 2"));
     let units = build_matrix(&edited.to_spec(2));
     let baseline = Baseline::load(&base_path, &cfg.header()).unwrap();
-    let local = run_diff(&units, &cfg, &cache, &baseline, &HashMap::new());
+    let local = run_diff(&units, &cfg, &cache, &baseline, &HashMap::new(), None);
     let local_path = tmp("local");
     write_canonical_full(&local_path, &cfg.header(), &[], &local.records()).unwrap();
 

@@ -5,7 +5,7 @@
 
 use flowery_dist::{work, Coordinator, CoordinatorConfig, PlanSpec, WorkerConfig};
 use flowery_harness::{
-    build_matrix, compact, run_units, shutdown, CheckpointLog, GoldenCache, HarnessConfig, RunOptions,
+    build_matrix, open, region_records, run_units, seal, shutdown, GoldenCache, HarnessConfig, RunOptions,
 };
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -39,16 +39,11 @@ fn requested_shutdown_drains_to_a_resumable_checkpoint() {
     // Uninterrupted single-process reference.
     let ref_path = tmp("ref");
     let units = build_matrix(&plan.to_spec(2));
-    let log = CheckpointLog::create(&ref_path, &cfg.header()).unwrap();
-    let r = run_units(
-        &units,
-        &cfg,
-        &GoldenCache::new(),
-        RunOptions { checkpoint: Some(&log), ..Default::default() },
-    );
+    let cache = GoldenCache::new();
+    let (log, _) = open(&ref_path, &cfg.header(), false).unwrap();
+    let r = run_units(&units, &cfg, &cache, RunOptions { checkpoint: Some(&log), ..Default::default() });
     assert!(!r.interrupted);
-    drop(log);
-    compact(&ref_path).unwrap();
+    seal(&ref_path, log, &region_records(&units, &r.units, &cache, &cfg)).unwrap();
     let want = std::fs::read(&ref_path).unwrap();
 
     let ck = tmp("dist");

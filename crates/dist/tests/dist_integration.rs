@@ -8,8 +8,8 @@ use flowery_dist::{
     framing, work, ClientMsg, Coordinator, CoordinatorConfig, PlanSpec, ServerMsg, WorkerConfig, PROTO_VERSION,
 };
 use flowery_harness::{
-    build_matrix, compact, matrix_fingerprint, run_units, CheckpointLog, GoldenCache, HarnessConfig, RunOptions,
-    UnitRunner,
+    build_matrix, load_checkpoint, matrix_fingerprint, open, refused_note, region_records, run_units, seal,
+    write_canonical, BatchRecord, GoldenCache, HarnessConfig, RunOptions, UnitRunner,
 };
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -59,20 +59,17 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("flowery-dist-it-{}-{name}.jsonl", std::process::id()))
 }
 
-/// The single-process ground truth: same plan, same schedule, compacted.
+/// The single-process ground truth — what `flowery campaign` leaves
+/// behind: same plan, same schedule, opened, run and sealed (region
+/// records included).
 fn reference_bytes(plan: &PlanSpec, cfg: &HarnessConfig, name: &str) -> (PathBuf, Vec<u8>) {
     let path = tmp(name);
     let units = build_matrix(&plan.to_spec(2));
-    let log = CheckpointLog::create(&path, &cfg.header()).unwrap();
-    let r = run_units(
-        &units,
-        cfg,
-        &GoldenCache::new(),
-        RunOptions { checkpoint: Some(&log), ..Default::default() },
-    );
+    let cache = GoldenCache::new();
+    let (log, _) = open(&path, &cfg.header(), false).unwrap();
+    let r = run_units(&units, cfg, &cache, RunOptions { checkpoint: Some(&log), ..Default::default() });
     assert!(!r.interrupted && r.error.is_none());
-    drop(log);
-    compact(&path).unwrap();
+    seal(&path, log, &region_records(&units, &r.units, &cache, cfg)).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     (path, bytes)
 }
@@ -232,7 +229,7 @@ fn duplicate_results_merge_idempotently_and_bad_handshakes_are_rejected() {
     let cache = GoldenCache::new();
     let out = UnitRunner::new(&units[ui], &cache, &cfg).run_batch(&cfg, batches[0]);
     let msg = ClientMsg::Completed {
-        record: out.to_record(unit, batches[0], cfg.effective_model()),
+        record: BatchRecord::new(unit, batches[0], cfg.effective_model(), &out),
         ff_insts: out.ff_insts,
         exec_insts: out.exec_insts,
     };
@@ -250,4 +247,69 @@ fn duplicate_results_merge_idempotently_and_bad_handshakes_are_rejected() {
     let by_id: Vec<u64> = dist.stats.per_worker.iter().map(|w| w.batches).collect();
     assert_eq!(by_id.iter().sum::<u64>(), 10, "duplicate was not double-counted: {by_id:?}");
     assert_eq!(std::fs::read(&ck).unwrap(), want);
+}
+
+/// The drift this suite pins down: a checkpoint whose *header* matches the
+/// campaign but which carries batch records no campaign of that header
+/// could have written. Every loader must refuse exactly those records —
+/// and say so — and both resume paths must re-run what they displaced and
+/// converge on the uninterrupted canonical bytes.
+#[test]
+fn foreign_records_under_a_matching_header_are_refused_by_both_resume_paths() {
+    let plan = plan();
+    let cfg = hcfg(90, 30); // 3 batches × 5 units
+    let (ref_path, want) = reference_bytes(&plan, &cfg, "foreign-ref");
+    let (header, batches) = load_checkpoint(&ref_path).unwrap();
+    let is_asm = |r: &BatchRecord| r.unit.layer == flowery_harness::Layer::Asm;
+
+    // Keep batch 0 of every unit, then forge: (a) every batch 1 restamped
+    // with another fault model, (b) every assembly batch 2 claiming a
+    // prune table this unpruned schedule never used, (c) one batch far
+    // outside the 3-batch schedule.
+    let mut forged: Vec<BatchRecord> = batches.iter().filter(|r| r.batch == 0).cloned().collect();
+    for rec in &batches {
+        let mut rec = rec.clone();
+        match rec.batch {
+            1 => rec.fault_model = flowery_faultmodel::ModelSpec::FlagsPc,
+            2 if is_asm(&rec) => rec.prune_table = 0xfeed,
+            _ => continue,
+        }
+        forged.push(rec);
+    }
+    forged.push(BatchRecord { batch: 40, ..batches[0].clone() });
+    let asm_units = batches.iter().filter(|r| r.batch == 0 && is_asm(r)).count() as u64;
+    let refused = 6 + asm_units;
+    let line = format!(" ({refused} refused: 5 fault-model, {asm_units} prune-provenance, 1 out-of-schedule)");
+    assert_eq!(refused_note(&header, &forged), line);
+
+    // `campaign --resume`: refused records are skipped and counted, their
+    // batches re-executed, and the sealed file is the reference.
+    let local = tmp("foreign-local");
+    write_canonical(&local, &header, &forged).unwrap();
+    let units = build_matrix(&plan.to_spec(2));
+    let (log, preloaded) = open(&local, &cfg.header(), true).unwrap();
+    let cache = GoldenCache::new();
+    let r = run_units(
+        &units,
+        &cfg,
+        &cache,
+        RunOptions { checkpoint: Some(&log), preloaded, ..Default::default() },
+    );
+    assert_eq!(r.metrics.records_refused, refused);
+    assert_eq!(r.metrics.batches_reused, 5, "only the five genuine batch-0 records replay");
+    seal(&local, log, &region_records(&units, &r.units, &cache, &cfg)).unwrap();
+    assert_eq!(std::fs::read(&local).unwrap(), want, "campaign --resume diverged");
+
+    // `serve --resume`: the coordinator preloads through the same rule, so
+    // workers re-run exactly the displaced batches.
+    let ck = tmp("foreign-dist");
+    write_canonical(&ck, &header, &forged).unwrap();
+    let coord = Coordinator::bind(plan, cfg, CoordinatorConfig { resume: true, ..ccfg(&ck, 2) }).unwrap();
+    let addr = coord.local_addr().unwrap().to_string();
+    let run = std::thread::spawn(move || coord.run());
+    let s = work(wcfg(&addr)).unwrap();
+    let dist = run.join().unwrap().unwrap();
+    assert!(!dist.interrupted);
+    assert_eq!(s.batches, 10, "batches 1 and 2 of all five units run again");
+    assert_eq!(std::fs::read(&ck).unwrap(), want, "serve --resume diverged");
 }

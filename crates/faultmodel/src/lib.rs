@@ -100,8 +100,8 @@ impl FaultModel for SingleBitReg {
 }
 
 /// Two independent bit flips in the same destination (the emerging
-/// multi-bit model the paper cites in §2.2) — bit-identical to the legacy
-/// `double_bit` switch.
+/// multi-bit model the paper cites in §2.2) — bit-identical to the switch
+/// pre-model campaigns carried in their checkpoint headers.
 pub struct DoubleBitReg;
 
 impl FaultModel for DoubleBitReg {

@@ -61,6 +61,16 @@ pub struct CacheStats {
     pub snap_shared: u64,
 }
 
+impl CacheStats {
+    /// Fraction of lookups served from the cache.
+    pub fn hit_rate(&self) -> f64 {
+        match self.hits + self.misses {
+            0 => 0.0,
+            lookups => self.hits as f64 / lookups as f64,
+        }
+    }
+}
+
 /// One layer's share of the cache, keyed by program content hash.
 pub(crate) struct LayerMaps<S: Substrate> {
     goldens: Mutex<HashMap<u64, Arc<S::Golden>>>,
@@ -308,14 +318,6 @@ impl GoldenCache {
         self.snapshots_for::<AsmLayer>(&Machine::new(m, p), raw.as_ref(), exec)
     }
 
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
     /// Sample every counter at once.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -325,17 +327,6 @@ impl GoldenCache {
             snap_captures: self.snap_captures.load(Ordering::Relaxed),
             snap_loads: self.snap_loads.load(Ordering::Relaxed),
             snap_shared: self.snap_shared.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Fraction of lookups served from the cache.
-    pub fn hit_rate(&self) -> f64 {
-        let h = self.hits() as f64;
-        let m = self.misses() as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
         }
     }
 }
@@ -360,13 +351,12 @@ mod tests {
         let exec = ExecConfig::default();
         let g1 = cache.ir_golden(&a, &exec);
         let g2 = cache.ir_golden(&b, &exec);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
         assert!(Arc::ptr_eq(&g1, &g2), "same content must share one golden run");
         let _ = cache.ir_golden(&c, &exec);
-        assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.stats().goldens_run, 2);
-        assert!((cache.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+        assert!((cache.stats().hit_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -395,9 +385,9 @@ mod tests {
         let exec = ExecConfig::default();
         let _ = cache.ir_golden(&m, &exec);
         let _ = cache.asm_golden(&m, &p, &exec);
-        assert_eq!(cache.misses(), 2, "IR and assembly goldens are distinct entries");
+        assert_eq!(cache.stats().misses, 2, "IR and assembly goldens are distinct entries");
         let _ = cache.asm_golden(&m, &p, &exec);
-        assert_eq!(cache.hits(), 1);
+        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]

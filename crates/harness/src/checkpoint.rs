@@ -16,14 +16,16 @@
 //! parameters, so a distributed run, a local run, and an interrupt/resume
 //! split of either all produce byte-identical files.
 
-use crate::plan::UnitKey;
+use crate::engine::HarnessConfig;
+use crate::plan::{Layer, UnitKey};
 use crate::progress::{BatchOutcome, UnitProgress};
 use flowery_faultmodel::{DetectorSpec, ModelSpec};
 use flowery_inject::OutcomeCounts;
 use flowery_ir::value::{FuncId, InstId};
 use flowery_regions::RegionProfile;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
@@ -32,7 +34,8 @@ use std::sync::Mutex;
 pub const MAGIC: &str = "flowery-harness-checkpoint";
 pub const VERSION: u32 = 1;
 
-/// Schedule-defining parameters; a resume must match them exactly.
+/// The campaign's declared parameters and provenance. What each field
+/// binds is declared once, in [`HEADER_FIELDS`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Header {
     pub magic: String,
@@ -42,6 +45,9 @@ pub struct Header {
     pub max_trials: u64,
     pub min_trials: u64,
     pub ci_target: Option<f64>,
+    /// Legacy: pre-model logs selected the double-bit model with this
+    /// switch. Writers emit `false` (header bytes stay stable); [`load_full`]
+    /// folds a `true` into `fault_model` and nothing else reads it.
     pub double_bit: bool,
     /// Fault model the schedule's trials are sampled from. Absent in
     /// pre-model checkpoints, which were all single-bit-reg.
@@ -51,30 +57,121 @@ pub struct Header {
     /// older checkpoints (none were modeled).
     #[serde(default)]
     pub detectors: Vec<DetectorSpec>,
-    /// Execution engine the campaign ran under — **provenance, not
-    /// schedule**: engines are bit-identical, so results from different
-    /// engines are interchangeable and a resume only needs the schedule to
-    /// match (see [`Header::same_schedule`]). Absent in pre-engine
+    /// Execution engine the campaign ran under. Absent in pre-engine
     /// checkpoints, which all ran the interpreter-equivalent semantics.
     #[serde(default)]
     pub exec_mode: flowery_ir::interp::ExecMode,
-    /// Region partition/hash recipe version of the log's [`RegionRecord`]s
-    /// — provenance, not schedule: region records annotate the batch
-    /// results, they never change which trials run. 0 = pre-region log
-    /// (no region records); writers stamp
-    /// [`flowery_regions::REGION_SCHEMA_VERSION`].
+    /// Region partition/hash recipe version of the log's [`RegionRecord`]s;
+    /// writers stamp [`flowery_regions::REGION_SCHEMA_VERSION`]. 0 =
+    /// pre-region log (no region records).
     #[serde(default)]
     pub region_schema: u32,
     /// Static-prune recipe signature ([`crate::prior::prune_signature`])
     /// when the campaign rejection-skips proven-masked (site, bit) pairs;
-    /// 0 = pruning off. **Schedule-refusing provenance**: pruned and
-    /// unpruned runs produce identical tallies by construction, but a
-    /// resume that silently mixed them could not be audited (per-batch
-    /// `pruned` counters and table hashes would disagree), so mixed-prune
-    /// resumes are refused like any schedule mismatch. Absent in
-    /// pre-prune checkpoints, which never pruned.
+    /// 0 = pruning off, as in every pre-prune checkpoint.
     #[serde(default)]
     pub static_prune: u64,
+}
+
+impl HarnessConfig {
+    /// The checkpoint header this configuration demands.
+    pub fn header(&self) -> Header {
+        Header {
+            magic: MAGIC.to_string(),
+            version: VERSION,
+            seed: self.seed,
+            batch_size: self.batch_size,
+            max_trials: self.max_trials,
+            min_trials: self.min_trials,
+            ci_target: self.ci_target,
+            double_bit: false,
+            fault_model: self.fault_model,
+            detectors: self.detectors.clone(),
+            exec_mode: self.exec.executor,
+            region_schema: flowery_regions::REGION_SCHEMA_VERSION,
+            static_prune: if self.static_prune { crate::prior::prune_signature() } else { 0 },
+        }
+    }
+}
+
+/// How a [`Header`] field binds whoever pairs with a log: a `--resume`, a
+/// `diff --baseline`, a worker fleet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldClass {
+    /// Shapes the trial schedule; a difference describes another campaign.
+    Schedule,
+    /// Outcome-neutral provenance that one log must still not mix, or it
+    /// could not be audited; refused exactly like a schedule difference.
+    RefuseOnMix,
+    /// Provenance that annotates results; never compared.
+    Informational,
+    /// Kept in the bytes for old readers, consumed by the loader, never
+    /// compared.
+    LegacyReadOnly,
+}
+
+macro_rules! field {
+    ($name:ident, $class:ident) => {
+        (stringify!($name), FieldClass::$class, |h| format!("{:?}", h.$name))
+    };
+}
+
+/// One row of the header's field table: name, class, and how to show the
+/// field's value in a refusal.
+pub type HeaderField = (&'static str, FieldClass, fn(&Header) -> String);
+
+/// Every [`Header`] field, in declaration order. [`Header::same_schedule`]
+/// and [`Header::describe_mismatch`] are derived from this table; a unit
+/// test fails when a field has no row.
+pub const HEADER_FIELDS: [HeaderField; 13] = [
+    field!(magic, Schedule),
+    field!(version, Schedule),
+    field!(seed, Schedule),
+    field!(batch_size, Schedule),
+    field!(max_trials, Schedule),
+    field!(min_trials, Schedule),
+    field!(ci_target, Schedule),
+    field!(double_bit, LegacyReadOnly),
+    field!(fault_model, Schedule),
+    field!(detectors, Schedule),
+    // Engines are bit-identical, so a campaign begun under one may be
+    // resumed — or served to workers running — under another.
+    field!(exec_mode, Informational),
+    // Region records annotate batch results; they never change which
+    // trials run. 0 = pre-region log.
+    field!(region_schema, Informational),
+    // Pruned and unpruned runs tally identically by construction, but a
+    // log mixing them could not be audited: per-batch `pruned` counters
+    // and proof-table hashes would disagree.
+    field!(static_prune, RefuseOnMix),
+];
+
+/// Why [`Header::admit`] turned a batch record away.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// Sampled under another fault model (e.g. logs concatenated across a
+    /// sweep): foreign data, never a replayable batch.
+    FaultModel,
+    /// Prune provenance disagrees with the header: outcomes would match,
+    /// but one log must not mix audited and unaudited trials.
+    PruneProvenance,
+    /// Batch index beyond the schedule (e.g. written under a larger
+    /// `max_trials`).
+    OutOfSchedule,
+}
+
+/// What `header` will refuse among `records`, as a status-line suffix:
+/// ` (N refused: …)` by reason, or nothing when every record is admitted.
+pub fn refused_note(header: &Header, records: &[BatchRecord]) -> String {
+    let mut by_reason = [0u64; 3];
+    for why in records.iter().filter_map(|rec| header.admit(rec).err()) {
+        by_reason[why as usize] += 1;
+    }
+    let [model, prune, schedule] = by_reason;
+    match model + prune + schedule {
+        0 => String::new(),
+        n => format!(" ({n} refused: {model} fault-model, {prune} prune-provenance, {schedule} out-of-schedule)"),
+    }
 }
 
 impl Header {
@@ -83,46 +180,63 @@ impl Header {
         self.max_trials.div_ceil(self.batch_size)
     }
 
-    /// True when `other` describes the same trial schedule. This is the
-    /// resume/pairing comparison: every field except the provenance-only
-    /// `exec_mode` and `region_schema`, so a campaign begun under one
-    /// engine (or before region records existed) can be resumed — or
-    /// served to workers running — under the other (results are
-    /// bit-identical by the engine contract).
+    /// True when `other` describes the same campaign: every
+    /// [`FieldClass::Schedule`] and [`FieldClass::RefuseOnMix`] field agrees.
     pub fn same_schedule(&self, other: &Header) -> bool {
-        let a = Header {
-            exec_mode: Default::default(),
-            region_schema: 0,
-            ..self.clone()
-        };
-        let b = Header {
-            exec_mode: Default::default(),
-            region_schema: 0,
-            ..other.clone()
-        };
-        a == b
+        self.describe_mismatch(other).is_none()
     }
 
-    /// When `self` (a checkpoint's header) describes a different trial
-    /// schedule than `requested`, name the first differing field and both
-    /// values — never a bare "mismatch".
+    /// When `self` (a checkpoint's header) describes a different campaign
+    /// than `requested`, name the first differing field and both values —
+    /// never a bare "mismatch".
     pub fn describe_mismatch(&self, requested: &Header) -> Option<String> {
-        fn field<T: std::fmt::Debug + PartialEq>(name: &str, ckpt: &T, req: &T) -> Option<String> {
-            (ckpt != req).then(|| format!("{name}: checkpoint has {ckpt:?}, this campaign wants {req:?}"))
+        HEADER_FIELDS
+            .iter()
+            .filter(|(_, class, _)| matches!(class, FieldClass::Schedule | FieldClass::RefuseOnMix))
+            .map(|(name, _, show)| (name, show(self), show(requested)))
+            .find(|(_, ckpt, req)| ckpt != req)
+            .map(|(name, ckpt, req)| format!("{name}: checkpoint has {ckpt}, this campaign wants {req}"))
+    }
+
+    /// Refuse, naming the field, when `self` — the header of the `what` at
+    /// `path` — describes a different campaign than `requested`.
+    pub fn require(&self, requested: &Header, path: &Path, what: &str) -> Result<(), String> {
+        self.describe_mismatch(requested).map_or(Ok(()), |why| {
+            Err(format!(
+                "{}: {what} was written with different campaign parameters — {why}",
+                path.display()
+            ))
+        })
+    }
+
+    /// The stopping and admission rule of a region-scoped re-run of
+    /// `trials` trials: its own schedule length, no early stop, and —
+    /// because the scoped sampler re-draws sites the bit proofs do not
+    /// cover — never pruned.
+    pub fn scoped(&self, trials: u64) -> Header {
+        Header {
+            max_trials: trials,
+            ci_target: None,
+            static_prune: 0,
+            ..self.clone()
         }
-        if self.same_schedule(requested) {
-            return None;
+    }
+
+    /// The one record-admission rule: may `rec` be folded into a campaign
+    /// this header describes? Loaders skip what it refuses; the
+    /// distributed merge treats a refusal as a diverging worker.
+    pub fn admit(&self, rec: &BatchRecord) -> Result<(), Refusal> {
+        // Only assembly units prune; IR records carry 0 under both modes.
+        let prunes = self.static_prune != 0 && rec.unit.layer == Layer::Asm;
+        if rec.batch >= self.max_batches() {
+            Err(Refusal::OutOfSchedule)
+        } else if rec.fault_model != self.fault_model {
+            Err(Refusal::FaultModel)
+        } else if (rec.prune_table != 0) != prunes || (rec.pruned != 0 && rec.prune_table == 0) {
+            Err(Refusal::PruneProvenance)
+        } else {
+            Ok(())
         }
-        field("seed", &self.seed, &requested.seed)
-            .or_else(|| field("batch_size", &self.batch_size, &requested.batch_size))
-            .or_else(|| field("max_trials", &self.max_trials, &requested.max_trials))
-            .or_else(|| field("min_trials", &self.min_trials, &requested.min_trials))
-            .or_else(|| field("ci_target", &self.ci_target, &requested.ci_target))
-            .or_else(|| field("double_bit", &self.double_bit, &requested.double_bit))
-            .or_else(|| field("fault_model", &self.fault_model, &requested.fault_model))
-            .or_else(|| field("detectors", &self.detectors, &requested.detectors))
-            .or_else(|| field("static_prune", &self.static_prune, &requested.static_prune))
-            .or_else(|| Some("campaign parameters differ".to_string()))
     }
 }
 
@@ -158,6 +272,38 @@ pub struct BatchRecord {
     /// Benign without execution). Subset of `counts.benign`.
     #[serde(default)]
     pub pruned: u64,
+}
+
+impl BatchRecord {
+    /// The checkpoint record of one executed batch (drops the
+    /// metrics-only instruction counters, which are not part of the result).
+    pub fn new(unit: UnitKey, batch: u64, fault_model: ModelSpec, out: &BatchOutcome) -> BatchRecord {
+        BatchRecord {
+            unit,
+            batch,
+            counts: out.counts,
+            sdc_by_inst: out.sdc_by_inst.clone(),
+            sdc_insts: out.sdc_insts.clone(),
+            fault_model,
+            region_counts: out.region_counts.clone(),
+            prune_table: out.prune_table,
+            pruned: out.pruned,
+        }
+    }
+
+    /// The tally this record carries (instruction counters come back as 0:
+    /// the work happened in an earlier run).
+    pub fn outcome(&self) -> BatchOutcome {
+        BatchOutcome {
+            counts: self.counts,
+            sdc_by_inst: self.sdc_by_inst.clone(),
+            sdc_insts: self.sdc_insts.clone(),
+            region_counts: self.region_counts.clone(),
+            pruned: self.pruned,
+            prune_table: self.prune_table,
+            ..BatchOutcome::default()
+        }
+    }
 }
 
 /// Per-region campaign results for one unit — the versioned region
@@ -290,7 +436,7 @@ pub fn load_full(path: &Path) -> Result<(Header, Vec<BatchRecord>, Vec<RegionRec
     // Pre-model logs carry only the legacy `double_bit` switch; normalize
     // so they resume under the equivalent explicit model. (New writers
     // always stamp the resolved model, so this only rewrites the default.)
-    if header.double_bit && header.fault_model == ModelSpec::SingleBitReg {
+    if std::mem::take(&mut header.double_bit) && header.fault_model == ModelSpec::SingleBitReg {
         header.fault_model = ModelSpec::DoubleBitReg;
         for b in &mut batches {
             if b.fault_model == ModelSpec::SingleBitReg {
@@ -301,48 +447,38 @@ pub fn load_full(path: &Path) -> Result<(Header, Vec<BatchRecord>, Vec<RegionRec
     Ok((header, batches, regions))
 }
 
+/// Insert `rec`, or check it against the identical record already there:
+/// every record is a pure re-run, so a differing duplicate means corrupt
+/// data or a diverging worker — it is handed back as the error.
+fn insert_unique<K: Ord, V: PartialEq>(slot: Entry<'_, K, V>, rec: V) -> Result<(), V> {
+    match slot {
+        Entry::Occupied(o) if *o.get() != rec => return Err(rec),
+        Entry::Occupied(_) => {}
+        Entry::Vacant(v) => _ = v.insert(rec),
+    }
+    Ok(())
+}
+
 /// Reduce `records` to the canonical set: sorted by `(unit key, batch)`,
-/// duplicates dropped, batches outside the schedule dropped, and — for
+/// duplicates dropped, records [`Header::admit`] refuses dropped, and — for
 /// every unit the stopping rule decides — batches beyond the decided
 /// prefix discarded (they are scheduling jitter, not results). Duplicate
 /// records must be identical: every batch is a pure re-run, so a mismatch
 /// means corrupt data or a diverging worker and is an error.
 pub fn canonicalize(header: &Header, records: Vec<BatchRecord>) -> Result<Vec<BatchRecord>, String> {
-    let max_batches = header.max_batches();
     let mut by_unit: BTreeMap<UnitKey, BTreeMap<u64, BatchRecord>> = BTreeMap::new();
     for rec in records {
-        if rec.batch >= max_batches {
+        if header.admit(&rec).is_err() {
             continue;
         }
-        // A record sampled under a different fault model is foreign data
-        // (e.g. logs concatenated across sweeps), never a replayable batch.
-        if rec.fault_model != header.fault_model {
-            continue;
-        }
-        // Likewise an assembly record whose prune provenance disagrees
-        // with the header: outcomes would match (pruning is
-        // outcome-preserving), but the canonical log must not mix audited
-        // and unaudited trials. IR records never prune and carry 0 under
-        // both modes.
-        if rec.unit.layer == crate::plan::Layer::Asm && (rec.prune_table != 0) != (header.static_prune != 0) {
-            continue;
-        }
-        match by_unit.entry(rec.unit.clone()).or_default().entry(rec.batch) {
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(rec);
-            }
-            std::collections::btree_map::Entry::Occupied(o) => {
-                if *o.get() != rec {
-                    return Err(format!("conflicting duplicate for batch {} of {}", rec.batch, rec.unit));
-                }
-            }
-        }
+        insert_unique(by_unit.entry(rec.unit.clone()).or_default().entry(rec.batch), rec)
+            .map_err(|rec| format!("conflicting duplicate for batch {} of {}", rec.batch, rec.unit))?;
     }
     let mut out = Vec::new();
     for (_, batches) in by_unit {
-        let mut progress = UnitProgress::new(max_batches);
+        let mut progress = UnitProgress::new(header.max_batches());
         for (&b, rec) in &batches {
-            progress.insert(b, BatchOutcome::from_record(rec), header);
+            progress.insert(b, rec.outcome(), header);
         }
         let keep = progress.decided().unwrap_or(u64::MAX);
         out.extend(batches.into_values().filter(|r| r.batch < keep));
@@ -360,16 +496,8 @@ pub fn canonicalize_regions(header: &Header, records: Vec<RegionRecord>) -> Resu
         if rec.schema != header.region_schema || rec.schema == 0 {
             continue;
         }
-        match by_unit.entry(rec.unit.clone()) {
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(rec);
-            }
-            std::collections::btree_map::Entry::Occupied(o) => {
-                if *o.get() != rec {
-                    return Err(format!("conflicting region records for {}", rec.unit));
-                }
-            }
-        }
+        insert_unique(by_unit.entry(rec.unit.clone()), rec)
+            .map_err(|rec| format!("conflicting region records for {}", rec.unit))?;
     }
     Ok(by_unit.into_values().collect())
 }
@@ -402,6 +530,33 @@ pub fn write_canonical(path: &Path, header: &Header, records: &[BatchRecord]) ->
     write_canonical_full(path, header, records, &[])
 }
 
+/// Open a campaign's log — the first step of the open → run → [`seal`]
+/// lifecycle. Fresh: truncate and write `header`. Resume: load the log,
+/// refuse one whose header describes a different campaign (naming the
+/// field), repair a torn tail and reopen for appending; the loaded batch
+/// records come back for preloading (consumers fold them through
+/// [`Header::admit`]; [`refused_note`] reports what that will drop).
+pub fn open(path: &Path, header: &Header, resume: bool) -> Result<(CheckpointLog, Vec<BatchRecord>), String> {
+    if !resume {
+        return Ok((CheckpointLog::create(path, header)?, Vec::new()));
+    }
+    let (found, batches) = load(path)?;
+    found.require(header, path, "checkpoint")?;
+    Ok((CheckpointLog::append_to(path)?, batches))
+}
+
+/// Seal a campaign's log: append `regions` (the per-region profiles of a
+/// clean finish — pass none for an interrupted run, whose partial units
+/// would compose wrongly), close the writer, and [`compact`] the file into
+/// canonical form.
+pub fn seal(path: &Path, log: CheckpointLog, regions: &[RegionRecord]) -> Result<(), String> {
+    for rec in regions {
+        log.record_regions(rec)?;
+    }
+    drop(log);
+    compact(path)
+}
+
 /// Rewrite the log at `path` in canonical form (see [`canonicalize`]).
 /// Called at the clean end of a campaign; the result is byte-identical
 /// for any execution of the same schedule — local, resumed, or
@@ -416,7 +571,7 @@ pub fn compact(path: &Path) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{Layer, Variant};
+    use crate::plan::Variant;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("flowery-ckpt-{}-{name}.jsonl", std::process::id()))
@@ -752,6 +907,120 @@ mod tests {
         assert!(canonicalize_regions(&h, vec![rec, conflict])
             .unwrap_err()
             .contains("conflicting region records"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn every_header_field_has_a_class() {
+        // The table is what `same_schedule` / `describe_mismatch` are
+        // derived from: a field added to `Header` without a row would
+        // silently never be compared. The serialized header is the ground
+        // truth for "every field", in declaration order.
+        let json = serde_json::to_string(&header()).unwrap();
+        let at = |name: &str| json.find(&format!("\"{name}\":"));
+        let mut cursor = 0;
+        for (name, ..) in &HEADER_FIELDS {
+            let pos = at(name).unwrap_or_else(|| panic!("table row `{name}` is not a Header field"));
+            assert!(pos >= cursor, "table row `{name}` is out of declaration order");
+            cursor = pos;
+        }
+        let keys = json.matches("\":").count() - json.matches("\\\":").count();
+        assert_eq!(keys, HEADER_FIELDS.len(), "a Header field has no row in HEADER_FIELDS: {json}");
+
+        // Every binding row, flipped alone, refuses and is named; every
+        // non-binding row, flipped alone, still pairs.
+        let base = header();
+        let flips: [(&str, Header); 13] = [
+            ("magic", Header { magic: "other".into(), ..base.clone() }),
+            ("version", Header { version: 9, ..base.clone() }),
+            ("seed", Header { seed: 1, ..base.clone() }),
+            ("batch_size", Header { batch_size: 1, ..base.clone() }),
+            ("max_trials", Header { max_trials: 1, ..base.clone() }),
+            ("min_trials", Header { min_trials: 1, ..base.clone() }),
+            ("ci_target", Header { ci_target: None, ..base.clone() }),
+            ("double_bit", Header { double_bit: true, ..base.clone() }),
+            ("fault_model", Header { fault_model: ModelSpec::MemCell, ..base.clone() }),
+            ("detectors", Header { detectors: vec![DetectorSpec::Parity], ..base.clone() }),
+            (
+                "exec_mode",
+                Header {
+                    exec_mode: flowery_ir::interp::ExecMode::Native,
+                    ..base.clone()
+                },
+            ),
+            ("region_schema", Header { region_schema: 7, ..base.clone() }),
+            ("static_prune", Header { static_prune: 7, ..base.clone() }),
+        ];
+        for ((row, class, _), (name, flipped)) in HEADER_FIELDS.iter().zip(&flips) {
+            assert_eq!(row, name);
+            assert_ne!(&base, flipped, "{name}");
+            let binds = matches!(class, FieldClass::Schedule | FieldClass::RefuseOnMix);
+            assert_eq!(base.same_schedule(flipped), !binds, "{name}");
+            match base.describe_mismatch(flipped) {
+                Some(msg) => assert!(binds && msg.starts_with(&format!("{name}: checkpoint has ")), "{msg}"),
+                None => assert!(!binds, "{name}"),
+            }
+        }
+    }
+
+    #[test]
+    fn admit_is_the_one_record_rule() {
+        let h = header(); // 4 batches, single-bit-reg, unpruned
+        assert_eq!(h.admit(&record(3)), Ok(()));
+        assert_eq!(h.admit(&record(4)), Err(Refusal::OutOfSchedule));
+        let foreign = BatchRecord { fault_model: ModelSpec::FlagsPc, ..record(0) };
+        assert_eq!(h.admit(&foreign), Err(Refusal::FaultModel));
+        let pruned = BatchRecord { prune_table: 9, pruned: 2, ..record(0) };
+        assert_eq!(h.admit(&pruned), Err(Refusal::PruneProvenance));
+        let phantom = BatchRecord { pruned: 2, ..record(0) };
+        assert_eq!(h.admit(&phantom), Err(Refusal::PruneProvenance), "pruned trials need a table");
+        // Under a pruning header the same asm record is the admitted one,
+        // an unpruned asm record is not, and IR records never carry a table.
+        let hp = Header { static_prune: 1, ..header() };
+        assert_eq!(hp.admit(&pruned), Ok(()));
+        assert_eq!(hp.admit(&record(0)), Err(Refusal::PruneProvenance));
+        let ir = BatchRecord {
+            unit: UnitKey::new("crc32", Variant::Raw, 0.0, Layer::Ir),
+            ..record(0)
+        };
+        assert_eq!(hp.admit(&ir), Ok(()));
+        assert_eq!(hp.admit(&BatchRecord { prune_table: 9, ..ir.clone() }), Err(Refusal::PruneProvenance));
+        // A scoped re-run brings its own schedule and never prunes.
+        let scoped = hp.scoped(300); // 2 batches of 250
+        assert_eq!(scoped.admit(&record(1)), Ok(()));
+        assert_eq!(scoped.admit(&record(2)), Err(Refusal::OutOfSchedule));
+        assert_eq!(scoped.admit(&pruned), Err(Refusal::PruneProvenance));
+        // Status lines count refusals by reason, and stay quiet without any.
+        assert_eq!(refused_note(&h, &[record(0)]), "");
+        let note = refused_note(&h, &[record(0), record(4), foreign.clone(), foreign, pruned]);
+        assert_eq!(note, " (4 refused: 2 fault-model, 1 prune-provenance, 1 out-of-schedule)");
+    }
+
+    #[test]
+    fn pre_model_double_bit_header_loads_as_the_explicit_model() {
+        // A pre-model log selected double-bit faults with the header switch
+        // alone; it must load — and resume — as `double-bit-reg`, with the
+        // switch folded away so the re-sealed header is today's.
+        let path = tmp("legacy-double");
+        let log = CheckpointLog::create(&path, &header()).unwrap();
+        log.record_batch(&record(0)).unwrap();
+        drop(log);
+        let legacy = std::fs::read_to_string(&path)
+            .unwrap()
+            .replace("\"double_bit\":false", "\"double_bit\":true")
+            .replace(",\"fault_model\":\"single-bit-reg\"", "");
+        std::fs::write(&path, legacy).unwrap();
+        let today = Header { fault_model: ModelSpec::DoubleBitReg, ..header() };
+        let (log, batches) = open(&path, &today, true).unwrap();
+        assert_eq!(batches.len(), 1);
+        assert_eq!(today.admit(&batches[0]), Ok(()));
+        seal(&path, log, &[]).unwrap();
+        let (h, batches) = load(&path).unwrap();
+        assert_eq!(h, today);
+        assert_eq!(batches[0].fault_model, ModelSpec::DoubleBitReg);
+        // And a single-bit campaign is refused by name.
+        let err = open(&path, &header(), true).err().unwrap();
+        assert!(err.contains("fault_model"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -2,8 +2,8 @@
 //!
 //! Every unit's trial schedule is cut into fixed-size batches; worker
 //! threads claim batches from a shared per-unit cursor, preferring "their"
-//! unit but stealing from any unfinished one, so a single pool drains the
-//! whole matrix without per-campaign barriers. Trial `i` of a unit is a
+//! stretch of units but stealing from any unfinished one, so a single pool
+//! drains the whole matrix without per-campaign barriers. Trial `i` of a unit is a
 //! pure function of `(seed, i)`, which makes three properties fall out:
 //!
 //! * **thread independence** — results are identical for any worker count;
@@ -22,22 +22,21 @@
 //! a local one.
 
 use crate::cache::GoldenCache;
-use crate::checkpoint::{CheckpointLog, Header, MAGIC, VERSION};
+use crate::checkpoint::{BatchRecord, CheckpointLog, Header};
+use crate::incremental::{resolve_scope, Scope, Target};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::plan::{Layer, TrialUnit, UnitKey};
 use crate::prior::StaticPrior;
-use crate::progress::{merge_region_counts, BatchOutcome, UnitProgress};
+use crate::progress::{BatchOutcome, UnitProgress};
 use flowery_faultmodel::{DetectorSpec, ModelSpec};
-use flowery_inject::campaign::{AsmTrialRunner, IrTrialRunner};
-use flowery_inject::{Estimate, Outcome, OutcomeCounts};
+use flowery_inject::campaign::{worker_threads, AsmTrialRunner, IrTrialRunner};
+use flowery_inject::{Estimate, OutcomeCounts};
 use flowery_ir::interp::{ExecConfig, Interpreter};
 use flowery_ir::value::{FuncId, InstId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-
-pub use crate::checkpoint::BatchRecord;
 
 /// Engine parameters. Everything here (except `threads`) shapes the trial
 /// schedule and is recorded in checkpoint headers.
@@ -56,9 +55,6 @@ pub struct HarnessConfig {
     pub seed: u64,
     /// Worker threads (0 = all cores). Does not affect results.
     pub threads: usize,
-    /// Two bit flips per fault instead of one. Legacy switch: shorthand
-    /// for `fault_model: double-bit-reg`, kept for config compatibility.
-    pub double_bit: bool,
     /// Fault model every unit's trials are sampled from (one schedule =
     /// one model; sweeps run the engine once per model).
     #[serde(default)]
@@ -91,7 +87,6 @@ impl Default for HarnessConfig {
             ci_target: None,
             seed: 0x0F10_EE41,
             threads: 0,
-            double_bit: false,
             fault_model: ModelSpec::SingleBitReg,
             detectors: Vec::new(),
             snapshots: true,
@@ -102,46 +97,14 @@ impl Default for HarnessConfig {
 }
 
 impl HarnessConfig {
-    /// The checkpoint header this configuration demands.
-    pub fn header(&self) -> Header {
-        Header {
-            magic: MAGIC.to_string(),
-            version: VERSION,
-            seed: self.seed,
-            batch_size: self.batch_size,
-            max_trials: self.max_trials,
-            min_trials: self.min_trials,
-            ci_target: self.ci_target,
-            double_bit: self.double_bit,
-            fault_model: self.effective_model(),
-            detectors: self.detectors.clone(),
-            exec_mode: self.exec.executor,
-            region_schema: flowery_regions::REGION_SCHEMA_VERSION,
-            static_prune: if self.static_prune { crate::prior::prune_signature() } else { 0 },
-        }
-    }
-
-    /// The model trials are sampled from, resolving the legacy
-    /// `double_bit` switch against the explicit `fault_model` field.
+    /// The model trials are sampled from.
     pub fn effective_model(&self) -> ModelSpec {
-        if self.double_bit && self.fault_model == ModelSpec::SingleBitReg {
-            ModelSpec::DoubleBitReg
-        } else {
-            self.fault_model
-        }
+        self.fault_model
     }
 
     /// Schedule length per unit, in batches.
     pub fn max_batches(&self) -> u64 {
         self.max_trials.div_ceil(self.batch_size)
-    }
-
-    fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        }
     }
 }
 
@@ -154,15 +117,37 @@ pub enum Control {
     Stop,
 }
 
+/// The progress callback: called after every batch with fresh metrics.
+pub type Progress<'a> = &'a (dyn Fn(&MetricsSnapshot) -> Control + Sync);
+
+/// The stock progress callback: print `tag` and a status line to stderr at
+/// most once a second, and stop the run once a shutdown was requested
+/// (after [`crate::shutdown::install`], the first Ctrl-C) — in-flight
+/// batches finish and are checkpointed, then the engine returns.
+pub fn status_printer(tag: &'static str) -> impl Fn(&MetricsSnapshot) -> Control + Sync {
+    let last_print = Mutex::new(std::time::Instant::now());
+    move |snap| {
+        if crate::shutdown::requested() {
+            return Control::Stop;
+        }
+        let mut last = last_print.lock().unwrap();
+        if last.elapsed().as_secs_f64() >= 1.0 {
+            eprintln!("{tag} {}", snap.render());
+            *last = std::time::Instant::now();
+        }
+        Control::Continue
+    }
+}
+
 /// Optional engine inputs.
 #[derive(Default)]
 pub struct RunOptions<'a> {
     /// Log to append completed batches to.
     pub checkpoint: Option<&'a CheckpointLog>,
-    /// Batches replayed from a previous run (see [`crate::checkpoint::load`]).
+    /// Batches replayed from a previous run (see [`crate::checkpoint::open`]).
     pub preloaded: Vec<BatchRecord>,
     /// Called after every batch with fresh metrics; may stop the run.
-    pub progress: Option<&'a (dyn Fn(&MetricsSnapshot) -> Control + Sync)>,
+    pub progress: Option<Progress<'a>>,
     /// Fold `preloaded` and report without executing anything: units whose
     /// replayed batches do not decide them are listed as `pending`. Used by
     /// the distributed coordinator, which merges remotely executed batches
@@ -210,29 +195,47 @@ pub struct CampaignReport {
     pub error: Option<String>,
 }
 
-struct UnitState {
+/// One schedulable item: a unit's whole campaign or — with a scope — a
+/// re-run of one of its regions under the scope's own seed and trial
+/// count. Both kinds are cut into batches and claimed by the same workers.
+#[derive(Clone, Copy)]
+pub(crate) struct WorkItem<'a> {
+    pub unit: &'a TrialUnit,
+    pub scope: Option<&'a Scope>,
+}
+
+/// What [`run_items`] hands back, per item in input order: the decided
+/// prefix folded into one tally, or `None` for an item the run left
+/// undecided.
+pub(crate) struct Drained {
+    pub tallies: Vec<Option<BatchOutcome>>,
+    pub metrics: MetricsSnapshot,
+    pub interrupted: bool,
+    pub error: Option<String>,
+}
+
+struct ItemState {
     cursor: AtomicU64,
     done: AtomicBool,
     /// Batches recorded (executed or reused) — feeds the ETA estimate.
     recorded: AtomicU64,
     progress: Mutex<UnitProgress>,
+    /// Stopping and admission rule: the campaign header, or its
+    /// [`Header::scoped`] form for a scoped item.
+    rule: Header,
 }
 
 struct Shared<'a> {
-    units: &'a [TrialUnit],
-    states: Vec<UnitState>,
-    /// Unit indices in seeding order. Identity order normally; with
-    /// static pruning on, units sort by descending static vulnerable-bit
-    /// density (flagged-first), so the densest campaigns start earliest.
-    /// Scheduling only — results are order-independent by construction.
+    items: &'a [WorkItem<'a>],
+    states: Vec<ItemState>,
+    /// Item indices in [`seeding_order`]. Scheduling only — results are
+    /// order-independent by construction.
     order: Vec<usize>,
     cfg: &'a HarnessConfig,
-    header: Header,
-    max_batches: u64,
     cache: &'a GoldenCache,
     metrics: Metrics,
     checkpoint: Option<&'a CheckpointLog>,
-    progress: Option<&'a (dyn Fn(&MetricsSnapshot) -> Control + Sync)>,
+    progress: Option<Progress<'a>>,
     stop: AtomicBool,
     error: Mutex<Option<String>>,
 }
@@ -242,31 +245,32 @@ impl Shared<'_> {
         let mut remaining = 0u64;
         for st in &self.states {
             if !st.done.load(Ordering::Relaxed) {
-                let rec = st.recorded.load(Ordering::Relaxed).min(self.max_batches);
-                remaining += (self.max_batches - rec) * self.cfg.batch_size;
+                let max = st.rule.max_batches();
+                remaining += (max - st.recorded.load(Ordering::Relaxed).min(max)) * self.cfg.batch_size;
             }
         }
-        self.metrics.snapshot(self.units.len(), remaining, self.cache.stats())
+        self.metrics.snapshot(self.items.len(), remaining, self.cache.stats())
     }
 
-    /// Record a finished batch: checkpoint it, fold it into the unit's
+    /// Record a finished batch: checkpoint it, fold it into the item's
     /// progress, update metrics, and poll the progress callback.
-    fn finish_batch(&self, ui: usize, batch: u64, data: BatchOutcome) {
-        if let Some(log) = self.checkpoint {
-            let rec = data.to_record(self.units[ui].key.clone(), batch, self.cfg.effective_model());
+    fn finish_batch(&self, ii: usize, batch: u64, data: BatchOutcome) {
+        let WorkItem { unit, scope } = &self.items[ii];
+        // Scoped tallies describe one region, not the unit's schedule:
+        // they never enter a batch log.
+        if let (Some(log), None) = (self.checkpoint, scope) {
+            let rec = BatchRecord::new(unit.key.clone(), batch, self.cfg.fault_model, &data);
             if let Err(e) = log.record_batch(&rec) {
                 self.error.lock().unwrap().get_or_insert(e);
                 self.stop.store(true, Ordering::Relaxed);
             }
         }
-        let engine = self.units[ui].engine(&self.cfg.exec, false);
+        let engine = unit.engine(&self.cfg.exec, scope.is_some());
         self.metrics.record_batch(&data.counts, data.ff_insts, data.exec_insts, engine);
-        if data.pruned > 0 {
-            self.metrics.record_pruned(data.pruned);
-        }
-        let st = &self.states[ui];
+        self.metrics.record_pruned(data.pruned);
+        let st = &self.states[ii];
         st.recorded.fetch_add(1, Ordering::Relaxed);
-        let newly_done = st.progress.lock().unwrap().insert(batch, data, &self.header);
+        let newly_done = st.progress.lock().unwrap().insert(batch, data, &st.rule);
         if newly_done {
             st.done.store(true, Ordering::Relaxed);
             self.metrics.record_unit_done();
@@ -279,10 +283,11 @@ impl Shared<'_> {
     }
 }
 
-/// A per-worker trial executor for one unit, built on the cached golden.
+/// A per-worker trial executor for one unit, built on the cached golden;
+/// the second field is the injection target of a region-scoped runner.
 enum RunnerInner<'u> {
-    Ir(IrTrialRunner<'u>),
-    Asm(AsmTrialRunner<'u>),
+    Ir(IrTrialRunner<'u>, Option<FuncId>),
+    Asm(AsmTrialRunner<'u>, Option<std::ops::Range<u32>>),
 }
 
 /// Executes one unit's trial batches. This is the engine's inner loop
@@ -294,8 +299,10 @@ pub struct UnitRunner<'u> {
     inner: RunnerInner<'u>,
     unit: &'u TrialUnit,
     /// Static prune oracle, present when `cfg.static_prune` and this is
-    /// an assembly unit (the bit lattice is an assembly-layer analysis).
+    /// an unscoped assembly unit (the bit lattice is an assembly-layer
+    /// analysis of whole-program site draws).
     prior: Option<StaticPrior>,
+    scope: Option<Scope>,
 }
 
 impl<'u> UnitRunner<'u> {
@@ -304,9 +311,9 @@ impl<'u> UnitRunner<'u> {
         let inner = match unit.key.layer {
             Layer::Ir => {
                 let raw = unit.raw.as_deref().map(Interpreter::new);
-                RunnerInner::Ir(cache.runner(Interpreter::new(&unit.module), raw, cfg.snapshots, exec))
+                RunnerInner::Ir(cache.runner(Interpreter::new(&unit.module), raw, cfg.snapshots, exec), None)
             }
-            Layer::Asm => RunnerInner::Asm(cache.runner(unit.machine(), unit.raw_machine(), cfg.snapshots, exec)),
+            Layer::Asm => RunnerInner::Asm(cache.runner(unit.machine(), unit.raw_machine(), cfg.snapshots, exec), None),
         };
         let prior = (cfg.static_prune && unit.key.layer == Layer::Asm).then(|| {
             let p = unit.program.as_ref().expect("asm unit has a program");
@@ -315,99 +322,235 @@ impl<'u> UnitRunner<'u> {
             let hash = table.fingerprint(crate::cache::program_hash(p));
             StaticPrior::new(table, map, hash)
         });
-        UnitRunner { inner, unit, prior }
+        UnitRunner { inner, unit, prior, scope: None }
+    }
+
+    /// The runner of one work item: [`UnitRunner::new`] without a scope;
+    /// with one, a runner whose batches index `scope.trials`, drawn from
+    /// `scope.seed` over the `scope.mass` fault sites *inside the region*,
+    /// every trial attributed to it. `None` when the region has no
+    /// contiguous injection scope in this build of the unit (the
+    /// machine-layer [`flowery_regions::OTHER_REGION`] bucket).
+    pub fn for_item(
+        unit: &'u TrialUnit,
+        cache: &GoldenCache,
+        cfg: &HarnessConfig,
+        scope: Option<&Scope>,
+    ) -> Option<UnitRunner<'u>> {
+        let Some(scope) = scope else {
+            return Some(UnitRunner::new(unit, cache, cfg));
+        };
+        let exec = &cfg.exec;
+        let inner = match resolve_scope(unit, &scope.region)? {
+            Target::Ir(f) => RunnerInner::Ir(cache.runner(Interpreter::new(&unit.module), None, false, exec), Some(f)),
+            Target::Asm(range) => RunnerInner::Asm(cache.runner(unit.machine(), None, false, exec), Some(range)),
+        };
+        Some(UnitRunner { inner, unit, prior: None, scope: Some(scope.clone()) })
     }
 
     /// Run batch `batch` of the schedule `cfg` defines: trial indices
-    /// `[batch * batch_size, min((batch+1) * batch_size, max_trials))`.
+    /// `[batch * batch_size, min((batch+1) * batch_size, max_trials))`
+    /// (of the scope's own seed and trial count for a scoped runner).
     pub fn run_batch(&mut self, cfg: &HarnessConfig, batch: u64) -> BatchOutcome {
+        let (seed, trials, mass) = match &self.scope {
+            Some(s) => (s.seed, s.trials, s.mass),
+            None => (cfg.seed, cfg.max_trials, 0),
+        };
         let start = batch * cfg.batch_size;
-        let end = (start + cfg.batch_size).min(cfg.max_trials);
-        let model = cfg.effective_model();
+        let end = (start + cfg.batch_size).min(trials);
+        let (model, detectors) = (cfg.fault_model, cfg.detectors.as_slice());
         let mut data = BatchOutcome {
             prune_table: self.prior.as_ref().map_or(0, |p| p.table_hash()),
             ..BatchOutcome::default()
         };
-        // Each trial is attributed to the region (function) containing its
-        // injection site; trials whose fault never landed (e.g. crash in
-        // the prefix) fall into the OTHER_REGION bucket.
-        let attribute = |data: &mut BatchOutcome, name: &str, outcome: Outcome| {
-            let i = match data.region_counts.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-                Ok(i) => i,
-                Err(i) => {
-                    data.region_counts.insert(i, (name.to_string(), OutcomeCounts::default()));
-                    i
-                }
-            };
-            data.region_counts[i].1.record(outcome);
-        };
         for i in start..end {
             let t = match (&mut self.inner, &self.prior) {
-                (RunnerInner::Ir(r), _) => r.run_trial_model(cfg.seed, i, model, &cfg.detectors),
-                (RunnerInner::Asm(r), None) => r.run_trial_model(cfg.seed, i, model, &cfg.detectors),
-                (RunnerInner::Asm(r), Some(prior)) => {
-                    let (t, pruned) =
-                        r.run_trial_model_pruned(cfg.seed, i, model, &cfg.detectors, &|s| prior.masked_inst(s));
+                (RunnerInner::Ir(r, None), _) => r.run_trial_model(seed, i, model, detectors),
+                (RunnerInner::Ir(r, Some(f)), _) => r.run_trial_model_scoped(seed, i, model, detectors, *f, mass),
+                (RunnerInner::Asm(r, Some(range)), _) => {
+                    r.run_trial_model_scoped(seed, i, model, detectors, range.clone(), mass)
+                }
+                (RunnerInner::Asm(r, None), None) => r.run_trial_model(seed, i, model, detectors),
+                (RunnerInner::Asm(r, None), Some(prior)) => {
+                    let (t, pruned) = r.run_trial_model_pruned(seed, i, model, detectors, &|s| prior.masked_inst(s));
                     data.pruned += u64::from(pruned);
                     t
                 }
             };
-            data.counts.record(t.outcome);
-            data.ff_insts += t.ff_insts;
-            data.exec_insts += t.exec_insts;
-            let ir_func = t.injected_at.map(|loc| self.unit.module.func(loc.0).name.as_str());
-            let asm_func = t.injected_inst.and_then(|idx| {
-                let program = self.unit.program.as_ref().expect("asm unit has a program");
-                let func = program.funcs.iter().find(|f| (f.entry..f.end).contains(&idx));
-                func.map(|f| f.name.as_str())
-            });
-            attribute(&mut data, ir_func.or(asm_func).unwrap_or(flowery_regions::OTHER_REGION), t.outcome);
-            if t.outcome == Outcome::Sdc {
-                if let Some(loc) = t.injected_at {
-                    *data.sdc_by_inst.entry(loc).or_insert(0) += 1;
-                }
-                data.sdc_insts.extend(t.injected_inst);
-            }
+            // Attribute the trial to its scope, else to the region (function)
+            // holding its injection site; a fault that never landed (e.g.
+            // crash in the prefix) falls into OTHER_REGION.
+            let site = t.injected_at.map(|loc| self.unit.module.func(loc.0).name.as_str());
+            let site = site.or(t.injected_inst.map(|idx| self.unit.inst_region(idx)));
+            let region = self.scope.as_ref().map(|s| s.region.as_str()).or(site);
+            data.record(&t, Some(region.unwrap_or(flowery_regions::OTHER_REGION)));
         }
         data
     }
 }
 
-fn worker(windex: usize, sh: &Shared<'_>) {
+fn worker(home: usize, sh: &Shared<'_>) {
     let mut runners: HashMap<usize, UnitRunner<'_>> = HashMap::new();
-    let n = sh.units.len();
+    let n = sh.items.len();
     loop {
         if sh.stop.load(Ordering::Relaxed) {
             return;
         }
-        // Prefer unit `windex % n` of the seeding order, steal from the
-        // rest in round-robin (flagged-first when pruning is on).
+        // Drain the seeding order from `home` on, wrapping round. Homes are
+        // spread evenly, so a worker keeps a stretch of items — and the
+        // runners it builds for them — to itself until another worker has
+        // run dry and steals from that stretch.
         let mut claimed = None;
         'scan: for off in 0..n {
-            let ui = sh.order[(windex + off) % n];
-            let st = &sh.states[ui];
+            let ii = sh.order[(home + off) % n];
+            let st = &sh.states[ii];
             if st.done.load(Ordering::Relaxed) {
                 continue;
             }
             loop {
                 let b = st.cursor.fetch_add(1, Ordering::Relaxed);
-                if b >= sh.max_batches {
+                if b >= st.rule.max_batches() {
                     continue 'scan;
                 }
                 // Batches satisfied by a checkpoint are skipped, not re-run.
-                if sh.states[ui].progress.lock().unwrap().has_batch(b) {
+                if st.progress.lock().unwrap().has_batch(b) {
                     continue;
                 }
-                claimed = Some((ui, b));
+                claimed = Some((ii, b));
                 break 'scan;
             }
         }
-        let Some((ui, b)) = claimed else { return };
-        let runner = runners
-            .entry(ui)
-            .or_insert_with(|| UnitRunner::new(&sh.units[ui], sh.cache, sh.cfg));
+        let Some((ii, b)) = claimed else { return };
+        let runner = runners.entry(ii).or_insert_with(|| {
+            let WorkItem { unit, scope } = sh.items[ii];
+            UnitRunner::for_item(unit, sh.cache, sh.cfg, scope).expect("planned scopes resolve")
+        });
         let data = runner.run_batch(sh.cfg, b);
-        sh.finish_batch(ui, b, data);
+        sh.finish_batch(ii, b, data);
+    }
+}
+
+/// Seeding order: identity normally; with static pruning, unscoped
+/// assembly units sort by descending mean vulnerable-bit density
+/// (statically flagged-dense programs first — the lint drives the
+/// sampler). Everything else ranks as fully vulnerable (no bit proofs
+/// apply). The bit tables computed here are cached, so the per-unit
+/// runners reuse them for the prune oracle itself.
+fn seeding_order(items: &[WorkItem<'_>], cfg: &HarnessConfig, cache: &GoldenCache, metrics: &Metrics) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    if cfg.static_prune {
+        let density: Vec<f64> = items
+            .iter()
+            .map(|item| match (item.scope, item.unit.program.as_ref()) {
+                (None, Some(p)) => {
+                    let table = cache.asm_bits(&item.unit.module, p);
+                    metrics.record_bits_proven(table.proven_pairs);
+                    table.mean_vulnerable()
+                }
+                _ => 1.0,
+            })
+            .collect();
+        order.sort_by(|&a, &b| {
+            density[b]
+                .partial_cmp(&density[a])
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+    }
+    order
+}
+
+/// The one scheduler: drain every item's batches with one worker pool.
+/// `metrics` arrives from the caller so plan-level counters recorded
+/// before the run land in the same snapshot.
+pub(crate) fn run_items(
+    items: &[WorkItem<'_>],
+    cfg: &HarnessConfig,
+    cache: &GoldenCache,
+    metrics: Metrics,
+    opts: RunOptions<'_>,
+) -> Drained {
+    assert!(cfg.batch_size > 0 && cfg.max_trials > 0, "empty schedule");
+    let header = cfg.header();
+    let states: Vec<ItemState> = items
+        .iter()
+        .map(|item| {
+            let rule = item.scope.map_or_else(|| header.clone(), |s| header.scoped(s.trials));
+            ItemState {
+                cursor: AtomicU64::new(0),
+                done: AtomicBool::new(false),
+                recorded: AtomicU64::new(0),
+                progress: Mutex::new(UnitProgress::new(rule.max_batches())),
+                rule,
+            }
+        })
+        .collect();
+    let sh = Shared {
+        items,
+        states,
+        order: seeding_order(items, cfg, cache, &metrics),
+        cfg,
+        cache,
+        metrics,
+        checkpoint: opts.checkpoint,
+        progress: opts.progress,
+        stop: AtomicBool::new(false),
+        error: Mutex::new(None),
+    };
+
+    // Replay checkpointed batches before any worker starts. Records the
+    // campaign's admission rule refuses are skipped (and counted): they
+    // belong to another schedule.
+    let by_key: HashMap<&UnitKey, usize> = items
+        .iter()
+        .enumerate()
+        .filter(|(_, item)| item.scope.is_none())
+        .map(|(i, item)| (&item.unit.key, i))
+        .collect();
+    for rec in &opts.preloaded {
+        let Some(&ii) = by_key.get(&rec.unit) else { continue };
+        if header.admit(rec).is_err() {
+            sh.metrics.record_refused();
+            continue;
+        }
+        let st = &sh.states[ii];
+        let mut p = st.progress.lock().unwrap();
+        if p.has_batch(rec.batch) {
+            continue;
+        }
+        sh.metrics.record_reused(&rec.counts);
+        sh.metrics.record_pruned(rec.pruned);
+        st.recorded.fetch_add(1, Ordering::Relaxed);
+        if p.insert(rec.batch, rec.outcome(), &st.rule) {
+            st.done.store(true, Ordering::Relaxed);
+            sh.metrics.record_unit_done();
+        }
+    }
+
+    if !opts.replay_only {
+        std::thread::scope(|scope| {
+            let workers = worker_threads(cfg.threads);
+            for w in 0..workers {
+                let sh = &sh;
+                scope.spawn(move || worker(w * items.len() / workers, sh));
+            }
+        });
+    }
+
+    let tallies = sh
+        .states
+        .iter()
+        .map(|st| {
+            let p = st.progress.lock().unwrap();
+            p.decided().map(|_| p.merged())
+        })
+        .collect();
+    let error = sh.error.lock().unwrap().clone();
+    Drained {
+        tallies,
+        metrics: sh.snapshot(),
+        interrupted: sh.stop.load(Ordering::Relaxed),
+        error,
     }
 }
 
@@ -419,150 +562,23 @@ pub fn run_units(
     cache: &GoldenCache,
     opts: RunOptions<'_>,
 ) -> CampaignReport {
-    assert!(cfg.batch_size > 0 && cfg.max_trials > 0, "empty schedule");
-    let max_batches = cfg.max_batches();
-    let metrics = Metrics::with_mode(cfg.exec.executor);
-    if units.is_empty() {
-        return CampaignReport {
-            units: Vec::new(),
-            pending: Vec::new(),
-            metrics: metrics.snapshot(0, 0, cache.stats()),
-            interrupted: false,
-            error: None,
-        };
-    }
+    let items: Vec<WorkItem<'_>> = units.iter().map(|unit| WorkItem { unit, scope: None }).collect();
+    let drained = run_items(&items, cfg, cache, Metrics::with_mode(cfg.exec.executor), opts);
 
-    let states: Vec<UnitState> = units
-        .iter()
-        .map(|_| UnitState {
-            cursor: AtomicU64::new(0),
-            done: AtomicBool::new(false),
-            recorded: AtomicU64::new(0),
-            progress: Mutex::new(UnitProgress::new(max_batches)),
-        })
-        .collect();
-
-    // Seeding order: identity normally; with static pruning, assembly
-    // units sort by descending mean vulnerable-bit density (statically
-    // flagged-dense programs first — the lint drives the sampler). IR
-    // units rank as fully vulnerable (no bit proofs at that layer). The
-    // bit tables computed here are cached, so the per-unit runners reuse
-    // them for the prune oracle itself.
-    let order: Vec<usize> = if cfg.static_prune {
-        let density: Vec<f64> = units
-            .iter()
-            .map(|u| match (&u.key.layer, u.program.as_ref()) {
-                (Layer::Asm, Some(p)) => {
-                    let table = cache.asm_bits(&u.module, p);
-                    metrics.record_bits_proven(table.proven_pairs);
-                    table.mean_vulnerable()
-                }
-                _ => 1.0,
-            })
-            .collect();
-        let mut order: Vec<usize> = (0..units.len()).collect();
-        order.sort_by(|&a, &b| {
-            density[b]
-                .partial_cmp(&density[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        order
-    } else {
-        (0..units.len()).collect()
-    };
-
-    let sh = Shared {
-        units,
-        states,
-        order,
-        cfg,
-        header: cfg.header(),
-        max_batches,
-        cache,
-        metrics,
-        checkpoint: opts.checkpoint,
-        progress: opts.progress,
-        stop: AtomicBool::new(false),
-        error: Mutex::new(None),
-    };
-
-    // Replay checkpointed batches before any worker starts.
-    let key_index: HashMap<&UnitKey, usize> = units.iter().enumerate().map(|(i, u)| (&u.key, i)).collect();
-    for rec in &opts.preloaded {
-        let Some(&ui) = key_index.get(&rec.unit) else { continue };
-        if rec.batch >= max_batches {
-            continue;
-        }
-        // Batches sampled under a different fault model belong to a
-        // different schedule; replaying them would conflate models.
-        if rec.fault_model != cfg.effective_model() {
-            continue;
-        }
-        // Same for prune provenance: outcome-identical, but a canonical
-        // log must not mix audited and unaudited trials (see checkpoint).
-        // Only assembly units carry a prune table — IR records are 0
-        // under both modes.
-        if rec.unit.layer == Layer::Asm && (rec.prune_table != 0) != cfg.static_prune {
-            continue;
-        }
-        let st = &sh.states[ui];
-        let mut p = st.progress.lock().unwrap();
-        if p.has_batch(rec.batch) {
-            continue;
-        }
-        sh.metrics.record_reused(&rec.counts);
-        if rec.pruned > 0 {
-            sh.metrics.record_pruned(rec.pruned);
-        }
-        st.recorded.fetch_add(1, Ordering::Relaxed);
-        if p.insert(rec.batch, BatchOutcome::from_record(rec), &sh.header) {
-            st.done.store(true, Ordering::Relaxed);
-            sh.metrics.record_unit_done();
-        }
-    }
-
-    if !opts.replay_only {
-        std::thread::scope(|scope| {
-            for w in 0..cfg.effective_threads() {
-                let sh = &sh;
-                scope.spawn(move || worker(w, sh));
-            }
-        });
-    }
-
-    // Merge: for each decided unit, fold batches 0..k in index order.
     let mut results = Vec::new();
     let mut pending = Vec::new();
-    for (ui, unit) in units.iter().enumerate() {
-        let p = sh.states[ui].progress.lock().unwrap();
-        let Some(k) = p.decided() else {
+    for (unit, tally) in units.iter().zip(drained.tallies) {
+        let Some(total) = tally else {
             pending.push(unit.key.clone());
             continue;
         };
-        let mut counts = OutcomeCounts::default();
-        let mut sdc_by_inst: HashMap<(FuncId, InstId), u64> = HashMap::new();
-        let mut sdc_insts = Vec::new();
-        let mut region_counts = Vec::new();
-        let mut pruned = 0;
-        for b in 0..k {
-            let data = p.batch(b).expect("decided prefix is complete");
-            counts.merge(&data.counts);
-            pruned += data.pruned;
-            for (loc, n) in &data.sdc_by_inst {
-                *sdc_by_inst.entry(*loc).or_insert(0) += n;
-            }
-            sdc_insts.extend_from_slice(&data.sdc_insts);
-            merge_region_counts(&mut region_counts, &data.region_counts);
-        }
-        let trials = (k * cfg.batch_size).min(cfg.max_trials);
-        let (golden_dyn_insts, golden_sites, golden_cycles) = match unit.key.layer {
-            Layer::Ir => {
+        let trials = total.counts.total();
+        let (golden_dyn_insts, golden_sites, golden_cycles) = match &unit.program {
+            None => {
                 let g = cache.ir_golden(&unit.module, &cfg.exec);
                 (g.dyn_insts, g.fault_sites, 0)
             }
-            Layer::Asm => {
-                let prog = unit.program.as_ref().expect("asm unit has a program");
+            Some(prog) => {
                 let g = cache.asm_golden(&unit.module, prog, &cfg.exec);
                 (g.dyn_insts, g.fault_sites, g.cycles)
             }
@@ -570,23 +586,26 @@ pub fn run_units(
         results.push(UnitResult {
             key: unit.key.clone(),
             trials,
-            counts,
-            sdc: Estimate::proportion(counts.sdc, trials),
+            counts: total.counts,
+            sdc: Estimate::proportion(total.counts.sdc, trials),
             stopped_early: trials < cfg.max_trials,
-            sdc_by_inst,
-            sdc_insts,
-            region_counts,
-            pruned,
+            sdc_by_inst: total.sdc_by_inst,
+            sdc_insts: total.sdc_insts,
+            region_counts: total.region_counts,
+            pruned: total.pruned,
             golden_dyn_insts,
             golden_sites,
             golden_cycles,
         });
     }
-
-    let interrupted = sh.stop.load(Ordering::Relaxed);
-    let metrics = sh.snapshot();
-    let error = sh.error.lock().unwrap().clone();
-    CampaignReport { units: results, pending, metrics, interrupted, error }
+    CampaignReport {
+        units: results,
+        pending,
+        // Re-sampled: the golden lookups above count as cache traffic.
+        metrics: drained.metrics.with_cache(cache.stats()),
+        interrupted: drained.interrupted,
+        error: drained.error,
+    }
 }
 
 #[cfg(test)]

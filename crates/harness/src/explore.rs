@@ -94,14 +94,6 @@ impl ExploreSpec {
         }
         sets
     }
-
-    fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        }
-    }
 }
 
 /// One evaluated configuration: a protection variant at a level, plus a
@@ -272,7 +264,7 @@ pub fn explore(spec: &ExploreSpec, cache: &GoldenCache) -> ExploreReport {
     let results: Vec<Mutex<Option<JobResult>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..spec.effective_threads().min(jobs.len().max(1)) {
+        for _ in 0..flowery_inject::campaign::worker_threads(spec.threads).min(jobs.len().max(1)) {
             scope.spawn(|| loop {
                 let j = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(&(ui, mi)) = jobs.get(j) else { return };

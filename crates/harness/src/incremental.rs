@@ -10,8 +10,9 @@
 //! 2. compares the partition against a baseline checkpoint's region
 //!    records ([`Baseline`]), classifying each region reused / re-run /
 //!    new;
-//! 3. re-executes trials *only* for changed regions, scoping each trial's
-//!    injection site to the region (`run_trial_model_scoped`) with a
+//! 3. re-executes trials *only* for changed regions: each becomes a
+//!    [`Scope`]d work item of the ordinary engine, its trials' injection
+//!    sites confined to the region (`run_trial_model_scoped`) with a
 //!    region-local seed stream, so the plan is a pure function of the
 //!    region content — independent of thread count and of what else
 //!    changed;
@@ -23,12 +24,12 @@
 
 use crate::cache::GoldenCache;
 use crate::checkpoint::{self, Header, RegionRecord};
-use crate::engine::{HarnessConfig, UnitResult};
+use crate::engine::{run_items, HarnessConfig, Progress, RunOptions, UnitResult, WorkItem};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::plan::{Layer, TrialUnit, UnitKey};
+use crate::progress::BatchOutcome;
 use flowery_backend::AsmLayer;
-use flowery_inject::campaign::TrialOutcome;
-use flowery_inject::{Outcome, OutcomeCounts};
+use flowery_inject::OutcomeCounts;
 use flowery_ir::fnv1a;
 use flowery_ir::interp::{Interpreter, IrLayer};
 use flowery_ir::value::FuncId;
@@ -36,22 +37,21 @@ use flowery_regions::{
     combine, compose_exact, compose_weighted, diff, Fate, RegionProfile, RegionSet, WeightedEstimate,
     REGION_SCHEMA_VERSION,
 };
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Salt folded into every region hash of one unit: the unit identity plus
 /// every campaign parameter that changes trial outcomes without changing
-/// the program text (fault model, detectors, double-bit switch, and the
-/// executor-visible memory geometry). Two configs never share profiles.
+/// the program text (fault model, detectors, and the executor-visible
+/// memory geometry). Two configs never share profiles.
 pub fn unit_salt(key: &UnitKey, cfg: &HarnessConfig) -> u64 {
-    let model = serde_json::to_string(&cfg.effective_model()).unwrap_or_default();
+    let model = serde_json::to_string(&cfg.fault_model).unwrap_or_default();
     let detectors = serde_json::to_string(&cfg.detectors).unwrap_or_default();
     let mut h = fnv1a(key.id().as_bytes());
     h = combine(h, fnv1a(model.as_bytes()));
     h = combine(h, fnv1a(detectors.as_bytes()));
-    h = combine(h, cfg.double_bit as u64);
+    h = combine(h, 0); // slot of a removed switch; keeps recorded region hashes valid
     h = combine(h, cfg.exec.mem_size);
     h = combine(h, cfg.exec.stack_size);
     h
@@ -107,61 +107,39 @@ pub fn region_records(
             continue;
         }
         let set = unit_region_set(unit, cache, cfg);
-        let mut profiles: Vec<RegionProfile> = Vec::new();
-        let mut push = |name: &str, hash: u64, site_mass: u64| {
-            let counts = res
-                .region_counts
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, c)| *c)
-                .unwrap_or_default();
-            let mut p = RegionProfile {
-                name: name.to_string(),
-                hash,
-                site_mass,
-                trials: counts.total(),
-                counts,
-                ..RegionProfile::default()
-            };
-            match unit.key.layer {
-                Layer::Ir => {
-                    // Restrict the unit's static SDC map to this region's
-                    // function.
-                    p.sdc_by_inst = res
-                        .sdc_by_inst
-                        .iter()
-                        .filter(|((f, _), _)| unit.module.func(*f).name == name)
-                        .map(|(loc, n)| (*loc, *n))
-                        .collect();
-                }
-                Layer::Asm => {
-                    let program = unit.program.as_ref().expect("asm unit has a program");
-                    let range = program.funcs.iter().find(|f| f.name == name).map(|f| f.entry..f.end);
-                    p.sdc_insts = res
-                        .sdc_insts
-                        .iter()
-                        .copied()
-                        .filter(|idx| match &range {
-                            Some(r) => r.contains(idx),
-                            // OTHER_REGION: indices outside every function.
-                            None => !program.funcs.iter().any(|f| (f.entry..f.end).contains(idx)),
-                        })
-                        .collect();
-                }
-            }
-            profiles.push(p);
-        };
-        for r in &set.regions {
-            push(&r.name, r.hash, r.site_mass);
-        }
         // Attribution buckets outside the partition (e.g. trials whose
         // fault never landed, collected under OTHER_REGION at the IR
         // layer) still need a profile so trials stay fully accounted.
-        for (name, _) in &res.region_counts {
-            if set.get(name).is_none() {
-                push(name, combine(fnv1a(name.as_bytes()), unit_salt(&unit.key, cfg)), 0);
-            }
-        }
+        let extra = res.region_counts.iter().filter(|(name, _)| set.get(name).is_none());
+        let extra = extra.map(|(name, _)| (name, combine(fnv1a(name.as_bytes()), unit_salt(&unit.key, cfg)), 0));
+        let parts = set.regions.iter().map(|r| (&r.name, r.hash, r.site_mass)).chain(extra);
+        // Each profile takes the region's tally plus the slice of the
+        // unit's static SDC maps that falls inside it (a unit fills only
+        // its own layer's map).
+        let mut profiles: Vec<RegionProfile> = parts
+            .map(|(name, hash, site_mass)| {
+                let counts = res
+                    .region_counts
+                    .iter()
+                    .find(|(n, _)| n == name)
+                    .map_or_else(Default::default, |(_, c)| *c);
+                let here = |loc: &(FuncId, _)| unit.module.func(loc.0).name == *name;
+                RegionProfile {
+                    name: name.clone(),
+                    hash,
+                    site_mass,
+                    trials: counts.total(),
+                    counts,
+                    sdc_by_inst: res
+                        .sdc_by_inst
+                        .iter()
+                        .filter(|(loc, _)| here(loc))
+                        .map(|(l, n)| (*l, *n))
+                        .collect(),
+                    sdc_insts: res.sdc_insts.iter().copied().filter(|&i| unit.inst_region(i) == name).collect(),
+                }
+            })
+            .collect();
         profiles.sort_by(|a, b| a.name.cmp(&b.name));
         records.push(RegionRecord {
             unit: res.key.clone(),
@@ -188,12 +166,7 @@ impl Baseline {
     /// field and both values — the checkpoint's and the requested one.
     pub fn load(path: &Path, requested: &Header) -> Result<Baseline, String> {
         let (header, _, regions) = checkpoint::load_full(path)?;
-        if let Some(why) = header.describe_mismatch(requested) {
-            return Err(format!(
-                "{}: baseline was written with different campaign parameters — {why}",
-                path.display()
-            ));
-        }
+        header.require(requested, path, "baseline")?;
         if header.region_schema != 0 && header.region_schema != REGION_SCHEMA_VERSION {
             return Err(format!(
                 "{}: region-schema: checkpoint has {}, this build wants {}",
@@ -241,16 +214,10 @@ pub struct DiffUnitReport {
 }
 
 impl DiffUnitReport {
+    /// How many regions were (reused, re-run, new).
     pub fn fate_counts(&self) -> (u64, u64, u64) {
-        let mut c = (0u64, 0u64, 0u64);
-        for r in &self.regions {
-            match r.fate {
-                Fate::Reused => c.0 += 1,
-                Fate::Rerun => c.1 += 1,
-                Fate::New => c.2 += 1,
-            }
-        }
-        c
+        let count = |fate| self.regions.iter().filter(|r| r.fate == fate).count() as u64;
+        (count(Fate::Reused), count(Fate::Rerun), count(Fate::New))
     }
 }
 
@@ -258,6 +225,9 @@ impl DiffUnitReport {
 pub struct DiffReport {
     pub units: Vec<DiffUnitReport>,
     pub metrics: MetricsSnapshot,
+    /// The progress callback stopped the run: some re-run regions are
+    /// incomplete, so [`DiffReport::records`] is no baseline.
+    pub interrupted: bool,
 }
 
 impl DiffReport {
@@ -285,120 +255,51 @@ fn planned_trials(cfg: &HarnessConfig, mass: u64, total_mass: u64) -> u64 {
     share.clamp(cfg.batch_size.min(cfg.max_trials), cfg.max_trials)
 }
 
-/// What a region task injects into: an IR function or a machine range.
-enum Scope {
-    IrFunc(FuncId),
-    AsmRange(u32, u32),
-    /// Region with no contiguous scope (machine-layer [`OTHER_REGION`]):
-    /// cannot be re-sampled; composes as untested.
-    None,
+/// What a region-scoped trial injects into.
+pub(crate) enum Target {
+    Ir(FuncId),
+    Asm(std::ops::Range<u32>),
 }
 
-/// Resolve a region name to its injection scope inside one unit.
-fn resolve_scope(unit: &TrialUnit, name: &str) -> Scope {
-    match unit.key.layer {
-        Layer::Ir => unit
-            .module
-            .functions
-            .iter()
-            .position(|f| f.name == name)
-            .map(|i| Scope::IrFunc(FuncId(i as u32)))
-            .unwrap_or(Scope::None),
-        Layer::Asm => {
-            let program = unit.program.as_ref().expect("asm unit has a program");
-            program
-                .funcs
-                .iter()
-                .find(|f| f.name == name)
-                .map(|f| Scope::AsmRange(f.entry, f.end))
-                .unwrap_or(Scope::None)
-        }
-    }
+/// Resolve a region name to its injection target inside one unit. `None`
+/// for a region with no contiguous scope (the machine-layer
+/// [`flowery_regions::OTHER_REGION`] bucket): it cannot be re-sampled and
+/// composes as untested.
+pub(crate) fn resolve_scope(unit: &TrialUnit, name: &str) -> Option<Target> {
+    let Some(program) = &unit.program else {
+        let i = unit.module.functions.iter().position(|f| f.name == name)?;
+        return Some(Target::Ir(FuncId(i as u32)));
+    };
+    let f = program.funcs.iter().find(|f| f.name == name)?;
+    Some(Target::Asm(f.entry..f.end))
 }
 
-/// One schedulable re-run: a slice of a region's trial budget. The
-/// execution order of tasks never changes results (each is a pure
-/// function of `(seed, trial index)`), so a distributed coordinator can
-/// lease slices of one task to different workers.
+/// A region-scoped re-run of `unit`: `trials` trials whose injection sites
+/// are drawn from the `mass` fault sites executed inside `region`, on a
+/// region-local seed stream (depends only on the campaign seed and the
+/// region name, never on what else changed). Every trial is a pure
+/// function of `(seed, trial index)`, so the engine's workers — or, since
+/// this is also the wire form of a scoped lease, a distributed
+/// coordinator's — may run its batches anywhere, in any order; each side
+/// resolves `region` to an injection target in its own build of the unit.
+/// Batches index `trials` in [`HarnessConfig::batch_size`] chunks.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Scope {
+    pub unit: UnitKey,
+    pub region: String,
+    pub trials: u64,
+    pub seed: u64,
+    pub mass: u64,
+}
+
+/// One schedulable re-run of a diff plan: which region report it fills,
+/// what to run, and how suspect the region is.
 #[derive(Debug, Clone)]
 pub struct DiffTask {
     pub unit_index: usize,
     pub region_index: usize,
-    pub region: String,
-    pub mass: u64,
-    pub trials: u64,
-    /// Region-local seed stream: depends only on the campaign seed and
-    /// the region name, never on what else changed.
-    pub seed: u64,
+    pub scope: Scope,
     pub priority: f64,
-}
-
-/// Partial result of [`run_region_task`]: outcome tallies plus static SDC
-/// maps for one contiguous range of a region's trial indices.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RegionTaskResult {
-    pub counts: OutcomeCounts,
-    pub sdc_by_inst: HashMap<(FuncId, flowery_ir::value::InstId), u64>,
-    pub sdc_insts: Vec<u32>,
-    pub ff_insts: u64,
-    pub exec_insts: u64,
-}
-
-/// Execute trial indices `range` of one region's scoped stream. Returns
-/// `None` when the region has no contiguous injection scope (the
-/// machine-layer [`flowery_regions::OTHER_REGION`] bucket) — such regions
-/// compose as untested. Workers and the local engine share this function,
-/// so a distributed diff is bit-identical to a local one.
-pub fn run_region_task(
-    unit: &TrialUnit,
-    cache: &GoldenCache,
-    cfg: &HarnessConfig,
-    region: &str,
-    seed: u64,
-    mass: u64,
-    range: std::ops::Range<u64>,
-) -> Option<RegionTaskResult> {
-    let model = cfg.effective_model();
-    Some(match resolve_scope(unit, region) {
-        Scope::IrFunc(fid) => {
-            let mut r = cache.runner::<IrLayer>(Interpreter::new(&unit.module), None, false, &cfg.exec);
-            tally_trials(range, |i| r.run_trial_model_scoped(seed, i, model, &cfg.detectors, fid, mass))
-        }
-        Scope::AsmRange(lo, hi) => {
-            let mut r = cache.runner::<AsmLayer>(unit.machine(), None, false, &cfg.exec);
-            tally_trials(range, |i| r.run_trial_model_scoped(seed, i, model, &cfg.detectors, lo..hi, mass))
-        }
-        Scope::None => return None,
-    })
-}
-
-fn tally_trials(range: std::ops::Range<u64>, mut run_trial: impl FnMut(u64) -> TrialOutcome) -> RegionTaskResult {
-    let mut out = RegionTaskResult::default();
-    for i in range {
-        let t = run_trial(i);
-        out.counts.record(t.outcome);
-        out.ff_insts += t.ff_insts;
-        out.exec_insts += t.exec_insts;
-        if t.outcome == Outcome::Sdc {
-            if let Some(loc) = t.injected_at {
-                *out.sdc_by_inst.entry(loc).or_insert(0) += 1;
-            }
-            out.sdc_insts.extend(t.injected_inst);
-        }
-    }
-    out
-}
-
-/// Fold one task slice into its region profile. Slices must be folded in
-/// trial-index order for the profile to be bit-identical to a single
-/// contiguous run (callers sort by batch index first).
-pub fn fold_task_result(profile: &mut RegionProfile, r: &RegionTaskResult) {
-    profile.counts.merge(&r.counts);
-    for (loc, n) in &r.sdc_by_inst {
-        *profile.sdc_by_inst.entry(*loc).or_insert(0) += n;
-    }
-    profile.sdc_insts.extend_from_slice(&r.sdc_insts);
-    profile.trials = profile.counts.total();
 }
 
 /// Plan an incremental campaign without executing anything: classify
@@ -412,6 +313,7 @@ pub fn plan_diff(
     cache: &GoldenCache,
     baseline: &Baseline,
     priorities: &HashMap<(String, String), f64>,
+    metrics: &Metrics,
 ) -> (Vec<DiffUnitReport>, Vec<DiffTask>) {
     let mut reports: Vec<DiffUnitReport> = Vec::new();
     let mut tasks: Vec<DiffTask> = Vec::new();
@@ -441,15 +343,18 @@ pub fn plan_diff(
                     });
                 }
                 fate => {
-                    let runnable = planned > 0 && !matches!(resolve_scope(unit, &d.region.name), Scope::None);
+                    let runnable = planned > 0 && resolve_scope(unit, &d.region.name).is_some();
                     if runnable {
                         tasks.push(DiffTask {
                             unit_index: ui,
                             region_index: regions.len(),
-                            region: d.region.name.clone(),
-                            mass: d.region.site_mass,
-                            trials: planned,
-                            seed: cfg.seed ^ fnv1a(d.region.name.as_bytes()),
+                            scope: Scope {
+                                unit: unit.key.clone(),
+                                region: d.region.name.clone(),
+                                trials: planned,
+                                seed: cfg.seed ^ fnv1a(d.region.name.as_bytes()),
+                                mass: d.region.site_mass,
+                            },
                             priority: *priorities.get(&(unit.key.id(), d.region.name.clone())).unwrap_or(&0.0),
                         });
                     }
@@ -467,6 +372,9 @@ pub fn plan_diff(
                 }
             }
         }
+        let reused = regions.iter().filter(|r| r.fate == Fate::Reused).count() as u64;
+        let rerun = regions.iter().filter(|r| r.fate == Fate::Rerun).count() as u64;
+        metrics.record_region_plan(regions.len() as u64, reused, rerun, trials_saved);
         reports.push(DiffUnitReport {
             key: unit.key.clone(),
             regions,
@@ -489,10 +397,24 @@ pub fn plan_diff(
     (reports, tasks)
 }
 
-/// Fill the composed estimate, pooled counts, and trials-run tally of
-/// every unit report from its (now final) region profiles.
-pub fn compose_units(reports: &mut [DiffUnitReport]) {
-    for rep in reports {
+/// Finish a planned diff: fold every task's tally (in `tasks` order;
+/// `None` = nothing ran) into its region profile, and compose each unit's
+/// estimate, pooled counts and trials-run total. Local and distributed
+/// diffs share this step, so they report alike.
+pub fn compose_diff(
+    mut reports: Vec<DiffUnitReport>,
+    tasks: &[DiffTask],
+    tallies: impl IntoIterator<Item = Option<BatchOutcome>>,
+) -> Vec<DiffUnitReport> {
+    for (task, tally) in tasks.iter().zip(tallies) {
+        let profile = &mut reports[task.unit_index].regions[task.region_index].profile;
+        let total = tally.unwrap_or_default();
+        profile.counts = total.counts;
+        profile.trials = total.counts.total();
+        profile.sdc_by_inst = total.sdc_by_inst;
+        profile.sdc_insts = total.sdc_insts;
+    }
+    for rep in &mut reports {
         let profiles: Vec<RegionProfile> = rep.regions.iter().map(|r| r.profile.clone()).collect();
         rep.composed = compose_weighted(&profiles);
         rep.counts = compose_exact(&profiles);
@@ -503,11 +425,13 @@ pub fn compose_units(reports: &mut [DiffUnitReport]) {
             .map(|r| r.profile.trials)
             .sum();
     }
+    reports
 }
 
 /// Run an incremental campaign: reuse baseline profiles for unchanged
-/// regions, re-execute changed/new regions with region-scoped trials, and
-/// compose. `priorities` (unit id, region name) → score orders re-run
+/// regions, re-execute changed/new regions as scoped items of the one
+/// engine (batch-level stealing, `progress` polled after every batch),
+/// and compose. `priorities` (unit id, region name) → score orders re-run
 /// execution most-suspect-first (see `flowery-analysis` statline priors);
 /// it never changes results, only scheduling.
 pub fn run_diff(
@@ -516,43 +440,20 @@ pub fn run_diff(
     cache: &GoldenCache,
     baseline: &Baseline,
     priorities: &HashMap<(String, String), f64>,
+    progress: Option<Progress<'_>>,
 ) -> DiffReport {
     let metrics = Metrics::with_mode(cfg.exec.executor);
-    let (mut reports, tasks) = plan_diff(units, cfg, cache, baseline, priorities);
-    for rep in &reports {
-        let (reused, rerun, _) = rep.fate_counts();
-        metrics.record_region_plan(rep.regions.len() as u64, reused, rerun, rep.trials_saved);
+    let (reports, tasks) = plan_diff(units, cfg, cache, baseline, priorities, &metrics);
+    let items: Vec<WorkItem<'_>> = tasks
+        .iter()
+        .map(|t| WorkItem { unit: &units[t.unit_index], scope: Some(&t.scope) })
+        .collect();
+    let drained = run_items(&items, cfg, cache, metrics, RunOptions { progress, ..Default::default() });
+    DiffReport {
+        units: compose_diff(reports, &tasks, drained.tallies),
+        metrics: drained.metrics,
+        interrupted: drained.interrupted,
     }
-
-    let threads = if cfg.threads > 0 {
-        cfg.threads
-    } else {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    };
-    let cursor = AtomicUsize::new(0);
-    let done: Mutex<Vec<(usize, usize, RegionTaskResult)>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(tasks.len().max(1)) {
-            scope.spawn(|| loop {
-                let t = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(task) = tasks.get(t) else { return };
-                let unit = &units[task.unit_index];
-                let Some(r) = run_region_task(unit, cache, cfg, &task.region, task.seed, task.mass, 0..task.trials)
-                else {
-                    continue;
-                };
-                metrics.record_batch(&r.counts, r.ff_insts, r.exec_insts, unit.engine(&cfg.exec, true));
-                done.lock().unwrap().push((task.unit_index, task.region_index, r));
-            });
-        }
-    });
-
-    for (ui, ri, r) in done.into_inner().unwrap() {
-        fold_task_result(&mut reports[ui].regions[ri].profile, &r);
-    }
-    compose_units(&mut reports);
-    let metrics = metrics.snapshot(units.len(), 0, cache.stats());
-    DiffReport { units: reports, metrics }
 }
 
 #[cfg(test)]
@@ -610,7 +511,7 @@ mod tests {
         let unit = ir_unit(SRC);
         let cfg = small_cfg();
         let cache = GoldenCache::new();
-        let report = run_diff(&[unit], &cfg, &cache, &empty_baseline(&cfg), &HashMap::new());
+        let report = run_diff(&[unit], &cfg, &cache, &empty_baseline(&cfg), &HashMap::new(), None);
         let u = &report.units[0];
         let (reused, rerun, new) = u.fate_counts();
         assert_eq!((reused, rerun), (0, 0));
@@ -629,7 +530,7 @@ mod tests {
         let cache = GoldenCache::new();
         // Baseline campaign over the original program.
         let base_units = [ir_unit(SRC)];
-        let base = run_diff(&base_units, &cfg, &cache, &empty_baseline(&cfg), &HashMap::new());
+        let base = run_diff(&base_units, &cfg, &cache, &empty_baseline(&cfg), &HashMap::new(), None);
         let baseline = Baseline {
             header: cfg.header(),
             regions: base.records().into_iter().map(|r| (r.unit.clone(), r)).collect(),
@@ -637,7 +538,7 @@ mod tests {
         };
         // Edit helper only.
         let edited = [ir_unit(&SRC.replace("x * 3 + 1", "x * 3 + 2"))];
-        let report = run_diff(&edited, &cfg, &cache, &baseline, &HashMap::new());
+        let report = run_diff(&edited, &cfg, &cache, &baseline, &HashMap::new(), None);
         let u = &report.units[0];
         let (reused, rerun, new) = u.fate_counts();
         assert_eq!((reused, rerun, new), (1, 1, 0), "only the edited function re-runs");
@@ -657,13 +558,13 @@ mod tests {
         let cfg = small_cfg();
         let cache = GoldenCache::new();
         let units = [asm_unit(SRC)];
-        let base = run_diff(&units, &cfg, &cache, &empty_baseline(&cfg), &HashMap::new());
+        let base = run_diff(&units, &cfg, &cache, &empty_baseline(&cfg), &HashMap::new(), None);
         let baseline = Baseline {
             header: cfg.header(),
             regions: base.records().into_iter().map(|r| (r.unit.clone(), r)).collect(),
             pre_region: false,
         };
-        let again = run_diff(&units, &cfg, &cache, &baseline, &HashMap::new());
+        let again = run_diff(&units, &cfg, &cache, &baseline, &HashMap::new(), None);
         let u = &again.units[0];
         assert_eq!(u.trials_run, 0, "nothing changed, nothing runs");
         assert!(u.regions.iter().all(|r| r.fate == Fate::Reused));
@@ -679,10 +580,37 @@ mod tests {
         one.threads = 1;
         let mut four = small_cfg();
         four.threads = 4;
-        let a = run_diff(&units, &one, &cache, &empty_baseline(&one), &HashMap::new());
-        let b = run_diff(&units, &four, &cache, &empty_baseline(&four), &HashMap::new());
+        let a = run_diff(&units, &one, &cache, &empty_baseline(&one), &HashMap::new(), None);
+        let b = run_diff(&units, &four, &cache, &empty_baseline(&four), &HashMap::new(), None);
         assert_eq!(a.units[0].regions, b.units[0].regions);
         assert_eq!(a.units[0].counts, b.units[0].counts);
+    }
+
+    #[test]
+    fn re_runs_are_ordinary_engine_items_with_progress_and_stop() {
+        use crate::engine::Control;
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let cfg = small_cfg();
+        let cache = GoldenCache::new();
+        let units = [ir_unit(SRC), asm_unit(SRC)];
+        // The callback sees every scoped batch, exactly like a campaign's...
+        let polls = AtomicU64::new(0);
+        let count = |snap: &MetricsSnapshot| {
+            polls.fetch_add(1, Ordering::Relaxed);
+            assert_eq!(snap.regions_total, 4, "the plan is accounted before the first batch");
+            Control::Continue
+        };
+        let full = run_diff(&units, &cfg, &cache, &empty_baseline(&cfg), &HashMap::new(), Some(&count));
+        assert!(!full.interrupted);
+        assert_eq!(polls.load(Ordering::Relaxed), full.metrics.batches);
+        let planned: u64 = full.units.iter().flat_map(|u| &u.regions).map(|r| r.planned_trials).sum();
+        assert_eq!(full.metrics.trials, planned, "every planned trial ran, batch by batch");
+        // ...and may stop it: in-flight batches finish, undecided regions
+        // stay empty, and the report says so instead of posing as a baseline.
+        let stop = |_: &MetricsSnapshot| Control::Stop;
+        let cut = run_diff(&units, &cfg, &cache, &empty_baseline(&cfg), &HashMap::new(), Some(&stop));
+        assert!(cut.interrupted);
+        assert!(cut.metrics.trials < planned);
     }
 
     #[test]

@@ -37,14 +37,17 @@ pub mod snapstore;
 
 pub use cache::{module_hash, program_hash, CacheStats, GoldenCache};
 pub use checkpoint::{
-    canonicalize, canonicalize_regions, compact, load as load_checkpoint, load_full as load_checkpoint_full,
-    write_canonical, write_canonical_full, BatchRecord, CheckpointLog, Header, RegionRecord,
+    canonicalize, canonicalize_regions, compact, load as load_checkpoint, load_full as load_checkpoint_full, open,
+    refused_note, seal, write_canonical, write_canonical_full, BatchRecord, CheckpointLog, Header, Refusal,
+    RegionRecord,
 };
-pub use engine::{run_units, CampaignReport, Control, HarnessConfig, RunOptions, UnitResult, UnitRunner};
+pub use engine::{
+    run_units, status_printer, CampaignReport, Control, HarnessConfig, Progress, RunOptions, UnitResult, UnitRunner,
+};
 pub use explore::{explore, render_table, DesignPoint, ExploreReport, ExploreSpec, ModelFrontier, WorkloadReport};
 pub use incremental::{
-    compose_units, fold_task_result, plan_diff, region_fingerprint, region_records, run_diff, run_region_task,
-    unit_region_set, unit_salt, Baseline, DiffReport, DiffTask, DiffUnitReport, RegionReport, RegionTaskResult,
+    compose_diff, plan_diff, region_fingerprint, region_records, run_diff, unit_region_set, unit_salt, Baseline,
+    DiffReport, DiffTask, DiffUnitReport, RegionReport, Scope,
 };
 pub use metrics::{DistStats, Metrics, MetricsSnapshot, WorkerStats};
 pub use plan::{build_matrix, matrix_fingerprint, Layer, MatrixSpec, TrialUnit, UnitKey, Variant};

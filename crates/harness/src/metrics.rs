@@ -1,141 +1,93 @@
-//! Live campaign metrics: lock-free counters updated by workers, sampled
-//! into [`MetricsSnapshot`]s for the progress callback and final report.
+//! Live campaign metrics: one tally updated by workers once per batch,
+//! sampled into [`MetricsSnapshot`]s for the progress callback and final
+//! report.
 
 use crate::cache::CacheStats;
 use flowery_backend::jit_stats;
 use flowery_inject::OutcomeCounts;
 use flowery_ir::interp::ExecMode;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
-/// Shared counters; one instance per engine run.
+/// Shared counters; one instance per engine run. The running tally is a
+/// [`MetricsSnapshot`] whose sampled fields (time, rates, cache and JIT
+/// provenance, schedule totals) are filled in by [`Metrics::snapshot`].
 pub struct Metrics {
     start: Instant,
-    /// Machine-layer engine the run is configured with (reported in
-    /// snapshots; the per-batch attribution below is what counts).
-    exec_mode: ExecMode,
-    benign: AtomicU64,
-    sdc: AtomicU64,
-    detected: AtomicU64,
-    due: AtomicU64,
-    batches: AtomicU64,
-    /// Batches satisfied from a checkpoint instead of being executed.
-    batches_reused: AtomicU64,
-    units_done: AtomicU64,
-    /// Golden-prefix instructions skipped by snapshot fast-forward.
-    ff_insts: AtomicU64,
-    /// Instructions actually executed by trials.
-    exec_insts: AtomicU64,
-    /// Subsets of `exec_insts` run by the threaded-code engine and by the
-    /// native JIT (assembly layer under `compiled` / `native`); the rest —
-    /// all IR-layer work included — ran on a decode-and-dispatch interpreter.
-    compiled_insts: AtomicU64,
-    native_insts: AtomicU64,
-    /// Region accounting from `flowery diff`: how many regions the
-    /// incremental plan saw, reused, and re-ran, and the trials the reuse
-    /// avoided. Zero for non-incremental campaigns.
-    regions_total: AtomicU64,
-    regions_reused: AtomicU64,
-    regions_rerun: AtomicU64,
-    region_trials_saved: AtomicU64,
-    /// Static-prune accounting: (site, bit) pairs the bit-lattice pass
-    /// proved masked across this run's units, and trials the prune layer
-    /// resolved without executing. Zero when `--static-prune` is off.
-    bits_proven_masked: AtomicU64,
-    bits_pruned_trials_saved: AtomicU64,
-}
-
-impl Default for Metrics {
-    fn default() -> Metrics {
-        Metrics {
-            start: Instant::now(),
-            exec_mode: ExecMode::default(),
-            benign: AtomicU64::new(0),
-            sdc: AtomicU64::new(0),
-            detected: AtomicU64::new(0),
-            due: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batches_reused: AtomicU64::new(0),
-            units_done: AtomicU64::new(0),
-            ff_insts: AtomicU64::new(0),
-            exec_insts: AtomicU64::new(0),
-            compiled_insts: AtomicU64::new(0),
-            native_insts: AtomicU64::new(0),
-            regions_total: AtomicU64::new(0),
-            regions_reused: AtomicU64::new(0),
-            regions_rerun: AtomicU64::new(0),
-            region_trials_saved: AtomicU64::new(0),
-            bits_proven_masked: AtomicU64::new(0),
-            bits_pruned_trials_saved: AtomicU64::new(0),
-        }
-    }
+    live: Mutex<MetricsSnapshot>,
 }
 
 impl Metrics {
-    pub fn new() -> Metrics {
-        Metrics::default()
-    }
-
     /// A counter set that reports `mode` as the configured machine-layer
-    /// engine.
+    /// engine (the per-batch attribution is what counts).
     pub fn with_mode(mode: ExecMode) -> Metrics {
-        Metrics { exec_mode: mode, ..Metrics::default() }
+        let live = MetricsSnapshot { exec_mode: mode.to_string(), ..MetricsSnapshot::default() };
+        Metrics { start: Instant::now(), live: Mutex::new(live) }
     }
 
-    fn record_counts(&self, counts: &OutcomeCounts) {
-        self.benign.fetch_add(counts.benign, Ordering::Relaxed);
-        self.sdc.fetch_add(counts.sdc, Ordering::Relaxed);
-        self.detected.fetch_add(counts.detected, Ordering::Relaxed);
-        self.due.fetch_add(counts.due, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
+    fn update(&self, f: impl FnOnce(&mut MetricsSnapshot)) {
+        f(&mut self.live.lock().unwrap());
     }
 
     /// An executed batch. `ff_insts`/`exec_insts` are its skipped/executed
     /// dynamic instruction totals; `engine` is the engine the unit's
     /// substrate ran them on (see `TrialUnit::engine`).
     pub fn record_batch(&self, counts: &OutcomeCounts, ff_insts: u64, exec_insts: u64, engine: ExecMode) {
-        self.record_counts(counts);
-        self.ff_insts.fetch_add(ff_insts, Ordering::Relaxed);
-        self.exec_insts.fetch_add(exec_insts, Ordering::Relaxed);
-        match engine {
-            ExecMode::Interp => {}
-            ExecMode::Compiled => _ = self.compiled_insts.fetch_add(exec_insts, Ordering::Relaxed),
-            ExecMode::Native => _ = self.native_insts.fetch_add(exec_insts, Ordering::Relaxed),
-        }
+        self.update(|m| {
+            m.counts.merge(counts);
+            m.batches += 1;
+            m.ff_insts += ff_insts;
+            m.exec_insts += exec_insts;
+            match engine {
+                ExecMode::Interp => m.interp_insts += exec_insts,
+                ExecMode::Compiled => m.compiled_insts += exec_insts,
+                ExecMode::Native => m.native_insts += exec_insts,
+            }
+        });
     }
 
     /// A batch satisfied from a checkpoint: its work happened in an
     /// earlier run, so it contributes outcomes but no instructions.
     pub fn record_reused(&self, counts: &OutcomeCounts) {
-        self.record_counts(counts);
-        self.batches_reused.fetch_add(1, Ordering::Relaxed);
+        self.update(|m| {
+            m.counts.merge(counts);
+            m.batches += 1;
+            m.batches_reused += 1;
+        });
+    }
+
+    /// A preloaded record `Header::admit` refused (skipped, not replayed).
+    pub fn record_refused(&self) {
+        self.update(|m| m.records_refused += 1);
     }
 
     pub fn record_unit_done(&self) {
-        self.units_done.fetch_add(1, Ordering::Relaxed);
+        self.update(|m| m.units_done += 1);
     }
 
     /// Account one unit's incremental plan: `reused`/`rerun` regions out
     /// of `total` (`total - reused - rerun` are new), and the trials the
     /// reused profiles made unnecessary.
     pub fn record_region_plan(&self, total: u64, reused: u64, rerun: u64, trials_saved: u64) {
-        self.regions_total.fetch_add(total, Ordering::Relaxed);
-        self.regions_reused.fetch_add(reused, Ordering::Relaxed);
-        self.regions_rerun.fetch_add(rerun, Ordering::Relaxed);
-        self.region_trials_saved.fetch_add(trials_saved, Ordering::Relaxed);
+        self.update(|m| {
+            m.regions_total += total;
+            m.regions_reused += reused;
+            m.regions_rerun += rerun;
+            m.region_trials_saved += trials_saved;
+        });
     }
 
     /// Account a unit's static prune table: how many (site, bit) pairs the
     /// bit-lattice pass proved masked.
     pub fn record_bits_proven(&self, pairs: u64) {
-        self.bits_proven_masked.fetch_add(pairs, Ordering::Relaxed);
+        self.update(|m| m.bits_proven_masked += pairs);
     }
 
     /// Account trials the prune layer resolved as provably-Benign without
     /// executing them.
     pub fn record_pruned(&self, trials: u64) {
-        self.bits_pruned_trials_saved.fetch_add(trials, Ordering::Relaxed);
+        self.update(|m| m.bits_pruned_trials_saved += trials);
     }
 
     /// Sample the counters. `units_total` and `remaining_trials` come from
@@ -143,66 +95,35 @@ impl Metrics {
     /// upper bound (adaptive stopping can cut it short); `cache` carries
     /// the golden/snapshot provenance counters.
     pub fn snapshot(&self, units_total: usize, remaining_trials: u64, cache: CacheStats) -> MetricsSnapshot {
-        let counts = OutcomeCounts {
-            benign: self.benign.load(Ordering::Relaxed),
-            sdc: self.sdc.load(Ordering::Relaxed),
-            detected: self.detected.load(Ordering::Relaxed),
-            due: self.due.load(Ordering::Relaxed),
-        };
+        let live = self.live.lock().unwrap().clone();
         let elapsed = self.start.elapsed().as_secs_f64();
-        let trials = counts.total();
+        let trials = live.counts.total();
         let rate = if elapsed > 0.0 { trials as f64 / elapsed } else { 0.0 };
-        let lookups = cache.hits + cache.misses;
-        let ff_insts = self.ff_insts.load(Ordering::Relaxed);
-        let exec_insts = self.exec_insts.load(Ordering::Relaxed);
-        let compiled_insts = self.compiled_insts.load(Ordering::Relaxed);
-        let native_insts = self.native_insts.load(Ordering::Relaxed);
-        let work = ff_insts + exec_insts;
+        let work = live.ff_insts + live.exec_insts;
         // Process-wide JIT counters; zero unless a native run compiled
         // (or failed to compile) a program.
         let js = jit_stats();
         MetricsSnapshot {
             elapsed_secs: elapsed,
             trials,
-            counts,
             trials_per_sec: rate,
-            batches: self.batches.load(Ordering::Relaxed),
-            batches_reused: self.batches_reused.load(Ordering::Relaxed),
-            units_done: self.units_done.load(Ordering::Relaxed),
             units_total: units_total as u64,
             remaining_trials,
             eta_secs: (rate > 0.0).then(|| remaining_trials as f64 / rate),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_hit_rate: if lookups == 0 { 0.0 } else { cache.hits as f64 / lookups as f64 },
-            goldens_run: cache.goldens_run,
-            snap_captures: cache.snap_captures,
-            snap_loads: cache.snap_loads,
-            snap_shared: cache.snap_shared,
-            ff_insts,
-            exec_insts,
-            ff_ratio: if work == 0 { 0.0 } else { ff_insts as f64 / work as f64 },
-            exec_mode: self.exec_mode.to_string(),
-            interp_insts: exec_insts - compiled_insts - native_insts,
-            compiled_insts,
-            native_insts,
-            regions_total: self.regions_total.load(Ordering::Relaxed),
-            regions_reused: self.regions_reused.load(Ordering::Relaxed),
-            regions_rerun: self.regions_rerun.load(Ordering::Relaxed),
-            region_trials_saved: self.region_trials_saved.load(Ordering::Relaxed),
-            bits_proven_masked: self.bits_proven_masked.load(Ordering::Relaxed),
-            bits_pruned_trials_saved: self.bits_pruned_trials_saved.load(Ordering::Relaxed),
+            ff_ratio: if work == 0 { 0.0 } else { live.ff_insts as f64 / work as f64 },
             jit_programs: js.programs,
             jit_compile_ms: js.compile_ms,
             jit_code_bytes: js.code_bytes,
             jit_fallbacks: js.fallbacks,
             jit_fallback_reasons: js.fallback_reasons,
+            ..live
         }
+        .with_cache(cache)
     }
 }
 
 /// A point-in-time view of campaign progress.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     pub elapsed_secs: f64,
     /// Trials counted so far (executed + reused from checkpoints).
@@ -211,6 +132,10 @@ pub struct MetricsSnapshot {
     pub trials_per_sec: f64,
     pub batches: u64,
     pub batches_reused: u64,
+    /// Checkpoint records refused at preload (foreign fault model, foreign
+    /// prune provenance, or out of schedule) and therefore re-executed.
+    #[serde(default)]
+    pub records_refused: u64,
     pub units_done: u64,
     pub units_total: u64,
     /// Upper bound on trials still scheduled.
@@ -295,6 +220,21 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// Re-stamp the golden/snapshot provenance counters from `cache`, for
+    /// lookups made after the counters were sampled.
+    pub fn with_cache(self, cache: CacheStats) -> MetricsSnapshot {
+        MetricsSnapshot {
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_hit_rate: cache.hit_rate(),
+            goldens_run: cache.goldens_run,
+            snap_captures: cache.snap_captures,
+            snap_loads: cache.snap_loads,
+            snap_shared: cache.snap_shared,
+            ..self
+        }
+    }
+
     /// One-line human rendering for progress displays.
     pub fn render(&self) -> String {
         let eta = match self.eta_secs {
@@ -486,7 +426,7 @@ mod tests {
 
     #[test]
     fn region_counters_render_only_when_incremental() {
-        let m = Metrics::new();
+        let m = Metrics::with_mode(ExecMode::default());
         let s = m.snapshot(1, 0, CacheStats::default());
         assert_eq!(s.regions_total, 0);
         assert!(!s.render().contains("regions"), "plain campaigns hide region counters");
@@ -502,7 +442,7 @@ mod tests {
 
     #[test]
     fn prune_counters_render_only_when_pruning() {
-        let m = Metrics::new();
+        let m = Metrics::with_mode(ExecMode::default());
         let s = m.snapshot(1, 0, CacheStats::default());
         assert_eq!(s.bits_proven_masked, 0);
         assert!(!s.render().contains("prune"), "unpruned campaigns hide prune counters");
@@ -518,7 +458,7 @@ mod tests {
     fn jit_counters_render_only_when_native_compiled() {
         // jit_stats() is process-wide, so drive the render path off a
         // hand-built snapshot rather than racing other tests' compiles.
-        let m = Metrics::new();
+        let m = Metrics::with_mode(ExecMode::default());
         let mut s = m.snapshot(1, 0, CacheStats::default());
         s.jit_programs = 0;
         s.jit_fallbacks = 0;
@@ -560,7 +500,7 @@ mod tests {
         assert!(line.contains("workers 2"), "{line}");
         assert!(line.contains("w1 12b ff 75%"), "{line}");
         assert!(line.contains("w2 0b ff 0% gone"), "{line}");
-        let m = Metrics::new();
+        let m = Metrics::with_mode(ExecMode::default());
         assert!(m.snapshot(1, 0, CacheStats::default()).render_dist(&d).contains("| workers 2"));
     }
 }

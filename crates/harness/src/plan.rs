@@ -120,6 +120,14 @@ impl TrialUnit {
         Some(Machine::new(self.raw.as_deref()?, self.raw_program.as_deref()?))
     }
 
+    /// The region (function) holding machine instruction `idx` of this
+    /// assembly unit; `OTHER_REGION` for an index outside every function.
+    pub(crate) fn inst_region(&self, idx: u32) -> &str {
+        let program = self.program.as_ref().expect("asm unit has a program");
+        let func = program.funcs.iter().find(|f| (f.entry..f.end).contains(&idx));
+        func.map_or(flowery_regions::OTHER_REGION, |f| f.name.as_str())
+    }
+
     /// The engine this unit's trials execute on under `exec` — what the
     /// unit's substrate actually runs, for instruction attribution.
     pub fn engine(&self, exec: &ExecConfig, scoped: bool) -> ExecMode {

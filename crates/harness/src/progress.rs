@@ -9,84 +9,11 @@
 //! of batch contents — never of completion order, thread count, or which
 //! worker executed what.
 
-use crate::checkpoint::{BatchRecord, Header};
-use crate::plan::UnitKey;
-use flowery_faultmodel::ModelSpec;
+use crate::checkpoint::Header;
 use flowery_inject::stats::wilson_half_width;
 use flowery_inject::OutcomeCounts;
-use flowery_ir::value::{FuncId, InstId};
-use std::collections::HashMap;
 
-/// Everything one executed batch contributes to its unit's tally.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BatchOutcome {
-    pub counts: OutcomeCounts,
-    /// IR layer: SDC attributions by static instruction.
-    pub sdc_by_inst: HashMap<(FuncId, InstId), u64>,
-    /// Assembly layer: program indices of SDC injections, in trial order.
-    pub sdc_insts: Vec<u32>,
-    /// Per-region outcome tallies, keyed by region (function) name and
-    /// sorted by it — see `flowery-regions`.
-    pub region_counts: Vec<(String, OutcomeCounts)>,
-    /// Golden-prefix instructions skipped by snapshot fast-forward.
-    /// Metrics-only: not checkpointed (replayed batches report 0).
-    pub ff_insts: u64,
-    /// Instructions actually executed.
-    pub exec_insts: u64,
-    /// Trials resolved virtually by the static prune (proven-masked
-    /// (site, bit) pair → Benign without execution). Checkpointed: the
-    /// saved work is part of the run's provenance, not a transient metric.
-    pub pruned: u64,
-    /// Fingerprint of the bit-verdict table the batch was pruned against;
-    /// 0 when the unit ran unpruned.
-    pub prune_table: u64,
-}
-
-impl BatchOutcome {
-    /// The checkpoint record for this batch (drops the metrics-only
-    /// instruction counters, which are not part of the result). The fault
-    /// model is stamped on the record so logs never conflate trials
-    /// sampled from different models.
-    pub fn to_record(&self, unit: UnitKey, batch: u64, fault_model: ModelSpec) -> BatchRecord {
-        BatchRecord {
-            unit,
-            batch,
-            counts: self.counts,
-            sdc_by_inst: self.sdc_by_inst.clone(),
-            sdc_insts: self.sdc_insts.clone(),
-            fault_model,
-            region_counts: self.region_counts.clone(),
-            prune_table: self.prune_table,
-            pruned: self.pruned,
-        }
-    }
-
-    /// Rebuild the outcome of a checkpointed batch (instruction counters
-    /// come back as 0: the work happened in an earlier run).
-    pub fn from_record(rec: &BatchRecord) -> BatchOutcome {
-        BatchOutcome {
-            counts: rec.counts,
-            sdc_by_inst: rec.sdc_by_inst.clone(),
-            sdc_insts: rec.sdc_insts.clone(),
-            region_counts: rec.region_counts.clone(),
-            ff_insts: 0,
-            exec_insts: 0,
-            pruned: rec.pruned,
-            prune_table: rec.prune_table,
-        }
-    }
-}
-
-/// Fold one sorted name→counts list into another, keeping the result
-/// sorted by name. Used everywhere per-region tallies accumulate.
-pub fn merge_region_counts(into: &mut Vec<(String, OutcomeCounts)>, from: &[(String, OutcomeCounts)]) {
-    for (name, counts) in from {
-        match into.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-            Ok(i) => into[i].1.merge(counts),
-            Err(i) => into.insert(i, (name.clone(), *counts)),
-        }
-    }
-}
+pub use flowery_inject::BatchOutcome;
 
 /// Completed batches of one unit plus the adaptive stopping decision.
 pub struct UnitProgress {
@@ -154,22 +81,23 @@ impl UnitProgress {
         self.batches.get(b as usize).and_then(|s| s.as_ref())
     }
 
-    /// Schedule length in batches.
-    pub fn max_batches(&self) -> u64 {
-        self.batches.len() as u64
-    }
-
-    /// Batches recorded so far (not necessarily contiguous).
-    pub fn recorded(&self) -> u64 {
-        self.batches.iter().filter(|s| s.is_some()).count() as u64
+    /// The decided prefix folded into one tally in batch-index order — or,
+    /// while the unit is undecided, whatever contiguous prefix has landed.
+    pub fn merged(&self) -> BatchOutcome {
+        let mut total = BatchOutcome::default();
+        for done in self.batches[..self.decided.unwrap_or(self.prefix) as usize].iter().flatten() {
+            total.merge(done);
+        }
+        total
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::{MAGIC, VERSION};
-    use crate::plan::{Layer, Variant};
+    use crate::checkpoint::{BatchRecord, MAGIC, VERSION};
+    use crate::plan::{Layer, UnitKey, Variant};
+    use flowery_faultmodel::ModelSpec;
 
     fn rule(batch_size: u64, max_trials: u64, min_trials: u64, ci_target: Option<f64>) -> Header {
         Header {
@@ -202,7 +130,7 @@ mod tests {
         let mut p = UnitProgress::new(4);
         assert!(!p.insert(0, quiet(10), &r));
         assert!(!p.insert(0, quiet(10), &r), "re-inserting must not re-count");
-        assert_eq!(p.recorded(), 1);
+        assert!(p.has_batch(0) && !p.has_batch(1));
         assert!(!p.insert(1, quiet(10), &r));
         assert!(!p.insert(2, quiet(10), &r));
         assert!(p.insert(3, quiet(10), &r));
@@ -221,31 +149,15 @@ mod tests {
             ..Default::default()
         };
         let key = UnitKey::new("b", Variant::Raw, 0.0, Layer::Asm);
-        let rec = out.to_record(key.clone(), 7, ModelSpec::MemCell);
+        let rec = BatchRecord::new(key.clone(), 7, ModelSpec::MemCell, &out);
         assert_eq!(rec.unit, key);
         assert_eq!(rec.batch, 7);
         assert_eq!(rec.fault_model, ModelSpec::MemCell);
-        let back = BatchOutcome::from_record(&rec);
+        let back = rec.outcome();
         assert_eq!(back.counts, out.counts);
         assert_eq!(back.sdc_insts, out.sdc_insts);
         assert_eq!(back.ff_insts, 0, "metrics counters are not checkpointed");
         assert_eq!(back.pruned, 3, "prune provenance survives the roundtrip");
         assert_eq!(back.prune_table, 0xfeed);
-    }
-
-    #[test]
-    fn merge_region_counts_keeps_sorted_order() {
-        let mut acc = vec![("b".to_string(), OutcomeCounts { sdc: 1, ..Default::default() })];
-        merge_region_counts(
-            &mut acc,
-            &[
-                ("a".to_string(), OutcomeCounts { benign: 2, ..Default::default() }),
-                ("b".to_string(), OutcomeCounts { sdc: 3, ..Default::default() }),
-                ("c".to_string(), OutcomeCounts { due: 1, ..Default::default() }),
-            ],
-        );
-        let names: Vec<&str> = acc.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["a", "b", "c"]);
-        assert_eq!(acc[1].1.sdc, 4);
     }
 }

@@ -32,11 +32,6 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Worker threads (0 = use all available cores).
     pub threads: usize,
-    /// Inject two bit flips per fault instead of one (the emerging
-    /// multi-bit model the paper cites in §2.2; default off = the standard
-    /// single-bit datapath model). Legacy switch: shorthand for
-    /// `fault_model: double-bit-reg`, kept for config compatibility.
-    pub double_bit: bool,
     /// The fault model to sample trials from. Defaults to
     /// [`ModelSpec::SingleBitReg`], the classic single-bit register flip.
     #[serde(default)]
@@ -64,7 +59,6 @@ impl Default for CampaignConfig {
             trials: 3000,
             seed: 0x0F10_EE41,
             threads: 0,
-            double_bit: false,
             fault_model: ModelSpec::SingleBitReg,
             detectors: Vec::new(),
             snapshots: true,
@@ -78,23 +72,13 @@ impl CampaignConfig {
     pub fn with_trials(trials: u64) -> CampaignConfig {
         CampaignConfig { trials, ..Default::default() }
     }
+}
 
-    /// The model trials are sampled from, resolving the legacy
-    /// `double_bit` switch against the explicit `fault_model` field.
-    pub fn effective_model(&self) -> ModelSpec {
-        if self.double_bit && self.fault_model == ModelSpec::SingleBitReg {
-            ModelSpec::DoubleBitReg
-        } else {
-            self.fault_model
-        }
-    }
-
-    fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        }
+/// Resolve a `threads` knob: 0 means all available cores.
+pub fn worker_threads(threads: usize) -> usize {
+    match threads {
+        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        n => n,
     }
 }
 
@@ -136,26 +120,17 @@ pub struct AsmCampaign {
     pub exec_insts: u64,
 }
 
-/// Resolve the legacy `double_bit` switch to a model.
-fn legacy_model(double_bit: bool) -> ModelSpec {
-    if double_bit {
-        ModelSpec::DoubleBitReg
-    } else {
-        ModelSpec::SingleBitReg
-    }
-}
-
-/// The fault injected by IR-level trial `trial_index` — a pure function of
-/// `(seed, trial_index)`. Legacy entry point for the single/double-bit
-/// register models; arbitrary models go through
+/// The single-bit register fault injected by IR-level trial `trial_index`
+/// — a pure function of `(seed, trial_index)`. Other models go through
 /// [`ModelSpec::sample_ir`](flowery_faultmodel::ModelSpec::sample_ir).
-pub fn ir_fault_spec(seed: u64, trial_index: u64, sites: u64, double_bit: bool) -> FaultSpec {
-    legacy_model(double_bit).sample_ir(seed, trial_index, sites)
+pub fn ir_fault_spec(seed: u64, trial_index: u64, sites: u64) -> FaultSpec {
+    ModelSpec::SingleBitReg.sample_ir(seed, trial_index, sites)
 }
 
-/// The fault injected by assembly-level trial `trial_index`.
-pub fn asm_fault_spec(seed: u64, trial_index: u64, sites: u64, double_bit: bool) -> AsmFaultSpec {
-    legacy_model(double_bit).sample_asm(seed, trial_index, sites)
+/// The single-bit register fault injected by assembly-level trial
+/// `trial_index`.
+pub fn asm_fault_spec(seed: u64, trial_index: u64, sites: u64) -> AsmFaultSpec {
+    ModelSpec::SingleBitReg.sample_asm(seed, trial_index, sites)
 }
 
 /// Outcome of one trial, at either layer.
@@ -173,7 +148,6 @@ pub struct TrialOutcome {
     pub exec_insts: u64,
 }
 
-pub type IrTrialOutcome = TrialOutcome;
 pub type AsmTrialOutcome = TrialOutcome;
 
 /// What trial running needs from a layer on top of its [`Substrate`]: how a
@@ -369,9 +343,9 @@ impl<'a, S: InjectLayer> TrialRunner<'a, S> {
     }
 
     /// Execute trial `trial_index` of the campaign identified by `seed`,
-    /// under the legacy single/double-bit model with no detectors.
-    pub fn run_trial(&mut self, seed: u64, trial_index: u64, double_bit: bool) -> TrialOutcome {
-        self.run_trial_model(seed, trial_index, legacy_model(double_bit), &[])
+    /// under the single-bit register model with no detectors.
+    pub fn run_trial(&mut self, seed: u64, trial_index: u64) -> TrialOutcome {
+        self.run_trial_model(seed, trial_index, ModelSpec::SingleBitReg, &[])
     }
 
     /// Execute trial `trial_index` under an arbitrary fault model, with a
@@ -423,17 +397,90 @@ impl<'a, S: InjectLayer> TrialRunner<'a, S> {
     }
 }
 
-/// Run one campaign at layer `S`: the golden result plus every trial's
-/// outcome, in trial order (so aggregates are deterministic); `bind` makes
-/// each worker's executor. A single execution under `capture_cfg` provides
-/// the golden result and the snapshot set (and, when that config profiles,
-/// the golden profile): the capture run *is* the golden run, so enabling
-/// snapshots or profiling never adds a second pass.
+/// Everything a run of trials contributes to its unit's tally — one
+/// scheduling batch in the harness, one whole campaign here. The single
+/// fold every entry point shares: trials enter through
+/// [`record`](BatchOutcome::record), batches through
+/// [`merge`](BatchOutcome::merge).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct BatchOutcome {
+    pub counts: OutcomeCounts,
+    /// IR layer: SDC attributions by static instruction.
+    pub sdc_by_inst: HashMap<(FuncId, InstId), u64>,
+    /// Assembly layer: program indices of SDC injections, in trial order.
+    pub sdc_insts: Vec<u32>,
+    /// Per-region outcome tallies, keyed by region (function) name and
+    /// sorted by it — see `flowery-regions`.
+    pub region_counts: Vec<(String, OutcomeCounts)>,
+    /// Golden-prefix instructions skipped by snapshot fast-forward.
+    /// Metrics-only: not checkpointed (replayed batches report 0).
+    pub ff_insts: u64,
+    /// Instructions actually executed.
+    pub exec_insts: u64,
+    /// Trials resolved virtually by the static prune (proven-masked
+    /// (site, bit) pair → Benign without execution). Checkpointed: the
+    /// saved work is part of the run's provenance, not a transient metric.
+    pub pruned: u64,
+    /// Fingerprint of the bit-verdict table the batch was pruned against;
+    /// 0 when the unit ran unpruned.
+    pub prune_table: u64,
+}
+
+impl BatchOutcome {
+    /// Tally one trial. `region` names the region (function) holding its
+    /// injection site for the per-region split; `None` keeps no split.
+    pub fn record(&mut self, t: &TrialOutcome, region: Option<&str>) {
+        self.counts.record(t.outcome);
+        self.ff_insts += t.ff_insts;
+        self.exec_insts += t.exec_insts;
+        if let Some(name) = region {
+            region_slot(&mut self.region_counts, name).record(t.outcome);
+        }
+        if t.outcome == Outcome::Sdc {
+            if let Some(loc) = t.injected_at {
+                *self.sdc_by_inst.entry(loc).or_insert(0) += 1;
+            }
+            self.sdc_insts.extend(t.injected_inst);
+        }
+    }
+
+    /// Fold `later` in. Merging in trial-index order keeps `sdc_insts` in
+    /// trial order, so the total is bit-identical to one contiguous run.
+    pub fn merge(&mut self, later: &BatchOutcome) {
+        self.counts.merge(&later.counts);
+        for (loc, n) in &later.sdc_by_inst {
+            *self.sdc_by_inst.entry(*loc).or_insert(0) += n;
+        }
+        self.sdc_insts.extend_from_slice(&later.sdc_insts);
+        for (name, counts) in &later.region_counts {
+            region_slot(&mut self.region_counts, name).merge(counts);
+        }
+        self.ff_insts += later.ff_insts;
+        self.exec_insts += later.exec_insts;
+        self.pruned += later.pruned;
+    }
+}
+
+/// The tally of region `name` in a name-sorted list, inserted on first use.
+fn region_slot<'a>(list: &'a mut Vec<(String, OutcomeCounts)>, name: &str) -> &'a mut OutcomeCounts {
+    let i = list.binary_search_by(|(n, _)| n.as_str().cmp(name)).unwrap_or_else(|i| {
+        list.insert(i, (name.to_string(), OutcomeCounts::default()));
+        i
+    });
+    &mut list[i].1
+}
+
+/// Run one campaign at layer `S`: the golden result plus the tally of every
+/// trial, folded in trial order (so aggregates are deterministic); `bind`
+/// makes each worker's executor. A single execution under `capture_cfg`
+/// provides the golden result and the snapshot set (and, when that config
+/// profiles, the golden profile): the capture run *is* the golden run, so
+/// enabling snapshots or profiling never adds a second pass.
 fn run_campaign<'a, S: InjectLayer>(
     bind: impl Fn() -> S::Exec<'a> + Sync,
     cfg: &CampaignConfig,
     capture_cfg: &ExecConfig,
-) -> (S::Golden, Vec<TrialOutcome>)
+) -> (S::Golden, BatchOutcome)
 where
     S::Golden: Send + Sync,
     SnapshotSet<S>: Send + Sync,
@@ -449,10 +496,9 @@ where
     // idle.
     const CHUNK: u64 = 32;
     let cursor = AtomicU64::new(0);
-    let results = std::sync::Mutex::new(Vec::with_capacity(cfg.trials as usize));
-    let model = cfg.effective_model();
+    let chunks = std::sync::Mutex::new(Vec::new());
     std::thread::scope(|scope| {
-        for _ in 0..cfg.effective_threads().max(1) {
+        for _ in 0..worker_threads(cfg.threads) {
             scope.spawn(|| {
                 let mut local = TrialRunner::<S>::from_golden(bind(), golden.clone(), &cfg.exec);
                 if let Some(set) = &snaps {
@@ -463,63 +509,50 @@ where
                     if start >= cfg.trials {
                         return;
                     }
-                    let chunk: Vec<(u64, TrialOutcome)> = (start..(start + CHUNK).min(cfg.trials))
-                        .map(|i| (i, local.run_trial_model(cfg.seed, i, model, &cfg.detectors)))
-                        .collect();
-                    results.lock().unwrap().extend(chunk);
+                    let mut chunk = BatchOutcome::default();
+                    for i in start..(start + CHUNK).min(cfg.trials) {
+                        chunk.record(&local.run_trial_model(cfg.seed, i, cfg.fault_model, &cfg.detectors), None);
+                    }
+                    chunks.lock().unwrap().push((start, chunk));
                 }
             });
         }
     });
-    let mut results = results.into_inner().unwrap();
-    results.sort_unstable_by_key(|(i, _)| *i);
-    (golden, results.into_iter().map(|(_, t)| t).collect())
-}
-
-/// Outcome counts plus the skipped / executed instruction totals.
-fn totals(trials: &[TrialOutcome]) -> (OutcomeCounts, u64, u64) {
-    let mut counts = OutcomeCounts::default();
-    for t in trials {
-        counts.record(t.outcome);
+    let mut chunks = chunks.into_inner().unwrap();
+    chunks.sort_unstable_by_key(|(start, _)| *start);
+    let mut total = BatchOutcome::default();
+    for (_, chunk) in &chunks {
+        total.merge(chunk);
     }
-    (counts, trials.iter().map(|t| t.ff_insts).sum(), trials.iter().map(|t| t.exec_insts).sum())
+    (golden, total)
 }
 
 /// Run an IR-level ("LLVM level") campaign.
 pub fn run_ir_campaign(m: &Module, cfg: &CampaignConfig) -> IrCampaign {
     let capture_cfg = ExecConfig { profile: cfg.golden_profile, ..cfg.exec.clone() };
-    let (mut golden, trials) = run_campaign::<IrLayer>(|| Interpreter::new(m), cfg, &capture_cfg);
-    let (counts, ff_insts, exec_insts) = totals(&trials);
-    let mut sdc_by_inst: HashMap<(FuncId, InstId), u64> = HashMap::new();
-    for t in trials.iter().filter(|t| t.outcome == Outcome::Sdc) {
-        if let Some(loc) = t.injected_at {
-            *sdc_by_inst.entry(loc).or_insert(0) += 1;
-        }
-    }
+    let (mut golden, total) = run_campaign::<IrLayer>(|| Interpreter::new(m), cfg, &capture_cfg);
     IrCampaign {
-        counts,
-        sdc_by_inst,
+        counts: total.counts,
+        sdc_by_inst: total.sdc_by_inst,
         golden_dyn_insts: golden.dyn_insts,
         golden_sites: golden.fault_sites,
-        ff_insts,
-        exec_insts,
+        ff_insts: total.ff_insts,
+        exec_insts: total.exec_insts,
         golden_profile: golden.profile.take(),
     }
 }
 
 /// Run an assembly-level campaign on a compiled program.
 pub fn run_asm_campaign(m: &Module, program: &AsmProgram, cfg: &CampaignConfig) -> AsmCampaign {
-    let (golden, trials) = run_campaign::<AsmLayer>(|| Machine::new(m, program), cfg, &cfg.exec);
-    let (counts, ff_insts, exec_insts) = totals(&trials);
-    let sdc = trials.iter().filter(|t| t.outcome == Outcome::Sdc);
+    let (golden, total) = run_campaign::<AsmLayer>(|| Machine::new(m, program), cfg, &cfg.exec);
     AsmCampaign {
-        counts,
-        sdc_insts: sdc.filter_map(|t| t.injected_inst).collect(),
+        counts: total.counts,
+        sdc_insts: total.sdc_insts,
         golden_dyn_insts: golden.dyn_insts,
         golden_sites: golden.fault_sites,
         golden_cycles: golden.cycles,
-        ff_insts,
-        exec_insts,
+        ff_insts: total.ff_insts,
+        exec_insts: total.exec_insts,
     }
 }
 
@@ -537,17 +570,58 @@ mod tests {
     #[test]
     fn fault_specs_are_pure_functions_of_seed_and_index() {
         for trial in [0u64, 1, 7, 2999] {
-            let a = ir_fault_spec(42, trial, 100, false);
-            let b = ir_fault_spec(42, trial, 100, false);
+            let a = ir_fault_spec(42, trial, 100);
+            let b = ir_fault_spec(42, trial, 100);
             assert_eq!(a, b);
             assert!(a.site_index < 100 && a.bit < 64 && a.second_bit.is_none());
-            let d = ir_fault_spec(42, trial, 100, true);
+            let d = ModelSpec::DoubleBitReg.sample_ir(42, trial, 100);
             assert!(d.second_bit.is_some());
         }
         // The layers draw from distinct streams.
-        let ir = ir_fault_spec(42, 0, 1000, false);
-        let asm = asm_fault_spec(42, 0, 1000, false);
+        let ir = ir_fault_spec(42, 0, 1000);
+        let asm = asm_fault_spec(42, 0, 1000);
         assert!(ir.site_index != asm.site_index || ir.bit != asm.bit);
+    }
+
+    #[test]
+    fn batch_outcome_record_and_merge_are_one_fold() {
+        // Folding trials one by one, or batch by batch in trial order, is
+        // the same tally: region lists stay name-sorted, SDC attributions
+        // keep trial order, and only SDC trials are attributed.
+        let trial = |outcome, inst: u32| TrialOutcome {
+            outcome,
+            injected_at: Some((FuncId(0), InstId(inst))),
+            injected_inst: Some(inst),
+            ff_insts: 10,
+            exec_insts: 5,
+        };
+        let trials = [
+            (trial(Outcome::Sdc, 7), "main"),
+            (trial(Outcome::Benign, 1), "helper"),
+            (trial(Outcome::Sdc, 3), "helper"),
+            (trial(Outcome::Due, 9), "aux"),
+            (trial(Outcome::Sdc, 7), "main"),
+        ];
+        let mut whole = BatchOutcome::default();
+        let (mut first, mut second) = (BatchOutcome::default(), BatchOutcome::default());
+        for (i, (t, region)) in trials.iter().enumerate() {
+            whole.record(t, Some(region));
+            if i < 2 { &mut first } else { &mut second }.record(t, Some(region));
+        }
+        second.pruned = 2;
+        first.merge(&second);
+        whole.pruned = 2;
+        assert_eq!(first, whole);
+        assert_eq!(whole.counts, OutcomeCounts { benign: 1, sdc: 3, detected: 0, due: 1 });
+        assert_eq!(whole.sdc_insts, vec![7, 3, 7]);
+        assert_eq!(whole.sdc_by_inst[&(FuncId(0), InstId(7))], 2);
+        let names: Vec<&str> = whole.region_counts.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["aux", "helper", "main"]);
+        assert_eq!((whole.ff_insts, whole.exec_insts), (50, 25));
+        // Without a region the split is simply not kept.
+        let mut plain = BatchOutcome::default();
+        plain.record(&trials[0].0, None);
+        assert!(plain.region_counts.is_empty());
     }
 
     #[test]

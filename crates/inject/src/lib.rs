@@ -12,8 +12,8 @@ pub mod profile;
 pub mod stats;
 
 pub use campaign::{
-    asm_fault_spec, ir_fault_spec, run_asm_campaign, run_ir_campaign, AsmCampaign, AsmTrialRunner, CampaignConfig,
-    IrCampaign, IrTrialRunner,
+    asm_fault_spec, ir_fault_spec, run_asm_campaign, run_ir_campaign, AsmCampaign, AsmTrialRunner, BatchOutcome,
+    CampaignConfig, IrCampaign, IrTrialRunner,
 };
 pub use flowery_faultmodel::{DetectorSpec, FaultClass, ModelSpec};
 pub use outcome::{classify, Outcome, OutcomeCounts};

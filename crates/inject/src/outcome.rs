@@ -57,29 +57,24 @@ impl OutcomeCounts {
         self.benign + self.sdc + self.detected + self.due
     }
 
+    fn rate(&self, n: u64) -> f64 {
+        match self.total() {
+            0 => 0.0,
+            total => n as f64 / total as f64,
+        }
+    }
+
     /// SDC probability of the program under this campaign.
     pub fn sdc_rate(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.sdc as f64 / self.total() as f64
-        }
+        self.rate(self.sdc)
     }
 
     pub fn detected_rate(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.detected as f64 / self.total() as f64
-        }
+        self.rate(self.detected)
     }
 
     pub fn due_rate(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.due as f64 / self.total() as f64
-        }
+        self.rate(self.due)
     }
 
     /// Merge another campaign's counts (parallel shards).

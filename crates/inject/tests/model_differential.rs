@@ -31,12 +31,12 @@ fn counts(benign: u64, sdc: u64, detected: u64, due: u64) -> OutcomeCounts {
     OutcomeCounts { benign, sdc, detected, due }
 }
 
-fn config(double_bit: bool, snapshots: bool) -> CampaignConfig {
+fn config(fault_model: ModelSpec, snapshots: bool) -> CampaignConfig {
     CampaignConfig {
         trials: TRIALS,
         seed: SEED,
         threads: 2,
-        double_bit,
+        fault_model,
         snapshots,
         ..Default::default()
     }
@@ -44,7 +44,7 @@ fn config(double_bit: bool, snapshots: bool) -> CampaignConfig {
 
 struct Pin {
     src: &'static str,
-    double_bit: bool,
+    model: ModelSpec,
     ir: OutcomeCounts,
     asm: OutcomeCounts,
     ir_golden: (u64, u64),       // (dyn_insts, fault_sites)
@@ -55,7 +55,7 @@ fn pins() -> Vec<Pin> {
     vec![
         Pin {
             src: PROG_A,
-            double_bit: false,
+            model: ModelSpec::SingleBitReg,
             ir: counts(12, 288, 0, 0),
             asm: counts(104, 163, 0, 33),
             ir_golden: (293, 185),
@@ -63,7 +63,7 @@ fn pins() -> Vec<Pin> {
         },
         Pin {
             src: PROG_A,
-            double_bit: true,
+            model: ModelSpec::DoubleBitReg,
             ir: counts(47, 252, 0, 1),
             asm: counts(95, 155, 0, 50),
             ir_golden: (293, 185),
@@ -71,7 +71,7 @@ fn pins() -> Vec<Pin> {
         },
         Pin {
             src: PROG_B,
-            double_bit: false,
+            model: ModelSpec::SingleBitReg,
             ir: counts(10, 290, 0, 0),
             asm: counts(113, 154, 0, 33),
             ir_golden: (21013, 13505),
@@ -79,7 +79,7 @@ fn pins() -> Vec<Pin> {
         },
         Pin {
             src: PROG_B,
-            double_bit: true,
+            model: ModelSpec::DoubleBitReg,
             ir: counts(32, 267, 0, 1),
             asm: counts(105, 156, 0, 39),
             ir_golden: (21013, 13505),
@@ -94,20 +94,12 @@ fn default_models_are_bit_identical_to_pre_refactor_injector() {
         let m = flowery_lang::compile("pin", pin.src).unwrap();
         let prog = flowery_backend::compile_module(&m, &flowery_backend::BackendConfig::default());
         for snapshots in [true, false] {
-            let cfg = config(pin.double_bit, snapshots);
+            let cfg = config(pin.model, snapshots);
             let ir = run_ir_campaign(&m, &cfg);
-            assert_eq!(
-                ir.counts, pin.ir,
-                "IR counts diverged (double_bit={}, snapshots={snapshots})",
-                pin.double_bit
-            );
+            assert_eq!(ir.counts, pin.ir, "IR counts diverged (model={}, snapshots={snapshots})", pin.model);
             assert_eq!((ir.golden_dyn_insts, ir.golden_sites), pin.ir_golden);
             let asm = run_asm_campaign(&m, &prog, &cfg);
-            assert_eq!(
-                asm.counts, pin.asm,
-                "asm counts diverged (double_bit={}, snapshots={snapshots})",
-                pin.double_bit
-            );
+            assert_eq!(asm.counts, pin.asm, "asm counts diverged (model={}, snapshots={snapshots})", pin.model);
             assert_eq!(asm.sdc_insts.len() as u64, asm.counts.sdc);
             assert_eq!((asm.golden_dyn_insts, asm.golden_sites, asm.golden_cycles), pin.asm_golden);
         }
@@ -157,11 +149,9 @@ proptest! {
     /// draw order through the indirection is unchanged.
     #[test]
     fn spec_derivation_matches_legacy((seed, trial, sites) in (0u64..u64::MAX, 0u64..u64::MAX, 1u64..100_000)) {
-        for double in [false, true] {
-            let model = if double { ModelSpec::DoubleBitReg } else { ModelSpec::SingleBitReg };
-            prop_assert_eq!(ir_fault_spec(seed, trial, sites, double), model.sample_ir(seed, trial, sites));
-            prop_assert_eq!(asm_fault_spec(seed, trial, sites, double), model.sample_asm(seed, trial, sites));
-        }
+        let model = ModelSpec::SingleBitReg;
+        prop_assert_eq!(ir_fault_spec(seed, trial, sites), model.sample_ir(seed, trial, sites));
+        prop_assert_eq!(asm_fault_spec(seed, trial, sites), model.sample_asm(seed, trial, sites));
     }
 
     /// Trials under the default model with no detectors are identical
@@ -172,13 +162,13 @@ proptest! {
         let exec = ExecConfig::default();
         let mut a = IrTrialRunner::new(&m, &exec);
         let mut b = IrTrialRunner::new(&m, &exec);
-        let x = a.run_trial(seed, trial, false);
+        let x = a.run_trial(seed, trial);
         let y = b.run_trial_model(seed, trial, ModelSpec::SingleBitReg, &[]);
         prop_assert_eq!(x, y);
         let prog = flowery_backend::compile_module(&m, &flowery_backend::BackendConfig::default());
         let mut c = AsmTrialRunner::new(&m, &prog, &exec);
         let mut d = AsmTrialRunner::new(&m, &prog, &exec);
-        let x = c.run_trial(seed, trial, false);
+        let x = c.run_trial(seed, trial);
         let y = d.run_trial_model(seed, trial, ModelSpec::SingleBitReg, &[]);
         prop_assert_eq!(x, y);
     }

@@ -1,22 +1,6 @@
 //! `flowery` — command-line driver for the cross-layer soft-error study.
-//!
-//! ```text
-//! flowery compile <file.mc>                 print the -O0 IR
-//! flowery asm <file.mc> [--id] [--flowery]  print the machine listing
-//! flowery run <file.mc>                     execute at both layers
-//! flowery inject <file.mc> [options]        fault-injection campaign
-//! flowery study [--trials N] [bench ...]    the paper's full study
-//! flowery campaign [options] [bench ...]    resumable harness campaign
-//! flowery diff --baseline CKPT [bench ...]  incremental campaign: re-run changed regions only
-//! flowery explore [options] [bench ...]     fault-model × protection × detector Pareto sweep
-//! flowery serve [options] [bench ...]       coordinate a distributed campaign
-//! flowery work --connect HOST:PORT          join one as a worker
-//! flowery lint <file.mc> [options]          static penetration analysis
-//! flowery workloads                         list the 16 benchmarks
-//! flowery source <bench>                    print a benchmark's MiniC
-//! ```
-//!
-//! `<file.mc>` may also name a built-in workload (e.g. `quicksort`).
+//! [`USAGE`] (`flowery help`) lists the subcommands; wherever one takes
+//! `<file.mc | bench>`, a built-in workload name (e.g. `quicksort`) works.
 
 use flowery::analysis::render_breakdown;
 use flowery::backend::{compile_module, harden_program, BackendConfig, HardenConfig, Machine};
@@ -66,6 +50,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage: flowery <compile|asm|run|inject|study|workloads|source> ...
+flags are parsed strictly: an unknown flag or an unparsable number is an error
 
   compile <file.mc | bench>           print the -O0 IR
   asm <file.mc | bench> [--id] [--flowery] [--harden]
@@ -230,32 +215,116 @@ fn protect(m: &mut Module, id: bool, flowery: bool) {
     }
 }
 
-fn flag(rest: &[String], name: &str) -> bool {
-    rest.iter().any(|a| a == name)
+/// Each subcommand's flags, declared once, getopt-style: names separated
+/// by spaces, a trailing `=` marking a flag that takes a value. The parser
+/// accepts exactly these, so a typo, another subcommand's flag or a missing
+/// value is an error instead of being ignored — or swallowing the next
+/// benchmark name.
+const PROTECT: &str = "--id --flowery";
+const ASM: &str = "--id --flowery --harden";
+const INJECT: &str = "--id --flowery --harden --trials=";
+const STUDY: &str = "--trials=";
+/// The schedule and matrix flags `campaign`, `diff` and `serve` share.
+macro_rules! schedule {
+    ($own:literal) => {
+        concat!(
+            "--tiny --json --no-snapshots --static-prune --trials= --batch= --min-trials= --threads= --seed= ",
+            "--ci-target= --snapshot-budget= --fault-model= --executor= --levels= --src= --metrics-json= ",
+            $own
+        )
+    };
+}
+const CAMPAIGN: &str = schedule!("--resume --checkpoint=");
+const DIFF: &str = schedule!("--static-prior --baseline= --out=");
+const SERVE: &str = schedule!("--resume --checkpoint= --baseline= --addr= --heartbeat-ms= --lease=");
+const EXPLORE: &str =
+    "--tiny --json --no-snapshots --trials= --seed= --threads= --models= --detectors= --levels= --executor= --out=";
+const WORK: &str = "--connect= --threads= --max-reconnects= --backoff-ms= --executor=";
+const VULN: &str = "--static-prior --by-region --trials= --top=";
+const LINT: &str = "--validate --bits --pass-config= --level= --trials= --format=";
+
+/// Whether `spec` declares flag `name`, and if so whether it takes a value.
+fn declared(spec: &str, name: &str) -> Option<bool> {
+    spec.split(' ')
+        .find(|f| f.trim_end_matches('=') == name)
+        .map(|f| f.ends_with('='))
 }
 
-fn opt_u64(rest: &[String], name: &str, default: u64) -> u64 {
-    rest.iter()
-        .position(|a| a == name)
-        .and_then(|i| rest.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// An argument list parsed against one subcommand's declaration; lookups
+/// assert the name is declared, so a misspelt lookup fails the first test
+/// that reaches it.
+struct Args<'a> {
+    spec: &'static str,
+    flags: Vec<(&'a str, Option<&'a str>)>,
+    positional: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    fn parse(cmd: &str, spec: &'static str, rest: &'a [String]) -> Result<Args<'a>, String> {
+        let mut args = Args { spec, flags: Vec::new(), positional: Vec::new() };
+        let mut it = rest.iter().map(String::as_str);
+        while let Some(a) = it.next() {
+            match declared(spec, a) {
+                _ if !a.starts_with("--") => args.positional.push(a),
+                Some(false) => args.flags.push((a, None)),
+                Some(true) => args
+                    .flags
+                    .push((a, Some(it.next().ok_or_else(|| format!("{a} needs a value"))?))),
+                None => return Err(format!("unknown flag '{a}' for `flowery {cmd}` (see `flowery help`)")),
+            }
+        }
+        Ok(args)
+    }
+
+    fn flag(&self, name: &str) -> bool {
+        assert_eq!(declared(self.spec, name), Some(false), "{name} is not a declared switch");
+        self.flags.iter().any(|(n, _)| *n == name)
+    }
+
+    /// Every value given for `name`, in order (repeatable flags).
+    fn all(&self, name: &'static str) -> impl Iterator<Item = &'a str> + '_ {
+        assert_eq!(declared(self.spec, name), Some(true), "{name} is not a declared value flag");
+        self.flags.iter().filter(move |(n, _)| *n == name).filter_map(|(_, v)| *v)
+    }
+
+    fn str(&self, name: &'static str) -> Option<&'a str> {
+        self.all(name).next()
+    }
+
+    fn u64(&self, name: &'static str, default: u64) -> Result<u64, String> {
+        let parse = |v: &str| v.parse().map_err(|_| format!("bad {name} '{v}' (want a non-negative integer)"));
+        self.str(name).map_or(Ok(default), parse)
+    }
+
+    /// The single `<file.mc | bench>` operand.
+    fn input(&self) -> Result<&'a str, String> {
+        self.positional.first().copied().ok_or("missing input".to_string())
+    }
+
+    /// The positional operands as benchmark names.
+    fn benches(&self) -> Result<Vec<String>, String> {
+        let known = |a: &&str| NAMES.contains(a).then(|| a.to_string());
+        self.positional
+            .iter()
+            .map(|a| known(a).ok_or_else(|| format!("unknown benchmark '{a}'; see `flowery workloads`")))
+            .collect()
+    }
 }
 
 fn cmd_compile(rest: &[String]) -> Result<(), String> {
-    let spec = rest.first().ok_or("missing input")?;
-    let mut m = load(spec)?;
-    protect(&mut m, flag(rest, "--id"), flag(rest, "--flowery"));
+    let args = Args::parse("compile", PROTECT, rest)?;
+    let mut m = load(args.input()?)?;
+    protect(&mut m, args.flag("--id"), args.flag("--flowery"));
     print!("{}", flowery::ir::printer::print_module(&m));
     Ok(())
 }
 
 fn cmd_asm(rest: &[String]) -> Result<(), String> {
-    let spec = rest.first().ok_or("missing input")?;
-    let mut m = load(spec)?;
-    protect(&mut m, flag(rest, "--id"), flag(rest, "--flowery"));
+    let args = Args::parse("asm", ASM, rest)?;
+    let mut m = load(args.input()?)?;
+    protect(&mut m, args.flag("--id"), args.flag("--flowery"));
     let mut prog = compile_module(&m, &BackendConfig::default());
-    if flag(rest, "--harden") {
+    if args.flag("--harden") {
         let (h, stats) = harden_program(&prog, &HardenConfig::default());
         eprintln!("; hardening inserted {} read-back checks", stats.total());
         prog = h;
@@ -265,9 +334,9 @@ fn cmd_asm(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_run(rest: &[String]) -> Result<(), String> {
-    let spec = rest.first().ok_or("missing input")?;
-    let mut m = load(spec)?;
-    protect(&mut m, flag(rest, "--id"), flag(rest, "--flowery"));
+    let args = Args::parse("run", PROTECT, rest)?;
+    let mut m = load(args.input()?)?;
+    protect(&mut m, args.flag("--id"), args.flag("--flowery"));
     let exec = ExecConfig::default();
     let ir = Interpreter::new(&m).run(&exec, None);
     println!("IR level:  {:?}", ir.status);
@@ -285,11 +354,11 @@ fn cmd_run(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_inject(rest: &[String]) -> Result<(), String> {
-    let spec = rest.first().ok_or("missing input")?;
-    let trials = opt_u64(rest, "--trials", 1000);
-    let raw = load(spec)?;
+    let args = Args::parse("inject", INJECT, rest)?;
+    let trials = args.u64("--trials", 1000)?;
+    let raw = load(args.input()?)?;
     let mut m = raw.clone();
-    protect(&mut m, flag(rest, "--id"), flag(rest, "--flowery"));
+    protect(&mut m, args.flag("--id"), args.flag("--flowery"));
 
     let camp = CampaignConfig::with_trials(trials);
     let raw_ir = run_ir_campaign(&raw, &camp);
@@ -301,7 +370,7 @@ fn cmd_inject(rest: &[String]) -> Result<(), String> {
 
     let raw_prog = compile_module(&raw, &BackendConfig::default());
     let mut prog = compile_module(&m, &BackendConfig::default());
-    if flag(rest, "--harden") {
+    if args.flag("--harden") {
         prog = harden_program(&prog, &HardenConfig::default()).0;
     }
     let raw_asm = run_asm_campaign(&raw, &raw_prog, &camp);
@@ -310,7 +379,7 @@ fn cmd_inject(rest: &[String]) -> Result<(), String> {
     println!("  raw:       {:?}", raw_asm.counts);
     println!("  protected: {:?}", asm.counts);
     println!("  coverage:  {:.2}%", Coverage::compute(&raw_asm.counts, &asm.counts).percent());
-    if flag(rest, "--id") || flag(rest, "--flowery") {
+    if args.flag("--id") || args.flag("--flowery") {
         let breakdown = flowery::analysis::classify_campaign(&m, &prog, &asm.sdc_insts);
         println!("root causes of assembly-level SDCs:");
         print!("{}", render_breakdown(&breakdown));
@@ -320,12 +389,9 @@ fn cmd_inject(rest: &[String]) -> Result<(), String> {
 
 fn cmd_study(rest: &[String]) -> Result<(), String> {
     use flowery::core::figures as fig;
-    let trials = opt_u64(rest, "--trials", 1000);
-    let names: Vec<&str> = rest
-        .iter()
-        .filter(|a| !a.starts_with("--") && a.parse::<u64>().is_err())
-        .map(|s| s.as_str())
-        .collect();
+    let args = Args::parse("study", STUDY, rest)?;
+    let trials = args.u64("--trials", 1000)?;
+    let names = args.positional.clone();
     let cfg = flowery::core::ExperimentConfig {
         trials,
         profile_trials: (trials / 3).max(100),
@@ -338,38 +404,6 @@ fn cmd_study(rest: &[String]) -> Result<(), String> {
     println!("{}", fig::render_fig17(&fig::fig17(&study)));
     println!("{}", fig::render_overhead(&fig::overhead(&study)));
     Ok(())
-}
-
-fn opt_str<'a>(rest: &'a [String], name: &str) -> Option<&'a str> {
-    rest.iter()
-        .position(|a| a == name)
-        .and_then(|i| rest.get(i + 1))
-        .map(|s| s.as_str())
-}
-
-/// Benchmark names from a campaign-style argument list. Flags not in the
-/// boolean set are assumed to take a value, which is skipped.
-fn parse_benches(rest: &[String]) -> Result<Vec<String>, String> {
-    let mut names = Vec::new();
-    let mut skip = false;
-    for a in rest {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if let Some(flag) = a.strip_prefix("--") {
-            skip = !matches!(
-                flag,
-                "resume" | "tiny" | "json" | "no-snapshots" | "static-prior" | "static-prune" | "by-region" | "bits"
-            );
-            continue;
-        }
-        if !NAMES.contains(&a.as_str()) {
-            return Err(format!("unknown benchmark '{a}'; see `flowery workloads`"));
-        }
-        names.push(a.clone());
-    }
-    Ok(names)
 }
 
 /// A byte count with an optional k/m/g suffix (powers of 1024).
@@ -385,35 +419,37 @@ fn parse_bytes(v: &str) -> Option<u64> {
 }
 
 /// The trial schedule shared by `campaign` and `serve`.
-fn parse_harness(rest: &[String]) -> Result<flowery::harness::HarnessConfig, String> {
-    let trials = opt_u64(rest, "--trials", 3000);
+fn parse_harness(args: &Args<'_>) -> Result<flowery::harness::HarnessConfig, String> {
+    let trials = args.u64("--trials", 3000)?;
     let mut cfg = flowery::harness::HarnessConfig {
         max_trials: trials,
-        batch_size: opt_u64(rest, "--batch", 250).clamp(1, trials.max(1)),
-        min_trials: opt_u64(rest, "--min-trials", 500).min(trials),
-        threads: opt_u64(rest, "--threads", 0) as usize,
-        seed: opt_u64(rest, "--seed", 0x51C2_3001),
-        snapshots: !flag(rest, "--no-snapshots"),
-        static_prune: flag(rest, "--static-prune"),
+        batch_size: args.u64("--batch", 250)?.clamp(1, trials.max(1)),
+        min_trials: args.u64("--min-trials", 500)?.min(trials),
+        threads: args.u64("--threads", 0)? as usize,
+        seed: args.u64("--seed", 0x51C2_3001)?,
+        snapshots: !args.flag("--no-snapshots"),
+        static_prune: args.flag("--static-prune"),
         ..Default::default()
     };
-    cfg.ci_target = opt_str(rest, "--ci-target")
+    cfg.ci_target = args
+        .str("--ci-target")
         .map(|v| v.parse::<f64>().map_err(|_| format!("bad --ci-target '{v}'")))
         .transpose()?;
-    cfg.exec.snapshot_budget = opt_str(rest, "--snapshot-budget")
+    cfg.exec.snapshot_budget = args
+        .str("--snapshot-budget")
         .map(|v| parse_bytes(v).ok_or(format!("bad --snapshot-budget '{v}' (want BYTES[k|m|g])")))
         .transpose()?;
-    if let Some(m) = opt_str(rest, "--fault-model") {
+    if let Some(m) = args.str("--fault-model") {
         cfg.fault_model = m.trim().parse::<flowery::faultmodel::ModelSpec>()?;
     }
-    if let Some(e) = opt_str(rest, "--executor") {
+    if let Some(e) = args.str("--executor") {
         cfg.exec.executor = e.trim().parse::<flowery::backend::ExecMode>()?;
     }
     Ok(cfg)
 }
 
-fn parse_levels(rest: &[String]) -> Result<Vec<f64>, String> {
-    match opt_str(rest, "--levels") {
+fn parse_levels(args: &Args<'_>) -> Result<Vec<f64>, String> {
+    match args.str("--levels") {
         None => Ok(vec![1.0]),
         Some(csv) => csv
             .split(',')
@@ -425,13 +461,9 @@ fn parse_levels(rest: &[String]) -> Result<Vec<f64>, String> {
 /// Out-of-tree programs from `--src FILE` occurrences: the program name
 /// is the file stem, and the source is compiled here so a typo fails
 /// with a file-level error instead of a panic deep in `build_matrix`.
-fn parse_sources(rest: &[String]) -> Result<Vec<(String, String)>, String> {
+fn parse_sources(args: &Args<'_>) -> Result<Vec<(String, String)>, String> {
     let mut sources: Vec<(String, String)> = Vec::new();
-    for (i, a) in rest.iter().enumerate() {
-        if a != "--src" {
-            continue;
-        }
-        let path = rest.get(i + 1).ok_or("--src needs a FILE")?;
+    for path in args.all("--src") {
         let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let name = std::path::Path::new(path)
             .file_stem()
@@ -452,20 +484,20 @@ fn parse_sources(rest: &[String]) -> Result<Vec<(String, String)>, String> {
 }
 
 /// The matrix both `campaign` builds locally and `serve` ships to workers.
-fn matrix_spec(rest: &[String], cfg: &flowery::harness::HarnessConfig) -> Result<flowery::harness::MatrixSpec, String> {
+fn matrix_spec(args: &Args<'_>, cfg: &flowery::harness::HarnessConfig) -> Result<flowery::harness::MatrixSpec, String> {
     Ok(flowery::harness::MatrixSpec {
-        benches: parse_benches(rest)?,
-        sources: parse_sources(rest)?,
-        scale: if flag(rest, "--tiny") { Scale::Tiny } else { Scale::Standard },
-        levels: parse_levels(rest)?,
+        benches: args.benches()?,
+        sources: parse_sources(args)?,
+        scale: if args.flag("--tiny") { Scale::Tiny } else { Scale::Standard },
+        levels: parse_levels(args)?,
         profile_trials: (cfg.max_trials / 3).max(100),
         threads: cfg.threads,
         ..Default::default()
     })
 }
 
-fn print_campaign_report(rest: &[String], report: &flowery::harness::CampaignReport) -> Result<(), String> {
-    if flag(rest, "--json") {
+fn print_campaign_report(args: &Args<'_>, report: &flowery::harness::CampaignReport) -> Result<(), String> {
+    if args.flag("--json") {
         println!("{}", flowery::serde_json::to_string_pretty(&report.units).map_err(|e| format!("{e:?}"))?);
         return Ok(());
     }
@@ -505,38 +537,37 @@ fn print_campaign_report(rest: &[String], report: &flowery::harness::CampaignRep
     Ok(())
 }
 
-fn cmd_campaign(rest: &[String]) -> Result<(), String> {
-    use flowery::harness::{
-        build_matrix, compact, load_checkpoint, run_units, shutdown, CheckpointLog, Control, GoldenCache,
-        MetricsSnapshot, RunOptions, SnapshotStore,
+fn write_metrics(args: &Args<'_>, metrics: &flowery::harness::MetricsSnapshot) -> Result<(), String> {
+    let Some(p) = args.str("--metrics-json") else {
+        return Ok(());
     };
+    let json = flowery::serde_json::to_string_pretty(metrics).map_err(|e| format!("{e:?}"))?;
+    std::fs::write(p, json + "\n").map_err(|e| format!("cannot write {p}: {e}"))
+}
+
+fn cmd_campaign(rest: &[String]) -> Result<(), String> {
+    use flowery::harness::{build_matrix, open, region_records, run_units, seal, shutdown, status_printer};
+    use flowery::harness::{refused_note, GoldenCache, RunOptions, SnapshotStore};
     use std::path::Path;
 
-    let cfg = parse_harness(rest)?;
-    let spec = matrix_spec(rest, &cfg)?;
+    let args = Args::parse("campaign", CAMPAIGN, rest)?;
+    let cfg = parse_harness(&args)?;
+    let spec = matrix_spec(&args, &cfg)?;
 
-    // Checkpoint / resume plumbing.
-    let ckpt_path = opt_str(rest, "--checkpoint").map(Path::new);
-    let resume = flag(rest, "--resume");
-    let mut preloaded = Vec::new();
-    let log = match (ckpt_path, resume) {
-        (None, true) => return Err("--resume needs --checkpoint FILE".into()),
-        (None, false) => None,
-        (Some(p), true) => {
-            let (header, batches) = load_checkpoint(p)?;
-            // `same_schedule` ignores the executor: engines are
-            // bit-identical, so mixed-executor resumes are sound.
-            if let Some(why) = header.describe_mismatch(&cfg.header()) {
-                return Err(format!(
-                    "{}: checkpoint was written with different campaign parameters — {why}",
-                    p.display()
-                ));
+    // Open the checkpoint (see `harness::checkpoint::open`).
+    let ckpt_path = args.str("--checkpoint").map(Path::new);
+    let resume = args.flag("--resume");
+    let (log, preloaded) = match ckpt_path {
+        None if resume => return Err("--resume needs --checkpoint FILE".into()),
+        None => (None, Vec::new()),
+        Some(p) => {
+            let (log, batches) = open(p, &cfg.header(), resume)?;
+            if resume {
+                let refused = refused_note(&cfg.header(), &batches);
+                eprintln!("[harness] resuming: {} batches from {}{refused}", batches.len(), p.display());
             }
-            eprintln!("[harness] resuming: {} batches from {}", batches.len(), p.display());
-            preloaded = batches;
-            Some(CheckpointLog::append_to(p)?)
+            (Some(log), batches)
         }
-        (Some(p), false) => Some(CheckpointLog::create(p, &cfg.header())?),
     };
 
     eprintln!(
@@ -549,18 +580,7 @@ fn cmd_campaign(rest: &[String]) -> Result<(), String> {
     // First Ctrl-C drains: in-flight batches finish and are checkpointed,
     // then the run stops. A second Ctrl-C kills the process outright.
     shutdown::install();
-    let last_print = std::sync::Mutex::new(std::time::Instant::now());
-    let progress = |snap: &MetricsSnapshot| {
-        if shutdown::requested() {
-            return Control::Stop;
-        }
-        let mut last = last_print.lock().unwrap();
-        if last.elapsed().as_secs_f64() >= 1.0 {
-            eprintln!("[harness] {}", snap.render());
-            *last = std::time::Instant::now();
-        }
-        Control::Continue
-    };
+    let progress = status_printer("[harness]");
     // Persist snapshot sets next to the checkpoint so a resumed campaign
     // re-captures nothing. `--no-snapshots` must leave no orphan `.snap`
     // files behind, so the store is attached only when snapshots are on.
@@ -583,27 +603,15 @@ fn cmd_campaign(rest: &[String]) -> Result<(), String> {
         return Err(e);
     }
 
-    // A clean finish also records per-region profiles, so this checkpoint
-    // can serve as a `flowery diff --baseline` later. Interrupted runs
-    // skip this: partial units would compose wrongly.
-    if !report.interrupted {
-        if let Some(log) = &log {
-            for rec in flowery::harness::region_records(&units, &report.units, &cache, &cfg) {
-                log.record_regions(&rec)?;
-            }
-        }
+    // Seal the checkpoint into canonical (byte-reproducible) form. A clean
+    // finish also records per-region profiles, so it can serve as a
+    // `flowery diff --baseline` later.
+    if let (Some(p), Some(log)) = (ckpt_path, log) {
+        let regions = (!report.interrupted).then(|| region_records(&units, &report.units, &cache, &cfg));
+        seal(p, log, &regions.unwrap_or_default())?;
     }
-
-    // Leave the checkpoint in canonical (byte-reproducible) form.
-    drop(log);
-    if let Some(p) = ckpt_path {
-        compact(p)?;
-    }
-    if let Some(p) = opt_str(rest, "--metrics-json") {
-        let json = flowery::serde_json::to_string_pretty(&report.metrics).map_err(|e| format!("{e:?}"))?;
-        std::fs::write(p, json + "\n").map_err(|e| format!("cannot write {p}: {e}"))?;
-    }
-    print_campaign_report(rest, &report)?;
+    write_metrics(&args, &report.metrics)?;
+    print_campaign_report(&args, &report)?;
     if report.interrupted {
         eprintln!("[harness] interrupted: {} unit(s) unfinished", report.pending.len());
         match ckpt_path {
@@ -619,9 +627,11 @@ fn cmd_diff(rest: &[String]) -> Result<(), String> {
     use std::collections::HashMap;
     use std::path::Path;
 
-    let cfg = parse_harness(rest)?;
-    let spec = matrix_spec(rest, &cfg)?;
-    let base_path = opt_str(rest, "--baseline")
+    let args = Args::parse("diff", DIFF, rest)?;
+    let cfg = parse_harness(&args)?;
+    let spec = matrix_spec(&args, &cfg)?;
+    let base_path = args
+        .str("--baseline")
         .ok_or("diff needs --baseline FILE (a checkpoint from a finished campaign or a prior diff)")?;
     let baseline = Baseline::load(Path::new(base_path), &cfg.header())?;
     if baseline.pre_region {
@@ -642,7 +652,7 @@ fn cmd_diff(rest: &[String]) -> Result<(), String> {
     // penetration sites execute first. Pure scheduling — per-region trial
     // streams are seed-determined, so the order never changes results.
     let mut priorities: HashMap<(String, String), f64> = HashMap::new();
-    if flag(rest, "--static-prior") {
+    if args.flag("--static-prior") {
         for u in &units {
             let bcfg = BackendConfig::default();
             let compiled;
@@ -672,25 +682,28 @@ fn cmd_diff(rest: &[String]) -> Result<(), String> {
     }
 
     let cache = GoldenCache::new();
-    let report = flowery::harness::run_diff(&units, &cfg, &cache, &baseline, &priorities);
+    flowery::harness::shutdown::install();
+    let progress = flowery::harness::status_printer("[diff]");
+    let report = flowery::harness::run_diff(&units, &cfg, &cache, &baseline, &priorities, Some(&progress));
 
-    if let Some(p) = opt_str(rest, "--out") {
-        write_canonical_full(Path::new(p), &cfg.header(), &[], &report.records())?;
-        eprintln!("[diff] wrote composed checkpoint to {p}");
+    match args.str("--out") {
+        Some(_) if report.interrupted => eprintln!("[diff] interrupted: no composed checkpoint written"),
+        Some(p) => {
+            write_canonical_full(Path::new(p), &cfg.header(), &[], &report.records())?;
+            eprintln!("[diff] wrote composed checkpoint to {p}");
+        }
+        None => {}
     }
-    print_diff_report(rest, &report)
+    print_diff_report(&args, &report)
 }
 
 /// The per-unit diff table shared by `flowery diff` and
 /// `flowery serve --baseline`.
-fn print_diff_report(rest: &[String], report: &flowery::harness::DiffReport) -> Result<(), String> {
+fn print_diff_report(args: &Args<'_>, report: &flowery::harness::DiffReport) -> Result<(), String> {
     use flowery::regions::Fate;
 
-    if let Some(p) = opt_str(rest, "--metrics-json") {
-        let json = flowery::serde_json::to_string_pretty(&report.metrics).map_err(|e| format!("{e:?}"))?;
-        std::fs::write(p, json + "\n").map_err(|e| format!("cannot write {p}: {e}"))?;
-    }
-    if flag(rest, "--json") {
+    write_metrics(args, &report.metrics)?;
+    if args.flag("--json") {
         println!(
             "{}",
             flowery::serde_json::to_string_pretty(&report.records()).map_err(|e| format!("{e:?}"))?
@@ -740,23 +753,24 @@ fn cmd_explore(rest: &[String]) -> Result<(), String> {
     use flowery::faultmodel::{DetectorSpec, ModelSpec};
     use flowery::harness::{explore, render_table, ExploreSpec, GoldenCache};
 
+    let args = Args::parse("explore", EXPLORE, rest)?;
     let mut spec = ExploreSpec {
-        benches: parse_benches(rest)?,
-        scale: if flag(rest, "--tiny") { Scale::Tiny } else { Scale::Standard },
-        trials: opt_u64(rest, "--trials", 400),
-        seed: opt_u64(rest, "--seed", 0x0F10_EE41),
-        threads: opt_u64(rest, "--threads", 0) as usize,
-        snapshots: !flag(rest, "--no-snapshots"),
+        benches: args.benches()?,
+        scale: if args.flag("--tiny") { Scale::Tiny } else { Scale::Standard },
+        trials: args.u64("--trials", 400)?,
+        seed: args.u64("--seed", 0x0F10_EE41)?,
+        threads: args.u64("--threads", 0)? as usize,
+        snapshots: !args.flag("--no-snapshots"),
         ..Default::default()
     };
     spec.profile_trials = (spec.trials * 2).clamp(100, 2000);
-    if let Some(csv) = opt_str(rest, "--models") {
+    if let Some(csv) = args.str("--models") {
         spec.models = csv
             .split(',')
             .map(|s| s.trim().parse::<ModelSpec>())
             .collect::<Result<_, _>>()?;
     }
-    if let Some(csv) = opt_str(rest, "--detectors") {
+    if let Some(csv) = args.str("--detectors") {
         spec.detector_sets = csv
             .split(',')
             .map(|set| {
@@ -768,10 +782,10 @@ fn cmd_explore(rest: &[String]) -> Result<(), String> {
             })
             .collect::<Result<_, String>>()?;
     }
-    if opt_str(rest, "--levels").is_some() {
-        spec.levels = parse_levels(rest)?;
+    if args.str("--levels").is_some() {
+        spec.levels = parse_levels(&args)?;
     }
-    if let Some(e) = opt_str(rest, "--executor") {
+    if let Some(e) = args.str("--executor") {
         spec.exec.executor = e.trim().parse::<flowery::backend::ExecMode>()?;
     }
 
@@ -784,7 +798,7 @@ fn cmd_explore(rest: &[String]) -> Result<(), String> {
     );
     let report = explore(&spec, &GoldenCache::new());
 
-    if let Some(dir) = opt_str(rest, "--out") {
+    if let Some(dir) = args.str("--out") {
         let dir = std::path::Path::new(dir);
         std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         let write = |path: &std::path::Path, json: String| -> Result<(), String> {
@@ -802,7 +816,7 @@ fn cmd_explore(rest: &[String]) -> Result<(), String> {
         }
         eprintln!("[explore] wrote {} file(s) to {}", report.workloads.len() + 1, dir.display());
     }
-    if flag(rest, "--json") {
+    if args.flag("--json") {
         println!("{}", flowery::serde_json::to_string_pretty(&report).map_err(|e| format!("{e:?}"))?);
     } else {
         print!("{}", render_table(&report));
@@ -815,21 +829,23 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
     use flowery::harness::shutdown;
     use std::path::PathBuf;
 
-    let cfg = parse_harness(rest)?;
-    let plan = PlanSpec::from_spec(&matrix_spec(rest, &cfg)?);
-    let checkpoint = opt_str(rest, "--checkpoint")
+    let args = Args::parse("serve", SERVE, rest)?;
+    let cfg = parse_harness(&args)?;
+    let plan = PlanSpec::from_spec(&matrix_spec(&args, &cfg)?);
+    let checkpoint = args
+        .str("--checkpoint")
         .map(PathBuf::from)
         .ok_or("serve needs --checkpoint FILE (workers' results land there)")?;
     let ccfg = CoordinatorConfig {
-        addr: opt_str(rest, "--addr").unwrap_or("127.0.0.1:7070").into(),
+        addr: args.str("--addr").unwrap_or("127.0.0.1:7070").into(),
         checkpoint: checkpoint.clone(),
-        resume: flag(rest, "--resume"),
-        heartbeat_ms: opt_u64(rest, "--heartbeat-ms", 2000).max(50),
-        lease_batches: opt_u64(rest, "--lease", 4).max(1) as usize,
+        resume: args.flag("--resume"),
+        heartbeat_ms: args.u64("--heartbeat-ms", 2000)?.max(50),
+        lease_batches: args.u64("--lease", 4)?.max(1) as usize,
         drain_grace_ms: 30_000,
         threads: cfg.threads,
-        verbose: !flag(rest, "--json"),
-        baseline: opt_str(rest, "--baseline").map(PathBuf::from),
+        verbose: !args.flag("--json"),
+        baseline: args.str("--baseline").map(PathBuf::from),
     };
 
     // First Ctrl-C drains workers and flushes the checkpoint; a second
@@ -841,7 +857,7 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
     if ccfg.baseline.is_some() {
         let dist = serve_diff(plan, cfg, ccfg)?;
         eprintln!("[serve] {}", dist.stats.render());
-        print_diff_report(rest, &dist.report)?;
+        print_diff_report(&args, &dist.report)?;
         if dist.interrupted {
             eprintln!("[serve] interrupted: no composed checkpoint written; re-run the diff serve");
         } else {
@@ -852,7 +868,7 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
 
     let dist = serve(plan, cfg, ccfg)?;
     eprintln!("[serve] {}", dist.stats.render());
-    print_campaign_report(rest, &dist.report)?;
+    print_campaign_report(&args, &dist.report)?;
     if dist.interrupted {
         eprintln!("[serve] interrupted: {} unit(s) unfinished", dist.report.pending.len());
         eprintln!("[serve] resume with: flowery serve ... --checkpoint {} --resume", checkpoint.display());
@@ -863,15 +879,17 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
 fn cmd_work(rest: &[String]) -> Result<(), String> {
     use flowery::dist::{work, WorkerConfig};
 
-    let connect = opt_str(rest, "--connect").ok_or("work needs --connect HOST:PORT")?;
-    let executor = opt_str(rest, "--executor")
+    let args = Args::parse("work", WORK, rest)?;
+    let connect = args.str("--connect").ok_or("work needs --connect HOST:PORT")?;
+    let executor = args
+        .str("--executor")
         .map(|e| e.trim().parse::<flowery::backend::ExecMode>())
         .transpose()?;
     let summary = work(WorkerConfig {
         connect: connect.into(),
-        threads: opt_u64(rest, "--threads", 0) as usize,
-        max_reconnects: opt_u64(rest, "--max-reconnects", 5) as u32,
-        backoff_ms: opt_u64(rest, "--backoff-ms", 500),
+        threads: args.u64("--threads", 0)? as usize,
+        max_reconnects: args.u64("--max-reconnects", 5)? as u32,
+        backoff_ms: args.u64("--backoff-ms", 500)?,
         verbose: true,
         executor,
         die_after_batches: None,
@@ -881,16 +899,16 @@ fn cmd_work(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_vuln(rest: &[String]) -> Result<(), String> {
-    let spec = rest.first().ok_or("missing input")?;
-    let trials = opt_u64(rest, "--trials", 2000);
-    let top = opt_u64(rest, "--top", 15) as usize;
-    let m = load(spec)?;
+    let args = Args::parse("vuln", VULN, rest)?;
+    let trials = args.u64("--trials", 2000)?;
+    let top = args.u64("--top", 15)? as usize;
+    let m = load(args.input()?)?;
     let camp = run_ir_campaign(&m, &CampaignConfig::with_trials(trials));
     let prof = Interpreter::new(&m)
         .profile_run(&ExecConfig::default())
         .profile
         .expect("profiling run returns counts");
-    let ranking = if flag(rest, "--static-prior") {
+    let ranking = if args.flag("--static-prior") {
         let bcfg = BackendConfig::default();
         let prog = compile_module(&m, &bcfg);
         let report = flowery::analysis::predict_program(&m, &prog, bcfg.fold_compares);
@@ -906,56 +924,34 @@ fn cmd_vuln(rest: &[String]) -> Result<(), String> {
         ranking.len()
     );
     print!("{}", flowery::analysis::render_vulnerability(&ranking));
-    if flag(rest, "--by-region") {
+    if args.flag("--by-region") {
         // Fold the per-instruction SDC map into the same per-function
         // regions `flowery diff` uses, with dynamic site mass from the
         // golden profile — SDC share far above mass share marks a region
         // worth selective protection (and a good diff re-run priority).
         let set = flowery::regions::ir_region_set(&m, &prof, 0);
-        let total_sdc: u64 = camp.sdc_by_inst.values().sum();
-        let total_mass = set.total_mass();
-        let mut regions: Vec<flowery::regions::RegionProfile> = set
+        let hits_in = |name: &str| -> u64 {
+            let here = camp.sdc_by_inst.iter().filter(|((f, _), _)| m.func(*f).name == name);
+            here.map(|(_, n)| n).sum()
+        };
+        let mut regions: Vec<(&str, u64, u64)> = set
             .regions
             .iter()
-            .map(|r| flowery::regions::RegionProfile {
-                name: r.name.clone(),
-                hash: r.hash,
-                site_mass: r.site_mass,
-                sdc_by_inst: camp
-                    .sdc_by_inst
-                    .iter()
-                    .filter(|((f, _), _)| m.func(*f).name == r.name)
-                    .map(|(loc, n)| (*loc, *n))
-                    .collect(),
-                ..Default::default()
-            })
+            .map(|r| (r.name.as_str(), hits_in(&r.name), r.site_mass))
             .collect();
-        regions.sort_by(|a, b| {
-            let (ha, hb): (u64, u64) = (a.sdc_by_inst.values().sum(), b.sdc_by_inst.values().sum());
-            hb.cmp(&ha).then_with(|| a.name.cmp(&b.name))
-        });
+        regions.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+        let percent = |part: u64, whole: u64| if whole == 0 { 0.0 } else { part as f64 / whole as f64 * 100.0 };
+        let (total_sdc, total_mass) = (camp.sdc_by_inst.values().sum(), set.total_mass());
         println!("\nper-region SDC contribution ({} regions):", regions.len());
         println!(
             "{:<20} {:>9} {:>8} {:>11} {:>10}",
             "region", "sdc hits", "share", "site mass", "mass share"
         );
-        for r in &regions {
-            let hits: u64 = r.sdc_by_inst.values().sum();
+        for (name, hits, mass) in regions {
             println!(
-                "{:<20} {:>9} {:>7.1}% {:>11} {:>9.1}%",
-                r.name,
-                hits,
-                if total_sdc == 0 {
-                    0.0
-                } else {
-                    hits as f64 / total_sdc as f64 * 100.0
-                },
-                r.site_mass,
-                if total_mass == 0 {
-                    0.0
-                } else {
-                    r.site_mass as f64 / total_mass as f64 * 100.0
-                },
+                "{name:<20} {hits:>9} {:>7.1}% {mass:>11} {:>9.1}%",
+                percent(hits, total_sdc),
+                percent(mass, total_mass)
             );
         }
     }
@@ -963,24 +959,25 @@ fn cmd_vuln(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_lint(rest: &[String]) -> Result<(), String> {
-    let spec = rest.first().ok_or("missing input")?;
-    let pass = match opt_str(rest, "--pass-config") {
+    let args = Args::parse("lint", LINT, rest)?;
+    let spec = args.input()?;
+    let pass = match args.str("--pass-config") {
         None => PassConfig::Id,
         Some(s) => {
             PassConfig::parse(s).ok_or_else(|| format!("bad --pass-config '{s}' (expected raw, id, or flowery)"))?
         }
     };
-    let level: f64 = match opt_str(rest, "--level") {
+    let level: f64 = match args.str("--level") {
         None => 1.0,
         Some(s) => s.parse().map_err(|_| format!("bad --level '{s}'"))?,
     };
     if !(0.0..=1.0).contains(&level) {
         return Err(format!("--level {level} out of range (0..=1)"));
     }
-    let validate = flag(rest, "--validate").then(|| opt_u64(rest, "--trials", 2000));
+    let validate = args.flag("--validate").then(|| args.u64("--trials", 2000)).transpose()?;
     let m = load(spec)?;
     let outcome = run_lint(spec, &m, pass, level, &ExperimentConfig::default(), validate);
-    if opt_str(rest, "--format") == Some("json") {
+    if args.str("--format") == Some("json") {
         println!("{}", flowery::serde_json::to_string_pretty(&outcome).map_err(|e| format!("{e:?}"))?);
         return Ok(());
     }
@@ -1009,7 +1006,7 @@ fn cmd_lint(rest: &[String]) -> Result<(), String> {
         println!("cross-validation against {} injection trials:", validate.unwrap());
         print!("{}", flowery::analysis::render_validation(v));
     }
-    if flag(rest, "--bits") {
+    if args.flag("--bits") {
         let b = outcome.bits.as_ref().expect("run_lint always computes the bit table");
         println!(
             "bit lattice: {} sites, {} (site, bit) pairs proven masked, mean vulnerable fraction {:.1}%",

@@ -1,0 +1,79 @@
+//! Strict flag parsing, driven through the built binary: every subcommand
+//! declares its switches and value flags once, so an unknown flag, a flag
+//! of another subcommand, a value flag without its value and an
+//! unparsable number are all errors that name the flag — none is silently
+//! ignored, and none swallows the next benchmark name.
+
+use std::process::{Command, Output};
+
+fn flowery(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_flowery"))
+        .args(args)
+        .output()
+        .expect("the flowery binary runs")
+}
+
+/// The command must fail, and its error must contain every `needle`.
+fn refused(args: &[&str], needles: &[&str]) {
+    let out = flowery(args);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "`flowery {}` must fail, printed: {err}", args.join(" "));
+    for needle in needles {
+        assert!(err.contains(needle), "`flowery {}`: error must mention `{needle}`: {err}", args.join(" "));
+    }
+}
+
+fn stdout_of(args: &[&str]) -> String {
+    let out = flowery(args);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "`flowery {}` failed: {err}", args.join(" "));
+    String::from_utf8(out.stdout).unwrap()
+}
+
+#[test]
+fn unknown_and_misspelt_flags_are_errors_that_name_the_flag() {
+    // The seed ran 3000 trials here; and ignored the typo below.
+    refused(&["campaign", "crc32", "--tiny", "--trials", "abc"], &["--trials", "abc"]);
+    refused(&["campaign", "crc32", "--tiny", "--static-prnue"], &["--static-prnue", "campaign"]);
+    // An unknown flag used to be taken as value-taking and swallow `crc32`,
+    // silently widening the matrix to all 16 workloads.
+    refused(&["campaign", "--bogus", "crc32", "--tiny"], &["--bogus"]);
+    refused(&["campaign", "crc32", "--tiny", "--trials"], &["--trials", "needs a value"]);
+    refused(&["campaign", "nosuchbench", "--tiny"], &["unknown benchmark", "nosuchbench"]);
+    // A flag is only known where it is declared.
+    refused(&["diff", "crc32", "--checkpoint", "x.jsonl"], &["--checkpoint", "diff"]);
+    refused(&["diff", "crc32", "--tiny", "--batch", "1e3", "--baseline", "x"], &["--batch", "1e3"]);
+    refused(&["explore", "crc32", "--static-prune"], &["--static-prune", "explore"]);
+    refused(&["explore", "crc32", "--seed", "-4"], &["--seed", "-4"]);
+    refused(&["serve", "crc32", "--out", "x.jsonl"], &["--out", "serve"]);
+    refused(&["serve", "crc32", "--checkpoint", "x.jsonl", "--lease", "many"], &["--lease", "many"]);
+    refused(&["work", "--connet", "127.0.0.1:1"], &["--connet", "work"]);
+    refused(&["work", "--connect", "127.0.0.1:1", "--max-reconnects", "x"], &["--max-reconnects"]);
+    refused(&["lint", "crc32", "--bits", "--formt", "json"], &["--formt", "lint"]);
+    // Requirements that are not typos still read as before.
+    refused(&["work"], &["--connect"]);
+    refused(&["serve", "crc32"], &["--checkpoint"]);
+    refused(&["campaign", "crc32", "--resume"], &["--resume needs --checkpoint"]);
+}
+
+#[test]
+fn declared_flags_parse_wherever_they_stand() {
+    // Value flags take exactly their value: benchmark names may come
+    // before, between or after them, and the runs are the same campaign.
+    let schedule = ["--tiny", "--trials", "40", "--batch", "20", "--seed", "7", "--json"];
+    let trailing = stdout_of(&[&["campaign", "crc32"], &schedule[..]].concat());
+    let leading = stdout_of(&[&["campaign"], &schedule[..], &["crc32"]].concat());
+    let between =
+        stdout_of(&["campaign", "--tiny", "--trials", "40", "crc32", "--batch", "20", "--seed", "7", "--json"]);
+    assert!(trailing.contains("\"crc32\""), "{trailing}");
+    assert_eq!(trailing.matches("\"key\"").count(), 5, "one bench, five units: {trailing}");
+    assert_eq!(trailing, leading);
+    assert_eq!(trailing, between);
+
+    let explore = [
+        &["explore", "crc32", "--tiny", "--trials", "30", "--threads", "2"][..],
+        &["--models", "single-bit-reg", "--detectors", "none,parity", "--levels", "1.0"][..],
+    ]
+    .concat();
+    assert!(stdout_of(&explore).contains("crc32"));
+}

@@ -110,7 +110,10 @@ fn double_bit_faults_change_outcome_population() {
     let m = flowery_workloads::workload("is", flowery_workloads::Scale::Tiny).compile();
     let prog = compile_module(&m, &BackendConfig::default());
     let single = CampaignConfig::with_trials(500);
-    let double = CampaignConfig { double_bit: true, ..CampaignConfig::with_trials(500) };
+    let double = CampaignConfig {
+        fault_model: flowery_inject::ModelSpec::DoubleBitReg,
+        ..CampaignConfig::with_trials(500)
+    };
     let rs = run_asm_campaign(&m, &prog, &single);
     let rd = run_asm_campaign(&m, &prog, &double);
     assert_eq!(rs.counts.total(), rd.counts.total());

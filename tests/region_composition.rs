@@ -95,7 +95,7 @@ fn assert_composition_within_ci(
         regions: HashMap::new(),
         pre_region: true,
     };
-    let diff = run_diff(units, cfg, cache, &empty, &HashMap::new());
+    let diff = run_diff(units, cfg, cache, &empty, &HashMap::new(), None);
     assert_eq!(diff.units.len(), mono.units.len());
     for (m, d) in mono.units.iter().zip(&diff.units) {
         assert_eq!(m.key, d.key);
@@ -126,7 +126,7 @@ fn assert_diff_is_config_independent(units: &[TrialUnit], cache: &GoldenCache) {
                 regions: HashMap::new(),
                 pre_region: true,
             };
-            runs.push(run_diff(units, &cfg, cache, &empty, &HashMap::new()));
+            runs.push(run_diff(units, &cfg, cache, &empty, &HashMap::new(), None));
         }
     }
     let first = &runs[0];

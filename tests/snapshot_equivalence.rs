@@ -117,8 +117,8 @@ fn trial_runner_indices_match_with_and_without_snapshots() {
     ff.enable_snapshots();
     let mut skipped_any = false;
     for i in 0..150 {
-        let a = plain.run_trial(0xFEED, i, false);
-        let b = ff.run_trial(0xFEED, i, false);
+        let a = plain.run_trial(0xFEED, i);
+        let b = ff.run_trial(0xFEED, i);
         assert_eq!(a.outcome, b.outcome, "IR trial {i}");
         assert_eq!(a.injected_at, b.injected_at, "IR trial {i}");
         assert_eq!(a.ff_insts + a.exec_insts, b.ff_insts + b.exec_insts, "IR trial {i}");
@@ -132,8 +132,8 @@ fn trial_runner_indices_match_with_and_without_snapshots() {
     ff.enable_snapshots();
     let mut skipped_any = false;
     for i in 0..150 {
-        let a = plain.run_trial(0xFEED, i, false);
-        let b = ff.run_trial(0xFEED, i, false);
+        let a = plain.run_trial(0xFEED, i);
+        let b = ff.run_trial(0xFEED, i);
         assert_eq!(a.outcome, b.outcome, "asm trial {i}");
         assert_eq!(a.injected_inst, b.injected_inst, "asm trial {i}");
         assert_eq!(a.ff_insts + a.exec_insts, b.ff_insts + b.exec_insts, "asm trial {i}");

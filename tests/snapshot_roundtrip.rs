@@ -41,82 +41,104 @@ proptest! {
         let src = program(outer, inner, modulus);
         let m = flowery_lang::compile("snapio", &src)
             .unwrap_or_else(|e| panic!("generated program must compile: {e}\n{src}"));
-        let exec = ExecConfig::default();
-
-        // IR layer: every Nth fault site, spanning the whole dynamic range.
-        let interp = Interpreter::new(&m);
-        let set = interp.capture_snapshots_auto(&exec);
         let hash = 0xD15C0 ^ (u64::from(outer) << 32) ^ u64::from(inner);
-        let bytes = set.to_bytes(hash);
-        let loaded = flowery_ir::interp::IrSnapshotSet::from_bytes(&bytes, &m, hash);
-        prop_assert!(loaded.is_ok(), "round trip must load: {:?}", loaded.err());
-        let loaded = loaded.unwrap();
-        prop_assert_eq!(loaded.golden(), set.golden(), "golden run survives the round trip");
-        prop_assert_eq!(loaded.len(), set.len());
-        let sites = set.golden().fault_sites;
-        let step = (sites / 24).max(1);
-        let mut scratch = IrScratch::new();
-        for site in (0..sites).step_by(step as usize) {
-            let spec = FaultSpec::single(site, u32::from(bit));
-            let (fresh, s1) = interp.run_fast_forward(&exec, spec, &set, &mut scratch);
-            let (reload, s2) = interp.run_fast_forward(&exec, spec, &loaded, &mut scratch);
-            prop_assert_eq!(s1, s2, "skipped prefix @ site {}", site);
-            prop_assert_eq!(&fresh, &reload, "IR trial @ site {} bit {}\n{}", site, bit, &src);
-        }
-
-        // Assembly layer.
         let prog = flowery_backend::compile_module(&m, &flowery_backend::BackendConfig::default());
-        let mach = flowery_backend::Machine::new(&m, &prog);
-        let set = mach.capture_snapshots_auto(&exec);
-        let bytes = set.to_bytes(hash);
-        let loaded = flowery_backend::AsmSnapshotSet::from_bytes(&bytes, &m, &prog, hash);
-        prop_assert!(loaded.is_ok(), "asm round trip must load: {:?}", loaded.err());
-        let loaded = loaded.unwrap();
-        prop_assert_eq!(loaded.golden(), set.golden());
-        let sites = set.golden().fault_sites;
-        let step = (sites / 24).max(1);
-        let mut scratch = flowery_backend::AsmScratch::new();
-        for site in (0..sites).step_by(step as usize) {
-            let spec = flowery_backend::AsmFaultSpec::single(site, u32::from(bit));
-            let (fresh, s1) = mach.run_fast_forward(&exec, spec, &set, &mut scratch);
-            let (reload, s2) = mach.run_fast_forward(&exec, spec, &loaded, &mut scratch);
-            prop_assert_eq!(s1, s2, "asm skipped prefix @ site {}", site);
-            prop_assert_eq!(&fresh, &reload, "asm trial @ site {} bit {}\n{}", site, bit, &src);
+
+        // Unprofiled sets, then profiled ones (which also persist the
+        // per-snapshot profile accumulators).
+        for profile in [false, true] {
+            let exec = ExecConfig { profile, ..ExecConfig::default() };
+
+            // IR layer: every Nth fault site, spanning the whole dynamic range.
+            let interp = Interpreter::new(&m);
+            let set = interp.capture_snapshots_auto(&exec);
+            let loaded = flowery_ir::interp::IrSnapshotSet::from_bytes(&set.to_bytes(hash), &m, hash);
+            prop_assert!(loaded.is_ok(), "round trip must load: {:?}", loaded.err());
+            let loaded = loaded.unwrap();
+            prop_assert_eq!(loaded.golden(), set.golden(), "golden run survives the round trip");
+            prop_assert_eq!(loaded.len(), set.len());
+            let sites = set.golden().fault_sites;
+            let step = (sites / 24).max(1);
+            let mut scratch = IrScratch::new();
+            // Trials run under the campaign's livelock budget (4x the golden
+            // run), as `TrialRunner` does: a flipped loop counter must not
+            // spin to the 200M-instruction default — that, not the codec,
+            // was what made this suite the tier-1 long pole.
+            let trial = ExecConfig { profile, ..ExecConfig::with_budget_for(set.golden().dyn_insts) };
+            for site in (0..sites).step_by(step as usize) {
+                let spec = FaultSpec::single(site, u32::from(bit));
+                let (fresh, s1) = interp.run_fast_forward(&trial, spec, &set, &mut scratch);
+                let (reload, s2) = interp.run_fast_forward(&trial, spec, &loaded, &mut scratch);
+                prop_assert_eq!(s1, s2, "skipped prefix @ site {}", site);
+                prop_assert_eq!(&fresh, &reload, "IR trial @ site {} bit {} profile {}\n{}", site, bit, profile, &src);
+            }
+
+            // Assembly layer.
+            let mach = flowery_backend::Machine::new(&m, &prog);
+            let set = mach.capture_snapshots_auto(&exec);
+            let loaded = flowery_backend::AsmSnapshotSet::from_bytes(&set.to_bytes(hash), &m, &prog, hash);
+            prop_assert!(loaded.is_ok(), "asm round trip must load: {:?}", loaded.err());
+            let loaded = loaded.unwrap();
+            prop_assert_eq!(loaded.golden(), set.golden());
+            let sites = set.golden().fault_sites;
+            let step = (sites / 24).max(1);
+            let mut scratch = flowery_backend::AsmScratch::new();
+            let trial = ExecConfig { profile, ..ExecConfig::with_budget_for(set.golden().dyn_insts) };
+            for site in (0..sites).step_by(step as usize) {
+                let spec = flowery_backend::AsmFaultSpec::single(site, u32::from(bit));
+                let (fresh, s1) = mach.run_fast_forward(&trial, spec, &set, &mut scratch);
+                let (reload, s2) = mach.run_fast_forward(&trial, spec, &loaded, &mut scratch);
+                prop_assert_eq!(s1, s2, "asm skipped prefix @ site {}", site);
+                prop_assert_eq!(&fresh, &reload, "asm trial @ site {} bit {} profile {}\n{}", site, bit, profile, &src);
+            }
         }
     }
+}
+
+/// Flip every byte of `bytes` in turn (restoring it afterwards) and demand
+/// that `load` rejects each corrupted file.
+fn every_flip_is_rejected(bytes: &mut [u8], what: &str, load: impl Fn(&[u8]) -> bool) {
+    for i in 0..bytes.len() {
+        bytes[i] ^= 0x40;
+        assert!(!load(bytes), "{what}: flip at byte {i} of {} must be rejected", bytes.len());
+        bytes[i] ^= 0x40;
+    }
+    assert!(load(bytes), "{what}: the restored file must load again");
 }
 
 /// Every single-byte corruption and every truncation must fail the
 /// checksum (or a later validation) — `from_bytes` returns `Err`, it
 /// never panics and never yields a set.
+///
+/// Each flip re-hashes the whole file, so the sweep's cost is quadratic in
+/// the file size. The sets here are captured at a coarse explicit cadence
+/// on a short program: a few snapshots, each with its page delta, in a
+/// file small enough to flip *every* byte — every field of the envelope
+/// (magic, version, content hash, geometry, cadence), the head payload,
+/// every snapshot header and page-delta header, page data and the
+/// checksum — where the old stride-13 sweep over an auto-cadence set
+/// skipped twelve bytes in thirteen.
 #[test]
 fn corrupted_and_mismatched_files_are_rejected() {
-    let src = program(20, 6, 251);
+    let src = program(6, 4, 251);
     let m = flowery_lang::compile("snapio", &src).unwrap();
     let exec = ExecConfig::default();
     let interp = Interpreter::new(&m);
-    let set = interp.capture_snapshots_auto(&exec);
-    let bytes = set.to_bytes(42);
+    let cadence = interp.run(&exec, None).dyn_insts / 4;
+    let set = interp.capture_snapshots(&exec, cadence);
+    assert!(set.len() >= 3, "want several snapshots (and page deltas) in the file, got {}", set.len());
+    let mut bytes = set.to_bytes(42);
+    assert!(bytes.len() < 96 << 10, "keep the sweep cheap: {} bytes", bytes.len());
+    let load = |b: &[u8]| flowery_ir::interp::IrSnapshotSet::from_bytes(b, &m, 42).is_ok();
 
     // Wrong module hash: the file is intact but belongs to another program.
     assert!(flowery_ir::interp::IrSnapshotSet::from_bytes(&bytes, &m, 43).is_err());
 
-    // Single-byte flips anywhere in the file (header, page data, checksum).
-    for i in (0..bytes.len()).step_by(13) {
-        let mut bad = bytes.clone();
-        bad[i] ^= 0x40;
-        assert!(
-            flowery_ir::interp::IrSnapshotSet::from_bytes(&bad, &m, 42).is_err(),
-            "flip at byte {i} must be rejected"
-        );
-    }
+    every_flip_is_rejected(&mut bytes, "ir", load);
 
     // Truncations, including mid-header and the empty file.
     for len in [0, 4, 8, 11, 20, bytes.len() / 2, bytes.len() - 1] {
-        assert!(
-            flowery_ir::interp::IrSnapshotSet::from_bytes(&bytes[..len], &m, 42).is_err(),
-            "truncation to {len} bytes must be rejected"
-        );
+        assert!(!load(&bytes[..len]), "truncation to {len} bytes must be rejected");
     }
 
     // A bumped version field (bytes 8..12, after the 8-byte magic) must be
@@ -124,15 +146,7 @@ fn corrupted_and_mismatched_files_are_rejected() {
     let mut vbump = bytes.clone();
     vbump[8] = vbump[8].wrapping_add(1);
     let body_len = vbump.len() - 8;
-    let sum = {
-        // fnv1a-64, the same checksum the writer uses.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in &vbump[..body_len] {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    };
+    let sum = flowery_ir::fnv1a(&vbump[..body_len]); // the checksum the writer uses
     vbump[body_len..].copy_from_slice(&sum.to_le_bytes());
     let err = flowery_ir::interp::IrSnapshotSet::from_bytes(&vbump, &m, 42).unwrap_err();
     assert!(err.contains("version"), "want a version error, got: {err}");
@@ -140,18 +154,15 @@ fn corrupted_and_mismatched_files_are_rejected() {
     // Same checks on the assembly format.
     let prog = flowery_backend::compile_module(&m, &flowery_backend::BackendConfig::default());
     let mach = flowery_backend::Machine::new(&m, &prog);
-    let set = mach.capture_snapshots_auto(&exec);
-    let bytes = set.to_bytes(42);
+    let cadence = mach.run(&exec, None).dyn_insts / 4;
+    let set = mach.capture_snapshots(&exec, cadence);
+    assert!(set.len() >= 3, "want several snapshots (and page deltas) in the file, got {}", set.len());
+    let mut bytes = set.to_bytes(42);
+    assert!(bytes.len() < 96 << 10, "keep the sweep cheap: {} bytes", bytes.len());
+    let load = |b: &[u8]| flowery_backend::AsmSnapshotSet::from_bytes(b, &m, &prog, 42).is_ok();
     assert!(flowery_backend::AsmSnapshotSet::from_bytes(&bytes, &m, &prog, 43).is_err());
-    for i in (0..bytes.len()).step_by(13) {
-        let mut bad = bytes.clone();
-        bad[i] ^= 0x40;
-        assert!(
-            flowery_backend::AsmSnapshotSet::from_bytes(&bad, &m, &prog, 42).is_err(),
-            "asm flip at byte {i} must be rejected"
-        );
-    }
+    every_flip_is_rejected(&mut bytes, "asm", load);
     for len in [0, 4, 8, 11, 20, bytes.len() / 2, bytes.len() - 1] {
-        assert!(flowery_backend::AsmSnapshotSet::from_bytes(&bytes[..len], &m, &prog, 42).is_err());
+        assert!(!load(&bytes[..len]), "asm truncation to {len} bytes must be rejected");
     }
 }
