@@ -1466,6 +1466,9 @@ pub(crate) fn step(
         } else {
             *ip = next;
         }
+        if let Some(rec) = recorder.as_deref_mut() {
+            rec.note_site(st.last_ip, st.fault_sites);
+        }
         st.fault_sites += 1;
     } else {
         *ip = next;

@@ -23,66 +23,9 @@ use serde::{Deserialize, Serialize};
 /// Return-address sentinel marking the bottom of the call stack.
 pub(crate) const SENTINEL: u64 = u64::MAX - 1;
 
-/// A fault to inject during one machine run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AsmFaultSpec {
-    /// Zero-based index among executed *fault sites* (instructions with an
-    /// architected destination).
-    pub site_index: u64,
-    /// Bit to flip, taken modulo the destination width.
-    pub bit: u32,
-    /// Optional second bit (multi-bit fault model, paper §2.2); `None` =
-    /// the standard single-bit model.
-    pub second_bit: Option<u32>,
-    /// What happens at the site. Defaults to [`FaultEffect::Bits`], the
-    /// pre-existing destination flip. See [`FaultEffect`] for the wider
-    /// models (burst, flags, memory cell, control-flow edge).
-    #[serde(default)]
-    pub effect: FaultEffect,
-    /// Region-scoped injection: when set, `site_index` counts only fault
-    /// sites whose program index lies in `[lo, hi)` (one `AsmFunc`'s
-    /// range), instead of all sites. Used by the incremental engine to
-    /// re-sample one region directly. Scoped trials always start from
-    /// scratch (snapshot restore points are keyed by the global site
-    /// counter) and run on the reference interpreter engine.
-    #[serde(default)]
-    pub scope: Option<(u32, u32)>,
-}
-
-impl AsmFaultSpec {
-    /// The standard single-bit fault.
-    pub fn single(site_index: u64, bit: u32) -> AsmFaultSpec {
-        AsmFaultSpec {
-            site_index,
-            bit,
-            second_bit: None,
-            effect: FaultEffect::Bits,
-            scope: None,
-        }
-    }
-
-    /// A double-bit fault in the same destination.
-    pub fn double(site_index: u64, bit: u32, second: u32) -> AsmFaultSpec {
-        AsmFaultSpec {
-            site_index,
-            bit,
-            second_bit: Some(second),
-            effect: FaultEffect::Bits,
-            scope: None,
-        }
-    }
-
-    /// A fault with an explicit effect.
-    pub fn with_effect(site_index: u64, bit: u32, effect: FaultEffect) -> AsmFaultSpec {
-        AsmFaultSpec { site_index, bit, second_bit: None, effect, scope: None }
-    }
-
-    /// The same fault, restricted to sites in the program range `[lo, hi)`.
-    pub fn scoped(mut self, lo: u32, hi: u32) -> AsmFaultSpec {
-        self.scope = Some((lo, hi));
-        self
-    }
-}
+/// A fault to inject during one machine run: the layers share one spec,
+/// addressed by the global index of a fault site.
+pub type AsmFaultSpec = flowery_ir::interp::FaultSpec;
 
 /// Result of a machine execution.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -224,12 +167,6 @@ impl<'p> Machine<'p> {
         recorder: Option<&mut Recorder<AsmLayer>>,
     ) -> (MachResult, Memory) {
         let (st, ip) = self.state_from(start, config);
-        // Scoped faults count a region-local site index, which only the
-        // reference interpreter implements — region bookkeeping is not a
-        // hot-path concern, so the threaded-code engine stays oblivious.
-        if fault.is_some_and(|f| f.scope.is_some()) {
-            return self.exec_interp(config, fault, st, ip, recorder);
-        }
         crate::exec::executor_for(config.executor).exec(crate::exec::TrialRun {
             machine: self,
             config,
@@ -251,9 +188,6 @@ impl<'p> Machine<'p> {
         mut recorder: Option<&mut Recorder<AsmLayer>>,
     ) -> (MachResult, Memory) {
         let insts = &self.program.insts;
-        // Region-local site counter for scoped faults (see
-        // [`AsmFaultSpec::scope`]).
-        let mut scope_sites: u64 = 0;
 
         let status = 'exec: loop {
             // ---- snapshot hook: `st.dyn_insts` executed, `ip` next -------
@@ -281,12 +215,7 @@ impl<'p> Machine<'p> {
             st.cycles += inst.kind.cycles();
 
             let is_site = inst.kind.is_fault_site();
-            let in_scope = fault.and_then(|f| f.scope).is_some_and(|(lo, hi)| (lo..hi).contains(&ip));
-            let inject_now = is_site
-                && fault.is_some_and(|f| match f.scope {
-                    None => st.fault_sites == f.site_index,
-                    Some(_) => in_scope && scope_sites == f.site_index,
-                });
+            let inject_now = is_site && fault.is_some_and(|f| st.fault_sites == f.site_index);
 
             match self.step(&mut st, inst, &mut ip, config) {
                 Ok(()) => {}
@@ -305,10 +234,10 @@ impl<'p> Machine<'p> {
                         ip = (target % insts.len() as u64) as u32;
                     }
                 }
-                st.fault_sites += 1;
-                if in_scope {
-                    scope_sites += 1;
+                if let Some(rec) = recorder.as_deref_mut() {
+                    rec.note_site(st.last_ip, st.fault_sites);
                 }
+                st.fault_sites += 1;
             }
 
             if st.output.len() > config.max_output {
@@ -319,49 +248,12 @@ impl<'p> Machine<'p> {
         st.finish(status)
     }
 
-    /// Golden run with profiling.
-    pub fn profile_run(&self, config: &ExecConfig) -> MachResult {
-        let cfg = ExecConfig { profile: true, ..config.clone() };
-        self.run(&cfg, None)
-    }
-
     /// Fault-free dynamic site trace: `trace[i]` is the instruction index
     /// of the `i`-th fault site the golden run executes — the map from a
     /// `FaultSpec::site_index` to the static instruction a fault would
-    /// land on. Stops recording at `cap` entries (later sites simply go
-    /// unmapped); the run itself always completes so the trace prefix is
-    /// exact.
+    /// land on, for the first `cap` sites (one [`substrate::observe`] pass).
     pub fn site_trace(&self, config: &ExecConfig, cap: usize) -> Vec<u32> {
-        let mem = Memory::new(self.module, config.mem_size, config.stack_size);
-        let (mut st, mut ip) = self.state_from(Start::boot(self, mem, Vec::new(), &mut ()), config);
-        let insts = &self.program.insts;
-        let mut trace = Vec::new();
-        loop {
-            if ip as usize >= insts.len() {
-                break;
-            }
-            st.dyn_insts += 1;
-            if st.dyn_insts > config.max_dyn_insts {
-                break;
-            }
-            let inst = &insts[ip as usize];
-            let is_site = inst.kind.is_fault_site();
-            let cur = ip;
-            match self.step(&mut st, inst, &mut ip, config) {
-                Ok(()) => {}
-                Err(Halt::Status(_)) => break,
-            }
-            if is_site {
-                if trace.len() >= cap {
-                    break;
-                }
-                trace.push(cur);
-            }
-            if st.output.len() > config.max_output {
-                break;
-            }
-        }
-        trace
+        substrate::observe::<AsmLayer>(self, config, cap).1.trace().to_vec()
     }
 
     fn step(&self, st: &mut State, inst: &AInst, ip: &mut u32, config: &ExecConfig) -> Result<(), Halt> {
@@ -1014,7 +906,7 @@ mod tests {
         mb.add_func(fb.finish());
         let m = mb.finish();
         let prog = compile_module(&m, &BackendConfig::default());
-        let r = Machine::new(&m, &prog).profile_run(&ExecConfig::default());
+        let r = Machine::new(&m, &prog).run(&ExecConfig { profile: true, ..ExecConfig::default() }, None);
         let p = r.profile.unwrap();
         assert_eq!(p.len(), prog.insts.len());
         assert_eq!(p.iter().sum::<u64>(), r.dyn_insts);

@@ -68,7 +68,6 @@ impl Substrate for AsmLayer {
     type Exec<'a> = Machine<'a>;
     type State = AsmState;
     type Golden = MachResult;
-    type Fault = AsmFaultSpec;
     /// `[ip]` = `dyn_insts` at the instruction's first execution.
     type FirstExec = Vec<u64>;
     type Pool = ();
@@ -77,18 +76,17 @@ impl Substrate for AsmLayer {
         exec.module
     }
 
-    /// Scoped faults count a region-local site index, which only the
-    /// reference interpreter implements (see `Machine::exec`).
-    fn engine(config: &ExecConfig, scoped: bool) -> ExecMode {
-        if scoped {
-            ExecMode::Interp
-        } else {
-            config.executor
-        }
+    fn engine(config: &ExecConfig) -> ExecMode {
+        config.executor
     }
 
-    fn global_site(fault: &AsmFaultSpec) -> Option<u64> {
-        fault.scope.is_none().then_some(fault.site_index)
+    fn site_regions(exec: &Machine<'_>) -> Vec<u32> {
+        let program = exec.program;
+        let mut region_of = vec![program.funcs.len() as u32; program.insts.len()];
+        for (i, f) in program.funcs.iter().enumerate() {
+            region_of[f.entry as usize..(f.end as usize).min(program.insts.len())].fill(i as u32);
+        }
+        region_of
     }
 
     fn first_exec_table(exec: &Machine<'_>) -> Vec<u64> {

@@ -159,7 +159,7 @@ struct Ctx {
     plan: PlanSpec,
     hcfg: HarnessConfig,
     /// Per item: the stopping and admission rule — the campaign header, or its
-    /// [`Header::scoped`] form for a diff task.
+    /// [`Header::for_region`] form for a diff task.
     rules: Vec<Header>,
     /// `Some` switches the coordinator to incremental (diff) mode.
     diff: Option<DiffPlan>,
@@ -217,7 +217,7 @@ impl Coordinator {
             None => None,
         };
         let rules: Vec<Header> = match &diff {
-            Some(d) => d.tasks.iter().map(|t| header.scoped(t.scope.trials)).collect(),
+            Some(d) => d.tasks.iter().map(|t| header.for_region(t.scope.trials)).collect(),
             None => vec![header.clone(); units.len()],
         };
         let mut progress: Vec<UnitProgress> = rules.iter().map(|r| UnitProgress::new(r.max_batches())).collect();
@@ -399,6 +399,7 @@ fn finalize_diff(ctx: &Ctx, interrupted: bool) -> Result<DistDiffReport, String>
         units: compose_diff(plan.reports.clone(), &plan.tasks, tallies),
         metrics: plan.metrics.snapshot(ctx.units.len(), 0, GoldenCache::new().stats()),
         interrupted,
+        error: None,
     };
     if !interrupted {
         write_canonical_full(&ctx.ccfg.checkpoint, &ctx.hcfg.header(), &[], &report.records())?;
@@ -603,7 +604,7 @@ fn merge_result(
         log.record_batch(&record)?;
     }
     if let Some(d) = &ctx.diff {
-        let engine = ctx.units[d.tasks[item].unit_index].engine(&ctx.hcfg.exec, true);
+        let engine = ctx.units[d.tasks[item].unit_index].engine(&ctx.hcfg.exec);
         d.metrics.record_batch(&record.counts, ff_insts, exec_insts, engine);
     }
     st.progress[item].insert(record.batch, record.outcome(), rule);

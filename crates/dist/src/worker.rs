@@ -232,12 +232,10 @@ fn session(
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(v) => {
                 let scope = scoped.as_ref().map(|(_, scope)| scope);
-                let Some(runner) = UnitRunner::for_item(&units[ui], cache, &hcfg, scope) else {
-                    return finish(Ok(SessionEnd::Fatal(format!(
-                        "a leased region of {unit} has no injection scope in this build"
-                    ))));
-                };
-                v.insert(runner)
+                match UnitRunner::for_item(&units[ui], cache, &hcfg, scope) {
+                    Ok(runner) => v.insert(runner),
+                    Err(why) => return finish(Ok(SessionEnd::Fatal(format!("cannot run the lease: {why}")))),
+                }
             }
         };
         for b in batches {

@@ -3,9 +3,11 @@
 //! checkpoint bytes — as a local `flowery diff` of the same plan and
 //! baseline, with only the changed regions re-executed.
 
-use flowery_dist::{serve_diff, work, Coordinator, CoordinatorConfig, PlanSpec, WorkerConfig};
+use flowery_dist::{read_frame, serve_diff, work, write_frame, ClientMsg, ScopeSpec, ServerMsg};
+use flowery_dist::{Coordinator, CoordinatorConfig, PlanSpec, WorkerConfig};
 use flowery_harness::checkpoint::write_canonical_full;
-use flowery_harness::{build_matrix, run_diff, Baseline, GoldenCache, HarnessConfig};
+use flowery_harness::{build_matrix, region_fingerprint, run_diff, unit_region_set};
+use flowery_harness::{Baseline, GoldenCache, HarnessConfig};
 use flowery_regions::Fate;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -135,4 +137,52 @@ fn distributed_diff_matches_local_diff_bit_for_bit() {
     let again = serve_diff(edited, cfg, ccfg).unwrap();
     assert!(!again.interrupted);
     assert!(again.report.units.iter().all(|u| u.trials_run == 0));
+}
+
+#[test]
+fn a_lease_planned_against_another_program_is_refused_not_run() {
+    // A scripted coordinator grants one scoped lease whose region mass is
+    // off by one — what a coordinator that observed a different build of
+    // the unit would send. The worker must end the session naming the
+    // disagreement, without running (or reporting) a single batch.
+    let (cfg, plan) = (hcfg(), plan(SRC));
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let connect = listener.local_addr().unwrap().to_string();
+    let worker =
+        std::thread::spawn(move || work(WorkerConfig { connect, threads: 2, max_reconnects: 0, ..Default::default() }));
+    let (mut stream, _) = listener.accept().unwrap();
+    let next = |stream: &mut std::net::TcpStream| read_frame::<_, ClientMsg>(stream);
+
+    assert!(matches!(next(&mut stream), Ok(ClientMsg::Hello { .. })));
+    let welcome = ServerMsg::Welcome {
+        worker_id: 1,
+        plan: plan.clone(),
+        cfg: cfg.clone(),
+        heartbeat_ms: 200,
+    };
+    write_frame(&mut stream, &welcome).unwrap();
+    while !matches!(next(&mut stream).unwrap(), ClientMsg::LeaseRequest) {}
+
+    let (units, cache) = (build_matrix(&plan.to_spec(2)), GoldenCache::new());
+    let observed = unit_region_set(&units[0], &cache, &cfg).get("helper").unwrap().site_mass;
+    let lease = ServerMsg::ScopedLease {
+        scope: 0,
+        spec: ScopeSpec {
+            unit: units[0].key.clone(),
+            region: "helper".into(),
+            trials: 25,
+            seed: 1,
+            mass: observed + 1,
+        },
+        batches: vec![0],
+        region_fingerprint: region_fingerprint(&units, &cache, &cfg),
+    };
+    write_frame(&mut stream, &lease).unwrap();
+
+    let err = worker.join().unwrap().unwrap_err();
+    assert!(err.contains("`helper`"), "{err}");
+    assert!(err.contains(&observed.to_string()) && err.contains(&(observed + 1).to_string()), "{err}");
+    while let Ok(msg) = next(&mut stream) {
+        assert!(matches!(msg, ClientMsg::Heartbeat), "the refused lease produced {msg:?}");
+    }
 }

@@ -66,23 +66,15 @@ pub trait FaultModel {
     /// common site/bit draws, which the caller has already made.
     fn payload(&self, rng: &mut SmallRng) -> (Option<u32>, FaultEffect);
 
-    /// The fault injected by IR-level trial `trial_index` — a pure
-    /// function of `(seed, trial_index, sites)`.
-    fn sample_ir(&self, seed: u64, trial_index: u64, sites: u64) -> FaultSpec {
-        let mut rng = trial_rng(seed, IR_STREAM, trial_index);
+    /// The fault injected by trial `trial_index` of the layer whose stream
+    /// tag is `stream` ([`IR_STREAM`] / [`ASM_STREAM`]) — a pure function of
+    /// `(seed, trial_index, sites)`.
+    fn sample(&self, stream: u64, seed: u64, trial_index: u64, sites: u64) -> FaultSpec {
+        let mut rng = trial_rng(seed, stream, trial_index);
         let site_index = rng.gen_range(0..sites);
         let bit: u32 = rng.gen_range(0..64);
         let (second_bit, effect) = self.payload(&mut rng);
-        FaultSpec { site_index, bit, second_bit, effect, scope: None }
-    }
-
-    /// The fault injected by assembly-level trial `trial_index`.
-    fn sample_asm(&self, seed: u64, trial_index: u64, sites: u64) -> AsmFaultSpec {
-        let mut rng = trial_rng(seed, ASM_STREAM, trial_index);
-        let site_index = rng.gen_range(0..sites);
-        let bit: u32 = rng.gen_range(0..64);
-        let (second_bit, effect) = self.payload(&mut rng);
-        AsmFaultSpec { site_index, bit, second_bit, effect, scope: None }
+        FaultSpec { site_index, bit, second_bit, effect }
     }
 }
 
@@ -203,14 +195,19 @@ impl ModelSpec {
         self.with_model(|m| m.class())
     }
 
-    /// See [`FaultModel::sample_ir`].
-    pub fn sample_ir(self, seed: u64, trial_index: u64, sites: u64) -> FaultSpec {
-        self.with_model(|m| m.sample_ir(seed, trial_index, sites))
+    /// See [`FaultModel::sample`].
+    pub fn sample(self, stream: u64, seed: u64, trial_index: u64, sites: u64) -> FaultSpec {
+        self.with_model(|m| m.sample(stream, seed, trial_index, sites))
     }
 
-    /// See [`FaultModel::sample_asm`].
+    /// The fault injected by IR-level trial `trial_index`.
+    pub fn sample_ir(self, seed: u64, trial_index: u64, sites: u64) -> FaultSpec {
+        self.sample(IR_STREAM, seed, trial_index, sites)
+    }
+
+    /// The fault injected by assembly-level trial `trial_index`.
     pub fn sample_asm(self, seed: u64, trial_index: u64, sites: u64) -> AsmFaultSpec {
-        self.with_model(|m| m.sample_asm(seed, trial_index, sites))
+        self.sample(ASM_STREAM, seed, trial_index, sites)
     }
 }
 
@@ -473,6 +470,23 @@ mod tests {
     }
 
     #[test]
+    fn fault_specs_written_with_a_scope_field_still_parse() {
+        // Specs once carried `scope` (`null` for an ordinary fault); a
+        // region-scoped fault is now an ordinary one and the key is ignored.
+        use serde::{Deserialize, Serialize, Value};
+        let (ir, asm) = (ModelSpec::MultiBit(3).sample_ir(7, 1, 90), ModelSpec::MultiBit(3).sample_asm(7, 1, 90));
+        let with_scope = |v: Value| match v {
+            Value::Map(mut m) => {
+                m.push(("scope".into(), Value::Null));
+                Value::Map(m)
+            }
+            other => panic!("a fault spec serializes as a map, got {other:?}"),
+        };
+        assert_eq!(FaultSpec::deserialize_value(&with_scope(ir.serialize_value())).unwrap(), ir);
+        assert_eq!(AsmFaultSpec::deserialize_value(&with_scope(asm.serialize_value())).unwrap(), asm);
+    }
+
+    #[test]
     fn default_model_matches_legacy_draw_order() {
         // Reproduce the pre-refactor injector inline and compare.
         for trial in [0u64, 3, 11, 999] {
@@ -482,7 +496,6 @@ mod tests {
                 bit: rng.gen_range(0..64),
                 second_bit: None,
                 effect: FaultEffect::Bits,
-                scope: None,
             };
             assert_eq!(ModelSpec::SingleBitReg.sample_ir(42, trial, 500), legacy);
 
@@ -492,7 +505,6 @@ mod tests {
                 bit: rng.gen_range(0..64),
                 second_bit: Some(rng.gen_range(0..64)),
                 effect: FaultEffect::Bits,
-                scope: None,
             };
             assert_eq!(ModelSpec::DoubleBitReg.sample_ir(42, trial, 500), legacy_double);
         }

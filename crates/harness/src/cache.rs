@@ -11,21 +11,30 @@
 //! ahead of a fresh capture run:
 //!
 //! 1. **the persistent store** — sets saved next to the checkpoint by a
-//!    previous run load back without executing anything, so `--resume`
-//!    performs zero golden re-executions and zero re-captures;
+//!    previous run load back without executing anything, so the trials of
+//!    a `--resume` need zero golden re-executions and zero re-captures;
 //! 2. **cross-variant sharing** — a hardened unit that knows its raw twin
 //!    reuses the raw set's golden-prefix snapshots below the divergence
 //!    point and captures only the suffix.
 //!
 //! Since the capture run doubles as the golden run (its result seeds the
 //! golden maps), enabling snapshots never adds an execution.
+//!
+//! The one other fault-free pass is the *site observation*: the golden
+//! order of fault sites by region, from which region masses, region-scoped
+//! trials and the prune oracle's site map derive. It is lazy — a pruned
+//! unit, a scoped work item and the seal's region records ask for it — and
+//! not persisted, so sealing a campaign (a resumed one too) executes every
+//! program once more; [`CacheStats::observations`] counts those passes.
 
 use crate::snapstore::SnapshotStore;
 use flowery_analysis::statline::{analyze_bits, BitTable};
 use flowery_backend::{print_program, AsmLayer, AsmProgram, AsmSnapshotSet, MachResult, Machine};
 use flowery_inject::campaign::{InjectLayer, TrialRunner};
-use flowery_ir::interp::substrate::{self, ProfileOf, RunResult};
-use flowery_ir::interp::{ExecConfig, ExecResult, Interpreter, IrLayer, IrSnapshotSet, SnapshotSet, Substrate};
+use flowery_ir::interp::substrate;
+use flowery_ir::interp::{
+    ExecConfig, ExecResult, Interpreter, IrLayer, IrSnapshotSet, SiteLog, SnapshotSet, Substrate,
+};
 use flowery_ir::printer::print_module;
 use flowery_ir::{fnv1a, Module};
 use std::collections::HashMap;
@@ -59,6 +68,8 @@ pub struct CacheStats {
     /// Captures that shared a raw set's golden prefix (subset of
     /// `snap_captures`; these ran only the post-divergence suffix).
     pub snap_shared: u64,
+    /// Site observation passes (one fault-free execution each).
+    pub observations: u64,
 }
 
 impl CacheStats {
@@ -75,9 +86,8 @@ impl CacheStats {
 pub(crate) struct LayerMaps<S: Substrate> {
     goldens: Mutex<HashMap<u64, Arc<S::Golden>>>,
     snaps: Mutex<HashMap<u64, Arc<SnapshotSet<S>>>>,
-    /// Per-instruction execution profiles from a profiled golden run —
-    /// the dynamic fault-site masses of the region model.
-    profiles: Mutex<HashMap<u64, Arc<ProfileOf<S>>>>,
+    /// Site observations: the golden order of fault sites by region.
+    sites: Mutex<HashMap<u64, Arc<SiteLog>>>,
 }
 
 impl<S: Substrate> Default for LayerMaps<S> {
@@ -85,7 +95,7 @@ impl<S: Substrate> Default for LayerMaps<S> {
         LayerMaps {
             goldens: Mutex::default(),
             snaps: Mutex::default(),
-            profiles: Mutex::default(),
+            sites: Mutex::default(),
         }
     }
 }
@@ -125,8 +135,6 @@ pub struct GoldenCache {
     asm: LayerMaps<AsmLayer>,
     /// Static bit-verdict tables (the prune oracle's proof side).
     bit_tables: Mutex<HashMap<u64, Arc<BitTable>>>,
-    /// Golden dynamic-site → static-instruction traces (its lookup side).
-    site_maps: Mutex<HashMap<u64, Arc<Vec<u32>>>>,
     /// Persistent home for snapshot sets, when the campaign has one.
     store: Option<SnapshotStore>,
     hits: AtomicU64,
@@ -135,6 +143,7 @@ pub struct GoldenCache {
     snap_captures: AtomicU64,
     snap_loads: AtomicU64,
     snap_shared: AtomicU64,
+    observations: AtomicU64,
 }
 
 impl GoldenCache {
@@ -190,39 +199,33 @@ impl GoldenCache {
         self.golden::<AsmLayer>(&Machine::new(m, p), exec)
     }
 
-    /// Per-instruction execution profile of the golden run, computed at
-    /// most once per distinct program content. This is a separate profiled
-    /// execution (the plain golden run skips the counters); region site
-    /// masses derive from it.
-    pub(crate) fn profile<S: CacheLayer>(&self, exec: &S::Exec<'_>, cfg: &ExecConfig) -> Arc<ProfileOf<S>> {
-        self.memo(&S::maps(self).profiles, S::key(exec), || {
-            let cfg = ExecConfig { profile: true, ..cfg.clone() };
-            self.goldens_run.fetch_add(1, Ordering::Relaxed);
-            let (_, profile) = substrate::run::<S>(exec, &cfg, None).into_parts();
-            profile.expect("profiled run records a profile")
+    /// The site observation of `exec`'s program: one fault-free pass
+    /// ([`substrate::observe`]) per distinct program content. `trace_cap`
+    /// bounds the per-site trace it keeps; a campaign passes one value
+    /// throughout, so whoever asks first — a pruned runner, a scoped item,
+    /// the seal — pays the only pass.
+    pub(crate) fn observation<S: CacheLayer>(
+        &self,
+        exec: &S::Exec<'_>,
+        cfg: &ExecConfig,
+        trace_cap: usize,
+    ) -> Arc<SiteLog> {
+        self.memo(&S::maps(self).sites, S::key(exec), || {
+            self.observations.fetch_add(1, Ordering::Relaxed);
+            substrate::observe::<S>(exec, cfg, trace_cap).1
         })
     }
 
     /// Upper bound on prunable dynamic sites per program: past this many,
     /// the site trace stops and later sites simply go unpruned (sound —
-    /// pruning is an optimization, never a requirement).
+    /// pruning is an optimization, never a requirement). Region masses and
+    /// indices are never cut short by it.
     pub const SITE_TRACE_CAP: usize = 1 << 22;
 
     /// Static bit-verdict table for `p`, computed at most once per
     /// distinct program content. Pure static analysis — no execution.
     pub fn asm_bits(&self, m: &Module, p: &AsmProgram) -> Arc<BitTable> {
         self.memo(&self.bit_tables, program_hash(p), || analyze_bits(m, p))
-    }
-
-    /// Golden site trace of `p`: static instruction index of each dynamic
-    /// fault site, in execution order, capped at
-    /// [`GoldenCache::SITE_TRACE_CAP`] entries. A fault-free replay (not a
-    /// golden run — it records site indices, nothing else).
-    pub fn asm_site_map(&self, m: &Module, p: &AsmProgram, exec: &ExecConfig) -> Arc<Vec<u32>> {
-        self.memo(&self.site_maps, program_hash(p), || {
-            self.goldens_run.fetch_add(1, Ordering::Relaxed);
-            Machine::new(m, p).site_trace(exec, Self::SITE_TRACE_CAP)
-        })
     }
 
     /// A trial runner for `exec`'s program on the cached golden. With
@@ -327,6 +330,7 @@ impl GoldenCache {
             snap_captures: self.snap_captures.load(Ordering::Relaxed),
             snap_loads: self.snap_loads.load(Ordering::Relaxed),
             snap_shared: self.snap_shared.load(Ordering::Relaxed),
+            observations: self.observations.load(Ordering::Relaxed),
         }
     }
 }

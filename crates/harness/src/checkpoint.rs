@@ -210,16 +210,10 @@ impl Header {
     }
 
     /// The stopping and admission rule of a region-scoped re-run of
-    /// `trials` trials: its own schedule length, no early stop, and —
-    /// because the scoped sampler re-draws sites the bit proofs do not
-    /// cover — never pruned.
-    pub fn scoped(&self, trials: u64) -> Header {
-        Header {
-            max_trials: trials,
-            ci_target: None,
-            static_prune: 0,
-            ..self.clone()
-        }
+    /// `trials` trials: its own schedule length and no early stop. Its
+    /// faults are ordinary ones, so prune provenance is the campaign's.
+    pub fn for_region(&self, trials: u64) -> Header {
+        Header { max_trials: trials, ci_target: None, ..self.clone() }
     }
 
     /// The one record-admission rule: may `rec` be folded into a campaign
@@ -985,11 +979,11 @@ mod tests {
         };
         assert_eq!(hp.admit(&ir), Ok(()));
         assert_eq!(hp.admit(&BatchRecord { prune_table: 9, ..ir.clone() }), Err(Refusal::PruneProvenance));
-        // A scoped re-run brings its own schedule and never prunes.
-        let scoped = hp.scoped(300); // 2 batches of 250
-        assert_eq!(scoped.admit(&record(1)), Ok(()));
-        assert_eq!(scoped.admit(&record(2)), Err(Refusal::OutOfSchedule));
-        assert_eq!(scoped.admit(&pruned), Err(Refusal::PruneProvenance));
+        // A scoped re-run brings its own schedule and prunes like the campaign.
+        let scoped = hp.for_region(300); // 2 batches of 250
+        assert_eq!(scoped.admit(&BatchRecord { batch: 1, ..pruned.clone() }), Ok(()));
+        assert_eq!(scoped.admit(&BatchRecord { batch: 2, ..pruned.clone() }), Err(Refusal::OutOfSchedule));
+        assert_eq!(scoped.admit(&record(1)), Err(Refusal::PruneProvenance));
         // Status lines count refusals by reason, and stay quiet without any.
         assert_eq!(refused_note(&h, &[record(0)]), "");
         let note = refused_note(&h, &[record(0), record(4), foreign.clone(), foreign, pruned]);

@@ -23,7 +23,7 @@
 
 use crate::cache::GoldenCache;
 use crate::checkpoint::{BatchRecord, CheckpointLog, Header};
-use crate::incremental::{resolve_scope, Scope, Target};
+use crate::incremental::{observed, Scope};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::plan::{Layer, TrialUnit, UnitKey};
 use crate::prior::StaticPrior;
@@ -34,6 +34,7 @@ use flowery_inject::{Estimate, OutcomeCounts};
 use flowery_ir::interp::{ExecConfig, Interpreter};
 use flowery_ir::value::{FuncId, InstId};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -221,7 +222,7 @@ struct ItemState {
     recorded: AtomicU64,
     progress: Mutex<UnitProgress>,
     /// Stopping and admission rule: the campaign header, or its
-    /// [`Header::scoped`] form for a scoped item.
+    /// [`Header::for_region`] form for a scoped item.
     rule: Header,
 }
 
@@ -241,6 +242,12 @@ struct Shared<'a> {
 }
 
 impl Shared<'_> {
+    /// Stop the run on its first error.
+    fn fail(&self, error: String) {
+        self.error.lock().unwrap().get_or_insert(error);
+        self.stop.store(true, Ordering::Relaxed);
+    }
+
     fn snapshot(&self) -> MetricsSnapshot {
         let mut remaining = 0u64;
         for st in &self.states {
@@ -261,11 +268,10 @@ impl Shared<'_> {
         if let (Some(log), None) = (self.checkpoint, scope) {
             let rec = BatchRecord::new(unit.key.clone(), batch, self.cfg.fault_model, &data);
             if let Err(e) = log.record_batch(&rec) {
-                self.error.lock().unwrap().get_or_insert(e);
-                self.stop.store(true, Ordering::Relaxed);
+                self.fail(e);
             }
         }
-        let engine = unit.engine(&self.cfg.exec, scope.is_some());
+        let engine = unit.engine(&self.cfg.exec);
         self.metrics.record_batch(&data.counts, data.ff_insts, data.exec_insts, engine);
         self.metrics.record_pruned(data.pruned);
         let st = &self.states[ii];
@@ -283,11 +289,10 @@ impl Shared<'_> {
     }
 }
 
-/// A per-worker trial executor for one unit, built on the cached golden;
-/// the second field is the injection target of a region-scoped runner.
+/// A per-worker trial executor for one unit, built on the cached golden.
 enum RunnerInner<'u> {
-    Ir(IrTrialRunner<'u>, Option<FuncId>),
-    Asm(AsmTrialRunner<'u>, Option<std::ops::Range<u32>>),
+    Ir(IrTrialRunner<'u>),
+    Asm(AsmTrialRunner<'u>),
 }
 
 /// Executes one unit's trial batches. This is the engine's inner loop
@@ -298,9 +303,8 @@ enum RunnerInner<'u> {
 pub struct UnitRunner<'u> {
     inner: RunnerInner<'u>,
     unit: &'u TrialUnit,
-    /// Static prune oracle, present when `cfg.static_prune` and this is
-    /// an unscoped assembly unit (the bit lattice is an assembly-layer
-    /// analysis of whole-program site draws).
+    /// Static prune oracle, present when `cfg.static_prune` and this is an
+    /// assembly unit (the bit lattice is an assembly-layer analysis).
     prior: Option<StaticPrior>,
     scope: Option<Scope>,
 }
@@ -311,50 +315,58 @@ impl<'u> UnitRunner<'u> {
         let inner = match unit.key.layer {
             Layer::Ir => {
                 let raw = unit.raw.as_deref().map(Interpreter::new);
-                RunnerInner::Ir(cache.runner(Interpreter::new(&unit.module), raw, cfg.snapshots, exec), None)
+                RunnerInner::Ir(cache.runner(Interpreter::new(&unit.module), raw, cfg.snapshots, exec))
             }
-            Layer::Asm => RunnerInner::Asm(cache.runner(unit.machine(), unit.raw_machine(), cfg.snapshots, exec), None),
+            Layer::Asm => RunnerInner::Asm(cache.runner(unit.machine(), unit.raw_machine(), cfg.snapshots, exec)),
         };
         let prior = (cfg.static_prune && unit.key.layer == Layer::Asm).then(|| {
             let p = unit.program.as_ref().expect("asm unit has a program");
             let table = cache.asm_bits(&unit.module, p);
-            let map = cache.asm_site_map(&unit.module, p, exec);
             let hash = table.fingerprint(crate::cache::program_hash(p));
-            StaticPrior::new(table, map, hash)
+            StaticPrior::new(table, observed(unit, cache, cfg).trace().clone(), hash)
         });
         UnitRunner { inner, unit, prior, scope: None }
     }
 
-    /// The runner of one work item: [`UnitRunner::new`] without a scope;
-    /// with one, a runner whose batches index `scope.trials`, drawn from
-    /// `scope.seed` over the `scope.mass` fault sites *inside the region*,
-    /// every trial attributed to it. `None` when the region has no
-    /// contiguous injection scope in this build of the unit (the
-    /// machine-layer [`flowery_regions::OTHER_REGION`] bucket).
+    /// The runner of one work item: [`UnitRunner::new`], and with a scope
+    /// its trials confined to the region — batches index `scope.trials`,
+    /// drawn from `scope.seed` over the fault sites *inside the region*
+    /// ([`TrialRunner::restrict`](flowery_inject::campaign::TrialRunner::restrict)),
+    /// every trial attributed to it. Refuses a scope planned against
+    /// another program: one whose `mass` is not what this build of the unit
+    /// executes inside the region (0 for a region it does not have).
     pub fn for_item(
         unit: &'u TrialUnit,
         cache: &GoldenCache,
         cfg: &HarnessConfig,
         scope: Option<&Scope>,
-    ) -> Option<UnitRunner<'u>> {
-        let Some(scope) = scope else {
-            return Some(UnitRunner::new(unit, cache, cfg));
-        };
-        let exec = &cfg.exec;
-        let inner = match resolve_scope(unit, &scope.region)? {
-            Target::Ir(f) => RunnerInner::Ir(cache.runner(Interpreter::new(&unit.module), None, false, exec), Some(f)),
-            Target::Asm(range) => RunnerInner::Asm(cache.runner(unit.machine(), None, false, exec), Some(range)),
-        };
-        Some(UnitRunner { inner, unit, prior: None, scope: Some(scope.clone()) })
+    ) -> Result<UnitRunner<'u>, String> {
+        let mut runner = UnitRunner::new(unit, cache, cfg);
+        let Some(scope) = scope else { return Ok(runner) };
+        let sites = observed(unit, cache, cfg);
+        let region = unit.region_id(&scope.region).unwrap_or(usize::MAX);
+        let mass = sites.mass(region);
+        if mass == 0 || mass != scope.mass {
+            return Err(format!(
+                "{}: region `{}` executes {mass} fault sites in this build, the scope was planned for {}",
+                unit.key, scope.region, scope.mass
+            ));
+        }
+        match &mut runner.inner {
+            RunnerInner::Ir(r) => r.restrict(sites, region),
+            RunnerInner::Asm(r) => r.restrict(sites, region),
+        }
+        runner.scope = Some(scope.clone());
+        Ok(runner)
     }
 
     /// Run batch `batch` of the schedule `cfg` defines: trial indices
     /// `[batch * batch_size, min((batch+1) * batch_size, max_trials))`
     /// (of the scope's own seed and trial count for a scoped runner).
     pub fn run_batch(&mut self, cfg: &HarnessConfig, batch: u64) -> BatchOutcome {
-        let (seed, trials, mass) = match &self.scope {
-            Some(s) => (s.seed, s.trials, s.mass),
-            None => (cfg.seed, cfg.max_trials, 0),
+        let (seed, trials) = match &self.scope {
+            Some(s) => (s.seed, s.trials),
+            None => (cfg.seed, cfg.max_trials),
         };
         let start = batch * cfg.batch_size;
         let end = (start + cfg.batch_size).min(trials);
@@ -364,15 +376,11 @@ impl<'u> UnitRunner<'u> {
             ..BatchOutcome::default()
         };
         for i in start..end {
-            let t = match (&mut self.inner, &self.prior) {
-                (RunnerInner::Ir(r, None), _) => r.run_trial_model(seed, i, model, detectors),
-                (RunnerInner::Ir(r, Some(f)), _) => r.run_trial_model_scoped(seed, i, model, detectors, *f, mass),
-                (RunnerInner::Asm(r, Some(range)), _) => {
-                    r.run_trial_model_scoped(seed, i, model, detectors, range.clone(), mass)
-                }
-                (RunnerInner::Asm(r, None), None) => r.run_trial_model(seed, i, model, detectors),
-                (RunnerInner::Asm(r, None), Some(prior)) => {
-                    let (t, pruned) = r.run_trial_model_pruned(seed, i, model, detectors, &|s| prior.masked_inst(s));
+            let t = match &mut self.inner {
+                RunnerInner::Ir(r) => r.run_trial_model(seed, i, model, detectors),
+                RunnerInner::Asm(r) => {
+                    let prune = |s: &_| self.prior.as_ref().and_then(|p| p.masked_inst(s));
+                    let (t, pruned) = r.run_trial_model_pruned(seed, i, model, detectors, &prune);
                     data.pruned += u64::from(pruned);
                     t
                 }
@@ -421,10 +429,16 @@ fn worker(home: usize, sh: &Shared<'_>) {
             }
         }
         let Some((ii, b)) = claimed else { return };
-        let runner = runners.entry(ii).or_insert_with(|| {
-            let WorkItem { unit, scope } = sh.items[ii];
-            UnitRunner::for_item(unit, sh.cache, sh.cfg, scope).expect("planned scopes resolve")
-        });
+        let runner = match runners.entry(ii) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(v) => {
+                let WorkItem { unit, scope } = sh.items[ii];
+                match UnitRunner::for_item(unit, sh.cache, sh.cfg, scope) {
+                    Ok(runner) => v.insert(runner),
+                    Err(e) => return sh.fail(e),
+                }
+            }
+        };
         let data = runner.run_batch(sh.cfg, b);
         sh.finish_batch(ii, b, data);
     }
@@ -475,7 +489,7 @@ pub(crate) fn run_items(
     let states: Vec<ItemState> = items
         .iter()
         .map(|item| {
-            let rule = item.scope.map_or_else(|| header.clone(), |s| header.scoped(s.trials));
+            let rule = item.scope.map_or_else(|| header.clone(), |s| header.for_region(s.trials));
             ItemState {
                 cursor: AtomicU64::new(0),
                 done: AtomicBool::new(false),
@@ -675,6 +689,19 @@ mod tests {
             // IR units always run on the IR interpreter, whatever the engine.
             let ir = run_units(&units[1..], &cfg, &GoldenCache::new(), RunOptions::default()).metrics;
             assert_eq!(buckets(&ir), [ir.exec_insts, 0, 0], "{mode}");
+            // A region-scoped re-run is ordinary work: it books under the
+            // same engine and restores snapshots like any other trial.
+            let empty = crate::Baseline {
+                header: cfg.header(),
+                regions: HashMap::new(),
+                pre_region: true,
+            };
+            let cache = GoldenCache::new();
+            let scoped = crate::run_diff(&units[..1], &cfg, &cache, &empty, &HashMap::new(), None).metrics;
+            assert!(scoped.exec_insts > 0 && scoped.ff_insts > 0, "{mode}: {scoped:?}");
+            let mut want = [0; 3];
+            want[mode as usize] = scoped.exec_insts;
+            assert_eq!(buckets(&scoped), want, "{mode} (scoped)");
         }
     }
 

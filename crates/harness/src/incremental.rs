@@ -12,10 +12,10 @@
 //!    new;
 //! 3. re-executes trials *only* for changed regions: each becomes a
 //!    [`Scope`]d work item of the ordinary engine, its trials' injection
-//!    sites confined to the region (`run_trial_model_scoped`) with a
-//!    region-local seed stream, so the plan is a pure function of the
-//!    region content — independent of thread count and of what else
-//!    changed;
+//!    sites drawn among the region's own and addressed by their global
+//!    index (`TrialRunner::restrict`), with a region-local seed stream,
+//!    so the plan is a pure function of the region content — independent
+//!    of thread count and of what else changed;
 //! 4. composes a whole-program answer from the mixed-provenance profiles
 //!    under the current site masses ([`flowery_regions::compose_weighted`]).
 //!
@@ -31,7 +31,7 @@ use crate::progress::BatchOutcome;
 use flowery_backend::AsmLayer;
 use flowery_inject::OutcomeCounts;
 use flowery_ir::fnv1a;
-use flowery_ir::interp::{Interpreter, IrLayer};
+use flowery_ir::interp::{Interpreter, IrLayer, SiteLog};
 use flowery_ir::value::FuncId;
 use flowery_regions::{
     combine, compose_exact, compose_weighted, diff, Fate, RegionProfile, RegionSet, WeightedEstimate,
@@ -40,6 +40,7 @@ use flowery_regions::{
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Salt folded into every region hash of one unit: the unit identity plus
 /// every campaign parameter that changes trial outcomes without changing
@@ -57,20 +58,28 @@ pub fn unit_salt(key: &UnitKey, cfg: &HarnessConfig) -> u64 {
     h
 }
 
-/// Partition one unit into regions. Site masses come from a profiled
-/// golden run served by the cache (one per distinct program content).
+/// The site observation of `unit`'s program: one fault-free pass per
+/// distinct program content, memoised by `cache`. It keeps the per-site
+/// trace exactly when `cfg` prunes (assembly only — the bit proofs are an
+/// assembly-layer analysis).
+pub(crate) fn observed(unit: &TrialUnit, cache: &GoldenCache, cfg: &HarnessConfig) -> Arc<SiteLog> {
+    match unit.key.layer {
+        Layer::Ir => cache.observation::<IrLayer>(&Interpreter::new(&unit.module), &cfg.exec, 0),
+        Layer::Asm => {
+            let trace_cap = if cfg.static_prune { GoldenCache::SITE_TRACE_CAP } else { 0 };
+            cache.observation::<AsmLayer>(&unit.machine(), &cfg.exec, trace_cap)
+        }
+    }
+}
+
+/// Partition one unit into regions, with the site masses of its observed
+/// golden site stream (one fault-free pass per distinct program content).
 pub fn unit_region_set(unit: &TrialUnit, cache: &GoldenCache, cfg: &HarnessConfig) -> RegionSet {
     let salt = unit_salt(&unit.key, cfg);
-    match unit.key.layer {
-        Layer::Ir => {
-            let profile = cache.profile::<IrLayer>(&Interpreter::new(&unit.module), &cfg.exec);
-            flowery_regions::ir_region_set(&unit.module, &profile, salt)
-        }
-        Layer::Asm => {
-            let program = unit.program.as_ref().expect("asm unit has a program");
-            let profile = cache.profile::<AsmLayer>(&unit.machine(), &cfg.exec);
-            flowery_regions::asm_region_set(&unit.module, program, &profile, salt)
-        }
+    let sites = &observed(unit, cache, cfg);
+    match &unit.program {
+        None => flowery_regions::ir_region_set(&unit.module, sites, salt),
+        Some(program) => flowery_regions::asm_region_set(&unit.module, program, sites, salt),
     }
 }
 
@@ -225,9 +234,11 @@ impl DiffUnitReport {
 pub struct DiffReport {
     pub units: Vec<DiffUnitReport>,
     pub metrics: MetricsSnapshot,
-    /// The progress callback stopped the run: some re-run regions are
-    /// incomplete, so [`DiffReport::records`] is no baseline.
+    /// The progress callback or an error stopped the run: some re-run
+    /// regions are incomplete, so [`DiffReport::records`] is no baseline.
     pub interrupted: bool,
+    /// Why a work item was refused (see `UnitRunner::for_item`), if one was.
+    pub error: Option<String>,
 }
 
 impl DiffReport {
@@ -255,25 +266,6 @@ fn planned_trials(cfg: &HarnessConfig, mass: u64, total_mass: u64) -> u64 {
     share.clamp(cfg.batch_size.min(cfg.max_trials), cfg.max_trials)
 }
 
-/// What a region-scoped trial injects into.
-pub(crate) enum Target {
-    Ir(FuncId),
-    Asm(std::ops::Range<u32>),
-}
-
-/// Resolve a region name to its injection target inside one unit. `None`
-/// for a region with no contiguous scope (the machine-layer
-/// [`flowery_regions::OTHER_REGION`] bucket): it cannot be re-sampled and
-/// composes as untested.
-pub(crate) fn resolve_scope(unit: &TrialUnit, name: &str) -> Option<Target> {
-    let Some(program) = &unit.program else {
-        let i = unit.module.functions.iter().position(|f| f.name == name)?;
-        return Some(Target::Ir(FuncId(i as u32)));
-    };
-    let f = program.funcs.iter().find(|f| f.name == name)?;
-    Some(Target::Asm(f.entry..f.end))
-}
-
 /// A region-scoped re-run of `unit`: `trials` trials whose injection sites
 /// are drawn from the `mass` fault sites executed inside `region`, on a
 /// region-local seed stream (depends only on the campaign seed and the
@@ -281,7 +273,8 @@ pub(crate) fn resolve_scope(unit: &TrialUnit, name: &str) -> Option<Target> {
 /// function of `(seed, trial index)`, so the engine's workers — or, since
 /// this is also the wire form of a scoped lease, a distributed
 /// coordinator's — may run its batches anywhere, in any order; each side
-/// resolves `region` to an injection target in its own build of the unit.
+/// resolves `region` against its own observation of the unit and refuses
+/// a `mass` that differs from the one it observed.
 /// Batches index `trials` in [`HarnessConfig::batch_size`] chunks.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scope {
@@ -343,8 +336,7 @@ pub fn plan_diff(
                     });
                 }
                 fate => {
-                    let runnable = planned > 0 && resolve_scope(unit, &d.region.name).is_some();
-                    if runnable {
+                    if planned > 0 {
                         tasks.push(DiffTask {
                             unit_index: ui,
                             region_index: regions.len(),
@@ -361,7 +353,7 @@ pub fn plan_diff(
                     regions.push(RegionReport {
                         name: d.region.name.clone(),
                         fate,
-                        planned_trials: if runnable { planned } else { 0 },
+                        planned_trials: planned,
                         profile: RegionProfile {
                             name: d.region.name,
                             hash: d.region.hash,
@@ -453,6 +445,7 @@ pub fn run_diff(
         units: compose_diff(reports, &tasks, drained.tallies),
         metrics: drained.metrics,
         interrupted: drained.interrupted,
+        error: drained.error,
     }
 }
 
@@ -611,6 +604,33 @@ mod tests {
         let cut = run_diff(&units, &cfg, &cache, &empty_baseline(&cfg), &HashMap::new(), Some(&stop));
         assert!(cut.interrupted);
         assert!(cut.metrics.trials < planned);
+    }
+
+    #[test]
+    fn a_scope_this_build_cannot_honour_is_refused_with_a_reason() {
+        use crate::engine::UnitRunner;
+        let (unit, cfg, cache) = (asm_unit(SRC), small_cfg(), GoldenCache::new());
+        let mass = unit_region_set(&unit, &cache, &cfg).get("helper").unwrap().site_mass;
+        let scope = |region: &str, mass| Scope {
+            unit: unit.key.clone(),
+            region: region.into(),
+            trials: 25,
+            seed: 1,
+            mass,
+        };
+        let refusal = |scope: &Scope| UnitRunner::for_item(&unit, &cache, &cfg, Some(scope)).err();
+        assert_eq!(refusal(&scope("helper", mass)), None);
+        let unknown = refusal(&scope("gone", mass)).expect("no such region");
+        assert!(unknown.contains("`gone`"), "{unknown}");
+        let stale = scope("helper", mass + 1);
+        let why = refusal(&stale).expect("another program's mass");
+        assert!(why.contains(&mass.to_string()) && why.contains(&(mass + 1).to_string()), "{why}");
+        // The engine stops on the refusal; it neither panics nor runs the item.
+        let items = [WorkItem { unit: &unit, scope: Some(&stale) }];
+        let metrics = Metrics::with_mode(cfg.exec.executor);
+        let drained = run_items(&items, &cfg, &cache, metrics, RunOptions::default());
+        assert_eq!(drained.error, Some(why));
+        assert!(drained.tallies[0].is_none() && drained.interrupted);
     }
 
     #[test]

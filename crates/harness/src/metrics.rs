@@ -157,6 +157,11 @@ pub struct MetricsSnapshot {
     /// Captures that shared a raw set's golden prefix.
     #[serde(default)]
     pub snap_shared: u64,
+    /// Site observation passes: one fault-free execution per program whose
+    /// region masses, scoped trials or prune site map were asked for (the
+    /// seal's region records ask for every program's).
+    #[serde(default)]
+    pub observations: u64,
     /// Golden-prefix instructions skipped by snapshot fast-forward.
     pub ff_insts: u64,
     /// Instructions actually executed by trials.
@@ -169,8 +174,7 @@ pub struct MetricsSnapshot {
     #[serde(default)]
     pub exec_mode: String,
     /// Executed instructions attributed to a decode-and-dispatch
-    /// interpreter (all IR-layer work, assembly under `interp`, and
-    /// region-scoped assembly trials under any engine).
+    /// interpreter (all IR-layer work, and assembly under `interp`).
     #[serde(default)]
     pub interp_insts: u64,
     /// Executed instructions attributed to the threaded-code engine.
@@ -231,6 +235,7 @@ impl MetricsSnapshot {
             snap_captures: cache.snap_captures,
             snap_loads: cache.snap_loads,
             snap_shared: cache.snap_shared,
+            observations: cache.observations,
             ..self
         }
     }
@@ -381,6 +386,7 @@ mod tests {
             snap_captures: 1,
             snap_loads: 2,
             snap_shared: 1,
+            observations: 2,
         };
         let s = m.snapshot(4, 100, cache);
         assert_eq!(s.trials, 20);
@@ -393,6 +399,7 @@ mod tests {
         assert_eq!(s.goldens_run, 0);
         assert_eq!(s.snap_captures, 1);
         assert_eq!(s.snap_loads, 2);
+        assert_eq!(s.observations, 2);
         assert_eq!(s.snap_shared, 1);
         assert_eq!(s.ff_insts, 300);
         assert_eq!(s.exec_insts, 100);

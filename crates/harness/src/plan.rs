@@ -128,12 +128,23 @@ impl TrialUnit {
         func.map_or(flowery_regions::OTHER_REGION, |f| f.name.as_str())
     }
 
+    /// The id region `name` has in this unit's site log (the layer's
+    /// `Substrate::site_regions` numbering): its function's position, or
+    /// one past the machine functions for their `OTHER_REGION`.
+    pub(crate) fn region_id(&self, name: &str) -> Option<usize> {
+        let Some(program) = &self.program else {
+            return self.module.functions.iter().position(|f| f.name == name);
+        };
+        let func = program.funcs.iter().position(|f| f.name == name);
+        func.or((name == flowery_regions::OTHER_REGION).then_some(program.funcs.len()))
+    }
+
     /// The engine this unit's trials execute on under `exec` — what the
     /// unit's substrate actually runs, for instruction attribution.
-    pub fn engine(&self, exec: &ExecConfig, scoped: bool) -> ExecMode {
+    pub fn engine(&self, exec: &ExecConfig) -> ExecMode {
         match self.key.layer {
-            Layer::Ir => IrLayer::engine(exec, scoped),
-            Layer::Asm => AsmLayer::engine(exec, scoped),
+            Layer::Ir => IrLayer::engine(exec),
+            Layer::Asm => AsmLayer::engine(exec),
         }
     }
 }

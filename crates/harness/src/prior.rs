@@ -69,7 +69,7 @@ impl StaticPrior {
     /// the sampler draws within it — and sites past the trace cap stay
     /// unpruned.
     pub fn masked_inst(&self, spec: &AsmFaultSpec) -> Option<u32> {
-        if spec.scope.is_some() || spec.effect != FaultEffect::Bits {
+        if spec.effect != FaultEffect::Bits {
             return None;
         }
         let inst = *self.site_map.get(usize::try_from(spec.site_index).ok()?)?;
@@ -97,7 +97,7 @@ mod tests {
     }
 
     #[test]
-    fn masks_only_bit_effect_unscoped_singles_and_composed_doubles() {
+    fn masks_only_bit_effect_singles_and_composed_doubles() {
         let p = prior(0b1010);
         assert_eq!(p.masked_inst(&AsmFaultSpec::single(0, 1)), Some(0));
         assert_eq!(p.masked_inst(&AsmFaultSpec::single(0, 0)), None);
@@ -106,8 +106,6 @@ mod tests {
         let mut burst = AsmFaultSpec::single(0, 1);
         burst.effect = FaultEffect::Burst { width: 2 };
         assert_eq!(p.masked_inst(&burst), None, "only the plain bit-flip effect is prunable");
-        let scoped = AsmFaultSpec::single(0, 1).scoped(0, 1);
-        assert_eq!(p.masked_inst(&scoped), None, "scoped re-sampling bypasses the prune");
         assert_eq!(p.masked_inst(&AsmFaultSpec::single(7, 1)), None, "sites past the trace cap stay unpruned");
     }
 

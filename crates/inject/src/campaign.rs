@@ -12,14 +12,14 @@
 use crate::outcome::{classify, Outcome, OutcomeCounts};
 use flowery_backend::{AsmFaultSpec, AsmLayer, AsmProgram, MachResult, Machine};
 use flowery_faultmodel::{any_catches, classify_asm_fault, classify_ir_fault, flip_count, DetectorSpec, ModelSpec};
+use flowery_faultmodel::{ASM_STREAM, IR_STREAM};
 use flowery_ir::interp::substrate::{self, RunResult};
 use flowery_ir::interp::{ExecConfig, ExecResult, FaultSpec, Interpreter, IrLayer, Profile};
-use flowery_ir::interp::{Scratch, SnapshotSet, Substrate};
+use flowery_ir::interp::{Scratch, SiteLog, SnapshotSet, Substrate};
 use flowery_ir::module::Module;
 use flowery_ir::value::{FuncId, InstId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -153,29 +153,20 @@ pub type AsmTrialOutcome = TrialOutcome;
 /// What trial running needs from a layer on top of its [`Substrate`]: how a
 /// fault is drawn, where it landed, and which modeled detectors cover it.
 pub trait InjectLayer: Substrate {
-    /// The region a scoped trial samples inside.
-    type Scope;
-
-    /// The fault of trial `trial_index` — a pure function of `(seed,
-    /// trial_index)`. With a `scope`, the site draw indexes only the
-    /// `sites` fault sites executed inside it (region-local stream).
-    fn sample(model: ModelSpec, seed: u64, trial_index: u64, sites: u64, scope: Option<Self::Scope>) -> Self::Fault;
+    /// The layer's tag in per-trial seeds: trial `i`'s fault is a pure
+    /// function of `(seed, i)` on the layer's own stream.
+    const STREAM: u64;
 
     /// Record where `result`'s injection landed in the layer's field of
     /// `out`.
     fn locate(result: &Self::Golden, out: &mut TrialOutcome);
 
     /// Whether one of `detectors` covers `fault` as it landed in `result`.
-    fn caught(exec: &Self::Exec<'_>, detectors: &[DetectorSpec], fault: &Self::Fault, result: &Self::Golden) -> bool;
+    fn caught(exec: &Self::Exec<'_>, detectors: &[DetectorSpec], fault: &FaultSpec, result: &Self::Golden) -> bool;
 }
 
 impl InjectLayer for IrLayer {
-    type Scope = FuncId;
-
-    fn sample(model: ModelSpec, seed: u64, trial_index: u64, sites: u64, scope: Option<FuncId>) -> FaultSpec {
-        let spec = model.sample_ir(seed, trial_index, sites);
-        scope.map_or(spec, |f| spec.scoped(f))
-    }
+    const STREAM: u64 = IR_STREAM;
 
     fn locate(result: &ExecResult, out: &mut TrialOutcome) {
         out.injected_at = result.injected_at;
@@ -187,12 +178,7 @@ impl InjectLayer for IrLayer {
 }
 
 impl InjectLayer for AsmLayer {
-    type Scope = Range<u32>;
-
-    fn sample(model: ModelSpec, seed: u64, trial_index: u64, sites: u64, scope: Option<Range<u32>>) -> AsmFaultSpec {
-        let spec = model.sample_asm(seed, trial_index, sites);
-        scope.map_or(spec, |r| spec.scoped(r.start, r.end))
-    }
+    const STREAM: u64 = ASM_STREAM;
 
     fn locate(result: &MachResult, out: &mut TrialOutcome) {
         out.injected_inst = result.injected_inst;
@@ -218,6 +204,9 @@ pub struct TrialRunner<'a, S: InjectLayer> {
     /// Golden-run snapshots for fast-forwarded trials (shared read-only
     /// across the worker threads of a campaign).
     snapshots: Option<Arc<SnapshotSet<S>>>,
+    /// The region of this program's site log trials are confined to (see
+    /// [`TrialRunner::restrict`]); `None` draws over the whole run.
+    region: Option<(Arc<SiteLog>, usize)>,
     /// Per-runner reusable memory image, output buffer, and layer pool.
     scratch: Scratch<S>,
 }
@@ -272,7 +261,7 @@ impl<'p> AsmTrialRunner<'p> {
         detectors: &[DetectorSpec],
         prune: &dyn Fn(&AsmFaultSpec) -> Option<u32>,
     ) -> (AsmTrialOutcome, bool) {
-        let spec = model.sample_asm(seed, trial_index, self.sites());
+        let spec = self.draw(seed, trial_index, model);
         if let Some(inst) = prune(&spec) {
             let out = TrialOutcome {
                 outcome: Outcome::Benign,
@@ -300,7 +289,14 @@ impl<'a, S: InjectLayer> TrialRunner<'a, S> {
             max_dyn_insts: head.dyn_insts.saturating_mul(4).max(100_000),
             ..cfg.clone()
         };
-        TrialRunner { exec, golden, cfg, snapshots: None, scratch: Scratch::new() }
+        TrialRunner {
+            exec,
+            golden,
+            cfg,
+            snapshots: None,
+            region: None,
+            scratch: Scratch::new(),
+        }
     }
 
     pub fn golden(&self) -> &S::Golden {
@@ -357,28 +353,32 @@ impl<'a, S: InjectLayer> TrialRunner<'a, S> {
         model: ModelSpec,
         detectors: &[DetectorSpec],
     ) -> TrialOutcome {
-        let spec = S::sample(model, seed, trial_index, self.sites(), None);
+        let spec = self.draw(seed, trial_index, model);
         self.run_spec(spec, detectors)
     }
 
-    /// Execute trial `trial_index` re-sampled *inside one region*: the
-    /// model's site draw indexes only the `mass` fault sites executed in
-    /// `scope` (region-local stream; see the layer's fault spec).
-    pub fn run_trial_model_scoped(
-        &mut self,
-        seed: u64,
-        trial_index: u64,
-        model: ModelSpec,
-        detectors: &[DetectorSpec],
-        scope: S::Scope,
-        mass: u64,
-    ) -> TrialOutcome {
-        assert!(mass > 0, "scoped trials need a nonzero region site mass");
-        let spec = S::sample(model, seed, trial_index, mass, Some(scope));
-        self.run_spec(spec, detectors)
+    /// Confine subsequent trials to `region` of `log`, this program's site
+    /// log: the model draws over the region's own sites, and the drawn one
+    /// is addressed by its global index — so a region-scoped trial is an
+    /// ordinary trial, with snapshots, every engine and the static prune
+    /// applying unchanged.
+    pub fn restrict(&mut self, log: Arc<SiteLog>, region: usize) {
+        assert!(log.mass(region) > 0, "a region without fault sites has nothing to draw");
+        self.region = Some((log, region));
     }
 
-    fn run_spec(&mut self, spec: S::Fault, detectors: &[DetectorSpec]) -> TrialOutcome {
+    fn draw(&self, seed: u64, trial_index: u64, model: ModelSpec) -> FaultSpec {
+        let Some((log, region)) = &self.region else {
+            return model.sample(S::STREAM, seed, trial_index, self.sites());
+        };
+        let spec = model.sample(S::STREAM, seed, trial_index, log.mass(*region));
+        let site_index = log
+            .index(*region, spec.site_index)
+            .expect("the model draws below the region's mass");
+        FaultSpec { site_index, ..spec }
+    }
+
+    fn run_spec(&mut self, spec: FaultSpec, detectors: &[DetectorSpec]) -> TrialOutcome {
         let (r, skipped) = substrate::trial(&self.exec, &self.cfg, spec, self.snapshots.as_deref(), &mut self.scratch);
         let (head, golden) = (r.head(), self.golden.head());
         let mut out = TrialOutcome {

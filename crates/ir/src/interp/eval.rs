@@ -177,8 +177,6 @@ impl<'m> Interpreter<'m> {
             profile: init_profile,
         } = start;
         let mut injected_at: Option<(FuncId, InstId)> = None;
-        // Region-local site counter for scoped faults (see `FaultSpec::scope`).
-        let mut scope_sites: u64 = 0;
         let mut profile = init_profile.or_else(|| {
             config.profile.then(|| Profile {
                 counts: self.module.functions.iter().map(|f| vec![0u64; f.insts.len()]).collect(),
@@ -342,11 +340,7 @@ impl<'m> Interpreter<'m> {
                     // returns (handled at `Ret`, also excluded) — matching
                     // the instruction-duplication literature's fault model.
                     let is_site = !matches!(self.module.func(fr_func).inst(iid).kind, InstKind::Alloca { .. });
-                    let inject_now = is_site
-                        && fault.is_some_and(|spec| match spec.scope {
-                            None => fault_sites == spec.site_index,
-                            Some(f) => f == fr_func && scope_sites == spec.site_index,
-                        });
+                    let inject_now = is_site && fault.is_some_and(|spec| fault_sites == spec.site_index);
                     if inject_now {
                         let spec = fault.unwrap();
                         injected_at = Some((fr_func, iid));
@@ -380,10 +374,10 @@ impl<'m> Interpreter<'m> {
                         v = ty.canon(v);
                     }
                     if is_site {
-                        fault_sites += 1;
-                        if fault.is_some_and(|spec| spec.scope == Some(fr_func)) {
-                            scope_sites += 1;
+                        if let Some(rec) = recorder.as_deref_mut() {
+                            rec.note_site(fr_func.0, fault_sites);
                         }
+                        fault_sites += 1;
                     }
                     let fr = stack.last_mut().unwrap();
                     fr.values[iid.index()] = ty.canon(v);
@@ -524,7 +518,6 @@ impl Substrate for IrLayer {
     type Exec<'a> = Interpreter<'a>;
     type State = IrState;
     type Golden = ExecResult;
-    type Fault = FaultSpec;
     /// `[func][block]` = `dyn_insts` at the block's first entry.
     type FirstExec = Vec<Vec<u64>>;
     type Pool = FramePool;
@@ -534,12 +527,12 @@ impl Substrate for IrLayer {
     }
 
     /// The IR layer has a single engine.
-    fn engine(_config: &ExecConfig, _scoped: bool) -> ExecMode {
+    fn engine(_config: &ExecConfig) -> ExecMode {
         ExecMode::Interp
     }
 
-    fn global_site(fault: &FaultSpec) -> Option<u64> {
-        fault.scope.is_none().then_some(fault.site_index)
+    fn site_regions(exec: &Interpreter<'_>) -> Vec<u32> {
+        (0..exec.module.functions.len() as u32).collect()
     }
 
     fn first_exec_table(exec: &Interpreter<'_>) -> Vec<Vec<u64>> {

@@ -18,7 +18,7 @@ mod prefix;
 
 pub use eval::{mem_fault_region, Interpreter, IrLayer};
 pub use memory::{Memory, TrapKind, GLOBAL_BASE, PAGE_SIZE};
-pub use snapshot::{Cadence, SnapshotSet};
+pub use snapshot::{Cadence, SiteLog, SnapshotSet};
 pub use substrate::{Scratch, Substrate};
 
 use crate::module::Module;
@@ -183,12 +183,15 @@ pub enum FaultEffect {
     Jump { target: u64 },
 }
 
-/// A fault to inject during one run.
+/// A fault to inject during one run, at either layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultSpec {
-    /// Zero-based index among *fault sites* (dynamic instructions that write
-    /// a result). When the counter reaches this index the result is
-    /// corrupted.
+    /// Zero-based index among the *fault sites* the whole run executes —
+    /// IR: dynamic instructions that write a result; assembly: instructions
+    /// with an architected destination. When the counter reaches this index
+    /// the destination is corrupted. A fault confined to one region is the
+    /// same thing: the region's `k`-th site has a global index
+    /// ([`snapshot::SiteLog::index`]).
     pub site_index: u64,
     /// Bit position to flip; taken modulo the destination width.
     pub bit: u32,
@@ -199,26 +202,12 @@ pub struct FaultSpec {
     /// pre-existing single/double-bit destination flip.
     #[serde(default)]
     pub effect: FaultEffect,
-    /// Region-scoped injection: when set, `site_index` counts only fault
-    /// sites executed *inside this function* (a region-local index over
-    /// `[0, region site mass)`), instead of all sites. Used by the
-    /// incremental engine to re-sample one region directly. Scoped trials
-    /// always start from scratch — snapshot restore points are keyed by
-    /// the global site counter.
-    #[serde(default)]
-    pub scope: Option<crate::value::FuncId>,
 }
 
 impl FaultSpec {
     /// The standard single-bit fault.
     pub fn single(site_index: u64, bit: u32) -> FaultSpec {
-        FaultSpec {
-            site_index,
-            bit,
-            second_bit: None,
-            effect: FaultEffect::Bits,
-            scope: None,
-        }
+        FaultSpec { site_index, bit, second_bit: None, effect: FaultEffect::Bits }
     }
 
     /// A double-bit fault in the same destination.
@@ -228,19 +217,12 @@ impl FaultSpec {
             bit,
             second_bit: Some(second),
             effect: FaultEffect::Bits,
-            scope: None,
         }
     }
 
     /// A fault with an explicit effect.
     pub fn with_effect(site_index: u64, bit: u32, effect: FaultEffect) -> FaultSpec {
-        FaultSpec { site_index, bit, second_bit: None, effect, scope: None }
-    }
-
-    /// The same fault, restricted to sites inside `func`.
-    pub fn scoped(mut self, func: crate::value::FuncId) -> FaultSpec {
-        self.scope = Some(func);
-        self
+        FaultSpec { site_index, bit, second_bit: None, effect }
     }
 }
 

@@ -15,6 +15,7 @@
 
 use crate::interp::memory::{Memory, PageMap, PageRecorder};
 use crate::interp::substrate::{ProfileOf, Substrate};
+use std::sync::Arc;
 
 /// When the recorder captures. Trials draw their injection sites uniformly
 /// over *fault sites*, not dynamic instructions, so site-spaced snapshots
@@ -166,6 +167,101 @@ impl<S: Substrate> SnapshotSet<S> {
     }
 }
 
+/// The golden order of fault sites, run-length encoded by region (function):
+/// what an observation run ([`observe`](crate::interp::substrate::observe))
+/// collects through [`Recorder::note_site`]. It maps a region's own site
+/// stream onto the global one that sampling, snapshot restore points and
+/// the static prune share — the `k`-th site executed inside a region is an
+/// ordinary global site index ([`SiteLog::index`]). Holds O(region
+/// transitions), plus the per-site trace up to the cap its maker asked for.
+#[derive(Debug)]
+pub struct SiteLog {
+    /// Region of each code position ([`Substrate::site_regions`]); empty
+    /// once the recording is closed.
+    region_of: Vec<u32>,
+    /// Per region, its maximal runs of consecutive sites, each as (sites of
+    /// the region before the run, global index of the run's first site).
+    runs: Vec<Vec<(u64, u64)>>,
+    /// Per region, the fault sites executed inside it (in closed runs).
+    masses: Vec<u64>,
+    /// Region of the latest site (`u32::MAX` before the first).
+    last: u32,
+    /// The trace while recording; [`SiteLog::close`] moves it to `trace`.
+    recording: Vec<u32>,
+    trace: Arc<Vec<u32>>,
+    trace_cap: usize,
+}
+
+impl SiteLog {
+    pub(crate) fn new(region_of: Vec<u32>, trace_cap: usize) -> SiteLog {
+        let regions = region_of.iter().max().map_or(0, |&r| r as usize + 1);
+        SiteLog {
+            region_of,
+            runs: vec![Vec::new(); regions],
+            masses: vec![0; regions],
+            last: u32::MAX,
+            recording: Vec::new(),
+            trace: Arc::default(),
+            trace_cap,
+        }
+    }
+
+    #[inline]
+    fn note(&mut self, pos: u32, site: u64) {
+        let region = self.region_of[pos as usize];
+        if self.last != region {
+            self.turn(region, site);
+        }
+        if self.recording.len() < self.trace_cap {
+            self.recording.push(pos);
+        }
+    }
+
+    /// End the current run at global site `site`, crediting its sites to
+    /// its region, and start one in `region` (none for `u32::MAX`).
+    #[cold]
+    fn turn(&mut self, region: u32, site: u64) {
+        if let Some(&(before, first)) = self.runs.get(self.last as usize).and_then(|runs| runs.last()) {
+            self.masses[self.last as usize] = before + (site - first);
+        }
+        self.last = region;
+        if let Some(runs) = self.runs.get_mut(region as usize) {
+            runs.push((self.masses[region as usize], site));
+        }
+    }
+
+    /// End the recording of a run of `sites` fault sites: close the last
+    /// run, seal the trace, and drop the position table only recording needs.
+    pub(crate) fn close(&mut self, sites: u64) {
+        self.turn(u32::MAX, sites);
+        self.trace = Arc::new(std::mem::take(&mut self.recording));
+        self.region_of = Vec::new();
+    }
+
+    /// Fault sites executed inside `region` (0 for one the program lacks).
+    /// Over all regions they sum to the run's `fault_sites`.
+    pub fn mass(&self, region: usize) -> u64 {
+        self.masses.get(region).copied().unwrap_or(0)
+    }
+
+    /// Global index of the `k`-th fault site executed inside `region`;
+    /// `None` at or past the region's mass.
+    pub fn index(&self, region: usize, k: u64) -> Option<u64> {
+        if k >= self.mass(region) {
+            return None;
+        }
+        let runs = &self.runs[region];
+        let (before, first) = runs[runs.partition_point(|&(before, _)| before <= k) - 1];
+        Some(first + (k - before))
+    }
+
+    /// Code position of each fault site in execution order, up to the cap
+    /// the log was made with (later sites go unmapped).
+    pub fn trace(&self) -> &Arc<Vec<u32>> {
+        &self.trace
+    }
+}
+
 /// Capture-side hook threaded through a layer's golden run: the engine
 /// polls [`Recorder::due`] at the top of its dispatch loop and hands over
 /// its state with [`Recorder::capture`].
@@ -181,6 +277,8 @@ pub struct Recorder<S: Substrate> {
     /// executions are unknown in variant terms).
     first_exec: Option<S::FirstExec>,
     snaps: Vec<Snapshot<S>>,
+    /// Site sink of an observation run; capture runs keep none.
+    pub(crate) sites: Option<SiteLog>,
 }
 
 impl<S: Substrate> Recorder<S> {
@@ -211,6 +309,15 @@ impl<S: Substrate> Recorder<S> {
             pages,
             first_exec,
             snaps: shared,
+            sites: None,
+        }
+    }
+
+    /// A recorder that captures nothing and logs every fault site.
+    pub(crate) fn observer(log: SiteLog) -> Recorder<S> {
+        Recorder {
+            sites: Some(log),
+            ..Recorder::new(Cadence::Insts(u64::MAX), None, None, None, Vec::new())
         }
     }
 
@@ -233,6 +340,16 @@ impl<S: Substrate> Recorder<S> {
             if *slot == u64::MAX {
                 *slot = dyn_insts;
             }
+        }
+    }
+
+    /// Report that the instruction at code position `pos` (the layer's
+    /// [`Substrate::site_regions`] coordinate) executed as fault site
+    /// number `site` of the run.
+    #[inline]
+    pub fn note_site(&mut self, pos: u32, site: u64) {
+        if let Some(log) = self.sites.as_mut() {
+            log.note(pos, site);
         }
     }
 

@@ -14,8 +14,8 @@
 
 use crate::interp::memory::{Memory, PageMap, PAGE_SIZE};
 use crate::interp::snapio::Cursor;
-use crate::interp::snapshot::{Cadence, Recorder, Snapshot, SnapshotSet, AUTO_MAX_SNAPS, AUTO_SITE_CADENCE};
-use crate::interp::{ExecConfig, ExecMode, ExecStatus};
+use crate::interp::snapshot::{Cadence, Recorder, SiteLog, Snapshot, SnapshotSet, AUTO_MAX_SNAPS, AUTO_SITE_CADENCE};
+use crate::interp::{ExecConfig, ExecMode, ExecStatus, FaultSpec};
 use crate::module::Module;
 use std::fmt::Debug;
 
@@ -58,8 +58,6 @@ pub trait Substrate: Sized + Debug + 'static {
     type State: Clone + Debug;
     /// Result of one run.
     type Golden: RunResult;
-    /// A fault to inject.
-    type Fault: Copy;
     /// First-execution table of a fresh capture run: `dyn_insts` at which
     /// each code position first executed, `u64::MAX` = never.
     type FirstExec: Debug + PartialEq;
@@ -69,14 +67,14 @@ pub trait Substrate: Sized + Debug + 'static {
 
     fn module<'a>(exec: &'a Self::Exec<'_>) -> &'a Module;
 
-    /// The engine that executes a trial under `config`. Scoped trials may
-    /// run on a different engine than global ones.
-    fn engine(config: &ExecConfig, scoped: bool) -> ExecMode;
+    /// The engine that executes a trial under `config`.
+    fn engine(config: &ExecConfig) -> ExecMode;
 
-    /// The fault's index in the *global* site stream, which is what
-    /// snapshot restore points are keyed by; `None` for region-scoped
-    /// faults, which therefore always start from scratch.
-    fn global_site(fault: &Self::Fault) -> Option<u64>;
+    /// The region (function) of each code position the engine reports to
+    /// [`Recorder::note_site`] — IR: a function index, which is its own
+    /// region; assembly: a program index, mapped to its `AsmFunc` (one past
+    /// the last for positions outside every body).
+    fn site_regions(exec: &Self::Exec<'_>) -> Vec<u32>;
 
     /// An all-`u64::MAX` first-execution table for `exec`'s program.
     fn first_exec_table(exec: &Self::Exec<'_>) -> Self::FirstExec;
@@ -93,7 +91,7 @@ pub trait Substrate: Sized + Debug + 'static {
     fn run_suffix(
         exec: &Self::Exec<'_>,
         config: &ExecConfig,
-        fault: Option<Self::Fault>,
+        fault: Option<FaultSpec>,
         start: Start<Self>,
         recorder: Option<&mut Recorder<Self>>,
         pool: &mut Self::Pool,
@@ -221,11 +219,25 @@ impl<S: Substrate> Scratch<S> {
 
 /// Execute `main` to completion under `config` on a fresh memory image,
 /// optionally injecting a fault.
-pub fn run<S: Substrate>(exec: &S::Exec<'_>, config: &ExecConfig, fault: Option<S::Fault>) -> S::Golden {
+pub fn run<S: Substrate>(exec: &S::Exec<'_>, config: &ExecConfig, fault: Option<FaultSpec>) -> S::Golden {
     let mut pool = S::Pool::default();
     let mem = Memory::new(S::module(exec), config.mem_size, config.stack_size);
     let start = Start::boot(exec, mem, Vec::new(), &mut pool);
     S::run_suffix(exec, config, fault, start, None, &mut pool).0
+}
+
+/// One fault-free run that logs the golden order of fault sites by region
+/// (see [`SiteLog`]), keeping the per-site trace up to `trace_cap` entries.
+/// Honors `config.profile`, so the same pass can be the profiled run.
+pub fn observe<S: Substrate>(exec: &S::Exec<'_>, config: &ExecConfig, trace_cap: usize) -> (S::Golden, SiteLog) {
+    let mut pool = S::Pool::default();
+    let mem = Memory::new(S::module(exec), config.mem_size, config.stack_size);
+    let mut rec = Recorder::observer(SiteLog::new(S::site_regions(exec), trace_cap));
+    let start = Start::boot(exec, mem, Vec::new(), &mut pool);
+    let (golden, _mem) = S::run_suffix(exec, config, None, start, Some(&mut rec), &mut pool);
+    let mut log = rec.sites.expect("an observer keeps its log");
+    log.close(golden.head().fault_sites);
+    (golden, log)
 }
 
 /// Run one faulty trial on `scratch`'s recycled buffers. With a snapshot
@@ -241,7 +253,7 @@ pub fn run<S: Substrate>(exec: &S::Exec<'_>, config: &ExecConfig, fault: Option<
 pub fn trial<S: Substrate>(
     exec: &S::Exec<'_>,
     config: &ExecConfig,
-    fault: S::Fault,
+    fault: FaultSpec,
     set: Option<&SnapshotSet<S>>,
     scratch: &mut Scratch<S>,
 ) -> (S::Golden, u64) {
@@ -264,7 +276,7 @@ pub fn trial<S: Substrate>(
     // accumulator; otherwise (and for sites earlier than the first
     // snapshot) it runs from the start, still on the recycled image.
     let snap = set.and_then(|set| {
-        let snap = S::global_site(&fault).and_then(|site| set.nearest(site))?;
+        let snap = set.nearest(fault.site_index)?;
         (!config.profile || snap.profile.is_some()).then_some((snap, set.golden.head().output))
     });
     let start = match snap {
@@ -391,7 +403,7 @@ mod tests {
     use super::*;
     use crate::builder::{FuncBuilder, ModuleBuilder};
     use crate::inst::BinOp;
-    use crate::interp::{FaultSpec, Interpreter, IrLayer, IrScratch};
+    use crate::interp::{Interpreter, IrLayer, IrScratch};
     use crate::types::Type;
     use crate::value::Op;
 

@@ -32,8 +32,7 @@ use flowery_backend::mir::AsmProgram;
 use flowery_inject::stats::{wilson_half_width, Estimate};
 use flowery_inject::OutcomeCounts;
 use flowery_ir::fnv1a;
-use flowery_ir::inst::{Callee, InstKind};
-use flowery_ir::interp::Profile;
+use flowery_ir::interp::SiteLog;
 use flowery_ir::module::Module;
 use flowery_ir::printer::print_function;
 use flowery_ir::value::{FuncId, InstId};
@@ -103,37 +102,16 @@ impl RegionSet {
     }
 }
 
-/// Whether a static IR instruction can be a dynamic fault site. Mirrors
-/// the interpreter's injection hook: only compute results are sites —
-/// `alloca` addresses and function-call returns are excluded, and
-/// instructions without a result (stores, output intrinsics) never reach
-/// the result-write path.
-pub fn ir_is_site(module: &Module, f: FuncId, i: InstId) -> bool {
-    if module.result_ty(f, i).is_none() {
-        return false;
-    }
-    let kind = &module.func(f).inst(i).kind;
-    !matches!(kind, InstKind::Alloca { .. }) && !matches!(kind, InstKind::Call { callee: Callee::Func(_), .. })
-}
-
-/// Partition an IR module into per-function regions. `profile` is the
-/// golden run's execution profile (`Interpreter::profile_run`); `salt`
-/// folds in the unit configuration (variant, level, fault model,
-/// detectors, geometry) so the same function under two configs hashes
-/// differently.
-pub fn ir_region_set(module: &Module, profile: &Profile, salt: u64) -> RegionSet {
+/// Partition an IR module into per-function regions. `sites` is the
+/// module's observed site log (`substrate::observe::<IrLayer>`), whose
+/// region ids are function indices; `salt` folds in the unit configuration
+/// (variant, level, fault model, detectors, geometry) so the same function
+/// under two configs hashes differently.
+pub fn ir_region_set(module: &Module, sites: &SiteLog, salt: u64) -> RegionSet {
     let mut regions = Vec::new();
     for (fi, func) in module.functions.iter().enumerate() {
-        let fid = FuncId(fi as u32);
-        let hash = combine(fnv1a(print_function(module, fid, func).as_bytes()), salt);
-        let mut mass = 0u64;
-        for ii in 0..func.insts.len() {
-            let iid = InstId(ii as u32);
-            if ir_is_site(module, fid, iid) {
-                mass += profile.counts[fi][ii];
-            }
-        }
-        regions.push(Region { name: func.name.clone(), hash, site_mass: mass });
+        let hash = combine(fnv1a(print_function(module, FuncId(fi as u32), func).as_bytes()), salt);
+        regions.push(Region { name: func.name.clone(), hash, site_mass: sites.mass(fi) });
     }
     regions.sort_by(|a, b| a.name.cmp(&b.name));
     RegionSet { regions }
@@ -146,32 +124,20 @@ pub fn ir_region_set(module: &Module, profile: &Profile, salt: u64) -> RegionSet
 /// that function's own codegen changes — plus `salt`. Absolute operand
 /// addresses are deliberately excluded: an edit to one function must not
 /// invalidate every function behind it just because code shifted.
-/// `profile` is the golden run's per-instruction execution counts
-/// (`Machine::profile_run`). Sites outside every function body fold into
-/// [`OTHER_REGION`].
-pub fn asm_region_set(module: &Module, program: &AsmProgram, profile: &[u64], salt: u64) -> RegionSet {
+/// `sites` is the program's observed site log
+/// (`substrate::observe::<AsmLayer>`), whose region ids are positions in
+/// `program.funcs`, one past them for sites outside every function body —
+/// those fold into [`OTHER_REGION`].
+pub fn asm_region_set(module: &Module, program: &AsmProgram, sites: &SiteLog, salt: u64) -> RegionSet {
     let mut regions = Vec::new();
-    let mut covered = vec![false; program.insts.len()];
-    for f in &program.funcs {
+    for (i, f) in program.funcs.iter().enumerate() {
         let (lo, hi) = (f.entry as usize, (f.end as usize).min(program.insts.len()));
         let ir_func = &module.functions[f.ir_id.index()];
         let mut hash = combine(fnv1a(print_function(module, f.ir_id, ir_func).as_bytes()), salt);
         hash = combine(hash, (hi - lo) as u64);
-        let mut mass = 0u64;
-        for (i, c) in covered.iter_mut().enumerate().take(hi).skip(lo) {
-            *c = true;
-            if program.insts[i].kind.is_fault_site() {
-                mass += profile.get(i).copied().unwrap_or(0);
-            }
-        }
-        regions.push(Region { name: f.name.clone(), hash, site_mass: mass });
+        regions.push(Region { name: f.name.clone(), hash, site_mass: sites.mass(i) });
     }
-    let mut other = 0u64;
-    for (i, c) in covered.iter().enumerate() {
-        if !c && program.insts[i].kind.is_fault_site() {
-            other += profile.get(i).copied().unwrap_or(0);
-        }
-    }
+    let other = sites.mass(program.funcs.len());
     if other > 0 {
         regions.push(Region {
             name: OTHER_REGION.into(),
@@ -322,7 +288,9 @@ pub fn diff(current: &RegionSet, baseline: &[RegionProfile]) -> (Vec<RegionDelta
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowery_ir::interp::{ExecConfig, Interpreter};
+    use flowery_backend::{AsmLayer, Machine};
+    use flowery_ir::interp::substrate::observe;
+    use flowery_ir::interp::{ExecConfig, Interpreter, IrLayer};
 
     const SRC: &str = "int helper(int x) { return x * 3 + 1; } \
          int main() { int s = 0; int i; for (i = 0; i < 10; i = i + 1) { s = s + helper(i); } output(s); return 0; }";
@@ -334,9 +302,8 @@ mod tests {
     #[test]
     fn ir_masses_partition_golden_sites() {
         let m = module();
-        let interp = Interpreter::new(&m);
-        let golden = interp.profile_run(&ExecConfig::default());
-        let set = ir_region_set(&m, golden.profile.as_ref().unwrap(), 7);
+        let (golden, sites) = observe::<IrLayer>(&Interpreter::new(&m), &ExecConfig::default(), 0);
+        let set = ir_region_set(&m, &sites, 7);
         assert_eq!(set.total_mass(), golden.fault_sites, "region masses must partition the golden site count");
         assert!(set.regions.iter().all(|r| r.site_mass > 0), "both functions execute");
     }
@@ -344,17 +311,15 @@ mod tests {
     #[test]
     fn salt_and_content_change_hashes() {
         let m = module();
-        let interp = Interpreter::new(&m);
-        let golden = interp.profile_run(&ExecConfig::default());
-        let prof = golden.profile.as_ref().unwrap();
-        let a = ir_region_set(&m, prof, 1);
-        let b = ir_region_set(&m, prof, 2);
+        let sites = observe::<IrLayer>(&Interpreter::new(&m), &ExecConfig::default(), 0).1;
+        let a = ir_region_set(&m, &sites, 1);
+        let b = ir_region_set(&m, &sites, 2);
         assert_eq!(a.regions.len(), b.regions.len());
         assert!(a.regions.iter().zip(&b.regions).all(|(x, y)| x.hash != y.hash), "salt feeds every hash");
 
         let m2 = flowery_lang::compile("t", &SRC.replace("x * 3 + 1", "x * 3 + 2")).unwrap();
-        let golden2 = Interpreter::new(&m2).profile_run(&ExecConfig::default());
-        let c = ir_region_set(&m2, golden2.profile.as_ref().unwrap(), 1);
+        let sites2 = observe::<IrLayer>(&Interpreter::new(&m2), &ExecConfig::default(), 0).1;
+        let c = ir_region_set(&m2, &sites2, 1);
         let changed: Vec<_> = a
             .regions
             .iter()
@@ -369,9 +334,8 @@ mod tests {
     fn asm_masses_partition_golden_sites() {
         let m = module();
         let program = flowery_backend::compile_module(&m, &flowery_backend::BackendConfig::default());
-        let mach = flowery_backend::Machine::new(&m, &program);
-        let golden = mach.profile_run(&ExecConfig::default());
-        let set = asm_region_set(&m, &program, golden.profile.as_ref().unwrap(), 7);
+        let (golden, sites) = observe::<AsmLayer>(&Machine::new(&m, &program), &ExecConfig::default(), 0);
+        let set = asm_region_set(&m, &program, &sites, 7);
         assert_eq!(
             set.total_mass(),
             golden.fault_sites,

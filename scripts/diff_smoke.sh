@@ -25,7 +25,10 @@ int main() {
 }
 EOF
 
-ARGS=(--src "$DIR/probe.mc" --tiny --trials 2000 --batch 100 --seed 7 --threads 2)
+# DIFF_SMOKE_ARGS appends flags to every campaign and diff below; CI runs
+# the script a second time with `--executor native --static-prune`.
+read -r -a EXTRA <<< "${DIFF_SMOKE_ARGS:-}"
+ARGS=(--src "$DIR/probe.mc" --tiny --trials 2000 --batch 100 --seed 7 --threads 2 ${EXTRA[@]+"${EXTRA[@]}"})
 
 echo "diff-smoke: baseline campaign"
 "$BIN" campaign "${ARGS[@]}" --checkpoint "$DIR/base.jsonl" >/dev/null 2>&1
@@ -44,6 +47,9 @@ grep -q '"regions_reused": 5' "$DIR/diff-metrics.json" \
     || { echo "diff did not reuse the unchanged regions"; cat "$DIR/diff-metrics.json"; exit 1; }
 grep -qE '"region_trials_saved": [1-9]' "$DIR/diff-metrics.json" \
     || { echo "diff saved no trials"; cat "$DIR/diff-metrics.json"; exit 1; }
+# Region-scoped re-runs are ordinary trials: they restore snapshots.
+grep -qE '"ff_ratio": 0\.[0-9]*[1-9]' "$DIR/diff-metrics.json" \
+    || { echo "scoped re-runs did not fast-forward"; cat "$DIR/diff-metrics.json"; exit 1; }
 echo "diff-smoke: 5/10 regions re-ran (the edited function, once per unit)"
 
 echo "diff-smoke: second diff against the composed checkpoint is a no-op"

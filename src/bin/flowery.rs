@@ -6,7 +6,7 @@ use flowery::analysis::render_breakdown;
 use flowery::backend::{compile_module, harden_program, BackendConfig, HardenConfig, Machine};
 use flowery::core::{run_lint, ExperimentConfig, PassConfig};
 use flowery::inject::{run_asm_campaign, run_ir_campaign, CampaignConfig, Coverage};
-use flowery::ir::interp::{decode_output, ExecConfig, Interpreter};
+use flowery::ir::interp::{decode_output, ExecConfig, Interpreter, IrLayer};
 use flowery::ir::Module;
 use flowery::passes::{apply_flowery, duplicate_module, DupConfig, FloweryConfig, ProtectionPlan};
 use flowery::workloads::{workload, Scale, NAMES};
@@ -610,6 +610,8 @@ fn cmd_campaign(rest: &[String]) -> Result<(), String> {
         let regions = (!report.interrupted).then(|| region_records(&units, &report.units, &cache, &cfg));
         seal(p, log, &regions.unwrap_or_default())?;
     }
+    // Re-stamped after the seal, whose region records observe every program.
+    let report = flowery::harness::CampaignReport { metrics: report.metrics.with_cache(cache.stats()), ..report };
     write_metrics(&args, &report.metrics)?;
     print_campaign_report(&args, &report)?;
     if report.interrupted {
@@ -685,6 +687,9 @@ fn cmd_diff(rest: &[String]) -> Result<(), String> {
     flowery::harness::shutdown::install();
     let progress = flowery::harness::status_printer("[diff]");
     let report = flowery::harness::run_diff(&units, &cfg, &cache, &baseline, &priorities, Some(&progress));
+    if let Some(e) = report.error {
+        return Err(e);
+    }
 
     match args.str("--out") {
         Some(_) if report.interrupted => eprintln!("[diff] interrupted: no composed checkpoint written"),
@@ -904,10 +909,11 @@ fn cmd_vuln(rest: &[String]) -> Result<(), String> {
     let top = args.u64("--top", 15)? as usize;
     let m = load(args.input()?)?;
     let camp = run_ir_campaign(&m, &CampaignConfig::with_trials(trials));
-    let prof = Interpreter::new(&m)
-        .profile_run(&ExecConfig::default())
-        .profile
-        .expect("profiling run returns counts");
+    // One fault-free pass: the execution profile, and the golden site
+    // stream by region for `--by-region`.
+    let profiled = ExecConfig { profile: true, ..ExecConfig::default() };
+    let (golden, sites) = flowery::ir::interp::substrate::observe::<IrLayer>(&Interpreter::new(&m), &profiled, 0);
+    let prof = golden.profile.expect("profiling run returns counts");
     let ranking = if args.flag("--static-prior") {
         let bcfg = BackendConfig::default();
         let prog = compile_module(&m, &bcfg);
@@ -926,10 +932,11 @@ fn cmd_vuln(rest: &[String]) -> Result<(), String> {
     print!("{}", flowery::analysis::render_vulnerability(&ranking));
     if args.flag("--by-region") {
         // Fold the per-instruction SDC map into the same per-function
-        // regions `flowery diff` uses, with dynamic site mass from the
-        // golden profile — SDC share far above mass share marks a region
-        // worth selective protection (and a good diff re-run priority).
-        let set = flowery::regions::ir_region_set(&m, &prof, 0);
+        // regions `flowery diff` uses, with the dynamic site mass the
+        // golden run executes in each — SDC share far above mass share
+        // marks a region worth selective protection (and a good diff
+        // re-run priority).
+        let set = flowery::regions::ir_region_set(&m, &sites, 0);
         let hits_in = |name: &str| -> u64 {
             let here = camp.sdc_by_inst.iter().filter(|((f, _), _)| m.func(*f).name == name);
             here.map(|(_, n)| n).sum()

@@ -4,23 +4,29 @@
 //! only its `Substrate` impl, so every behaviour is asserted at both layers
 //! on the same programs.
 
-use flowery_backend::{compile_module, AsmFaultSpec, AsmLayer, AsmProgram, BackendConfig, Machine};
+use flowery_backend::{compile_module, AsmLayer, AsmProgram, BackendConfig, MachResult, Machine};
 use flowery_ir::interp::snapshot::AUTO_MAX_SNAPS;
 use flowery_ir::interp::substrate::{self, RunResult};
-use flowery_ir::interp::{Cadence, ExecConfig, ExecStatus, FaultSpec, Interpreter, IrLayer};
+use flowery_ir::interp::{Cadence, ExecConfig, ExecResult, ExecStatus, FaultSpec, Interpreter, IrLayer};
 use flowery_ir::interp::{Scratch, SnapshotSet, Substrate, PAGE_SIZE};
-use flowery_ir::Module;
+use flowery_ir::{Callee, FuncId, InstId, InstKind, Module};
 use std::sync::Arc;
 
 /// What the suite needs from a layer beyond its `Substrate` impl: an
-/// executor for a module, a single-bit fault, and the tuning of the
+/// executor for a module, where a fault landed, an
+/// independent count of each region's fault sites, and the tuning of the
 /// store-heavy budget test.
 trait Layer: Substrate {
     /// What the executor binds besides the module.
     type Program;
     fn compile(m: &Module) -> Self::Program;
     fn bind<'a>(m: &'a Module, p: &'a Self::Program) -> Self::Exec<'a>;
-    fn single(site: u64, bit: u32) -> Self::Fault;
+    /// Where `result`'s fault landed, in the coordinate of
+    /// `Substrate::site_regions`.
+    fn landed(result: &Self::Golden) -> Option<u32>;
+    /// Fault sites executed per region, counted from `golden`'s execution
+    /// profile with the layer's static site predicate.
+    fn profile_masses(m: &Module, p: &Self::Program, golden: &Self::Golden) -> Vec<u64>;
     /// Budget test: (loop iterations, capture interval, site stride).
     const BUDGET: (u32, u64, usize);
 }
@@ -31,8 +37,19 @@ impl Layer for IrLayer {
     fn bind<'a>(m: &'a Module, _: &'a ()) -> Interpreter<'a> {
         Interpreter::new(m)
     }
-    fn single(site: u64, bit: u32) -> FaultSpec {
-        FaultSpec::single(site, bit)
+    fn landed(result: &ExecResult) -> Option<u32> {
+        result.injected_at.map(|(f, _)| f.0)
+    }
+    /// Compute results other than `alloca` addresses and call returns.
+    fn profile_masses(m: &Module, _: &(), golden: &ExecResult) -> Vec<u64> {
+        let counts = &golden.profile.as_ref().expect("profiled run").counts;
+        let is_site = |f: usize, i: usize| {
+            let kind = &m.functions[f].inst(InstId(i as u32)).kind;
+            m.result_ty(FuncId(f as u32), InstId(i as u32)).is_some()
+                && !matches!(kind, InstKind::Alloca { .. } | InstKind::Call { callee: Callee::Func(_), .. })
+        };
+        let mass = |f: usize| (0..counts[f].len()).filter(|&i| is_site(f, i)).map(|i| counts[f][i]).sum();
+        (0..counts.len()).map(mass).collect()
     }
     const BUDGET: (u32, u64, usize) = (8192, 256, 997);
 }
@@ -45,8 +62,14 @@ impl Layer for AsmLayer {
     fn bind<'a>(m: &'a Module, p: &'a AsmProgram) -> Machine<'a> {
         Machine::new(m, p)
     }
-    fn single(site: u64, bit: u32) -> AsmFaultSpec {
-        AsmFaultSpec::single(site, bit)
+    fn landed(result: &MachResult) -> Option<u32> {
+        result.injected_inst
+    }
+    fn profile_masses(_: &Module, p: &AsmProgram, golden: &MachResult) -> Vec<u64> {
+        let counts = golden.profile.as_ref().expect("profiled run");
+        let site = |i: &u32| p.insts[*i as usize].kind.is_fault_site();
+        let mass = |f: &flowery_backend::mir::AsmFunc| (f.entry..f.end).filter(site).map(|i| counts[i as usize]).sum();
+        p.funcs.iter().map(mass).collect()
     }
     const BUDGET: (u32, u64, usize) = (4096, 512, 4999);
 }
@@ -124,7 +147,7 @@ fn fast_forward_is_bit_identical<S: Layer>() {
     let mut scratch = Scratch::new();
     for site in 0..set.golden().head().fault_sites {
         for bit in [0u32, 1, 5, 17, 31, 62, 63] {
-            let spec = S::single(site, bit);
+            let spec = FaultSpec::single(site, bit);
             let scratch_res = substrate::run::<S>(&exec, &cfg, Some(spec));
             let (ff_res, skipped) = substrate::trial(&exec, &cfg, spec, Some(&set), &mut scratch);
             assert_eq!(ff_res, scratch_res, "site {site} bit {bit}");
@@ -174,7 +197,7 @@ fn snapshot_budget_widens_cadence_on_store_heavy_runs<S: Layer>() {
     // The thinned set still fast-forwards bit-identically.
     let mut scratch = Scratch::new();
     for site in (0..capped.golden().head().fault_sites).step_by(stride) {
-        let spec = S::single(site, 13);
+        let spec = FaultSpec::single(site, 13);
         let scratch_res = substrate::run::<S>(&exec, &cfg, Some(spec));
         let (ff_res, _) = substrate::trial(&exec, &cfg, spec, Some(&capped), &mut scratch);
         assert_eq!(ff_res, scratch_res, "site {site}");
@@ -200,7 +223,7 @@ fn profiled_fast_forward_matches_scratch<S: Layer>() {
     let mut scratch = Scratch::new();
     let mut late_skipped = 0u64;
     for site in 0..set.golden().head().fault_sites {
-        let spec = S::single(site, 5);
+        let spec = FaultSpec::single(site, 5);
         let scratch_res = substrate::run::<S>(&exec, &cfg, Some(spec));
         let (ff_res, skipped) = substrate::trial(&exec, &cfg, spec, Some(&set), &mut scratch);
         assert_eq!(ff_res, scratch_res, "site {site}: profile counts must be restored");
@@ -220,7 +243,7 @@ fn unprofiled_set_falls_back_for_profiled_trials<S: Layer>() {
     let prof_cfg = ExecConfig { profile: true, ..plain_cfg.clone() };
     let set = substrate::capture::<S>(&exec, &plain_cfg, Cadence::Insts(64), None);
     let mut scratch = Scratch::new();
-    let spec = S::single(set.golden().head().fault_sites - 1, 1);
+    let spec = FaultSpec::single(set.golden().head().fault_sites - 1, 1);
     let scratch_res = substrate::run::<S>(&exec, &prof_cfg, Some(spec));
     let (ff_res, skipped) = substrate::trial(&exec, &prof_cfg, spec, Some(&set), &mut scratch);
     assert_eq!(skipped, 0, "no profile in the snapshot: must start from scratch");
@@ -245,7 +268,7 @@ fn auto_capture_is_site_spaced_and_capped<S: Layer>() {
     }
     let mut scratch = Scratch::new();
     for site in (0..set.golden().head().fault_sites).step_by(1009) {
-        let spec = S::single(site, 7);
+        let spec = FaultSpec::single(site, 7);
         let scratch_res = substrate::run::<S>(&exec, &cfg, Some(spec));
         let (ff_res, _) = substrate::trial(&exec, &cfg, spec, Some(&set), &mut scratch);
         assert_eq!(ff_res, scratch_res, "site {site}");
@@ -281,7 +304,7 @@ fn shared_prefix_capture_matches_fresh_capture<S: Layer>() {
     let mut scratch = Scratch::new();
     for site in 0..set.golden().head().fault_sites {
         for bit in [0u32, 9, 33] {
-            let spec = S::single(site, bit);
+            let spec = FaultSpec::single(site, bit);
             let scratch_res = substrate::run::<S>(&var, &cfg, Some(spec));
             let (ff_res, _) = substrate::trial(&var, &cfg, spec, Some(&set), &mut scratch);
             assert_eq!(ff_res, scratch_res, "site {site} bit {bit}");
@@ -350,7 +373,7 @@ fn round_trip_is_bit_identical<S: Layer>() {
     // Fast-forward from the loaded set is bit-identical at every site.
     let (mut s1, mut s2) = (Scratch::new(), Scratch::new());
     for site in 0..set.golden().head().fault_sites {
-        let spec = S::single(site, 3);
+        let spec = FaultSpec::single(site, 3);
         let fresh = substrate::trial(&exec, &cfg, spec, Some(&set), &mut s1);
         let reloaded = substrate::trial(&exec, &cfg, spec, Some(&loaded), &mut s2);
         assert_eq!(fresh, reloaded, "site {site}");
@@ -405,6 +428,43 @@ fn rejects_corruption_and_mismatches<S: Layer>() {
     assert!(err.contains("magic"), "{err}");
 }
 
+fn region_sites_index_the_golden_stream<S: Layer>() {
+    // A region's k-th site is an ordinary global site: for every region
+    // and every k below its mass, a fault at `index(region, k)` lands
+    // inside that region.
+    let m = loop_module();
+    let p = S::compile(&m);
+    let exec = S::bind(&m, &p);
+    let cfg = limits(10_000);
+    let profiled = ExecConfig { profile: true, ..cfg.clone() };
+    let (golden, sites) = substrate::observe::<S>(&exec, &profiled, usize::MAX);
+    assert_eq!(golden, substrate::run::<S>(&exec, &profiled, None), "observing must not perturb the run");
+    let region_of = S::site_regions(&exec);
+    let regions = *region_of.iter().max().unwrap() as usize + 1;
+    let masses: Vec<u64> = (0..regions).map(|r| sites.mass(r)).collect();
+    assert_eq!(masses.iter().sum::<u64>(), golden.head().fault_sites, "masses partition the site stream");
+    assert_eq!(masses, S::profile_masses(&m, &p, &golden), "log masses equal the profile's");
+    assert!(masses.iter().filter(|&&mass| mass > 0).count() >= 2, "both functions execute sites");
+
+    let trace = sites.trace();
+    assert_eq!(trace.len() as u64, golden.head().fault_sites);
+    for (region, &mass) in masses.iter().enumerate() {
+        let mut previous = None;
+        for k in 0..mass {
+            let site = sites.index(region, k).expect("k is below the mass");
+            assert!(previous < Some(site), "region {region}: indices must increase with k");
+            previous = Some(site);
+            assert_eq!(region_of[trace[site as usize] as usize] as usize, region);
+            let faulty = substrate::run::<S>(&exec, &cfg, Some(FaultSpec::single(site, 0)));
+            let landed = S::landed(&faulty).map(|pos| region_of[pos as usize] as usize);
+            assert_eq!(landed, Some(region), "region {region}, k {k}: site {site}");
+        }
+        assert_eq!(sites.index(region, mass), None, "region {region}: the mass is the bound");
+    }
+    // Without a trace cap nothing but the run-length map is kept.
+    assert!(substrate::observe::<S>(&exec, &cfg, 0).1.trace().is_empty());
+}
+
 macro_rules! suite {
     ($layer:ident, $S:ty, [$($test:ident),* $(,)?]) => {
         mod $layer {
@@ -436,4 +496,5 @@ both_layers![
     shared_prefix_refuses_incompatible_shapes,
     round_trip_is_bit_identical,
     rejects_corruption_and_mismatches,
+    region_sites_index_the_golden_stream,
 ];
