@@ -15,8 +15,8 @@ fn bench(c: &mut Criterion) {
     let study = bench_study();
     println!("{}", render_fig17(&fig17(&study)));
 
-    let cfg = bench_config();
-    let raw = workload("needle", cfg.scale).compile();
+    let (spec, _) = bench_config();
+    let raw = workload("needle", spec.scale).compile();
     c.bench_function("fig17_protect_pipeline", |b| {
         b.iter(|| {
             let mut m = raw.clone();

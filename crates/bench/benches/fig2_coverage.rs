@@ -17,11 +17,11 @@ fn bench(c: &mut Criterion) {
     let study = bench_study();
     println!("{}", render_fig2(&fig2(&study)));
 
-    let cfg = bench_config();
-    let mut m = workload("is", cfg.scale).compile();
+    let (spec, _) = bench_config();
+    let mut m = workload("is", spec.scale).compile();
     let plan = ProtectionPlan::full(&m);
     duplicate_module(&mut m, &plan, &DupConfig::default());
-    let prog = compile_module(&m, &cfg.backend);
+    let prog = compile_module(&m, &spec.backend);
     let camp = CampaignConfig::with_trials(100);
 
     let mut group = c.benchmark_group("fig2_campaigns");

@@ -18,11 +18,11 @@ fn bench(c: &mut Criterion) {
     let study = bench_study();
     println!("{}", render_fig3(&fig3(&study)));
 
-    let cfg = bench_config();
-    let mut m = workload("quicksort", cfg.scale).compile();
+    let (spec, _) = bench_config();
+    let mut m = workload("quicksort", spec.scale).compile();
     let plan = ProtectionPlan::full(&m);
     duplicate_module(&mut m, &plan, &DupConfig::default());
-    let prog = compile_module(&m, &cfg.backend);
+    let prog = compile_module(&m, &spec.backend);
     let camp = run_asm_campaign(&m, &prog, &CampaignConfig::with_trials(400));
 
     c.bench_function("fig3_classify_400_cases", |b| b.iter(|| classify_campaign(&m, &prog, &camp.sdc_insts)));

@@ -17,8 +17,8 @@ fn bench(c: &mut Criterion) {
     let study = bench_study();
     println!("{}", render_overhead(&overhead(&study)));
 
-    let cfg = bench_config();
-    let raw = workload("pathfinder", cfg.scale).compile();
+    let (spec, _) = bench_config();
+    let raw = workload("pathfinder", spec.scale).compile();
     let mut id = raw.clone();
     let plan = ProtectionPlan::full(&id);
     duplicate_module(&mut id, &plan, &DupConfig::default());
@@ -27,7 +27,7 @@ fn bench(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("overhead_golden");
     for (label, m) in [("raw", &raw), ("id", &id), ("flowery", &fl)] {
-        let prog = compile_module(m, &cfg.backend);
+        let prog = compile_module(m, &spec.backend);
         group.bench_function(label, |b| {
             let mach = Machine::new(m, &prog);
             b.iter(|| mach.run(&ExecConfig::default(), None))

@@ -9,13 +9,13 @@ use flowery_passes::{apply_flowery, duplicate_module, DupConfig, FloweryConfig, 
 use flowery_workloads::workload;
 
 fn bench(c: &mut Criterion) {
-    let cfg = bench_config();
+    let (spec, _) = bench_config();
     println!("\n=== §7.3 pass time (regenerated) ===");
-    println!("{}", render_pass_time(&pass_time(&cfg)));
+    println!("{}", render_pass_time(&pass_time(spec.scale)));
 
     let mut group = c.benchmark_group("flowery_pass");
     for name in ["quicksort", "cg", "susan"] {
-        let raw = workload(name, cfg.scale).compile();
+        let raw = workload(name, spec.scale).compile();
         let mut id = raw.clone();
         let plan = ProtectionPlan::full(&id);
         duplicate_module(&mut id, &plan, &DupConfig::default());

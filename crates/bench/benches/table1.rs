@@ -11,14 +11,14 @@ use flowery_ir::interp::{ExecConfig, Interpreter};
 use flowery_workloads::workload;
 
 fn bench(c: &mut Criterion) {
-    let cfg = bench_config();
+    let (spec, _) = bench_config();
     println!("\n=== Table 1 (regenerated) ===");
-    println!("{}", render_table1(&table1(&cfg)));
+    println!("{}", render_table1(&table1(spec.scale, &spec.backend)));
 
     let mut group = c.benchmark_group("table1_golden_runs");
     for name in ["is", "quicksort", "bfs"] {
-        let m = workload(name, cfg.scale).compile();
-        let prog = compile_module(&m, &cfg.backend);
+        let m = workload(name, spec.scale).compile();
+        let prog = compile_module(&m, &spec.backend);
         group.bench_function(format!("{name}/ir"), |b| {
             let interp = Interpreter::new(&m);
             b.iter(|| interp.run(&ExecConfig::default(), None))

@@ -11,7 +11,8 @@
 //! benchmarks at higher trial counts (and see
 //! `examples/paper_study.rs` for the full 3,000-trial protocol).
 
-use flowery_core::{run_study, ExperimentConfig, StudyResults};
+use flowery_core::harness::{HarnessConfig, MatrixSpec, RunOptions};
+use flowery_core::{run_study, StudyResults};
 
 /// The default bench subset: moderate dynamic sizes, covering all three
 /// suites and both integer- and float-heavy codes.
@@ -22,24 +23,28 @@ pub fn full_mode() -> bool {
     std::env::var("FLOWERY_BENCH_FULL").is_ok_and(|v| v == "1")
 }
 
-/// The experiment configuration for bench-time figure generation.
-pub fn bench_config() -> ExperimentConfig {
-    let mut cfg = ExperimentConfig::default();
-    if full_mode() {
-        cfg.trials = 1000;
-        cfg.profile_trials = 400;
-    } else {
-        cfg.trials = 200;
-        cfg.profile_trials = 120;
-    }
-    cfg
+/// The matrix and trial schedule for bench-time figure generation: the
+/// paper's four levels over [`SUBSET`] (every benchmark in full mode).
+pub fn bench_config() -> (MatrixSpec, HarnessConfig) {
+    let (trials, profile_trials) = if full_mode() { (1000, 400) } else { (200, 120) };
+    let spec = MatrixSpec {
+        benches: if full_mode() {
+            Vec::new()
+        } else {
+            SUBSET.map(String::from).to_vec()
+        },
+        levels: vec![0.3, 0.5, 0.7, 1.0],
+        profile_trials,
+        ..Default::default()
+    };
+    let cfg = HarnessConfig { max_trials: trials, seed: 0x51C2_3001, ..Default::default() };
+    (spec, cfg)
 }
 
 /// Run the study used for figure printing in benches.
 pub fn bench_study() -> StudyResults {
-    let cfg = bench_config();
-    let names: Vec<&str> = if full_mode() { Vec::new() } else { SUBSET.to_vec() };
-    run_study(&names, &cfg)
+    let (spec, cfg) = bench_config();
+    run_study(&spec, &cfg, RunOptions::default()).expect("an uninterrupted study is complete")
 }
 
 #[cfg(test)]
@@ -56,7 +61,7 @@ mod tests {
     #[test]
     fn bench_config_is_light_by_default() {
         if !full_mode() {
-            assert!(bench_config().trials <= 200);
+            assert!(bench_config().1.max_trials <= 200);
         }
     }
 }

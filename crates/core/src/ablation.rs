@@ -5,12 +5,13 @@
 //! responds — i.e. that the penetrations emerge from the modelled
 //! mechanisms rather than being artefacts.
 
-use crate::config::ExperimentConfig;
+use crate::pipeline::index;
 use flowery_analysis::{classify_campaign_with, PenetrationBreakdown};
-use flowery_backend::{compile_module, BackendConfig};
-use flowery_inject::{run_asm_campaign, Coverage};
-use flowery_passes::{duplicate_module, DupConfig, ProtectionPlan};
-use flowery_workloads::workload;
+use flowery_backend::BackendConfig;
+use flowery_harness::{
+    build_matrix, run_units, GoldenCache, HarnessConfig, Layer, MatrixSpec, Progress, RunOptions, UnitKey, Variant,
+};
+use flowery_inject::Coverage;
 use serde::{Deserialize, Serialize};
 
 /// One ablation configuration's measurements on one benchmark.
@@ -38,38 +39,41 @@ pub fn ablation_configs() -> Vec<(String, BackendConfig)> {
     ]
 }
 
-/// Run every ablation over the given benchmarks at full protection.
-pub fn ablation_study(names: &[&str], cfg: &ExperimentConfig) -> Vec<AblationRow> {
-    let names: Vec<&str> = if names.is_empty() {
-        vec!["is", "quicksort"]
-    } else {
-        names.to_vec()
-    };
-    let camp = cfg.campaign();
-    let mut rows = Vec::new();
-    for name in names {
-        let raw = workload(name, cfg.scale).compile();
-        let mut id = raw.clone();
-        let plan = ProtectionPlan::full(&id);
-        duplicate_module(&mut id, &plan, &DupConfig::default());
-        for (label, bcfg) in ablation_configs() {
-            if cfg.verbose {
-                eprintln!("[ablate] {name}/{label}");
-            }
-            let raw_prog = compile_module(&raw, &bcfg);
-            let id_prog = compile_module(&id, &bcfg);
-            let raw_asm = run_asm_campaign(&raw, &raw_prog, &camp);
-            let id_asm = run_asm_campaign(&id, &id_prog, &camp);
-            rows.push(AblationRow {
-                benchmark: name.to_string(),
-                config: label,
+/// Run every ablation over `spec`'s benchmarks at full protection: one
+/// engine pass per backend configuration (`spec.backend` and `spec.levels`
+/// are the swept and the fixed axis, and are ignored) over the matrix's
+/// Raw@Asm and Id@Asm units, all passes sharing one golden cache. Rows come
+/// benchmark-major, configurations in [`ablation_configs`] order.
+pub fn ablation_study(
+    spec: &MatrixSpec,
+    cfg: &HarnessConfig,
+    progress: Option<Progress<'_>>,
+) -> Result<Vec<AblationRow>, String> {
+    let cache = GoldenCache::new();
+    let mut per_config: Vec<Vec<AblationRow>> = Vec::new();
+    for (label, backend) in ablation_configs() {
+        let mut units = build_matrix(&MatrixSpec { backend, levels: vec![1.0], ..spec.clone() });
+        units.retain(|u| u.key.layer == Layer::Asm && u.key.variant != Variant::Flowery);
+        let results = run_units(&units, cfg, &cache, RunOptions { progress, ..Default::default() }).complete()?;
+        let by_key = index(&units, &results)?;
+        let rows = units.iter().filter(|u| u.key.variant == Variant::Id).map(|id| {
+            let raw_asm = by_key[&UnitKey::new(&id.key.bench, Variant::Raw, 0.0, Layer::Asm)];
+            let id_asm = by_key[&id.key];
+            let program = id.program.as_ref().expect("asm unit has a program");
+            AblationRow {
+                benchmark: id.key.bench.clone(),
+                config: label.clone(),
                 coverage_pct: Coverage::compute(&raw_asm.counts, &id_asm.counts).percent(),
                 golden_dyn: id_asm.golden_dyn_insts,
-                rootcause: classify_campaign_with(&id, &id_prog, &id_asm.sdc_insts, bcfg.fold_compares),
-            });
-        }
+                rootcause: classify_campaign_with(&id.module, program, &id_asm.sdc_insts, backend.fold_compares),
+            }
+        });
+        per_config.push(rows.collect());
     }
-    rows
+    let benches = per_config.first().map_or(0, Vec::len);
+    Ok((0..benches)
+        .flat_map(|b| per_config.iter().map(move |rows| rows[b].clone()))
+        .collect())
 }
 
 /// Render the ablation table.
@@ -98,9 +102,13 @@ mod tests {
     use super::*;
 
     fn rows_for(bench: &str, trials: u64) -> Vec<AblationRow> {
-        let mut cfg = ExperimentConfig::smoke();
-        cfg.trials = trials;
-        ablation_study(&[bench], &cfg)
+        let spec = MatrixSpec {
+            benches: vec![bench.into()],
+            scale: flowery_workloads::Scale::Tiny,
+            ..Default::default()
+        };
+        let cfg = HarnessConfig { max_trials: trials, seed: 0x51C2_3001, ..Default::default() };
+        ablation_study(&spec, &cfg, None).unwrap()
     }
 
     #[test]

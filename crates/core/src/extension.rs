@@ -7,12 +7,15 @@
 //! implements the read-back checks and this module measures how much of
 //! the remaining gap they close.
 
-use crate::config::ExperimentConfig;
-use flowery_backend::{compile_module, harden_program, HardenConfig};
-use flowery_inject::{run_asm_campaign, run_ir_campaign, Coverage};
-use flowery_passes::{apply_flowery, duplicate_module, DupConfig, FloweryConfig, ProtectionPlan};
-use flowery_workloads::workload;
+use crate::pipeline::{index, study};
+use flowery_backend::{harden_program, HardenConfig};
+use flowery_harness::{
+    build_matrix, run_units, GoldenCache, HarnessConfig, Layer, MatrixSpec, Progress, RunOptions, TrialUnit, UnitKey,
+    Variant,
+};
+use flowery_inject::{Coverage, ModelSpec};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One benchmark's coverage ladder at full protection, assembly level.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -32,49 +35,52 @@ pub struct HardeningRow {
     pub checks: usize,
 }
 
-/// Run the hardening ladder for the given benchmarks (all 16 when empty).
-pub fn asm_hardening_study(names: &[&str], cfg: &ExperimentConfig) -> Vec<HardeningRow> {
-    let names: Vec<&str> = if names.is_empty() {
-        flowery_workloads::NAMES.to_vec()
-    } else {
-        names.to_vec()
-    };
-    let camp = cfg.campaign();
-    let mut rows = Vec::new();
-    for name in names {
-        if cfg.verbose {
-            eprintln!("[harden] {name}");
-        }
-        let raw = workload(name, cfg.scale).compile();
-        let mut id = raw.clone();
-        let plan = ProtectionPlan::full(&id);
-        duplicate_module(&mut id, &plan, &DupConfig::default());
-        let mut fl = id.clone();
-        apply_flowery(&mut fl, &FloweryConfig::default());
+/// `spec`'s matrix at full protection (`spec.levels` is ignored).
+fn full_matrix(spec: &MatrixSpec) -> Vec<TrialUnit> {
+    build_matrix(&MatrixSpec { levels: vec![1.0], ..spec.clone() })
+}
 
-        let raw_prog = compile_module(&raw, &cfg.backend);
-        let id_prog = compile_module(&id, &cfg.backend);
-        let fl_prog = compile_module(&fl, &cfg.backend);
-        let (hd_prog, hstats) = harden_program(&fl_prog, &HardenConfig::default());
+/// Run the hardening ladder for `spec`'s benchmarks at full protection:
+/// the study's campaign, then a second pass over the hardened rung — each
+/// Flowery@Asm unit with [`harden_program`] applied to its program.
+pub fn asm_hardening_study(
+    spec: &MatrixSpec,
+    cfg: &HarnessConfig,
+    progress: Option<Progress<'_>>,
+) -> Result<Vec<HardeningRow>, String> {
+    let cache = GoldenCache::new();
+    let units = full_matrix(spec);
+    let opts = || RunOptions { progress, ..Default::default() };
+    let ladder = study(&units, &run_units(&units, cfg, &cache, opts()).complete()?, &spec.backend)?;
 
-        let raw_ir = run_ir_campaign(&raw, &camp);
-        let id_ir = run_ir_campaign(&id, &camp);
-        let raw_asm = run_asm_campaign(&raw, &raw_prog, &camp);
-        let id_asm = run_asm_campaign(&id, &id_prog, &camp);
-        let fl_asm = run_asm_campaign(&fl, &fl_prog, &camp);
-        let hd_asm = run_asm_campaign(&fl, &hd_prog, &camp);
+    let (hardened, checks): (Vec<TrialUnit>, Vec<usize>) = units
+        .iter()
+        .filter(|u| u.key.variant == Variant::Flowery)
+        .map(|u| {
+            let (program, stats) = harden_program(u.program.as_ref().expect("asm unit"), &HardenConfig::default());
+            (TrialUnit { program: Some(Arc::new(program)), ..u.clone() }, stats.total())
+        })
+        .unzip();
+    let hardened = run_units(&hardened, cfg, &cache, opts()).complete()?;
 
-        rows.push(HardeningRow {
-            benchmark: name.to_string(),
-            id_pct: Coverage::compute(&raw_asm.counts, &id_asm.counts).percent(),
-            flowery_pct: Coverage::compute(&raw_asm.counts, &fl_asm.counts).percent(),
-            hardened_pct: Coverage::compute(&raw_asm.counts, &hd_asm.counts).percent(),
-            id_ir_pct: Coverage::compute(&raw_ir.counts, &id_ir.counts).percent(),
-            harden_overhead: flowery_inject::relative_overhead(fl_asm.golden_dyn_insts, hd_asm.golden_dyn_insts),
-            checks: hstats.total(),
+    let rows = ladder
+        .benches
+        .iter()
+        .zip(hardened)
+        .zip(checks)
+        .map(|((bench, hd_asm), checks)| {
+            let full = bench.full_level();
+            HardeningRow {
+                benchmark: bench.name.clone(),
+                id_pct: full.id_asm.percent(),
+                flowery_pct: full.flowery_asm.percent(),
+                hardened_pct: Coverage::compute(&bench.raw_asm_counts, &hd_asm.counts).percent(),
+                id_ir_pct: full.id_ir.percent(),
+                harden_overhead: flowery_inject::relative_overhead(full.flowery_dyn, hd_asm.golden_dyn_insts),
+                checks,
+            }
         });
-    }
-    rows
+    Ok(rows.collect())
 }
 
 /// Render the hardening ladder.
@@ -126,44 +132,36 @@ pub struct MultiBitRow {
     pub cov_double_pct: f64,
 }
 
-/// Does the cross-layer protection story survive double-bit faults?
-pub fn multi_bit_study(names: &[&str], cfg: &ExperimentConfig) -> Vec<MultiBitRow> {
-    let names: Vec<&str> = if names.is_empty() {
-        vec!["is", "quicksort"]
-    } else {
-        names.to_vec()
+/// Does the cross-layer protection story survive double-bit faults? Two
+/// passes over the Raw@Asm and Flowery@Asm units of `spec`'s matrix at full
+/// protection: `cfg`'s schedule under the single-bit and under the
+/// double-bit model (`cfg.fault_model` is the swept axis and is ignored).
+pub fn multi_bit_study(
+    spec: &MatrixSpec,
+    cfg: &HarnessConfig,
+    progress: Option<Progress<'_>>,
+) -> Result<Vec<MultiBitRow>, String> {
+    let cache = GoldenCache::new();
+    let mut units = full_matrix(spec);
+    units.retain(|u| u.key.layer == Layer::Asm && u.key.variant != Variant::Id);
+    let under = |fault_model| {
+        let cfg = HarnessConfig { fault_model, ..cfg.clone() };
+        run_units(&units, &cfg, &cache, RunOptions { progress, ..Default::default() }).complete()
     };
-    let single = cfg.campaign();
-    let double = flowery_inject::CampaignConfig {
-        fault_model: flowery_inject::ModelSpec::DoubleBitReg,
-        ..single.clone()
-    };
-    let mut rows = Vec::new();
-    for name in names {
-        if cfg.verbose {
-            eprintln!("[multibit] {name}");
+    let (single, double) = (under(ModelSpec::SingleBitReg)?, under(ModelSpec::DoubleBitReg)?);
+    let (single, double) = (index(&units, &single)?, index(&units, &double)?);
+    let rows = units.iter().filter(|u| u.key.variant == Variant::Raw).map(|raw| {
+        let flowery = UnitKey::new(&raw.key.bench, Variant::Flowery, 1.0, Layer::Asm);
+        let (raw_s, raw_d) = (single[&raw.key].counts, double[&raw.key].counts);
+        MultiBitRow {
+            benchmark: raw.key.bench.clone(),
+            raw_sdc_single: raw_s.sdc_rate(),
+            raw_sdc_double: raw_d.sdc_rate(),
+            cov_single_pct: Coverage::compute(&raw_s, &single[&flowery].counts).percent(),
+            cov_double_pct: Coverage::compute(&raw_d, &double[&flowery].counts).percent(),
         }
-        let raw = workload(name, cfg.scale).compile();
-        let mut id = raw.clone();
-        let plan = ProtectionPlan::full(&id);
-        duplicate_module(&mut id, &plan, &DupConfig::default());
-        apply_flowery(&mut id, &FloweryConfig::default());
-        let raw_prog = compile_module(&raw, &cfg.backend);
-        let id_prog = compile_module(&id, &cfg.backend);
-
-        let raw_s = run_asm_campaign(&raw, &raw_prog, &single);
-        let raw_d = run_asm_campaign(&raw, &raw_prog, &double);
-        let id_s = run_asm_campaign(&id, &id_prog, &single);
-        let id_d = run_asm_campaign(&id, &id_prog, &double);
-        rows.push(MultiBitRow {
-            benchmark: name.to_string(),
-            raw_sdc_single: raw_s.counts.sdc_rate(),
-            raw_sdc_double: raw_d.counts.sdc_rate(),
-            cov_single_pct: Coverage::compute(&raw_s.counts, &id_s.counts).percent(),
-            cov_double_pct: Coverage::compute(&raw_d.counts, &id_d.counts).percent(),
-        });
-    }
-    rows
+    });
+    Ok(rows.collect())
 }
 
 /// Render the multi-bit comparison.
@@ -189,11 +187,19 @@ pub fn render_multi_bit(rows: &[MultiBitRow]) -> String {
 mod tests {
     use super::*;
 
+    fn smoke(bench: &str, trials: u64) -> (MatrixSpec, HarnessConfig) {
+        let spec = MatrixSpec {
+            benches: vec![bench.into()],
+            scale: flowery_workloads::Scale::Tiny,
+            ..Default::default()
+        };
+        (spec, HarnessConfig { max_trials: trials, seed: 0x51C2_3001, ..Default::default() })
+    }
+
     #[test]
     fn hardening_ladder_improves_coverage() {
-        let mut cfg = ExperimentConfig::smoke();
-        cfg.trials = 400;
-        let rows = asm_hardening_study(&["quicksort"], &cfg);
+        let (spec, cfg) = smoke("quicksort", 400);
+        let rows = asm_hardening_study(&spec, &cfg, None).unwrap();
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
         assert!(r.checks > 0);
@@ -211,9 +217,8 @@ mod tests {
 
     #[test]
     fn double_bit_faults_keep_the_story() {
-        let mut cfg = ExperimentConfig::smoke();
-        cfg.trials = 300;
-        let rows = multi_bit_study(&["is"], &cfg);
+        let (spec, cfg) = smoke("is", 300);
+        let rows = multi_bit_study(&spec, &cfg, None).unwrap();
         let r = &rows[0];
         assert!(r.raw_sdc_double > 0.0);
         assert!(r.cov_double_pct > 30.0, "protection still works under 2-bit faults: {r:?}");

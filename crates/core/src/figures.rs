@@ -9,12 +9,13 @@
 //! | §7.2     | Flowery runtime overhead over ID | [`overhead`] |
 //! | §7.3     | Flowery pass execution time | [`pass_time`] |
 
-use crate::config::ExperimentConfig;
-use crate::pipeline::{prepare, StudyResults};
+use crate::pipeline::StudyResults;
 use flowery_analysis::{render_table, Penetration, PenetrationBreakdown};
-use flowery_backend::{compile_module, Machine};
+use flowery_backend::{compile_module, BackendConfig, Machine};
+use flowery_harness::{protect, MatrixSpec};
 use flowery_ir::interp::{ExecConfig, Interpreter};
-use flowery_workloads::{all_workloads, workload};
+use flowery_passes::{apply_flowery, FloweryConfig};
+use flowery_workloads::{all_workloads, workload, Scale};
 use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------- Table 1
@@ -33,13 +34,13 @@ pub struct Table1Row {
 
 /// Regenerate Table 1 (benchmark inventory with dynamic instruction
 /// counts; ours are simulation-scale, see DESIGN.md).
-pub fn table1(cfg: &ExperimentConfig) -> Vec<Table1Row> {
-    all_workloads(cfg.scale)
+pub fn table1(scale: Scale, backend: &BackendConfig) -> Vec<Table1Row> {
+    all_workloads(scale)
         .iter()
         .map(|w| {
             let m = w.compile();
             let ir = Interpreter::new(&m).run(&ExecConfig::default(), None);
-            let prog = compile_module(&m, &cfg.backend);
+            let prog = compile_module(&m, backend);
             let asm = Machine::new(&m, &prog).run(&ExecConfig::default(), None);
             Table1Row {
                 benchmark: w.name.to_string(),
@@ -335,21 +336,21 @@ pub struct PassTimeRow {
     pub seconds: f64,
 }
 
-/// Measure Flowery's compile-time cost per benchmark (standalone: does not
-/// need fault-injection campaigns).
-pub fn pass_time(cfg: &ExperimentConfig) -> Vec<PassTimeRow> {
-    let mut full_cfg = cfg.clone();
-    full_cfg.levels = vec![1.0];
+/// Measure Flowery's compile-time cost per benchmark: the three patches
+/// timed on the fully duplicated program (standalone — no fault injection).
+pub fn pass_time(scale: Scale) -> Vec<PassTimeRow> {
     flowery_workloads::NAMES
         .iter()
         .map(|name| {
-            let w = workload(name, cfg.scale);
-            let p = prepare(&w, &full_cfg);
-            let lm = &p.levels[0];
+            let raw = workload(name, scale).compile();
+            let (_, mut id, _) = protect(&raw, &MatrixSpec::default()).remove(0);
+            let static_insts = id.static_size();
+            let t0 = std::time::Instant::now();
+            apply_flowery(&mut id, &FloweryConfig::default());
             PassTimeRow {
                 benchmark: name.to_string(),
-                static_insts: lm.id.static_size(),
-                seconds: lm.flowery_secs,
+                static_insts,
+                seconds: t0.elapsed().as_secs_f64(),
             }
         })
         .collect()
@@ -380,13 +381,21 @@ pub fn render_pass_time(rows: &[PassTimeRow]) -> String {
 mod tests {
     use super::*;
     use crate::pipeline::run_study;
-    use flowery_workloads::Scale;
+    use flowery_harness::{HarnessConfig, RunOptions};
+
+    fn smoke_study(bench: &str) -> StudyResults {
+        let spec = MatrixSpec {
+            benches: vec![bench.into()],
+            scale: Scale::Tiny,
+            ..Default::default()
+        };
+        let cfg = HarnessConfig { max_trials: 120, batch_size: 60, ..Default::default() };
+        run_study(&spec, &cfg, RunOptions::default()).unwrap()
+    }
 
     #[test]
     fn table1_covers_all_benchmarks() {
-        let mut cfg = ExperimentConfig::smoke();
-        cfg.scale = Scale::Tiny;
-        let rows = table1(&cfg);
+        let rows = table1(Scale::Tiny, &BackendConfig::default());
         assert_eq!(rows.len(), 16);
         assert!(rows.iter().all(|r| r.di_ir > 0 && r.di_asm > r.di_ir));
         let text = render_table1(&rows);
@@ -396,8 +405,7 @@ mod tests {
 
     #[test]
     fn figures_extract_from_study() {
-        let cfg = ExperimentConfig::smoke();
-        let study = run_study(&["is"], &cfg);
+        let study = smoke_study("is");
         let f2 = fig2(&study);
         assert_eq!(f2.len(), 1);
         assert!(render_fig2(&f2).contains("average IR-vs-assembly"));
@@ -413,8 +421,7 @@ mod tests {
 
     #[test]
     fn outcomes_table_renders() {
-        let cfg = ExperimentConfig::smoke();
-        let study = run_study(&["pathfinder"], &cfg);
+        let study = smoke_study("pathfinder");
         let rows = outcomes(&study);
         assert_eq!(rows.len(), 1);
         let text = render_outcomes(&rows);
@@ -424,9 +431,7 @@ mod tests {
 
     #[test]
     fn pass_time_is_fast_and_scales_with_size() {
-        let mut cfg = ExperimentConfig::smoke();
-        cfg.scale = Scale::Tiny;
-        let rows = pass_time(&cfg);
+        let rows = pass_time(Scale::Tiny);
         assert_eq!(rows.len(), 16);
         for r in &rows {
             assert!(r.seconds < 1.0, "{}: {}s", r.benchmark, r.seconds);

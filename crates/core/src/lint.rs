@@ -3,14 +3,13 @@
 //! against a fresh injection campaign — `flowery lint` is a thin shell
 //! around [`run_lint`].
 
-use crate::config::ExperimentConfig;
 use flowery_analysis::statline::{
     analyze_bits, cross_validate, lint_module, predict_program, Finding, StaticReport, Validation,
 };
 use flowery_backend::{compile_module, BackendConfig};
-use flowery_inject::{profile_sdc, run_asm_campaign, CampaignConfig};
+use flowery_harness::{protect, MatrixSpec};
+use flowery_inject::{run_asm_campaign, CampaignConfig};
 use flowery_ir::Module;
-use flowery_passes::{apply_flowery, choose_protection, duplicate_module, DupConfig, FloweryConfig, ProtectionPlan};
 use serde::{Deserialize, Serialize};
 
 /// Which protection pipeline to lint.
@@ -89,29 +88,15 @@ pub struct SiteBits {
 /// Protect `raw` per `(pass, level)`, run both lint layers, and optionally
 /// cross-validate against a `validate_trials`-shot injection campaign.
 ///
-/// A partial `level` (< 1.0) selects instructions with an SDC profile of
-/// `cfg.profile_campaign()` trials, exactly like the experiment pipeline.
-pub fn run_lint(
-    bench: &str,
-    raw: &Module,
-    pass: PassConfig,
-    level: f64,
-    cfg: &ExperimentConfig,
-    validate_trials: Option<u64>,
-) -> LintOutcome {
-    let mut m = raw.clone();
-    if pass != PassConfig::Raw {
-        let plan = if (level - 1.0).abs() < 1e-9 {
-            ProtectionPlan::full(&m)
-        } else {
-            let profile = profile_sdc(&m, &cfg.profile_campaign());
-            choose_protection(&m, &profile, level)
-        };
-        duplicate_module(&mut m, &plan, &DupConfig::default());
-        if pass == PassConfig::Flowery {
-            apply_flowery(&mut m, &FloweryConfig::default());
-        }
-    }
+/// A partial `level` (< 1.0) selects instructions exactly like the
+/// experiment matrix: [`protect`] under the default [`MatrixSpec`] profile.
+pub fn run_lint(bench: &str, raw: &Module, pass: PassConfig, level: f64, validate_trials: Option<u64>) -> LintOutcome {
+    let protected = || protect(raw, &MatrixSpec { levels: vec![level], ..Default::default() }).remove(0);
+    let m = match pass {
+        PassConfig::Raw => raw.clone(),
+        PassConfig::Id => protected().1,
+        PassConfig::Flowery => protected().2,
+    };
     let bcfg = BackendConfig::default();
     let prog = compile_module(&m, &bcfg);
     let report = predict_program(&m, &prog, bcfg.fold_compares);
@@ -170,8 +155,7 @@ mod tests {
     #[test]
     fn run_lint_cross_validates() {
         let raw = flowery_lang::compile("t", SRC).unwrap();
-        let cfg = ExperimentConfig::smoke();
-        let out = run_lint("t", &raw, PassConfig::Id, 1.0, &cfg, Some(400));
+        let out = run_lint("t", &raw, PassConfig::Id, 1.0, Some(400));
         assert!(out.report.sites > 0);
         assert!(out.report.protected > 0, "full duplication proves sites");
         let v = out.validation.as_ref().expect("validation requested");
@@ -193,13 +177,12 @@ mod tests {
     #[test]
     fn run_lint_partial_level_profiles() {
         let raw = flowery_lang::compile("t", SRC).unwrap();
-        let cfg = ExperimentConfig::smoke();
-        let half = run_lint("t", &raw, PassConfig::Id, 0.5, &cfg, None);
+        let half = run_lint("t", &raw, PassConfig::Id, 0.5, None);
         assert!(half.report.sites > 0);
         assert!(half.report.protected > 0, "the selected half is provably covered");
         assert!(!half.report.flagged.is_empty(), "the unselected half stays exposed");
         let frac = half.report.flagged.len() as f64 / half.report.sites as f64;
-        let full = run_lint("t", &raw, PassConfig::Id, 1.0, &cfg, None);
+        let full = run_lint("t", &raw, PassConfig::Id, 1.0, None);
         let full_frac = full.report.flagged.len() as f64 / full.report.sites as f64;
         assert!(
             frac >= full_frac,

@@ -1,91 +1,25 @@
-//! The per-benchmark experiment pipeline: compile → profile → protect at
-//! each level (ID, then ID+Flowery) → fault-inject at both layers →
-//! coverage, overhead, and root-cause statistics.
-//!
-//! Campaign execution is delegated to the `flowery-harness` engine: every
-//! (benchmark, variant, layer) cell becomes one [`TrialUnit`] and the
-//! whole matrix drains under a single work-stealing scheduler, with golden
-//! runs shared through a content-addressed [`GoldenCache`] (the overhead
-//! measurements below reuse the campaign goldens for free).
+//! The paper's cross-layer study as a view over a campaign: the matrix
+//! [`build_matrix`] lays out (per benchmark Raw at both layers, per level
+//! Id at both layers and Id+Flowery at the assembly layer) drains through
+//! [`run_units`] like any other campaign, and [`study`] reads coverage,
+//! overhead and root causes off the finished report — a pure function of
+//! it, so the figures come out the same on every engine, with or without
+//! snapshots or pruning, in one run or resumed from a checkpoint.
 
-use crate::config::ExperimentConfig;
-use flowery_analysis::PenetrationBreakdown;
-use flowery_backend::{compile_module, AsmProgram};
+use flowery_analysis::{classify_campaign_with, PenetrationBreakdown};
+use flowery_backend::BackendConfig;
 use flowery_harness::{
-    run_units, status_printer, GoldenCache, Layer, Progress, RunOptions, TrialUnit, UnitKey, UnitResult, Variant,
+    build_matrix, run_units, GoldenCache, HarnessConfig, Layer, MatrixSpec, RunOptions, TrialUnit, UnitKey, UnitResult,
+    Variant,
 };
 use flowery_inject::{Coverage, OutcomeCounts};
-use flowery_ir::Module;
-use flowery_passes::{
-    apply_flowery, choose_protection, duplicate_module, DupConfig, DupStats, FloweryConfig, FloweryStats,
-    ProtectionPlan,
-};
-use flowery_workloads::Workload;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::Instant;
-
-/// Protected modules for one protection level.
-#[derive(Debug, Clone)]
-pub struct LevelModules {
-    pub level: f64,
-    pub selected: usize,
-    pub id: Module,
-    pub flowery: Module,
-    pub dup_stats: DupStats,
-    pub flowery_stats: FloweryStats,
-    /// Wall-clock seconds the Flowery transformation took (paper §7.3).
-    pub flowery_secs: f64,
-}
-
-/// A benchmark with all its protected variants prepared.
-#[derive(Debug, Clone)]
-pub struct PreparedBench {
-    pub name: &'static str,
-    pub raw: Module,
-    pub levels: Vec<LevelModules>,
-    /// Static instruction count of the raw program.
-    pub static_insts: usize,
-}
-
-/// Prepare a workload: compile, profile, and build protected variants.
-pub fn prepare(w: &Workload, cfg: &ExperimentConfig) -> PreparedBench {
-    let raw = w.compile();
-    let profile = flowery_inject::profile_sdc(&raw, &cfg.profile_campaign());
-    let mut levels = Vec::with_capacity(cfg.levels.len());
-    for &level in &cfg.levels {
-        let plan = if (level - 1.0).abs() < 1e-9 {
-            ProtectionPlan::full(&raw)
-        } else {
-            choose_protection(&raw, &profile, level)
-        };
-        let selected = plan.selected_count();
-        let mut id = raw.clone();
-        let dup_stats = duplicate_module(&mut id, &plan, &DupConfig::default());
-        let mut flowery = id.clone();
-        let t0 = Instant::now();
-        let flowery_stats = apply_flowery(&mut flowery, &FloweryConfig::default());
-        let flowery_secs = t0.elapsed().as_secs_f64();
-        levels.push(LevelModules {
-            level,
-            selected,
-            id,
-            flowery,
-            dup_stats,
-            flowery_stats,
-            flowery_secs,
-        });
-    }
-    PreparedBench { name: w.name, static_insts: raw.static_size(), raw, levels }
-}
 
 /// Fault-injection results for one protection level of one benchmark.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LevelResults {
     pub level: f64,
-    /// Instructions selected for duplication.
-    pub selected: usize,
     /// SDC coverage of ID measured at the IR layer (what prior work
     /// reports).
     pub id_ir: Coverage,
@@ -106,8 +40,6 @@ pub struct LevelResults {
     pub raw_cycles: u64,
     pub id_cycles: u64,
     pub flowery_cycles: u64,
-    /// Flowery pass wall-clock seconds (paper §7.3).
-    pub flowery_secs: f64,
 }
 
 /// All results for one benchmark.
@@ -137,165 +69,35 @@ impl BenchResults {
     }
 }
 
-/// Run the complete cross-layer study for one benchmark.
-pub fn run_bench(w: &Workload, cfg: &ExperimentConfig) -> BenchResults {
-    let prepared = prepare(w, cfg);
-    run_prepared(&prepared, cfg)
-}
-
-/// Compiled programs for one prepared benchmark, kept for root-cause
-/// classification and golden-cache overhead lookups after the campaigns.
-struct BenchPrograms {
-    raw: Arc<AsmProgram>,
-    /// Per level: (ID program, ID+Flowery program).
-    levels: Vec<(Arc<AsmProgram>, Arc<AsmProgram>)>,
-}
-
-/// Decompose one prepared benchmark into schedulable trial units.
-fn bench_units(p: &PreparedBench, cfg: &ExperimentConfig) -> (Vec<TrialUnit>, BenchPrograms) {
-    let raw = Arc::new(p.raw.clone());
-    let raw_prog = Arc::new(compile_module(&p.raw, &cfg.backend));
-    let mut units = vec![
-        TrialUnit::ir(UnitKey::new(p.name, Variant::Raw, 0.0, Layer::Ir), raw.clone()),
-        TrialUnit::asm(UnitKey::new(p.name, Variant::Raw, 0.0, Layer::Asm), raw.clone(), raw_prog.clone()),
-    ];
-    let mut levels = Vec::with_capacity(p.levels.len());
-    for lm in &p.levels {
-        let id = Arc::new(lm.id.clone());
-        let id_prog = Arc::new(compile_module(&lm.id, &cfg.backend));
-        let fl = Arc::new(lm.flowery.clone());
-        let fl_prog = Arc::new(compile_module(&lm.flowery, &cfg.backend));
-        units.push(
-            TrialUnit::ir(UnitKey::new(p.name, Variant::Id, lm.level, Layer::Ir), id.clone())
-                .with_raw(raw.clone(), None),
-        );
-        units.push(
-            TrialUnit::asm(UnitKey::new(p.name, Variant::Id, lm.level, Layer::Asm), id, id_prog.clone())
-                .with_raw(raw.clone(), Some(raw_prog.clone())),
-        );
-        units.push(
-            TrialUnit::asm(UnitKey::new(p.name, Variant::Flowery, lm.level, Layer::Asm), fl, fl_prog.clone())
-                .with_raw(raw.clone(), Some(raw_prog.clone())),
-        );
-        levels.push((id_prog, fl_prog));
-    }
-    (units, BenchPrograms { raw: raw_prog, levels })
-}
-
-/// Assemble [`BenchResults`] from the harness unit results. Overhead
-/// goldens come from the cache the engine already populated.
-fn assemble_bench(
-    p: &PreparedBench,
-    cfg: &ExperimentConfig,
-    progs: &BenchPrograms,
-    results: &HashMap<UnitKey, &UnitResult>,
-    cache: &GoldenCache,
-) -> BenchResults {
-    let get = |variant, level: f64, layer| -> &UnitResult {
-        let key = UnitKey::new(p.name, variant, level, layer);
-        results.get(&key).unwrap_or_else(|| panic!("missing unit result {key}"))
-    };
-    let raw_ir = get(Variant::Raw, 0.0, Layer::Ir);
-    let raw_asm = get(Variant::Raw, 0.0, Layer::Asm);
-    let exec = Default::default();
-    let raw_golden = cache.asm_golden(&p.raw, &progs.raw, &exec);
-
-    let mut levels = Vec::with_capacity(p.levels.len());
-    for (lm, (id_prog, fl_prog)) in p.levels.iter().zip(&progs.levels) {
-        let id_ir = get(Variant::Id, lm.level, Layer::Ir);
-        let id_asm = get(Variant::Id, lm.level, Layer::Asm);
-        let fl_asm = get(Variant::Flowery, lm.level, Layer::Asm);
-        let rootcause =
-            flowery_analysis::classify_campaign_with(&lm.id, id_prog, &id_asm.sdc_insts, cfg.backend.fold_compares);
-        let id_golden = cache.asm_golden(&lm.id, id_prog, &exec);
-        let fl_golden = cache.asm_golden(&lm.flowery, fl_prog, &exec);
-        levels.push(LevelResults {
-            level: lm.level,
-            selected: lm.selected,
-            id_ir: Coverage::compute(&raw_ir.counts, &id_ir.counts),
-            id_asm: Coverage::compute(&raw_asm.counts, &id_asm.counts),
-            flowery_asm: Coverage::compute(&raw_asm.counts, &fl_asm.counts),
-            id_ir_counts: id_ir.counts,
-            id_asm_counts: id_asm.counts,
-            flowery_asm_counts: fl_asm.counts,
-            rootcause,
-            raw_dyn: raw_golden.dyn_insts,
-            id_dyn: id_golden.dyn_insts,
-            flowery_dyn: fl_golden.dyn_insts,
-            raw_cycles: raw_golden.cycles,
-            id_cycles: id_golden.cycles,
-            flowery_cycles: fl_golden.cycles,
-            flowery_secs: lm.flowery_secs,
-        });
-    }
-
-    BenchResults {
-        name: p.name.to_string(),
-        static_insts: p.static_insts,
-        raw_ir_counts: raw_ir.counts,
-        raw_asm_counts: raw_asm.counts,
-        raw_ir_dyn: raw_ir.golden_dyn_insts,
-        raw_asm_dyn: raw_asm.golden_dyn_insts,
-        levels,
-    }
-}
-
-/// Run campaigns over a prepared benchmark through the harness engine.
-pub fn run_prepared(p: &PreparedBench, cfg: &ExperimentConfig) -> BenchResults {
-    let (units, progs) = bench_units(p, cfg);
-    let cache = GoldenCache::new();
-    let progress = status_printer("[harness]");
-    let opts = RunOptions {
-        progress: cfg.verbose.then_some(&progress as Progress<'_>),
-        ..Default::default()
-    };
-    let report = run_units(&units, &cfg.harness(), &cache, opts);
-    let map: HashMap<UnitKey, &UnitResult> = report.units.iter().map(|u| (u.key.clone(), u)).collect();
-    assemble_bench(p, cfg, &progs, &map, &cache)
-}
-
 /// Results for every benchmark in the study.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StudyResults {
     pub benches: Vec<BenchResults>,
+    /// Trials behind the largest cell (the schedule's cap, unless every
+    /// unit stopped early).
     pub trials: u64,
     pub levels: Vec<f64>,
 }
 
 impl StudyResults {
+    fn average_over_levels(&self, f: impl Fn(&LevelResults) -> f64) -> f64 {
+        let cells: Vec<f64> = self.benches.iter().flat_map(|b| &b.levels).map(f).collect();
+        if cells.is_empty() {
+            0.0
+        } else {
+            cells.iter().sum::<f64>() / cells.len() as f64
+        }
+    }
+
     /// Average IR-vs-assembly coverage gap of ID across all benchmarks and
     /// levels (the paper's headline 31.21%).
     pub fn average_gap(&self) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for b in &self.benches {
-            for l in &b.levels {
-                sum += l.id_ir.coverage - l.id_asm.coverage;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
+        self.average_over_levels(|l| l.id_ir.coverage - l.id_asm.coverage)
     }
 
     /// Average coverage improvement from Flowery over ID at assembly level.
     pub fn average_flowery_gain(&self) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for b in &self.benches {
-            for l in &b.levels {
-                sum += l.flowery_asm.coverage - l.id_asm.coverage;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
+        self.average_over_levels(|l| l.flowery_asm.coverage - l.id_asm.coverage)
     }
 
     /// Aggregated root-cause distribution at full protection (Figure 3).
@@ -308,66 +110,114 @@ impl StudyResults {
     }
 }
 
-/// Run the study for the given benchmark names (or all 16 when empty).
-///
-/// All campaigns of all benchmarks share one work-stealing scheduler and
-/// one golden cache: no per-campaign (or per-benchmark) barrier ever
-/// leaves cores idle while a straggler finishes.
-pub fn run_study(names: &[&str], cfg: &ExperimentConfig) -> StudyResults {
-    let names: Vec<&str> = if names.is_empty() {
-        flowery_workloads::NAMES.to_vec()
-    } else {
-        names.to_vec()
-    };
-    let prepared: Vec<PreparedBench> = names
-        .iter()
-        .map(|name| {
-            if cfg.verbose {
-                eprintln!("[{name}] preparing protected variants");
-            }
-            prepare(&flowery_workloads::workload(name, cfg.scale), cfg)
-        })
-        .collect();
-    run_prepared_study(&prepared, cfg)
+/// A report's results by unit key. A report that lacks any of `units` is
+/// refused: figures over part of a matrix would mislead.
+pub(crate) fn index<'r>(
+    units: &[TrialUnit],
+    results: &'r [UnitResult],
+) -> Result<HashMap<&'r UnitKey, &'r UnitResult>, String> {
+    let by_key: HashMap<&UnitKey, &UnitResult> = results.iter().map(|r| (&r.key, r)).collect();
+    let mut missing = units.iter().map(|u| &u.key).filter(|key| !by_key.contains_key(key));
+    match missing.next() {
+        None => Ok(by_key),
+        Some(first) => Err(format!(
+            "partial report: {} of {} unit results missing (first: {first})",
+            1 + missing.count(),
+            units.len()
+        )),
+    }
 }
 
-/// Run one engine pass over every unit of every prepared benchmark.
-pub fn run_prepared_study(prepared: &[PreparedBench], cfg: &ExperimentConfig) -> StudyResults {
-    let mut all_units = Vec::new();
-    let mut all_progs = Vec::with_capacity(prepared.len());
-    for p in prepared {
-        let (units, progs) = bench_units(p, cfg);
-        all_units.extend(units);
-        all_progs.push(progs);
-    }
-    let cache = GoldenCache::new();
-    let progress = status_printer("[harness]");
-    let opts = RunOptions {
-        progress: cfg.verbose.then_some(&progress as Progress<'_>),
-        ..Default::default()
+/// The study of a finished campaign over a [`build_matrix`] matrix: a pure
+/// lookup of `results` by unit key, benchmarks and levels in `units` order.
+/// Golden instruction and cycle counts come with the results; root causes
+/// classify the Id@Asm cell's SDC injections against that unit's program
+/// (compiled under `backend`). A partial report — an interrupted campaign,
+/// say — is refused, naming the first missing unit and how many are missing.
+pub fn study(units: &[TrialUnit], results: &[UnitResult], backend: &BackendConfig) -> Result<StudyResults, String> {
+    let by_key = index(units, results)?;
+    let cell = |bench: &str, variant, level: f64, layer| {
+        let key = UnitKey::new(bench, variant, level, layer);
+        by_key.get(&key).copied().ok_or(format!("not a study matrix: no unit {key}"))
     };
-    let report = run_units(&all_units, &cfg.harness(), &cache, opts);
-    if cfg.verbose {
-        eprintln!("[harness] done: {}", report.metrics.render());
+    let is = |u: &TrialUnit, variant, layer| u.key.variant == variant && u.key.layer == layer;
+    let mut benches = Vec::new();
+    for raw in units.iter().filter(|u| is(u, Variant::Raw, Layer::Ir)) {
+        let name = raw.key.bench.as_str();
+        let raw_ir = cell(name, Variant::Raw, 0.0, Layer::Ir)?;
+        let raw_asm = cell(name, Variant::Raw, 0.0, Layer::Asm)?;
+        let mut levels = Vec::new();
+        for id in units.iter().filter(|u| u.key.bench == name && is(u, Variant::Id, Layer::Asm)) {
+            let level = id.key.level();
+            let id_ir = cell(name, Variant::Id, level, Layer::Ir)?;
+            let id_asm = cell(name, Variant::Id, level, Layer::Asm)?;
+            let fl_asm = cell(name, Variant::Flowery, level, Layer::Asm)?;
+            let program = id.program.as_ref().expect("asm unit has a program");
+            levels.push(LevelResults {
+                level,
+                id_ir: Coverage::compute(&raw_ir.counts, &id_ir.counts),
+                id_asm: Coverage::compute(&raw_asm.counts, &id_asm.counts),
+                flowery_asm: Coverage::compute(&raw_asm.counts, &fl_asm.counts),
+                id_ir_counts: id_ir.counts,
+                id_asm_counts: id_asm.counts,
+                flowery_asm_counts: fl_asm.counts,
+                rootcause: classify_campaign_with(&id.module, program, &id_asm.sdc_insts, backend.fold_compares),
+                raw_dyn: raw_asm.golden_dyn_insts,
+                id_dyn: id_asm.golden_dyn_insts,
+                flowery_dyn: fl_asm.golden_dyn_insts,
+                raw_cycles: raw_asm.golden_cycles,
+                id_cycles: id_asm.golden_cycles,
+                flowery_cycles: fl_asm.golden_cycles,
+            });
+        }
+        benches.push(BenchResults {
+            name: name.to_string(),
+            static_insts: raw.module.static_size(),
+            raw_ir_counts: raw_ir.counts,
+            raw_asm_counts: raw_asm.counts,
+            raw_ir_dyn: raw_ir.golden_dyn_insts,
+            raw_asm_dyn: raw_asm.golden_dyn_insts,
+            levels,
+        });
     }
-    let map: HashMap<UnitKey, &UnitResult> = report.units.iter().map(|u| (u.key.clone(), u)).collect();
-    let benches = prepared
-        .iter()
-        .zip(&all_progs)
-        .map(|(p, progs)| assemble_bench(p, cfg, progs, &map, &cache))
-        .collect();
-    StudyResults { benches, trials: cfg.trials, levels: cfg.levels.clone() }
+    let levels = benches
+        .first()
+        .map_or(Vec::new(), |b| b.levels.iter().map(|l| l.level).collect());
+    Ok(StudyResults {
+        benches,
+        trials: results.iter().map(|r| r.trials).max().unwrap_or(0),
+        levels,
+    })
+}
+
+/// Run the study: [`build_matrix`] → [`run_units`] → [`study`]. `opts`
+/// carries what any campaign may — a checkpoint to append to, replayed
+/// batches, a progress callback.
+pub fn run_study(spec: &MatrixSpec, cfg: &HarnessConfig, opts: RunOptions<'_>) -> Result<StudyResults, String> {
+    let units = build_matrix(spec);
+    study(&units, &run_units(&units, cfg, &GoldenCache::new(), opts).complete()?, &spec.backend)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowery_workloads::Scale;
+
+    fn smoke(benches: &[&str]) -> (MatrixSpec, HarnessConfig) {
+        let spec = MatrixSpec {
+            benches: benches.iter().map(|b| b.to_string()).collect(),
+            scale: Scale::Tiny,
+            ..Default::default()
+        };
+        (spec, HarnessConfig { max_trials: 120, batch_size: 60, ..Default::default() })
+    }
 
     #[test]
     fn smoke_pipeline_single_bench() {
-        let cfg = ExperimentConfig::smoke();
-        let w = flowery_workloads::workload("quicksort", cfg.scale);
-        let r = run_bench(&w, &cfg);
+        let (spec, cfg) = smoke(&["quicksort"]);
+        let s = run_study(&spec, &cfg, RunOptions::default()).unwrap();
+        assert_eq!((s.benches.len(), s.trials, s.levels.as_slice()), (1, 120, &[1.0][..]));
+        let r = &s.benches[0];
         assert_eq!(r.levels.len(), 1);
         let full = r.full_level();
         // The structural laws of the paper at full protection:
@@ -386,11 +236,22 @@ mod tests {
 
     #[test]
     fn study_aggregates() {
-        let cfg = ExperimentConfig::smoke();
-        let s = run_study(&["pathfinder", "is"], &cfg);
+        let (spec, cfg) = smoke(&["pathfinder", "is"]);
+        let s = run_study(&spec, &cfg, RunOptions::default()).unwrap();
         assert_eq!(s.benches.len(), 2);
         assert!(s.average_gap() > 0.0, "gap {}", s.average_gap());
         assert!(s.average_flowery_gain() > 0.0, "gain {}", s.average_flowery_gain());
         assert!(s.aggregate_rootcause().deficiency_total() > 0);
+    }
+
+    #[test]
+    fn a_partial_report_is_refused_naming_the_missing_unit() {
+        let (spec, cfg) = smoke(&["crc32"]);
+        let units = build_matrix(&spec);
+        let mut results = run_units(&units, &cfg, &GoldenCache::new(), RunOptions::default()).units;
+        assert!(study(&units, &results, &spec.backend).is_ok());
+        let dropped = results.remove(3);
+        let err = study(&units, &results, &spec.backend).unwrap_err();
+        assert!(err.contains(&dropped.key.id()) && err.contains("1 of 5"), "{err}");
     }
 }

@@ -5,7 +5,8 @@
 //! Golden runs are pure functions of the program text, so the cache keys
 //! them by a content hash of the printed IR / machine listing: two units
 //! over byte-identical programs share one golden execution, and the
-//! pipeline's overhead measurements reuse the campaign goldens for free.
+//! golden counts every [`UnitResult`](crate::UnitResult) carries (what the
+//! study's overhead tables read) come from the campaign goldens for free.
 //!
 //! Snapshot sets are served the same way, but with two extra sources
 //! ahead of a fresh capture run:

@@ -196,6 +196,18 @@ pub struct CampaignReport {
     pub error: Option<String>,
 }
 
+impl CampaignReport {
+    /// Every unit's result, in input order — or an `Err` for a run that hit
+    /// a checkpoint error or was stopped before every unit finished.
+    pub fn complete(self) -> Result<Vec<UnitResult>, String> {
+        match self.error {
+            Some(e) => Err(e),
+            None if self.pending.is_empty() => Ok(self.units),
+            None => Err(format!("interrupted: {} unit(s) unfinished", self.pending.len())),
+        }
+    }
+}
+
 /// One schedulable item: a unit's whole campaign or — with a scope — a
 /// re-run of one of its regions under the scope's own seed and trial
 /// count. Both kinds are cut into batches and claimed by the same workers.

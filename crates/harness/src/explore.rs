@@ -9,62 +9,43 @@
 //! is the SDC reduction relative to the raw, detector-free baseline under
 //! the *same* fault model.
 //!
-//! Detectors never change execution — they post-classify would-be SDCs by
-//! the injected fault's class (see [`flowery_faultmodel`]). The explorer
-//! exploits that: each (model, unit) campaign executes its trials **once**
-//! with no detectors, re-derives the sampled [`AsmFaultSpec`] (the model
-//! is deterministic in `(seed, trial)`), and scores every detector set
-//! against the same trial stream. Adding a detector set to the sweep costs
-//! zero extra executions; goldens and snapshot sets come from the shared
-//! [`GoldenCache`], so they are captured once across the whole sweep.
-//!
-//! [`AsmFaultSpec`]: flowery_backend::AsmFaultSpec
+//! The sweep is a view over the campaign engine: one detector-free
+//! [`run_units`] pass per fault model over the matrix's assembly units —
+//! the same scheduler, snapshots, engines, status line and Ctrl-C drain as
+//! `flowery campaign`, with goldens and snapshot sets captured once across
+//! the whole sweep through the shared [`GoldenCache`]. Detectors never
+//! change execution: they post-classify would-be SDCs by the class of the
+//! injected fault, and that class is a function of the model's effect kind
+//! and flip count (constants of a [`ModelSpec`] — only offsets and targets
+//! are drawn) and of the destination of the instruction the fault landed on
+//! ([`UnitResult::sdc_insts`]). So a detector set's tally is the
+//! detector-free tally with one SDC moved to Detected per SDC injection the
+//! set catches, and adding a set to the sweep costs zero extra executions.
 
 use crate::cache::GoldenCache;
+use crate::engine::{run_units, HarnessConfig, Progress, RunOptions, UnitResult};
 use crate::plan::{build_matrix, Layer, MatrixSpec, TrialUnit, Variant};
-use flowery_backend::AsmLayer;
 use flowery_faultmodel::{
     any_catches, classify_asm_fault, detector_overhead_permille, flip_count, DetectorSpec, ModelSpec, REGISTERED_MODELS,
 };
-use flowery_inject::{Coverage, Estimate, Outcome, OutcomeCounts};
-use flowery_ir::interp::ExecConfig;
-use flowery_workloads::Scale;
+use flowery_inject::{Coverage, Estimate, OutcomeCounts};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-/// What to sweep.
+/// The axes the sweep adds to a matrix ([`MatrixSpec`]) and a trial
+/// schedule ([`HarnessConfig`]).
 #[derive(Debug, Clone)]
 pub struct ExploreSpec {
-    /// Workload names; empty means every benchmark.
-    pub benches: Vec<String>,
-    pub scale: Scale,
     /// Fault models; each gets its own baseline and frontier.
     pub models: Vec<ModelSpec>,
     /// Detector combinations; the empty set is always evaluated (it is the
     /// coverage baseline) whether listed or not.
     pub detector_sets: Vec<Vec<DetectorSpec>>,
-    /// Protection levels for the Id / Flowery variants.
-    pub levels: Vec<f64>,
-    /// Trials per (model, unit) campaign.
-    pub trials: u64,
-    pub seed: u64,
-    /// Trials for the per-instruction SDC profile behind selective
-    /// protection (levels below 1.0).
-    pub profile_trials: u64,
-    /// Worker threads (0 = all cores). Does not affect results.
-    pub threads: usize,
-    /// Fast-forward trials from cached snapshots; bit-identical either way.
-    pub snapshots: bool,
-    pub exec: ExecConfig,
 }
 
 impl Default for ExploreSpec {
     fn default() -> ExploreSpec {
         ExploreSpec {
-            benches: Vec::new(),
-            scale: Scale::Standard,
             models: REGISTERED_MODELS.to_vec(),
             detector_sets: vec![
                 vec![],
@@ -72,13 +53,6 @@ impl Default for ExploreSpec {
                 vec![DetectorSpec::CfSig],
                 vec![DetectorSpec::Parity, DetectorSpec::CfSig],
             ],
-            levels: vec![0.5, 1.0],
-            trials: 400,
-            seed: 0x0F10_EE41,
-            profile_trials: 600,
-            threads: 0,
-            snapshots: true,
-            exec: ExecConfig::default(),
         }
     }
 }
@@ -165,49 +139,22 @@ pub struct ExploreReport {
     pub workloads: Vec<WorkloadReport>,
 }
 
-/// Per-(model, unit) campaign result: one `OutcomeCounts` per detector
-/// set, scored from a single trial stream.
-struct JobResult {
-    counts_per_set: Vec<OutcomeCounts>,
-    golden_cycles: u64,
-}
-
-/// Run one (model, unit) campaign: execute `trials` detector-free trials
-/// and post-classify each would-be SDC against every detector set.
-fn run_job(
-    unit: &TrialUnit,
-    model: ModelSpec,
-    sets: &[Vec<DetectorSpec>],
-    spec: &ExploreSpec,
-    cache: &GoldenCache,
-) -> JobResult {
-    let program = unit.program.as_ref().expect("explore sweeps assembly units");
-    let mut runner = cache.runner::<AsmLayer>(unit.machine(), unit.raw_machine(), spec.snapshots, &spec.exec);
-    let sites = runner.sites();
-    let golden_cycles = runner.golden().cycles;
-    let mut counts_per_set = vec![OutcomeCounts::default(); sets.len()];
-    for i in 0..spec.trials {
-        let t = runner.run_trial_model(spec.seed, i, model, &[]);
-        if t.outcome != Outcome::Sdc {
-            for c in &mut counts_per_set {
-                c.record(t.outcome);
-            }
-            continue;
-        }
-        // The model is deterministic in (seed, trial): re-deriving the
-        // spec recovers exactly the fault the runner injected, so every
-        // detector set scores the same trial stream for free.
-        let fspec = model.sample_asm(spec.seed, i, sites);
-        let flips = flip_count(fspec.second_bit, fspec.effect);
-        let class = t
-            .injected_inst
-            .map(|idx| classify_asm_fault(fspec.effect, program.insts[idx as usize].kind.fault_dest()));
-        for (c, ds) in counts_per_set.iter_mut().zip(sets) {
-            let caught = class.is_some_and(|cl| any_catches(ds, cl, flips));
-            c.record(if caught { Outcome::Detected } else { Outcome::Sdc });
-        }
+/// `res`'s detector-free tally as detector set `ds` would have scored it:
+/// every SDC whose injection `ds` catches becomes a detection.
+fn rescored(unit: &TrialUnit, res: &UnitResult, model: ModelSpec, ds: &[DetectorSpec]) -> OutcomeCounts {
+    // Any draw stands for the model: the effect kind and the presence of a
+    // second bit are fixed per model, which is all the classifiers read.
+    let fault = model.sample_asm(0, 0, 1);
+    let flips = flip_count(fault.second_bit, fault.effect);
+    let insts = &unit.program.as_ref().expect("explore sweeps assembly units").insts;
+    let catches =
+        |&idx: &u32| any_catches(ds, classify_asm_fault(fault.effect, insts[idx as usize].kind.fault_dest()), flips);
+    let caught = res.sdc_insts.iter().filter(|idx| catches(idx)).count() as u64;
+    OutcomeCounts {
+        sdc: res.counts.sdc - caught,
+        detected: res.counts.detected + caught,
+        ..res.counts
     }
-    JobResult { counts_per_set, golden_cycles }
 }
 
 /// Cycle overhead of `prot` over `raw` in permille (truncating division).
@@ -241,83 +188,54 @@ fn pareto(points: &mut [DesignPoint]) -> Vec<DesignPoint> {
     frontier
 }
 
-/// Run the sweep. The cache is shared across every (model, detector set)
-/// evaluation — goldens and snapshot sets are obtained once per distinct
-/// program content.
-pub fn explore(spec: &ExploreSpec, cache: &GoldenCache) -> ExploreReport {
+/// Run the sweep: one engine pass per fault model over `matrix`'s assembly
+/// units under `cfg`'s schedule (its `fault_model` and `detectors` are the
+/// swept axes and are ignored), then score every detector set from the
+/// pass's SDC injections. `progress` is the engine's callback; a run it
+/// stops, or an engine error, is an `Err` — a frontier over half a sweep
+/// would mislead.
+pub fn explore(
+    spec: &ExploreSpec,
+    matrix: &MatrixSpec,
+    cfg: &HarnessConfig,
+    cache: &GoldenCache,
+    progress: Option<Progress<'_>>,
+) -> Result<ExploreReport, String> {
     let sets = spec.canonical_detector_sets();
-    let mspec = MatrixSpec {
-        benches: spec.benches.clone(),
-        scale: spec.scale,
-        levels: spec.levels.clone(),
-        profile_trials: spec.profile_trials,
-        threads: spec.threads,
-        ..Default::default()
-    };
-    let units: Vec<TrialUnit> = build_matrix(&mspec).into_iter().filter(|u| u.key.layer == Layer::Asm).collect();
+    let units: Vec<TrialUnit> = build_matrix(matrix).into_iter().filter(|u| u.key.layer == Layer::Asm).collect();
 
-    // Jobs: unit-major so workers touching the same bench cluster in time
-    // (better snapshot-set cache locality), claimed off a shared cursor.
-    let jobs: Vec<(usize, usize)> = (0..units.len())
-        .flat_map(|ui| (0..spec.models.len()).map(move |mi| (ui, mi)))
-        .collect();
-    let results: Vec<Mutex<Option<JobResult>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..flowery_inject::campaign::worker_threads(spec.threads).min(jobs.len().max(1)) {
-            scope.spawn(|| loop {
-                let j = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&(ui, mi)) = jobs.get(j) else { return };
-                let out = run_job(&units[ui], spec.models[mi], &sets, spec, cache);
-                *results[j].lock().unwrap() = Some(out);
-            });
-        }
-    });
-    let result_of = |ui: usize, mi: usize| -> JobResult {
-        let j = ui * spec.models.len() + mi;
-        results[j].lock().unwrap().take().expect("every job ran")
-    };
-
-    // Assemble per-workload frontiers in bench order.
-    let mut benches: Vec<String> = Vec::new();
-    for u in &units {
-        if !benches.contains(&u.key.bench) {
-            benches.push(u.key.bench.clone());
-        }
+    // Per model, every unit's detector-free result in `units` order.
+    let mut per_model: Vec<Vec<UnitResult>> = Vec::with_capacity(spec.models.len());
+    for &model in &spec.models {
+        let cfg = HarnessConfig { fault_model: model, detectors: Vec::new(), ..cfg.clone() };
+        per_model.push(run_units(&units, &cfg, cache, RunOptions { progress, ..Default::default() }).complete()?);
     }
+
+    // Assemble per-workload frontiers in bench order: one raw unit each.
     let mut workloads = Vec::new();
-    for bench in &benches {
-        let unit_ids: Vec<usize> = (0..units.len()).filter(|&ui| units[ui].key.bench == *bench).collect();
-        let raw_ui = *unit_ids
-            .iter()
-            .find(|&&ui| units[ui].key.variant == Variant::Raw)
-            .expect("matrix always contains the raw unit");
-        // (unit, model) -> JobResult, taken once.
-        let per_unit: Vec<Vec<JobResult>> = unit_ids
-            .iter()
-            .map(|&ui| (0..spec.models.len()).map(|mi| result_of(ui, mi)).collect())
-            .collect();
-        let raw_pos = unit_ids.iter().position(|&ui| ui == raw_ui).unwrap();
-        let raw_cycles = per_unit[raw_pos][0].golden_cycles;
+    for raw in (0..units.len()).filter(|&ui| units[ui].key.variant == Variant::Raw) {
+        let bench = &units[raw].key.bench;
+        let ids: Vec<usize> = (0..units.len()).filter(|&ui| units[ui].key.bench == *bench).collect();
+        let raw_cycles = per_model.first().map_or(0, |results| results[raw].golden_cycles);
         let mut models = Vec::new();
-        for (mi, &model) in spec.models.iter().enumerate() {
-            let baseline = per_unit[raw_pos][mi].counts_per_set[0];
+        for (&model, results) in spec.models.iter().zip(&per_model) {
+            let baseline = results[raw].counts;
             let mut points = Vec::new();
-            for (pos, &ui) in unit_ids.iter().enumerate() {
-                let job = &per_unit[pos][mi];
-                let overhead = cycle_overhead_permille(raw_cycles, job.golden_cycles);
-                for (si, ds) in sets.iter().enumerate() {
-                    let counts = job.counts_per_set[si];
+            for &ui in &ids {
+                let (unit, res) = (&units[ui], &results[ui]);
+                let overhead = cycle_overhead_permille(raw_cycles, res.golden_cycles);
+                for ds in &sets {
+                    let counts = rescored(unit, res, model, ds);
                     let cov = Coverage::compute(&baseline, &counts);
                     points.push(DesignPoint {
-                        variant: units[ui].key.variant,
-                        level_permille: units[ui].key.level_permille,
+                        variant: unit.key.variant,
+                        level_permille: unit.key.level_permille,
                         detectors: ds.clone(),
                         cost_permille: overhead + detector_overhead_permille(ds) as i64,
                         coverage: cov.coverage,
                         sdc: cov.sdc_prot,
                         counts,
-                        golden_cycles: job.golden_cycles,
+                        golden_cycles: res.golden_cycles,
                         on_frontier: false,
                     });
                 }
@@ -333,14 +251,14 @@ pub fn explore(spec: &ExploreSpec, cache: &GoldenCache) -> ExploreReport {
         workloads.push(WorkloadReport { bench: bench.clone(), raw_cycles, models });
     }
 
-    ExploreReport {
-        trials: spec.trials,
-        seed: spec.seed,
-        levels_permille: spec.levels.iter().map(|&l| (l * 1000.0).round() as u32).collect(),
+    Ok(ExploreReport {
+        trials: cfg.max_trials,
+        seed: cfg.seed,
+        levels_permille: matrix.levels.iter().map(|&l| (l * 1000.0).round() as u32).collect(),
         models: spec.models.clone(),
         detector_sets: sets,
         workloads,
-    }
+    })
 }
 
 /// Render the frontiers as a fixed-width table, one block per workload.
@@ -375,23 +293,34 @@ pub fn render_table(report: &ExploreReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowery_workloads::Scale;
 
     fn tiny_spec() -> ExploreSpec {
         ExploreSpec {
-            benches: vec!["crc32".into()],
-            scale: Scale::Tiny,
             models: vec![ModelSpec::SingleBitReg, ModelSpec::ControlFlow],
             detector_sets: vec![vec![], vec![DetectorSpec::Parity], vec![DetectorSpec::CfSig]],
-            levels: vec![1.0],
-            trials: 120,
-            threads: 2,
+        }
+    }
+
+    fn tiny_matrix() -> MatrixSpec {
+        MatrixSpec {
+            benches: vec!["crc32".into()],
+            scale: Scale::Tiny,
             ..Default::default()
         }
     }
 
+    fn schedule(trials: u64) -> HarnessConfig {
+        HarnessConfig { max_trials: trials, threads: 2, ..Default::default() }
+    }
+
+    fn sweep(spec: &ExploreSpec, cfg: &HarnessConfig) -> ExploreReport {
+        explore(spec, &tiny_matrix(), cfg, &GoldenCache::new(), None).unwrap()
+    }
+
     #[test]
     fn frontier_is_nonempty_sorted_and_nondominated() {
-        let report = explore(&tiny_spec(), &GoldenCache::new());
+        let report = sweep(&tiny_spec(), &schedule(120));
         assert_eq!(report.workloads.len(), 1);
         let w = &report.workloads[0];
         assert_eq!(w.models.len(), 2);
@@ -421,49 +350,83 @@ mod tests {
     }
 
     #[test]
-    fn detector_sets_share_one_trial_stream() {
-        // The detector-free counts must equal an engine-style campaign
-        // under the same model/seed, and each detector set can only move
-        // trials from SDC to Detected — totals and benign/due are fixed.
-        let spec = tiny_spec();
-        let report = explore(&spec, &GoldenCache::new());
+    fn post_classified_tallies_equal_a_campaign_run_with_the_detectors_on() {
+        // The pure re-scoring must reproduce what the engine counts when the
+        // detector set rides along in the schedule, for every registered model.
+        let spec = ExploreSpec { models: REGISTERED_MODELS.to_vec(), ..tiny_spec() };
+        let cfg = schedule(120);
+        let cache = GoldenCache::new();
+        let report = explore(&spec, &tiny_matrix(), &cfg, &cache, None).unwrap();
+        let units: Vec<TrialUnit> = build_matrix(&tiny_matrix())
+            .into_iter()
+            .filter(|u| u.program.is_some())
+            .collect();
+        let mut caught = 0;
         for m in &report.workloads[0].models {
-            let base: Vec<_> = m.points.iter().filter(|p| p.detectors.is_empty()).collect();
-            for p in &m.points {
-                let b = base
-                    .iter()
-                    .find(|b| b.variant == p.variant && b.level_permille == p.level_permille)
-                    .unwrap();
-                assert_eq!(p.counts.total(), spec.trials);
-                assert_eq!(p.counts.benign, b.counts.benign, "{}", p.label());
-                assert_eq!(p.counts.due, b.counts.due, "{}", p.label());
-                assert!(p.counts.sdc <= b.counts.sdc, "{}", p.label());
-                assert_eq!(p.counts.sdc + p.counts.detected, b.counts.sdc + b.counts.detected, "{}", p.label());
+            for ds in &report.detector_sets {
+                let with = HarnessConfig {
+                    fault_model: m.fault_model,
+                    detectors: ds.clone(),
+                    ..cfg.clone()
+                };
+                for res in run_units(&units, &with, &cache, RunOptions::default()).units {
+                    let of_unit =
+                        |p: &&DesignPoint| (p.variant, p.level_permille) == (res.key.variant, res.key.level_permille);
+                    let p = m.points.iter().filter(of_unit).find(|p| p.detectors == *ds).unwrap();
+                    let bare = m.points.iter().filter(of_unit).find(|p| p.detectors.is_empty()).unwrap();
+                    assert_eq!(p.counts, res.counts, "{} {}", m.fault_model, p.label());
+                    // A set only ever moves trials from SDC to Detected.
+                    assert_eq!((p.counts.benign, p.counts.due), (bare.counts.benign, bare.counts.due));
+                    assert_eq!(p.counts.total(), cfg.max_trials);
+                    caught += bare.counts.sdc - p.counts.sdc;
+                }
+            }
+        }
+        assert!(caught > 0, "some detector set caught some SDC");
+    }
+
+    #[test]
+    fn effect_kind_and_flip_count_are_constants_of_a_model() {
+        // What `rescored` relies on: only offsets and targets are drawn.
+        for &model in REGISTERED_MODELS {
+            let probe = model.sample_asm(0, 0, 1);
+            for (seed, trial) in [(1, 0), (7, 3), (0x0F10_EE41, 999)] {
+                let f = model.sample_asm(seed, trial, 1000);
+                assert_eq!(std::mem::discriminant(&f.effect), std::mem::discriminant(&probe.effect), "{model}");
+                assert_eq!(flip_count(f.second_bit, f.effect), flip_count(probe.second_bit, probe.effect), "{model}");
             }
         }
     }
 
     #[test]
     fn explore_is_deterministic_and_snapshot_independent() {
-        let spec = ExploreSpec { trials: 80, ..tiny_spec() };
-        let a = explore(&spec, &GoldenCache::new());
-        let b = explore(&spec, &GoldenCache::new());
+        let (spec, cfg) = (tiny_spec(), schedule(80));
+        let a = sweep(&spec, &cfg);
+        let b = sweep(&spec, &cfg);
         assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
-        let scratch = explore(&ExploreSpec { snapshots: false, threads: 3, ..spec }, &GoldenCache::new());
+        let scratch = sweep(&spec, &HarnessConfig { snapshots: false, threads: 3, batch_size: 30, ..cfg });
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&scratch).unwrap(),
-            "snapshot fast-forward must not change explore results"
+            "snapshot fast-forward, threads and batching must not change explore results"
         );
     }
 
     #[test]
     fn report_roundtrips_through_json() {
-        let spec = ExploreSpec { trials: 60, models: vec![ModelSpec::FlagsPc], ..tiny_spec() };
-        let report = explore(&spec, &GoldenCache::new());
+        let spec = ExploreSpec { models: vec![ModelSpec::FlagsPc], ..tiny_spec() };
+        let report = sweep(&spec, &schedule(60));
         let json = serde_json::to_string(&report).unwrap();
         let back: ExploreReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
         assert!(render_table(&report).contains("crc32"));
+    }
+
+    #[test]
+    fn a_stopped_sweep_is_an_error_not_half_a_frontier() {
+        let stop = |_: &crate::MetricsSnapshot| crate::Control::Stop;
+        let cfg = HarnessConfig { batch_size: 10, threads: 1, ..schedule(60) };
+        let err = explore(&tiny_spec(), &tiny_matrix(), &cfg, &GoldenCache::new(), Some(&stop)).unwrap_err();
+        assert!(err.contains("interrupted"), "{err}");
     }
 }

@@ -8,10 +8,10 @@
 //! The subsystem is built from four pieces:
 //!
 //! * [`plan`] — [`UnitKey`]/[`TrialUnit`]: the schedulable atoms, plus
-//!   [`build_matrix`] for the standard study matrix;
+//!   [`protect`] (the protection recipe) and [`build_matrix`] for the
+//!   standard study matrix;
 //! * [`cache`] — [`GoldenCache`]: golden runs keyed by program content
-//!   hash, shared across units and with the pipeline's overhead
-//!   measurements;
+//!   hash, shared across units and across the passes of a sweep;
 //! * [`checkpoint`] — an append-only JSONL log of completed batches that
 //!   makes interrupted campaigns resumable bit-for-bit;
 //! * [`engine`] — [`run_units`]: batch scheduling, adaptive trial counts
@@ -50,7 +50,7 @@ pub use incremental::{
     DiffReport, DiffTask, DiffUnitReport, RegionReport, Scope,
 };
 pub use metrics::{DistStats, Metrics, MetricsSnapshot, WorkerStats};
-pub use plan::{build_matrix, matrix_fingerprint, Layer, MatrixSpec, TrialUnit, UnitKey, Variant};
+pub use plan::{build_matrix, matrix_fingerprint, protect, Layer, MatrixSpec, TrialUnit, UnitKey, Variant};
 pub use prior::{prune_signature, StaticPrior};
 pub use progress::{BatchOutcome, UnitProgress};
 pub use snapstore::SnapshotStore;

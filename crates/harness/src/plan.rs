@@ -204,6 +204,34 @@ pub fn matrix_fingerprint(units: &[TrialUnit]) -> u64 {
     flowery_ir::fnv1a(text.as_bytes())
 }
 
+/// The protection recipe, stated once: `raw` duplicated at each of
+/// `spec.levels` — everything at full protection, below it the instructions
+/// an SDC profile of `spec.profile_trials` IR-level injections ranks highest
+/// (the profile runs only when some level needs it) — and the Flowery patches
+/// applied on top. One `(level, Id, Id+Flowery)` per level, in order.
+pub fn protect(raw: &Module, spec: &MatrixSpec) -> Vec<(f64, Module, Module)> {
+    let full = |level: f64| (level - 1.0).abs() < 1e-9;
+    let needs_profile = spec.levels.iter().any(|&l| !full(l));
+    let profile = needs_profile.then(|| {
+        let mut cfg = flowery_inject::CampaignConfig::with_trials(spec.profile_trials);
+        cfg.seed = spec.profile_seed;
+        cfg.threads = spec.threads;
+        flowery_inject::profile_sdc(raw, &cfg)
+    });
+    let protect_at = |&level: &f64| {
+        let plan = match &profile {
+            Some(profile) if !full(level) => choose_protection(raw, profile, level),
+            _ => ProtectionPlan::full(raw),
+        };
+        let mut id = raw.clone();
+        duplicate_module(&mut id, &plan, &DupConfig::default());
+        let mut flowery = id.clone();
+        apply_flowery(&mut flowery, &FloweryConfig::default());
+        (level, id, flowery)
+    };
+    spec.levels.iter().map(protect_at).collect()
+}
+
 /// Build the standard matrix: for every benchmark, Raw at both layers,
 /// Id at both layers per level, and Id+Flowery at the assembly layer per
 /// level (the paper's protagonist configuration).
@@ -233,23 +261,7 @@ pub fn build_matrix(spec: &MatrixSpec) -> Vec<TrialUnit> {
             raw.clone(),
             raw_prog.clone(),
         ));
-        let needs_profile = spec.levels.iter().any(|&l| (l - 1.0).abs() >= 1e-9);
-        let profile = needs_profile.then(|| {
-            let mut cfg = flowery_inject::CampaignConfig::with_trials(spec.profile_trials);
-            cfg.seed = spec.profile_seed;
-            cfg.threads = spec.threads;
-            flowery_inject::profile_sdc(&raw, &cfg)
-        });
-        for &level in &spec.levels {
-            let plan = if (level - 1.0).abs() < 1e-9 {
-                ProtectionPlan::full(&raw)
-            } else {
-                choose_protection(&raw, profile.as_ref().unwrap(), level)
-            };
-            let mut id = (*raw).clone();
-            duplicate_module(&mut id, &plan, &DupConfig::default());
-            let mut flowery = id.clone();
-            apply_flowery(&mut flowery, &FloweryConfig::default());
+        for (level, id, flowery) in protect(&raw, spec) {
             let id = Arc::new(id);
             let id_prog = Arc::new(compile_module(&id, &spec.backend));
             let fl = Arc::new(flowery);

@@ -6,8 +6,14 @@
 //! `(base seed, trial index)` — see [`ir_fault_spec`] / [`asm_fault_spec`] —
 //! so campaign results are **bit-identical regardless of thread count,
 //! shard layout, or early-stop point**. The large-matrix scheduler in
-//! `flowery-harness` builds on the same per-trial primitives; the functions
-//! here remain the convenient single-campaign entry points.
+//! `flowery-harness` builds on the same per-trial primitives, and every
+//! study, sweep and figure runs on it. [`run_ir_campaign`] /
+//! [`run_asm_campaign`] and the chunk-cursor pool under them stay for what
+//! sits below or beside that scheduler: [`crate::profile_sdc`], which
+//! `harness::plan` calls while it *builds* a matrix (the harness depends on
+//! this crate, not the reverse; the ledger times it as `inject.profile_s`),
+//! and the single-program commands `flowery inject`, `flowery vuln` and
+//! `flowery lint --validate`, which have one campaign and no matrix.
 
 use crate::outcome::{classify, Outcome, OutcomeCounts};
 use flowery_backend::{AsmFaultSpec, AsmLayer, AsmProgram, MachResult, Machine};

@@ -10,20 +10,17 @@
 //! ```
 
 use flowery_core::extension::{asm_hardening_study, render_hardening};
-use flowery_core::ExperimentConfig;
+use flowery_harness::{status_printer, HarnessConfig, MatrixSpec};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let trials: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1000);
-    let names: Vec<&str> = args.iter().skip(2).map(|s| s.as_str()).collect();
-    let names = if names.is_empty() {
-        vec!["quicksort", "is", "needle", "patricia"]
-    } else {
-        names
-    };
-
-    let cfg = ExperimentConfig { trials, verbose: true, ..Default::default() };
-
-    let rows = asm_hardening_study(&names, &cfg);
+    let mut benches: Vec<String> = args.iter().skip(2).cloned().collect();
+    if benches.is_empty() {
+        benches = ["quicksort", "is", "needle", "patricia"].map(String::from).to_vec();
+    }
+    let spec = MatrixSpec { benches, ..Default::default() };
+    let cfg = HarnessConfig { max_trials: trials, seed: 0x51C2_3001, ..Default::default() };
+    let rows = asm_hardening_study(&spec, &cfg, Some(&status_printer("[harden]"))).expect("an uninterrupted ladder");
     println!("{}", render_hardening(&rows));
 }

@@ -8,24 +8,27 @@
 //! ```
 
 use flowery::analysis::render_breakdown;
-use flowery_core::{run_bench, ExperimentConfig};
-use flowery_workloads::workload;
+use flowery_core::run_study;
+use flowery_harness::{status_printer, HarnessConfig, MatrixSpec, RunOptions};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let name = args.get(1).map(|s| s.as_str()).unwrap_or("quicksort");
     let trials: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1000);
 
-    let cfg = ExperimentConfig {
-        trials,
+    let spec = MatrixSpec {
+        benches: vec![name.to_string()],
+        levels: vec![0.3, 0.5, 0.7, 1.0],
         profile_trials: (trials / 2).max(100),
-        verbose: true,
         ..Default::default()
     };
+    let cfg = HarnessConfig { max_trials: trials, seed: 0x51C2_3001, ..Default::default() };
 
-    println!("benchmark: {name}, {} trials per configuration\n", cfg.trials);
-    let w = workload(name, cfg.scale);
-    let r = run_bench(&w, &cfg);
+    println!("benchmark: {name}, {trials} trials per configuration\n");
+    let progress = status_printer("[harness]");
+    let opts = RunOptions { progress: Some(&progress), ..Default::default() };
+    let study = run_study(&spec, &cfg, opts).expect("an uninterrupted study is complete");
+    let r = &study.benches[0];
 
     println!(
         "\nraw SDC rate: IR {:.2}%  asm {:.2}%",

@@ -15,22 +15,19 @@
 //! machine-readable record.
 
 use flowery_faultmodel::{DetectorSpec, ModelSpec};
-use flowery_harness::{explore, render_table, ExploreSpec, GoldenCache};
-use flowery_workloads::Scale;
+use flowery_harness::{explore, render_table, status_printer, ExploreSpec, GoldenCache, HarnessConfig, MatrixSpec};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let trials: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(600);
-    let names: Vec<String> = args.iter().skip(2).cloned().collect();
-    let benches = if names.is_empty() {
-        vec!["crc32".into(), "quicksort".into(), "is".into()]
-    } else {
-        names
-    };
+    let mut benches: Vec<String> = args.iter().skip(2).cloned().collect();
+    if benches.is_empty() {
+        benches = ["crc32", "quicksort", "is"].map(String::from).to_vec();
+    }
 
+    let matrix = MatrixSpec { benches, ..Default::default() };
+    let cfg = HarnessConfig { max_trials: trials, ..Default::default() };
     let spec = ExploreSpec {
-        benches,
-        scale: Scale::Standard,
         models: vec![
             ModelSpec::SingleBitReg,
             ModelSpec::MultiBit(4),
@@ -43,17 +40,15 @@ fn main() {
             vec![DetectorSpec::CfSig],
             vec![DetectorSpec::Parity, DetectorSpec::CfSig],
         ],
-        levels: vec![1.0],
-        trials,
-        ..Default::default()
     };
     eprintln!(
         "[explore_pareto] {} bench(es) x {} model(s) x {} detector set(s), {trials} trials each",
-        spec.benches.len(),
+        matrix.benches.len(),
         spec.models.len(),
         spec.detector_sets.len()
     );
-    let report = explore(&spec, &GoldenCache::new());
+    let progress = status_printer("[explore_pareto]");
+    let report = explore(&spec, &matrix, &cfg, &GoldenCache::new(), Some(&progress)).expect("an uninterrupted sweep");
     print!("{}", render_table(&report));
 
     let json = flowery::serde_json::to_string_pretty(&report).expect("report serializes");

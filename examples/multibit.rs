@@ -7,20 +7,18 @@
 //! ```
 
 use flowery_core::extension::{multi_bit_study, render_multi_bit};
-use flowery_core::ExperimentConfig;
+use flowery_harness::{status_printer, HarnessConfig, MatrixSpec};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let trials: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1000);
-    let names: Vec<&str> = args.iter().skip(2).map(|s| s.as_str()).collect();
-    let names = if names.is_empty() {
-        vec!["is", "quicksort", "needle"]
-    } else {
-        names
-    };
-
-    let cfg = ExperimentConfig { trials, verbose: true, ..Default::default() };
-    let rows = multi_bit_study(&names, &cfg);
+    let mut benches: Vec<String> = args.iter().skip(2).cloned().collect();
+    if benches.is_empty() {
+        benches = ["is", "quicksort", "needle"].map(String::from).to_vec();
+    }
+    let spec = MatrixSpec { benches, ..Default::default() };
+    let cfg = HarnessConfig { max_trials: trials, seed: 0x51C2_3001, ..Default::default() };
+    let rows = multi_bit_study(&spec, &cfg, Some(&status_printer("[multibit]"))).expect("an uninterrupted study");
     println!("{}", render_multi_bit(&rows));
     println!(
         "reading guide: double-bit faults shift some SDCs into DUEs (lower raw SDC)\n\

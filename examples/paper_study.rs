@@ -8,32 +8,40 @@
 //! cargo run --release --example paper_study -- 500          # fewer trials
 //! cargo run --release --example paper_study -- 500 out.json # also dump JSON
 //! ```
+//!
+//! The study itself is `flowery study --trials N`, which also takes
+//! `--checkpoint`/`--resume`, `--executor native` and `--static-prune`;
+//! this example adds Table 1, the per-benchmark tables and §7.3 around it.
 
 use flowery_core::figures::{
     fig17, fig2, fig3, overhead, pass_time, render_fig17, render_fig2, render_fig3, render_overhead, render_pass_time,
     render_table1, table1,
 };
-use flowery_core::{run_study, ExperimentConfig};
+use flowery_core::run_study;
+use flowery_harness::{status_printer, HarnessConfig, MatrixSpec, RunOptions};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let trials: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(3000);
     let json_path = args.get(2);
 
-    let cfg = ExperimentConfig {
-        trials,
-        profile_trials: (trials / 3).max(200),
-        verbose: true,
+    // `flowery study --trials N`'s matrix and schedule: the same cells.
+    let spec = MatrixSpec {
+        levels: vec![0.3, 0.5, 0.7, 1.0],
+        profile_trials: (trials / 3).max(100),
         ..Default::default()
     };
+    let cfg = HarnessConfig { max_trials: trials, seed: 0x51C2_3001, ..Default::default() };
 
     println!("=== Table 1: benchmarks (simulation scale) ===");
-    let t1 = table1(&cfg);
+    let t1 = table1(spec.scale, &spec.backend);
     println!("{}", render_table1(&t1));
 
     eprintln!("running the full study ({trials} trials per configuration)...");
     let t0 = std::time::Instant::now();
-    let study = run_study(&[], &cfg);
+    let progress = status_printer("[harness]");
+    let opts = RunOptions { progress: Some(&progress), ..Default::default() };
+    let study = run_study(&spec, &cfg, opts).expect("an uninterrupted study is complete");
     eprintln!("study completed in {:.1}s", t0.elapsed().as_secs_f64());
 
     println!("\n=== Figure 2: ID coverage, IR vs assembly ===");
@@ -55,7 +63,7 @@ fn main() {
     println!("{}", render_overhead(&overhead(&study)));
 
     println!("\n=== §7.3: Flowery pass time ===");
-    println!("{}", render_pass_time(&pass_time(&cfg)));
+    println!("{}", render_pass_time(&pass_time(spec.scale)));
 
     println!(
         "headline: average cross-layer coverage gap {:.2}% (paper 31.21%); \

@@ -5,7 +5,11 @@
 # strictly increasing coverage, dominates every off-frontier point, and
 # that the whole report is byte-deterministic across two runs (the second
 # with a different thread count and snapshots disabled, which must not
-# change results either).
+# change results either). Last, the pin: regenerating the checked-in
+# `BENCH_explore.json` (3 workloads x 4 models x 4 detector sets at 600
+# trials, standard scale) must leave it byte-identical — the sweep's
+# detector sets are scored from one detector-free pass per model, and this
+# holds that scoring to the per-trial numbers the file was recorded with.
 set -euo pipefail
 
 BIN=${FLOWERY_BIN:-target/release/flowery}
@@ -68,5 +72,10 @@ for e in errors:
     print(f"explore-smoke FAIL: {e}", file=sys.stderr)
 sys.exit(1 if errors else 0)
 EOF
+
+cargo run --release --quiet --example explore_pareto >/dev/null 2>&1 \
+    || { echo "explore-smoke FAIL: explore_pareto did not run" >&2; exit 1; }
+git diff --exit-code --stat BENCH_explore.json \
+    || { echo "explore-smoke FAIL: BENCH_explore.json no longer regenerates byte-identically" >&2; exit 1; }
 
 echo "explore-smoke: all gates passed"

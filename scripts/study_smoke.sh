@@ -1,0 +1,73 @@
+#!/usr/bin/env bash
+# Study smoke gate: `flowery study` is `flowery campaign` with the report
+# rendered as the paper's figures. So (a) the figures are byte-identical on
+# the default engine and under `--executor native --static-prune`, (b) the
+# checkpoint a study writes is byte-identical to the one `flowery campaign`
+# writes for the same arguments, (c) `--resume` on the sealed checkpoint
+# reprints the figures without executing an instruction or a golden run, and
+# (d) a study interrupted with SIGINT prints the resume hint and no figures,
+# exits non-zero, and resumes to the same figures as an uninterrupted run.
+set -euo pipefail
+
+BIN=${FLOWERY_BIN:-target/release/flowery}
+DIR=$(mktemp -d)
+cleanup() {
+    kill $(jobs -p) 2>/dev/null || true
+    rm -rf "$DIR"
+}
+trap cleanup EXIT
+
+ARGS=(crc32 is --tiny --trials 200 --levels 0.5,1.0)
+
+echo "study-smoke: default engine vs native + static prune"
+"$BIN" study "${ARGS[@]}" --checkpoint "$DIR/a.jsonl" >"$DIR/a.out" 2>"$DIR/a.log"
+"$BIN" study "${ARGS[@]}" --executor native --static-prune --checkpoint "$DIR/b.jsonl" \
+    >"$DIR/b.out" 2>"$DIR/b.log"
+grep -q 'average IR-vs-assembly coverage gap' "$DIR/a.out" \
+    || { echo "study printed no Figure 2"; cat "$DIR/a.out" "$DIR/a.log"; exit 1; }
+cmp "$DIR/a.out" "$DIR/b.out" || { echo "figures differ between engines"; exit 1; }
+
+echo "study-smoke: a study is a campaign"
+"$BIN" campaign "${ARGS[@]}" --checkpoint "$DIR/c.jsonl" >/dev/null 2>"$DIR/c.log"
+cmp "$DIR/a.jsonl" "$DIR/c.jsonl" || { echo "study and campaign checkpoints differ"; exit 1; }
+
+echo "study-smoke: --resume on the sealed checkpoint is a pure replay"
+"$BIN" study "${ARGS[@]}" --checkpoint "$DIR/a.jsonl" --resume \
+    --metrics-json "$DIR/replay-metrics.json" >"$DIR/replay.out" 2>"$DIR/replay.log"
+cmp "$DIR/a.out" "$DIR/replay.out" || { echo "replayed figures differ"; exit 1; }
+for counter in '"exec_insts": 0' '"goldens_run": 0'; do
+    grep -q "$counter" "$DIR/replay-metrics.json" \
+        || { echo "replay is not pure: want $counter"; cat "$DIR/replay-metrics.json"; exit 1; }
+done
+
+# Enough batches that the SIGINT below lands mid-run (the leg still passes
+# if a fast machine finishes first — that is just a complete study).
+LONG=(crc32 is --tiny --trials 8000 --batch 50 --levels 0.5,1.0)
+
+echo "study-smoke: uninterrupted reference"
+"$BIN" study "${LONG[@]}" >"$DIR/ref.out" 2>"$DIR/ref.log"
+
+echo "study-smoke: interrupted run"
+"$BIN" study "${LONG[@]}" --checkpoint "$DIR/int.jsonl" >"$DIR/int.out" 2>"$DIR/int.log" &
+RUN=$!
+for _ in $(seq 600); do
+    kill -0 "$RUN" 2>/dev/null || break
+    [ "$(grep -c '"batch"' "$DIR/int.jsonl" 2>/dev/null || true)" -ge 40 ] && break
+    sleep 0.05
+done
+kill -INT "$RUN" 2>/dev/null || true
+if wait "$RUN"; then
+    echo "study-smoke: the run finished before the SIGINT"
+else
+    grep -q 'resume with: flowery study' "$DIR/int.log" \
+        || { echo "interrupted study printed no resume hint"; cat "$DIR/int.log"; exit 1; }
+    grep -q 'partial report' "$DIR/int.log" \
+        || { echo "interrupted study did not refuse the partial report"; cat "$DIR/int.log"; exit 1; }
+    [ ! -s "$DIR/int.out" ] || { echo "interrupted study printed figures"; cat "$DIR/int.out"; exit 1; }
+fi
+
+echo "study-smoke: resume"
+"$BIN" study "${LONG[@]}" --checkpoint "$DIR/int.jsonl" --resume >"$DIR/resumed.out" 2>"$DIR/resumed.log"
+cmp "$DIR/ref.out" "$DIR/resumed.out" || { echo "resumed figures differ from the reference"; exit 1; }
+
+echo "study-smoke: all gates passed"

@@ -4,11 +4,11 @@
 
 use flowery::analysis::render_breakdown;
 use flowery::backend::{compile_module, harden_program, BackendConfig, HardenConfig, Machine};
-use flowery::core::{run_lint, ExperimentConfig, PassConfig};
+use flowery::core::{run_lint, PassConfig};
+use flowery::harness::{CampaignReport, HarnessConfig, MatrixSpec, TrialUnit};
 use flowery::inject::{run_asm_campaign, run_ir_campaign, CampaignConfig, Coverage};
 use flowery::ir::interp::{decode_output, ExecConfig, Interpreter, IrLayer};
 use flowery::ir::Module;
-use flowery::passes::{apply_flowery, duplicate_module, DupConfig, FloweryConfig, ProtectionPlan};
 use flowery::workloads::{workload, Scale, NAMES};
 use std::process::ExitCode;
 
@@ -58,7 +58,6 @@ flags are parsed strictly: an unknown flag or an unparsable number is an error
   run <file.mc | bench>               execute at both layers
   inject <file.mc | bench> [--trials N] [--id] [--flowery] [--harden]
                                       fault-injection campaign at both layers
-  study [--trials N] [bench ...]      the paper's full cross-layer study
   campaign [bench ...] [--trials N] [--ci-target H] [--threads N]
            [--batch N] [--levels a,b] [--tiny] [--json]
            [--checkpoint FILE] [--resume] [--no-snapshots]
@@ -108,6 +107,13 @@ flags are parsed strictly: an unknown flag or an unparsable number is an error
                                       recorded in the checkpoint header,
                                       so --resume refuses a mixed-prune
                                       mix
+  study [bench ...] [+ campaign options above]
+                                      the paper's cross-layer study: that
+                                      campaign, at --levels 0.3,0.5,0.7,1.0
+                                      and --trials 1000 unless given, its
+                                      report rendered as Figures 2/3/17
+                                      and the §7.2 overhead table (--json
+                                      prints the study results instead)
   diff --baseline FILE [bench ...] [--src FILE] [--out FILE] [--static-prior]
        [+ campaign options above]   incremental campaign: partition every
                                       unit into per-function regions, hash
@@ -205,13 +211,11 @@ fn load(spec: &str) -> Result<Module, String> {
     flowery::lang::compile(spec, &src).map_err(|e| format!("{spec}: {e}"))
 }
 
+/// Full protection, through the matrix's own recipe.
 fn protect(m: &mut Module, id: bool, flowery: bool) {
     if id || flowery {
-        let plan = ProtectionPlan::full(m);
-        duplicate_module(m, &plan, &DupConfig::default());
-    }
-    if flowery {
-        apply_flowery(m, &FloweryConfig::default());
+        let (_, id_m, flowery_m) = flowery::harness::protect(m, &MatrixSpec::default()).remove(0);
+        *m = if flowery { flowery_m } else { id_m };
     }
 }
 
@@ -223,8 +227,7 @@ fn protect(m: &mut Module, id: bool, flowery: bool) {
 const PROTECT: &str = "--id --flowery";
 const ASM: &str = "--id --flowery --harden";
 const INJECT: &str = "--id --flowery --harden --trials=";
-const STUDY: &str = "--trials=";
-/// The schedule and matrix flags `campaign`, `diff` and `serve` share.
+/// The schedule and matrix flags `campaign`, `study`, `diff` and `serve` share.
 macro_rules! schedule {
     ($own:literal) => {
         concat!(
@@ -254,14 +257,15 @@ fn declared(spec: &str, name: &str) -> Option<bool> {
 /// assert the name is declared, so a misspelt lookup fails the first test
 /// that reaches it.
 struct Args<'a> {
+    cmd: &'static str,
     spec: &'static str,
     flags: Vec<(&'a str, Option<&'a str>)>,
     positional: Vec<&'a str>,
 }
 
 impl<'a> Args<'a> {
-    fn parse(cmd: &str, spec: &'static str, rest: &'a [String]) -> Result<Args<'a>, String> {
-        let mut args = Args { spec, flags: Vec::new(), positional: Vec::new() };
+    fn parse(cmd: &'static str, spec: &'static str, rest: &'a [String]) -> Result<Args<'a>, String> {
+        let mut args = Args { cmd, spec, flags: Vec::new(), positional: Vec::new() };
         let mut it = rest.iter().map(String::as_str);
         while let Some(a) = it.next() {
             match declared(spec, a) {
@@ -294,6 +298,17 @@ impl<'a> Args<'a> {
     fn u64(&self, name: &'static str, default: u64) -> Result<u64, String> {
         let parse = |v: &str| v.parse().map_err(|_| format!("bad {name} '{v}' (want a non-negative integer)"));
         self.str(name).map_or(Ok(default), parse)
+    }
+
+    /// The subcommand's `--trials` and `--levels` defaults: the campaign
+    /// commands run the paper's 3,000 trials at full protection, `study`
+    /// the paper's four levels and `explore` two, each at fewer trials.
+    fn defaults(&self) -> (u64, &'static [f64]) {
+        match self.cmd {
+            "study" => (1000, &[0.3, 0.5, 0.7, 1.0]),
+            "explore" => (400, &[0.5, 1.0]),
+            _ => (3000, &[1.0]),
+        }
     }
 
     /// The single `<file.mc | bench>` operand.
@@ -387,18 +402,17 @@ fn cmd_inject(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The paper's study is a campaign over the paper's levels, its report
+/// rendered as the figures.
 fn cmd_study(rest: &[String]) -> Result<(), String> {
     use flowery::core::figures as fig;
-    let args = Args::parse("study", STUDY, rest)?;
-    let trials = args.u64("--trials", 1000)?;
-    let names = args.positional.clone();
-    let cfg = flowery::core::ExperimentConfig {
-        trials,
-        profile_trials: (trials / 3).max(100),
-        verbose: true,
-        ..Default::default()
-    };
-    let study = flowery::core::run_study(&names, &cfg);
+    let args = Args::parse("study", CAMPAIGN, rest)?;
+    let (spec, units, report) = run_campaign(&args)?;
+    let study = flowery::core::study(&units, &report.units, &spec.backend)?;
+    if args.flag("--json") {
+        println!("{}", flowery::serde_json::to_string_pretty(&study).map_err(|e| format!("{e:?}"))?);
+        return Ok(());
+    }
     println!("{}", fig::render_fig2(&fig::fig2(&study)));
     println!("{}", fig::render_fig3(&fig::fig3(&study)));
     println!("{}", fig::render_fig17(&fig::fig17(&study)));
@@ -418,10 +432,10 @@ fn parse_bytes(v: &str) -> Option<u64> {
     digits.parse::<u64>().ok().map(|n| n.saturating_mul(mult))
 }
 
-/// The trial schedule shared by `campaign` and `serve`.
-fn parse_harness(args: &Args<'_>) -> Result<flowery::harness::HarnessConfig, String> {
-    let trials = args.u64("--trials", 3000)?;
-    let mut cfg = flowery::harness::HarnessConfig {
+/// The trial schedule `campaign`, `study`, `diff` and `serve` share.
+fn parse_harness(args: &Args<'_>) -> Result<HarnessConfig, String> {
+    let trials = args.u64("--trials", args.defaults().0)?;
+    let mut cfg = HarnessConfig {
         max_trials: trials,
         batch_size: args.u64("--batch", 250)?.clamp(1, trials.max(1)),
         min_trials: args.u64("--min-trials", 500)?.min(trials),
@@ -450,7 +464,7 @@ fn parse_harness(args: &Args<'_>) -> Result<flowery::harness::HarnessConfig, Str
 
 fn parse_levels(args: &Args<'_>) -> Result<Vec<f64>, String> {
     match args.str("--levels") {
-        None => Ok(vec![1.0]),
+        None => Ok(args.defaults().1.to_vec()),
         Some(csv) => csv
             .split(',')
             .map(|s| s.trim().parse::<f64>().map_err(|_| format!("bad level '{s}'")))
@@ -483,9 +497,10 @@ fn parse_sources(args: &Args<'_>) -> Result<Vec<(String, String)>, String> {
     Ok(sources)
 }
 
-/// The matrix both `campaign` builds locally and `serve` ships to workers.
-fn matrix_spec(args: &Args<'_>, cfg: &flowery::harness::HarnessConfig) -> Result<flowery::harness::MatrixSpec, String> {
-    Ok(flowery::harness::MatrixSpec {
+/// The matrix `campaign` and `study` build locally and `serve` ships to
+/// workers.
+fn matrix_spec(args: &Args<'_>, cfg: &HarnessConfig) -> Result<MatrixSpec, String> {
+    Ok(MatrixSpec {
         benches: args.benches()?,
         sources: parse_sources(args)?,
         scale: if args.flag("--tiny") { Scale::Tiny } else { Scale::Standard },
@@ -496,7 +511,7 @@ fn matrix_spec(args: &Args<'_>, cfg: &flowery::harness::HarnessConfig) -> Result
     })
 }
 
-fn print_campaign_report(args: &Args<'_>, report: &flowery::harness::CampaignReport) -> Result<(), String> {
+fn print_campaign_report(args: &Args<'_>, report: &CampaignReport) -> Result<(), String> {
     if args.flag("--json") {
         println!("{}", flowery::serde_json::to_string_pretty(&report.units).map_err(|e| format!("{e:?}"))?);
         return Ok(());
@@ -545,14 +560,16 @@ fn write_metrics(args: &Args<'_>, metrics: &flowery::harness::MetricsSnapshot) -
     std::fs::write(p, json + "\n").map_err(|e| format!("cannot write {p}: {e}"))
 }
 
-fn cmd_campaign(rest: &[String]) -> Result<(), String> {
+/// One local campaign, start to finish, for `campaign` and `study`: open
+/// the checkpoint, build the matrix, run it, seal the checkpoint and write
+/// `--metrics-json`.
+fn run_campaign(args: &Args<'_>) -> Result<(MatrixSpec, Vec<TrialUnit>, CampaignReport), String> {
     use flowery::harness::{build_matrix, open, region_records, run_units, seal, shutdown, status_printer};
     use flowery::harness::{refused_note, GoldenCache, RunOptions, SnapshotStore};
     use std::path::Path;
 
-    let args = Args::parse("campaign", CAMPAIGN, rest)?;
-    let cfg = parse_harness(&args)?;
-    let spec = matrix_spec(&args, &cfg)?;
+    let cfg = parse_harness(args)?;
+    let spec = matrix_spec(args, &cfg)?;
 
     // Open the checkpoint (see `harness::checkpoint::open`).
     let ckpt_path = args.str("--checkpoint").map(Path::new);
@@ -611,17 +628,24 @@ fn cmd_campaign(rest: &[String]) -> Result<(), String> {
         seal(p, log, &regions.unwrap_or_default())?;
     }
     // Re-stamped after the seal, whose region records observe every program.
-    let report = flowery::harness::CampaignReport { metrics: report.metrics.with_cache(cache.stats()), ..report };
-    write_metrics(&args, &report.metrics)?;
-    print_campaign_report(&args, &report)?;
+    let report = CampaignReport { metrics: report.metrics.with_cache(cache.stats()), ..report };
+    write_metrics(args, &report.metrics)?;
     if report.interrupted {
         eprintln!("[harness] interrupted: {} unit(s) unfinished", report.pending.len());
         match ckpt_path {
-            Some(p) => eprintln!("[harness] resume with: flowery campaign ... --checkpoint {} --resume", p.display()),
+            Some(p) => {
+                eprintln!("[harness] resume with: flowery {} ... --checkpoint {} --resume", args.cmd, p.display())
+            }
             None => eprintln!("[harness] progress was NOT saved (no --checkpoint)"),
         }
     }
-    Ok(())
+    Ok((spec, units, report))
+}
+
+fn cmd_campaign(rest: &[String]) -> Result<(), String> {
+    let args = Args::parse("campaign", CAMPAIGN, rest)?;
+    let (_, _, report) = run_campaign(&args)?;
+    print_campaign_report(&args, &report)
 }
 
 fn cmd_diff(rest: &[String]) -> Result<(), String> {
@@ -759,16 +783,25 @@ fn cmd_explore(rest: &[String]) -> Result<(), String> {
     use flowery::harness::{explore, render_table, ExploreSpec, GoldenCache};
 
     let args = Args::parse("explore", EXPLORE, rest)?;
-    let mut spec = ExploreSpec {
-        benches: args.benches()?,
-        scale: if args.flag("--tiny") { Scale::Tiny } else { Scale::Standard },
-        trials: args.u64("--trials", 400)?,
+    let mut cfg = HarnessConfig {
+        max_trials: args.u64("--trials", args.defaults().0)?,
         seed: args.u64("--seed", 0x0F10_EE41)?,
         threads: args.u64("--threads", 0)? as usize,
         snapshots: !args.flag("--no-snapshots"),
         ..Default::default()
     };
-    spec.profile_trials = (spec.trials * 2).clamp(100, 2000);
+    if let Some(e) = args.str("--executor") {
+        cfg.exec.executor = e.trim().parse::<flowery::backend::ExecMode>()?;
+    }
+    let matrix = MatrixSpec {
+        benches: args.benches()?,
+        scale: if args.flag("--tiny") { Scale::Tiny } else { Scale::Standard },
+        levels: parse_levels(&args)?,
+        profile_trials: (cfg.max_trials * 2).clamp(100, 2000),
+        threads: cfg.threads,
+        ..Default::default()
+    };
+    let mut spec = ExploreSpec::default();
     if let Some(csv) = args.str("--models") {
         spec.models = csv
             .split(',')
@@ -787,21 +820,22 @@ fn cmd_explore(rest: &[String]) -> Result<(), String> {
             })
             .collect::<Result<_, String>>()?;
     }
-    if args.str("--levels").is_some() {
-        spec.levels = parse_levels(&args)?;
-    }
-    if let Some(e) = args.str("--executor") {
-        spec.exec.executor = e.trim().parse::<flowery::backend::ExecMode>()?;
-    }
 
     eprintln!(
         "[explore] {} bench(es) x {} model(s) x {} detector set(s), {} trials each",
-        if spec.benches.is_empty() { NAMES.len() } else { spec.benches.len() },
+        if matrix.benches.is_empty() {
+            NAMES.len()
+        } else {
+            matrix.benches.len()
+        },
         spec.models.len(),
         spec.detector_sets.len(),
-        spec.trials
+        cfg.max_trials
     );
-    let report = explore(&spec, &GoldenCache::new());
+    // One engine pass per model: the campaign's status line and Ctrl-C drain.
+    flowery::harness::shutdown::install();
+    let progress = flowery::harness::status_printer("[explore]");
+    let report = explore(&spec, &matrix, &cfg, &GoldenCache::new(), Some(&progress))?;
 
     if let Some(dir) = args.str("--out") {
         let dir = std::path::Path::new(dir);
@@ -983,7 +1017,7 @@ fn cmd_lint(rest: &[String]) -> Result<(), String> {
     }
     let validate = args.flag("--validate").then(|| args.u64("--trials", 2000)).transpose()?;
     let m = load(spec)?;
-    let outcome = run_lint(spec, &m, pass, level, &ExperimentConfig::default(), validate);
+    let outcome = run_lint(spec, &m, pass, level, validate);
     if args.str("--format") == Some("json") {
         println!("{}", flowery::serde_json::to_string_pretty(&outcome).map_err(|e| format!("{e:?}"))?);
         return Ok(());

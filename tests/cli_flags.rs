@@ -44,6 +44,9 @@ fn unknown_and_misspelt_flags_are_errors_that_name_the_flag() {
     refused(&["diff", "crc32", "--checkpoint", "x.jsonl"], &["--checkpoint", "diff"]);
     refused(&["diff", "crc32", "--tiny", "--batch", "1e3", "--baseline", "x"], &["--batch", "1e3"]);
     refused(&["explore", "crc32", "--static-prune"], &["--static-prune", "explore"]);
+    // `study` takes the campaign's flags and no others.
+    refused(&["study", "crc32", "--bogus"], &["--bogus", "study"]);
+    refused(&["study", "crc32", "--detectors", "none"], &["--detectors", "study"]);
     refused(&["explore", "crc32", "--seed", "-4"], &["--seed", "-4"]);
     refused(&["serve", "crc32", "--out", "x.jsonl"], &["--out", "serve"]);
     refused(&["serve", "crc32", "--checkpoint", "x.jsonl", "--lease", "many"], &["--lease", "many"]);
@@ -54,6 +57,21 @@ fn unknown_and_misspelt_flags_are_errors_that_name_the_flag() {
     refused(&["work"], &["--connect"]);
     refused(&["serve", "crc32"], &["--checkpoint"]);
     refused(&["campaign", "crc32", "--resume"], &["--resume needs --checkpoint"]);
+    refused(&["study", "crc32", "--resume"], &["--resume needs --checkpoint"]);
+}
+
+#[test]
+fn the_study_is_a_campaign_and_prints_the_same_figures_on_every_engine() {
+    let study = ["study", "crc32", "--tiny", "--trials", "40", "--levels", "1.0"];
+    let native = stdout_of(&[&study[..], &["--executor", "native"]].concat());
+    let figure2_row = native
+        .lines()
+        .find(|l| l.trim_start().starts_with("crc32") && l.contains("100%"));
+    assert!(
+        figure2_row.is_some_and(|l| l.matches('%').count() == 4),
+        "no Figure 2 row for crc32: {native}"
+    );
+    assert_eq!(native, stdout_of(&[&study[..], &["--executor", "interp", "--no-snapshots"]].concat()));
 }
 
 #[test]

@@ -40,9 +40,14 @@ fn different_seeds_differ() {
 
 #[test]
 fn study_results_round_trip_json() {
-    let mut cfg = flowery_core::ExperimentConfig::smoke();
-    cfg.trials = 150;
-    let study = flowery_core::run_study(&["is"], &cfg);
+    use flowery_harness::{HarnessConfig, MatrixSpec, RunOptions};
+    let spec = MatrixSpec {
+        benches: vec!["is".into()],
+        scale: Scale::Tiny,
+        ..Default::default()
+    };
+    let cfg = HarnessConfig { max_trials: 150, ..Default::default() };
+    let study = flowery_core::run_study(&spec, &cfg, RunOptions::default()).unwrap();
     let json = serde_json::to_string(&study).expect("serialize");
     let back: flowery_core::StudyResults = serde_json::from_str(&json).expect("deserialize");
     assert_eq!(back.benches.len(), study.benches.len());
