@@ -32,7 +32,7 @@
 //!
 //! Snapshot capture and fast-forward work unchanged in both modes: the
 //! compiled slow loop drives the same `Recorder` hooks
-//! (`due`/`capture`/`note_first`) at the same points as the interpreter,
+//! (`due`/`capture`/`note_site`) at the same points as the interpreter,
 //! and dirty-page tracking lives inside [`Memory`], below either engine.
 //!
 //! The native x86-64 JIT ([`crate::jit`]) is the third `Executor`
@@ -1421,7 +1421,7 @@ pub(crate) fn step(
     if let Some(rec) = recorder.as_deref_mut() {
         if rec.due(st.dyn_insts, st.fault_sites) {
             let state = AsmState { cycles: st.cycles, ip: *ip, regs: st.regs };
-            rec.capture(st.dyn_insts, st.fault_sites, st.output.len(), state, st.profile.as_ref(), &mut st.mem);
+            rec.capture(st.dyn_insts, st.fault_sites, st.output.len(), state, &mut st.mem);
         }
     }
 
@@ -1430,9 +1430,6 @@ pub(crate) fn step(
     };
     let meta = prog.meta[*ip as usize];
     let is_site = meta & META_SITE != 0;
-    if let Some(rec) = recorder.as_deref_mut() {
-        rec.note_first(|first| &mut first[*ip as usize], st.dyn_insts);
-    }
     st.dyn_insts += 1;
     if st.dyn_insts > config.max_dyn_insts {
         return Err(ExecStatus::Trapped(TrapKind::InstLimit));

@@ -111,17 +111,6 @@ impl<'p> Machine<'p> {
         substrate::capture_auto(self, config)
     }
 
-    /// Build this variant's snapshot set by sharing the golden prefix of
-    /// its raw program's set (see [`substrate::capture_from`]).
-    pub fn capture_snapshots_from(
-        &self,
-        config: &ExecConfig,
-        raw: (&Module, &AsmProgram),
-        raw_set: &AsmSnapshotSet,
-    ) -> Option<AsmSnapshotSet> {
-        substrate::capture_from(self, config, &Machine::new(raw.0, raw.1), raw_set)
-    }
-
     /// Run one faulty trial from the nearest snapshot at-or-before the
     /// injection site (see [`substrate::trial`]); bit-identical to
     /// `run(config, Some(fault))`.
@@ -147,9 +136,7 @@ impl<'p> Machine<'p> {
             fault_sites: start.fault_sites,
             cycles,
             injected_inst: None,
-            profile: start
-                .profile
-                .or_else(|| config.profile.then(|| vec![0u64; self.program.insts.len()])),
+            profile: config.profile.then(|| vec![0u64; self.program.insts.len()]),
             last_ip: 0,
             last_mem_write: None,
         };
@@ -194,15 +181,12 @@ impl<'p> Machine<'p> {
             if let Some(rec) = recorder.as_deref_mut() {
                 if rec.due(st.dyn_insts, st.fault_sites) {
                     let state = AsmState { cycles: st.cycles, ip, regs: st.regs };
-                    rec.capture(st.dyn_insts, st.fault_sites, st.output.len(), state, st.profile.as_ref(), &mut st.mem);
+                    rec.capture(st.dyn_insts, st.fault_sites, st.output.len(), state, &mut st.mem);
                 }
             }
 
             if ip as usize >= insts.len() {
                 break 'exec ExecStatus::Trapped(TrapKind::BadControl);
-            }
-            if let Some(rec) = recorder.as_deref_mut() {
-                rec.note_first(|first| &mut first[ip as usize], st.dyn_insts);
             }
             st.dyn_insts += 1;
             if st.dyn_insts > config.max_dyn_insts {
@@ -748,26 +732,6 @@ impl Machine<'_> {
             FaultEffect::Jump { .. } => {} // dispatch loop redirects ip
         }
     }
-}
-
-/// First dynamic instruction (snapshot-hook convention: that instruction
-/// has not yet started) at which the variant program's golden trace can
-/// diverge from the raw program's, given the raw capture's first-execution
-/// profile. Until a *statically different* program position executes, the
-/// two traces are identical — instructions compare equal by value, jump
-/// targets included, so identical state steps identically. `u64::MAX` means
-/// the raw trace never reaches a divergent position; `None` means the
-/// divergence precedes any execution we could share.
-pub(crate) fn divergence_dyn(raw: &[AInst], var: &[AInst], first_exec: &[u64]) -> Option<u64> {
-    if first_exec.len() != raw.len() {
-        return None;
-    }
-    let n = raw.len().min(var.len());
-    let d_static = (0..n).find(|&i| raw[i] != var[i]).unwrap_or(n);
-    // The trace diverges the first time the raw run executes a position at
-    // or past the first static difference (positions past `var`'s end
-    // included: the raw run reaching them has no variant counterpart).
-    Some(first_exec[d_static..].iter().copied().min().unwrap_or(u64::MAX))
 }
 
 pub(crate) fn width_ty(w: u8) -> Type {

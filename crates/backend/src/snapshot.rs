@@ -4,7 +4,7 @@
 //! restore, fast-forward, persistence and the trial runner are the shared
 //! ones in `flowery_ir::interp`.
 
-use crate::machine::{divergence_dyn, AsmFaultSpec, MachResult, Machine, SENTINEL};
+use crate::machine::{AsmFaultSpec, MachResult, Machine, SENTINEL};
 use crate::mir::{AsmProgram, Reg};
 use flowery_ir::interp::snapio::{w_bytes, w_opt, w_status, w_u32, w_u64, w_u64s, Cursor};
 use flowery_ir::interp::snapshot::Recorder;
@@ -34,8 +34,6 @@ pub struct AsmState {
 }
 
 impl RunResult for MachResult {
-    type Profile = Vec<u64>;
-
     fn head(&self) -> RunHead<'_> {
         RunHead {
             status: self.status,
@@ -45,20 +43,9 @@ impl RunResult for MachResult {
         }
     }
 
-    fn into_parts(self) -> (Vec<u8>, Option<Vec<u64>>) {
-        (self.output, self.profile)
+    fn into_output(self) -> Vec<u8> {
+        self.output
     }
-}
-
-/// A `u64` per program position.
-fn r_counts(c: &mut Cursor, program: &AsmProgram, what: &str) -> Result<Option<Vec<u64>>, String> {
-    c.opt(what, |c| {
-        let v = c.u64s()?;
-        if v.len() != program.insts.len() {
-            return Err(format!("snapshot file: {what} shape does not match program"));
-        }
-        Ok(v)
-    })
 }
 
 impl Substrate for AsmLayer {
@@ -68,8 +55,6 @@ impl Substrate for AsmLayer {
     type Exec<'a> = Machine<'a>;
     type State = AsmState;
     type Golden = MachResult;
-    /// `[ip]` = `dyn_insts` at the instruction's first execution.
-    type FirstExec = Vec<u64>;
     type Pool = ();
 
     fn module<'a>(exec: &'a Machine<'_>) -> &'a Module {
@@ -87,10 +72,6 @@ impl Substrate for AsmLayer {
             region_of[f.entry as usize..(f.end as usize).min(program.insts.len())].fill(i as u32);
         }
         region_of
-    }
-
-    fn first_exec_table(exec: &Machine<'_>) -> Vec<u64> {
-        vec![u64::MAX; exec.program.insts.len()]
     }
 
     /// Fresh machine state: zeroed registers, sentinel return address
@@ -117,20 +98,7 @@ impl Substrate for AsmLayer {
         exec.exec(config, fault, start, recorder)
     }
 
-    fn divergence(exec: &Machine<'_>, raw: &Machine<'_>, first_exec: &Vec<u64>) -> Option<u64> {
-        if raw.program.main_entry != exec.program.main_entry {
-            return None;
-        }
-        divergence_dyn(&raw.program.insts, &exec.program.insts, first_exec)
-    }
-
-    /// Register files and program positions carry over verbatim; a position
-    /// past the variant's end has no counterpart.
-    fn translate(exec: &Machine<'_>, state: &AsmState) -> Option<AsmState> {
-        ((state.ip as usize) < exec.program.insts.len()).then_some(*state)
-    }
-
-    fn encode_head(w: &mut Vec<u8>, r: &MachResult, first_exec: Option<&Vec<u64>>) {
+    fn encode_head(w: &mut Vec<u8>, r: &MachResult) {
         w_status(w, r.status);
         w_bytes(w, &r.output);
         w_u64(w, r.dyn_insts);
@@ -138,33 +106,36 @@ impl Substrate for AsmLayer {
         w_u64(w, r.cycles);
         w_opt(w, r.injected_inst, w_u32);
         w_opt(w, r.profile.as_deref(), w_u64s);
-        w_opt(w, first_exec.map(Vec::as_slice), w_u64s);
     }
 
-    fn decode_head(c: &mut Cursor, exec: &Machine<'_>) -> Result<(MachResult, Option<Vec<u64>>), String> {
-        let golden = MachResult {
+    fn decode_head(c: &mut Cursor, exec: &Machine<'_>) -> Result<MachResult, String> {
+        Ok(MachResult {
             status: c.status()?,
             output: c.bytes()?,
             dyn_insts: c.u64()?,
             fault_sites: c.u64()?,
             cycles: c.u64()?,
             injected_inst: c.opt("injected_inst", Cursor::u32)?,
-            profile: r_counts(c, exec.program, "profile")?,
-        };
-        Ok((golden, r_counts(c, exec.program, "first-exec")?))
+            profile: c.opt("profile", |c| {
+                let counts = c.u64s()?;
+                if counts.len() != exec.program.insts.len() {
+                    return Err("snapshot file: profile shape does not match program".to_string());
+                }
+                Ok(counts)
+            })?,
+        })
     }
 
-    fn encode_snap(w: &mut Vec<u8>, state: &AsmState, output_len: usize, profile: Option<&Vec<u64>>) {
+    fn encode_snap(w: &mut Vec<u8>, state: &AsmState, output_len: usize) {
         w_u64(w, state.cycles);
         w_u32(w, state.ip);
         for &r in &state.regs {
             w_u64(w, r);
         }
         w_u64(w, output_len as u64);
-        w_opt(w, profile.map(Vec::as_slice), w_u64s);
     }
 
-    fn decode_snap(c: &mut Cursor, exec: &Machine<'_>) -> Result<(AsmState, usize, Option<Vec<u64>>), String> {
+    fn decode_snap(c: &mut Cursor, exec: &Machine<'_>) -> Result<(AsmState, usize), String> {
         let cycles = c.u64()?;
         let ip = c.u32()?;
         if ip as usize > exec.program.insts.len() {
@@ -174,8 +145,7 @@ impl Substrate for AsmLayer {
         for r in regs.iter_mut() {
             *r = c.u64()?;
         }
-        let output_len = c.u64()? as usize;
-        Ok((AsmState { cycles, ip, regs }, output_len, r_counts(c, exec.program, "profile")?))
+        Ok((AsmState { cycles, ip, regs }, c.u64()? as usize))
     }
 }
 

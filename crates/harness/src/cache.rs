@@ -8,15 +8,11 @@
 //! golden counts every [`UnitResult`](crate::UnitResult) carries (what the
 //! study's overhead tables read) come from the campaign goldens for free.
 //!
-//! Snapshot sets are served the same way, but with two extra sources
-//! ahead of a fresh capture run:
-//!
-//! 1. **the persistent store** — sets saved next to the checkpoint by a
-//!    previous run load back without executing anything, so the trials of
-//!    a `--resume` need zero golden re-executions and zero re-captures;
-//! 2. **cross-variant sharing** — a hardened unit that knows its raw twin
-//!    reuses the raw set's golden-prefix snapshots below the divergence
-//!    point and captures only the suffix.
+//! Snapshot sets are served the same way, with one extra source ahead of a
+//! fresh capture run: **the persistent store** — sets saved next to the
+//! checkpoint by a previous run load back without executing anything, so
+//! the trials of a `--resume` need zero golden re-executions and zero
+//! re-captures.
 //!
 //! Since the capture run doubles as the golden run (its result seeds the
 //! golden maps), enabling snapshots never adds an execution.
@@ -58,17 +54,14 @@ pub fn program_hash(p: &AsmProgram) -> u64 {
 pub struct CacheStats {
     /// Lookups served from the in-memory maps.
     pub hits: u64,
-    /// Lookups that had to go further (store, sharing, or execution).
+    /// Lookups that had to go further (store or execution).
     pub misses: u64,
     /// Plain golden executions (not part of a snapshot capture).
     pub goldens_run: u64,
-    /// Snapshot capture executions (full or shared-suffix).
+    /// Snapshot capture executions.
     pub snap_captures: u64,
     /// Snapshot sets loaded from the persistent store — zero executions.
     pub snap_loads: u64,
-    /// Captures that shared a raw set's golden prefix (subset of
-    /// `snap_captures`; these ran only the post-divergence suffix).
-    pub snap_shared: u64,
     /// Site observation passes (one fault-free execution each).
     pub observations: u64,
 }
@@ -143,7 +136,6 @@ pub struct GoldenCache {
     goldens_run: AtomicU64,
     snap_captures: AtomicU64,
     snap_loads: AtomicU64,
-    snap_shared: AtomicU64,
     observations: AtomicU64,
 }
 
@@ -236,12 +228,11 @@ impl GoldenCache {
     pub(crate) fn runner<'u, S: CacheLayer + InjectLayer>(
         &self,
         exec: S::Exec<'u>,
-        raw: Option<S::Exec<'u>>,
         snapshots: bool,
         cfg: &ExecConfig,
     ) -> TrialRunner<'u, S> {
         if snapshots {
-            let set = self.snapshots_for::<S>(&exec, raw.as_ref(), cfg);
+            let set = self.snapshots_for::<S>(&exec, cfg);
             let mut r = TrialRunner::from_golden(exec, set.golden().clone(), cfg);
             r.attach_snapshots(set);
             r
@@ -254,8 +245,10 @@ impl GoldenCache {
     /// The persisted set for `key`, when the store has one captured under
     /// `cfg`'s memory geometry.
     fn load_set<S: CacheLayer>(&self, exec: &S::Exec<'_>, key: u64, cfg: &ExecConfig) -> Option<SnapshotSet<S>> {
-        let set = self.store.as_ref()?.load::<S>(exec, key)?;
+        let store = self.store.as_ref()?;
+        let set = store.load::<S>(exec, key)?;
         if !set.matches_geometry(cfg.mem_size, cfg.stack_size) {
+            store.refused::<S>(key, "snapshot file: captured under another memory geometry");
             return None;
         }
         self.snap_loads.fetch_add(1, Ordering::Relaxed);
@@ -264,27 +257,14 @@ impl GoldenCache {
 
     /// Snapshot set for fast-forwarded trials over `exec`'s program,
     /// obtained (in order of preference) from the in-memory cache, the
-    /// persistent store, a shared-prefix capture off `raw`'s set, or a
-    /// fresh capture. The set's golden result seeds the golden cache, so
-    /// subsequent [`GoldenCache::golden`] calls for the same content are
-    /// free.
-    pub(crate) fn snapshots_for<S: CacheLayer>(
-        &self,
-        exec: &S::Exec<'_>,
-        raw: Option<&S::Exec<'_>>,
-        cfg: &ExecConfig,
-    ) -> Arc<SnapshotSet<S>> {
+    /// persistent store, or a fresh capture. The set's golden result seeds
+    /// the golden cache, so subsequent [`GoldenCache::golden`] calls for the
+    /// same content are free.
+    pub(crate) fn snapshots_for<S: CacheLayer>(&self, exec: &S::Exec<'_>, cfg: &ExecConfig) -> Arc<SnapshotSet<S>> {
         let key = S::key(exec);
         self.memo(&S::maps(self).snaps, key, || {
             let set = self.load_set::<S>(exec, key, cfg).unwrap_or_else(|| {
-                let shared = raw.filter(|raw| S::key(raw) != key).and_then(|raw| {
-                    let raw_set = self.snapshots_for::<S>(raw, None, cfg);
-                    substrate::capture_from::<S>(exec, cfg, raw, &raw_set)
-                });
-                if shared.is_some() {
-                    self.snap_shared.fetch_add(1, Ordering::Relaxed);
-                }
-                let set = shared.unwrap_or_else(|| substrate::capture_auto::<S>(exec, cfg));
+                let set = substrate::capture_auto::<S>(exec, cfg);
                 self.snap_captures.fetch_add(1, Ordering::Relaxed);
                 if let Some(st) = &self.store {
                     st.save(&set, key);
@@ -304,22 +284,14 @@ impl GoldenCache {
     }
 
     /// Snapshot set for fast-forwarded IR trials over `m`: from the cache,
-    /// the persistent store, a shared-prefix capture off `raw`'s set, or a
-    /// fresh capture, in that order of preference.
-    pub fn ir_snapshots_for(&self, m: &Module, raw: Option<&Module>, exec: &ExecConfig) -> Arc<IrSnapshotSet> {
-        self.snapshots_for::<IrLayer>(&Interpreter::new(m), raw.map(Interpreter::new).as_ref(), exec)
+    /// the persistent store, or a fresh capture, in that order of preference.
+    pub fn ir_snapshots_for(&self, m: &Module, exec: &ExecConfig) -> Arc<IrSnapshotSet> {
+        self.snapshots_for::<IrLayer>(&Interpreter::new(m), exec)
     }
 
     /// [`GoldenCache::ir_snapshots_for`] at the assembly layer.
-    pub fn asm_snapshots_for(
-        &self,
-        m: &Module,
-        p: &AsmProgram,
-        raw: Option<(&Module, &AsmProgram)>,
-        exec: &ExecConfig,
-    ) -> Arc<AsmSnapshotSet> {
-        let raw = raw.map(|(m, p)| Machine::new(m, p));
-        self.snapshots_for::<AsmLayer>(&Machine::new(m, p), raw.as_ref(), exec)
+    pub fn asm_snapshots_for(&self, m: &Module, p: &AsmProgram, exec: &ExecConfig) -> Arc<AsmSnapshotSet> {
+        self.snapshots_for::<AsmLayer>(&Machine::new(m, p), exec)
     }
 
     /// Sample every counter at once.
@@ -330,7 +302,6 @@ impl GoldenCache {
             goldens_run: self.goldens_run.load(Ordering::Relaxed),
             snap_captures: self.snap_captures.load(Ordering::Relaxed),
             snap_loads: self.snap_loads.load(Ordering::Relaxed),
-            snap_shared: self.snap_shared.load(Ordering::Relaxed),
             observations: self.observations.load(Ordering::Relaxed),
         }
     }
@@ -370,8 +341,8 @@ mod tests {
         let b = module(LOOP_SRC);
         let cache = GoldenCache::new();
         let exec = ExecConfig::default();
-        let s1 = cache.ir_snapshots_for(&a, None, &exec);
-        let s2 = cache.ir_snapshots_for(&b, None, &exec);
+        let s1 = cache.ir_snapshots_for(&a, &exec);
+        let s2 = cache.ir_snapshots_for(&b, &exec);
         assert!(Arc::ptr_eq(&s1, &s2), "same content must share one snapshot set");
         assert!(!s1.is_empty(), "a multi-thousand-instruction run must snapshot");
         assert_eq!(s1.golden().dyn_insts, cache.ir_golden(&a, &exec).dyn_insts);
@@ -405,16 +376,16 @@ mod tests {
 
         // First campaign: captures and persists.
         let first = GoldenCache::with_store(SnapshotStore::at(&dir));
-        let s1 = first.ir_snapshots_for(&m, None, &exec);
-        let a1 = first.asm_snapshots_for(&m, &p, None, &exec);
+        let s1 = first.ir_snapshots_for(&m, &exec);
+        let a1 = first.asm_snapshots_for(&m, &p, &exec);
         let st = first.stats();
         assert_eq!(st.snap_captures, 2);
         assert_eq!(st.snap_loads, 0);
 
         // Resumed campaign: loads both sets, executes nothing.
         let resumed = GoldenCache::with_store(SnapshotStore::at(&dir));
-        let s2 = resumed.ir_snapshots_for(&m, None, &exec);
-        let a2 = resumed.asm_snapshots_for(&m, &p, None, &exec);
+        let s2 = resumed.ir_snapshots_for(&m, &exec);
+        let a2 = resumed.asm_snapshots_for(&m, &p, &exec);
         let st = resumed.stats();
         assert_eq!(st.snap_loads, 2, "resume must load from the store");
         assert_eq!(st.snap_captures, 0, "resume must not re-capture");
@@ -428,7 +399,7 @@ mod tests {
         // A geometry mismatch refuses the file and recaptures.
         let small = ExecConfig { mem_size: 2 << 20, ..ExecConfig::default() };
         let strict = GoldenCache::with_store(SnapshotStore::at(&dir));
-        let s3 = strict.ir_snapshots_for(&m, None, &small);
+        let s3 = strict.ir_snapshots_for(&m, &small);
         assert!(s3.matches_geometry(small.mem_size, small.stack_size));
         assert_eq!(strict.stats().snap_captures, 1, "wrong geometry must recapture");
 

@@ -325,11 +325,8 @@ impl<'u> UnitRunner<'u> {
     pub fn new(unit: &'u TrialUnit, cache: &GoldenCache, cfg: &HarnessConfig) -> UnitRunner<'u> {
         let exec = &cfg.exec;
         let inner = match unit.key.layer {
-            Layer::Ir => {
-                let raw = unit.raw.as_deref().map(Interpreter::new);
-                RunnerInner::Ir(cache.runner(Interpreter::new(&unit.module), raw, cfg.snapshots, exec))
-            }
-            Layer::Asm => RunnerInner::Asm(cache.runner(unit.machine(), unit.raw_machine(), cfg.snapshots, exec)),
+            Layer::Ir => RunnerInner::Ir(cache.runner(Interpreter::new(&unit.module), cfg.snapshots, exec)),
+            Layer::Asm => RunnerInner::Asm(cache.runner(unit.machine(), cfg.snapshots, exec)),
         };
         let prior = (cfg.static_prune && unit.key.layer == Layer::Asm).then(|| {
             let p = unit.program.as_ref().expect("asm unit has a program");

@@ -148,13 +148,15 @@ pub struct MetricsSnapshot {
     /// snapshot capture, a persisted set, or the checkpoint).
     #[serde(default)]
     pub goldens_run: u64,
-    /// Snapshot capture executions (full or shared-suffix).
+    /// Snapshot capture executions.
     #[serde(default)]
     pub snap_captures: u64,
     /// Snapshot sets loaded from the persistent store.
     #[serde(default)]
     pub snap_loads: u64,
-    /// Captures that shared a raw set's golden prefix.
+    /// Always 0: cross-variant prefix sharing never fired on any workload
+    /// and is gone. The key stays until `benchmark/src/trace.rs` stops
+    /// reading it (ROADMAP item 1(a)).
     #[serde(default)]
     pub snap_shared: u64,
     /// Site observation passes: one fault-free execution per program whose
@@ -234,7 +236,6 @@ impl MetricsSnapshot {
             goldens_run: cache.goldens_run,
             snap_captures: cache.snap_captures,
             snap_loads: cache.snap_loads,
-            snap_shared: cache.snap_shared,
             observations: cache.observations,
             ..self
         }
@@ -385,7 +386,6 @@ mod tests {
             goldens_run: 0,
             snap_captures: 1,
             snap_loads: 2,
-            snap_shared: 1,
             observations: 2,
         };
         let s = m.snapshot(4, 100, cache);
@@ -400,7 +400,7 @@ mod tests {
         assert_eq!(s.snap_captures, 1);
         assert_eq!(s.snap_loads, 2);
         assert_eq!(s.observations, 2);
-        assert_eq!(s.snap_shared, 1);
+        assert_eq!(s.snap_shared, 0);
         assert_eq!(s.ff_insts, 300);
         assert_eq!(s.exec_insts, 100);
         assert!((s.ff_ratio - 0.75).abs() < 1e-12);

@@ -76,48 +76,29 @@ pub struct TrialUnit {
     pub module: Arc<Module>,
     /// Compiled program; present exactly when `key.layer == Layer::Asm`.
     pub program: Option<Arc<AsmProgram>>,
-    /// The raw (unprotected) twin this variant's program was derived from.
-    /// Purely an optimization hint: it lets the cache share the raw set's
-    /// golden-prefix snapshots below the divergence point. Not part of the
-    /// unit's identity (and therefore not in the matrix fingerprint).
-    pub raw: Option<Arc<Module>>,
-    /// The raw twin's compiled program, for assembly units.
-    pub raw_program: Option<Arc<AsmProgram>>,
 }
 
 impl TrialUnit {
     pub fn ir(key: UnitKey, module: Arc<Module>) -> TrialUnit {
         assert_eq!(key.layer, Layer::Ir);
-        TrialUnit { key, module, program: None, raw: None, raw_program: None }
+        TrialUnit { key, module, program: None }
     }
 
     pub fn asm(key: UnitKey, module: Arc<Module>, program: Arc<AsmProgram>) -> TrialUnit {
         assert_eq!(key.layer, Layer::Asm);
-        TrialUnit {
-            key,
-            module,
-            program: Some(program),
-            raw: None,
-            raw_program: None,
-        }
+        TrialUnit { key, module, program: Some(program) }
     }
 
-    /// Attach the raw twin (see [`TrialUnit::raw`]). `raw_program` should
-    /// accompany assembly units and be `None` for IR units.
-    pub fn with_raw(mut self, raw: Arc<Module>, raw_program: Option<Arc<AsmProgram>>) -> TrialUnit {
-        self.raw = Some(raw);
-        self.raw_program = raw_program;
+    /// A pass-through: the raw twin once seeded cross-variant snapshot
+    /// sharing, which is gone. Kept only because `benchmark/src/trace.rs`
+    /// calls it; retired with ROADMAP item 1(a).
+    pub fn with_raw(self, _module: Arc<Module>, _program: Option<Arc<AsmProgram>>) -> TrialUnit {
         self
     }
 
     /// The machine of this (assembly) unit's program.
     pub(crate) fn machine(&self) -> Machine<'_> {
         Machine::new(&self.module, self.program.as_ref().expect("asm unit has a program"))
-    }
-
-    /// The raw twin's machine, when this assembly unit has one.
-    pub(crate) fn raw_machine(&self) -> Option<Machine<'_>> {
-        Some(Machine::new(self.raw.as_deref()?, self.raw_program.as_deref()?))
     }
 
     /// The region (function) holding machine instruction `idx` of this
@@ -256,28 +237,15 @@ pub fn build_matrix(spec: &MatrixSpec) -> Vec<TrialUnit> {
         let raw = raw.clone();
         let raw_prog = Arc::new(compile_module(&raw, &spec.backend));
         units.push(TrialUnit::ir(UnitKey::new(name, Variant::Raw, 0.0, Layer::Ir), raw.clone()));
-        units.push(TrialUnit::asm(
-            UnitKey::new(name, Variant::Raw, 0.0, Layer::Asm),
-            raw.clone(),
-            raw_prog.clone(),
-        ));
+        units.push(TrialUnit::asm(UnitKey::new(name, Variant::Raw, 0.0, Layer::Asm), raw.clone(), raw_prog));
         for (level, id, flowery) in protect(&raw, spec) {
             let id = Arc::new(id);
             let id_prog = Arc::new(compile_module(&id, &spec.backend));
             let fl = Arc::new(flowery);
             let fl_prog = Arc::new(compile_module(&fl, &spec.backend));
-            units.push(
-                TrialUnit::ir(UnitKey::new(name, Variant::Id, level, Layer::Ir), id.clone())
-                    .with_raw(raw.clone(), None),
-            );
-            units.push(
-                TrialUnit::asm(UnitKey::new(name, Variant::Id, level, Layer::Asm), id, id_prog)
-                    .with_raw(raw.clone(), Some(raw_prog.clone())),
-            );
-            units.push(
-                TrialUnit::asm(UnitKey::new(name, Variant::Flowery, level, Layer::Asm), fl, fl_prog)
-                    .with_raw(raw.clone(), Some(raw_prog.clone())),
-            );
+            units.push(TrialUnit::ir(UnitKey::new(name, Variant::Id, level, Layer::Ir), id.clone()));
+            units.push(TrialUnit::asm(UnitKey::new(name, Variant::Id, level, Layer::Asm), id, id_prog));
+            units.push(TrialUnit::asm(UnitKey::new(name, Variant::Flowery, level, Layer::Asm), fl, fl_prog));
         }
     }
     units

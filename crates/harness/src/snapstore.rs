@@ -8,9 +8,10 @@
 //! stable checksummed format of `SnapshotSet::to_bytes`.
 //!
 //! Everything here is best-effort: a failed save costs a future
-//! re-capture, a corrupt or stale file is rejected by the loader's
-//! checksum/shape validation and simply falls back to capture. Loaded
-//! sets are still geometry-checked by the cache before use.
+//! re-capture, a corrupt or stale file (an older format version included)
+//! is rejected by the loader's checksum/version/shape validation, named on
+//! stderr with the reason, and falls back to capture. Loaded sets are still
+//! geometry-checked by the cache before use.
 
 use flowery_backend::{AsmLayer, AsmProgram, AsmSnapshotSet, Machine};
 use flowery_ir::interp::{Interpreter, IrLayer, IrSnapshotSet, SnapshotSet, Substrate};
@@ -50,11 +51,18 @@ impl SnapshotStore {
     }
 
     /// Load the snapshot set of the program `exec` is bound to, stored
-    /// under content hash `hash`. `None` on a missing, corrupt, truncated,
-    /// or mismatched file.
+    /// under content hash `hash`. `None` on a missing file, and — with a
+    /// note on stderr — on a corrupt, truncated or mismatched one.
     pub fn load<S: Substrate>(&self, exec: &S::Exec<'_>, hash: u64) -> Option<SnapshotSet<S>> {
         let bytes = fs::read(self.path::<S>(hash)).ok()?;
-        SnapshotSet::decode(&bytes, exec, hash).ok()
+        SnapshotSet::decode(&bytes, exec, hash)
+            .map_err(|reason| self.refused::<S>(hash, &reason))
+            .ok()
+    }
+
+    /// Say why the stored set for `hash` is not used; a capture replaces it.
+    pub(crate) fn refused<S: Substrate>(&self, hash: u64, reason: &str) {
+        eprintln!("[harness] snapshot set {} refused: {reason}; recapturing", self.path::<S>(hash).display());
     }
 
     /// Persist a snapshot set. Returns whether the file was published.

@@ -398,7 +398,7 @@ impl<'a, S: InjectLayer> TrialRunner<'a, S> {
         if out.outcome == Outcome::Sdc && !detectors.is_empty() && S::caught(&self.exec, detectors, &spec, &r) {
             out.outcome = Outcome::Detected;
         }
-        self.scratch.recycle_output(r.into_parts().0);
+        self.scratch.recycle_output(r.into_output());
         out
     }
 }

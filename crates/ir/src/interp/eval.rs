@@ -3,13 +3,11 @@
 use crate::inst::{Callee, InstKind, Intrinsic, Terminator};
 use crate::interp::memory::{align_up, Memory, TrapKind, GLOBAL_BASE};
 use crate::interp::ops;
-use crate::interp::prefix;
 use crate::interp::snapio::{w_bytes, w_opt, w_status, w_u32, w_u64, w_u64s, Cursor};
 use crate::interp::snapshot::{Cadence, Recorder};
 use crate::interp::substrate::{self, RunHead, RunResult, Start, Substrate};
 use crate::interp::{ExecConfig, ExecMode, ExecResult, ExecStatus, FaultEffect, FaultSpec, Profile};
 use crate::interp::{IrScratch, IrSnapshotSet, TAG_BYTE, TAG_F64, TAG_I64};
-use crate::module::Function;
 use crate::module::Module;
 use crate::types::Type;
 use crate::value::{BlockId, FuncId, InstId, Op, Value};
@@ -132,18 +130,6 @@ impl<'m> Interpreter<'m> {
         substrate::capture_auto(self, config)
     }
 
-    /// Build this (variant) module's snapshot set by sharing the golden
-    /// prefix of `raw_set`, a fresh capture of the `raw` module the variant
-    /// was derived from (see [`substrate::capture_from`]).
-    pub fn capture_snapshots_from(
-        &self,
-        config: &ExecConfig,
-        raw: &Module,
-        raw_set: &IrSnapshotSet,
-    ) -> Option<IrSnapshotSet> {
-        substrate::capture_from(self, config, &Interpreter::new(raw), raw_set)
-    }
-
     /// Run one faulty trial from the nearest snapshot at-or-before the
     /// injection site (see [`substrate::trial`]); bit-identical to
     /// `run(config, Some(fault))`.
@@ -174,21 +160,11 @@ impl<'m> Interpreter<'m> {
             mut dyn_insts,
             mut fault_sites,
             state: IrState { mut sp, mut stack },
-            profile: init_profile,
         } = start;
         let mut injected_at: Option<(FuncId, InstId)> = None;
-        let mut profile = init_profile.or_else(|| {
-            config.profile.then(|| Profile {
-                counts: self.module.functions.iter().map(|f| vec![0u64; f.insts.len()]).collect(),
-            })
+        let mut profile = config.profile.then(|| Profile {
+            counts: self.module.functions.iter().map(|f| vec![0u64; f.insts.len()]).collect(),
         });
-
-        // A fresh capture run records the entry of `main`'s first block.
-        if dyn_insts == 0 {
-            if let (Some(rec), Some(f)) = (recorder.as_deref_mut(), stack.last()) {
-                note_entry(rec, f.func, f.block, 0);
-            }
-        }
 
         let status = 'exec: loop {
             // ---- snapshot hook: state here is "dyn_insts executed, the
@@ -196,7 +172,7 @@ impl<'m> Interpreter<'m> {
             if let Some(rec) = recorder.as_deref_mut() {
                 if rec.due(dyn_insts, fault_sites) {
                     let state = IrState { sp, stack: stack.to_vec() };
-                    rec.capture(dyn_insts, fault_sites, output.len(), state, profile.as_ref(), &mut mem);
+                    rec.capture(dyn_insts, fault_sites, output.len(), state, &mut mem);
                 }
             }
 
@@ -322,9 +298,6 @@ impl<'m> Interpreter<'m> {
                                 ret_dest: has_ret.then_some(iid),
                             };
                             stack.push(new_frame);
-                            if let Some(rec) = recorder.as_deref_mut() {
-                                note_entry(rec, callee, BlockId(0), dyn_insts);
-                            }
                             continue 'exec; // do not fall through to result write
                         }
                     },
@@ -399,18 +372,12 @@ impl<'m> Interpreter<'m> {
                     Terminator::Jmp { dest } => {
                         frame.block = *dest;
                         frame.ip = 0;
-                        if let Some(rec) = recorder.as_deref_mut() {
-                            note_entry(rec, frame.func, *dest, dyn_insts);
-                        }
                     }
                     Terminator::Br { cond, then_bb, else_bb } => {
                         let c = self.op_value(frame, *cond);
                         let dest = if c & 1 == 1 { *then_bb } else { *else_bb };
                         frame.block = dest;
                         frame.ip = 0;
-                        if let Some(rec) = recorder.as_deref_mut() {
-                            note_entry(rec, frame.func, dest, dyn_insts);
-                        }
                     }
                     Terminator::Ret { val } => {
                         let rv = val.map(|v| self.op_value(frame, v));
@@ -459,16 +426,7 @@ impl<'m> Interpreter<'m> {
     }
 }
 
-/// Record the first entry into `block` (a jump/branch target, a callee's
-/// entry block, or `main`'s entry).
-#[inline]
-fn note_entry(rec: &mut Recorder<IrLayer>, func: FuncId, block: BlockId, dyn_insts: u64) {
-    rec.note_first(|entry| &mut entry[func.index()][block.index()], dyn_insts);
-}
-
 impl RunResult for ExecResult {
-    type Profile = Profile;
-
     fn head(&self) -> RunHead<'_> {
         RunHead {
             status: self.status,
@@ -478,37 +436,29 @@ impl RunResult for ExecResult {
         }
     }
 
-    fn into_parts(self) -> (Vec<u8>, Option<Profile>) {
-        (self.output, self.profile)
+    fn into_output(self) -> Vec<u8> {
+        self.output
     }
 }
 
-fn w_tables(w: &mut Vec<u8>, tables: &[Vec<u64>]) {
-    w_u64(w, tables.len() as u64);
-    for t in tables {
-        w_u64s(w, t);
-    }
-}
-
-/// One `u64` table per function, each as long as `len` says it must be.
-fn r_tables(c: &mut Cursor, m: &Module, what: &str, len: impl Fn(&Function) -> usize) -> Result<Vec<Vec<u64>>, String> {
-    let mismatch = || format!("snapshot file: {what} shape does not match module");
-    if c.count(8)? != m.functions.len() {
-        return Err(mismatch());
-    }
-    let mut tables = Vec::with_capacity(m.functions.len());
-    for f in &m.functions {
-        let t = c.u64s()?;
-        if t.len() != len(f) {
+/// The reader side of the golden result's profile option: one count table
+/// per function, each as long as the function's instruction arena.
+fn r_profile(c: &mut Cursor, m: &Module) -> Result<Option<Profile>, String> {
+    let mismatch = || "snapshot file: profile shape does not match module".to_string();
+    c.opt("profile", |c| {
+        if c.count(8)? != m.functions.len() {
             return Err(mismatch());
         }
-        tables.push(t);
-    }
-    Ok(tables)
-}
-
-fn r_profile(c: &mut Cursor, m: &Module) -> Result<Option<Profile>, String> {
-    c.opt("profile", |c| Ok(Profile { counts: r_tables(c, m, "profile", |f| f.insts.len())? }))
+        let mut counts = Vec::with_capacity(m.functions.len());
+        for f in &m.functions {
+            let t = c.u64s()?;
+            if t.len() != f.insts.len() {
+                return Err(mismatch());
+            }
+            counts.push(t);
+        }
+        Ok(Profile { counts })
+    })
 }
 
 impl Substrate for IrLayer {
@@ -518,8 +468,6 @@ impl Substrate for IrLayer {
     type Exec<'a> = Interpreter<'a>;
     type State = IrState;
     type Golden = ExecResult;
-    /// `[func][block]` = `dyn_insts` at the block's first entry.
-    type FirstExec = Vec<Vec<u64>>;
     type Pool = FramePool;
 
     fn module<'a>(exec: &'a Interpreter<'_>) -> &'a Module {
@@ -533,10 +481,6 @@ impl Substrate for IrLayer {
 
     fn site_regions(exec: &Interpreter<'_>) -> Vec<u32> {
         (0..exec.module.functions.len() as u32).collect()
-    }
-
-    fn first_exec_table(exec: &Interpreter<'_>) -> Vec<Vec<u64>> {
-        exec.module.functions.iter().map(|f| vec![u64::MAX; f.blocks.len()]).collect()
     }
 
     fn start(exec: &Interpreter<'_>, from: Option<&IrState>, mem: &mut Memory, pool: &mut FramePool) -> IrState {
@@ -569,18 +513,7 @@ impl Substrate for IrLayer {
         exec.exec(config, fault, start, recorder, pool)
     }
 
-    fn divergence(exec: &Interpreter<'_>, raw: &Interpreter<'_>, block_entry: &Vec<Vec<u64>>) -> Option<u64> {
-        prefix::divergence_dyn(raw.module, exec.module, block_entry)
-    }
-
-    fn translate(exec: &Interpreter<'_>, state: &IrState) -> Option<IrState> {
-        Some(IrState {
-            sp: state.sp,
-            stack: prefix::translate_stack(&state.stack, exec.module)?,
-        })
-    }
-
-    fn encode_head(w: &mut Vec<u8>, r: &ExecResult, block_entry: Option<&Vec<Vec<u64>>>) {
+    fn encode_head(w: &mut Vec<u8>, r: &ExecResult) {
         w_status(w, r.status);
         w_bytes(w, &r.output);
         w_u64(w, r.dyn_insts);
@@ -589,25 +522,26 @@ impl Substrate for IrLayer {
             w_u32(w, f.0);
             w_u32(w, i.0);
         });
-        w_opt(w, r.profile.as_ref(), |w, p| w_tables(w, &p.counts));
-        w_opt(w, block_entry, |w, e| w_tables(w, e));
+        w_opt(w, r.profile.as_ref(), |w, p| {
+            w_u64(w, p.counts.len() as u64);
+            for t in &p.counts {
+                w_u64s(w, t);
+            }
+        });
     }
 
-    fn decode_head(c: &mut Cursor, exec: &Interpreter<'_>) -> Result<(ExecResult, Option<Vec<Vec<u64>>>), String> {
-        let m = exec.module;
-        let golden = ExecResult {
+    fn decode_head(c: &mut Cursor, exec: &Interpreter<'_>) -> Result<ExecResult, String> {
+        Ok(ExecResult {
             status: c.status()?,
             output: c.bytes()?,
             dyn_insts: c.u64()?,
             fault_sites: c.u64()?,
             injected_at: c.opt("injected_at", |c| Ok((FuncId(c.u32()?), InstId(c.u32()?))))?,
-            profile: r_profile(c, m)?,
-        };
-        let block_entry = c.opt("block-entry", |c| r_tables(c, m, "block-entry", |f| f.blocks.len()))?;
-        Ok((golden, block_entry))
+            profile: r_profile(c, exec.module)?,
+        })
     }
 
-    fn encode_snap(w: &mut Vec<u8>, state: &IrState, output_len: usize, profile: Option<&Profile>) {
+    fn encode_snap(w: &mut Vec<u8>, state: &IrState, output_len: usize) {
         w_u64(w, state.sp);
         w_u64(w, output_len as u64);
         w_u64(w, state.stack.len() as u64);
@@ -620,10 +554,9 @@ impl Substrate for IrLayer {
             w_u64s(w, &f.values);
             w_u64s(w, &f.params);
         }
-        w_opt(w, profile, |w, p| w_tables(w, &p.counts));
     }
 
-    fn decode_snap(c: &mut Cursor, exec: &Interpreter<'_>) -> Result<(IrState, usize, Option<Profile>), String> {
+    fn decode_snap(c: &mut Cursor, exec: &Interpreter<'_>) -> Result<(IrState, usize), String> {
         let m = exec.module;
         let sp = c.u64()?;
         let output_len = c.u64()? as usize;
@@ -647,7 +580,7 @@ impl Substrate for IrLayer {
             }
             stack.push(Frame { func, block, ip, values, params, saved_sp, ret_dest });
         }
-        Ok((IrState { sp, stack }, output_len, r_profile(c, m)?))
+        Ok((IrState { sp, stack }, output_len))
     }
 }
 

@@ -360,15 +360,6 @@ impl PageRecorder {
         PageRecorder::default()
     }
 
-    /// A recorder whose cumulative overlay starts from an existing snapshot
-    /// overlay (shared-prefix continuation capture). The inherited pages are
-    /// `Arc`-shared with their origin set and are *not* registered for
-    /// live-byte accounting: only pages this recorder copies itself count
-    /// against a budget, since the inherited ones cost nothing extra.
-    pub fn from_overlay(pages: &PageMap) -> PageRecorder {
-        PageRecorder { cum: pages.clone(), copies: Vec::new() }
-    }
-
     /// Fold the pages dirtied since the last sync into the cumulative
     /// overlay and return a snapshot of it.
     pub fn sync(&mut self, mem: &mut Memory) -> PageMap {

@@ -14,7 +14,6 @@ pub mod snapshot;
 pub mod substrate;
 
 mod eval;
-mod prefix;
 
 pub use eval::{mem_fault_region, Interpreter, IrLayer};
 pub use memory::{Memory, TrapKind, GLOBAL_BASE, PAGE_SIZE};

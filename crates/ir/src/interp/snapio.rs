@@ -6,11 +6,11 @@
 //! ```text
 //!   magic "FLSNAPIR" / "FLSNAPAS" | version u32 | content_hash u64
 //!   mem_size u64 | stack_size u64            (base image is rebuilt, not stored)
-//!   cadence tag u8 + value u64 | shared_snaps u64
-//!   HEAD: golden result, first-execution table option   (the layer's payload)
+//!   cadence tag u8 + value u64
+//!   HEAD: golden result                      (the layer's payload)
 //!   snapshot count u64
 //!   per snapshot: dyn_insts u64, fault_sites u64,
-//!                 SNAP: state, output length, profile option  (the layer's payload)
+//!                 SNAP: state, output length (the layer's payload)
 //!                 page DELTA
 //!   fnv1a-64 checksum over everything above
 //! ```
@@ -32,7 +32,9 @@ use crate::interp::ExecStatus;
 use crate::module::Module;
 use std::sync::Arc;
 
-const VERSION: u32 = 1;
+/// Version 1 also held a first-execution table, a shared-snapshot count and
+/// a profile option per snapshot; such files are refused and recaptured.
+const VERSION: u32 = 2;
 
 // ---- writer helpers -------------------------------------------------------
 
@@ -178,14 +180,13 @@ impl<S: Substrate> SnapshotSet<S> {
             Cadence::Sites(_) => 1,
         });
         w_u64(&mut w, self.cadence.value());
-        w_u64(&mut w, self.shared_snaps as u64);
-        S::encode_head(&mut w, &self.golden, self.first_exec.as_ref());
+        S::encode_head(&mut w, &self.golden);
         w_u64(&mut w, self.snaps.len() as u64);
         let mut prev: Option<&PageMap> = None;
         for s in &self.snaps {
             w_u64(&mut w, s.dyn_insts);
             w_u64(&mut w, s.fault_sites);
-            S::encode_snap(&mut w, &s.state, s.output_len, s.profile.as_ref());
+            S::encode_snap(&mut w, &s.state, s.output_len);
             // Overlays only grow; encode the pages whose Arc is new.
             debug_assert!(prev.is_none_or(|p| p.keys().all(|k| s.pages.contains_key(k))));
             let mut delta: Vec<(u32, &Arc<[u8]>)> = s
@@ -245,8 +246,7 @@ impl<S: Substrate> SnapshotSet<S> {
         if cadence.value() == 0 {
             return Err("snapshot file: zero cadence".into());
         }
-        let shared_snaps = c.u64()? as usize;
-        let (golden, first_exec) = S::decode_head(&mut c, exec)?;
+        let golden = S::decode_head(&mut c, exec)?;
         let base = Memory::new(S::module(exec), mem_size, stack_size);
         let n_snaps = c.count(8)?;
         let mut snaps = Vec::with_capacity(n_snaps);
@@ -254,7 +254,7 @@ impl<S: Substrate> SnapshotSet<S> {
         for _ in 0..n_snaps {
             let dyn_insts = c.u64()?;
             let fault_sites = c.u64()?;
-            let (state, output_len, profile) = S::decode_snap(&mut c, exec)?;
+            let (state, output_len) = S::decode_snap(&mut c, exec)?;
             if output_len > golden.head().output.len() {
                 return Err("snapshot file: snapshot output length exceeds golden output".into());
             }
@@ -270,15 +270,12 @@ impl<S: Substrate> SnapshotSet<S> {
                 pages.insert(page, data);
             }
             prev = pages.clone();
-            snaps.push(Snapshot { dyn_insts, fault_sites, output_len, state, profile, pages });
+            snaps.push(Snapshot { dyn_insts, fault_sites, output_len, state, pages });
         }
         if c.pos != body.len() {
             return Err("snapshot file: trailing garbage".into());
         }
-        if shared_snaps > snaps.len() {
-            return Err("snapshot file: shared_snaps exceeds snapshot count".into());
-        }
-        Ok(SnapshotSet { base, golden, cadence, snaps, first_exec, shared_snaps })
+        Ok(SnapshotSet { base, golden, cadence, snaps })
     }
 }
 

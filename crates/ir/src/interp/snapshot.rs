@@ -14,7 +14,7 @@
 //! scratch run would have computed at that point.
 
 use crate::interp::memory::{Memory, PageMap, PageRecorder};
-use crate::interp::substrate::{ProfileOf, Substrate};
+use crate::interp::substrate::Substrate;
 use std::sync::Arc;
 
 /// When the recorder captures. Trials draw their injection sites uniformly
@@ -84,9 +84,6 @@ pub struct Snapshot<S: Substrate> {
     /// The layer's architectural state (IR: stack pointer and call stack;
     /// asm: instruction pointer, register file and cycle counter).
     pub state: S::State,
-    /// Profile accumulator at this point, when the capture run profiled.
-    /// Restoring it is what lets profiled campaigns fast-forward.
-    pub profile: Option<ProfileOf<S>>,
     /// Cumulative dirty-page overlay against the base image.
     pub pages: PageMap,
 }
@@ -100,14 +97,6 @@ pub struct SnapshotSet<S: Substrate> {
     pub(crate) golden: S::Golden,
     pub(crate) cadence: Cadence,
     pub(crate) snaps: Vec<Snapshot<S>>,
-    /// `dyn_insts` at each code position's *first* execution during the
-    /// capture run (`u64::MAX` = never reached). Recorded only by fresh
-    /// captures; `None` for sets built by shared-prefix continuation, which
-    /// therefore cannot themselves seed further sharing.
-    pub(crate) first_exec: Option<S::FirstExec>,
-    /// Leading snapshots `Arc`-shared with the raw set this set was derived
-    /// from (0 for fresh captures).
-    pub(crate) shared_snaps: usize,
 }
 
 impl<S: Substrate> SnapshotSet<S> {
@@ -139,17 +128,6 @@ impl<S: Substrate> SnapshotSet<S> {
     /// The captured snapshots, in execution order.
     pub fn snapshots(&self) -> &[Snapshot<S>] {
         &self.snaps
-    }
-
-    /// The capture run's first-execution table (fresh captures only).
-    pub fn first_exec(&self) -> Option<&S::FirstExec> {
-        self.first_exec.as_ref()
-    }
-
-    /// Leading snapshots shared with the raw variant's set (see
-    /// [`crate::interp::substrate::capture_from`]).
-    pub fn shared_snaps(&self) -> usize {
-        self.shared_snaps
     }
 
     /// True when the set was captured under the given memory geometry —
@@ -273,42 +251,21 @@ pub struct Recorder<S: Substrate> {
     /// caller's explicit cadence exactly (only the byte budget may widen).
     max_snaps: Option<usize>,
     pages: PageRecorder,
-    /// `None` on continuation captures (the shared prefix's first
-    /// executions are unknown in variant terms).
-    first_exec: Option<S::FirstExec>,
     snaps: Vec<Snapshot<S>>,
     /// Site sink of an observation run; capture runs keep none.
     pub(crate) sites: Option<SiteLog>,
 }
 
 impl<S: Substrate> Recorder<S> {
-    /// A recorder for a fresh capture. With `shared` snapshots it instead
-    /// continues after a translated shared prefix: the cumulative overlay
-    /// starts from the last of them, the next capture is scheduled one
-    /// cadence step past it, and first executions are not recorded.
-    pub(crate) fn new(
-        cadence: Cadence,
-        budget: Option<u64>,
-        max_snaps: Option<usize>,
-        first_exec: Option<S::FirstExec>,
-        shared: Vec<Snapshot<S>>,
-    ) -> Recorder<S> {
+    pub(crate) fn new(cadence: Cadence, budget: Option<u64>, max_snaps: Option<usize>) -> Recorder<S> {
         assert!(cadence.value() > 0, "snapshot cadence must be positive");
-        let (next, pages) = match shared.last() {
-            Some(last) => (
-                cadence.next_after(last.dyn_insts, last.fault_sites),
-                PageRecorder::from_overlay(&last.pages),
-            ),
-            None => (cadence.value(), PageRecorder::new()),
-        };
         Recorder {
             cadence,
-            next,
+            next: cadence.value(),
             budget,
             max_snaps,
-            pages,
-            first_exec,
-            snaps: shared,
+            pages: PageRecorder::new(),
+            snaps: Vec::new(),
             sites: None,
         }
     }
@@ -317,7 +274,7 @@ impl<S: Substrate> Recorder<S> {
     pub(crate) fn observer(log: SiteLog) -> Recorder<S> {
         Recorder {
             sites: Some(log),
-            ..Recorder::new(Cadence::Insts(u64::MAX), None, None, None, Vec::new())
+            ..Recorder::new(Cadence::Insts(u64::MAX), None, None)
         }
     }
 
@@ -327,19 +284,6 @@ impl<S: Substrate> Recorder<S> {
         match self.cadence {
             Cadence::Insts(_) => dyn_insts >= self.next,
             Cadence::Sites(_) => fault_sites >= self.next,
-        }
-    }
-
-    /// Record the first execution of the code position `slot` selects in
-    /// the layer's table. `dyn_insts` uses the snapshot-hook convention:
-    /// the instruction at that position has not yet started.
-    #[inline]
-    pub fn note_first(&mut self, slot: impl FnOnce(&mut S::FirstExec) -> &mut u64, dyn_insts: u64) {
-        if let Some(table) = self.first_exec.as_mut() {
-            let slot = slot(table);
-            if *slot == u64::MAX {
-                *slot = dyn_insts;
-            }
         }
     }
 
@@ -355,24 +299,9 @@ impl<S: Substrate> Recorder<S> {
 
     /// Capture the engine's state at `(dyn_insts, fault_sites)`, then widen
     /// the cadence while the set is over its byte budget or count cap.
-    pub fn capture(
-        &mut self,
-        dyn_insts: u64,
-        fault_sites: u64,
-        output_len: usize,
-        state: S::State,
-        profile: Option<&ProfileOf<S>>,
-        mem: &mut Memory,
-    ) {
+    pub fn capture(&mut self, dyn_insts: u64, fault_sites: u64, output_len: usize, state: S::State, mem: &mut Memory) {
         let pages = self.pages.sync(mem);
-        self.snaps.push(Snapshot {
-            dyn_insts,
-            fault_sites,
-            output_len,
-            state,
-            profile: profile.cloned(),
-            pages,
-        });
+        self.snaps.push(Snapshot { dyn_insts, fault_sites, output_len, state, pages });
         while self.budget.is_some_and(|b| self.pages.live_bytes() > b) && self.snaps.len() > 1 {
             self.widen();
         }
@@ -401,13 +330,6 @@ impl<S: Substrate> Recorder<S> {
     /// after any widening, so the set's reported spacing matches the
     /// snapshots it actually holds.
     pub(crate) fn finish(self, base: Memory, golden: S::Golden) -> SnapshotSet<S> {
-        SnapshotSet {
-            base,
-            golden,
-            cadence: self.cadence,
-            snaps: self.snaps,
-            first_exec: self.first_exec,
-            shared_snaps: 0,
-        }
+        SnapshotSet { base, golden, cadence: self.cadence, snaps: self.snaps }
     }
 }

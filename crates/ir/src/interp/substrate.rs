@@ -7,12 +7,11 @@
 //! starts and continues, and how that state is written to a file — and gets
 //! the rest from here and from [`snapshot`](super::snapshot) /
 //! [`snapio`](super::snapio), written once and monomorphised: snapshot
-//! capture on a cadence with budget widening, shared-prefix capture off a
-//! raw variant's set, scratch-image recycling, restore + fast-forward, the
-//! file codec, and (in the crates above) the trial runner, the campaign
-//! loop, the golden cache and the snapshot store.
+//! capture on a cadence with budget widening, scratch-image recycling,
+//! restore + fast-forward, the file codec, and (in the crates above) the
+//! trial runner, the campaign loop, the golden cache and the snapshot store.
 
-use crate::interp::memory::{Memory, PageMap, PAGE_SIZE};
+use crate::interp::memory::{Memory, PageMap};
 use crate::interp::snapio::Cursor;
 use crate::interp::snapshot::{Cadence, Recorder, SiteLog, Snapshot, SnapshotSet, AUTO_MAX_SNAPS, AUTO_SITE_CADENCE};
 use crate::interp::{ExecConfig, ExecMode, ExecStatus, FaultSpec};
@@ -29,18 +28,11 @@ pub struct RunHead<'a> {
 
 /// What the shared machinery needs to read from a layer's result type.
 pub trait RunResult: Clone + Debug + PartialEq {
-    /// Per-static-instruction execution counts, in the layer's shape.
-    type Profile: Clone + Debug + PartialEq;
-
     fn head(&self) -> RunHead<'_>;
 
-    /// The output buffer (for recycling) and the profile, when one was
-    /// collected.
-    fn into_parts(self) -> (Vec<u8>, Option<Self::Profile>);
+    /// The output buffer, for recycling.
+    fn into_output(self) -> Vec<u8>;
 }
-
-/// The profile shape of substrate `S`.
-pub type ProfileOf<S> = <<S as Substrate>::Golden as RunResult>::Profile;
 
 /// An injection layer. Implemented on a marker type
 /// ([`IrLayer`](super::IrLayer) here, `AsmLayer` in `flowery-backend`); the
@@ -53,14 +45,11 @@ pub trait Substrate: Sized + Debug + 'static {
 
     /// The layer's executor, bound to one program.
     type Exec<'a>;
-    /// Architectural state a snapshot holds besides the counters, the
-    /// profile accumulator and the memory overlay.
+    /// Architectural state a snapshot holds besides the counters and the
+    /// memory overlay.
     type State: Clone + Debug;
     /// Result of one run.
     type Golden: RunResult;
-    /// First-execution table of a fresh capture run: `dyn_insts` at which
-    /// each code position first executed, `u64::MAX` = never.
-    type FirstExec: Debug + PartialEq;
     /// Per-worker recycled buffers beyond the memory image and the output
     /// vector.
     type Pool: Default;
@@ -75,9 +64,6 @@ pub trait Substrate: Sized + Debug + 'static {
     /// region; assembly: a program index, mapped to its `AsmFunc` (one past
     /// the last for positions outside every body).
     fn site_regions(exec: &Self::Exec<'_>) -> Vec<u32>;
-
-    /// An all-`u64::MAX` first-execution table for `exec`'s program.
-    fn first_exec_table(exec: &Self::Exec<'_>) -> Self::FirstExec;
 
     /// The state a run starts from: a copy of a snapshot's, or — with
     /// `from == None` — program start on the pristine image `mem` (which
@@ -97,31 +83,15 @@ pub trait Substrate: Sized + Debug + 'static {
         pool: &mut Self::Pool,
     ) -> (Self::Golden, Memory);
 
-    /// First dynamic instruction (snapshot-hook convention: not yet
-    /// started) at which `exec`'s golden trace can diverge from `raw`'s,
-    /// given `raw`'s first-execution table. `u64::MAX` = never on the raw
-    /// trace; `None` = the two programs are too different to share a prefix
-    /// (the caller has already checked that `exec`'s globals extend `raw`'s).
-    fn divergence(exec: &Self::Exec<'_>, raw: &Self::Exec<'_>, first_exec: &Self::FirstExec) -> Option<u64>;
+    /// Set-level file payload: the golden result. The decoder validates
+    /// every shape against `exec`'s program.
+    fn encode_head(w: &mut Vec<u8>, golden: &Self::Golden);
+    fn decode_head(c: &mut Cursor, exec: &Self::Exec<'_>) -> Result<Self::Golden, String>;
 
-    /// Re-shape a raw-variant snapshot state taken below the divergence
-    /// point for `exec`'s program; `None` if it has no counterpart there.
-    fn translate(exec: &Self::Exec<'_>, state: &Self::State) -> Option<Self::State>;
-
-    /// Set-level file payload: the golden result and the first-execution
-    /// table. The decoder validates every shape against `exec`'s program.
-    fn encode_head(w: &mut Vec<u8>, golden: &Self::Golden, first_exec: Option<&Self::FirstExec>);
-    #[allow(clippy::type_complexity)]
-    fn decode_head(c: &mut Cursor, exec: &Self::Exec<'_>) -> Result<(Self::Golden, Option<Self::FirstExec>), String>;
-
-    /// Per-snapshot file payload: the state, the output length (its place
-    /// in the byte order is the layer's) and the profile accumulator.
-    fn encode_snap(w: &mut Vec<u8>, state: &Self::State, output_len: usize, profile: Option<&ProfileOf<Self>>);
-    #[allow(clippy::type_complexity)]
-    fn decode_snap(
-        c: &mut Cursor,
-        exec: &Self::Exec<'_>,
-    ) -> Result<(Self::State, usize, Option<ProfileOf<Self>>), String>;
+    /// Per-snapshot file payload: the state and the output length (its
+    /// place in the byte order is the layer's).
+    fn encode_snap(w: &mut Vec<u8>, state: &Self::State, output_len: usize);
+    fn decode_snap(c: &mut Cursor, exec: &Self::Exec<'_>) -> Result<(Self::State, usize), String>;
 }
 
 /// A substrate whose executor binds a module plus one compiled artifact.
@@ -143,22 +113,13 @@ pub struct Start<S: Substrate> {
     pub dyn_insts: u64,
     pub fault_sites: u64,
     pub state: S::State,
-    /// Profile accumulator restored from a snapshot (`None` starts fresh).
-    pub profile: Option<ProfileOf<S>>,
 }
 
 impl<S: Substrate> Start<S> {
     /// Program start on the pristine image `mem`.
     pub fn boot(exec: &S::Exec<'_>, mut mem: Memory, output: Vec<u8>, pool: &mut S::Pool) -> Start<S> {
         let state = S::start(exec, None, &mut mem, pool);
-        Start {
-            mem,
-            output,
-            dyn_insts: 0,
-            fault_sites: 0,
-            state,
-            profile: None,
-        }
+        Start { mem, output, dyn_insts: 0, fault_sites: 0, state }
     }
 
     /// Resume at `snap` on `mem`, which already holds its overlay, with
@@ -168,7 +129,6 @@ impl<S: Substrate> Start<S> {
         snap: &Snapshot<S>,
         mut mem: Memory,
         output: Vec<u8>,
-        profiled: bool,
         pool: &mut S::Pool,
     ) -> Start<S> {
         Start {
@@ -177,7 +137,6 @@ impl<S: Substrate> Start<S> {
             output,
             dyn_insts: snap.dyn_insts,
             fault_sites: snap.fault_sites,
-            profile: if profiled { snap.profile.clone() } else { None },
         }
     }
 }
@@ -241,10 +200,10 @@ pub fn observe<S: Substrate>(exec: &S::Exec<'_>, config: &ExecConfig, trace_cap:
 }
 
 /// Run one faulty trial on `scratch`'s recycled buffers. With a snapshot
-/// `set`, the nearest snapshot at-or-before the injection site is restored
-/// instead of executing the golden prefix; returns the result plus the
-/// number of dynamic instructions so skipped. Either way the result is
-/// bit-identical to `run(exec, config, Some(fault))`.
+/// `set` and profiling off, the nearest snapshot at-or-before the injection
+/// site is restored instead of executing the golden prefix; returns the
+/// result plus the number of dynamic instructions so skipped. Either way
+/// the result is bit-identical to `run(exec, config, Some(fault))`.
 ///
 /// The memory image is never reallocated: every page the previous trial
 /// dirtied is reverted to the pristine base (the set's, or one built once
@@ -272,18 +231,17 @@ pub fn trial<S: Substrate>(
         .unwrap_or_else(|| base.clone());
     let mut output = std::mem::take(&mut scratch.output);
     output.clear();
-    // A profiled trial can only restore a snapshot that carries the profile
-    // accumulator; otherwise (and for sites earlier than the first
-    // snapshot) it runs from the start, still on the recycled image.
-    let snap = set.and_then(|set| {
-        let snap = set.nearest(fault.site_index)?;
-        (!config.profile || snap.profile.is_some()).then_some((snap, set.golden.head().output))
-    });
+    // A snapshot holds no profile accumulator, so a profiled trial (and one
+    // whose site precedes the first snapshot) runs from the start, still on
+    // the recycled image.
+    let snap = set
+        .filter(|_| !config.profile)
+        .and_then(|set| Some((set.nearest(fault.site_index)?, set.golden.head().output)));
     let start = match snap {
         Some((snap, golden_output)) => {
             mem.reset_to(base, &snap.pages);
             output.extend_from_slice(&golden_output[..snap.output_len]);
-            Start::resume(exec, snap, mem, output, config.profile, &mut scratch.pool)
+            Start::resume(exec, snap, mem, output, &mut scratch.pool)
         }
         None => {
             mem.reset_to(base, &PageMap::new());
@@ -300,10 +258,8 @@ pub fn trial<S: Substrate>(
 }
 
 /// One fault-free run that captures a snapshot on `cadence`. Honors
-/// `config.profile`: each snapshot then carries the profile accumulator at
-/// that point, so profiled campaigns fast-forward too. `max_snaps` caps the
-/// set by widening the cadence (`None` keeps `cadence` exact, budget
-/// permitting).
+/// `config.profile` for the golden result only. `max_snaps` caps the set by
+/// widening the cadence (`None` keeps `cadence` exact, budget permitting).
 pub fn capture<S: Substrate>(
     exec: &S::Exec<'_>,
     config: &ExecConfig,
@@ -312,8 +268,7 @@ pub fn capture<S: Substrate>(
 ) -> SnapshotSet<S> {
     let base = Memory::new(S::module(exec), config.mem_size, config.stack_size);
     let mut pool = S::Pool::default();
-    let first_exec = Some(S::first_exec_table(exec));
-    let mut rec = Recorder::new(cadence, config.snapshot_budget, max_snaps, first_exec, Vec::new());
+    let mut rec = Recorder::new(cadence, config.snapshot_budget, max_snaps);
     let start = Start::boot(exec, base.clone(), Vec::new(), &mut pool);
     let (golden, _mem) = S::run_suffix(exec, config, None, start, Some(&mut rec), &mut pool);
     rec.finish(base, golden)
@@ -323,79 +278,6 @@ pub fn capture<S: Substrate>(
 /// the cadence doubling whenever the set would exceed [`AUTO_MAX_SNAPS`].
 pub fn capture_auto<S: Substrate>(exec: &S::Exec<'_>, config: &ExecConfig) -> SnapshotSet<S> {
     capture(exec, config, Cadence::Sites(AUTO_SITE_CADENCE), Some(AUTO_MAX_SNAPS))
-}
-
-/// Build a hardened variant's snapshot set by *sharing* the golden prefix
-/// of `raw_set`, a fresh capture of the raw program it was derived from.
-/// Every raw snapshot taken before the two golden traces can diverge
-/// ([`Substrate::divergence`]) is also a valid snapshot of the variant
-/// (pages `Arc`-shared, state re-shaped by [`Substrate::translate`]), and
-/// one suffix-only run *from the last of them* produces the variant's
-/// golden result and its remaining snapshots.
-///
-/// Returns `None` when nothing is shareable — profiling requested (profile
-/// accumulators do not map between programs), mismatched memory geometry,
-/// a raw set that is itself derived, incompatible program shells, or
-/// divergence before the first snapshot — and the caller captures afresh.
-pub fn capture_from<S: Substrate>(
-    exec: &S::Exec<'_>,
-    config: &ExecConfig,
-    raw: &S::Exec<'_>,
-    raw_set: &SnapshotSet<S>,
-) -> Option<SnapshotSet<S>> {
-    if config.profile || !raw_set.matches_geometry(config.mem_size, config.stack_size) {
-        return None;
-    }
-    // The variant may *extend* the raw global list (Flowery appends its
-    // expectation/guard cells): existing globals keep their addresses and
-    // only appended — i.e. post-divergence — code references the new ones.
-    let (module, raw_module) = (S::module(exec), S::module(raw));
-    if !module.globals.starts_with(&raw_module.globals) {
-        return None;
-    }
-    let d = S::divergence(exec, raw, raw_set.first_exec.as_ref()?)?;
-    let shared: Vec<Snapshot<S>> = raw_set
-        .snaps
-        .iter()
-        .take_while(|s| s.dyn_insts <= d)
-        .map_while(|s| {
-            Some(Snapshot {
-                dyn_insts: s.dyn_insts,
-                fault_sites: s.fault_sites,
-                output_len: s.output_len,
-                state: S::translate(exec, &s.state)?,
-                profile: None,
-                pages: s.pages.clone(),
-            })
-        })
-        .collect();
-    let last = shared.last()?;
-    // The appended globals live in [raw_end, var_end). Those bytes hold
-    // their initializers below the divergence point, but a raw overlay page
-    // covering them carries raw heap bytes (zeros) instead — restoring it
-    // would wipe the variant's initializers, so such sets cannot be shared.
-    let (raw_end, var_end) = (Memory::globals_end(raw_module), Memory::globals_end(module));
-    if var_end > raw_end {
-        let appended = (raw_end / PAGE_SIZE) as u32..=((var_end - 1) / PAGE_SIZE) as u32;
-        if last.pages.keys().any(|p| appended.contains(p)) {
-            return None;
-        }
-    }
-    let base = Memory::new(module, config.mem_size, config.stack_size);
-    let mut mem = base.clone();
-    mem.reset_to(&base, &last.pages);
-    // The overlay pages already live in the recorder's cumulative map;
-    // clear the dirty marks `reset_to` left so the first sync does not
-    // re-copy them (which would break `Arc` sharing with the raw set).
-    mem.drain_dirty_pages();
-    let mut pool = S::Pool::default();
-    let output = raw_set.golden.head().output[..last.output_len].to_vec();
-    let start = Start::resume(exec, last, mem, output, false, &mut pool);
-    let mut rec = Recorder::new(raw_set.cadence, config.snapshot_budget, None, None, shared);
-    let (golden, _mem) = S::run_suffix(exec, config, None, start, Some(&mut rec), &mut pool);
-    let mut set = rec.finish(base, golden);
-    set.shared_snaps = set.snaps.iter().take_while(|s| s.dyn_insts <= d).count();
-    Some(set)
 }
 
 #[cfg(test)]

@@ -9,7 +9,8 @@
 //! shadow compares can then no longer be established block-locally, so the
 //! folding never fires and the protection survives to the assembly level.
 
-use flowery_ir::inst::{Callee, InstData, InstKind, Intrinsic, IrRole, Terminator};
+use crate::provenance::is_detector_block;
+use flowery_ir::inst::{InstData, InstKind, IrRole, Terminator};
 use flowery_ir::module::{Global, GlobalInit, Module};
 use flowery_ir::types::Type;
 use flowery_ir::value::{BlockId, FuncId, GlobalId, InstId, Op};
@@ -115,13 +116,6 @@ fn find_comparison_checker(f: &flowery_ir::Function, bid: BlockId) -> Option<(us
         return None;
     }
     Some((shadow_pos, *else_bb))
-}
-
-fn is_detector_block(f: &flowery_ir::Function, b: BlockId) -> bool {
-    f.block(b)
-        .insts
-        .iter()
-        .any(|&i| matches!(&f.inst(i).kind, InstKind::Call { callee: Callee::Intrinsic(Intrinsic::DetectError), .. }))
 }
 
 /// Statistics helper for experiments: count comparison checkers that

@@ -12,6 +12,7 @@
 //! *uses* the bad memory (paper: "if the error data has been detected, we
 //! don't need to keep running this program").
 
+use crate::provenance::is_detector_block;
 use flowery_ir::inst::{InstKind, IrRole, Terminator};
 use flowery_ir::module::Module;
 use flowery_ir::value::{BlockId, Op};
@@ -79,19 +80,6 @@ fn checker_group_start(f: &flowery_ir::Function, b: BlockId) -> usize {
         start -= 1;
     }
     start
-}
-
-/// Does `b` look like a duplication detector block (`detect_error` call)?
-fn is_detector_block(f: &flowery_ir::Function, b: BlockId) -> bool {
-    f.block(b).insts.iter().any(|&i| {
-        matches!(
-            &f.inst(i).kind,
-            InstKind::Call {
-                callee: flowery_ir::Callee::Intrinsic(flowery_ir::Intrinsic::DetectError),
-                ..
-            }
-        )
-    })
 }
 
 /// Does the checker compare `cond_id` read operand `val` (directly or

@@ -99,7 +99,7 @@ pub fn collect(m: &Module) -> PassProvenance {
 }
 
 /// Does `b` hold a `detect_error` call (the duplication detector shape)?
-fn is_detector_block(f: &Function, b: BlockId) -> bool {
+pub(crate) fn is_detector_block(f: &Function, b: BlockId) -> bool {
     f.block(b)
         .insts
         .iter()

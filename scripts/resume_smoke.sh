@@ -3,7 +3,10 @@
 # `--resume` must (a) re-execute no golden run and re-capture no snapshot
 # set — the persisted `<checkpoint>.snaps/` store serves them all — and
 # (b) leave a compacted checkpoint byte-identical to an uninterrupted
-# run. Also checks that `--no-snapshots` leaves no `.snaps` directory.
+# run. A second resume over the same store, with one stored set stamped as
+# another format version, must name the refusal on stderr, recapture
+# exactly that set and end byte-identical too. Also checks that
+# `--no-snapshots` leaves no `.snaps` directory.
 set -euo pipefail
 
 BIN=${FLOWERY_BIN:-target/release/flowery}
@@ -52,6 +55,11 @@ if kill -0 "$RUN" 2>/dev/null; then
 fi
 wait "$RUN" || true
 test -d "$DIR/ckpt.jsonl.snaps" || { echo "no snapshot store was persisted"; exit 1; }
+# The same store under a checkpoint cut back to each unit's first batch, so
+# that every unit still has trials to run (and so asks for its set) however
+# far the run above got before the SIGINT.
+{ head -n 1 "$DIR/ckpt.jsonl"; grep '"batch":0,' "$DIR/ckpt.jsonl"; } >"$DIR/stamped.jsonl"
+cp -r "$DIR/ckpt.jsonl.snaps" "$DIR/stamped.jsonl.snaps"
 
 echo "resume-smoke: resume"
 "$BIN" campaign "${ARGS[@]}" --checkpoint "$DIR/ckpt.jsonl" --resume \
@@ -65,6 +73,32 @@ grep -q '"goldens_run": 0' "$DIR/resume-metrics.json" \
 
 cmp "$DIR/ref.jsonl" "$DIR/ckpt.jsonl"
 echo "resume-smoke: resumed checkpoint is byte-identical to the reference"
+
+echo "resume-smoke: resume over a store holding a version-1 set"
+# Format version: the u32 after the 8-byte magic; the trailing u64 is the
+# FNV-1a of everything before it.
+STAMPED=$(python3 - "$DIR/stamped.jsonl.snaps" <<'EOF'
+import os, sys
+path = os.path.join(sys.argv[1], sorted(os.listdir(sys.argv[1]))[0])
+body = bytearray(open(path, "rb").read()[:-8])
+body[8:12] = (1).to_bytes(4, "little")
+h = 0xcbf29ce484222325
+for b in body:
+    h = ((h ^ b) * 0x100000001b3) & 0xFFFFFFFFFFFFFFFF
+open(path, "wb").write(bytes(body) + h.to_bytes(8, "little"))
+print(path)
+EOF
+)
+"$BIN" campaign "${ARGS[@]}" --checkpoint "$DIR/stamped.jsonl" --resume \
+    --metrics-json "$DIR/stamped-metrics.json" >/dev/null 2>"$DIR/stamped.log"
+grep -qF "[harness] snapshot set $STAMPED refused: snapshot file: unsupported format version 1 (expected 2); recapturing" \
+    "$DIR/stamped.log" || { echo "no refusal line for $STAMPED"; cat "$DIR/stamped.log"; exit 1; }
+[ "$(grep -c 'refused:' "$DIR/stamped.log")" -eq 1 ] \
+    || { echo "expected exactly one refusal line"; cat "$DIR/stamped.log"; exit 1; }
+grep -q '"snap_captures": 1' "$DIR/stamped-metrics.json" \
+    || { echo "the refused set was not recaptured exactly once"; cat "$DIR/stamped-metrics.json"; exit 1; }
+cmp "$DIR/ref.jsonl" "$DIR/stamped.jsonl"
+echo "resume-smoke: refused set recaptured, checkpoint byte-identical to the reference"
 
 echo "resume-smoke: --no-snapshots leaves no store behind"
 "$BIN" campaign "${ARGS[@]}" --no-snapshots --checkpoint "$DIR/nosnap.jsonl" >/dev/null 2>&1

@@ -49,7 +49,8 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: flowery <compile|asm|run|inject|study|workloads|source> ...
+const USAGE: &str =
+    "usage: flowery <compile|asm|run|inject|study|campaign|diff|explore|serve|work|workloads|vuln|lint|source> ...
 flags are parsed strictly: an unknown flag or an unparsable number is an error
 
   compile <file.mc | bench>           print the -O0 IR
@@ -535,7 +536,7 @@ fn print_campaign_report(args: &Args<'_>, report: &CampaignReport) -> Result<(),
     }
     let m = &report.metrics;
     println!(
-        "\n{} trials in {:.1}s ({:.0}/s) | batches {} ({} from checkpoint) | golden cache {}/{} hits ({:.0}%) | snapshot sets {} captured, {} loaded, {} shared | fast-forward skipped {:.0}% of work",
+        "\n{} trials in {:.1}s ({:.0}/s) | batches {} ({} from checkpoint) | golden cache {}/{} hits ({:.0}%) | snapshot sets {} captured, {} loaded | fast-forward skipped {:.0}% of work",
         m.trials,
         m.elapsed_secs,
         m.trials_per_sec,
@@ -546,7 +547,6 @@ fn print_campaign_report(args: &Args<'_>, report: &CampaignReport) -> Result<(),
         m.cache_hit_rate * 100.0,
         m.snap_captures,
         m.snap_loads,
-        m.snap_shared,
         m.ff_ratio * 100.0
     );
     Ok(())

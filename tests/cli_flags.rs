@@ -95,3 +95,20 @@ fn declared_flags_parse_wherever_they_stand() {
     .concat();
     assert!(stdout_of(&explore).contains("crc32"));
 }
+
+#[test]
+fn the_usage_header_names_every_dispatched_subcommand() {
+    let help = stdout_of(&["help"]);
+    let header = help.lines().next().unwrap();
+    let listed: Vec<&str> = header[header.find('<').unwrap() + 1..header.find('>').unwrap()]
+        .split('|')
+        .collect();
+    // The arms of `main`'s dispatch, read from its source.
+    let dispatched: Vec<&str> = include_str!("../src/bin/flowery.rs")
+        .lines()
+        .filter_map(|l| l.trim_start().strip_prefix('"')?.split_once("\" => cmd_"))
+        .map(|(name, _)| name)
+        .collect();
+    assert!(dispatched.len() >= 14, "dispatch arms not found: {dispatched:?}");
+    assert_eq!(listed, dispatched, "`{header}` must list exactly what `main` dispatches");
+}

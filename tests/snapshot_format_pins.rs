@@ -1,8 +1,14 @@
 //! Format stability of persisted snapshot sets: the FNV-1a of
 //! `to_bytes(hash)` for one fixed program, at each layer, with the golden
-//! profile on and off, recorded at the commit *before* the two per-layer
-//! codecs were merged into one. A file written by any earlier build must
-//! still load, so these bytes may never change while `VERSION` stays 1.
+//! profile on and off. A file written by any build of the same format
+//! version must still load, so these bytes may never change while
+//! `snapio::VERSION` stays 2.
+//!
+//! Version 1 was written by every build through PR 17 (pins `ab3a…29dc` /
+//! `5d49…2e8e` IR, `72f9…119f` / `1a2b…d29e` asm): it also held the
+//! first-execution table, a shared-snapshot count and a profile option per
+//! snapshot. The build that removed cross-variant prefix sharing dropped
+//! them, recorded the four pins below, and refuses a version-1 file.
 
 use flowery_backend::{compile_module, BackendConfig, Machine};
 use flowery_ir::interp::{ExecConfig, Interpreter};
@@ -36,7 +42,7 @@ fn cfg(profile: bool) -> ExecConfig {
 fn ir_set_bytes_are_pinned() {
     let m = flowery_lang::compile("pins", SRC).unwrap();
     let interp = Interpreter::new(&m);
-    for (profile, pin) in [(false, 0xab3a_5451_9bee_29dc_u64), (true, 0x5d49_fbf3_0728_2e8e)] {
+    for (profile, pin) in [(false, 0x0a12_7a6b_5c43_9b10_u64), (true, 0x169c_a988_6310_cf07)] {
         let set = interp.capture_snapshots_auto(&cfg(profile));
         assert!(set.len() > 8, "the pinned program must snapshot: {}", set.len());
         assert_eq!(flowery_ir::fnv1a(&set.to_bytes(HASH)), pin, "IR set bytes changed (profile {profile})");
@@ -48,7 +54,7 @@ fn asm_set_bytes_are_pinned() {
     let m = flowery_lang::compile("pins", SRC).unwrap();
     let p = compile_module(&m, &BackendConfig::default());
     let mach = Machine::new(&m, &p);
-    for (profile, pin) in [(false, 0x72f9_22a3_a150_119f_u64), (true, 0x1a2b_d0a9_05ed_d29e)] {
+    for (profile, pin) in [(false, 0xf406_af9a_04ee_bed5_u64), (true, 0x289a_689e_3356_ec1e)] {
         let set = mach.capture_snapshots_auto(&cfg(profile));
         assert!(set.len() > 8, "the pinned program must snapshot: {}", set.len());
         assert_eq!(flowery_ir::fnv1a(&set.to_bytes(HASH)), pin, "asm set bytes changed (profile {profile})");

@@ -5,6 +5,7 @@
 //! on the same programs.
 
 use flowery_backend::{compile_module, AsmLayer, AsmProgram, BackendConfig, MachResult, Machine};
+use flowery_harness::{GoldenCache, SnapshotStore};
 use flowery_ir::interp::snapshot::AUTO_MAX_SNAPS;
 use flowery_ir::interp::substrate::{self, RunResult};
 use flowery_ir::interp::{Cadence, ExecConfig, ExecResult, ExecStatus, FaultSpec, Interpreter, IrLayer};
@@ -13,7 +14,7 @@ use flowery_ir::{Callee, FuncId, InstId, InstKind, Module};
 use std::sync::Arc;
 
 /// What the suite needs from a layer beyond its `Substrate` impl: an
-/// executor for a module, where a fault landed, an
+/// executor for a module, the cache's set for it, where a fault landed, an
 /// independent count of each region's fault sites, and the tuning of the
 /// store-heavy budget test.
 trait Layer: Substrate {
@@ -21,6 +22,7 @@ trait Layer: Substrate {
     type Program;
     fn compile(m: &Module) -> Self::Program;
     fn bind<'a>(m: &'a Module, p: &'a Self::Program) -> Self::Exec<'a>;
+    fn cached(cache: &GoldenCache, m: &Module, p: &Self::Program, cfg: &ExecConfig) -> Arc<SnapshotSet<Self>>;
     /// Where `result`'s fault landed, in the coordinate of
     /// `Substrate::site_regions`.
     fn landed(result: &Self::Golden) -> Option<u32>;
@@ -36,6 +38,9 @@ impl Layer for IrLayer {
     fn compile(_: &Module) {}
     fn bind<'a>(m: &'a Module, _: &'a ()) -> Interpreter<'a> {
         Interpreter::new(m)
+    }
+    fn cached(cache: &GoldenCache, m: &Module, _: &(), cfg: &ExecConfig) -> Arc<SnapshotSet<IrLayer>> {
+        cache.ir_snapshots_for(m, cfg)
     }
     fn landed(result: &ExecResult) -> Option<u32> {
         result.injected_at.map(|(f, _)| f.0)
@@ -61,6 +66,9 @@ impl Layer for AsmLayer {
     }
     fn bind<'a>(m: &'a Module, p: &'a AsmProgram) -> Machine<'a> {
         Machine::new(m, p)
+    }
+    fn cached(cache: &GoldenCache, m: &Module, p: &AsmProgram, cfg: &ExecConfig) -> Arc<SnapshotSet<AsmLayer>> {
+        cache.asm_snapshots_for(m, p, cfg)
     }
     fn landed(result: &MachResult) -> Option<u32> {
         result.injected_inst
@@ -101,18 +109,15 @@ fn store_heavy_module(iters: u32) -> Module {
     ))
 }
 
-/// A long loop, then one call to a helper at the *end* of the run. `extra`
-/// adds an instruction to the helper, which is laid out after `main` — so
-/// raw and variant are identical (IR coordinates and program positions
-/// alike) until the helper's body, which first executes late in the trace.
-fn late_call_module(extra: bool) -> Module {
-    let tail = if extra { "x * 3 + 1" } else { "x * 3" };
-    module(&format!(
-        "int main() {{ int acc = 0; int i;\n\
-           for (i = 0; i < 200; i = i + 1) {{ acc = acc + i; }}\n\
-           int r = fin(acc); output(r); return r; }}\n\
-         int fin(int x) {{ return {tail}; }}"
-    ))
+/// A long loop, then one call to a helper at the *end* of the run, so late
+/// fault sites have many snapshots behind them.
+fn late_call_module() -> Module {
+    module(
+        "int main() { int acc = 0; int i;\n\
+           for (i = 0; i < 200; i = i + 1) { acc = acc + i; }\n\
+           int r = fin(acc); output(r); return r; }\n\
+         int fin(int x) { return x * 3; }",
+    )
 }
 
 fn limits(max_dyn_insts: u64) -> ExecConfig {
@@ -152,7 +157,7 @@ fn fast_forward_is_bit_identical<S: Layer>() {
             let (ff_res, skipped) = substrate::trial(&exec, &cfg, spec, Some(&set), &mut scratch);
             assert_eq!(ff_res, scratch_res, "site {site} bit {bit}");
             assert!(skipped <= scratch_res.head().dyn_insts);
-            scratch.recycle_output(ff_res.into_parts().0);
+            scratch.recycle_output(ff_res.into_output());
         }
     }
 }
@@ -201,42 +206,35 @@ fn snapshot_budget_widens_cadence_on_store_heavy_runs<S: Layer>() {
         let scratch_res = substrate::run::<S>(&exec, &cfg, Some(spec));
         let (ff_res, _) = substrate::trial(&exec, &cfg, spec, Some(&capped), &mut scratch);
         assert_eq!(ff_res, scratch_res, "site {site}");
-        scratch.recycle_output(ff_res.into_parts().0);
+        scratch.recycle_output(ff_res.into_output());
     }
 }
 
 fn profiled_fast_forward_matches_scratch<S: Layer>() {
-    // Capture with profiling on: every snapshot carries the accumulator,
-    // and a profiled trial restored mid-run must produce counts identical
-    // to a profiled scratch run — the profile_sdc path.
-    let m = late_call_module(false);
+    // Capture with profiling on: the golden result carries the profile, the
+    // snapshots carry none, and a profiled trial over the set produces
+    // counts identical to a profiled scratch run — the profile_sdc path.
+    let m = late_call_module();
     let p = S::compile(&m);
     let exec = S::bind(&m, &p);
     let cfg = ExecConfig { profile: true, ..limits(100_000) };
     let set = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(64), None);
     assert!(set.len() > 2, "expected several snapshots");
-    assert!(
-        set.snapshots().iter().all(|s| s.profile.is_some()),
-        "profiled capture snapshots carry the accumulator"
-    );
-    assert!(set.golden().clone().into_parts().1.is_some());
+    assert_eq!(set.golden(), &substrate::run::<S>(&exec, &cfg, None));
     let mut scratch = Scratch::new();
-    let mut late_skipped = 0u64;
     for site in 0..set.golden().head().fault_sites {
         let spec = FaultSpec::single(site, 5);
         let scratch_res = substrate::run::<S>(&exec, &cfg, Some(spec));
-        let (ff_res, skipped) = substrate::trial(&exec, &cfg, spec, Some(&set), &mut scratch);
-        assert_eq!(ff_res, scratch_res, "site {site}: profile counts must be restored");
-        assert!(skipped <= scratch_res.head().dyn_insts);
-        late_skipped = late_skipped.max(skipped);
+        let (ff_res, _) = substrate::trial(&exec, &cfg, spec, Some(&set), &mut scratch);
+        assert_eq!(ff_res, scratch_res, "site {site}: profile counts must match");
     }
-    assert!(late_skipped > 0, "late sites must restore a snapshot");
 }
 
-fn unprofiled_set_falls_back_for_profiled_trials<S: Layer>() {
-    // An unprofiled capture cannot serve a profiled trial from a snapshot;
-    // it must fall back to scratch and still be correct.
-    let m = late_call_module(false);
+fn profiled_trials_restore_nothing<S: Layer>() {
+    // A snapshot holds no profile accumulator, so a profiled trial with a
+    // set attached runs from the start — where the same fault unprofiled
+    // restores a snapshot — and still equals a scratch run.
+    let m = late_call_module();
     let p = S::compile(&m);
     let exec = S::bind(&m, &p);
     let plain_cfg = limits(100_000);
@@ -244,10 +242,11 @@ fn unprofiled_set_falls_back_for_profiled_trials<S: Layer>() {
     let set = substrate::capture::<S>(&exec, &plain_cfg, Cadence::Insts(64), None);
     let mut scratch = Scratch::new();
     let spec = FaultSpec::single(set.golden().head().fault_sites - 1, 1);
-    let scratch_res = substrate::run::<S>(&exec, &prof_cfg, Some(spec));
+    let (_, skipped) = substrate::trial(&exec, &plain_cfg, spec, Some(&set), &mut scratch);
+    assert!(skipped > 0, "test premise: the unprofiled trial restores a snapshot");
     let (ff_res, skipped) = substrate::trial(&exec, &prof_cfg, spec, Some(&set), &mut scratch);
-    assert_eq!(skipped, 0, "no profile in the snapshot: must start from scratch");
-    assert_eq!(ff_res, scratch_res);
+    assert_eq!(skipped, 0, "a profiled trial must start from scratch");
+    assert_eq!(ff_res, substrate::run::<S>(&exec, &prof_cfg, Some(spec)));
 }
 
 fn auto_capture_is_site_spaced_and_capped<S: Layer>() {
@@ -272,67 +271,8 @@ fn auto_capture_is_site_spaced_and_capped<S: Layer>() {
         let scratch_res = substrate::run::<S>(&exec, &cfg, Some(spec));
         let (ff_res, _) = substrate::trial(&exec, &cfg, spec, Some(&set), &mut scratch);
         assert_eq!(ff_res, scratch_res, "site {site}");
-        scratch.recycle_output(ff_res.into_parts().0);
+        scratch.recycle_output(ff_res.into_output());
     }
-}
-
-fn shared_prefix_capture_matches_fresh_capture<S: Layer>() {
-    let (raw_m, var_m) = (late_call_module(false), late_call_module(true));
-    let (raw_p, var_p) = (S::compile(&raw_m), S::compile(&var_m));
-    let (raw, var) = (S::bind(&raw_m, &raw_p), S::bind(&var_m, &var_p));
-    let cfg = limits(100_000);
-    let raw_set = substrate::capture::<S>(&raw, &cfg, Cadence::Insts(64), None);
-    assert!(raw_set.len() > 2);
-
-    let set = substrate::capture_from::<S>(&var, &cfg, &raw, &raw_set)
-        .expect("late-diverging variant must share the raw prefix");
-    assert!(set.shared_snaps() >= 1, "at least one snapshot shared below the divergence");
-    assert!(set.first_exec().is_none(), "continuation sets cannot seed further sharing");
-    // Shared snapshots reuse the raw set's pages by Arc identity.
-    for (s, r) in set.snapshots().iter().zip(raw_set.snapshots()).take(set.shared_snaps()) {
-        assert_eq!(s.dyn_insts, r.dyn_insts);
-        for (k, v) in &s.pages {
-            assert!(Arc::ptr_eq(v, &r.pages[k]), "page {k} must be shared, not copied");
-        }
-    }
-    // The continued golden equals a fresh variant run, and differs from
-    // raw (a real cross-variant case, not two identical programs).
-    assert_eq!(set.golden(), &substrate::run::<S>(&var, &cfg, None));
-    assert_ne!(set.golden().head().output, raw_set.golden().head().output);
-
-    // Every fast-forwarded trial on the shared set is bit-identical.
-    let mut scratch = Scratch::new();
-    for site in 0..set.golden().head().fault_sites {
-        for bit in [0u32, 9, 33] {
-            let spec = FaultSpec::single(site, bit);
-            let scratch_res = substrate::run::<S>(&var, &cfg, Some(spec));
-            let (ff_res, _) = substrate::trial(&var, &cfg, spec, Some(&set), &mut scratch);
-            assert_eq!(ff_res, scratch_res, "site {site} bit {bit}");
-            scratch.recycle_output(ff_res.into_parts().0);
-        }
-    }
-}
-
-fn shared_prefix_refuses_incompatible_shapes<S: Layer>() {
-    let (raw_m, var_m) = (late_call_module(false), late_call_module(true));
-    let (raw_p, var_p) = (S::compile(&raw_m), S::compile(&var_m));
-    let (raw, var) = (S::bind(&raw_m, &raw_p), S::bind(&var_m, &var_p));
-    let cfg = limits(100_000);
-    let raw_set = substrate::capture::<S>(&raw, &cfg, Cadence::Insts(64), None);
-
-    // A different program shell: nothing shareable.
-    let other_m = module("global int x[1] = {1};\nint main() { return 0; }");
-    let other_p = S::compile(&other_m);
-    assert!(substrate::capture_from::<S>(&S::bind(&other_m, &other_p), &cfg, &raw, &raw_set).is_none());
-    // Profiling requested: sharing declines (accumulators do not map).
-    let prof = ExecConfig { profile: true, ..cfg.clone() };
-    assert!(substrate::capture_from::<S>(&var, &prof, &raw, &raw_set).is_none());
-    // Mismatched memory geometry: sharing declines.
-    let small = ExecConfig { mem_size: 2 << 20, ..cfg.clone() };
-    assert!(substrate::capture_from::<S>(&var, &small, &raw, &raw_set).is_none());
-    // A derived set (no first-execution table) cannot seed sharing.
-    let derived = substrate::capture_from::<S>(&var, &cfg, &raw, &raw_set).unwrap();
-    assert!(substrate::capture_from::<S>(&var, &cfg, &var, &derived).is_none());
 }
 
 const HASH: u64 = 0x1234_5678_9ABC_DEF0;
@@ -347,15 +287,12 @@ fn round_trip_is_bit_identical<S: Layer>() {
     let loaded = SnapshotSet::<S>::decode(&set.to_bytes(HASH), &exec, HASH).unwrap();
     assert_eq!(loaded.golden(), set.golden());
     assert_eq!(loaded.cadence(), set.cadence());
-    assert_eq!(loaded.shared_snaps(), set.shared_snaps());
-    assert_eq!(loaded.first_exec(), set.first_exec());
     assert_eq!(loaded.len(), set.len());
     for (a, b) in loaded.snapshots().iter().zip(set.snapshots()) {
         assert_eq!(a.dyn_insts, b.dyn_insts);
         assert_eq!(a.fault_sites, b.fault_sites);
         assert_eq!(a.output_len, b.output_len);
         assert_eq!(format!("{:?}", a.state), format!("{:?}", b.state));
-        assert_eq!(a.profile, b.profile);
         assert_eq!(a.pages.len(), b.pages.len());
         for (k, v) in &a.pages {
             assert_eq!(&b.pages[k][..], &v[..], "page {k} content differs");
@@ -390,6 +327,11 @@ fn resealed(bytes: &[u8], edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
     out
 }
 
+/// `bytes` re-stamped as format `version` (the `u32` after the magic).
+fn stamped(bytes: &[u8], version: u32) -> Vec<u8> {
+    resealed(bytes, |b| b[8..12].copy_from_slice(&version.to_le_bytes()))
+}
+
 fn rejects_corruption_and_mismatches<S: Layer>() {
     let m = loop_module();
     let p = S::compile(&m);
@@ -417,15 +359,39 @@ fn rejects_corruption_and_mismatches<S: Layer>() {
     // Wrong content hash.
     let err = load(&bytes, HASH ^ 1).unwrap_err();
     assert!(err.contains("hash"), "{err}");
-    // A future format version is refused even with a valid checksum.
-    let v2 = resealed(&bytes, |b| b[8..12].copy_from_slice(&2u32.to_le_bytes()));
-    let err = load(&v2, HASH).unwrap_err();
-    assert!(err.contains("version 2"), "{err}");
+    // Another format version — the next, and version 1 of the builds that
+    // still wrote a first-execution table and per-snapshot profiles — is
+    // refused before anything past it is read, even with a valid checksum.
+    let err = load(&stamped(&bytes, 3), HASH).unwrap_err();
+    assert!(err.contains("version 3"), "{err}");
+    let err = load(&stamped(&bytes, 1), HASH).unwrap_err();
+    assert!(err.contains("version 1") && err.contains("expected 2"), "{err}");
     // The other layer's magic is refused even with a valid checksum.
     let other = if S::MAGIC == b"FLSNAPIR" { b"FLSNAPAS" } else { b"FLSNAPIR" };
     let wrong = resealed(&bytes, |b| b[..8].copy_from_slice(other));
     let err = load(&wrong, HASH).unwrap_err();
     assert!(err.contains("magic"), "{err}");
+
+    // A store holding a version-1 file: the cache refuses it, captures once,
+    // overwrites the file, and serves the trials a fresh capture serves.
+    let dir = std::env::temp_dir().join(format!("flsuite-v1-{}-{}", S::NAME, std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = limits(10_000);
+    let fresh = S::cached(&GoldenCache::with_store(SnapshotStore::at(&dir)), &m, &p, &cfg);
+    let file = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
+    let written = std::fs::read(&file).unwrap();
+    std::fs::write(&file, stamped(&written, 1)).unwrap();
+    let cache = GoldenCache::with_store(SnapshotStore::at(&dir));
+    let recaptured = S::cached(&cache, &m, &p, &cfg);
+    assert_eq!((cache.stats().snap_loads, cache.stats().snap_captures), (0, 1));
+    assert_eq!(std::fs::read(&file).unwrap(), written, "the refused file must be overwritten");
+    let (mut s1, mut s2) = (Scratch::new(), Scratch::new());
+    for site in 0..fresh.golden().head().fault_sites {
+        let spec = FaultSpec::single(site, 11);
+        let served = substrate::trial(&exec, &cfg, spec, Some(&*recaptured), &mut s2);
+        assert_eq!(served, substrate::trial(&exec, &cfg, spec, Some(&*fresh), &mut s1), "site {site}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn region_sites_index_the_golden_stream<S: Layer>() {
@@ -490,10 +456,8 @@ both_layers![
     capture_golden_matches_plain_run,
     snapshot_budget_widens_cadence_on_store_heavy_runs,
     profiled_fast_forward_matches_scratch,
-    unprofiled_set_falls_back_for_profiled_trials,
+    profiled_trials_restore_nothing,
     auto_capture_is_site_spaced_and_capped,
-    shared_prefix_capture_matches_fresh_capture,
-    shared_prefix_refuses_incompatible_shapes,
     round_trip_is_bit_identical,
     rejects_corruption_and_mismatches,
     region_sites_index_the_golden_stream,
