@@ -2,7 +2,7 @@
 //!
 //! Criterion benchmark harness: one bench target per paper table/figure
 //! (`table1`, `fig2_coverage`, `fig3_rootcause`, `fig17_flowery`,
-//! `overhead`, `pass_time`) plus `substrate` microbenchmarks.
+//! `overhead`, `pass_time`).
 //!
 //! Each figure bench *prints* its artifact (the same rows/series the paper
 //! reports) before Criterion measures a representative unit of its

@@ -14,10 +14,6 @@
 //! software protection: it converts would-be SDCs whose fault class it
 //! covers into detections, at a fixed modeled runtime overhead. Detectors
 //! compose — a campaign carries a set of them.
-//!
-//! The registry of known models and detectors is hashed into
-//! [`registry_hash`], which the `flowery-dist` handshake compares so
-//! coordinator/worker builds with divergent model sets refuse to pair.
 
 use flowery_backend::{AsmFaultSpec, FaultDest};
 use flowery_ir::interp::{FaultEffect, FaultSpec};
@@ -395,28 +391,6 @@ fn known_model_names() -> String {
     names.join(", ")
 }
 
-/// FNV-1a over the registry's model and detector names. Two builds whose
-/// hashes differ sample or classify faults differently; the dist
-/// handshake refuses to pair them.
-pub fn registry_hash() -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let eat = |h: &mut u64, bytes: &[u8]| {
-        for &b in bytes {
-            *h = (*h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    for m in REGISTERED_MODELS {
-        eat(&mut h, m.to_string().as_bytes());
-        eat(&mut h, b"\n");
-    }
-    eat(&mut h, b"--\n");
-    for d in REGISTERED_DETECTORS {
-        eat(&mut h, d.to_string().as_bytes());
-        eat(&mut h, b"\n");
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,11 +521,5 @@ mod tests {
         assert_eq!(flip_count(None, FaultEffect::Bits), 1);
         assert_eq!(flip_count(Some(3), FaultEffect::Bits), 2);
         assert_eq!(flip_count(None, FaultEffect::Burst { width: 4 }), 4);
-    }
-
-    #[test]
-    fn registry_hash_is_stable_within_a_build() {
-        assert_eq!(registry_hash(), registry_hash());
-        assert_ne!(registry_hash(), 0);
     }
 }

@@ -13,8 +13,9 @@
 //! sorted by `(unit key, batch index)`, duplicates dropped after checking
 //! they are identical, and batches beyond each unit's decided prefix
 //! discarded. The canonical form is a pure function of the campaign
-//! parameters, so a distributed run, a local run, and an interrupt/resume
-//! split of either all produce byte-identical files.
+//! parameters, so a local run, an interrupt/resume split of it, and shard
+//! logs concatenated and resumed (one header per shard; see [`load_full`])
+//! all produce byte-identical files.
 
 use crate::engine::HarnessConfig;
 use crate::plan::{Layer, UnitKey};
@@ -95,7 +96,7 @@ impl HarnessConfig {
 }
 
 /// How a [`Header`] field binds whoever pairs with a log: a `--resume`, a
-/// `diff --baseline`, a worker fleet.
+/// `diff --baseline`, the other shards of a concatenated log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FieldClass {
     /// Shapes the trial schedule; a difference describes another campaign.
@@ -135,7 +136,7 @@ pub const HEADER_FIELDS: [HeaderField; 13] = [
     field!(fault_model, Schedule),
     field!(detectors, Schedule),
     // Engines are bit-identical, so a campaign begun under one may be
-    // resumed — or served to workers running — under another.
+    // resumed — or sharded across processes running — under another.
     field!(exec_mode, Informational),
     // Region records annotate batch results; they never change which
     // trials run. 0 = pre-region log.
@@ -190,12 +191,19 @@ impl Header {
     /// than `requested`, name the first differing field and both values —
     /// never a bare "mismatch".
     pub fn describe_mismatch(&self, requested: &Header) -> Option<String> {
+        self.first_difference(requested)
+            .map(|(name, ckpt, req)| format!("{name}: checkpoint has {ckpt}, this campaign wants {req}"))
+    }
+
+    /// The first binding field ([`FieldClass::Schedule`] or
+    /// [`FieldClass::RefuseOnMix`]) on which `self` and `other` differ,
+    /// with both values shown.
+    fn first_difference(&self, other: &Header) -> Option<(&'static str, String, String)> {
         HEADER_FIELDS
             .iter()
             .filter(|(_, class, _)| matches!(class, FieldClass::Schedule | FieldClass::RefuseOnMix))
-            .map(|(name, _, show)| (name, show(self), show(requested)))
-            .find(|(_, ckpt, req)| ckpt != req)
-            .map(|(name, ckpt, req)| format!("{name}: checkpoint has {ckpt}, this campaign wants {req}"))
+            .map(|(name, _, show)| (*name, show(self), show(other)))
+            .find(|(_, mine, theirs)| mine != theirs)
     }
 
     /// Refuse, naming the field, when `self` — the header of the `what` at
@@ -217,8 +225,7 @@ impl Header {
     }
 
     /// The one record-admission rule: may `rec` be folded into a campaign
-    /// this header describes? Loaders skip what it refuses; the
-    /// distributed merge treats a refusal as a diverging worker.
+    /// this header describes? Loaders skip what it refuses.
     pub fn admit(&self, rec: &BatchRecord) -> Result<(), Refusal> {
         // Only assembly units prune; IR records carry 0 under both modes.
         let prunes = self.static_prune != 0 && rec.unit.layer == Layer::Asm;
@@ -246,8 +253,7 @@ pub struct BatchRecord {
     pub sdc_insts: Vec<u32>,
     /// The fault model this batch's trials were sampled from; defaults to
     /// `single-bit-reg` when absent so pre-model logs keep loading, and
-    /// keeps `--resume` / the dist idempotent merge from ever conflating
-    /// trials from different models.
+    /// keeps `--resume` from ever conflating trials from different models.
     #[serde(default)]
     pub fault_model: ModelSpec,
     /// Per-region outcome tallies for this batch, keyed by function name
@@ -393,13 +399,20 @@ pub fn load(path: &Path) -> Result<(Header, Vec<BatchRecord>), String> {
 }
 
 /// [`load`], plus the region records (empty for pre-region logs).
+///
+/// A file may carry several header lines — shard logs joined with `cat` —
+/// as long as they describe one campaign. The first is the file's header;
+/// a later one may differ from it in non-binding fields only (shards may
+/// run different engines) and is otherwise an error naming the line, the
+/// field and both values: records of another seed or schedule must never
+/// be sealed under this one's header.
 pub fn load_full(path: &Path) -> Result<(Header, Vec<BatchRecord>, Vec<RegionRecord>), String> {
     let f = File::open(path).map_err(|e| format!("open {}: {e}", path.display()))?;
     let lines: Vec<String> = BufReader::new(f)
         .lines()
         .collect::<Result<_, _>>()
         .map_err(|e| format!("read {}: {e}", path.display()))?;
-    let mut header = None;
+    let mut header: Option<Header> = None;
     let mut batches = Vec::new();
     let mut regions = Vec::new();
     let last = lines.len().saturating_sub(1);
@@ -420,7 +433,18 @@ pub fn load_full(path: &Path) -> Result<(Header, Vec<BatchRecord>, Vec<RegionRec
                 if h.version != VERSION {
                     return Err(format!("{}: unsupported version {}", path.display(), h.version));
                 }
-                header = Some(h);
+                match &header {
+                    None => header = Some(h),
+                    Some(first) => {
+                        if let Some((field, there, here)) = first.first_difference(&h) {
+                            return Err(format!(
+                                "{}:{}: header of another campaign — {field}: {here} here, {there} in the file's first header",
+                                path.display(),
+                                i + 1
+                            ));
+                        }
+                    }
+                }
             }
             Record::Batch(b) => batches.push(b),
             Record::Regions(r) => regions.push(r),
@@ -443,7 +467,7 @@ pub fn load_full(path: &Path) -> Result<(Header, Vec<BatchRecord>, Vec<RegionRec
 
 /// Insert `rec`, or check it against the identical record already there:
 /// every record is a pure re-run, so a differing duplicate means corrupt
-/// data or a diverging worker — it is handed back as the error.
+/// data or a diverging shard — it is handed back as the error.
 fn insert_unique<K: Ord, V: PartialEq>(slot: Entry<'_, K, V>, rec: V) -> Result<(), V> {
     match slot {
         Entry::Occupied(o) if *o.get() != rec => return Err(rec),
@@ -458,7 +482,7 @@ fn insert_unique<K: Ord, V: PartialEq>(slot: Entry<'_, K, V>, rec: V) -> Result<
 /// every unit the stopping rule decides — batches beyond the decided
 /// prefix discarded (they are scheduling jitter, not results). Duplicate
 /// records must be identical: every batch is a pure re-run, so a mismatch
-/// means corrupt data or a diverging worker and is an error.
+/// means corrupt data or a diverging shard and is an error.
 pub fn canonicalize(header: &Header, records: Vec<BatchRecord>) -> Result<Vec<BatchRecord>, String> {
     let mut by_unit: BTreeMap<UnitKey, BTreeMap<u64, BatchRecord>> = BTreeMap::new();
     for rec in records {
@@ -553,8 +577,7 @@ pub fn seal(path: &Path, log: CheckpointLog, regions: &[RegionRecord]) -> Result
 
 /// Rewrite the log at `path` in canonical form (see [`canonicalize`]).
 /// Called at the clean end of a campaign; the result is byte-identical
-/// for any execution of the same schedule — local, resumed, or
-/// distributed.
+/// for any execution of the same schedule — local, resumed, or sharded.
 pub fn compact(path: &Path) -> Result<(), String> {
     let (header, records, regions) = load_full(path)?;
     let records = canonicalize(&header, records)?;
@@ -805,7 +828,7 @@ mod tests {
     fn exec_mode_is_provenance_not_schedule() {
         use flowery_ir::interp::ExecMode;
         // Headers that differ only in engine still describe the same
-        // schedule — mixed-executor resumes and worker fleets are allowed —
+        // schedule — mixed-executor resumes and shards are allowed —
         // while any schedule-shaping difference still refuses.
         let mut interp = header();
         interp.exec_mode = ExecMode::Interp;
@@ -1015,6 +1038,46 @@ mod tests {
         // And a single-bit campaign is refused by name.
         let err = open(&path, &header(), true).err().unwrap();
         assert!(err.contains("fault_model"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn repeated_headers_load_only_when_they_describe_one_campaign() {
+        use flowery_ir::interp::ExecMode;
+        // `cat a.jsonl b.jsonl`: two shards of one campaign, each with its
+        // own header line. The first header is the file's.
+        let path = tmp("shards");
+        let cat = |second: &Header| {
+            let part = tmp("shard-part");
+            let mut text = String::new();
+            for (h, batch) in [(&header(), 0), (second, 1)] {
+                let log = CheckpointLog::create(&part, h).unwrap();
+                log.record_batch(&record(batch)).unwrap();
+                drop(log);
+                text += &std::fs::read_to_string(&part).unwrap();
+            }
+            std::fs::remove_file(&part).ok();
+            std::fs::write(&path, text).unwrap();
+            load(&path)
+        };
+        let (h, batches) = cat(&header()).unwrap();
+        assert_eq!((h, batches.len()), (header(), 2));
+        // Shards may run different engines: the field binds nothing.
+        let (h, batches) = cat(&Header { exec_mode: ExecMode::Native, ..header() }).unwrap();
+        assert_eq!((h, batches.len()), (header(), 2), "the first header is kept");
+        // Another seed, schedule length or prune provenance is another
+        // campaign: refused by file, line and field, never sealed under
+        // the first header.
+        let refusals = [
+            ("seed", Header { seed: 43, ..header() }),
+            ("max_trials", Header { max_trials: 2000, ..header() }),
+            ("static_prune", Header { static_prune: 7, ..header() }),
+        ];
+        for (field, second) in refusals {
+            let err = cat(&second).unwrap_err();
+            assert!(err.contains(&format!("{}:3: ", path.display())), "{err}");
+            assert!(err.contains(&format!("{field}: ")) && err.contains("first header"), "{err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -16,10 +16,9 @@
 //!   chosen prefix are simply discarded.
 //!
 //! Batch execution is also exposed as a library call ([`UnitRunner`]):
-//! the distributed workers in `flowery-dist` lease batch indices from a
-//! coordinator and run them through exactly the code path the in-process
-//! workers use, which is what makes a sharded campaign byte-identical to
-//! a local one.
+//! any process may run any batch of the schedule through exactly the code
+//! path the in-process workers use, which is what makes a campaign sharded
+//! across processes or hosts byte-identical to a local one (DESIGN §6).
 
 use crate::cache::GoldenCache;
 use crate::checkpoint::{BatchRecord, CheckpointLog, Header};
@@ -41,7 +40,7 @@ use std::sync::Mutex;
 
 /// Engine parameters. Everything here (except `threads`) shapes the trial
 /// schedule and is recorded in checkpoint headers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HarnessConfig {
     /// Trials per scheduling batch (also the early-stop granularity).
     pub batch_size: u64,
@@ -58,10 +57,8 @@ pub struct HarnessConfig {
     pub threads: usize,
     /// Fault model every unit's trials are sampled from (one schedule =
     /// one model; sweeps run the engine once per model).
-    #[serde(default)]
     pub fault_model: ModelSpec,
     /// Modeled hardware detectors post-classifying outcomes.
-    #[serde(default)]
     pub detectors: Vec<DetectorSpec>,
     /// Fast-forward trials from cached golden-run snapshots instead of
     /// re-executing the golden prefix. Bit-identical results either way
@@ -74,7 +71,6 @@ pub struct HarnessConfig {
     /// are seeded flagged-first by static vulnerable-bit density. Assembly
     /// layer only; recorded in the checkpoint header (mixed-prune resumes
     /// are refused). Default off.
-    #[serde(default)]
     pub static_prune: bool,
     pub exec: ExecConfig,
 }
@@ -150,9 +146,9 @@ pub struct RunOptions<'a> {
     /// Called after every batch with fresh metrics; may stop the run.
     pub progress: Option<Progress<'a>>,
     /// Fold `preloaded` and report without executing anything: units whose
-    /// replayed batches do not decide them are listed as `pending`. Used by
-    /// the distributed coordinator, which merges remotely executed batches
-    /// and only needs the deterministic fold.
+    /// replayed batches do not decide them are listed as `pending`. No
+    /// caller sets it; `benchmark/src/staged.rs` names it in an exhaustive
+    /// literal, so it stays until ROADMAP 1(a) retires it.
     pub replay_only: bool,
 }
 
@@ -308,10 +304,9 @@ enum RunnerInner<'u> {
 }
 
 /// Executes one unit's trial batches. This is the engine's inner loop
-/// exposed as a library call: the distributed workers of `flowery-dist`
-/// build one per leased unit (goldens and snapshot sets come from the
-/// worker-local [`GoldenCache`]) and produce [`BatchOutcome`]s that merge
-/// byte-identically with locally executed ones.
+/// exposed as a library call: goldens and snapshot sets come from the
+/// caller's [`GoldenCache`], and the [`BatchOutcome`]s merge
+/// byte-identically with ones executed by any other process.
 pub struct UnitRunner<'u> {
     inner: RunnerInner<'u>,
     unit: &'u TrialUnit,
@@ -344,7 +339,7 @@ impl<'u> UnitRunner<'u> {
     /// every trial attributed to it. Refuses a scope planned against
     /// another program: one whose `mass` is not what this build of the unit
     /// executes inside the region (0 for a region it does not have).
-    pub fn for_item(
+    pub(crate) fn for_item(
         unit: &'u TrialUnit,
         cache: &GoldenCache,
         cfg: &HarnessConfig,

@@ -11,7 +11,7 @@
 //!    records ([`Baseline`]), classifying each region reused / re-run /
 //!    new;
 //! 3. re-executes trials *only* for changed regions: each becomes a
-//!    [`Scope`]d work item of the ordinary engine, its trials' injection
+//!    `Scope`d work item of the ordinary engine, its trials' injection
 //!    sites drawn among the region's own and addressed by their global
 //!    index (`TrialRunner::restrict`), with a region-local seed stream,
 //!    so the plan is a pure function of the region content — independent
@@ -37,7 +37,6 @@ use flowery_regions::{
     combine, compose_exact, compose_weighted, diff, Fate, RegionProfile, RegionSet, WeightedEstimate,
     REGION_SCHEMA_VERSION,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -81,19 +80,6 @@ pub fn unit_region_set(unit: &TrialUnit, cache: &GoldenCache, cfg: &HarnessConfi
         None => flowery_regions::ir_region_set(&unit.module, sites, salt),
         Some(program) => flowery_regions::asm_region_set(&unit.module, program, sites, salt),
     }
-}
-
-/// Order-insensitive fingerprint over every unit's region partition, the
-/// region analogue of `matrix_fingerprint`: a distributed coordinator and
-/// its workers verify they computed identical regions before any scoped
-/// lease is granted.
-pub fn region_fingerprint(units: &[TrialUnit], cache: &GoldenCache, cfg: &HarnessConfig) -> u64 {
-    let mut h = fnv1a(b"flowery-region-matrix");
-    for u in units {
-        h = combine(h, fnv1a(u.key.id().as_bytes()));
-        h = combine(h, unit_region_set(u, cache, cfg).fingerprint());
-    }
-    h
 }
 
 /// Build the region records a clean finalize writes: one per completed
@@ -270,14 +256,13 @@ fn planned_trials(cfg: &HarnessConfig, mass: u64, total_mass: u64) -> u64 {
 /// are drawn from the `mass` fault sites executed inside `region`, on a
 /// region-local seed stream (depends only on the campaign seed and the
 /// region name, never on what else changed). Every trial is a pure
-/// function of `(seed, trial index)`, so the engine's workers — or, since
-/// this is also the wire form of a scoped lease, a distributed
-/// coordinator's — may run its batches anywhere, in any order; each side
-/// resolves `region` against its own observation of the unit and refuses
-/// a `mass` that differs from the one it observed.
+/// function of `(seed, trial index)`, so the engine's workers may run its
+/// batches in any order; the runner resolves `region` against its own
+/// observation of the unit and refuses a `mass` that differs from the one
+/// it observed (see `UnitRunner::for_item`).
 /// Batches index `trials` in [`HarnessConfig::batch_size`] chunks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Scope {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Scope {
     pub unit: UnitKey,
     pub region: String,
     pub trials: u64,
@@ -287,20 +272,19 @@ pub struct Scope {
 
 /// One schedulable re-run of a diff plan: which region report it fills,
 /// what to run, and how suspect the region is.
-#[derive(Debug, Clone)]
-pub struct DiffTask {
-    pub unit_index: usize,
-    pub region_index: usize,
-    pub scope: Scope,
-    pub priority: f64,
+struct DiffTask {
+    unit_index: usize,
+    region_index: usize,
+    scope: Scope,
+    priority: f64,
 }
 
 /// Plan an incremental campaign without executing anything: classify
 /// every region against the baseline, carry reused profiles (re-weighted
 /// to current masses), and emit one [`DiffTask`] per runnable changed
 /// region, sorted most-suspect-first by `priorities` (unit id, region
-/// name) → score. Local and distributed diffs share this plan.
-pub fn plan_diff(
+/// name) → score.
+fn plan_diff(
     units: &[TrialUnit],
     cfg: &HarnessConfig,
     cache: &GoldenCache,
@@ -391,9 +375,8 @@ pub fn plan_diff(
 
 /// Finish a planned diff: fold every task's tally (in `tasks` order;
 /// `None` = nothing ran) into its region profile, and compose each unit's
-/// estimate, pooled counts and trials-run total. Local and distributed
-/// diffs share this step, so they report alike.
-pub fn compose_diff(
+/// estimate, pooled counts and trials-run total.
+fn compose_diff(
     mut reports: Vec<DiffUnitReport>,
     tasks: &[DiffTask],
     tallies: impl IntoIterator<Item = Option<BatchOutcome>>,

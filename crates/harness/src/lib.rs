@@ -46,11 +46,10 @@ pub use engine::{
 };
 pub use explore::{explore, render_table, DesignPoint, ExploreReport, ExploreSpec, ModelFrontier, WorkloadReport};
 pub use incremental::{
-    compose_diff, plan_diff, region_fingerprint, region_records, run_diff, unit_region_set, unit_salt, Baseline,
-    DiffReport, DiffTask, DiffUnitReport, RegionReport, Scope,
+    region_records, run_diff, unit_region_set, unit_salt, Baseline, DiffReport, DiffUnitReport, RegionReport,
 };
-pub use metrics::{DistStats, Metrics, MetricsSnapshot, WorkerStats};
+pub use metrics::MetricsSnapshot;
 pub use plan::{build_matrix, matrix_fingerprint, protect, Layer, MatrixSpec, TrialUnit, UnitKey, Variant};
 pub use prior::{prune_signature, StaticPrior};
-pub use progress::{BatchOutcome, UnitProgress};
+pub use progress::BatchOutcome;
 pub use snapstore::SnapshotStore;

@@ -13,7 +13,7 @@ use std::time::Instant;
 /// Shared counters; one instance per engine run. The running tally is a
 /// [`MetricsSnapshot`] whose sampled fields (time, rates, cache and JIT
 /// provenance, schedule totals) are filled in by [`Metrics::snapshot`].
-pub struct Metrics {
+pub(crate) struct Metrics {
     start: Instant,
     live: Mutex<MetricsSnapshot>,
 }
@@ -298,75 +298,6 @@ impl MetricsSnapshot {
             jit
         )
     }
-
-    /// [`MetricsSnapshot::render`] extended with coordinator-side
-    /// distribution counters.
-    pub fn render_dist(&self, dist: &DistStats) -> String {
-        format!("{} | {}", self.render(), dist.render())
-    }
-}
-
-/// Per-worker counters as seen by the distributed coordinator. The
-/// instruction totals arrive with each batch result, so `ff_ratio` shows
-/// how much golden-prefix work each worker's snapshot sets are skipping.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WorkerStats {
-    /// Coordinator-assigned worker id.
-    pub id: u64,
-    /// Batches this worker has completed.
-    pub batches: u64,
-    /// Golden-prefix instructions the worker skipped by fast-forward.
-    pub ff_insts: u64,
-    /// Instructions the worker actually executed.
-    pub exec_insts: u64,
-    /// Whether the worker is currently connected.
-    pub live: bool,
-}
-
-impl WorkerStats {
-    pub fn new(id: u64) -> WorkerStats {
-        WorkerStats { id, batches: 0, ff_insts: 0, exec_insts: 0, live: true }
-    }
-
-    /// Fraction of this worker's trial work skipped by fast-forward.
-    pub fn ff_ratio(&self) -> f64 {
-        let work = self.ff_insts + self.exec_insts;
-        if work == 0 {
-            0.0
-        } else {
-            self.ff_insts as f64 / work as f64
-        }
-    }
-}
-
-/// Coordinator-side distribution counters, rendered alongside a
-/// [`MetricsSnapshot`] (see [`MetricsSnapshot::render_dist`]).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct DistStats {
-    /// Workers currently connected and heartbeating.
-    pub workers_live: u64,
-    /// Leases granted and not yet fully resolved.
-    pub leases_outstanding: u64,
-    /// Batches requeued after lease expiry or worker death.
-    pub batches_requeued: u64,
-    /// Per-worker accounting, in worker-id order.
-    pub per_worker: Vec<WorkerStats>,
-}
-
-impl DistStats {
-    /// One-line human rendering, e.g.
-    /// `workers 2 | leases 3 | requeued 1 | w1 12b ff 54% | w2 9b ff 51%`.
-    pub fn render(&self) -> String {
-        let mut s = format!(
-            "workers {} | leases {} | requeued {}",
-            self.workers_live, self.leases_outstanding, self.batches_requeued
-        );
-        for w in &self.per_worker {
-            let gone = if w.live { "" } else { " gone" };
-            s.push_str(&format!(" | w{} {}b ff {:.0}%{}", w.id, w.batches, w.ff_ratio() * 100.0, gone));
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -484,30 +415,5 @@ mod tests {
         assert!((back.jit_compile_ms - 1.25).abs() < 1e-12);
         assert_eq!(back.jit_code_bytes, 64 * 1024);
         assert_eq!(back.jit_fallback_reasons, vec![("forced".to_string(), 2)]);
-    }
-
-    #[test]
-    fn dist_stats_render_per_worker() {
-        let mut d = DistStats {
-            workers_live: 2,
-            leases_outstanding: 3,
-            batches_requeued: 1,
-            per_worker: vec![],
-        };
-        let mut w = WorkerStats::new(1);
-        w.batches = 12;
-        w.ff_insts = 75;
-        w.exec_insts = 25;
-        assert!((w.ff_ratio() - 0.75).abs() < 1e-12);
-        d.per_worker.push(w);
-        let mut gone = WorkerStats::new(2);
-        gone.live = false;
-        d.per_worker.push(gone);
-        let line = d.render();
-        assert!(line.contains("workers 2"), "{line}");
-        assert!(line.contains("w1 12b ff 75%"), "{line}");
-        assert!(line.contains("w2 0b ff 0% gone"), "{line}");
-        let m = Metrics::with_mode(ExecMode::default());
-        assert!(m.snapshot(1, 0, CacheStats::default()).render_dist(&d).contains("| workers 2"));
     }
 }

@@ -168,10 +168,10 @@ impl Default for MatrixSpec {
 
 /// Content fingerprint of a built matrix: folds every unit's key together
 /// with the content hash of its program (printed IR, plus the machine
-/// listing for assembly units). A distributed coordinator and its workers
-/// build the matrix independently from the same plan; comparing
-/// fingerprints before any lease is granted catches a nondeterministic
-/// build or divergent code up front, rather than as corrupt results.
+/// listing for assembly units). Two parties that build the matrix
+/// independently from the same plan compare fingerprints to catch a
+/// nondeterministic build or divergent code up front, rather than as
+/// corrupt results (the ledger's hand re-drive in `benchmark/` does).
 pub fn matrix_fingerprint(units: &[TrialUnit]) -> u64 {
     let mut text = String::new();
     for u in units {

@@ -1,13 +1,13 @@
 //! Batch-level unit progress and the deterministic stopping rule.
 //!
-//! Shared by the in-process engine ([`crate::engine`]) and the distributed
-//! coordinator (`flowery-dist`): both fold completed batches into a
-//! [`UnitProgress`] and let the same prefix rule decide when a unit is
-//! done, so a campaign sharded across machines stops at exactly the same
+//! Shared by the engine ([`crate::engine`]) and the checkpoint compactor
+//! ([`crate::checkpoint::canonicalize`]): both fold completed batches into
+//! a `UnitProgress` and let the same prefix rule decide when a unit is
+//! done, so a campaign sharded across processes stops at exactly the same
 //! point as a single-process run. The rule is evaluated at each prefix
 //! boundary in batch-index order, which makes the decision a pure function
 //! of batch contents — never of completion order, thread count, or which
-//! worker executed what.
+//! process executed what.
 
 use crate::checkpoint::Header;
 use flowery_inject::stats::wilson_half_width;
@@ -16,7 +16,7 @@ use flowery_inject::OutcomeCounts;
 pub use flowery_inject::BatchOutcome;
 
 /// Completed batches of one unit plus the adaptive stopping decision.
-pub struct UnitProgress {
+pub(crate) struct UnitProgress {
     batches: Vec<Option<BatchOutcome>>,
     /// Contiguous completed batches from index 0.
     prefix: u64,
@@ -74,11 +74,6 @@ impl UnitProgress {
     /// Whether batch `b` has been recorded.
     pub fn has_batch(&self, b: u64) -> bool {
         self.batches.get(b as usize).is_some_and(|s| s.is_some())
-    }
-
-    /// The recorded outcome of batch `b`, if any.
-    pub fn batch(&self, b: u64) -> Option<&BatchOutcome> {
-        self.batches.get(b as usize).and_then(|s| s.as_ref())
     }
 
     /// The decided prefix folded into one tally in batch-index order — or,

@@ -3,8 +3,9 @@
 //! deterministic adaptive early stopping.
 
 use flowery_harness::{
-    load_checkpoint, run_units, CheckpointLog, Control, GoldenCache, HarnessConfig, Layer, RunOptions, SnapshotStore,
-    TrialUnit, UnitKey, UnitResult, Variant,
+    build_matrix, load_checkpoint, open, refused_note, region_records, run_units, seal, write_canonical, BatchRecord,
+    CheckpointLog, Control, GoldenCache, HarnessConfig, Layer, MatrixSpec, RunOptions, SnapshotStore, TrialUnit,
+    UnitKey, UnitResult, Variant,
 };
 use flowery_inject::{run_asm_campaign, run_ir_campaign, CampaignConfig};
 use flowery_ir::Module;
@@ -245,4 +246,74 @@ fn resume_rejects_mismatched_schedule() {
     other.seed ^= 1;
     assert_ne!(header, other.header(), "seed change invalidates the log");
     std::fs::remove_file(&path).ok();
+}
+
+/// A checkpoint whose *header* matches the campaign but which carries batch
+/// records no campaign of that header could have written — what a careless
+/// `cat` of shard logs can produce. The loader must refuse exactly those
+/// records — and say so — and `campaign --resume` must re-run what they
+/// displaced and converge on the uninterrupted canonical bytes.
+#[test]
+fn foreign_records_under_a_matching_header_are_refused_and_rerun_on_resume() {
+    let spec = MatrixSpec {
+        benches: vec!["crc32".into()],
+        scale: flowery_workloads::Scale::Tiny,
+        profile_trials: 0,
+        profile_seed: 0,
+        threads: 2,
+        ..Default::default()
+    };
+    let cfg = cfg(90, 30, 2); // 3 batches × 5 units
+    let units = build_matrix(&spec);
+
+    // The single-process ground truth — what `flowery campaign` leaves
+    // behind: opened, run and sealed (region records included).
+    let ref_path = tmp("foreign-ref");
+    let cache = GoldenCache::new();
+    let (log, _) = open(&ref_path, &cfg.header(), false).unwrap();
+    let r = run_units(&units, &cfg, &cache, RunOptions { checkpoint: Some(&log), ..Default::default() });
+    assert!(!r.interrupted && r.error.is_none());
+    seal(&ref_path, log, &region_records(&units, &r.units, &cache, &cfg)).unwrap();
+    let want = std::fs::read(&ref_path).unwrap();
+    let (header, batches) = load_checkpoint(&ref_path).unwrap();
+    let is_asm = |r: &BatchRecord| r.unit.layer == Layer::Asm;
+
+    // Keep batch 0 of every unit, then forge: (a) every batch 1 restamped
+    // with another fault model, (b) every assembly batch 2 claiming a
+    // prune table this unpruned schedule never used, (c) one batch far
+    // outside the 3-batch schedule.
+    let mut forged: Vec<BatchRecord> = batches.iter().filter(|r| r.batch == 0).cloned().collect();
+    for rec in &batches {
+        let mut rec = rec.clone();
+        match rec.batch {
+            1 => rec.fault_model = flowery_faultmodel::ModelSpec::FlagsPc,
+            2 if is_asm(&rec) => rec.prune_table = 0xfeed,
+            _ => continue,
+        }
+        forged.push(rec);
+    }
+    forged.push(BatchRecord { batch: 40, ..batches[0].clone() });
+    let asm_units = batches.iter().filter(|r| r.batch == 0 && is_asm(r)).count() as u64;
+    let refused = 6 + asm_units;
+    let line = format!(" ({refused} refused: 5 fault-model, {asm_units} prune-provenance, 1 out-of-schedule)");
+    assert_eq!(refused_note(&header, &forged), line);
+
+    // `campaign --resume`: refused records are skipped and counted, their
+    // batches re-executed, and the sealed file is the reference.
+    let local = tmp("foreign-local");
+    write_canonical(&local, &header, &forged).unwrap();
+    let (log, preloaded) = open(&local, &cfg.header(), true).unwrap();
+    let cache = GoldenCache::new();
+    let r = run_units(
+        &units,
+        &cfg,
+        &cache,
+        RunOptions { checkpoint: Some(&log), preloaded, ..Default::default() },
+    );
+    assert_eq!(r.metrics.records_refused, refused);
+    assert_eq!(r.metrics.batches_reused, 5, "only the five genuine batch-0 records replay");
+    seal(&local, log, &region_records(&units, &r.units, &cache, &cfg)).unwrap();
+    assert_eq!(std::fs::read(&local).unwrap(), want, "campaign --resume diverged");
+    std::fs::remove_file(&ref_path).ok();
+    std::fs::remove_file(&local).ok();
 }

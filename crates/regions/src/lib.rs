@@ -87,19 +87,6 @@ impl RegionSet {
     pub fn total_mass(&self) -> u64 {
         self.regions.iter().map(|r| r.site_mass).sum()
     }
-
-    /// Order-insensitive fingerprint of the whole partition, used by the
-    /// distributed handshake to verify coordinator and worker computed
-    /// identical regions.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = fnv1a(b"flowery-region-set");
-        for r in &self.regions {
-            h = combine(h, fnv1a(r.name.as_bytes()));
-            h = combine(h, r.hash);
-            h = combine(h, r.site_mass);
-        }
-        h
-    }
 }
 
 /// Partition an IR module into per-function regions. `sites` is the

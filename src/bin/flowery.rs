@@ -28,9 +28,7 @@ fn main() -> ExitCode {
         "campaign" => cmd_campaign(rest),
         "diff" => cmd_diff(rest),
         "explore" => cmd_explore(rest),
-        "serve" => cmd_serve(rest),
-        "work" => cmd_work(rest),
-        "workloads" => cmd_workloads(),
+        "workloads" => cmd_list_workloads(),
         "vuln" => cmd_vuln(rest),
         "lint" => cmd_lint(rest),
         "source" => cmd_source(rest),
@@ -49,8 +47,7 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str =
-    "usage: flowery <compile|asm|run|inject|study|campaign|diff|explore|serve|work|workloads|vuln|lint|source> ...
+const USAGE: &str = "usage: flowery <compile|asm|run|inject|study|campaign|diff|explore|workloads|vuln|lint|source> ...
 flags are parsed strictly: an unknown flag or an unparsable number is an error
 
   compile <file.mc | bench>           print the -O0 IR
@@ -107,7 +104,10 @@ flags are parsed strictly: an unknown flag or an unparsable number is an error
                                       run) and seeds units flagged-first;
                                       recorded in the checkpoint header,
                                       so --resume refuses a mixed-prune
-                                      mix
+                                      mix; for several hosts, shard by
+                                      program list or --levels, `cat` the
+                                      shard checkpoints and --resume the
+                                      whole plan on the result (DESIGN §6)
   study [bench ...] [+ campaign options above]
                                       the paper's cross-layer study: that
                                       campaign, at --levels 0.3,0.5,0.7,1.0
@@ -161,25 +161,6 @@ flags are parsed strictly: an unknown flag or an unparsable number is an error
                                       --out writes explore.json plus one
                                       explore_<bench>.json per workload;
                                       --json prints the full report
-  serve [bench ...] [--addr HOST:PORT] [--heartbeat-ms N] [--lease N]
-        [--baseline FILE] [--src FILE]
-        [+ campaign options above]    coordinate the same campaign over
-                                      TCP: workers lease trial batches and
-                                      stream results back; the checkpoint
-                                      is byte-identical to a local run;
-                                      --baseline switches to incremental
-                                      mode — workers lease region-scoped
-                                      batches for changed regions only and
-                                      --checkpoint receives the composed
-                                      region records, bit-identical to a
-                                      local `flowery diff` of the same
-                                      plan and baseline
-  work --connect HOST:PORT [--threads N] [--max-reconnects N]
-       [--backoff-ms N] [--executor interp|compiled|native]
-                                      join a served campaign as a worker;
-                                      --executor overrides the served
-                                      engine for this worker only (safe:
-                                      engines are bit-identical)
   vuln <file.mc | bench> [--trials N] [--top K] [--static-prior]
        [--by-region]                  rank the most SDC-vulnerable
                                       instructions; --static-prior folds the
@@ -228,7 +209,7 @@ fn protect(m: &mut Module, id: bool, flowery: bool) {
 const PROTECT: &str = "--id --flowery";
 const ASM: &str = "--id --flowery --harden";
 const INJECT: &str = "--id --flowery --harden --trials=";
-/// The schedule and matrix flags `campaign`, `study`, `diff` and `serve` share.
+/// The schedule and matrix flags `campaign`, `study` and `diff` share.
 macro_rules! schedule {
     ($own:literal) => {
         concat!(
@@ -240,10 +221,8 @@ macro_rules! schedule {
 }
 const CAMPAIGN: &str = schedule!("--resume --checkpoint=");
 const DIFF: &str = schedule!("--static-prior --baseline= --out=");
-const SERVE: &str = schedule!("--resume --checkpoint= --baseline= --addr= --heartbeat-ms= --lease=");
 const EXPLORE: &str =
     "--tiny --json --no-snapshots --trials= --seed= --threads= --models= --detectors= --levels= --executor= --out=";
-const WORK: &str = "--connect= --threads= --max-reconnects= --backoff-ms= --executor=";
 const VULN: &str = "--static-prior --by-region --trials= --top=";
 const LINT: &str = "--validate --bits --pass-config= --level= --trials= --format=";
 
@@ -433,7 +412,7 @@ fn parse_bytes(v: &str) -> Option<u64> {
     digits.parse::<u64>().ok().map(|n| n.saturating_mul(mult))
 }
 
-/// The trial schedule `campaign`, `study`, `diff` and `serve` share.
+/// The trial schedule `campaign`, `study` and `diff` share.
 fn parse_harness(args: &Args<'_>) -> Result<HarnessConfig, String> {
     let trials = args.u64("--trials", args.defaults().0)?;
     let mut cfg = HarnessConfig {
@@ -498,8 +477,7 @@ fn parse_sources(args: &Args<'_>) -> Result<Vec<(String, String)>, String> {
     Ok(sources)
 }
 
-/// The matrix `campaign` and `study` build locally and `serve` ships to
-/// workers.
+/// The matrix `campaign`, `study` and `diff` build.
 fn matrix_spec(args: &Args<'_>, cfg: &HarnessConfig) -> Result<MatrixSpec, String> {
     Ok(MatrixSpec {
         benches: args.benches()?,
@@ -560,7 +538,7 @@ fn write_metrics(args: &Args<'_>, metrics: &flowery::harness::MetricsSnapshot) -
     std::fs::write(p, json + "\n").map_err(|e| format!("cannot write {p}: {e}"))
 }
 
-/// One local campaign, start to finish, for `campaign` and `study`: open
+/// One campaign, start to finish, for `campaign` and `study`: open
 /// the checkpoint, build the matrix, run it, seal the checkpoint and write
 /// `--metrics-json`.
 fn run_campaign(args: &Args<'_>) -> Result<(MatrixSpec, Vec<TrialUnit>, CampaignReport), String> {
@@ -726,8 +704,6 @@ fn cmd_diff(rest: &[String]) -> Result<(), String> {
     print_diff_report(&args, &report)
 }
 
-/// The per-unit diff table shared by `flowery diff` and
-/// `flowery serve --baseline`.
 fn print_diff_report(args: &Args<'_>, report: &flowery::harness::DiffReport) -> Result<(), String> {
     use flowery::regions::Fate;
 
@@ -860,80 +836,6 @@ fn cmd_explore(rest: &[String]) -> Result<(), String> {
     } else {
         print!("{}", render_table(&report));
     }
-    Ok(())
-}
-
-fn cmd_serve(rest: &[String]) -> Result<(), String> {
-    use flowery::dist::{serve, serve_diff, CoordinatorConfig, PlanSpec};
-    use flowery::harness::shutdown;
-    use std::path::PathBuf;
-
-    let args = Args::parse("serve", SERVE, rest)?;
-    let cfg = parse_harness(&args)?;
-    let plan = PlanSpec::from_spec(&matrix_spec(&args, &cfg)?);
-    let checkpoint = args
-        .str("--checkpoint")
-        .map(PathBuf::from)
-        .ok_or("serve needs --checkpoint FILE (workers' results land there)")?;
-    let ccfg = CoordinatorConfig {
-        addr: args.str("--addr").unwrap_or("127.0.0.1:7070").into(),
-        checkpoint: checkpoint.clone(),
-        resume: args.flag("--resume"),
-        heartbeat_ms: args.u64("--heartbeat-ms", 2000)?.max(50),
-        lease_batches: args.u64("--lease", 4)?.max(1) as usize,
-        drain_grace_ms: 30_000,
-        threads: cfg.threads,
-        verbose: !args.flag("--json"),
-        baseline: args.str("--baseline").map(PathBuf::from),
-    };
-
-    // First Ctrl-C drains workers and flushes the checkpoint; a second
-    // kills the coordinator outright.
-    shutdown::install();
-
-    // Incremental mode: workers lease region-scoped batches for changed
-    // regions only; the composed region checkpoint lands at --checkpoint.
-    if ccfg.baseline.is_some() {
-        let dist = serve_diff(plan, cfg, ccfg)?;
-        eprintln!("[serve] {}", dist.stats.render());
-        print_diff_report(&args, &dist.report)?;
-        if dist.interrupted {
-            eprintln!("[serve] interrupted: no composed checkpoint written; re-run the diff serve");
-        } else {
-            eprintln!("[serve] wrote composed checkpoint to {}", checkpoint.display());
-        }
-        return Ok(());
-    }
-
-    let dist = serve(plan, cfg, ccfg)?;
-    eprintln!("[serve] {}", dist.stats.render());
-    print_campaign_report(&args, &dist.report)?;
-    if dist.interrupted {
-        eprintln!("[serve] interrupted: {} unit(s) unfinished", dist.report.pending.len());
-        eprintln!("[serve] resume with: flowery serve ... --checkpoint {} --resume", checkpoint.display());
-    }
-    Ok(())
-}
-
-fn cmd_work(rest: &[String]) -> Result<(), String> {
-    use flowery::dist::{work, WorkerConfig};
-
-    let args = Args::parse("work", WORK, rest)?;
-    let connect = args.str("--connect").ok_or("work needs --connect HOST:PORT")?;
-    let executor = args
-        .str("--executor")
-        .map(|e| e.trim().parse::<flowery::backend::ExecMode>())
-        .transpose()?;
-    let summary = work(WorkerConfig {
-        connect: connect.into(),
-        threads: args.u64("--threads", 0)? as usize,
-        max_reconnects: args.u64("--max-reconnects", 5)? as u32,
-        backoff_ms: args.u64("--backoff-ms", 500)?,
-        verbose: true,
-        executor,
-        die_after_batches: None,
-    })?;
-    eprintln!("[work] done: {} batches, {} reconnects", summary.batches, summary.reconnects);
     Ok(())
 }
 
@@ -1076,7 +978,7 @@ fn cmd_lint(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_workloads() -> Result<(), String> {
+fn cmd_list_workloads() -> Result<(), String> {
     for name in NAMES {
         let w = workload(name, Scale::Standard);
         println!("{:<14} {:<8} {}", w.name, w.suite.name(), w.domain);

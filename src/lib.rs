@@ -18,9 +18,8 @@
 //! - [`inject`] — parallel fault-injection campaigns and coverage stats,
 //! - [`harness`] — the resumable work-stealing campaign engine: batched
 //!   trials, golden-run caching, adaptive trial counts (Wilson CI early
-//!   stop), JSONL checkpoints, and live metrics,
-//! - [`dist`] — coordinator/worker distributed campaigns over TCP
-//!   (`flowery serve` / `flowery work`), byte-identical to local runs,
+//!   stop), JSONL checkpoints, and live metrics (a multi-host campaign
+//!   is shards of the same command, merged with `cat` + `--resume`),
 //! - [`workloads`] — the Table 1 benchmarks,
 //! - [`analysis`] — penetration root-cause classification,
 //! - [`core`] — the experiment pipelines for every table and figure.
@@ -31,7 +30,6 @@
 pub use flowery_analysis as analysis;
 pub use flowery_backend as backend;
 pub use flowery_core as core;
-pub use flowery_dist as dist;
 pub use flowery_faultmodel as faultmodel;
 pub use flowery_harness as harness;
 pub use flowery_inject as inject;
