@@ -28,7 +28,7 @@ use crate::plan::{Layer, TrialUnit, UnitKey};
 use crate::prior::StaticPrior;
 use crate::progress::{BatchOutcome, UnitProgress};
 use flowery_faultmodel::{DetectorSpec, ModelSpec};
-use flowery_inject::campaign::{worker_threads, AsmTrialRunner, IrTrialRunner};
+use flowery_inject::campaign::{run_workers, worker_threads, AsmTrialRunner, IrTrialRunner};
 use flowery_inject::{Estimate, OutcomeCounts};
 use flowery_ir::interp::{ExecConfig, Interpreter};
 use flowery_ir::value::{FuncId, InstId};
@@ -445,6 +445,12 @@ fn worker(home: usize, sh: &Shared<'_>) {
         };
         let data = runner.run_batch(sh.cfg, b);
         sh.finish_batch(ii, b, data);
+        // With no batch of the item left to claim, its runner — and the
+        // scratch image it pins — is never needed again.
+        let st = &sh.states[ii];
+        if st.done.load(Ordering::Relaxed) || st.cursor.load(Ordering::Relaxed) >= st.rule.max_batches() {
+            runners.remove(&ii);
+        }
     }
 }
 
@@ -546,13 +552,8 @@ pub(crate) fn run_items(
     }
 
     if !opts.replay_only {
-        std::thread::scope(|scope| {
-            let workers = worker_threads(cfg.threads);
-            for w in 0..workers {
-                let sh = &sh;
-                scope.spawn(move || worker(w * items.len() / workers, sh));
-            }
-        });
+        let workers = worker_threads(cfg.threads);
+        run_workers(workers, |w| worker(w * items.len() / workers, &sh));
     }
 
     let tallies = sh

@@ -88,6 +88,20 @@ pub fn worker_threads(threads: usize) -> usize {
     }
 }
 
+/// Run `work(w)` for each worker `w` in `0..n` on its own thread; return
+/// once every one has exited. Joining, unlike a scope's wait, covers each
+/// thread's teardown, so the caller's next threads reuse its allocator
+/// arena instead of opening fresh ones that strand the old one's memory.
+pub fn run_workers(n: usize, work: impl Fn(usize) + Sync) {
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = (0..n).map(|w| scope.spawn(move || work(w))).collect();
+        for h in handles {
+            h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        }
+    });
+}
+
 /// Result of an IR-level campaign.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IrCampaign {
@@ -503,25 +517,21 @@ where
     const CHUNK: u64 = 32;
     let cursor = AtomicU64::new(0);
     let chunks = std::sync::Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..worker_threads(cfg.threads) {
-            scope.spawn(|| {
-                let mut local = TrialRunner::<S>::from_golden(bind(), golden.clone(), &cfg.exec);
-                if let Some(set) = &snaps {
-                    local.attach_snapshots(set.clone());
-                }
-                loop {
-                    let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-                    if start >= cfg.trials {
-                        return;
-                    }
-                    let mut chunk = BatchOutcome::default();
-                    for i in start..(start + CHUNK).min(cfg.trials) {
-                        chunk.record(&local.run_trial_model(cfg.seed, i, cfg.fault_model, &cfg.detectors), None);
-                    }
-                    chunks.lock().unwrap().push((start, chunk));
-                }
-            });
+    run_workers(worker_threads(cfg.threads), |_| {
+        let mut local = TrialRunner::<S>::from_golden(bind(), golden.clone(), &cfg.exec);
+        if let Some(set) = &snaps {
+            local.attach_snapshots(set.clone());
+        }
+        loop {
+            let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
+            if start >= cfg.trials {
+                return;
+            }
+            let mut chunk = BatchOutcome::default();
+            for i in start..(start + CHUNK).min(cfg.trials) {
+                chunk.record(&local.run_trial_model(cfg.seed, i, cfg.fault_model, &cfg.detectors), None);
+            }
+            chunks.lock().unwrap().push((start, chunk));
         }
     });
     let mut chunks = chunks.into_inner().unwrap();

@@ -1,7 +1,11 @@
-//! The evaluation engine: an explicit-stack interpreter over verified IR.
+//! The IR layer's [`Substrate`]: [`Interpreter`], its bookkept `step()` —
+//! the one statement of what each IR instruction does, hook for hook — and
+//! the driver that runs plain trials on the pre-decoded fast loop
+//! ([`compiled`](super::compiled)) and everything else on `step()`.
 
 use crate::inst::{Callee, InstKind, Intrinsic, Terminator};
-use crate::interp::memory::{align_up, Memory, TrapKind, GLOBAL_BASE};
+use crate::interp::compiled::Compiled;
+use crate::interp::memory::{Memory, TrapKind, GLOBAL_BASE};
 use crate::interp::ops;
 use crate::interp::snapio::{w_bytes, w_opt, w_status, w_u32, w_u64, w_u64s, Cursor};
 use crate::interp::snapshot::{Cadence, Recorder};
@@ -9,8 +13,8 @@ use crate::interp::substrate::{self, RunHead, RunResult, Start, Substrate};
 use crate::interp::{ExecConfig, ExecMode, ExecResult, ExecStatus, FaultEffect, FaultSpec, Profile};
 use crate::interp::{IrScratch, IrSnapshotSet, TAG_BYTE, TAG_F64, TAG_I64};
 use crate::module::Module;
-use crate::types::Type;
 use crate::value::{BlockId, FuncId, InstId, Op, Value};
+use std::sync::OnceLock;
 
 /// One activation record. `Clone` deep-copies the value/param vectors —
 /// used when a snapshot captures the call stack.
@@ -46,11 +50,12 @@ impl FramePool {
         v
     }
 
-    /// A zero-filled buffer of length `n`.
-    fn take_zeroed(&mut self, n: usize) -> Vec<u64> {
-        let mut v = self.take_buf();
-        v.resize(n, 0);
-        v
+    /// A frame entering `func` at its first instruction, with `n` zeroed
+    /// result slots and no parameters yet.
+    pub(super) fn frame(&mut self, func: FuncId, n: usize, saved_sp: u64, ret_dest: Option<InstId>) -> Frame {
+        let (mut values, params, block) = (self.take_buf(), self.take_buf(), BlockId(0));
+        values.resize(n, 0);
+        Frame { func, block, ip: 0, values, params, saved_sp, ret_dest }
     }
 
     /// A copy of `src` in a recycled buffer.
@@ -60,7 +65,7 @@ impl FramePool {
         v
     }
 
-    fn free_frame(&mut self, f: Frame) {
+    pub(super) fn free_frame(&mut self, f: Frame) {
         self.bufs.push(f.values);
         self.bufs.push(f.params);
     }
@@ -101,16 +106,34 @@ pub struct IrState {
     pub(crate) stack: Vec<Frame>,
 }
 
+/// What only the bookkept `step()` writes: where the fault landed, the
+/// profile, and the snapshot recorder.
+struct Book<'r> {
+    injected_at: Option<(FuncId, InstId)>,
+    profile: Option<Profile>,
+    recorder: Option<&'r mut Recorder<IrLayer>>,
+}
+
 /// Interpreter for one module. Reusable across runs; each [`Interpreter::run`]
-/// call builds fresh memory.
+/// call builds fresh memory. The pre-decoded translation the fast loop runs
+/// on is built lazily on first use and reused for every run after that.
 pub struct Interpreter<'m> {
     module: &'m Module,
     global_addrs: Vec<u64>,
+    compiled: OnceLock<Compiled>,
 }
 
 impl<'m> Interpreter<'m> {
     pub fn new(module: &'m Module) -> Interpreter<'m> {
-        Interpreter { module, global_addrs: Memory::layout_globals(module) }
+        Interpreter {
+            module,
+            global_addrs: Memory::layout_globals(module),
+            compiled: OnceLock::new(),
+        }
+    }
+
+    fn compiled(&self) -> &Compiled {
+        self.compiled.get_or_init(|| Compiled::build(self.module, &self.global_addrs))
     }
 
     /// Execute `main` to completion under `config`, optionally injecting a
@@ -143,271 +166,226 @@ impl<'m> Interpreter<'m> {
         substrate::trial(self, config, fault, Some(set), scratch)
     }
 
-    /// The dispatch loop. Starts from `start` (fresh or restored),
-    /// optionally capturing snapshots into `recorder`. Returns the result
-    /// plus the memory image so callers can recycle it.
+    /// Execute from `start` (fresh or restored), optionally capturing
+    /// snapshots into `recorder`. Returns the result plus the memory image
+    /// so callers can recycle it.
     fn exec(
         &self,
         config: &ExecConfig,
         fault: Option<FaultSpec>,
-        start: Start<IrLayer>,
-        mut recorder: Option<&mut Recorder<IrLayer>>,
+        mut run: Start<IrLayer>,
+        recorder: Option<&mut Recorder<IrLayer>>,
         pool: &mut FramePool,
     ) -> (ExecResult, Memory) {
-        let Start {
-            mut mem,
-            mut output,
-            mut dyn_insts,
-            mut fault_sites,
-            state: IrState { mut sp, mut stack },
-        } = start;
-        let mut injected_at: Option<(FuncId, InstId)> = None;
-        let mut profile = config.profile.then(|| Profile {
+        let profile = config.profile.then(|| Profile {
             counts: self.module.functions.iter().map(|f| vec![0u64; f.insts.len()]).collect(),
         });
-
-        let status = 'exec: loop {
-            // ---- snapshot hook: state here is "dyn_insts executed, the
-            // instruction with index dyn_insts not yet started" -----------
-            if let Some(rec) = recorder.as_deref_mut() {
-                if rec.due(dyn_insts, fault_sites) {
-                    let state = IrState { sp, stack: stack.to_vec() };
-                    rec.capture(dyn_insts, fault_sites, output.len(), state, &mut mem);
-                }
-            }
-
-            dyn_insts += 1;
-            if dyn_insts > config.max_dyn_insts {
-                break 'exec ExecStatus::Trapped(TrapKind::InstLimit);
-            }
-
-            let depth = stack.len();
-            let frame = stack.last_mut().expect("nonempty call stack");
-            let func = self.module.func(frame.func);
-            let block = func.block(frame.block);
-
-            if frame.ip < block.insts.len() {
-                // ---- ordinary instruction ----------------------------------
-                let iid = block.insts[frame.ip];
-                frame.ip += 1;
-                if let Some(p) = profile.as_mut() {
-                    p.counts[frame.func.index()][iid.index()] += 1;
-                }
-                let inst = func.inst(iid);
-
-                // Pre-read operands (borrow rules: frame is &mut).
-                macro_rules! opv {
-                    ($op:expr) => {
-                        self.op_value(frame, $op)
-                    };
-                }
-
-                let result: Option<u64> = match &inst.kind {
-                    InstKind::Alloca { elem, count } => {
-                        let bytes = elem.size() * *count as u64;
-                        sp = sp.saturating_sub(bytes);
-                        sp &= !(elem.align() - 1);
-                        if sp < mem.stack_limit() {
-                            break 'exec ExecStatus::Trapped(TrapKind::StackOverflow);
-                        }
-                        Some(sp)
-                    }
-                    InstKind::Load { ptr, ty } => {
-                        let addr = opv!(*ptr);
-                        match mem.load_ty(addr, *ty) {
-                            Ok(v) => Some(v),
-                            Err(t) => break 'exec ExecStatus::Trapped(t),
-                        }
-                    }
-                    InstKind::Store { val, ptr, ty } => {
-                        let v = opv!(*val);
-                        let addr = opv!(*ptr);
-                        if let Err(t) = mem.store_ty(addr, *ty, v) {
-                            break 'exec ExecStatus::Trapped(t);
-                        }
-                        None
-                    }
-                    InstKind::Bin { op, ty, lhs, rhs } => {
-                        let (a, b) = (opv!(*lhs), opv!(*rhs));
-                        match ops::eval_bin(*op, *ty, a, b) {
-                            Ok(v) => Some(v),
-                            Err(t) => break 'exec ExecStatus::Trapped(t),
-                        }
-                    }
-                    InstKind::ICmp { pred, ty, lhs, rhs } => Some(ops::eval_icmp(*pred, *ty, opv!(*lhs), opv!(*rhs))),
-                    InstKind::FCmp { pred, ty, lhs, rhs } => Some(ops::eval_fcmp(*pred, *ty, opv!(*lhs), opv!(*rhs))),
-                    InstKind::Cast { kind, from, to, val } => Some(ops::eval_cast(*kind, *from, *to, opv!(*val))),
-                    InstKind::Gep { base, index, elem } => {
-                        let b = opv!(*base);
-                        let i = opv!(*index) as i64;
-                        Some(b.wrapping_add_signed(i.wrapping_mul(elem.size() as i64)))
-                    }
-                    InstKind::Select { cond, t, f, .. } => Some(if opv!(*cond) & 1 == 1 { opv!(*t) } else { opv!(*f) }),
-                    InstKind::Call { callee, args } => match callee {
-                        Callee::Intrinsic(intr) => match intr {
-                            Intrinsic::OutputI64 => {
-                                output.push(TAG_I64);
-                                output.extend_from_slice(&opv!(args[0]).to_le_bytes());
-                                if output.len() > config.max_output {
-                                    break 'exec ExecStatus::Trapped(TrapKind::OutputFlood);
-                                }
-                                None
-                            }
-                            Intrinsic::OutputF64 => {
-                                output.push(TAG_F64);
-                                output.extend_from_slice(&opv!(args[0]).to_le_bytes());
-                                if output.len() > config.max_output {
-                                    break 'exec ExecStatus::Trapped(TrapKind::OutputFlood);
-                                }
-                                None
-                            }
-                            Intrinsic::OutputByte => {
-                                output.push(TAG_BYTE);
-                                output.push(opv!(args[0]) as u8);
-                                if output.len() > config.max_output {
-                                    break 'exec ExecStatus::Trapped(TrapKind::OutputFlood);
-                                }
-                                None
-                            }
-                            Intrinsic::DetectError => break 'exec ExecStatus::Detected,
-                            math => {
-                                let vals: Vec<u64> = args.iter().map(|a| opv!(*a)).collect();
-                                Some(ops::eval_math(*math, &vals))
-                            }
-                        },
-                        Callee::Func(callee_id) => {
-                            // Push a frame; the call instruction id receives the
-                            // return value when the callee returns.
-                            if depth >= config.max_call_depth {
-                                break 'exec ExecStatus::Trapped(TrapKind::CallDepth);
-                            }
-                            let callee = *callee_id;
-                            let has_ret = self.module.func(callee).ret_ty.is_some();
-                            let mut params = pool.take_buf();
-                            for a in args {
-                                params.push(opv!(*a));
-                            }
-                            let values = pool.take_zeroed(self.module.func(callee).insts.len());
-                            let new_frame = Frame {
-                                func: callee,
-                                block: BlockId(0),
-                                ip: 0,
-                                values,
-                                params,
-                                saved_sp: sp,
-                                ret_dest: has_ret.then_some(iid),
-                            };
-                            stack.push(new_frame);
-                            continue 'exec; // do not fall through to result write
-                        }
-                    },
-                };
-
-                if let Some(mut v) = result {
-                    let fr_func = stack.last().unwrap().func;
-                    let ty = self.module.result_ty(fr_func, iid).expect("instruction with result has a type");
-                    // ---- fault injection hook (IR level) -------------------
-                    // LLFI-style site selection: only *compute* results are
-                    // fault sites. `alloca` addresses are excluded (frame
-                    // bookkeeping, not datapath), as are function-call
-                    // returns (handled at `Ret`, also excluded) — matching
-                    // the instruction-duplication literature's fault model.
-                    let is_site = !matches!(self.module.func(fr_func).inst(iid).kind, InstKind::Alloca { .. });
-                    let inject_now = is_site && fault.is_some_and(|spec| fault_sites == spec.site_index);
-                    if inject_now {
-                        let spec = fault.unwrap();
-                        injected_at = Some((fr_func, iid));
-                        match spec.effect {
-                            FaultEffect::Bits => {
-                                v ^= 1u64 << (spec.bit % ty.bits());
-                                if let Some(b2) = spec.second_bit {
-                                    v ^= 1u64 << (b2 % ty.bits());
-                                }
-                            }
-                            FaultEffect::Burst { width } => {
-                                for k in 0..width as u32 {
-                                    v ^= 1u64 << ((spec.bit + k) % ty.bits());
-                                }
-                            }
-                            // Condition corruption: the low bit is the one
-                            // branches and selects consume.
-                            FaultEffect::Flags => v ^= 1,
-                            FaultEffect::Mem { offset } => {
-                                // The result is intact; a memory cell at a
-                                // deterministic address takes the hit.
-                                let (lo, hi) = mem_fault_region(self.module, &mem);
-                                let addr = lo + offset % (hi - lo);
-                                if let Ok(b) = mem.load(addr, 1) {
-                                    let _ = mem.store(addr, 1, b ^ (1u64 << (spec.bit % 8)));
-                                }
-                            }
-                            // Applied after the result write, below.
-                            FaultEffect::Jump { .. } => {}
-                        }
-                        v = ty.canon(v);
-                    }
-                    if is_site {
-                        if let Some(rec) = recorder.as_deref_mut() {
-                            rec.note_site(fr_func.0, fault_sites);
-                        }
-                        fault_sites += 1;
-                    }
-                    let fr = stack.last_mut().unwrap();
-                    fr.values[iid.index()] = ty.canon(v);
-                    if inject_now {
-                        if let Some(FaultSpec { effect: FaultEffect::Jump { target }, .. }) = fault {
-                            // Control-flow edge corruption: the (intact)
-                            // result is written, then control lands at the
-                            // head of an arbitrary block of this function.
-                            let fr = stack.last_mut().unwrap();
-                            let nblocks = self.module.func(fr.func).blocks.len() as u64;
-                            fr.block = BlockId((target % nblocks) as u32);
-                            fr.ip = 0;
-                        }
-                    }
-                }
+        let mut book = Book { injected_at: None, profile, recorder };
+        let status = loop {
+            // Recorder and profile runs take `step()` for every instruction;
+            // plain runs take the fast loop, armed until the injection fires.
+            let fast = if book.recorder.is_some() || config.profile {
+                Ok(())
+            } else if fault.is_some() && book.injected_at.is_none() {
+                self.compiled().run::<true>(config, fault, &mut run, pool)
             } else {
-                // ---- terminator --------------------------------------------
-                match &block.term {
-                    Terminator::Jmp { dest } => {
-                        frame.block = *dest;
-                        frame.ip = 0;
-                    }
-                    Terminator::Br { cond, then_bb, else_bb } => {
-                        let c = self.op_value(frame, *cond);
-                        let dest = if c & 1 == 1 { *then_bb } else { *else_bb };
-                        frame.block = dest;
-                        frame.ip = 0;
-                    }
-                    Terminator::Ret { val } => {
-                        let rv = val.map(|v| self.op_value(frame, v));
-                        let ret_dest = frame.ret_dest;
-                        sp = frame.saved_sp;
-                        let done = stack.pop().expect("nonempty call stack");
-                        pool.free_frame(done);
-                        match stack.last_mut() {
-                            None => break 'exec ExecStatus::Completed(rv.unwrap_or(0)),
-                            Some(caller) => {
-                                if let (Some(dest), Some(v)) = (ret_dest, rv) {
-                                    let ty = self
-                                        .module
-                                        .result_ty(caller.func, dest)
-                                        .expect("call with ret_dest has result type");
-                                    // The call-return write is NOT an IR
-                                    // fault site (calls are not duplicable;
-                                    // LLFI-style compute-only selection).
-                                    caller.values[dest.index()] = ty.canon(v);
-                                }
-                            }
-                        }
-                    }
-                    Terminator::Unreachable => break 'exec ExecStatus::Trapped(TrapKind::BadControl),
+                self.compiled().run::<false>(config, fault, &mut run, pool)
+            };
+            if let Err(s) = fast.and_then(|()| self.step(config, fault, &mut run, &mut book, pool)) {
+                break s;
+            }
+        };
+        let Start { mem, output, dyn_insts, fault_sites, state } = run;
+        pool.free_stack(state.stack);
+        let Book { injected_at, profile, .. } = book;
+        (ExecResult { status, output, dyn_insts, fault_sites, injected_at, profile }, mem)
+    }
+
+    /// One fully bookkept instruction: snapshot hook, budget trap, profile,
+    /// the instruction's semantics, injection and site accounting. `Err`
+    /// carries the run's final status.
+    fn step(
+        &self,
+        config: &ExecConfig,
+        fault: Option<FaultSpec>,
+        run: &mut Start<IrLayer>,
+        book: &mut Book<'_>,
+        pool: &mut FramePool,
+    ) -> Result<(), ExecStatus> {
+        use ExecStatus::Trapped;
+        // ---- snapshot hook: state here is "dyn_insts executed, the
+        // instruction with index dyn_insts not yet started" ---------------
+        if let Some(rec) = book.recorder.as_deref_mut() {
+            if rec.due(run.dyn_insts, run.fault_sites) {
+                rec.capture(run.dyn_insts, run.fault_sites, run.output.len(), run.state.clone(), &mut run.mem);
+            }
+        }
+
+        run.dyn_insts += 1;
+        if run.dyn_insts > config.max_dyn_insts {
+            return Err(Trapped(TrapKind::InstLimit));
+        }
+
+        let IrState { sp, stack } = &mut run.state;
+        let depth = stack.len();
+        let frame = stack.last_mut().expect("nonempty call stack");
+        let func = self.module.func(frame.func);
+        let block = func.block(frame.block);
+
+        if frame.ip >= block.insts.len() {
+            // ---- terminator ------------------------------------------------
+            match &block.term {
+                Terminator::Jmp { dest } => (frame.block, frame.ip) = (*dest, 0),
+                Terminator::Br { cond, then_bb, else_bb } => {
+                    let dest = if self.op_value(frame, *cond) & 1 == 1 { *then_bb } else { *else_bb };
+                    (frame.block, frame.ip) = (dest, 0);
                 }
+                Terminator::Ret { val } => {
+                    let rv = val.map(|v| self.op_value(frame, v));
+                    let ret_dest = frame.ret_dest;
+                    *sp = frame.saved_sp;
+                    pool.free_frame(stack.pop().expect("nonempty call stack"));
+                    let Some(caller) = stack.last_mut() else {
+                        return Err(ExecStatus::Completed(rv.unwrap_or(0)));
+                    };
+                    if let (Some(dest), Some(v)) = (ret_dest, rv) {
+                        let ty = self
+                            .module
+                            .result_ty(caller.func, dest)
+                            .expect("call with ret_dest has result type");
+                        // The call-return write is NOT an IR fault site (calls
+                        // are not duplicable; LLFI-style compute-only selection).
+                        caller.values[dest.index()] = ty.canon(v);
+                    }
+                }
+                Terminator::Unreachable => return Err(Trapped(TrapKind::BadControl)),
+            }
+            return Ok(());
+        }
+
+        // ---- ordinary instruction ------------------------------------------
+        let iid = block.insts[frame.ip];
+        frame.ip += 1;
+        if let Some(p) = book.profile.as_mut() {
+            p.counts[frame.func.index()][iid.index()] += 1;
+        }
+        let inst = func.inst(iid);
+        let opv = |op: Op| self.op_value(frame, op);
+        let (mem, output) = (&mut run.mem, &mut run.output);
+        let mut out = |tag: u8, bytes: &[u8]| {
+            output.push(tag);
+            output.extend_from_slice(bytes);
+            match output.len() > config.max_output {
+                true => Err(Trapped(TrapKind::OutputFlood)),
+                false => Ok(None),
             }
         };
 
-        pool.free_stack(stack);
-        (ExecResult { status, output, dyn_insts, fault_sites, injected_at, profile }, mem)
+        let result: Option<u64> = match &inst.kind {
+            InstKind::Alloca { elem, count } => {
+                *sp = sp.saturating_sub(elem.size() * *count as u64) & !(elem.align() - 1);
+                if *sp < mem.stack_limit() {
+                    return Err(Trapped(TrapKind::StackOverflow));
+                }
+                Some(*sp)
+            }
+            InstKind::Load { ptr, ty } => Some(mem.load_ty(opv(*ptr), *ty).map_err(Trapped)?),
+            InstKind::Store { val, ptr, ty } => {
+                mem.store_ty(opv(*ptr), *ty, opv(*val)).map_err(Trapped)?;
+                None
+            }
+            InstKind::Bin { op, ty, lhs, rhs } => Some(ops::eval_bin(*op, *ty, opv(*lhs), opv(*rhs)).map_err(Trapped)?),
+            InstKind::ICmp { pred, ty, lhs, rhs } => Some(ops::eval_icmp(*pred, *ty, opv(*lhs), opv(*rhs))),
+            InstKind::FCmp { pred, ty, lhs, rhs } => Some(ops::eval_fcmp(*pred, *ty, opv(*lhs), opv(*rhs))),
+            InstKind::Cast { kind, from, to, val } => Some(ops::eval_cast(*kind, *from, *to, opv(*val))),
+            InstKind::Gep { base, index, elem } => {
+                let i = opv(*index) as i64;
+                Some(opv(*base).wrapping_add_signed(i.wrapping_mul(elem.size() as i64)))
+            }
+            InstKind::Select { cond, t, f, .. } => Some(if opv(*cond) & 1 == 1 { opv(*t) } else { opv(*f) }),
+            InstKind::Call { callee: Callee::Intrinsic(intr), args } => match intr {
+                Intrinsic::OutputI64 => out(TAG_I64, &opv(args[0]).to_le_bytes())?,
+                Intrinsic::OutputF64 => out(TAG_F64, &opv(args[0]).to_le_bytes())?,
+                Intrinsic::OutputByte => out(TAG_BYTE, &[opv(args[0]) as u8])?,
+                Intrinsic::DetectError => return Err(ExecStatus::Detected),
+                math => {
+                    let vals: Vec<u64> = args.iter().map(|a| opv(*a)).collect();
+                    Some(ops::eval_math(*math, &vals))
+                }
+            },
+            InstKind::Call { callee: Callee::Func(callee), args } => {
+                // Push a frame; the call instruction id receives the
+                // return value when the callee returns.
+                if depth >= config.max_call_depth {
+                    return Err(Trapped(TrapKind::CallDepth));
+                }
+                let f = self.module.func(*callee);
+                let mut new = pool.frame(*callee, f.insts.len(), *sp, f.ret_ty.is_some().then_some(iid));
+                new.params.extend(args.iter().map(|a| opv(*a)));
+                stack.push(new);
+                return Ok(()); // no result write
+            }
+        };
+
+        let Some(mut v) = result else { return Ok(()) };
+        let fr_func = frame.func;
+        let ty = self.module.result_ty(fr_func, iid).expect("instruction with result has a type");
+        // ---- fault injection hook (IR level) ---------------------------
+        // LLFI-style site selection: only *compute* results are fault
+        // sites. `alloca` addresses are excluded (frame bookkeeping, not
+        // datapath), as are function-call returns (handled at `Ret`, also
+        // excluded) — matching the instruction-duplication literature's
+        // fault model.
+        let is_site = !matches!(inst.kind, InstKind::Alloca { .. });
+        let inject_now = is_site && fault.is_some_and(|spec| run.fault_sites == spec.site_index);
+        if inject_now {
+            let spec = fault.expect("armed");
+            book.injected_at = Some((fr_func, iid));
+            match spec.effect {
+                FaultEffect::Bits => {
+                    v ^= 1u64 << (spec.bit % ty.bits());
+                    if let Some(b2) = spec.second_bit {
+                        v ^= 1u64 << (b2 % ty.bits());
+                    }
+                }
+                FaultEffect::Burst { width } => {
+                    for k in 0..width as u32 {
+                        v ^= 1u64 << ((spec.bit + k) % ty.bits());
+                    }
+                }
+                // Condition corruption: the low bit is the one branches
+                // and selects consume.
+                FaultEffect::Flags => v ^= 1,
+                FaultEffect::Mem { offset } => {
+                    // The result is intact; a memory cell at a
+                    // deterministic address takes the hit.
+                    let (lo, hi) = mem_fault_region(self.module, mem);
+                    let addr = lo + offset % (hi - lo);
+                    if let Ok(b) = mem.load(addr, 1) {
+                        let _ = mem.store(addr, 1, b ^ (1u64 << (spec.bit % 8)));
+                    }
+                }
+                // Applied after the result write, below.
+                FaultEffect::Jump { .. } => {}
+            }
+        }
+        if is_site {
+            if let Some(rec) = book.recorder.as_deref_mut() {
+                rec.note_site(fr_func.0, run.fault_sites);
+            }
+            run.fault_sites += 1;
+        }
+        let fr = stack.last_mut().expect("nonempty call stack");
+        fr.values[iid.index()] = ty.canon(v);
+        if let Some(FaultSpec { effect: FaultEffect::Jump { target }, .. }) = fault.filter(|_| inject_now) {
+            // Control-flow edge corruption: the (intact) result is
+            // written, then control lands at the head of an arbitrary
+            // block of this function.
+            let nblocks = func.blocks.len() as u64;
+            fr.block = BlockId((target % nblocks) as u32);
+            fr.ip = 0;
+        }
+        Ok(())
     }
 
     /// Count fault sites and dynamic instructions of a fault-free run.
@@ -474,7 +452,7 @@ impl Substrate for IrLayer {
         exec.module
     }
 
-    /// The IR layer has a single engine.
+    /// The IR layer ignores `--executor` (see [`ExecMode`]).
     fn engine(_config: &ExecConfig) -> ExecMode {
         ExecMode::Interp
     }
@@ -490,15 +468,7 @@ impl Substrate for IrLayer {
         let main = exec.module.main_func().expect("module has no @main");
         let sp = mem.initial_sp();
         let mut stack = pool.take_stack();
-        stack.push(Frame {
-            func: main,
-            block: BlockId(0),
-            ip: 0,
-            values: pool.take_zeroed(exec.module.func(main).insts.len()),
-            params: pool.take_buf(),
-            saved_sp: sp,
-            ret_dest: None,
-        });
+        stack.push(pool.frame(main, exec.module.func(main).insts.len(), sp, None));
         IrState { sp, stack }
     }
 
@@ -561,7 +531,10 @@ impl Substrate for IrLayer {
         let sp = c.u64()?;
         let output_len = c.u64()? as usize;
         let n_frames = c.count(1)?;
-        let mut stack = Vec::with_capacity(n_frames);
+        if n_frames == 0 {
+            return Err("snapshot file: empty call stack".into());
+        }
+        let mut stack: Vec<Frame> = Vec::with_capacity(n_frames);
         for _ in 0..n_frames {
             let func = FuncId(c.u32()?);
             let block = BlockId(c.u32()?);
@@ -577,6 +550,16 @@ impl Substrate for IrLayer {
             let b = f.blocks.get(block.index()).ok_or("snapshot file: frame block out of range")?;
             if ip > b.insts.len() || values.len() != f.insts.len() {
                 return Err("snapshot file: frame shape does not match module".into());
+            }
+            if params.len() != f.params.len() {
+                return Err("snapshot file: frame params do not match the function's arity".into());
+            }
+            // A return lands in a result slot of the caller, and the bottom
+            // frame has no caller.
+            let lands =
+                |c: &Frame, d: InstId| d.index() < m.func(c.func).insts.len() && m.result_ty(c.func, d).is_some();
+            if ret_dest.is_some_and(|d| stack.last().is_none_or(|caller| !lands(caller, d))) {
+                return Err("snapshot file: frame ret_dest names no result slot of its caller".into());
             }
             stack.push(Frame { func, block, ip, values, params, saved_sp, ret_dest });
         }
@@ -597,17 +580,12 @@ pub fn mem_fault_region(module: &Module, mem: &Memory) -> (u64, u64) {
     }
 }
 
-/// Frame-size helper used by tests to sanity check alloca alignment.
-#[allow(dead_code)]
-fn frame_bytes(elem: Type, count: u64) -> u64 {
-    align_up(elem.size() * count, elem.align())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{FuncBuilder, ModuleBuilder};
     use crate::inst::{BinOp, IPred};
+    use crate::types::Type;
     use crate::verify::verify_module;
 
     /// Build: main() { s = 0; for i in 0..10 { s += i } ; output_i64(s); ret s }
@@ -842,10 +820,8 @@ mod tests {
         assert_eq!(r.status, ExecStatus::Trapped(TrapKind::CallDepth));
     }
 
-    #[test]
-    fn fast_forward_recursion_restores_deep_stacks() {
-        // fib(12): snapshots land mid-recursion, so restore must rebuild a
-        // multi-frame call stack with correct saved_sp/ret_dest chains.
+    /// main() { output(fib(12)) } with a recursive fib.
+    fn fib12() -> Module {
         let mut mb = ModuleBuilder::new("fib");
         let fib = mb.declare_func("fib", vec![Type::I64], Some(Type::I64));
         let mut fb = FuncBuilder::new("fib", vec![Type::I64], Some(Type::I64));
@@ -868,8 +844,47 @@ mod tests {
         fb.output_i64(Op::inst(r));
         fb.ret(Some(Op::inst(r)));
         mb.add_func(fb.finish());
-        let m = mb.finish();
+        mb.finish()
+    }
 
+    /// A capture of fib(12) with one snapshot's call stack edited by
+    /// `tamper`, re-checksummed, must be refused by the decoder with an
+    /// error naming `field` — never handed to the engine.
+    fn refused_after(tamper: impl Fn(&mut Vec<Frame>), field: &str) {
+        let m = fib12();
+        let cfg = ExecConfig { max_dyn_insts: 100_000, ..Default::default() };
+        let mut set = Interpreter::new(&m).capture_snapshots(&cfg, 64);
+        let deep = set
+            .snaps
+            .iter_mut()
+            .find(|s| s.state.stack.len() > 2)
+            .expect("a mid-recursion snapshot");
+        tamper(&mut deep.state.stack);
+        let err = IrSnapshotSet::from_bytes(&set.to_bytes(7), &m, 7).expect_err("a frame the engine cannot run");
+        assert!(err.contains(field), "{err}");
+    }
+
+    #[test]
+    fn snapshot_frames_short_of_their_params_are_refused() {
+        refused_after(|stack| stack.iter_mut().for_each(|f| f.params.clear()), "params");
+    }
+
+    #[test]
+    fn a_snapshot_without_frames_is_refused() {
+        refused_after(|stack| stack.clear(), "empty call stack");
+    }
+
+    #[test]
+    fn return_slots_outside_the_callers_results_are_refused() {
+        refused_after(|stack| stack[1].ret_dest = Some(InstId(10_000)), "ret_dest");
+        refused_after(|stack| stack[0].ret_dest = Some(InstId(0)), "ret_dest");
+    }
+
+    #[test]
+    fn fast_forward_recursion_restores_deep_stacks() {
+        // fib(12): snapshots land mid-recursion, so restore must rebuild a
+        // multi-frame call stack with correct saved_sp/ret_dest chains.
+        let m = fib12();
         let interp = Interpreter::new(&m);
         let cfg = ExecConfig { max_dyn_insts: 100_000, ..Default::default() };
         let set = interp.capture_snapshots(&cfg, 64);

@@ -1,4 +1,6 @@
-//! The IR interpreter ("LLVM level" in the paper's terminology).
+//! The IR interpreter ("LLVM level" in the paper's terminology): a
+//! pre-decoded fast loop for golden runs and plain trials, and a bookkept
+//! `step()` for the injection, profiles and snapshot captures (`eval`).
 //!
 //! Executes a verified [`Module`] with:
 //! - dynamic-instruction counting and per-static-instruction profiling,
@@ -13,6 +15,7 @@ pub mod snapio;
 pub mod snapshot;
 pub mod substrate;
 
+mod compiled;
 mod eval;
 
 pub use eval::{mem_fault_region, Interpreter, IrLayer};
@@ -43,8 +46,8 @@ impl IrSnapshotSet {
 /// bit-identical by contract — every observable stream (status, output,
 /// instruction/site/cycle counts, attribution, snapshots) matches exactly —
 /// so the switch exists for performance, provenance, and differential
-/// testing, never for results. The IR interpreter has a single engine and
-/// ignores the selection.
+/// testing, never for results. The IR layer ignores the selection: every
+/// run takes its one fast loop, which detours through `step()`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ExecMode {
     /// `interp` — the decode-and-dispatch interpreter (reference engine).

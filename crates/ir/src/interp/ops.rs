@@ -11,6 +11,9 @@ use crate::types::Type;
 
 /// Evaluate a binary operation on canonical values. Shift amounts are masked
 /// by the bit width (x86 semantics), keeping IR and assembly consistent.
+/// Always inlined, so a caller passing a constant operation gets that
+/// operation's code alone, the dispatch folded away.
+#[inline(always)]
 pub fn eval_bin(op: BinOp, ty: Type, a: u64, b: u64) -> Result<u64, TrapKind> {
     if op.is_float() {
         return Ok(eval_fbin(op, ty, a, b));
@@ -94,7 +97,9 @@ fn eval_fbin(op: BinOp, ty: Type, a: u64, b: u64) -> u64 {
     }
 }
 
-/// Evaluate an integer comparison; returns 0 or 1.
+/// Evaluate an integer comparison; returns 0 or 1. Always inlined (see
+/// [`eval_bin`]).
+#[inline(always)]
 pub fn eval_icmp(pred: IPred, ty: Type, a: u64, b: u64) -> u64 {
     let (sa, sb) = (ty.sext(a), ty.sext(b));
     let r = match pred {
@@ -130,7 +135,8 @@ pub fn eval_fcmp(pred: FPred, ty: Type, a: u64, b: u64) -> u64 {
     r as u64
 }
 
-/// Evaluate a cast.
+/// Evaluate a cast. Always inlined (see [`eval_bin`]).
+#[inline(always)]
 pub fn eval_cast(kind: CastKind, from: Type, to: Type, v: u64) -> u64 {
     match kind {
         CastKind::Zext => to.canon(v),

@@ -1,0 +1,142 @@
+//! Differential tests for the IR layer's two execution paths: the
+//! pre-decoded fast loop that runs golden runs and plain trials, and the
+//! bookkept `step()`. A profiled run (`ExecConfig { profile: true }`)
+//! restores no snapshot and executes every instruction through `step()`,
+//! so it is the oracle: the fast loop — from scratch and fast-forwarded
+//! from a snapshot — must match it on status, output, dynamic instructions,
+//! fault sites and injection site, for every fault model.
+//!
+//! Two angles, as in `exec_equivalence.rs` for the machine layer:
+//! * a property test over random MiniC programs with faults across every
+//!   effect, including sites before the first snapshot and runs cut short
+//!   by the instruction budget and the output limit;
+//! * a sweep of all 16 workloads x {raw, ID, Flowery} x all six registered
+//!   fault models, with snapshots off and on, and calls past the depth
+//!   limit.
+
+mod common;
+
+use flowery_faultmodel::ModelSpec;
+use flowery_ir::interp::{
+    ExecConfig, ExecResult, ExecStatus, FaultEffect, FaultSpec, Interpreter, IrScratch, TrapKind,
+};
+use flowery_ir::Module;
+use flowery_passes::{apply_flowery, duplicate_module, DupConfig, FloweryConfig, ProtectionPlan};
+use flowery_workloads::{workload, Scale, NAMES};
+use proptest::prelude::*;
+
+fn assert_same(got: &ExecResult, want: &ExecResult, ctx: &str) {
+    assert_eq!(got.status, want.status, "{ctx}");
+    assert_eq!(got.output, want.output, "{ctx}");
+    assert_eq!(got.dyn_insts, want.dyn_insts, "{ctx}");
+    assert_eq!(got.fault_sites, want.fault_sites, "{ctx}");
+    assert_eq!(got.injected_at, want.injected_at, "{ctx}");
+}
+
+/// `spec` under `cfg`: the oracle, then the fast loop from scratch and
+/// fast-forwarded through a snapshot set captured every `interval`
+/// instructions — all three must agree.
+fn check(m: &Module, cfg: &ExecConfig, interval: u64, specs: &[FaultSpec], ctx: &str) {
+    let interp = Interpreter::new(m);
+    let oracle = ExecConfig { profile: true, ..cfg.clone() };
+    assert_same(&interp.run(cfg, None), &interp.run(&oracle, None), &format!("{ctx}: fault-free"));
+    let set = interp.capture_snapshots(cfg, interval);
+    let mut scratch = IrScratch::new();
+    for spec in specs {
+        let want = interp.run(&oracle, Some(*spec));
+        assert_same(&interp.run(cfg, Some(*spec)), &want, &format!("{ctx}: {spec:?}"));
+        let (ff, _) = interp.run_fast_forward(cfg, *spec, &set, &mut scratch);
+        assert_same(&ff, &want, &format!("{ctx}: {spec:?} fast-forwarded"));
+        scratch.recycle_output(ff.output);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, max_shrink_iters: 50, ..ProptestConfig::default() })]
+
+    #[test]
+    fn fast_loop_matches_step_on_random_programs(
+        (src, faults, interval) in (
+            common::program_strategy(),
+            prop::collection::vec((0.0f64..1.0, 0u8..64, 0u8..6), 6..12),
+            64u64..512,
+        )
+    ) {
+        let m = flowery_lang::compile("gen", &src)
+            .unwrap_or_else(|e| panic!("generated program must compile: {e}\n{src}"));
+        let golden = Interpreter::new(&m).run(&ExecConfig::default(), None);
+        prop_assert!(golden.status.is_completed(), "golden must complete: {:?}", golden.status);
+        let sites = golden.fault_sites.max(1);
+
+        // Site 0 and the last site bracket the run; the first precedes
+        // every snapshot. The six kinds are the six fault models' effects.
+        let ends = [(0.0, 5, 0), (1.0, 9, 0)];
+        let specs: Vec<FaultSpec> = ends.iter().chain(&faults).map(|&(frac, bit, kind)| {
+            let site = ((frac * sites as f64) as u64).min(sites - 1);
+            match kind {
+                1 => FaultSpec::with_effect(site, bit as u32, FaultEffect::Burst { width: 2 + bit % 7 }),
+                2 => FaultSpec::with_effect(site, bit as u32, FaultEffect::Flags),
+                3 => FaultSpec::with_effect(site, bit as u32, FaultEffect::Mem { offset: bit as u64 * 131 }),
+                4 => FaultSpec::with_effect(site, bit as u32, FaultEffect::Jump { target: bit as u64 * 17 }),
+                5 => FaultSpec::double(site, bit as u32, (bit as u32 + 13) % 64),
+                _ => FaultSpec::single(site, bit as u32),
+            }
+        }).collect();
+        // A tight budget so livelocked trials run it out on both paths.
+        let cfg = ExecConfig { max_dyn_insts: golden.dyn_insts * 2 + 10_000, ..ExecConfig::default() };
+        check(&m, &cfg, interval, &specs, &src);
+
+        // Runs cut short: the budget and the output limit trip mid-run.
+        let short = ExecConfig { max_dyn_insts: golden.dyn_insts / 2, ..cfg.clone() };
+        check(&m, &short, interval, &specs[..3], &format!("instruction budget\n{src}"));
+        let mute = ExecConfig { max_output: golden.output.len() / 2, ..cfg };
+        check(&m, &mute, interval, &specs[..3], &format!("output limit\n{src}"));
+    }
+}
+
+/// Every fault model the build registers, including one parameterized
+/// burst width.
+fn all_models() -> [ModelSpec; 6] {
+    [
+        ModelSpec::SingleBitReg,
+        ModelSpec::DoubleBitReg,
+        ModelSpec::MultiBit(4),
+        ModelSpec::FlagsPc,
+        ModelSpec::MemCell,
+        ModelSpec::ControlFlow,
+    ]
+}
+
+/// All 16 workloads x {raw, ID, Flowery} x all six fault models, plus the
+/// traps the random programs cannot reach: calls past the depth limit.
+#[test]
+fn fast_loop_matches_step_on_all_workloads_and_models() {
+    const TRIALS: u64 = 4;
+    const SEED: u64 = 0x00C0_FFEE;
+    for name in NAMES {
+        let raw = workload(name, Scale::Tiny).compile();
+        for variant in ["raw", "id", "flowery"] {
+            let mut m = raw.clone();
+            if variant != "raw" {
+                let plan = ProtectionPlan::full(&m);
+                duplicate_module(&mut m, &plan, &DupConfig::default());
+            }
+            if variant == "flowery" {
+                apply_flowery(&mut m, &FloweryConfig::default());
+            }
+            let golden = Interpreter::new(&m).run(&ExecConfig::default(), None);
+            let cfg = ExecConfig::with_budget_for(golden.dyn_insts);
+            let specs: Vec<FaultSpec> = all_models()
+                .into_iter()
+                .flat_map(|model| (0..TRIALS).map(move |t| model.sample_ir(SEED, t, golden.fault_sites)))
+                .collect();
+            check(&m, &cfg, 4096, &specs, &format!("{name}/{variant}"));
+
+            let shallow = ExecConfig { max_call_depth: 2, ..cfg };
+            let r = Interpreter::new(&m).run(&shallow, None);
+            if r.status == ExecStatus::Trapped(TrapKind::CallDepth) {
+                check(&m, &shallow, 4096, &specs[..2], &format!("{name}/{variant} call depth"));
+            }
+        }
+    }
+}
