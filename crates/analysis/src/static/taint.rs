@@ -52,7 +52,7 @@ pub struct TaintEngine<'a> {
     /// Argument registers per IR function id (callee view).
     pub(crate) arg_regs: Vec<Vec<Loc>>,
     /// Per-site state budget before conservative flagging.
-    pub(crate) max_states: usize,
+    max_states: usize,
 }
 
 impl<'a> TaintEngine<'a> {

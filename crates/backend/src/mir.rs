@@ -530,14 +530,15 @@ impl AKind {
 
     /// Intra-procedural successors of the instruction at flat index `idx`.
     /// `Call` falls through (the callee returns); `Ret` and `DetectTrap`
-    /// terminate the path.
-    pub fn successors(&self, idx: u32) -> Vec<u32> {
-        match *self {
-            AKind::Jmp { target } => vec![target],
-            AKind::Jcc { target, .. } => vec![target, idx + 1],
-            AKind::Ret | AKind::DetectTrap => vec![],
-            _ => vec![idx + 1],
-        }
+    /// terminate the path. A `jcc` yields its target, then the fall-through.
+    pub fn successors(&self, idx: u32) -> impl Iterator<Item = u32> {
+        let (a, b) = match *self {
+            AKind::Jmp { target } => (Some(target), None),
+            AKind::Jcc { target, .. } => (Some(target), Some(idx + 1)),
+            AKind::Ret | AKind::DetectTrap => (None, None),
+            _ => (Some(idx + 1), None),
+        };
+        a.into_iter().chain(b)
     }
 
     /// True for the flag-setting compare family (`cmp`/`test`/`ucomi`).

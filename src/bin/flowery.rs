@@ -656,6 +656,7 @@ fn cmd_diff(rest: &[String]) -> Result<(), String> {
     // penetration sites execute first. Pure scheduling — per-region trial
     // streams are seed-determined, so the order never changes results.
     let mut priorities: HashMap<(String, String), f64> = HashMap::new();
+    let cache = GoldenCache::new();
     if args.flag("--static-prior") {
         for u in &units {
             let bcfg = BackendConfig::default();
@@ -671,8 +672,10 @@ fn cmd_diff(rest: &[String]) -> Result<(), String> {
             // Weight each flagged site by its vulnerable-bit fraction from
             // the bit lattice: a site with most bits proven masked is less
             // likely to re-inject as SDC than one fully exposed, so dense
-            // regions with wide-open sites queue first.
-            let bits = flowery::analysis::analyze_bits(&u.module, prog);
+            // regions with wide-open sites queue first. The table is the
+            // cache's, keyed by program content: an IR unit's recompiled
+            // program is its assembly twin's, and a pruned diff reuses it.
+            let bits = cache.asm_bits(&u.module, prog);
             for site in &report.flagged {
                 if let Some(f) = prog.funcs.iter().find(|f| (f.entry..f.end).contains(&site.idx)) {
                     let weight = bits
@@ -685,7 +688,6 @@ fn cmd_diff(rest: &[String]) -> Result<(), String> {
         }
     }
 
-    let cache = GoldenCache::new();
     flowery::harness::shutdown::install();
     let progress = flowery::harness::status_printer("[diff]");
     let report = flowery::harness::run_diff(&units, &cfg, &cache, &baseline, &priorities, Some(&progress));
