@@ -1,4 +1,5 @@
-//! Generators for every table and figure in the paper's evaluation.
+//! Generators for every table and figure in the paper's evaluation, each a
+//! projection of one study campaign (nothing here executes a program).
 //!
 //! | artefact | paper | here |
 //! |----------|-------|------|
@@ -11,19 +12,19 @@
 
 use crate::pipeline::StudyResults;
 use flowery_analysis::{render_table, Penetration, PenetrationBreakdown};
-use flowery_backend::{compile_module, BackendConfig, Machine};
-use flowery_harness::{protect, MatrixSpec};
-use flowery_ir::interp::{ExecConfig, Interpreter};
+use flowery_harness::{protect, Layer, MatrixSpec, TrialUnit, Variant};
 use flowery_passes::{apply_flowery, FloweryConfig};
-use flowery_workloads::{all_workloads, workload, Scale};
+use flowery_workloads::{all_workloads, Scale};
 use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------- Table 1
 
 /// One Table 1 row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Table1Row {
     pub benchmark: String,
+    /// Suite and domain from the workload registry; `-` for a `--src`
+    /// program.
     pub suite: String,
     pub domain: String,
     /// Dynamic IR instructions of the golden run.
@@ -32,22 +33,23 @@ pub struct Table1Row {
     pub di_asm: u64,
 }
 
-/// Regenerate Table 1 (benchmark inventory with dynamic instruction
-/// counts; ours are simulation-scale, see DESIGN.md).
-pub fn table1(scale: Scale, backend: &BackendConfig) -> Vec<Table1Row> {
-    all_workloads(scale)
+/// Table 1 (benchmark inventory with dynamic instruction counts; ours are
+/// simulation-scale, see DESIGN.md): the Raw@IR and Raw@Asm goldens of the
+/// study's own units.
+pub fn table1(study: &StudyResults) -> Vec<Table1Row> {
+    // Only the metadata is read, and suite and domain do not depend on scale.
+    let registry = all_workloads(Scale::Tiny);
+    study
+        .benches
         .iter()
-        .map(|w| {
-            let m = w.compile();
-            let ir = Interpreter::new(&m).run(&ExecConfig::default(), None);
-            let prog = compile_module(&m, backend);
-            let asm = Machine::new(&m, &prog).run(&ExecConfig::default(), None);
+        .map(|b| {
+            let known = registry.iter().find(|w| w.name == b.name);
             Table1Row {
-                benchmark: w.name.to_string(),
-                suite: w.suite.name().to_string(),
-                domain: w.domain.to_string(),
-                di_ir: ir.dyn_insts,
-                di_asm: asm.dyn_insts,
+                benchmark: b.name.clone(),
+                suite: known.map_or("-", |w| w.suite.name()).to_string(),
+                domain: known.map_or("-", |w| w.domain).to_string(),
+                di_ir: b.raw_ir_dyn,
+                di_asm: b.raw_asm_dyn,
             }
         })
         .collect()
@@ -228,7 +230,8 @@ pub fn fig17(study: &StudyResults) -> Vec<Fig17Row> {
     rows
 }
 
-/// Render Figure 17 plus the full-protection averages the paper reports.
+/// Render Figure 17 plus the full-protection averages the paper reports and
+/// the average Flowery gain over ID-Assembly across every cell.
 pub fn render_fig17(rows: &[Fig17Row]) -> String {
     let body = render_table(
         &["Benchmark", "Level", "ID-IR", "ID-Assembly", "Flowery"],
@@ -245,16 +248,21 @@ pub fn render_fig17(rows: &[Fig17Row]) -> String {
             })
             .collect::<Vec<_>>(),
     );
-    let full: Vec<&Fig17Row> = rows.iter().filter(|r| (r.level - 1.0).abs() < 1e-9).collect();
-    if full.is_empty() {
+    if rows.is_empty() {
         return body;
     }
-    let avg_id: f64 = full.iter().map(|r| r.id_asm_pct).sum::<f64>() / full.len() as f64;
-    let avg_fl: f64 = full.iter().map(|r| r.flowery_asm_pct).sum::<f64>() / full.len() as f64;
-    format!(
-        "{body}\nfull protection, assembly level: ID {avg_id:.2}% -> Flowery {avg_fl:.2}% \
-         (paper: 76.74% -> 93.72%)\n"
-    )
+    let mut out = format!("{body}\n");
+    let full: Vec<&Fig17Row> = rows.iter().filter(|r| (r.level - 1.0).abs() < 1e-9).collect();
+    if !full.is_empty() {
+        let avg_id: f64 = full.iter().map(|r| r.id_asm_pct).sum::<f64>() / full.len() as f64;
+        let avg_fl: f64 = full.iter().map(|r| r.flowery_asm_pct).sum::<f64>() / full.len() as f64;
+        out.push_str(&format!(
+            "full protection, assembly level: ID {avg_id:.2}% -> Flowery {avg_fl:.2}% (paper: 76.74% -> 93.72%)\n"
+        ));
+    }
+    let gain = rows.iter().map(|r| r.flowery_asm_pct - r.id_asm_pct).sum::<f64>() / rows.len() as f64;
+    out.push_str(&format!("average Flowery coverage gain over ID at assembly level: {gain:.2}%\n"));
+    out
 }
 
 // ---------------------------------------------------------------- §7.2 overhead
@@ -336,19 +344,20 @@ pub struct PassTimeRow {
     pub seconds: f64,
 }
 
-/// Measure Flowery's compile-time cost per benchmark: the three patches
-/// timed on the fully duplicated program (standalone — no fault injection).
-pub fn pass_time(scale: Scale) -> Vec<PassTimeRow> {
-    flowery_workloads::NAMES
+/// Measure Flowery's compile-time cost on the study's programs (each
+/// Raw@IR unit's module): the three patches timed on the fully duplicated
+/// program. A timing, so callers keep it out of byte-compared output.
+pub fn pass_time(units: &[TrialUnit]) -> Vec<PassTimeRow> {
+    units
         .iter()
-        .map(|name| {
-            let raw = workload(name, scale).compile();
-            let (_, mut id, _) = protect(&raw, &MatrixSpec::default()).remove(0);
+        .filter(|u| u.key.variant == Variant::Raw && u.key.layer == Layer::Ir)
+        .map(|u| {
+            let (_, mut id, _) = protect(&u.module, &MatrixSpec::default()).remove(0);
             let static_insts = id.static_size();
             let t0 = std::time::Instant::now();
             apply_flowery(&mut id, &FloweryConfig::default());
             PassTimeRow {
-                benchmark: name.to_string(),
+                benchmark: u.key.bench.clone(),
                 static_insts,
                 seconds: t0.elapsed().as_secs_f64(),
             }
@@ -372,7 +381,7 @@ pub fn render_pass_time(rows: &[PassTimeRow]) -> String {
     };
     format!(
         "{body}\naverage Flowery pass time: {:.1}µs here vs 0.12s in the paper \
-         (real LLVM pass on full-size benchmarks; both scale linearly in static instructions)\n",
+         (real LLVM pass on full-size benchmarks; both grow with static instructions)\n",
         avg * 1e6
     )
 }
@@ -380,8 +389,9 @@ pub fn render_pass_time(rows: &[PassTimeRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::run_study;
-    use flowery_harness::{HarnessConfig, RunOptions};
+    use crate::pipeline::{run_study, BenchResults};
+    use flowery_harness::{build_matrix, HarnessConfig, RunOptions};
+    use flowery_workloads::NAMES;
 
     fn smoke_study(bench: &str) -> StudyResults {
         let spec = MatrixSpec {
@@ -394,25 +404,47 @@ mod tests {
     }
 
     #[test]
-    fn table1_covers_all_benchmarks() {
-        let rows = table1(Scale::Tiny, &BackendConfig::default());
-        assert_eq!(rows.len(), 16);
-        assert!(rows.iter().all(|r| r.di_ir > 0 && r.di_asm > r.di_ir));
-        let text = render_table1(&rows);
-        assert!(text.contains("stringsearch"));
-        assert!(text.contains("Rodinia"));
+    fn table1_projects_every_bench_and_marks_unregistered_programs() {
+        let bench = |name: &str, di: u64| BenchResults {
+            name: name.into(),
+            static_insts: 0,
+            raw_ir_counts: Default::default(),
+            raw_asm_counts: Default::default(),
+            raw_ir_dyn: di,
+            raw_asm_dyn: 2 * di,
+            levels: Vec::new(),
+        };
+        let mut benches: Vec<BenchResults> = (1..).zip(NAMES).map(|(di, name)| bench(name, di)).collect();
+        benches.push(bench("probe", 17));
+        let rows = table1(&StudyResults { benches, trials: 0, levels: Vec::new() });
+        assert_eq!(rows.len(), 17);
+        for (row, di) in rows.iter().zip(1..) {
+            assert_eq!((row.di_ir, row.di_asm), (di, 2 * di), "{row:?}");
+        }
+        let by_name = |n: &str| rows.iter().find(|r| r.benchmark == n).unwrap();
+        assert_eq!(
+            (by_name("stringsearch").suite.as_str(), by_name("bfs").suite.as_str()),
+            ("MiBench", "Rodinia")
+        );
+        assert_eq!(by_name("is").domain, "Sort Algorithm");
+        assert_eq!((by_name("probe").suite.as_str(), by_name("probe").domain.as_str()), ("-", "-"));
+        assert!(render_table1(&rows).contains("Rodinia"));
     }
 
     #[test]
     fn figures_extract_from_study() {
         let study = smoke_study("is");
+        let t1 = table1(&study);
+        assert_eq!((t1.len(), t1[0].suite.as_str()), (1, "NPB"));
+        assert!(t1[0].di_ir > 0 && t1[0].di_asm > t1[0].di_ir, "{t1:?}");
         let f2 = fig2(&study);
         assert_eq!(f2.len(), 1);
         assert!(render_fig2(&f2).contains("average IR-vs-assembly"));
         let f3 = fig3(&study);
         assert!(render_fig3(&f3).contains("store"));
+        assert!(render_fig3_per_bench(&f3).contains("is"));
         let f17 = fig17(&study);
-        assert!(render_fig17(&f17).contains("Flowery"));
+        assert!(render_fig17(&f17).contains("average Flowery coverage gain"));
         let oh = overhead(&study);
         assert_eq!(oh.len(), 1);
         assert!(oh[0].id_over_raw_dyn > 0.3, "{:?}", oh);
@@ -420,89 +452,14 @@ mod tests {
     }
 
     #[test]
-    fn outcomes_table_renders() {
-        let study = smoke_study("pathfinder");
-        let rows = outcomes(&study);
-        assert_eq!(rows.len(), 1);
-        let text = render_outcomes(&rows);
-        assert!(text.contains("Flowery asm"), "{text}");
-        assert!(text.contains("pathfinder"));
-    }
-
-    #[test]
-    fn pass_time_is_fast_and_scales_with_size() {
-        let rows = pass_time(Scale::Tiny);
-        assert_eq!(rows.len(), 16);
+    fn pass_time_is_fast_and_covers_the_studys_programs() {
+        let units = build_matrix(&MatrixSpec { scale: Scale::Tiny, ..Default::default() });
+        let rows = pass_time(&units);
+        assert_eq!(rows.iter().map(|r| r.benchmark.as_str()).collect::<Vec<_>>(), NAMES);
         for r in &rows {
             assert!(r.seconds < 1.0, "{}: {}s", r.benchmark, r.seconds);
             assert!(r.static_insts > 0);
         }
         assert!(render_pass_time(&rows).contains("average Flowery pass time"));
     }
-}
-
-// ---------------------------------------------------------------- outcome distribution
-
-/// Per-benchmark outcome distributions (Benign/SDC/Detected/DUE rates) for
-/// the raw program and ID at full protection, at both layers. The paper
-/// reports SDC rates; the full distribution makes the DUE/Detected shifts
-/// visible too.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct OutcomeRow {
-    pub benchmark: String,
-    pub raw_ir: flowery_inject::OutcomeCounts,
-    pub raw_asm: flowery_inject::OutcomeCounts,
-    pub id_ir: flowery_inject::OutcomeCounts,
-    pub id_asm: flowery_inject::OutcomeCounts,
-    pub flowery_asm: flowery_inject::OutcomeCounts,
-}
-
-/// Extract the outcome-distribution table from study results.
-pub fn outcomes(study: &StudyResults) -> Vec<OutcomeRow> {
-    study
-        .benches
-        .iter()
-        .map(|b| {
-            let full = b.full_level();
-            OutcomeRow {
-                benchmark: b.name.clone(),
-                raw_ir: b.raw_ir_counts,
-                raw_asm: b.raw_asm_counts,
-                id_ir: full.id_ir_counts,
-                id_asm: full.id_asm_counts,
-                flowery_asm: full.flowery_asm_counts,
-            }
-        })
-        .collect()
-}
-
-fn fmt_counts(c: &flowery_inject::OutcomeCounts) -> String {
-    format!(
-        "B{:.0}/S{:.0}/D{:.0}/U{:.0}",
-        100.0 * c.benign as f64 / c.total().max(1) as f64,
-        100.0 * c.sdc_rate(),
-        100.0 * c.detected_rate(),
-        100.0 * c.due_rate(),
-    )
-}
-
-/// Render the outcome distributions (percent Benign/Sdc/Detected/dUe).
-pub fn render_outcomes(rows: &[OutcomeRow]) -> String {
-    let body = flowery_analysis::render_table(
-        &["Benchmark", "raw IR", "raw asm", "ID IR", "ID asm", "Flowery asm"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.benchmark.clone(),
-                    fmt_counts(&r.raw_ir),
-                    fmt_counts(&r.raw_asm),
-                    fmt_counts(&r.id_ir),
-                    fmt_counts(&r.id_asm),
-                    fmt_counts(&r.flowery_asm),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    format!("{body}(cells are % Benign/Sdc/Detected/dUe at full protection)\n")
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Study smoke gate: `flowery study` is `flowery campaign` with the report
-# rendered as the paper's figures. So (a) the figures are byte-identical on
+# rendered as the paper's Table 1 and figures on stdout, and the §7.3 pass
+# time (a timing) on stderr only. So (a) the figures are byte-identical on
 # the default engine and under `--executor native --static-prune`, (b) the
 # checkpoint a study writes is byte-identical to the one `flowery campaign`
 # writes for the same arguments, (c) `--resume` on the sealed checkpoint
@@ -25,6 +26,12 @@ echo "study-smoke: default engine vs native + static prune"
     >"$DIR/b.out" 2>"$DIR/b.log"
 grep -q 'average IR-vs-assembly coverage gap' "$DIR/a.out" \
     || { echo "study printed no Figure 2"; cat "$DIR/a.out" "$DIR/a.log"; exit 1; }
+head -n 1 "$DIR/a.out" | grep -q 'Benchmark  *Suite  *Domain  *DI (IR)  *DI (asm)' \
+    || { echo "study stdout does not open with Table 1"; cat "$DIR/a.out"; exit 1; }
+grep -q 'average Flowery pass time' "$DIR/a.log" \
+    || { echo "study printed no §7.3 pass time on stderr"; cat "$DIR/a.log"; exit 1; }
+! grep -q 'average Flowery pass time' "$DIR/a.out" \
+    || { echo "the §7.3 timing leaked into stdout"; cat "$DIR/a.out"; exit 1; }
 cmp "$DIR/a.out" "$DIR/b.out" || { echo "figures differ between engines"; exit 1; }
 
 echo "study-smoke: a study is a campaign"

@@ -111,10 +111,12 @@ flags are parsed strictly: an unknown flag or an unparsable number is an error
   study [bench ...] [+ campaign options above]
                                       the paper's cross-layer study: that
                                       campaign, at --levels 0.3,0.5,0.7,1.0
-                                      and --trials 1000 unless given, its
-                                      report rendered as Figures 2/3/17
-                                      and the §7.2 overhead table (--json
-                                      prints the study results instead)
+                                      and --trials 3000 unless given, its
+                                      report rendered as Table 1, Figures
+                                      2/3/17 and the §7.2 overhead table
+                                      (--json prints the study results
+                                      instead); the §7.3 pass time, a
+                                      timing, goes to stderr
   diff --baseline FILE [bench ...] [--src FILE] [--out FILE] [--static-prior]
        [+ campaign options above]   incremental campaign: partition every
                                       unit into per-function regions, hash
@@ -280,12 +282,13 @@ impl<'a> Args<'a> {
         self.str(name).map_or(Ok(default), parse)
     }
 
-    /// The subcommand's `--trials` and `--levels` defaults: the campaign
-    /// commands run the paper's 3,000 trials at full protection, `study`
-    /// the paper's four levels and `explore` two, each at fewer trials.
+    /// The subcommand's `--trials` and `--levels` defaults: every command
+    /// but `explore` runs the paper's 3,000 trials, the campaign commands at
+    /// full protection and `study` at the paper's four levels; `explore`
+    /// runs two levels at fewer trials.
     fn defaults(&self) -> (u64, &'static [f64]) {
         match self.cmd {
-            "study" => (1000, &[0.3, 0.5, 0.7, 1.0]),
+            "study" => (3000, &[0.3, 0.5, 0.7, 1.0]),
             "explore" => (400, &[0.5, 1.0]),
             _ => (3000, &[1.0]),
         }
@@ -383,7 +386,8 @@ fn cmd_inject(rest: &[String]) -> Result<(), String> {
 }
 
 /// The paper's study is a campaign over the paper's levels, its report
-/// rendered as the figures.
+/// rendered as Table 1, the figures and §7.2 on stdout. §7.3 is a timing,
+/// so it goes to stderr and stdout stays byte-identical on every engine.
 fn cmd_study(rest: &[String]) -> Result<(), String> {
     use flowery::core::figures as fig;
     let args = Args::parse("study", CAMPAIGN, rest)?;
@@ -393,10 +397,14 @@ fn cmd_study(rest: &[String]) -> Result<(), String> {
         println!("{}", flowery::serde_json::to_string_pretty(&study).map_err(|e| format!("{e:?}"))?);
         return Ok(());
     }
+    println!("{}", fig::render_table1(&fig::table1(&study)));
     println!("{}", fig::render_fig2(&fig::fig2(&study)));
-    println!("{}", fig::render_fig3(&fig::fig3(&study)));
+    let f3 = fig::fig3(&study);
+    println!("{}", fig::render_fig3(&f3));
+    println!("{}", fig::render_fig3_per_bench(&f3));
     println!("{}", fig::render_fig17(&fig::fig17(&study)));
     println!("{}", fig::render_overhead(&fig::overhead(&study)));
+    eprint!("{}", fig::render_pass_time(&fig::pass_time(&units)));
     Ok(())
 }
 

@@ -24,8 +24,8 @@
 //! - [`analysis`] — penetration root-cause classification,
 //! - [`core`] — the experiment pipelines for every table and figure.
 //!
-//! See `examples/quickstart.rs` for a five-minute tour and
-//! `examples/paper_study.rs` for the full reproduction run.
+//! See `examples/quickstart.rs` for a five-minute tour; `flowery study` is
+//! the full reproduction run (Table 1, Figures 2/3/17, §7.2 and §7.3).
 
 pub use flowery_analysis as analysis;
 pub use flowery_backend as backend;

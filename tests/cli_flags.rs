@@ -73,6 +73,28 @@ fn the_study_is_a_campaign_and_prints_the_same_figures_on_every_engine() {
 }
 
 #[test]
+fn a_study_of_an_out_of_tree_program_renders_table1_without_registry_metadata() {
+    let dir = std::env::temp_dir().join(format!("flowery-cli-src-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("probe.mc");
+    std::fs::write(
+        &path,
+        "int main() { int s = 0; int i; for (i = 0; i < 9; i = i + 1) { s = s + i; } output(s); return 0; }\n",
+    )
+    .unwrap();
+    let out = flowery(&["study", "--src", path.to_str().unwrap(), "--tiny", "--trials", "40", "--levels", "1.0"]);
+    std::fs::remove_dir_all(&dir).unwrap();
+    let (stdout, stderr) = (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert!(out.status.success(), "study --src failed: {stderr}");
+    let mut lines = stdout.lines().map(|l| l.split_whitespace().collect::<Vec<_>>());
+    let header = ["Benchmark", "Suite", "Domain", "DI", "(IR)", "DI", "(asm)"];
+    assert_eq!(lines.next().unwrap_or_default(), header, "Table 1 does not lead stdout: {stdout}");
+    let row = lines.nth(1).unwrap_or_default();
+    assert_eq!(row[..3], ["probe", "-", "-"], "no `-` suite and domain for probe: {stdout}");
+    assert!(stderr.contains("average Flowery pass time") && !stdout.contains("average Flowery pass time"));
+}
+
+#[test]
 fn declared_flags_parse_wherever_they_stand() {
     // Value flags take exactly their value: benchmark names may come
     // before, between or after them, and the runs are the same campaign.

@@ -3,15 +3,16 @@
 //! that hold the study and the extension studies to the numbers they
 //! produced before they became views over `build_matrix` → `run_units`.
 
-use flowery_backend::{AsmLayer, ExecMode};
+use flowery_backend::{compile_module, AsmLayer, ExecMode, Machine};
 use flowery_core::ablation::ablation_study;
 use flowery_core::extension::{asm_hardening_study, multi_bit_study};
+use flowery_core::figures::{table1, Table1Row};
 use flowery_core::{run_study, study, BenchResults, StudyResults};
 use flowery_harness::{
     build_matrix, protect, run_units, Control, GoldenCache, HarnessConfig, MatrixSpec, MetricsSnapshot, RunOptions,
 };
 use flowery_inject::OutcomeCounts;
-use flowery_ir::interp::Substrate;
+use flowery_ir::interp::{ExecConfig, Interpreter, Substrate};
 use flowery_workloads::{workload, Scale};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -258,6 +259,38 @@ fn pinned_study_reproduces_under_every_engine_snapshot_and_prune_setting() {
             assert_eq!(pruned > 0, static_prune, "[{what} prune={static_prune}]");
         }
     });
+}
+
+/// Table 1 is a projection of the study's Raw@IR and Raw@Asm goldens. Its
+/// oracle is what `figures::table1` did before it read the study: run each
+/// raw program once at both layers, outside any campaign.
+#[test]
+fn table1_is_the_studys_raw_goldens_at_both_layers() {
+    let spec = MatrixSpec {
+        profile_trials: 150,
+        ..matrix(&["is", "pathfinder"], &[0.5, 1.0])
+    };
+    let got = table1(&run_study(&spec, &schedule(40), RunOptions::default()).unwrap());
+    let oracle: Vec<Table1Row> = ["is", "pathfinder"]
+        .iter()
+        .map(|name| {
+            let w = workload(name, Scale::Tiny);
+            let m = w.compile();
+            let ir = Interpreter::new(&m).run(&ExecConfig::default(), None);
+            let prog = compile_module(&m, &spec.backend);
+            let asm = Machine::new(&m, &prog).run(&ExecConfig::default(), None);
+            Table1Row {
+                benchmark: w.name.to_string(),
+                suite: w.suite.name().to_string(),
+                domain: w.domain.to_string(),
+                di_ir: ir.dyn_insts,
+                di_asm: asm.dyn_insts,
+            }
+        })
+        .collect();
+    assert_eq!(got, oracle);
+    // The same goldens STUDY_PIN holds (`dyn 3168 8007`, `dyn 3537 8803`).
+    assert_eq!(got.iter().map(|r| (r.di_ir, r.di_asm)).collect::<Vec<_>>(), [(3168, 8007), (3537, 8803)]);
 }
 
 #[test]
