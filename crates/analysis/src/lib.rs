@@ -18,6 +18,6 @@ pub use rootcause::{
 };
 pub use statline::{
     analyze_bits, cross_validate, lint_module, predict_program, render_validation, static_prior, BitTable, BitVerdict,
-    Finding, InvariantKind, SitePrediction, StaticReport, TaintEngine, Validation, Verdict,
+    Finding, InvariantKind, SitePrediction, StaticReport, Validation, Verdict,
 };
 pub use vulnerability::{render_vulnerability, vulnerability_ranking, vulnerability_ranking_with_prior, VulnEntry};

@@ -1,55 +1,69 @@
-//! Layer-1b: the bit-vector lattice — per-(site, bit) masking proofs.
+//! The static fault-propagation engine: one bit-vector lattice, one
+//! transfer function and one worklist, answering two queries per fault
+//! site.
 //!
-//! The value-level engine ([`super::taint`]) asks *whether* a corrupted
-//! destination can reach a sink; this engine asks *which bits* of the
-//! destination can. It tracks all 64 sampled bit positions of one fault
-//! site simultaneously as a family of independent single-bit deviations
-//! and propagates them through exact MIR semantics: width-canonical
-//! register writes, AND/OR immediates, shifts and truncations kill bits;
-//! sign-extension, carries, and float arithmetic scramble them; flag
-//! consumers, address bases, output ports, calls and returns observe them.
-//! A family bit that is never observed on any path is *proven masked*:
-//! injecting that (site, bit) pair provably reproduces the golden run.
+//! - **Prune** ([`analyze_bits`]): *which bits* of the destination can be
+//!   observed. A family bit that no path lets reach any observation is
+//!   *proven masked*: injecting that (site, bit) pair provably reproduces
+//!   the golden run, and `campaign --static-prune` skips it.
+//! - **Lint** ([`lint_sites`]): *whether* the corruption can reach an
+//!   architectural [`Sink`] before a validation compare discharges it —
+//!   `flowery lint`'s per-site [`Verdict`].
 //!
 //! Family encoding: injector run `b` (the sampled `FaultSpec::bit`,
 //! `0..64`) flips destination position `b % W`, where `W` is the
 //! destination width in bits — exactly `apply_fault`'s modulo. A state
-//! maps each [`Loc`] to a pair of 64-bit masks `(pos, scr)` over family
-//! indices: bit `b` set in `pos` means "in run `b` this location deviates
-//! *at most* as a single-bit XOR at position `b % W`"; set in `scr`
-//! ("scrambled") means "may deviate anywhere within the location". For
-//! flag destinations the position space is the four condition classes
-//! (`CONDITION_BITS[b % 4]`), so `pos` is class-exact rather than
-//! bit-exact. Everything is conservative toward *vulnerable*: only
-//! deviations proven invisible to every architectural observation count
-//! as masked.
+//! maps each [`Loc`] to three 64-bit masks over family indices. Two are
+//! *may* facts: bit `b` set in `pos` means "in run `b` this location
+//! deviates *at most* as a single-bit XOR at position `b % W`"; set in
+//! `scr` ("scrambled") means "may deviate anywhere within the location".
+//! The third is a *must* fact: bit `b` set in `def` means "in run `b` this
+//! location definitely differs from golden". For flag destinations the
+//! position space is the four condition classes (`CONDITION_BITS[b % 4]`),
+//! so `pos` is class-exact rather than bit-exact. Everything is
+//! conservative toward *vulnerable*.
+//!
+//! Each observation the transfer reports carries its class: a
+//! sink (output port, unguarded branch, call argument, return value,
+//! escaping memory, control image), a guarded compare's detection, or a
+//! *carried* observation — a deviated address base, a divide, a push, a
+//! store or load through a pointer, the flags of a detector-armed or
+//! trampoline-guarded branch. The prune makes any observed family
+//! vulnerable. The lint flags a site at the first sink a family reaches;
+//! carried families go on as scrambled data (pointer stores park them in
+//! the [`Loc::Mem`] summary, which escapes at `call`/`ret`), and a family
+//! ends on a path at a guarded compare where it may deviate on exactly one
+//! side and definitely deviates there: in that run the detector fires.
 //!
 //! The memory model is the field-sensitive split of DESIGN.md §12: frame
-//! slots and absolute global cells are tracked per-address; deviations
-//! escaping into pointer-addressed memory are observations (globals stay
-//! addressable through pointers, so summary loads observe global
-//! deviations, while spill slots are never address-taken).
+//! slots and absolute global cells are tracked per-address; pointer
+//! accesses and the push/pop area share the `Mem` summary (globals stay
+//! addressable through pointers, so summary loads may read global
+//! deviations and global loads may read the summary, while spill slots are
+//! never address-taken).
 //!
 //! The walk is a joined worklist fixpoint per site: one in-state per
-//! instruction, grown by pointwise OR of its predecessors' out-states; an
-//! instruction is stepped again only when its in-state gains a bit. Every
-//! transfer builds its masks and observation bits from OR and
-//! AND-with-a-constant alone, and families never mix, so each transfer
-//! distributes over that OR and the fixpoint equals the join over all
-//! paths (Kildall's MFP = MOP): the verdicts of a per-path enumeration of
-//! the same rules, which the tests keep as their oracle. Dropping families
-//! already proven vulnerable from a state changes no other family's
-//! verdict. The lattice is finite and a join only adds bits, so the walk
-//! needs no state budget (the per-path walk it replaced never exhausted
-//! its 50 000-state one on the shipped corpus).
+//! instruction, joined from its predecessors' out-states — OR for the may
+//! masks, AND for `def` — and stepped again when it gains a may bit or
+//! loses a `def` bit. A path on which a family is live nowhere leaves that
+//! family's `def` alone: in that run the path is the golden run from there
+//! on. The prune seeds no must facts, and every transfer builds its may
+//! masks and observation bits from OR and AND-with-a-constant alone with
+//! families never mixing, so its fixpoint equals the join over all paths
+//! (Kildall's MFP = MOP): the verdicts of a per-path enumeration of the
+//! same rules, which the tests keep as their oracle. The lint's kill rule
+//! tests a conjunction, which does not distribute over the AND join, so
+//! its fixpoint is sound but not path-exact. The lattice is finite and may
+//! bits only grow while `def` bits only shrink, so neither query needs a
+//! state budget.
 
-use super::taint::TaintEngine;
+use super::sinks::{Guards, Sink};
 use flowery_backend::mir::{AKind, AOp, AluOp, FaultDest, Loc, MemRef, OutKind, Reg, ShiftOp, CC};
 use flowery_backend::AsmProgram;
 use flowery_ir::fnv1a;
 use flowery_ir::module::Module;
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
+use std::ops::{BitOr, ControlFlow, Range};
 
 /// Analyzer version tag, folded into [`BitTable::fingerprint`] so any rule
 /// change invalidates recorded prune provenance.
@@ -123,17 +137,26 @@ fn fnv_fold(mut h: u64, word: u64) -> u64 {
     h
 }
 
-/// Run the bit-lattice analysis over every instruction of `prog`.
+/// Lint verdict for one fault site.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// Every corruption path either reaches a detector or dies before any
+    /// sink: a fault here cannot silently corrupt the output.
+    Protected,
+    /// Some family reaches the given sink unchecked.
+    Penetrates(Sink),
+}
+
+/// The prune query over every instruction of `prog`.
 pub fn analyze_bits(m: &Module, prog: &AsmProgram) -> BitTable {
-    let te = TaintEngine::new(m, prog);
-    let eng = BitsEngine { te: &te };
+    let eng = BitsEngine::new(m, prog);
     let mut walk = Walk::new(prog.insts.len());
     let mut verdicts = Vec::with_capacity(prog.insts.len());
     let (mut sites, mut proven_pairs) = (0u32, 0u64);
     for idx in 0..prog.insts.len() as u32 {
         let v = if prog.insts[idx as usize].kind.is_fault_site() {
             sites += 1;
-            eng.analyze_site_bits(idx, &mut walk)
+            eng.prune_site(idx, &mut walk)
         } else {
             BitVerdict::all_vulnerable()
         };
@@ -143,12 +166,85 @@ pub fn analyze_bits(m: &Module, prog: &AsmProgram) -> BitTable {
     BitTable { verdicts, sites, proven_pairs }
 }
 
-/// Deviation state of one location: `(pos, scr)` family masks (see module
-/// docs).
-type Dev = (u64, u64);
+/// The lint query over every fault site of `prog`, in instruction order.
+pub fn lint_sites(m: &Module, prog: &AsmProgram) -> Vec<(u32, Verdict)> {
+    let eng = BitsEngine::new(m, prog);
+    let mut walk = Walk::new(prog.insts.len());
+    (0..prog.insts.len() as u32)
+        .filter(|&idx| prog.insts[idx as usize].kind.is_fault_site())
+        .map(|idx| (idx, eng.lint_site(idx, &mut walk)))
+        .collect()
+}
+
+/// Deviation state of one location (see module docs); `def ⊆ pos | scr`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Dev {
+    pos: u64,
+    scr: u64,
+    def: u64,
+}
+
+impl Dev {
+    /// A deviation whose must mask is `def` wherever the family stays live.
+    fn new(pos: u64, scr: u64, def: u64) -> Dev {
+        Dev { pos, scr, def: def & (pos | scr) }
+    }
+
+    fn all(self) -> u64 {
+        self.pos | self.scr
+    }
+
+    /// The deviation seen through a read keeping only positions `keep`.
+    fn keep(self, keep: u64) -> Dev {
+        Dev::new(self.pos & keep, self.scr, self.def)
+    }
+}
+
+/// Two deviations read together: either may deviate, and the pair
+/// definitely deviates when either does.
+impl BitOr for Dev {
+    type Output = Dev;
+    fn bitor(self, o: Dev) -> Dev {
+        Dev::new(self.pos | o.pos, self.scr | o.scr, self.def | o.def)
+    }
+}
+
 /// Deviated locations, sorted by [`Loc`] and each present once; an absent
 /// location is clean.
 type State = Vec<(Loc, Dev)>;
+
+/// Family bits one step observes, by class.
+#[derive(Debug, Default)]
+struct Seen {
+    /// The sinks reached, as a set of `1 << Sink as u8`.
+    sinks: u8,
+    /// The families that reached them.
+    sunk: u64,
+    /// Families a guarded compare definitely detects on this path.
+    detected: u64,
+    /// Observations that are no sink: the prune counts them, the lint
+    /// carries the family on as data.
+    carried: u64,
+}
+
+impl Seen {
+    fn sink(&mut self, s: Sink, fams: u64) {
+        if fams != 0 {
+            self.sinks |= 1 << s as u8;
+            self.sunk |= fams;
+        }
+    }
+
+    /// Every observed family — the prune's reading.
+    fn any(&self) -> u64 {
+        self.sunk | self.detected | self.carried
+    }
+
+    /// The first sink reached, in [`Sink::ALL`] order — the lint's reading.
+    fn first_sink(&self) -> Option<Sink> {
+        Sink::ALL.into_iter().find(|&s| self.sinks >> s as u8 & 1 == 1)
+    }
+}
 
 /// Family-position helpers bound to one site's destination width.
 #[derive(Clone, Copy)]
@@ -207,11 +303,11 @@ fn class_mask(cc: CC) -> u64 {
 }
 
 fn get(st: &[(Loc, Dev)], loc: Loc) -> Dev {
-    st.binary_search_by_key(&loc, |e| e.0).map_or((0, 0), |i| st[i].1)
+    st.binary_search_by_key(&loc, |e| e.0).map_or(Dev::default(), |i| st[i].1)
 }
 
 fn set(st: &mut State, loc: Loc, dev: Dev) {
-    match (st.binary_search_by_key(&loc, |e| e.0), dev == (0, 0)) {
+    match (st.binary_search_by_key(&loc, |e| e.0), dev.all() == 0) {
         (Ok(i), true) => drop(st.remove(i)),
         (Ok(i), false) => st[i].1 = dev,
         (Err(i), false) => st.insert(i, (loc, dev)),
@@ -219,47 +315,70 @@ fn set(st: &mut State, loc: Loc, dev: Dev) {
     }
 }
 
-/// `into |= from`, pointwise; true when `into` gained a bit.
-fn join(into: &mut State, from: &[(Loc, Dev)]) -> bool {
-    let mut grew = false;
-    for &(loc, (p, s)) in from {
+/// Families live anywhere in `st`.
+fn live(st: &[(Loc, Dev)]) -> u64 {
+    st.iter().fold(0, |a, (_, d)| a | d.all())
+}
+
+/// Join `from` into `into`: OR the may masks; with `must` set, a family
+/// live in both keeps a `def` bit only where both have it, a family live in
+/// one keeps that one's. True when `into` changed (gained a may bit or lost
+/// a `def` bit).
+fn join(into: &mut State, from: &[(Loc, Dev)], must: bool) -> bool {
+    let mut changed = false;
+    let fresh = if must { !live(into) } else { 0 };
+    if must {
+        let live_from = live(from);
+        for (l, a) in into.iter_mut().filter(|(_, a)| a.def & live_from != 0) {
+            let keep = get(from, *l).def | !live_from;
+            changed |= a.def & !keep != 0;
+            a.def &= keep;
+        }
+    }
+    for &(loc, b) in from {
         match into.binary_search_by_key(&loc, |e| e.0) {
             Ok(i) => {
-                let d = &mut into[i].1;
-                grew |= p & !d.0 != 0 || s & !d.1 != 0;
-                *d = (d.0 | p, d.1 | s);
+                let a = &mut into[i].1;
+                changed |= b.pos & !a.pos != 0 || b.scr & !a.scr != 0;
+                *a = Dev {
+                    pos: a.pos | b.pos,
+                    scr: a.scr | b.scr,
+                    def: a.def | (b.def & fresh),
+                };
             }
             Err(i) => {
-                into.insert(i, (loc, (p, s)));
-                grew = true;
+                into.insert(i, (loc, Dev { def: b.def & fresh, ..b }));
+                changed = true;
             }
         }
     }
-    grew
+    changed
 }
 
-fn all(dev: Dev) -> u64 {
-    dev.0 | dev.1
+/// The `Mem` summary's families (it sorts last).
+fn summary(st: &[(Loc, Dev)]) -> u64 {
+    st.last().filter(|e| e.0 == Loc::Mem).map_or(0, |e| e.1.all())
 }
 
 /// Union of all global-cell deviations — what a pointer (summary) load may
-/// observe.
+/// read.
 fn global_dev(st: &[(Loc, Dev)]) -> u64 {
     st.iter()
         .filter(|(l, _)| matches!(l, Loc::Global(_)))
-        .fold(0, |a, (_, d)| a | all(*d))
+        .fold(0, |a, (_, d)| a | d.all())
 }
 
 /// Per-program worklist storage, reused by every site: one joined in-state
 /// and a `queued` bit per instruction, the instructions whose in-state the
-/// current site touched (cleared before the next site), and the transfer's
-/// out-state buffer.
+/// current site touched (cleared before the next site), the transfer's
+/// out-state buffer, and whether the states carry must masks (the lint).
 struct Walk {
     ins: Vec<State>,
     queued: Vec<bool>,
     touched: Vec<u32>,
     work: Vec<u32>,
     out: State,
+    must: bool,
 }
 
 impl Walk {
@@ -270,11 +389,12 @@ impl Walk {
             touched: Vec::new(),
             work: Vec::new(),
             out: State::new(),
+            must: false,
         }
     }
 
     /// Join `out` into the in-states of `kind`'s successors within `func`,
-    /// queueing each that grew.
+    /// queueing each that changed.
     fn propagate(&mut self, kind: &AKind, j: u32, func: &Range<u32>) {
         if self.out.is_empty() {
             return;
@@ -284,7 +404,7 @@ impl Walk {
             if self.ins[su].is_empty() {
                 self.touched.push(s);
             }
-            if join(&mut self.ins[su], &self.out) && !self.queued[su] {
+            if join(&mut self.ins[su], &self.out, self.must) && !self.queued[su] {
                 self.queued[su] = true;
                 self.work.push(s);
             }
@@ -300,410 +420,508 @@ impl Walk {
     }
 }
 
-struct BitsEngine<'a, 'b> {
-    te: &'b TaintEngine<'a>,
+/// Per-program analysis context: the program, its guard table and the ABI
+/// tables the call/return rules read.
+struct BitsEngine<'a> {
+    prog: &'a AsmProgram,
+    guards: Guards,
+    /// Function table index per instruction (`usize::MAX` if none).
+    func_of: Vec<usize>,
+    /// Return-value register per function table entry, if it returns one.
+    ret_reg: Vec<Option<Loc>>,
+    /// Argument registers per IR function id (callee view).
+    arg_regs: Vec<Vec<Loc>>,
 }
 
-impl BitsEngine<'_, '_> {
-    /// The location a flip at `idx` deviates and the family width, or
-    /// `None` for an immediate all-vulnerable bail-out.
-    fn initial(&self, idx: u32) -> Option<(Loc, Fam)> {
-        let inst = &self.te.prog.insts[idx as usize];
-        match inst.kind.fault_dest() {
-            FaultDest::None => None,
+impl<'a> BitsEngine<'a> {
+    fn new(m: &Module, prog: &'a AsmProgram) -> BitsEngine<'a> {
+        let mut func_of = vec![usize::MAX; prog.insts.len()];
+        for (fi, f) in prog.funcs.iter().enumerate() {
+            func_of[f.entry as usize..f.end as usize].fill(fi);
+        }
+        let ret_reg = prog
+            .funcs
+            .iter()
+            .map(|f| {
+                let ty = m.functions[f.ir_id.index()].ret_ty?;
+                Some(Loc::Reg(if ty.is_float() { Reg::Xmm0 } else { Reg::Rax }))
+            })
+            .collect();
+        let arg_regs = m
+            .functions
+            .iter()
+            .map(|f| {
+                let (mut ni, mut nf) = (0, 0);
+                let mut regs = Vec::new();
+                for ty in &f.params {
+                    let (pool, n): (&[Reg], _) = if ty.is_float() {
+                        (&Reg::FLOAT_ARGS, &mut nf)
+                    } else {
+                        (&Reg::INT_ARGS, &mut ni)
+                    };
+                    regs.extend(pool.get(*n).map(|&r| Loc::Reg(r)));
+                    *n += 1;
+                }
+                regs
+            })
+            .collect();
+        BitsEngine {
+            prog,
+            guards: Guards::compute(prog),
+            func_of,
+            ret_reg,
+            arg_regs,
+        }
+    }
+
+    /// Where a flip at site `idx` lands: the families observed at birth,
+    /// and the location they start from with the site's family width.
+    fn seed(&self, idx: u32) -> (Seen, Option<(Loc, Dev, Fam)>) {
+        let inst = &self.prog.insts[idx as usize];
+        let mut seen = Seen::default();
+        let fresh = Dev { pos: u64::MAX, scr: 0, def: u64::MAX };
+        let start = match inst.kind.fault_dest() {
             // A corrupted frame/stack pointer breaks the addressing
-            // discipline every rule below relies on.
+            // discipline every rule below relies on: control image.
             FaultDest::Gpr(Reg::Rbp | Reg::Rsp, _) => None,
-            FaultDest::Gpr(r, w) => Some((Loc::Reg(r), Fam { w: 8 * w as u32 })),
+            FaultDest::Gpr(r, w) => Some((Loc::Reg(r), fresh, Fam { w: 8 * w as u32 })),
             // Class-exact: family `b` flips condition class `b % 4`.
-            FaultDest::Flags => Some((Loc::Flags, Fam { w: 64 })),
+            FaultDest::Flags => Some((Loc::Flags, fresh, Fam { w: 64 })),
             FaultDest::MemVal(w) => match inst.kind {
                 AKind::Mov { dst: AOp::Mem(mr), .. } | AKind::MovSd { dst: AOp::Mem(mr), .. } => {
                     match mr.loc() {
-                        l @ (Loc::Frame(_) | Loc::Global(_)) => Some((l, Fam { w: 8 * w as u32 })),
+                        l @ (Loc::Frame(_) | Loc::Global(_)) => Some((l, fresh, Fam { w: 8 * w as u32 })),
                         // Pointer-addressed cell: identity lost at birth.
-                        _ => None,
+                        _ => {
+                            seen.carried = u64::MAX;
+                            Some((Loc::Mem, Dev::new(0, u64::MAX, 0), Fam { w: 8 * w as u32 }))
+                        }
                     }
                 }
                 // Corrupted return address / saved frame pointer.
                 _ => None,
             },
+            FaultDest::None => unreachable!("instruction {idx} is no fault site"),
+        };
+        // So is a site outside every function: there is nothing to walk.
+        match start {
+            Some(s) if self.func_of[idx as usize] != usize::MAX => (seen, Some(s)),
+            _ => {
+                seen.sink(Sink::ControlImage, u64::MAX);
+                (seen, None)
+            }
         }
     }
 
-    /// Prove which sampled bits of site `idx` are masked: the joined
-    /// fixpoint of the module docs, seeded at `idx`'s successors.
-    fn analyze_site_bits(&self, idx: u32, walk: &mut Walk) -> BitVerdict {
-        let Some((loc, fam)) = self.initial(idx) else {
-            return BitVerdict::all_vulnerable();
-        };
-        let fi = self.te.func_of[idx as usize];
-        if fi == usize::MAX {
-            return BitVerdict::all_vulnerable();
-        }
-        let func = self.te.prog.funcs[fi].entry..self.te.prog.funcs[fi].end;
-        let insts = &self.te.prog.insts;
-
-        let mut vuln: u64 = 0;
-        walk.out.clear();
-        walk.out.push((loc, (u64::MAX, 0)));
-        walk.propagate(&insts[idx as usize].kind, idx, &func);
-        while let Some(j) = walk.work.pop() {
-            if vuln == u64::MAX {
-                break;
-            }
-            walk.queued[j as usize] = false;
+    /// The prune query for site `idx`: every observed family is vulnerable.
+    fn prune_site(&self, idx: u32, walk: &mut Walk) -> BitVerdict {
+        let mut vuln = 0u64;
+        self.fixpoint(idx, walk, false, |seen| {
+            vuln |= seen.any();
             // Families already vulnerable need no further tracking.
-            let st = &mut walk.ins[j as usize];
-            strip(st, vuln);
-            if st.is_empty() {
-                continue;
+            if vuln == u64::MAX {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(vuln)
             }
-            let (observed, cont) = self.step_bits(j, st, fam, &mut walk.out);
-            vuln |= observed;
-            if cont {
-                strip(&mut walk.out, vuln);
-                walk.propagate(&insts[j as usize].kind, j, &func);
-            }
-        }
-        walk.reset();
+        });
         BitVerdict { proven_masked: !vuln, vulnerable: vuln }
     }
 
-    /// Deviation visible when reading `op` at `w` bytes, plus observation
-    /// bits (corrupted address base; summary load aliasing a corrupted
-    /// global).
-    fn read_op(&self, st: &[(Loc, Dev)], op: &AOp, w: u8, fam: Fam) -> (Dev, u64) {
-        match op {
-            AOp::Imm(_) => ((0, 0), 0),
-            AOp::Reg(r) => {
-                let (p, s) = get(st, Loc::Reg(*r));
-                ((p & fam.low(w), s), 0)
+    /// The lint query for site `idx`: the first sink any family reaches;
+    /// a family a guarded compare detects ends on that path.
+    fn lint_site(&self, idx: u32, walk: &mut Walk) -> Verdict {
+        let found = self.fixpoint(idx, walk, true, |seen| match seen.first_sink() {
+            Some(s) => ControlFlow::Break(s),
+            None => ControlFlow::Continue(seen.detected),
+        });
+        found.map_or(Verdict::Protected, Verdict::Penetrates)
+    }
+
+    /// The joined fixpoint of the module docs for site `idx`, tracking must
+    /// masks when `must` is set (the lint). `settle` reads every step's
+    /// observations (the fault's own first) and returns the families to
+    /// drop from that step's out-state, or breaks the walk with a result.
+    fn fixpoint<R>(
+        &self,
+        idx: u32,
+        walk: &mut Walk,
+        must: bool,
+        mut settle: impl FnMut(&Seen) -> ControlFlow<R, u64>,
+    ) -> Option<R> {
+        let (seen, start) = self.seed(idx);
+        let drop = match settle(&seen) {
+            ControlFlow::Break(r) => return Some(r),
+            ControlFlow::Continue(drop) => drop,
+        };
+        let (loc, dev, fam) = start?;
+        let f = &self.prog.funcs[self.func_of[idx as usize]];
+        let func = f.entry..f.end;
+        let insts = &self.prog.insts;
+        walk.must = must;
+        walk.out.clear();
+        walk.out.push((loc, Dev { def: if must { dev.def } else { 0 }, ..dev }));
+        strip(&mut walk.out, drop);
+        walk.propagate(&insts[idx as usize].kind, idx, &func);
+        let mut found = None;
+        while let Some(j) = walk.work.pop() {
+            walk.queued[j as usize] = false;
+            let mut seen = Seen::default();
+            let cont = self.step_bits(j, &walk.ins[j as usize], fam, &mut walk.out, &mut seen);
+            match settle(&seen) {
+                ControlFlow::Break(r) => {
+                    found = Some(r);
+                    break;
+                }
+                ControlFlow::Continue(drop) if cont => {
+                    strip(&mut walk.out, drop);
+                    walk.propagate(&insts[j as usize].kind, j, &func);
+                }
+                ControlFlow::Continue(_) => {}
             }
+        }
+        walk.reset();
+        found
+    }
+
+    /// Deviation visible when reading `op` at `w` bytes. A deviated address
+    /// base reads the wrong cell, and a pointer load may read any corrupted
+    /// global: both carried observations, read on as scrambled data.
+    fn read_op(&self, st: &[(Loc, Dev)], op: &AOp, w: u8, fam: Fam, seen: &mut Seen) -> Dev {
+        match op {
+            AOp::Imm(_) => Dev::default(),
+            AOp::Reg(r) => get(st, Loc::Reg(*r)).keep(fam.low(w)),
             AOp::Mem(mr) => {
-                let mut obs = self.addr_obs(st, mr);
-                let dev = match mr.loc() {
-                    l @ (Loc::Frame(_) | Loc::Global(_)) => {
-                        let (p, s) = get(st, l);
-                        (p & fam.low(w), s)
-                    }
+                let base = self.base(st, mr, seen);
+                base | match mr.loc() {
+                    l @ Loc::Frame(_) => get(st, l).keep(fam.low(w)),
+                    l @ Loc::Global(_) => get(st, l).keep(fam.low(w)) | Dev::new(0, summary(st), 0),
                     _ => {
-                        // Pointer load: may hit any corrupted global cell
-                        // (spill slots are never address-taken).
-                        obs |= global_dev(st);
-                        (0, 0)
+                        let g = global_dev(st);
+                        seen.carried |= g;
+                        Dev::new(0, g | summary(st), 0)
                     }
-                };
-                (dev, obs)
+                }
             }
         }
     }
 
-    /// A deviated base register makes the access read/write the wrong
-    /// cell — observed.
-    fn addr_obs(&self, st: &[(Loc, Dev)], mr: &MemRef) -> u64 {
-        mr.base.map_or(0, |b| all(get(st, Loc::Reg(b))))
+    /// A deviated base register makes the access hit the wrong cell:
+    /// carried, as a scrambled (and, if the base definitely deviates,
+    /// definitely deviating) access.
+    fn base(&self, st: &[(Loc, Dev)], mr: &MemRef, seen: &mut Seen) -> Dev {
+        let b = mr.base.map_or(Dev::default(), |b| get(st, Loc::Reg(b)));
+        seen.carried |= b.all();
+        Dev::new(0, b.all(), b.def)
     }
 
     /// Strong register write. A deviation written into rbp/rsp breaks the
-    /// addressing discipline — observed instead of tracked.
-    fn write_reg(&self, st: &mut State, r: Reg, dev: Dev) -> u64 {
-        if matches!(r, Reg::Rbp | Reg::Rsp) && dev != (0, 0) {
-            return all(dev);
+    /// addressing discipline — a control-image sink instead of tracked.
+    fn write_reg(&self, st: &mut State, r: Reg, dev: Dev, seen: &mut Seen) {
+        if matches!(r, Reg::Rbp | Reg::Rsp) && dev.all() != 0 {
+            seen.sink(Sink::ControlImage, dev.all());
+        } else {
+            set(st, Loc::Reg(r), dev);
         }
-        set(st, Loc::Reg(r), dev);
-        0
     }
 
-    /// Transfer one instruction from `st` into `t`: returns the observed
-    /// family bits and whether the path continues (with state `t`).
-    fn step_bits(&self, j: u32, st: &[(Loc, Dev)], fam: Fam, t: &mut State) -> (u64, bool) {
-        let inst = &self.te.prog.insts[j as usize];
+    /// A deviation escaping into pointer-addressed memory (or the push/pop
+    /// area) loses its identity: carried, and parked in the `Mem` summary.
+    fn park(&self, st: &mut State, dev: Dev, seen: &mut Seen) {
+        seen.carried |= dev.all();
+        let m = get(st, Loc::Mem);
+        set(st, Loc::Mem, Dev::new(m.pos, m.scr | dev.all(), 0));
+    }
+
+    /// Transfer one instruction from `st` into `t`, reporting what it
+    /// observes into `seen`: returns whether the path continues. Every
+    /// strong write definitely deviates in a family when something it
+    /// reads does and the result keeps the family live.
+    fn step_bits(&self, j: u32, st: &[(Loc, Dev)], fam: Fam, t: &mut State, seen: &mut Seen) -> bool {
+        let inst = &self.prog.insts[j as usize];
         t.clear();
         t.extend_from_slice(st);
-        let mut obs = 0u64;
         match inst.kind {
             AKind::Mov { w, dst, src } | AKind::MovSd { w, dst, src } => {
-                let (dev, o) = self.read_op(st, &src, w, fam);
-                obs |= o;
+                let dev = self.read_op(st, &src, w, fam, seen);
                 match dst {
-                    AOp::Reg(r) => obs |= self.write_reg(t, r, dev),
+                    AOp::Reg(r) => self.write_reg(t, r, dev, seen),
                     AOp::Mem(mr) => {
-                        obs |= self.addr_obs(st, &mr);
+                        let base = self.base(st, &mr, seen);
                         match mr.loc() {
                             l @ (Loc::Frame(_) | Loc::Global(_)) => {
                                 // Partial update: a width-w store replaces
                                 // the cell's low 8w bits only.
-                                let (op, os) = get(st, l);
-                                let np = dev.0 | (op & !fam.low(w));
-                                let ns = dev.1 | if w < 8 { os } else { 0 };
-                                set(t, l, (np, ns));
+                                let old = get(st, l);
+                                let np = dev.pos | (old.pos & !fam.low(w));
+                                let ns = dev.scr | if w < 8 { old.scr } else { 0 };
+                                set(t, l, Dev::new(np, ns, dev.def));
                             }
-                            // A deviation escaping into pointer-addressed
-                            // memory loses its identity for good.
-                            _ => obs |= all(dev),
+                            _ => self.park(t, dev | base, seen),
                         }
                     }
                     AOp::Imm(_) => {}
                 }
             }
             AKind::MovSx { ws, dst, src, .. } => {
-                let ((p, s), o) = self.read_op(st, &src, ws, fam);
-                obs |= o;
+                let d = self.read_op(st, &src, ws, fam, seen);
                 // Positions below the source sign bit survive sign
                 // extension exactly; a deviated sign bit smears upward.
-                let sign = fam.low(ws) & !fam.below(8 * ws as u32 - 1);
-                obs |= self.write_reg(t, dst, (p & fam.below(8 * ws as u32 - 1), s | (p & sign)));
+                let keep = fam.below(8 * ws as u32 - 1);
+                let sign = fam.low(ws) & !keep;
+                self.write_reg(t, dst, Dev::new(d.pos & keep, d.scr | (d.pos & sign), d.def), seen);
             }
-            AKind::Lea { dst, mem } => match mem.base {
+            AKind::Lea { dst, mem } => {
                 // base + disp is an addition: only an msb deviation
                 // survives carries position-exactly.
-                Some(b) => {
-                    let (p, s) = get(st, Loc::Reg(b));
-                    obs |= self.write_reg(t, dst, (p & fam.top(8), s | (p & !fam.top(8))));
-                }
-                None => obs |= self.write_reg(t, dst, (0, 0)),
-            },
+                let b = mem.base.map_or(Dev::default(), |b| get(st, Loc::Reg(b)));
+                self.write_reg(t, dst, Dev::new(b.pos & fam.top(8), b.scr | (b.pos & !fam.top(8)), b.def), seen);
+            }
             AKind::Alu { op, w, dst, src } => {
-                let (a, oa) = self.read_op(st, &AOp::Reg(dst), w, fam);
-                let (b, ob) = self.read_op(st, &src, w, fam);
-                obs |= oa | ob;
+                let a = self.read_op(st, &AOp::Reg(dst), w, fam, seen);
+                let b = self.read_op(st, &src, w, fam, seen);
                 let imm = match src {
                     AOp::Imm(v) => Some(v as u64),
                     _ => None,
                 };
                 let wmask = if w >= 8 { u64::MAX } else { (1u64 << (8 * w)) - 1 };
                 let self_op = src == AOp::Reg(dst);
-                let res: Dev = match op {
+                let (pos, scr) = match op {
                     // Sub r,r and Xor r,r produce a constant: clean kill.
                     AluOp::Sub | AluOp::Xor if self_op => (0, 0),
                     AluOp::Add | AluOp::Sub | AluOp::Imul => {
                         // Carries: only msb deviations stay single-bit.
-                        let p = (a.0 | b.0) & fam.top(w);
-                        (p, a.1 | b.1 | ((a.0 | b.0) & !fam.top(w)))
+                        let p = (a.pos | b.pos) & fam.top(w);
+                        (p, a.scr | b.scr | ((a.pos | b.pos) & !fam.top(w)))
                     }
                     // Bitwise ops are position-exact; an immediate mask
                     // additionally kills positions it forces constant
                     // (`and 0` / `or ~0` even defeats scrambles).
                     AluOp::And => match imm {
                         Some(c) if c & wmask == 0 => (0, 0),
-                        Some(c) => (a.0 & fam.const_bits(c, w), a.1),
-                        None => (a.0 | b.0, a.1 | b.1),
+                        Some(c) => (a.pos & fam.const_bits(c, w), a.scr),
+                        None => (a.pos | b.pos, a.scr | b.scr),
                     },
                     AluOp::Or => match imm {
                         Some(c) if !c & wmask == 0 => (0, 0),
-                        Some(c) => (a.0 & fam.const_bits(!c, w), a.1),
-                        None => (a.0 | b.0, a.1 | b.1),
+                        Some(c) => (a.pos & fam.const_bits(!c, w), a.scr),
+                        None => (a.pos | b.pos, a.scr | b.scr),
                     },
-                    AluOp::Xor => (a.0 | b.0, a.1 | b.1),
+                    AluOp::Xor => (a.pos | b.pos, a.scr | b.scr),
                 };
                 // Flags: Add/Sub carry/overflow depend on the operands;
                 // the bitwise family's flags are a function of the result.
                 let fdev = match op {
-                    AluOp::Add | AluOp::Sub => all(a) | all(b),
-                    _ => all(res),
+                    AluOp::Add | AluOp::Sub => a.all() | b.all(),
+                    _ => pos | scr,
                 };
-                set(t, Loc::Flags, (0, fdev));
-                obs |= self.write_reg(t, dst, res);
+                let def = a.def | b.def;
+                set(t, Loc::Flags, Dev::new(0, fdev, def));
+                self.write_reg(t, dst, Dev::new(pos, scr, def), seen);
             }
             AKind::Shift { op, w, dst, amt } => {
-                let (a, _) = self.read_op(st, &AOp::Reg(dst), w, fam);
-                let res: Dev = match amt {
+                let a = self.read_op(st, &AOp::Reg(dst), w, fam, seen);
+                let res = match amt {
                     AOp::Imm(k) => {
                         let k = (k as u64 & 0xff) as u32 & (8 * w as u32 - 1);
                         let wbits = 8 * w as u32;
                         let surviving = match op {
                             // Positions shifted out of the width die; the
                             // rest move (position no longer the family's).
-                            ShiftOp::Shl => a.0 & fam.below(wbits - k),
-                            ShiftOp::Shr => a.0 & !fam.below(k),
+                            ShiftOp::Shl => a.pos & fam.below(wbits - k),
+                            ShiftOp::Shr => a.pos & !fam.below(k),
                             // A deviated sign bit replicates on the way
                             // down; low positions below the shift die.
-                            ShiftOp::Sar => (a.0 & !fam.below(k)) | (a.0 & fam.low(w) & !fam.below(wbits - 1)),
+                            ShiftOp::Sar => (a.pos & !fam.below(k)) | (a.pos & fam.low(w) & !fam.below(wbits - 1)),
                         };
-                        (0, surviving | a.1)
+                        Dev::new(0, surviving | a.scr, a.def)
                     }
                     _ => {
                         // Variable amount (cl): a deviated amount or value
                         // scrambles; nothing can be killed.
-                        let (amt_dev, _) = self.read_op(st, &amt, 1, fam);
-                        (0, all(a) | all(amt_dev))
+                        let n = self.read_op(st, &amt, 1, fam, seen);
+                        Dev::new(0, a.all() | n.all(), a.def | n.def)
                     }
                 };
-                set(t, Loc::Flags, (0, all(res)));
-                obs |= self.write_reg(t, dst, res);
+                set(t, Loc::Flags, res);
+                self.write_reg(t, dst, res, seen);
             }
             AKind::Cqo { .. } => {
                 // rdx = sign of rax bit 63 (full-width read regardless of
                 // w): only a bit-63 deviation flips it — into all of rdx.
-                let (p, s) = get(st, Loc::Reg(Reg::Rax));
-                let sign63 = fam.top(8);
-                obs |= self.write_reg(t, Reg::Rdx, (0, (p & sign63) | s));
+                let a = get(st, Loc::Reg(Reg::Rax));
+                self.write_reg(t, Reg::Rdx, Dev::new(0, (a.pos & fam.top(8)) | a.scr, a.def), seen);
             }
-            AKind::ZeroRdx => {
-                obs |= self.write_reg(t, Reg::Rdx, (0, 0));
-            }
+            AKind::ZeroRdx => self.write_reg(t, Reg::Rdx, Dev::default(), seen),
             AKind::Div { src, .. } => {
                 // Deviated dividend or divisor risks a divide trap
                 // (divisor 0, signed overflow) on top of a scrambled
-                // quotient: observed outright. rdx is written, not read.
+                // quotient: carried. rdx is cqo/zero of rax, so not read.
                 let a = get(st, Loc::Reg(Reg::Rax));
-                let (b, ob) = self.read_op(st, &src, 8, fam);
-                obs |= ob | all(a) | all(b);
-                obs |= self.write_reg(t, Reg::Rax, (0, 0));
-                obs |= self.write_reg(t, Reg::Rdx, (0, 0));
+                let b = self.read_op(st, &src, 8, fam, seen);
+                seen.carried |= a.all() | b.all();
+                let q = Dev::new(0, a.all() | b.all(), a.def | b.def);
+                self.write_reg(t, Reg::Rax, q, seen);
+                self.write_reg(t, Reg::Rdx, q, seen);
             }
             AKind::Cmp { w, lhs, rhs } => {
-                let (a, oa) = self.read_op(st, &lhs, w, fam);
-                let (b, ob) = self.read_op(st, &rhs, w, fam);
-                obs |= oa | ob;
-                set(t, Loc::Flags, (0, all(a) | all(b)));
+                let a = self.read_op(st, &lhs, w, fam, seen);
+                let b = self.read_op(st, &rhs, w, fam, seen);
+                self.compare(j, a, b, t, seen);
             }
             AKind::Test { w, lhs, rhs } => {
                 // Flags are a pure function of `lhs & rhs`: an immediate
                 // mask kills position-exact deviations outside it.
-                let (a, oa) = self.read_op(st, &lhs, w, fam);
-                let (b, ob) = self.read_op(st, &rhs, w, fam);
-                obs |= oa | ob;
-                let rdev = match rhs {
-                    AOp::Imm(c) => (a.0 & fam.const_bits(c as u64, w)) | a.1,
-                    _ => all(a) | all(b),
-                };
-                set(t, Loc::Flags, (0, rdev));
+                let a = self.read_op(st, &lhs, w, fam, seen);
+                let b = self.read_op(st, &rhs, w, fam, seen);
+                match rhs {
+                    AOp::Imm(c) => self.compare(j, a.keep(fam.const_bits(c as u64, w)), b, t, seen),
+                    _ => self.compare(j, a, b, t, seen),
+                }
             }
             AKind::Ucomi { w, lhs, rhs } => {
-                let (a, _) = self.read_op(st, &AOp::Reg(lhs), w, fam);
-                let (b, ob) = self.read_op(st, &rhs, w, fam);
-                obs |= ob;
-                set(t, Loc::Flags, (0, all(a) | all(b)));
+                let a = self.read_op(st, &AOp::Reg(lhs), w, fam, seen);
+                let b = self.read_op(st, &rhs, w, fam, seen);
+                self.compare(j, a, b, t, seen);
             }
             AKind::SetCC { cc, dst } => {
                 // Branchless: a deviated condition flips the materialized
                 // 0/1 — tracked, not observed.
-                let (fp, fs) = get(st, Loc::Flags);
-                let affected = (fp & class_mask(cc)) | fs;
-                obs |= self.write_reg(t, dst, (0, affected));
+                let f = get(st, Loc::Flags);
+                self.write_reg(t, dst, Dev::new(0, (f.pos & class_mask(cc)) | f.scr, f.def), seen);
             }
             AKind::Cmov { cc, w, dst, src } => {
-                let (fp, fs) = get(st, Loc::Flags);
-                let affected = (fp & class_mask(cc)) | fs;
-                let (d, _) = self.read_op(st, &AOp::Reg(dst), w, fam);
-                let (s, os) = self.read_op(st, &src, w, fam);
-                obs |= os;
+                let f = get(st, Loc::Flags);
+                let affected = (f.pos & class_mask(cc)) | f.scr;
+                let d = self.read_op(st, &AOp::Reg(dst), w, fam, seen);
+                let s = self.read_op(st, &src, w, fam, seen);
                 // Conditional write: no kill; a deviated condition picks
                 // the wrong source.
-                set(t, Loc::Reg(dst), (d.0 | s.0, d.1 | s.1 | affected));
+                set(t, Loc::Reg(dst), Dev::new(d.pos | s.pos, d.scr | s.scr | affected, d.def | s.def | f.def));
             }
             AKind::Jcc { cc, .. } => {
                 // Any deviated flag class the condition reads steers the
                 // branch wrong — even toward a detector (Detected is not
-                // the golden outcome). Class-exact deviations in unread
-                // classes survive the branch.
-                let (fp, fs) = get(st, Loc::Flags);
-                obs |= (fp & class_mask(cc)) | fs;
-                set(t, Loc::Flags, (fp & !class_mask(cc), 0));
+                // the golden outcome), though there it is no sink: a
+                // detector-armed branch fires or takes its golden arm, a
+                // trampoline-guarded one is revalidated on every edge.
+                // Class-exact deviations in unread classes survive.
+                let f = get(st, Loc::Flags);
+                let steered = (f.pos & class_mask(cc)) | f.scr;
+                let guarded = || self.guards.jcc_has_detect_arm(j) || self.guards.branch_is_guarded(j);
+                if steered != 0 && guarded() {
+                    seen.carried |= steered;
+                } else {
+                    seen.sink(Sink::Branch, steered);
+                }
+                set(t, Loc::Flags, Dev::new(f.pos & !class_mask(cc), 0, f.def));
             }
             AKind::Jmp { .. } => {}
             AKind::Call { func, .. } => {
                 // Callee sees argument registers and all of global memory;
                 // the caller frame is unaddressable from the callee.
-                for a in &self.te.arg_regs[func.index()] {
-                    obs |= all(get(st, *a));
+                seen.sink(Sink::MemEscape, global_dev(st) | summary(st));
+                for a in &self.arg_regs[func.index()] {
+                    seen.sink(Sink::CallArg, get(st, *a).all());
                 }
-                obs |= global_dev(st);
-                obs |= all(get(st, Loc::Mem));
                 t.retain(|&(l, _)| match l {
                     Loc::Reg(r) => !Reg::GPR_POOL.contains(&r) && !Reg::XMM_POOL.contains(&r),
                     l => l != Loc::Flags,
                 });
             }
             AKind::Ret => {
-                // The caller reads the return register; per the value
-                // engine's contract everything else (dead scratch state,
-                // the callee frame) is discarded at the boundary.
-                let fi = self.te.func_of[j as usize];
-                if let Some(rr) = self.te.ret_reg[fi] {
-                    obs |= all(get(st, rr));
+                // The caller reads the return register and memory;
+                // everything else (dead scratch state, the callee frame) is
+                // discarded at the boundary.
+                seen.sink(Sink::MemEscape, global_dev(st) | summary(st));
+                if let Some(rr) = self.ret_reg[self.func_of[j as usize]] {
+                    seen.sink(Sink::RetVal, get(st, rr).all());
                 }
-                obs |= global_dev(st);
-                obs |= all(get(st, Loc::Mem));
-                return (obs, false);
+                return false;
             }
             AKind::Push { src } => {
-                // A deviation entering the push/pop area loses identity.
-                let (dev, o) = self.read_op(st, &src, 8, fam);
-                obs |= o | all(dev);
+                let dev = self.read_op(st, &src, 8, fam, seen);
+                self.park(t, dev, seen);
             }
-            AKind::Pop { dst } => {
-                // Tracked deviations provably never reach the stack area
-                // (deviated pushes are observed above): clean kill.
-                obs |= self.write_reg(t, dst, (0, 0));
-            }
+            // Restores the saved frame pointer clean: a deviated push
+            // parked its family in `Mem`, which the coming `ret` reports.
+            AKind::Pop { dst } => self.write_reg(t, dst, Dev::default(), seen),
             AKind::Sse { dst, src, .. } => {
-                let (a, _) = self.read_op(st, &AOp::Reg(dst), 8, fam);
-                let (b, ob) = self.read_op(st, &src, 8, fam);
-                obs |= ob;
-                obs |= self.write_reg(t, dst, (0, all(a) | all(b)));
+                let a = self.read_op(st, &AOp::Reg(dst), 8, fam, seen);
+                let b = self.read_op(st, &src, 8, fam, seen);
+                self.write_reg(t, dst, Dev::new(0, a.all() | b.all(), a.def | b.def), seen);
             }
             AKind::Cvtsi2f { dst, src, .. } => {
-                let (b, ob) = self.read_op(st, &src, 8, fam);
-                obs |= ob;
-                obs |= self.write_reg(t, dst, (0, all(b)));
+                let b = self.read_op(st, &src, 8, fam, seen);
+                self.write_reg(t, dst, Dev::new(0, b.all(), b.def), seen);
             }
             AKind::Cvtf2si { wf, dst, src } => {
-                let (b, ob) = self.read_op(st, &src, wf, fam);
-                obs |= ob;
-                obs |= self.write_reg(t, dst, (0, all(b)));
+                let b = self.read_op(st, &src, wf, fam, seen);
+                self.write_reg(t, dst, Dev::new(0, b.all(), b.def), seen);
             }
             AKind::Cvtff { dst, src, .. } => {
-                let (b, _) = self.read_op(st, &AOp::Reg(src), 8, fam);
-                obs |= self.write_reg(t, dst, (0, all(b)));
+                let b = self.read_op(st, &AOp::Reg(src), 8, fam, seen);
+                self.write_reg(t, dst, Dev::new(0, b.all(), b.def), seen);
             }
             AKind::MovQ { w, dst, src } => {
-                let (dev, _) = self.read_op(st, &AOp::Reg(src), w, fam);
-                obs |= self.write_reg(t, dst, dev);
+                let d = self.read_op(st, &AOp::Reg(src), w, fam, seen);
+                self.write_reg(t, dst, d, seen);
             }
             AKind::Math { dst, a, b, .. } => {
-                let (da, _) = self.read_op(st, &AOp::Reg(a), 8, fam);
-                let db = b.map_or((0, 0), |r| get(st, Loc::Reg(r)));
-                obs |= self.write_reg(t, dst, (0, all(da) | all(db)));
+                let da = self.read_op(st, &AOp::Reg(a), 8, fam, seen);
+                let db = b.map_or(Dev::default(), |r| get(st, Loc::Reg(r)));
+                self.write_reg(t, dst, Dev::new(0, da.all() | db.all(), da.def | db.def), seen);
             }
             AKind::Out { kind, src } => {
                 // The port reads 8 bytes; the byte port truncates to the
                 // low byte, leaving higher deviations unobserved.
-                let (dev, o) = self.read_op(st, &src, 8, fam);
-                obs |= o;
-                obs |= match kind {
-                    OutKind::Byte => (dev.0 & fam.low(1)) | dev.1,
-                    OutKind::I64 | OutKind::F64 => all(dev),
+                let d = self.read_op(st, &src, 8, fam, seen);
+                let shown = match kind {
+                    OutKind::Byte => (d.pos & fam.low(1)) | d.scr,
+                    OutKind::I64 | OutKind::F64 => d.all(),
                 };
+                seen.sink(Sink::Output, shown);
             }
             AKind::DetectTrap => {
                 // Reachable only off a detect arm; for still-tracked
                 // families the golden path never comes here.
-                return (obs, false);
+                return false;
             }
         }
-        (obs, true)
+        true
+    }
+
+    /// Flags of a compare of sides `a` and `b`. At a guarded compare, a
+    /// family that may deviate on exactly one side and definitely deviates
+    /// there is detected: the compared values differ, the detector fires.
+    fn compare(&self, j: u32, a: Dev, b: Dev, t: &mut State, seen: &mut Seen) {
+        let one_sided = (a.def & !b.all()) | (b.def & !a.all());
+        if one_sided != 0 && self.guards.compare_is_guarded(j) {
+            seen.detected |= one_sided;
+        }
+        set(t, Loc::Flags, Dev::new(0, a.all() | b.all(), a.def | b.def));
     }
 }
 
-/// Drop already-vulnerable family bits from every entry.
-fn strip(st: &mut State, vuln: u64) {
-    if vuln == 0 {
+/// Drop the families `gone` from every entry.
+fn strip(st: &mut State, gone: u64) {
+    if gone == 0 {
         return;
     }
     st.retain_mut(|(_, d)| {
-        d.0 &= !vuln;
-        d.1 &= !vuln;
-        *d != (0, 0)
+        d.pos &= !gone;
+        d.scr &= !gone;
+        d.def &= !gone;
+        d.all() != 0
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowery_backend::mir::{AsmFunc, AsmRole};
     use flowery_backend::{compile_module, BackendConfig};
+    use flowery_ir::{FuncId, IrRole};
     use flowery_passes::{duplicate_module, DupConfig, ProtectionPlan};
 
     fn program(src: &str, protect: bool) -> (Module, AsmProgram) {
@@ -798,13 +1016,13 @@ mod tests {
         // flag deviation, the other a scramble of another family.
         let (jmp, func) = (AKind::Jmp { target: 2 }, 0..4);
         let mut walk = Walk::new(4);
-        walk.out = vec![(Loc::Flags, (0b01, 0))];
+        walk.out = vec![(Loc::Flags, Dev::new(0b01, 0, 0))];
         walk.propagate(&jmp, 0, &func);
         assert_eq!(walk.work.pop(), Some(2));
         walk.queued[2] = false;
-        walk.out = vec![(Loc::Flags, (0, 0b10))];
+        walk.out = vec![(Loc::Flags, Dev::new(0, 0b10, 0))];
         walk.propagate(&jmp, 1, &func);
-        assert_eq!(walk.ins[2], [(Loc::Flags, (0b01, 0b10))]);
+        assert_eq!(walk.ins[2], [(Loc::Flags, Dev::new(0b01, 0b10, 0))]);
         assert_eq!(walk.work.pop(), Some(2), "an in-state that gained a bit is stepped again");
         walk.queued[2] = false;
         walk.propagate(&jmp, 1, &func);
@@ -813,20 +1031,100 @@ mod tests {
         assert!(walk.ins.iter().all(Vec::is_empty) && walk.work.is_empty() && !walk.queued[2]);
     }
 
+    #[test]
+    fn join_ands_def_only_over_paths_where_the_family_lives() {
+        let (rax, rcx) = (Loc::Reg(Reg::Rax), Loc::Reg(Reg::Rcx));
+        let mut into = State::new();
+        // First arrival: taken as is.
+        assert!(join(&mut into, &[(rax, Dev::new(0b11, 0, 0b11))], true));
+        // Family 0 lives elsewhere on this path (rax clean there): its def
+        // at rax goes. Family 1 is dead on this path: its def stays.
+        assert!(join(&mut into, &[(rcx, Dev::new(0b01, 0, 0b01))], true));
+        assert_eq!(into, [(rax, Dev::new(0b11, 0, 0b10)), (rcx, Dev::new(0b01, 0, 0))]);
+        // Nothing new, nothing lost: no change, no requeue.
+        assert!(!join(&mut into, &[(rax, Dev::new(0b10, 0, 0b10))], true));
+        // Losing a def bit alone is a change.
+        assert!(join(&mut into, &[(rax, Dev::new(0b10, 0, 0))], true));
+        assert_eq!(into[0], (rax, Dev::new(0b11, 0, 0)));
+    }
+
+    /// `main` of ten hand-written instructions: site 0 loads rax, then
+    /// either jumps straight to a guarded compare of rax (path A), or
+    /// stores rax through a pointer and reloads it through one (path B,
+    /// replaced by `path_b` at index 5); past the check, `out rax`.
+    fn guarded_join(path_b: AKind) -> (Module, AsmProgram) {
+        let (m, _) = program("int main() { return 0; }", false);
+        let (rax, rcx, rdx) = (AOp::Reg(Reg::Rax), AOp::Reg(Reg::Rcx), Reg::Rdx);
+        let ptr = AOp::Mem(MemRef { base: Some(rdx), disp: 0 });
+        let frame = AOp::Mem(MemRef { base: Some(Reg::Rbp), disp: -8 });
+        let kinds = [
+            AKind::Mov { w: 8, dst: rax, src: frame },
+            AKind::Jcc { cc: CC::E, target: 4 },
+            AKind::Jmp { target: 6 },
+            AKind::Jmp { target: 6 },
+            AKind::Mov { w: 8, dst: ptr, src: rax },
+            path_b,
+            AKind::Cmp { w: 8, lhs: rax, rhs: rcx },
+            AKind::Jcc { cc: CC::Ne, target: 9 },
+            AKind::Out { kind: OutKind::I64, src: rax },
+            AKind::DetectTrap,
+        ];
+        let insts = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, &kind)| flowery_backend::AInst {
+                kind,
+                role: AsmRole::Compute,
+                prov: None,
+                ir_role: if i == 6 { IrRole::Checker } else { IrRole::App },
+            })
+            .collect();
+        let main = AsmFunc {
+            name: "main".into(),
+            ir_id: FuncId(0),
+            entry: 0,
+            end: 10,
+            frame_size: 8,
+        };
+        (m, AsmProgram { insts, funcs: vec![main], main_entry: 0, static_sites: 0 })
+    }
+
+    #[test]
+    fn a_guarded_compare_kills_only_what_every_live_path_definitely_deviates() {
+        let lint = |path_b| {
+            let (m, prog) = guarded_join(path_b);
+            assert!(Guards::compute(&prog).compare_is_guarded(6));
+            lint_sites(&m, &prog)[0]
+        };
+        // Both paths bring rax definitely deviating: the detector fires in
+        // every run, nothing reaches the output.
+        let rax = AOp::Reg(Reg::Rax);
+        assert_eq!(lint(AKind::Mov { w: 8, dst: rax, src: rax }), (0, Verdict::Protected));
+        // Path B reloads rax through the `Mem` summary, which may or may not
+        // hold the corrupted cell: the joined rax is no longer definitely
+        // deviating, so the compare may pass and the family goes on.
+        let reload = AKind::Mov {
+            w: 8,
+            dst: rax,
+            src: AOp::Mem(MemRef { base: Some(Reg::Rdx), disp: 0 }),
+        };
+        assert_eq!(lint(reload), (0, Verdict::Penetrates(Sink::Output)));
+    }
+
     /// The per-path walk the fixpoint replaced, without its state budget:
     /// a depth-first search over distinct `(instruction, state)` pairs
     /// under the same `step_bits`. Returns the verdict and the number of
     /// states it stepped.
-    fn path_walk(eng: &BitsEngine<'_, '_>, idx: u32) -> (BitVerdict, usize) {
-        let Some((loc, fam)) = eng.initial(idx) else {
+    fn path_walk(eng: &BitsEngine<'_>, idx: u32) -> (BitVerdict, usize) {
+        let (seen, Some((loc, _, fam))) = eng.seed(idx) else {
             return (BitVerdict::all_vulnerable(), 0);
         };
-        let fi = eng.te.func_of[idx as usize];
-        if fi == usize::MAX {
+        if seen.any() == u64::MAX {
             return (BitVerdict::all_vulnerable(), 0);
         }
-        let func = eng.te.prog.funcs[fi].entry..eng.te.prog.funcs[fi].end;
-        let insts = &eng.te.prog.insts;
+        let fi = eng.func_of[idx as usize];
+        let func = eng.prog.funcs[fi].entry..eng.prog.funcs[fi].end;
+        let insts = &eng.prog.insts;
         let succ = |j: u32| {
             insts[j as usize]
                 .kind
@@ -834,7 +1132,10 @@ mod tests {
                 .filter(|s| func.contains(s))
                 .collect::<Vec<_>>()
         };
-        let mut stack: Vec<(u32, State)> = succ(idx).into_iter().map(|s| (s, vec![(loc, (u64::MAX, 0))])).collect();
+        let mut stack: Vec<(u32, State)> = succ(idx)
+            .into_iter()
+            .map(|s| (s, vec![(loc, Dev::new(u64::MAX, 0, 0))]))
+            .collect();
         let mut seen: Vec<Vec<State>> = vec![Vec::new(); insts.len()];
         let (mut vuln, mut steps, mut t) = (0u64, 0usize, State::new());
         while let Some((j, mut st)) = stack.pop() {
@@ -847,8 +1148,9 @@ mod tests {
             }
             seen[j as usize].push(st.clone());
             steps += 1;
-            let (observed, cont) = eng.step_bits(j, &st, fam, &mut t);
-            vuln |= observed;
+            let mut seen = Seen::default();
+            let cont = eng.step_bits(j, &st, fam, &mut t, &mut seen);
+            vuln |= seen.any();
             strip(&mut t, vuln);
             if cont && !t.is_empty() {
                 stack.extend(succ(j).into_iter().map(|s| (s, t.clone())));
@@ -895,8 +1197,7 @@ mod tests {
         for src in PATHY.iter().chain([&SRC]) {
             for protect in [false, true] {
                 let (m, prog) = program(src, protect);
-                let te = TaintEngine::new(&m, &prog);
-                let eng = BitsEngine { te: &te };
+                let eng = BitsEngine::new(&m, &prog);
                 let table = analyze_bits(&m, &prog);
                 for idx in 0..prog.insts.len() as u32 {
                     if !prog.insts[idx as usize].kind.is_fault_site() {

@@ -1,14 +1,14 @@
 //! Static penetration prediction and cross-validation against injection
 //! ground truth.
 //!
-//! [`predict_program`] runs the Layer-1 taint engine over every injectable
-//! site of a hardened program and classifies each flagged site with the
-//! same category signatures the dynamic root-cause classifier uses,
-//! yielding a *predicted* [`PenetrationBreakdown`] without firing a single
-//! fault. [`cross_validate`] then scores the predictions against measured
-//! SDC sites from an injection campaign: per-category recall ("of the
-//! sites the campaign proved vulnerable, how many did the lint flag?"),
-//! a precision lower bound, and category agreement.
+//! [`predict_program`] runs the bit engine's lint query over every
+//! injectable site of a hardened program and classifies each flagged site
+//! with the same category signatures the dynamic root-cause classifier
+//! uses, yielding a *predicted* [`PenetrationBreakdown`] without firing a
+//! single fault. [`cross_validate`] then scores the predictions against
+//! measured SDC sites from an injection campaign: per-category recall ("of
+//! the sites the campaign proved vulnerable, how many did the lint
+//! flag?"), a precision lower bound, and category agreement.
 //!
 //! Two deliberate category divergences from the dynamic classifier (both
 //! documented in DESIGN.md §7): corruption of a data move's *memory image*
@@ -18,8 +18,8 @@
 //! reload feeding an output escape is predicted `Call` (the escape shape)
 //! where the dynamic classifier groups it with store feeds.
 
+use super::bits::{lint_sites, Verdict};
 use super::sinks::Sink;
-use super::taint::{TaintEngine, Verdict};
 use crate::report::{pct, render_table};
 use crate::rootcause::{Classifier, Penetration, PenetrationBreakdown};
 use flowery_backend::mir::{AKind, AOp, AsmRole, FaultDest};
@@ -34,7 +34,7 @@ use std::collections::{BTreeSet, HashMap};
 pub struct SitePrediction {
     /// Instruction index in the linked program.
     pub idx: u32,
-    /// The sink the taint reached.
+    /// The sink the corruption reached.
     pub sink: Sink,
     /// Predicted penetration category.
     pub category: Penetration,
@@ -59,25 +59,20 @@ impl StaticReport {
     }
 }
 
-/// Run the taint engine over every injectable site of `prog`.
+/// Run the lint query over every injectable site of `prog`.
 ///
 /// `fold_enabled` must match the backend configuration `prog` was compiled
 /// with (it decides which duplication chains lost their shadow to compare
 /// folding, the comparison-penetration signature).
 pub fn predict_program(m: &Module, prog: &AsmProgram, fold_enabled: bool) -> StaticReport {
-    let engine = TaintEngine::new(m, prog);
     let classifier = Classifier::new(m, fold_enabled);
     let mut report = StaticReport::default();
-    for idx in 0..prog.insts.len() as u32 {
-        let inst = &prog.insts[idx as usize];
-        if matches!(inst.kind.fault_dest(), FaultDest::None) {
-            continue;
-        }
+    for (idx, verdict) in lint_sites(m, prog) {
         report.sites += 1;
-        match engine.analyze_site(idx) {
+        match verdict {
             Verdict::Protected => report.protected += 1,
             Verdict::Penetrates(sink) => {
-                let category = predicted_category(m, &classifier, inst, sink);
+                let category = predicted_category(m, &classifier, &prog.insts[idx as usize], sink);
                 report.breakdown.record(category);
                 report.flagged.push(SitePrediction { idx, sink, category });
             }
@@ -117,7 +112,7 @@ pub fn predicted_category(m: &Module, classifier: &Classifier<'_>, inst: &AInst,
         return Penetration::Mapping;
     }
     // A branch prediction is only honest when the escape actually steers a
-    // branch. If the signature says "condition reload" but the taint
+    // branch. If the signature says "condition reload" but the deviation
     // escaped through data (the branch itself was guarded), reattribute by
     // sink: the corruption reaches the output through the data path.
     if base == Penetration::Branch && sink != Sink::Branch {
@@ -290,4 +285,71 @@ pub fn static_prior(
         }
     }
     prior
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flowery_backend::mir::Reg;
+    use flowery_backend::{compile_module, BackendConfig};
+    use flowery_passes::{duplicate_module, DupConfig, ProtectionPlan};
+
+    fn report(src: &str, protect: bool) -> (AsmProgram, StaticReport) {
+        let mut m = flowery_lang::compile("t", src).unwrap();
+        if protect {
+            let plan = ProtectionPlan::full(&m);
+            duplicate_module(&mut m, &plan, &DupConfig::default());
+        }
+        let prog = compile_module(&m, &BackendConfig::default());
+        let report = predict_program(&m, &prog, BackendConfig::default().fold_compares);
+        (prog, report)
+    }
+
+    const SRC: &str = "int main() { int a = 3; int b = a * 7 + 1; output(b); return b; }";
+
+    #[test]
+    fn unprotected_compute_penetrates() {
+        // Without checkers, a corrupted value on the chain to output()
+        // must escape: nothing discharges it.
+        let (_, r) = report(SRC, false);
+        assert!(!r.flagged.is_empty(), "raw program must have penetrating sites");
+    }
+
+    #[test]
+    fn duplication_proves_sites_protected() {
+        let (_, r) = report(SRC, true);
+        assert!(
+            r.protected > 0 && r.protected < r.sites,
+            "duplication proves some but not all of {} sites ({} protected)",
+            r.sites,
+            r.protected
+        );
+        // And strictly more than the raw program proves (the checkers are
+        // what discharge the corruption).
+        let (_, raw) = report(SRC, false);
+        assert!(r.protected > raw.protected, "checkers must prove more sites");
+    }
+
+    #[test]
+    fn control_image_faults_flag_immediately() {
+        let (prog, r) =
+            report("int g(int x) { return x + 1; } int main() { int a = g(4); output(a); return a; }", true);
+        // Call return-address pushes and stack/frame-pointer writes corrupt
+        // the control image; the lint flags them without walking.
+        let mut found = false;
+        for (i, inst) in prog.insts.iter().enumerate() {
+            let control = matches!(inst.kind, AKind::Call { .. })
+                || matches!(inst.kind.fault_dest(), FaultDest::Gpr(Reg::Rsp | Reg::Rbp, _));
+            if control {
+                let p = r
+                    .flagged
+                    .iter()
+                    .find(|p| p.idx == i as u32)
+                    .expect("control-image site flagged");
+                assert_eq!(p.sink, Sink::ControlImage, "{:?}", inst.kind);
+                found = true;
+            }
+        }
+        assert!(found, "program calls g() and sets up frames");
+    }
 }

@@ -1,4 +1,5 @@
-//! Sink and guard definitions for the Layer-1 taint pass.
+//! Sink and guard definitions for the lint query of the bit engine
+//! ([`super::bits`]).
 //!
 //! A *sink* is an architectural escape point: once a corruptible value
 //! reaches one without an intervening validation compare, the fault can
@@ -7,38 +8,43 @@
 //! duplication checker, a Flowery patch check, or an assembly-hardening
 //! read-back verification.
 
-use flowery_backend::mir::{AKind, AOp, AsmRole, Loc};
+use flowery_backend::mir::{AKind, AsmRole};
 use flowery_backend::AsmProgram;
 use flowery_ir::IrRole;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
-
-/// The set of possibly-corrupted locations along one dataflow path.
-/// Ordered so it can key a visited-state set deterministically.
-pub type TaintSet = BTreeSet<Loc>;
 
 /// The architectural sink a corrupted value escaped through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Sink {
-    /// Tainted operand reaches an output port (`out.*`).
+    /// A deviated operand reaches an output port (`out.*`).
     Output,
-    /// Tainted flags steer an unguarded conditional branch.
+    /// Deviated flags steer an unguarded conditional branch.
     Branch,
-    /// Tainted argument register flows into a call.
+    /// A deviated argument register flows into a call.
     CallArg,
-    /// Tainted return value (rax/xmm0) leaves the function.
+    /// A deviated return value (rax/xmm0) leaves the function.
     RetVal,
     /// Corrupted non-frame memory (global/heap image) outlives the
     /// function or is visible to a callee.
     MemEscape,
-    /// The fault corrupts the control image itself (pushed return address
-    /// or saved frame pointer) — statically unprovable safe.
+    /// The fault corrupts the control image itself: the stack or frame
+    /// pointer, a pushed return address or saved frame pointer.
     ControlImage,
-    /// The per-site state budget was exhausted; flagged conservatively.
-    Unbounded,
 }
 
 impl Sink {
+    /// Every sink, in the order the lint reports one when a single step
+    /// reaches several (escaping memory before the call argument or return
+    /// value that goes with it).
+    pub const ALL: [Sink; 6] = [
+        Sink::ControlImage,
+        Sink::MemEscape,
+        Sink::CallArg,
+        Sink::RetVal,
+        Sink::Output,
+        Sink::Branch,
+    ];
+
     pub fn name(self) -> &'static str {
         match self {
             Sink::Output => "output",
@@ -47,7 +53,6 @@ impl Sink {
             Sink::RetVal => "ret-val",
             Sink::MemEscape => "mem-escape",
             Sink::ControlImage => "control-image",
-            Sink::Unbounded => "unbounded",
         }
     }
 }
@@ -164,107 +169,9 @@ fn trampoline_guarded(prog: &AsmProgram, guarded_compare: &[bool], mut idx: u32)
     false
 }
 
-/// Two-strength taint state for one dataflow path.
-///
-/// `def` holds *definitely corrupted* locations: an unbroken chain of
-/// precise reads links them to the fault destination, so their value is
-/// guaranteed to differ from the golden run (the injector always flips a
-/// bit within the destination width). `weak` holds *possibly corrupted*
-/// locations: the chain passed through the non-addressable `Mem` summary
-/// at least once, so a read may or may not have hit the corrupted cell.
-///
-/// The distinction is what makes the checker kill rule sound in both
-/// directions: a guarded compare of a one-sided **definite** value always
-/// fires the detector (the path ends), while a one-sided **weak** value
-/// may compare clean and sail through (the path continues, flags clean).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Taint {
-    pub def: TaintSet,
-    pub weak: TaintSet,
-}
-
-impl Taint {
-    pub fn definite(loc: Loc) -> Taint {
-        Taint { def: [loc].into(), weak: TaintSet::new() }
-    }
-
-    pub fn weak(loc: Loc) -> Taint {
-        Taint { def: TaintSet::new(), weak: [loc].into() }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.def.is_empty() && self.weak.is_empty()
-    }
-
-    pub fn contains(&self, loc: Loc) -> bool {
-        self.def.contains(&loc) || self.weak.contains(&loc)
-    }
-
-    pub fn remove(&mut self, loc: Loc) {
-        self.def.remove(&loc);
-        self.weak.remove(&loc);
-    }
-
-    /// Any tracked global cell tainted (definitely or weakly)?
-    pub fn any_global(&self) -> bool {
-        let is_global = |l: &&Loc| matches!(l, Loc::Global(_));
-        self.def.iter().any(|l| is_global(&l)) || self.weak.iter().any(|l| is_global(&l))
-    }
-
-    /// Is corruption visible through memory at large — the summary, or any
-    /// global cell (globals stay addressable through pointers)? This is
-    /// the escape test for calls and returns.
-    pub fn memory_visible(&self) -> bool {
-        self.contains(Loc::Mem) || self.any_global()
-    }
-
-    /// May-alias closure for the field-sensitive memory model: a read of a
-    /// tracked global cell may hit summary corruption, and a summary
-    /// (pointer) read may hit a corrupted global cell. Frame slots never
-    /// alias anything (spill homes are not address-taken).
-    pub fn mem_aliases(&self, loc: Loc) -> bool {
-        match loc {
-            Loc::Global(_) => self.contains(Loc::Mem),
-            Loc::Mem => self.any_global(),
-            _ => false,
-        }
-    }
-
-    /// Is the *value* this operand denotes possibly corrupted? For a
-    /// memory operand this covers the addressed cell, its may-alias
-    /// closure, and a corrupted base register (which makes the access read
-    /// the wrong cell).
-    pub fn op_value_tainted(&self, op: &AOp) -> bool {
-        match op {
-            AOp::Reg(r) => self.contains(Loc::Reg(*r)),
-            AOp::Imm(_) => false,
-            AOp::Mem(m) => {
-                let l = m.loc();
-                self.contains(l) || self.mem_aliases(l) || m.base.is_some_and(|b| self.contains(Loc::Reg(b)))
-            }
-        }
-    }
-
-    /// Is this operand's value *definitely* corrupted — reachable from the
-    /// fault through precise locations only? (A corrupted base register
-    /// counts: the access reads the wrong cell, which differs from the
-    /// golden value in all but pathological coincidences.)
-    pub fn op_definitely_tainted(&self, op: &AOp) -> bool {
-        match op {
-            AOp::Reg(r) => self.def.contains(&Loc::Reg(*r)),
-            AOp::Imm(_) => false,
-            AOp::Mem(m) => {
-                (m.loc().is_strong() && self.def.contains(&m.loc()))
-                    || m.base.is_some_and(|b| self.def.contains(&Loc::Reg(b)))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowery_backend::mir::{MemRef, Reg};
     use flowery_backend::{compile_module, BackendConfig};
     use flowery_passes::{duplicate_module, DupConfig, ProtectionPlan};
 
@@ -290,28 +197,5 @@ mod tests {
             assert!(prog.insts[i as usize].kind.is_compare());
             assert!(guards.jcc_has_detect_arm(i + 1), "a guarded compare is consumed by a detector-armed jcc");
         }
-    }
-
-    #[test]
-    fn weak_taint_is_not_definite() {
-        let t = Taint::weak(Loc::Mem);
-        let opaque = AOp::Mem(MemRef { base: None, disp: 64 });
-        assert!(t.op_value_tainted(&opaque), "global read may alias the corrupted summary");
-        assert!(!t.op_definitely_tainted(&opaque), "but is never a guaranteed mismatch");
-
-        // The field-sensitive split: a named global cell is strong, so
-        // definite taint survives, and it aliases the summary both ways.
-        let g = Taint::definite(Loc::Global(64));
-        assert!(g.op_value_tainted(&opaque));
-        assert!(g.op_definitely_tainted(&opaque), "a named global cell keeps its identity");
-        assert!(g.memory_visible(), "globals stay addressable through pointers");
-        assert!(g.mem_aliases(Loc::Mem), "summary reads may hit the corrupted global");
-        assert!(!g.mem_aliases(Loc::Frame(-8)), "frame slots never alias");
-
-        let d = Taint::definite(Loc::Reg(Reg::Rcx));
-        let through_base = AOp::Mem(MemRef { base: Some(Reg::Rcx), disp: 0 });
-        assert!(d.op_value_tainted(&through_base));
-        assert!(d.op_definitely_tainted(&through_base), "corrupted base reads the wrong cell");
-        assert!(!d.op_value_tainted(&AOp::Imm(7)));
     }
 }

@@ -7,14 +7,21 @@
 //! At Flowery-100 the analyzer must also agree with the patches: no branch
 //! predictions anywhere, and no comparison predictions unless the Layer-2
 //! lint proves a shadow still folds (the stringsearch residual).
+//!
+//! Over all 48 programs (raw, ID-100, Flowery-100) the engine's two queries
+//! must agree with each other and flag every stack/frame-pointer site.
 
 use flowery_analysis::rootcause::Penetration;
-use flowery_analysis::statline::{cross_validate, lint_module, predict_program, render_validation, InvariantKind};
-use flowery_backend::{compile_module, BackendConfig};
+use flowery_analysis::statline::{
+    analyze_bits, cross_validate, lint_module, predict_program, render_validation, InvariantKind, Sink, StaticReport,
+};
+use flowery_backend::mir::{FaultDest, Reg};
+use flowery_backend::{compile_module, AsmProgram, BackendConfig};
 use flowery_inject::{run_asm_campaign, CampaignConfig};
 use flowery_ir::Module;
 use flowery_passes::{apply_flowery, duplicate_module, DupConfig, FloweryConfig, ProtectionPlan};
 use flowery_workloads::{workload, Scale, NAMES};
+use std::sync::OnceLock;
 
 fn protect(name: &str, flowery: bool) -> Module {
     let mut m = workload(name, Scale::Standard).compile();
@@ -24,6 +31,55 @@ fn protect(name: &str, flowery: bool) -> Module {
         apply_flowery(&mut m, &FloweryConfig::default());
     }
     m
+}
+
+/// The 48 programs — every workload raw, at ID-100 and at Flowery-100 —
+/// with their lint reports, built once for the tests that share them.
+fn all_programs() -> &'static [(String, Module, AsmProgram, StaticReport)] {
+    static ALL: OnceLock<Vec<(String, Module, AsmProgram, StaticReport)>> = OnceLock::new();
+    ALL.get_or_init(|| {
+        let bcfg = BackendConfig::default();
+        let mut all = Vec::new();
+        for name in NAMES {
+            let raw = workload(name, Scale::Standard).compile();
+            for (pass, m) in [("raw", raw), ("id", protect(name, false)), ("flowery", protect(name, true))] {
+                let prog = compile_module(&m, &bcfg);
+                let report = predict_program(&m, &prog, bcfg.fold_compares);
+                all.push((format!("{name}/{pass}"), m, prog, report));
+            }
+        }
+        all
+    })
+}
+
+#[test]
+fn stack_and_frame_pointer_sites_are_flagged_control_image() {
+    let mut seen = 0;
+    for (name, _, prog, report) in all_programs() {
+        for (idx, inst) in prog.insts.iter().enumerate() {
+            if matches!(inst.kind.fault_dest(), FaultDest::Gpr(Reg::Rsp | Reg::Rbp, _)) {
+                seen += 1;
+                let p = report.flagged.iter().find(|p| p.idx == idx as u32);
+                assert_eq!(p.map(|p| p.sink), Some(Sink::ControlImage), "{name} site {idx}: {:?}", inst.kind);
+            }
+        }
+    }
+    assert!(seen > 300, "every function sets up and tears down a frame ({seen} sites)");
+}
+
+#[test]
+fn sites_the_prune_proves_fully_masked_are_lint_protected() {
+    let mut proven = 0;
+    for (name, m, prog, report) in all_programs() {
+        let table = analyze_bits(m, prog);
+        for (idx, v) in table.verdicts.iter().enumerate() {
+            if prog.insts[idx].kind.is_fault_site() && v.proven_masked == u64::MAX {
+                proven += 1;
+                assert!(!report.is_flagged(idx as u32), "{name} site {idx}: all 64 bits masked, yet flagged");
+            }
+        }
+    }
+    assert!(proven > 0, "some sites are masked in every bit");
 }
 
 #[test]

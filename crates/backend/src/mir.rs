@@ -357,177 +357,32 @@ pub enum FaultDest {
 /// are tracked per-address. Only pointer-based accesses and the stack
 /// push/pop area collapse into the [`Loc::Mem`] summary location, and since
 /// globals remain addressable through pointers, `Global` and `Mem` are
-/// weakly aliased by the dataflow engines.
+/// weakly aliased by the static engine. Displacements are kept as `i32`
+/// so a location is one word; one outside that range is summary memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Loc {
     Reg(Reg),
     Flags,
     /// `[rbp + disp]` frame slot, keyed by byte displacement.
-    Frame(i64),
+    Frame(i32),
     /// Absolute global cell, keyed by address (`[disp]` with no base).
-    Global(i64),
+    Global(i32),
     /// Summary of all remaining memory (pointer accesses, push/pop area).
     Mem,
-}
-
-impl Loc {
-    /// True when a write to this location fully replaces the old value, so
-    /// a dataflow may *kill* facts about it. `Mem` is a may-alias summary:
-    /// writes to it are weak updates.
-    pub fn is_strong(self) -> bool {
-        !matches!(self, Loc::Mem)
-    }
 }
 
 impl MemRef {
     /// The abstract [`Loc`] this reference addresses.
     pub fn loc(&self) -> Loc {
-        match self.base {
-            Some(Reg::Rbp) => Loc::Frame(self.disp),
-            None => Loc::Global(self.disp),
+        match (self.base, i32::try_from(self.disp)) {
+            (Some(Reg::Rbp), Ok(d)) => Loc::Frame(d),
+            (None, Ok(d)) => Loc::Global(d),
             _ => Loc::Mem,
         }
     }
 }
 
-fn mem_loc(m: &MemRef) -> Loc {
-    m.loc()
-}
-
-fn push_op_reads(op: &AOp, out: &mut Vec<Loc>) {
-    match op {
-        AOp::Reg(r) => out.push(Loc::Reg(*r)),
-        AOp::Imm(_) => {}
-        AOp::Mem(m) => {
-            if let Some(b) = m.base {
-                out.push(Loc::Reg(b));
-            }
-            out.push(mem_loc(m));
-        }
-    }
-}
-
 impl AKind {
-    /// The locations this instruction reads, including implicit operands
-    /// (`div` reads rdx:rax, `shift %cl` reads rcx, `set<cc>`/`cmov`/`jcc`
-    /// read flags). Memory operands contribute both their base register and
-    /// the addressed location.
-    pub fn reads(&self) -> Vec<Loc> {
-        let mut r = Vec::new();
-        match *self {
-            // A store also reads its destination's base register (the
-            // address computation), though not the written cell itself.
-            AKind::Mov { dst, src, .. } | AKind::MovSd { dst, src, .. } => {
-                push_op_reads(&src, &mut r);
-                if let AOp::Mem(m) = dst {
-                    if let Some(b) = m.base {
-                        r.push(Loc::Reg(b));
-                    }
-                }
-            }
-            AKind::MovSx { src, .. } => push_op_reads(&src, &mut r),
-            // `lea` only computes the address: base register, no deref.
-            AKind::Lea { mem, .. } => {
-                if let Some(b) = mem.base {
-                    r.push(Loc::Reg(b));
-                }
-            }
-            AKind::Alu { dst, src, .. } => {
-                r.push(Loc::Reg(dst));
-                push_op_reads(&src, &mut r);
-            }
-            AKind::Shift { dst, amt, .. } => {
-                r.push(Loc::Reg(dst));
-                push_op_reads(&amt, &mut r);
-            }
-            AKind::Cqo { .. } => r.push(Loc::Reg(Reg::Rax)),
-            AKind::ZeroRdx => {}
-            AKind::Div { src, .. } => {
-                r.push(Loc::Reg(Reg::Rax));
-                r.push(Loc::Reg(Reg::Rdx));
-                push_op_reads(&src, &mut r);
-            }
-            AKind::Cmp { lhs, rhs, .. } | AKind::Test { lhs, rhs, .. } => {
-                push_op_reads(&lhs, &mut r);
-                push_op_reads(&rhs, &mut r);
-            }
-            AKind::SetCC { .. } => r.push(Loc::Flags),
-            AKind::Cmov { dst, src, .. } => {
-                r.push(Loc::Flags);
-                r.push(Loc::Reg(dst));
-                push_op_reads(&src, &mut r);
-            }
-            AKind::Jcc { .. } => r.push(Loc::Flags),
-            AKind::Jmp { .. } | AKind::Call { .. } | AKind::DetectTrap => {}
-            // The return value (if any) lives in rax/xmm0; modelled by the
-            // analyzer at the call boundary, not here.
-            AKind::Ret => {}
-            AKind::Push { src } => push_op_reads(&src, &mut r),
-            AKind::Pop { .. } => r.push(Loc::Mem),
-            AKind::Sse { dst, src, .. } => {
-                r.push(Loc::Reg(dst));
-                push_op_reads(&src, &mut r);
-            }
-            AKind::Ucomi { lhs, rhs, .. } => {
-                r.push(Loc::Reg(lhs));
-                push_op_reads(&rhs, &mut r);
-            }
-            AKind::Cvtsi2f { src, .. } | AKind::Cvtf2si { src, .. } => push_op_reads(&src, &mut r),
-            AKind::Cvtff { src, .. } => r.push(Loc::Reg(src)),
-            AKind::MovQ { src, .. } => r.push(Loc::Reg(src)),
-            AKind::Math { a, b, .. } => {
-                r.push(Loc::Reg(a));
-                if let Some(b) = b {
-                    r.push(Loc::Reg(b));
-                }
-            }
-            AKind::Out { src, .. } => push_op_reads(&src, &mut r),
-        }
-        r
-    }
-
-    /// The locations this instruction writes. Mirrors [`fault_dest`] but
-    /// includes secondary destinations (flags for ALU ops, rdx for `div`)
-    /// and resolves memory destinations to frame slots where possible.
-    ///
-    /// [`fault_dest`]: AKind::fault_dest
-    pub fn writes(&self) -> Vec<Loc> {
-        let mut w = Vec::new();
-        match *self {
-            AKind::Mov { dst, .. } | AKind::MovSd { dst, .. } => match dst {
-                AOp::Reg(r) => w.push(Loc::Reg(r)),
-                AOp::Mem(m) => w.push(mem_loc(&m)),
-                AOp::Imm(_) => {}
-            },
-            AKind::MovSx { dst, .. }
-            | AKind::Lea { dst, .. }
-            | AKind::SetCC { dst, .. }
-            | AKind::Cmov { dst, .. }
-            | AKind::Pop { dst }
-            | AKind::Sse { dst, .. }
-            | AKind::Cvtsi2f { dst, .. }
-            | AKind::Cvtf2si { dst, .. }
-            | AKind::Cvtff { dst, .. }
-            | AKind::MovQ { dst, .. }
-            | AKind::Math { dst, .. } => w.push(Loc::Reg(dst)),
-            AKind::Alu { dst, .. } | AKind::Shift { dst, .. } => {
-                w.push(Loc::Reg(dst));
-                w.push(Loc::Flags);
-            }
-            AKind::Cqo { .. } | AKind::ZeroRdx => w.push(Loc::Reg(Reg::Rdx)),
-            AKind::Div { .. } => {
-                w.push(Loc::Reg(Reg::Rax));
-                w.push(Loc::Reg(Reg::Rdx));
-            }
-            AKind::Cmp { .. } | AKind::Test { .. } | AKind::Ucomi { .. } => w.push(Loc::Flags),
-            AKind::Jcc { .. } | AKind::Jmp { .. } | AKind::Ret | AKind::DetectTrap => {}
-            // Call pushes the return address; push writes the stack area.
-            AKind::Call { .. } | AKind::Push { .. } => w.push(Loc::Mem),
-            AKind::Out { .. } => {}
-        }
-        w
-    }
-
     /// Intra-procedural successors of the instruction at flat index `idx`.
     /// `Call` falls through (the callee returns); `Ret` and `DetectTrap`
     /// terminate the path. A `jcc` yields its target, then the fall-through.
@@ -544,15 +399,6 @@ impl AKind {
     /// True for the flag-setting compare family (`cmp`/`test`/`ucomi`).
     pub fn is_compare(&self) -> bool {
         matches!(self, AKind::Cmp { .. } | AKind::Test { .. } | AKind::Ucomi { .. })
-    }
-
-    /// The two value operands of a compare, as `(lhs, rhs)`.
-    pub fn compare_operands(&self) -> Option<(AOp, AOp)> {
-        match *self {
-            AKind::Cmp { lhs, rhs, .. } | AKind::Test { lhs, rhs, .. } => Some((lhs, rhs)),
-            AKind::Ucomi { lhs, rhs, .. } => Some((AOp::Reg(lhs), rhs)),
-            _ => None,
-        }
     }
 
     /// The architected destination of this instruction (static view).
@@ -803,6 +649,17 @@ pub fn print_program(p: &AsmProgram) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mem_refs_key_cells_by_displacement_and_fold_the_rest_into_the_summary() {
+        let at = |base, disp| MemRef { base, disp }.loc();
+        assert_eq!(at(Some(Reg::Rbp), -8), Loc::Frame(-8));
+        assert_eq!(at(None, 0x1000), Loc::Global(0x1000));
+        assert_eq!(at(Some(Reg::Rcx), 8), Loc::Mem, "pointer access");
+        // A displacement no `i32` holds must not alias a tracked cell.
+        assert_eq!(at(None, 0x1_0000_1000), Loc::Mem);
+        assert_eq!(at(Some(Reg::Rbp), i64::MIN), Loc::Mem);
+    }
 
     #[test]
     fn fault_dest_classification() {

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Static-lint smoke gate: run `flowery lint` across all 16 workloads at
-# each pass config and fail on any unexpected finding class at
-# Flowery-100.
+# Static-lint smoke gate: run `flowery lint --validate` across all 16
+# workloads at each pass config and fail on any missed SDC site or any
+# unexpected finding class at Flowery-100.
 #
 # Gates:
+#   every config — soundness: each SDC site the 2000-trial validation
+#                 campaign measures is statically flagged;
 #   raw         — no IR invariant findings (no checkers, nothing to lint);
 #   id-100      — must run; findings are expected (foldable checkers are
 #                 exactly the comparison penetration being demonstrated);
@@ -24,7 +26,7 @@ WORKLOADS=(backprop bfs pathfinder lud needle knn ep cg is fft2
 
 for w in "${WORKLOADS[@]}"; do
     for pass in raw id flowery; do
-        "$BIN" lint "$w" --pass-config "$pass" --level 1.0 --format json \
+        "$BIN" lint "$w" --pass-config "$pass" --level 1.0 --validate --trials 2000 --format json \
             > "$DIR/$w.$pass.json"
     done
     echo "lint-smoke: $w ok"
@@ -41,6 +43,10 @@ for path in sorted(root.glob("*.json")):
     bench, pcfg = out["bench"], out["pass_config"]
     findings = out["findings"]
     bd = out["report"]["breakdown"]
+    v = out["validation"]
+
+    if v["flagged_measured"] != v["measured_sites"]:
+        errors.append(f"{bench}/{pcfg}: {v['flagged_measured']}/{v['measured_sites']} measured SDC sites flagged")
 
     if pcfg == "Raw" and findings:
         errors.append(f"{bench}/raw: {len(findings)} findings in unprotected code")

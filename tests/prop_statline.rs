@@ -3,11 +3,12 @@
 //! Two properties over randomly generated MiniC programs (generator shared
 //! with `prop_equivalence.rs` via `tests/common/mod.rs`):
 //!
-//! 1. **Soundness** — at full instruction duplication, every assembly-level
-//!    SDC site an injection campaign finds must be statically flagged. The
-//!    campaign is a sampled lower bound of the true vulnerable set, so any
-//!    site it proves vulnerable that the lint calls `Protected` is a hard
-//!    counterexample to the taint engine's over-approximation.
+//! 1. **Soundness** — at full instruction duplication, with or without the
+//!    Flowery patches, every assembly-level SDC site an injection campaign
+//!    finds must be statically flagged. The campaign is a sampled lower
+//!    bound of the true vulnerable set, so any site it proves vulnerable
+//!    that the lint calls `Protected` is a hard counterexample to the
+//!    engine's over-approximation.
 //! 2. **Flowery convergence** — after the three Flowery patches the lint
 //!    must predict zero *branch* penetrations (the postponed branch check
 //!    guards every at-risk branch), and zero *comparison* penetrations
@@ -39,11 +40,11 @@ fn protect(src: &str, flowery: bool) -> Module {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, max_shrink_iters: 0, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 24, max_shrink_iters: 0, ..ProptestConfig::default() })]
 
     #[test]
-    fn campaign_sdc_sites_are_statically_flagged(src in program_strategy()) {
-        let m = protect(&src, false);
+    fn campaign_sdc_sites_are_statically_flagged((src, flowery) in (program_strategy(), prop_oneof![Just(false), Just(true)])) {
+        let m = protect(&src, flowery);
         let bcfg = BackendConfig::default();
         let prog = compile_module(&m, &bcfg);
         let report = predict_program(&m, &prog, bcfg.fold_compares);
@@ -51,7 +52,7 @@ proptest! {
         for &idx in &camp.sdc_insts {
             prop_assert!(
                 report.is_flagged(idx),
-                "measured SDC site {idx} ({:?}) escaped the static pass\n{src}",
+                "measured SDC site {idx} ({:?}, flowery {flowery}) escaped the static pass\n{src}",
                 prog.insts[idx as usize].kind
             );
         }
