@@ -1,46 +1,48 @@
-//! Execution engines for the machine layer.
+//! The machine layer's portable execution engine: threaded code.
 //!
-//! [`Machine`] runs trials through an [`Executor`], selected per run by
-//! [`ExecConfig::executor`]. Two engines exist today:
+//! Two engines execute an [`AsmProgram`]: this one and the native x86-64
+//! JIT ([`crate::jit`]). [`Machine`] picks one per run from
+//! [`ExecConfig::executor`]: `native` runs the JIT, `compiled` and
+//! `interp` run here.
 //!
-//! - [`InterpExec`] — the decode-and-dispatch interpreter
-//!   (`Machine::exec_interp`), kept as the reference semantics;
-//! - [`CompiledExec`] — a threaded-code executor that pre-lowers each
-//!   [`AInst`] into a flat array of specialized micro-ops (`Op`): opcode,
-//!   operand form, and width are resolved at translation time, immediates
-//!   are pre-canonicalized, frame-slot addresses pre-split, flag updates
-//!   branch-free, and memory accesses width-monomorphized. Trials that
-//!   carry no snapshot recorder and no profile run a *fast loop* that keeps
-//!   the instruction/cycle/site counters in locals and folds the
-//!   output-flood check into the only arms that can grow the output.
+//! [`CompiledProgram::build`] pre-lowers each [`AInst`] into a flat array
+//! of specialized micro-ops (`Op`): opcode, operand form, and width are
+//! resolved at translation time, immediates are pre-canonicalized,
+//! frame-slot addresses pre-split, flag updates branch-free, and memory
+//! accesses width-monomorphized. Only the forms the instruction selector
+//! emits for real programs get an `Op` variant of their own; every other
+//! form runs through an out-of-line [`GenOp`], still pre-decoded.
+//!
+//! Two loops drive the micro-ops. The *bookkept loop* runs every
+//! instruction through [`step`] (snapshot hook, bounds check, accounting,
+//! budget trap, profile, injection, site note); snapshot-recorder runs,
+//! profile runs and every `interp` run take it. The *fast loop* keeps the
+//! instruction/cycle/site counters in locals and folds the output-flood
+//! check into the only arms that can grow the output; plain `compiled`
+//! trials take it.
 //!
 //! The engine contract is strict bit-identity: for any (program, config,
-//! fault, starting state), both engines produce byte-identical status,
-//! output, `dyn_insts`, `fault_sites`, `cycles`, `injected_inst`, profile,
-//! and snapshot streams. `tests/exec_equivalence.rs` enforces this
-//! differentially, and CI's `exec-smoke` job diffs whole campaign
+//! fault, starting state), both loops and the JIT produce byte-identical
+//! status, output, `dyn_insts`, `fault_sites`, `cycles`, `injected_inst`,
+//! profile, and snapshot streams. `tests/exec_equivalence.rs` checks all
+//! three executor settings against a from-boot reference interpreter kept
+//! with the tests, and CI's `exec-smoke` job diffs whole campaign
 //! checkpoints across engines.
 //!
 //! Fault injection is compiled as a *per-trial armed trap*, not by
 //! re-translating the program: the fast loop carries the armed site index
 //! in a register, and when the running fault-site counter reaches it the
-//! loop hands that one iteration to the fully bookkept `step` path —
-//! `Machine::apply_fault` corrupts the destination and control-flow
-//! faults redirect the next instruction pointer — and then disarms. One
-//! translation therefore serves every trial of a campaign, under all six
-//! fault models.
+//! loop hands that one iteration to [`step`] — `Machine::apply_fault`
+//! corrupts the destination and control-flow faults redirect the next
+//! instruction pointer — and then disarms. The JIT detours through the
+//! same [`step`]. One translation therefore serves every trial of a
+//! campaign, under all six fault models.
 //!
-//! Snapshot capture and fast-forward work unchanged in both modes: the
-//! compiled slow loop drives the same `Recorder` hooks
-//! (`due`/`capture`/`note_site`) at the same points as the interpreter,
-//! and dirty-page tracking lives inside [`Memory`], below either engine.
-//!
-//! The native x86-64 JIT ([`crate::jit`]) is the third `Executor`
-//! implementation behind the same trait: whole-program host machine code
-//! with a one-shot trap at the armed fault site that detours through the
-//! same `step` path, falling back to `compiled` where it cannot run.
+//! Snapshots need nothing engine-specific: [`step`] drives the `Recorder`
+//! hooks (`due`/`capture`/`note_site`), and dirty-page tracking lives
+//! inside [`Memory`], below every engine.
 
-use crate::machine::{width_ty, AsmFaultSpec, Halt, MachResult, Machine, State, SENTINEL};
+use crate::machine::{width_ty, AsmFaultSpec, MachResult, Machine, State, SENTINEL};
 use crate::mir::{flags, AInst, AKind, AOp, AluOp, AsmProgram, MathKind, MemRef, OutKind, Reg, ShiftOp, SseOp, CC};
 use crate::snapshot::{AsmLayer, AsmState};
 use flowery_ir::inst::Intrinsic;
@@ -53,81 +55,16 @@ const RDX: usize = Reg::Rdx as usize;
 const RSP: usize = Reg::Rsp as usize;
 const RFLAGS: usize = Reg::Rflags as usize;
 
-/// One trial execution handed to an [`Executor`]: the machine, the limits,
-/// the armed fault, the starting state (fresh boot or snapshot restore),
-/// and the optional snapshot recorder. Construction is crate-internal —
-/// trials enter through the [`Machine`] run methods.
-pub struct TrialRun<'a, 'p> {
+/// One trial execution: the machine, the limits, the armed fault, the
+/// starting state (fresh boot or snapshot restore), and the optional
+/// snapshot recorder. Trials enter through the [`Machine`] run methods.
+pub(crate) struct TrialRun<'a, 'p> {
     pub(crate) machine: &'a Machine<'p>,
     pub(crate) config: &'a ExecConfig,
     pub(crate) fault: Option<AsmFaultSpec>,
     pub(crate) st: State,
     pub(crate) ip: u32,
     pub(crate) recorder: Option<&'a mut Recorder<AsmLayer>>,
-}
-
-/// A machine-layer execution engine. Implementations must be bit-identical
-/// to [`InterpExec`] on every observable stream (see the module docs); the
-/// selection is therefore pure provenance/performance, never results.
-pub trait Executor: Send + Sync {
-    /// The [`ExecMode`] this engine implements.
-    fn mode(&self) -> ExecMode;
-
-    /// Execute one trial to completion, returning the result plus the
-    /// memory image so callers can recycle it.
-    fn exec(&self, run: TrialRun<'_, '_>) -> (MachResult, Memory);
-}
-
-/// The reference decode-and-dispatch interpreter.
-pub struct InterpExec;
-
-impl Executor for InterpExec {
-    fn mode(&self) -> ExecMode {
-        ExecMode::Interp
-    }
-
-    fn exec(&self, run: TrialRun<'_, '_>) -> (MachResult, Memory) {
-        run.machine.exec_interp(run.config, run.fault, run.st, run.ip, run.recorder)
-    }
-}
-
-/// The threaded-code engine.
-pub struct CompiledExec;
-
-impl Executor for CompiledExec {
-    fn mode(&self) -> ExecMode {
-        ExecMode::Compiled
-    }
-
-    fn exec(&self, run: TrialRun<'_, '_>) -> (MachResult, Memory) {
-        exec_compiled(run)
-    }
-}
-
-/// The native x86-64 JIT engine. Compiles the whole program to host
-/// machine code once per [`Machine`]; trials that it cannot serve
-/// (recorder/profile runs, unsupported hosts, unencodable programs)
-/// silently take the `compiled` path, so results never depend on the
-/// host.
-pub struct NativeExec;
-
-impl Executor for NativeExec {
-    fn mode(&self) -> ExecMode {
-        ExecMode::Native
-    }
-
-    fn exec(&self, run: TrialRun<'_, '_>) -> (MachResult, Memory) {
-        crate::jit::exec_native(run)
-    }
-}
-
-/// The engine implementing `mode`.
-pub fn executor_for(mode: ExecMode) -> &'static dyn Executor {
-    match mode {
-        ExecMode::Interp => &InterpExec,
-        ExecMode::Compiled => &CompiledExec,
-        ExecMode::Native => &NativeExec,
-    }
 }
 
 /// Fault-site marker bit in the per-instruction metadata byte.
@@ -137,10 +74,10 @@ const META_SITE: u8 = 0x80;
 /// position, plus a parallel packed metadata stream (cycle cost in the low
 /// seven bits, the fault-site flag in [`META_SITE`]) so the dispatch
 /// loop's per-step bookkeeping reads one dense byte instead of trailing
-/// fields of a fat struct. Operand forms the instruction selector rarely
-/// emits are stored out-of-line in `gens` and referenced by index, keeping
-/// the hot `Op` array elements small. Built once per [`Machine`] (lazily,
-/// on the first compiled-mode run) and reused by every subsequent trial.
+/// fields of a fat struct. Forms without an `Op` variant are stored
+/// out-of-line in `gens` and referenced by index, keeping the hot `Op`
+/// array elements small. Built once per [`Machine`] (lazily, on the first
+/// run that needs it) and reused by every subsequent trial.
 pub(crate) struct CompiledProgram {
     ops: Vec<Op>,
     meta: Vec<u8>,
@@ -166,28 +103,27 @@ impl CompiledProgram {
 }
 
 #[inline(always)]
-fn trap(k: TrapKind) -> Halt {
-    Halt::Status(ExecStatus::Trapped(k))
+fn trap(k: TrapKind) -> ExecStatus {
+    ExecStatus::Trapped(k)
 }
 
 /// Width-monomorphized load: the bounds check and byte copy compile to a
-/// fixed-size access instead of the interpreter's variable-width path.
+/// fixed-size access instead of a variable-width path.
 #[inline(always)]
-fn load<const W: usize>(st: &mut State, addr: u64) -> Result<u64, Halt> {
+fn load<const W: usize>(st: &mut State, addr: u64) -> Result<u64, ExecStatus> {
     st.mem.load_w::<W>(addr).map_err(trap)
 }
 
-/// Width-monomorphized store. Mirrors `State::store_mem`: the
-/// `last_mem_write` bookkeeping (read by memory-destination fault
-/// injection) happens before the bounds check.
+/// Width-monomorphized store. The `last_mem_write` bookkeeping (read by
+/// memory-destination fault injection) happens before the bounds check.
 #[inline(always)]
-fn store<const W: usize>(st: &mut State, addr: u64, v: u64) -> Result<(), Halt> {
+fn store<const W: usize>(st: &mut State, addr: u64, v: u64) -> Result<(), ExecStatus> {
     st.last_mem_write = Some((addr, W as u8));
     st.mem.store_w::<W>(addr, v).map_err(trap)
 }
 
 #[inline(always)]
-fn load_var(st: &mut State, addr: u64, w: u8) -> Result<u64, Halt> {
+fn load_var(st: &mut State, addr: u64, w: u8) -> Result<u64, ExecStatus> {
     match w {
         8 => load::<8>(st, addr),
         4 => load::<4>(st, addr),
@@ -197,13 +133,37 @@ fn load_var(st: &mut State, addr: u64, w: u8) -> Result<u64, Halt> {
 }
 
 #[inline(always)]
-fn store_var(st: &mut State, addr: u64, w: u8, v: u64) -> Result<(), Halt> {
+fn store_var(st: &mut State, addr: u64, w: u8, v: u64) -> Result<(), ExecStatus> {
     match w {
         8 => store::<8>(st, addr, v),
         4 => store::<4>(st, addr, v),
         2 => store::<2>(st, addr, v),
         _ => store::<1>(st, addr, v),
     }
+}
+
+/// `push v`: the stack-segment check, then the 8-byte store, then `rsp`.
+#[inline(always)]
+fn push(st: &mut State, v: u64) -> Result<(), ExecStatus> {
+    let sp = st.regs[RSP].wrapping_sub(8);
+    if sp < st.mem.stack_limit() {
+        return Err(trap(TrapKind::StackOverflow));
+    }
+    store::<8>(st, sp, v)?;
+    st.regs[RSP] = sp;
+    Ok(())
+}
+
+/// Append one output record (tag byte + payload); traps when the output
+/// outgrows its budget (pushed first, checked after).
+#[inline(always)]
+fn out(st: &mut State, max_out: usize, tag: u8, payload: &[u8]) -> Result<(), ExecStatus> {
+    st.output.push(tag);
+    st.output.extend_from_slice(payload);
+    if st.output.len() > max_out {
+        return Err(trap(TrapKind::OutputFlood));
+    }
+    Ok(())
 }
 
 /// Sentinel register index meaning "no register".
@@ -236,10 +196,9 @@ impl Addr {
     }
 }
 
-/// Pre-decoded read operand (the generic fallback for operand forms the
-/// instruction selector rarely or never emits): register reads carry their
-/// dense index and canonicalization mask, immediates are canonicalized at
-/// translation time, memory reads carry a resolved address computation.
+/// Pre-decoded read operand: register reads carry their dense index and
+/// canonicalization mask, immediates are canonicalized at translation
+/// time, memory reads carry a resolved address computation.
 #[derive(Clone, Copy)]
 enum Rd {
     Reg(u8, u64),
@@ -257,7 +216,7 @@ impl Rd {
     }
 
     #[inline(always)]
-    fn get(self, st: &mut State) -> Result<u64, Halt> {
+    fn get(self, st: &mut State) -> Result<u64, ExecStatus> {
         match self {
             Rd::Reg(i, m) => Ok(st.regs[i as usize] & m),
             Rd::Imm(v) => Ok(v),
@@ -271,7 +230,7 @@ impl Rd {
     /// Like [`Rd::get`] for operands whose width is statically known, so a
     /// memory read monomorphizes.
     #[inline(always)]
-    fn get_w<const W: usize>(self, st: &mut State) -> Result<u64, Halt> {
+    fn get_w<const W: usize>(self, st: &mut State) -> Result<u64, ExecStatus> {
         match self {
             Rd::Reg(i, m) => Ok(st.regs[i as usize] & m),
             Rd::Imm(v) => Ok(v),
@@ -283,7 +242,7 @@ impl Rd {
     }
 }
 
-/// Pre-decoded write destination (generic-`mov` fallback only).
+/// Pre-decoded write destination (generic `mov` only).
 #[derive(Clone, Copy)]
 enum Wr {
     Reg(u8, u64),
@@ -300,7 +259,7 @@ impl Wr {
     }
 
     #[inline(always)]
-    fn put(self, st: &mut State, v: u64) -> Result<(), Halt> {
+    fn put(self, st: &mut State, v: u64) -> Result<(), ExecStatus> {
         match self {
             Wr::Reg(i, m) => {
                 st.regs[i as usize] = v & m;
@@ -316,12 +275,11 @@ impl Wr {
 
 // ---- branch-free flag computation ------------------------------------------
 //
-// Equivalent to `State::set_arith_flags` / `set_logic_flags`: `sh` is
-// `bits - 1`, so `(x >> sh) & 1` is the sign bit of a canonical value and
-// the signed-overflow conditions reduce to sign-bit algebra —
+// `sh` is `bits - 1`, so `(x >> sh) & 1` is the sign bit of a canonical
+// value and the signed-overflow conditions reduce to sign-bit algebra —
 // add overflows iff the operands agree in sign and the result disagrees
 // (`!(a^b) & (a^r)`), sub iff they disagree and the result flips (`(a^b) &
-// (a^r)`).
+// (a^r)`). Logic ops (and/or/xor/imul/shifts/test) set ZF and SF only.
 
 #[inline(always)]
 fn add_flags(a: u64, b: u64, r: u64, sh: u32) -> u64 {
@@ -342,6 +300,20 @@ fn sub_flags(a: u64, b: u64, r: u64, sh: u32) -> u64 {
 #[inline(always)]
 fn logic_flags(r: u64, sh: u32) -> u64 {
     ((r == 0) as u64) * flags::ZF + ((r >> sh) & 1) * flags::SF
+}
+
+/// `ucomis*` flags: unordered sets ZF|CF, equal ZF, below CF.
+#[inline(always)]
+fn ucomi_flags(x: f64, y: f64) -> u64 {
+    if x.is_nan() || y.is_nan() {
+        flags::ZF | flags::CF
+    } else if x == y {
+        flags::ZF
+    } else if x < y {
+        flags::CF
+    } else {
+        0
+    }
 }
 
 #[inline(always)]
@@ -381,10 +353,10 @@ const A_AND: u8 = 3;
 const A_OR: u8 = 4;
 const A_XOR: u8 = 5;
 
-/// One ALU step, monomorphized per opcode. Order matches the interpreter:
-/// read, compute, flags, write, rsp sanity check.
+/// One ALU step, monomorphized per opcode: read, compute, flags, write,
+/// rsp sanity check (the stack must stay in its segment).
 #[inline(always)]
-fn alu_step<const OP: u8>(st: &mut State, di: usize, c: AluCtl, b: u64) -> Result<(), Halt> {
+fn alu_step<const OP: u8>(st: &mut State, di: usize, c: AluCtl, b: u64) -> Result<(), ExecStatus> {
     let a = st.regs[di] & c.mask;
     let r = (match OP {
         A_ADD => a.wrapping_add(b),
@@ -407,9 +379,9 @@ fn alu_step<const OP: u8>(st: &mut State, di: usize, c: AluCtl, b: u64) -> Resul
 }
 
 /// A pre-decoded micro-op: opcode x operand form x width, resolved at
-/// translation time. The common instruction-selector output forms get
-/// fully specialized variants; `*G`/`MovGen` are the generic fallbacks
-/// through [`Rd`]/[`Wr`] for forms the selector rarely emits.
+/// translation time. One variant per form the instruction selector emits
+/// for the workload programs; `Gen` points at the out-of-line [`GenOp`]
+/// every other form runs through.
 #[derive(Clone, Copy)]
 enum Op {
     // -- moves ---------------------------------------------------------------
@@ -426,14 +398,6 @@ enum Op {
         di: u8,
         a: Addr,
     },
-    Load2 {
-        di: u8,
-        a: Addr,
-    },
-    Load4 {
-        di: u8,
-        a: Addr,
-    },
     Load8 {
         di: u8,
         a: Addr,
@@ -442,59 +406,9 @@ enum Op {
         a: Addr,
         si: u8,
     },
-    Store2 {
-        a: Addr,
-        si: u8,
-    },
-    Store4 {
-        a: Addr,
-        si: u8,
-    },
     Store8 {
         a: Addr,
         si: u8,
-    },
-    StoreI1 {
-        a: Addr,
-        v: u64,
-    },
-    StoreI2 {
-        a: Addr,
-        v: u64,
-    },
-    StoreI4 {
-        a: Addr,
-        v: u64,
-    },
-    StoreI8 {
-        a: Addr,
-        v: u64,
-    },
-    MovSxR {
-        di: u8,
-        si: u8,
-        ssh: u32,
-        dmask: u64,
-    },
-    MovSxM1 {
-        di: u8,
-        a: Addr,
-        dmask: u64,
-    },
-    MovSxM2 {
-        di: u8,
-        a: Addr,
-        dmask: u64,
-    },
-    MovSxM4 {
-        di: u8,
-        a: Addr,
-        dmask: u64,
-    },
-    MovSxM8 {
-        di: u8,
-        a: Addr,
-        dmask: u64,
     },
     Lea {
         di: u8,
@@ -546,29 +460,13 @@ enum Op {
         si: u8,
         c: AluCtl,
     },
-    OrRI {
-        di: u8,
-        v: u64,
-        c: AluCtl,
-    },
     XorRR {
         di: u8,
         si: u8,
         c: AluCtl,
     },
-    XorRI {
-        di: u8,
-        v: u64,
-        c: AluCtl,
-    },
     // -- shifts (s/amt pre-masked by `smask = bits-1`; `ssh = 64-bits`) ------
     ShlI {
-        di: u8,
-        s: u32,
-        mask: u64,
-        sh: u32,
-    },
-    ShrI {
         di: u8,
         s: u32,
         mask: u64,
@@ -581,20 +479,6 @@ enum Op {
         sh: u32,
         ssh: u32,
     },
-    ShlR {
-        di: u8,
-        si: u8,
-        smask: u64,
-        mask: u64,
-        sh: u32,
-    },
-    ShrR {
-        di: u8,
-        si: u8,
-        smask: u64,
-        mask: u64,
-        sh: u32,
-    },
     SarR {
         di: u8,
         si: u8,
@@ -605,11 +489,7 @@ enum Op {
     },
     // -- widening/divide -----------------------------------------------------
     Cqo,
-    ZeroRdx,
     DivS {
-        rd: Rd,
-    },
-    DivU {
         rd: Rd,
     },
     // -- compare/test/conditionals -------------------------------------------
@@ -625,12 +505,6 @@ enum Op {
         mask: u64,
         sh: u32,
     },
-    TestRR {
-        li: u8,
-        ri: u8,
-        mask: u64,
-        sh: u32,
-    },
     TestRI {
         li: u8,
         v: u64,
@@ -640,12 +514,6 @@ enum Op {
     SetCC {
         cc: CC,
         di: u8,
-    },
-    CmovR {
-        cc: CC,
-        di: u8,
-        si: u8,
-        mask: u64,
     },
     // -- control flow --------------------------------------------------------
     JccE {
@@ -675,9 +543,6 @@ enum Op {
     JccA {
         t: u32,
     },
-    JccAe {
-        t: u32,
-    },
     Jmp {
         t: u32,
     },
@@ -690,13 +555,10 @@ enum Op {
     PushR {
         si: u8,
     },
-    PushG {
-        rd: Rd,
-    },
     Pop {
         di: u8,
     },
-    // -- SSE scalar ----------------------------------------------------------
+    // -- SSE scalar double ---------------------------------------------------
     AddSd {
         di: u8,
         rd: Rd,
@@ -713,27 +575,7 @@ enum Op {
         di: u8,
         rd: Rd,
     },
-    AddSs {
-        di: u8,
-        rd: Rd,
-    },
-    SubSs {
-        di: u8,
-        rd: Rd,
-    },
-    MulSs {
-        di: u8,
-        rd: Rd,
-    },
-    DivSs {
-        di: u8,
-        rd: Rd,
-    },
     UcomiD {
-        li: u8,
-        rd: Rd,
-    },
-    UcomiS {
         li: u8,
         rd: Rd,
     },
@@ -741,25 +583,9 @@ enum Op {
         di: u8,
         rd: Rd,
     },
-    CvtSiF32 {
-        di: u8,
-        rd: Rd,
-    },
     CvtF64Si {
         di: u8,
         rd: Rd,
-    },
-    CvtF32Si {
-        di: u8,
-        rd: Rd,
-    },
-    CvtF32F64 {
-        di: u8,
-        si: u8,
-    },
-    CvtF64F32 {
-        di: u8,
-        si: u8,
     },
     // -- pseudos -------------------------------------------------------------
     Math {
@@ -774,21 +600,18 @@ enum Op {
     OutF64 {
         rd: Rd,
     },
-    OutByte {
-        rd: Rd,
-    },
     DetectTrap,
-    /// Out-of-line generic form (operand shapes the selector rarely
-    /// emits): index into [`CompiledProgram::gens`].
+    /// Out-of-line form: index into [`CompiledProgram::gens`].
     Gen {
         gi: u32,
     },
 }
 
-/// The fat generic micro-ops, stored out-of-line so they don't inflate
-/// every element of the hot [`Op`] array. These run through the
-/// pre-decoded [`Rd`]/[`Wr`] paths — still no per-step decode, just one
-/// extra indirection on forms that almost never execute.
+/// The out-of-line micro-ops: every form without an [`Op`] variant,
+/// parameterized by operand form, width, operation or condition code, and
+/// stored out-of-line so they don't inflate every element of the hot
+/// [`Op`] array. Still no per-step decode, just one extra indirection on
+/// forms the workload programs never execute.
 #[derive(Clone, Copy)]
 enum GenOp {
     Mov {
@@ -802,7 +625,7 @@ enum GenOp {
         dmask: u64,
     },
     Alu {
-        op: u8,
+        op: AluOp,
         di: u8,
         rd: Rd,
         c: AluCtl,
@@ -834,35 +657,69 @@ enum GenOp {
         rd: Rd,
         mask: u64,
     },
+    Jcc {
+        cc: CC,
+        t: u32,
+    },
+    Push {
+        rd: Rd,
+    },
+    DivU {
+        rd: Rd,
+    },
+    /// Scalar single arithmetic (`addss`/`subss`/`mulss`/`divss`).
+    SseS {
+        op: SseOp,
+        di: u8,
+        rd: Rd,
+    },
+    UcomiS {
+        li: u8,
+        rd: Rd,
+    },
+    CvtSiF32 {
+        di: u8,
+        rd: Rd,
+    },
+    CvtF32Si {
+        di: u8,
+        rd: Rd,
+    },
+    /// `cvtss2sd` (`wd == 8`) or `cvtsd2ss`.
+    Cvtff {
+        wd: u8,
+        di: u8,
+        si: u8,
+    },
+    OutByte {
+        rd: Rd,
+    },
 }
 
-/// Execute an out-of-line generic op. Cold by construction: the selector
-/// essentially never emits these forms.
+/// Execute an out-of-line op. Cold by construction: the workload programs
+/// never emit these forms.
 #[inline(never)]
-fn exec_gen(g: &GenOp, st: &mut State, next: u32) -> Result<u32, Halt> {
+fn exec_gen(g: &GenOp, st: &mut State, next: u32, max_out: usize) -> Result<u32, ExecStatus> {
     match *g {
         GenOp::Mov { rd, wr } => {
             let v = rd.get(st)?;
             wr.put(st, v)?;
-            Ok(next)
         }
         GenOp::MovSx { di, rd, ssh, dmask } => {
             let v = rd.get(st)?;
             let sx = ((v << ssh) as i64) >> ssh;
             st.regs[di as usize] = (sx as u64) & dmask;
-            Ok(next)
         }
         GenOp::Alu { op, di, rd, c } => {
             let b = rd.get(st)?;
             match op {
-                A_ADD => alu_step::<A_ADD>(st, di as usize, c, b)?,
-                A_SUB => alu_step::<A_SUB>(st, di as usize, c, b)?,
-                A_IMUL => alu_step::<A_IMUL>(st, di as usize, c, b)?,
-                A_AND => alu_step::<A_AND>(st, di as usize, c, b)?,
-                A_OR => alu_step::<A_OR>(st, di as usize, c, b)?,
-                _ => alu_step::<A_XOR>(st, di as usize, c, b)?,
+                AluOp::Add => alu_step::<A_ADD>(st, di as usize, c, b)?,
+                AluOp::Sub => alu_step::<A_SUB>(st, di as usize, c, b)?,
+                AluOp::Imul => alu_step::<A_IMUL>(st, di as usize, c, b)?,
+                AluOp::And => alu_step::<A_AND>(st, di as usize, c, b)?,
+                AluOp::Or => alu_step::<A_OR>(st, di as usize, c, b)?,
+                AluOp::Xor => alu_step::<A_XOR>(st, di as usize, c, b)?,
             }
-            Ok(next)
         }
         GenOp::Shift { op, di, amt, smask, mask, sh, ssh } => {
             let a = st.regs[di as usize] & mask;
@@ -874,41 +731,87 @@ fn exec_gen(g: &GenOp, st: &mut State, next: u32) -> Result<u32, Halt> {
             };
             st.regs[RFLAGS] = logic_flags(r, sh);
             st.regs[di as usize] = r;
-            Ok(next)
         }
         GenOp::Cmp { l, r, mask, sh } => {
             let a = l.get(st)?;
             let b = r.get(st)?;
             let res = a.wrapping_sub(b) & mask;
             st.regs[RFLAGS] = sub_flags(a, b, res, sh);
-            Ok(next)
         }
         GenOp::Test { l, r, mask, sh } => {
             let a = l.get(st)?;
             let b = r.get(st)?;
-            let res = (a & b) & mask;
-            st.regs[RFLAGS] = logic_flags(res, sh);
-            Ok(next)
+            st.regs[RFLAGS] = logic_flags(a & b & mask, sh);
         }
         GenOp::Cmov { cc, di, rd, mask } => {
             if cond(st.regs[RFLAGS], cc) {
                 let v = rd.get(st)?;
                 st.regs[di as usize] = v & mask;
             }
-            Ok(next)
+        }
+        GenOp::Jcc { cc, t } => return Ok(if cond(st.regs[RFLAGS], cc) { t } else { next }),
+        GenOp::Push { rd } => {
+            let v = rd.get_w::<8>(st)?;
+            push(st, v)?;
+        }
+        GenOp::DivU { rd } => {
+            let b = rd.get_w::<8>(st)?;
+            if b == 0 {
+                return Err(trap(TrapKind::DivFault));
+            }
+            let a = st.regs[RAX];
+            st.regs[RAX] = a / b;
+            st.regs[RDX] = a % b;
+        }
+        GenOp::SseS { op, di, rd } => {
+            let a = f32::from_bits(st.regs[di as usize] as u32);
+            let b = f32::from_bits(rd.get_w::<4>(st)? as u32);
+            let r = match op {
+                SseOp::AddSs => a + b,
+                SseOp::SubSs => a - b,
+                SseOp::MulSs => a * b,
+                _ => a / b,
+            };
+            st.regs[di as usize] = r.to_bits() as u64;
+        }
+        GenOp::UcomiS { li, rd } => {
+            let a = f32::from_bits(st.regs[li as usize] as u32);
+            let b = f32::from_bits(rd.get_w::<4>(st)? as u32);
+            st.regs[RFLAGS] = ucomi_flags(a as f64, b as f64);
+        }
+        GenOp::CvtSiF32 { di, rd } => {
+            let v = rd.get_w::<8>(st)?;
+            st.regs[di as usize] = ((v as i64) as f32).to_bits() as u64;
+        }
+        GenOp::CvtF32Si { di, rd } => {
+            let v = rd.get_w::<4>(st)?;
+            st.regs[di as usize] = ((f32::from_bits(v as u32) as f64) as i64) as u64;
+        }
+        GenOp::Cvtff { wd, di, si } => {
+            let v = st.regs[si as usize];
+            st.regs[di as usize] = if wd == 8 {
+                (f32::from_bits(v as u32) as f64).to_bits()
+            } else {
+                (f64::from_bits(v) as f32).to_bits() as u64
+            };
+        }
+        GenOp::OutByte { rd } => {
+            let v = rd.get_w::<8>(st)?;
+            out(st, max_out, 3, &[v as u8])?;
         }
     }
+    Ok(next)
 }
 
 /// Execute one micro-op against `st`, returning the next instruction
-/// pointer. Every arm replicates the corresponding interpreter arm exactly
-/// — evaluation order, trap points, and the `last_mem_write` bookkeeping
-/// included. The output-flood check lives in the `Out*` arms (the only
-/// ops that grow the output), not in the dispatch loop; `Out` has no
-/// architected destination, so it is never a fault site and flood-trapping
-/// inside the arm cannot skip a site increment the interpreter would make.
+/// pointer. Every arm follows the machine semantics exactly — evaluation
+/// order, trap points, and the `last_mem_write` bookkeeping included. The
+/// output-flood check lives in the `Out*` arms (the only ops that grow the
+/// output), not in the dispatch loop; `out` has no architected
+/// destination, so it is never a fault site and flood-trapping inside the
+/// arm cannot skip a site increment.
 #[inline(always)]
-fn exec_op(op: &Op, st: &mut State, ip: u32, max_out: usize, gens: &[GenOp]) -> Result<u32, Halt> {
+fn exec_op(op: &Op, st: &mut State, ip: u32, max_out: usize, gens: &[GenOp]) -> Result<u32, ExecStatus> {
     let next = ip + 1;
     match *op {
         Op::MovRR { di, si, mask } => {
@@ -924,16 +827,6 @@ fn exec_op(op: &Op, st: &mut State, ip: u32, max_out: usize, gens: &[GenOp]) -> 
             st.regs[di as usize] = load::<1>(st, ea)?;
             Ok(next)
         }
-        Op::Load2 { di, a } => {
-            let ea = a.ea(&st.regs);
-            st.regs[di as usize] = load::<2>(st, ea)?;
-            Ok(next)
-        }
-        Op::Load4 { di, a } => {
-            let ea = a.ea(&st.regs);
-            st.regs[di as usize] = load::<4>(st, ea)?;
-            Ok(next)
-        }
         Op::Load8 { di, a } => {
             let ea = a.ea(&st.regs);
             st.regs[di as usize] = load::<8>(st, ea)?;
@@ -944,70 +837,9 @@ fn exec_op(op: &Op, st: &mut State, ip: u32, max_out: usize, gens: &[GenOp]) -> 
             store::<1>(st, ea, st.regs[si as usize])?;
             Ok(next)
         }
-        Op::Store2 { a, si } => {
-            let ea = a.ea(&st.regs);
-            store::<2>(st, ea, st.regs[si as usize])?;
-            Ok(next)
-        }
-        Op::Store4 { a, si } => {
-            let ea = a.ea(&st.regs);
-            store::<4>(st, ea, st.regs[si as usize])?;
-            Ok(next)
-        }
         Op::Store8 { a, si } => {
             let ea = a.ea(&st.regs);
             store::<8>(st, ea, st.regs[si as usize])?;
-            Ok(next)
-        }
-        Op::StoreI1 { a, v } => {
-            let ea = a.ea(&st.regs);
-            store::<1>(st, ea, v)?;
-            Ok(next)
-        }
-        Op::StoreI2 { a, v } => {
-            let ea = a.ea(&st.regs);
-            store::<2>(st, ea, v)?;
-            Ok(next)
-        }
-        Op::StoreI4 { a, v } => {
-            let ea = a.ea(&st.regs);
-            store::<4>(st, ea, v)?;
-            Ok(next)
-        }
-        Op::StoreI8 { a, v } => {
-            let ea = a.ea(&st.regs);
-            store::<8>(st, ea, v)?;
-            Ok(next)
-        }
-        Op::MovSxR { di, si, ssh, dmask } => {
-            // Shifting left by `64 - bits` drops exactly the non-canonical
-            // high bits, so the pre-mask read is folded into the sext.
-            let sx = ((st.regs[si as usize] << ssh) as i64) >> ssh;
-            st.regs[di as usize] = (sx as u64) & dmask;
-            Ok(next)
-        }
-        Op::MovSxM1 { di, a, dmask } => {
-            let ea = a.ea(&st.regs);
-            let v = load::<1>(st, ea)?;
-            st.regs[di as usize] = (v as u8 as i8 as i64 as u64) & dmask;
-            Ok(next)
-        }
-        Op::MovSxM2 { di, a, dmask } => {
-            let ea = a.ea(&st.regs);
-            let v = load::<2>(st, ea)?;
-            st.regs[di as usize] = (v as u16 as i16 as i64 as u64) & dmask;
-            Ok(next)
-        }
-        Op::MovSxM4 { di, a, dmask } => {
-            let ea = a.ea(&st.regs);
-            let v = load::<4>(st, ea)?;
-            st.regs[di as usize] = (v as u32 as i32 as i64 as u64) & dmask;
-            Ok(next)
-        }
-        Op::MovSxM8 { di, a, dmask } => {
-            let ea = a.ea(&st.regs);
-            let v = load::<8>(st, ea)?;
-            st.regs[di as usize] = v & dmask;
             Ok(next)
         }
         Op::Lea { di, a } => {
@@ -1055,17 +887,9 @@ fn exec_op(op: &Op, st: &mut State, ip: u32, max_out: usize, gens: &[GenOp]) -> 
             alu_step::<A_OR>(st, di as usize, c, b)?;
             Ok(next)
         }
-        Op::OrRI { di, v, c } => {
-            alu_step::<A_OR>(st, di as usize, c, v)?;
-            Ok(next)
-        }
         Op::XorRR { di, si, c } => {
             let b = st.regs[si as usize] & c.mask;
             alu_step::<A_XOR>(st, di as usize, c, b)?;
-            Ok(next)
-        }
-        Op::XorRI { di, v, c } => {
-            alu_step::<A_XOR>(st, di as usize, c, v)?;
             Ok(next)
         }
         Op::ShlI { di, s, mask, sh } => {
@@ -1075,32 +899,9 @@ fn exec_op(op: &Op, st: &mut State, ip: u32, max_out: usize, gens: &[GenOp]) -> 
             st.regs[di as usize] = r;
             Ok(next)
         }
-        Op::ShrI { di, s, mask, sh } => {
-            let a = st.regs[di as usize] & mask;
-            let r = a >> s;
-            st.regs[RFLAGS] = logic_flags(r, sh);
-            st.regs[di as usize] = r;
-            Ok(next)
-        }
         Op::SarI { di, s, mask, sh, ssh } => {
             let a = st.regs[di as usize] & mask;
             let r = ((((a << ssh) as i64 >> ssh) >> s) as u64) & mask;
-            st.regs[RFLAGS] = logic_flags(r, sh);
-            st.regs[di as usize] = r;
-            Ok(next)
-        }
-        Op::ShlR { di, si, smask, mask, sh } => {
-            let s = (st.regs[si as usize] & smask) as u32;
-            let a = st.regs[di as usize] & mask;
-            let r = (a << s) & mask;
-            st.regs[RFLAGS] = logic_flags(r, sh);
-            st.regs[di as usize] = r;
-            Ok(next)
-        }
-        Op::ShrR { di, si, smask, mask, sh } => {
-            let s = (st.regs[si as usize] & smask) as u32;
-            let a = st.regs[di as usize] & mask;
-            let r = a >> s;
             st.regs[RFLAGS] = logic_flags(r, sh);
             st.regs[di as usize] = r;
             Ok(next)
@@ -1117,10 +918,6 @@ fn exec_op(op: &Op, st: &mut State, ip: u32, max_out: usize, gens: &[GenOp]) -> 
             st.regs[RDX] = ((st.regs[RAX] as i64) >> 63) as u64;
             Ok(next)
         }
-        Op::ZeroRdx => {
-            st.regs[RDX] = 0;
-            Ok(next)
-        }
         Op::DivS { rd } => {
             let b = rd.get_w::<8>(st)?;
             let a = st.regs[RAX] as i64;
@@ -1130,16 +927,6 @@ fn exec_op(op: &Op, st: &mut State, ip: u32, max_out: usize, gens: &[GenOp]) -> 
             }
             st.regs[RAX] = (a / bs) as u64;
             st.regs[RDX] = (a % bs) as u64;
-            Ok(next)
-        }
-        Op::DivU { rd } => {
-            let b = rd.get_w::<8>(st)?;
-            if b == 0 {
-                return Err(trap(TrapKind::DivFault));
-            }
-            let a = st.regs[RAX];
-            st.regs[RAX] = a / b;
-            st.regs[RDX] = a % b;
             Ok(next)
         }
         Op::CmpRR { li, ri, mask, sh } => {
@@ -1155,11 +942,6 @@ fn exec_op(op: &Op, st: &mut State, ip: u32, max_out: usize, gens: &[GenOp]) -> 
             st.regs[RFLAGS] = sub_flags(a, v, r, sh);
             Ok(next)
         }
-        Op::TestRR { li, ri, mask, sh } => {
-            let r = st.regs[li as usize] & st.regs[ri as usize] & mask;
-            st.regs[RFLAGS] = logic_flags(r, sh);
-            Ok(next)
-        }
         Op::TestRI { li, v, mask, sh } => {
             let r = st.regs[li as usize] & v & mask;
             st.regs[RFLAGS] = logic_flags(r, sh);
@@ -1167,12 +949,6 @@ fn exec_op(op: &Op, st: &mut State, ip: u32, max_out: usize, gens: &[GenOp]) -> 
         }
         Op::SetCC { cc, di } => {
             st.regs[di as usize] = cond(st.regs[RFLAGS], cc) as u64;
-            Ok(next)
-        }
-        Op::CmovR { cc, di, si, mask } => {
-            if cond(st.regs[RFLAGS], cc) {
-                st.regs[di as usize] = st.regs[si as usize] & mask;
-            }
             Ok(next)
         }
         Op::JccE { t } => Ok(if st.regs[RFLAGS] & flags::ZF != 0 { t } else { next }),
@@ -1204,15 +980,9 @@ fn exec_op(op: &Op, st: &mut State, ip: u32, max_out: usize, gens: &[GenOp]) -> 
         Op::JccB { t } => Ok(if st.regs[RFLAGS] & flags::CF != 0 { t } else { next }),
         Op::JccBe { t } => Ok(if st.regs[RFLAGS] & (flags::CF | flags::ZF) != 0 { t } else { next }),
         Op::JccA { t } => Ok(if st.regs[RFLAGS] & (flags::CF | flags::ZF) == 0 { t } else { next }),
-        Op::JccAe { t } => Ok(if st.regs[RFLAGS] & flags::CF == 0 { t } else { next }),
         Op::Jmp { t } => Ok(t),
         Op::Call { t } => {
-            let sp = st.regs[RSP].wrapping_sub(8);
-            if sp < st.mem.stack_limit() {
-                return Err(trap(TrapKind::StackOverflow));
-            }
-            store::<8>(st, sp, next as u64)?;
-            st.regs[RSP] = sp;
+            push(st, next as u64)?;
             Ok(t)
         }
         Op::Ret { len } => {
@@ -1220,7 +990,7 @@ fn exec_op(op: &Op, st: &mut State, ip: u32, max_out: usize, gens: &[GenOp]) -> 
             let ra = load::<8>(st, sp)?;
             st.regs[RSP] = sp.wrapping_add(8);
             if ra == SENTINEL {
-                return Err(Halt::Status(ExecStatus::Completed(st.regs[RAX])));
+                return Err(ExecStatus::Completed(st.regs[RAX]));
             }
             if ra >= len as u64 {
                 return Err(trap(TrapKind::BadControl));
@@ -1228,23 +998,7 @@ fn exec_op(op: &Op, st: &mut State, ip: u32, max_out: usize, gens: &[GenOp]) -> 
             Ok(ra as u32)
         }
         Op::PushR { si } => {
-            let v = st.regs[si as usize];
-            let sp = st.regs[RSP].wrapping_sub(8);
-            if sp < st.mem.stack_limit() {
-                return Err(trap(TrapKind::StackOverflow));
-            }
-            store::<8>(st, sp, v)?;
-            st.regs[RSP] = sp;
-            Ok(next)
-        }
-        Op::PushG { rd } => {
-            let v = rd.get_w::<8>(st)?;
-            let sp = st.regs[RSP].wrapping_sub(8);
-            if sp < st.mem.stack_limit() {
-                return Err(trap(TrapKind::StackOverflow));
-            }
-            store::<8>(st, sp, v)?;
-            st.regs[RSP] = sp;
+            push(st, st.regs[si as usize])?;
             Ok(next)
         }
         Op::Pop { di } => {
@@ -1278,58 +1032,10 @@ fn exec_op(op: &Op, st: &mut State, ip: u32, max_out: usize, gens: &[GenOp]) -> 
             st.regs[di as usize] = (f64::from_bits(a) / f64::from_bits(b)).to_bits();
             Ok(next)
         }
-        Op::AddSs { di, rd } => {
-            let a = st.regs[di as usize];
-            let b = rd.get_w::<4>(st)?;
-            st.regs[di as usize] = (f32::from_bits(a as u32) + f32::from_bits(b as u32)).to_bits() as u64;
-            Ok(next)
-        }
-        Op::SubSs { di, rd } => {
-            let a = st.regs[di as usize];
-            let b = rd.get_w::<4>(st)?;
-            st.regs[di as usize] = (f32::from_bits(a as u32) - f32::from_bits(b as u32)).to_bits() as u64;
-            Ok(next)
-        }
-        Op::MulSs { di, rd } => {
-            let a = st.regs[di as usize];
-            let b = rd.get_w::<4>(st)?;
-            st.regs[di as usize] = (f32::from_bits(a as u32) * f32::from_bits(b as u32)).to_bits() as u64;
-            Ok(next)
-        }
-        Op::DivSs { di, rd } => {
-            let a = st.regs[di as usize];
-            let b = rd.get_w::<4>(st)?;
-            st.regs[di as usize] = (f32::from_bits(a as u32) / f32::from_bits(b as u32)).to_bits() as u64;
-            Ok(next)
-        }
         Op::UcomiD { li, rd } => {
             let a = st.regs[li as usize];
             let b = rd.get_w::<8>(st)?;
-            let (x, y) = (f64::from_bits(a), f64::from_bits(b));
-            let mut fl = 0u64;
-            if x.is_nan() || y.is_nan() {
-                fl |= flags::ZF | flags::CF;
-            } else if x == y {
-                fl |= flags::ZF;
-            } else if x < y {
-                fl |= flags::CF;
-            }
-            st.regs[RFLAGS] = fl;
-            Ok(next)
-        }
-        Op::UcomiS { li, rd } => {
-            let a = st.regs[li as usize];
-            let b = rd.get_w::<4>(st)?;
-            let (x, y) = (f32::from_bits(a as u32) as f64, f32::from_bits(b as u32) as f64);
-            let mut fl = 0u64;
-            if x.is_nan() || y.is_nan() {
-                fl |= flags::ZF | flags::CF;
-            } else if x == y {
-                fl |= flags::ZF;
-            } else if x < y {
-                fl |= flags::CF;
-            }
-            st.regs[RFLAGS] = fl;
+            st.regs[RFLAGS] = ucomi_flags(f64::from_bits(a), f64::from_bits(b));
             Ok(next)
         }
         Op::CvtSiF64 { di, rd } => {
@@ -1337,27 +1043,9 @@ fn exec_op(op: &Op, st: &mut State, ip: u32, max_out: usize, gens: &[GenOp]) -> 
             st.regs[di as usize] = ((v as i64) as f64).to_bits();
             Ok(next)
         }
-        Op::CvtSiF32 { di, rd } => {
-            let v = rd.get_w::<8>(st)?;
-            st.regs[di as usize] = ((v as i64) as f32).to_bits() as u64;
-            Ok(next)
-        }
         Op::CvtF64Si { di, rd } => {
             let v = rd.get_w::<8>(st)?;
             st.regs[di as usize] = (f64::from_bits(v) as i64) as u64;
-            Ok(next)
-        }
-        Op::CvtF32Si { di, rd } => {
-            let v = rd.get_w::<4>(st)?;
-            st.regs[di as usize] = ((f32::from_bits(v as u32) as f64) as i64) as u64;
-            Ok(next)
-        }
-        Op::CvtF32F64 { di, si } => {
-            st.regs[di as usize] = ((f32::from_bits(st.regs[si as usize] as u32)) as f64).to_bits();
-            Ok(next)
-        }
-        Op::CvtF64F32 { di, si } => {
-            st.regs[di as usize] = ((f64::from_bits(st.regs[si as usize])) as f32).to_bits() as u64;
             Ok(next)
         }
         Op::Math { intr, di, ai, b2 } => {
@@ -1370,42 +1058,25 @@ fn exec_op(op: &Op, st: &mut State, ip: u32, max_out: usize, gens: &[GenOp]) -> 
         }
         Op::OutI64 { rd } => {
             let v = rd.get_w::<8>(st)?;
-            st.output.push(1);
-            st.output.extend_from_slice(&v.to_le_bytes());
-            if st.output.len() > max_out {
-                return Err(trap(TrapKind::OutputFlood));
-            }
+            out(st, max_out, 1, &v.to_le_bytes())?;
             Ok(next)
         }
         Op::OutF64 { rd } => {
             let v = rd.get_w::<8>(st)?;
-            st.output.push(2);
-            st.output.extend_from_slice(&v.to_le_bytes());
-            if st.output.len() > max_out {
-                return Err(trap(TrapKind::OutputFlood));
-            }
+            out(st, max_out, 2, &v.to_le_bytes())?;
             Ok(next)
         }
-        Op::OutByte { rd } => {
-            let v = rd.get_w::<8>(st)?;
-            st.output.push(3);
-            st.output.push(v as u8);
-            if st.output.len() > max_out {
-                return Err(trap(TrapKind::OutputFlood));
-            }
-            Ok(next)
-        }
-        Op::DetectTrap => Err(Halt::Status(ExecStatus::Detected)),
-        Op::Gen { gi } => exec_gen(&gens[gi as usize], st, next),
+        Op::DetectTrap => Err(ExecStatus::Detected),
+        Op::Gen { gi } => exec_gen(&gens[gi as usize], st, next, max_out),
     }
 }
 
-/// One fully bookkept dispatch iteration — step-for-step the interpreter
-/// loop body: snapshot hook, bounds check, instruction accounting, budget
-/// trap, profile, cycles, injection. The slow loop runs every iteration
-/// through here; the fast loop delegates only the iteration whose
-/// fault-site counter matches the armed trap (and any recorder/profile
-/// run, which never enters the fast loop at all).
+/// One fully bookkept dispatch iteration: snapshot hook, bounds check,
+/// instruction accounting, budget trap, profile, cycles, injection, site
+/// note. The bookkept loop runs every iteration through here; the fast
+/// loop delegates only the iteration whose fault-site counter matches the
+/// armed trap, and the JIT one instruction each time a block-entry guard
+/// trips.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn step(
     machine: &Machine<'_>,
@@ -1443,10 +1114,7 @@ pub(crate) fn step(
 
     st.last_ip = *ip;
     st.last_mem_write = None;
-    let next = match exec_op(op, st, *ip, config.max_output, &prog.gens) {
-        Ok(next) => next,
-        Err(Halt::Status(s)) => return Err(s),
-    };
+    let next = exec_op(op, st, *ip, config.max_output, &prog.gens)?;
 
     if is_site {
         if inject_now {
@@ -1473,14 +1141,14 @@ pub(crate) fn step(
     Ok(())
 }
 
-/// The threaded-code dispatch loop. Recorder or profile runs take the slow
-/// loop (every iteration through [`step`], identical hook placement to the
-/// interpreter). Plain trials take the fast loop: counters live in locals,
-/// the armed trap is a single integer compare, and the only per-iteration
-/// work beyond the micro-op itself is the bounds check and the budget
-/// trap. The trap iteration itself — and only it — detours through
-/// [`step`], so injection bookkeeping (`last_ip`, `last_mem_write`,
-/// `injected_inst`, jump redirect) is shared with the reference path.
+/// The threaded-code dispatch loop. Recorder, profile and `interp` runs
+/// take the bookkept loop (every iteration through [`step`]). Plain
+/// trials take the fast loop: counters live in locals, the armed trap is
+/// a single integer compare, and the only per-iteration work beyond the
+/// micro-op itself is the bounds check and the budget trap. The trap
+/// iteration itself — and only it — detours through [`step`], so
+/// injection bookkeeping (`last_ip`, `last_mem_write`, `injected_inst`,
+/// jump redirect) has one implementation.
 pub(crate) fn exec_compiled(run: TrialRun<'_, '_>) -> (MachResult, Memory) {
     let TrialRun { machine, config, fault, mut st, mut ip, mut recorder } = run;
     let prog = machine.compiled();
@@ -1490,7 +1158,7 @@ pub(crate) fn exec_compiled(run: TrialRun<'_, '_>) -> (MachResult, Memory) {
     let insts = &machine.program.insts[..];
     let mut armed = fault;
 
-    if recorder.is_some() || st.profile.is_some() {
+    if recorder.is_some() || st.profile.is_some() || config.executor == ExecMode::Interp {
         let status = loop {
             if let Err(s) = step(machine, config, prog, insts, &mut st, &mut ip, &mut armed, &mut recorder) {
                 break s;
@@ -1525,19 +1193,13 @@ pub(crate) fn exec_compiled(run: TrialRun<'_, '_>) -> (MachResult, Memory) {
                     st.dyn_insts = dyn_insts;
                     st.cycles = cycles;
                     st.fault_sites = sites;
-                    match step(machine, config, prog, insts, &mut st, &mut ip, &mut armed, &mut recorder) {
-                        Ok(()) => {
-                            dyn_insts = st.dyn_insts;
-                            cycles = st.cycles;
-                            sites = st.fault_sites;
-                            break;
-                        }
-                        Err(s) => {
-                            dyn_insts = st.dyn_insts;
-                            cycles = st.cycles;
-                            sites = st.fault_sites;
-                            break 'exec s;
-                        }
+                    let r = step(machine, config, prog, insts, &mut st, &mut ip, &mut armed, &mut recorder);
+                    dyn_insts = st.dyn_insts;
+                    cycles = st.cycles;
+                    sites = st.fault_sites;
+                    match r {
+                        Ok(()) => break,
+                        Err(s) => break 'exec s,
                     }
                 }
                 dyn_insts += 1;
@@ -1550,7 +1212,7 @@ pub(crate) fn exec_compiled(run: TrialRun<'_, '_>) -> (MachResult, Memory) {
                         sites += (m >> 7) as u64;
                         ip = next;
                     }
-                    Err(Halt::Status(s)) => break 'exec s,
+                    Err(s) => break 'exec s,
                 }
             }
         }
@@ -1571,7 +1233,7 @@ pub(crate) fn exec_compiled(run: TrialRun<'_, '_>) -> (MachResult, Memory) {
                     sites += (m >> 7) as u64;
                     ip = next;
                 }
-                Err(Halt::Status(s)) => break 'exec s,
+                Err(s) => break 'exec s,
             }
         }
     };
@@ -1582,89 +1244,45 @@ pub(crate) fn exec_compiled(run: TrialRun<'_, '_>) -> (MachResult, Memory) {
     st.finish(status)
 }
 
+/// Push `g` onto the side table and return the `Op` that points at it.
+fn gen(gens: &mut Vec<GenOp>, g: GenOp) -> Op {
+    gens.push(g);
+    Op::Gen { gi: (gens.len() - 1) as u32 }
+}
+
 /// Specialized `mov` translation by (destination, source) form and width.
 fn mov_op(w: u8, dst: AOp, src: AOp, gens: &mut Vec<GenOp>) -> Op {
-    match (dst, src) {
-        (AOp::Reg(d), AOp::Reg(s)) => Op::MovRR {
+    match (dst, src, w) {
+        (AOp::Reg(d), AOp::Reg(s), _) => Op::MovRR {
             di: d.index() as u8,
             si: s.index() as u8,
             mask: width_ty(w).mask(),
         },
-        (AOp::Reg(d), AOp::Imm(v)) => Op::MovRI { di: d.index() as u8, v: width_ty(w).canon(v as u64) },
-        (AOp::Reg(d), AOp::Mem(m)) => {
-            let di = d.index() as u8;
-            let a = Addr::new(m);
-            match w {
-                8 => Op::Load8 { di, a },
-                4 => Op::Load4 { di, a },
-                2 => Op::Load2 { di, a },
-                _ => Op::Load1 { di, a },
-            }
-        }
-        (AOp::Mem(m), AOp::Reg(s)) => {
-            let a = Addr::new(m);
-            let si = s.index() as u8;
-            match w {
-                8 => Op::Store8 { a, si },
-                4 => Op::Store4 { a, si },
-                2 => Op::Store2 { a, si },
-                _ => Op::Store1 { a, si },
-            }
-        }
-        (AOp::Mem(m), AOp::Imm(v)) => {
-            let a = Addr::new(m);
-            let v = width_ty(w).canon(v as u64);
-            match w {
-                8 => Op::StoreI8 { a, v },
-                4 => Op::StoreI4 { a, v },
-                2 => Op::StoreI2 { a, v },
-                _ => Op::StoreI1 { a, v },
-            }
-        }
-        _ => {
-            gens.push(GenOp::Mov { rd: Rd::new(src, w), wr: Wr::new(dst, w) });
-            Op::Gen { gi: (gens.len() - 1) as u32 }
-        }
+        (AOp::Reg(d), AOp::Imm(v), _) => Op::MovRI { di: d.index() as u8, v: width_ty(w).canon(v as u64) },
+        (AOp::Reg(d), AOp::Mem(m), 8) => Op::Load8 { di: d.index() as u8, a: Addr::new(m) },
+        (AOp::Reg(d), AOp::Mem(m), 1) => Op::Load1 { di: d.index() as u8, a: Addr::new(m) },
+        (AOp::Mem(m), AOp::Reg(s), 8) => Op::Store8 { a: Addr::new(m), si: s.index() as u8 },
+        (AOp::Mem(m), AOp::Reg(s), 1) => Op::Store1 { a: Addr::new(m), si: s.index() as u8 },
+        _ => gen(gens, GenOp::Mov { rd: Rd::new(src, w), wr: Wr::new(dst, w) }),
     }
 }
 
 /// Translate one instruction into its micro-op. `len` is the program
-/// length (for `ret` range checks). Forms the instruction selector
-/// actually emits get fully specialized variants; anything else falls back
-/// to the generic [`Rd`]/[`Wr`] paths, which are still pre-decoded.
+/// length (for `ret` range checks). Forms the instruction selector emits
+/// for the workload programs get a specialized variant; anything else
+/// goes to the out-of-line [`GenOp`] table.
 fn translate(kind: &AKind, len: usize, gens: &mut Vec<GenOp>) -> Op {
     match *kind {
         AKind::Mov { w, dst, src } | AKind::MovSd { w, dst, src } => mov_op(w, dst, src, gens),
-        AKind::MovSx { wd, ws, dst, src } => {
-            let dmask = width_ty(wd).mask();
-            let di = dst.index() as u8;
-            match src {
-                AOp::Reg(r) => Op::MovSxR {
-                    di,
-                    si: r.index() as u8,
-                    ssh: 64 - width_ty(ws).bits(),
-                    dmask,
-                },
-                AOp::Mem(m) => {
-                    let a = Addr::new(m);
-                    match ws {
-                        8 => Op::MovSxM8 { di, a, dmask },
-                        4 => Op::MovSxM4 { di, a, dmask },
-                        2 => Op::MovSxM2 { di, a, dmask },
-                        _ => Op::MovSxM1 { di, a, dmask },
-                    }
-                }
-                AOp::Imm(_) => {
-                    gens.push(GenOp::MovSx {
-                        di,
-                        rd: Rd::new(src, ws),
-                        ssh: 64 - width_ty(ws).bits(),
-                        dmask,
-                    });
-                    Op::Gen { gi: (gens.len() - 1) as u32 }
-                }
-            }
-        }
+        AKind::MovSx { wd, ws, dst, src } => gen(
+            gens,
+            GenOp::MovSx {
+                di: dst.index() as u8,
+                rd: Rd::new(src, ws),
+                ssh: 64 - width_ty(ws).bits(),
+                dmask: width_ty(wd).mask(),
+            },
+        ),
         AKind::Lea { dst, mem } => Op::Lea { di: dst.index() as u8, a: Addr::new(mem) },
         AKind::Alu { op, w, dst, src } => {
             let ty = width_ty(w);
@@ -1673,40 +1291,15 @@ fn translate(kind: &AKind, len: usize, gens: &mut Vec<GenOp>) -> Op {
             match (op, src) {
                 (AluOp::Add, AOp::Reg(s)) => Op::AddRR { di, si: s.index() as u8, c },
                 (AluOp::Add, AOp::Imm(v)) => Op::AddRI { di, v: ty.canon(v as u64), c },
-                (AluOp::Add, _) => {
-                    gens.push(GenOp::Alu { op: A_ADD, di, rd: Rd::new(src, w), c });
-                    Op::Gen { gi: (gens.len() - 1) as u32 }
-                }
                 (AluOp::Sub, AOp::Reg(s)) => Op::SubRR { di, si: s.index() as u8, c },
                 (AluOp::Sub, AOp::Imm(v)) => Op::SubRI { di, v: ty.canon(v as u64), c },
-                (AluOp::Sub, _) => {
-                    gens.push(GenOp::Alu { op: A_SUB, di, rd: Rd::new(src, w), c });
-                    Op::Gen { gi: (gens.len() - 1) as u32 }
-                }
                 (AluOp::Imul, AOp::Reg(s)) => Op::ImulRR { di, si: s.index() as u8, c },
                 (AluOp::Imul, AOp::Imm(v)) => Op::ImulRI { di, v: ty.canon(v as u64), c },
-                (AluOp::Imul, _) => {
-                    gens.push(GenOp::Alu { op: A_IMUL, di, rd: Rd::new(src, w), c });
-                    Op::Gen { gi: (gens.len() - 1) as u32 }
-                }
                 (AluOp::And, AOp::Reg(s)) => Op::AndRR { di, si: s.index() as u8, c },
                 (AluOp::And, AOp::Imm(v)) => Op::AndRI { di, v: ty.canon(v as u64), c },
-                (AluOp::And, _) => {
-                    gens.push(GenOp::Alu { op: A_AND, di, rd: Rd::new(src, w), c });
-                    Op::Gen { gi: (gens.len() - 1) as u32 }
-                }
                 (AluOp::Or, AOp::Reg(s)) => Op::OrRR { di, si: s.index() as u8, c },
-                (AluOp::Or, AOp::Imm(v)) => Op::OrRI { di, v: ty.canon(v as u64), c },
-                (AluOp::Or, _) => {
-                    gens.push(GenOp::Alu { op: A_OR, di, rd: Rd::new(src, w), c });
-                    Op::Gen { gi: (gens.len() - 1) as u32 }
-                }
                 (AluOp::Xor, AOp::Reg(s)) => Op::XorRR { di, si: s.index() as u8, c },
-                (AluOp::Xor, AOp::Imm(v)) => Op::XorRI { di, v: ty.canon(v as u64), c },
-                (AluOp::Xor, _) => {
-                    gens.push(GenOp::Alu { op: A_XOR, di, rd: Rd::new(src, w), c });
-                    Op::Gen { gi: (gens.len() - 1) as u32 }
-                }
+                _ => gen(gens, GenOp::Alu { op, di, rd: Rd::new(src, w), c }),
             }
         }
         AKind::Shift { op, w, dst, amt } => {
@@ -1717,65 +1310,40 @@ fn translate(kind: &AKind, len: usize, gens: &mut Vec<GenOp>) -> Op {
             let smask = (bits - 1) as u64;
             let di = dst.index() as u8;
             match (op, amt) {
-                // The interpreter canonicalizes the amount to 8 bits before
-                // masking by `bits-1`; `smask <= 63` makes the byte
-                // canonicalization a no-op, so it is folded away here.
+                // The amount is canonicalized to 8 bits before masking by
+                // `bits-1`; `smask <= 63` makes the byte canonicalization
+                // a no-op, so it is folded away here.
                 (ShiftOp::Shl, AOp::Imm(v)) => Op::ShlI { di, s: ((v as u64) & smask) as u32, mask, sh },
-                (ShiftOp::Shr, AOp::Imm(v)) => Op::ShrI { di, s: ((v as u64) & smask) as u32, mask, sh },
                 (ShiftOp::Sar, AOp::Imm(v)) => Op::SarI { di, s: ((v as u64) & smask) as u32, mask, sh, ssh },
-                (ShiftOp::Shl, AOp::Reg(r)) => Op::ShlR { di, si: r.index() as u8, smask, mask, sh },
-                (ShiftOp::Shr, AOp::Reg(r)) => Op::ShrR { di, si: r.index() as u8, smask, mask, sh },
                 (ShiftOp::Sar, AOp::Reg(r)) => Op::SarR { di, si: r.index() as u8, smask, mask, sh, ssh },
-                (_, _) => {
-                    gens.push(GenOp::Shift { op, di, amt: Rd::new(amt, 1), smask, mask, sh, ssh });
-                    Op::Gen { gi: (gens.len() - 1) as u32 }
-                }
+                _ => gen(gens, GenOp::Shift { op, di, amt: Rd::new(amt, 1), smask, mask, sh, ssh }),
             }
         }
         AKind::Cqo { .. } => Op::Cqo,
-        AKind::ZeroRdx => Op::ZeroRdx,
-        AKind::Div { signed, src, .. } => {
-            let rd = Rd::new(src, 8);
-            if signed {
-                Op::DivS { rd }
-            } else {
-                Op::DivU { rd }
-            }
-        }
+        AKind::ZeroRdx => gen(gens, GenOp::Mov { rd: Rd::Imm(0), wr: Wr::Reg(RDX as u8, u64::MAX) }),
+        AKind::Div { signed: true, src, .. } => Op::DivS { rd: Rd::new(src, 8) },
+        AKind::Div { signed: false, src, .. } => gen(gens, GenOp::DivU { rd: Rd::new(src, 8) }),
         AKind::Cmp { w, lhs, rhs } => {
             let ty = width_ty(w);
             let (mask, sh) = (ty.mask(), ty.bits() - 1);
             match (lhs, rhs) {
                 (AOp::Reg(l), AOp::Reg(r)) => Op::CmpRR { li: l.index() as u8, ri: r.index() as u8, mask, sh },
                 (AOp::Reg(l), AOp::Imm(v)) => Op::CmpRI { li: l.index() as u8, v: ty.canon(v as u64), mask, sh },
-                _ => {
-                    gens.push(GenOp::Cmp { l: Rd::new(lhs, w), r: Rd::new(rhs, w), mask, sh });
-                    Op::Gen { gi: (gens.len() - 1) as u32 }
-                }
+                _ => gen(gens, GenOp::Cmp { l: Rd::new(lhs, w), r: Rd::new(rhs, w), mask, sh }),
             }
         }
         AKind::Test { w, lhs, rhs } => {
             let ty = width_ty(w);
             let (mask, sh) = (ty.mask(), ty.bits() - 1);
             match (lhs, rhs) {
-                (AOp::Reg(l), AOp::Reg(r)) => Op::TestRR { li: l.index() as u8, ri: r.index() as u8, mask, sh },
                 (AOp::Reg(l), AOp::Imm(v)) => Op::TestRI { li: l.index() as u8, v: ty.canon(v as u64), mask, sh },
-                _ => {
-                    gens.push(GenOp::Test { l: Rd::new(lhs, w), r: Rd::new(rhs, w), mask, sh });
-                    Op::Gen { gi: (gens.len() - 1) as u32 }
-                }
+                _ => gen(gens, GenOp::Test { l: Rd::new(lhs, w), r: Rd::new(rhs, w), mask, sh }),
             }
         }
         AKind::SetCC { cc, dst } => Op::SetCC { cc, di: dst.index() as u8 },
         AKind::Cmov { cc, w, dst, src } => {
             let (di, mask) = (dst.index() as u8, width_ty(w).mask());
-            match src {
-                AOp::Reg(r) => Op::CmovR { cc, di, si: r.index() as u8, mask },
-                _ => {
-                    gens.push(GenOp::Cmov { cc, di, rd: Rd::new(src, w), mask });
-                    Op::Gen { gi: (gens.len() - 1) as u32 }
-                }
-            }
+            gen(gens, GenOp::Cmov { cc, di, rd: Rd::new(src, w), mask })
         }
         AKind::Jcc { cc, target: t } => match cc {
             CC::E => Op::JccE { t },
@@ -1787,15 +1355,13 @@ fn translate(kind: &AKind, len: usize, gens: &mut Vec<GenOp>) -> Op {
             CC::B => Op::JccB { t },
             CC::Be => Op::JccBe { t },
             CC::A => Op::JccA { t },
-            CC::Ae => Op::JccAe { t },
+            CC::Ae => gen(gens, GenOp::Jcc { cc, t }),
         },
         AKind::Jmp { target } => Op::Jmp { t: target },
         AKind::Call { target, .. } => Op::Call { t: target },
         AKind::Ret => Op::Ret { len: len as u32 },
-        AKind::Push { src } => match src {
-            AOp::Reg(r) => Op::PushR { si: r.index() as u8 },
-            _ => Op::PushG { rd: Rd::new(src, 8) },
-        },
+        AKind::Push { src: AOp::Reg(r) } => Op::PushR { si: r.index() as u8 },
+        AKind::Push { src } => gen(gens, GenOp::Push { rd: Rd::new(src, 8) }),
         AKind::Pop { dst } => Op::Pop { di: dst.index() as u8 },
         AKind::Sse { op, dst, src } => {
             let di = dst.index() as u8;
@@ -1804,45 +1370,16 @@ fn translate(kind: &AKind, len: usize, gens: &mut Vec<GenOp>) -> Op {
                 SseOp::SubSd => Op::SubSd { di, rd: Rd::new(src, 8) },
                 SseOp::MulSd => Op::MulSd { di, rd: Rd::new(src, 8) },
                 SseOp::DivSd => Op::DivSd { di, rd: Rd::new(src, 8) },
-                SseOp::AddSs => Op::AddSs { di, rd: Rd::new(src, 4) },
-                SseOp::SubSs => Op::SubSs { di, rd: Rd::new(src, 4) },
-                SseOp::MulSs => Op::MulSs { di, rd: Rd::new(src, 4) },
-                SseOp::DivSs => Op::DivSs { di, rd: Rd::new(src, 4) },
+                _ => gen(gens, GenOp::SseS { op, di, rd: Rd::new(src, 4) }),
             }
         }
-        AKind::Ucomi { w, lhs, rhs } => {
-            let li = lhs.index() as u8;
-            if w == 4 {
-                Op::UcomiS { li, rd: Rd::new(rhs, 4) }
-            } else {
-                Op::UcomiD { li, rd: Rd::new(rhs, 8) }
-            }
-        }
-        AKind::Cvtsi2f { wf, dst, src } => {
-            let di = dst.index() as u8;
-            let rd = Rd::new(src, 8);
-            if wf == 4 {
-                Op::CvtSiF32 { di, rd }
-            } else {
-                Op::CvtSiF64 { di, rd }
-            }
-        }
-        AKind::Cvtf2si { wf, dst, src } => {
-            let di = dst.index() as u8;
-            if wf == 4 {
-                Op::CvtF32Si { di, rd: Rd::new(src, 4) }
-            } else {
-                Op::CvtF64Si { di, rd: Rd::new(src, 8) }
-            }
-        }
-        AKind::Cvtff { wd, dst, src } => {
-            let (di, si) = (dst.index() as u8, src.index() as u8);
-            if wd == 8 {
-                Op::CvtF32F64 { di, si }
-            } else {
-                Op::CvtF64F32 { di, si }
-            }
-        }
+        AKind::Ucomi { w: 4, lhs, rhs } => gen(gens, GenOp::UcomiS { li: lhs.index() as u8, rd: Rd::new(rhs, 4) }),
+        AKind::Ucomi { lhs, rhs, .. } => Op::UcomiD { li: lhs.index() as u8, rd: Rd::new(rhs, 8) },
+        AKind::Cvtsi2f { wf: 4, dst, src } => gen(gens, GenOp::CvtSiF32 { di: dst.index() as u8, rd: Rd::new(src, 8) }),
+        AKind::Cvtsi2f { dst, src, .. } => Op::CvtSiF64 { di: dst.index() as u8, rd: Rd::new(src, 8) },
+        AKind::Cvtf2si { wf: 4, dst, src } => gen(gens, GenOp::CvtF32Si { di: dst.index() as u8, rd: Rd::new(src, 4) }),
+        AKind::Cvtf2si { dst, src, .. } => Op::CvtF64Si { di: dst.index() as u8, rd: Rd::new(src, 8) },
+        AKind::Cvtff { wd, dst, src } => gen(gens, GenOp::Cvtff { wd, di: dst.index() as u8, si: src.index() as u8 }),
         AKind::MovQ { w, dst, src } => Op::MovRR {
             di: dst.index() as u8,
             si: src.index() as u8,
@@ -1868,7 +1405,7 @@ fn translate(kind: &AKind, len: usize, gens: &mut Vec<GenOp>) -> Op {
             match kind {
                 OutKind::I64 => Op::OutI64 { rd },
                 OutKind::F64 => Op::OutF64 { rd },
-                OutKind::Byte => Op::OutByte { rd },
+                OutKind::Byte => gen(gens, GenOp::OutByte { rd }),
             }
         }
         AKind::DetectTrap => Op::DetectTrap,

@@ -23,7 +23,7 @@
 //!
 //! Guest flags semantics: add/sub/cmp/and/or/xor/ucomi take the host
 //! flags at the guest width (`pushfq`, mask CF|ZF|SF|OF). imul and shifts
-//! are modelled by the interpreter as ZF/SF-only logic flags, so the
+//! are modelled by `exec.rs` as ZF/SF-only logic flags, so the
 //! lowering re-derives them with a `test` of the masked result at the
 //! guest width. Conditional consumers (`jcc`/`setcc`/`cmov`) read the
 //! flags slot and test the guest bits directly; flags never round-trip
@@ -52,7 +52,7 @@
 //! by [`super::JitProgram::build`]): block leaders dispatch to their
 //! inline guard, non-leaders to a trampoline that guards the *remainder*
 //! of their block, and index `len` maps to the `BadControl` stub — the
-//! same out-of-range behaviour as the interpreter's bounds check, and the
+//! same out-of-range behaviour as `exec.rs`'s bounds check, and the
 //! path a `ret`-to-`len` dispatch takes too. A disarmed run sets
 //! `env.trap_site = u64::MAX`, which can never be within a block's
 //! remaining site count, so the same code serves armed and disarmed
@@ -255,7 +255,7 @@ pub(super) fn emit(program: &AsmProgram, helpers: &Helpers) -> Result<Emitted, F
     // Flag-store liveness: a flags write is dead when the same block
     // writes the flags again before any conditional consumer and before
     // the block boundary. Boundaries count as reads because every entry
-    // point can bail to [`crate::exec::step`], whose interpreter (and a
+    // point can bail to [`crate::exec::step`], whose micro-op (and a
     // `Flags`-effect injection) reads the slot — but *inside* a block no
     // bail can occur, so an overwritten value there is unobservable and
     // its `pushfq` capture can be dropped.
@@ -699,7 +699,7 @@ fn emit_inst(
 ) -> Result<Option<Reg>, FallbackReason> {
     // Raw (refund-free) stubs, for exits where the instruction completed:
     // a `ret`/`jmp` landing out of range traps *after* its architectural
-    // effects, exactly like the interpreter's next-fetch bounds check.
+    // effects, exactly like `exec.rs`'s next-fetch bounds check.
     let bad_control = ctx.stubs.bad_control;
     let completed = ctx.stubs.completed;
     let detected = ctx.stubs.detected;

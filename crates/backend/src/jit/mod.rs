@@ -3,11 +3,12 @@
 //! The whole [`AsmProgram`] is lowered once per [`crate::machine::Machine`]
 //! to host machine code in an mmap'd buffer (see `lower` for the
 //! encoding scheme) and every trial then runs as real machine code. The
-//! engine is bit-identical to the interpreter by construction:
+//! engine is bit-identical to the threaded-code engine (`exec.rs`)
+//! by construction:
 //!
 //! - Guest registers stay in the `State::regs` slot array (host `rbp`
 //!   points at it); every instruction loads its operands canonically and
-//!   stores the full 64-bit slot back, exactly like the interpreter.
+//!   stores the full 64-bit slot back, exactly like `exec.rs`.
 //! - Guest flags are computed eagerly into the `Rflags` slot. For
 //!   add/sub/cmp/and/or/xor/ucomi the host flags at the guest width *are*
 //!   the guest flags, captured via `pushfq` and masked to CF|ZF|SF|OF
@@ -28,8 +29,8 @@
 //!   re-enters the native code. Disarmed runs (`trap_site = u64::MAX`)
 //!   never trip the site guard, so golden runs stay native end to end.
 //!
-//! Snapshot-recorder and profile runs route to the `compiled` slow loop
-//! (identical hook placement to the interpreter); plain trials — the hot
+//! Snapshot-recorder and profile runs route to the threaded-code engine's
+//! bookkept loop, which drives the recorder hooks; plain trials — the hot
 //! path of every campaign — run native. On non-x86-64/non-Linux hosts, or
 //! when `FLOWERY_JIT_FORCE_FALLBACK` is set, compilation reports a
 //! [`FallbackReason`] and the engine degrades to `compiled` with a logged
@@ -127,9 +128,18 @@ fn trap_kind(code: u64) -> TrapKind {
 
 /// Append one output record (tag byte + payload). Returns nonzero when the
 /// output has overflowed its budget, which the caller turns into an
-/// `OutputFlood` trap — matching the interpreter, which also pushes first
-/// and checks after.
+/// `OutputFlood` trap — matching `exec.rs`, which also pushes first and
+/// checks after.
+///
+/// # Safety
+///
+/// `env` must point at a live `Env` whose `out_vec` points at a live
+/// `Vec<u8>` that nothing else borrows for the duration of the call.
 unsafe extern "C" fn h_out(env: *mut Env, tag: u64, val: u64) -> u64 {
+    // SAFETY: only generated code calls this, passing the `Env` that
+    // `exec_native` built on its stack for the current entry (Env layout:
+    // `rbx` holds it); its `out_vec` is that trial's `State::output`, which
+    // the driver does not touch while the native code runs.
     let env = &mut *env;
     let out = &mut *env.out_vec;
     out.push(tag as u8);
@@ -329,29 +339,43 @@ mod buf {
 
     /// An anonymous mapping holding generated code and its entry tables;
     /// writable during construction, sealed to read+execute before use
-    /// (never writable and executable at once).
+    /// (never writable and executable at once: `write` refuses a sealed
+    /// buffer).
     pub struct ExecBuf {
         ptr: *mut u8,
         len: usize,
+        sealed: bool,
     }
 
-    // Immutable after `seal`; raw pointers into a private mapping.
+    // SAFETY: `ptr` is a private mapping owned by this value alone and,
+    // once sealed, read+execute only (W^X); `len` and `sealed` are plain
+    // data. The only mutations (`write`, `seal`) take `&mut self` and
+    // `write` panics after `seal`, so shared references across threads
+    // only ever read or execute the mapping.
     unsafe impl Send for ExecBuf {}
+    // SAFETY: as for `Send` above.
     unsafe impl Sync for ExecBuf {}
 
     impl ExecBuf {
         pub fn new(len: usize) -> Option<ExecBuf> {
             let len = len.max(1);
+            // SAFETY: a fresh anonymous private mapping with a null hint
+            // touches no existing memory; failure is `MAP_FAILED` (-1),
+            // checked below.
             let ptr =
                 unsafe { mmap(core::ptr::null_mut(), len, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0) };
             if ptr as isize == -1 {
                 return None;
             }
-            Some(ExecBuf { ptr: ptr as *mut u8, len })
+            Some(ExecBuf { ptr: ptr as *mut u8, len, sealed: false })
         }
 
         pub fn write(&mut self, off: usize, bytes: &[u8]) {
+            assert!(!self.sealed, "write to a sealed ExecBuf");
             assert!(off + bytes.len() <= self.len);
+            // SAFETY: the range is inside the mapping (asserted above) and
+            // still read+write, because the buffer is not sealed (W^X);
+            // `bytes` cannot alias a mapping this value owns exclusively.
             unsafe {
                 core::ptr::copy_nonoverlapping(bytes.as_ptr(), self.ptr.add(off), bytes.len());
             }
@@ -361,8 +385,12 @@ mod buf {
             self.write(off, &v.to_le_bytes());
         }
 
+        /// Flip the mapping from read+write to read+execute (the W^X
+        /// transition). Returns false when `mprotect` fails.
         pub fn seal(&mut self) -> bool {
-            unsafe { mprotect(self.ptr as *mut c_void, self.len, PROT_READ | PROT_EXEC) == 0 }
+            // SAFETY: `ptr`/`len` are exactly the mapping `new` created.
+            self.sealed = unsafe { mprotect(self.ptr as *mut c_void, self.len, PROT_READ | PROT_EXEC) == 0 };
+            self.sealed
         }
 
         pub fn ptr(&self) -> *const u8 {
@@ -372,6 +400,9 @@ mod buf {
 
     impl Drop for ExecBuf {
         fn drop(&mut self) {
+            // SAFETY: unmaps exactly the mapping `new` created. Entry and
+            // table pointers into it are only used while the owning
+            // `JitProgram` is borrowed, so none outlives this value.
             unsafe {
                 munmap(self.ptr as *mut c_void, self.len);
             }
@@ -386,7 +417,7 @@ type Entry = unsafe extern "C" fn(*mut Env, u64) -> u64;
 /// A program compiled to host machine code: the sealed executable buffer,
 /// plus the guarded entry table (absolute addresses, one per instruction
 /// position, with a trailing `BadControl` entry so `ip == len` dispatches
-/// like the interpreter's failed bounds check).
+/// like `exec.rs`'s failed bounds check).
 pub struct JitProgram {
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     buf: buf::ExecBuf,
@@ -437,11 +468,17 @@ impl JitProgram {
 
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     fn entry(&self) -> Entry {
+        // SAFETY: the buffer is sealed read+execute (W^X) and `lower::emit`
+        // puts the entry stub at offset 0, following the `Entry` ABI
+        // (System V: `rdi` = `*mut Env`, `rsi` = start ip, exit code in
+        // `rax`, callee-saved registers restored).
         unsafe { std::mem::transmute::<*const u8, Entry>(self.buf.ptr()) }
     }
 
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     fn table(&self) -> *const u64 {
+        // SAFETY: `build` allocated `table_off + (len + 1) * 8` bytes, so
+        // the table start is inside the mapping (table bounds).
         unsafe { self.buf.ptr().add(self.table_off) as *const u64 }
     }
 }
@@ -454,9 +491,9 @@ impl JitProgram {
 /// detour through [`step`].
 pub(crate) fn exec_native(run: TrialRun<'_, '_>) -> (MachResult, Memory) {
     if run.recorder.is_some() || run.st.profile.is_some() {
-        // Capture and profile runs stay on the threaded-code slow loop,
-        // which drives the recorder hooks at the interpreter's exact
-        // points. Plain trials — the campaign hot path — run native.
+        // Capture and profile runs stay on the threaded-code engine's
+        // bookkept loop, which drives the recorder hooks. Plain trials —
+        // the campaign hot path — run native.
         return exec_compiled(run);
     }
     if run.machine.jit().is_err() {
@@ -509,6 +546,13 @@ pub(crate) fn exec_native(run: TrialRun<'_, '_>) -> (MachResult, Memory) {
                 out_vec: &mut st.output as *mut Vec<u8>,
                 max_output: config.max_output as u64,
             };
+            // SAFETY: entry ABI as in `JitProgram::entry`. `env` matches
+            // the `OFF_*` layout (pinned by `env_offsets_match_asm_constants`)
+            // and its pointers are live for the call: `regs`, `output` and
+            // the memory image belong to `st`, which the native code alone
+            // touches until it returns, and the image is not resized. Table
+            // bounds: `ip <= len` was checked above and the table has
+            // `len + 1` entries.
             let code = unsafe { (jit.entry())(&mut env, ip as u64) };
             st.dyn_insts = env.dyn_insts;
             st.cycles = env.cycles;
@@ -557,6 +601,17 @@ mod tests {
         assert_eq!(offset_of!(Env, aux), OFF_AUX as usize);
         assert_eq!(offset_of!(Env, last_page), OFF_LAST_PAGE as usize);
         assert_eq!(offset_of!(Env, table), OFF_TABLE as usize);
+    }
+
+    /// W^X: once sealed, the buffer refuses writes instead of faulting.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    #[test]
+    #[should_panic(expected = "write to a sealed ExecBuf")]
+    fn write_after_seal_panics() {
+        let mut b = buf::ExecBuf::new(64).expect("mmap");
+        b.write(0, &[0xC3]);
+        assert!(b.seal());
+        b.write(0, &[0x90]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! assert_eq!(result.status, ExecStatus::Completed(42));
 //! ```
 
-pub mod exec;
+mod exec;
 pub mod fold;
 pub mod frame;
 pub mod harden;
@@ -27,7 +27,6 @@ pub mod mir;
 pub mod regcache;
 pub mod snapshot;
 
-pub use exec::{executor_for, CompiledExec, Executor, InterpExec, NativeExec};
 pub use flowery_ir::interp::{ExecMode, FaultEffect};
 pub use harden::{harden_program, HardenConfig, HardenStats};
 pub use isel::{compile_module, BackendConfig};

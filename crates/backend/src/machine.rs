@@ -7,15 +7,12 @@
 //! a condition flag, or the value just written to memory — mirroring
 //! PIN-based injectors (paper §4.3).
 
-use crate::mir::{
-    flags, AInst, AKind, AOp, AluOp, AsmProgram, FaultDest, MathKind, MemRef, OutKind, Reg, ShiftOp, SseOp, CC,
-};
+use crate::exec::TrialRun;
+use crate::mir::{flags, AInst, AsmProgram, FaultDest, Reg};
 use crate::snapshot::{AsmLayer, AsmScratch, AsmSnapshotSet, AsmState};
-use flowery_ir::inst::{BinOp, CastKind, Intrinsic};
-use flowery_ir::interp::memory::TrapKind;
 use flowery_ir::interp::snapshot::Recorder;
 use flowery_ir::interp::substrate::{self, Start};
-use flowery_ir::interp::{mem_fault_region, ops, Cadence, ExecConfig, ExecStatus, FaultEffect, Memory};
+use flowery_ir::interp::{mem_fault_region, Cadence, ExecConfig, ExecMode, ExecStatus, FaultEffect, Memory};
 use flowery_ir::module::Module;
 use flowery_ir::types::Type;
 use serde::{Deserialize, Serialize};
@@ -53,8 +50,8 @@ impl MachResult {
 
 /// Reusable machine for one program+module pair. Which engine executes
 /// trials is chosen per run by [`ExecConfig::executor`]; the threaded-code
-/// translation is built lazily on first compiled-mode run and reused for
-/// every trial after that.
+/// translation is built lazily on first use and reused for every trial
+/// after that.
 pub struct Machine<'p> {
     pub(crate) program: &'p AsmProgram,
     pub(crate) module: &'p Module,
@@ -124,9 +121,17 @@ impl<'p> Machine<'p> {
         substrate::trial(self, config, fault, Some(set), scratch)
     }
 
-    /// The engines' working state for a run starting at `start`, plus the
-    /// first instruction pointer.
-    fn state_from(&self, start: Start<AsmLayer>, config: &ExecConfig) -> (State, u32) {
+    /// Execute from `start` (fresh or restored), optionally capturing
+    /// snapshots: `native` runs on the JIT, `compiled` and `interp` on the
+    /// threaded-code engine (see [`crate::exec`]). Returns the result plus
+    /// the memory image so callers can recycle it.
+    pub(crate) fn exec(
+        &self,
+        config: &ExecConfig,
+        fault: Option<AsmFaultSpec>,
+        start: Start<AsmLayer>,
+        recorder: Option<&mut Recorder<AsmLayer>>,
+    ) -> (MachResult, Memory) {
         let AsmState { cycles, ip, regs } = start.state;
         let st = State {
             regs,
@@ -140,96 +145,11 @@ impl<'p> Machine<'p> {
             last_ip: 0,
             last_mem_write: None,
         };
-        (st, ip)
-    }
-
-    /// Execute from `start` (fresh or restored), optionally capturing
-    /// snapshots, on the engine [`ExecConfig::executor`] selects. Returns
-    /// the result plus the memory image so callers can recycle it.
-    pub(crate) fn exec(
-        &self,
-        config: &ExecConfig,
-        fault: Option<AsmFaultSpec>,
-        start: Start<AsmLayer>,
-        recorder: Option<&mut Recorder<AsmLayer>>,
-    ) -> (MachResult, Memory) {
-        let (st, ip) = self.state_from(start, config);
-        crate::exec::executor_for(config.executor).exec(crate::exec::TrialRun {
-            machine: self,
-            config,
-            fault,
-            st,
-            ip,
-            recorder,
-        })
-    }
-
-    /// The interpreter engine's dispatch loop (the reference semantics the
-    /// threaded-code engine in [`crate::exec`] must match bit-for-bit).
-    pub(crate) fn exec_interp(
-        &self,
-        config: &ExecConfig,
-        fault: Option<AsmFaultSpec>,
-        mut st: State,
-        mut ip: u32,
-        mut recorder: Option<&mut Recorder<AsmLayer>>,
-    ) -> (MachResult, Memory) {
-        let insts = &self.program.insts;
-
-        let status = 'exec: loop {
-            // ---- snapshot hook: `st.dyn_insts` executed, `ip` next -------
-            if let Some(rec) = recorder.as_deref_mut() {
-                if rec.due(st.dyn_insts, st.fault_sites) {
-                    let state = AsmState { cycles: st.cycles, ip, regs: st.regs };
-                    rec.capture(st.dyn_insts, st.fault_sites, st.output.len(), state, &mut st.mem);
-                }
-            }
-
-            if ip as usize >= insts.len() {
-                break 'exec ExecStatus::Trapped(TrapKind::BadControl);
-            }
-            st.dyn_insts += 1;
-            if st.dyn_insts > config.max_dyn_insts {
-                break 'exec ExecStatus::Trapped(TrapKind::InstLimit);
-            }
-            let inst = &insts[ip as usize];
-            if let Some(p) = st.profile.as_mut() {
-                p[ip as usize] += 1;
-            }
-            st.cycles += inst.kind.cycles();
-
-            let is_site = inst.kind.is_fault_site();
-            let inject_now = is_site && fault.is_some_and(|f| st.fault_sites == f.site_index);
-
-            match self.step(&mut st, inst, &mut ip, config) {
-                Ok(()) => {}
-                Err(Halt::Status(s)) => break 'exec s,
-            }
-
-            if is_site {
-                if inject_now {
-                    let spec = fault.unwrap();
-                    st.injected_inst = Some(st.last_ip);
-                    self.apply_fault(&mut st, inst, spec);
-                    if let FaultEffect::Jump { target } = spec.effect {
-                        // Control-flow edge corruption: the site's own
-                        // effects stand, then control restarts at an
-                        // arbitrary program position.
-                        ip = (target % insts.len() as u64) as u32;
-                    }
-                }
-                if let Some(rec) = recorder.as_deref_mut() {
-                    rec.note_site(st.last_ip, st.fault_sites);
-                }
-                st.fault_sites += 1;
-            }
-
-            if st.output.len() > config.max_output {
-                break 'exec ExecStatus::Trapped(TrapKind::OutputFlood);
-            }
-        };
-
-        st.finish(status)
+        let run = TrialRun { machine: self, config, fault, st, ip, recorder };
+        match config.executor {
+            ExecMode::Native => crate::jit::exec_native(run),
+            ExecMode::Compiled | ExecMode::Interp => crate::exec::exec_compiled(run),
+        }
     }
 
     /// Fault-free dynamic site trace: `trace[i]` is the instruction index
@@ -239,261 +159,6 @@ impl<'p> Machine<'p> {
     pub fn site_trace(&self, config: &ExecConfig, cap: usize) -> Vec<u32> {
         substrate::observe::<AsmLayer>(self, config, cap).1.trace().to_vec()
     }
-
-    fn step(&self, st: &mut State, inst: &AInst, ip: &mut u32, config: &ExecConfig) -> Result<(), Halt> {
-        st.last_ip = *ip;
-        st.last_mem_write = None;
-        let next = *ip + 1;
-        match &inst.kind {
-            AKind::Mov { w, dst, src } => {
-                let v = st.read(*src, *w)?;
-                st.write(*dst, *w, v)?;
-            }
-            AKind::MovSx { wd, ws, dst, src } => {
-                let v = st.read(*src, *ws)?;
-                let ty = width_ty(*ws);
-                let ext = ty.sext(v) as u64;
-                st.write_reg(*dst, *wd, ext);
-            }
-            AKind::Lea { dst, mem } => {
-                let addr = st.effective(*mem);
-                st.write_reg(*dst, 8, addr);
-            }
-            AKind::Alu { op, w, dst, src } => {
-                let a = st.read_reg(*dst, *w);
-                let b = st.read(*src, *w)?;
-                let ir_op = match op {
-                    AluOp::Add => BinOp::Add,
-                    AluOp::Sub => BinOp::Sub,
-                    AluOp::Imul => BinOp::Mul,
-                    AluOp::And => BinOp::And,
-                    AluOp::Or => BinOp::Or,
-                    AluOp::Xor => BinOp::Xor,
-                };
-                let ty = width_ty(*w);
-                let r = ops::eval_bin(ir_op, ty, a, b).expect("non-trapping alu");
-                st.set_arith_flags(*op, ty, a, b, r);
-                st.write_reg(*dst, *w, r);
-                // Frame pointer sanity: the stack must stay in its segment.
-                if *dst == Reg::Rsp && st.regs[Reg::Rsp.index()] < st.mem.stack_limit() {
-                    return Err(Halt::Status(ExecStatus::Trapped(TrapKind::StackOverflow)));
-                }
-            }
-            AKind::Shift { op, w, dst, amt } => {
-                let a = st.read_reg(*dst, *w);
-                let b = st.read(*amt, 1)?;
-                let ir_op = match op {
-                    ShiftOp::Shl => BinOp::Shl,
-                    ShiftOp::Shr => BinOp::LShr,
-                    ShiftOp::Sar => BinOp::AShr,
-                };
-                let ty = width_ty(*w);
-                let r = ops::eval_bin(ir_op, ty, a, b).expect("non-trapping shift");
-                st.set_logic_flags(ty, r);
-                st.write_reg(*dst, *w, r);
-            }
-            AKind::Cqo { .. } => {
-                let rax = st.regs[Reg::Rax.index()];
-                st.regs[Reg::Rdx.index()] = ((rax as i64) >> 63) as u64;
-            }
-            AKind::ZeroRdx => st.regs[Reg::Rdx.index()] = 0,
-            AKind::Div { signed, src, .. } => {
-                let b = st.read(*src, 8)?;
-                if *signed {
-                    let a = st.regs[Reg::Rax.index()] as i64;
-                    let bs = b as i64;
-                    if bs == 0 || (a == i64::MIN && bs == -1) {
-                        return Err(Halt::Status(ExecStatus::Trapped(TrapKind::DivFault)));
-                    }
-                    st.regs[Reg::Rax.index()] = (a / bs) as u64;
-                    st.regs[Reg::Rdx.index()] = (a % bs) as u64;
-                } else {
-                    if b == 0 {
-                        return Err(Halt::Status(ExecStatus::Trapped(TrapKind::DivFault)));
-                    }
-                    let a = st.regs[Reg::Rax.index()];
-                    st.regs[Reg::Rax.index()] = a / b;
-                    st.regs[Reg::Rdx.index()] = a % b;
-                }
-            }
-            AKind::Cmp { w, lhs, rhs } => {
-                let a = st.read(*lhs, *w)?;
-                let b = st.read(*rhs, *w)?;
-                let ty = width_ty(*w);
-                let r = ops::eval_bin(BinOp::Sub, ty, a, b).expect("sub cannot trap");
-                st.set_arith_flags(AluOp::Sub, ty, a, b, r);
-            }
-            AKind::Test { w, lhs, rhs } => {
-                let a = st.read(*lhs, *w)?;
-                let b = st.read(*rhs, *w)?;
-                let ty = width_ty(*w);
-                let r = ty.canon(a & b);
-                st.set_logic_flags(ty, r);
-            }
-            AKind::SetCC { cc, dst } => {
-                let v = st.cond(*cc) as u64;
-                st.write_reg(*dst, 1, v);
-            }
-            AKind::Cmov { cc, w, dst, src } => {
-                if st.cond(*cc) {
-                    let v = st.read(*src, *w)?;
-                    st.write_reg(*dst, *w, v);
-                }
-            }
-            AKind::Jcc { cc, target } => {
-                if st.cond(*cc) {
-                    *ip = *target;
-                    return Ok(());
-                }
-            }
-            AKind::Jmp { target } => {
-                *ip = *target;
-                return Ok(());
-            }
-            AKind::Call { target, .. } => {
-                let sp = st.regs[Reg::Rsp.index()].wrapping_sub(8);
-                if sp < st.mem.stack_limit() {
-                    return Err(Halt::Status(ExecStatus::Trapped(TrapKind::StackOverflow)));
-                }
-                st.store_mem(sp, 8, next as u64)?;
-                st.regs[Reg::Rsp.index()] = sp;
-                *ip = *target;
-                return Ok(());
-            }
-            AKind::Ret => {
-                let sp = st.regs[Reg::Rsp.index()];
-                let ra = st.load_mem(sp, 8)?;
-                st.regs[Reg::Rsp.index()] = sp.wrapping_add(8);
-                if ra == SENTINEL {
-                    return Err(Halt::Status(ExecStatus::Completed(st.regs[Reg::Rax.index()])));
-                }
-                if ra as usize >= self.program.insts.len() {
-                    return Err(Halt::Status(ExecStatus::Trapped(TrapKind::BadControl)));
-                }
-                *ip = ra as u32;
-                return Ok(());
-            }
-            AKind::Push { src } => {
-                let v = st.read(*src, 8)?;
-                let sp = st.regs[Reg::Rsp.index()].wrapping_sub(8);
-                if sp < st.mem.stack_limit() {
-                    return Err(Halt::Status(ExecStatus::Trapped(TrapKind::StackOverflow)));
-                }
-                st.store_mem(sp, 8, v)?;
-                st.regs[Reg::Rsp.index()] = sp;
-            }
-            AKind::Pop { dst } => {
-                let sp = st.regs[Reg::Rsp.index()];
-                let v = st.load_mem(sp, 8)?;
-                st.regs[Reg::Rsp.index()] = sp.wrapping_add(8);
-                st.write_reg(*dst, 8, v);
-            }
-            AKind::MovSd { w, dst, src } => {
-                let v = st.read(*src, *w)?;
-                st.write(*dst, *w, v)?;
-            }
-            AKind::Sse { op, dst, src } => {
-                let (ir_op, ty) = match op {
-                    SseOp::AddSd => (BinOp::FAdd, Type::F64),
-                    SseOp::SubSd => (BinOp::FSub, Type::F64),
-                    SseOp::MulSd => (BinOp::FMul, Type::F64),
-                    SseOp::DivSd => (BinOp::FDiv, Type::F64),
-                    SseOp::AddSs => (BinOp::FAdd, Type::F32),
-                    SseOp::SubSs => (BinOp::FSub, Type::F32),
-                    SseOp::MulSs => (BinOp::FMul, Type::F32),
-                    SseOp::DivSs => (BinOp::FDiv, Type::F32),
-                };
-                let w = ty.size() as u8;
-                let a = st.read_reg(*dst, w);
-                let b = st.read(*src, w)?;
-                let r = ops::eval_bin(ir_op, ty, a, b).expect("float ops cannot trap");
-                st.write_reg(*dst, w, r);
-            }
-            AKind::Ucomi { w, lhs, rhs } => {
-                let a = st.read_reg(*lhs, *w);
-                let b = st.read(*rhs, *w)?;
-                let (x, y) = if *w == 4 {
-                    (f32::from_bits(a as u32) as f64, f32::from_bits(b as u32) as f64)
-                } else {
-                    (f64::from_bits(a), f64::from_bits(b))
-                };
-                let mut fl = 0u64;
-                if x.is_nan() || y.is_nan() {
-                    fl |= flags::ZF | flags::CF;
-                } else if x == y {
-                    fl |= flags::ZF;
-                } else if x < y {
-                    fl |= flags::CF;
-                }
-                st.regs[Reg::Rflags.index()] = fl;
-            }
-            AKind::Cvtsi2f { wf, dst, src } => {
-                let v = st.read(*src, 8)?;
-                let r = ops::eval_cast(CastKind::SiToFp, Type::I64, width_fty(*wf), v);
-                st.write_reg(*dst, 8, r);
-            }
-            AKind::Cvtf2si { wf, dst, src } => {
-                let v = st.read(*src, *wf)?;
-                let r = ops::eval_cast(CastKind::FpToSi, width_fty(*wf), Type::I64, v);
-                st.write_reg(*dst, 8, r);
-            }
-            AKind::Cvtff { wd, dst, src } => {
-                let v = st.read_reg(*src, 8);
-                let (from, to) = if *wd == 8 { (Type::F32, Type::F64) } else { (Type::F64, Type::F32) };
-                let r = ops::eval_cast(CastKind::FpCast, from, to, v);
-                st.write_reg(*dst, 8, r);
-            }
-            AKind::MovQ { w, dst, src } => {
-                let v = st.read_reg(*src, *w);
-                st.write_reg(*dst, *w, v);
-            }
-            AKind::Math { kind, dst, a, b } => {
-                let intr = match kind {
-                    MathKind::Sqrt => Intrinsic::Sqrt,
-                    MathKind::Sin => Intrinsic::Sin,
-                    MathKind::Cos => Intrinsic::Cos,
-                    MathKind::Exp => Intrinsic::Exp,
-                    MathKind::Log => Intrinsic::Log,
-                    MathKind::Fabs => Intrinsic::Fabs,
-                    MathKind::Floor => Intrinsic::Floor,
-                    MathKind::Pow => Intrinsic::Pow,
-                };
-                let mut args = vec![st.regs[a.index()]];
-                if let Some(b) = b {
-                    args.push(st.regs[b.index()]);
-                }
-                let r = ops::eval_math(intr, &args);
-                st.write_reg(*dst, 8, r);
-            }
-            AKind::Out { kind, src } => {
-                let v = st.read(*src, 8)?;
-                match kind {
-                    OutKind::I64 => {
-                        st.output.push(1);
-                        st.output.extend_from_slice(&v.to_le_bytes());
-                    }
-                    OutKind::F64 => {
-                        st.output.push(2);
-                        st.output.extend_from_slice(&v.to_le_bytes());
-                    }
-                    OutKind::Byte => {
-                        st.output.push(3);
-                        st.output.push(v as u8);
-                    }
-                }
-                let _ = config;
-            }
-            AKind::DetectTrap => {
-                return Err(Halt::Status(ExecStatus::Detected));
-            }
-        }
-        *ip = next;
-        Ok(())
-    }
-}
-
-pub(crate) enum Halt {
-    Status(ExecStatus),
 }
 
 pub(crate) struct State {
@@ -526,131 +191,6 @@ impl State {
             },
             self.mem,
         )
-    }
-
-    /// Effective address of a memory reference. Absolute references skip
-    /// the base-register read entirely (the compiled engine bakes the same
-    /// split into each handler at translation time).
-    #[inline(always)]
-    fn effective(&self, m: MemRef) -> u64 {
-        match m.base {
-            Some(r) => self.regs[r.index()].wrapping_add_signed(m.disp),
-            None => m.disp as u64,
-        }
-    }
-
-    #[inline(always)]
-    fn read_reg(&self, r: Reg, w: u8) -> u64 {
-        width_ty(w).canon(self.regs[r.index()])
-    }
-
-    #[inline(always)]
-    fn write_reg(&mut self, r: Reg, w: u8, v: u64) {
-        self.regs[r.index()] = width_ty(w).canon(v);
-    }
-
-    #[inline(always)]
-    fn read(&mut self, op: AOp, w: u8) -> Result<u64, Halt> {
-        match op {
-            AOp::Reg(r) => Ok(self.read_reg(r, w)),
-            AOp::Imm(v) => Ok(width_ty(w).canon(v as u64)),
-            AOp::Mem(m) => {
-                let addr = self.effective(m);
-                self.load_mem(addr, w)
-            }
-        }
-    }
-
-    fn write(&mut self, op: AOp, w: u8, v: u64) -> Result<(), Halt> {
-        match op {
-            AOp::Reg(r) => {
-                self.write_reg(r, w, v);
-                Ok(())
-            }
-            AOp::Mem(m) => {
-                let addr = self.effective(m);
-                self.store_mem(addr, w, v)
-            }
-            AOp::Imm(_) => unreachable!("immediate destination"),
-        }
-    }
-
-    #[inline(always)]
-    pub(crate) fn load_mem(&mut self, addr: u64, w: u8) -> Result<u64, Halt> {
-        self.mem.load(addr, w as u64).map_err(|t| Halt::Status(ExecStatus::Trapped(t)))
-    }
-
-    #[inline(always)]
-    pub(crate) fn store_mem(&mut self, addr: u64, w: u8, v: u64) -> Result<(), Halt> {
-        self.last_mem_write = Some((addr, w));
-        self.mem
-            .store(addr, w as u64, v)
-            .map_err(|t| Halt::Status(ExecStatus::Trapped(t)))
-    }
-
-    pub(crate) fn set_arith_flags(&mut self, op: AluOp, ty: Type, a: u64, b: u64, r: u64) {
-        let mut fl = 0u64;
-        let bits = ty.bits();
-        if r == 0 {
-            fl |= flags::ZF;
-        }
-        if (r >> (bits - 1)) & 1 == 1 {
-            fl |= flags::SF;
-        }
-        match op {
-            AluOp::Add => {
-                if r < a {
-                    fl |= flags::CF;
-                }
-                let (sa, sb, sr) = (ty.sext(a), ty.sext(b), ty.sext(r));
-                if (sa >= 0) == (sb >= 0) && (sr >= 0) != (sa >= 0) {
-                    fl |= flags::OF;
-                }
-            }
-            AluOp::Sub => {
-                if a < b {
-                    fl |= flags::CF;
-                }
-                let (sa, sb, sr) = (ty.sext(a), ty.sext(b), ty.sext(r));
-                if (sa >= 0) != (sb >= 0) && (sr >= 0) != (sa >= 0) {
-                    fl |= flags::OF;
-                }
-            }
-            _ => {}
-        }
-        self.regs[Reg::Rflags.index()] = fl;
-    }
-
-    pub(crate) fn set_logic_flags(&mut self, ty: Type, r: u64) {
-        let mut fl = 0u64;
-        if r == 0 {
-            fl |= flags::ZF;
-        }
-        if (r >> (ty.bits() - 1)) & 1 == 1 {
-            fl |= flags::SF;
-        }
-        self.regs[Reg::Rflags.index()] = fl;
-    }
-
-    #[inline(always)]
-    pub(crate) fn cond(&self, cc: CC) -> bool {
-        let fl = self.regs[Reg::Rflags.index()];
-        let zf = fl & flags::ZF != 0;
-        let sf = fl & flags::SF != 0;
-        let of = fl & flags::OF != 0;
-        let cf = fl & flags::CF != 0;
-        match cc {
-            CC::E => zf,
-            CC::Ne => !zf,
-            CC::L => sf != of,
-            CC::Le => zf || sf != of,
-            CC::G => !zf && sf == of,
-            CC::Ge => sf == of,
-            CC::B => cf,
-            CC::Be => cf || zf,
-            CC::A => !cf && !zf,
-            CC::Ae => !cf,
-        }
     }
 }
 
@@ -740,14 +280,6 @@ pub(crate) fn width_ty(w: u8) -> Type {
         2 => Type::I16,
         4 => Type::I32,
         _ => Type::I64,
-    }
-}
-
-pub(crate) fn width_fty(w: u8) -> Type {
-    if w == 4 {
-        Type::F32
-    } else {
-        Type::F64
     }
 }
 

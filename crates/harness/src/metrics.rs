@@ -175,11 +175,12 @@ pub struct MetricsSnapshot {
     /// Engines are bit-identical; this is provenance, not schedule.
     #[serde(default)]
     pub exec_mode: String,
-    /// Executed instructions attributed to a decode-and-dispatch
-    /// interpreter (all IR-layer work, and assembly under `interp`).
+    /// Executed instructions attributed to `interp`: all IR-layer work,
+    /// and assembly run on the threaded-code engine's bookkept loop.
     #[serde(default)]
     pub interp_insts: u64,
-    /// Executed instructions attributed to the threaded-code engine.
+    /// Executed instructions attributed to the threaded-code engine's
+    /// fast loop (`compiled`).
     #[serde(default)]
     pub compiled_insts: u64,
     /// Executed instructions attributed to the native JIT (including

@@ -53,11 +53,17 @@ mod imp {
     extern "C" fn on_sigint(_: i32) {
         // Both calls are async-signal-safe: an atomic store and _exit.
         if REQUESTED.swap(true, Ordering::SeqCst) {
+            // SAFETY: `_exit` is async-signal-safe, takes a plain integer
+            // and never returns; it runs no destructors or atexit hooks
+            // that could touch state the interrupted thread holds.
             unsafe { _exit(130) }
         }
     }
 
     pub(super) fn install() {
+        // SAFETY: `on_sigint` is an `extern "C" fn(i32)` with the handler
+        // ABI `signal(2)` expects, lives for the whole process, and only
+        // does async-signal-safe work (an atomic swap and `_exit`).
         unsafe {
             signal(SIGINT, on_sigint as *const () as usize);
         }

@@ -42,18 +42,23 @@ impl IrSnapshotSet {
     }
 }
 
-/// Which execution engine runs machine-layer trials. The engines are
-/// bit-identical by contract — every observable stream (status, output,
-/// instruction/site/cycle counts, attribution, snapshots) matches exactly —
-/// so the switch exists for performance, provenance, and differential
-/// testing, never for results. The IR layer ignores the selection: every
-/// run takes its one fast loop, which detours through `step()`.
+/// How machine-layer trials execute. Two engines exist, the threaded-code
+/// engine and the native JIT; `interp` and `compiled` are two loops of the
+/// first. All three settings are bit-identical by contract — every
+/// observable stream (status, output, instruction/site/cycle counts,
+/// attribution, snapshots) matches exactly — so the switch exists for
+/// performance, provenance, and differential testing, never for results.
+/// The IR layer ignores the selection: every run takes its one fast loop,
+/// which detours through `step()`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ExecMode {
-    /// `interp` — the decode-and-dispatch interpreter (reference engine).
+    /// `interp` — the threaded-code engine's bookkept loop: every
+    /// instruction goes through its `step()`, the loop snapshot captures
+    /// and profiled runs take under every setting.
     Interp,
-    /// `compiled` — the threaded-code executor: each instruction is
-    /// pre-lowered to a specialized handler indexed by program position.
+    /// `compiled` — the threaded-code engine's fast loop: each instruction
+    /// is pre-lowered to a specialized micro-op indexed by program
+    /// position, with counters kept in locals.
     #[default]
     Compiled,
     /// `native` — the JIT executor: the whole program is lowered to host

@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
-# Execution-engine smoke test: the same campaign run under the
-# decode-and-dispatch interpreter (`--executor interp`), the
-# threaded-code executor (`--executor compiled`, the default), and the
-# native x86-64 JIT (`--executor native`) must produce byte-identical
-# trial results. Only the checkpoint header may differ — it records
-# which engine produced the log as provenance. The native engine is also
-# exercised with `FLOWERY_JIT_FORCE_FALLBACK=1`, which must degrade
-# gracefully to the compiled engine without changing a single record.
+# Execution-engine smoke test: the same campaign run under the three
+# executor settings — `--executor interp` (the threaded-code engine's
+# bookkept loop, every instruction through `step()`), `--executor
+# compiled` (its fast loop, the default) and `--executor native` (the
+# x86-64 JIT) — must produce byte-identical trial results. Only the
+# checkpoint header may differ — it records which setting produced the
+# log as provenance. The reference semantics are not a setting: they are
+# the from-boot interpreter `tests/exec_equivalence.rs` checks all three
+# against. The native engine is also exercised with
+# `FLOWERY_JIT_FORCE_FALLBACK=1`, which must degrade gracefully to the
+# compiled engine without changing a single record.
 set -euo pipefail
 
 BIN=${FLOWERY_BIN:-target/release/flowery}

@@ -89,8 +89,8 @@ flags are parsed strictly: an unknown flag or an unparsable number is an error
                                       --resume refuses a mixed-model mix;
                                       --executor picks the machine-layer
                                       engine (default compiled, the
-                                      threaded-code executor; interp is
-                                      the reference interpreter; native
+                                      threaded-code fast loop; interp is
+                                      its bookkept loop; native
                                       JIT-compiles trials to host x86-64,
                                       falling back to compiled when the
                                       host cannot run it) — results are
