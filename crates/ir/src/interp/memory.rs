@@ -13,6 +13,9 @@
 //! Faulty executions frequently produce wild pointers; every access is
 //! bounds- and guard-checked so those become `Trap`s (the paper's DUE
 //! outcome) rather than UB in the host.
+//!
+//! The pristine post-init state is a compact [`BaseImage`]; only a running
+//! trial holds a dense [`Memory`], made from it and reverted to it by page.
 
 use crate::module::{GlobalInit, Module};
 use crate::types::Type;
@@ -96,57 +99,86 @@ pub struct Memory {
     dirty: Vec<u64>,
 }
 
-impl Memory {
-    /// Create an image of `size` bytes with the given stack reservation and
-    /// the module's globals materialized at [`GLOBAL_BASE`].
-    ///
-    /// The fresh image has an empty dirty set: globals materialized here
-    /// are part of the *base* state that snapshot deltas are relative to.
-    pub fn new(m: &Module, size: u64, stack_size: u64) -> Memory {
-        assert!(size >= GLOBAL_BASE + stack_size + 0x1000, "memory too small");
-        let pages = size.div_ceil(PAGE_SIZE) as usize;
-        let mut mem = Memory {
-            bytes: vec![0u8; size as usize],
-            stack_limit: size - stack_size,
-            dirty: vec![0u64; pages.div_ceil(64)],
-        };
-        let mut cursor = GLOBAL_BASE;
-        for g in &m.globals {
-            cursor = align_up(cursor, g.elem.align());
-            let base = cursor;
-            if let GlobalInit::Elems(vals) = &g.init {
-                for (i, &v) in vals.iter().enumerate() {
-                    mem.write_unchecked(base + i as u64 * g.elem.size(), g.elem.size(), v);
-                }
-            }
-            cursor += g.size();
-            assert!(cursor <= mem.stack_limit, "globals overflow memory image");
+/// The pristine post-init image in compact form: the geometry plus the
+/// bytes up to the end of the last page the globals initialise; every byte
+/// above `prefix` is zero. Snapshot sets and scratch runners hold this; only
+/// a running trial holds a dense [`Memory`] ([`BaseImage::image`]).
+#[derive(Debug)]
+pub struct BaseImage {
+    pub(crate) size: u64,
+    pub(crate) stack_limit: u64,
+    pub(crate) prefix: Box<[u8]>,
+}
+
+impl BaseImage {
+    /// The image of `m` in `size` bytes with a `stack_size` stack. The
+    /// geometry may be untrusted (a snapshot file's): it is checked without
+    /// overflow, and nothing is allocated in proportion to `size`.
+    pub fn new(m: &Module, size: u64, stack_size: u64) -> Result<BaseImage, String> {
+        let stack_limit = size
+            .checked_sub(stack_size)
+            .filter(|&limit| limit >= GLOBAL_BASE + 0x1000)
+            .ok_or("memory too small")?;
+        let (addrs, end) = place_globals(m);
+        if end > stack_limit {
+            return Err("globals overflow memory image".into());
         }
-        mem
+        let mut prefix = Vec::new();
+        for (g, at) in m.globals.iter().zip(addrs) {
+            let GlobalInit::Elems(vals) = &g.init else { continue };
+            let (at, w) = (at as usize, g.elem.size() as usize);
+            // Globals ascend, so the prefix only grows.
+            prefix.resize(align_up((at + w * vals.len()) as u64, PAGE_SIZE).min(size) as usize, 0);
+            for (i, v) in vals.iter().enumerate() {
+                prefix[at + i * w..at + (i + 1) * w].copy_from_slice(&v.to_le_bytes()[..w]);
+            }
+        }
+        Ok(BaseImage { size, stack_limit, prefix: prefix.into() })
     }
 
-    /// Address of global number `idx` (same placement algorithm as `new`).
+    /// True for an image of `mem_size` bytes with a `stack_size` stack.
+    pub fn has_geometry(&self, mem_size: u64, stack_size: u64) -> bool {
+        self.size == mem_size && mem_size.checked_sub(stack_size) == Some(self.stack_limit)
+    }
+
+    /// The dense image, with an empty dirty set: a zeroed allocation with
+    /// the prefix copied in. No dense base is copied.
+    pub fn image(&self) -> Memory {
+        let mut bytes = vec![0u8; self.size as usize];
+        bytes[..self.prefix.len()].copy_from_slice(&self.prefix);
+        let dirty = vec![0u64; self.size.div_ceil(PAGE_SIZE).div_ceil(64) as usize];
+        Memory { bytes, stack_limit: self.stack_limit, dirty }
+    }
+}
+
+/// Address of every global of `m` in declaration order, and the end of the
+/// globals segment: the one walk that places them.
+fn place_globals(m: &Module) -> (Vec<u64>, u64) {
+    let mut end = GLOBAL_BASE;
+    let addrs = m.globals.iter().map(|g| {
+        let at = align_up(end, g.elem.align());
+        end = at + g.size();
+        at
+    });
+    (addrs.collect(), end)
+}
+
+impl Memory {
+    /// The image of [`BaseImage::new`]; panics on a geometry it refuses. A
+    /// convenience for tests and oracles: the substrate keeps the
+    /// [`BaseImage`] and makes its images from it.
+    pub fn new(m: &Module, size: u64, stack_size: u64) -> Memory {
+        BaseImage::new(m, size, stack_size).unwrap_or_else(|e| panic!("{e}")).image()
+    }
+
+    /// Address of each global, in declaration order.
     pub fn layout_globals(m: &Module) -> Vec<u64> {
-        let mut out = Vec::with_capacity(m.globals.len());
-        let mut cursor = GLOBAL_BASE;
-        for g in &m.globals {
-            cursor = align_up(cursor, g.elem.align());
-            out.push(cursor);
-            cursor += g.size();
-        }
-        out
+        place_globals(m).0
     }
 
     /// End of the globals segment (first free heap byte).
     pub fn globals_end(m: &Module) -> u64 {
-        Memory::layout_globals(m).last().map_or(GLOBAL_BASE, |_| {
-            let mut cursor = GLOBAL_BASE;
-            for g in &m.globals {
-                cursor = align_up(cursor, g.elem.align());
-                cursor += g.size();
-            }
-            cursor
-        })
+        place_globals(m).1
     }
 
     /// Total size in bytes.
@@ -157,11 +189,6 @@ impl Memory {
     /// Lowest valid stack address.
     pub fn stack_limit(&self) -> u64 {
         self.stack_limit
-    }
-
-    /// True for an image of `mem_size` bytes with a `stack_size` stack.
-    pub fn has_geometry(&self, mem_size: u64, stack_size: u64) -> bool {
-        self.size() == mem_size && self.stack_limit() == mem_size - stack_size
     }
 
     /// Initial stack pointer (top of memory, 16-byte aligned).
@@ -179,7 +206,9 @@ impl Memory {
         if !self.in_bounds(addr, width) {
             return Err(TrapKind::OobLoad);
         }
-        Ok(self.read_unchecked(addr, width))
+        let (a, mut buf) = (addr as usize, [0u8; 8]);
+        buf[..width as usize].copy_from_slice(&self.bytes[a..a + width as usize]);
+        Ok(u64::from_le_bytes(buf))
     }
 
     /// Checked store of the low `width` bytes of `val`, little-endian.
@@ -188,7 +217,8 @@ impl Memory {
             return Err(TrapKind::OobStore);
         }
         self.mark_dirty(addr, width);
-        self.write_unchecked(addr, width, val);
+        let a = addr as usize;
+        self.bytes[a..a + width as usize].copy_from_slice(&val.to_le_bytes()[..width as usize]);
         Ok(())
     }
 
@@ -229,18 +259,6 @@ impl Memory {
         self.store(addr, ty.size(), ty.canon(val))
     }
 
-    fn read_unchecked(&self, addr: u64, width: u64) -> u64 {
-        let a = addr as usize;
-        let mut buf = [0u8; 8];
-        buf[..width as usize].copy_from_slice(&self.bytes[a..a + width as usize]);
-        u64::from_le_bytes(buf)
-    }
-
-    fn write_unchecked(&mut self, addr: u64, width: u64, val: u64) {
-        let a = addr as usize;
-        self.bytes[a..a + width as usize].copy_from_slice(&val.to_le_bytes()[..width as usize]);
-    }
-
     // ---- page-granular dirty tracking (snapshot fast-forward) ----------
 
     #[inline]
@@ -251,11 +269,6 @@ impl Memory {
         if last != first {
             self.dirty[last >> 6] |= 1 << (last & 63);
         }
-    }
-
-    #[inline]
-    fn mark_page(&mut self, page: u32) {
-        self.dirty[page as usize >> 6] |= 1 << (page as usize & 63);
     }
 
     /// Raw view for native execution engines: base pointer and length of
@@ -275,11 +288,6 @@ impl Memory {
             dirty: self.dirty.as_mut_ptr(),
             dirty_words: self.dirty.len(),
         }
-    }
-
-    /// Number of [`PAGE_SIZE`] pages (the last one may be partial).
-    pub fn page_count(&self) -> u32 {
-        (self.size().div_ceil(PAGE_SIZE)) as u32
     }
 
     /// The bytes of one page (shorter for a trailing partial page).
@@ -307,25 +315,29 @@ impl Memory {
 
     /// Revert this image to `base` overlaid with `pages`, touching only
     /// pages known to differ: every currently dirty page is restored from
-    /// `base`, then the overlay pages are applied (and marked dirty, so a
-    /// later `reset_to` knows to revert them again).
+    /// `base`'s prefix, or zero-filled above it, then the overlay pages are
+    /// applied (and marked dirty, so a later `reset_to` knows to revert
+    /// them again).
     ///
     /// Correctness rests on the invariant that a page never marked dirty
     /// is byte-identical to `base` — which holds because this image
-    /// started as a clone of `base` and every store marks its pages.
-    pub fn reset_to(&mut self, base: &Memory, pages: &PageMap) {
-        debug_assert_eq!(self.size(), base.size(), "snapshot base size mismatch");
+    /// started as `base`'s image and every store marks its pages.
+    pub fn reset_to(&mut self, base: &BaseImage, pages: &PageMap) {
+        debug_assert_eq!(self.size(), base.size, "snapshot base size mismatch");
         for page in self.drain_dirty_pages() {
             if !pages.contains_key(&page) {
                 let start = page as usize * PAGE_SIZE as usize;
                 let end = (start + PAGE_SIZE as usize).min(self.bytes.len());
-                self.bytes[start..end].copy_from_slice(&base.bytes[start..end]);
+                match base.prefix.get(start..end) {
+                    Some(init) => self.bytes[start..end].copy_from_slice(init),
+                    None => self.bytes[start..end].fill(0),
+                }
             }
         }
         for (&page, data) in pages {
             let start = page as usize * PAGE_SIZE as usize;
             self.bytes[start..start + data.len()].copy_from_slice(data);
-            self.mark_page(page);
+            self.dirty[page as usize >> 6] |= 1 << (page & 63);
         }
     }
 }
@@ -356,10 +368,6 @@ pub struct PageRecorder {
 }
 
 impl PageRecorder {
-    pub fn new() -> PageRecorder {
-        PageRecorder::default()
-    }
-
     /// Fold the pages dirtied since the last sync into the cumulative
     /// overlay and return a snapshot of it.
     pub fn sync(&mut self, mem: &mut Memory) -> PageMap {
@@ -450,8 +458,8 @@ mod tests {
     #[test]
     fn dirty_tracking_and_reset_roundtrip() {
         let m = Module::default();
-        let base = Memory::new(&m, 1 << 20, 1 << 16);
-        let mut mem = base.clone();
+        let base = BaseImage::new(&m, 1 << 20, 1 << 16).unwrap();
+        let mut mem = base.image();
         assert!(mem.drain_dirty_pages().is_empty(), "fresh image is clean");
         // A store spanning a page boundary dirties both pages.
         mem.store(2 * PAGE_SIZE - 4, 8, 0xAABBCCDD_EEFF0011).unwrap();
@@ -461,8 +469,8 @@ mod tests {
         assert!(mem.drain_dirty_pages().is_empty(), "drain clears the set");
 
         // Build an overlay from a recorder, then reset a scratch image.
-        let mut golden = base.clone();
-        let mut rec = PageRecorder::new();
+        let mut golden = base.image();
+        let mut rec = PageRecorder::default();
         golden.store(0x2000, 8, 7).unwrap();
         let pages1 = rec.sync(&mut golden);
         golden.store(0x5000, 8, 9).unwrap();
@@ -470,7 +478,7 @@ mod tests {
         assert_eq!(pages1.len(), 1);
         assert_eq!(pages2.len(), 2);
 
-        let mut scratch = base.clone();
+        let mut scratch = base.image();
         scratch.store(0x7000, 8, 0xDEAD).unwrap(); // trial-local damage
         scratch.reset_to(&base, &pages2);
         assert_eq!(scratch.load(0x2000, 8).unwrap(), 7);
@@ -480,6 +488,78 @@ mod tests {
         scratch.reset_to(&base, &pages1);
         assert_eq!(scratch.load(0x2000, 8).unwrap(), 7);
         assert_eq!(scratch.load(0x5000, 8).unwrap(), 0);
+    }
+
+    /// Globals of every init kind: a page and a half of initialised
+    /// elements, a zeroed array past them, then a byte global initialised
+    /// after the zeroed one — it, not the zeroed array, ends the prefix.
+    fn module_with_globals() -> Module {
+        let mut mb = ModuleBuilder::new("m");
+        mb.global_i64("a", &(0..768).map(|i| i * 3 + 1).collect::<Vec<_>>());
+        mb.global_zeroed("z", Type::I64, 2048);
+        mb.global_init("c", Type::I8, vec![0xAB, 0xCD]);
+        mb.global_zeroed("tail", Type::I64, 4096);
+        mb.finish()
+    }
+
+    #[test]
+    fn base_image_prefix_ends_at_the_last_initialised_page() {
+        let m = module_with_globals();
+        let addrs = Memory::layout_globals(&m);
+        let base = BaseImage::new(&m, 1 << 20, 1 << 16).unwrap();
+        assert_eq!(base.prefix.len() as u64, align_up(addrs[2] + 2, PAGE_SIZE));
+        assert!((base.prefix.len() as u64) < Memory::globals_end(&m), "the zeroed tail is not stored");
+        let empty = BaseImage::new(&Module::default(), 1 << 20, 1 << 16).unwrap();
+        assert!(empty.prefix.is_empty(), "no initialised global, no prefix");
+    }
+
+    #[test]
+    fn memory_new_is_the_base_image_byte_for_byte() {
+        let m = module_with_globals();
+        let base = BaseImage::new(&m, 1 << 20, 1 << 16).unwrap();
+        let (mem, image) = (Memory::new(&m, 1 << 20, 1 << 16), base.image());
+        assert_eq!(mem.bytes, image.bytes);
+        assert_eq!((mem.size(), mem.stack_limit()), (base.size, base.stack_limit));
+        assert_eq!(mem.bytes[..base.prefix.len()], base.prefix[..]);
+        assert!(mem.bytes[base.prefix.len()..].iter().all(|&b| b == 0));
+        let addrs = Memory::layout_globals(&m);
+        assert_eq!(mem.load(addrs[0] + 767 * 8, 8).unwrap(), 767 * 3 + 1);
+        assert_eq!(mem.load(addrs[2], 2).unwrap(), 0xCDAB);
+    }
+
+    #[test]
+    fn reset_to_restores_the_prefix_and_zero_fills_above_it() {
+        let m = module_with_globals();
+        let addrs = Memory::layout_globals(&m);
+        let base = BaseImage::new(&m, 1 << 20, 1 << 16).unwrap();
+        let above = base.prefix.len() as u64 + 3 * PAGE_SIZE;
+        let mut mem = base.image();
+        mem.store(addrs[0] + 8, 8, 0xDEAD).unwrap();
+        mem.store(addrs[2], 1, 0).unwrap();
+        mem.store(above, 8, 0xBEEF).unwrap();
+        mem.reset_to(&base, &PageMap::new());
+        assert_eq!(mem.load(addrs[0] + 8, 8).unwrap(), 4, "initialised global restored");
+        assert_eq!(mem.load(addrs[2], 1).unwrap(), 0xAB, "initialised global restored");
+        assert_eq!(mem.load(above, 8).unwrap(), 0, "page above the prefix zero-filled");
+        assert_eq!(mem.bytes, Memory::new(&m, 1 << 20, 1 << 16).bytes);
+        assert!(mem.drain_dirty_pages().is_empty());
+    }
+
+    #[test]
+    fn base_image_refuses_impossible_geometry_without_allocating() {
+        let m = module_with_globals();
+        let stack = 1 << 16;
+        for (size, stack_size) in [(u64::MAX, u64::MAX), (stack, stack), (0, 0), (0x1000, u64::MAX)] {
+            assert!(BaseImage::new(&m, size, stack_size).is_err(), "{size:#x}/{stack_size:#x}");
+        }
+        let err = BaseImage::new(&m, Memory::globals_end(&m) + stack - 1, stack).unwrap_err();
+        assert!(err.contains("globals"), "{err}");
+        // A huge geometry is only two numbers until an image is made.
+        for size in [1 << 40, u64::MAX] {
+            let huge = BaseImage::new(&m, size, stack).unwrap();
+            assert!(huge.has_geometry(size, stack) && !huge.has_geometry(1 << 20, stack));
+            assert_eq!(huge.prefix, BaseImage::new(&m, 1 << 20, stack).unwrap().prefix);
+        }
     }
 
     #[test]

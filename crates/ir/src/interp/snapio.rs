@@ -25,9 +25,14 @@
 //! Loading never panics on bad input: the checksum is verified before any
 //! parsing, and every length/index is validated against the program the
 //! executor is bound to.
+//!
+//! The base image is rebuilt from that program as a compact [`BaseImage`]
+//! (the globals' pages), so the file's `mem_size` is never allocated: a
+//! geometry with no room for the stack and the globals is refused (checked
+//! without overflow), any other waits for the caller's `matches_geometry`.
 
 use crate::fnv1a;
-use crate::interp::memory::{trap_code, trap_from, Memory, PageMap, GLOBAL_BASE};
+use crate::interp::memory::{trap_code, trap_from, BaseImage, PageMap, PAGE_SIZE};
 use crate::interp::snapshot::{Cadence, SiteLog, Snapshot, SnapshotSet};
 use crate::interp::substrate::{Linked, RunResult, Substrate};
 use crate::interp::ExecStatus;
@@ -207,8 +212,8 @@ impl<S: Substrate> SnapshotSet<S> {
         w.extend_from_slice(S::MAGIC);
         w_u32(&mut w, VERSION);
         w_u64(&mut w, content_hash);
-        w_u64(&mut w, self.base.size());
-        w_u64(&mut w, self.base.size() - self.base.stack_limit());
+        w_u64(&mut w, self.base.size);
+        w_u64(&mut w, self.base.size - self.base.stack_limit);
         w.push(match self.cadence {
             Cadence::Insts(_) => 0,
             Cadence::Sites(_) => 1,
@@ -272,11 +277,9 @@ impl<S: Substrate> SnapshotSet<S> {
         if c.u64()? != content_hash {
             return Err("snapshot file: content hash mismatch".into());
         }
-        let mem_size = c.u64()?;
-        let stack_size = c.u64()?;
-        if stack_size > mem_size || mem_size < GLOBAL_BASE + stack_size + 0x1000 {
-            return Err("snapshot file: implausible memory geometry".into());
-        }
+        let (mem_size, stack_size) = (c.u64()?, c.u64()?);
+        let base = BaseImage::new(S::module(exec), mem_size, stack_size)
+            .map_err(|e| format!("snapshot file: implausible memory geometry ({e})"))?;
         let cadence = match c.u8()? {
             0 => Cadence::Insts(c.u64()?),
             1 => Cadence::Sites(c.u64()?),
@@ -286,7 +289,6 @@ impl<S: Substrate> SnapshotSet<S> {
             return Err("snapshot file: zero cadence".into());
         }
         let golden = S::decode_head(&mut c, exec)?;
-        let base = Memory::new(S::module(exec), mem_size, stack_size);
         let n_snaps = c.count(8)?;
         let mut snaps = Vec::with_capacity(n_snaps);
         let mut prev = PageMap::new();
@@ -302,7 +304,8 @@ impl<S: Substrate> SnapshotSet<S> {
             for _ in 0..n_delta {
                 let page = c.u32()?;
                 let len = c.u32()? as usize;
-                if page >= base.page_count() || len != base.page_slice(page).len() {
+                let start = u64::from(page) * PAGE_SIZE;
+                if start >= base.size || len as u64 != (base.size - start).min(PAGE_SIZE) {
                     return Err("snapshot file: bad page record".into());
                 }
                 let data: Arc<[u8]> = Arc::from(c.take(len)?);

@@ -13,7 +13,7 @@
 //! counter in a snapshot is absolute and every restored byte equals what a
 //! scratch run would have computed at that point.
 
-use crate::interp::memory::{Memory, PageMap, PageRecorder};
+use crate::interp::memory::{BaseImage, Memory, PageMap, PageRecorder};
 use crate::interp::substrate::{RunResult, Substrate};
 use std::sync::Arc;
 
@@ -89,12 +89,12 @@ pub struct Snapshot<S: Substrate> {
 }
 
 /// All snapshots from one golden run, plus what a restore needs: the
-/// pristine post-init memory image and the golden result, and the run's
-/// site log. Built once per cached golden, shared read-only across worker
-/// threads.
+/// pristine post-init memory image in compact form and the golden result,
+/// and the run's site log. Built once per cached golden, shared read-only
+/// across worker threads.
 #[derive(Debug)]
 pub struct SnapshotSet<S: Substrate> {
-    pub(crate) base: Memory,
+    pub(crate) base: BaseImage,
     pub(crate) golden: S::Golden,
     pub(crate) cadence: Cadence,
     pub(crate) snaps: Vec<Snapshot<S>>,
@@ -277,7 +277,7 @@ impl<S: Substrate> Recorder<S> {
             next: cadence.value(),
             budget,
             max_snaps,
-            pages: PageRecorder::new(),
+            pages: PageRecorder::default(),
             snaps: Vec::new(),
             sites,
         }
@@ -332,7 +332,7 @@ impl<S: Substrate> Recorder<S> {
     /// Close the capture run into a set. The recorded cadence is the one
     /// after any widening, so the set's reported spacing matches the
     /// snapshots it actually holds.
-    pub(crate) fn finish(mut self, base: Memory, golden: S::Golden) -> SnapshotSet<S> {
+    pub(crate) fn finish(mut self, base: BaseImage, golden: S::Golden) -> SnapshotSet<S> {
         self.sites.close(golden.head().fault_sites);
         let (cadence, snaps, sites) = (self.cadence, self.snaps, Arc::new(self.sites));
         SnapshotSet { base, golden, cadence, snaps, sites }

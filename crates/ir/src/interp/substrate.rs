@@ -10,10 +10,14 @@
 //! capture on a cadence with budget widening, scratch-image recycling,
 //! restore + fast-forward, the file codec, and (in the crates above) the
 //! trial runner, the campaign loop, the golden cache and the snapshot store.
+//!
+//! Only a running trial holds a dense memory image (one per [`Scratch`],
+//! recycled): snapshot sets and scratch runners keep the pristine base as a
+//! compact [`BaseImage`], the globals' pages and the geometry.
 
-use crate::interp::memory::{Memory, PageMap};
+use crate::interp::memory::{BaseImage, Memory, PageMap};
 use crate::interp::snapio::Cursor;
-use crate::interp::snapshot::{Cadence, Recorder, SiteLog, Snapshot, SnapshotSet, AUTO_MAX_SNAPS, AUTO_SITE_CADENCE};
+use crate::interp::snapshot::{Cadence, Recorder, SiteLog, SnapshotSet, AUTO_MAX_SNAPS, AUTO_SITE_CADENCE};
 use crate::interp::{ExecConfig, ExecMode, ExecStatus, FaultSpec};
 use crate::module::Module;
 use std::fmt::Debug;
@@ -122,32 +126,15 @@ impl<S: Substrate> Start<S> {
         let state = S::start(exec, None, &mut mem, pool);
         Start { mem, output, dyn_insts: 0, fault_sites: 0, state }
     }
-
-    /// Resume at `snap` on `mem`, which already holds its overlay, with
-    /// `output` holding the golden output up to that point.
-    fn resume(
-        exec: &S::Exec<'_>,
-        snap: &Snapshot<S>,
-        mut mem: Memory,
-        output: Vec<u8>,
-        pool: &mut S::Pool,
-    ) -> Start<S> {
-        Start {
-            state: S::start(exec, Some(&snap.state), &mut mem, pool),
-            mem,
-            output,
-            dyn_insts: snap.dyn_insts,
-            fault_sites: snap.fault_sites,
-        }
-    }
 }
 
 /// Per-worker reusable buffers for trial execution: the scratch memory
-/// image (reset via dirty-page reverts, never reallocated), the pristine
-/// base it reverts to when no snapshot set supplies one, the output buffer,
-/// and the layer's own pool.
+/// image (reset via dirty-page reverts, never reallocated) — the one dense
+/// image a running trial holds — the compact pristine base it reverts to
+/// when no snapshot set supplies one, the output buffer, and the layer's
+/// own pool.
 pub struct Scratch<S: Substrate> {
-    base: Option<Memory>,
+    base: Option<BaseImage>,
     mem: Option<Memory>,
     output: Vec<u8>,
     pool: S::Pool,
@@ -181,7 +168,7 @@ impl<S: Substrate> Scratch<S> {
 /// optionally injecting a fault.
 pub fn run<S: Substrate>(exec: &S::Exec<'_>, config: &ExecConfig, fault: Option<FaultSpec>) -> S::Golden {
     let mut pool = S::Pool::default();
-    let mem = Memory::new(S::module(exec), config.mem_size, config.stack_size);
+    let mem = pristine::<S>(exec, config).image();
     let start = Start::boot(exec, mem, Vec::new(), &mut pool);
     S::run_suffix(exec, config, fault, start, None, &mut pool).0
 }
@@ -200,10 +187,11 @@ pub fn observe<S: Substrate>(exec: &S::Exec<'_>, config: &ExecConfig, trace_cap:
 /// result plus the number of dynamic instructions so skipped. Either way
 /// the result is bit-identical to `run(exec, config, Some(fault))`.
 ///
-/// The memory image is never reallocated: every page the previous trial
-/// dirtied is reverted to the pristine base (the set's, or one built once
-/// per scratch), then the snapshot's overlay is applied. Sound because a
-/// page never marked dirty is byte-identical to the base image.
+/// The memory image is made once, from the compact base (the set's, or one
+/// built once per scratch), and never reallocated: every page the previous
+/// trial dirtied is reverted to the base, then the snapshot's overlay is
+/// applied. Sound because a page never marked dirty is byte-identical to
+/// the base image.
 pub fn trial<S: Substrate>(
     exec: &S::Exec<'_>,
     config: &ExecConfig,
@@ -211,45 +199,32 @@ pub fn trial<S: Substrate>(
     set: Option<&SnapshotSet<S>>,
     scratch: &mut Scratch<S>,
 ) -> (S::Golden, u64) {
-    let own_base = set.is_none().then(|| {
-        let built = scratch
-            .base
-            .take()
-            .filter(|b| b.has_geometry(config.mem_size, config.stack_size));
-        built.unwrap_or_else(|| Memory::new(S::module(exec), config.mem_size, config.stack_size))
-    });
-    let base = set.map_or_else(|| own_base.as_ref().expect("built above"), |set| &set.base);
+    let fits = |b: &BaseImage| b.has_geometry(config.mem_size, config.stack_size);
+    if set.is_none() && !scratch.base.as_ref().is_some_and(fits) {
+        scratch.base = Some(pristine::<S>(exec, config));
+    }
+    let base = set.map_or_else(|| scratch.base.as_ref().expect("built above"), |set| &set.base);
     let mut mem = scratch
         .mem
         .take()
-        .filter(|m| m.size() == base.size() && m.stack_limit() == base.stack_limit())
-        .unwrap_or_else(|| base.clone());
+        .filter(|m| m.size() == base.size && m.stack_limit() == base.stack_limit)
+        .unwrap_or_else(|| base.image());
     let mut output = std::mem::take(&mut scratch.output);
     output.clear();
     // A snapshot holds no profile accumulator, so a profiled trial (and one
     // whose site precedes the first snapshot) runs from the start, still on
     // the recycled image.
-    let snap = set
-        .filter(|_| !config.profile)
-        .and_then(|set| Some((set.nearest(fault.site_index)?, set.golden.head().output)));
-    let start = match snap {
-        Some((snap, golden_output)) => {
-            mem.reset_to(base, &snap.pages);
-            output.extend_from_slice(&golden_output[..snap.output_len]);
-            Start::resume(exec, snap, mem, output, &mut scratch.pool)
-        }
-        None => {
-            mem.reset_to(base, &PageMap::new());
-            Start::boot(exec, mem, output, &mut scratch.pool)
-        }
-    };
-    let skipped = start.dyn_insts;
+    let snap = set.filter(|_| !config.profile).and_then(|set| set.nearest(fault.site_index));
+    mem.reset_to(base, snap.map_or(&PageMap::new(), |snap| &snap.pages));
+    if let Some((snap, set)) = snap.zip(set) {
+        output.extend_from_slice(&set.golden.head().output[..snap.output_len]);
+    }
+    let state = S::start(exec, snap.map(|snap| &snap.state), &mut mem, &mut scratch.pool);
+    let (dyn_insts, fault_sites) = snap.map_or((0, 0), |snap| (snap.dyn_insts, snap.fault_sites));
+    let start = Start { mem, output, dyn_insts, fault_sites, state };
     let (res, mem) = S::run_suffix(exec, config, Some(fault), start, None, &mut scratch.pool);
     scratch.mem = Some(mem);
-    if own_base.is_some() {
-        scratch.base = own_base;
-    }
-    (res, skipped)
+    (res, dyn_insts)
 }
 
 /// One fault-free run that captures a snapshot on `cadence` and logs the
@@ -264,13 +239,18 @@ pub fn capture<S: Substrate>(
     max_snaps: Option<usize>,
     trace_cap: usize,
 ) -> SnapshotSet<S> {
-    let base = Memory::new(S::module(exec), config.mem_size, config.stack_size);
+    let base = pristine::<S>(exec, config);
     let mut pool = S::Pool::default();
     let log = SiteLog::new(S::site_regions(exec), trace_cap);
     let mut rec = Recorder::new(cadence, config.snapshot_budget, max_snaps, log);
-    let start = Start::boot(exec, base.clone(), Vec::new(), &mut pool);
+    let start = Start::boot(exec, base.image(), Vec::new(), &mut pool);
     let (golden, _mem) = S::run_suffix(exec, config, None, start, Some(&mut rec), &mut pool);
     rec.finish(base, golden)
+}
+
+/// The compact pristine image of `exec`'s program under `config`'s geometry.
+fn pristine<S: Substrate>(exec: &S::Exec<'_>, config: &ExecConfig) -> BaseImage {
+    BaseImage::new(S::module(exec), config.mem_size, config.stack_size).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Self-tuning capture: a snapshot every [`AUTO_SITE_CADENCE`] fault sites,
@@ -284,7 +264,7 @@ mod tests {
     use super::*;
     use crate::builder::{FuncBuilder, ModuleBuilder};
     use crate::inst::BinOp;
-    use crate::interp::{Interpreter, IrLayer, IrScratch};
+    use crate::interp::{Interpreter, IrLayer, IrScratch, PAGE_SIZE};
     use crate::types::Type;
     use crate::value::Op;
 
@@ -292,7 +272,10 @@ mod tests {
     fn scratch_trials_recycle_one_memory_image() {
         // Snapshots off: a runner's trials must revert one image by dirty
         // pages against a once-built base, not allocate an image per trial.
+        // The initialised global gives the base a heap-allocated prefix, so
+        // a rebuilt base would show as a new prefix pointer.
         let mut mb = ModuleBuilder::new("m");
+        mb.global_i64("g", &[1]);
         let mut fb = FuncBuilder::new("main", vec![], Some(Type::I64));
         let slot = fb.alloca(Type::I64, 1);
         let v = fb.bin(BinOp::Add, Type::I64, Op::ci64(40), Op::ci64(2));
@@ -306,14 +289,11 @@ mod tests {
         let cfg = ExecConfig::default();
 
         let mut scratch = IrScratch::new();
-        let image = |s: &IrScratch| {
-            (
-                s.base.as_ref().unwrap().page_slice(0).as_ptr(),
-                s.mem.as_ref().unwrap().page_slice(0).as_ptr(),
-            )
-        };
+        let image =
+            |s: &IrScratch| (s.base.as_ref().unwrap().prefix.as_ptr(), s.mem.as_ref().unwrap().page_slice(0).as_ptr());
         // The first trial corrupts the stored value; the second must not see it.
         let first = trial::<IrLayer>(&interp, &cfg, FaultSpec::single(0, 3), None, &mut scratch).0;
+        assert!(!scratch.base.as_ref().unwrap().prefix.is_empty(), "test premise: the base owns a prefix");
         let allocation = image(&scratch);
         let second = trial::<IrLayer>(&interp, &cfg, FaultSpec::single(1, 0), None, &mut scratch).0;
         assert_eq!(
@@ -330,5 +310,42 @@ mod tests {
         let third = trial::<IrLayer>(&interp, &small, FaultSpec::single(0, 3), None, &mut scratch).0;
         assert_eq!(scratch.mem.as_ref().unwrap().size(), small.mem_size);
         assert_eq!(third, interp.run(&small, Some(FaultSpec::single(0, 3))));
+    }
+
+    #[test]
+    fn sets_hold_the_globals_pages_whatever_the_memory_size() {
+        // `main` sums an initialised global into a zeroed one and prints it.
+        let mut mb = ModuleBuilder::new("m");
+        let init = mb.global_i64("init", &[40, 2]);
+        let sum = mb.global_zeroed("sum", Type::I64, 1024);
+        let mut fb = FuncBuilder::new("main", vec![], Some(Type::I64));
+        let second = fb.gep(Op::Global(init), Op::ci64(1), Type::I64);
+        let a = fb.load(Type::I64, Op::Global(init));
+        let b = fb.load(Type::I64, Op::inst(second));
+        let v = fb.bin(BinOp::Add, Type::I64, Op::inst(a), Op::inst(b));
+        fb.store(Type::I64, Op::inst(v), Op::Global(sum));
+        let r = fb.load(Type::I64, Op::Global(sum));
+        fb.output_i64(Op::inst(r));
+        fb.ret(Some(Op::inst(r)));
+        mb.add_func(fb.finish());
+        let m = mb.finish();
+        let interp = Interpreter::new(&m);
+        let small = ExecConfig::default();
+        let large = ExecConfig { mem_size: 256 << 20, ..small.clone() };
+
+        let (a, b) = (interp.capture_snapshots(&small, 2), interp.capture_snapshots(&large, 2));
+        assert_eq!(a.base.prefix, b.base.prefix, "the base is the globals, not the geometry");
+        assert_eq!(a.base.prefix.len() as u64, PAGE_SIZE * 2, "the guard page and the one globals page");
+        assert!(a.matches_geometry(small.mem_size, small.stack_size));
+        assert!(
+            b.matches_geometry(large.mem_size, large.stack_size)
+                && !b.matches_geometry(small.mem_size, small.stack_size)
+        );
+        assert_eq!(a.golden().output, b.golden().output);
+        assert!(!a.is_empty(), "test premise: the set holds snapshots");
+        let fault = FaultSpec::single(b.golden().fault_sites - 1, 2);
+        let restored = trial::<IrLayer>(&interp, &large, fault, Some(&b), &mut IrScratch::new());
+        assert!(restored.1 > 0, "test premise: the trial fast-forwards");
+        assert_eq!(restored.0, interp.run(&large, Some(fault)));
     }
 }

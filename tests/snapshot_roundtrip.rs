@@ -174,3 +174,68 @@ fn corrupted_and_mismatched_files_are_rejected() {
         assert!(!load(&bytes[..len]), "asm truncation to {len} bytes must be rejected");
     }
 }
+
+/// `bytes` with its memory geometry (bytes 20..36: after the magic, the
+/// version and the content hash) replaced and the checksum recomputed.
+fn with_geometry(bytes: &[u8], mem_size: u64, stack_size: u64) -> Vec<u8> {
+    let mut b = bytes.to_vec();
+    b[20..28].copy_from_slice(&mem_size.to_le_bytes());
+    b[28..36].copy_from_slice(&stack_size.to_le_bytes());
+    let body_len = b.len() - 8;
+    let sum = flowery_ir::fnv1a(&b[..body_len]);
+    b[body_len..].copy_from_slice(&sum.to_le_bytes());
+    b
+}
+
+/// A file whose checksum is valid but whose memory geometry is absurd is
+/// refused, or loads as a set `matches_geometry` refuses — the loader never
+/// panics and never allocates the `mem_size` the file claims.
+#[test]
+fn untrusted_geometry_is_refused_without_allocating() {
+    // 4,800 bytes of globals: more than the one page above the guard page.
+    let src = "global int table[600];\n\
+               int main() {\n\
+                 int i; int s = 0;\n\
+                 for (i = 0; i < 40; i = i + 1) { table[i * 15] = i * i; s = s + table[i * 15]; }\n\
+                 output(s);\n\
+                 return s & 255;\n\
+               }\n";
+    let m = flowery_lang::compile("geometry", src).unwrap();
+    let exec = ExecConfig::default();
+    let ir = Interpreter::new(&m).capture_snapshots(&exec, 64).to_bytes(42);
+    let prog = flowery_backend::compile_module(&m, &flowery_backend::BackendConfig::default());
+    let asm = flowery_backend::Machine::new(&m, &prog)
+        .capture_snapshots(&exec, 64)
+        .to_bytes(42);
+    let (mem, stack) = (exec.mem_size, exec.stack_size);
+    let cases = [
+        ("mem_size u64::MAX", u64::MAX, stack, false),
+        ("mem_size = stack_size = u64::MAX", u64::MAX, u64::MAX, true),
+        ("room for the stack, not the globals", mem, mem - 0x2000, true),
+        ("a 1 TB image", 1 << 40, stack, false),
+    ];
+    for (what, mem_size, stack_size, must_fail) in cases {
+        let loaded = [
+            flowery_ir::interp::IrSnapshotSet::from_bytes(&with_geometry(&ir, mem_size, stack_size), &m, 42)
+                .map(|set| set.matches_geometry(mem, stack)),
+            flowery_backend::AsmSnapshotSet::from_bytes(&with_geometry(&asm, mem_size, stack_size), &m, &prog, 42)
+                .map(|set| set.matches_geometry(mem, stack)),
+        ];
+        for (layer, loaded) in ["ir", "asm"].into_iter().zip(loaded) {
+            match loaded {
+                Err(e) => assert!(e.contains("geometry"), "{layer}, {what}: want a geometry error, got: {e}"),
+                Ok(matches) => {
+                    assert!(!must_fail, "{layer}, {what}: must be refused");
+                    assert!(!matches, "{layer}, {what}: the set must not match the campaign's geometry");
+                }
+            }
+        }
+    }
+    // The unmodified geometries, rewritten in place, still load and match.
+    assert!(flowery_ir::interp::IrSnapshotSet::from_bytes(&with_geometry(&ir, mem, stack), &m, 42)
+        .is_ok_and(|set| set.matches_geometry(mem, stack)));
+    assert!(
+        flowery_backend::AsmSnapshotSet::from_bytes(&with_geometry(&asm, mem, stack), &m, &prog, 42)
+            .is_ok_and(|set| set.matches_geometry(mem, stack))
+    );
+}
