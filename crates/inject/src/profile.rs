@@ -4,7 +4,6 @@
 //! probabilities of each instruction").
 
 use crate::campaign::{run_ir_campaign, CampaignConfig};
-use flowery_ir::interp::{ExecConfig, Interpreter};
 use flowery_ir::module::Module;
 use flowery_passes::select::{build_profile, SdcProfile};
 
@@ -18,11 +17,9 @@ use flowery_passes::select::{build_profile, SdcProfile};
 pub fn profile_sdc(m: &Module, cfg: &CampaignConfig) -> SdcProfile {
     let cfg = CampaignConfig { golden_profile: true, ..cfg.clone() };
     let campaign = run_ir_campaign(m, &cfg);
-    let exec_profile = campaign.golden_profile.unwrap_or_else(|| {
-        // Defensive fallback; the campaign always honors `golden_profile`.
-        let exec = Interpreter::new(m).profile_run(&ExecConfig::default());
-        exec.profile.expect("profiling run returns counts")
-    });
+    let exec_profile = campaign
+        .golden_profile
+        .expect("a campaign with `golden_profile` set profiles its capture run");
     build_profile(m, &exec_profile, &campaign.sdc_by_inst, campaign.counts.total())
 }
 

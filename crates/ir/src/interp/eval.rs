@@ -1,19 +1,16 @@
-//! The IR layer's [`Substrate`]: [`Interpreter`], its bookkept `step()` —
-//! the one statement of what each IR instruction does, hook for hook — and
-//! the driver that runs plain trials on the pre-decoded fast loop
-//! ([`compiled`](super::compiled)) and everything else on `step()`.
+//! The IR layer's [`Substrate`]: [`Interpreter`], its frames and snapshot
+//! state, and the driver that picks an instantiation of the one pre-decoded
+//! loop ([`compiled`](super::compiled)) for each stretch of a run.
 
-use crate::inst::{Callee, InstKind, Intrinsic, Terminator};
-use crate::interp::compiled::Compiled;
-use crate::interp::memory::{Memory, TrapKind, GLOBAL_BASE};
-use crate::interp::ops;
+use crate::interp::compiled::{Book, Compiled, ARMED, BOOK, FAST};
+use crate::interp::memory::{Memory, GLOBAL_BASE};
 use crate::interp::snapio::{w_bytes, w_opt, w_status, w_u32, w_u64, w_u64s, Cursor};
 use crate::interp::snapshot::{Cadence, Recorder};
 use crate::interp::substrate::{self, RunHead, RunResult, Start, Substrate};
-use crate::interp::{ExecConfig, ExecMode, ExecResult, ExecStatus, FaultEffect, FaultSpec, Profile};
-use crate::interp::{IrScratch, IrSnapshotSet, TAG_BYTE, TAG_F64, TAG_I64};
+use crate::interp::{ExecConfig, ExecMode, ExecResult, FaultSpec, Profile};
+use crate::interp::{IrScratch, IrSnapshotSet};
 use crate::module::Module;
-use crate::value::{BlockId, FuncId, InstId, Op, Value};
+use crate::value::{BlockId, FuncId, InstId};
 use std::sync::OnceLock;
 
 /// One activation record. `Clone` deep-copies the value/param vectors —
@@ -106,34 +103,21 @@ pub struct IrState {
     pub(crate) stack: Vec<Frame>,
 }
 
-/// What only the bookkept `step()` writes: where the fault landed, the
-/// profile, and the snapshot recorder.
-struct Book<'r> {
-    injected_at: Option<(FuncId, InstId)>,
-    profile: Option<Profile>,
-    recorder: Option<&'r mut Recorder<IrLayer>>,
-}
-
 /// Interpreter for one module. Reusable across runs; each [`Interpreter::run`]
-/// call builds fresh memory. The pre-decoded translation the fast loop runs
-/// on is built lazily on first use and reused for every run after that.
+/// call builds fresh memory. The pre-decoded translation every run executes
+/// is built lazily on first use and reused for every run after that.
 pub struct Interpreter<'m> {
     module: &'m Module,
-    global_addrs: Vec<u64>,
-    compiled: OnceLock<Compiled>,
+    compiled: OnceLock<Compiled<'m>>,
 }
 
 impl<'m> Interpreter<'m> {
     pub fn new(module: &'m Module) -> Interpreter<'m> {
-        Interpreter {
-            module,
-            global_addrs: Memory::layout_globals(module),
-            compiled: OnceLock::new(),
-        }
+        Interpreter { module, compiled: OnceLock::new() }
     }
 
-    fn compiled(&self) -> &Compiled {
-        self.compiled.get_or_init(|| Compiled::build(self.module, &self.global_addrs))
+    fn compiled(&self) -> &Compiled<'m> {
+        self.compiled.get_or_init(|| Compiled::build(self.module))
     }
 
     /// Execute `main` to completion under `config`, optionally injecting a
@@ -181,17 +165,20 @@ impl<'m> Interpreter<'m> {
             counts: self.module.functions.iter().map(|f| vec![0u64; f.insts.len()]).collect(),
         });
         let mut book = Book { injected_at: None, profile, recorder };
+        let code = self.compiled();
         let status = loop {
-            // Recorder and profile runs take `step()` for every instruction;
-            // plain runs take the fast loop, armed until the injection fires.
-            let fast = if book.recorder.is_some() || config.profile {
-                Ok(())
+            // Recorder and profile runs take the bookkept loop throughout;
+            // plain runs take the fast loop, armed until the injection is
+            // due, and the bookkept loop for that one op.
+            let stretch = if book.throughout() {
+                code.run::<BOOK>(config, fault, &mut run, pool, &mut book)
             } else if fault.is_some() && book.injected_at.is_none() {
-                self.compiled().run::<true>(config, fault, &mut run, pool)
+                code.run::<ARMED>(config, fault, &mut run, pool, &mut book)
+                    .and_then(|()| code.run::<BOOK>(config, fault, &mut run, pool, &mut book))
             } else {
-                self.compiled().run::<false>(config, fault, &mut run, pool)
+                code.run::<FAST>(config, fault, &mut run, pool, &mut book)
             };
-            if let Err(s) = fast.and_then(|()| self.step(config, fault, &mut run, &mut book, pool)) {
+            if let Err(s) = stretch {
                 break s;
             }
         };
@@ -201,206 +188,10 @@ impl<'m> Interpreter<'m> {
         (ExecResult { status, output, dyn_insts, fault_sites, injected_at, profile }, mem)
     }
 
-    /// One fully bookkept instruction: snapshot hook, budget trap, profile,
-    /// the instruction's semantics, injection and site accounting. `Err`
-    /// carries the run's final status.
-    fn step(
-        &self,
-        config: &ExecConfig,
-        fault: Option<FaultSpec>,
-        run: &mut Start<IrLayer>,
-        book: &mut Book<'_>,
-        pool: &mut FramePool,
-    ) -> Result<(), ExecStatus> {
-        use ExecStatus::Trapped;
-        // ---- snapshot hook: state here is "dyn_insts executed, the
-        // instruction with index dyn_insts not yet started" ---------------
-        if let Some(rec) = book.recorder.as_deref_mut() {
-            if rec.due(run.dyn_insts, run.fault_sites) {
-                rec.capture(run.dyn_insts, run.fault_sites, run.output.len(), run.state.clone(), &mut run.mem);
-            }
-        }
-
-        run.dyn_insts += 1;
-        if run.dyn_insts > config.max_dyn_insts {
-            return Err(Trapped(TrapKind::InstLimit));
-        }
-
-        let IrState { sp, stack } = &mut run.state;
-        let depth = stack.len();
-        let frame = stack.last_mut().expect("nonempty call stack");
-        let func = self.module.func(frame.func);
-        let block = func.block(frame.block);
-
-        if frame.ip >= block.insts.len() {
-            // ---- terminator ------------------------------------------------
-            match &block.term {
-                Terminator::Jmp { dest } => (frame.block, frame.ip) = (*dest, 0),
-                Terminator::Br { cond, then_bb, else_bb } => {
-                    let dest = if self.op_value(frame, *cond) & 1 == 1 { *then_bb } else { *else_bb };
-                    (frame.block, frame.ip) = (dest, 0);
-                }
-                Terminator::Ret { val } => {
-                    let rv = val.map(|v| self.op_value(frame, v));
-                    let ret_dest = frame.ret_dest;
-                    *sp = frame.saved_sp;
-                    pool.free_frame(stack.pop().expect("nonempty call stack"));
-                    let Some(caller) = stack.last_mut() else {
-                        return Err(ExecStatus::Completed(rv.unwrap_or(0)));
-                    };
-                    if let (Some(dest), Some(v)) = (ret_dest, rv) {
-                        let ty = self
-                            .module
-                            .result_ty(caller.func, dest)
-                            .expect("call with ret_dest has result type");
-                        // The call-return write is NOT an IR fault site (calls
-                        // are not duplicable; LLFI-style compute-only selection).
-                        caller.values[dest.index()] = ty.canon(v);
-                    }
-                }
-                Terminator::Unreachable => return Err(Trapped(TrapKind::BadControl)),
-            }
-            return Ok(());
-        }
-
-        // ---- ordinary instruction ------------------------------------------
-        let iid = block.insts[frame.ip];
-        frame.ip += 1;
-        if let Some(p) = book.profile.as_mut() {
-            p.counts[frame.func.index()][iid.index()] += 1;
-        }
-        let inst = func.inst(iid);
-        let opv = |op: Op| self.op_value(frame, op);
-        let (mem, output) = (&mut run.mem, &mut run.output);
-        let mut out = |tag: u8, bytes: &[u8]| {
-            output.push(tag);
-            output.extend_from_slice(bytes);
-            match output.len() > config.max_output {
-                true => Err(Trapped(TrapKind::OutputFlood)),
-                false => Ok(None),
-            }
-        };
-
-        let result: Option<u64> = match &inst.kind {
-            InstKind::Alloca { elem, count } => {
-                *sp = sp.saturating_sub(elem.size() * *count as u64) & !(elem.align() - 1);
-                if *sp < mem.stack_limit() {
-                    return Err(Trapped(TrapKind::StackOverflow));
-                }
-                Some(*sp)
-            }
-            InstKind::Load { ptr, ty } => Some(mem.load_ty(opv(*ptr), *ty).map_err(Trapped)?),
-            InstKind::Store { val, ptr, ty } => {
-                mem.store_ty(opv(*ptr), *ty, opv(*val)).map_err(Trapped)?;
-                None
-            }
-            InstKind::Bin { op, ty, lhs, rhs } => Some(ops::eval_bin(*op, *ty, opv(*lhs), opv(*rhs)).map_err(Trapped)?),
-            InstKind::ICmp { pred, ty, lhs, rhs } => Some(ops::eval_icmp(*pred, *ty, opv(*lhs), opv(*rhs))),
-            InstKind::FCmp { pred, ty, lhs, rhs } => Some(ops::eval_fcmp(*pred, *ty, opv(*lhs), opv(*rhs))),
-            InstKind::Cast { kind, from, to, val } => Some(ops::eval_cast(*kind, *from, *to, opv(*val))),
-            InstKind::Gep { base, index, elem } => {
-                let i = opv(*index) as i64;
-                Some(opv(*base).wrapping_add_signed(i.wrapping_mul(elem.size() as i64)))
-            }
-            InstKind::Select { cond, t, f, .. } => Some(if opv(*cond) & 1 == 1 { opv(*t) } else { opv(*f) }),
-            InstKind::Call { callee: Callee::Intrinsic(intr), args } => match intr {
-                Intrinsic::OutputI64 => out(TAG_I64, &opv(args[0]).to_le_bytes())?,
-                Intrinsic::OutputF64 => out(TAG_F64, &opv(args[0]).to_le_bytes())?,
-                Intrinsic::OutputByte => out(TAG_BYTE, &[opv(args[0]) as u8])?,
-                Intrinsic::DetectError => return Err(ExecStatus::Detected),
-                math => {
-                    let vals: Vec<u64> = args.iter().map(|a| opv(*a)).collect();
-                    Some(ops::eval_math(*math, &vals))
-                }
-            },
-            InstKind::Call { callee: Callee::Func(callee), args } => {
-                // Push a frame; the call instruction id receives the
-                // return value when the callee returns.
-                if depth >= config.max_call_depth {
-                    return Err(Trapped(TrapKind::CallDepth));
-                }
-                let f = self.module.func(*callee);
-                let mut new = pool.frame(*callee, f.insts.len(), *sp, f.ret_ty.is_some().then_some(iid));
-                new.params.extend(args.iter().map(|a| opv(*a)));
-                stack.push(new);
-                return Ok(()); // no result write
-            }
-        };
-
-        let Some(mut v) = result else { return Ok(()) };
-        let fr_func = frame.func;
-        let ty = self.module.result_ty(fr_func, iid).expect("instruction with result has a type");
-        // ---- fault injection hook (IR level) ---------------------------
-        // LLFI-style site selection: only *compute* results are fault
-        // sites. `alloca` addresses are excluded (frame bookkeeping, not
-        // datapath), as are function-call returns (handled at `Ret`, also
-        // excluded) — matching the instruction-duplication literature's
-        // fault model.
-        let is_site = !matches!(inst.kind, InstKind::Alloca { .. });
-        let inject_now = is_site && fault.is_some_and(|spec| run.fault_sites == spec.site_index);
-        if inject_now {
-            let spec = fault.expect("armed");
-            book.injected_at = Some((fr_func, iid));
-            match spec.effect {
-                FaultEffect::Bits => {
-                    v ^= 1u64 << (spec.bit % ty.bits());
-                    if let Some(b2) = spec.second_bit {
-                        v ^= 1u64 << (b2 % ty.bits());
-                    }
-                }
-                FaultEffect::Burst { width } => {
-                    for k in 0..width as u32 {
-                        v ^= 1u64 << ((spec.bit + k) % ty.bits());
-                    }
-                }
-                // Condition corruption: the low bit is the one branches
-                // and selects consume.
-                FaultEffect::Flags => v ^= 1,
-                FaultEffect::Mem { offset } => {
-                    // The result is intact; a memory cell at a
-                    // deterministic address takes the hit.
-                    let (lo, hi) = mem_fault_region(self.module, mem);
-                    let addr = lo + offset % (hi - lo);
-                    if let Ok(b) = mem.load(addr, 1) {
-                        let _ = mem.store(addr, 1, b ^ (1u64 << (spec.bit % 8)));
-                    }
-                }
-                // Applied after the result write, below.
-                FaultEffect::Jump { .. } => {}
-            }
-        }
-        if is_site {
-            if let Some(rec) = book.recorder.as_deref_mut() {
-                rec.note_site(fr_func.0, run.fault_sites);
-            }
-            run.fault_sites += 1;
-        }
-        let fr = stack.last_mut().expect("nonempty call stack");
-        fr.values[iid.index()] = ty.canon(v);
-        if let Some(FaultSpec { effect: FaultEffect::Jump { target }, .. }) = fault.filter(|_| inject_now) {
-            // Control-flow edge corruption: the (intact) result is
-            // written, then control lands at the head of an arbitrary
-            // block of this function.
-            let nblocks = func.blocks.len() as u64;
-            fr.block = BlockId((target % nblocks) as u32);
-            fr.ip = 0;
-        }
-        Ok(())
-    }
-
     /// Count fault sites and dynamic instructions of a fault-free run.
     pub fn profile_run(&self, config: &ExecConfig) -> ExecResult {
         let cfg = ExecConfig { profile: true, ..config.clone() };
         self.run(&cfg, None)
-    }
-
-    fn op_value(&self, frame: &Frame, op: Op) -> u64 {
-        match op {
-            Op::Const(c) => c.bits(),
-            Op::Global(g) => self.global_addrs[g.index()],
-            Op::Value(Value::Param(p)) => frame.params[p as usize],
-            Op::Value(Value::Inst(i)) => frame.values[i.index()],
-        }
     }
 }
 
@@ -466,9 +257,12 @@ impl Substrate for IrLayer {
             return IrState { sp: s.sp, stack: pool.clone_stack(&s.stack) };
         }
         let main = exec.module.main_func().expect("module has no @main");
-        let sp = mem.initial_sp();
+        let (f, sp) = (exec.module.func(main), mem.initial_sp());
+        let mut frame = pool.frame(main, f.insts.len(), sp, None);
+        // Nothing passes `main` arguments: any parameters it declares read 0.
+        frame.params.resize(f.params.len(), 0);
         let mut stack = pool.take_stack();
-        stack.push(pool.frame(main, exec.module.func(main).insts.len(), sp, None));
+        stack.push(frame);
         IrState { sp, stack }
     }
 
@@ -584,8 +378,10 @@ pub fn mem_fault_region(module: &Module, mem: &Memory) -> (u64, u64) {
 mod tests {
     use super::*;
     use crate::builder::{FuncBuilder, ModuleBuilder};
-    use crate::inst::{BinOp, IPred};
+    use crate::inst::{BinOp, IPred, InstKind, Intrinsic};
+    use crate::interp::{ExecStatus, TrapKind};
     use crate::types::Type;
+    use crate::value::Op;
     use crate::verify::verify_module;
 
     /// Build: main() { s = 0; for i in 0..10 { s += i } ; output_i64(s); ret s }
@@ -801,6 +597,23 @@ mod tests {
         verify_module(&m).unwrap();
         let r = Interpreter::new(&m).run(&ExecConfig::default(), None);
         assert_eq!(r.status, ExecStatus::Completed(9));
+    }
+
+    #[test]
+    fn main_parameters_read_zero() {
+        // Nothing passes `main` arguments, though a module may declare some.
+        let mut mb = ModuleBuilder::new("p");
+        let mut fb = FuncBuilder::new("main", vec![Type::I64], None);
+        fb.output_i64(Op::param(0));
+        fb.ret(None);
+        mb.add_func(fb.finish());
+        let m = mb.finish();
+        let interp = Interpreter::new(&m);
+        let cfg = ExecConfig::default();
+        for r in [interp.run(&cfg, None), interp.capture_snapshots(&cfg, 1).golden().clone()] {
+            assert_eq!(r.status, ExecStatus::Completed(0));
+            assert_eq!(crate::interp::decode_output(&r.output), ["i64:0"]);
+        }
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! trial holds a dense [`Memory`], made from it and reverted to it by page.
 
 use crate::module::{GlobalInit, Module};
-use crate::types::Type;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -249,16 +248,6 @@ impl Memory {
         Ok(())
     }
 
-    /// Typed load.
-    pub fn load_ty(&self, addr: u64, ty: Type) -> Result<u64, TrapKind> {
-        self.load(addr, ty.size()).map(|v| ty.canon(v))
-    }
-
-    /// Typed store.
-    pub fn store_ty(&mut self, addr: u64, ty: Type, val: u64) -> Result<(), TrapKind> {
-        self.store(addr, ty.size(), ty.canon(val))
-    }
-
     // ---- page-granular dirty tracking (snapshot fast-forward) ----------
 
     #[inline]
@@ -399,6 +388,7 @@ pub fn align_up(v: u64, align: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
+    use crate::types::Type;
 
     #[test]
     fn null_page_traps() {
@@ -560,13 +550,5 @@ mod tests {
             assert!(huge.has_geometry(size, stack) && !huge.has_geometry(1 << 20, stack));
             assert_eq!(huge.prefix, BaseImage::new(&m, 1 << 20, stack).unwrap().prefix);
         }
-    }
-
-    #[test]
-    fn typed_access_canonicalizes() {
-        let m = Module::default();
-        let mut mem = Memory::new(&m, 1 << 20, 1 << 16);
-        mem.store_ty(0x2000, Type::I8, 0x1FF).unwrap();
-        assert_eq!(mem.load_ty(0x2000, Type::I8).unwrap(), 0xFF);
     }
 }

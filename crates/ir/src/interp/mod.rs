@@ -1,6 +1,7 @@
-//! The IR interpreter ("LLVM level" in the paper's terminology): a
-//! pre-decoded fast loop for golden runs and plain trials, and a bookkept
-//! `step()` for the injection, profiles and snapshot captures (`eval`).
+//! The IR interpreter ("LLVM level" in the paper's terminology): one
+//! pre-decoded translation of the module and one loop over it (`compiled`),
+//! run fast for golden runs and plain trials and bookkept for the
+//! injection, profiles and snapshot captures; `eval` drives it.
 //!
 //! Executes a verified [`Module`] with:
 //! - dynamic-instruction counting and per-static-instruction profiling,
@@ -48,8 +49,8 @@ impl IrSnapshotSet {
 /// observable stream (status, output, instruction/site/cycle counts,
 /// attribution, snapshots) matches exactly — so the switch exists for
 /// performance, provenance, and differential testing, never for results.
-/// The IR layer ignores the selection: every run takes its one fast loop,
-/// which detours through `step()`.
+/// The IR layer ignores the selection: every run takes its one pre-decoded
+/// loop.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ExecMode {
     /// `interp` — the threaded-code engine's bookkept loop: every

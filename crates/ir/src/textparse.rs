@@ -114,9 +114,10 @@ fn parse_global(line: &str, lineno: usize) -> Result<Global, ParseError> {
     let open = rhs
         .find('[')
         .ok_or_else(|| ParseError { line: lineno, msg: "expected '['".into() })?;
-    let close = rhs
+    let close = rhs[open..]
         .find(']')
-        .ok_or_else(|| ParseError { line: lineno, msg: "expected ']'".into() })?;
+        .map(|i| open + i)
+        .ok_or_else(|| ParseError { line: lineno, msg: "expected ']' after '['".into() })?;
     let decl = &rhs[open + 1..close];
     let (count_s, ty_s) = decl
         .split_once(" x ")

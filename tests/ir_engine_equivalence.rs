@@ -1,10 +1,11 @@
-//! Differential tests for the IR layer's two execution paths: the
-//! pre-decoded fast loop that runs golden runs and plain trials, and the
-//! bookkept `step()`. A profiled run (`ExecConfig { profile: true }`)
-//! restores no snapshot and executes every instruction through `step()`,
-//! so it is the oracle: the fast loop — from scratch and fast-forwarded
-//! from a snapshot — must match it on status, output, dynamic instructions,
-//! fault sites and injection site, for every fault model.
+//! Differential tests for the IR layer's engine against its reference
+//! semantics. Every IR run executes the one pre-decoded translation, in a
+//! fast loop or a bookkept one; `common/ir_oracle.rs` is an independent
+//! from-boot interpreter over `InstKind`. Four paths must match the oracle
+//! on status, output, dynamic instructions, fault sites, injection site
+//! and profile counts, for every fault model: the plain run, the profiled
+//! run, a snapshot capture's golden, and a trial fast-forwarded from a
+//! snapshot.
 //!
 //! Two angles, as in `exec_equivalence.rs` for the machine layer:
 //! * a property test over random MiniC programs with faults across every
@@ -15,6 +16,8 @@
 //!   limit.
 
 mod common;
+#[path = "common/ir_oracle.rs"]
+mod ir_oracle;
 
 use flowery_faultmodel::ModelSpec;
 use flowery_ir::interp::{
@@ -31,23 +34,31 @@ fn assert_same(got: &ExecResult, want: &ExecResult, ctx: &str) {
     assert_eq!(got.dyn_insts, want.dyn_insts, "{ctx}");
     assert_eq!(got.fault_sites, want.fault_sites, "{ctx}");
     assert_eq!(got.injected_at, want.injected_at, "{ctx}");
+    assert_eq!(got.profile, want.profile, "{ctx}");
 }
 
-/// `spec` under `cfg`: the oracle, then the fast loop from scratch and
-/// fast-forwarded through a snapshot set captured every `interval`
-/// instructions — all three must agree.
+/// `spec` under `cfg`: the oracle, then the engine's plain run, profiled
+/// run, and trial fast-forwarded through a snapshot set captured every
+/// `interval` instructions — all must agree, as must the captures' goldens.
 fn check(m: &Module, cfg: &ExecConfig, interval: u64, specs: &[FaultSpec], ctx: &str) {
     let interp = Interpreter::new(m);
-    let oracle = ExecConfig { profile: true, ..cfg.clone() };
-    assert_same(&interp.run(cfg, None), &interp.run(&oracle, None), &format!("{ctx}: fault-free"));
+    let profiled = ExecConfig { profile: true, ..cfg.clone() };
+    for (c, what) in [(cfg, "plain"), (&profiled, "profiled")] {
+        let want = ir_oracle::run(m, c, None);
+        assert_same(&interp.run(c, None), &want, &format!("{ctx}: fault-free {what} run"));
+        let golden = interp.capture_snapshots(c, interval).golden().clone();
+        assert_same(&golden, &want, &format!("{ctx}: {what} capture's golden"));
+    }
     let set = interp.capture_snapshots(cfg, interval);
     let mut scratch = IrScratch::new();
     for spec in specs {
-        let want = interp.run(&oracle, Some(*spec));
+        let want = ir_oracle::run(m, cfg, Some(*spec));
         assert_same(&interp.run(cfg, Some(*spec)), &want, &format!("{ctx}: {spec:?}"));
         let (ff, _) = interp.run_fast_forward(cfg, *spec, &set, &mut scratch);
         assert_same(&ff, &want, &format!("{ctx}: {spec:?} fast-forwarded"));
         scratch.recycle_output(ff.output);
+        let want = ir_oracle::run(m, &profiled, Some(*spec));
+        assert_same(&interp.run(&profiled, Some(*spec)), &want, &format!("{ctx}: {spec:?} profiled"));
     }
 }
 
@@ -55,7 +66,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, max_shrink_iters: 50, ..ProptestConfig::default() })]
 
     #[test]
-    fn fast_loop_matches_step_on_random_programs(
+    fn every_path_matches_the_oracle_on_random_programs(
         (src, faults, interval) in (
             common::program_strategy(),
             prop::collection::vec((0.0f64..1.0, 0u8..64, 0u8..6), 6..12),
@@ -82,7 +93,7 @@ proptest! {
                 _ => FaultSpec::single(site, bit as u32),
             }
         }).collect();
-        // A tight budget so livelocked trials run it out on both paths.
+        // A tight budget so livelocked trials run it out on every path.
         let cfg = ExecConfig { max_dyn_insts: golden.dyn_insts * 2 + 10_000, ..ExecConfig::default() };
         check(&m, &cfg, interval, &specs, &src);
 
@@ -110,7 +121,7 @@ fn all_models() -> [ModelSpec; 6] {
 /// All 16 workloads x {raw, ID, Flowery} x all six fault models, plus the
 /// traps the random programs cannot reach: calls past the depth limit.
 #[test]
-fn fast_loop_matches_step_on_all_workloads_and_models() {
+fn every_path_matches_the_oracle_on_all_workloads_and_models() {
     const TRIALS: u64 = 4;
     const SEED: u64 = 0x00C0_FFEE;
     for name in NAMES {

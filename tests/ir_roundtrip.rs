@@ -1,11 +1,14 @@
 //! Print/parse round-trip over every workload: the textual IR emitted by
 //! the printer must parse back into a module with identical behaviour at
-//! both layers (and identical protection behaviour after duplication).
+//! both layers (and identical protection behaviour after duplication). The
+//! parser reads untrusted text, so mutated printouts must come back as a
+//! `ParseError`, never a panic.
 
 use flowery_ir::interp::{ExecConfig, Interpreter};
 use flowery_ir::printer::print_module;
 use flowery_ir::textparse::parse_module;
 use flowery_workloads::{all_workloads, Scale};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 #[test]
 fn all_workloads_round_trip_through_text() {
@@ -56,4 +59,48 @@ fn machine_listing_prints_for_all_workloads() {
         assert!(listing.contains("push %rbp"), "{}", w.name);
         assert!(listing.lines().count() > prog.insts.len(), "{}", w.name);
     }
+}
+
+#[test]
+fn a_global_closing_before_it_opens_is_a_parse_error() {
+    let err = parse_module("@amat = global 36 x f64] [4623, 0]\n").expect_err("malformed global");
+    assert_eq!(err.line, 1, "{err}");
+}
+
+/// Bytes a mutation writes: the printer's punctuation, digits, and letters
+/// that start its keywords and types.
+const ALPHABET: &[u8] = b"[]{}()@%=,:; x-.0123456789ifpglobaldefinebr";
+
+#[test]
+fn mutated_printouts_parse_or_fail_but_never_panic() {
+    const MUTANTS: u64 = 300;
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move |bound: usize| {
+        // xorshift64*: a fixed stream, so every run tries the same mutants.
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % bound
+    };
+    let mut panics = Vec::new();
+    for w in all_workloads(Scale::Tiny) {
+        let text = print_module(&w.compile()).into_bytes();
+        for k in 0..MUTANTS {
+            let mut t = text.clone();
+            let at = next(t.len());
+            match next(3) {
+                0 => t[at] = ALPHABET[next(ALPHABET.len())],
+                1 => {
+                    t.remove(at);
+                }
+                _ => t.insert(at, ALPHABET[next(ALPHABET.len())]),
+            }
+            let t = String::from_utf8(t).expect("ASCII in, ASCII out");
+            if catch_unwind(AssertUnwindSafe(|| parse_module(&t))).is_err() {
+                let line = t[..at].lines().count();
+                panics.push(format!("{} mutant {k} (line {line})", w.name));
+            }
+        }
+    }
+    assert!(panics.is_empty(), "parse_module panicked on: {panics:?}");
 }
