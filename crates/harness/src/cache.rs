@@ -63,6 +63,11 @@ pub struct CacheStats {
     pub snap_loads: u64,
     /// Site observation passes (one fault-free execution each).
     pub observations: u64,
+    /// Bytes of snapshot files the persistent store read, refused ones
+    /// included.
+    pub snap_bytes_read: u64,
+    /// Bytes of snapshot files the persistent store published.
+    pub snap_bytes_written: u64,
 }
 
 impl CacheStats {
@@ -332,6 +337,8 @@ impl GoldenCache {
             snap_captures: self.snap_captures.load(Ordering::Relaxed),
             snap_loads: self.snap_loads.load(Ordering::Relaxed),
             observations: self.observations.load(Ordering::Relaxed),
+            snap_bytes_read: self.store.as_ref().map_or(0, SnapshotStore::bytes_read),
+            snap_bytes_written: self.store.as_ref().map_or(0, SnapshotStore::bytes_written),
         }
     }
 }
@@ -428,6 +435,9 @@ mod tests {
         let st = first.stats();
         assert_eq!(st.snap_captures, 2);
         assert_eq!(st.snap_loads, 0);
+        assert_eq!(st.snap_bytes_read, 0);
+        let written = st.snap_bytes_written;
+        assert!(written > 0, "the captured sets are written");
 
         // Resumed campaign: loads both sets, executes nothing.
         let resumed = GoldenCache::with_store(SnapshotStore::at(&dir));
@@ -437,6 +447,7 @@ mod tests {
         assert_eq!(st.snap_loads, 2, "resume must load from the store");
         assert_eq!(st.snap_captures, 0, "resume must not re-capture");
         assert_eq!(st.goldens_run, 0, "resume must not re-run goldens");
+        assert_eq!((st.snap_bytes_read, st.snap_bytes_written), (written, 0), "resume reads what was written");
         assert_eq!(s2.golden(), s1.golden());
         assert_eq!(a2.golden(), a1.golden());
         // The loaded sets also seeded the golden maps.

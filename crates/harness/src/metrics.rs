@@ -154,6 +154,13 @@ pub struct MetricsSnapshot {
     /// Snapshot sets loaded from the persistent store.
     #[serde(default)]
     pub snap_loads: u64,
+    /// Bytes of snapshot files this run read from the persistent store,
+    /// refused ones included.
+    #[serde(default)]
+    pub snap_bytes_read: u64,
+    /// Bytes of snapshot files this run wrote to the persistent store.
+    #[serde(default)]
+    pub snap_bytes_written: u64,
     /// Always 0: cross-variant prefix sharing never fired on any workload
     /// and is gone. The key stays until `benchmark/src/trace.rs` stops
     /// reading it (ROADMAP item 1(a)).
@@ -238,6 +245,8 @@ impl MetricsSnapshot {
             snap_captures: cache.snap_captures,
             snap_loads: cache.snap_loads,
             observations: cache.observations,
+            snap_bytes_read: cache.snap_bytes_read,
+            snap_bytes_written: cache.snap_bytes_written,
             ..self
         }
     }
@@ -319,6 +328,8 @@ mod tests {
             snap_captures: 1,
             snap_loads: 2,
             observations: 2,
+            snap_bytes_read: 300,
+            snap_bytes_written: 100,
         };
         let s = m.snapshot(4, 100, cache);
         assert_eq!(s.trials, 20);
@@ -332,6 +343,7 @@ mod tests {
         assert_eq!(s.snap_captures, 1);
         assert_eq!(s.snap_loads, 2);
         assert_eq!(s.observations, 2);
+        assert_eq!((s.snap_bytes_read, s.snap_bytes_written), (300, 100));
         assert_eq!(s.snap_shared, 0);
         assert_eq!(s.ff_insts, 300);
         assert_eq!(s.exec_insts, 100);

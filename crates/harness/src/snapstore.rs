@@ -24,9 +24,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// rename is what publishes a file.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// On-disk home of a campaign's snapshot sets.
+/// On-disk home of a campaign's snapshot sets, counting the file bytes it
+/// reads and writes.
 pub struct SnapshotStore {
     dir: PathBuf,
+    read: AtomicU64,
+    written: AtomicU64,
 }
 
 impl SnapshotStore {
@@ -34,16 +37,30 @@ impl SnapshotStore {
     pub fn for_checkpoint(checkpoint: &Path) -> SnapshotStore {
         let mut name = checkpoint.file_name().map(|n| n.to_os_string()).unwrap_or_default();
         name.push(".snaps");
-        SnapshotStore { dir: checkpoint.with_file_name(name) }
+        SnapshotStore::at(checkpoint.with_file_name(name))
     }
 
     /// A store rooted at an explicit directory.
     pub fn at(dir: impl Into<PathBuf>) -> SnapshotStore {
-        SnapshotStore { dir: dir.into() }
+        SnapshotStore {
+            dir: dir.into(),
+            read: AtomicU64::new(0),
+            written: AtomicU64::new(0),
+        }
     }
 
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// Bytes of snapshot files read so far, refused ones included.
+    pub fn bytes_read(&self) -> u64 {
+        self.read.load(Ordering::Relaxed)
+    }
+
+    /// Bytes of snapshot files published so far.
+    pub fn bytes_written(&self) -> u64 {
+        self.written.load(Ordering::Relaxed)
     }
 
     fn path<S: Substrate>(&self, hash: u64) -> PathBuf {
@@ -55,6 +72,7 @@ impl SnapshotStore {
     /// note on stderr — on a corrupt, truncated or mismatched one.
     pub fn load<S: Substrate>(&self, exec: &S::Exec<'_>, hash: u64) -> Option<SnapshotSet<S>> {
         let bytes = fs::read(self.path::<S>(hash)).ok()?;
+        self.read.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         SnapshotSet::decode(&bytes, exec, hash)
             .map_err(|reason| self.refused::<S>(hash, &reason))
             .ok()
@@ -102,7 +120,11 @@ impl SnapshotStore {
             let _ = fs::remove_file(&tmp);
             return false;
         }
-        fs::rename(&tmp, &path).is_ok()
+        let published = fs::rename(&tmp, &path).is_ok();
+        if published {
+            self.written.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        }
+        published
     }
 }
 
@@ -132,11 +154,14 @@ mod tests {
 
         // Missing file: clean None.
         assert!(store.load_ir(&m, mh).is_none());
+        assert_eq!((store.bytes_read(), store.bytes_written()), (0, 0));
 
         let set = Interpreter::new(&m).capture_snapshots_auto(&exec);
         assert!(!set.is_empty());
         assert!(store.save_ir(&set, mh));
         let loaded = store.load_ir(&m, mh).expect("saved set loads");
+        let size = set.to_bytes(mh).len() as u64;
+        assert_eq!((store.bytes_read(), store.bytes_written()), (size, size));
         assert_eq!(loaded.golden(), set.golden());
         assert_eq!(loaded.len(), set.len());
 

@@ -3,11 +3,11 @@
 //! loop ([`compiled`](super::compiled)) for each stretch of a run.
 
 use crate::interp::compiled::{Book, Compiled, ARMED, BOOK, FAST};
-use crate::interp::memory::{Memory, GLOBAL_BASE};
+use crate::interp::memory::{Memory, TrapKind, GLOBAL_BASE};
 use crate::interp::snapio::{w_bytes, w_opt, w_status, w_u32, w_u64, w_u64s, Cursor};
 use crate::interp::snapshot::{Cadence, Recorder};
 use crate::interp::substrate::{self, RunHead, RunResult, Start, Substrate};
-use crate::interp::{ExecConfig, ExecMode, ExecResult, FaultSpec, Profile};
+use crate::interp::{ExecConfig, ExecMode, ExecResult, ExecStatus, FaultSpec, Profile};
 use crate::interp::{IrScratch, IrSnapshotSet};
 use crate::module::Module;
 use crate::value::{BlockId, FuncId, InstId};
@@ -167,6 +167,9 @@ impl<'m> Interpreter<'m> {
         let mut book = Book { injected_at: None, profile, recorder };
         let code = self.compiled();
         let status = loop {
+            if run.state.stack.is_empty() {
+                break ExecStatus::Trapped(TrapKind::BadControl);
+            }
             // Recorder and profile runs take the bookkept loop throughout;
             // plain runs take the fast loop, armed until the injection is
             // due, and the bookkept loop for that one op.
@@ -256,8 +259,13 @@ impl Substrate for IrLayer {
         if let Some(s) = from {
             return IrState { sp: s.sp, stack: pool.clone_stack(&s.stack) };
         }
-        let main = exec.module.main_func().expect("module has no @main");
-        let (f, sp) = (exec.module.func(main), mem.initial_sp());
+        let sp = mem.initial_sp();
+        // A module without `@main` (only an unverified one) starts with an
+        // empty call stack, which `exec` traps as `BadControl`.
+        let Some(main) = exec.module.main_func() else {
+            return IrState { sp, stack: pool.take_stack() };
+        };
+        let f = exec.module.func(main);
         let mut frame = pool.frame(main, f.insts.len(), sp, None);
         // Nothing passes `main` arguments: any parameters it declares read 0.
         frame.params.resize(f.params.len(), 0);

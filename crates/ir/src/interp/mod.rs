@@ -126,10 +126,11 @@ pub struct ExecConfig {
     pub max_output: usize,
     /// Collect per-static-instruction execution counts.
     pub profile: bool,
-    /// Byte budget for one snapshot set's page overlays. While a capture
-    /// run's live overlay bytes exceed this, the recorder doubles its
-    /// cadence and drops every other snapshot, trading fast-forward
-    /// granularity for memory. `None` = unbounded.
+    /// Byte budget for one snapshot set's page overlays, counted as its
+    /// distinct stored page blocks. While a capture run's live block bytes
+    /// exceed this, the recorder doubles its cadence and drops every other
+    /// snapshot, trading fast-forward granularity for memory. `None` =
+    /// unbounded.
     pub snapshot_budget: Option<u64>,
     /// Machine-layer execution engine. Results are bit-identical across
     /// engines; defaults to the threaded-code executor.

@@ -11,16 +11,25 @@
 //!   snapshot count u64
 //!   per snapshot: dyn_insts u64, fault_sites u64,
 //!                 SNAP: state, output length (the layer's payload)
-//!                 page DELTA
+//!                 page DELTA: record count u64, per record (ascending page):
+//!                   page u32 | fresh mask u16 | base mask u16
+//!                   the fresh blocks' bytes, in block order
 //!   SITES (the capture run's SiteLog, no trace): region count u64,
 //!         per region: mass u64, runs as u64s [sites before, first site]...
 //!   fnv1a-64 checksum over everything above
 //! ```
 //!
 //! Page overlays are cumulative and `Arc`-shared across snapshots, so each
-//! snapshot stores only the pages whose `Arc` differs from the predecessor's
-//! entry; the loader rebuilds each overlay as `prev.clone()` plus the delta,
-//! which round-trips the sharing structure without duplicating pages.
+//! snapshot stores only the pages whose version `Arc` differs from the
+//! predecessor's entry. A page version is
+//! [`PAGE_BLOCKS`](crate::interp::memory::PAGE_BLOCKS) blocks of
+//! [`BLOCK_SIZE`] bytes (a trailing partial page has fewer, the last
+//! possibly short): bit `i` of the fresh mask stores block `i`'s bytes, bit
+//! `i` of the base mask resets it to the base image, and a block in neither
+//! is inherited from the page's previous version (the base's, for a page
+//! new to the overlay). The loader rebuilds each overlay as `prev.clone()`
+//! plus the delta, which round-trips the sharing of pages and of blocks
+//! without duplicating either.
 //!
 //! Loading never panics on bad input: the checksum is verified before any
 //! parsing, and every length/index is validated against the program the
@@ -32,7 +41,7 @@
 //! without overflow), any other waits for the caller's `matches_geometry`.
 
 use crate::fnv1a;
-use crate::interp::memory::{trap_code, trap_from, BaseImage, PageMap, PAGE_SIZE};
+use crate::interp::memory::{trap_code, trap_from, BaseImage, Page, PageMap, BLOCK_SIZE, PAGE_SIZE};
 use crate::interp::snapshot::{Cadence, SiteLog, Snapshot, SnapshotSet};
 use crate::interp::substrate::{Linked, RunResult, Substrate};
 use crate::interp::ExecStatus;
@@ -40,11 +49,16 @@ use crate::module::Module;
 use std::sync::Arc;
 
 /// Version 1 also held a first-execution table, a shared-snapshot count and
-/// a profile option per snapshot; version 2 had no SITES. Such files are
+/// a profile option per snapshot; version 2 had no SITES; version 3 stored
+/// every changed page whole (page u32, length u32, bytes). Such files are
 /// refused and recaptured.
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 // ---- writer helpers -------------------------------------------------------
+
+pub fn w_u16(w: &mut Vec<u8>, v: u16) {
+    w.extend_from_slice(&v.to_le_bytes());
+}
 
 pub fn w_u32(w: &mut Vec<u8>, v: u32) {
     w.extend_from_slice(&v.to_le_bytes());
@@ -111,6 +125,10 @@ impl<'a> Cursor<'a> {
 
     pub fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
+    }
+
+    pub fn u16(&mut self) -> Result<u16, String> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
     pub fn u32(&mut self) -> Result<u32, String> {
@@ -221,27 +239,47 @@ impl<S: Substrate> SnapshotSet<S> {
         w_u64(&mut w, self.cadence.value());
         S::encode_head(&mut w, &self.golden);
         w_u64(&mut w, self.snaps.len() as u64);
-        let mut prev: Option<&PageMap> = None;
+        let (empty, unstored) = (PageMap::new(), Page::default());
+        let mut prev = &empty;
         for s in &self.snaps {
             w_u64(&mut w, s.dyn_insts);
             w_u64(&mut w, s.fault_sites);
             S::encode_snap(&mut w, &s.state, s.output_len);
-            // Overlays only grow; encode the pages whose Arc is new.
-            debug_assert!(prev.is_none_or(|p| p.keys().all(|k| s.pages.contains_key(k))));
-            let mut delta: Vec<(u32, &Arc<[u8]>)> = s
+            // Overlays only grow; encode the pages whose version is new,
+            // each against its previous version.
+            debug_assert!(prev.keys().all(|k| s.pages.contains_key(k)));
+            let mut delta: Vec<(u32, &Page, &Page)> = s
                 .pages
                 .iter()
-                .filter(|(k, v)| prev.and_then(|p| p.get(k)).is_none_or(|pv| !Arc::ptr_eq(pv, v)))
-                .map(|(k, v)| (*k, v))
+                .filter_map(|(&k, v)| match prev.get(&k) {
+                    Some(old) if Arc::ptr_eq(old, v) => None,
+                    old => Some((k, &**v, old.map_or(&unstored, |old| &**old))),
+                })
                 .collect();
-            delta.sort_unstable_by_key(|(k, _)| *k);
+            delta.sort_unstable_by_key(|&(k, ..)| k);
             w_u64(&mut w, delta.len() as u64);
-            for (k, v) in delta {
+            for (k, new, old) in delta {
+                let (mut fresh, mut based) = (0u16, 0u16);
+                for (i, (n, o)) in new.iter().zip(old).enumerate() {
+                    match (n, o) {
+                        (Some(n), Some(o)) if Arc::ptr_eq(n, o) => {}
+                        (Some(_), _) => fresh |= 1 << i,
+                        (None, Some(_)) => based |= 1 << i,
+                        (None, None) => {}
+                    }
+                }
                 w_u32(&mut w, k);
-                w_u32(&mut w, v.len() as u32);
-                w.extend_from_slice(v);
+                w_u16(&mut w, fresh);
+                w_u16(&mut w, based);
+                let stored = new
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, b)| b.as_deref().filter(|_| fresh & 1 << i != 0));
+                for data in stored {
+                    w.extend_from_slice(data);
+                }
             }
-            prev = Some(&s.pages);
+            prev = &s.pages;
         }
         w_u64(&mut w, self.sites.masses.len() as u64);
         for (&mass, runs) in self.sites.masses.iter().zip(&self.sites.runs) {
@@ -301,15 +339,28 @@ impl<S: Substrate> SnapshotSet<S> {
             }
             let n_delta = c.count(8)?;
             let mut pages = prev.clone();
+            let mut last = None;
             for _ in 0..n_delta {
-                let page = c.u32()?;
-                let len = c.u32()? as usize;
+                let (page, fresh, based) = (c.u32()?, c.u16()?, c.u16()?);
                 let start = u64::from(page) * PAGE_SIZE;
-                if start >= base.size || len as u64 != (base.size - start).min(PAGE_SIZE) {
+                if start >= base.size || last >= Some(page) {
                     return Err("snapshot file: bad page record".into());
                 }
-                let data: Arc<[u8]> = Arc::from(c.take(len)?);
-                pages.insert(page, data);
+                last = Some(page);
+                let len = (base.size - start).min(PAGE_SIZE) as usize;
+                if fresh & based != 0 || u32::from(fresh | based) >> len.div_ceil(BLOCK_SIZE) != 0 {
+                    return Err("snapshot file: bad block masks".into());
+                }
+                let mut blocks = prev.get(&page).map_or_else(Page::default, |old| (**old).clone());
+                for (i, block) in blocks.iter_mut().enumerate() {
+                    if based & 1 << i != 0 {
+                        *block = None;
+                    } else if fresh & 1 << i != 0 {
+                        let at = i * BLOCK_SIZE;
+                        *block = Some(Arc::from(c.take(BLOCK_SIZE.min(len - at))?));
+                    }
+                }
+                pages.insert(page, Arc::new(blocks));
             }
             prev = pages.clone();
             snaps.push(Snapshot { dyn_insts, fault_sites, output_len, state, pages });

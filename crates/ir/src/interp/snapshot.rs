@@ -67,10 +67,11 @@ pub const AUTO_MAX_SNAPS: usize = 128;
 
 /// One point-in-time capture of a layer's execution state.
 ///
-/// `pages` is cumulative: it holds every page dirtied since program start,
-/// so a restore is `base + pages`, never a walk over earlier snapshots.
-/// Pages are `Arc`-shared across snapshots — each snapshot only pays for
-/// pages dirtied since the previous one.
+/// `pages` is cumulative: it holds every page that has differed from the
+/// base since program start, so a restore is `base + pages`, never a walk over
+/// earlier snapshots. Page versions and their blocks are `Arc`-shared
+/// across snapshots — each snapshot only pays for the blocks rewritten
+/// since the previous one.
 #[derive(Debug)]
 pub struct Snapshot<S: Substrate> {
     /// Dynamic instructions executed before this point (absolute).
@@ -257,6 +258,8 @@ impl SiteLog {
 /// polls [`Recorder::due`] at the top of its dispatch loop and hands over
 /// its state with [`Recorder::capture`].
 pub struct Recorder<S: Substrate> {
+    /// The run's pristine image, which stored blocks are compared against.
+    base: BaseImage,
     cadence: Cadence,
     next: u64,
     budget: Option<u64>,
@@ -270,9 +273,16 @@ pub struct Recorder<S: Substrate> {
 }
 
 impl<S: Substrate> Recorder<S> {
-    pub(crate) fn new(cadence: Cadence, budget: Option<u64>, max_snaps: Option<usize>, sites: SiteLog) -> Recorder<S> {
+    pub(crate) fn new(
+        base: BaseImage,
+        cadence: Cadence,
+        budget: Option<u64>,
+        max_snaps: Option<usize>,
+        sites: SiteLog,
+    ) -> Recorder<S> {
         assert!(cadence.value() > 0, "snapshot cadence must be positive");
         Recorder {
+            base,
             cadence,
             next: cadence.value(),
             budget,
@@ -303,7 +313,7 @@ impl<S: Substrate> Recorder<S> {
     /// Capture the engine's state at `(dyn_insts, fault_sites)`, then widen
     /// the cadence while the set is over its byte budget or count cap.
     pub fn capture(&mut self, dyn_insts: u64, fault_sites: u64, output_len: usize, state: S::State, mem: &mut Memory) {
-        let pages = self.pages.sync(mem);
+        let pages = self.pages.sync(mem, &self.base);
         self.snaps.push(Snapshot { dyn_insts, fault_sites, output_len, state, pages });
         while self.budget.is_some_and(|b| self.pages.live_bytes() > b) && self.snaps.len() > 1 {
             self.widen();
@@ -317,7 +327,7 @@ impl<S: Substrate> Recorder<S> {
     /// Double the cadence and keep every other snapshot (starting with the
     /// first, so early injection sites keep a nearby restore point).
     /// Store-heavy runs that rewrite their working set faster than the
-    /// budget allows may widen repeatedly; only the page copies freed by
+    /// budget allows may widen repeatedly; only the block copies freed by
     /// the dropped snapshots are reclaimed, so the floor is the final
     /// overlay itself.
     fn widen(&mut self) {
@@ -332,9 +342,9 @@ impl<S: Substrate> Recorder<S> {
     /// Close the capture run into a set. The recorded cadence is the one
     /// after any widening, so the set's reported spacing matches the
     /// snapshots it actually holds.
-    pub(crate) fn finish(mut self, base: BaseImage, golden: S::Golden) -> SnapshotSet<S> {
+    pub(crate) fn finish(mut self, golden: S::Golden) -> SnapshotSet<S> {
         self.sites.close(golden.head().fault_sites);
-        let (cadence, snaps, sites) = (self.cadence, self.snaps, Arc::new(self.sites));
+        let (base, cadence, snaps, sites) = (self.base, self.cadence, self.snaps, Arc::new(self.sites));
         SnapshotSet { base, golden, cadence, snaps, sites }
     }
 }

@@ -241,11 +241,11 @@ pub fn capture<S: Substrate>(
 ) -> SnapshotSet<S> {
     let base = pristine::<S>(exec, config);
     let mut pool = S::Pool::default();
-    let log = SiteLog::new(S::site_regions(exec), trace_cap);
-    let mut rec = Recorder::new(cadence, config.snapshot_budget, max_snaps, log);
     let start = Start::boot(exec, base.image(), Vec::new(), &mut pool);
+    let log = SiteLog::new(S::site_regions(exec), trace_cap);
+    let mut rec = Recorder::new(base, cadence, config.snapshot_budget, max_snaps, log);
     let (golden, _mem) = S::run_suffix(exec, config, None, start, Some(&mut rec), &mut pool);
-    rec.finish(base, golden)
+    rec.finish(golden)
 }
 
 /// The compact pristine image of `exec`'s program under `config`'s geometry.

@@ -69,23 +69,26 @@ echo "resume-smoke: resume"
     --metrics-json "$DIR/resume-metrics.json" >/dev/null 2>"$DIR/resume.log"
 
 # The whole point: the resumed run loads every snapshot set from disk, and
-# with it the golden and the site log the seal's region records read.
-for counter in snap_captures goldens_run observations; do
+# with it the golden and the site log the seal's region records read; it
+# writes no snapshot file.
+for counter in snap_captures goldens_run observations snap_bytes_written; do
     grep -q "\"$counter\": 0" "$DIR/resume-metrics.json" \
-        || { echo "resume executed a fault-free pass ($counter)"; cat "$DIR/resume-metrics.json"; exit 1; }
+        || { echo "resume executed a fault-free pass or rewrote a set ($counter)"; cat "$DIR/resume-metrics.json"; exit 1; }
 done
+grep -qE '"snap_bytes_read": [1-9]' "$DIR/resume-metrics.json" \
+    || { echo "resume read no snapshot file"; cat "$DIR/resume-metrics.json"; exit 1; }
 
 cmp "$DIR/ref.jsonl" "$DIR/ckpt.jsonl"
 echo "resume-smoke: resumed checkpoint is byte-identical to the reference"
 
-echo "resume-smoke: resume over a store holding a version-2 set"
+echo "resume-smoke: resume over a store holding a version-3 set"
 # Format version: the u32 after the 8-byte magic; the trailing u64 is the
 # FNV-1a of everything before it.
 STAMPED=$(python3 - "$DIR/stamped.jsonl.snaps" <<'EOF'
 import os, sys
 path = os.path.join(sys.argv[1], sorted(os.listdir(sys.argv[1]))[0])
 body = bytearray(open(path, "rb").read()[:-8])
-body[8:12] = (2).to_bytes(4, "little")
+body[8:12] = (3).to_bytes(4, "little")
 h = 0xcbf29ce484222325
 for b in body:
     h = ((h ^ b) * 0x100000001b3) & 0xFFFFFFFFFFFFFFFF
@@ -95,7 +98,7 @@ EOF
 )
 "$BIN" campaign "${ARGS[@]}" --checkpoint "$DIR/stamped.jsonl" --resume \
     --metrics-json "$DIR/stamped-metrics.json" >/dev/null 2>"$DIR/stamped.log"
-grep -qF "[harness] snapshot set $STAMPED refused: snapshot file: unsupported format version 2 (expected 3); recapturing" \
+grep -qF "[harness] snapshot set $STAMPED refused: snapshot file: unsupported format version 3 (expected 4); recapturing" \
     "$DIR/stamped.log" || { echo "no refusal line for $STAMPED"; cat "$DIR/stamped.log"; exit 1; }
 [ "$(grep -c 'refused:' "$DIR/stamped.log")" -eq 1 ] \
     || { echo "expected exactly one refusal line"; cat "$DIR/stamped.log"; exit 1; }

@@ -76,11 +76,14 @@ flags are parsed strictly: an unknown flag or an unparsable number is an error
                                       fast-forward (bit-identical, slower)
                                       and writes no .snaps dir;
                                       --snapshot-budget caps each snapshot
-                                      set's page-overlay bytes (suffixes
-                                      k/m/g), widening cadence when over;
+                                      set's distinct 256-byte page blocks,
+                                      in bytes (suffixes k/m/g), widening
+                                      cadence when over;
                                       --metrics-json dumps the final
                                       engine metrics (incl. snapshot
-                                      capture/load counters) as JSON;
+                                      capture/load counters and the bytes
+                                      the snapshot store read and wrote)
+                                      as JSON;
                                       --fault-model picks the injected
                                       fault physics (see `explore` for
                                       the registered model names;

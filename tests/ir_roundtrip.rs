@@ -4,7 +4,7 @@
 //! parser reads untrusted text, so mutated printouts must come back as a
 //! `ParseError`, never a panic.
 
-use flowery_ir::interp::{ExecConfig, Interpreter};
+use flowery_ir::interp::{ExecConfig, ExecStatus, FaultSpec, Interpreter, IrScratch, TrapKind};
 use flowery_ir::printer::print_module;
 use flowery_ir::textparse::parse_module;
 use flowery_workloads::{all_workloads, Scale};
@@ -65,6 +65,32 @@ fn machine_listing_prints_for_all_workloads() {
 fn a_global_closing_before_it_opens_is_a_parse_error() {
     let err = parse_module("@amat = global 36 x f64] [4623, 0]\n").expect_err("malformed global");
     assert_eq!(err.line, 1, "{err}");
+}
+
+#[test]
+fn a_module_without_main_traps_instead_of_panicking() {
+    let text = print_module(&flowery_workloads::workload("crc32", Scale::Tiny).compile());
+    let m = parse_module(&text.replace("@main(", "@start(")).expect("a renamed function still parses");
+    assert!(m.main_func().is_none(), "test premise: no @main");
+    let (interp, cfg, fault) = (Interpreter::new(&m), ExecConfig::default(), FaultSpec::single(0, 1));
+    let (snapshots, runs) = catch_unwind(AssertUnwindSafe(|| {
+        let set = interp.capture_snapshots_auto(&cfg);
+        let fast_forwarded = interp.run_fast_forward(&cfg, fault, &set, &mut IrScratch::new()).0;
+        let runs = [
+            ("plain", interp.run(&cfg, None)),
+            ("profiled", interp.profile_run(&cfg)),
+            ("captured", set.golden().clone()),
+            ("faulty", interp.run(&cfg, Some(fault))),
+            ("fast-forwarded", fast_forwarded),
+        ];
+        (set.len(), runs)
+    }))
+    .expect("no run may panic");
+    assert_eq!(snapshots, 0, "nothing executes, so nothing is captured");
+    for (what, r) in runs {
+        assert_eq!(r.status, ExecStatus::Trapped(TrapKind::BadControl), "{what}");
+        assert_eq!((r.dyn_insts, r.fault_sites, r.injected_at), (0, 0, None), "{what}");
+    }
 }
 
 /// Bytes a mutation writes: the printer's punctuation, digits, and letters

@@ -2,18 +2,22 @@
 //! `to_bytes(hash)` for one fixed program, at each layer, with the golden
 //! profile on and off. A file written by any build of the same format
 //! version must still load, so these bytes may never change while
-//! `snapio::VERSION` stays 3.
+//! `snapio::VERSION` stays 4.
 //!
 //! Version 1 was written by every build through PR 17 (pins `ab3a…29dc` /
 //! `5d49…2e8e` IR, `72f9…119f` / `1a2b…d29e` asm): it also held the
 //! first-execution table, a shared-snapshot count and a profile option per
 //! snapshot. Version 2 dropped them (pins `0a12…9b10` / `169c…cf07` IR,
-//! `f406…bed5` / `289a…ec1e` asm). Version 3 appends the capture run's site
-//! log; everything before it is version 2's bytes, which each test checks
-//! by cutting the log off and re-stamping the file as version 2.
+//! `f406…bed5` / `289a…ec1e` asm). Version 3 appended the capture run's
+//! site log (pins `862a…a2cd` / `8f11…a121` IR, `1bf1…dee0` / `5a54…5dc6`
+//! asm). Version 4 stores a changed page as the 256-byte blocks that differ
+//! from its previous version (a fresh mask, a base mask, the fresh blocks)
+//! instead of the whole page, so no earlier pin carries over; each test
+//! also checks that the pinned bytes decode to a set that encodes back to
+//! them, which holds only if decoding keeps every shared page and block.
 
-use flowery_backend::{compile_module, AsmLayer, BackendConfig, Machine};
-use flowery_ir::interp::{ExecConfig, Interpreter, IrLayer, SiteLog, Substrate};
+use flowery_backend::{compile_module, AsmSnapshotSet, BackendConfig, Machine};
+use flowery_ir::interp::{ExecConfig, Interpreter, IrSnapshotSet};
 
 const SRC: &str = "global int arr[16] = {3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3};\n\
     int work(int x) {\n\
@@ -36,46 +40,25 @@ const SRC: &str = "global int arr[16] = {3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 
 
 const HASH: u64 = 0x5EED_F10E_0000_0013;
 
-/// Version-3 pins, profile off and on.
-const IR_V3: [u64; 2] = [0x862a_6df8_933b_a2cd, 0x8f11_9eda_0629_a121];
-const ASM_V3: [u64; 2] = [0x1bf1_7b8b_6ace_dee0, 0x5a54_7015_f7ae_5dc6];
+/// Version-4 pins, profile off and on.
+const IR_V4: [u64; 2] = [0x7d1b_c4e2_2348_c918, 0xdb5a_5dea_5167_0293];
+const ASM_V4: [u64; 2] = [0x8bd5_0fd5_3936_9dcd, 0xd5fc_0423_ade9_2e8a];
 
 fn cfg(profile: bool) -> ExecConfig {
     ExecConfig { profile, ..ExecConfig::default() }
-}
-
-fn regions(region_of: &[u32]) -> usize {
-    *region_of.iter().max().unwrap() as usize + 1
-}
-
-/// The version-2 file of a version-3 `bytes` whose site log covers
-/// `regions` regions: the log's bytes cut off (its length counted from the
-/// log's runs), version 2 stamped, the checksum redone.
-fn as_version_2(bytes: &[u8], log: &SiteLog, regions: usize) -> Vec<u8> {
-    let runs = |r: usize| {
-        let idx: Vec<u64> = (0..log.mass(r)).map(|k| log.index(r, k).unwrap()).collect();
-        idx.iter().enumerate().filter(|&(k, &i)| k == 0 || idx[k - 1] + 1 != i).count()
-    };
-    let tail = 8 + (0..regions).map(|r| 16 + 16 * runs(r)).sum::<usize>();
-    let mut body = bytes[..bytes.len() - 8 - tail].to_vec();
-    body[8..12].copy_from_slice(&2u32.to_le_bytes());
-    let sum = flowery_ir::fnv1a(&body);
-    body.extend_from_slice(&sum.to_le_bytes());
-    body
 }
 
 #[test]
 fn ir_set_bytes_are_pinned() {
     let m = flowery_lang::compile("pins", SRC).unwrap();
     let interp = Interpreter::new(&m);
-    let pins = [(false, IR_V3[0], 0x0a12_7a6b_5c43_9b10_u64), (true, IR_V3[1], 0x169c_a988_6310_cf07)];
-    for (profile, pin, v2) in pins {
+    for (profile, pin) in [false, true].into_iter().zip(IR_V4) {
         let set = interp.capture_snapshots_auto(&cfg(profile));
         assert!(set.len() > 8, "the pinned program must snapshot: {}", set.len());
         let bytes = set.to_bytes(HASH);
         assert_eq!(flowery_ir::fnv1a(&bytes), pin, "IR set bytes changed (profile {profile})");
-        let v2_bytes = as_version_2(&bytes, set.sites(), regions(&IrLayer::site_regions(&interp)));
-        assert_eq!(flowery_ir::fnv1a(&v2_bytes), v2, "IR snapshots differ from version 2 (profile {profile})");
+        let decoded = IrSnapshotSet::from_bytes(&bytes, &m, HASH).expect("the pinned file loads");
+        assert!(decoded.to_bytes(HASH) == bytes, "IR decode must keep the sharing (profile {profile})");
     }
 }
 
@@ -84,17 +67,12 @@ fn asm_set_bytes_are_pinned() {
     let m = flowery_lang::compile("pins", SRC).unwrap();
     let p = compile_module(&m, &BackendConfig::default());
     let mach = Machine::new(&m, &p);
-    let pins = [(false, ASM_V3[0], 0xf406_af9a_04ee_bed5_u64), (true, ASM_V3[1], 0x289a_689e_3356_ec1e)];
-    for (profile, pin, v2) in pins {
+    for (profile, pin) in [false, true].into_iter().zip(ASM_V4) {
         let set = mach.capture_snapshots_auto(&cfg(profile));
         assert!(set.len() > 8, "the pinned program must snapshot: {}", set.len());
         let bytes = set.to_bytes(HASH);
         assert_eq!(flowery_ir::fnv1a(&bytes), pin, "asm set bytes changed (profile {profile})");
-        let v2_bytes = as_version_2(&bytes, set.sites(), regions(&AsmLayer::site_regions(&mach)));
-        assert_eq!(
-            flowery_ir::fnv1a(&v2_bytes),
-            v2,
-            "asm snapshots differ from version 2 (profile {profile})"
-        );
+        let decoded = AsmSnapshotSet::from_bytes(&bytes, &m, &p, HASH).expect("the pinned file loads");
+        assert!(decoded.to_bytes(HASH) == bytes, "asm decode must keep the sharing (profile {profile})");
     }
 }

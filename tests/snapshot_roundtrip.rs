@@ -5,8 +5,46 @@
 //! layers. Corrupt, truncated, or mismatched files must be rejected with
 //! an error — never a panic, never a silently wrong set.
 
-use flowery_ir::interp::{ExecConfig, FaultSpec, Interpreter, IrScratch};
+use flowery_ir::interp::{ExecConfig, FaultSpec, Interpreter, IrScratch, IrSnapshotSet, PAGE_SIZE};
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+
+/// The system allocator, noting the largest single allocation the current
+/// thread makes inside [`largest_allocation`].
+struct Noting;
+
+thread_local! {
+    static LARGEST: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the note is a const-initialised thread-local
+// `Cell` that never allocates.
+unsafe impl GlobalAlloc for Noting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = LARGEST.try_with(|l| l.set(l.get().map(|m| m.max(layout.size()))));
+        // SAFETY: the caller's contract for `alloc` is `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Noting = Noting;
+
+/// `f`'s result and the largest single allocation it made on this thread.
+fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|l| l.set(Some(0)));
+    let out = f();
+    (out, LARGEST.with(|l| l.replace(None)).expect("set above"))
+}
 
 fn program(outer: u32, inner: u32, modulus: u32) -> String {
     format!(
@@ -133,6 +171,7 @@ fn corrupted_and_mismatched_files_are_rejected() {
     );
     let mut bytes = set.to_bytes(42);
     assert!(bytes.len() < 96 << 10, "keep the sweep cheap: {} bytes", bytes.len());
+    assert_eq!(bytes[8..12], 4u32.to_le_bytes(), "the sweep covers the current format, version 4");
     let load = |b: &[u8]| flowery_ir::interp::IrSnapshotSet::from_bytes(b, &m, 42).is_ok();
 
     // Wrong module hash: the file is intact but belongs to another program.
@@ -147,11 +186,7 @@ fn corrupted_and_mismatched_files_are_rejected() {
 
     // A bumped version field (bytes 8..12, after the 8-byte magic) must be
     // rejected even with the checksum recomputed to match.
-    let mut vbump = bytes.clone();
-    vbump[8] = vbump[8].wrapping_add(1);
-    let body_len = vbump.len() - 8;
-    let sum = flowery_ir::fnv1a(&vbump[..body_len]); // the checksum the writer uses
-    vbump[body_len..].copy_from_slice(&sum.to_le_bytes());
+    let vbump = resealed(&bytes, |b| b[8] = b[8].wrapping_add(1));
     let err = flowery_ir::interp::IrSnapshotSet::from_bytes(&vbump, &m, 42).unwrap_err();
     assert!(err.contains("version"), "want a version error, got: {err}");
 
@@ -175,16 +210,87 @@ fn corrupted_and_mismatched_files_are_rejected() {
     }
 }
 
+/// `bytes` with `edit` applied to the body and the checksum recomputed.
+fn resealed(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut body = bytes[..bytes.len() - 8].to_vec();
+    edit(&mut body);
+    let sum = flowery_ir::fnv1a(&body);
+    body.extend_from_slice(&sum.to_le_bytes());
+    body
+}
+
+/// Block records a writer never emits, each in a file whose checksum is
+/// valid: the decoder must return `Err` — no panic — and allocate nothing
+/// larger than the file. The memory size leaves a trailing partial page of
+/// 1,000 bytes (four blocks, the last 232 bytes long) at the stack top; a
+/// record of that page is found by its page index, its masks and its first
+/// fresh block's bytes.
+#[test]
+fn crafted_block_records_are_refused() {
+    let m = flowery_lang::compile("snapio", &program(30, 6, 251)).unwrap();
+    let cfg = ExecConfig { mem_size: (4 << 20) + 1000, ..ExecConfig::default() };
+    let interp = Interpreter::new(&m);
+    let set = interp.capture_snapshots(&cfg, interp.run(&cfg, None).dyn_insts / 32);
+    let bytes = set.to_bytes(42);
+    let load = |b: &[u8]| IrSnapshotSet::from_bytes(b, &m, 42);
+    assert!(load(&bytes).is_ok_and(|l| l.matches_geometry(cfg.mem_size, cfg.stack_size)));
+
+    // The last snapshot that re-stores the stack top, so that a cut inside
+    // its record leaves most of the file.
+    let top = (cfg.mem_size / PAGE_SIZE) as u32;
+    let snaps = set.snapshots();
+    let (old, new) = (1..snaps.len())
+        .rev()
+        .map(|k| (&snaps[k - 1].pages[&top], &snaps[k].pages[&top]))
+        .find(|(old, new)| !Arc::ptr_eq(old, new))
+        .expect("test premise: the stack top changes between snapshots");
+    let (mut fresh, mut based) = (0u16, 0u16);
+    for (i, (n, o)) in new.iter().zip(old.iter()).enumerate() {
+        match (n, o) {
+            (Some(n), Some(o)) if Arc::ptr_eq(n, o) => {}
+            (Some(_), _) => fresh |= 1 << i,
+            (None, Some(_)) => based |= 1 << i,
+            (None, None) => {}
+        }
+    }
+    let first = new[fresh.trailing_zeros() as usize]
+        .as_ref()
+        .expect("test premise: a fresh block");
+    let mut record = [top.to_le_bytes().as_slice(), &fresh.to_le_bytes(), &based.to_le_bytes()].concat();
+    record.extend_from_slice(first);
+    let at = bytes
+        .windows(record.len())
+        .position(|w| w == record)
+        .expect("the record is in the file");
+    let masks = |fresh: u16, based: u16| {
+        resealed(&bytes, |b| {
+            b[at + 4..at + 6].copy_from_slice(&fresh.to_le_bytes());
+            b[at + 6..at + 8].copy_from_slice(&based.to_le_bytes());
+        })
+    };
+    let cases = [
+        ("a fresh bit past the partial page's four blocks", masks(fresh | 1 << 4, based)),
+        ("a base bit past the partial page's four blocks", masks(fresh, based | 1 << 15)),
+        ("overlapping fresh and base masks", masks(fresh, based | fresh)),
+        ("a truncated fresh block", resealed(&bytes, |b| b.truncate(at + 8 + first.len() / 2))),
+    ];
+    for (what, bad) in cases {
+        let (loaded, largest) = largest_allocation(|| catch_unwind(AssertUnwindSafe(|| load(&bad))));
+        let err = loaded
+            .unwrap_or_else(|_| panic!("{what}: the decoder panicked"))
+            .expect_err(what);
+        assert!(err.contains("block") || err.contains("truncated"), "{what}: {err}");
+        assert!(largest <= bad.len(), "{what}: a {largest}-byte allocation from a {}-byte file", bad.len());
+    }
+}
+
 /// `bytes` with its memory geometry (bytes 20..36: after the magic, the
 /// version and the content hash) replaced and the checksum recomputed.
 fn with_geometry(bytes: &[u8], mem_size: u64, stack_size: u64) -> Vec<u8> {
-    let mut b = bytes.to_vec();
-    b[20..28].copy_from_slice(&mem_size.to_le_bytes());
-    b[28..36].copy_from_slice(&stack_size.to_le_bytes());
-    let body_len = b.len() - 8;
-    let sum = flowery_ir::fnv1a(&b[..body_len]);
-    b[body_len..].copy_from_slice(&sum.to_le_bytes());
-    b
+    resealed(bytes, |b| {
+        b[20..28].copy_from_slice(&mem_size.to_le_bytes());
+        b[28..36].copy_from_slice(&stack_size.to_le_bytes());
+    })
 }
 
 /// A file whose checksum is valid but whose memory geometry is absurd is

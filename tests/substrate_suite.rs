@@ -124,15 +124,15 @@ fn limits(max_dyn_insts: u64) -> ExecConfig {
     ExecConfig { max_dyn_insts, ..ExecConfig::default() }
 }
 
-/// Bytes of distinct page copies held across all snapshots of a set — the
+/// Bytes of distinct block copies held across all snapshots of a set — the
 /// memory the budget bounds.
 fn overlay_bytes<S: Substrate>(set: &SnapshotSet<S>) -> u64 {
     let mut seen = std::collections::HashSet::new();
     let mut total = 0u64;
     for s in set.snapshots() {
-        for p in s.pages.values() {
-            if seen.insert(Arc::as_ptr(p)) {
-                total += p.len() as u64;
+        for block in s.pages.values().flat_map(|p| p.iter().flatten()) {
+            if seen.insert(Arc::as_ptr(block)) {
+                total += block.len() as u64;
             }
         }
     }
@@ -278,9 +278,18 @@ fn auto_capture_is_site_spaced_and_capped<S: Layer>() {
 const HASH: u64 = 0x1234_5678_9ABC_DEF0;
 
 fn round_trip_is_bit_identical<S: Layer>() {
-    let m = loop_module();
-    let p = S::compile(&m);
-    let exec = S::bind(&m, &p);
+    // The loop carries call-stack state; the store-heavy run rewrites a few
+    // blocks of a multi-page array between snapshots, so its page versions
+    // share their other blocks.
+    let shared: usize = [loop_module(), store_heavy_module(128)].iter().map(round_trips::<S>).sum();
+    assert!(shared > 0, "test premise: consecutive snapshots share blocks");
+}
+
+/// Round-trips a set of `m` through its file and checks it; returns the
+/// blocks consecutive snapshots share.
+fn round_trips<S: Layer>(m: &Module) -> usize {
+    let p = S::compile(m);
+    let exec = S::bind(m, &p);
     let cfg = ExecConfig { profile: true, ..limits(10_000) };
     let set = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(16), None, 0);
     assert!(set.len() > 2);
@@ -295,15 +304,30 @@ fn round_trip_is_bit_identical<S: Layer>() {
         assert_eq!(format!("{:?}", a.state), format!("{:?}", b.state));
         assert_eq!(a.pages.len(), b.pages.len());
         for (k, v) in &a.pages {
-            assert_eq!(&b.pages[k][..], &v[..], "page {k} content differs");
+            for (i, (x, y)) in v.iter().zip(b.pages[k].iter()).enumerate() {
+                assert_eq!(x.as_deref(), y.as_deref(), "page {k} block {i} differs");
+            }
         }
     }
     // Arc sharing survives the round trip: where the original set shares a
-    // page between consecutive snapshots, the loaded set does too.
+    // page version, or a block, between consecutive snapshots, the loaded
+    // set does too.
+    let mut shared_blocks = 0;
     for (lw, ow) in loaded.snapshots().windows(2).zip(set.snapshots().windows(2)) {
         for (k, ov) in &ow[0].pages {
-            if ow[1].pages.get(k).is_some_and(|ov2| Arc::ptr_eq(ov, ov2)) {
-                assert!(Arc::ptr_eq(&lw[0].pages[k], &lw[1].pages[k]), "page {k} duplicated on load");
+            let ov2 = &ow[1].pages[k];
+            let (lv, lv2) = (&lw[0].pages[k], &lw[1].pages[k]);
+            if Arc::ptr_eq(ov, ov2) {
+                assert!(Arc::ptr_eq(lv, lv2), "page {k} duplicated on load");
+            }
+            for (i, (ob, ob2)) in ov.iter().zip(ov2.iter()).enumerate() {
+                if let (Some(ob), Some(ob2)) = (ob, ob2) {
+                    if Arc::ptr_eq(ob, ob2) {
+                        shared_blocks += 1;
+                        let (lb, lb2) = (lv[i].as_ref().unwrap(), lv2[i].as_ref().unwrap());
+                        assert!(Arc::ptr_eq(lb, lb2), "page {k} block {i} duplicated on load");
+                    }
+                }
             }
         }
     }
@@ -314,6 +338,38 @@ fn round_trip_is_bit_identical<S: Layer>() {
         let fresh = substrate::trial(&exec, &cfg, spec, Some(&set), &mut s1);
         let reloaded = substrate::trial(&exec, &cfg, spec, Some(&loaded), &mut s2);
         assert_eq!(fresh, reloaded, "site {site}");
+    }
+    shared_blocks
+}
+
+fn identical_rewrites_keep_the_page_version<S: Layer>() {
+    // Every iteration stores the value the global already holds: its page
+    // is dirty in every snapshot window, yet after the first store no
+    // snapshot re-stores it — each keeps its predecessor's page `Arc`.
+    let m = module(
+        "global int g[4];\n\
+         int main() { int i; int s = 0;\n\
+           for (i = 0; i < 200; i = i + 1) { g[1] = 7; s = s + g[1]; }\n\
+           output(s); return s; }",
+    );
+    let p = S::compile(&m);
+    let exec = S::bind(&m, &p);
+    let cfg = limits(100_000);
+    let page = (flowery_ir::interp::Memory::layout_globals(&m)[0] / PAGE_SIZE) as u32;
+    let set = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(16), None, 0);
+    let holding: Vec<_> = set.snapshots().iter().filter_map(|s| s.pages.get(&page)).collect();
+    assert!(holding.len() > 8, "test premise: the global's page is in the overlays");
+    for pair in holding.windows(2) {
+        assert!(Arc::ptr_eq(pair[0], pair[1]), "an identical rewrite must keep the page version");
+    }
+    let loaded = SnapshotSet::<S>::decode(&set.to_bytes(HASH), &exec, HASH).unwrap();
+    let reloaded: Vec<_> = loaded.snapshots().iter().filter_map(|s| s.pages.get(&page)).collect();
+    assert!(reloaded.windows(2).all(|pair| Arc::ptr_eq(pair[0], pair[1])), "and so must a decoded set");
+    let mut scratch = Scratch::new();
+    for site in (0..set.golden().head().fault_sites).step_by(7) {
+        let spec = FaultSpec::single(site, 2);
+        let (ff_res, _) = substrate::trial(&exec, &cfg, spec, Some(&loaded), &mut scratch);
+        assert_eq!(ff_res, substrate::run::<S>(&exec, &cfg, Some(spec)), "site {site}");
     }
 }
 
@@ -359,15 +415,16 @@ fn rejects_corruption_and_mismatches<S: Layer>() {
     // Wrong content hash.
     let err = load(&bytes, HASH ^ 1).unwrap_err();
     assert!(err.contains("hash"), "{err}");
-    // Another format version — the next, version 2 of the builds that kept
-    // no site log, and version 1 of the builds that still wrote a
-    // first-execution table and per-snapshot profiles — is refused before
-    // anything past it is read, even with a valid checksum.
-    let err = load(&stamped(&bytes, 4), HASH).unwrap_err();
-    assert!(err.contains("version 4"), "{err}");
-    for old in [1, 2] {
+    // Another format version — the next, version 3 of the builds that
+    // stored whole pages, version 2 of the builds that kept no site log,
+    // and version 1 of the builds that still wrote a first-execution table
+    // and per-snapshot profiles — is refused before anything past it is
+    // read, even with a valid checksum.
+    let err = load(&stamped(&bytes, 5), HASH).unwrap_err();
+    assert!(err.contains("version 5"), "{err}");
+    for old in [1, 2, 3] {
         let err = load(&stamped(&bytes, old), HASH).unwrap_err();
-        assert!(err.contains(&format!("version {old}")) && err.contains("expected 3"), "{err}");
+        assert!(err.contains(&format!("version {old}")) && err.contains("expected 4"), "{err}");
     }
     // The other layer's magic is refused even with a valid checksum.
     let other = if S::MAGIC == b"FLSNAPIR" { b"FLSNAPAS" } else { b"FLSNAPIR" };
@@ -375,15 +432,15 @@ fn rejects_corruption_and_mismatches<S: Layer>() {
     let err = load(&wrong, HASH).unwrap_err();
     assert!(err.contains("magic"), "{err}");
 
-    // A store holding a version-2 file: the cache refuses it, captures once,
+    // A store holding a version-3 file: the cache refuses it, captures once,
     // overwrites the file, and serves the trials a fresh capture serves.
-    let dir = std::env::temp_dir().join(format!("flsuite-v2-{}-{}", S::NAME, std::process::id()));
+    let dir = std::env::temp_dir().join(format!("flsuite-v3-{}-{}", S::NAME, std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = limits(10_000);
     let fresh = S::cached(&GoldenCache::with_store(SnapshotStore::at(&dir)), &m, &p, &cfg);
     let file = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
     let written = std::fs::read(&file).unwrap();
-    std::fs::write(&file, stamped(&written, 2)).unwrap();
+    std::fs::write(&file, stamped(&written, 3)).unwrap();
     let cache = GoldenCache::with_store(SnapshotStore::at(&dir));
     let recaptured = S::cached(&cache, &m, &p, &cfg);
     assert_eq!((cache.stats().snap_loads, cache.stats().snap_captures), (0, 1));
@@ -553,6 +610,7 @@ both_layers![
     profiled_trials_restore_nothing,
     auto_capture_is_site_spaced_and_capped,
     round_trip_is_bit_identical,
+    identical_rewrites_keep_the_page_version,
     rejects_corruption_and_mismatches,
     capture_log_is_the_observation,
     site_log_tail_never_decodes_to_a_panic,
