@@ -264,7 +264,8 @@ pub fn classify_campaign_with(
 mod tests {
     use super::*;
     use flowery_backend::{compile_module, BackendConfig};
-    use flowery_inject::{run_asm_campaign, CampaignConfig};
+    use flowery_inject::{AsmTrialRunner, BatchOutcome};
+    use flowery_ir::interp::ExecConfig;
     use flowery_passes::{duplicate_module, DupConfig, ProtectionPlan};
 
     fn protected(src: &str) -> (Module, AsmProgram) {
@@ -282,7 +283,11 @@ mod tests {
                if (i % 3 == 0) { s = s + i * 2; } else { s = s - 1; }\n\
              } output(s); return s; }",
         );
-        let camp = run_asm_campaign(&m, &prog, &CampaignConfig::with_trials(1500));
+        let mut runner = AsmTrialRunner::new(&m, &prog, &ExecConfig::default());
+        let mut camp = BatchOutcome::default();
+        for i in 0..1500 {
+            camp.record(&runner.run_trial(0x0F10_EE41, i), None);
+        }
         assert!(camp.counts.sdc > 0, "the cross-layer gap must produce SDCs: {:?}", camp.counts);
         let breakdown = classify_campaign(&m, &prog, &camp.sdc_insts);
         let defic = breakdown.deficiency_total();

@@ -17,11 +17,23 @@ use flowery_analysis::statline::{
 };
 use flowery_backend::mir::{FaultDest, Reg};
 use flowery_backend::{compile_module, AsmProgram, BackendConfig};
-use flowery_inject::{run_asm_campaign, CampaignConfig};
+use flowery_inject::{AsmTrialRunner, BatchOutcome, ModelSpec};
+use flowery_ir::interp::ExecConfig;
 use flowery_ir::Module;
 use flowery_passes::{apply_flowery, duplicate_module, DupConfig, FloweryConfig, ProtectionPlan};
 use flowery_workloads::{workload, Scale, NAMES};
 use std::sync::OnceLock;
+
+#[path = "../../../tests/common/serial_fold.rs"]
+mod serial_fold;
+
+/// The default-seed single-bit campaign of `trials` trials over `prog`,
+/// fast-forwarded from golden-run snapshots.
+fn campaign(m: &Module, prog: &AsmProgram, trials: u64) -> BatchOutcome {
+    let mut runner = AsmTrialRunner::new(m, prog, &ExecConfig::default());
+    runner.enable_snapshots();
+    serial_fold::serial_fold(&mut runner, serial_fold::SEED, trials, ModelSpec::SingleBitReg)
+}
 
 fn protect(name: &str, flowery: bool) -> Module {
     let mut m = workload(name, Scale::Standard).compile();
@@ -89,7 +101,7 @@ fn id_full_recall_at_least_90_percent_on_all_workloads() {
         let m = protect(name, false);
         let prog = compile_module(&m, &bcfg);
         let report = predict_program(&m, &prog, bcfg.fold_compares);
-        let camp = run_asm_campaign(&m, &prog, &CampaignConfig::with_trials(800));
+        let camp = campaign(&m, &prog, 800);
         let v = cross_validate(&m, &prog, &report, &camp.sdc_insts, bcfg.fold_compares);
         for cat in [Penetration::Store, Penetration::Branch, Penetration::Comparison] {
             assert!(

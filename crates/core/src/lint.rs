@@ -7,10 +7,10 @@ use flowery_analysis::statline::{
     analyze_bits, cross_validate, lint_module, predict_program, Finding, StaticReport, Validation,
 };
 use flowery_backend::{compile_module, BackendConfig};
-use flowery_harness::{protect, MatrixSpec};
-use flowery_inject::{run_asm_campaign, CampaignConfig};
+use flowery_harness::{protect, run_plain, Layer, MatrixSpec, TrialUnit, UnitKey, Variant};
 use flowery_ir::Module;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Which protection pipeline to lint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -86,25 +86,35 @@ pub struct SiteBits {
 }
 
 /// Protect `raw` per `(pass, level)`, run both lint layers, and optionally
-/// cross-validate against a `validate_trials`-shot injection campaign.
+/// cross-validate against a `validate_trials`-shot assembly-level campaign
+/// ([`run_plain`]). A program that campaign cannot inject is an error.
 ///
 /// A partial `level` (< 1.0) selects instructions exactly like the
 /// experiment matrix: [`protect`] under the default [`MatrixSpec`] profile.
-pub fn run_lint(bench: &str, raw: &Module, pass: PassConfig, level: f64, validate_trials: Option<u64>) -> LintOutcome {
+pub fn run_lint(
+    bench: &str,
+    raw: &Module,
+    pass: PassConfig,
+    level: f64,
+    validate_trials: Option<u64>,
+) -> Result<LintOutcome, String> {
     let protected = || protect(raw, &MatrixSpec { levels: vec![level], ..Default::default() }).remove(0);
-    let m = match pass {
-        PassConfig::Raw => raw.clone(),
-        PassConfig::Id => protected().1,
-        PassConfig::Flowery => protected().2,
+    let (variant, m) = match pass {
+        PassConfig::Raw => (Variant::Raw, raw.clone()),
+        PassConfig::Id => (Variant::Id, protected().1),
+        PassConfig::Flowery => (Variant::Flowery, protected().2),
     };
-    let bcfg = BackendConfig::default();
-    let prog = compile_module(&m, &bcfg);
+    let (m, bcfg) = (Arc::new(m), BackendConfig::default());
+    let prog = Arc::new(compile_module(&m, &bcfg));
     let report = predict_program(&m, &prog, bcfg.fold_compares);
     let findings = lint_module(&m);
-    let validation = validate_trials.map(|trials| {
-        let camp = run_asm_campaign(&m, &prog, &CampaignConfig::with_trials(trials));
-        cross_validate(&m, &prog, &report, &camp.sdc_insts, bcfg.fold_compares)
-    });
+    let validation = validate_trials
+        .map(|trials| {
+            let key = UnitKey::new(bench, variant, level, Layer::Asm);
+            let result = run_plain(&[TrialUnit::asm(key, m.clone(), prog.clone())], trials)?;
+            Ok::<_, String>(cross_validate(&m, &prog, &report, &result[0].sdc_insts, bcfg.fold_compares))
+        })
+        .transpose()?;
     let table = analyze_bits(&m, &prog);
     let masks: Vec<SiteBits> = prog
         .insts
@@ -126,7 +136,7 @@ pub fn run_lint(bench: &str, raw: &Module, pass: PassConfig, level: f64, validat
         mean_vulnerable: table.mean_vulnerable(),
         masks,
     });
-    LintOutcome {
+    Ok(LintOutcome {
         bench: bench.to_string(),
         pass_config: pass,
         level,
@@ -134,7 +144,7 @@ pub fn run_lint(bench: &str, raw: &Module, pass: PassConfig, level: f64, validat
         findings,
         validation,
         bits,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -155,7 +165,7 @@ mod tests {
     #[test]
     fn run_lint_cross_validates() {
         let raw = flowery_lang::compile("t", SRC).unwrap();
-        let out = run_lint("t", &raw, PassConfig::Id, 1.0, Some(400));
+        let out = run_lint("t", &raw, PassConfig::Id, 1.0, Some(400)).unwrap();
         assert!(out.report.sites > 0);
         assert!(out.report.protected > 0, "full duplication proves sites");
         let v = out.validation.as_ref().expect("validation requested");
@@ -177,12 +187,12 @@ mod tests {
     #[test]
     fn run_lint_partial_level_profiles() {
         let raw = flowery_lang::compile("t", SRC).unwrap();
-        let half = run_lint("t", &raw, PassConfig::Id, 0.5, None);
+        let half = run_lint("t", &raw, PassConfig::Id, 0.5, None).unwrap();
         assert!(half.report.sites > 0);
         assert!(half.report.protected > 0, "the selected half is provably covered");
         assert!(!half.report.flagged.is_empty(), "the unselected half stays exposed");
         let frac = half.report.flagged.len() as f64 / half.report.sites as f64;
-        let full = run_lint("t", &raw, PassConfig::Id, 1.0, None);
+        let full = run_lint("t", &raw, PassConfig::Id, 1.0, None).unwrap();
         let full_frac = full.report.flagged.len() as f64 / full.report.sites as f64;
         assert!(
             frac >= full_frac,

@@ -29,7 +29,7 @@ use flowery_backend::{print_program, AsmLayer, AsmProgram, AsmSnapshotSet, MachR
 use flowery_inject::campaign::{InjectLayer, TrialRunner};
 use flowery_ir::interp::substrate;
 use flowery_ir::interp::{
-    ExecConfig, ExecResult, Interpreter, IrLayer, IrSnapshotSet, SiteLog, SnapshotSet, Substrate,
+    ExecConfig, ExecResult, Interpreter, IrLayer, IrSnapshotSet, Profile, SiteLog, SnapshotSet, Substrate,
 };
 use flowery_ir::printer::print_module;
 use flowery_ir::{fnv1a, Module};
@@ -237,6 +237,15 @@ impl GoldenCache {
         self.memo(&maps.sites, key, |log| log.serves(trace_cap), make)
     }
 
+    /// The per-instruction execution counts of `m`'s golden run: one
+    /// profiled fault-free pass (captures and stored sets keep no profile),
+    /// counted as a golden run.
+    pub(crate) fn exec_profile(&self, m: &Module, cfg: &ExecConfig) -> Profile {
+        self.goldens_run.fetch_add(1, Ordering::Relaxed);
+        let golden = Interpreter::new(m).profile_run(cfg);
+        golden.profile.expect("a profiled run returns its counts")
+    }
+
     /// Upper bound on prunable dynamic sites per program: past this many,
     /// the site trace stops and later sites simply go unpruned (sound —
     /// pruning is an optimization, never a requirement). Region masses and
@@ -249,10 +258,10 @@ impl GoldenCache {
         self.memo(&self.bit_tables, program_hash(p), |_| true, || Arc::new(analyze_bits(m, p)))
     }
 
-    /// A trial runner for `exec`'s program on the cached golden. With
-    /// `snapshots` on, the set is fetched first: its capture run doubles as
-    /// the golden run and the observation (keeping `trace_cap` entries of
-    /// trace), so no separate golden execution happens. Without, the
+    /// A trial runner for `exec`'s program on the cached golden, or why none
+    /// can run ([`TrialRunner::refusal`]). With `snapshots` on, the set is
+    /// fetched first: its capture run doubles as the golden run and the
+    /// observation (keeping `trace_cap` entries of trace). Without, the
     /// observation pass is the golden run.
     pub(crate) fn runner<'u, S: CacheLayer + InjectLayer>(
         &self,
@@ -260,16 +269,19 @@ impl GoldenCache {
         snapshots: bool,
         cfg: &ExecConfig,
         trace_cap: usize,
-    ) -> TrialRunner<'u, S> {
+    ) -> Result<TrialRunner<'u, S>, String> {
+        let refused = |golden| TrialRunner::<S>::refusal(golden).map_or(Ok(()), Err);
         if snapshots {
             let set = self.snapshots_for::<S>(&exec, cfg, trace_cap);
+            refused(set.golden())?;
             let mut r = TrialRunner::from_golden(exec, set.golden().clone(), cfg);
             r.attach_snapshots(set);
-            r
+            Ok(r)
         } else {
             self.observation::<S>(&exec, cfg, trace_cap);
             let g = self.golden::<S>(&exec, cfg);
-            TrialRunner::from_golden(exec, (*g).clone(), cfg)
+            refused(&g)?;
+            Ok(TrialRunner::from_golden(exec, (*g).clone(), cfg))
         }
     }
 

@@ -1,7 +1,10 @@
 //! Append-only JSONL checkpoint log.
 //!
 //! Line 1 is a [`Header`] recording every parameter that shapes the trial
-//! schedule; each further line is one completed [`BatchRecord`]. Because
+//! schedule; each further line is one completed [`BatchRecord`], one
+//! finished selection profile ([`ProfileRecord`], written before the
+//! campaign's trials start), or one unit's region profiles
+//! ([`RegionRecord`], written at a clean finish). Because
 //! every batch is a pure function of `(seed, trial indices)`, replaying
 //! the log into a fresh engine reproduces the interrupted run exactly —
 //! `--resume` validates the header, preloads the batches, and only
@@ -9,13 +12,14 @@
 //! is detected and ignored.
 //!
 //! During a run the log is append-only in completion order (crash safety);
-//! at a clean end it is [`compact`]ed into the **canonical form**: records
-//! sorted by `(unit key, batch index)`, duplicates dropped after checking
-//! they are identical, and batches beyond each unit's decided prefix
-//! discarded. The canonical form is a pure function of the campaign
-//! parameters, so a local run, an interrupt/resume split of it, and shard
-//! logs concatenated and resumed (one header per shard; see [`load_full`])
-//! all produce byte-identical files.
+//! at a clean end it is [`compact`]ed into the **canonical form**: the
+//! header, the profile records sorted by program, the batch records sorted
+//! by `(unit key, batch index)` and the region records sorted by unit key —
+//! duplicates dropped after checking they are identical, and batches beyond
+//! each unit's decided prefix discarded. The canonical form is a pure
+//! function of the campaign parameters, so a local run, an interrupt/resume
+//! split of it, and shard logs concatenated and resumed (one header per
+//! shard; see [`load_full`]) all produce byte-identical files.
 
 use crate::engine::HarnessConfig;
 use crate::plan::{Layer, UnitKey};
@@ -23,6 +27,7 @@ use crate::progress::{BatchOutcome, UnitProgress};
 use flowery_faultmodel::{DetectorSpec, ModelSpec};
 use flowery_inject::OutcomeCounts;
 use flowery_ir::value::{FuncId, InstId};
+use flowery_passes::select::SdcProfile;
 use flowery_regions::RegionProfile;
 use serde::{Deserialize, Serialize};
 use std::collections::btree_map::{BTreeMap, Entry};
@@ -319,11 +324,27 @@ pub struct RegionRecord {
     pub regions: Vec<RegionProfile>,
 }
 
+/// One program's finished selection profile (see [`crate::plan_matrix`]):
+/// the SDC profile of its raw IR under the profile schedule, which picks
+/// what its partial protection levels duplicate. A `--resume` or a merged
+/// shard log serves it instead of re-running the profile — but only for
+/// the same program content, seed and trial count.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ProfileRecord {
+    pub program: String,
+    /// [`crate::module_hash`] of the raw program the profile ran on.
+    pub module_hash: u64,
+    pub seed: u64,
+    pub trials: u64,
+    pub profile: SdcProfile,
+}
+
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum Record {
     Header(Header),
     Batch(BatchRecord),
     Regions(RegionRecord),
+    Profile(ProfileRecord),
 }
 
 /// Writer half: shared by workers, flushed per line so a kill loses at
@@ -381,6 +402,10 @@ impl CheckpointLog {
         self.write(&Record::Regions(rec.clone()))
     }
 
+    pub fn record_profile(&self, rec: &ProfileRecord) -> Result<(), String> {
+        self.write(&Record::Profile(rec.clone()))
+    }
+
     fn write(&self, rec: &Record) -> Result<(), String> {
         let line = serde_json::to_string(rec).map_err(|e| format!("checkpoint encode: {e:?}"))?;
         let mut f = self.file.lock().unwrap();
@@ -407,6 +432,14 @@ pub fn load(path: &Path) -> Result<(Header, Vec<BatchRecord>), String> {
 /// field and both values: records of another seed or schedule must never
 /// be sealed under this one's header.
 pub fn load_full(path: &Path) -> Result<(Header, Vec<BatchRecord>, Vec<RegionRecord>), String> {
+    read(path).map(|(header, batches, regions, _)| (header, batches, regions))
+}
+
+/// A log's header and its batch, region and profile records.
+type Records = (Header, Vec<BatchRecord>, Vec<RegionRecord>, Vec<ProfileRecord>);
+
+/// Every record of a log, by kind, in file order (see [`load_full`]).
+fn read(path: &Path) -> Result<Records, String> {
     let f = File::open(path).map_err(|e| format!("open {}: {e}", path.display()))?;
     let lines: Vec<String> = BufReader::new(f)
         .lines()
@@ -415,6 +448,7 @@ pub fn load_full(path: &Path) -> Result<(Header, Vec<BatchRecord>, Vec<RegionRec
     let mut header: Option<Header> = None;
     let mut batches = Vec::new();
     let mut regions = Vec::new();
+    let mut profiles = Vec::new();
     let last = lines.len().saturating_sub(1);
     for (i, line) in lines.iter().enumerate() {
         if line.trim().is_empty() {
@@ -448,6 +482,7 @@ pub fn load_full(path: &Path) -> Result<(Header, Vec<BatchRecord>, Vec<RegionRec
             }
             Record::Batch(b) => batches.push(b),
             Record::Regions(r) => regions.push(r),
+            Record::Profile(p) => profiles.push(p),
         }
     }
     let mut header = header.ok_or_else(|| format!("{}: missing header line", path.display()))?;
@@ -462,7 +497,7 @@ pub fn load_full(path: &Path) -> Result<(Header, Vec<BatchRecord>, Vec<RegionRec
             }
         }
     }
-    Ok((header, batches, regions))
+    Ok((header, batches, regions, profiles))
 }
 
 /// Insert `rec`, or check it against the identical record already there:
@@ -509,30 +544,46 @@ pub fn canonicalize(header: &Header, records: Vec<BatchRecord>) -> Result<Vec<Ba
 /// built under a foreign region schema discarded (they describe a
 /// different partition recipe, not this log's regions).
 pub fn canonicalize_regions(header: &Header, records: Vec<RegionRecord>) -> Result<Vec<RegionRecord>, String> {
-    let mut by_unit: BTreeMap<UnitKey, RegionRecord> = BTreeMap::new();
-    for rec in records {
-        if rec.schema != header.region_schema || rec.schema == 0 {
-            continue;
-        }
-        insert_unique(by_unit.entry(rec.unit.clone()), rec)
-            .map_err(|rec| format!("conflicting region records for {}", rec.unit))?;
-    }
-    Ok(by_unit.into_values().collect())
+    let current = records
+        .into_iter()
+        .filter(|r| r.schema == header.region_schema && r.schema != 0);
+    one_per_key(current, |r| r.unit.clone()).map_err(|rec| format!("conflicting region records for {}", rec.unit))
 }
 
-/// Write a canonical log: the header line plus `records` in the order
-/// given (callers pass [`canonicalize`]d records), then the region
-/// records. The file is written to a temporary sibling and renamed into
+/// Reduce profile records to the canonical set: one per program, sorted by
+/// program name, duplicates dropped after checking identity.
+fn canonicalize_profiles(records: Vec<ProfileRecord>) -> Result<Vec<ProfileRecord>, String> {
+    one_per_key(records, |r| r.program.clone())
+        .map_err(|rec| format!("conflicting profile records for {}", rec.program))
+}
+
+/// `records` one per `key`, sorted by it, duplicates dropped after
+/// [`insert_unique`] checked them.
+fn one_per_key<K: Ord, V: PartialEq>(records: impl IntoIterator<Item = V>, key: impl Fn(&V) -> K) -> Result<Vec<V>, V> {
+    let mut by_key = BTreeMap::new();
+    for rec in records {
+        insert_unique(by_key.entry(key(&rec)), rec)?;
+    }
+    Ok(by_key.into_values().collect())
+}
+
+/// Write a canonical log: the header line, the profile records, `records`
+/// in the order given (callers pass [`canonicalize`]d records), then the
+/// region records. The file is written to a temporary sibling and renamed into
 /// place, so a kill mid-write never clobbers an existing log.
 pub fn write_canonical_full(
     path: &Path,
     header: &Header,
+    profiles: &[ProfileRecord],
     records: &[BatchRecord],
     regions: &[RegionRecord],
 ) -> Result<(), String> {
     let tmp = path.with_extension("tmp");
     {
         let log = CheckpointLog::create(&tmp, header)?;
+        for rec in profiles {
+            log.record_profile(rec)?;
+        }
         for rec in records {
             log.record_batch(rec)?;
         }
@@ -543,9 +594,9 @@ pub fn write_canonical_full(
     std::fs::rename(&tmp, path).map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
 }
 
-/// [`write_canonical_full`] without region records.
+/// [`write_canonical_full`] without profile or region records.
 pub fn write_canonical(path: &Path, header: &Header, records: &[BatchRecord]) -> Result<(), String> {
-    write_canonical_full(path, header, records, &[])
+    write_canonical_full(path, header, &[], records, &[])
 }
 
 /// Open a campaign's log — the first step of the open → run → [`seal`]
@@ -553,14 +604,19 @@ pub fn write_canonical(path: &Path, header: &Header, records: &[BatchRecord]) ->
 /// refuse one whose header describes a different campaign (naming the
 /// field), repair a torn tail and reopen for appending; the loaded batch
 /// records come back for preloading (consumers fold them through
-/// [`Header::admit`]; [`refused_note`] reports what that will drop).
-pub fn open(path: &Path, header: &Header, resume: bool) -> Result<(CheckpointLog, Vec<BatchRecord>), String> {
+/// [`Header::admit`]; [`refused_note`] reports what that will drop), and the
+/// profile records for the selection profile pass to serve from.
+pub fn open(
+    path: &Path,
+    header: &Header,
+    resume: bool,
+) -> Result<(CheckpointLog, Vec<BatchRecord>, Vec<ProfileRecord>), String> {
     if !resume {
-        return Ok((CheckpointLog::create(path, header)?, Vec::new()));
+        return Ok((CheckpointLog::create(path, header)?, Vec::new(), Vec::new()));
     }
-    let (found, batches) = load(path)?;
+    let (found, batches, _, profiles) = read(path)?;
     found.require(header, path, "checkpoint")?;
-    Ok((CheckpointLog::append_to(path)?, batches))
+    Ok((CheckpointLog::append_to(path)?, batches, profiles))
 }
 
 /// Seal a campaign's log: append `regions` (the per-region profiles of a
@@ -579,10 +635,10 @@ pub fn seal(path: &Path, log: CheckpointLog, regions: &[RegionRecord]) -> Result
 /// Called at the clean end of a campaign; the result is byte-identical
 /// for any execution of the same schedule — local, resumed, or sharded.
 pub fn compact(path: &Path) -> Result<(), String> {
-    let (header, records, regions) = load_full(path)?;
+    let (header, records, regions, profiles) = read(path)?;
     let records = canonicalize(&header, records)?;
     let regions = canonicalize_regions(&header, regions)?;
-    write_canonical_full(path, &header, &records, &regions)
+    write_canonical_full(path, &header, &canonicalize_profiles(profiles)?, &records, &regions)
 }
 
 #[cfg(test)]
@@ -928,6 +984,48 @@ mod tests {
     }
 
     #[test]
+    fn profile_records_roundtrip_and_canonicalize() {
+        let profile = |hits: u64| SdcProfile {
+            trials: 300,
+            entries: vec![flowery_passes::select::SdcEntry {
+                func: FuncId(0),
+                inst: InstId(4),
+                sdc_hits: hits,
+                exec_count: 20,
+            }],
+        };
+        let rec = |program: &str, hits: u64| ProfileRecord {
+            program: program.into(),
+            module_hash: 7,
+            seed: 9,
+            trials: 300,
+            profile: profile(hits),
+        };
+        // Appended mid-run in completion order, duplicated by a shard merge.
+        let path = tmp("profiles");
+        let log = CheckpointLog::create(&path, &header()).unwrap();
+        log.record_batch(&record(0)).unwrap();
+        for r in [rec("zeta", 3), rec("alpha", 5), rec("zeta", 3)] {
+            log.record_profile(&r).unwrap();
+        }
+        drop(log);
+        let (log, batches, profiles) = open(&path, &header(), true).unwrap();
+        assert_eq!((batches.len(), profiles.len()), (1, 3));
+        assert_eq!(profiles[1], rec("alpha", 5));
+        // The seal keeps one record per program, sorted, ahead of the batches.
+        seal(&path, log, &[]).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let kinds: Vec<&str> = text.lines().map(|l| &l[2..l.find("\":").unwrap()]).collect();
+        assert_eq!(kinds, ["Header", "Profile", "Profile", "Batch"]);
+        let (_, _, profiles) = open(&path, &header(), true).unwrap();
+        assert_eq!(profiles, vec![rec("alpha", 5), rec("zeta", 3)]);
+        // Two different profiles of one program are corrupt data.
+        let err = canonicalize_profiles(vec![rec("alpha", 5), rec("alpha", 6)]).unwrap_err();
+        assert!(err.contains("conflicting profile records for alpha"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn every_header_field_has_a_class() {
         // The table is what `same_schedule` / `describe_mismatch` are
         // derived from: a field added to `Header` without a row would
@@ -1028,7 +1126,7 @@ mod tests {
             .replace(",\"fault_model\":\"single-bit-reg\"", "");
         std::fs::write(&path, legacy).unwrap();
         let today = Header { fault_model: ModelSpec::DoubleBitReg, ..header() };
-        let (log, batches) = open(&path, &today, true).unwrap();
+        let (log, batches, _) = open(&path, &today, true).unwrap();
         assert_eq!(batches.len(), 1);
         assert_eq!(today.admit(&batches[0]), Ok(()));
         seal(&path, log, &[]).unwrap();

@@ -28,7 +28,7 @@ use crate::plan::{Layer, TrialUnit, UnitKey};
 use crate::prior::StaticPrior;
 use crate::progress::{BatchOutcome, UnitProgress};
 use flowery_faultmodel::{DetectorSpec, ModelSpec};
-use flowery_inject::campaign::{run_workers, worker_threads, AsmTrialRunner, IrTrialRunner};
+use flowery_inject::campaign::{AsmTrialRunner, IrTrialRunner};
 use flowery_inject::{Estimate, OutcomeCounts};
 use flowery_ir::interp::{ExecConfig, Interpreter};
 use flowery_ir::value::{FuncId, InstId};
@@ -181,6 +181,7 @@ pub struct UnitResult {
 }
 
 /// Outcome of one engine run.
+#[derive(Default)]
 pub struct CampaignReport {
     /// Completed units, in input order. When `interrupted`, units whose
     /// schedule did not finish are listed in `pending` instead.
@@ -317,24 +318,16 @@ pub struct UnitRunner<'u> {
 }
 
 impl<'u> UnitRunner<'u> {
+    /// The runner of `unit` on `cache`'s golden. Panics on a program no
+    /// trial can run against, which a campaign refuses instead.
     pub fn new(unit: &'u TrialUnit, cache: &GoldenCache, cfg: &HarnessConfig) -> UnitRunner<'u> {
-        let (exec, pruned) = (&cfg.exec, cfg.static_prune && unit.key.layer == Layer::Asm);
-        let trace_cap = if pruned { GoldenCache::SITE_TRACE_CAP } else { 0 };
-        let inner = match unit.key.layer {
-            Layer::Ir => RunnerInner::Ir(cache.runner(Interpreter::new(&unit.module), cfg.snapshots, exec, trace_cap)),
-            Layer::Asm => RunnerInner::Asm(cache.runner(unit.machine(), cfg.snapshots, exec, trace_cap)),
-        };
-        let prior = pruned.then(|| {
-            let p = unit.program.as_ref().expect("asm unit has a program");
-            let table = cache.asm_bits(&unit.module, p);
-            let hash = table.fingerprint(crate::cache::program_hash(p));
-            StaticPrior::new(table, observed(unit, cache, cfg, trace_cap).trace().clone(), hash)
-        });
-        UnitRunner { inner, unit, prior, scope: None }
+        UnitRunner::for_item(unit, cache, cfg, None).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The runner of one work item: [`UnitRunner::new`], and with a scope
-    /// its trials confined to the region — batches index `scope.trials`,
+    /// The runner of one work item: [`UnitRunner::new`] — refusing, naming
+    /// the unit, a program whose golden run does not complete or has no
+    /// fault sites at its layer — and with a scope its trials confined to
+    /// the region — batches index `scope.trials`,
     /// drawn from `scope.seed` over the fault sites *inside the region*
     /// ([`TrialRunner::restrict`](flowery_inject::campaign::TrialRunner::restrict)),
     /// every trial attributed to it. Refuses a scope planned against
@@ -346,7 +339,24 @@ impl<'u> UnitRunner<'u> {
         cfg: &HarnessConfig,
         scope: Option<&Scope>,
     ) -> Result<UnitRunner<'u>, String> {
-        let mut runner = UnitRunner::new(unit, cache, cfg);
+        let (exec, pruned) = (&cfg.exec, cfg.static_prune && unit.key.layer == Layer::Asm);
+        let trace_cap = if pruned { GoldenCache::SITE_TRACE_CAP } else { 0 };
+        let inner = match unit.key.layer {
+            Layer::Ir => cache
+                .runner(Interpreter::new(&unit.module), cfg.snapshots, exec, trace_cap)
+                .map(RunnerInner::Ir),
+            Layer::Asm => cache
+                .runner(unit.machine(), cfg.snapshots, exec, trace_cap)
+                .map(RunnerInner::Asm),
+        };
+        let inner = inner.map_err(|e| format!("{}: {e}", unit.key))?;
+        let prior = pruned.then(|| {
+            let p = unit.program.as_ref().expect("asm unit has a program");
+            let table = cache.asm_bits(&unit.module, p);
+            let hash = table.fingerprint(crate::cache::program_hash(p));
+            StaticPrior::new(table, observed(unit, cache, cfg, trace_cap).trace().clone(), hash)
+        });
+        let mut runner = UnitRunner { inner, unit, prior, scope: None };
         let Some(scope) = scope else { return Ok(runner) };
         let sites = observed(unit, cache, cfg, 0);
         let region = unit.region_id(&scope.region).unwrap_or(usize::MAX);
@@ -553,8 +563,21 @@ pub(crate) fn run_items(
     }
 
     if !opts.replay_only {
-        let workers = worker_threads(cfg.threads);
-        run_workers(workers, |w| worker(w * items.len() / workers, &sh));
+        // The one worker pool; a `threads` of 0 means all available cores.
+        // Joining, unlike a scope's wait, covers each thread's teardown, so
+        // the next pool reuses its allocator arena instead of opening fresh
+        // ones that strand the old one's memory.
+        let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
+        let workers = if cfg.threads == 0 { cores() } else { cfg.threads };
+        std::thread::scope(|scope| {
+            let sh = &sh;
+            let handles: Vec<_> = (0..workers)
+                .map(|w| scope.spawn(move || worker(w * items.len() / workers, sh)))
+                .collect();
+            handles
+                .into_iter()
+                .for_each(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        });
     }
 
     let tallies = sh
@@ -582,8 +605,28 @@ pub fn run_units(
     cache: &GoldenCache,
     opts: RunOptions<'_>,
 ) -> CampaignReport {
+    run_units_after(&MetricsSnapshot::default(), units, cfg, cache, opts)
+}
+
+/// One campaign of `trials` trials per unit under the default schedule's
+/// seed, on a cache of its own: what a single-program command runs.
+pub fn run_plain(units: &[TrialUnit], trials: u64) -> Result<Vec<UnitResult>, String> {
+    let cfg = HarnessConfig { max_trials: trials, ..HarnessConfig::default() };
+    run_units(units, &cfg, &GoldenCache::new(), RunOptions::default()).complete()
+}
+
+/// [`run_units`], its metrics going on from `earlier`'s: a pass run before
+/// it on the same cache, such as the campaign's selection profile
+/// ([`crate::plan_matrix`]), so that one report counts both.
+pub fn run_units_after(
+    earlier: &MetricsSnapshot,
+    units: &[TrialUnit],
+    cfg: &HarnessConfig,
+    cache: &GoldenCache,
+    opts: RunOptions<'_>,
+) -> CampaignReport {
     let items: Vec<WorkItem<'_>> = units.iter().map(|unit| WorkItem { unit, scope: None }).collect();
-    let drained = run_items(&items, cfg, cache, Metrics::with_mode(cfg.exec.executor), opts);
+    let drained = run_items(&items, cfg, cache, Metrics::with_mode(cfg.exec.executor).after(earlier), opts);
 
     let mut results = Vec::new();
     let mut pending = Vec::new();

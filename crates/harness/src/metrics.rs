@@ -8,7 +8,7 @@ use flowery_inject::OutcomeCounts;
 use flowery_ir::interp::ExecMode;
 use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Shared counters; one instance per engine run. The running tally is a
 /// [`MetricsSnapshot`] whose sampled fields (time, rates, cache and JIT
@@ -24,6 +24,16 @@ impl Metrics {
     pub fn with_mode(mode: ExecMode) -> Metrics {
         let live = MetricsSnapshot { exec_mode: mode.to_string(), ..MetricsSnapshot::default() };
         Metrics { start: Instant::now(), live: Mutex::new(live) }
+    }
+
+    /// Counters that go on from `earlier`, a pass run before this one on the
+    /// same cache (a campaign's selection profile): its time, trials,
+    /// batches and instructions count in every later snapshot.
+    pub fn after(self, earlier: &MetricsSnapshot) -> Metrics {
+        let start = self.start.checked_sub(Duration::from_secs_f64(earlier.elapsed_secs));
+        let live = self.live.into_inner().unwrap();
+        let live = MetricsSnapshot { exec_mode: live.exec_mode, units_done: 0, ..earlier.clone() };
+        Metrics { start: start.unwrap_or(self.start), live: Mutex::new(live) }
     }
 
     fn update(&self, f: impl FnOnce(&mut MetricsSnapshot)) {

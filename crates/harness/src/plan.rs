@@ -1,12 +1,20 @@
 //! The experiment matrix: benchmark × variant × layer decomposed into
-//! [`TrialUnit`]s, the schedulable atoms of a campaign.
+//! [`TrialUnit`]s, the schedulable atoms of a campaign — with the selection
+//! profiles that decide what its partial protection levels duplicate
+//! ([`plan_matrix`]).
 
+use crate::cache::{module_hash, GoldenCache};
+use crate::checkpoint::ProfileRecord;
+use crate::engine::{run_units, CampaignReport, HarnessConfig, RunOptions};
 use flowery_backend::{compile_module, AsmLayer, AsmProgram, BackendConfig, Machine};
+use flowery_faultmodel::ModelSpec;
 use flowery_ir::interp::{ExecConfig, ExecMode, IrLayer, Substrate};
 use flowery_ir::Module;
+use flowery_passes::select::{build_profile, SdcProfile};
 use flowery_passes::{apply_flowery, choose_protection, duplicate_module, DupConfig, FloweryConfig, ProtectionPlan};
 use flowery_workloads::Scale;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -151,6 +159,13 @@ pub struct MatrixSpec {
     pub threads: usize,
 }
 
+impl MatrixSpec {
+    /// Whether some level is partial: only those select by profile.
+    pub fn needs_profile(&self) -> bool {
+        self.levels.iter().any(|&l| !is_full(l))
+    }
+}
+
 impl Default for MatrixSpec {
     fn default() -> MatrixSpec {
         MatrixSpec {
@@ -185,23 +200,25 @@ pub fn matrix_fingerprint(units: &[TrialUnit]) -> u64 {
     flowery_ir::fnv1a(text.as_bytes())
 }
 
+fn is_full(level: f64) -> bool {
+    (level - 1.0).abs() < 1e-9
+}
+
 /// The protection recipe, stated once: `raw` duplicated at each of
 /// `spec.levels` — everything at full protection, below it the instructions
 /// an SDC profile of `spec.profile_trials` IR-level injections ranks highest
-/// (the profile runs only when some level needs it) — and the Flowery patches
-/// applied on top. One `(level, Id, Id+Flowery)` per level, in order.
+/// (the profile runs, in memory, only when some level needs it) — and the
+/// Flowery patches applied on top. One `(level, Id, Id+Flowery)` per level,
+/// in order.
 pub fn protect(raw: &Module, spec: &MatrixSpec) -> Vec<(f64, Module, Module)> {
-    let full = |level: f64| (level - 1.0).abs() < 1e-9;
-    let needs_profile = spec.levels.iter().any(|&l| !full(l));
-    let profile = needs_profile.then(|| {
-        let mut cfg = flowery_inject::CampaignConfig::with_trials(spec.profile_trials);
-        cfg.seed = spec.profile_seed;
-        cfg.threads = spec.threads;
-        flowery_inject::profile_sdc(raw, &cfg)
-    });
+    protect_with(raw, spec, spec.needs_profile().then(|| profile_of(raw, spec)).as_ref())
+}
+
+/// [`protect`] under an already-run selection `profile`.
+fn protect_with(raw: &Module, spec: &MatrixSpec, profile: Option<&SdcProfile>) -> Vec<(f64, Module, Module)> {
     let protect_at = |&level: &f64| {
-        let plan = match &profile {
-            Some(profile) if !full(level) => choose_protection(raw, profile, level),
+        let plan = match profile {
+            Some(profile) if !is_full(level) => choose_protection(raw, profile, level),
             _ => ProtectionPlan::full(raw),
         };
         let mut id = raw.clone();
@@ -213,10 +230,130 @@ pub fn protect(raw: &Module, spec: &MatrixSpec) -> Vec<(f64, Module, Module)> {
     spec.levels.iter().map(protect_at).collect()
 }
 
+/// The selection profile pass: each of `programs`' SDC profile, by name —
+/// from its record in `stored` when one matches its content, seed and trial
+/// count, else from one [`run_units`] pass over the raw IR under the
+/// profile schedule (`cfg`'s engine settings, which never change an
+/// outcome) plus one profiled fault-free pass for the execution counts.
+/// Each profile it runs is appended to `opts.checkpoint`, whose batch
+/// records its trials never enter; `opts.progress` may stop it.
+fn profile_pass(
+    programs: &[(String, Arc<Module>)],
+    spec: &MatrixSpec,
+    cfg: &HarnessConfig,
+    cache: &GoldenCache,
+    stored: &[ProfileRecord],
+    opts: RunOptions<'_>,
+) -> (HashMap<String, SdcProfile>, CampaignReport) {
+    let sched = HarnessConfig {
+        max_trials: spec.profile_trials,
+        ci_target: None,
+        seed: spec.profile_seed,
+        fault_model: ModelSpec::SingleBitReg,
+        detectors: Vec::new(),
+        static_prune: false,
+        ..cfg.clone()
+    };
+    let (mut profiles, mut units) = (HashMap::new(), Vec::new());
+    for (name, m) in programs {
+        let made = (name.as_str(), module_hash(m), sched.seed, sched.max_trials);
+        match stored
+            .iter()
+            .find(|r| (r.program.as_str(), r.module_hash, r.seed, r.trials) == made)
+        {
+            Some(rec) => _ = profiles.insert(name.clone(), rec.profile.clone()),
+            None => units.push(TrialUnit::ir(UnitKey::new(name, Variant::Raw, 0.0, Layer::Ir), m.clone())),
+        }
+    }
+    if units.is_empty() {
+        return (profiles, CampaignReport::default());
+    }
+    let mut report = run_units(&units, &sched, cache, RunOptions { progress: opts.progress, ..Default::default() });
+    for result in &report.units {
+        let m = &units.iter().find(|u| u.key == result.key).expect("a unit of this pass").module;
+        let counts = cache.exec_profile(m, &sched.exec);
+        let profile = build_profile(m, &counts, &result.sdc_by_inst, result.trials);
+        let (program, module_hash) = (result.key.bench.clone(), module_hash(m));
+        let rec = ProfileRecord {
+            program,
+            module_hash,
+            seed: sched.seed,
+            trials: sched.max_trials,
+            profile,
+        };
+        if let Some(Err(e)) = opts.checkpoint.map(|log| log.record_profile(&rec)) {
+            report.error.get_or_insert(e);
+        }
+        profiles.insert(rec.program, rec.profile);
+    }
+    report.metrics = report.metrics.with_cache(cache.stats());
+    (profiles, report)
+}
+
+/// The selection profile of `raw` alone, run in memory.
+fn profile_of(raw: &Module, spec: &MatrixSpec) -> SdcProfile {
+    let cfg = HarnessConfig { threads: spec.threads, ..HarnessConfig::default() };
+    let programs = [("raw".to_string(), Arc::new(raw.clone()))];
+    let (mut profiles, report) = profile_pass(&programs, spec, &cfg, &GoldenCache::new(), &[], RunOptions::default());
+    if let Some(e) = report.error {
+        panic!("selection profile: {e}");
+    }
+    profiles.remove("raw").expect("a finished pass profiles every program")
+}
+
+/// Parameters of [`profile_sdc`], kept for `benchmark/src/trace.rs` until
+/// ROADMAP item 1.
+#[derive(Debug, Clone)]
+pub struct CampaignConfig {
+    pub trials: u64,
+    pub seed: u64,
+    /// Worker threads (0 = all cores).
+    pub threads: usize,
+}
+
+impl CampaignConfig {
+    pub fn with_trials(trials: u64) -> CampaignConfig {
+        CampaignConfig { trials, seed: HarnessConfig::default().seed, threads: 0 }
+    }
+}
+
+/// The selection profile of `m` under `cfg`, run in memory; kept for
+/// `benchmark/src/trace.rs` until ROADMAP item 1.
+pub fn profile_sdc(m: &Module, cfg: &CampaignConfig) -> SdcProfile {
+    let mut spec = MatrixSpec {
+        profile_trials: cfg.trials,
+        threads: cfg.threads,
+        ..MatrixSpec::default()
+    };
+    spec.profile_seed = cfg.seed;
+    profile_of(m, &spec)
+}
+
 /// Build the standard matrix: for every benchmark, Raw at both layers,
 /// Id at both layers per level, and Id+Flowery at the assembly layer per
-/// level (the paper's protagonist configuration).
+/// level (the paper's protagonist configuration). The selection profiles
+/// run in memory, on a cache dropped before this returns.
 pub fn build_matrix(spec: &MatrixSpec) -> Vec<TrialUnit> {
+    let cfg = HarnessConfig { threads: spec.threads, ..HarnessConfig::default() };
+    let (units, report) = plan_matrix(spec, &cfg, &GoldenCache::new(), &[], RunOptions::default());
+    match report.error {
+        Some(e) => panic!("selection profile: {e}"),
+        None => units,
+    }
+}
+
+/// [`build_matrix`] for a campaign: the selection profiles come from
+/// `stored` or run on the campaign's own `cache` (sharing the Raw@Ir
+/// snapshot sets) and are appended to `opts.checkpoint` before any campaign
+/// trial starts. Returns the matrix — none when the pass failed or was
+/// stopped before every profile finished — and the pass's report.
+pub fn plan_matrix(
+    spec: &MatrixSpec,
+    cfg: &HarnessConfig,
+    cache: &GoldenCache,
+    stored: &[ProfileRecord],
+    opts: RunOptions<'_>,
+) -> (Vec<TrialUnit>, CampaignReport) {
     let names: Vec<&str> = if spec.benches.is_empty() && spec.sources.is_empty() {
         flowery_workloads::NAMES.to_vec()
     } else {
@@ -231,14 +368,18 @@ pub fn build_matrix(spec: &MatrixSpec) -> Vec<TrialUnit> {
             flowery_lang::compile(name, src).unwrap_or_else(|e| panic!("matrix source '{name}' does not compile: {e}"));
         programs.push((name.clone(), Arc::new(m)));
     }
+    let profiled = if spec.needs_profile() { programs.as_slice() } else { &[] };
+    let (profiles, report) = profile_pass(profiled, spec, cfg, cache, stored, opts);
+    if report.error.is_some() || !report.pending.is_empty() {
+        return (Vec::new(), report);
+    }
     let mut units = Vec::new();
     for (name, raw) in &programs {
         let name = name.as_str();
-        let raw = raw.clone();
-        let raw_prog = Arc::new(compile_module(&raw, &spec.backend));
+        let raw_prog = Arc::new(compile_module(raw, &spec.backend));
         units.push(TrialUnit::ir(UnitKey::new(name, Variant::Raw, 0.0, Layer::Ir), raw.clone()));
         units.push(TrialUnit::asm(UnitKey::new(name, Variant::Raw, 0.0, Layer::Asm), raw.clone(), raw_prog));
-        for (level, id, flowery) in protect(&raw, spec) {
+        for (level, id, flowery) in protect_with(raw, spec, profiles.get(name)) {
             let id = Arc::new(id);
             let id_prog = Arc::new(compile_module(&id, &spec.backend));
             let fl = Arc::new(flowery);
@@ -248,7 +389,7 @@ pub fn build_matrix(spec: &MatrixSpec) -> Vec<TrialUnit> {
             units.push(TrialUnit::asm(UnitKey::new(name, Variant::Flowery, level, Layer::Asm), fl, fl_prog));
         }
     }
-    units
+    (units, report)
 }
 
 #[cfg(test)]

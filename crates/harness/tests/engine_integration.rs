@@ -1,17 +1,23 @@
 //! End-to-end engine guarantees: thread-count invariance, agreement with
-//! the single-campaign primitives, checkpoint/resume equivalence, and
-//! deterministic adaptive early stopping.
+//! the single-campaign primitives (a serial fold of `TrialRunner` trials),
+//! checkpoint/resume equivalence, and deterministic adaptive early stopping.
 
 use flowery_harness::{
     build_matrix, load_checkpoint, open, refused_note, region_records, run_units, seal, write_canonical, BatchRecord,
     CheckpointLog, Control, GoldenCache, HarnessConfig, Layer, MatrixSpec, RunOptions, SnapshotStore, TrialUnit,
     UnitKey, UnitResult, Variant,
 };
-use flowery_inject::{run_asm_campaign, run_ir_campaign, CampaignConfig};
+use flowery_harness::{matrix_fingerprint, plan_matrix, CacheStats, ProfileRecord};
+use flowery_inject::{AsmTrialRunner, IrTrialRunner, ModelSpec};
+use flowery_ir::interp::ExecConfig;
 use flowery_ir::Module;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+#[path = "../../../tests/common/serial_fold.rs"]
+mod serial_fold;
+use serial_fold::serial_fold;
 
 const SRC_A: &str =
     "int main() { int s = 0; int i; for (i = 0; i < 25; i = i + 1) { s = s + i * i; } output(s); return s % 251; }";
@@ -76,19 +82,20 @@ fn engine_matches_single_campaign_primitives_and_hits_cache() {
     let hcfg = cfg(400, 100, 2);
     let report = run_units(&units, &hcfg, &cache, RunOptions::default());
 
-    let mut ccfg = CampaignConfig::with_trials(400);
-    ccfg.seed = hcfg.seed;
-    let ir = run_ir_campaign(&units[0].module, &ccfg);
+    let exec = ExecConfig::default();
+    let mut runner = IrTrialRunner::new(&units[0].module, &exec);
+    let ir = serial_fold(&mut runner, hcfg.seed, 400, ModelSpec::SingleBitReg);
     let u = &report.units[0];
-    assert_eq!(u.counts, ir.counts, "batched IR unit equals one-shot campaign");
+    assert_eq!(u.counts, ir.counts, "batched IR unit equals the serial fold");
     assert_eq!(u.sdc_by_inst, ir.sdc_by_inst);
-    assert_eq!(u.golden_sites, ir.golden_sites);
+    assert_eq!(u.golden_sites, runner.sites());
 
-    let asm = run_asm_campaign(&units[1].module, units[1].program.as_ref().unwrap(), &ccfg);
+    let mut runner = AsmTrialRunner::new(&units[1].module, units[1].program.as_ref().unwrap(), &exec);
+    let asm = serial_fold(&mut runner, hcfg.seed, 400, ModelSpec::SingleBitReg);
     let u = &report.units[1];
-    assert_eq!(u.counts, asm.counts, "batched asm unit equals one-shot campaign");
+    assert_eq!(u.counts, asm.counts, "batched asm unit equals the serial fold");
     assert_eq!(u.sdc_insts, asm.sdc_insts, "SDC sites in trial order");
-    assert_eq!(u.golden_cycles, asm.golden_cycles);
+    assert_eq!(u.golden_cycles, runner.golden().cycles);
 
     // Golden runs are fetched again at merge time, so any executed run
     // reports cache hits.
@@ -197,13 +204,10 @@ fn adaptive_early_stop_is_a_prefix_of_the_full_schedule() {
             assert!(u.sdc.ci95 <= 0.05, "{}: reported half-width {} exceeds target", u.key, u.sdc.ci95);
             // The counts are exactly what a fixed campaign of the same
             // length produces: the stop point discards, never reorders.
-            if u.key.layer == Layer::Ir {
-                let mut ccfg = CampaignConfig::with_trials(u.trials);
-                ccfg.seed = hcfg.seed;
-                let fixed = run_ir_campaign(&units[0].module, &ccfg);
-                if u.key == units[0].key {
-                    assert_eq!(u.counts, fixed.counts);
-                }
+            if u.key == units[0].key {
+                let mut runner = IrTrialRunner::new(&units[0].module, &ExecConfig::default());
+                let fixed = serial_fold(&mut runner, hcfg.seed, u.trials, ModelSpec::SingleBitReg);
+                assert_eq!(u.counts, fixed.counts);
             }
         }
     }
@@ -297,7 +301,7 @@ fn foreign_records_under_a_matching_header_are_refused_and_rerun_on_resume() {
     // behind: opened, run and sealed (region records included).
     let ref_path = tmp("foreign-ref");
     let cache = GoldenCache::new();
-    let (log, _) = open(&ref_path, &cfg.header(), false).unwrap();
+    let (log, ..) = open(&ref_path, &cfg.header(), false).unwrap();
     let r = run_units(&units, &cfg, &cache, RunOptions { checkpoint: Some(&log), ..Default::default() });
     assert!(!r.interrupted && r.error.is_none());
     seal(&ref_path, log, &region_records(&units, &r.units, &cache, &cfg)).unwrap();
@@ -329,7 +333,7 @@ fn foreign_records_under_a_matching_header_are_refused_and_rerun_on_resume() {
     // batches re-executed, and the sealed file is the reference.
     let local = tmp("foreign-local");
     write_canonical(&local, &header, &forged).unwrap();
-    let (log, preloaded) = open(&local, &cfg.header(), true).unwrap();
+    let (log, preloaded, _) = open(&local, &cfg.header(), true).unwrap();
     let cache = GoldenCache::new();
     let r = run_units(
         &units,
@@ -343,4 +347,110 @@ fn foreign_records_under_a_matching_header_are_refused_and_rerun_on_resume() {
     assert_eq!(std::fs::read(&local).unwrap(), want, "campaign --resume diverged");
     std::fs::remove_file(&ref_path).ok();
     std::fs::remove_file(&local).ok();
+}
+
+/// Two tiny programs at a partial level, profiled at 150 trials.
+fn profile_spec() -> MatrixSpec {
+    MatrixSpec {
+        benches: vec!["crc32".into(), "is".into()],
+        scale: flowery_workloads::Scale::Tiny,
+        levels: vec![0.5, 1.0],
+        profile_trials: 150,
+        threads: 2,
+        ..Default::default()
+    }
+}
+
+/// The profile records of the log at `path`.
+fn profile_records(path: &std::path::Path, hcfg: &HarnessConfig) -> Vec<ProfileRecord> {
+    open(path, &hcfg.header(), true).unwrap().2
+}
+
+#[test]
+fn selection_profiles_are_recorded_served_and_never_stale() {
+    let (spec, hcfg) = (profile_spec(), cfg(300, 50, 2));
+    let fingerprint = matrix_fingerprint(&build_matrix(&spec));
+
+    // Cold: one pass over both programs, each profile appended to the log;
+    // it selects exactly what the in-memory pass of `build_matrix` selects.
+    let path = tmp("profiles");
+    let (log, ..) = open(&path, &hcfg.header(), false).unwrap();
+    let opts = RunOptions { checkpoint: Some(&log), ..Default::default() };
+    let (units, pass) = plan_matrix(&spec, &hcfg, &GoldenCache::new(), &[], opts);
+    drop(log);
+    assert!(pass.error.is_none() && pass.pending.is_empty());
+    assert_eq!(pass.metrics.trials, 2 * 150);
+    assert_eq!(pass.metrics.goldens_run, 2, "one profiled fault-free pass per program");
+    assert_eq!(matrix_fingerprint(&units), fingerprint);
+    let stored = profile_records(&path, &hcfg);
+    assert_eq!(stored.len(), 2);
+    // Snapshot fast-forward never changes a profile.
+    let off = HarnessConfig { snapshots: false, ..hcfg.clone() };
+    let (units, _) = plan_matrix(&spec, &off, &GoldenCache::new(), &[], RunOptions::default());
+    assert_eq!(matrix_fingerprint(&units), fingerprint);
+
+    // Served: matching records execute nothing.
+    let cache = GoldenCache::new();
+    let (units, pass) = plan_matrix(&spec, &hcfg, &cache, &stored, RunOptions::default());
+    assert_eq!(matrix_fingerprint(&units), fingerprint);
+    assert_eq!((pass.metrics.trials, pass.metrics.exec_insts), (0, 0));
+    assert_eq!(cache.stats(), CacheStats::default());
+
+    // Stale: a record of another program content, seed or trial count is
+    // not used; its program is profiled afresh, to the same profile.
+    let first = &stored[0];
+    let stale = [
+        ProfileRecord { module_hash: first.module_hash ^ 1, ..first.clone() },
+        ProfileRecord { seed: first.seed ^ 1, ..first.clone() },
+        ProfileRecord { trials: first.trials + 1, ..first.clone() },
+    ];
+    for rec in stale {
+        let records = [rec, stored[1].clone()];
+        let (units, pass) = plan_matrix(&spec, &hcfg, &GoldenCache::new(), &records, RunOptions::default());
+        let rerun: Vec<&str> = pass.units.iter().map(|u| u.key.bench.as_str()).collect();
+        assert_eq!(rerun, [first.program.as_str()]);
+        assert_eq!(matrix_fingerprint(&units), fingerprint);
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn an_interrupted_profile_pass_records_no_unfinished_program() {
+    let (spec, hcfg) = (profile_spec(), cfg(300, 50, 1));
+    let path = tmp("profiles-stopped");
+    let (log, ..) = open(&path, &hcfg.header(), false).unwrap();
+    // One worker stops after its first 50-trial batch of 150.
+    let stop = |_: &flowery_harness::MetricsSnapshot| Control::Stop;
+    let opts = RunOptions {
+        checkpoint: Some(&log),
+        progress: Some(&stop),
+        ..Default::default()
+    };
+    let (units, pass) = plan_matrix(&spec, &hcfg, &GoldenCache::new(), &[], opts);
+    drop(log);
+    assert!(pass.interrupted && pass.units.is_empty() && pass.pending.len() == 2);
+    assert!(units.is_empty(), "no matrix without every profile");
+    let (_, batches, stored) = open(&path, &hcfg.header(), true).unwrap();
+    assert!(
+        batches.is_empty() && stored.is_empty(),
+        "profile trials are no batches, partial profiles no records"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn programs_no_trial_can_run_against_are_refused_by_name() {
+    let spin = module("int main() { int i = 0; while (1) { i = i + 1; } return i; }");
+    let quiet = module("int main() { return 0; }");
+    let short = ExecConfig { max_dyn_insts: 10_000, ..ExecConfig::default() };
+    let hcfg = HarnessConfig { exec: short, ..cfg(100, 50, 2) };
+    for (m, why) in [
+        (spin, "golden run must complete: Trapped(InstLimit)"),
+        (quiet, "program has no ir fault sites"),
+    ] {
+        let unit = TrialUnit::ir(UnitKey::new("p", Variant::Raw, 0.0, Layer::Ir), m);
+        let report = run_units(&[unit], &hcfg, &GoldenCache::new(), RunOptions::default());
+        assert_eq!(report.error, Some(format!("p/Raw@0/Ir: {why}")));
+        assert!(report.units.is_empty());
+    }
 }

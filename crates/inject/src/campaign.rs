@@ -1,144 +1,26 @@
-//! Fault-injection campaigns at both layers, with parallel execution.
+//! The trial primitives of a fault-injection campaign, at both layers.
 //!
-//! Each campaign (paper §4.3): pick a random executed *fault site*, pick a
+//! Each trial (paper §4.3): pick a random executed *fault site*, pick a
 //! random bit of its destination, run to completion, classify the outcome
 //! against the golden run. Every trial's fault spec is derived purely from
 //! `(base seed, trial index)` — see [`ir_fault_spec`] / [`asm_fault_spec`] —
 //! so campaign results are **bit-identical regardless of thread count,
-//! shard layout, or early-stop point**. The large-matrix scheduler in
-//! `flowery-harness` builds on the same per-trial primitives, and every
-//! study, sweep and figure runs on it. [`run_ir_campaign`] /
-//! [`run_asm_campaign`] and the chunk-cursor pool under them stay for what
-//! sits below or beside that scheduler: [`crate::profile_sdc`], which
-//! `harness::plan` calls while it *builds* a matrix (the harness depends on
-//! this crate, not the reverse; the ledger times it as `inject.profile_s`),
-//! and the single-program commands `flowery inject`, `flowery vuln` and
-//! `flowery lint --validate`, which have one campaign and no matrix.
+//! shard layout, or early-stop point**. This module runs single trials
+//! ([`TrialRunner`]) and folds them ([`BatchOutcome`]); the one loop that
+//! schedules them — every campaign, study, sweep, selection profile and
+//! single-program command — is `flowery-harness`'s `run_units`.
 
 use crate::outcome::{classify, Outcome, OutcomeCounts};
 use flowery_backend::{AsmFaultSpec, AsmLayer, AsmProgram, MachResult, Machine};
 use flowery_faultmodel::{any_catches, classify_asm_fault, classify_ir_fault, flip_count, DetectorSpec, ModelSpec};
 use flowery_faultmodel::{ASM_STREAM, IR_STREAM};
 use flowery_ir::interp::substrate::{self, RunResult};
-use flowery_ir::interp::{ExecConfig, ExecResult, FaultSpec, Interpreter, IrLayer, Profile};
+use flowery_ir::interp::{ExecConfig, ExecResult, FaultSpec, Interpreter, IrLayer};
 use flowery_ir::interp::{Scratch, SiteLog, SnapshotSet, Substrate};
 use flowery_ir::module::Module;
 use flowery_ir::value::{FuncId, InstId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Campaign parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CampaignConfig {
-    /// Number of fault injections (the paper uses 3,000 per configuration).
-    pub trials: u64,
-    /// Base RNG seed; trial `i` derives its fault from `(seed, i)`.
-    pub seed: u64,
-    /// Worker threads (0 = use all available cores).
-    pub threads: usize,
-    /// The fault model to sample trials from. Defaults to
-    /// [`ModelSpec::SingleBitReg`], the classic single-bit register flip.
-    #[serde(default)]
-    pub fault_model: ModelSpec,
-    /// Modeled hardware detectors running alongside the software
-    /// protection; a would-be SDC in a class a detector covers is
-    /// reclassified as a detection. Default: none.
-    #[serde(default)]
-    pub detectors: Vec<DetectorSpec>,
-    /// Fast-forward trials from golden-run snapshots instead of
-    /// re-executing the golden prefix (bit-identical results; default on).
-    pub snapshots: bool,
-    /// Collect the golden run's per-instruction execution profile during
-    /// the capture run (IR campaigns only). The profile rides along in
-    /// [`IrCampaign::golden_profile`] without a second golden execution.
-    #[serde(default)]
-    pub golden_profile: bool,
-    /// Execution limits for each run.
-    pub exec: ExecConfig,
-}
-
-impl Default for CampaignConfig {
-    fn default() -> CampaignConfig {
-        CampaignConfig {
-            trials: 3000,
-            seed: 0x0F10_EE41,
-            threads: 0,
-            fault_model: ModelSpec::SingleBitReg,
-            detectors: Vec::new(),
-            snapshots: true,
-            golden_profile: false,
-            exec: ExecConfig::default(),
-        }
-    }
-}
-
-impl CampaignConfig {
-    pub fn with_trials(trials: u64) -> CampaignConfig {
-        CampaignConfig { trials, ..Default::default() }
-    }
-}
-
-/// Resolve a `threads` knob: 0 means all available cores.
-pub fn worker_threads(threads: usize) -> usize {
-    match threads {
-        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        n => n,
-    }
-}
-
-/// Run `work(w)` for each worker `w` in `0..n` on its own thread; return
-/// once every one has exited. Joining, unlike a scope's wait, covers each
-/// thread's teardown, so the caller's next threads reuse its allocator
-/// arena instead of opening fresh ones that strand the old one's memory.
-pub fn run_workers(n: usize, work: impl Fn(usize) + Sync) {
-    std::thread::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> = (0..n).map(|w| scope.spawn(move || work(w))).collect();
-        for h in handles {
-            h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        }
-    });
-}
-
-/// Result of an IR-level campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct IrCampaign {
-    pub counts: OutcomeCounts,
-    /// SDC-causing injections attributed to their static instruction.
-    pub sdc_by_inst: HashMap<(FuncId, InstId), u64>,
-    /// Golden-run dynamic instruction count.
-    pub golden_dyn_insts: u64,
-    /// Golden-run fault-site count.
-    pub golden_sites: u64,
-    /// Golden-prefix instructions skipped across all trials by snapshot
-    /// fast-forward (0 when snapshots are disabled).
-    pub ff_insts: u64,
-    /// Instructions actually executed across all trials.
-    pub exec_insts: u64,
-    /// The golden run's per-instruction execution counts, when
-    /// [`CampaignConfig::golden_profile`] was set.
-    #[serde(default)]
-    pub golden_profile: Option<Profile>,
-}
-
-/// Result of an assembly-level campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AsmCampaign {
-    pub counts: OutcomeCounts,
-    /// Program instruction index of every SDC-causing injection — the
-    /// input to penetration root-cause classification.
-    pub sdc_insts: Vec<u32>,
-    pub golden_dyn_insts: u64,
-    pub golden_sites: u64,
-    pub golden_cycles: u64,
-    /// Golden-prefix instructions skipped across all trials by snapshot
-    /// fast-forward (0 when snapshots are disabled).
-    pub ff_insts: u64,
-    /// Instructions actually executed across all trials.
-    pub exec_insts: u64,
-}
 
 /// The single-bit register fault injected by IR-level trial `trial_index`
 /// — a pure function of `(seed, trial_index)`. Other models go through
@@ -297,14 +179,25 @@ impl<'p> AsmTrialRunner<'p> {
 }
 
 impl<'a, S: InjectLayer> TrialRunner<'a, S> {
+    /// Why no trial can run against `golden`: a run that did not complete
+    /// leaves no outcome to classify against, and one without fault sites
+    /// leaves nothing to draw. `None` when trials can run.
+    pub fn refusal(golden: &S::Golden) -> Option<String> {
+        let head = golden.head();
+        let incomplete = (!head.status.is_completed()).then(|| format!("golden run must complete: {:?}", head.status));
+        incomplete.or_else(|| (head.fault_sites == 0).then(|| format!("program has no {} fault sites", S::NAME)))
+    }
+
     /// Build from an already-computed golden run (e.g. the harness's
     /// golden-run cache). `cfg` supplies the base limits; the dynamic
     /// instruction budget is tightened around the golden run to catch
-    /// fault-induced livelock quickly.
+    /// fault-induced livelock quickly. Panics on a golden
+    /// [`TrialRunner::refusal`] refuses.
     pub fn from_golden(exec: S::Exec<'a>, golden: S::Golden, cfg: &ExecConfig) -> TrialRunner<'a, S> {
+        if let Some(why) = Self::refusal(&golden) {
+            panic!("{why}");
+        }
         let head = golden.head();
-        assert!(head.status.is_completed(), "golden run must complete: {:?}", head.status);
-        assert!(head.fault_sites > 0, "program has no {} fault sites", S::NAME);
         let cfg = ExecConfig {
             max_dyn_insts: head.dyn_insts.saturating_mul(4).max(100_000),
             ..cfg.clone()
@@ -418,8 +311,8 @@ impl<'a, S: InjectLayer> TrialRunner<'a, S> {
 }
 
 /// Everything a run of trials contributes to its unit's tally — one
-/// scheduling batch in the harness, one whole campaign here. The single
-/// fold every entry point shares: trials enter through
+/// scheduling batch in the harness. The single fold every entry point
+/// shares: trials enter through
 /// [`record`](BatchOutcome::record), batches through
 /// [`merge`](BatchOutcome::merge).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -490,88 +383,6 @@ fn region_slot<'a>(list: &'a mut Vec<(String, OutcomeCounts)>, name: &str) -> &'
     &mut list[i].1
 }
 
-/// Run one campaign at layer `S`: the golden result plus the tally of every
-/// trial, folded in trial order (so aggregates are deterministic); `bind`
-/// makes each worker's executor. A single execution under `capture_cfg`
-/// provides the golden result and the snapshot set (and, when that config
-/// profiles, the golden profile): the capture run *is* the golden run, so
-/// enabling snapshots or profiling never adds a second pass.
-fn run_campaign<'a, S: InjectLayer>(
-    bind: impl Fn() -> S::Exec<'a> + Sync,
-    cfg: &CampaignConfig,
-    capture_cfg: &ExecConfig,
-) -> (S::Golden, BatchOutcome)
-where
-    S::Golden: Send + Sync,
-    SnapshotSet<S>: Send + Sync,
-{
-    let (golden, snaps) = if cfg.snapshots {
-        let set = substrate::capture_auto::<S>(&bind(), capture_cfg, 0);
-        (set.golden().clone(), Some(Arc::new(set)))
-    } else {
-        (substrate::run::<S>(&bind(), capture_cfg, None), None)
-    };
-    // Threads claim fixed-size chunks of the trial-index space from a
-    // shared cursor, so a slow chunk on one thread never leaves the others
-    // idle.
-    const CHUNK: u64 = 32;
-    let cursor = AtomicU64::new(0);
-    let chunks = std::sync::Mutex::new(Vec::new());
-    run_workers(worker_threads(cfg.threads), |_| {
-        let mut local = TrialRunner::<S>::from_golden(bind(), golden.clone(), &cfg.exec);
-        if let Some(set) = &snaps {
-            local.attach_snapshots(set.clone());
-        }
-        loop {
-            let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-            if start >= cfg.trials {
-                return;
-            }
-            let mut chunk = BatchOutcome::default();
-            for i in start..(start + CHUNK).min(cfg.trials) {
-                chunk.record(&local.run_trial_model(cfg.seed, i, cfg.fault_model, &cfg.detectors), None);
-            }
-            chunks.lock().unwrap().push((start, chunk));
-        }
-    });
-    let mut chunks = chunks.into_inner().unwrap();
-    chunks.sort_unstable_by_key(|(start, _)| *start);
-    let mut total = BatchOutcome::default();
-    for (_, chunk) in &chunks {
-        total.merge(chunk);
-    }
-    (golden, total)
-}
-
-/// Run an IR-level ("LLVM level") campaign.
-pub fn run_ir_campaign(m: &Module, cfg: &CampaignConfig) -> IrCampaign {
-    let capture_cfg = ExecConfig { profile: cfg.golden_profile, ..cfg.exec.clone() };
-    let (mut golden, total) = run_campaign::<IrLayer>(|| Interpreter::new(m), cfg, &capture_cfg);
-    IrCampaign {
-        counts: total.counts,
-        sdc_by_inst: total.sdc_by_inst,
-        golden_dyn_insts: golden.dyn_insts,
-        golden_sites: golden.fault_sites,
-        ff_insts: total.ff_insts,
-        exec_insts: total.exec_insts,
-        golden_profile: golden.profile.take(),
-    }
-}
-
-/// Run an assembly-level campaign on a compiled program.
-pub fn run_asm_campaign(m: &Module, program: &AsmProgram, cfg: &CampaignConfig) -> AsmCampaign {
-    let (golden, total) = run_campaign::<AsmLayer>(|| Machine::new(m, program), cfg, &cfg.exec);
-    AsmCampaign {
-        counts: total.counts,
-        sdc_insts: total.sdc_insts,
-        golden_dyn_insts: golden.dyn_insts,
-        golden_sites: golden.fault_sites,
-        golden_cycles: golden.cycles,
-        ff_insts: total.ff_insts,
-        exec_insts: total.exec_insts,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -640,30 +451,17 @@ mod tests {
         assert!(plain.region_counts.is_empty());
     }
 
-    #[test]
-    fn ir_campaign_is_deterministic_across_thread_counts() {
-        let m = module();
-        let mut c1 = CampaignConfig::with_trials(200);
-        c1.threads = 1;
-        let mut c4 = CampaignConfig::with_trials(200);
-        c4.threads = 4;
-        let r1 = run_ir_campaign(&m, &c1);
-        let r4 = run_ir_campaign(&m, &c4);
-        // Trials are seeded by index, not by shard: any thread count gives
-        // exactly the same campaign.
-        assert_eq!(r1.counts, r4.counts);
-        assert_eq!(r1.sdc_by_inst, r4.sdc_by_inst);
-        assert_eq!(r1.golden_sites, r4.golden_sites);
-
-        let prog = flowery_backend::compile_module(&m, &flowery_backend::BackendConfig::default());
-        let a1 = run_asm_campaign(&m, &prog, &c1);
-        let a4 = run_asm_campaign(&m, &prog, &c4);
-        assert_eq!(a1.counts, a4.counts);
-        assert_eq!(a1.sdc_insts, a4.sdc_insts);
+    /// Trials `0..n` on one runner, folded in trial order.
+    fn fold<S: InjectLayer>(runner: &mut TrialRunner<'_, S>, n: u64) -> BatchOutcome {
+        let mut total = BatchOutcome::default();
+        for i in 0..n {
+            total.record(&runner.run_trial(0x0F10_EE41, i), None);
+        }
+        total
     }
 
     #[test]
-    fn snapshot_campaigns_match_scratch_campaigns() {
+    fn snapshot_trials_match_scratch_trials() {
         // Long enough that the auto-tuned cadence (>= 512 insts) captures
         // snapshots; the short `module()` program finishes before the first.
         let m = flowery_lang::compile(
@@ -671,14 +469,11 @@ mod tests {
             "int main() { int s = 0; int i; for (i = 0; i < 1500; i = i + 1) { s = s + i * i; } output(s); return s % 251; }",
         )
         .unwrap();
-        let mut on = CampaignConfig::with_trials(200);
-        on.threads = 2;
-        let mut off = on.clone();
-        off.snapshots = false;
-        let r_on = run_ir_campaign(&m, &on);
-        let r_off = run_ir_campaign(&m, &off);
-        assert_eq!(r_on.counts, r_off.counts);
-        assert_eq!(r_on.sdc_by_inst, r_off.sdc_by_inst);
+        let exec = ExecConfig::default();
+        let mut on = IrTrialRunner::new(&m, &exec);
+        on.enable_snapshots();
+        let (r_on, r_off) = (fold(&mut on, 200), fold(&mut IrTrialRunner::new(&m, &exec), 200));
+        assert_eq!((r_on.counts, &r_on.sdc_by_inst), (r_off.counts, &r_off.sdc_by_inst));
         // Fast-forward must actually skip work, and the totals must agree:
         // a trial's skipped + executed instructions is independent of path.
         assert!(r_on.ff_insts > 0, "expected fast-forwarded instructions");
@@ -686,18 +481,18 @@ mod tests {
         assert_eq!(r_on.ff_insts + r_on.exec_insts, r_off.exec_insts);
 
         let prog = flowery_backend::compile_module(&m, &flowery_backend::BackendConfig::default());
-        let a_on = run_asm_campaign(&m, &prog, &on);
-        let a_off = run_asm_campaign(&m, &prog, &off);
-        assert_eq!(a_on.counts, a_off.counts);
-        assert_eq!(a_on.sdc_insts, a_off.sdc_insts);
+        let mut on = AsmTrialRunner::new(&m, &prog, &exec);
+        on.enable_snapshots();
+        let (a_on, a_off) = (fold(&mut on, 200), fold(&mut AsmTrialRunner::new(&m, &prog, &exec), 200));
+        assert_eq!((a_on.counts, &a_on.sdc_insts), (a_off.counts, &a_off.sdc_insts));
         assert!(a_on.ff_insts > 0);
         assert_eq!(a_on.ff_insts + a_on.exec_insts, a_off.exec_insts);
     }
 
     #[test]
-    fn ir_campaign_produces_all_outcome_kinds() {
+    fn ir_trials_produce_all_outcome_kinds() {
         let m = module();
-        let r = run_ir_campaign(&m, &CampaignConfig::with_trials(400));
+        let r = fold(&mut IrTrialRunner::new(&m, &ExecConfig::default()), 400);
         assert_eq!(r.counts.total(), 400);
         assert!(r.counts.sdc > 0, "unprotected program must show SDCs: {:?}", r.counts);
         assert!(r.counts.benign > 0);
@@ -706,14 +501,15 @@ mod tests {
     }
 
     #[test]
-    fn asm_campaign_runs_and_records_sdc_sites() {
+    fn asm_trials_record_sdc_sites() {
         let m = module();
         let prog = flowery_backend::compile_module(&m, &flowery_backend::BackendConfig::default());
-        let r = run_asm_campaign(&m, &prog, &CampaignConfig::with_trials(400));
+        let mut runner = AsmTrialRunner::new(&m, &prog, &ExecConfig::default());
+        assert!(runner.golden().cycles > 0);
+        let r = fold(&mut runner, 400);
         assert_eq!(r.counts.total(), 400);
         assert!(r.counts.sdc > 0);
         assert_eq!(r.sdc_insts.len() as u64, r.counts.sdc);
-        assert!(r.golden_cycles > 0);
         for &idx in &r.sdc_insts {
             assert!((idx as usize) < prog.insts.len());
         }
@@ -724,8 +520,23 @@ mod tests {
         let mut m = module();
         let plan = flowery_passes::ProtectionPlan::full(&m);
         flowery_passes::duplicate_module(&mut m, &plan, &flowery_passes::DupConfig::default());
-        let r = run_ir_campaign(&m, &CampaignConfig::with_trials(400));
+        let r = fold(&mut IrTrialRunner::new(&m, &ExecConfig::default()), 400);
         assert!(r.counts.detected > 0, "{:?}", r.counts);
         assert_eq!(r.counts.sdc, 0, "full IR protection leaves no SDC: {:?}", r.counts);
+    }
+
+    #[test]
+    fn goldens_without_an_outcome_or_a_site_are_refused() {
+        let exec = ExecConfig::default();
+        let run = |src: &str, cfg: &ExecConfig| {
+            let m = flowery_lang::compile("t", src).unwrap();
+            IrTrialRunner::refusal(&Interpreter::new(&m).run(cfg, None))
+        };
+        assert_eq!(run(SRC, &exec), None);
+        let why = run("int main() { return 0; }", &exec).unwrap();
+        assert_eq!(why, "program has no ir fault sites");
+        let short = ExecConfig { max_dyn_insts: 50, ..exec };
+        let why = run(SRC, &short).unwrap();
+        assert!(why.starts_with("golden run must complete: Trapped("), "{why}");
     }
 }

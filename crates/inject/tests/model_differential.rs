@@ -4,16 +4,21 @@
 //! (and legacy double-bit) campaigns **bit-identical** to the pre-refactor
 //! hard-wired injector. The constants below were captured by running the
 //! pre-refactor code on two fixed programs with a fixed seed; the suite
-//! replays the same campaigns through the trait path, with snapshots both
-//! on and off, and demands the exact same aggregate outcome counts and
+//! replays the same campaigns through the trait path — a serial fold of
+//! `TrialRunner` trials — with snapshots both on and off, and demands the
+//! exact same aggregate outcome counts and
 //! golden-run statistics (status/output equality is what the outcome
 //! classifier aggregates, and cycles/site counts pin the execution path).
 
 use flowery_faultmodel::{ModelSpec, REGISTERED_MODELS};
-use flowery_inject::campaign::{run_asm_campaign, run_ir_campaign, AsmTrialRunner, CampaignConfig, IrTrialRunner};
+use flowery_inject::campaign::{AsmTrialRunner, IrTrialRunner};
 use flowery_inject::{asm_fault_spec, ir_fault_spec, OutcomeCounts};
 use flowery_ir::interp::ExecConfig;
 use proptest::prelude::*;
+
+#[path = "../../../tests/common/serial_fold.rs"]
+mod serial_fold;
+use serial_fold::serial_fold;
 
 const SEED: u64 = 0xDEAD_0FA1;
 const TRIALS: u64 = 300;
@@ -29,17 +34,6 @@ const PROG_B: &str =
 
 fn counts(benign: u64, sdc: u64, detected: u64, due: u64) -> OutcomeCounts {
     OutcomeCounts { benign, sdc, detected, due }
-}
-
-fn config(fault_model: ModelSpec, snapshots: bool) -> CampaignConfig {
-    CampaignConfig {
-        trials: TRIALS,
-        seed: SEED,
-        threads: 2,
-        fault_model,
-        snapshots,
-        ..Default::default()
-    }
 }
 
 struct Pin {
@@ -93,15 +87,24 @@ fn default_models_are_bit_identical_to_pre_refactor_injector() {
     for pin in pins() {
         let m = flowery_lang::compile("pin", pin.src).unwrap();
         let prog = flowery_backend::compile_module(&m, &flowery_backend::BackendConfig::default());
+        let exec = ExecConfig::default();
         for snapshots in [true, false] {
-            let cfg = config(pin.model, snapshots);
-            let ir = run_ir_campaign(&m, &cfg);
+            let mut runner = IrTrialRunner::new(&m, &exec);
+            if snapshots {
+                runner.enable_snapshots();
+            }
+            let ir = serial_fold(&mut runner, SEED, TRIALS, pin.model);
             assert_eq!(ir.counts, pin.ir, "IR counts diverged (model={}, snapshots={snapshots})", pin.model);
-            assert_eq!((ir.golden_dyn_insts, ir.golden_sites), pin.ir_golden);
-            let asm = run_asm_campaign(&m, &prog, &cfg);
+            assert_eq!((runner.golden().dyn_insts, runner.sites()), pin.ir_golden);
+            let mut runner = AsmTrialRunner::new(&m, &prog, &exec);
+            if snapshots {
+                runner.enable_snapshots();
+            }
+            let asm = serial_fold(&mut runner, SEED, TRIALS, pin.model);
             assert_eq!(asm.counts, pin.asm, "asm counts diverged (model={}, snapshots={snapshots})", pin.model);
             assert_eq!(asm.sdc_insts.len() as u64, asm.counts.sdc);
-            assert_eq!((asm.golden_dyn_insts, asm.golden_sites, asm.golden_cycles), pin.asm_golden);
+            let g = runner.golden();
+            assert_eq!((g.dyn_insts, g.fault_sites, g.cycles), pin.asm_golden);
         }
     }
 }

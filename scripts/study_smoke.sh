@@ -7,7 +7,11 @@
 # writes for the same arguments, (c) `--resume` on the sealed checkpoint
 # reprints the figures without executing an instruction or a golden run, and
 # (d) a study interrupted with SIGINT prints the resume hint and no figures,
-# exits non-zero, and resumes to the same figures as an uninterrupted run.
+# exits non-zero, and resumes to the same figures as an uninterrupted run,
+# and (e) the selection profile partial levels select by is sealed in the
+# checkpoint: one `Profile` line per program, counted in `--metrics-json`,
+# none at `--levels 1.0`, and none for a program whose profile a SIGINT
+# cut short — that study resumes to the uninterrupted figures too.
 set -euo pipefail
 
 BIN=${FLOWERY_BIN:-target/release/flowery}
@@ -76,5 +80,57 @@ fi
 echo "study-smoke: resume"
 "$BIN" study "${LONG[@]}" --checkpoint "$DIR/int.jsonl" --resume >"$DIR/resumed.out" 2>"$DIR/resumed.log"
 cmp "$DIR/ref.out" "$DIR/resumed.out" || { echo "resumed figures differ from the reference"; exit 1; }
+
+echo "study-smoke: (e) one Profile line per program, its trials counted"
+"$BIN" study "${ARGS[@]}" --checkpoint "$DIR/p.jsonl" --metrics-json "$DIR/p-metrics.json" >/dev/null 2>&1
+cmp "$DIR/a.jsonl" "$DIR/p.jsonl" || { echo "two cold studies sealed different checkpoints"; exit 1; }
+python3 - "$DIR/p.jsonl" "$DIR/p-metrics.json" <<'PY'
+import json, sys
+records = [json.loads(line) for line in open(sys.argv[1])]
+profiles = [r["Profile"] for r in records if "Profile" in r]
+assert sorted(p["program"] for p in profiles) == ["crc32", "is"], "want one Profile line per program"
+batches = sum(sum(r["Batch"]["counts"].values()) for r in records if "Batch" in r)
+want = batches + sum(p["trials"] for p in profiles)
+got = json.load(open(sys.argv[2]))["trials"]
+assert got == want, f"--metrics-json trials {got}, want {want} (campaign + profile)"
+PY
+"$BIN" campaign crc32 is --tiny --trials 200 --levels 1.0 --checkpoint "$DIR/full.jsonl" >/dev/null 2>&1
+! grep -q '^{"Profile"' "$DIR/full.jsonl" || { echo "a --levels 1.0 campaign wrote a Profile line"; exit 1; }
+
+# A long selection profile (100,000 trials per program) before a short
+# campaign (the CI target stops its units early), so that the SIGINT lands
+# in the profile pass.
+PROF=(crc32 is --tiny --trials 300000 --ci-target 0.05 --levels 0.5,1.0)
+
+echo "study-smoke: (e) profile reference"
+"$BIN" study "${PROF[@]}" --checkpoint "$DIR/pref.jsonl" >"$DIR/pref.out" 2>/dev/null
+
+echo "study-smoke: (e) interrupted in the selection profile"
+"$BIN" study "${PROF[@]}" --checkpoint "$DIR/pint.jsonl" >"$DIR/pint.out" 2>"$DIR/pint.log" &
+RUN=$!
+for _ in $(seq 600); do
+    grep -q ', profiling' "$DIR/pint.log" 2>/dev/null && break
+    sleep 0.02
+done
+kill -INT "$RUN" 2>/dev/null || true
+if wait "$RUN"; then
+    echo "study-smoke: the run finished before the SIGINT"
+else
+    grep -q 'resume with: flowery study' "$DIR/pint.log" \
+        || { echo "interrupted study printed no resume hint"; cat "$DIR/pint.log"; exit 1; }
+    grep -q 'partial report' "$DIR/pint.log" \
+        || { echo "interrupted study did not refuse the partial report"; cat "$DIR/pint.log"; exit 1; }
+    [ ! -s "$DIR/pint.out" ] || { echo "interrupted study printed figures"; exit 1; }
+fi
+# Only finished profiles are recorded: every Profile line left is the
+# reference's, byte for byte.
+{ grep '^{"Profile"' "$DIR/pint.jsonl" || true; } | while read -r line; do
+    grep -qxF "$line" "$DIR/pref.jsonl" || { echo "an unfinished profile was recorded"; exit 1; }
+done
+
+echo "study-smoke: (e) resume"
+"$BIN" study "${PROF[@]}" --checkpoint "$DIR/pint.jsonl" --resume >"$DIR/presumed.out" 2>/dev/null
+cmp "$DIR/pref.out" "$DIR/presumed.out" || { echo "resumed figures differ from the reference"; exit 1; }
+cmp "$DIR/pref.jsonl" "$DIR/pint.jsonl" || { echo "resumed checkpoint differs from the reference"; exit 1; }
 
 echo "study-smoke: all gates passed"

@@ -5,8 +5,9 @@
 use flowery::analysis::render_breakdown;
 use flowery::backend::{compile_module, harden_program, BackendConfig, HardenConfig, Machine};
 use flowery::core::{run_lint, PassConfig};
-use flowery::harness::{CampaignReport, HarnessConfig, MatrixSpec, TrialUnit};
-use flowery::inject::{run_asm_campaign, run_ir_campaign, CampaignConfig, Coverage};
+use flowery::harness::{run_plain, UnitKey, Variant};
+use flowery::harness::{CampaignReport, GoldenCache, HarnessConfig, Layer, MatrixSpec, RunOptions, TrialUnit};
+use flowery::inject::Coverage;
 use flowery::ir::interp::{decode_output, ExecConfig, Interpreter, IrLayer};
 use flowery::ir::Module;
 use flowery::workloads::{workload, Scale, NAMES};
@@ -285,6 +286,14 @@ impl<'a> Args<'a> {
         self.str(name).map_or(Ok(default), parse)
     }
 
+    /// `--trials`, which must schedule at least one trial.
+    fn trials(&self, default: u64) -> Result<u64, String> {
+        match self.u64("--trials", default)? {
+            0 => Err("bad --trials '0' (want at least 1)".into()),
+            n => Ok(n),
+        }
+    }
+
     /// The subcommand's `--trials` and `--levels` defaults: every command
     /// but `explore` runs the paper's 3,000 trials, the campaign commands at
     /// full protection and `study` at the paper's four levels; `explore`
@@ -355,33 +364,36 @@ fn cmd_run(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_inject(rest: &[String]) -> Result<(), String> {
+    use std::sync::Arc;
     let args = Args::parse("inject", INJECT, rest)?;
-    let trials = args.u64("--trials", 1000)?;
-    let raw = load(args.input()?)?;
-    let mut m = raw.clone();
+    let trials = args.trials(1000)?;
+    let name = args.input()?;
+    let raw = Arc::new(load(name)?);
+    let mut m = (*raw).clone();
     protect(&mut m, args.flag("--id"), args.flag("--flowery"));
+    let m = Arc::new(m);
 
-    let camp = CampaignConfig::with_trials(trials);
-    let raw_ir = run_ir_campaign(&raw, &camp);
-    let ir = run_ir_campaign(&m, &camp);
-    println!("IR level   ({trials} campaigns):");
-    println!("  raw:       {:?}", raw_ir.counts);
-    println!("  protected: {:?}", ir.counts);
-    println!("  coverage:  {:.2}%", Coverage::compute(&raw_ir.counts, &ir.counts).percent());
-
-    let raw_prog = compile_module(&raw, &BackendConfig::default());
     let mut prog = compile_module(&m, &BackendConfig::default());
     if args.flag("--harden") {
         prog = harden_program(&prog, &HardenConfig::default()).0;
     }
-    let raw_asm = run_asm_campaign(&raw, &raw_prog, &camp);
-    let asm = run_asm_campaign(&m, &prog, &camp);
-    println!("assembly   ({trials} campaigns):");
-    println!("  raw:       {:?}", raw_asm.counts);
-    println!("  protected: {:?}", asm.counts);
-    println!("  coverage:  {:.2}%", Coverage::compute(&raw_asm.counts, &asm.counts).percent());
+    let (prog, raw_prog) = (Arc::new(prog), Arc::new(compile_module(&raw, &BackendConfig::default())));
+    let variant = if args.flag("--flowery") { Variant::Flowery } else { Variant::Id };
+    let units = [
+        TrialUnit::ir(UnitKey::new(name, Variant::Raw, 0.0, Layer::Ir), raw.clone()),
+        TrialUnit::ir(UnitKey::new(name, variant, 1.0, Layer::Ir), m.clone()),
+        TrialUnit::asm(UnitKey::new(name, Variant::Raw, 0.0, Layer::Asm), raw, raw_prog),
+        TrialUnit::asm(UnitKey::new(name, variant, 1.0, Layer::Asm), m.clone(), prog.clone()),
+    ];
+    let r = run_plain(&units, trials)?;
+    for (layer, raw, protected) in [("IR level", &r[0], &r[1]), ("assembly", &r[2], &r[3])] {
+        println!("{layer}   ({trials} campaigns):");
+        println!("  raw:       {:?}", raw.counts);
+        println!("  protected: {:?}", protected.counts);
+        println!("  coverage:  {:.2}%", Coverage::compute(&raw.counts, &protected.counts).percent());
+    }
     if args.flag("--id") || args.flag("--flowery") {
-        let breakdown = flowery::analysis::classify_campaign(&m, &prog, &asm.sdc_insts);
+        let breakdown = flowery::analysis::classify_campaign(&m, &prog, &r[3].sdc_insts);
         println!("root causes of assembly-level SDCs:");
         print!("{}", render_breakdown(&breakdown));
     }
@@ -394,7 +406,7 @@ fn cmd_inject(rest: &[String]) -> Result<(), String> {
 fn cmd_study(rest: &[String]) -> Result<(), String> {
     use flowery::core::figures as fig;
     let args = Args::parse("study", CAMPAIGN, rest)?;
-    let (spec, units, report) = run_campaign(&args)?;
+    let (spec, units, report) = run_plan(&args)?;
     let study = flowery::core::study(&units, &report.units, &spec.backend)?;
     if args.flag("--json") {
         println!("{}", flowery::serde_json::to_string_pretty(&study).map_err(|e| format!("{e:?}"))?);
@@ -425,7 +437,7 @@ fn parse_bytes(v: &str) -> Option<u64> {
 
 /// The trial schedule `campaign`, `study` and `diff` share.
 fn parse_harness(args: &Args<'_>) -> Result<HarnessConfig, String> {
-    let trials = args.u64("--trials", args.defaults().0)?;
+    let trials = args.trials(args.defaults().0)?;
     let mut cfg = HarnessConfig {
         max_trials: trials,
         batch_size: args.u64("--batch", 250)?.clamp(1, trials.max(1)),
@@ -550,12 +562,12 @@ fn write_metrics(args: &Args<'_>, metrics: &flowery::harness::MetricsSnapshot) -
     std::fs::write(p, json + "\n").map_err(|e| format!("cannot write {p}: {e}"))
 }
 
-/// One campaign, start to finish, for `campaign` and `study`: open
-/// the checkpoint, build the matrix, run it, seal the checkpoint and write
-/// `--metrics-json`.
-fn run_campaign(args: &Args<'_>) -> Result<(MatrixSpec, Vec<TrialUnit>, CampaignReport), String> {
-    use flowery::harness::{build_matrix, open, region_records, run_units, seal, shutdown, status_printer};
-    use flowery::harness::{refused_note, GoldenCache, RunOptions, SnapshotStore};
+/// One campaign, start to finish, for `campaign` and `study`: open the
+/// checkpoint, run the selection profile pass and build the matrix, run it,
+/// seal the checkpoint and write `--metrics-json`.
+fn run_plan(args: &Args<'_>) -> Result<(MatrixSpec, Vec<TrialUnit>, CampaignReport), String> {
+    use flowery::harness::{open, plan_matrix, refused_note, region_records, run_units_after, seal, shutdown};
+    use flowery::harness::{status_printer, SnapshotStore};
     use std::path::Path;
 
     let cfg = parse_harness(args)?;
@@ -564,25 +576,18 @@ fn run_campaign(args: &Args<'_>) -> Result<(MatrixSpec, Vec<TrialUnit>, Campaign
     // Open the checkpoint (see `harness::checkpoint::open`).
     let ckpt_path = args.str("--checkpoint").map(Path::new);
     let resume = args.flag("--resume");
-    let (log, preloaded) = match ckpt_path {
+    let (log, preloaded, stored) = match ckpt_path {
         None if resume => return Err("--resume needs --checkpoint FILE".into()),
-        None => (None, Vec::new()),
+        None => (None, Vec::new(), Vec::new()),
         Some(p) => {
-            let (log, batches) = open(p, &cfg.header(), resume)?;
+            let (log, batches, profiles) = open(p, &cfg.header(), resume)?;
             if resume {
                 let refused = refused_note(&cfg.header(), &batches);
                 eprintln!("[harness] resuming: {} batches from {}{refused}", batches.len(), p.display());
             }
-            (Some(log), batches)
+            (Some(log), batches, profiles)
         }
     };
-
-    eprintln!(
-        "[harness] building matrix ({} benches)",
-        if spec.benches.is_empty() { NAMES.len() } else { spec.benches.len() }
-    );
-    let units = build_matrix(&spec);
-    eprintln!("[harness] {} units x <= {} trials", units.len(), cfg.max_trials);
 
     // First Ctrl-C drains: in-flight batches finish and are checkpointed,
     // then the run stops. A second Ctrl-C kills the process outright.
@@ -595,17 +600,34 @@ fn run_campaign(args: &Args<'_>) -> Result<(MatrixSpec, Vec<TrialUnit>, Campaign
         Some(p) if cfg.snapshots => GoldenCache::with_store(SnapshotStore::for_checkpoint(p)),
         _ => GoldenCache::new(),
     };
-    let report = run_units(
-        &units,
-        &cfg,
-        &cache,
-        RunOptions {
+
+    // The selection profiles partial levels select by come from the
+    // checkpoint's profile records or run on this campaign's cache, and are
+    // appended to its log before any campaign trial starts.
+    eprintln!(
+        "[harness] building matrix ({} benches){}",
+        if spec.benches.is_empty() { NAMES.len() } else { spec.benches.len() },
+        if spec.needs_profile() { ", profiling" } else { "" }
+    );
+    let opts = RunOptions {
+        checkpoint: log.as_ref(),
+        progress: Some(&progress),
+        ..Default::default()
+    };
+    let (units, pass) = plan_matrix(&spec, &cfg, &cache, &stored, opts);
+    // A selection profile cut short leaves no matrix: its report is the run's.
+    let report = if pass.error.is_some() || !pass.pending.is_empty() {
+        pass
+    } else {
+        eprintln!("[harness] {} units x <= {} trials", units.len(), cfg.max_trials);
+        let opts = RunOptions {
             checkpoint: log.as_ref(),
             preloaded,
             progress: Some(&progress),
             replay_only: false,
-        },
-    );
+        };
+        run_units_after(&pass.metrics, &units, &cfg, &cache, opts)
+    };
     if let Some(e) = report.error {
         return Err(e);
     }
@@ -629,12 +651,16 @@ fn run_campaign(args: &Args<'_>) -> Result<(MatrixSpec, Vec<TrialUnit>, Campaign
             None => eprintln!("[harness] progress was NOT saved (no --checkpoint)"),
         }
     }
+    if units.is_empty() {
+        let n = report.pending.len();
+        return Err(format!("partial report: the selection profile of {n} program(s) did not finish"));
+    }
     Ok((spec, units, report))
 }
 
 fn cmd_campaign(rest: &[String]) -> Result<(), String> {
     let args = Args::parse("campaign", CAMPAIGN, rest)?;
-    let (_, _, report) = run_campaign(&args)?;
+    let (_, _, report) = run_plan(&args)?;
     print_campaign_report(&args, &report)
 }
 
@@ -710,7 +736,7 @@ fn cmd_diff(rest: &[String]) -> Result<(), String> {
     match args.str("--out") {
         Some(_) if report.interrupted => eprintln!("[diff] interrupted: no composed checkpoint written"),
         Some(p) => {
-            write_canonical_full(Path::new(p), &cfg.header(), &[], &report.records())?;
+            write_canonical_full(Path::new(p), &cfg.header(), &[], &[], &report.records())?;
             eprintln!("[diff] wrote composed checkpoint to {p}");
         }
         None => {}
@@ -774,7 +800,7 @@ fn cmd_explore(rest: &[String]) -> Result<(), String> {
 
     let args = Args::parse("explore", EXPLORE, rest)?;
     let mut cfg = HarnessConfig {
-        max_trials: args.u64("--trials", args.defaults().0)?,
+        max_trials: args.trials(args.defaults().0)?,
         seed: args.u64("--seed", 0x0F10_EE41)?,
         threads: args.u64("--threads", 0)? as usize,
         snapshots: !args.flag("--no-snapshots"),
@@ -855,10 +881,12 @@ fn cmd_explore(rest: &[String]) -> Result<(), String> {
 
 fn cmd_vuln(rest: &[String]) -> Result<(), String> {
     let args = Args::parse("vuln", VULN, rest)?;
-    let trials = args.u64("--trials", 2000)?;
+    let trials = args.trials(2000)?;
     let top = args.u64("--top", 15)? as usize;
-    let m = load(args.input()?)?;
-    let camp = run_ir_campaign(&m, &CampaignConfig::with_trials(trials));
+    let name = args.input()?;
+    let m = std::sync::Arc::new(load(name)?);
+    let unit = TrialUnit::ir(UnitKey::new(name, Variant::Raw, 0.0, Layer::Ir), m.clone());
+    let camp = run_plain(&[unit], trials)?.remove(0);
     // One fault-free pass: the execution profile, and the golden site
     // stream by region for `--by-region`.
     let profiled = ExecConfig { profile: true, ..ExecConfig::default() };
@@ -869,9 +897,9 @@ fn cmd_vuln(rest: &[String]) -> Result<(), String> {
         let prog = compile_module(&m, &bcfg);
         let report = flowery::analysis::predict_program(&m, &prog, bcfg.fold_compares);
         let prior = flowery::analysis::static_prior(&prog, &report);
-        flowery::analysis::vulnerability_ranking_with_prior(&m, &camp, &prof, &prior, top)
+        flowery::analysis::vulnerability_ranking_with_prior(&m, &camp.sdc_by_inst, &prof, &prior, top)
     } else {
-        flowery::analysis::vulnerability_ranking(&m, &camp, &prof, top)
+        flowery::analysis::vulnerability_ranking(&m, &camp.sdc_by_inst, &prof, top)
     };
     println!(
         "{} SDCs across {} trials; top {} instructions by SDC contribution:",
@@ -931,9 +959,9 @@ fn cmd_lint(rest: &[String]) -> Result<(), String> {
     if !(0.0..=1.0).contains(&level) {
         return Err(format!("--level {level} out of range (0..=1)"));
     }
-    let validate = args.flag("--validate").then(|| args.u64("--trials", 2000)).transpose()?;
+    let validate = args.flag("--validate").then(|| args.trials(2000)).transpose()?;
     let m = load(spec)?;
-    let outcome = run_lint(spec, &m, pass, level, validate);
+    let outcome = run_lint(spec, &m, pass, level, validate)?;
     if args.str("--format") == Some("json") {
         println!("{}", flowery::serde_json::to_string_pretty(&outcome).map_err(|e| format!("{e:?}"))?);
         return Ok(());

@@ -15,9 +15,9 @@
 //!   three Flowery patches,
 //! - [`faultmodel`] — pluggable fault models (single/multi-bit, flags,
 //!   memory, control-flow) and modeled hardware detectors,
-//! - [`inject`] — parallel fault-injection campaigns and coverage stats,
-//! - [`harness`] — the resumable work-stealing campaign engine: batched
-//!   trials, golden-run caching, adaptive trial counts (Wilson CI early
+//! - [`inject`] — fault-injection trial primitives and coverage stats,
+//! - [`harness`] — the resumable work-stealing campaign engine (the one
+//!   trial loop): batched trials, selection profiles, golden-run caching, adaptive trial counts (Wilson CI early
 //!   stop), JSONL checkpoints, and live metrics (a multi-host campaign
 //!   is shards of the same command, merged with `cat` + `--resume`),
 //! - [`workloads`] — the Table 1 benchmarks,
@@ -32,10 +32,16 @@ pub use flowery_backend as backend;
 pub use flowery_core as core;
 pub use flowery_faultmodel as faultmodel;
 pub use flowery_harness as harness;
-pub use flowery_inject as inject;
 pub use flowery_ir as ir;
 pub use flowery_lang as lang;
 pub use flowery_passes as passes;
 pub use flowery_regions as regions;
 pub use flowery_workloads as workloads;
 pub use serde_json;
+
+/// [`flowery_inject`], plus the in-memory selection profile under the name
+/// `benchmark/src/trace.rs` imports it by (kept until ROADMAP item 1).
+pub mod inject {
+    pub use flowery_harness::{profile_sdc, CampaignConfig};
+    pub use flowery_inject::*;
+}

@@ -132,3 +132,55 @@ fn the_usage_header_names_every_dispatched_subcommand() {
     assert!(dispatched.len() >= 12, "dispatch arms not found: {dispatched:?}");
     assert_eq!(listed, dispatched, "`{header}` must list exactly what `main` dispatches");
 }
+
+/// `refused`, and the refusal is an error exit, not a panic's.
+fn refused_cleanly(args: &[&str], needles: &[&str]) {
+    refused(args, needles);
+    assert_eq!(flowery(args).status.code(), Some(1), "`flowery {}` must exit 1", args.join(" "));
+}
+
+/// Write `src` to a fresh `<stem>.mc` and return its path.
+fn program(stem: &str, src: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("flowery-cli-{stem}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{stem}.mc"));
+    std::fs::write(&path, src).unwrap();
+    path
+}
+
+#[test]
+fn a_program_without_ir_fault_sites_is_refused_by_name() {
+    let path = program("quiet", "int main() { return 0; }\n");
+    let p = path.to_str().unwrap();
+    let why = "program has no ir fault sites";
+    // Whichever of its IR units a worker reaches first is named.
+    refused_cleanly(&["campaign", "--src", p, "--tiny", "--trials", "20"], &["quiet/", why]);
+    // The study's selection profile is where it meets the program first.
+    refused_cleanly(&["study", "--src", p, "--tiny", "--trials", "20"], &["quiet/Raw@0/Ir: ", why]);
+    refused_cleanly(&["vuln", p, "--trials", "20"], &[why]);
+    refused_cleanly(&["inject", p, "--trials", "20"], &[why]);
+    std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+}
+
+#[test]
+fn a_golden_run_that_does_not_complete_is_refused_by_name() {
+    // A trap stands in for a loop that never ends: both leave no golden
+    // outcome (`engine_integration` holds the loop at a small budget).
+    let path = program("trap", "int main() { int z = 0; output(5 / z); return 0; }\n");
+    let p = path.to_str().unwrap();
+    let why = "golden run must complete: Trapped(";
+    refused_cleanly(&["campaign", "--src", p, "--tiny", "--trials", "20", "--levels", "1.0"], &["trap/", why]);
+    refused_cleanly(&["vuln", p, "--trials", "20"], &[why]);
+    std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+}
+
+#[test]
+fn an_empty_schedule_is_refused_by_name() {
+    let why = "bad --trials '0' (want at least 1)";
+    refused_cleanly(&["campaign", "crc32", "--tiny", "--trials", "0"], &[why]);
+    refused_cleanly(&["study", "crc32", "--tiny", "--trials", "0"], &[why]);
+    refused_cleanly(&["explore", "crc32", "--tiny", "--trials", "0"], &[why]);
+    refused_cleanly(&["vuln", "crc32", "--trials", "0"], &[why]);
+    refused_cleanly(&["inject", "crc32", "--trials", "0"], &[why]);
+    refused_cleanly(&["lint", "crc32", "--validate", "--trials", "0"], &[why]);
+}

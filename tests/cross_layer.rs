@@ -139,9 +139,9 @@ fn detected_rate_rises_with_protection() {
 // ------------------------------------------------------------------ pins
 //
 // Recorded on the tree where the study had its own matrix builder
-// (`core::pipeline::prepare`) and the extension studies ran sequential
-// `run_asm_campaign`s: `Scale::Tiny`, seed `0x51C2_3001`, 200 trials, a
-// 150-trial profile. Counts are `[benign, sdc, detected, due]`.
+// (`core::pipeline::prepare`) and the extension studies ran one sequential
+// assembly-level campaign per unit: `Scale::Tiny`, seed `0x51C2_3001`, 200
+// trials, a 150-trial profile. Counts are `[benign, sdc, detected, due]`.
 
 const STUDY_PIN: &str = "\
 is static 117 raw ir [16, 104, 0, 80] asm [62, 63, 0, 75] dyn 3168 8007

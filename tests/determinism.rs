@@ -2,35 +2,43 @@
 //! study results must round-trip through JSON.
 
 use flowery_backend::{compile_module, BackendConfig};
-use flowery_inject::{run_asm_campaign, run_ir_campaign, CampaignConfig};
+use flowery_harness::Variant;
+use flowery_harness::{run_units, GoldenCache, HarnessConfig, Layer, RunOptions, TrialUnit, UnitKey, UnitResult};
 use flowery_workloads::{workload, Scale};
+use std::sync::Arc;
+
+/// One campaign of `trials` trials from `seed` over tiny `is`, at the IR
+/// layer and at the assembly layer.
+fn campaign(seed: u64, trials: u64) -> Vec<UnitResult> {
+    let m = Arc::new(workload("is", Scale::Tiny).compile());
+    let prog = Arc::new(compile_module(&m, &BackendConfig::default()));
+    let units = [
+        TrialUnit::ir(UnitKey::new("is", Variant::Raw, 0.0, Layer::Ir), m.clone()),
+        TrialUnit::asm(UnitKey::new("is", Variant::Raw, 0.0, Layer::Asm), m, prog),
+    ];
+    let cfg = HarnessConfig {
+        max_trials: trials,
+        seed,
+        threads: 2,
+        ..HarnessConfig::default()
+    };
+    run_units(&units, &cfg, &GoldenCache::new(), RunOptions::default())
+        .complete()
+        .unwrap()
+}
 
 #[test]
 fn campaigns_reproduce_with_same_seed() {
-    let m = workload("is", Scale::Tiny).compile();
-    let mut cfg = CampaignConfig::with_trials(300);
-    cfg.threads = 2;
-    let a = run_ir_campaign(&m, &cfg);
-    let b = run_ir_campaign(&m, &cfg);
-    assert_eq!(a.counts, b.counts);
-    assert_eq!(a.sdc_by_inst, b.sdc_by_inst);
-
-    let prog = compile_module(&m, &BackendConfig::default());
-    let c = run_asm_campaign(&m, &prog, &cfg);
-    let d = run_asm_campaign(&m, &prog, &cfg);
-    assert_eq!(c.counts, d.counts);
-    let mut ci = c.sdc_insts.clone();
-    let mut di = d.sdc_insts.clone();
-    ci.sort();
-    di.sort();
-    assert_eq!(ci, di);
+    let (a, b) = (campaign(7, 300), campaign(7, 300));
+    assert_eq!(a[0].counts, b[0].counts);
+    assert_eq!(a[0].sdc_by_inst, b[0].sdc_by_inst);
+    assert_eq!(a[1].counts, b[1].counts);
+    assert_eq!(a[1].sdc_insts, b[1].sdc_insts, "SDC sites in trial order");
 }
 
 #[test]
 fn different_seeds_differ() {
-    let m = workload("is", Scale::Tiny).compile();
-    let a = run_ir_campaign(&m, &CampaignConfig { seed: 1, ..CampaignConfig::with_trials(400) });
-    let b = run_ir_campaign(&m, &CampaignConfig { seed: 2, ..CampaignConfig::with_trials(400) });
+    let (a, b) = (&campaign(1, 400)[0], &campaign(2, 400)[0]);
     assert_ne!(
         (a.counts.sdc, a.counts.benign, a.counts.due),
         (b.counts.sdc, b.counts.benign, b.counts.due),

@@ -5,6 +5,9 @@
 use flowery_backend::{compile_module, AsmFaultSpec, BackendConfig, Machine};
 use flowery_ir::interp::{ExecConfig, ExecStatus, Interpreter, TrapKind};
 
+#[path = "common/serial_fold.rs"]
+mod serial_fold;
+
 fn both(src: &str, cfg: &ExecConfig) -> (ExecStatus, ExecStatus) {
     let m = flowery_lang::compile("e", src).unwrap();
     let ir = Interpreter::new(&m).run(cfg, None);
@@ -106,16 +109,13 @@ fn every_bit_position_is_safe_on_every_site() {
 
 #[test]
 fn double_bit_faults_change_outcome_population() {
-    use flowery_inject::{run_asm_campaign, CampaignConfig};
+    use flowery_inject::{AsmTrialRunner, ModelSpec};
+    use serial_fold::{serial_fold, SEED};
     let m = flowery_workloads::workload("is", flowery_workloads::Scale::Tiny).compile();
     let prog = compile_module(&m, &BackendConfig::default());
-    let single = CampaignConfig::with_trials(500);
-    let double = CampaignConfig {
-        fault_model: flowery_inject::ModelSpec::DoubleBitReg,
-        ..CampaignConfig::with_trials(500)
-    };
-    let rs = run_asm_campaign(&m, &prog, &single);
-    let rd = run_asm_campaign(&m, &prog, &double);
+    let mut runner = AsmTrialRunner::new(&m, &prog, &ExecConfig::default());
+    let rs = serial_fold(&mut runner, SEED, 500, ModelSpec::SingleBitReg);
+    let rd = serial_fold(&mut runner, SEED, 500, ModelSpec::DoubleBitReg);
     assert_eq!(rs.counts.total(), rd.counts.total());
     // Two flips strictly reduce the chance of a fully benign outcome
     // relative to one flip in expectation (can't assert strictly, but the

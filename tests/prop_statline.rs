@@ -20,11 +20,14 @@
 //!    wrong cell it wrote, so the load-back check passes) and is not gated.
 
 mod common;
+#[path = "common/serial_fold.rs"]
+mod serial_fold;
 
 use common::program_strategy;
 use flowery_analysis::statline::{lint_module, predict_program, InvariantKind};
 use flowery_backend::{compile_module, BackendConfig};
-use flowery_inject::{run_asm_campaign, CampaignConfig};
+use flowery_inject::{AsmTrialRunner, ModelSpec};
+use flowery_ir::interp::ExecConfig;
 use flowery_ir::Module;
 use flowery_passes::{apply_flowery, duplicate_module, DupConfig, FloweryConfig, ProtectionPlan};
 use proptest::prelude::*;
@@ -48,7 +51,8 @@ proptest! {
         let bcfg = BackendConfig::default();
         let prog = compile_module(&m, &bcfg);
         let report = predict_program(&m, &prog, bcfg.fold_compares);
-        let camp = run_asm_campaign(&m, &prog, &CampaignConfig::with_trials(250));
+        let mut runner = AsmTrialRunner::new(&m, &prog, &ExecConfig::default());
+        let camp = serial_fold::serial_fold(&mut runner, serial_fold::SEED, 250, ModelSpec::SingleBitReg);
         for &idx in &camp.sdc_insts {
             prop_assert!(
                 report.is_flagged(idx),
