@@ -746,7 +746,7 @@ mod tests {
                 pre_region: true,
             };
             let cache = GoldenCache::new();
-            let scoped = crate::run_diff(&units[..1], &cfg, &cache, &empty, &HashMap::new(), None).metrics;
+            let scoped = crate::run_diff(&units[..1], &cfg, &cache, &empty, None).metrics;
             assert!(scoped.exec_insts > 0 && scoped.ff_insts > 0, "{mode}: {scoped:?}");
             let mut want = [0; 3];
             want[mode as usize] = scoped.exec_insts;

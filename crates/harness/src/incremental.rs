@@ -267,26 +267,23 @@ pub(crate) struct Scope {
     pub mass: u64,
 }
 
-/// One schedulable re-run of a diff plan: which region report it fills,
-/// what to run, and how suspect the region is.
+/// One schedulable re-run of a diff plan: which region report it fills
+/// and what to run.
 struct DiffTask {
     unit_index: usize,
     region_index: usize,
     scope: Scope,
-    priority: f64,
 }
 
 /// Plan an incremental campaign without executing anything: classify
 /// every region against the baseline, carry reused profiles (re-weighted
 /// to current masses), and emit one [`DiffTask`] per runnable changed
-/// region, sorted most-suspect-first by `priorities` (unit id, region
-/// name) → score.
+/// region, in (unit, region) order.
 fn plan_diff(
     units: &[TrialUnit],
     cfg: &HarnessConfig,
     cache: &GoldenCache,
     baseline: &Baseline,
-    priorities: &HashMap<(String, String), f64>,
     metrics: &Metrics,
 ) -> (Vec<DiffUnitReport>, Vec<DiffTask>) {
     let mut reports: Vec<DiffUnitReport> = Vec::new();
@@ -328,7 +325,6 @@ fn plan_diff(
                                 seed: cfg.seed ^ fnv1a(d.region.name.as_bytes()),
                                 mass: d.region.site_mass,
                             },
-                            priority: *priorities.get(&(unit.key.id(), d.region.name.clone())).unwrap_or(&0.0),
                         });
                     }
                     regions.push(RegionReport {
@@ -358,15 +354,6 @@ fn plan_diff(
             trials_saved,
         });
     }
-
-    // Most-suspect regions first (pure scheduling: results are per-region
-    // pure functions of the seed, so order never changes them).
-    tasks.sort_by(|a, b| {
-        b.priority
-            .partial_cmp(&a.priority)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| (a.unit_index, a.region_index).cmp(&(b.unit_index, b.region_index)))
-    });
     (reports, tasks)
 }
 
@@ -403,19 +390,16 @@ fn compose_diff(
 /// Run an incremental campaign: reuse baseline profiles for unchanged
 /// regions, re-execute changed/new regions as scoped items of the one
 /// engine (batch-level stealing, `progress` polled after every batch),
-/// and compose. `priorities` (unit id, region name) → score orders re-run
-/// execution most-suspect-first (see `flowery-analysis` statline priors);
-/// it never changes results, only scheduling.
+/// and compose.
 pub fn run_diff(
     units: &[TrialUnit],
     cfg: &HarnessConfig,
     cache: &GoldenCache,
     baseline: &Baseline,
-    priorities: &HashMap<(String, String), f64>,
     progress: Option<Progress<'_>>,
 ) -> DiffReport {
     let metrics = Metrics::with_mode(cfg.exec.executor);
-    let (reports, tasks) = plan_diff(units, cfg, cache, baseline, priorities, &metrics);
+    let (reports, tasks) = plan_diff(units, cfg, cache, baseline, &metrics);
     let items: Vec<WorkItem<'_>> = tasks
         .iter()
         .map(|t| WorkItem { unit: &units[t.unit_index], scope: Some(&t.scope) })
@@ -484,7 +468,7 @@ mod tests {
         let unit = ir_unit(SRC);
         let cfg = small_cfg();
         let cache = GoldenCache::new();
-        let report = run_diff(&[unit], &cfg, &cache, &empty_baseline(&cfg), &HashMap::new(), None);
+        let report = run_diff(&[unit], &cfg, &cache, &empty_baseline(&cfg), None);
         let u = &report.units[0];
         let (reused, rerun, new) = u.fate_counts();
         assert_eq!((reused, rerun), (0, 0));
@@ -503,7 +487,7 @@ mod tests {
         let cache = GoldenCache::new();
         // Baseline campaign over the original program.
         let base_units = [ir_unit(SRC)];
-        let base = run_diff(&base_units, &cfg, &cache, &empty_baseline(&cfg), &HashMap::new(), None);
+        let base = run_diff(&base_units, &cfg, &cache, &empty_baseline(&cfg), None);
         let baseline = Baseline {
             header: cfg.header(),
             regions: base.records().into_iter().map(|r| (r.unit.clone(), r)).collect(),
@@ -511,7 +495,7 @@ mod tests {
         };
         // Edit helper only.
         let edited = [ir_unit(&SRC.replace("x * 3 + 1", "x * 3 + 2"))];
-        let report = run_diff(&edited, &cfg, &cache, &baseline, &HashMap::new(), None);
+        let report = run_diff(&edited, &cfg, &cache, &baseline, None);
         let u = &report.units[0];
         let (reused, rerun, new) = u.fate_counts();
         assert_eq!((reused, rerun, new), (1, 1, 0), "only the edited function re-runs");
@@ -531,13 +515,13 @@ mod tests {
         let cfg = small_cfg();
         let cache = GoldenCache::new();
         let units = [asm_unit(SRC)];
-        let base = run_diff(&units, &cfg, &cache, &empty_baseline(&cfg), &HashMap::new(), None);
+        let base = run_diff(&units, &cfg, &cache, &empty_baseline(&cfg), None);
         let baseline = Baseline {
             header: cfg.header(),
             regions: base.records().into_iter().map(|r| (r.unit.clone(), r)).collect(),
             pre_region: false,
         };
-        let again = run_diff(&units, &cfg, &cache, &baseline, &HashMap::new(), None);
+        let again = run_diff(&units, &cfg, &cache, &baseline, None);
         let u = &again.units[0];
         assert_eq!(u.trials_run, 0, "nothing changed, nothing runs");
         assert!(u.regions.iter().all(|r| r.fate == Fate::Reused));
@@ -553,8 +537,8 @@ mod tests {
         one.threads = 1;
         let mut four = small_cfg();
         four.threads = 4;
-        let a = run_diff(&units, &one, &cache, &empty_baseline(&one), &HashMap::new(), None);
-        let b = run_diff(&units, &four, &cache, &empty_baseline(&four), &HashMap::new(), None);
+        let a = run_diff(&units, &one, &cache, &empty_baseline(&one), None);
+        let b = run_diff(&units, &four, &cache, &empty_baseline(&four), None);
         assert_eq!(a.units[0].regions, b.units[0].regions);
         assert_eq!(a.units[0].counts, b.units[0].counts);
     }
@@ -573,7 +557,7 @@ mod tests {
             assert_eq!(snap.regions_total, 4, "the plan is accounted before the first batch");
             Control::Continue
         };
-        let full = run_diff(&units, &cfg, &cache, &empty_baseline(&cfg), &HashMap::new(), Some(&count));
+        let full = run_diff(&units, &cfg, &cache, &empty_baseline(&cfg), Some(&count));
         assert!(!full.interrupted);
         assert_eq!(polls.load(Ordering::Relaxed), full.metrics.batches);
         let planned: u64 = full.units.iter().flat_map(|u| &u.regions).map(|r| r.planned_trials).sum();
@@ -581,7 +565,7 @@ mod tests {
         // ...and may stop it: in-flight batches finish, undecided regions
         // stay empty, and the report says so instead of posing as a baseline.
         let stop = |_: &MetricsSnapshot| Control::Stop;
-        let cut = run_diff(&units, &cfg, &cache, &empty_baseline(&cfg), &HashMap::new(), Some(&stop));
+        let cut = run_diff(&units, &cfg, &cache, &empty_baseline(&cfg), Some(&stop));
         assert!(cut.interrupted);
         assert!(cut.metrics.trials < planned);
     }

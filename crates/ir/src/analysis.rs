@@ -55,8 +55,6 @@ pub struct DomTree {
     /// `idom[b]` = immediate dominator of `b`; entry's idom is itself.
     /// `None` for unreachable blocks.
     idom: Vec<Option<BlockId>>,
-    /// Reverse-postorder number per block (`usize::MAX` if unreachable).
-    rpo_number: Vec<usize>,
 }
 
 impl DomTree {
@@ -70,7 +68,7 @@ impl DomTree {
         let preds = predecessors(f);
         let mut idom: Vec<Option<BlockId>> = vec![None; n];
         if n == 0 {
-            return DomTree { idom, rpo_number };
+            return DomTree { idom };
         }
         idom[0] = Some(BlockId(0));
         let mut changed = true;
@@ -95,15 +93,7 @@ impl DomTree {
                 }
             }
         }
-        DomTree { idom, rpo_number }
-    }
-
-    /// Reverse-postorder index of a block (`None` if unreachable).
-    pub fn rpo_index(&self, b: BlockId) -> Option<usize> {
-        match self.rpo_number.get(b.index()) {
-            Some(&n) if n != usize::MAX => Some(n),
-            _ => None,
-        }
+        DomTree { idom }
     }
 
     /// Is `a` reachable from the entry?

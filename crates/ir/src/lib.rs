@@ -39,7 +39,6 @@ pub mod inst;
 pub mod interp;
 pub mod module;
 pub mod printer;
-pub mod textparse;
 pub mod types;
 pub mod value;
 pub mod verify;

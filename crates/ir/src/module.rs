@@ -2,7 +2,7 @@
 //! used by transformation passes (block splitting, instruction insertion,
 //! use replacement).
 
-use crate::inst::{InstData, InstKind, Terminator};
+use crate::inst::{InstData, Terminator};
 use crate::types::Type;
 use crate::value::{BlockId, FuncId, GlobalId, InstId, Op, Value};
 use serde::{Deserialize, Serialize};
@@ -245,17 +245,10 @@ impl Module {
     }
 }
 
-/// Convenience: true if this instruction kind is a *synchronization point*
-/// in the sense of the duplication literature: its effect escapes the
-/// data-flow graph (memory write, call, control flow, output).
-pub fn is_sync_point(kind: &InstKind) -> bool {
-    matches!(kind, InstKind::Store { .. } | InstKind::Call { .. })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::BinOp;
+    use crate::inst::{BinOp, InstKind};
 
     fn tiny_func() -> Function {
         let mut f = Function {

@@ -3,16 +3,28 @@
 use crate::ast::*;
 use crate::token::{err, lex, LangError, Spanned, Tok};
 
+/// The deepest nesting a program may have: statements inside statements,
+/// operands inside expressions, parentheses included, counted from 1 for a
+/// function's top-level statements. Parsing, lowering and dropping the
+/// tree each recurse once per level, so a deeper program is refused here
+/// instead of overflowing the stack. 256 is also clang's default bracket
+/// depth; at it a release build needs under 512 KB of stack.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parse a translation unit.
 pub fn parse(src: &str) -> Result<Program, LangError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { toks, pos: 0, depth: 0 };
     p.program()
 }
 
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// The nesting level of the node being parsed: the parent's level
+    /// before a node starts, its deepest node's level once an expression is
+    /// parsed. A statement leaves it where it found it.
+    depth: usize,
 }
 
 impl Parser {
@@ -43,6 +55,27 @@ impl Parser {
         } else {
             err(self.line(), format!("expected {want:?}, found {}", self.peek()))
         }
+    }
+
+    /// Move to nesting level `level`, refusing one past [`MAX_DEPTH`].
+    fn nest(&mut self, level: usize) -> Result<(), LangError> {
+        if level > MAX_DEPTH {
+            return err(self.line(), format!("nesting deeper than the limit of {MAX_DEPTH} levels"));
+        }
+        self.depth = level;
+        Ok(())
+    }
+
+    /// An expression whose parent sits at `level`.
+    fn expr_at(&mut self, level: usize) -> Result<Expr, LangError> {
+        self.depth = level;
+        self.expr()
+    }
+
+    /// A block whose statements' parent sits at `level`.
+    fn block_at(&mut self, level: usize) -> Result<Vec<Stmt>, LangError> {
+        self.depth = level;
+        self.block()
     }
 
     fn ident(&mut self) -> Result<String, LangError> {
@@ -181,24 +214,35 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, LangError> {
+        let outer = self.depth;
+        let level = outer + 1;
+        self.nest(level)?;
+        let s = self.stmt_at(level)?;
+        self.depth = outer;
+        Ok(s)
+    }
+
+    /// A statement at nesting level `level`.
+    fn stmt_at(&mut self, level: usize) -> Result<Stmt, LangError> {
         let line = self.line();
         match self.peek() {
             Tok::KwInt | Tok::KwFloat | Tok::KwByte => {
-                let s = self.decl_stmt()?;
+                let s = self.decl_stmt(level)?;
                 Ok(s)
             }
             Tok::KwIf => {
                 self.bump();
                 self.expect(Tok::LParen)?;
-                let cond = self.expr()?;
+                let cond = self.expr_at(level)?;
                 self.expect(Tok::RParen)?;
-                let then_body = self.block()?;
+                let then_body = self.block_at(level)?;
                 let else_body = if *self.peek() == Tok::KwElse {
                     self.bump();
                     if *self.peek() == Tok::KwIf {
+                        self.depth = level;
                         vec![self.stmt()?]
                     } else {
-                        self.block()?
+                        self.block_at(level)?
                     }
                 } else {
                     Vec::new()
@@ -208,36 +252,45 @@ impl Parser {
             Tok::KwWhile => {
                 self.bump();
                 self.expect(Tok::LParen)?;
-                let cond = self.expr()?;
+                let cond = self.expr_at(level)?;
                 self.expect(Tok::RParen)?;
-                let body = self.block()?;
+                let body = self.block_at(level)?;
                 Ok(Stmt { kind: StmtKind::While { cond, body }, line })
             }
             Tok::KwFor => {
                 self.bump();
                 self.expect(Tok::LParen)?;
+                self.nest(level + 1)?;
                 let init = if *self.peek() == Tok::Semi {
                     self.bump();
                     None
                 } else {
-                    let s = self.simple_stmt()?;
+                    let s = self.simple_stmt(level + 1)?;
                     self.expect(Tok::Semi)?;
                     Some(Box::new(s))
                 };
-                let cond = if *self.peek() == Tok::Semi { None } else { Some(self.expr()?) };
+                let cond = if *self.peek() == Tok::Semi {
+                    None
+                } else {
+                    Some(self.expr_at(level)?)
+                };
                 self.expect(Tok::Semi)?;
                 let step = if *self.peek() == Tok::RParen {
                     None
                 } else {
-                    Some(Box::new(self.simple_stmt()?))
+                    Some(Box::new(self.simple_stmt(level + 1)?))
                 };
                 self.expect(Tok::RParen)?;
-                let body = self.block()?;
+                let body = self.block_at(level)?;
                 Ok(Stmt { kind: StmtKind::For { init, cond, step, body }, line })
             }
             Tok::KwReturn => {
                 self.bump();
-                let val = if *self.peek() == Tok::Semi { None } else { Some(self.expr()?) };
+                let val = if *self.peek() == Tok::Semi {
+                    None
+                } else {
+                    Some(self.expr_at(level)?)
+                };
                 self.expect(Tok::Semi)?;
                 Ok(Stmt { kind: StmtKind::Return(val), line })
             }
@@ -252,15 +305,15 @@ impl Parser {
                 Ok(Stmt { kind: StmtKind::Continue, line })
             }
             _ => {
-                let s = self.simple_stmt()?;
+                let s = self.simple_stmt(level)?;
                 self.expect(Tok::Semi)?;
                 Ok(s)
             }
         }
     }
 
-    /// Declaration statement (consumes the trailing semicolon).
-    fn decl_stmt(&mut self) -> Result<Stmt, LangError> {
+    /// Declaration statement at `level` (consumes the trailing semicolon).
+    fn decl_stmt(&mut self, level: usize) -> Result<Stmt, LangError> {
         let line = self.line();
         let scalar = self.scalar()?;
         let name = self.ident()?;
@@ -278,7 +331,7 @@ impl Parser {
                 return err(line, "local arrays cannot have initializers");
             }
             self.bump();
-            Some(self.expr()?)
+            Some(self.expr_at(level)?)
         } else {
             None
         };
@@ -286,15 +339,17 @@ impl Parser {
         Ok(Stmt { kind: StmtKind::Decl { name, scalar, array, init }, line })
     }
 
-    /// Assignment or expression statement (no trailing semicolon).
-    fn simple_stmt(&mut self) -> Result<Stmt, LangError> {
+    /// Assignment or expression statement at `level` (no trailing
+    /// semicolon). An assignment's operands are parsed as if compound: the
+    /// desugared `target op rhs` puts them up to two levels deeper.
+    fn simple_stmt(&mut self, level: usize) -> Result<Stmt, LangError> {
         let line = self.line();
         // Lookahead: `ident =`/`ident op=` or the indexed forms.
         if let Tok::Ident(name) = self.peek().clone() {
             if let Some(op) = assign_op(self.peek2()) {
                 self.bump();
                 self.bump();
-                let rhs = self.expr()?;
+                let rhs = self.expr_at(level + 1)?;
                 let value = desugar_compound(op, LValue::Var(name.clone()), rhs, line);
                 return Ok(Stmt {
                     kind: StmtKind::Assign { target: LValue::Var(name), value },
@@ -306,12 +361,12 @@ impl Parser {
                 let save = self.pos;
                 self.bump(); // ident
                 self.bump(); // [
-                let idx = self.expr()?;
+                let idx = self.expr_at(level + 2)?;
                 if *self.peek() == Tok::RBracket {
                     if let Some(op) = assign_op(self.peek2()) {
                         self.bump(); // ]
                         self.bump(); // op=
-                        let rhs = self.expr()?;
+                        let rhs = self.expr_at(level + 1)?;
                         let target = LValue::Index(name.clone(), Box::new(idx.clone()));
                         let value = desugar_compound(op, target.clone(), rhs, line);
                         return Ok(Stmt { kind: StmtKind::Assign { target, value }, line });
@@ -320,7 +375,7 @@ impl Parser {
                 self.pos = save;
             }
         }
-        let e = self.expr()?;
+        let e = self.expr_at(level)?;
         Ok(Stmt { kind: StmtKind::Expr(e), line })
     }
 
@@ -330,7 +385,10 @@ impl Parser {
         self.bin_expr(0)
     }
 
+    /// Left-deep chains grow without recursing, so each fold pushes the
+    /// whole left operand one level down and is checked against the limit.
     fn bin_expr(&mut self, min_prec: u8) -> Result<Expr, LangError> {
+        let parent = self.depth;
         let mut lhs = self.unary()?;
         loop {
             let (op, prec) = match self.peek() {
@@ -359,7 +417,10 @@ impl Parser {
             }
             let line = self.line();
             self.bump();
+            let deepest_lhs = self.depth;
+            self.depth = parent + 1;
             let rhs = self.bin_expr(prec + 1)?;
+            self.nest(self.depth.max(deepest_lhs + 1))?;
             lhs = Expr {
                 kind: ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
                 line,
@@ -373,11 +434,13 @@ impl Parser {
         match self.peek() {
             Tok::Minus => {
                 self.bump();
+                self.nest(self.depth + 1)?;
                 let e = self.unary()?;
                 Ok(Expr { kind: ExprKind::Unary(UnKind::Neg, Box::new(e)), line })
             }
             Tok::Not => {
                 self.bump();
+                self.nest(self.depth + 1)?;
                 let e = self.unary()?;
                 Ok(Expr { kind: ExprKind::Unary(UnKind::Not, Box::new(e)), line })
             }
@@ -385,8 +448,12 @@ impl Parser {
         }
     }
 
+    /// Every primary is one node one level down; parentheses count as one
+    /// too, since they recurse.
     fn primary(&mut self) -> Result<Expr, LangError> {
         let line = self.line();
+        let level = self.depth + 1;
+        self.nest(level)?;
         match self.bump() {
             Tok::Int(v) => Ok(Expr { kind: ExprKind::IntLit(v), line }),
             Tok::Float(v) => Ok(Expr { kind: ExprKind::FloatLit(v), line }),
@@ -411,9 +478,11 @@ impl Parser {
                 Tok::LParen => {
                     self.bump();
                     let mut args = Vec::new();
+                    let mut deepest = level;
                     if *self.peek() != Tok::RParen {
                         loop {
-                            args.push(self.expr()?);
+                            args.push(self.expr_at(level)?);
+                            deepest = deepest.max(self.depth);
                             if *self.peek() == Tok::Comma {
                                 self.bump();
                             } else {
@@ -422,6 +491,7 @@ impl Parser {
                         }
                     }
                     self.expect(Tok::RParen)?;
+                    self.depth = deepest;
                     Ok(Expr { kind: ExprKind::Call(name, args), line })
                 }
                 Tok::LBracket => {
@@ -571,5 +641,75 @@ mod tests {
     #[test]
     fn rejects_local_array_initializer() {
         assert!(parse("void f() { int a[3] = 1; }").is_err());
+    }
+
+    /// Levels of a statement tree, one per statement, expression and
+    /// indexed target: the recursion depth of lowering it.
+    fn stmt_height(s: &Stmt) -> usize {
+        let block = |b: &[Stmt]| b.iter().map(stmt_height).max().unwrap_or(0);
+        let opt = |e: &Option<Expr>| e.as_ref().map_or(0, expr_height);
+        1 + match &s.kind {
+            StmtKind::Decl { init, .. } => opt(init),
+            StmtKind::Assign { target: LValue::Var(_), value } => expr_height(value),
+            StmtKind::Assign { target: LValue::Index(_, i), value } => (1 + expr_height(i)).max(expr_height(value)),
+            StmtKind::If { cond, then_body, else_body } => {
+                expr_height(cond).max(block(then_body)).max(block(else_body))
+            }
+            StmtKind::While { cond, body } => expr_height(cond).max(block(body)),
+            StmtKind::For { init, cond, step, body } => {
+                let simple = |s: &Option<Box<Stmt>>| s.as_deref().map_or(0, stmt_height);
+                simple(init).max(opt(cond)).max(simple(step)).max(block(body))
+            }
+            StmtKind::Return(v) => opt(v),
+            StmtKind::Expr(e) => expr_height(e),
+            StmtKind::Break | StmtKind::Continue => 0,
+        }
+    }
+
+    fn expr_height(e: &Expr) -> usize {
+        1 + match &e.kind {
+            ExprKind::IntLit(_) | ExprKind::FloatLit(_) | ExprKind::Ident(_) => 0,
+            ExprKind::Index(_, x) | ExprKind::Unary(_, x) | ExprKind::Cast(_, x) => expr_height(x),
+            ExprKind::Binary(_, l, r) => expr_height(l).max(expr_height(r)),
+            ExprKind::Call(_, args) => args.iter().map(expr_height).max().unwrap_or(0),
+        }
+    }
+
+    /// A function nesting `n` levels of each shape the parser recurses or
+    /// folds on, the deep part on line 2.
+    fn nested(n: usize) -> [String; 4] {
+        [
+            format!("int f() {{\n return {}1{}; }}", "(".repeat(n), ")".repeat(n)),
+            format!("int f() {{\n return {}1; }}", "-".repeat(n)),
+            format!("int f() {{\n return 1{}; }}", " + 1".repeat(n)),
+            format!("void f() {{\n {}{} }}", "if (1) { ".repeat(n), "}".repeat(n)),
+        ]
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_and_the_tree_stays_within_it() {
+        // Debug-build frames are several times a release build's, more
+        // than a test thread's 2 MB holds at the limit.
+        std::thread::Builder::new()
+            .stack_size(32 << 20)
+            .spawn(nesting_stops_at_the_limit)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    fn nesting_stops_at_the_limit() {
+        for shape in 0..4 {
+            let deepest = (1..=MAX_DEPTH).rev().find(|&n| parse(&nested(n)[shape]).is_ok()).unwrap();
+            assert!(deepest + 3 >= MAX_DEPTH, "shape {shape} refused at only {deepest} levels");
+            let prog = parse(&nested(deepest)[shape]).unwrap();
+            let height = prog.funcs[0].body.iter().map(stmt_height).max().unwrap();
+            assert!(height <= MAX_DEPTH, "shape {shape}: a tree {height} levels deep reached lowering");
+            for n in [deepest + 1, 100_000] {
+                let e = parse(&nested(n)[shape]).unwrap_err();
+                assert_eq!(e.line, 2, "shape {shape} at {n}: {e}");
+                assert!(e.msg.contains(&format!("limit of {MAX_DEPTH} levels")), "shape {shape} at {n}: {e}");
+            }
+        }
     }
 }

@@ -121,7 +121,7 @@ flags are parsed strictly: an unknown flag or an unparsable number is an error
                                       (--json prints the study results
                                       instead); the §7.3 pass time, a
                                       timing, goes to stderr
-  diff --baseline FILE [bench ...] [--src FILE] [--out FILE] [--static-prior]
+  diff --baseline FILE [bench ...] [--src FILE] [--out FILE]
        [+ campaign options above]   incremental campaign: partition every
                                       unit into per-function regions, hash
                                       them, and compare against the
@@ -135,13 +135,6 @@ flags are parsed strictly: an unknown flag or an unparsable number is an error
                                       masses; --out writes the composed
                                       region records as a checkpoint (the
                                       next diff's baseline);
-                                      --static-prior runs the lint first
-                                      and executes the most-suspect
-                                      changed regions first, weighting
-                                      each flagged site by its vulnerable-
-                                      bit fraction from the bit lattice
-                                      (scheduling only — results are
-                                      unchanged);
                                       --json prints the composed region
                                       records; --metrics-json includes
                                       regions reused/re-run and trials
@@ -226,7 +219,7 @@ macro_rules! schedule {
     };
 }
 const CAMPAIGN: &str = schedule!("--resume --checkpoint=");
-const DIFF: &str = schedule!("--static-prior --baseline= --out=");
+const DIFF: &str = schedule!("--baseline= --out=");
 const EXPLORE: &str =
     "--tiny --json --no-snapshots --trials= --seed= --threads= --models= --detectors= --levels= --executor= --out=";
 const VULN: &str = "--static-prior --by-region --trials= --top=";
@@ -666,7 +659,6 @@ fn cmd_campaign(rest: &[String]) -> Result<(), String> {
 
 fn cmd_diff(rest: &[String]) -> Result<(), String> {
     use flowery::harness::{build_matrix, write_canonical_full, Baseline, GoldenCache};
-    use std::collections::HashMap;
     use std::path::Path;
 
     let args = Args::parse("diff", DIFF, rest)?;
@@ -689,46 +681,11 @@ fn cmd_diff(rest: &[String]) -> Result<(), String> {
         }
     );
     let units = build_matrix(&spec);
-
-    // Optional lint-derived priorities: changed regions with more flagged
-    // penetration sites execute first. Pure scheduling — per-region trial
-    // streams are seed-determined, so the order never changes results.
-    let mut priorities: HashMap<(String, String), f64> = HashMap::new();
     let cache = GoldenCache::new();
-    if args.flag("--static-prior") {
-        for u in &units {
-            let bcfg = BackendConfig::default();
-            let compiled;
-            let prog = match u.program.as_deref() {
-                Some(p) => p,
-                None => {
-                    compiled = compile_module(&u.module, &bcfg);
-                    &compiled
-                }
-            };
-            let report = flowery::analysis::predict_program(&u.module, prog, bcfg.fold_compares);
-            // Weight each flagged site by its vulnerable-bit fraction from
-            // the bit lattice: a site with most bits proven masked is less
-            // likely to re-inject as SDC than one fully exposed, so dense
-            // regions with wide-open sites queue first. The table is the
-            // cache's, keyed by program content: an IR unit's recompiled
-            // program is its assembly twin's, and a pruned diff reuses it.
-            let bits = cache.asm_bits(&u.module, prog);
-            for site in &report.flagged {
-                if let Some(f) = prog.funcs.iter().find(|f| (f.entry..f.end).contains(&site.idx)) {
-                    let weight = bits
-                        .verdicts
-                        .get(site.idx as usize)
-                        .map_or(1.0, |v| f64::from(v.vulnerable.count_ones()) / 64.0);
-                    *priorities.entry((u.key.id(), f.name.clone())).or_insert(0.0) += weight;
-                }
-            }
-        }
-    }
 
     flowery::harness::shutdown::install();
     let progress = flowery::harness::status_printer("[diff]");
-    let report = flowery::harness::run_diff(&units, &cfg, &cache, &baseline, &priorities, Some(&progress));
+    let report = flowery::harness::run_diff(&units, &cfg, &cache, &baseline, Some(&progress));
     if let Some(e) = report.error {
         return Err(e);
     }

@@ -44,6 +44,11 @@ fn unknown_and_misspelt_flags_are_errors_that_name_the_flag() {
     refused(&["diff", "crc32", "--checkpoint", "x.jsonl"], &["--checkpoint", "diff"]);
     refused(&["diff", "crc32", "--tiny", "--batch", "1e3", "--baseline", "x"], &["--batch", "1e3"]);
     refused(&["explore", "crc32", "--static-prune"], &["--static-prune", "explore"]);
+    // `--static-prior` ranks `vuln`'s output; `diff` runs every region regardless.
+    refused(
+        &["diff", "crc32", "--tiny", "--baseline", "x", "--static-prior"],
+        &["--static-prior", "diff"],
+    );
     // `study` takes the campaign's flags and no others.
     refused(&["study", "crc32", "--bogus"], &["--bogus", "study"]);
     refused(&["study", "crc32", "--detectors", "none"], &["--detectors", "study"]);
@@ -183,4 +188,30 @@ fn an_empty_schedule_is_refused_by_name() {
     refused_cleanly(&["vuln", "crc32", "--trials", "0"], &[why]);
     refused_cleanly(&["inject", "crc32", "--trials", "0"], &[why]);
     refused_cleanly(&["lint", "crc32", "--validate", "--trials", "0"], &[why]);
+}
+
+#[test]
+fn deep_minic_nesting_is_refused_by_name() {
+    const DEEP: usize = 100_000;
+    let shapes = [
+        (
+            "parens",
+            format!("int main() {{\n  return {}1{}; }}\n", "(".repeat(DEEP), ")".repeat(DEEP)),
+        ),
+        ("negations", format!("int main() {{\n  return {}1; }}\n", "-".repeat(DEEP))),
+        ("sum", format!("int main() {{\n  return 1{}; }}\n", " + 1".repeat(DEEP))),
+        (
+            "ifs",
+            format!("int main() {{\n  {}{} return 0; }}\n", "if (1) { ".repeat(DEEP), "}".repeat(DEEP)),
+        ),
+    ];
+    let why = format!("line 2: nesting deeper than the limit of {} levels", flowery_lang::parser::MAX_DEPTH);
+    for (stem, src) in shapes {
+        let path = program(stem, &src);
+        let p = path.to_str().unwrap();
+        refused_cleanly(&["compile", p], &[&why]);
+        refused_cleanly(&["run", p], &[&why]);
+        refused_cleanly(&["campaign", "--src", p, "--tiny", "--trials", "20"], &[&why]);
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
 }

@@ -123,7 +123,7 @@ fn fresh_diff(units: &[TrialUnit], cfg: &HarnessConfig, cache: &GoldenCache) -> 
         regions: HashMap::new(),
         pre_region: true,
     };
-    let diff = run_diff(units, cfg, cache, &empty, &HashMap::new(), None);
+    let diff = run_diff(units, cfg, cache, &empty, None);
     assert!(!diff.interrupted && diff.error.is_none(), "{:?}", diff.error);
     diff
 }
