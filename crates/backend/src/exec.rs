@@ -13,16 +13,19 @@
 //! emits for real programs get an `Op` variant of their own; every other
 //! form runs through an out-of-line [`GenOp`], still pre-decoded.
 //!
-//! Two loops drive the micro-ops. The *bookkept loop* runs every
-//! instruction through [`step`] (snapshot hook, bounds check, accounting,
-//! budget trap, profile, injection, site note); snapshot-recorder runs,
-//! profile runs and every `interp` run take it. The *fast loop* keeps the
+//! Three loops drive the micro-ops. The *fast loop* keeps the
 //! instruction/cycle/site counters in locals and folds the output-flood
 //! check into the only arms that can grow the output; plain `compiled`
-//! trials take it.
+//! trials take it. The *recording loop*, the same loop instantiated for
+//! captures and site observations under every executor, also counts the
+//! profile, notes each fault site and stops at each due point for the
+//! capture. The *bookkept loop* runs every
+//! instruction through [`step`] (bounds check, accounting, budget trap,
+//! profile, injection); profile runs and `interp` trials take it, and the
+//! fast loop hands it the one iteration at the armed trap site.
 //!
 //! The engine contract is strict bit-identity: for any (program, config,
-//! fault, starting state), both loops and the JIT produce byte-identical
+//! fault, starting state), every loop and the JIT produce byte-identical
 //! status, output, `dyn_insts`, `fault_sites`, `cycles`, `injected_inst`,
 //! profile, and snapshot streams. `tests/exec_equivalence.rs` checks all
 //! three executor settings against a from-boot reference interpreter kept
@@ -38,9 +41,9 @@
 //! same [`step`]. One translation therefore serves every trial of a
 //! campaign, under all six fault models.
 //!
-//! Snapshots need nothing engine-specific: [`step`] drives the `Recorder`
-//! hooks (`due`/`capture`/`note_site`), and dirty-page tracking lives
-//! inside [`Memory`], below every engine.
+//! Snapshots need little that is engine-specific: the recording loop
+//! drives the `Recorder` hooks (`stretch_end`/`due`/`capture`/`note_site`),
+//! and dirty-page tracking lives inside [`Memory`], below every engine.
 
 use crate::machine::{width_ty, AsmFaultSpec, MachResult, Machine, State, SENTINEL};
 use crate::mir::{flags, AInst, AKind, AOp, AluOp, AsmProgram, MathKind, MemRef, OutKind, Reg, ShiftOp, SseOp, CC};
@@ -1071,13 +1074,11 @@ fn exec_op(op: &Op, st: &mut State, ip: u32, max_out: usize, gens: &[GenOp]) -> 
     }
 }
 
-/// One fully bookkept dispatch iteration: snapshot hook, bounds check,
-/// instruction accounting, budget trap, profile, cycles, injection, site
-/// note. The bookkept loop runs every iteration through here; the fast
-/// loop delegates only the iteration whose fault-site counter matches the
-/// armed trap, and the JIT one instruction each time a block-entry guard
-/// trips.
-#[allow(clippy::too_many_arguments)]
+/// One fully bookkept dispatch iteration: bounds check, instruction
+/// accounting, budget trap, profile, cycles, injection. The bookkept loop
+/// runs every iteration through here; the fast loop delegates only the
+/// iteration whose fault-site counter matches the armed trap, and the JIT
+/// one instruction each time a block-entry guard trips.
 pub(crate) fn step(
     machine: &Machine<'_>,
     config: &ExecConfig,
@@ -1086,16 +1087,7 @@ pub(crate) fn step(
     st: &mut State,
     ip: &mut u32,
     armed: &mut Option<AsmFaultSpec>,
-    recorder: &mut Option<&mut Recorder<AsmLayer>>,
 ) -> Result<(), ExecStatus> {
-    // ---- snapshot hook: `st.dyn_insts` executed, `*ip` next --------------
-    if let Some(rec) = recorder.as_deref_mut() {
-        if rec.due(st.dyn_insts, st.fault_sites) {
-            let state = AsmState { cycles: st.cycles, ip: *ip, regs: st.regs };
-            rec.capture(st.dyn_insts, st.fault_sites, st.output.len(), state, &mut st.mem);
-        }
-    }
-
     let Some(op) = prog.ops.get(*ip as usize) else {
         return Err(ExecStatus::Trapped(TrapKind::BadControl));
     };
@@ -1114,133 +1106,138 @@ pub(crate) fn step(
 
     st.last_ip = *ip;
     st.last_mem_write = None;
-    let next = exec_op(op, st, *ip, config.max_output, &prog.gens)?;
-
-    if is_site {
-        if inject_now {
-            let spec = armed.take().expect("armed trap fired");
-            st.injected_inst = Some(st.last_ip);
-            machine.apply_fault(st, &insts[st.last_ip as usize], spec);
-            *ip = if let FaultEffect::Jump { target } = spec.effect {
-                // Control-flow edge corruption: the site's own effects
-                // stand, then control restarts at an arbitrary position.
-                (target % prog.ops.len() as u64) as u32
-            } else {
-                next
-            };
-        } else {
-            *ip = next;
+    *ip = exec_op(op, st, *ip, config.max_output, &prog.gens)?;
+    if inject_now {
+        let spec = armed.take().expect("armed trap fired");
+        st.injected_inst = Some(st.last_ip);
+        machine.apply_fault(st, &insts[st.last_ip as usize], spec);
+        if let FaultEffect::Jump { target } = spec.effect {
+            // Control-flow edge corruption: the site's own effects stand,
+            // then control restarts at an arbitrary position.
+            *ip = (target % prog.ops.len() as u64) as u32;
         }
-        if let Some(rec) = recorder.as_deref_mut() {
-            rec.note_site(st.last_ip, st.fault_sites);
-        }
-        st.fault_sites += 1;
-    } else {
-        *ip = next;
     }
+    st.fault_sites += is_site as u64;
     Ok(())
 }
 
-/// The threaded-code dispatch loop. Recorder, profile and `interp` runs
-/// take the bookkept loop (every iteration through [`step`]). Plain
-/// trials take the fast loop: counters live in locals, the armed trap is
-/// a single integer compare, and the only per-iteration work beyond the
-/// micro-op itself is the bounds check and the budget trap. The trap
-/// iteration itself — and only it — detours through [`step`], so
+/// The fast loop's instantiations (see [`run_fast`]).
+const FAST: u8 = 0;
+const ARMED: u8 = 1;
+const REC: u8 = 2;
+
+/// The fast loop from `*ip` to the end of the run (`Err`, with its status)
+/// or an early stop (`Ok`). [`ARMED`] stops before the site numbered
+/// `stop_site`; [`REC`] counts the profile, notes each site with `rec`, and
+/// stops at the recorder's next due point ([`Recorder::stretch_end`]:
+/// `limit` and `stop_site`). Each instantiation is a function of its own
+/// that keeps the position and counters in locals and writes them back to
+/// `st` once per stretch, so no counter update goes through memory.
+#[inline(never)]
+fn run_fast<const MODE: u8>(
+    prog: &CompiledProgram,
+    st: &mut State,
+    ip: &mut u32,
+    (limit, stop_site): (u64, u64),
+    max_out: usize,
+    mut rec: Option<&mut Recorder<AsmLayer>>,
+) -> Result<(), ExecStatus> {
+    let (ops, meta, gens) = (&prog.ops[..], &prog.meta[..], &prog.gens[..]);
+    let (mut pc, mut dyn_insts, mut cycles, mut sites) = (*ip, st.dyn_insts, st.cycles, st.fault_sites);
+    let end = loop {
+        let Some(op) = ops.get(pc as usize) else {
+            // A snapshot due here is taken before the trap.
+            if MODE == REC && rec.as_ref().is_some_and(|r| r.due(dyn_insts, sites)) {
+                break Ok(());
+            }
+            break Err(ExecStatus::Trapped(TrapKind::BadControl));
+        };
+        let m = meta[pc as usize];
+        if MODE == ARMED && m & META_SITE != 0 && sites == stop_site {
+            break Ok(());
+        }
+        dyn_insts += 1;
+        if dyn_insts > limit {
+            if MODE == REC && rec.as_ref().is_some_and(|r| r.due(dyn_insts - 1, sites)) {
+                dyn_insts -= 1;
+                break Ok(());
+            }
+            break Err(ExecStatus::Trapped(TrapKind::InstLimit));
+        }
+        if let Some(p) = st.profile.as_mut().filter(|_| MODE == REC) {
+            p[pc as usize] += 1;
+        }
+        cycles += (m & !META_SITE) as u64;
+        let next = match exec_op(op, st, pc, max_out, gens) {
+            Ok(next) => next,
+            Err(s) => break Err(s),
+        };
+        if MODE == REC && m & META_SITE != 0 {
+            if let Some(r) = rec.as_deref_mut() {
+                r.note_site(pc, sites);
+            }
+            sites += 1;
+            pc = next;
+            if sites == stop_site {
+                break Ok(());
+            }
+        } else {
+            sites += (m >> 7) as u64;
+            pc = next;
+        }
+    };
+    (*ip, st.dyn_insts, st.cycles, st.fault_sites) = (pc, dyn_insts, cycles, sites);
+    end
+}
+
+/// The threaded-code dispatch loop. Profile and `interp` runs take the
+/// bookkept loop, recorder runs the recording loop, capturing between its
+/// stretches. Plain trials take the fast loop, armed up to the trap site,
+/// whose one iteration — and only it — detours through [`step`], so
 /// injection bookkeeping (`last_ip`, `last_mem_write`, `injected_inst`,
-/// jump redirect) has one implementation.
+/// jump redirect) has one implementation; then they go on disarmed.
 pub(crate) fn exec_compiled(run: TrialRun<'_, '_>) -> (MachResult, Memory) {
     let TrialRun { machine, config, fault, mut st, mut ip, mut recorder } = run;
     let prog = machine.compiled();
-    let ops = &prog.ops[..];
-    let meta = &prog.meta[..];
-    let gens = &prog.gens[..];
     let insts = &machine.program.insts[..];
+    let (max_dyn, max_out) = (config.max_dyn_insts, config.max_output);
     let mut armed = fault;
+    debug_assert!(recorder.is_none() || fault.is_none(), "a recording run is fault-free");
 
-    if recorder.is_some() || st.profile.is_some() || config.executor == ExecMode::Interp {
+    if recorder.is_none() && (st.profile.is_some() || config.executor == ExecMode::Interp) {
         let status = loop {
-            if let Err(s) = step(machine, config, prog, insts, &mut st, &mut ip, &mut armed, &mut recorder) {
+            if let Err(s) = step(machine, config, prog, insts, &mut st, &mut ip, &mut armed) {
                 break s;
             }
         };
         return st.finish(status);
     }
 
-    let max_dyn = config.max_dyn_insts;
-    let max_out = config.max_output;
-    let mut dyn_insts = st.dyn_insts;
-    let mut cycles = st.cycles;
-    let mut sites = st.fault_sites;
-    // The armed trap as a register compare: `u64::MAX` means disarmed (a
-    // trial can never reach that many sites under any instruction budget).
-    let trap_site = armed.map_or(u64::MAX, |f| f.site_index);
-
-    let status = 'exec: {
-        // Phase 1 — armed: identical to the disarmed loop below plus the
-        // one-compare trap check. Exited by the injection firing (fall
-        // through to phase 2) or the trial ending first.
-        if trap_site != u64::MAX {
-            loop {
-                let Some(op) = ops.get(ip as usize) else {
-                    break 'exec ExecStatus::Trapped(TrapKind::BadControl);
-                };
-                let m = meta[ip as usize];
-                if m & META_SITE != 0 && sites == trap_site {
-                    // Write the locals back and run this one iteration
-                    // through the fully bookkept path, then resume fast
-                    // and disarmed.
-                    st.dyn_insts = dyn_insts;
-                    st.cycles = cycles;
-                    st.fault_sites = sites;
-                    let r = step(machine, config, prog, insts, &mut st, &mut ip, &mut armed, &mut recorder);
-                    dyn_insts = st.dyn_insts;
-                    cycles = st.cycles;
-                    sites = st.fault_sites;
-                    match r {
-                        Ok(()) => break,
-                        Err(s) => break 'exec s,
-                    }
+    let status = loop {
+        let stretch = match (recorder.as_deref_mut(), armed) {
+            (Some(rec), _) => {
+                if rec.due(st.dyn_insts, st.fault_sites) {
+                    let state = AsmState { cycles: st.cycles, ip, regs: st.regs };
+                    rec.capture(st.dyn_insts, st.fault_sites, st.output.len(), state, &mut st.mem);
                 }
-                dyn_insts += 1;
-                if dyn_insts > max_dyn {
-                    break 'exec ExecStatus::Trapped(TrapKind::InstLimit);
-                }
-                cycles += (m & !META_SITE) as u64;
-                match exec_op(op, &mut st, ip, max_out, gens) {
-                    Ok(next) => {
-                        sites += (m >> 7) as u64;
-                        ip = next;
-                    }
-                    Err(s) => break 'exec s,
+                let end = rec.stretch_end(max_dyn);
+                run_fast::<REC>(prog, &mut st, &mut ip, end, max_out, Some(rec))
+            }
+            (None, Some(f)) => run_fast::<ARMED>(prog, &mut st, &mut ip, (max_dyn, f.site_index), max_out, None),
+            (None, None) => run_fast::<FAST>(prog, &mut st, &mut ip, (max_dyn, u64::MAX), max_out, None),
+        };
+        match stretch {
+            Err(s) => break s,
+            // At the trap site: run this one iteration through the fully
+            // bookkept path.
+            Ok(()) if recorder.is_none() => {
+                if let Err(s) = step(machine, config, prog, insts, &mut st, &mut ip, &mut armed) {
+                    break s;
                 }
             }
-        }
-        // Phase 2 — disarmed: golden runs spend their whole life here, and
-        // trials their post-injection tail. No trap state left to consult.
-        loop {
-            let Some(op) = ops.get(ip as usize) else {
-                break 'exec ExecStatus::Trapped(TrapKind::BadControl);
-            };
-            let m = meta[ip as usize];
-            dyn_insts += 1;
-            if dyn_insts > max_dyn {
-                break 'exec ExecStatus::Trapped(TrapKind::InstLimit);
-            }
-            cycles += (m & !META_SITE) as u64;
-            match exec_op(op, &mut st, ip, max_out, gens) {
-                Ok(next) => {
-                    sites += (m >> 7) as u64;
-                    ip = next;
-                }
-                Err(s) => break 'exec s,
-            }
+            Ok(()) => {}
         }
     };
-
-    st.dyn_insts = dyn_insts;
-    st.cycles = cycles;
-    st.fault_sites = sites;
     st.finish(status)
 }
 

@@ -29,9 +29,9 @@
 //!   re-enters the native code. Disarmed runs (`trap_site = u64::MAX`)
 //!   never trip the site guard, so golden runs stay native end to end.
 //!
-//! Snapshot-recorder and profile runs route to the threaded-code engine's
-//! bookkept loop, which drives the recorder hooks; plain trials — the hot
-//! path of every campaign — run native. On non-x86-64/non-Linux hosts, or
+//! Snapshot-recorder runs route to the threaded-code engine's recording
+//! loop and profile runs to its bookkept loop; plain trials — the hot path
+//! of every campaign — run native. On non-x86-64/non-Linux hosts, or
 //! when `FLOWERY_JIT_FORCE_FALLBACK` is set, compilation reports a
 //! [`FallbackReason`] and the engine degrades to `compiled` with a logged
 //! note; results are identical either way.
@@ -42,10 +42,8 @@ mod lower;
 use crate::exec::{exec_compiled, step, TrialRun};
 use crate::machine::MachResult;
 use crate::mir::{AsmProgram, Reg};
-use crate::snapshot::AsmLayer;
 use flowery_ir::inst::Intrinsic;
 use flowery_ir::interp::memory::{trap_from, TrapKind};
-use flowery_ir::interp::snapshot::Recorder;
 use flowery_ir::interp::{ops, ExecStatus, Memory, GLOBAL_BASE};
 use std::sync::Mutex;
 
@@ -491,9 +489,9 @@ impl JitProgram {
 /// detour through [`step`].
 pub(crate) fn exec_native(run: TrialRun<'_, '_>) -> (MachResult, Memory) {
     if run.recorder.is_some() || run.st.profile.is_some() {
-        // Capture and profile runs stay on the threaded-code engine's
-        // bookkept loop, which drives the recorder hooks. Plain trials —
-        // the campaign hot path — run native.
+        // Recorder runs take the threaded-code engine's recording loop,
+        // profile runs its bookkept loop. Plain trials — the campaign hot
+        // path — run native.
         return exec_compiled(run);
     }
     if run.machine.jit().is_err() {
@@ -513,7 +511,6 @@ pub(crate) fn exec_native(run: TrialRun<'_, '_>) -> (MachResult, Memory) {
         let len = insts.len();
         debug_assert_eq!(len, jit.len);
         let mut armed = fault;
-        let mut no_recorder: Option<&mut Recorder<AsmLayer>> = None;
 
         let raw = st.mem.raw_parts_mut();
         if raw.len < GLOBAL_BASE + 8 {
@@ -566,7 +563,7 @@ pub(crate) fn exec_native(run: TrialRun<'_, '_>) -> (MachResult, Memory) {
                     // fully bookkept path (injection, budget trap, whatever
                     // applies) and re-enter; the next guard re-decides.
                     ip = env.aux as u32;
-                    match step(machine, config, prog, insts, &mut st, &mut ip, &mut armed, &mut no_recorder) {
+                    match step(machine, config, prog, insts, &mut st, &mut ip, &mut armed) {
                         Ok(()) => {}
                         Err(s) => break s,
                     }

@@ -49,7 +49,7 @@ pub fn program_hash(p: &AsmProgram) -> u64 {
 }
 
 /// Point-in-time cache counters; how each snapshot set was obtained.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CacheStats {
     /// Lookups served from the in-memory maps.
     pub hits: u64,
@@ -59,6 +59,10 @@ pub struct CacheStats {
     pub goldens_run: u64,
     /// Snapshot capture executions.
     pub snap_captures: u64,
+    /// Wall time of those captures, summed over the threads that ran them.
+    pub snap_capture_secs: f64,
+    /// Snapshots held by the captured sets (not by loaded ones).
+    pub snaps_kept: u64,
     /// Snapshot sets loaded from the persistent store — zero executions.
     pub snap_loads: u64,
     /// Site observation passes (one fault-free execution each).
@@ -143,6 +147,8 @@ pub struct GoldenCache {
     misses: AtomicU64,
     goldens_run: AtomicU64,
     snap_captures: AtomicU64,
+    snap_capture_nanos: AtomicU64,
+    snaps_kept: AtomicU64,
     snap_loads: AtomicU64,
     observations: AtomicU64,
 }
@@ -261,18 +267,19 @@ impl GoldenCache {
     /// A trial runner for `exec`'s program on the cached golden, or why none
     /// can run ([`TrialRunner::refusal`]). With `snapshots` on, the set is
     /// fetched first: its capture run doubles as the golden run and the
-    /// observation (keeping `trace_cap` entries of trace). Without, the
-    /// observation pass is the golden run.
+    /// observation (keeping `trace_cap` entries of trace) and keeps at most
+    /// `trials` snapshots. Without, the observation pass is the golden run.
     pub(crate) fn runner<'u, S: CacheLayer + InjectLayer>(
         &self,
         exec: S::Exec<'u>,
         snapshots: bool,
         cfg: &ExecConfig,
         trace_cap: usize,
+        trials: u64,
     ) -> Result<TrialRunner<'u, S>, String> {
         let refused = |golden| TrialRunner::<S>::refusal(golden).map_or(Ok(()), Err);
         if snapshots {
-            let set = self.snapshots_for::<S>(&exec, cfg, trace_cap);
+            let set = self.snapshots_for::<S>(&exec, cfg, trace_cap, trials);
             refused(set.golden())?;
             let mut r = TrialRunner::from_golden(exec, set.golden().clone(), cfg);
             r.attach_snapshots(set);
@@ -304,18 +311,25 @@ impl GoldenCache {
     /// Snapshot set for fast-forwarded trials over `exec`'s program,
     /// obtained (in order of preference) from the in-memory cache, the
     /// persistent store, or a fresh capture whose site log keeps `trace_cap`
-    /// entries of trace. The set's golden result and site log seed the
+    /// entries of trace and at most `trials` snapshots. A set in memory or
+    /// in the store serves any trial count (a trial is bit-identical from
+    /// any snapshot). The set's golden result and site log seed the
     /// golden and observation maps, so later lookups of either are free.
     pub(crate) fn snapshots_for<S: CacheLayer>(
         &self,
         exec: &S::Exec<'_>,
         cfg: &ExecConfig,
         trace_cap: usize,
+        trials: u64,
     ) -> Arc<SnapshotSet<S>> {
         let (key, maps) = (S::key(exec), S::maps(self));
         let make = || {
             let set = self.load_set::<S>(exec, key, cfg).unwrap_or_else(|| {
-                let set = substrate::capture_auto::<S>(exec, cfg, trace_cap);
+                let start = std::time::Instant::now();
+                let set = substrate::capture_for::<S>(exec, cfg, trace_cap, trials);
+                self.snap_capture_nanos
+                    .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                self.snaps_kept.fetch_add(set.len() as u64, Ordering::Relaxed);
                 self.snap_captures.fetch_add(1, Ordering::Relaxed);
                 if let Some(st) = &self.store {
                     st.save(&set, key);
@@ -332,12 +346,12 @@ impl GoldenCache {
     /// Snapshot set for fast-forwarded IR trials over `m`: from the cache,
     /// the persistent store, or a fresh capture, in that order of preference.
     pub fn ir_snapshots_for(&self, m: &Module, exec: &ExecConfig) -> Arc<IrSnapshotSet> {
-        self.snapshots_for::<IrLayer>(&Interpreter::new(m), exec, 0)
+        self.snapshots_for::<IrLayer>(&Interpreter::new(m), exec, 0, u64::MAX)
     }
 
     /// [`GoldenCache::ir_snapshots_for`] at the assembly layer.
     pub fn asm_snapshots_for(&self, m: &Module, p: &AsmProgram, exec: &ExecConfig) -> Arc<AsmSnapshotSet> {
-        self.snapshots_for::<AsmLayer>(&Machine::new(m, p), exec, 0)
+        self.snapshots_for::<AsmLayer>(&Machine::new(m, p), exec, 0, u64::MAX)
     }
 
     /// Sample every counter at once.
@@ -347,6 +361,8 @@ impl GoldenCache {
             misses: self.misses.load(Ordering::Relaxed),
             goldens_run: self.goldens_run.load(Ordering::Relaxed),
             snap_captures: self.snap_captures.load(Ordering::Relaxed),
+            snap_capture_secs: self.snap_capture_nanos.load(Ordering::Relaxed) as f64 / 1e9,
+            snaps_kept: self.snaps_kept.load(Ordering::Relaxed),
             snap_loads: self.snap_loads.load(Ordering::Relaxed),
             observations: self.observations.load(Ordering::Relaxed),
             snap_bytes_read: self.store.as_ref().map_or(0, SnapshotStore::bytes_read),

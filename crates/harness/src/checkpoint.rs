@@ -467,6 +467,9 @@ fn read(path: &Path) -> Result<Records, String> {
                 if h.version != VERSION {
                     return Err(format!("{}: unsupported version {}", path.display(), h.version));
                 }
+                if h.batch_size == 0 {
+                    return Err(format!("{}:{}: header schedules batches of 0 trials", path.display(), i + 1));
+                }
                 match &header {
                     None => header = Some(h),
                     Some(first) => {

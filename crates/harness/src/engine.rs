@@ -341,12 +341,13 @@ impl<'u> UnitRunner<'u> {
     ) -> Result<UnitRunner<'u>, String> {
         let (exec, pruned) = (&cfg.exec, cfg.static_prune && unit.key.layer == Layer::Asm);
         let trace_cap = if pruned { GoldenCache::SITE_TRACE_CAP } else { 0 };
+        let trials = scope.map_or(cfg.max_trials, |s| s.trials);
         let inner = match unit.key.layer {
             Layer::Ir => cache
-                .runner(Interpreter::new(&unit.module), cfg.snapshots, exec, trace_cap)
+                .runner(Interpreter::new(&unit.module), cfg.snapshots, exec, trace_cap, trials)
                 .map(RunnerInner::Ir),
             Layer::Asm => cache
-                .runner(unit.machine(), cfg.snapshots, exec, trace_cap)
+                .runner(unit.machine(), cfg.snapshots, exec, trace_cap, trials)
                 .map(RunnerInner::Asm),
         };
         let inner = inner.map_err(|e| format!("{}: {e}", unit.key))?;

@@ -148,8 +148,8 @@ pub fn region_records(
 pub struct Baseline {
     pub header: Header,
     pub regions: HashMap<UnitKey, RegionRecord>,
-    /// True when the baseline predates region records (schema 0): nothing
-    /// can be reused, every region runs fresh.
+    /// True when the baseline predates region records or this build's
+    /// region-hash recipe: nothing can be reused, every region runs fresh.
     pub pre_region: bool,
 }
 
@@ -159,7 +159,7 @@ impl Baseline {
     pub fn load(path: &Path, requested: &Header) -> Result<Baseline, String> {
         let (header, _, regions) = checkpoint::load_full(path)?;
         header.require(requested, path, "baseline")?;
-        if header.region_schema != 0 && header.region_schema != REGION_SCHEMA_VERSION {
+        if header.region_schema > REGION_SCHEMA_VERSION {
             return Err(format!(
                 "{}: region-schema: checkpoint has {}, this build wants {}",
                 path.display(),
@@ -167,9 +167,12 @@ impl Baseline {
                 REGION_SCHEMA_VERSION
             ));
         }
-        let pre_region = header.region_schema == 0 || regions.is_empty();
+        // An older recipe's hashes match none of this build's: drop its
+        // records, as if the log predated them.
+        let pre_region = header.region_schema != REGION_SCHEMA_VERSION || regions.is_empty();
         let regions = checkpoint::canonicalize_regions(&header, regions)?
             .into_iter()
+            .filter(|_| !pre_region)
             .map(|r| (r.unit.clone(), r))
             .collect();
         Ok(Baseline { header, regions, pre_region })

@@ -161,6 +161,12 @@ pub struct MetricsSnapshot {
     /// Snapshot capture executions.
     #[serde(default)]
     pub snap_captures: u64,
+    /// Wall time of the snapshot captures, summed over threads.
+    #[serde(default)]
+    pub snap_capture_secs: f64,
+    /// Snapshots in the sets this run captured: ≤ `min(128, trials)` each.
+    #[serde(default)]
+    pub snaps_kept: u64,
     /// Snapshot sets loaded from the persistent store.
     #[serde(default)]
     pub snap_loads: u64,
@@ -253,6 +259,8 @@ impl MetricsSnapshot {
             cache_hit_rate: cache.hit_rate(),
             goldens_run: cache.goldens_run,
             snap_captures: cache.snap_captures,
+            snap_capture_secs: cache.snap_capture_secs,
+            snaps_kept: cache.snaps_kept,
             snap_loads: cache.snap_loads,
             observations: cache.observations,
             snap_bytes_read: cache.snap_bytes_read,
@@ -336,6 +344,8 @@ mod tests {
             misses: 1,
             goldens_run: 0,
             snap_captures: 1,
+            snap_capture_secs: 0.25,
+            snaps_kept: 40,
             snap_loads: 2,
             observations: 2,
             snap_bytes_read: 300,
@@ -350,7 +360,7 @@ mod tests {
         assert_eq!(s.units_total, 4);
         assert!((s.cache_hit_rate - 0.75).abs() < 1e-12);
         assert_eq!(s.goldens_run, 0);
-        assert_eq!(s.snap_captures, 1);
+        assert_eq!((s.snap_captures, s.snap_capture_secs, s.snaps_kept), (1, 0.25, 40));
         assert_eq!(s.snap_loads, 2);
         assert_eq!(s.observations, 2);
         assert_eq!((s.snap_bytes_read, s.snap_bytes_written), (300, 100));

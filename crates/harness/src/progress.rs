@@ -12,12 +12,15 @@
 use crate::checkpoint::Header;
 use flowery_inject::stats::wilson_half_width;
 use flowery_inject::OutcomeCounts;
+use std::collections::BTreeMap;
 
 pub use flowery_inject::BatchOutcome;
 
-/// Completed batches of one unit plus the adaptive stopping decision.
+/// Completed batches of one unit (only those that landed) plus the adaptive stopping decision.
 pub(crate) struct UnitProgress {
-    batches: Vec<Option<BatchOutcome>>,
+    batches: BTreeMap<u64, BatchOutcome>,
+    /// Schedule length in batches.
+    max: u64,
     /// Contiguous completed batches from index 0.
     prefix: u64,
     /// Cumulative counts over the prefix (drives the stopping rule).
@@ -29,7 +32,8 @@ pub(crate) struct UnitProgress {
 impl UnitProgress {
     pub fn new(max_batches: u64) -> UnitProgress {
         UnitProgress {
-            batches: vec![None; max_batches as usize],
+            batches: BTreeMap::new(),
+            max: max_batches,
             prefix: 0,
             cum: OutcomeCounts::default(),
             decided: None,
@@ -41,20 +45,17 @@ impl UnitProgress {
     /// already present is a no-op (idempotent merge: re-executed batches
     /// are pure re-runs and carry identical contents).
     pub fn insert(&mut self, batch: u64, data: BatchOutcome, rule: &Header) -> bool {
-        let slot = &mut self.batches[batch as usize];
-        if slot.is_none() {
-            *slot = Some(data);
-        }
+        self.batches.entry(batch).or_insert(data);
         let was_decided = self.decided.is_some();
-        while (self.prefix as usize) < self.batches.len() {
-            let Some(done) = &self.batches[self.prefix as usize] else {
+        while self.prefix < self.max {
+            let Some(done) = self.batches.get(&self.prefix) else {
                 break;
             };
             self.cum.merge(&done.counts);
             self.prefix += 1;
             if self.decided.is_none() {
-                let trials = (self.prefix * rule.batch_size).min(rule.max_trials);
-                let full = self.prefix as usize == self.batches.len();
+                let trials = self.prefix.saturating_mul(rule.batch_size).min(rule.max_trials);
+                let full = self.prefix == self.max;
                 let hit = rule
                     .ci_target
                     .is_some_and(|t| trials >= rule.min_trials && wilson_half_width(self.cum.sdc, trials) <= t);
@@ -73,14 +74,14 @@ impl UnitProgress {
 
     /// Whether batch `b` has been recorded.
     pub fn has_batch(&self, b: u64) -> bool {
-        self.batches.get(b as usize).is_some_and(|s| s.is_some())
+        self.batches.contains_key(&b)
     }
 
     /// The decided prefix folded into one tally in batch-index order — or,
     /// while the unit is undecided, whatever contiguous prefix has landed.
     pub fn merged(&self) -> BatchOutcome {
         let mut total = BatchOutcome::default();
-        for done in self.batches[..self.decided.unwrap_or(self.prefix) as usize].iter().flatten() {
+        for done in self.batches.range(..self.decided.unwrap_or(self.prefix)).map(|(_, b)| b) {
             total.merge(done);
         }
         total

@@ -53,8 +53,11 @@ impl OutcomeCounts {
         }
     }
 
+    /// All trials counted (saturating, as corrupt checkpoint counts may be).
     pub fn total(&self) -> u64 {
-        self.benign + self.sdc + self.detected + self.due
+        [self.sdc, self.detected, self.due]
+            .iter()
+            .fold(self.benign, |t, &n| t.saturating_add(n))
     }
 
     fn rate(&self, n: u64) -> f64 {
@@ -77,12 +80,12 @@ impl OutcomeCounts {
         self.rate(self.due)
     }
 
-    /// Merge another campaign's counts (parallel shards).
+    /// Merge another campaign's counts (parallel shards), saturating.
     pub fn merge(&mut self, other: &OutcomeCounts) {
-        self.benign += other.benign;
-        self.sdc += other.sdc;
-        self.detected += other.detected;
-        self.due += other.due;
+        self.benign = self.benign.saturating_add(other.benign);
+        self.sdc = self.sdc.saturating_add(other.sdc);
+        self.detected = self.detected.saturating_add(other.detected);
+        self.due = self.due.saturating_add(other.due);
     }
 }
 

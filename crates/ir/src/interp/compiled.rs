@@ -5,15 +5,18 @@
 //! width, terminators holding op indices (a frame's `(block, ip)` is op
 //! `block_start[block] + ip`).
 //!
-//! One loop runs the ops, monomorphized three ways on `MODE`:
+//! One loop runs the ops, monomorphized four ways on `MODE`:
 //! - [`FAST`] keeps the counters in locals and nothing else: golden runs,
 //!   and a trial once its fault has landed.
 //! - [`ARMED`] adds one `sites == trap_site` compare per fault site and
 //!   stops before the trap site.
-//! - [`BOOK`], the bookkept loop, adds around the same op arms the snapshot
-//!   recorder's hook, the profile count, the injection (every
-//!   [`FaultEffect`], and where it landed) and the site note. Recorder and
-//!   profile runs take it throughout; a plain trial takes it for the one op
+//! - [`REC`], the recording loop, is [`FAST`] plus the profile count when
+//!   the run keeps one and the recorder's site note on each fault site; it
+//!   stops at the recorder's next due point, where the driver captures.
+//!   Snapshot captures and site observations take it throughout.
+//! - [`BOOK`], the bookkept loop, adds around the same op arms the profile
+//!   count and the injection (every [`FaultEffect`], and where it landed).
+//!   Profile runs take it throughout; a plain trial takes it for the one op
 //!   at its trap site, then resumes [`FAST`].
 //!
 //! The translator accepts only what it can pre-decode and check against the
@@ -23,7 +26,7 @@
 //! [`TrapKind::BadControl`] trap, so no instantiation indexes out of range.
 
 use crate::inst::{BinOp, Callee, CastKind, FPred, IPred, InstData, InstKind, Intrinsic, Terminator};
-use crate::interp::eval::{mem_fault_region, FramePool, IrLayer, IrState};
+use crate::interp::eval::{mem_fault_region, FramePool, IrLayer};
 use crate::interp::memory::{Memory, TrapKind};
 use crate::interp::snapshot::Recorder;
 use crate::interp::substrate::Start;
@@ -36,6 +39,7 @@ use crate::value::{BlockId, FuncId, InstId, Op, Value};
 pub(crate) const FAST: u8 = 0;
 pub(crate) const ARMED: u8 = 1;
 pub(crate) const BOOK: u8 = 2;
+pub(crate) const REC: u8 = 3;
 
 /// A resolved operand: the top two bits say where it lives — a result slot
 /// of the frame, a parameter, or the function's immediate pool — and the
@@ -130,19 +134,12 @@ impl CFunc {
     }
 }
 
-/// What only the bookkept loop writes: where the fault landed, the profile,
-/// and the snapshot recorder.
+/// What only the bookkept and recording loops write: where the fault landed,
+/// the profile, and the snapshot recorder.
 pub(crate) struct Book<'r> {
     pub(crate) injected_at: Option<(FuncId, InstId)>,
     pub(crate) profile: Option<Profile>,
     pub(crate) recorder: Option<&'r mut Recorder<IrLayer>>,
-}
-
-impl Book<'_> {
-    /// Whether every op takes the bookkept loop, not only the trap site's.
-    pub(crate) fn throughout(&self) -> bool {
-        self.recorder.is_some() || self.profile.is_some()
-    }
 }
 
 /// A module's functions, translated.
@@ -163,7 +160,8 @@ impl<'m> Compiled<'m> {
 
     /// Run from `run` until it ends (`Err` with its status) or stops early
     /// (`Ok`, with `run` at the next op): [`ARMED`] before `fault`'s site,
-    /// [`BOOK`] after that site's op unless `book` takes every op.
+    /// [`BOOK`] after that site's op unless the run is profiled, [`REC`] at
+    /// the recorder's next due point ([`Recorder::stretch_end`]).
     pub(crate) fn run<const MODE: u8>(
         &self,
         config: &ExecConfig,
@@ -175,6 +173,8 @@ impl<'m> Compiled<'m> {
         use ExecStatus::Trapped;
         let (max_dyn, max_out, max_depth) = (config.max_dyn_insts, config.max_output, config.max_call_depth);
         let trap_site = fault.map_or(0, |f| f.site_index);
+        let rec = book.recorder.as_deref().filter(|_| MODE == REC);
+        let (limit, stop_site) = rec.map_or((max_dyn, u64::MAX), |r| r.stretch_end(max_dyn));
         let Start { mem, output, state, .. } = run;
         let stack = &mut state.stack;
         let stack_limit = mem.stack_limit();
@@ -220,26 +220,19 @@ impl<'m> Compiled<'m> {
         }
 
         let outcome = loop {
-            if MODE == BOOK {
-                if let Some(rec) = book.recorder.as_deref_mut().filter(|r| r.due(dyn_insts, sites)) {
-                    // The state here: `dyn_insts` executed, op `pc` not yet
-                    // started.
-                    let (block, ip) = code.pos[pc];
-                    (fr.block, fr.ip) = (BlockId(block), ip as usize);
-                    stack.push(fr);
-                    rec.capture(dyn_insts, sites, output.len(), IrState { sp, stack: stack.clone() }, mem);
-                    fr = stack.pop().expect("pushed above");
-                }
-            }
             let op = &code.ops[pc];
             if MODE == ARMED && op.site && sites == trap_site {
                 break Ok(());
             }
             dyn_insts += 1;
-            if dyn_insts > max_dyn {
+            if dyn_insts > limit {
+                if MODE == REC && book.recorder.as_deref().is_some_and(|r| r.due(dyn_insts - 1, sites)) {
+                    dyn_insts -= 1;
+                    break Ok(());
+                }
                 break Err(Trapped(TrapKind::InstLimit));
             }
-            if MODE == BOOK {
+            if MODE == BOOK || MODE == REC {
                 if let Some(p) = book.profile.as_mut().filter(|_| op.kind.is_inst()) {
                     p.counts[fr.func.index()][op.dst as usize] += 1;
                 }
@@ -345,12 +338,17 @@ impl<'m> Compiled<'m> {
                     book.injected_at = Some((fr.func, InstId(op.dst)));
                     jump = self.inject(spec, &mut v, 64 - op.shift as u32, mem);
                 }
+            }
+            if MODE == REC && op.site {
                 if let Some(rec) = book.recorder.as_deref_mut() {
                     rec.note_site(fr.func.0, sites);
                 }
             }
             fr.values[op.dst as usize] = v & (u64::MAX >> op.shift);
             sites += op.site as u64;
+            if MODE == REC && sites == stop_site {
+                break Ok(());
+            }
             if MODE == BOOK {
                 if let Some(target) = jump {
                     // Control-flow edge corruption: the (intact) result is
@@ -358,7 +356,7 @@ impl<'m> Compiled<'m> {
                     // arbitrary block of this function.
                     pc = code.block_start[(target % code.block_start.len() as u64) as usize] as usize;
                 }
-                if !book.throughout() {
+                if book.profile.is_none() {
                     break Ok(());
                 }
             }

@@ -2,7 +2,7 @@
 //! state, and the driver that picks an instantiation of the one pre-decoded
 //! loop ([`compiled`](super::compiled)) for each stretch of a run.
 
-use crate::interp::compiled::{Book, Compiled, ARMED, BOOK, FAST};
+use crate::interp::compiled::{Book, Compiled, ARMED, BOOK, FAST, REC};
 use crate::interp::memory::{Memory, TrapKind, GLOBAL_BASE};
 use crate::interp::snapio::{w_bytes, w_opt, w_status, w_u32, w_u64, w_u64s, Cursor};
 use crate::interp::snapshot::{Cadence, Recorder};
@@ -170,10 +170,16 @@ impl<'m> Interpreter<'m> {
             if run.state.stack.is_empty() {
                 break ExecStatus::Trapped(TrapKind::BadControl);
             }
-            // Recorder and profile runs take the bookkept loop throughout;
+            // Recorder runs take the recording loop, capturing between its
+            // stretches; profile runs take the bookkept loop throughout;
             // plain runs take the fast loop, armed until the injection is
             // due, and the bookkept loop for that one op.
-            let stretch = if book.throughout() {
+            let stretch = if let Some(rec) = book.recorder.as_deref_mut() {
+                if rec.due(run.dyn_insts, run.fault_sites) {
+                    rec.capture(run.dyn_insts, run.fault_sites, run.output.len(), run.state.clone(), &mut run.mem);
+                }
+                code.run::<REC>(config, fault, &mut run, pool, &mut book)
+            } else if book.profile.is_some() {
                 code.run::<BOOK>(config, fault, &mut run, pool, &mut book)
             } else if fault.is_some() && book.injected_at.is_none() {
                 code.run::<ARMED>(config, fault, &mut run, pool, &mut book)

@@ -3,10 +3,10 @@
 //!
 //! A fault-injection trial is bit-identical to the golden run up to its
 //! injection site, so re-executing that prefix is pure waste — for late
-//! sites, >90% of the trial. During one instrumented golden run the layer's
-//! engine captures a [`Snapshot`] on a [`Cadence`]; a trial then restores
-//! the nearest one at-or-before its injection site and executes only the
-//! suffix.
+//! sites, >90% of the trial. During one golden run on its recording loop
+//! (the fast loop, stopping at each due point) the layer's engine captures a
+//! [`Snapshot`] on a [`Cadence`], no more than its unit has trials; a trial
+//! restores the nearest one at-or-before its injection site, runs the suffix.
 //!
 //! The invariant (enforced by differential tests at both layers): restored
 //! execution is **byte-identical** to scratch execution, because every
@@ -62,7 +62,8 @@ pub const AUTO_SITE_CADENCE: u64 = 64;
 
 /// Snapshot-count cap for self-tuning captures. Each time the cap is hit
 /// the cadence doubles and every other snapshot is dropped, so the final
-/// set holds 64..=128 snapshots regardless of run length.
+/// set of a long run holds 64..=128 snapshots; a unit of fewer trials
+/// lowers the cap to its trial count ([`capture_for`](crate::interp::substrate::capture_for)).
 pub const AUTO_MAX_SNAPS: usize = 128;
 
 /// One point-in-time capture of a layer's execution state.
@@ -254,9 +255,9 @@ impl SiteLog {
     }
 }
 
-/// Capture-side hook threaded through a layer's golden run: the engine
-/// polls [`Recorder::due`] at the top of its dispatch loop and hands over
-/// its state with [`Recorder::capture`].
+/// Capture-side hook threaded through a layer's golden run: the engine's
+/// recording loop runs in stretches to [`Recorder::stretch_end`], noting
+/// each fault site, and captures wherever [`Recorder::due`] holds.
 pub struct Recorder<S: Substrate> {
     /// The run's pristine image, which stored blocks are compared against.
     base: BaseImage,
@@ -293,12 +294,24 @@ impl<S: Substrate> Recorder<S> {
         }
     }
 
-    /// Called at the top of the dispatch loop, before the next instruction.
+    /// Whether a snapshot is due with `dyn_insts` instructions and
+    /// `fault_sites` sites executed and the next instruction not started.
     #[inline]
     pub fn due(&self, dyn_insts: u64, fault_sites: u64) -> bool {
         match self.cadence {
             Cadence::Insts(_) => dyn_insts >= self.next,
             Cadence::Sites(_) => fault_sites >= self.next,
+        }
+    }
+
+    /// Where a recording stretch stops, `(limit, site)`: before the
+    /// instruction that would pass `limit` (budget or due point), or right
+    /// after the fault site that brings the site counter to `site`.
+    #[inline]
+    pub fn stretch_end(&self, max_dyn: u64) -> (u64, u64) {
+        match self.cadence {
+            Cadence::Insts(_) => (max_dyn.min(self.next), u64::MAX),
+            Cadence::Sites(_) => (max_dyn, self.next),
         }
     }
 

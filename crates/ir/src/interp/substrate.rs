@@ -256,7 +256,20 @@ fn pristine<S: Substrate>(exec: &S::Exec<'_>, config: &ExecConfig) -> BaseImage 
 /// Self-tuning capture: a snapshot every [`AUTO_SITE_CADENCE`] fault sites,
 /// the cadence doubling whenever the set would exceed [`AUTO_MAX_SNAPS`].
 pub fn capture_auto<S: Substrate>(exec: &S::Exec<'_>, config: &ExecConfig, trace_cap: usize) -> SnapshotSet<S> {
-    capture(exec, config, Cadence::Sites(AUTO_SITE_CADENCE), Some(AUTO_MAX_SNAPS), trace_cap)
+    capture_for(exec, config, trace_cap, u64::MAX)
+}
+
+/// [`capture_auto`] for a unit that runs `trials` trials: the cap is
+/// `min(AUTO_MAX_SNAPS, trials)`. A trial restores at most one snapshot, so
+/// a larger set keeps snapshots no trial of the unit will use.
+pub fn capture_for<S: Substrate>(
+    exec: &S::Exec<'_>,
+    config: &ExecConfig,
+    trace_cap: usize,
+    trials: u64,
+) -> SnapshotSet<S> {
+    let cap = usize::try_from(trials).map_or(AUTO_MAX_SNAPS, |t| t.clamp(1, AUTO_MAX_SNAPS));
+    capture(exec, config, Cadence::Sites(AUTO_SITE_CADENCE), Some(cap), trace_cap)
 }
 
 #[cfg(test)]

@@ -10,6 +10,17 @@ use std::fmt::Write;
 pub fn print_module(m: &Module) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "; module {}", m.name);
+    out.push_str(&print_globals(m));
+    for (i, f) in m.functions.iter().enumerate() {
+        out.push('\n');
+        out.push_str(&print_function(m, FuncId(i as u32), f));
+    }
+    out
+}
+
+/// Render the module's globals, which a function's text names by index.
+pub fn print_globals(m: &Module) -> String {
+    let mut out = String::new();
     for g in &m.globals {
         let init = match &g.init {
             GlobalInit::Zero => "zeroinitializer".to_string(),
@@ -18,10 +29,6 @@ pub fn print_module(m: &Module) -> String {
             }
         };
         let _ = writeln!(out, "@{} = global [{} x {}] {}", g.name, g.count, g.elem, init);
-    }
-    for (i, f) in m.functions.iter().enumerate() {
-        out.push('\n');
-        out.push_str(&print_function(m, FuncId(i as u32), f));
     }
     out
 }

@@ -4,7 +4,8 @@
 //! module, at the machine layer the contiguous `AsmProgram` instruction
 //! range of the corresponding `AsmFunc`. Each region carries
 //!
-//! * a **content hash** over the region's instructions plus a
+//! * a **content hash** over the region's instructions and the module's
+//!   globals (which the instructions name only by index) plus a
 //!   caller-supplied *salt* folding in everything else that shapes trial
 //!   outcomes (variant, duplication level, layer, fault model, detectors,
 //!   executor-visible memory geometry), and
@@ -34,15 +35,16 @@ use flowery_inject::OutcomeCounts;
 use flowery_ir::fnv1a;
 use flowery_ir::interp::SiteLog;
 use flowery_ir::module::Module;
-use flowery_ir::printer::print_function;
+use flowery_ir::printer::{print_function, print_globals};
 use flowery_ir::value::{FuncId, InstId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Version of the region partition + hash recipe. Stamped into checkpoint
 /// headers; a checkpoint written under a different schema is never
-/// composed with profiles built under this one.
-pub const REGION_SCHEMA_VERSION: u32 = 1;
+/// composed with profiles built under this one. Version 2 folds the
+/// module's globals into every region hash.
+pub const REGION_SCHEMA_VERSION: u32 = 2;
 
 /// Catch-all region for injection sites outside every function body
 /// (machine-layer prologue/veneer code, or attribution fallback).
@@ -89,15 +91,25 @@ impl RegionSet {
     }
 }
 
+/// The content hash of each function of `module` as a region: its printed
+/// text, the printed globals block and `salt`. A function's text names a
+/// global by index, so without the block an edit to a global's
+/// initializer alone would leave every region hash standing.
+pub fn region_hashes(module: &Module, salt: u64) -> Vec<u64> {
+    let salt = combine(fnv1a(print_globals(module).as_bytes()), salt);
+    let hash = |(fi, f)| combine(fnv1a(print_function(module, FuncId(fi as u32), f).as_bytes()), salt);
+    module.functions.iter().enumerate().map(hash).collect()
+}
+
 /// Partition an IR module into per-function regions. `sites` is the
 /// module's observed site log (`substrate::observe::<IrLayer>`), whose
 /// region ids are function indices; `salt` folds in the unit configuration
 /// (variant, level, fault model, detectors, geometry) so the same function
 /// under two configs hashes differently.
 pub fn ir_region_set(module: &Module, sites: &SiteLog, salt: u64) -> RegionSet {
+    let hashes = region_hashes(module, salt);
     let mut regions = Vec::new();
-    for (fi, func) in module.functions.iter().enumerate() {
-        let hash = combine(fnv1a(print_function(module, FuncId(fi as u32), func).as_bytes()), salt);
+    for ((fi, func), hash) in module.functions.iter().enumerate().zip(hashes) {
         regions.push(Region { name: func.name.clone(), hash, site_mass: sites.mass(fi) });
     }
     regions.sort_by(|a, b| a.name.cmp(&b.name));
@@ -106,9 +118,9 @@ pub fn ir_region_set(module: &Module, sites: &SiteLog, salt: u64) -> RegionSet {
 
 /// Partition a machine program into per-function regions. Machine regions
 /// are identified by the IR function they were compiled from, so the hash
-/// covers that function's IR text (the machine encoding is a deterministic
-/// function of it) plus the compiled range length — which changes whenever
-/// that function's own codegen changes — plus `salt`. Absolute operand
+/// is that function's IR region hash (the machine encoding is a
+/// deterministic function of its text and the globals) plus the compiled
+/// range length, which changes whenever its own codegen does. Absolute operand
 /// addresses are deliberately excluded: an edit to one function must not
 /// invalidate every function behind it just because code shifted.
 /// `sites` is the program's observed site log
@@ -116,16 +128,16 @@ pub fn ir_region_set(module: &Module, sites: &SiteLog, salt: u64) -> RegionSet {
 /// `program.funcs`, one past them for sites outside every function body —
 /// those fold into [`OTHER_REGION`].
 pub fn asm_region_set(module: &Module, program: &AsmProgram, sites: &SiteLog, salt: u64) -> RegionSet {
+    let hashes = region_hashes(module, salt);
     let mut regions = Vec::new();
     for (i, f) in program.funcs.iter().enumerate() {
         let (lo, hi) = (f.entry as usize, (f.end as usize).min(program.insts.len()));
-        let ir_func = &module.functions[f.ir_id.index()];
-        let mut hash = combine(fnv1a(print_function(module, f.ir_id, ir_func).as_bytes()), salt);
-        hash = combine(hash, (hi - lo) as u64);
+        let hash = combine(hashes[f.ir_id.index()], (hi - lo) as u64);
         regions.push(Region { name: f.name.clone(), hash, site_mass: sites.mass(i) });
     }
     let other = sites.mass(program.funcs.len());
     if other > 0 {
+        let salt = combine(fnv1a(print_globals(module).as_bytes()), salt);
         regions.push(Region {
             name: OTHER_REGION.into(),
             hash: combine(fnv1a(OTHER_REGION.as_bytes()), salt),

@@ -7,7 +7,8 @@
 # the same store, with one stored set stamped as an older format version,
 # must name the refusal on stderr, recapture exactly that set and end
 # byte-identical too. Also checks that `--no-snapshots` leaves no `.snaps`
-# directory.
+# directory, and that a campaign of 40 trials per unit keeps no more than
+# 40 snapshots per captured set.
 set -euo pipefail
 
 BIN=${FLOWERY_BIN:-target/release/flowery}
@@ -77,6 +78,8 @@ for counter in snap_captures goldens_run observations snap_bytes_written; do
 done
 grep -qE '"snap_bytes_read": [1-9]' "$DIR/resume-metrics.json" \
     || { echo "resume read no snapshot file"; cat "$DIR/resume-metrics.json"; exit 1; }
+grep -q '"snaps_kept": 0,' "$DIR/resume-metrics.json" && grep -q '"snap_capture_secs": 0.0,' "$DIR/resume-metrics.json" \
+    || { echo "resume reports capture work"; cat "$DIR/resume-metrics.json"; exit 1; }
 
 cmp "$DIR/ref.jsonl" "$DIR/ckpt.jsonl"
 echo "resume-smoke: resumed checkpoint is byte-identical to the reference"
@@ -106,6 +109,16 @@ grep -q '"snap_captures": 1' "$DIR/stamped-metrics.json" \
     || { echo "the refused set was not recaptured exactly once"; cat "$DIR/stamped-metrics.json"; exit 1; }
 cmp "$DIR/ref.jsonl" "$DIR/stamped.jsonl"
 echo "resume-smoke: refused set recaptured, checkpoint byte-identical to the reference"
+
+echo "resume-smoke: a set keeps no more snapshots than its unit has trials"
+# Uncapped, these two programs' sets hold 783 snapshots in 10 captures.
+"$BIN" campaign lud needle --tiny --trials 40 --batch 20 --seed 99 --checkpoint "$DIR/small.jsonl" \
+    --metrics-json "$DIR/small-metrics.json" >/dev/null 2>&1
+read -r CAPTURES KEPT < <(python3 -c 'import json, sys; m = json.load(open(sys.argv[1])); print(m["snap_captures"], m["snaps_kept"])' \
+    "$DIR/small-metrics.json")
+[ "$CAPTURES" -gt 0 ] && [ "$KEPT" -gt 0 ] && [ "$KEPT" -le $((40 * CAPTURES)) ] \
+    || { echo "snaps_kept $KEPT for $CAPTURES captures of 40-trial units"; cat "$DIR/small-metrics.json"; exit 1; }
+echo "resume-smoke: $KEPT snapshots kept by $CAPTURES captures"
 
 echo "resume-smoke: --no-snapshots leaves no store behind"
 "$BIN" campaign "${ARGS[@]}" --no-snapshots --checkpoint "$DIR/nosnap.jsonl" >/dev/null 2>&1

@@ -669,7 +669,7 @@ fn cmd_diff(rest: &[String]) -> Result<(), String> {
         .ok_or("diff needs --baseline FILE (a checkpoint from a finished campaign or a prior diff)")?;
     let baseline = Baseline::load(Path::new(base_path), &cfg.header())?;
     if baseline.pre_region {
-        eprintln!("[diff] {base_path}: no region records in baseline; every region runs fresh");
+        eprintln!("[diff] {base_path}: no region records of this build's recipe in baseline; every region runs fresh");
     }
 
     eprintln!(

@@ -215,3 +215,48 @@ fn deep_minic_nesting_is_refused_by_name() {
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 }
+
+/// The number after `"key": ` in pretty-printed `--metrics-json` output.
+fn metric(json: &str, key: &str) -> u64 {
+    let at = json
+        .find(&format!("\"{key}\": "))
+        .unwrap_or_else(|| panic!("no {key} in {json}"))
+        + key.len()
+        + 4;
+    json[at..].split(|c: char| !c.is_ascii_digit()).next().unwrap().parse().unwrap()
+}
+
+#[test]
+fn a_global_initializer_edit_reruns_the_regions_that_read_it() {
+    // Function text names a global only by index (`@g0`), so an edit of the
+    // initializer alone changes no function's text: the globals folded into
+    // every region hash are what keep the baseline's regions from being
+    // reused for a program that no longer exists.
+    let src = "global int table[4] = {3, 1, 4, 1};\n\
+               int pick(int i) { return table[i & 3]; }\n\
+               int main() { int s = 0; int i;\n\
+                 for (i = 0; i < 40; i = i + 1) { s = s + pick(i); }\n\
+                 output(s); return 0; }\n";
+    let path = program("table", src);
+    let dir = path.parent().unwrap().to_path_buf();
+    let (base, metrics) = (dir.join("base.jsonl"), dir.join("diff.json"));
+    let (p, base, metrics) = (path.to_str().unwrap(), base.to_str().unwrap(), metrics.to_str().unwrap());
+    let args = ["--src", p, "--tiny", "--trials", "100", "--batch", "50"];
+    stdout_of(&[&["campaign"], &args[..], &["--checkpoint", base]].concat());
+    let diff = [&["diff"], &args[..], &["--baseline", base, "--metrics-json", metrics]].concat();
+    stdout_of(&diff);
+    let json = std::fs::read_to_string(metrics).unwrap();
+    assert_eq!(
+        metric(&json, "regions_rerun"),
+        0,
+        "test premise: an unchanged program reuses every region"
+    );
+
+    std::fs::write(&path, src.replace("{3, 1, 4, 1}", "{3, 1, 4, 2}")).unwrap();
+    stdout_of(&diff);
+    let json = std::fs::read_to_string(metrics).unwrap();
+    let total = metric(&json, "regions_total");
+    assert!(total > 0, "{json}");
+    assert_eq!((metric(&json, "regions_rerun"), metric(&json, "regions_reused")), (total, 0), "{json}");
+    std::fs::remove_dir_all(dir).unwrap();
+}

@@ -5,14 +5,19 @@
 //!
 //! It runs `main` from a fresh memory image to the end — no snapshots, no
 //! fast-forward — so every engine result, from scratch, restored or
-//! fast-forwarded, can be held against it. Test code only; include it
+//! fast-forwarded, can be held against it, and every snapshot a capture
+//! takes against the oracle's state at the same point ([`visit`]). Test code only; include it
 //! with `#[path = "common/asm_oracle.rs"] mod asm_oracle;`.
+
+// Each test binary that includes the oracle uses part of it.
+#![allow(dead_code)]
 
 use flowery_backend::mir::{
     flags, AInst, AKind, AOp, AluOp, AsmProgram, FaultDest, MathKind, MemRef, OutKind, Reg, ShiftOp, SseOp, CC,
 };
 use flowery_backend::{AsmFaultSpec, MachResult};
 use flowery_ir::inst::{BinOp, CastKind, Intrinsic};
+use flowery_ir::interp::snapio::{w_u32, w_u64};
 use flowery_ir::interp::{mem_fault_region, ops, ExecConfig, ExecStatus, FaultEffect, Memory, TrapKind};
 use flowery_ir::module::Module;
 use flowery_ir::types::Type;
@@ -23,6 +28,39 @@ const SENTINEL: u64 = u64::MAX - 1;
 /// Execute `program` from `main` under `config`'s limits, optionally
 /// injecting `fault`.
 pub fn run(module: &Module, program: &AsmProgram, config: &ExecConfig, fault: Option<AsmFaultSpec>) -> MachResult {
+    exec(module, program, config, fault, &[], &mut |_, _, _, _| {}, &mut |_| {})
+}
+
+/// What [`visit`] hands the state at a point to: the instruction and site
+/// counters, the encoded state and the memory image.
+pub type AtPoint<'a> = &'a mut dyn FnMut(u64, u64, Vec<u8>, &mut Memory);
+
+/// A fault-free [`run`] that stops by at each of `points` (ascending
+/// counts of executed instructions): `at` gets the instruction and site
+/// counters, the state as a snapshot file encodes it (cycles, next
+/// instruction, registers, output length) and the memory image, before the
+/// next instruction starts. `site` gets the position of every fault site
+/// executed, in order.
+pub fn visit(
+    module: &Module,
+    program: &AsmProgram,
+    config: &ExecConfig,
+    points: &[u64],
+    at: AtPoint<'_>,
+    site: &mut dyn FnMut(u32),
+) -> MachResult {
+    exec(module, program, config, None, points, at, site)
+}
+
+fn exec(
+    module: &Module,
+    program: &AsmProgram,
+    config: &ExecConfig,
+    fault: Option<AsmFaultSpec>,
+    mut points: &[u64],
+    at: AtPoint<'_>,
+    site: &mut dyn FnMut(u32),
+) -> MachResult {
     let mut mem = Memory::new(module, config.mem_size, config.stack_size);
     let mut regs = [0u64; Reg::COUNT];
     let sp = mem.initial_sp() - 8;
@@ -44,6 +82,17 @@ pub fn run(module: &Module, program: &AsmProgram, config: &ExecConfig, fault: Op
     let insts = &program.insts;
 
     let status = loop {
+        while let Some((_, rest)) = points.split_first().filter(|(&p, _)| p == st.dyn_insts) {
+            points = rest;
+            let mut state = Vec::new();
+            w_u64(&mut state, st.cycles);
+            w_u32(&mut state, ip);
+            for &r in &st.regs {
+                w_u64(&mut state, r);
+            }
+            w_u64(&mut state, st.output.len() as u64);
+            at(st.dyn_insts, st.fault_sites, state, &mut st.mem);
+        }
         if ip as usize >= insts.len() {
             break ExecStatus::Trapped(TrapKind::BadControl);
         }
@@ -75,6 +124,7 @@ pub fn run(module: &Module, program: &AsmProgram, config: &ExecConfig, fault: Op
                     ip = (target % insts.len() as u64) as u32;
                 }
             }
+            site(st.last_ip);
             st.fault_sites += 1;
         }
 

@@ -6,10 +6,15 @@
 //!
 //! It runs `main` from a fresh memory image to the end — no snapshots, no
 //! fast-forward — so every engine result, plain, profiled, captured or
-//! fast-forwarded, can be held against it. Test code only; include it with
+//! fast-forwarded, can be held against it, and every snapshot a capture
+//! takes against the oracle's state at the same point ([`visit`]). Test code only; include it with
 //! `#[path = "common/ir_oracle.rs"] mod ir_oracle;`.
 
+// Each test binary that includes the oracle uses part of it.
+#![allow(dead_code)]
+
 use flowery_ir::inst::{Callee, InstKind, Intrinsic, Terminator};
+use flowery_ir::interp::snapio::{w_opt, w_u32, w_u64, w_u64s};
 use flowery_ir::interp::{mem_fault_region, ops, ExecConfig, ExecResult, ExecStatus, FaultEffect, FaultSpec};
 use flowery_ir::interp::{Memory, Profile, TrapKind};
 use flowery_ir::module::Module;
@@ -68,6 +73,36 @@ struct Oracle<'m> {
 /// Execute `main` from a fresh image under `config`'s limits, optionally
 /// injecting `fault`; counts the profile when `config.profile` is set.
 pub fn run(m: &Module, config: &ExecConfig, fault: Option<FaultSpec>) -> ExecResult {
+    exec(m, config, fault, &[], &mut |_, _, _, _| {}, &mut |_| {})
+}
+
+/// What [`visit`] hands the state at a point to: the instruction and site
+/// counters, the encoded state and the memory image.
+pub type AtPoint<'a> = &'a mut dyn FnMut(u64, u64, Vec<u8>, &mut Memory);
+
+/// A fault-free [`run`] that stops by at each of `points` (ascending
+/// counts of executed instructions): `at` gets the instruction and site
+/// counters, the state as a snapshot file encodes it (stack pointer, output
+/// length, call stack) and the memory image, before the next instruction
+/// starts. `site` gets the function of every fault site executed, in order.
+pub fn visit(
+    m: &Module,
+    config: &ExecConfig,
+    points: &[u64],
+    at: AtPoint<'_>,
+    site: &mut dyn FnMut(u32),
+) -> ExecResult {
+    exec(m, config, None, points, at, site)
+}
+
+fn exec(
+    m: &Module,
+    config: &ExecConfig,
+    fault: Option<FaultSpec>,
+    mut points: &[u64],
+    at: AtPoint<'_>,
+    site: &mut dyn FnMut(u32),
+) -> ExecResult {
     let mem = Memory::new(m, config.mem_size, config.stack_size);
     let sp = mem.initial_sp();
     let main = m.main_func().expect("module has no @main");
@@ -88,8 +123,17 @@ pub fn run(m: &Module, config: &ExecConfig, fault: Option<FaultSpec>) -> ExecRes
         }),
     };
     let status = loop {
+        while let Some((_, rest)) = points.split_first().filter(|(&p, _)| p == o.dyn_insts) {
+            points = rest;
+            let state = o.encoded_state();
+            at(o.dyn_insts, o.fault_sites, state, &mut o.mem);
+        }
+        let before = (o.stack.last().map(|f| f.func.0), o.fault_sites);
         if let Err(s) = o.step() {
             break s;
+        }
+        if o.fault_sites > before.1 {
+            site(before.0.expect("a site executes in a frame"));
         }
     };
     ExecResult {
@@ -103,6 +147,25 @@ pub fn run(m: &Module, config: &ExecConfig, fault: Option<FaultSpec>) -> ExecRes
 }
 
 impl Oracle<'_> {
+    /// The state between two instructions, in the layout a snapshot file
+    /// gives it.
+    fn encoded_state(&self) -> Vec<u8> {
+        let mut w = Vec::new();
+        w_u64(&mut w, self.sp);
+        w_u64(&mut w, self.output.len() as u64);
+        w_u64(&mut w, self.stack.len() as u64);
+        for f in &self.stack {
+            w_u32(&mut w, f.func.0);
+            w_u32(&mut w, f.block.0);
+            w_u64(&mut w, f.ip as u64);
+            w_u64(&mut w, f.saved_sp);
+            w_opt(&mut w, f.ret_dest, |w, i| w_u32(w, i.0));
+            w_u64s(&mut w, &f.values);
+            w_u64s(&mut w, &f.params);
+        }
+        w
+    }
+
     fn op_value(&self, frame: &Frame, op: Op) -> u64 {
         match op {
             Op::Const(c) => c.bits(),

@@ -1,8 +1,8 @@
 //! The printed IR covers every field of the IR. Every cache key is FNV-1a
 //! over printed text: `module_hash` over the module, and the region hashes
-//! `flowery diff` reuses unchanged regions by over `print_function`. A
-//! field the printer left out would let two programs that execute
-//! differently share goldens, snapshots and region profiles.
+//! `flowery diff` reuses unchanged regions by over `print_function` and the
+//! printed globals. A field the printer left out would let two programs that
+//! execute differently share goldens, snapshots and region profiles.
 //!
 //! `every_ir_field_moves_the_content_hash` destructures each IR type with
 //! no rest pattern and no wildcard arm, so a new field or variant fails to
@@ -10,7 +10,8 @@
 //! it edits a copy of the module to another value that still resolves (an
 //! existing block, function, global or value) and requires both the module
 //! hash and the function's printout to move, or, for a field listed in
-//! [`UNHASHED`], both to stay.
+//! [`UNHASHED`], both to stay. An edit of a global must move every
+//! function's region hash: function text names a global only by index.
 //!
 //! The file also holds two edge checks on printing and executing whole
 //! programs: the machine listing of every workload, and a module without
@@ -24,6 +25,7 @@ use flowery_ir::{
     BinOp, Block, Callee, CastKind, Const, FPred, FuncId, Function, Global, GlobalId, GlobalInit, IPred, InstData,
     InstId, InstKind, Intrinsic, IrRole, Module, Op, Terminator, Type, Value,
 };
+use flowery_regions::region_hashes;
 use flowery_workloads::{all_workloads, Scale};
 use std::collections::{BTreeSet, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -116,10 +118,16 @@ struct Sweep<'m> {
 impl Sweep<'_> {
     /// Apply `edit` to a copy of the module, unless every field in `fields`
     /// was already edited, and check that the module hash and `func`'s
-    /// printout both move, or both stay for an [`UNHASHED`] field.
-    fn check(&mut self, fields: &[&'static str], func: Option<FuncId>, edit: impl FnOnce(&mut Module)) {
+    /// printout both move, or both stay for an [`UNHASHED`] field. Returns
+    /// the edited copy.
+    fn check(
+        &mut self,
+        fields: &[&'static str],
+        func: Option<FuncId>,
+        edit: impl FnOnce(&mut Module),
+    ) -> Option<Module> {
         if fields.iter().all(|f| self.seen.contains(f)) {
-            return;
+            return None;
         }
         self.seen.extend(fields);
         let (name, mut m) = (&self.module.name, self.module.clone());
@@ -136,6 +144,19 @@ impl Sweep<'_> {
                 "{name}: printout of @{} vs an edit of {fields:?}",
                 m.func(fid).name
             );
+        }
+        Some(m)
+    }
+
+    /// [`Sweep::check`] for an edit of a global, which must also move the
+    /// region hash of every function.
+    fn check_global(&mut self, field: &'static str, edit: impl FnOnce(&mut Module)) {
+        let Some(m) = self.check(&[field], None, edit) else {
+            return;
+        };
+        let (before, after) = (region_hashes(self.module, 0), region_hashes(&m, 0));
+        for (f, (b, a)) in m.functions.iter().zip(before.iter().zip(&after)) {
+            assert_ne!(b, a, "{}: region hash of @{} vs an edit of {field}", self.module.name, f.name);
         }
     }
 }
@@ -191,7 +212,7 @@ fn sweep_module(m: &Module, covered: &mut BTreeSet<&'static str>) {
     let Module { name: _, globals, functions } = m;
     s.check(&["Module.name"], None, |m| m.name.push_str(".edited"));
     if globals.len() > 1 {
-        s.check(&["Module.globals"], None, |m| m.globals.swap(0, 1));
+        s.check_global("Module.globals", |m| m.globals.swap(0, 1));
     }
     if functions.len() > 1 {
         s.check(&["Module.functions"], None, |m| m.functions.swap(0, 1));
@@ -208,18 +229,18 @@ fn sweep_module(m: &Module, covered: &mut BTreeSet<&'static str>) {
 fn sweep_global(s: &mut Sweep, gi: usize, g: &Global) {
     let Global { name: _, elem, count, init } = g;
     let (elem, count) = (*elem, *count);
-    s.check(&["Global.name"], None, |m| m.globals[gi].name.push_str(".edited"));
-    s.check(&["Global.elem"], None, |m| m.globals[gi].elem = other_type(elem));
-    s.check(&["Global.count"], None, |m| m.globals[gi].count = count + 1);
+    s.check_global("Global.name", |m| m.globals[gi].name.push_str(".edited"));
+    s.check_global("Global.elem", |m| m.globals[gi].elem = other_type(elem));
+    s.check_global("Global.count", |m| m.globals[gi].count = count + 1);
     match init {
-        GlobalInit::Zero => s.check(&["GlobalInit::Zero"], None, |m| m.globals[gi].init = GlobalInit::Elems(vec![1])),
+        GlobalInit::Zero => s.check_global("GlobalInit::Zero", |m| m.globals[gi].init = GlobalInit::Elems(vec![1])),
         GlobalInit::Elems(elems) => {
             let mut edited = elems.clone();
             match edited.first_mut() {
                 Some(e) => *e ^= 1,
                 None => edited.push(1),
             }
-            s.check(&["GlobalInit::Elems.0"], None, |m| m.globals[gi].init = GlobalInit::Elems(edited));
+            s.check_global("GlobalInit::Elems.0", |m| m.globals[gi].init = GlobalInit::Elems(edited));
         }
     }
 }
