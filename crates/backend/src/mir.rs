@@ -494,6 +494,13 @@ pub struct AsmProgram {
 }
 
 impl AsmProgram {
+    /// Drop the spare capacity instruction selection left behind. The
+    /// program is unchanged.
+    pub fn shrink_to_fit(&mut self) {
+        self.insts.shrink_to_fit();
+        self.funcs.shrink_to_fit();
+    }
+
     /// The function containing instruction index `idx`.
     pub fn func_of(&self, idx: u32) -> Option<&AsmFunc> {
         self.funcs.iter().find(|f| f.entry <= idx && idx < f.end)

@@ -53,14 +53,7 @@ pub fn asm_hardening_study(
     let opts = || RunOptions { progress, ..Default::default() };
     let ladder = study(&units, &run_units(&units, cfg, &cache, opts()).complete()?, &spec.backend)?;
 
-    let (hardened, checks): (Vec<TrialUnit>, Vec<usize>) = units
-        .iter()
-        .filter(|u| u.key.variant == Variant::Flowery)
-        .map(|u| {
-            let (program, stats) = harden_program(u.program.as_ref().expect("asm unit"), &HardenConfig::default());
-            (TrialUnit { program: Some(Arc::new(program)), ..u.clone() }, stats.total())
-        })
-        .unzip();
+    let (hardened, checks) = hardened(&units);
     let hardened = run_units(&hardened, cfg, &cache, opts()).complete()?;
 
     let rows = ladder
@@ -81,6 +74,19 @@ pub fn asm_hardening_study(
             }
         });
     Ok(rows.collect())
+}
+
+/// The hardened rung: each Flowery@Asm unit of `units` over its program
+/// with [`harden_program`] applied, and the read-back checks that inserted.
+fn hardened(units: &[TrialUnit]) -> (Vec<TrialUnit>, Vec<usize>) {
+    units
+        .iter()
+        .filter(|u| u.key.variant == Variant::Flowery)
+        .map(|u| {
+            let (program, stats) = harden_program(u.program.as_ref().expect("asm unit"), &HardenConfig::default());
+            (TrialUnit::asm(u.key.clone(), u.module.clone(), Arc::new(program)), stats.total())
+        })
+        .unzip()
 }
 
 /// Render the hardening ladder.
@@ -213,6 +219,23 @@ mod tests {
         assert!(r.harden_overhead > 0.0 && r.harden_overhead < 1.0, "{r:?}");
         let text = render_hardening(&rows);
         assert!(text.contains("+AsmHarden"), "{text}");
+    }
+
+    #[test]
+    fn hardened_units_key_their_own_program() {
+        // The Flowery units carry their keys from a campaign before they are
+        // hardened; each hardened unit must key the program it runs.
+        let (spec, cfg) = smoke("crc32", 20);
+        let cache = GoldenCache::new();
+        let units = full_matrix(&spec);
+        run_units(&units, &cfg, &cache, RunOptions::default()).complete().unwrap();
+        let (hardened, _) = hardened(&units);
+        run_units(&hardened, &cfg, &cache, RunOptions::default()).complete().unwrap();
+        assert!(!hardened.is_empty());
+        for u in &hardened {
+            let fresh = flowery_harness::program_hash(u.program.as_ref().unwrap());
+            assert_eq!(u.content_key(&cache), fresh, "{}", u.key);
+        }
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! Every campaign needs a fault-free reference execution (the *golden
 //! run*) to classify outcomes against and to derive the fault-site count.
 //! Golden runs are pure functions of the program text, so the cache keys
-//! them by a content hash of the printed IR / machine listing: two units
-//! over byte-identical programs share one golden execution, and the
-//! golden counts every [`UnitResult`](crate::UnitResult) carries (what the
+//! them by a content hash of the printed IR / machine listing, which a
+//! campaign unit prints once and carries
+//! ([`TrialUnit::content_key`](crate::TrialUnit::content_key)): two units
+//! over byte-identical programs share one golden execution, and the golden
+//! counts every [`UnitResult`](crate::UnitResult) carries (what the
 //! study's overhead tables read) come from the campaign goldens for free.
 //!
 //! Snapshot sets are served the same way, with one extra source ahead of a
@@ -72,6 +74,10 @@ pub struct CacheStats {
     pub snap_bytes_read: u64,
     /// Bytes of snapshot files the persistent store published.
     pub snap_bytes_written: u64,
+    /// Module or program texts printed to make a content key: one per
+    /// campaign unit at most (a unit keeps its key), one per call of the
+    /// single-program lookups.
+    pub content_hashes: u64,
 }
 
 impl CacheStats {
@@ -106,29 +112,18 @@ impl<S: Substrate> Default for LayerMaps<S> {
     }
 }
 
-/// A layer the cache serves: what keys its programs and where its maps are.
+/// A layer the cache serves: where its maps are.
 pub(crate) trait CacheLayer: Substrate {
-    /// Content hash of the program `exec` is bound to.
-    fn key(exec: &Self::Exec<'_>) -> u64;
-
     fn maps(cache: &GoldenCache) -> &LayerMaps<Self>;
 }
 
 impl CacheLayer for IrLayer {
-    fn key(exec: &Interpreter<'_>) -> u64 {
-        module_hash(IrLayer::module(exec))
-    }
-
     fn maps(cache: &GoldenCache) -> &LayerMaps<IrLayer> {
         &cache.ir
     }
 }
 
 impl CacheLayer for AsmLayer {
-    fn key(exec: &Machine<'_>) -> u64 {
-        program_hash(exec.program())
-    }
-
     fn maps(cache: &GoldenCache) -> &LayerMaps<AsmLayer> {
         &cache.asm
     }
@@ -151,6 +146,7 @@ pub struct GoldenCache {
     snaps_kept: AtomicU64,
     snap_loads: AtomicU64,
     observations: AtomicU64,
+    content_hashes: AtomicU64,
 }
 
 impl GoldenCache {
@@ -187,14 +183,21 @@ impl GoldenCache {
         };
     }
 
-    /// Golden run of the program `exec` is bound to, computed at most once
-    /// per distinct program content.
-    pub(crate) fn golden<S: CacheLayer>(&self, exec: &S::Exec<'_>, cfg: &ExecConfig) -> Arc<S::Golden> {
-        let key = S::key(exec);
-        // A persisted snapshot set carries the golden result, so a pure
-        // checkpoint replay (`--resume` of a finished run) serves even its
-        // merge-time golden lookups without executing anything.
-        let make = || match self.load_set::<S>(exec, key, cfg) {
+    /// `hash`, a content key just printed, counted in
+    /// [`CacheStats::content_hashes`].
+    pub(crate) fn printed(&self, hash: u64) -> u64 {
+        self.content_hashes.fetch_add(1, Ordering::Relaxed);
+        hash
+    }
+
+    /// Golden run of the program `exec` is bound to, whose content key is
+    /// `key`, computed at most once per distinct program content.
+    pub(crate) fn golden<S: CacheLayer>(&self, exec: &S::Exec<'_>, key: u64, cfg: &ExecConfig) -> Arc<S::Golden> {
+        // A snapshot set carries the golden result, so a pure checkpoint
+        // replay (`--resume` of a finished run) serves even its merge-time
+        // golden lookups without executing anything — from a stored file
+        // whose snapshots it does not keep (no trial needs them).
+        let make = || match self.in_memory::<S>(key).or_else(|| self.load_outline::<S>(exec, key, cfg)) {
             Some(set) => Arc::new(set.golden().clone()),
             None => {
                 self.goldens_run.fetch_add(1, Ordering::Relaxed);
@@ -204,32 +207,38 @@ impl GoldenCache {
         self.memo(&S::maps(self).goldens, key, |_| true, make)
     }
 
-    /// Golden run of `m` at the IR layer.
+    /// The set for `key` in the snapshot map, unless it is being made.
+    fn in_memory<S: CacheLayer>(&self, key: u64) -> Option<Arc<SnapshotSet<S>>> {
+        let slot = S::maps(self).snaps.lock().unwrap().get(&key).cloned();
+        slot.and_then(|slot| slot.try_lock().ok()?.clone())
+    }
+
+    /// Golden run of `m` at the IR layer. Prints `m` to key it, every call.
     pub fn ir_golden(&self, m: &Module, exec: &ExecConfig) -> Arc<ExecResult> {
-        self.golden::<IrLayer>(&Interpreter::new(m), exec)
+        self.golden::<IrLayer>(&Interpreter::new(m), self.printed(module_hash(m)), exec)
     }
 
-    /// Golden run of `p` at the assembly layer.
+    /// Golden run of `p` at the assembly layer. Prints `p` to key it, every
+    /// call.
     pub fn asm_golden(&self, m: &Module, p: &AsmProgram, exec: &ExecConfig) -> Arc<MachResult> {
-        self.golden::<AsmLayer>(&Machine::new(m, p), exec)
+        self.golden::<AsmLayer>(&Machine::new(m, p), self.printed(program_hash(p)), exec)
     }
 
-    /// The site observation of `exec`'s program with a per-site trace of up
-    /// to `trace_cap` entries, from the memo, a set in memory, the store, or
-    /// else one fault-free pass ([`substrate::observe`]; never a capture,
-    /// which costs more) that seeds the golden map. A log recorded with a
-    /// smaller cap never serves.
+    /// The site observation of `exec`'s program (content key `key`) with a
+    /// per-site trace of up to `trace_cap` entries, from the memo, a set in
+    /// memory, the store, or else one fault-free pass ([`substrate::observe`];
+    /// never a capture, which costs more) that seeds the golden map. A log
+    /// recorded with a smaller cap never serves.
     pub(crate) fn observation<S: CacheLayer>(
         &self,
         exec: &S::Exec<'_>,
+        key: u64,
         cfg: &ExecConfig,
         trace_cap: usize,
     ) -> Arc<SiteLog> {
-        let (key, maps) = (S::key(exec), S::maps(self));
+        let maps = S::maps(self);
         let make = || {
-            let in_memory = maps.snaps.lock().unwrap().get(&key).cloned();
-            let set = in_memory.and_then(|slot| slot.try_lock().ok()?.clone());
-            let set = set.or_else(|| self.load_set::<S>(exec, key, cfg));
+            let set = self.in_memory::<S>(key).or_else(|| self.load_set::<S>(exec, key, cfg));
             match set.map(|set| set.sites().clone()).filter(|log| log.serves(trace_cap)) {
                 Some(log) => log,
                 None => {
@@ -258,20 +267,23 @@ impl GoldenCache {
     /// indices are never cut short by it.
     pub const SITE_TRACE_CAP: usize = 1 << 22;
 
-    /// Static bit-verdict table for `p`, computed at most once per
-    /// distinct program content. Pure static analysis — no execution.
-    pub fn asm_bits(&self, m: &Module, p: &AsmProgram) -> Arc<BitTable> {
-        self.memo(&self.bit_tables, program_hash(p), |_| true, || Arc::new(analyze_bits(m, p)))
+    /// Static bit-verdict table for `p`, whose content key is `key`,
+    /// computed at most once per distinct program content. Pure static
+    /// analysis — no execution.
+    pub(crate) fn asm_bits(&self, m: &Module, p: &AsmProgram, key: u64) -> Arc<BitTable> {
+        self.memo(&self.bit_tables, key, |_| true, || Arc::new(analyze_bits(m, p)))
     }
 
-    /// A trial runner for `exec`'s program on the cached golden, or why none
-    /// can run ([`TrialRunner::refusal`]). With `snapshots` on, the set is
-    /// fetched first: its capture run doubles as the golden run and the
-    /// observation (keeping `trace_cap` entries of trace) and keeps at most
-    /// `trials` snapshots. Without, the observation pass is the golden run.
+    /// A trial runner for `exec`'s program (content key `key`) on the cached
+    /// golden, or why none can run ([`TrialRunner::refusal`]). With
+    /// `snapshots` on, the set is fetched first: its capture run doubles as
+    /// the golden run and the observation (keeping `trace_cap` entries of
+    /// trace) and keeps at most `trials` snapshots. Without, the observation
+    /// pass is the golden run.
     pub(crate) fn runner<'u, S: CacheLayer + InjectLayer>(
         &self,
         exec: S::Exec<'u>,
+        key: u64,
         snapshots: bool,
         cfg: &ExecConfig,
         trace_cap: usize,
@@ -279,17 +291,36 @@ impl GoldenCache {
     ) -> Result<TrialRunner<'u, S>, String> {
         let refused = |golden| TrialRunner::<S>::refusal(golden).map_or(Ok(()), Err);
         if snapshots {
-            let set = self.snapshots_for::<S>(&exec, cfg, trace_cap, trials);
+            let set = self.snapshots_for::<S>(&exec, key, cfg, trace_cap, trials);
             refused(set.golden())?;
             let mut r = TrialRunner::from_golden(exec, set.golden().clone(), cfg);
             r.attach_snapshots(set);
             Ok(r)
         } else {
-            self.observation::<S>(&exec, cfg, trace_cap);
-            let g = self.golden::<S>(&exec, cfg);
+            self.observation::<S>(&exec, key, cfg, trace_cap);
+            let g = self.golden::<S>(&exec, key, cfg);
             refused(&g)?;
             Ok(TrialRunner::from_golden(exec, (*g).clone(), cfg))
         }
+    }
+
+    /// The persisted set for `key` without its snapshots, when the store
+    /// has one captured under `cfg`'s memory geometry. Its site log seeds
+    /// the observation map, so the file is read once.
+    fn load_outline<S: CacheLayer>(
+        &self,
+        exec: &S::Exec<'_>,
+        key: u64,
+        cfg: &ExecConfig,
+    ) -> Option<Arc<SnapshotSet<S>>> {
+        let store = self.store.as_ref()?;
+        let set = store.load_without_snapshots::<S>(exec, key)?;
+        if !set.matches_geometry(cfg.mem_size, cfg.stack_size) {
+            store.refused::<S>(key, "snapshot file: captured under another memory geometry");
+            return None;
+        }
+        Self::seed(&S::maps(self).sites, key, || set.sites().clone());
+        Some(Arc::new(set))
     }
 
     /// The persisted set for `key`, when the store has one captured under
@@ -308,21 +339,22 @@ impl GoldenCache {
         Some(set)
     }
 
-    /// Snapshot set for fast-forwarded trials over `exec`'s program,
-    /// obtained (in order of preference) from the in-memory cache, the
-    /// persistent store, or a fresh capture whose site log keeps `trace_cap`
-    /// entries of trace and at most `trials` snapshots. A set in memory or
+    /// Snapshot set for fast-forwarded trials over `exec`'s program (content
+    /// key `key`), obtained (in order of preference) from the in-memory
+    /// cache, the persistent store, or a fresh capture whose site log keeps
+    /// `trace_cap` entries of trace and at most `trials` snapshots. A set in memory or
     /// in the store serves any trial count (a trial is bit-identical from
     /// any snapshot). The set's golden result and site log seed the
     /// golden and observation maps, so later lookups of either are free.
     pub(crate) fn snapshots_for<S: CacheLayer>(
         &self,
         exec: &S::Exec<'_>,
+        key: u64,
         cfg: &ExecConfig,
         trace_cap: usize,
         trials: u64,
     ) -> Arc<SnapshotSet<S>> {
-        let (key, maps) = (S::key(exec), S::maps(self));
+        let maps = S::maps(self);
         let make = || {
             let set = self.load_set::<S>(exec, key, cfg).unwrap_or_else(|| {
                 let start = std::time::Instant::now();
@@ -345,13 +377,16 @@ impl GoldenCache {
 
     /// Snapshot set for fast-forwarded IR trials over `m`: from the cache,
     /// the persistent store, or a fresh capture, in that order of preference.
+    /// Prints `m` to key it, every call.
     pub fn ir_snapshots_for(&self, m: &Module, exec: &ExecConfig) -> Arc<IrSnapshotSet> {
-        self.snapshots_for::<IrLayer>(&Interpreter::new(m), exec, 0, u64::MAX)
+        let key = self.printed(module_hash(m));
+        self.snapshots_for::<IrLayer>(&Interpreter::new(m), key, exec, 0, u64::MAX)
     }
 
     /// [`GoldenCache::ir_snapshots_for`] at the assembly layer.
     pub fn asm_snapshots_for(&self, m: &Module, p: &AsmProgram, exec: &ExecConfig) -> Arc<AsmSnapshotSet> {
-        self.snapshots_for::<AsmLayer>(&Machine::new(m, p), exec, 0, u64::MAX)
+        let key = self.printed(program_hash(p));
+        self.snapshots_for::<AsmLayer>(&Machine::new(m, p), key, exec, 0, u64::MAX)
     }
 
     /// Sample every counter at once.
@@ -367,6 +402,7 @@ impl GoldenCache {
             observations: self.observations.load(Ordering::Relaxed),
             snap_bytes_read: self.store.as_ref().map_or(0, SnapshotStore::bytes_read),
             snap_bytes_written: self.store.as_ref().map_or(0, SnapshotStore::bytes_written),
+            content_hashes: self.content_hashes.load(Ordering::Relaxed),
         }
     }
 }
@@ -484,24 +520,31 @@ mod tests {
         // Their site logs answer masses without executing; the trace a
         // pruned unit asks for was never stored, so that lookup observes.
         let mach = Machine::new(&m, &p);
-        let log = resumed.observation::<AsmLayer>(&mach, &exec, 0);
+        let (ir_key, asm_key) = (module_hash(&m), program_hash(&p));
+        let log = resumed.observation::<AsmLayer>(&mach, asm_key, &exec, 0);
         assert_eq!(resumed.stats().observations, 0, "a stored log serves an untraced lookup");
-        let traced = resumed.observation::<AsmLayer>(&mach, &exec, GoldenCache::SITE_TRACE_CAP);
+        let traced = resumed.observation::<AsmLayer>(&mach, asm_key, &exec, GoldenCache::SITE_TRACE_CAP);
         assert_eq!(resumed.stats().observations, 1, "a stored log keeps no trace");
         assert_eq!(traced.trace().len() as u64, a1.golden().fault_sites);
         assert_eq!(log.mass(0), traced.mass(0));
-        assert!(Arc::ptr_eq(&resumed.observation::<AsmLayer>(&mach, &exec, 0), &traced));
+        assert!(Arc::ptr_eq(&resumed.observation::<AsmLayer>(&mach, asm_key, &exec, 0), &traced));
 
-        // A replay builds no runner: its seal finds each log in the set a
-        // golden lookup loaded, or else in the store — executing nothing.
+        // A replay builds no runner: its goldens and its seal's site logs
+        // come from one read of each stored file, whose snapshots it does
+        // not keep — executing nothing.
         let replay = GoldenCache::with_store(SnapshotStore::at(&dir));
-        let _ = replay.ir_golden(&m, &exec);
-        let from_set = replay.observation::<IrLayer>(&Interpreter::new(&m), &exec, 0);
-        let from_store = replay.observation::<AsmLayer>(&mach, &exec, 0);
+        assert_eq!(replay.ir_golden(&m, &exec).dyn_insts, s1.golden().dyn_insts);
+        assert_eq!(replay.asm_golden(&m, &p, &exec).cycles, a1.golden().cycles);
+        let ir_log = replay.observation::<IrLayer>(&Interpreter::new(&m), ir_key, &exec, 0);
+        let asm_log = replay.observation::<AsmLayer>(&mach, asm_key, &exec, 0);
         let st = replay.stats();
-        assert_eq!((st.snap_loads, st.observations, st.goldens_run), (2, 0, 0));
-        assert_eq!(from_set.mass(0), s1.sites().mass(0));
-        assert_eq!(from_store.mass(0), a1.sites().mass(0));
+        assert_eq!((st.snap_loads, st.observations, st.goldens_run), (0, 0, 0));
+        assert_eq!(st.snap_bytes_read, written, "each file is read once");
+        assert_eq!(ir_log.mass(0), s1.sites().mass(0));
+        assert_eq!(asm_log.mass(0), a1.sites().mass(0));
+        // A runner still gets the whole set.
+        assert_eq!(replay.ir_snapshots_for(&m, &exec).len(), s1.len());
+        assert_eq!(replay.stats().snap_loads, 1);
 
         // A geometry mismatch refuses the file and recaptures.
         let small = ExecConfig { mem_size: 2 << 20, ..ExecConfig::default() };

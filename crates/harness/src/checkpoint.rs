@@ -164,19 +164,26 @@ pub enum Refusal {
     /// Batch index beyond the schedule (e.g. written under a larger
     /// `max_trials`).
     OutOfSchedule,
+    /// Counts that do not add up: a tally of other than the trials the
+    /// schedule gives the batch, or more pruned trials than benign ones
+    /// (a record edited or written by another build).
+    Miscounted,
 }
 
 /// What `header` will refuse among `records`, as a status-line suffix:
 /// ` (N refused: …)` by reason, or nothing when every record is admitted.
 pub fn refused_note(header: &Header, records: &[BatchRecord]) -> String {
-    let mut by_reason = [0u64; 3];
+    let mut by_reason = [0u64; 4];
     for why in records.iter().filter_map(|rec| header.admit(rec).err()) {
         by_reason[why as usize] += 1;
     }
-    let [model, prune, schedule] = by_reason;
-    match model + prune + schedule {
+    let [model, prune, schedule, miscounted] = by_reason;
+    match model + prune + schedule + miscounted {
         0 => String::new(),
-        n => format!(" ({n} refused: {model} fault-model, {prune} prune-provenance, {schedule} out-of-schedule)"),
+        n => format!(
+            " ({n} refused: {model} fault-model, {prune} prune-provenance, {schedule} out-of-schedule, \
+             {miscounted} miscounted)"
+        ),
     }
 }
 
@@ -229,6 +236,12 @@ impl Header {
         Header { max_trials: trials, ci_target: None, ..self.clone() }
     }
 
+    /// Trials the schedule gives batch `batch` (< [`Header::max_batches`]):
+    /// a whole batch, or what is left of `max_trials` for the last one.
+    pub fn batch_trials(&self, batch: u64) -> u64 {
+        self.batch_size.min(self.max_trials - batch * self.batch_size)
+    }
+
     /// The one record-admission rule: may `rec` be folded into a campaign
     /// this header describes? Loaders skip what it refuses.
     pub fn admit(&self, rec: &BatchRecord) -> Result<(), Refusal> {
@@ -240,6 +253,8 @@ impl Header {
             Err(Refusal::FaultModel)
         } else if (rec.prune_table != 0) != prunes || (rec.pruned != 0 && rec.prune_table == 0) {
             Err(Refusal::PruneProvenance)
+        } else if rec.counts.total() != self.batch_trials(rec.batch) || rec.pruned > rec.counts.benign {
+            Err(Refusal::Miscounted)
         } else {
             Ok(())
         }
@@ -602,24 +617,25 @@ pub fn write_canonical(path: &Path, header: &Header, records: &[BatchRecord]) ->
     write_canonical_full(path, header, &[], records, &[])
 }
 
+/// An opened log and its batch, profile and region records (see [`open`]).
+pub type Opened = (CheckpointLog, Vec<BatchRecord>, Vec<ProfileRecord>, Vec<RegionRecord>);
+
 /// Open a campaign's log — the first step of the open → run → [`seal`]
 /// lifecycle. Fresh: truncate and write `header`. Resume: load the log,
 /// refuse one whose header describes a different campaign (naming the
 /// field), repair a torn tail and reopen for appending; the loaded batch
 /// records come back for preloading (consumers fold them through
-/// [`Header::admit`]; [`refused_note`] reports what that will drop), and the
-/// profile records for the selection profile pass to serve from.
-pub fn open(
-    path: &Path,
-    header: &Header,
-    resume: bool,
-) -> Result<(CheckpointLog, Vec<BatchRecord>, Vec<ProfileRecord>), String> {
+/// [`Header::admit`]; [`refused_note`] reports what that will drop), the
+/// profile records for the selection profile pass to serve from, and the
+/// region records of this log's region schema, which the seal keeps.
+pub fn open(path: &Path, header: &Header, resume: bool) -> Result<Opened, String> {
     if !resume {
-        return Ok((CheckpointLog::create(path, header)?, Vec::new(), Vec::new()));
+        return Ok((CheckpointLog::create(path, header)?, Vec::new(), Vec::new(), Vec::new()));
     }
-    let (found, batches, _, profiles) = read(path)?;
+    let (found, batches, regions, profiles) = read(path)?;
     found.require(header, path, "checkpoint")?;
-    Ok((CheckpointLog::append_to(path)?, batches, profiles))
+    let regions = regions.into_iter().filter(|r| r.schema == header.region_schema).collect();
+    Ok((CheckpointLog::append_to(path)?, batches, profiles, regions))
 }
 
 /// Seal a campaign's log: append `regions` (the per-region profiles of a
@@ -783,7 +799,7 @@ mod tests {
 
         // A conflicting duplicate is corrupt data, not jitter.
         let mut bad = mk(&unit_a, 0);
-        bad.counts.sdc = 99;
+        (bad.counts.benign, bad.counts.sdc) = (151, 99);
         assert!(canonicalize(&h, vec![mk(&unit_a, 0), bad])
             .unwrap_err()
             .contains("conflicting duplicate"));
@@ -1012,7 +1028,7 @@ mod tests {
             log.record_profile(&r).unwrap();
         }
         drop(log);
-        let (log, batches, profiles) = open(&path, &header(), true).unwrap();
+        let (log, batches, profiles, _) = open(&path, &header(), true).unwrap();
         assert_eq!((batches.len(), profiles.len()), (1, 3));
         assert_eq!(profiles[1], rec("alpha", 5));
         // The seal keeps one record per program, sorted, ahead of the batches.
@@ -1020,7 +1036,7 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let kinds: Vec<&str> = text.lines().map(|l| &l[2..l.find("\":").unwrap()]).collect();
         assert_eq!(kinds, ["Header", "Profile", "Profile", "Batch"]);
-        let (_, _, profiles) = open(&path, &header(), true).unwrap();
+        let (_, _, profiles, _) = open(&path, &header(), true).unwrap();
         assert_eq!(profiles, vec![rec("alpha", 5), rec("zeta", 3)]);
         // Two different profiles of one program are corrupt data.
         let err = canonicalize_profiles(vec![rec("alpha", 5), rec("alpha", 6)]).unwrap_err();
@@ -1104,14 +1120,28 @@ mod tests {
         assert_eq!(hp.admit(&ir), Ok(()));
         assert_eq!(hp.admit(&BatchRecord { prune_table: 9, ..ir.clone() }), Err(Refusal::PruneProvenance));
         // A scoped re-run brings its own schedule and prunes like the campaign.
-        let scoped = hp.for_region(300); // 2 batches of 250
-        assert_eq!(scoped.admit(&BatchRecord { batch: 1, ..pruned.clone() }), Ok(()));
-        assert_eq!(scoped.admit(&BatchRecord { batch: 2, ..pruned.clone() }), Err(Refusal::OutOfSchedule));
+        let scoped = hp.for_region(300); // batches of 250 and 50
+        let last = |counts| BatchRecord { batch: 1, counts, ..pruned.clone() };
+        let fifty = OutcomeCounts { benign: 45, sdc: 5, ..Default::default() };
+        assert_eq!(scoped.admit(&last(fifty)), Ok(()));
+        assert_eq!(scoped.admit(&BatchRecord { batch: 2, ..last(fifty) }), Err(Refusal::OutOfSchedule));
         assert_eq!(scoped.admit(&record(1)), Err(Refusal::PruneProvenance));
+        // Counts must add up to the batch's scheduled trials, and pruned
+        // trials are benign ones.
+        assert_eq!(
+            scoped.admit(&last(record(0).counts)),
+            Err(Refusal::Miscounted),
+            "a whole batch in the last slot"
+        );
+        assert_eq!(h.admit(&BatchRecord { counts: fifty, ..record(0) }), Err(Refusal::Miscounted));
+        let huge = OutcomeCounts { benign: u64::MAX, ..record(0).counts };
+        assert_eq!(h.admit(&BatchRecord { counts: huge, ..record(0) }), Err(Refusal::Miscounted));
+        assert_eq!(scoped.admit(&BatchRecord { pruned: 46, ..last(fifty) }), Err(Refusal::Miscounted));
         // Status lines count refusals by reason, and stay quiet without any.
         assert_eq!(refused_note(&h, &[record(0)]), "");
-        let note = refused_note(&h, &[record(0), record(4), foreign.clone(), foreign, pruned]);
-        assert_eq!(note, " (4 refused: 2 fault-model, 1 prune-provenance, 1 out-of-schedule)");
+        let miscounted = BatchRecord { counts: fifty, ..record(2) };
+        let note = refused_note(&h, &[record(0), record(4), foreign.clone(), foreign, pruned, miscounted]);
+        assert_eq!(note, " (5 refused: 2 fault-model, 1 prune-provenance, 1 out-of-schedule, 1 miscounted)");
     }
 
     #[test]
@@ -1129,7 +1159,7 @@ mod tests {
             .replace(",\"fault_model\":\"single-bit-reg\"", "");
         std::fs::write(&path, legacy).unwrap();
         let today = Header { fault_model: ModelSpec::DoubleBitReg, ..header() };
-        let (log, batches, _) = open(&path, &today, true).unwrap();
+        let (log, batches, ..) = open(&path, &today, true).unwrap();
         assert_eq!(batches.len(), 1);
         assert_eq!(today.admit(&batches[0]), Ok(()));
         seal(&path, log, &[]).unwrap();

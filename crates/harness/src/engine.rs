@@ -27,10 +27,11 @@ use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::plan::{Layer, TrialUnit, UnitKey};
 use crate::prior::StaticPrior;
 use crate::progress::{BatchOutcome, UnitProgress};
+use flowery_backend::AsmLayer;
 use flowery_faultmodel::{DetectorSpec, ModelSpec};
 use flowery_inject::campaign::{AsmTrialRunner, IrTrialRunner};
 use flowery_inject::{Estimate, OutcomeCounts};
-use flowery_ir::interp::{ExecConfig, Interpreter};
+use flowery_ir::interp::{ExecConfig, Interpreter, IrLayer};
 use flowery_ir::value::{FuncId, InstId};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
@@ -102,6 +103,14 @@ impl HarnessConfig {
     /// Schedule length per unit, in batches.
     pub fn max_batches(&self) -> u64 {
         self.max_trials.div_ceil(self.batch_size)
+    }
+
+    /// Worker threads to start: `threads`, or every available core for 0.
+    pub(crate) fn workers(&self) -> usize {
+        match self.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        }
     }
 }
 
@@ -342,19 +351,20 @@ impl<'u> UnitRunner<'u> {
         let (exec, pruned) = (&cfg.exec, cfg.static_prune && unit.key.layer == Layer::Asm);
         let trace_cap = if pruned { GoldenCache::SITE_TRACE_CAP } else { 0 };
         let trials = scope.map_or(cfg.max_trials, |s| s.trials);
+        let key = unit.content_key(cache);
         let inner = match unit.key.layer {
             Layer::Ir => cache
-                .runner(Interpreter::new(&unit.module), cfg.snapshots, exec, trace_cap, trials)
+                .runner(Interpreter::new(&unit.module), key, cfg.snapshots, exec, trace_cap, trials)
                 .map(RunnerInner::Ir),
             Layer::Asm => cache
-                .runner(unit.machine(), cfg.snapshots, exec, trace_cap, trials)
+                .runner(unit.machine(), key, cfg.snapshots, exec, trace_cap, trials)
                 .map(RunnerInner::Asm),
         };
         let inner = inner.map_err(|e| format!("{}: {e}", unit.key))?;
         let prior = pruned.then(|| {
             let p = unit.program.as_ref().expect("asm unit has a program");
-            let table = cache.asm_bits(&unit.module, p);
-            let hash = table.fingerprint(crate::cache::program_hash(p));
+            let table = cache.asm_bits(&unit.module, p, key);
+            let hash = table.fingerprint(key);
             StaticPrior::new(table, observed(unit, cache, cfg, trace_cap).trace().clone(), hash)
         });
         let mut runner = UnitRunner { inner, unit, prior, scope: None };
@@ -479,7 +489,7 @@ fn seeding_order(items: &[WorkItem<'_>], cfg: &HarnessConfig, cache: &GoldenCach
             .iter()
             .map(|item| match (item.scope, item.unit.program.as_ref()) {
                 (None, Some(p)) => {
-                    let table = cache.asm_bits(&item.unit.module, p);
+                    let table = cache.asm_bits(&item.unit.module, p, item.unit.content_key(cache));
                     metrics.record_bits_proven(table.proven_pairs);
                     table.mean_vulnerable()
                 }
@@ -545,11 +555,11 @@ pub(crate) fn run_items(
         .collect();
     for rec in &opts.preloaded {
         let Some(&ii) = by_key.get(&rec.unit) else { continue };
-        if header.admit(rec).is_err() {
+        let st = &sh.states[ii];
+        if st.rule.admit(rec).is_err() {
             sh.metrics.record_refused();
             continue;
         }
-        let st = &sh.states[ii];
         let mut p = st.progress.lock().unwrap();
         if p.has_batch(rec.batch) {
             continue;
@@ -568,8 +578,7 @@ pub(crate) fn run_items(
         // Joining, unlike a scope's wait, covers each thread's teardown, so
         // the next pool reuses its allocator arena instead of opening fresh
         // ones that strand the old one's memory.
-        let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
-        let workers = if cfg.threads == 0 { cores() } else { cfg.threads };
+        let workers = cfg.workers();
         std::thread::scope(|scope| {
             let sh = &sh;
             let handles: Vec<_> = (0..workers)
@@ -637,13 +646,14 @@ pub fn run_units_after(
             continue;
         };
         let trials = total.counts.total();
-        let (golden_dyn_insts, golden_sites, golden_cycles) = match &unit.program {
-            None => {
-                let g = cache.ir_golden(&unit.module, &cfg.exec);
+        let key = unit.content_key(cache);
+        let (golden_dyn_insts, golden_sites, golden_cycles) = match unit.key.layer {
+            Layer::Ir => {
+                let g = cache.golden::<IrLayer>(&Interpreter::new(&unit.module), key, &cfg.exec);
                 (g.dyn_insts, g.fault_sites, 0)
             }
-            Some(prog) => {
-                let g = cache.asm_golden(&unit.module, prog, &cfg.exec);
+            Layer::Asm => {
+                let g = cache.golden::<AsmLayer>(&unit.machine(), key, &cfg.exec);
                 (g.dyn_insts, g.fault_sites, g.cycles)
             }
         };

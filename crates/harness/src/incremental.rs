@@ -39,6 +39,7 @@ use flowery_regions::{
 };
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Salt folded into every region hash of one unit: the unit identity plus
@@ -61,9 +62,10 @@ pub fn unit_salt(key: &UnitKey, cfg: &HarnessConfig) -> u64 {
 /// to `trace_cap` entries — what only the prune oracle reads, so every
 /// other caller passes 0 and is served by any log, a stored one included.
 pub(crate) fn observed(unit: &TrialUnit, cache: &GoldenCache, cfg: &HarnessConfig, trace_cap: usize) -> Arc<SiteLog> {
+    let key = unit.content_key(cache);
     match unit.key.layer {
-        Layer::Ir => cache.observation::<IrLayer>(&Interpreter::new(&unit.module), &cfg.exec, trace_cap),
-        Layer::Asm => cache.observation::<AsmLayer>(&unit.machine(), &cfg.exec, trace_cap),
+        Layer::Ir => cache.observation::<IrLayer>(&Interpreter::new(&unit.module), key, &cfg.exec, trace_cap),
+        Layer::Asm => cache.observation::<AsmLayer>(&unit.machine(), key, &cfg.exec, trace_cap),
     }
 }
 
@@ -80,10 +82,11 @@ pub fn unit_region_set(unit: &TrialUnit, cache: &GoldenCache, cfg: &HarnessConfi
 }
 
 /// Build the region records a clean finalize writes: one per completed
-/// unit, splitting the unit's tallies across its regions. Units whose
-/// per-region tallies do not cover every trial (batches replayed from a
-/// pre-region checkpoint) are skipped — a partial split would compose
-/// wrongly, and the next full campaign will produce a complete one.
+/// unit, splitting the unit's tallies across its regions, in `results`
+/// order. Units whose per-region tallies do not cover every trial (batches
+/// replayed from a pre-region checkpoint) are skipped — a partial split
+/// would compose wrongly, and the next full campaign will produce a
+/// complete one. The records are built on `cfg.threads` threads.
 pub fn region_records(
     units: &[TrialUnit],
     results: &[UnitResult],
@@ -91,55 +94,74 @@ pub fn region_records(
     cfg: &HarnessConfig,
 ) -> Vec<RegionRecord> {
     let by_key: HashMap<&UnitKey, &TrialUnit> = units.iter().map(|u| (&u.key, u)).collect();
-    let mut records = Vec::new();
-    for res in results {
-        let Some(unit) = by_key.get(&res.key) else { continue };
-        let attributed: u64 = res.region_counts.iter().map(|(_, c)| c.total()).sum();
-        if attributed != res.trials {
-            continue;
+    let record = |res: &UnitResult| region_record(by_key.get(&res.key)?, res, cache, cfg);
+    // Each thread claims the next result and keeps its record with its index.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut built = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(res) = results.get(i) else { return built };
+            built.extend(record(res).map(|rec| (i, rec)));
         }
-        let set = unit_region_set(unit, cache, cfg);
-        // Attribution buckets outside the partition (e.g. trials whose
-        // fault never landed, collected under OTHER_REGION at the IR
-        // layer) still need a profile so trials stay fully accounted.
-        let extra = res.region_counts.iter().filter(|(name, _)| set.get(name).is_none());
-        let extra = extra.map(|(name, _)| (name, combine(fnv1a(name.as_bytes()), unit_salt(&unit.key, cfg)), 0));
-        let parts = set.regions.iter().map(|r| (&r.name, r.hash, r.site_mass)).chain(extra);
-        // Each profile takes the region's tally plus the slice of the
-        // unit's static SDC maps that falls inside it (a unit fills only
-        // its own layer's map).
-        let mut profiles: Vec<RegionProfile> = parts
-            .map(|(name, hash, site_mass)| {
-                let counts = res
-                    .region_counts
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map_or_else(Default::default, |(_, c)| *c);
-                let here = |loc: &(FuncId, _)| unit.module.func(loc.0).name == *name;
-                RegionProfile {
-                    name: name.clone(),
-                    hash,
-                    site_mass,
-                    trials: counts.total(),
-                    counts,
-                    sdc_by_inst: res
-                        .sdc_by_inst
-                        .iter()
-                        .filter(|(loc, _)| here(loc))
-                        .map(|(l, n)| (*l, *n))
-                        .collect(),
-                    sdc_insts: res.sdc_insts.iter().copied().filter(|&i| unit.inst_region(i) == name).collect(),
-                }
-            })
-            .collect();
-        profiles.sort_by(|a, b| a.name.cmp(&b.name));
-        records.push(RegionRecord {
-            unit: res.key.clone(),
-            schema: REGION_SCHEMA_VERSION,
-            regions: profiles,
-        });
+    };
+    let mut built: Vec<(usize, RegionRecord)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..cfg.workers().min(results.len())).map(|_| scope.spawn(work)).collect();
+        let joined = handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        joined.flatten().collect()
+    });
+    built.sort_unstable_by_key(|&(i, _)| i);
+    built.into_iter().map(|(_, rec)| rec).collect()
+}
+
+/// The region record of one completed unit (see [`region_records`]).
+fn region_record(unit: &TrialUnit, res: &UnitResult, cache: &GoldenCache, cfg: &HarnessConfig) -> Option<RegionRecord> {
+    let attributed: u64 = res.region_counts.iter().map(|(_, c)| c.total()).sum();
+    if attributed != res.trials {
+        return None;
     }
-    records
+    let set = unit_region_set(unit, cache, cfg);
+    // Attribution buckets outside the partition (e.g. trials whose fault
+    // never landed, collected under OTHER_REGION at the IR layer) still
+    // need a profile so trials stay fully accounted.
+    let extra = res.region_counts.iter().filter(|(name, _)| set.get(name).is_none());
+    let extra = extra.map(|(name, _)| (name, combine(fnv1a(name.as_bytes()), unit_salt(&unit.key, cfg)), 0));
+    let parts = set.regions.iter().map(|r| (&r.name, r.hash, r.site_mass)).chain(extra);
+    // Each profile takes the region's tally plus the slice of the unit's
+    // static SDC maps that falls inside it (a unit fills only its own
+    // layer's map).
+    let mut profiles: Vec<RegionProfile> = parts
+        .map(|(name, hash, site_mass)| {
+            let counts = res
+                .region_counts
+                .iter()
+                .find(|(n, _)| n == name)
+                .map_or_else(Default::default, |(_, c)| *c);
+            let here = |loc: &(FuncId, _)| unit.module.func(loc.0).name == *name;
+            RegionProfile {
+                name: name.clone(),
+                hash,
+                site_mass,
+                trials: counts.total(),
+                counts,
+                sdc_by_inst: res
+                    .sdc_by_inst
+                    .iter()
+                    .filter(|(loc, _)| here(loc))
+                    .map(|(l, n)| (*l, *n))
+                    .collect(),
+                sdc_insts: res.sdc_insts.iter().copied().filter(|&i| unit.inst_region(i) == name).collect(),
+            }
+        })
+        .collect();
+    profiles.sort_by(|a, b| a.name.cmp(&b.name));
+    Some(RegionRecord {
+        unit: res.key.clone(),
+        schema: REGION_SCHEMA_VERSION,
+        regions: profiles,
+    })
 }
 
 /// A baseline checkpoint's region records, validated against the current

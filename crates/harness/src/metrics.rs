@@ -187,6 +187,10 @@ pub struct MetricsSnapshot {
     /// seal's region records ask for every program's).
     #[serde(default)]
     pub observations: u64,
+    /// Module or program texts printed to make a content key: at most one
+    /// per unit of the campaign, which keeps its key.
+    #[serde(default)]
+    pub content_hashes: u64,
     /// Golden-prefix instructions skipped by snapshot fast-forward.
     pub ff_insts: u64,
     /// Instructions actually executed by trials.
@@ -265,6 +269,7 @@ impl MetricsSnapshot {
             observations: cache.observations,
             snap_bytes_read: cache.snap_bytes_read,
             snap_bytes_written: cache.snap_bytes_written,
+            content_hashes: cache.content_hashes,
             ..self
         }
     }
@@ -350,6 +355,7 @@ mod tests {
             observations: 2,
             snap_bytes_read: 300,
             snap_bytes_written: 100,
+            content_hashes: 5,
         };
         let s = m.snapshot(4, 100, cache);
         assert_eq!(s.trials, 20);
@@ -364,6 +370,7 @@ mod tests {
         assert_eq!(s.snap_loads, 2);
         assert_eq!(s.observations, 2);
         assert_eq!((s.snap_bytes_read, s.snap_bytes_written), (300, 100));
+        assert_eq!(s.content_hashes, 5);
         assert_eq!(s.snap_shared, 0);
         assert_eq!(s.ff_insts, 300);
         assert_eq!(s.exec_insts, 100);

@@ -3,7 +3,7 @@
 //! profiles that decide what its partial protection levels duplicate
 //! ([`plan_matrix`]).
 
-use crate::cache::{module_hash, GoldenCache};
+use crate::cache::{module_hash, program_hash, GoldenCache};
 use crate::checkpoint::ProfileRecord;
 use crate::engine::{run_units, CampaignReport, HarnessConfig, RunOptions};
 use flowery_backend::{compile_module, AsmLayer, AsmProgram, BackendConfig, Machine};
@@ -16,7 +16,7 @@ use flowery_workloads::Scale;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The execution layer a unit injects faults at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -78,23 +78,50 @@ impl fmt::Display for UnitKey {
 }
 
 /// One schedulable campaign: a program and the layer to inject at.
+///
+/// A unit carries its program's content key once it has been printed
+/// ([`TrialUnit::content_key`]), so build a unit for another program with
+/// [`TrialUnit::ir`] or [`TrialUnit::asm`], never by editing or
+/// struct-updating one that may hold a key.
 #[derive(Clone)]
 pub struct TrialUnit {
     pub key: UnitKey,
     pub module: Arc<Module>,
     /// Compiled program; present exactly when `key.layer == Layer::Asm`.
     pub program: Option<Arc<AsmProgram>>,
+    /// [`module_hash`] of an IR unit, [`program_hash`] of an assembly one.
+    content: OnceLock<u64>,
 }
 
 impl TrialUnit {
     pub fn ir(key: UnitKey, module: Arc<Module>) -> TrialUnit {
         assert_eq!(key.layer, Layer::Ir);
-        TrialUnit { key, module, program: None }
+        TrialUnit { key, module, program: None, content: OnceLock::new() }
     }
 
     pub fn asm(key: UnitKey, module: Arc<Module>, program: Arc<AsmProgram>) -> TrialUnit {
         assert_eq!(key.layer, Layer::Asm);
-        TrialUnit { key, module, program: Some(program) }
+        TrialUnit {
+            key,
+            module,
+            program: Some(program),
+            content: OnceLock::new(),
+        }
+    }
+
+    /// The key the golden cache files this unit's program under: the
+    /// [`module_hash`] of an IR unit, the [`program_hash`] of an assembly
+    /// unit. The program is printed on first use only (`cache` counts it)
+    /// and the key kept from then on.
+    pub fn content_key(&self, cache: &GoldenCache) -> u64 {
+        *self.content.get_or_init(|| cache.printed(self.print_key()))
+    }
+
+    fn print_key(&self) -> u64 {
+        match &self.program {
+            None => module_hash(&self.module),
+            Some(p) => program_hash(p),
+        }
     }
 
     /// A pass-through: the raw twin once seeded cross-variant snapshot
@@ -190,12 +217,12 @@ impl Default for MatrixSpec {
 pub fn matrix_fingerprint(units: &[TrialUnit]) -> u64 {
     let mut text = String::new();
     for u in units {
+        let key = u.content.get().copied().unwrap_or_else(|| u.print_key());
         text.push_str(&u.key.id());
-        text.push_str(&format!(":{:016x}", crate::cache::module_hash(&u.module)));
-        if let Some(p) = &u.program {
-            text.push_str(&format!(":{:016x}", crate::cache::program_hash(p)));
+        if u.program.is_some() {
+            text.push_str(&format!(":{:016x}", module_hash(&u.module)));
         }
-        text.push('\n');
+        text.push_str(&format!(":{key:016x}\n"));
     }
     flowery_ir::fnv1a(text.as_bytes())
 }
@@ -230,15 +257,15 @@ fn protect_with(raw: &Module, spec: &MatrixSpec, profile: Option<&SdcProfile>) -
     spec.levels.iter().map(protect_at).collect()
 }
 
-/// The selection profile pass: each of `programs`' SDC profile, by name —
-/// from its record in `stored` when one matches its content, seed and trial
-/// count, else from one [`run_units`] pass over the raw IR under the
-/// profile schedule (`cfg`'s engine settings, which never change an
-/// outcome) plus one profiled fault-free pass for the execution counts.
-/// Each profile it runs is appended to `opts.checkpoint`, whose batch
-/// records its trials never enter; `opts.progress` may stop it.
+/// The selection profile pass: the SDC profile of each of the `raw` IR
+/// units' programs, by name — from its record in `stored` when one matches
+/// its content, seed and trial count, else from one [`run_units`] pass over
+/// the raw IR under the profile schedule (`cfg`'s engine settings, which
+/// never change an outcome) plus one profiled fault-free pass for the
+/// execution counts. Each profile it runs is appended to `opts.checkpoint`,
+/// whose batch records its trials never enter; `opts.progress` may stop it.
 fn profile_pass(
-    programs: &[(String, Arc<Module>)],
+    raw: &[TrialUnit],
     spec: &MatrixSpec,
     cfg: &HarnessConfig,
     cache: &GoldenCache,
@@ -255,14 +282,14 @@ fn profile_pass(
         ..cfg.clone()
     };
     let (mut profiles, mut units) = (HashMap::new(), Vec::new());
-    for (name, m) in programs {
-        let made = (name.as_str(), module_hash(m), sched.seed, sched.max_trials);
+    for unit in raw {
+        let made = (unit.key.bench.as_str(), unit.content_key(cache), sched.seed, sched.max_trials);
         match stored
             .iter()
             .find(|r| (r.program.as_str(), r.module_hash, r.seed, r.trials) == made)
         {
-            Some(rec) => _ = profiles.insert(name.clone(), rec.profile.clone()),
-            None => units.push(TrialUnit::ir(UnitKey::new(name, Variant::Raw, 0.0, Layer::Ir), m.clone())),
+            Some(rec) => _ = profiles.insert(unit.key.bench.clone(), rec.profile.clone()),
+            None => units.push(unit.clone()),
         }
     }
     if units.is_empty() {
@@ -270,16 +297,14 @@ fn profile_pass(
     }
     let mut report = run_units(&units, &sched, cache, RunOptions { progress: opts.progress, ..Default::default() });
     for result in &report.units {
-        let m = &units.iter().find(|u| u.key == result.key).expect("a unit of this pass").module;
-        let counts = cache.exec_profile(m, &sched.exec);
-        let profile = build_profile(m, &counts, &result.sdc_by_inst, result.trials);
-        let (program, module_hash) = (result.key.bench.clone(), module_hash(m));
+        let unit = units.iter().find(|u| u.key == result.key).expect("a unit of this pass");
+        let counts = cache.exec_profile(&unit.module, &sched.exec);
         let rec = ProfileRecord {
-            program,
-            module_hash,
+            program: result.key.bench.clone(),
+            module_hash: unit.content_key(cache),
             seed: sched.seed,
             trials: sched.max_trials,
-            profile,
+            profile: build_profile(&unit.module, &counts, &result.sdc_by_inst, result.trials),
         };
         if let Some(Err(e)) = opts.checkpoint.map(|log| log.record_profile(&rec)) {
             report.error.get_or_insert(e);
@@ -290,11 +315,16 @@ fn profile_pass(
     (profiles, report)
 }
 
+/// The raw IR unit of program `name`.
+fn raw_ir(name: &str, module: Module) -> TrialUnit {
+    TrialUnit::ir(UnitKey::new(name, Variant::Raw, 0.0, Layer::Ir), Arc::new(module))
+}
+
 /// The selection profile of `raw` alone, run in memory.
 fn profile_of(raw: &Module, spec: &MatrixSpec) -> SdcProfile {
     let cfg = HarnessConfig { threads: spec.threads, ..HarnessConfig::default() };
-    let programs = [("raw".to_string(), Arc::new(raw.clone()))];
-    let (mut profiles, report) = profile_pass(&programs, spec, &cfg, &GoldenCache::new(), &[], RunOptions::default());
+    let units = [raw_ir("raw", raw.clone())];
+    let (mut profiles, report) = profile_pass(&units, spec, &cfg, &GoldenCache::new(), &[], RunOptions::default());
     if let Some(e) = report.error {
         panic!("selection profile: {e}");
     }
@@ -359,31 +389,42 @@ pub fn plan_matrix(
     } else {
         spec.benches.iter().map(|s| s.as_str()).collect()
     };
-    let mut programs: Vec<(String, Arc<Module>)> = names
+    // Each module and program is final once built: shrunk to fit, as the
+    // campaign holds it to the end.
+    let finished = |mut m: Module| {
+        m.shrink_to_fit();
+        m
+    };
+    let compiled = |m: &Module| {
+        let mut p = compile_module(m, &spec.backend);
+        p.shrink_to_fit();
+        Arc::new(p)
+    };
+    let mut raw: Vec<TrialUnit> = names
         .iter()
-        .map(|&name| (name.to_string(), Arc::new(flowery_workloads::workload(name, spec.scale).compile())))
+        .map(|&name| raw_ir(name, finished(flowery_workloads::workload(name, spec.scale).compile())))
         .collect();
     for (name, src) in &spec.sources {
         let m =
             flowery_lang::compile(name, src).unwrap_or_else(|e| panic!("matrix source '{name}' does not compile: {e}"));
-        programs.push((name.clone(), Arc::new(m)));
+        raw.push(raw_ir(name, finished(m)));
     }
-    let profiled = if spec.needs_profile() { programs.as_slice() } else { &[] };
+    let profiled = if spec.needs_profile() { raw.as_slice() } else { &[] };
     let (profiles, report) = profile_pass(profiled, spec, cfg, cache, stored, opts);
     if report.error.is_some() || !report.pending.is_empty() {
         return (Vec::new(), report);
     }
+    // The Raw@Ir units are the profile pass's own, and keep the content
+    // keys it printed.
     let mut units = Vec::new();
-    for (name, raw) in &programs {
+    for raw_unit in raw {
+        let (name, m) = (raw_unit.key.bench.clone(), raw_unit.module.clone());
         let name = name.as_str();
-        let raw_prog = Arc::new(compile_module(raw, &spec.backend));
-        units.push(TrialUnit::ir(UnitKey::new(name, Variant::Raw, 0.0, Layer::Ir), raw.clone()));
-        units.push(TrialUnit::asm(UnitKey::new(name, Variant::Raw, 0.0, Layer::Asm), raw.clone(), raw_prog));
-        for (level, id, flowery) in protect_with(raw, spec, profiles.get(name)) {
-            let id = Arc::new(id);
-            let id_prog = Arc::new(compile_module(&id, &spec.backend));
-            let fl = Arc::new(flowery);
-            let fl_prog = Arc::new(compile_module(&fl, &spec.backend));
+        units.push(raw_unit);
+        units.push(TrialUnit::asm(UnitKey::new(name, Variant::Raw, 0.0, Layer::Asm), m.clone(), compiled(&m)));
+        for (level, id, flowery) in protect_with(&m, spec, profiles.get(name)) {
+            let (id, fl) = (Arc::new(finished(id)), Arc::new(finished(flowery)));
+            let (id_prog, fl_prog) = (compiled(&id), compiled(&fl));
             units.push(TrialUnit::ir(UnitKey::new(name, Variant::Id, level, Layer::Ir), id.clone()));
             units.push(TrialUnit::asm(UnitKey::new(name, Variant::Id, level, Layer::Asm), id, id_prog));
             units.push(TrialUnit::asm(UnitKey::new(name, Variant::Flowery, level, Layer::Asm), fl, fl_prog));
@@ -424,6 +465,26 @@ mod tests {
         let ids: Vec<String> = units.iter().map(|u| u.key.id()).collect();
         assert!(ids.contains(&"crc32/Raw@0/Ir".to_string()));
         assert!(ids.contains(&"crc32/Flowery@1000/Asm".to_string()));
+    }
+
+    #[test]
+    fn matrix_programs_keep_no_spare_capacity() {
+        let spec = MatrixSpec {
+            benches: vec!["crc32".into()],
+            scale: Scale::Tiny,
+            levels: vec![0.5, 1.0],
+            profile_trials: 40,
+            ..Default::default()
+        };
+        for u in build_matrix(&spec) {
+            for f in &u.module.functions {
+                assert_eq!(f.insts.capacity(), f.insts.len(), "{}: {}", u.key, f.name);
+                assert!(f.blocks.iter().all(|b| b.insts.capacity() == b.insts.len()), "{}: {}", u.key, f.name);
+            }
+            if let Some(p) = &u.program {
+                assert_eq!(p.insts.capacity(), p.insts.len(), "{}", u.key);
+            }
+        }
     }
 
     #[test]

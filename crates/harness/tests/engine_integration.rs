@@ -251,6 +251,32 @@ fn each_program_content_executes_fault_free_once() {
 }
 
 #[test]
+fn a_campaign_prints_each_unit_once_and_units_keep_their_keys() {
+    // Cold, through the selection profile pass: one print per unit, the
+    // Raw@Ir units' made by the profile pass and kept in the matrix.
+    let (spec, hcfg) = (profile_spec(), cfg(100, 50, 2));
+    let cache = GoldenCache::new();
+    let (units, pass) = plan_matrix(&spec, &hcfg, &cache, &[], RunOptions::default());
+    assert_eq!(pass.metrics.content_hashes, 2, "the profile pass keys the two raw programs");
+    let report = run_units(&units, &hcfg, &cache, RunOptions::default());
+    assert!(!region_records(&units, &report.units, &cache, &hcfg).is_empty());
+    assert_eq!(cache.stats().content_hashes, units.len() as u64, "one print per unit");
+    // Units that hold their keys print nothing on another cache.
+    let again = GoldenCache::new();
+    let report = run_units(&units, &hcfg, &again, RunOptions::default());
+    region_records(&units, &report.units, &again, &hcfg);
+    assert_eq!(again.stats().content_hashes, 0);
+    // And each carried key is the one a fresh print computes.
+    for u in &units {
+        let fresh = match &u.program {
+            None => flowery_harness::module_hash(&u.module),
+            Some(p) => flowery_harness::program_hash(p),
+        };
+        assert_eq!(u.content_key(&again), fresh, "{}", u.key);
+    }
+}
+
+#[test]
 fn snapshots_off_writes_no_snap_files() {
     let units = small_matrix();
     let mut hcfg = cfg(120, 60, 2);
@@ -324,16 +350,24 @@ fn foreign_records_under_a_matching_header_are_refused_and_rerun_on_resume() {
         forged.push(rec);
     }
     forged.push(BatchRecord { batch: 40, ..batches[0].clone() });
+    // (d) every IR batch 2 with a count rewritten past what any batch holds.
+    for rec in batches.iter().filter(|r| r.batch == 2 && !is_asm(r)) {
+        let counts = flowery_inject::OutcomeCounts { benign: u64::MAX, ..rec.counts };
+        forged.push(BatchRecord { counts, ..rec.clone() });
+    }
     let asm_units = batches.iter().filter(|r| r.batch == 0 && is_asm(r)).count() as u64;
-    let refused = 6 + asm_units;
-    let line = format!(" ({refused} refused: 5 fault-model, {asm_units} prune-provenance, 1 out-of-schedule)");
+    let ir_units = 5 - asm_units;
+    let refused = 6 + asm_units + ir_units;
+    let line = format!(
+        " ({refused} refused: 5 fault-model, {asm_units} prune-provenance, 1 out-of-schedule, {ir_units} miscounted)"
+    );
     assert_eq!(refused_note(&header, &forged), line);
 
     // `campaign --resume`: refused records are skipped and counted, their
     // batches re-executed, and the sealed file is the reference.
     let local = tmp("foreign-local");
     write_canonical(&local, &header, &forged).unwrap();
-    let (log, preloaded, _) = open(&local, &cfg.header(), true).unwrap();
+    let (log, preloaded, ..) = open(&local, &cfg.header(), true).unwrap();
     let cache = GoldenCache::new();
     let r = run_units(
         &units,
@@ -394,7 +428,8 @@ fn selection_profiles_are_recorded_served_and_never_stale() {
     let (units, pass) = plan_matrix(&spec, &hcfg, &cache, &stored, RunOptions::default());
     assert_eq!(matrix_fingerprint(&units), fingerprint);
     assert_eq!((pass.metrics.trials, pass.metrics.exec_insts), (0, 0));
-    assert_eq!(cache.stats(), CacheStats::default());
+    // Matching a record prints each raw program once, and nothing more.
+    assert_eq!(cache.stats(), CacheStats { content_hashes: 2, ..CacheStats::default() });
 
     // Stale: a record of another program content, seed or trial count is
     // not used; its program is profiled afresh, to the same profile.
@@ -430,7 +465,7 @@ fn an_interrupted_profile_pass_records_no_unfinished_program() {
     drop(log);
     assert!(pass.interrupted && pass.units.is_empty() && pass.pending.len() == 2);
     assert!(units.is_empty(), "no matrix without every profile");
-    let (_, batches, stored) = open(&path, &hcfg.header(), true).unwrap();
+    let (_, batches, stored, _) = open(&path, &hcfg.header(), true).unwrap();
     assert!(
         batches.is_empty() && stored.is_empty(),
         "profile trials are no batches, partial profiles no records"

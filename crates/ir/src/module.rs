@@ -183,6 +183,18 @@ impl Module {
         }
     }
 
+    /// Drop the spare capacity that building and transforming left in the
+    /// instruction arenas and block lists. The content is unchanged.
+    pub fn shrink_to_fit(&mut self) {
+        for f in &mut self.functions {
+            f.insts.shrink_to_fit();
+            f.blocks.iter_mut().for_each(|b| b.insts.shrink_to_fit());
+            f.blocks.shrink_to_fit();
+        }
+        self.functions.shrink_to_fit();
+        self.globals.shrink_to_fit();
+    }
+
     pub fn add_global(&mut self, g: Global) -> GlobalId {
         let id = GlobalId(self.globals.len() as u32);
         self.globals.push(g);

@@ -6,9 +6,10 @@
 # checkpoint byte-identical to an uninterrupted run. A second resume over
 # the same store, with one stored set stamped as an older format version,
 # must name the refusal on stderr, recapture exactly that set and end
-# byte-identical too. Also checks that `--no-snapshots` leaves no `.snaps`
-# directory, and that a campaign of 40 trials per unit keeps no more than
-# 40 snapshots per captured set.
+# byte-identical too. Resuming the sealed checkpoint once more decodes no
+# snapshot set and leaves it byte-identical. Also checks that
+# `--no-snapshots` leaves no `.snaps` directory, and that a campaign of 40
+# trials per unit keeps no more than 40 snapshots per captured set.
 set -euo pipefail
 
 BIN=${FLOWERY_BIN:-target/release/flowery}
@@ -83,6 +84,19 @@ grep -q '"snaps_kept": 0,' "$DIR/resume-metrics.json" && grep -q '"snap_capture_
 
 cmp "$DIR/ref.jsonl" "$DIR/ckpt.jsonl"
 echo "resume-smoke: resumed checkpoint is byte-identical to the reference"
+
+echo "resume-smoke: resume the sealed checkpoint"
+# Every batch replays and every unit's region record is in the log, so no
+# runner is built and no snapshot set decoded: the goldens come from the
+# stored files without their snapshots. The sealed file does not change.
+"$BIN" campaign "${ARGS[@]}" --checkpoint "$DIR/ckpt.jsonl" --resume \
+    --metrics-json "$DIR/sealed-metrics.json" >/dev/null 2>"$DIR/sealed.log"
+for counter in snap_loads snap_captures goldens_run observations snap_bytes_written; do
+    grep -q "\"$counter\": 0" "$DIR/sealed-metrics.json" \
+        || { echo "a sealed resume decoded a set or executed a pass ($counter)"; cat "$DIR/sealed-metrics.json"; exit 1; }
+done
+cmp "$DIR/ref.jsonl" "$DIR/ckpt.jsonl"
+echo "resume-smoke: sealed resume decoded no snapshot set and left the file byte-identical"
 
 echo "resume-smoke: resume over a store holding a version-3 set"
 # Format version: the u32 after the 8-byte magic; the trailing u64 is the

@@ -560,7 +560,8 @@ fn write_metrics(args: &Args<'_>, metrics: &flowery::harness::MetricsSnapshot) -
 /// seal the checkpoint and write `--metrics-json`.
 fn run_plan(args: &Args<'_>) -> Result<(MatrixSpec, Vec<TrialUnit>, CampaignReport), String> {
     use flowery::harness::{open, plan_matrix, refused_note, region_records, run_units_after, seal, shutdown};
-    use flowery::harness::{status_printer, SnapshotStore};
+    use flowery::harness::{status_printer, SnapshotStore, UnitKey};
+    use std::collections::HashSet;
     use std::path::Path;
 
     let cfg = parse_harness(args)?;
@@ -569,16 +570,17 @@ fn run_plan(args: &Args<'_>) -> Result<(MatrixSpec, Vec<TrialUnit>, CampaignRepo
     // Open the checkpoint (see `harness::checkpoint::open`).
     let ckpt_path = args.str("--checkpoint").map(Path::new);
     let resume = args.flag("--resume");
-    let (log, preloaded, stored) = match ckpt_path {
+    let (log, preloaded, stored, sealed) = match ckpt_path {
         None if resume => return Err("--resume needs --checkpoint FILE".into()),
-        None => (None, Vec::new(), Vec::new()),
+        None => (None, Vec::new(), Vec::new(), HashSet::new()),
         Some(p) => {
-            let (log, batches, profiles) = open(p, &cfg.header(), resume)?;
+            let (log, batches, profiles, regions) = open(p, &cfg.header(), resume)?;
             if resume {
                 let refused = refused_note(&cfg.header(), &batches);
                 eprintln!("[harness] resuming: {} batches from {}{refused}", batches.len(), p.display());
             }
-            (Some(log), batches, profiles)
+            let sealed: HashSet<UnitKey> = regions.into_iter().map(|r| r.unit).collect();
+            (Some(log), batches, profiles, sealed)
         }
     };
 
@@ -627,12 +629,15 @@ fn run_plan(args: &Args<'_>) -> Result<(MatrixSpec, Vec<TrialUnit>, CampaignRepo
 
     // Seal the checkpoint into canonical (byte-reproducible) form. A clean
     // finish also records per-region profiles, so it can serve as a
-    // `flowery diff --baseline` later.
+    // `flowery diff --baseline` later; a unit whose record the log already
+    // holds (a sealed log resumed) keeps it.
     if let (Some(p), Some(log)) = (ckpt_path, log) {
-        let regions = (!report.interrupted).then(|| region_records(&units, &report.units, &cache, &cfg));
+        let unsealed: Vec<TrialUnit> = units.iter().filter(|u| !sealed.contains(&u.key)).cloned().collect();
+        let regions = (!report.interrupted).then(|| region_records(&unsealed, &report.units, &cache, &cfg));
         seal(p, log, &regions.unwrap_or_default())?;
     }
-    // Re-stamped after the seal, whose region records observe every program.
+    // Re-stamped after the seal, whose new region records may observe
+    // programs.
     let report = CampaignReport { metrics: report.metrics.with_cache(cache.stats()), ..report };
     write_metrics(args, &report.metrics)?;
     if report.interrupted {

@@ -120,3 +120,38 @@ fn mutated_checkpoints_load_or_fail_but_never_panic() {
     assert!(panics.is_empty(), "loading panicked on: {panics:?}");
     assert!(loaded > 0, "no mutant loaded: the sweep only exercises the refusals");
 }
+
+#[test]
+fn a_batch_whose_counts_do_not_add_up_is_refused_and_run_again() {
+    let dir = std::env::temp_dir().join(format!("flowery-ckpt-miscounted-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (sealed, mutant) = (dir.join("sealed.jsonl"), dir.join("mutant.jsonl"));
+    let campaign = |path: &Path, resume: bool| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_flowery"));
+        cmd.args(["campaign", "crc32", "--tiny", "--trials", "60", "--batch", "20"])
+            .args(["--checkpoint", path.to_str().unwrap()]);
+        if resume {
+            cmd.arg("--resume");
+        }
+        let out = cmd.output().unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(out.stderr).unwrap()
+    };
+    campaign(&sealed, false);
+    let text = std::fs::read_to_string(&sealed).unwrap();
+    // One batch record's benign count rewritten to u64::MAX.
+    let line = text.lines().find(|l| l.starts_with("{\"Batch\"")).expect("a batch record");
+    let at = line.find("\"benign\":").expect("a benign count") + "\"benign\":".len();
+    let digits = line[at..].bytes().take_while(u8::is_ascii_digit).count();
+    let forged = format!("{}{}{}", &line[..at], u64::MAX, &line[at + digits..]);
+    std::fs::write(&mutant, text.replacen(line, &forged, 1)).unwrap();
+    let (header, batches, _) = load_checkpoint_full(&mutant).unwrap();
+    assert_eq!(canonicalize(&header, batches).unwrap().len(), text.matches("{\"Batch\"").count() - 1);
+    // The resume names the refusal, runs the batch again and seals the
+    // uninterrupted campaign's bytes.
+    let err = campaign(&mutant, true);
+    let note = "(1 refused: 0 fault-model, 0 prune-provenance, 0 out-of-schedule, 1 miscounted)";
+    assert!(err.contains(note), "{err}");
+    assert_eq!(std::fs::read_to_string(&mutant).unwrap(), text);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
