@@ -42,20 +42,33 @@
 //! deviations and global loads may read the summary, while spill slots are
 //! never address-taken).
 //!
-//! The walk is a joined worklist fixpoint per site: one in-state per
-//! instruction, joined from its predecessors' out-states — OR for the may
-//! masks, AND for `def` — and stepped again when it gains a may bit or
-//! loses a `def` bit. A path on which a family is live nowhere leaves that
-//! family's `def` alone: in that run the path is the golden run from there
-//! on. The prune seeds no must facts, and every transfer builds its may
-//! masks and observation bits from OR and AND-with-a-constant alone with
-//! families never mixing, so its fixpoint equals the join over all paths
-//! (Kildall's MFP = MOP): the verdicts of a per-path enumeration of the
-//! same rules, which the tests keep as their oracle. The lint's kill rule
-//! tests a conjunction, which does not distribute over the AND join, so
-//! its fixpoint is sound but not path-exact. The lattice is finite and may
-//! bits only grow while `def` bits only shrink, so neither query needs a
-//! state budget.
+//! The walk is a joined worklist fixpoint per site, kept at block leaders:
+//! one in-state per leader, joined from its predecessors' out-states — OR
+//! for the may masks, AND for `def` — and walked again when it gains a may
+//! bit or loses a `def` bit. Inside a block every instruction has one
+//! predecessor, so its in-state is the previous instruction's out-state,
+//! and the walk carries that state down the block without storing or
+//! joining it. An instruction whose per-program `Touch` summary names
+//! none of the locations the state holds would return it unchanged and
+//! observe nothing, so the walk passes the state through without calling
+//! the transfer; a block whose summed `Touch` misses its leader's in-state
+//! hands that state to its successors without a visit to any of its
+//! instructions. `step_bits` stays the one transfer function; it runs only
+//! where the state holds something the instruction touches, in the order a
+//! per-instruction worklist would reach those steps (the lint reports the
+//! first sink it meets, so the order is part of its verdict).
+//!
+//! A path on which a family is live nowhere leaves that family's `def`
+//! alone: in that run the path is the golden run from there on. The prune
+//! seeds no must facts, and every transfer builds its may masks and
+//! observation bits from OR and AND-with-a-constant alone with families
+//! never mixing, so its fixpoint equals the join over all paths (Kildall's
+//! MFP = MOP): the verdicts of a per-path enumeration of the same rules,
+//! which the tests keep as their oracle. The lint's kill rule tests a
+//! conjunction, which does not distribute over the AND join, so its
+//! fixpoint is sound but not path-exact. The lattice is finite and may bits
+//! only grow while `def` bits only shrink, so neither query needs a state
+//! budget.
 
 use super::sinks::{Guards, Sink};
 use flowery_backend::mir::{AKind, AOp, AluOp, FaultDest, Loc, MemRef, OutKind, Reg, ShiftOp, CC};
@@ -369,15 +382,17 @@ fn global_dev(st: &[(Loc, Dev)]) -> u64 {
 }
 
 /// Per-program worklist storage, reused by every site: one joined in-state
-/// and a `queued` bit per instruction, the instructions whose in-state the
-/// current site touched (cleared before the next site), the transfer's
-/// out-state buffer, and whether the states carry must masks (the lint).
+/// and a `queued` bit per block leader, the leaders whose in-state the
+/// current site touched (cleared before the next site), the out-state the
+/// walk carries down a block and the in-state buffer it steps from, and
+/// whether the states carry must masks (the lint).
 struct Walk {
     ins: Vec<State>,
     queued: Vec<bool>,
     touched: Vec<u32>,
     work: Vec<u32>,
     out: State,
+    cur: State,
     must: bool,
 }
 
@@ -389,25 +404,35 @@ impl Walk {
             touched: Vec::new(),
             work: Vec::new(),
             out: State::new(),
+            cur: State::new(),
             must: false,
         }
     }
 
-    /// Join `out` into the in-states of `kind`'s successors within `func`,
-    /// queueing each that changed.
-    fn propagate(&mut self, kind: &AKind, j: u32, func: &Range<u32>) {
-        if self.out.is_empty() {
-            return;
+    /// Join instruction `j`'s out-state into the in-states of `kind`'s
+    /// successors within `func`, queueing each that changed. The out-state
+    /// is `out`, or with `leader` that leader's in-state, which its block
+    /// left unchanged (joining it into itself would change nothing).
+    fn propagate(&mut self, kind: &AKind, j: u32, func: &Range<u32>, leader: Option<u32>) {
+        let from = match leader {
+            Some(l) => std::mem::take(&mut self.ins[l as usize]),
+            None => std::mem::take(&mut self.out),
+        };
+        if !from.is_empty() {
+            for s in kind.successors(j).filter(|&s| func.contains(&s) && Some(s) != leader) {
+                let su = s as usize;
+                if self.ins[su].is_empty() {
+                    self.touched.push(s);
+                }
+                if join(&mut self.ins[su], &from, self.must) && !self.queued[su] {
+                    self.queued[su] = true;
+                    self.work.push(s);
+                }
+            }
         }
-        for s in kind.successors(j).filter(|s| func.contains(s)) {
-            let su = s as usize;
-            if self.ins[su].is_empty() {
-                self.touched.push(s);
-            }
-            if join(&mut self.ins[su], &self.out, self.must) && !self.queued[su] {
-                self.queued[su] = true;
-                self.work.push(s);
-            }
+        match leader {
+            Some(l) => self.ins[l as usize] = from,
+            None => self.out = from,
         }
     }
 
@@ -417,6 +442,87 @@ impl Walk {
             self.queued[j as usize] = false;
         }
         self.work.clear();
+    }
+}
+
+/// The locations an instruction's transfer — or a block's — reads, writes,
+/// kills or observes. A state holding none of them passes through
+/// [`BitsEngine::step_bits`] unchanged and observes nothing there, so the
+/// walk carries it on without calling the transfer.
+#[derive(Debug, Clone, Default)]
+struct Touch {
+    /// Registers, as a set of `1 << Reg::index()`, and the
+    /// [`Touch::FLAGS`], [`Touch::MEM`] and [`Touch::GLOBALS`] classes.
+    bits: u32,
+    /// The frame and global cells the operands name.
+    cells: Vec<Loc>,
+}
+
+impl Touch {
+    const FLAGS: u32 = 1 << Reg::COUNT;
+    const MEM: u32 = Touch::FLAGS << 1;
+    /// Every global cell: a pointer load or a call may read any of them.
+    const GLOBALS: u32 = Touch::FLAGS << 2;
+
+    fn with(mut self, bits: u32) -> Touch {
+        self.bits |= bits;
+        self
+    }
+
+    /// The bit of a register, the flags or the summary; `None` for a cell.
+    fn bit(l: Loc) -> Option<u32> {
+        match l {
+            Loc::Reg(r) => Some(1 << r.index()),
+            Loc::Flags => Some(Touch::FLAGS),
+            Loc::Mem => Some(Touch::MEM),
+            Loc::Frame(_) | Loc::Global(_) => None,
+        }
+    }
+
+    fn loc(mut self, l: Loc) -> Touch {
+        match Touch::bit(l) {
+            Some(b) => self.bits |= b,
+            None => self.cells.push(l),
+        }
+        self
+    }
+
+    /// Everything `self` or `o` touches.
+    fn union(self, o: &Touch) -> Touch {
+        o.cells
+            .iter()
+            .fold(self, |t, &l| if t.cells.contains(&l) { t } else { t.loc(l) })
+            .with(o.bits)
+    }
+
+    fn regs(self, regs: impl IntoIterator<Item = Reg>) -> Touch {
+        regs.into_iter().fold(self, |t, r| t.loc(Loc::Reg(r)))
+    }
+
+    /// Reading or writing `op`: its register, or its base register and the
+    /// cell it addresses. A global cell is read together with the `Mem`
+    /// summary; a pointer access reads the summary and every global.
+    fn op(self, op: &AOp) -> Touch {
+        match op {
+            AOp::Imm(_) => self,
+            AOp::Reg(r) => self.regs([*r]),
+            AOp::Mem(mr) => {
+                let t = self.regs(mr.base);
+                match mr.loc() {
+                    l @ Loc::Frame(_) => t.loc(l),
+                    l @ Loc::Global(_) => t.loc(l).with(Touch::MEM),
+                    _ => t.with(Touch::MEM | Touch::GLOBALS),
+                }
+            }
+        }
+    }
+
+    /// Does `st` hold a location the instruction touches?
+    fn holds(&self, st: &[(Loc, Dev)]) -> bool {
+        st.iter().any(|&(l, _)| match Touch::bit(l) {
+            Some(b) => self.bits & b != 0,
+            None => self.cells.contains(&l) || (matches!(l, Loc::Global(_)) && self.bits & Touch::GLOBALS != 0),
+        })
     }
 }
 
@@ -431,6 +537,14 @@ struct BitsEngine<'a> {
     ret_reg: Vec<Option<Loc>>,
     /// Argument registers per IR function id (callee view).
     arg_regs: Vec<Vec<Loc>>,
+    /// Per instruction: what its transfer touches.
+    touch: Vec<Touch>,
+    /// Per instruction: it leads no block — its one predecessor is the
+    /// instruction before it, whose one successor it is.
+    inner: Vec<bool>,
+    /// Per block leader: the block's last instruction and what the whole
+    /// block touches (unused for other instructions).
+    blocks: Vec<(u32, Touch)>,
 }
 
 impl<'a> BitsEngine<'a> {
@@ -465,12 +579,83 @@ impl<'a> BitsEngine<'a> {
                 regs
             })
             .collect();
-        BitsEngine {
+        let mut inner: Vec<bool> = (0..prog.insts.len())
+            .map(|j| {
+                j > 0
+                    && func_of[j] != usize::MAX
+                    && func_of[j] == func_of[j - 1]
+                    && prog.insts[j - 1].kind.successors(j as u32 - 1).eq([j as u32])
+            })
+            .collect();
+        for inst in &prog.insts {
+            if let AKind::Jmp { target } | AKind::Jcc { target, .. } = inst.kind {
+                if let Some(t) = inner.get_mut(target as usize) {
+                    *t = false;
+                }
+            }
+        }
+        let mut eng = BitsEngine {
             prog,
             guards: Guards::compute(prog),
             func_of,
             ret_reg,
             arg_regs,
+            touch: Vec::new(),
+            inner,
+            blocks: Vec::new(),
+        };
+        let n = prog.insts.len();
+        eng.touch = (0..n).map(|j| eng.touch_of(j)).collect();
+        eng.blocks = (0..n)
+            .map(|l| {
+                let mut block = (l, eng.touch[l].clone());
+                while !eng.inner[l] && block.0 + 1 < n && eng.inner[block.0 + 1] {
+                    block = (block.0 + 1, block.1.union(&eng.touch[block.0 + 1]));
+                }
+                (block.0 as u32, block.1)
+            })
+            .collect();
+        eng
+    }
+
+    /// What instruction `j`'s transfer touches, read off
+    /// [`BitsEngine::step_bits`]'s rules.
+    fn touch_of(&self, j: usize) -> Touch {
+        let t = Touch::default();
+        match self.prog.insts[j].kind {
+            AKind::Mov { dst, src, .. } | AKind::MovSd { dst, src, .. } => t.op(&src).op(&dst),
+            AKind::MovSx { dst, src, .. }
+            | AKind::Sse { dst, src, .. }
+            | AKind::Cvtsi2f { dst, src, .. }
+            | AKind::Cvtf2si { dst, src, .. } => t.op(&src).regs([dst]),
+            AKind::Lea { dst, mem } => t.regs(mem.base).regs([dst]),
+            AKind::Alu { dst, src, .. } | AKind::Cmov { dst, src, .. } => t.op(&src).regs([dst]).with(Touch::FLAGS),
+            AKind::Shift { dst, amt, .. } => t.op(&amt).regs([dst]).with(Touch::FLAGS),
+            AKind::Cqo { .. } => t.regs([Reg::Rax, Reg::Rdx]),
+            AKind::ZeroRdx => t.regs([Reg::Rdx]),
+            AKind::Div { src, .. } => t.op(&src).regs([Reg::Rax, Reg::Rdx]),
+            AKind::Cmp { lhs, rhs, .. } | AKind::Test { lhs, rhs, .. } => t.op(&lhs).op(&rhs).with(Touch::FLAGS),
+            AKind::Ucomi { lhs, rhs, .. } => t.op(&rhs).regs([lhs]).with(Touch::FLAGS),
+            AKind::SetCC { dst, .. } => t.regs([dst]).with(Touch::FLAGS),
+            AKind::Jcc { .. } => t.with(Touch::FLAGS),
+            // Neither reads anything; a trap has no successor to carry to.
+            AKind::Jmp { .. } | AKind::DetectTrap => t,
+            AKind::Call { func, .. } => {
+                let args = self.arg_regs[func.index()].iter().fold(t, |t, &a| t.loc(a));
+                args.regs(Reg::GPR_POOL)
+                    .regs(Reg::XMM_POOL)
+                    .with(Touch::FLAGS | Touch::MEM | Touch::GLOBALS)
+            }
+            // No successor either: an untouched state ends unobserved.
+            AKind::Ret => {
+                let rr = self.ret_reg.get(self.func_of[j]).copied().flatten();
+                rr.into_iter().fold(t, Touch::loc).with(Touch::MEM | Touch::GLOBALS)
+            }
+            AKind::Push { src } => t.op(&src).with(Touch::MEM),
+            AKind::Pop { dst } => t.regs([dst]),
+            AKind::Cvtff { dst, src, .. } | AKind::MovQ { dst, src, .. } => t.regs([dst, src]),
+            AKind::Math { dst, a, b, .. } => t.regs([dst, a]).regs(b),
+            AKind::Out { src, .. } => t.op(&src),
         }
     }
 
@@ -562,26 +747,62 @@ impl<'a> BitsEngine<'a> {
         walk.out.clear();
         walk.out.push((loc, Dev { def: if must { dev.def } else { 0 }, ..dev }));
         strip(&mut walk.out, drop);
-        walk.propagate(&insts[idx as usize].kind, idx, &func);
-        let mut found = None;
-        while let Some(j) = walk.work.pop() {
-            walk.queued[j as usize] = false;
-            let mut seen = Seen::default();
-            let cont = self.step_bits(j, &walk.ins[j as usize], fam, &mut walk.out, &mut seen);
-            match settle(&seen) {
-                ControlFlow::Break(r) => {
-                    found = Some(r);
-                    break;
+        // `walk.out` is instruction `j`'s out-state.
+        let mut j = idx;
+        let found = 'walk: loop {
+            // Down the rest of the block, stepping only what touches it.
+            while !walk.out.is_empty() && self.inner.get(j as usize + 1) == Some(&true) {
+                j += 1;
+                if self.touch[j as usize].holds(&walk.out) {
+                    std::mem::swap(&mut walk.out, &mut walk.cur);
+                    if let ControlFlow::Break(r) = self.step(j, &walk.cur, fam, &mut walk.out, &mut settle) {
+                        break 'walk Some(r);
+                    }
                 }
-                ControlFlow::Continue(drop) if cont => {
-                    strip(&mut walk.out, drop);
-                    walk.propagate(&insts[j as usize].kind, j, &func);
-                }
-                ControlFlow::Continue(_) => {}
             }
-        }
+            walk.propagate(&insts[j as usize].kind, j, &func, None);
+            // Pop the next queued block that touches its in-state; a block
+            // that does not passes that state on unchanged.
+            j = loop {
+                let Some(l) = walk.work.pop() else { break 'walk None };
+                walk.queued[l as usize] = false;
+                let (end, touch) = &self.blocks[l as usize];
+                if touch.holds(&walk.ins[l as usize]) {
+                    break l;
+                }
+                walk.propagate(&insts[*end as usize].kind, *end, &func, Some(l));
+            };
+            let st = &walk.ins[j as usize];
+            if !self.touch[j as usize].holds(st) {
+                walk.out.clone_from(st);
+            } else if let ControlFlow::Break(r) = self.step(j, st, fam, &mut walk.out, &mut settle) {
+                break Some(r);
+            }
+        };
         walk.reset();
         found
+    }
+
+    /// Step `j` from `st` into `out` and settle what it observes: `out`
+    /// loses the families `settle` drops, and all of them where the path
+    /// ends.
+    fn step<R>(
+        &self,
+        j: u32,
+        st: &[(Loc, Dev)],
+        fam: Fam,
+        out: &mut State,
+        settle: &mut impl FnMut(&Seen) -> ControlFlow<R, u64>,
+    ) -> ControlFlow<R> {
+        let mut seen = Seen::default();
+        let cont = self.step_bits(j, st, fam, out, &mut seen);
+        let drop = settle(&seen)?;
+        if cont {
+            strip(out, drop);
+        } else {
+            out.clear();
+        }
+        ControlFlow::Continue(())
     }
 
     /// Deviation visible when reading `op` at `w` bytes. A deviated address
@@ -1017,15 +1238,15 @@ mod tests {
         let (jmp, func) = (AKind::Jmp { target: 2 }, 0..4);
         let mut walk = Walk::new(4);
         walk.out = vec![(Loc::Flags, Dev::new(0b01, 0, 0))];
-        walk.propagate(&jmp, 0, &func);
+        walk.propagate(&jmp, 0, &func, None);
         assert_eq!(walk.work.pop(), Some(2));
         walk.queued[2] = false;
         walk.out = vec![(Loc::Flags, Dev::new(0, 0b10, 0))];
-        walk.propagate(&jmp, 1, &func);
+        walk.propagate(&jmp, 1, &func, None);
         assert_eq!(walk.ins[2], [(Loc::Flags, Dev::new(0b01, 0b10, 0))]);
         assert_eq!(walk.work.pop(), Some(2), "an in-state that gained a bit is stepped again");
         walk.queued[2] = false;
-        walk.propagate(&jmp, 1, &func);
+        walk.propagate(&jmp, 1, &func, None);
         assert!(walk.work.is_empty(), "an in-state that gained nothing is not");
         walk.reset();
         assert!(walk.ins.iter().all(Vec::is_empty) && walk.work.is_empty() && !walk.queued[2]);
@@ -1109,6 +1330,159 @@ mod tests {
             src: AOp::Mem(MemRef { base: Some(Reg::Rdx), disp: 0 }),
         };
         assert_eq!(lint(reload), (0, Verdict::Penetrates(Sink::Output)));
+    }
+
+    /// Every location the pass-through rule can meet: the registers, the
+    /// flags, the summary, every cell the program names and two it does
+    /// not.
+    fn every_loc(eng: &BitsEngine<'_>) -> Vec<Loc> {
+        use Reg::*;
+        let regs = [
+            Rax, Rbx, Rcx, Rdx, Rsi, Rdi, Rbp, Rsp, R8, R9, R10, R11, Xmm0, Xmm1, Xmm2, Xmm3, Xmm4, Xmm5, Xmm6, Xmm7,
+            Rflags,
+        ];
+        let mut locs: Vec<Loc> = regs.map(Loc::Reg).into();
+        locs.extend([Loc::Flags, Loc::Mem, Loc::Frame(i32::MIN), Loc::Global(i32::MIN)]);
+        locs.extend(eng.touch.iter().flat_map(|t| t.cells.iter().copied()));
+        locs.sort();
+        locs.dedup();
+        locs
+    }
+
+    #[test]
+    fn an_inner_instruction_has_one_predecessor_the_one_before_it() {
+        let mut inner = 0;
+        for src in PATHY.iter().chain([&SRC]) {
+            for protect in [false, true] {
+                let (m, prog) = program(src, protect);
+                let eng = BitsEngine::new(&m, &prog);
+                let n = prog.insts.len();
+                let mut preds = vec![Vec::new(); n];
+                for (j, inst) in prog.insts.iter().enumerate() {
+                    for s in inst.kind.successors(j as u32).filter(|&s| (s as usize) < n) {
+                        preds[s as usize].push(j as u32);
+                    }
+                }
+                for (j, p) in preds.iter().enumerate().filter(|&(j, _)| eng.inner[j]) {
+                    assert_eq!(p, &[j as u32 - 1], "instruction {j} ({protect}): {src}");
+                    inner += 1;
+                }
+                // A leader's block runs through the inner instructions after it.
+                for l in (0..n).filter(|&l| !eng.inner[l]) {
+                    let end = eng.blocks[l].0 as usize;
+                    assert!((l + 1..=end).all(|j| eng.inner[j]) && (end + 1 == n || !eng.inner[end + 1]));
+                }
+            }
+        }
+        assert!(inner > 1000, "only {inner} inner instructions");
+    }
+
+    #[test]
+    fn a_state_the_touch_summary_misses_passes_through_the_transfer() {
+        let devs = [
+            Dev::new(1, 0, 1),
+            Dev::new(0x8000_0000_8000_0000, 1 << 7, 0),
+            Dev::new(u64::MAX, 0, u64::MAX),
+            Dev::new(0, u64::MAX, 0),
+        ];
+        let mut passed = 0;
+        for src in PATHY.iter().chain([&SRC]) {
+            for protect in [false, true] {
+                let (m, prog) = program(src, protect);
+                let eng = BitsEngine::new(&m, &prog);
+                let locs = every_loc(&eng);
+                // Each instruction's block leader.
+                let block_of: Vec<usize> = (0..prog.insts.len())
+                    .map(|j| (0..=j).rev().find(|&l| !eng.inner[l]).unwrap())
+                    .collect();
+                let states = locs.iter().flat_map(|&l| devs.map(|d| vec![(l, d)])).chain([State::new()]);
+                for st in states {
+                    for j in 0..prog.insts.len() as u32 {
+                        let leader = block_of[j as usize];
+                        if eng.touch[j as usize].holds(&st) {
+                            assert!(eng.blocks[leader].1.holds(&st), "the block at {leader} misses what {j} touches");
+                            continue;
+                        }
+                        for fam in [Fam { w: 32 }, Fam { w: 64 }] {
+                            let (mut t, mut seen) = (State::new(), Seen::default());
+                            let cont = eng.step_bits(j, &st, fam, &mut t, &mut seen);
+                            let kind = &prog.insts[j as usize].kind;
+                            assert_eq!(t, st, "{kind:?} changed an untouched state");
+                            assert_eq!((seen.sinks, seen.any()), (0, 0), "{kind:?} observed an untouched state {st:?}");
+                            assert!(cont || kind.successors(j).next().is_none(), "{kind:?} ended a path");
+                            passed += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(passed > 10_000, "only {passed} pass-throughs checked");
+    }
+
+    /// The per-instruction worklist the leader walk replaced: a joined
+    /// in-state per instruction, each instruction stepped from its own.
+    fn instruction_walk<R>(
+        eng: &BitsEngine<'_>,
+        idx: u32,
+        must: bool,
+        mut settle: impl FnMut(&Seen) -> ControlFlow<R, u64>,
+    ) -> Option<R> {
+        let (seen, start) = eng.seed(idx);
+        let drop = match settle(&seen) {
+            ControlFlow::Break(r) => return Some(r),
+            ControlFlow::Continue(drop) => drop,
+        };
+        let (loc, dev, fam) = start?;
+        let f = &eng.prog.funcs[eng.func_of[idx as usize]];
+        let (func, insts) = (f.entry..f.end, &eng.prog.insts);
+        let mut walk = Walk::new(insts.len());
+        walk.must = must;
+        walk.out.push((loc, Dev { def: if must { dev.def } else { 0 }, ..dev }));
+        strip(&mut walk.out, drop);
+        walk.propagate(&insts[idx as usize].kind, idx, &func, None);
+        while let Some(j) = walk.work.pop() {
+            walk.queued[j as usize] = false;
+            let mut seen = Seen::default();
+            let cont = eng.step_bits(j, &walk.ins[j as usize], fam, &mut walk.out, &mut seen);
+            match settle(&seen) {
+                ControlFlow::Break(r) => return Some(r),
+                ControlFlow::Continue(drop) if cont => {
+                    strip(&mut walk.out, drop);
+                    walk.propagate(&insts[j as usize].kind, j, &func, None);
+                }
+                ControlFlow::Continue(_) => {}
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn the_leader_walk_matches_the_per_instruction_worklist() {
+        for src in PATHY.iter().chain([&SRC]) {
+            for protect in [false, true] {
+                let (m, prog) = program(src, protect);
+                let eng = BitsEngine::new(&m, &prog);
+                let table = analyze_bits(&m, &prog);
+                for (idx, verdict) in lint_sites(&m, &prog) {
+                    let mut vuln = 0u64;
+                    instruction_walk(&eng, idx, false, |seen| {
+                        vuln |= seen.any();
+                        if vuln == u64::MAX {
+                            ControlFlow::Break(())
+                        } else {
+                            ControlFlow::Continue(vuln)
+                        }
+                    });
+                    assert_eq!(table.verdicts[idx as usize].vulnerable, vuln, "prune, site {idx} ({protect}): {src}");
+                    let lint = instruction_walk(&eng, idx, true, |seen| match seen.first_sink() {
+                        Some(s) => ControlFlow::Break(s),
+                        None => ControlFlow::Continue(seen.detected),
+                    });
+                    let want = lint.map_or(Verdict::Protected, Verdict::Penetrates);
+                    assert_eq!(verdict, want, "lint, site {idx} ({protect}): {src}");
+                }
+            }
+        }
     }
 
     /// The per-path walk the fixpoint replaced, without its state budget:

@@ -65,6 +65,9 @@ pub struct CacheStats {
     pub snap_capture_secs: f64,
     /// Snapshots held by the captured sets (not by loaded ones).
     pub snaps_kept: u64,
+    /// Wall time inside the static bit analysis, summed over the threads
+    /// that ran it.
+    pub bits_secs: f64,
     /// Snapshot sets loaded from the persistent store — zero executions.
     pub snap_loads: u64,
     /// Site observation passes (one fault-free execution each).
@@ -144,6 +147,7 @@ pub struct GoldenCache {
     snap_captures: AtomicU64,
     snap_capture_nanos: AtomicU64,
     snaps_kept: AtomicU64,
+    bits_nanos: AtomicU64,
     snap_loads: AtomicU64,
     observations: AtomicU64,
     content_hashes: AtomicU64,
@@ -269,9 +273,15 @@ impl GoldenCache {
 
     /// Static bit-verdict table for `p`, whose content key is `key`,
     /// computed at most once per distinct program content. Pure static
-    /// analysis — no execution.
+    /// analysis — no execution; its time goes to [`CacheStats::bits_secs`].
     pub(crate) fn asm_bits(&self, m: &Module, p: &AsmProgram, key: u64) -> Arc<BitTable> {
-        self.memo(&self.bit_tables, key, |_| true, || Arc::new(analyze_bits(m, p)))
+        let make = || {
+            let start = std::time::Instant::now();
+            let table = analyze_bits(m, p);
+            self.bits_nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            Arc::new(table)
+        };
+        self.memo(&self.bit_tables, key, |_| true, make)
     }
 
     /// A trial runner for `exec`'s program (content key `key`) on the cached
@@ -398,6 +408,7 @@ impl GoldenCache {
             snap_captures: self.snap_captures.load(Ordering::Relaxed),
             snap_capture_secs: self.snap_capture_nanos.load(Ordering::Relaxed) as f64 / 1e9,
             snaps_kept: self.snaps_kept.load(Ordering::Relaxed),
+            bits_secs: self.bits_nanos.load(Ordering::Relaxed) as f64 / 1e9,
             snap_loads: self.snap_loads.load(Ordering::Relaxed),
             observations: self.observations.load(Ordering::Relaxed),
             snap_bytes_read: self.store.as_ref().map_or(0, SnapshotStore::bytes_read),

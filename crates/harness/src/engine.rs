@@ -36,7 +36,7 @@ use flowery_ir::value::{FuncId, InstId};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Engine parameters. Everything here (except `threads`) shapes the trial
@@ -235,6 +235,8 @@ pub(crate) struct Drained {
 
 struct ItemState {
     cursor: AtomicU64,
+    /// Batches claimed and not yet finished.
+    in_flight: AtomicU64,
     done: AtomicBool,
     /// Batches recorded (executed or reused) — feeds the ETA estimate.
     recorded: AtomicU64,
@@ -242,6 +244,24 @@ struct ItemState {
     /// Stopping and admission rule: the campaign header, or its
     /// [`Header::for_region`] form for a scoped item.
     rule: Header,
+}
+
+impl ItemState {
+    /// Claim the item's next batch that no checkpoint holds, counting it in
+    /// flight; `None` once the cursor has passed the schedule.
+    fn claim(&self) -> Option<u64> {
+        loop {
+            let b = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if b >= self.rule.max_batches() {
+                return None;
+            }
+            // Batches satisfied by a checkpoint are skipped, not re-run.
+            if !self.progress.lock().unwrap().has_batch(b) {
+                self.in_flight.fetch_add(1, Ordering::Relaxed);
+                return Some(b);
+            }
+        }
+    }
 }
 
 struct Shared<'a> {
@@ -433,28 +453,25 @@ fn worker(home: usize, sh: &Shared<'_>) {
         // Drain the seeding order from `home` on, wrapping round. Homes are
         // spread evenly, so a worker keeps a stretch of items — and the
         // runners it builds for them — to itself until another worker has
-        // run dry and steals from that stretch.
-        let mut claimed = None;
-        'scan: for off in 0..n {
-            let ii = sh.order[(home + off) % n];
-            let st = &sh.states[ii];
-            if st.done.load(Ordering::Relaxed) {
-                continue;
-            }
-            loop {
-                let b = st.cursor.fetch_add(1, Ordering::Relaxed);
-                if b >= st.rule.max_batches() {
-                    continue 'scan;
+        // run dry and steals from that stretch. Of the items that can stop
+        // early, a thief takes one no one is running before it joins one
+        // that is: a batch run beside another of the same item is thrown
+        // away when the other decides the item.
+        let scan = |join_busy: bool| {
+            (0..n).map(|off| sh.order[(home + off) % n]).find_map(|ii| {
+                let st = &sh.states[ii];
+                let busy = st.rule.ci_target.is_some() && st.in_flight.load(Ordering::Relaxed) > 0;
+                let skip = st.done.load(Ordering::Relaxed) || (busy && !join_busy);
+                if skip {
+                    None
+                } else {
+                    st.claim().map(|b| (ii, b))
                 }
-                // Batches satisfied by a checkpoint are skipped, not re-run.
-                if st.progress.lock().unwrap().has_batch(b) {
-                    continue;
-                }
-                claimed = Some((ii, b));
-                break 'scan;
-            }
-        }
-        let Some((ii, b)) = claimed else { return };
+            })
+        };
+        let Some((ii, b)) = scan(false).or_else(|| scan(true)) else {
+            return;
+        };
         let runner = match runners.entry(ii) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(v) => {
@@ -467,9 +484,10 @@ fn worker(home: usize, sh: &Shared<'_>) {
         };
         let data = runner.run_batch(sh.cfg, b);
         sh.finish_batch(ii, b, data);
+        let st = &sh.states[ii];
+        st.in_flight.fetch_sub(1, Ordering::Relaxed);
         // With no batch of the item left to claim, its runner — and the
         // scratch image it pins — is never needed again.
-        let st = &sh.states[ii];
         if st.done.load(Ordering::Relaxed) || st.cursor.load(Ordering::Relaxed) >= st.rule.max_batches() {
             runners.remove(&ii);
         }
@@ -480,22 +498,20 @@ fn worker(home: usize, sh: &Shared<'_>) {
 /// assembly units sort by descending mean vulnerable-bit density
 /// (statically flagged-dense programs first — the lint drives the
 /// sampler). Everything else ranks as fully vulnerable (no bit proofs
-/// apply). The bit tables computed here are cached, so the per-unit
-/// runners reuse them for the prune oracle itself.
+/// apply). The bit tables are computed here, on the campaign's threads,
+/// and cached, so the per-unit runners reuse them for the prune oracle
+/// itself.
 fn seeding_order(items: &[WorkItem<'_>], cfg: &HarnessConfig, cache: &GoldenCache, metrics: &Metrics) -> Vec<usize> {
     let mut order: Vec<usize> = (0..items.len()).collect();
     if cfg.static_prune {
-        let density: Vec<f64> = items
-            .iter()
-            .map(|item| match (item.scope, item.unit.program.as_ref()) {
-                (None, Some(p)) => {
-                    let table = cache.asm_bits(&item.unit.module, p, item.unit.content_key(cache));
-                    metrics.record_bits_proven(table.proven_pairs);
-                    table.mean_vulnerable()
-                }
-                _ => 1.0,
-            })
-            .collect();
+        let density = par_map(items, cfg.workers(), |item| match (item.scope, item.unit.program.as_ref()) {
+            (None, Some(p)) => {
+                let table = cache.asm_bits(&item.unit.module, p, item.unit.content_key(cache));
+                metrics.record_bits_proven(table.proven_pairs);
+                table.mean_vulnerable()
+            }
+            _ => 1.0,
+        });
         order.sort_by(|&a, &b| {
             density[b]
                 .partial_cmp(&density[a])
@@ -504,6 +520,29 @@ fn seeding_order(items: &[WorkItem<'_>], cfg: &HarnessConfig, cache: &GoldenCach
         });
     }
     order
+}
+
+/// `f` of every item, in item order, computed on up to `threads` threads
+/// that each claim the next item.
+pub(crate) fn par_map<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut built = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { return built };
+            built.push((i, f(item)));
+        }
+    };
+    let mut built: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads.min(items.len())).map(|_| scope.spawn(work)).collect();
+        let joined = handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        joined.flatten().collect()
+    });
+    built.sort_unstable_by_key(|&(i, _)| i);
+    built.into_iter().map(|(_, r)| r).collect()
 }
 
 /// The one scheduler: drain every item's batches with one worker pool.
@@ -524,6 +563,7 @@ pub(crate) fn run_items(
             let rule = item.scope.map_or_else(|| header.clone(), |s| header.for_region(s.trials));
             ItemState {
                 cursor: AtomicU64::new(0),
+                in_flight: AtomicU64::new(0),
                 done: AtomicBool::new(false),
                 recorded: AtomicU64::new(0),
                 progress: Mutex::new(UnitProgress::new(rule.max_batches())),

@@ -24,7 +24,7 @@
 
 use crate::cache::GoldenCache;
 use crate::checkpoint::{self, Header, RegionRecord};
-use crate::engine::{run_items, HarnessConfig, Progress, RunOptions, UnitResult, WorkItem};
+use crate::engine::{par_map, run_items, HarnessConfig, Progress, RunOptions, UnitResult, WorkItem};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::plan::{Layer, TrialUnit, UnitKey};
 use crate::progress::BatchOutcome;
@@ -39,7 +39,6 @@ use flowery_regions::{
 };
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Salt folded into every region hash of one unit: the unit identity plus
@@ -95,25 +94,7 @@ pub fn region_records(
 ) -> Vec<RegionRecord> {
     let by_key: HashMap<&UnitKey, &TrialUnit> = units.iter().map(|u| (&u.key, u)).collect();
     let record = |res: &UnitResult| region_record(by_key.get(&res.key)?, res, cache, cfg);
-    // Each thread claims the next result and keeps its record with its index.
-    let next = AtomicUsize::new(0);
-    let work = || {
-        let mut built = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(res) = results.get(i) else { return built };
-            built.extend(record(res).map(|rec| (i, rec)));
-        }
-    };
-    let mut built: Vec<(usize, RegionRecord)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.workers().min(results.len())).map(|_| scope.spawn(work)).collect();
-        let joined = handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
-        joined.flatten().collect()
-    });
-    built.sort_unstable_by_key(|&(i, _)| i);
-    built.into_iter().map(|(_, rec)| rec).collect()
+    par_map(results, cfg.workers(), record).into_iter().flatten().collect()
 }
 
 /// The region record of one completed unit (see [`region_records`]).

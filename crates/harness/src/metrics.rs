@@ -167,6 +167,10 @@ pub struct MetricsSnapshot {
     /// Snapshots in the sets this run captured: ≤ `min(128, trials)` each.
     #[serde(default)]
     pub snaps_kept: u64,
+    /// Wall time inside the static bit analysis (the prune's bit tables),
+    /// summed over threads; 0 without `--static-prune`.
+    #[serde(default)]
+    pub bits_secs: f64,
     /// Snapshot sets loaded from the persistent store.
     #[serde(default)]
     pub snap_loads: u64,
@@ -265,6 +269,7 @@ impl MetricsSnapshot {
             snap_captures: cache.snap_captures,
             snap_capture_secs: cache.snap_capture_secs,
             snaps_kept: cache.snaps_kept,
+            bits_secs: cache.bits_secs,
             snap_loads: cache.snap_loads,
             observations: cache.observations,
             snap_bytes_read: cache.snap_bytes_read,
@@ -351,6 +356,7 @@ mod tests {
             snap_captures: 1,
             snap_capture_secs: 0.25,
             snaps_kept: 40,
+            bits_secs: 0.125,
             snap_loads: 2,
             observations: 2,
             snap_bytes_read: 300,
@@ -367,6 +373,7 @@ mod tests {
         assert!((s.cache_hit_rate - 0.75).abs() < 1e-12);
         assert_eq!(s.goldens_run, 0);
         assert_eq!((s.snap_captures, s.snap_capture_secs, s.snaps_kept), (1, 0.25, 40));
+        assert_eq!(s.bits_secs, 0.125);
         assert_eq!(s.snap_loads, 2);
         assert_eq!(s.observations, 2);
         assert_eq!((s.snap_bytes_read, s.snap_bytes_written), (300, 100));

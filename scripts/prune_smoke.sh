@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Static-prune smoke test: `--static-prune` must (a) prove a nonzero
 # number of (site, bit) pairs and actually skip trials on every
-# benchmark, (b) leave per-unit results *identical* to the unpruned
-# campaign — the virtual-benign design makes the Wilson CIs not merely
-# overlapping but bit-equal — and (c) checkpoint with prune provenance:
+# benchmark, timing the bit analysis in `bits_secs` (0 unpruned), (b)
+# leave per-unit results *identical* to the unpruned campaign — the
+# virtual-benign design makes the Wilson CIs not merely overlapping but
+# bit-equal — and (c) checkpoint with prune provenance:
 # a `--resume` of a finished pruned run is a byte-identical pure replay,
 # and a resume that drops (or adds) `--static-prune` is refused.
 set -euo pipefail
@@ -29,6 +30,9 @@ import json, sys
 d = sys.argv[1]
 metrics = json.load(open(f"{d}/pruned-metrics.json"))
 assert metrics["bits_proven_masked"] > 0, "no (site, bit) pairs proven masked"
+assert metrics["bits_secs"] > 0, "the bit analysis was not timed"
+full_metrics = json.load(open(f"{d}/full-metrics.json"))
+assert full_metrics["bits_secs"] == 0, f'unpruned run timed a bit analysis: {full_metrics["bits_secs"]}'
 assert metrics["bits_pruned_trials_saved"] > 0, "no trials pruned"
 full = json.load(open(f"{d}/full.json"))
 pruned = json.load(open(f"{d}/pruned.json"))

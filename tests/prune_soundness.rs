@@ -18,16 +18,20 @@
 //! 4. **Verdict pins** — the same 48 workload programs must reproduce
 //!    pinned `(sites, proven pairs, table fingerprint)` triples, recorded
 //!    from the per-path walk the joined fixpoint replaced.
+//! 5. **Lint pins** — the same 48 programs must reproduce pinned
+//!    `predict_program` reports `(sites, protected, flagged hash)`,
+//!    recorded from the per-instruction worklist the leader walk replaced.
 
 mod common;
 
 use common::program_strategy;
 use flowery_analysis::statline::analyze_bits;
+use flowery_analysis::{predict_program, StaticReport};
 use flowery_backend::{compile_module, AsmFaultSpec, BackendConfig, Machine};
 use flowery_harness::{build_matrix, program_hash, run_units, GoldenCache, HarnessConfig, MatrixSpec, RunOptions};
 use flowery_inject::{classify, Outcome};
 use flowery_ir::interp::ExecConfig;
-use flowery_ir::Module;
+use flowery_ir::{fnv1a, Module};
 use flowery_passes::{apply_flowery, duplicate_module, DupConfig, FloweryConfig, ProtectionPlan};
 use flowery_workloads::{workload, Scale, NAMES};
 use proptest::prelude::*;
@@ -220,4 +224,67 @@ fn bit_tables_reproduce_the_verdict_pins() {
         })
         .collect();
     assert_eq!(got, VERDICT_PINS, "bit tables moved; the tables now read:\n{rows}");
+}
+
+/// `(sites, protected, FNV-1a of the flagged list)` of one program's
+/// `predict_program` report; each flagged site hashes as its index, sink
+/// and category.
+type LintPin = (u64, u64, u64);
+
+fn lint_pin(report: &StaticReport) -> LintPin {
+    let flagged: String = report
+        .flagged
+        .iter()
+        .map(|p| format!("{} {} {}\n", p.idx, p.sink.name(), p.category.name()))
+        .collect();
+    (report.sites, report.protected, fnv1a(flagged.as_bytes()))
+}
+
+/// Lint pins for every workload x raw/id/flowery at Tiny scale and full
+/// protection, recorded from the per-instruction worklist (one in-state
+/// per instruction, every instruction stepped) that the leader walk
+/// replaced; a moved verdict, sink or category moves a pin.
+#[rustfmt::skip]
+const LINT_PINS: &[(&str, [LintPin; 3])] = &[
+    ("backprop", [(516, 134, 0xf6efdef0c065d95e), (1035, 790, 0x3da345c8dff23bfc), (1188, 996, 0xf4e1143799a839a0)]),
+    ("bfs", [(234, 56, 0x87ad4fcf7a88b4b6), (446, 283, 0x9a417bedd5ddeb16), (567, 450, 0xdcc53e6cc512c16b)]),
+    ("pathfinder", [(319, 69, 0x4b934a02e932116c), (614, 398, 0x71b40c9cd297ae3d), (805, 635, 0x5dfa2f76b2d983ad)]),
+    ("lud", [(364, 98, 0xab4cc993bbe5431e), (737, 547, 0xc4c52b62e4f3b586), (876, 737, 0xca96ed3fafaa9a88)]),
+    ("needle", [(354, 86, 0x35fa4bc4c6deea78), (661, 450, 0x6429741711745701), (830, 675, 0xfc2641e5c9398b08)]),
+    ("knn", [(231, 53, 0x29cf47960739b1ce), (454, 285, 0x894b9ac1229baa58), (565, 444, 0x59b0d4e2f52e4041)]),
+    ("ep", [(353, 86, 0x335aae3291d337df), (721, 490, 0x326cb3b6b36690ca), (840, 661, 0xc362edb89c48b54d)]),
+    ("cg", [(526, 134, 0x74a2c8d26eb92d33), (1096, 820, 0xdc529958275872a0), (1248, 1028, 0xacfc2ca29135a492)]),
+    ("is", [(262, 66, 0x1f20805d8f1b8bfb), (514, 356, 0x18434e53ff9e118e), (633, 518, 0x86e7ec80548f7679)]),
+    ("fft2", [(547, 147, 0x113e472a62cf6d92), (1172, 883, 0x5d4b1e7ae1f1a5f5), (1313, 1087, 0x2ee528d258bf9f2b)]),
+    ("quicksort", [(347, 79, 0x1ee99d8728993f3c), (647, 420, 0x54617e808e0450f8), (806, 632, 0xac5f50730b97a718)]),
+    ("basicmath", [(261, 57, 0x91944c1a88e1abf4), (511, 336, 0x42b4380dcf39b621), (610, 471, 0x290d867481d1abb3)]),
+    ("susan", [(366, 89, 0x0f953039e4fce6dd), (691, 430, 0xb98b32d75bd540fd), (926, 749, 0x94e2aa21d6f8f791)]),
+    ("crc32", [(132, 32, 0x854b4b18689a4c82), (248, 153, 0x8bf883161dc3065f), (306, 233, 0x7afbac86a07ba1c5)]),
+    ("stringsearch", [(291, 68, 0xf495741b368e56de), (482, 277, 0xa60d4257c9146ded), (609, 436, 0xc96a9288036dfd46)]),
+    ("patricia", [(374, 73, 0x36fe0d2592c9ae91), (684, 407, 0xe983a0436483c5dc), (895, 674, 0x397ce5bb49507e67)]),
+];
+
+#[test]
+fn lint_reports_reproduce_the_lint_pins() {
+    let bcfg = BackendConfig::default();
+    let got: Vec<(&str, [LintPin; 3])> = NAMES
+        .iter()
+        .map(|&name| {
+            let raw = workload(name, Scale::Tiny).compile();
+            let row = ["raw", "id", "flowery"].map(|pass| {
+                let m = protect(raw.clone(), pass);
+                let prog = compile_module(&m, &bcfg);
+                lint_pin(&predict_program(&m, &prog, bcfg.fold_compares))
+            });
+            (name, row)
+        })
+        .collect();
+    let rows: String = got
+        .iter()
+        .map(|(name, r)| {
+            let cells: Vec<String> = r.iter().map(|(s, p, f)| format!("({s}, {p}, {f:#018x})")).collect();
+            format!("    (\"{name}\", [{}]),\n", cells.join(", "))
+        })
+        .collect();
+    assert_eq!(got, LINT_PINS, "lint reports moved; they now read:\n{rows}");
 }
