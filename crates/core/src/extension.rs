@@ -233,7 +233,7 @@ mod tests {
         run_units(&hardened, &cfg, &cache, RunOptions::default()).complete().unwrap();
         assert!(!hardened.is_empty());
         for u in &hardened {
-            let fresh = flowery_harness::program_hash(u.program.as_ref().unwrap());
+            let fresh = flowery_harness::asm_hash(&u.module, u.program.as_ref().unwrap());
             assert_eq!(u.content_key(&cache), fresh, "{}", u.key);
         }
     }

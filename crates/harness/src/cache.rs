@@ -2,25 +2,26 @@
 //!
 //! Every campaign needs a fault-free reference execution (the *golden
 //! run*) to classify outcomes against and to derive the fault-site count.
-//! Golden runs are pure functions of the program text, so the cache keys
-//! them by a content hash of the printed IR / machine listing, which a
-//! campaign unit prints once and carries
+//! Golden runs are pure functions of the program content, so the cache
+//! keys them by a content hash — of the printed IR, or of the machine
+//! listing and the globals its memory image is built from ([`asm_hash`]) —
+//! which a campaign unit prints once and carries
 //! ([`TrialUnit::content_key`](crate::TrialUnit::content_key)): two units
-//! over byte-identical programs share one golden execution, and the golden
-//! counts every [`UnitResult`](crate::UnitResult) carries (what the
-//! study's overhead tables read) come from the campaign goldens for free.
+//! over identical programs share one golden execution.
 //!
 //! Snapshot sets are served the same way, with one extra source ahead of a
 //! fresh capture run: **the persistent store** — sets saved next to the
 //! checkpoint by a previous run load back without executing anything, so
 //! the trials of a `--resume` need zero golden re-executions and zero
-//! re-captures.
+//! re-captures. A golden lookup tries a set in memory, then the store, then
+//! a run; a campaign's results ask it only for programs whose counts the
+//! checkpoint's golden records lack, so a sealed log asks it nothing.
 //!
 //! The capture run is also the golden run and the *site observation* (the
 //! golden order of fault sites by region, which region masses, scoped
 //! trials and the prune oracle read), and the set's file keeps the log, so a
-//! cold campaign executes each program content once and a warm store (a
-//! resumed or merged seal included) nothing. [`CacheStats::observations`]
+//! cold campaign executes each program content once and a warm store
+//! nothing. [`CacheStats::observations`]
 //! counts the passes left: units without snapshots, lookups needing the
 //! trace a stored log dropped, and `flowery diff`'s plan. Every map is
 //! single-flight: a second asker waits for the first instead of executing.
@@ -33,7 +34,7 @@ use flowery_ir::interp::substrate;
 use flowery_ir::interp::{
     ExecConfig, ExecResult, Interpreter, IrLayer, IrSnapshotSet, Profile, SiteLog, SnapshotSet, Substrate,
 };
-use flowery_ir::printer::print_module;
+use flowery_ir::printer::{print_globals, print_module};
 use flowery_ir::{fnv1a, Module};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,9 +46,16 @@ pub fn module_hash(m: &Module) -> u64 {
     fnv1a(print_module(m).as_bytes())
 }
 
-/// Content hash of a compiled program (its machine listing).
+/// Content hash of a compiled program's machine listing alone; campaigns
+/// key assembly programs by [`asm_hash`].
 pub fn program_hash(p: &AsmProgram) -> u64 {
     fnv1a(print_program(p).as_bytes())
+}
+
+/// Content key of an assembly program: its machine listing and `m`'s
+/// globals, whose initial values the listing does not show.
+pub fn asm_hash(m: &Module, p: &AsmProgram) -> u64 {
+    fnv1a((print_program(p) + &print_globals(m)).as_bytes())
 }
 
 /// Point-in-time cache counters; how each snapshot set was obtained.
@@ -197,11 +205,9 @@ impl GoldenCache {
     /// Golden run of the program `exec` is bound to, whose content key is
     /// `key`, computed at most once per distinct program content.
     pub(crate) fn golden<S: CacheLayer>(&self, exec: &S::Exec<'_>, key: u64, cfg: &ExecConfig) -> Arc<S::Golden> {
-        // A snapshot set carries the golden result, so a pure checkpoint
-        // replay (`--resume` of a finished run) serves even its merge-time
-        // golden lookups without executing anything — from a stored file
-        // whose snapshots it does not keep (no trial needs them).
-        let make = || match self.in_memory::<S>(key).or_else(|| self.load_outline::<S>(exec, key, cfg)) {
+        // A snapshot set carries the golden result, so a set in memory or in
+        // the store serves the lookup without executing anything.
+        let make = || match self.in_memory::<S>(key).or_else(|| self.load_set::<S>(exec, key, cfg)) {
             Some(set) => Arc::new(set.golden().clone()),
             None => {
                 self.goldens_run.fetch_add(1, Ordering::Relaxed);
@@ -225,7 +231,7 @@ impl GoldenCache {
     /// Golden run of `p` at the assembly layer. Prints `p` to key it, every
     /// call.
     pub fn asm_golden(&self, m: &Module, p: &AsmProgram, exec: &ExecConfig) -> Arc<MachResult> {
-        self.golden::<AsmLayer>(&Machine::new(m, p), self.printed(program_hash(p)), exec)
+        self.golden::<AsmLayer>(&Machine::new(m, p), self.printed(asm_hash(m, p)), exec)
     }
 
     /// The site observation of `exec`'s program (content key `key`) with a
@@ -314,25 +320,6 @@ impl GoldenCache {
         }
     }
 
-    /// The persisted set for `key` without its snapshots, when the store
-    /// has one captured under `cfg`'s memory geometry. Its site log seeds
-    /// the observation map, so the file is read once.
-    fn load_outline<S: CacheLayer>(
-        &self,
-        exec: &S::Exec<'_>,
-        key: u64,
-        cfg: &ExecConfig,
-    ) -> Option<Arc<SnapshotSet<S>>> {
-        let store = self.store.as_ref()?;
-        let set = store.load_without_snapshots::<S>(exec, key)?;
-        if !set.matches_geometry(cfg.mem_size, cfg.stack_size) {
-            store.refused::<S>(key, "snapshot file: captured under another memory geometry");
-            return None;
-        }
-        Self::seed(&S::maps(self).sites, key, || set.sites().clone());
-        Some(Arc::new(set))
-    }
-
     /// The persisted set for `key`, when the store has one captured under
     /// `cfg`'s memory geometry. It seeds the snapshot map, so whichever
     /// lookup asked first, the file is read once.
@@ -395,7 +382,7 @@ impl GoldenCache {
 
     /// [`GoldenCache::ir_snapshots_for`] at the assembly layer.
     pub fn asm_snapshots_for(&self, m: &Module, p: &AsmProgram, exec: &ExecConfig) -> Arc<AsmSnapshotSet> {
-        let key = self.printed(program_hash(p));
+        let key = self.printed(asm_hash(m, p));
         self.snapshots_for::<AsmLayer>(&Machine::new(m, p), key, exec, 0, u64::MAX)
     }
 
@@ -531,7 +518,7 @@ mod tests {
         // Their site logs answer masses without executing; the trace a
         // pruned unit asks for was never stored, so that lookup observes.
         let mach = Machine::new(&m, &p);
-        let (ir_key, asm_key) = (module_hash(&m), program_hash(&p));
+        let (ir_key, asm_key) = (module_hash(&m), asm_hash(&m, &p));
         let log = resumed.observation::<AsmLayer>(&mach, asm_key, &exec, 0);
         assert_eq!(resumed.stats().observations, 0, "a stored log serves an untraced lookup");
         let traced = resumed.observation::<AsmLayer>(&mach, asm_key, &exec, GoldenCache::SITE_TRACE_CAP);
@@ -540,22 +527,21 @@ mod tests {
         assert_eq!(log.mass(0), traced.mass(0));
         assert!(Arc::ptr_eq(&resumed.observation::<AsmLayer>(&mach, asm_key, &exec, 0), &traced));
 
-        // A replay builds no runner: its goldens and its seal's site logs
-        // come from one read of each stored file, whose snapshots it does
-        // not keep — executing nothing.
+        // A replay with no golden records asks the store: each golden
+        // lookup loads its stored set, which then serves the seal's site
+        // logs and a runner — one read of each file, executing nothing.
         let replay = GoldenCache::with_store(SnapshotStore::at(&dir));
         assert_eq!(replay.ir_golden(&m, &exec).dyn_insts, s1.golden().dyn_insts);
         assert_eq!(replay.asm_golden(&m, &p, &exec).cycles, a1.golden().cycles);
         let ir_log = replay.observation::<IrLayer>(&Interpreter::new(&m), ir_key, &exec, 0);
         let asm_log = replay.observation::<AsmLayer>(&mach, asm_key, &exec, 0);
         let st = replay.stats();
-        assert_eq!((st.snap_loads, st.observations, st.goldens_run), (0, 0, 0));
-        assert_eq!(st.snap_bytes_read, written, "each file is read once");
+        assert_eq!((st.snap_loads, st.observations, st.goldens_run), (2, 0, 0));
         assert_eq!(ir_log.mass(0), s1.sites().mass(0));
         assert_eq!(asm_log.mass(0), a1.sites().mass(0));
-        // A runner still gets the whole set.
         assert_eq!(replay.ir_snapshots_for(&m, &exec).len(), s1.len());
-        assert_eq!(replay.stats().snap_loads, 1);
+        assert_eq!(replay.stats().snap_loads, 2);
+        assert_eq!(replay.stats().snap_bytes_read, written, "each file is read once");
 
         // A geometry mismatch refuses the file and recaptures.
         let small = ExecConfig { mem_size: 2 << 20, ..ExecConfig::default() };

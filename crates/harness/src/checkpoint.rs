@@ -3,7 +3,8 @@
 //! Line 1 is a [`Header`] recording every parameter that shapes the trial
 //! schedule; each further line is one completed [`BatchRecord`], one
 //! finished selection profile ([`ProfileRecord`], written before the
-//! campaign's trials start), or one unit's region profiles
+//! campaign's trials start), one program's golden counts ([`GoldenRecord`],
+//! written when a unit over it reports), or one unit's region profiles
 //! ([`RegionRecord`], written at a clean finish). Because
 //! every batch is a pure function of `(seed, trial indices)`, replaying
 //! the log into a fresh engine reproduces the interrupted run exactly —
@@ -13,13 +14,15 @@
 //!
 //! During a run the log is append-only in completion order (crash safety);
 //! at a clean end it is [`compact`]ed into the **canonical form**: the
-//! header, the profile records sorted by program, the batch records sorted
-//! by `(unit key, batch index)` and the region records sorted by unit key —
+//! header, the profile records sorted by program, the golden records sorted
+//! by `(layer, content key)`, the batch records sorted by `(unit key, batch
+//! index)` and the region records sorted by unit key —
 //! duplicates dropped after checking they are identical, and batches beyond
 //! each unit's decided prefix discarded. The canonical form is a pure
 //! function of the campaign parameters, so a local run, an interrupt/resume
 //! split of it, and shard logs concatenated and resumed (one header per
-//! shard; see [`load_full`]) all produce byte-identical files.
+//! shard; see [`load_full`]) all produce byte-identical files, which a
+//! resume answers from without a snapshot store or a golden run.
 
 use crate::engine::HarnessConfig;
 use crate::plan::{Layer, UnitKey};
@@ -354,25 +357,46 @@ pub struct ProfileRecord {
     pub profile: SdcProfile,
 }
 
+/// One program content's golden counts, what every unit over it reports
+/// beside its tally ([`crate::UnitResult`]'s `golden_*` fields). A resume
+/// or a merged shard log serves them instead of a stored snapshot set or a
+/// golden run.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct GoldenRecord {
+    pub layer: Layer,
+    /// The program's content key ([`crate::TrialUnit::content_key`]).
+    pub key: u64,
+    pub dyn_insts: u64,
+    pub fault_sites: u64,
+    /// Assembly layer only; 0 at IR.
+    pub cycles: u64,
+    /// FNV-1a of the golden output.
+    pub output_hash: u64,
+}
+
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum Record {
     Header(Header),
     Batch(BatchRecord),
     Regions(RegionRecord),
     Profile(ProfileRecord),
+    Golden(GoldenRecord),
 }
 
 /// Writer half: shared by workers, flushed per line so a kill loses at
 /// most the line being written.
 pub struct CheckpointLog {
     file: Mutex<File>,
+    /// The golden records of a resumed log, by `(layer, content key)`, as
+    /// [`open`] read them.
+    goldens: HashMap<(Layer, u64), GoldenRecord>,
 }
 
 impl CheckpointLog {
     /// Start a fresh log (truncates), writing the header line.
     pub fn create(path: &Path, header: &Header) -> Result<CheckpointLog, String> {
         let file = File::create(path).map_err(|e| format!("create {}: {e}", path.display()))?;
-        let log = CheckpointLog { file: Mutex::new(file) };
+        let log = CheckpointLog { file: Mutex::new(file), goldens: HashMap::new() };
         log.write(&Record::Header(header.clone()))?;
         Ok(log)
     }
@@ -406,7 +430,7 @@ impl CheckpointLog {
                     .map_err(|e| format!("repair {}: {e}", path.display()))?;
             }
         }
-        Ok(CheckpointLog { file: Mutex::new(file) })
+        Ok(CheckpointLog { file: Mutex::new(file), goldens: HashMap::new() })
     }
 
     pub fn record_batch(&self, rec: &BatchRecord) -> Result<(), String> {
@@ -419,6 +443,16 @@ impl CheckpointLog {
 
     pub fn record_profile(&self, rec: &ProfileRecord) -> Result<(), String> {
         self.write(&Record::Profile(rec.clone()))
+    }
+
+    pub fn record_golden(&self, rec: &GoldenRecord) -> Result<(), String> {
+        self.write(&Record::Golden(rec.clone()))
+    }
+
+    /// The golden record of the program `key` at `layer`, when the log held
+    /// one as [`open`] resumed it.
+    pub fn golden(&self, layer: Layer, key: u64) -> Option<&GoldenRecord> {
+        self.goldens.get(&(layer, key))
     }
 
     fn write(&self, rec: &Record) -> Result<(), String> {
@@ -447,11 +481,11 @@ pub fn load(path: &Path) -> Result<(Header, Vec<BatchRecord>), String> {
 /// field and both values: records of another seed or schedule must never
 /// be sealed under this one's header.
 pub fn load_full(path: &Path) -> Result<(Header, Vec<BatchRecord>, Vec<RegionRecord>), String> {
-    read(path).map(|(header, batches, regions, _)| (header, batches, regions))
+    read(path).map(|(header, batches, regions, ..)| (header, batches, regions))
 }
 
-/// A log's header and its batch, region and profile records.
-type Records = (Header, Vec<BatchRecord>, Vec<RegionRecord>, Vec<ProfileRecord>);
+/// A log's header and its batch, region, profile and golden records.
+type Records = (Header, Vec<BatchRecord>, Vec<RegionRecord>, Vec<ProfileRecord>, Vec<GoldenRecord>);
 
 /// Every record of a log, by kind, in file order (see [`load_full`]).
 fn read(path: &Path) -> Result<Records, String> {
@@ -464,6 +498,7 @@ fn read(path: &Path) -> Result<Records, String> {
     let mut batches = Vec::new();
     let mut regions = Vec::new();
     let mut profiles = Vec::new();
+    let mut goldens = Vec::new();
     let last = lines.len().saturating_sub(1);
     for (i, line) in lines.iter().enumerate() {
         if line.trim().is_empty() {
@@ -501,6 +536,7 @@ fn read(path: &Path) -> Result<Records, String> {
             Record::Batch(b) => batches.push(b),
             Record::Regions(r) => regions.push(r),
             Record::Profile(p) => profiles.push(p),
+            Record::Golden(g) => goldens.push(g),
         }
     }
     let mut header = header.ok_or_else(|| format!("{}: missing header line", path.display()))?;
@@ -515,7 +551,7 @@ fn read(path: &Path) -> Result<Records, String> {
             }
         }
     }
-    Ok((header, batches, regions, profiles))
+    Ok((header, batches, regions, profiles, goldens))
 }
 
 /// Insert `rec`, or check it against the identical record already there:
@@ -568,13 +604,6 @@ pub fn canonicalize_regions(header: &Header, records: Vec<RegionRecord>) -> Resu
     one_per_key(current, |r| r.unit.clone()).map_err(|rec| format!("conflicting region records for {}", rec.unit))
 }
 
-/// Reduce profile records to the canonical set: one per program, sorted by
-/// program name, duplicates dropped after checking identity.
-fn canonicalize_profiles(records: Vec<ProfileRecord>) -> Result<Vec<ProfileRecord>, String> {
-    one_per_key(records, |r| r.program.clone())
-        .map_err(|rec| format!("conflicting profile records for {}", rec.program))
-}
-
 /// `records` one per `key`, sorted by it, duplicates dropped after
 /// [`insert_unique`] checked them.
 fn one_per_key<K: Ord, V: PartialEq>(records: impl IntoIterator<Item = V>, key: impl Fn(&V) -> K) -> Result<Vec<V>, V> {
@@ -585,14 +614,15 @@ fn one_per_key<K: Ord, V: PartialEq>(records: impl IntoIterator<Item = V>, key: 
     Ok(by_key.into_values().collect())
 }
 
-/// Write a canonical log: the header line, the profile records, `records`
-/// in the order given (callers pass [`canonicalize`]d records), then the
-/// region records. The file is written to a temporary sibling and renamed into
-/// place, so a kill mid-write never clobbers an existing log.
+/// Write a canonical log: the header line, the profile and golden records,
+/// `records` in the order given (callers pass [`canonicalize`]d records),
+/// then the region records. The file is written to a temporary sibling and
+/// renamed into place, so a kill mid-write never clobbers an existing log.
 pub fn write_canonical_full(
     path: &Path,
     header: &Header,
     profiles: &[ProfileRecord],
+    goldens: &[GoldenRecord],
     records: &[BatchRecord],
     regions: &[RegionRecord],
 ) -> Result<(), String> {
@@ -601,6 +631,9 @@ pub fn write_canonical_full(
         let log = CheckpointLog::create(&tmp, header)?;
         for rec in profiles {
             log.record_profile(rec)?;
+        }
+        for rec in goldens {
+            log.record_golden(rec)?;
         }
         for rec in records {
             log.record_batch(rec)?;
@@ -612,9 +645,9 @@ pub fn write_canonical_full(
     std::fs::rename(&tmp, path).map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
 }
 
-/// [`write_canonical_full`] without profile or region records.
+/// [`write_canonical_full`] with batch records only.
 pub fn write_canonical(path: &Path, header: &Header, records: &[BatchRecord]) -> Result<(), String> {
-    write_canonical_full(path, header, &[], records, &[])
+    write_canonical_full(path, header, &[], &[], records, &[])
 }
 
 /// An opened log and its batch, profile and region records (see [`open`]).
@@ -627,15 +660,21 @@ pub type Opened = (CheckpointLog, Vec<BatchRecord>, Vec<ProfileRecord>, Vec<Regi
 /// records come back for preloading (consumers fold them through
 /// [`Header::admit`]; [`refused_note`] reports what that will drop), the
 /// profile records for the selection profile pass to serve from, and the
-/// region records of this log's region schema, which the seal keeps.
+/// region records of this log's region schema, which the seal keeps. The
+/// reopened log holds the golden records ([`CheckpointLog::golden`]) for
+/// the campaign's results to take their counts from.
 pub fn open(path: &Path, header: &Header, resume: bool) -> Result<Opened, String> {
     if !resume {
         return Ok((CheckpointLog::create(path, header)?, Vec::new(), Vec::new(), Vec::new()));
     }
-    let (found, batches, regions, profiles) = read(path)?;
+    let (found, batches, regions, profiles, goldens) = read(path)?;
     found.require(header, path, "checkpoint")?;
     let regions = regions.into_iter().filter(|r| r.schema == header.region_schema).collect();
-    Ok((CheckpointLog::append_to(path)?, batches, profiles, regions))
+    let log = CheckpointLog {
+        goldens: goldens.into_iter().map(|g| ((g.layer, g.key), g)).collect(),
+        ..CheckpointLog::append_to(path)?
+    };
+    Ok((log, batches, profiles, regions))
 }
 
 /// Seal a campaign's log: append `regions` (the per-region profiles of a
@@ -650,14 +689,20 @@ pub fn seal(path: &Path, log: CheckpointLog, regions: &[RegionRecord]) -> Result
     compact(path)
 }
 
-/// Rewrite the log at `path` in canonical form (see [`canonicalize`]).
-/// Called at the clean end of a campaign; the result is byte-identical
-/// for any execution of the same schedule — local, resumed, or sharded.
+/// Rewrite the log at `path` in canonical form (see [`canonicalize`] and
+/// [`canonicalize_regions`]; profile and golden records are kept one per
+/// program, sorted, duplicates dropped after checking identity). Called at
+/// the clean end of a campaign; the result is byte-identical for any
+/// execution of the same schedule — local, resumed, or sharded.
 pub fn compact(path: &Path) -> Result<(), String> {
-    let (header, records, regions, profiles) = read(path)?;
+    let (header, records, regions, profiles, goldens) = read(path)?;
     let records = canonicalize(&header, records)?;
     let regions = canonicalize_regions(&header, regions)?;
-    write_canonical_full(path, &header, &canonicalize_profiles(profiles)?, &records, &regions)
+    let profiles = one_per_key(profiles, |r| r.program.clone())
+        .map_err(|rec| format!("conflicting profile records for {}", rec.program))?;
+    let goldens = one_per_key(goldens, |r| (r.layer, r.key))
+        .map_err(|rec| format!("conflicting golden records for {:?} program {:016x}", rec.layer, rec.key))?;
+    write_canonical_full(path, &header, &profiles, &goldens, &records, &regions)
 }
 
 #[cfg(test)]
@@ -1039,8 +1084,48 @@ mod tests {
         let (_, _, profiles, _) = open(&path, &header(), true).unwrap();
         assert_eq!(profiles, vec![rec("alpha", 5), rec("zeta", 3)]);
         // Two different profiles of one program are corrupt data.
-        let err = canonicalize_profiles(vec![rec("alpha", 5), rec("alpha", 6)]).unwrap_err();
+        let log = CheckpointLog::append_to(&path).unwrap();
+        log.record_profile(&rec("alpha", 6)).unwrap();
+        drop(log);
+        let err = compact(&path).unwrap_err();
         assert!(err.contains("conflicting profile records for alpha"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn golden_records_are_served_by_the_opened_log_and_canonicalized() {
+        let rec = |layer, key, dyn_insts| GoldenRecord {
+            layer,
+            key,
+            dyn_insts,
+            fault_sites: 9,
+            cycles: 0,
+            output_hash: 5,
+        };
+        // Appended per unit in completion order, duplicated by a shard merge.
+        let path = tmp("goldens");
+        let log = CheckpointLog::create(&path, &header()).unwrap();
+        log.record_batch(&record(0)).unwrap();
+        for r in [rec(Layer::Asm, 3, 70), rec(Layer::Ir, 8, 60), rec(Layer::Asm, 3, 70)] {
+            log.record_golden(&r).unwrap();
+        }
+        assert!(log.golden(Layer::Asm, 3).is_none(), "a fresh log serves nothing");
+        drop(log);
+        let (log, ..) = open(&path, &header(), true).unwrap();
+        assert_eq!(log.golden(Layer::Asm, 3), Some(&rec(Layer::Asm, 3, 70)));
+        assert!(log.golden(Layer::Ir, 3).is_none(), "the layer is part of the key");
+        // The seal keeps one record per key, sorted, between profiles and batches.
+        seal(&path, log, &[]).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let kinds: Vec<&str> = text.lines().map(|l| &l[2..l.find("\":").unwrap()]).collect();
+        assert_eq!(kinds, ["Header", "Golden", "Golden", "Batch"]);
+        assert!(text.find("\"Ir\"").unwrap() < text.find("\"Asm\"").unwrap());
+        // Two different records of one program are corrupt data.
+        let log = CheckpointLog::append_to(&path).unwrap();
+        log.record_golden(&rec(Layer::Ir, 8, 61)).unwrap();
+        drop(log);
+        let err = compact(&path).unwrap_err();
+        assert!(err.contains("conflicting golden records for Ir program 0000000000000008"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -21,7 +21,7 @@
 //! across processes or hosts byte-identical to a local one (DESIGN §6).
 
 use crate::cache::GoldenCache;
-use crate::checkpoint::{BatchRecord, CheckpointLog, Header};
+use crate::checkpoint::{BatchRecord, CheckpointLog, GoldenRecord, Header};
 use crate::incremental::{observed, Scope};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::plan::{Layer, TrialUnit, UnitKey};
@@ -31,6 +31,8 @@ use flowery_backend::AsmLayer;
 use flowery_faultmodel::{DetectorSpec, ModelSpec};
 use flowery_inject::campaign::{AsmTrialRunner, IrTrialRunner};
 use flowery_inject::{Estimate, OutcomeCounts};
+use flowery_ir::fnv1a;
+use flowery_ir::interp::substrate::{RunHead, RunResult};
 use flowery_ir::interp::{ExecConfig, Interpreter, IrLayer};
 use flowery_ir::value::{FuncId, InstId};
 use serde::{Deserialize, Serialize};
@@ -148,7 +150,8 @@ pub fn status_printer(tag: &'static str) -> impl Fn(&MetricsSnapshot) -> Control
 /// Optional engine inputs.
 #[derive(Default)]
 pub struct RunOptions<'a> {
-    /// Log to append completed batches to.
+    /// Log to append completed batches and golden records to, and whose
+    /// golden records a resumed log serves.
     pub checkpoint: Option<&'a CheckpointLog>,
     /// Batches replayed from a previous run (see [`crate::checkpoint::open`]).
     pub preloaded: Vec<BatchRecord>,
@@ -667,7 +670,9 @@ pub fn run_plain(units: &[TrialUnit], trials: u64) -> Result<Vec<UnitResult>, St
 
 /// [`run_units`], its metrics going on from `earlier`'s: a pass run before
 /// it on the same cache, such as the campaign's selection profile
-/// ([`crate::plan_matrix`]), so that one report counts both.
+/// ([`crate::plan_matrix`]), so that one report counts both. A unit's golden
+/// counts come from `opts.checkpoint`'s golden records; a program they lack
+/// is looked up in the cache and its record appended to the log.
 pub fn run_units_after(
     earlier: &MetricsSnapshot,
     units: &[TrialUnit],
@@ -676,10 +681,12 @@ pub fn run_units_after(
     opts: RunOptions<'_>,
 ) -> CampaignReport {
     let items: Vec<WorkItem<'_>> = units.iter().map(|unit| WorkItem { unit, scope: None }).collect();
+    let log = opts.checkpoint;
     let drained = run_items(&items, cfg, cache, Metrics::with_mode(cfg.exec.executor).after(earlier), opts);
 
     let mut results = Vec::new();
     let mut pending = Vec::new();
+    let mut error = drained.error;
     for (unit, tally) in units.iter().zip(drained.tallies) {
         let Some(total) = tally else {
             pending.push(unit.key.clone());
@@ -687,14 +694,14 @@ pub fn run_units_after(
         };
         let trials = total.counts.total();
         let key = unit.content_key(cache);
-        let (golden_dyn_insts, golden_sites, golden_cycles) = match unit.key.layer {
-            Layer::Ir => {
-                let g = cache.golden::<IrLayer>(&Interpreter::new(&unit.module), key, &cfg.exec);
-                (g.dyn_insts, g.fault_sites, 0)
-            }
-            Layer::Asm => {
-                let g = cache.golden::<AsmLayer>(&unit.machine(), key, &cfg.exec);
-                (g.dyn_insts, g.fault_sites, g.cycles)
+        let golden = match log.and_then(|log| log.golden(unit.key.layer, key)) {
+            Some(rec) => rec.clone(),
+            None => {
+                let rec = golden_record(unit, key, cache, &cfg.exec);
+                if let Some(Err(e)) = log.map(|log| log.record_golden(&rec)) {
+                    error.get_or_insert(e);
+                }
+                rec
             }
         };
         results.push(UnitResult {
@@ -707,9 +714,9 @@ pub fn run_units_after(
             sdc_insts: total.sdc_insts,
             region_counts: total.region_counts,
             pruned: total.pruned,
-            golden_dyn_insts,
-            golden_sites,
-            golden_cycles,
+            golden_dyn_insts: golden.dyn_insts,
+            golden_sites: golden.fault_sites,
+            golden_cycles: golden.cycles,
         });
     }
     CampaignReport {
@@ -718,7 +725,26 @@ pub fn run_units_after(
         // Re-sampled: the golden lookups above count as cache traffic.
         metrics: drained.metrics.with_cache(cache.stats()),
         interrupted: drained.interrupted,
-        error: drained.error,
+        error,
+    }
+}
+
+/// The golden record of `unit`'s program (content key `key`), from the cache.
+fn golden_record(unit: &TrialUnit, key: u64, cache: &GoldenCache, exec: &ExecConfig) -> GoldenRecord {
+    let record = |head: RunHead<'_>, cycles| GoldenRecord {
+        layer: unit.key.layer,
+        key,
+        dyn_insts: head.dyn_insts,
+        fault_sites: head.fault_sites,
+        cycles,
+        output_hash: fnv1a(head.output),
+    };
+    match unit.key.layer {
+        Layer::Ir => record(cache.golden::<IrLayer>(&Interpreter::new(&unit.module), key, exec).head(), 0),
+        Layer::Asm => {
+            let g = cache.golden::<AsmLayer>(&unit.machine(), key, exec);
+            record(g.head(), g.cycles)
+        }
     }
 }
 

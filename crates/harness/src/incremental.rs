@@ -609,7 +609,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("base.jsonl");
         let cfg = small_cfg();
-        checkpoint::write_canonical_full(&path, &cfg.header(), &[], &[], &[]).unwrap();
+        checkpoint::write_canonical_full(&path, &cfg.header(), &[], &[], &[], &[]).unwrap();
         let mut other = small_cfg();
         other.seed ^= 1;
         let err = Baseline::load(&path, &other.header()).unwrap_err();
@@ -618,7 +618,7 @@ mod tests {
         // A foreign region schema is named with both values too.
         let mut h = cfg.header();
         h.region_schema = REGION_SCHEMA_VERSION + 7;
-        checkpoint::write_canonical_full(&path, &h, &[], &[], &[]).unwrap();
+        checkpoint::write_canonical_full(&path, &h, &[], &[], &[], &[]).unwrap();
         let err = Baseline::load(&path, &cfg.header()).unwrap_err();
         assert!(err.contains("region-schema"), "{err}");
         assert!(

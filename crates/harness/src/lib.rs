@@ -13,9 +13,9 @@
 //!   are one [`run_units`] pass;
 //! * [`cache`] — [`GoldenCache`]: golden runs keyed by program content
 //!   hash, shared across units and across the passes of a sweep;
-//! * [`checkpoint`] — an append-only JSONL log of completed batches and
-//!   finished selection profiles that makes interrupted campaigns
-//!   resumable bit-for-bit;
+//! * [`checkpoint`] — an append-only JSONL log of completed batches,
+//!   finished selection profiles and programs' golden counts that makes
+//!   interrupted campaigns resumable bit-for-bit;
 //! * [`engine`] — [`run_units`]: batch scheduling, adaptive trial counts
 //!   (Wilson 95% CI early stop), and live [`metrics`].
 //!
@@ -37,11 +37,11 @@ pub mod progress;
 pub mod shutdown;
 pub mod snapstore;
 
-pub use cache::{module_hash, program_hash, CacheStats, GoldenCache};
+pub use cache::{asm_hash, module_hash, program_hash, CacheStats, GoldenCache};
 pub use checkpoint::{
     canonicalize, canonicalize_regions, compact, load as load_checkpoint, load_full as load_checkpoint_full, open,
-    refused_note, seal, write_canonical, write_canonical_full, BatchRecord, CheckpointLog, Header, ProfileRecord,
-    Refusal, RegionRecord,
+    refused_note, seal, write_canonical, write_canonical_full, BatchRecord, CheckpointLog, GoldenRecord, Header,
+    ProfileRecord, Refusal, RegionRecord,
 };
 pub use engine::{
     run_plain, run_units, run_units_after, status_printer, CampaignReport, Control, HarnessConfig, Progress,

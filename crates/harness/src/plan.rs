@@ -3,7 +3,7 @@
 //! profiles that decide what its partial protection levels duplicate
 //! ([`plan_matrix`]).
 
-use crate::cache::{module_hash, program_hash, GoldenCache};
+use crate::cache::{asm_hash, module_hash, GoldenCache};
 use crate::checkpoint::ProfileRecord;
 use crate::engine::{run_units, CampaignReport, HarnessConfig, RunOptions};
 use flowery_backend::{compile_module, AsmLayer, AsmProgram, BackendConfig, Machine};
@@ -89,7 +89,7 @@ pub struct TrialUnit {
     pub module: Arc<Module>,
     /// Compiled program; present exactly when `key.layer == Layer::Asm`.
     pub program: Option<Arc<AsmProgram>>,
-    /// [`module_hash`] of an IR unit, [`program_hash`] of an assembly one.
+    /// [`module_hash`] of an IR unit, [`asm_hash`] of an assembly one.
     content: OnceLock<u64>,
 }
 
@@ -110,7 +110,7 @@ impl TrialUnit {
     }
 
     /// The key the golden cache files this unit's program under: the
-    /// [`module_hash`] of an IR unit, the [`program_hash`] of an assembly
+    /// [`module_hash`] of an IR unit, the [`asm_hash`] of an assembly
     /// unit. The program is printed on first use only (`cache` counts it)
     /// and the key kept from then on.
     pub fn content_key(&self, cache: &GoldenCache) -> u64 {
@@ -120,7 +120,7 @@ impl TrialUnit {
     fn print_key(&self) -> u64 {
         match &self.program {
             None => module_hash(&self.module),
-            Some(p) => program_hash(p),
+            Some(p) => asm_hash(&self.module, p),
         }
     }
 
@@ -209,20 +209,16 @@ impl Default for MatrixSpec {
 }
 
 /// Content fingerprint of a built matrix: folds every unit's key together
-/// with the content hash of its program (printed IR, plus the machine
-/// listing for assembly units). Two parties that build the matrix
-/// independently from the same plan compare fingerprints to catch a
-/// nondeterministic build or divergent code up front, rather than as
-/// corrupt results (the ledger's hand re-drive in `benchmark/` does).
+/// with its program's content key (the one it carries, else printed). Two
+/// parties that build the matrix independently from the same plan compare
+/// fingerprints to catch a nondeterministic build or divergent code up
+/// front, rather than as corrupt results (the ledger's hand re-drive in
+/// `benchmark/` does).
 pub fn matrix_fingerprint(units: &[TrialUnit]) -> u64 {
     let mut text = String::new();
     for u in units {
         let key = u.content.get().copied().unwrap_or_else(|| u.print_key());
-        text.push_str(&u.key.id());
-        if u.program.is_some() {
-            text.push_str(&format!(":{:016x}", module_hash(&u.module)));
-        }
-        text.push_str(&format!(":{key:016x}\n"));
+        text.push_str(&format!("{}:{key:016x}\n", u.key.id()));
     }
     flowery_ir::fnv1a(text.as_bytes())
 }

@@ -23,9 +23,10 @@ use std::sync::Arc;
 /// the engine's virtual-benign contract. Recorded (combined with each
 /// unit's table fingerprint) in checkpoint headers and batch records;
 /// resumes across differing signatures are refused rather than silently
-/// mixed.
+/// mixed. `asm-key-2`: table fingerprints fold [`crate::cache::asm_hash`],
+/// so a log pruned under the listing-only key is refused.
 pub fn prune_signature() -> u64 {
-    fnv1a(b"static-prune/virtual-benign/") ^ fnv1a(BITS_VERSION.as_bytes())
+    fnv1a(b"static-prune/virtual-benign/asm-key-2/") ^ fnv1a(BITS_VERSION.as_bytes())
 }
 
 /// Per-unit prune oracle (assembly layer only).
@@ -34,7 +35,7 @@ pub struct StaticPrior {
     /// `site_map[i]` = static instruction index of dynamic fault site `i`
     /// in the golden run (a prefix — sites beyond the cap go unpruned).
     site_map: Arc<Vec<u32>>,
-    /// `table.fingerprint(program_hash)`, recorded for provenance.
+    /// `table.fingerprint(content key)`, recorded for provenance.
     table_hash: u64,
 }
 

@@ -78,17 +78,6 @@ impl SnapshotStore {
             .ok()
     }
 
-    /// [`SnapshotStore::load`] with no snapshot kept
-    /// ([`SnapshotSet::decode_without_snapshots`]): the golden result and
-    /// site log of the stored set.
-    pub(crate) fn load_without_snapshots<S: Substrate>(&self, exec: &S::Exec<'_>, hash: u64) -> Option<SnapshotSet<S>> {
-        let bytes = fs::read(self.path::<S>(hash)).ok()?;
-        self.read.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        SnapshotSet::decode_without_snapshots(&bytes, exec, hash)
-            .map_err(|reason| self.refused::<S>(hash, &reason))
-            .ok()
-    }
-
     /// Say why the stored set for `hash` is not used; a capture replaces it.
     pub(crate) fn refused<S: Substrate>(&self, hash: u64, reason: &str) {
         eprintln!("[harness] snapshot set {} refused: {reason}; recapturing", self.path::<S>(hash).display());

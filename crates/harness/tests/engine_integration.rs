@@ -270,10 +270,72 @@ fn a_campaign_prints_each_unit_once_and_units_keep_their_keys() {
     for u in &units {
         let fresh = match &u.program {
             None => flowery_harness::module_hash(&u.module),
-            Some(p) => flowery_harness::program_hash(p),
+            Some(p) => flowery_harness::asm_hash(&u.module, p),
         };
         assert_eq!(u.content_key(&again), fresh, "{}", u.key);
     }
+}
+
+#[test]
+fn a_sealed_log_reports_golden_counts_without_a_store_or_a_run() {
+    let units = small_matrix();
+    let hcfg = cfg(100, 50, 2);
+    let path = tmp("goldens");
+    let (log, ..) = open(&path, &hcfg.header(), false).unwrap();
+    let cold = run_units(
+        &units,
+        &hcfg,
+        &GoldenCache::new(),
+        RunOptions { checkpoint: Some(&log), ..Default::default() },
+    );
+    seal(&path, log, &[]).unwrap();
+    let sealed = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(sealed.matches("{\"Golden\"").count(), units.len(), "one record per program content");
+    // Resumed on a cache with no store: every count comes from the log.
+    let (log, preloaded, ..) = open(&path, &hcfg.header(), true).unwrap();
+    let cache = GoldenCache::new();
+    let warm = run_units(
+        &units,
+        &hcfg,
+        &cache,
+        RunOptions { checkpoint: Some(&log), preloaded, ..Default::default() },
+    );
+    let st = cache.stats();
+    assert_eq!((st.goldens_run, st.snap_captures, st.observations, st.hits + st.misses), (0, 0, 0, 0));
+    assert_eq!(serialized(&cold.units), serialized(&warm.units));
+    // Nothing was appended: the seal is unchanged.
+    seal(&path, log, &[]).unwrap();
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), sealed);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_global_only_edit_keys_another_asm_program() {
+    // Two programs whose machine listings agree and whose globals do not:
+    // a snapshot store the first filled must not serve the second its set.
+    let src = |last: u32| {
+        format!(
+            "global int tbl[4] = {{1,2,3,{last}}}; int main() {{ int s = 0; int i; \
+             for (i = 0; i < 40; i = i + 1) {{ s = s + tbl[i % 4] * i; }} output(s); return 0; }}"
+        )
+    };
+    let unit = |last| {
+        let m = module(&src(last));
+        let p = Arc::new(flowery_backend::compile_module(&m, &flowery_backend::BackendConfig::default()));
+        TrialUnit::asm(UnitKey::new("tbl", Variant::Raw, 0.0, Layer::Asm), m, p)
+    };
+    let (old, new) = ([unit(4)], [unit(5)]);
+    let listing = |u: &[TrialUnit]| flowery_harness::program_hash(u[0].program.as_ref().unwrap());
+    assert_eq!(listing(&old), listing(&new), "test premise: only the globals differ");
+    let dir = std::env::temp_dir().join(format!("flowery-harness-it-{}-globals.snaps", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let (hcfg, store) = (cfg(200, 100, 1), || GoldenCache::with_store(SnapshotStore::at(dir.clone())));
+    run_units(&old, &hcfg, &store(), RunOptions::default());
+    let edited = run_units(&new, &hcfg, &store(), RunOptions::default());
+    assert_eq!(edited.metrics.snap_loads, 0, "the stored set is the other program's");
+    let fresh = run_units(&[unit(5)], &hcfg, &GoldenCache::new(), RunOptions::default());
+    assert_eq!(serialized(&edited.units), serialized(&fresh.units));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -296,26 +296,6 @@ impl<S: Substrate> SnapshotSet<S> {
     /// version-mismatched, or wrong-content files with a descriptive error
     /// — never panics.
     pub fn decode(bytes: &[u8], exec: &S::Exec<'_>, content_hash: u64) -> Result<SnapshotSet<S>, String> {
-        Self::decode_keeping(bytes, exec, content_hash, true)
-    }
-
-    /// [`SnapshotSet::decode`] with every snapshot checked but none kept:
-    /// the golden result and site log of a set file, for a lookup that
-    /// needs no snapshot. Rejects exactly what `decode` rejects.
-    pub fn decode_without_snapshots(
-        bytes: &[u8],
-        exec: &S::Exec<'_>,
-        content_hash: u64,
-    ) -> Result<SnapshotSet<S>, String> {
-        Self::decode_keeping(bytes, exec, content_hash, false)
-    }
-
-    fn decode_keeping(
-        bytes: &[u8],
-        exec: &S::Exec<'_>,
-        content_hash: u64,
-        keep: bool,
-    ) -> Result<SnapshotSet<S>, String> {
         if bytes.len() < S::MAGIC.len() + 8 {
             return Err("snapshot file: truncated".into());
         }
@@ -348,7 +328,7 @@ impl<S: Substrate> SnapshotSet<S> {
         }
         let golden = S::decode_head(&mut c, exec)?;
         let n_snaps = c.count(8)?;
-        let mut snaps = Vec::with_capacity(if keep { n_snaps } else { 0 });
+        let mut snaps = Vec::with_capacity(n_snaps);
         let mut prev = PageMap::new();
         for _ in 0..n_snaps {
             let dyn_insts = c.u64()?;
@@ -377,18 +357,13 @@ impl<S: Substrate> SnapshotSet<S> {
                         *block = None;
                     } else if fresh & 1 << i != 0 {
                         let at = i * BLOCK_SIZE;
-                        let data = c.take(BLOCK_SIZE.min(len - at))?;
-                        *block = keep.then(|| Arc::from(data));
+                        *block = Some(Arc::from(c.take(BLOCK_SIZE.min(len - at))?));
                     }
                 }
-                if keep {
-                    pages.insert(page, Arc::new(blocks));
-                }
+                pages.insert(page, Arc::new(blocks));
             }
-            if keep {
-                prev = pages.clone();
-                snaps.push(Snapshot { dyn_insts, fault_sites, output_len, state, pages });
-            }
+            prev = pages.clone();
+            snaps.push(Snapshot { dyn_insts, fault_sites, output_len, state, pages });
         }
         let mut sites = SiteLog::new(S::site_regions(exec), 0);
         c.site_log(&mut sites, golden.head().fault_sites)?;

@@ -6,8 +6,11 @@
 # checkpoint byte-identical to an uninterrupted run. A second resume over
 # the same store, with one stored set stamped as an older format version,
 # must name the refusal on stderr, recapture exactly that set and end
-# byte-identical too. Resuming the sealed checkpoint once more decodes no
-# snapshot set and leaves it byte-identical. Also checks that
+# byte-identical too. Resuming the sealed checkpoint once more reads no
+# snapshot file and leaves it byte-identical, and a sealed `study` resumes
+# with its golden counts from the checkpoint alone — 0 snapshot bytes read
+# and 0 golden runs, with `.snaps/` present and with it removed — printing
+# the cold run's stdout byte for byte. Also checks that
 # `--no-snapshots` leaves no `.snaps` directory, and that a campaign of 40
 # trials per unit keeps no more than 40 snapshots per captured set.
 set -euo pipefail
@@ -86,17 +89,32 @@ cmp "$DIR/ref.jsonl" "$DIR/ckpt.jsonl"
 echo "resume-smoke: resumed checkpoint is byte-identical to the reference"
 
 echo "resume-smoke: resume the sealed checkpoint"
-# Every batch replays and every unit's region record is in the log, so no
-# runner is built and no snapshot set decoded: the goldens come from the
-# stored files without their snapshots. The sealed file does not change.
+# Every batch replays and every unit's region record and golden record is in
+# the log, so no runner is built and no snapshot file read. The sealed file
+# does not change.
 "$BIN" campaign "${ARGS[@]}" --checkpoint "$DIR/ckpt.jsonl" --resume \
     --metrics-json "$DIR/sealed-metrics.json" >/dev/null 2>"$DIR/sealed.log"
-for counter in snap_loads snap_captures goldens_run observations snap_bytes_written; do
+for counter in snap_loads snap_bytes_read snap_captures goldens_run observations snap_bytes_written; do
     grep -q "\"$counter\": 0" "$DIR/sealed-metrics.json" \
-        || { echo "a sealed resume decoded a set or executed a pass ($counter)"; cat "$DIR/sealed-metrics.json"; exit 1; }
+        || { echo "a sealed resume read a set or executed a pass ($counter)"; cat "$DIR/sealed-metrics.json"; exit 1; }
 done
 cmp "$DIR/ref.jsonl" "$DIR/ckpt.jsonl"
-echo "resume-smoke: sealed resume decoded no snapshot set and left the file byte-identical"
+echo "resume-smoke: sealed resume read no snapshot file and left the file byte-identical"
+
+echo "resume-smoke: a sealed study answers from its checkpoint alone"
+STUDY=(crc32 is quicksort --tiny --trials 300)
+"$BIN" study "${STUDY[@]}" --checkpoint "$DIR/study.jsonl" >"$DIR/study-cold.out" 2>/dev/null
+for leg in store no-store; do
+    [ "$leg" = no-store ] && rm -rf "$DIR/study.jsonl.snaps"
+    "$BIN" study "${STUDY[@]}" --checkpoint "$DIR/study.jsonl" --resume \
+        --metrics-json "$DIR/study-$leg.json" >"$DIR/study-$leg.out" 2>/dev/null
+    for counter in snap_bytes_read goldens_run; do
+        grep -q "\"$counter\": 0" "$DIR/study-$leg.json" \
+            || { echo "sealed study resume ($leg) read or ran a golden ($counter)"; cat "$DIR/study-$leg.json"; exit 1; }
+    done
+    cmp "$DIR/study-cold.out" "$DIR/study-$leg.out"
+done
+echo "resume-smoke: sealed study resumed with and without its store, stdout byte-identical"
 
 echo "resume-smoke: resume over a store holding a version-3 set"
 # Format version: the u32 after the 8-byte magic; the trailing u64 is the

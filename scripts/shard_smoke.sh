@@ -4,11 +4,13 @@
 # different hosts or engines — and merged with `cat` + one `--resume` over
 # the whole plan must seal a checkpoint byte-identical to a single-process
 # `flowery campaign`, without executing a trial in the merge step
-# (DESIGN §6). Five legs:
+# (DESIGN §6). Six legs:
 #   (a) shards by program list; (b) shards by `--levels`;
 #   (c) one shard on the native JIT, the other on the default engine;
 #   (d) a shard of another `--seed` is refused by name, never merged;
-#   (e) `flowery diff --out` shards merge the same way.
+#   (e) `flowery diff --out` shards merge the same way;
+#   (f) shards merged without their snapshot stores replay from the
+#       checkpoints' golden records alone: no golden run, no byte read.
 set -euo pipefail
 
 BIN=${FLOWERY_BIN:-target/release/flowery}
@@ -125,5 +127,14 @@ awk 'NR == 1 || !/^\{"Header"/' "$DIR/dm.jsonl" | cmp - "$DIR/done.jsonl"
 grep -q '"regions_rerun": 0' "$DIR/dm-metrics.json" && grep -q '"trials": 0' "$DIR/dm-metrics.json" \
     || { echo "the merged diff is not a no-op baseline"; cat "$DIR/dm-metrics.json"; exit 1; }
 cmp "$DIR/dm2.jsonl" "$DIR/done.jsonl"
+
+echo "shard-smoke: (f) shards merged without their snapshot stores"
+cat "$DIR/a.jsonl" "$DIR/b.jsonl" > "$DIR/ns.jsonl"
+"$BIN" campaign "${ALL[@]}" "${SCHED[@]}" --checkpoint "$DIR/ns.jsonl" --resume \
+    --metrics-json "$DIR/ns-metrics.json" >/dev/null 2>&1
+cmp "$DIR/ref.jsonl" "$DIR/ns.jsonl"
+replayed "$DIR/ns-metrics.json"
+grep -q '"snap_bytes_read": 0' "$DIR/ns-metrics.json" \
+    || { echo "the store-less merge read snapshot bytes"; cat "$DIR/ns-metrics.json"; exit 1; }
 
 echo "shard-smoke: merged checkpoints are byte-identical to the single-process runs"

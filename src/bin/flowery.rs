@@ -698,7 +698,7 @@ fn cmd_diff(rest: &[String]) -> Result<(), String> {
     match args.str("--out") {
         Some(_) if report.interrupted => eprintln!("[diff] interrupted: no composed checkpoint written"),
         Some(p) => {
-            write_canonical_full(Path::new(p), &cfg.header(), &[], &[], &report.records())?;
+            write_canonical_full(Path::new(p), &cfg.header(), &[], &[], &[], &report.records())?;
             eprintln!("[diff] wrote composed checkpoint to {p}");
         }
         None => {}

@@ -1,11 +1,11 @@
 //! A checkpoint is bytes a campaign reads back from disk: a log torn by a
 //! crash, shards joined with `cat`, a file someone edited. Mutants of a
 //! sealed Tiny checkpoint — byte flips, truncations, duplicated and
-//! reordered lines, oversized numbers — must load as a checkpoint or be
-//! refused with an error, and what loads must canonicalize the same way:
-//! never a panic.
+//! reordered lines, oversized numbers — must resume as a checkpoint or be
+//! refused with an error, and what resumes must seal the same way, every
+//! record kind canonicalized: never a panic.
 
-use flowery_harness::{canonicalize, canonicalize_regions, load_checkpoint_full};
+use flowery_harness::{canonicalize, load_checkpoint_full, open, seal};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::process::Command;
@@ -23,14 +23,15 @@ const OVERSIZED: &[&str] = &[
     "99999999999999999999999999999999999999999999999999",
 ];
 
-/// Load `path` and canonicalize what it holds, as a resume does; `None`
-/// for a panic.
+/// Resume `path` under the header it holds and seal it, as a campaign
+/// asking for that header does: every record kind is read and
+/// canonicalized. `None` for a panic.
 fn load(path: &Path) -> Option<Result<(), String>> {
     catch_unwind(AssertUnwindSafe(|| {
-        let (header, batches, regions) = load_checkpoint_full(path)?;
+        let (header, ..) = load_checkpoint_full(path)?;
+        let (log, batches, ..) = open(path, &header, true)?;
         canonicalize(&header, batches)?;
-        canonicalize_regions(&header, regions)?;
-        Ok(())
+        seal(path, log, &[])
     }))
     .ok()
 }
@@ -41,8 +42,8 @@ fn mutated_checkpoints_load_or_fail_but_never_panic() {
     let dir = std::env::temp_dir().join(format!("flowery-ckpt-mutants-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let sealed = dir.join("sealed.jsonl");
-    // Levels below 1.0 add the selection profile's records to the batch,
-    // region and header lines.
+    // Levels below 1.0 add the selection profile's records to the header,
+    // golden, batch and region lines.
     let out = Command::new(env!("CARGO_BIN_EXE_flowery"))
         .args(["campaign", "crc32", "--tiny", "--trials", "60", "--batch", "20", "--levels", "0.5,1.0"])
         .args(["--no-snapshots", "--checkpoint", sealed.to_str().unwrap()])
@@ -50,9 +51,12 @@ fn mutated_checkpoints_load_or_fail_but_never_panic() {
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = std::fs::read(&sealed).unwrap();
-    let (header, batches, regions) = load_checkpoint_full(&sealed).unwrap();
-    assert!(!batches.is_empty() && !regions.is_empty(), "test premise: every record kind is present");
-    assert!(canonicalize(&header, batches).is_ok());
+    for kind in ["Header", "Profile", "Golden", "Batch", "Regions"] {
+        let line = format!("{{\"{kind}\":");
+        assert!(String::from_utf8_lossy(&text).contains(&line), "test premise: a {kind} record is present");
+    }
+    assert_eq!(load(&sealed), Some(Ok(())));
+    assert_eq!(std::fs::read(&sealed).unwrap(), text, "test premise: the seal is canonical");
 
     let mut state = 0x2545_F491_4F6C_DD1Du64;
     let mut next = move |bound: usize| {
