@@ -1,44 +1,50 @@
 //! Human-readable report rendering for experiment results.
 
 use crate::rootcause::{Penetration, PenetrationBreakdown};
-use std::fmt::Write;
 
 /// Render a Figure-3-style distribution table.
 pub fn render_breakdown(b: &PenetrationBreakdown) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "{:<12} {:>8} {:>8}", "category", "cases", "share");
-    for p in Penetration::CATEGORIES {
-        let _ = writeln!(s, "{:<12} {:>8} {:>7.2}%", p.name(), b.get(p), b.percent(p));
-    }
-    let _ = writeln!(s, "{:<12} {:>8}", "(unprotected)", b.unprotected);
-    let _ = writeln!(s, "{:<12} {:>8}", "(other)", b.other);
-    let _ = writeln!(s, "{:<12} {:>8}", "deficiencies", b.deficiency_total());
-    s
+    let mut rows: Vec<Vec<String>> = Penetration::CATEGORIES
+        .iter()
+        .map(|&p| vec![p.name().into(), b.get(p).to_string(), format!("{:.2}%", b.percent(p))])
+        .collect();
+    let totals = [
+        ("(unprotected)", b.unprotected),
+        ("(other)", b.other),
+        ("deficiencies", b.deficiency_total()),
+    ];
+    rows.extend(totals.map(|(label, n)| vec![label.into(), n.to_string(), String::new()]));
+    render_table(&["category", "cases", "share"], &rows)
 }
 
-/// Render an aligned table given a header and rows of cells.
+/// Render a GitHub-Markdown pipe table given a header and rows of cells:
+/// the first column left-aligned, the others right-aligned, every cell
+/// padded to its column's width so the table also reads aligned as text.
 pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
-    let ncols = header.len();
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
+    let mut widths: Vec<usize> = header.iter().map(|h| h.chars().count()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate().take(ncols) {
-            widths[i] = widths[i].max(cell.len());
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.chars().count());
         }
     }
-    let mut s = String::new();
-    for (i, h) in header.iter().enumerate() {
-        let _ = write!(s, "{:>width$}  ", h, width = widths[i]);
-    }
-    s.push('\n');
-    for (i, _) in header.iter().enumerate() {
-        let _ = write!(s, "{}  ", "-".repeat(widths[i]));
-    }
-    s.push('\n');
+    let line = |cells: &[String]| {
+        let padded = cells.iter().zip(&widths).enumerate().map(|(i, (c, &w))| match i {
+            0 => format!(" {c:<w$} |"),
+            _ => format!(" {c:>w$} |"),
+        });
+        format!("|{}\n", padded.collect::<String>())
+    };
+    let dashes = |w: usize| "-".repeat(w.saturating_sub(1));
+    let rule: Vec<String> = (0..widths.len())
+        .map(|i| match i {
+            0 => format!(":{}", dashes(widths[i])),
+            _ => format!("{}:", dashes(widths[i])),
+        })
+        .collect();
+    let head: Vec<String> = header.iter().map(|h| h.to_string()).collect();
+    let mut s = line(&head) + &line(&rule);
     for row in rows {
-        for (i, cell) in row.iter().enumerate().take(ncols) {
-            let _ = write!(s, "{:>width$}  ", cell, width = widths[i]);
-        }
-        s.push('\n');
+        s.push_str(&line(row));
     }
     s
 }
@@ -76,9 +82,15 @@ mod tests {
             &[vec!["bfs".into(), "53.3%".into()], vec!["stringsearch".into(), "12.0%".into()]],
         );
         let lines: Vec<&str> = t.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].contains("bench"));
-        assert!(lines[3].contains("stringsearch"));
+        assert_eq!(
+            lines,
+            [
+                "| bench        |   cov |",
+                "| :----------- | ----: |",
+                "| bfs          | 53.3% |",
+                "| stringsearch | 12.0% |",
+            ]
+        );
     }
 
     #[test]

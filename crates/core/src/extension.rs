@@ -7,6 +7,7 @@
 //! implements the read-back checks and this module measures how much of
 //! the remaining gap they close.
 
+use crate::figures::mean;
 use crate::pipeline::{index, study};
 use flowery_backend::{harden_program, HardenConfig};
 use flowery_harness::{
@@ -108,13 +109,7 @@ pub fn render_hardening(rows: &[HardeningRow]) -> String {
             })
             .collect::<Vec<_>>(),
     );
-    let avg = |f: fn(&HardeningRow) -> f64| -> f64 {
-        if rows.is_empty() {
-            0.0
-        } else {
-            rows.iter().map(f).sum::<f64>() / rows.len() as f64
-        }
-    };
+    let avg = |f: fn(&HardeningRow) -> f64| mean(rows.iter().map(f));
     format!(
         "{body}\nfull protection, assembly level: ID {:.2}% -> Flowery {:.2}% -> +AsmHarden {:.2}%\n",
         avg(|r| r.id_pct),

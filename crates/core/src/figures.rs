@@ -1,24 +1,98 @@
 //! Generators for every table and figure in the paper's evaluation, each a
-//! projection of one study campaign (nothing here executes a program).
+//! projection of one study campaign (nothing here executes a program), and
+//! [`render_study`], the paper-vs-measured document `flowery study` prints.
 //!
 //! | artefact | paper | here |
 //! |----------|-------|------|
 //! | Table 1  | benchmark inventory + dynamic instruction counts | [`table1`] |
-//! | Figure 2 | ID coverage at IR vs assembly, 4 protection levels | [`fig2`] |
-//! | Figure 3 | penetration root-cause distribution | [`fig3`] |
-//! | Figure 17| Flowery vs ID-Assembly vs ID-IR coverage | [`fig17`] |
+//! | Figure 2 | ID coverage at IR vs assembly, 4 protection levels | [`coverage`] |
+//! | Figure 3 | penetration root-cause distribution | [`render_fig3`] |
+//! | Figure 17| Flowery vs ID-Assembly vs ID-IR coverage | [`coverage`] |
 //! | §7.2     | Flowery runtime overhead over ID | [`overhead`] |
 //! | §7.3     | Flowery pass execution time | [`pass_time`] |
 
 use crate::pipeline::StudyResults;
-use flowery_analysis::{render_table, Penetration, PenetrationBreakdown};
+use flowery_analysis::{render_table, Penetration};
 use flowery_harness::{protect, Layer, MatrixSpec, TrialUnit, Variant};
 use flowery_passes::{apply_flowery, FloweryConfig};
 use flowery_workloads::{all_workloads, Scale};
 use serde::{Deserialize, Serialize};
 
-// ---------------------------------------------------------------- Table 1
+/// The paper's reference numbers (SC'23, §5 and §7), each beside the
+/// quantity it reports, in the order the study prints its `quantity |
+/// paper | measured` rows. These are the only place they are typed.
+pub mod paper {
+    /// Figure 2.
+    pub const FIG2: [(&str, &str); 5] = [
+        ("average IR-vs-assembly gap", "31.21%"),
+        ("largest gap", "82% (stringsearch)"),
+        ("full protection, ID-IR minimum", "100%"),
+        ("full protection, ID-Assembly average", "76.74%"),
+        ("full protection, ID-Assembly minimum", "53.33% (bfs)"),
+    ];
+    /// Figure 3: the categories in `Penetration::CATEGORIES` order, then
+    /// the three Flowery fixes combined and the case count.
+    pub const FIG3: [(&str, &str); 7] = [
+        ("store", "39.1%"),
+        ("branch", "35.7%"),
+        ("comparison", "19.7%"),
+        ("call", "3.1%"),
+        ("mapping", "2.5%"),
+        ("store+branch+comparison", "94.5%"),
+        ("deficiency cases", "-"),
+    ];
+    /// Figure 17.
+    pub const FIG17: [(&str, &str); 6] = [
+        ("full protection, ID → Flowery at assembly", "76.74% → 93.72%"),
+        ("cells where Flowery beats ID-Assembly", "all"),
+        ("cells where Flowery stays below ID-IR", "all"),
+        ("best full-protection Flowery", "99.31% (susan)"),
+        ("worst full-protection Flowery", "stringsearch / patricia"),
+        ("average Flowery gain over ID-Assembly", "-"),
+    ];
+    /// §7.2: Flowery's wall-time overhead over ID at each protection level.
+    pub const FLOWERY_OVER_ID: [(f64, &str); 4] = [(0.3, "+1.93%"), (0.5, "+1.63%"), (0.7, "+3.72%"), (1.0, "+3.74%")];
+    /// §7.3: the average Flowery pass time.
+    pub const PASS_TIME: &str = "0.12s";
+}
 
+/// The whole paper-vs-measured document: Markdown, one `## ` heading per
+/// artefact, each measured table followed by its `quantity | paper |
+/// measured` table. §7.3 is a timing and is not part of it ([`pass_time`]).
+pub fn render_study(study: &StudyResults) -> String {
+    let cells = coverage(study);
+    let sections = [
+        ("Table 1 — benchmark inventory", render_table1(&table1(study))),
+        ("Figures 2 and 17 — coverage per benchmark and level", render_coverage(&cells)),
+        ("Figure 2 — ID coverage, IR vs assembly", render_fig2(&cells)),
+        ("Figure 3 — penetration root-cause distribution", render_fig3(study)),
+        ("Figure 17 — Flowery vs ID-Assembly vs ID-IR", render_fig17(&cells)),
+        ("§7.2 — runtime overhead", render_overhead(&overhead(study))),
+    ];
+    let sections: Vec<String> = sections.iter().map(|(title, body)| format!("## {title}\n\n{body}")).collect();
+    sections.join("\n")
+}
+
+const VERSUS: [&str; 3] = ["quantity", "paper", "measured"];
+
+/// A `quantity | paper | measured` table: `paper`'s rows, each with its
+/// `measured` value.
+fn versus(paper: &[(&str, &str)], measured: Vec<String>) -> String {
+    let rows: Vec<Vec<String>> = paper
+        .iter()
+        .zip(measured)
+        .map(|(&(q, p), m)| vec![q.into(), p.into(), m])
+        .collect();
+    render_table(&VERSUS, &rows)
+}
+
+/// The mean of `xs`, 0 when there are none.
+pub(crate) fn mean(xs: impl ExactSizeIterator<Item = f64>) -> f64 {
+    let n = xs.len().max(1);
+    xs.sum::<f64>() / n as f64
+}
+
+// ---------------------------------------------------------------- Table 1
 /// One Table 1 row.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Table1Row {
@@ -74,138 +148,12 @@ pub fn render_table1(rows: &[Table1Row]) -> String {
     )
 }
 
-// ---------------------------------------------------------------- Figure 2
+// ---------------------------------------------------------------- Figures 2 and 17
 
-/// One Figure 2 cell: ID coverage at both layers for (benchmark, level).
+/// One (benchmark, level) cell of Figures 2 and 17: ID coverage at both
+/// layers and Flowery's at assembly level.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Fig2Row {
-    pub benchmark: String,
-    pub level: f64,
-    pub id_ir_pct: f64,
-    pub id_asm_pct: f64,
-    pub gap_pct: f64,
-}
-
-/// Extract Figure 2 from study results.
-pub fn fig2(study: &StudyResults) -> Vec<Fig2Row> {
-    let mut rows = Vec::new();
-    for b in &study.benches {
-        for l in &b.levels {
-            rows.push(Fig2Row {
-                benchmark: b.name.clone(),
-                level: l.level,
-                id_ir_pct: l.id_ir.percent(),
-                id_asm_pct: l.id_asm.percent(),
-                gap_pct: l.id_ir.percent() - l.id_asm.percent(),
-            });
-        }
-    }
-    rows
-}
-
-/// Render Figure 2 as a table plus the headline average gap.
-pub fn render_fig2(rows: &[Fig2Row]) -> String {
-    let body = render_table(
-        &["Benchmark", "Level", "ID-IR", "ID-Assembly", "Gap"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.benchmark.clone(),
-                    format!("{:.0}%", r.level * 100.0),
-                    format!("{:.2}%", r.id_ir_pct),
-                    format!("{:.2}%", r.id_asm_pct),
-                    format!("{:+.2}%", r.gap_pct),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    let avg: f64 = if rows.is_empty() {
-        0.0
-    } else {
-        rows.iter().map(|r| r.gap_pct).sum::<f64>() / rows.len() as f64
-    };
-    format!("{body}\naverage IR-vs-assembly coverage gap: {avg:.2}% (paper: 31.21%)\n")
-}
-
-// ---------------------------------------------------------------- Figure 3
-
-/// Figure 3: the penetration distribution over deficiency cases.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Fig3 {
-    pub aggregate: PenetrationBreakdown,
-    pub per_bench: Vec<(String, PenetrationBreakdown)>,
-}
-
-/// Extract Figure 3 (classification of full-protection assembly SDCs).
-pub fn fig3(study: &StudyResults) -> Fig3 {
-    Fig3 {
-        aggregate: study.aggregate_rootcause(),
-        per_bench: study
-            .benches
-            .iter()
-            .map(|b| (b.name.clone(), b.full_level().rootcause.clone()))
-            .collect(),
-    }
-}
-
-/// Render the per-benchmark penetration shares (the paper discusses how
-/// category prevalence varies across programs, e.g. kNN vs BFS store
-/// shares in §5.2).
-pub fn render_fig3_per_bench(f: &Fig3) -> String {
-    flowery_analysis::render_table(
-        &["Benchmark", "store%", "branch%", "cmp%", "call%", "map%", "cases"],
-        &f.per_bench
-            .iter()
-            .map(|(name, b)| {
-                vec![
-                    name.clone(),
-                    format!("{:.1}", b.percent(Penetration::Store)),
-                    format!("{:.1}", b.percent(Penetration::Branch)),
-                    format!("{:.1}", b.percent(Penetration::Comparison)),
-                    format!("{:.1}", b.percent(Penetration::Call)),
-                    format!("{:.1}", b.percent(Penetration::Mapping)),
-                    b.deficiency_total().to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    )
-}
-
-/// Render Figure 3 with the paper's reference distribution alongside.
-pub fn render_fig3(f: &Fig3) -> String {
-    let paper = [
-        (Penetration::Store, 39.1),
-        (Penetration::Branch, 35.7),
-        (Penetration::Comparison, 19.7),
-        (Penetration::Call, 3.1),
-        (Penetration::Mapping, 2.5),
-    ];
-    let rows: Vec<Vec<String>> = paper
-        .iter()
-        .map(|(p, ref_pct)| {
-            vec![
-                p.name().to_string(),
-                f.aggregate.get(*p).to_string(),
-                format!("{:.2}%", f.aggregate.percent(*p)),
-                format!("{ref_pct:.1}%"),
-            ]
-        })
-        .collect();
-    let mut s = render_table(&["Category", "Cases", "Measured", "Paper"], &rows);
-    s.push_str(&format!(
-        "deficiency cases: {} (of {} SDCs)\n",
-        f.aggregate.deficiency_total(),
-        f.aggregate.total()
-    ));
-    s
-}
-
-// ---------------------------------------------------------------- Figure 17
-
-/// One Figure 17 cell: the three coverage curves.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Fig17Row {
+pub struct CoverageRow {
     pub benchmark: String,
     pub level: f64,
     pub id_ir_pct: f64,
@@ -213,28 +161,35 @@ pub struct Fig17Row {
     pub flowery_asm_pct: f64,
 }
 
-/// Extract Figure 17 from study results.
-pub fn fig17(study: &StudyResults) -> Vec<Fig17Row> {
-    let mut rows = Vec::new();
-    for b in &study.benches {
-        for l in &b.levels {
-            rows.push(Fig17Row {
-                benchmark: b.name.clone(),
-                level: l.level,
-                id_ir_pct: l.id_ir.percent(),
-                id_asm_pct: l.id_asm.percent(),
-                flowery_asm_pct: l.flowery_asm.percent(),
-            });
-        }
+impl CoverageRow {
+    /// Figure 2's IR-vs-assembly gap.
+    pub fn gap_pct(&self) -> f64 {
+        self.id_ir_pct - self.id_asm_pct
     }
-    rows
+
+    fn full(&self) -> bool {
+        (self.level - 1.0).abs() < 1e-9
+    }
 }
 
-/// Render Figure 17 plus the full-protection averages the paper reports and
-/// the average Flowery gain over ID-Assembly across every cell.
-pub fn render_fig17(rows: &[Fig17Row]) -> String {
-    let body = render_table(
-        &["Benchmark", "Level", "ID-IR", "ID-Assembly", "Flowery"],
+/// Extract Figures 2 and 17 from study results, benchmark-major.
+pub fn coverage(study: &StudyResults) -> Vec<CoverageRow> {
+    let cells = study.benches.iter().flat_map(|b| b.levels.iter().map(move |l| (b, l)));
+    cells
+        .map(|(b, l)| CoverageRow {
+            benchmark: b.name.clone(),
+            level: l.level,
+            id_ir_pct: l.id_ir.percent(),
+            id_asm_pct: l.id_asm.percent(),
+            flowery_asm_pct: l.flowery_asm.percent(),
+        })
+        .collect()
+}
+
+/// Render the per-cell coverage table.
+pub fn render_coverage(rows: &[CoverageRow]) -> String {
+    render_table(
+        &["Benchmark", "Level", "ID-IR", "ID-Assembly", "Gap", "Flowery"],
         &rows
             .iter()
             .map(|r| {
@@ -243,26 +198,96 @@ pub fn render_fig17(rows: &[Fig17Row]) -> String {
                     format!("{:.0}%", r.level * 100.0),
                     format!("{:.2}%", r.id_ir_pct),
                     format!("{:.2}%", r.id_asm_pct),
+                    format!("{:+.2}%", r.gap_pct()),
                     format!("{:.2}%", r.flowery_asm_pct),
                 ]
             })
             .collect::<Vec<_>>(),
+    )
+}
+
+/// The cell of `rows` where `key` is largest (`largest`) or smallest, the
+/// first on a tie, as `value% (label)`.
+fn extreme(
+    rows: &[&CoverageRow],
+    key: fn(&CoverageRow) -> f64,
+    largest: bool,
+    label: fn(&CoverageRow) -> String,
+) -> String {
+    let sign = if largest { 1.0 } else { -1.0 };
+    let pick = rows
+        .iter()
+        .copied()
+        .reduce(|a, b| if (key(b) - key(a)) * sign > 0.0 { b } else { a });
+    pick.map_or("-".into(), |r| format!("{:.2}% ({})", key(r), label(r)))
+}
+
+/// Figure 2, paper vs measured: the average and the largest gap, and
+/// full-protection coverage at both layers.
+pub fn render_fig2(rows: &[CoverageRow]) -> String {
+    let all: Vec<&CoverageRow> = rows.iter().collect();
+    let full: Vec<&CoverageRow> = rows.iter().filter(|r| r.full()).collect();
+    let at = |r: &CoverageRow| format!("{}@{:.0}%", r.benchmark, r.level * 100.0);
+    let min_ir = full.iter().map(|r| r.id_ir_pct).reduce(f64::min);
+    let measured = vec![
+        format!("{:.2}%", mean(rows.iter().map(CoverageRow::gap_pct))),
+        extreme(&all, CoverageRow::gap_pct, true, at),
+        min_ir.map_or("-".into(), |m| format!("{m:.2}%")),
+        format!("{:.2}%", mean(full.iter().map(|r| r.id_asm_pct))),
+        extreme(&full, |r| r.id_asm_pct, false, |r| r.benchmark.clone()),
+    ];
+    versus(&paper::FIG2, measured)
+}
+
+/// Figure 17, paper vs measured: Flowery's full-protection average, the
+/// cells it improves and those it leaves below the IR estimate, its best
+/// and worst full-protection benchmark, and its average gain.
+pub fn render_fig17(rows: &[CoverageRow]) -> String {
+    let full: Vec<&CoverageRow> = rows.iter().filter(|r| r.full()).collect();
+    let cells =
+        |holds: fn(&CoverageRow) -> bool| format!("{}/{}", rows.iter().filter(|r| holds(r)).count(), rows.len());
+    let flowery = |r: &CoverageRow| r.flowery_asm_pct;
+    let name = |r: &CoverageRow| r.benchmark.clone();
+    let (id, fl) = (mean(full.iter().map(|r| r.id_asm_pct)), mean(full.iter().map(|r| r.flowery_asm_pct)));
+    let measured = vec![
+        format!("{id:.2}% → {fl:.2}%"),
+        cells(|r| r.flowery_asm_pct > r.id_asm_pct),
+        cells(|r| r.flowery_asm_pct < r.id_ir_pct),
+        extreme(&full, flowery, true, name),
+        extreme(&full, flowery, false, name),
+        format!("{:.2}%", mean(rows.iter().map(|r| r.flowery_asm_pct - r.id_asm_pct))),
+    ];
+    versus(&paper::FIG17, measured)
+}
+
+// ---------------------------------------------------------------- Figure 3
+
+/// Render Figure 3, the classification of full-protection assembly SDCs:
+/// each category's share of all deficiency cases against the paper's, then
+/// the per-benchmark shares (the paper discusses how category prevalence
+/// varies across programs, e.g. kNN vs BFS store shares in §5.2).
+pub fn render_fig3(study: &StudyResults) -> String {
+    let a = study.aggregate_rootcause();
+    let fixable = [Penetration::Store, Penetration::Branch, Penetration::Comparison];
+    let mut measured: Vec<String> = Penetration::CATEGORIES
+        .iter()
+        .map(|&p| format!("{:.2}% ({})", a.percent(p), a.get(p)))
+        .collect();
+    measured.push(format!("{:.2}%", fixable.iter().map(|&p| a.percent(p)).sum::<f64>()));
+    measured.push(format!("{} of {} SDCs", a.deficiency_total(), a.total()));
+    let per_bench = study.benches.iter().map(|b| {
+        let shares = &b.full_level().rootcause;
+        let mut row = vec![b.name.clone()];
+        row.extend(Penetration::CATEGORIES.iter().map(|&p| format!("{:.1}", shares.percent(p))));
+        row.push(shares.deficiency_total().to_string());
+        row
+    });
+    let per_bench = render_table(
+        &["Benchmark", "store%", "branch%", "cmp%", "call%", "map%", "cases"],
+        &per_bench.collect::<Vec<_>>(),
     );
-    if rows.is_empty() {
-        return body;
-    }
-    let mut out = format!("{body}\n");
-    let full: Vec<&Fig17Row> = rows.iter().filter(|r| (r.level - 1.0).abs() < 1e-9).collect();
-    if !full.is_empty() {
-        let avg_id: f64 = full.iter().map(|r| r.id_asm_pct).sum::<f64>() / full.len() as f64;
-        let avg_fl: f64 = full.iter().map(|r| r.flowery_asm_pct).sum::<f64>() / full.len() as f64;
-        out.push_str(&format!(
-            "full protection, assembly level: ID {avg_id:.2}% -> Flowery {avg_fl:.2}% (paper: 76.74% -> 93.72%)\n"
-        ));
-    }
-    let gain = rows.iter().map(|r| r.flowery_asm_pct - r.id_asm_pct).sum::<f64>() / rows.len() as f64;
-    out.push_str(&format!("average Flowery coverage gain over ID at assembly level: {gain:.2}%\n"));
-    out
+    let aggregate = versus(&paper::FIG3, measured);
+    format!("{aggregate}\nPer benchmark, as % of its deficiency cases:\n\n{per_bench}")
 }
 
 // ---------------------------------------------------------------- §7.2 overhead
@@ -273,7 +298,7 @@ pub struct OverheadRow {
     pub level: f64,
     /// ID over raw, dynamic instructions.
     pub id_over_raw_dyn: f64,
-    /// Flowery over ID, dynamic instructions (paper: 1.93/1.63/3.72/3.74%).
+    /// Flowery over ID, dynamic instructions.
     pub flowery_over_id_dyn: f64,
     /// ID over raw, modelled cycles.
     pub id_over_raw_cycles: f64,
@@ -313,9 +338,10 @@ pub fn overhead(study: &StudyResults) -> Vec<OverheadRow> {
     rows
 }
 
-/// Render the overhead table.
+/// Render the overhead table, then Flowery over ID per level against the
+/// paper's wall-time figures.
 pub fn render_overhead(rows: &[OverheadRow]) -> String {
-    render_table(
+    let body = render_table(
         &["Level", "ID/raw dyn", "FL/ID dyn", "ID/raw cyc", "FL/ID cyc"],
         &rows
             .iter()
@@ -329,7 +355,23 @@ pub fn render_overhead(rows: &[OverheadRow]) -> String {
                 ]
             })
             .collect::<Vec<_>>(),
-    )
+    );
+    let versus_paper: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            let reported = paper::FLOWERY_OVER_ID.iter().find(|(level, _)| (level - r.level).abs() < 1e-9);
+            vec![
+                format!("Flowery over ID at {:.0}%", r.level * 100.0),
+                reported.map_or("-".into(), |(_, pct)| format!("{pct} wall")),
+                format!(
+                    "{:+.2}% dyn, {:+.2}% cycles",
+                    r.flowery_over_id_dyn * 100.0,
+                    r.flowery_over_id_cycles * 100.0
+                ),
+            ]
+        })
+        .collect();
+    format!("{body}\n{}", render_table(&VERSUS, &versus_paper))
 }
 
 // ---------------------------------------------------------------- §7.3 pass time
@@ -374,15 +416,12 @@ pub fn render_pass_time(rows: &[PassTimeRow]) -> String {
             .map(|r| vec![r.benchmark.clone(), r.static_insts.to_string(), format!("{:.1}", r.seconds * 1e6)])
             .collect::<Vec<_>>(),
     );
-    let avg = if rows.is_empty() {
-        0.0
-    } else {
-        rows.iter().map(|r| r.seconds).sum::<f64>() / rows.len() as f64
-    };
+    let avg = mean(rows.iter().map(|r| r.seconds));
     format!(
-        "{body}\naverage Flowery pass time: {:.1}µs here vs 0.12s in the paper \
+        "{body}\naverage Flowery pass time: {:.1}µs here vs {} in the paper \
          (real LLVM pass on full-size benchmarks; both grow with static instructions)\n",
-        avg * 1e6
+        avg * 1e6,
+        paper::PASS_TIME
     )
 }
 
@@ -437,18 +476,23 @@ mod tests {
         let t1 = table1(&study);
         assert_eq!((t1.len(), t1[0].suite.as_str()), (1, "NPB"));
         assert!(t1[0].di_ir > 0 && t1[0].di_asm > t1[0].di_ir, "{t1:?}");
-        let f2 = fig2(&study);
-        assert_eq!(f2.len(), 1);
-        assert!(render_fig2(&f2).contains("average IR-vs-assembly"));
-        let f3 = fig3(&study);
-        assert!(render_fig3(&f3).contains("store"));
-        assert!(render_fig3_per_bench(&f3).contains("is"));
-        let f17 = fig17(&study);
-        assert!(render_fig17(&f17).contains("average Flowery coverage gain"));
+        let cells = coverage(&study);
+        assert_eq!(cells.len(), 1);
+        assert!(render_fig2(&cells).contains("| average IR-vs-assembly gap"));
+        assert!(render_fig3(&study).contains("| store+branch+comparison"));
+        assert!(render_fig17(&cells).contains("| average Flowery gain over ID-Assembly"));
         let oh = overhead(&study);
         assert_eq!(oh.len(), 1);
         assert!(oh[0].id_over_raw_dyn > 0.3, "{:?}", oh);
-        assert!(render_overhead(&oh).contains("FL/ID"));
+        assert!(render_overhead(&oh).contains("| Flowery over ID at 100% | +3.74% wall |"));
+        let doc = render_study(&study);
+        let headings: Vec<&str> = doc.lines().filter(|l| l.starts_with("## ")).collect();
+        assert_eq!(headings.len(), 6, "{doc}");
+        assert!(
+            doc.lines()
+                .all(|l| l.is_empty() || l.starts_with("## ") || l.starts_with('|') || l.ends_with(':')),
+            "{doc}"
+        );
     }
 
     #[test]

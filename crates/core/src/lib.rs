@@ -9,7 +9,9 @@
 //!   → `harness::run_units` → [`pipeline::study`], so it runs on every
 //!   engine and inherits pruning, fault models, checkpoints and resume;
 //! - [`figures`] extracts and renders Table 1, Figures 2/3/17, and the
-//!   §7.2/§7.3 measurements from the results;
+//!   §7.2/§7.3 measurements from the results, and
+//!   [`figures::render_study`] renders them as the paper-vs-measured
+//!   document `flowery study` prints;
 //! - [`ablation`] and [`extension`] are further passes of the same engine.
 //!
 //! ```no_run
@@ -18,7 +20,7 @@
 //! let spec = MatrixSpec { benches: vec!["quicksort".into()], ..Default::default() };
 //! let cfg = HarnessConfig { max_trials: 250, ..Default::default() };
 //! let study = run_study(&spec, &cfg, RunOptions::default()).unwrap();
-//! println!("{}", figures::render_fig17(&figures::fig17(&study)));
+//! print!("{}", figures::render_study(&study));
 //! ```
 
 pub mod ablation;

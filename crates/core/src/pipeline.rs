@@ -80,26 +80,6 @@ pub struct StudyResults {
 }
 
 impl StudyResults {
-    fn average_over_levels(&self, f: impl Fn(&LevelResults) -> f64) -> f64 {
-        let cells: Vec<f64> = self.benches.iter().flat_map(|b| &b.levels).map(f).collect();
-        if cells.is_empty() {
-            0.0
-        } else {
-            cells.iter().sum::<f64>() / cells.len() as f64
-        }
-    }
-
-    /// Average IR-vs-assembly coverage gap of ID across all benchmarks and
-    /// levels (the paper's headline 31.21%).
-    pub fn average_gap(&self) -> f64 {
-        self.average_over_levels(|l| l.id_ir.coverage - l.id_asm.coverage)
-    }
-
-    /// Average coverage improvement from Flowery over ID at assembly level.
-    pub fn average_flowery_gain(&self) -> f64 {
-        self.average_over_levels(|l| l.flowery_asm.coverage - l.id_asm.coverage)
-    }
-
     /// Aggregated root-cause distribution at full protection (Figure 3).
     pub fn aggregate_rootcause(&self) -> PenetrationBreakdown {
         let mut out = PenetrationBreakdown::default();
@@ -239,8 +219,9 @@ mod tests {
         let (spec, cfg) = smoke(&["pathfinder", "is"]);
         let s = run_study(&spec, &cfg, RunOptions::default()).unwrap();
         assert_eq!(s.benches.len(), 2);
-        assert!(s.average_gap() > 0.0, "gap {}", s.average_gap());
-        assert!(s.average_flowery_gain() > 0.0, "gain {}", s.average_flowery_gain());
+        let cells = crate::figures::coverage(&s);
+        assert!(cells.iter().map(|c| c.gap_pct()).sum::<f64>() > 0.0, "{cells:?}");
+        assert!(cells.iter().map(|c| c.flowery_asm_pct - c.id_asm_pct).sum::<f64>() > 0.0, "{cells:?}");
         assert!(s.aggregate_rootcause().deficiency_total() > 0);
     }
 

@@ -261,31 +261,34 @@ pub fn explore(
     })
 }
 
-/// Render the frontiers as a fixed-width table, one block per workload.
+/// Render the frontiers as Markdown: one table per workload, a row per
+/// frontier point, each model named with its baseline SDC rate on its
+/// first row.
 pub fn render_table(report: &ExploreReport) -> String {
     let mut out = String::new();
     for w in &report.workloads {
-        let _ = writeln!(out, "{} (raw cycles {})", w.bench, w.raw_cycles);
+        let mut rows = Vec::new();
         for m in &w.models {
-            let _ = writeln!(
-                out,
-                "  {} (baseline SDC {:.1}% ± {:.1})",
-                m.fault_model,
-                m.baseline_sdc.value * 100.0,
-                m.baseline_sdc.ci95 * 100.0
-            );
-            let _ = writeln!(out, "    {:<24} {:>8} {:>10} {:>8}", "design", "cost\u{2030}", "coverage%", "SDC%");
-            for p in &m.frontier {
-                let _ = writeln!(
-                    out,
-                    "    {:<24} {:>8} {:>10.1} {:>8.2}",
+            let baseline = format!("{:.1}% ± {:.1}", m.baseline_sdc.value * 100.0, m.baseline_sdc.ci95 * 100.0);
+            rows.extend(m.frontier.iter().enumerate().map(|(i, p)| {
+                let (model, baseline) = if i == 0 {
+                    (m.fault_model.to_string(), baseline.clone())
+                } else {
+                    Default::default()
+                };
+                vec![
+                    model,
+                    baseline,
                     p.label(),
-                    p.cost_permille,
-                    p.coverage * 100.0,
-                    p.sdc.value * 100.0
-                );
-            }
+                    p.cost_permille.to_string(),
+                    format!("{:.1}", p.coverage * 100.0),
+                    format!("{:.2}", p.sdc.value * 100.0),
+                ]
+            }));
         }
+        let header = ["model", "baseline SDC", "design", "cost\u{2030}", "coverage%", "SDC%"];
+        let table = flowery_analysis::render_table(&header, &rows);
+        let _ = write!(out, "{} (raw cycles {})\n\n{table}\n", w.bench, w.raw_cycles);
     }
     out
 }

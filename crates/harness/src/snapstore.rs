@@ -11,11 +11,16 @@
 //! re-capture, a corrupt or stale file (an older format version included)
 //! is rejected by the loader's checksum/version/shape validation, named on
 //! stderr with the reason, and falls back to capture. Loaded sets are still
-//! geometry-checked by the cache before use.
+//! geometry-checked by the cache before use. A cleanly sealed campaign
+//! prunes its store to the programs of its matrix
+//! ([`SnapshotStore::prune`]), so sets under keys no lookup asks for again
+//! do not pile up.
 
+use crate::plan::Layer;
 use flowery_backend::{AsmLayer, AsmProgram, AsmSnapshotSet, Machine};
 use flowery_ir::interp::{Interpreter, IrLayer, IrSnapshotSet, SnapshotSet, Substrate};
 use flowery_ir::Module;
+use std::collections::HashSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,6 +70,33 @@ impl SnapshotStore {
 
     fn path<S: Substrate>(&self, hash: u64) -> PathBuf {
         self.dir.join(format!("{}-{hash:016x}.snap", S::NAME))
+    }
+
+    /// Delete every stored set whose `(layer, content key)` is not in
+    /// `keep`, and every `.tmp-*` file a killed writer left behind; files
+    /// of any other name stay. Returns how many files were removed.
+    pub fn prune(&self, keep: impl IntoIterator<Item = (Layer, u64)>) -> usize {
+        let keep: HashSet<PathBuf> = keep
+            .into_iter()
+            .map(|(layer, hash)| match layer {
+                Layer::Ir => self.path::<IrLayer>(hash),
+                Layer::Asm => self.path::<AsmLayer>(hash),
+            })
+            .collect();
+        let stale = |path: &PathBuf| {
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+            let stored = name.ends_with(".snap")
+                && [IrLayer::NAME, AsmLayer::NAME]
+                    .iter()
+                    .any(|layer| name.starts_with(&format!("{layer}-")));
+            (stored && !keep.contains(path)) || name.starts_with(".tmp-")
+        };
+        let entries = fs::read_dir(&self.dir).into_iter().flatten();
+        entries
+            .filter_map(|e| Some(e.ok()?.path()))
+            .filter(stale)
+            .filter(|path| fs::remove_file(path).is_ok())
+            .count()
     }
 
     /// Load the snapshot set of the program `exec` is bound to, stored
@@ -182,6 +214,38 @@ mod tests {
 
         // Wrong content hash (file saved under another key): rejected.
         assert!(store.load_asm(&m, &p, ph ^ 1).is_none());
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn prune_keeps_the_named_sets_and_removes_strays_and_leftovers() {
+        let dir = std::env::temp_dir().join(format!("flsnapprune-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = SnapshotStore::at(&dir);
+        let m = module();
+        let exec = ExecConfig::default();
+        let (mh, p) = (module_hash(&m), compile_module(&m, &BackendConfig::default()));
+        let ah = crate::cache::asm_hash(&m, &p);
+        assert!(store.save_ir(&Interpreter::new(&m).capture_snapshots_auto(&exec), mh));
+        assert!(store.save_asm(&Machine::new(&m, &p).capture_snapshots_auto(&exec), ah));
+        // An asm set under an IR unit's key, a set of another program, a
+        // writer's leftover, and a file the store did not write.
+        std::fs::copy(dir.join(format!("asm-{ah:016x}.snap")), dir.join(format!("asm-{mh:016x}.snap"))).unwrap();
+        std::fs::copy(dir.join(format!("ir-{mh:016x}.snap")), dir.join(format!("ir-{:016x}.snap", mh ^ 1))).unwrap();
+        std::fs::write(dir.join(".tmp-1-0"), b"torn").unwrap();
+        std::fs::write(dir.join("notes.txt"), b"kept").unwrap();
+
+        assert_eq!(store.prune([(Layer::Ir, mh), (Layer::Asm, ah)]), 3);
+        let mut left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        assert_eq!(left, [format!("asm-{ah:016x}.snap"), format!("ir-{mh:016x}.snap"), "notes.txt".into()]);
+        assert!(store.load_ir(&m, mh).is_some() && store.load_asm(&m, &p, ah).is_some());
+        assert_eq!(store.prune([]), 2, "an empty matrix keeps no set");
+        assert_eq!(SnapshotStore::at(dir.join("absent")).prune([]), 0);
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -391,11 +391,6 @@ pub struct RawMemoryParts {
 #[derive(Default)]
 pub struct PageRecorder {
     cum: PageMap,
-    /// Weak handle to every block copy ever made, for live-byte accounting:
-    /// a copy stays "live" while any snapshot (or the cumulative overlay
-    /// itself) still holds it, so dropping snapshots that were the sole
-    /// owners of superseded blocks lowers [`PageRecorder::live_bytes`].
-    copies: Vec<std::sync::Weak<[u8]>>,
 }
 
 impl PageRecorder {
@@ -412,11 +407,7 @@ impl PageRecorder {
                 new[i] = match &old[i] {
                     Some(kept) if **kept == *bytes => Some(kept.clone()),
                     _ if base.holds(bytes, range.start + i * BLOCK_SIZE) => None,
-                    _ => {
-                        let copy: Arc<[u8]> = Arc::from(bytes);
-                        self.copies.push(Arc::downgrade(&copy));
-                        Some(copy)
-                    }
+                    _ => Some(Arc::from(bytes)),
                 };
             }
             if !same_blocks(old, &new) {
@@ -424,15 +415,6 @@ impl PageRecorder {
             }
         }
         self.cum.clone()
-    }
-
-    /// Total bytes of block copies still referenced by any snapshot or by
-    /// the cumulative overlay: the distinct stored bytes. The floor is the
-    /// current overlay's blocks; superseded blocks held only by older
-    /// snapshots add to it until those snapshots drop.
-    pub fn live_bytes(&mut self) -> u64 {
-        self.copies.retain(|w| w.strong_count() > 0);
-        self.copies.iter().filter_map(|w| w.upgrade()).map(|b| b.len() as u64).sum()
     }
 }
 

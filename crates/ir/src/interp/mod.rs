@@ -126,12 +126,6 @@ pub struct ExecConfig {
     pub max_output: usize,
     /// Collect per-static-instruction execution counts.
     pub profile: bool,
-    /// Byte budget for one snapshot set's page overlays, counted as its
-    /// distinct stored page blocks. While a capture run's live block bytes
-    /// exceed this, the recorder doubles its cadence and drops every other
-    /// snapshot, trading fast-forward granularity for memory. `None` =
-    /// unbounded.
-    pub snapshot_budget: Option<u64>,
     /// Machine-layer execution engine. Results are bit-identical across
     /// engines; defaults to the threaded-code executor.
     #[serde(default)]
@@ -147,7 +141,6 @@ impl Default for ExecConfig {
             max_call_depth: 512,
             max_output: 1 << 20,
             profile: false,
-            snapshot_budget: None,
             executor: ExecMode::default(),
         }
     }

@@ -39,7 +39,7 @@ impl Cadence {
         }
     }
 
-    /// The cadence one budget-widening step coarser (spacing doubled).
+    /// The cadence one widening step coarser (spacing doubled).
     pub fn widened(self) -> Cadence {
         match self {
             Cadence::Insts(k) => Cadence::Insts(k.saturating_mul(2)),
@@ -263,9 +263,8 @@ pub struct Recorder<S: Substrate> {
     base: BaseImage,
     cadence: Cadence,
     next: u64,
-    budget: Option<u64>,
     /// Snapshot-count cap for self-tuning captures; `None` preserves the
-    /// caller's explicit cadence exactly (only the byte budget may widen).
+    /// caller's explicit cadence exactly.
     max_snaps: Option<usize>,
     pages: PageRecorder,
     snaps: Vec<Snapshot<S>>,
@@ -274,19 +273,12 @@ pub struct Recorder<S: Substrate> {
 }
 
 impl<S: Substrate> Recorder<S> {
-    pub(crate) fn new(
-        base: BaseImage,
-        cadence: Cadence,
-        budget: Option<u64>,
-        max_snaps: Option<usize>,
-        sites: SiteLog,
-    ) -> Recorder<S> {
+    pub(crate) fn new(base: BaseImage, cadence: Cadence, max_snaps: Option<usize>, sites: SiteLog) -> Recorder<S> {
         assert!(cadence.value() > 0, "snapshot cadence must be positive");
         Recorder {
             base,
             cadence,
             next: cadence.value(),
-            budget,
             max_snaps,
             pages: PageRecorder::default(),
             snaps: Vec::new(),
@@ -324,13 +316,10 @@ impl<S: Substrate> Recorder<S> {
     }
 
     /// Capture the engine's state at `(dyn_insts, fault_sites)`, then widen
-    /// the cadence while the set is over its byte budget or count cap.
+    /// the cadence while the set is over its count cap.
     pub fn capture(&mut self, dyn_insts: u64, fault_sites: u64, output_len: usize, state: S::State, mem: &mut Memory) {
         let pages = self.pages.sync(mem, &self.base);
         self.snaps.push(Snapshot { dyn_insts, fault_sites, output_len, state, pages });
-        while self.budget.is_some_and(|b| self.pages.live_bytes() > b) && self.snaps.len() > 1 {
-            self.widen();
-        }
         while self.max_snaps.is_some_and(|m| self.snaps.len() > m) && self.snaps.len() > 1 {
             self.widen();
         }
@@ -339,10 +328,6 @@ impl<S: Substrate> Recorder<S> {
 
     /// Double the cadence and keep every other snapshot (starting with the
     /// first, so early injection sites keep a nearby restore point).
-    /// Store-heavy runs that rewrite their working set faster than the
-    /// budget allows may widen repeatedly; only the block copies freed by
-    /// the dropped snapshots are reclaimed, so the floor is the final
-    /// overlay itself.
     fn widen(&mut self) {
         self.cadence = self.cadence.widened();
         let mut keep = false;

@@ -7,7 +7,7 @@
 //! starts and continues, and how that state is written to a file — and gets
 //! the rest from here and from [`snapshot`](super::snapshot) /
 //! [`snapio`](super::snapio), written once and monomorphised: snapshot
-//! capture on a cadence with budget widening, scratch-image recycling,
+//! capture on a cadence widened at a count cap, scratch-image recycling,
 //! restore + fast-forward, the file codec, and (in the crates above) the
 //! trial runner, the campaign loop, the golden cache and the snapshot store.
 //!
@@ -231,7 +231,7 @@ pub fn trial<S: Substrate>(
 /// golden order of fault sites by region (see [`SiteLog`]), keeping the
 /// per-site trace up to `trace_cap` entries. Honors `config.profile` for the
 /// golden result only. `max_snaps` caps the set by widening the cadence
-/// (`None` keeps `cadence` exact, budget permitting).
+/// (`None` keeps `cadence` exact).
 pub fn capture<S: Substrate>(
     exec: &S::Exec<'_>,
     config: &ExecConfig,
@@ -243,7 +243,7 @@ pub fn capture<S: Substrate>(
     let mut pool = S::Pool::default();
     let start = Start::boot(exec, base.image(), Vec::new(), &mut pool);
     let log = SiteLog::new(S::site_regions(exec), trace_cap);
-    let mut rec = Recorder::new(base, cadence, config.snapshot_budget, max_snaps, log);
+    let mut rec = Recorder::new(base, cadence, max_snaps, log);
     let (golden, _mem) = S::run_suffix(exec, config, None, start, Some(&mut rec), &mut pool);
     rec.finish(golden)
 }

@@ -18,9 +18,5 @@ fn main() {
     let spec = MatrixSpec { benches, ..Default::default() };
     let cfg = HarnessConfig { max_trials: trials, seed: 0x51C2_3001, ..Default::default() };
     let rows = ablation_study(&spec, &cfg, Some(&status_printer("[ablate]"))).expect("an uninterrupted sweep");
-    println!("{}", render_ablation(&rows));
-    println!(
-        "reading guide: no-fold must zero cmp%; no-fuse raises branch%;\n\
-         no-reg-cache / gpr-4 shift the store-penetration surface; coverage responds accordingly."
-    );
+    print!("{}", render_ablation(&rows));
 }

@@ -22,5 +22,5 @@ fn main() {
     let spec = MatrixSpec { benches, ..Default::default() };
     let cfg = HarnessConfig { max_trials: trials, seed: 0x51C2_3001, ..Default::default() };
     let rows = asm_hardening_study(&spec, &cfg, Some(&status_printer("[harden]"))).expect("an uninterrupted ladder");
-    println!("{}", render_hardening(&rows));
+    print!("{}", render_hardening(&rows));
 }

@@ -54,12 +54,4 @@ fn main() {
     let json = flowery::serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write("BENCH_explore.json", json + "\n").expect("write BENCH_explore.json");
     println!("wrote BENCH_explore.json");
-    println!(
-        "reading guide: under the single-bit model a 4%-cost parity detector\n\
-         dominates bare ID (it catches the same register faults without the\n\
-         duplication tax); 4-bit bursts put duplication back on the frontier\n\
-         (even flip counts evade parity); control-flow faults are owned by the\n\
-         7%-cost signature detector outright. No single design wins every\n\
-         model — which is the point of sweeping."
-    );
 }

@@ -19,10 +19,5 @@ fn main() {
     let spec = MatrixSpec { benches, ..Default::default() };
     let cfg = HarnessConfig { max_trials: trials, seed: 0x51C2_3001, ..Default::default() };
     let rows = multi_bit_study(&spec, &cfg, Some(&status_printer("[multibit]"))).expect("an uninterrupted study");
-    println!("{}", render_multi_bit(&rows));
-    println!(
-        "reading guide: double-bit faults shift some SDCs into DUEs (lower raw SDC)\n\
-         while Flowery's duplication checkers remain effective — the mitigation\n\
-         is not specific to the single-bit model."
-    );
+    print!("{}", render_multi_bit(&rows));
 }

@@ -11,8 +11,10 @@
 # with its golden counts from the checkpoint alone — 0 snapshot bytes read
 # and 0 golden runs, with `.snaps/` present and with it removed — printing
 # the cold run's stdout byte for byte. Also checks that
-# `--no-snapshots` leaves no `.snaps` directory, and that a campaign of 40
-# trials per unit keeps no more than 40 snapshots per captured set.
+# `--no-snapshots` leaves no `.snaps` directory, that a campaign of 40
+# trials per unit keeps no more than 40 snapshots per captured set, and that
+# a stray `.snap` file and a writer's `.tmp-*` leftover planted in the store
+# survive an interrupted run and are removed by the next clean seal.
 set -euo pipefail
 
 BIN=${FLOWERY_BIN:-target/release/flowery}
@@ -36,6 +38,10 @@ for counter in goldens_run observations; do
 done
 
 echo "resume-smoke: interrupted run"
+# A set no unit of this matrix is keyed by, and a torn write's leftover.
+STRAYS=("$DIR/ckpt.jsonl.snaps/asm-00000000deadbeef.snap" "$DIR/ckpt.jsonl.snaps/.tmp-0-0")
+mkdir -p "$DIR/ckpt.jsonl.snaps"
+for f in "${STRAYS[@]}"; do echo stray >"$f"; done
 "$BIN" campaign "${ARGS[@]}" --checkpoint "$DIR/ckpt.jsonl" \
     >/dev/null 2>"$DIR/int.log" &
 RUN=$!
@@ -63,11 +69,17 @@ if kill -0 "$RUN" 2>/dev/null; then
 fi
 wait "$RUN" || true
 test -d "$DIR/ckpt.jsonl.snaps" || { echo "no snapshot store was persisted"; exit 1; }
+if grep -q 'interrupted:' "$DIR/int.log"; then
+    for f in "${STRAYS[@]}"; do
+        [ -e "$f" ] || { echo "an interrupted run deleted $f from the store"; exit 1; }
+    done
+fi
 # The same store under a checkpoint cut back to each unit's first batch, so
 # that every unit still has trials to run (and so asks for its set) however
 # far the run above got before the SIGINT.
 { head -n 1 "$DIR/ckpt.jsonl"; grep '"batch":0,' "$DIR/ckpt.jsonl"; } >"$DIR/stamped.jsonl"
 cp -r "$DIR/ckpt.jsonl.snaps" "$DIR/stamped.jsonl.snaps"
+for f in "${STRAYS[@]}"; do rm -f "$DIR/stamped.jsonl.snaps/$(basename "$f")"; done
 
 echo "resume-smoke: resume"
 "$BIN" campaign "${ARGS[@]}" --checkpoint "$DIR/ckpt.jsonl" --resume \
@@ -87,6 +99,12 @@ grep -q '"snaps_kept": 0,' "$DIR/resume-metrics.json" && grep -q '"snap_capture_
 
 cmp "$DIR/ref.jsonl" "$DIR/ckpt.jsonl"
 echo "resume-smoke: resumed checkpoint is byte-identical to the reference"
+for f in "${STRAYS[@]}"; do
+    [ ! -e "$f" ] || { echo "the clean seal left $f in the store"; ls -a "$DIR/ckpt.jsonl.snaps"; exit 1; }
+done
+diff <(ls -A "$DIR/ref.jsonl.snaps") <(ls -A "$DIR/ckpt.jsonl.snaps") \
+    || { echo "the sealed store holds other files than the reference's"; exit 1; }
+echo "resume-smoke: the clean seal removed the stray set and the leftover"
 
 echo "resume-smoke: resume the sealed checkpoint"
 # Every batch replays and every unit's region record and golden record is in

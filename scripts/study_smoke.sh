@@ -28,9 +28,10 @@ echo "study-smoke: default engine vs native + static prune"
 "$BIN" study "${ARGS[@]}" --checkpoint "$DIR/a.jsonl" >"$DIR/a.out" 2>"$DIR/a.log"
 "$BIN" study "${ARGS[@]}" --executor native --static-prune --checkpoint "$DIR/b.jsonl" \
     >"$DIR/b.out" 2>"$DIR/b.log"
-grep -q 'average IR-vs-assembly coverage gap' "$DIR/a.out" \
+grep -q '^| average IR-vs-assembly gap ' "$DIR/a.out" \
     || { echo "study printed no Figure 2"; cat "$DIR/a.out" "$DIR/a.log"; exit 1; }
-head -n 1 "$DIR/a.out" | grep -q 'Benchmark  *Suite  *Domain  *DI (IR)  *DI (asm)' \
+{ head -n 1 "$DIR/a.out" | grep -qx '## Table 1 — benchmark inventory' \
+    && sed -n 3p "$DIR/a.out" | grep -qx '| Benchmark *| *Suite *| *Domain *| *DI (IR) *| *DI (asm) *|'; } \
     || { echo "study stdout does not open with Table 1"; cat "$DIR/a.out"; exit 1; }
 grep -q 'average Flowery pass time' "$DIR/a.log" \
     || { echo "study printed no §7.3 pass time on stderr"; cat "$DIR/a.log"; exit 1; }

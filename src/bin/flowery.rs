@@ -2,7 +2,7 @@
 //! [`USAGE`] (`flowery help`) lists the subcommands; wherever one takes
 //! `<file.mc | bench>`, a built-in workload name (e.g. `quicksort`) works.
 
-use flowery::analysis::render_breakdown;
+use flowery::analysis::{render_breakdown, render_table};
 use flowery::backend::{compile_module, harden_program, BackendConfig, HardenConfig, Machine};
 use flowery::core::{run_lint, PassConfig};
 use flowery::harness::{run_plain, UnitKey, Variant};
@@ -60,7 +60,7 @@ flags are parsed strictly: an unknown flag or an unparsable number is an error
   campaign [bench ...] [--trials N] [--ci-target H] [--threads N]
            [--batch N] [--levels a,b] [--tiny] [--json]
            [--checkpoint FILE] [--resume] [--no-snapshots]
-           [--snapshot-budget BYTES] [--metrics-json FILE]
+           [--metrics-json FILE]
            [--fault-model NAME] [--executor interp|compiled|native]
            [--static-prune]
                                       run the experiment matrix on the
@@ -76,10 +76,6 @@ flags are parsed strictly: an unknown flag or an unparsable number is an error
                                       --no-snapshots disables golden-run
                                       fast-forward (bit-identical, slower)
                                       and writes no .snaps dir;
-                                      --snapshot-budget caps each snapshot
-                                      set's distinct 256-byte page blocks,
-                                      in bytes (suffixes k/m/g), widening
-                                      cadence when over;
                                       --metrics-json dumps the final
                                       engine metrics (incl. snapshot
                                       capture/load counters and the bytes
@@ -116,8 +112,8 @@ flags are parsed strictly: an unknown flag or an unparsable number is an error
                                       the paper's cross-layer study: that
                                       campaign, at --levels 0.3,0.5,0.7,1.0
                                       and --trials 3000 unless given, its
-                                      report rendered as Table 1, Figures
-                                      2/3/17 and the §7.2 overhead table
+                                      report as a Markdown paper-vs-measured
+                                      document (Table 1, Figs 2/3/17, §7.2)
                                       (--json prints the study results
                                       instead); the §7.3 pass time, a
                                       timing, goes to stderr
@@ -213,7 +209,7 @@ macro_rules! schedule {
     ($own:literal) => {
         concat!(
             "--tiny --json --no-snapshots --static-prune --trials= --batch= --min-trials= --threads= --seed= ",
-            "--ci-target= --snapshot-budget= --fault-model= --executor= --levels= --src= --metrics-json= ",
+            "--ci-target= --fault-model= --executor= --levels= --src= --metrics-json= ",
             $own
         )
     };
@@ -405,27 +401,9 @@ fn cmd_study(rest: &[String]) -> Result<(), String> {
         println!("{}", flowery::serde_json::to_string_pretty(&study).map_err(|e| format!("{e:?}"))?);
         return Ok(());
     }
-    println!("{}", fig::render_table1(&fig::table1(&study)));
-    println!("{}", fig::render_fig2(&fig::fig2(&study)));
-    let f3 = fig::fig3(&study);
-    println!("{}", fig::render_fig3(&f3));
-    println!("{}", fig::render_fig3_per_bench(&f3));
-    println!("{}", fig::render_fig17(&fig::fig17(&study)));
-    println!("{}", fig::render_overhead(&fig::overhead(&study)));
+    print!("{}", fig::render_study(&study));
     eprint!("{}", fig::render_pass_time(&fig::pass_time(&units)));
     Ok(())
-}
-
-/// A byte count with an optional k/m/g suffix (powers of 1024).
-fn parse_bytes(v: &str) -> Option<u64> {
-    let s = v.to_ascii_lowercase();
-    let (digits, mult) = match s.as_bytes().last() {
-        Some(b'k') => (&s[..s.len() - 1], 1u64 << 10),
-        Some(b'm') => (&s[..s.len() - 1], 1 << 20),
-        Some(b'g') => (&s[..s.len() - 1], 1 << 30),
-        _ => (s.as_str(), 1),
-    };
-    digits.parse::<u64>().ok().map(|n| n.saturating_mul(mult))
 }
 
 /// The trial schedule `campaign`, `study` and `diff` share.
@@ -444,10 +422,6 @@ fn parse_harness(args: &Args<'_>) -> Result<HarnessConfig, String> {
     cfg.ci_target = args
         .str("--ci-target")
         .map(|v| v.parse::<f64>().map_err(|_| format!("bad --ci-target '{v}'")))
-        .transpose()?;
-    cfg.exec.snapshot_budget = args
-        .str("--snapshot-budget")
-        .map(|v| parse_bytes(v).ok_or(format!("bad --snapshot-budget '{v}' (want BYTES[k|m|g])")))
         .transpose()?;
     if let Some(m) = args.str("--fault-model") {
         cfg.fault_model = m.trim().parse::<flowery::faultmodel::ModelSpec>()?;
@@ -639,6 +613,12 @@ fn run_plan(args: &Args<'_>) -> Result<(MatrixSpec, Vec<TrialUnit>, CampaignRepo
     // Re-stamped after the seal, whose new region records may observe
     // programs.
     let report = CampaignReport { metrics: report.metrics.with_cache(cache.stats()), ..report };
+    // A clean finish leaves the snapshot store holding the matrix's sets
+    // only: a set under a key no unit carries (a program since edited, a
+    // key scheme since replaced) is never asked for again.
+    if let (Some(p), true, false) = (ckpt_path, cfg.snapshots, report.interrupted) {
+        SnapshotStore::for_checkpoint(p).prune(units.iter().map(|u| (u.key.layer, u.content_key(&cache))));
+    }
     write_metrics(args, &report.metrics)?;
     if report.interrupted {
         eprintln!("[harness] interrupted: {} unit(s) unfinished", report.pending.len());
@@ -887,20 +867,22 @@ fn cmd_vuln(rest: &[String]) -> Result<(), String> {
             .map(|r| (r.name.as_str(), hits_in(&r.name), r.site_mass))
             .collect();
         regions.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-        let percent = |part: u64, whole: u64| if whole == 0 { 0.0 } else { part as f64 / whole as f64 * 100.0 };
         let (total_sdc, total_mass) = (camp.sdc_by_inst.values().sum(), set.total_mass());
-        println!("\nper-region SDC contribution ({} regions):", regions.len());
-        println!(
-            "{:<20} {:>9} {:>8} {:>11} {:>10}",
-            "region", "sdc hits", "share", "site mass", "mass share"
-        );
-        for (name, hits, mass) in regions {
-            println!(
-                "{name:<20} {hits:>9} {:>7.1}% {mass:>11} {:>9.1}%",
-                percent(hits, total_sdc),
-                percent(mass, total_mass)
-            );
-        }
+        println!("\nper-region SDC contribution ({} regions):\n", regions.len());
+        let share = |part: u64, whole: u64| format!("{:.1}%", part as f64 / whole.max(1) as f64 * 100.0);
+        let rows: Vec<Vec<String>> = regions
+            .into_iter()
+            .map(|(name, hits, mass)| {
+                vec![
+                    name.into(),
+                    hits.to_string(),
+                    share(hits, total_sdc),
+                    mass.to_string(),
+                    share(mass, total_mass),
+                ]
+            })
+            .collect();
+        print!("{}", render_table(&["region", "sdc hits", "share", "site mass", "mass share"], &rows));
     }
     Ok(())
 }

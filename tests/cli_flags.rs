@@ -67,12 +67,10 @@ fn unknown_and_misspelt_flags_are_errors_that_name_the_flag() {
 fn the_study_is_a_campaign_and_prints_the_same_figures_on_every_engine() {
     let study = ["study", "crc32", "--tiny", "--trials", "40", "--levels", "1.0"];
     let native = stdout_of(&[&study[..], &["--executor", "native"]].concat());
-    let figure2_row = native
-        .lines()
-        .find(|l| l.trim_start().starts_with("crc32") && l.contains("100%"));
+    let coverage_row = native.lines().find(|l| l.starts_with("| crc32 ") && l.contains("100%"));
     assert!(
-        figure2_row.is_some_and(|l| l.matches('%').count() == 4),
-        "no Figure 2 row for crc32: {native}"
+        coverage_row.is_some_and(|l| l.matches('%').count() == 5),
+        "no Figures 2 and 17 row for crc32: {native}"
     );
     assert_eq!(native, stdout_of(&[&study[..], &["--executor", "interp", "--no-snapshots"]].concat()));
 }
@@ -91,10 +89,18 @@ fn a_study_of_an_out_of_tree_program_renders_table1_without_registry_metadata() 
     std::fs::remove_dir_all(&dir).unwrap();
     let (stdout, stderr) = (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
     assert!(out.status.success(), "study --src failed: {stderr}");
-    let mut lines = stdout.lines().map(|l| l.split_whitespace().collect::<Vec<_>>());
-    let header = ["Benchmark", "Suite", "Domain", "DI", "(IR)", "DI", "(asm)"];
-    assert_eq!(lines.next().unwrap_or_default(), header, "Table 1 does not lead stdout: {stdout}");
-    let row = lines.nth(1).unwrap_or_default();
+    let mut lines = stdout.lines();
+    assert_eq!(
+        lines.next(),
+        Some("## Table 1 — benchmark inventory"),
+        "Table 1 does not lead stdout: {stdout}"
+    );
+    let mut rows = lines
+        .skip(1)
+        .map(|l| l.split('|').map(str::trim).filter(|c| !c.is_empty()).collect::<Vec<_>>());
+    let header = ["Benchmark", "Suite", "Domain", "DI (IR)", "DI (asm)"];
+    assert_eq!(rows.next().unwrap_or_default(), header, "Table 1 does not lead stdout: {stdout}");
+    let row = rows.nth(1).unwrap_or_default();
     assert_eq!(row[..3], ["probe", "-", "-"], "no `-` suite and domain for probe: {stdout}");
     assert!(stderr.contains("average Flowery pass time") && !stdout.contains("average Flowery pass time"));
 }

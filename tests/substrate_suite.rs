@@ -6,7 +6,7 @@
 
 use flowery_backend::{compile_module, AsmLayer, AsmProgram, BackendConfig, MachResult, Machine};
 use flowery_harness::{GoldenCache, SnapshotStore};
-use flowery_ir::interp::snapshot::AUTO_MAX_SNAPS;
+use flowery_ir::interp::snapshot::{AUTO_MAX_SNAPS, AUTO_SITE_CADENCE};
 use flowery_ir::interp::substrate::{self, RunResult};
 use flowery_ir::interp::{Cadence, ExecConfig, ExecResult, ExecStatus, FaultSpec, Interpreter, IrLayer};
 use flowery_ir::interp::{Scratch, SiteLog, SnapshotSet, Substrate, PAGE_SIZE};
@@ -14,9 +14,8 @@ use flowery_ir::{Callee, FuncId, InstId, InstKind, Module};
 use std::sync::Arc;
 
 /// What the suite needs from a layer beyond its `Substrate` impl: an
-/// executor for a module, the cache's set for it, where a fault landed, an
-/// independent count of each region's fault sites, and the tuning of the
-/// store-heavy budget test.
+/// executor for a module, the cache's set for it, where a fault landed and an
+/// independent count of each region's fault sites.
 trait Layer: Substrate {
     /// What the executor binds besides the module.
     type Program;
@@ -29,8 +28,6 @@ trait Layer: Substrate {
     /// Fault sites executed per region, counted from `golden`'s execution
     /// profile with the layer's static site predicate.
     fn profile_masses(m: &Module, p: &Self::Program, golden: &Self::Golden) -> Vec<u64>;
-    /// Budget test: (loop iterations, capture interval, site stride).
-    const BUDGET: (u32, u64, usize);
 }
 
 impl Layer for IrLayer {
@@ -56,7 +53,6 @@ impl Layer for IrLayer {
         let mass = |f: usize| (0..counts[f].len()).filter(|&i| is_site(f, i)).map(|i| counts[f][i]).sum();
         (0..counts.len()).map(mass).collect()
     }
-    const BUDGET: (u32, u64, usize) = (8192, 256, 997);
 }
 
 impl Layer for AsmLayer {
@@ -79,7 +75,6 @@ impl Layer for AsmLayer {
         let mass = |f: &flowery_backend::mir::AsmFunc| (f.entry..f.end).filter(site).map(|i| counts[i as usize]).sum();
         p.funcs.iter().map(mass).collect()
     }
-    const BUDGET: (u32, u64, usize) = (4096, 512, 4999);
 }
 
 fn module(src: &str) -> Module {
@@ -124,21 +119,6 @@ fn limits(max_dyn_insts: u64) -> ExecConfig {
     ExecConfig { max_dyn_insts, ..ExecConfig::default() }
 }
 
-/// Bytes of distinct block copies held across all snapshots of a set — the
-/// memory the budget bounds.
-fn overlay_bytes<S: Substrate>(set: &SnapshotSet<S>) -> u64 {
-    let mut seen = std::collections::HashSet::new();
-    let mut total = 0u64;
-    for s in set.snapshots() {
-        for block in s.pages.values().flat_map(|p| p.iter().flatten()) {
-            if seen.insert(Arc::as_ptr(block)) {
-                total += block.len() as u64;
-            }
-        }
-    }
-    total
-}
-
 fn fast_forward_is_bit_identical<S: Layer>() {
     // Every site of the loop module, restored vs scratch, tiny interval so
     // several snapshots exist.
@@ -170,44 +150,6 @@ fn capture_golden_matches_plain_run<S: Layer>() {
     let plain = substrate::run::<S>(&exec, &cfg, None);
     let set = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(32), None, 0);
     assert_eq!(set.golden(), &plain);
-}
-
-fn snapshot_budget_widens_cadence_on_store_heavy_runs<S: Layer>() {
-    let (iters, interval, stride) = S::BUDGET;
-    let m = store_heavy_module(iters);
-    let p = S::compile(&m);
-    let exec = S::bind(&m, &p);
-    let cfg = limits(2_000_000);
-    let unbounded = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(interval), None, 0);
-    assert_eq!(unbounded.interval(), interval);
-    let budget = 16 * PAGE_SIZE; // 16 pages; the final overlay alone needs ~9
-    assert!(
-        overlay_bytes(&unbounded) > budget,
-        "workload must be store-heavy enough to blow the budget: {} bytes",
-        overlay_bytes(&unbounded)
-    );
-
-    let capped_cfg = ExecConfig { snapshot_budget: Some(budget), ..cfg.clone() };
-    let capped = substrate::capture::<S>(&exec, &capped_cfg, Cadence::Insts(interval), None, 0);
-    assert!(capped.interval() > interval, "budget pressure must widen the cadence");
-    assert!(capped.len() < unbounded.len(), "{} vs {}", capped.len(), unbounded.len());
-    assert!(capped.len() > 1, "widening must not degenerate to a single snapshot");
-    assert!(
-        overlay_bytes(&capped) <= budget,
-        "{} bytes over a {budget} budget",
-        overlay_bytes(&capped)
-    );
-    assert_eq!(capped.golden(), unbounded.golden(), "the budget must not perturb execution");
-
-    // The thinned set still fast-forwards bit-identically.
-    let mut scratch = Scratch::new();
-    for site in (0..capped.golden().head().fault_sites).step_by(stride) {
-        let spec = FaultSpec::single(site, 13);
-        let scratch_res = substrate::run::<S>(&exec, &cfg, Some(spec));
-        let (ff_res, _) = substrate::trial(&exec, &cfg, spec, Some(&capped), &mut scratch);
-        assert_eq!(ff_res, scratch_res, "site {site}");
-        scratch.recycle_output(ff_res.into_output());
-    }
 }
 
 fn profiled_fast_forward_matches_scratch<S: Layer>() {
@@ -258,6 +200,7 @@ fn auto_capture_is_site_spaced_and_capped<S: Layer>() {
     assert!(matches!(set.cadence(), Cadence::Sites(_)), "auto capture spaces by fault sites");
     assert!(set.len() <= AUTO_MAX_SNAPS, "{} snapshots over the cap", set.len());
     assert!(set.len() > AUTO_MAX_SNAPS / 4, "self-tuning should land near the cap, got {}", set.len());
+    assert!(set.interval() > AUTO_SITE_CADENCE, "test premise: the cap thinned the set");
     assert_eq!(set.golden(), &substrate::run::<S>(&exec, &cfg, None));
     // Site-spaced snapshots: consecutive snapshots are at least one (final)
     // cadence step apart in site index, even where sites are sparse.
@@ -265,6 +208,7 @@ fn auto_capture_is_site_spaced_and_capped<S: Layer>() {
     for pair in set.snapshots().windows(2) {
         assert!(pair[1].fault_sites - pair[0].fault_sites >= k, "cadence respected");
     }
+    // The thinned set still fast-forwards bit-identically.
     let mut scratch = Scratch::new();
     for site in (0..set.golden().head().fault_sites).step_by(1009) {
         let spec = FaultSpec::single(site, 7);
@@ -605,7 +549,6 @@ macro_rules! both_layers {
 both_layers![
     fast_forward_is_bit_identical,
     capture_golden_matches_plain_run,
-    snapshot_budget_widens_cadence_on_store_heavy_runs,
     profiled_fast_forward_matches_scratch,
     profiled_trials_restore_nothing,
     auto_capture_is_site_spaced_and_capped,
