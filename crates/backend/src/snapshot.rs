@@ -6,7 +6,7 @@
 
 use crate::machine::{AsmFaultSpec, MachResult, Machine, SENTINEL};
 use crate::mir::{AsmProgram, Reg};
-use flowery_ir::interp::snapio::{w_bytes, w_opt, w_status, w_u32, w_u64, w_u64s, Cursor};
+use flowery_ir::interp::snapio::{w_bytes, w_leb, w_opt, w_status, w_u32, w_u64, w_words, Cursor};
 use flowery_ir::interp::snapshot::Recorder;
 use flowery_ir::interp::substrate::{Linked, RunHead, RunResult, Start, Substrate};
 use flowery_ir::interp::{ExecConfig, ExecMode, Memory, Scratch, SnapshotSet};
@@ -105,10 +105,9 @@ impl Substrate for AsmLayer {
         w_u64(w, r.fault_sites);
         w_u64(w, r.cycles);
         w_opt(w, r.injected_inst, w_u32);
-        w_opt(w, r.profile.as_deref(), w_u64s);
     }
 
-    fn decode_head(c: &mut Cursor, exec: &Machine<'_>) -> Result<MachResult, String> {
+    fn decode_head(c: &mut Cursor) -> Result<MachResult, String> {
         Ok(MachResult {
             status: c.status()?,
             output: c.bytes()?,
@@ -116,36 +115,28 @@ impl Substrate for AsmLayer {
             fault_sites: c.u64()?,
             cycles: c.u64()?,
             injected_inst: c.opt("injected_inst", Cursor::u32)?,
-            profile: c.opt("profile", |c| {
-                let counts = c.u64s()?;
-                if counts.len() != exec.program.insts.len() {
-                    return Err("snapshot file: profile shape does not match program".to_string());
-                }
-                Ok(counts)
-            })?,
+            profile: None,
         })
     }
 
-    fn encode_snap(w: &mut Vec<u8>, state: &AsmState, output_len: usize) {
-        w_u64(w, state.cycles);
-        w_u32(w, state.ip);
-        for &r in &state.regs {
-            w_u64(w, r);
-        }
-        w_u64(w, output_len as u64);
+    /// Cycles as a delta, the ip, and the register file against the
+    /// previous snapshot's.
+    fn encode_snap(w: &mut Vec<u8>, state: &AsmState, prev: Option<&AsmState>) {
+        let (cycles, regs) = prev.map_or((0, &[][..]), |p| (p.cycles, &p.regs[..]));
+        w_leb(w, state.cycles.wrapping_sub(cycles));
+        w_leb(w, state.ip.into());
+        w_words(w, &state.regs, regs);
     }
 
-    fn decode_snap(c: &mut Cursor, exec: &Machine<'_>) -> Result<(AsmState, usize), String> {
-        let cycles = c.u64()?;
-        let ip = c.u32()?;
+    fn decode_snap(c: &mut Cursor, exec: &Machine<'_>, prev: Option<&AsmState>) -> Result<AsmState, String> {
+        let (cycles, mut regs) = prev.map_or((0, [0; Reg::COUNT]), |p| (p.cycles, p.regs));
+        let cycles = cycles.wrapping_add(c.leb()?);
+        let ip = c.leb32()?;
         if ip as usize > exec.program.insts.len() {
             return Err("snapshot file: snapshot ip out of range".into());
         }
-        let mut regs = [0u64; Reg::COUNT];
-        for r in regs.iter_mut() {
-            *r = c.u64()?;
-        }
-        Ok((AsmState { cycles, ip, regs }, c.u64()? as usize))
+        c.xor_words(&mut regs)?;
+        Ok(AsmState { cycles, ip, regs })
     }
 }
 

@@ -20,8 +20,10 @@ use crate::plan::Layer;
 use flowery_backend::{AsmLayer, AsmProgram, AsmSnapshotSet, Machine};
 use flowery_ir::interp::{Interpreter, IrLayer, IrSnapshotSet, SnapshotSet, Substrate};
 use flowery_ir::Module;
+use std::cell::RefCell;
 use std::collections::HashSet;
 use std::fs;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -101,13 +103,19 @@ impl SnapshotStore {
 
     /// Load the snapshot set of the program `exec` is bound to, stored
     /// under content hash `hash`. `None` on a missing file, and — with a
-    /// note on stderr — on a corrupt, truncated or mismatched one.
+    /// note on stderr — on a corrupt, truncated or mismatched one. One read
+    /// buffer per thread: freed after each decode, it would leave a hole.
     pub fn load<S: Substrate>(&self, exec: &S::Exec<'_>, hash: u64) -> Option<SnapshotSet<S>> {
-        let bytes = fs::read(self.path::<S>(hash)).ok()?;
-        self.read.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        SnapshotSet::decode(&bytes, exec, hash)
-            .map_err(|reason| self.refused::<S>(hash, &reason))
-            .ok()
+        thread_local!(static BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) });
+        BUF.with_borrow_mut(|bytes| {
+            bytes.clear();
+            let mut file = fs::File::open(self.path::<S>(hash)).ok()?;
+            file.read_to_end(bytes).ok()?;
+            self.read.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+            SnapshotSet::decode(bytes, exec, hash)
+                .map_err(|reason| self.refused::<S>(hash, &reason))
+                .ok()
+        })
     }
 
     /// Say why the stored set for `hash` is not used; a capture replaces it.

@@ -4,7 +4,7 @@
 
 use crate::interp::compiled::{Book, Compiled, ARMED, BOOK, FAST, REC};
 use crate::interp::memory::{Memory, TrapKind, GLOBAL_BASE};
-use crate::interp::snapio::{w_bytes, w_opt, w_status, w_u32, w_u64, w_u64s, Cursor};
+use crate::interp::snapio::{w_bytes, w_leb, w_opt, w_status, w_u32, w_u64, w_words, Cursor};
 use crate::interp::snapshot::{Cadence, Recorder};
 use crate::interp::substrate::{self, RunHead, RunResult, Start, Substrate};
 use crate::interp::{ExecConfig, ExecMode, ExecResult, ExecStatus, FaultSpec, Profile};
@@ -219,26 +219,6 @@ impl RunResult for ExecResult {
     }
 }
 
-/// The reader side of the golden result's profile option: one count table
-/// per function, each as long as the function's instruction arena.
-fn r_profile(c: &mut Cursor, m: &Module) -> Result<Option<Profile>, String> {
-    let mismatch = || "snapshot file: profile shape does not match module".to_string();
-    c.opt("profile", |c| {
-        if c.count(8)? != m.functions.len() {
-            return Err(mismatch());
-        }
-        let mut counts = Vec::with_capacity(m.functions.len());
-        for f in &m.functions {
-            let t = c.u64s()?;
-            if t.len() != f.insts.len() {
-                return Err(mismatch());
-            }
-            counts.push(t);
-        }
-        Ok(Profile { counts })
-    })
-}
-
 impl Substrate for IrLayer {
     const MAGIC: &'static [u8; 8] = b"FLSNAPIR";
     const NAME: &'static str = "ir";
@@ -300,68 +280,62 @@ impl Substrate for IrLayer {
             w_u32(w, f.0);
             w_u32(w, i.0);
         });
-        w_opt(w, r.profile.as_ref(), |w, p| {
-            w_u64(w, p.counts.len() as u64);
-            for t in &p.counts {
-                w_u64s(w, t);
-            }
-        });
     }
 
-    fn decode_head(c: &mut Cursor, exec: &Interpreter<'_>) -> Result<ExecResult, String> {
+    fn decode_head(c: &mut Cursor) -> Result<ExecResult, String> {
         Ok(ExecResult {
             status: c.status()?,
             output: c.bytes()?,
             dyn_insts: c.u64()?,
             fault_sites: c.u64()?,
             injected_at: c.opt("injected_at", |c| Ok((FuncId(c.u32()?), InstId(c.u32()?))))?,
-            profile: r_profile(c, exec.module)?,
+            profile: None,
         })
     }
 
-    fn encode_snap(w: &mut Vec<u8>, state: &IrState, output_len: usize) {
+    /// The stack pointer, then each frame, its values and parameters coded
+    /// against the previous snapshot's frame at the same depth when that
+    /// runs the same function.
+    fn encode_snap(w: &mut Vec<u8>, state: &IrState, prev: Option<&IrState>) {
         w_u64(w, state.sp);
-        w_u64(w, output_len as u64);
-        w_u64(w, state.stack.len() as u64);
-        for f in &state.stack {
-            w_u32(w, f.func.0);
-            w_u32(w, f.block.0);
-            w_u64(w, f.ip as u64);
+        w_leb(w, state.stack.len() as u64);
+        let prev = prev.map_or(&[][..], |p| &p.stack[..]);
+        for (depth, f) in state.stack.iter().enumerate() {
+            w_leb(w, f.func.0.into());
+            w_leb(w, f.block.0.into());
+            w_leb(w, f.ip as u64);
             w_u64(w, f.saved_sp);
-            w_opt(w, f.ret_dest, |w, i| w_u32(w, i.0));
-            w_u64s(w, &f.values);
-            w_u64s(w, &f.params);
+            w_opt(w, f.ret_dest, |w, i| w_leb(w, i.0.into()));
+            let held = prev.get(depth).filter(|p| p.func == f.func);
+            w_words(w, &f.values, held.map_or(&[], |p| &p.values));
+            w_words(w, &f.params, held.map_or(&[], |p| &p.params));
         }
     }
 
-    fn decode_snap(c: &mut Cursor, exec: &Interpreter<'_>) -> Result<(IrState, usize), String> {
+    fn decode_snap(c: &mut Cursor, exec: &Interpreter<'_>, prev: Option<&IrState>) -> Result<IrState, String> {
         let m = exec.module;
         let sp = c.u64()?;
-        let output_len = c.u64()? as usize;
-        let n_frames = c.count(1)?;
+        let n_frames = c.count()?;
         if n_frames == 0 {
             return Err("snapshot file: empty call stack".into());
         }
-        let mut stack: Vec<Frame> = Vec::with_capacity(n_frames);
-        for _ in 0..n_frames {
-            let func = FuncId(c.u32()?);
-            let block = BlockId(c.u32()?);
-            let ip = c.u64()? as usize;
+        let prev = prev.map_or(&[][..], |p| &p.stack[..]);
+        let mut stack: Vec<Frame> = Vec::new();
+        for depth in 0..n_frames {
+            let func = FuncId(c.leb32()?);
+            let block = BlockId(c.leb32()?);
+            let ip = c.leb()?;
             let saved_sp = c.u64()?;
-            let ret_dest = c.opt("ret_dest", |c| Ok(InstId(c.u32()?)))?;
-            let values = c.u64s()?;
-            let params = c.u64s()?;
+            let ret_dest = c.opt("ret_dest", |c| Ok(InstId(c.leb32()?)))?;
             let f = m
                 .functions
                 .get(func.index())
                 .ok_or("snapshot file: frame function out of range")?;
             let b = f.blocks.get(block.index()).ok_or("snapshot file: frame block out of range")?;
-            if ip > b.insts.len() || values.len() != f.insts.len() {
+            if ip > b.insts.len() as u64 {
                 return Err("snapshot file: frame shape does not match module".into());
             }
-            if params.len() != f.params.len() {
-                return Err("snapshot file: frame params do not match the function's arity".into());
-            }
+            let ip = ip as usize;
             // A return lands in a result slot of the caller, and the bottom
             // frame has no caller.
             let lands =
@@ -369,9 +343,15 @@ impl Substrate for IrLayer {
             if ret_dest.is_some_and(|d| stack.last().is_none_or(|caller| !lands(caller, d))) {
                 return Err("snapshot file: frame ret_dest names no result slot of its caller".into());
             }
+            // The slot counts are the function's (and the held frame's).
+            let held = prev.get(depth).filter(|p| p.func == func);
+            let mut values = held.map_or_else(|| vec![0; f.insts.len()], |p| p.values.clone());
+            let mut params = held.map_or_else(|| vec![0; f.params.len()], |p| p.params.clone());
+            c.xor_words(&mut values)?;
+            c.xor_words(&mut params)?;
             stack.push(Frame { func, block, ip, values, params, saved_sp, ret_dest });
         }
-        Ok((IrState { sp, stack }, output_len))
+        Ok(IrState { sp, stack })
     }
 }
 
@@ -693,7 +673,9 @@ mod tests {
 
     #[test]
     fn snapshot_frames_short_of_their_params_are_refused() {
-        refused_after(|stack| stack.iter_mut().for_each(|f| f.params.clear()), "params");
+        // The file holds no slot count: the reader takes the function's,
+        // and the runs coded for none do not fill it.
+        refused_after(|stack| stack.iter_mut().for_each(|f| f.params.clear()), "run");
     }
 
     #[test]

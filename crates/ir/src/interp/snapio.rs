@@ -1,39 +1,50 @@
 //! Stable binary serialization for [`SnapshotSet`] — persisted next to a
 //! campaign checkpoint so `--resume` skips the capture runs.
 //!
-//! Format (all integers little-endian), one envelope for both layers:
+//! Format, one envelope for both layers (fixed-width integers
+//! little-endian; `leb` an unsigned LEB128; `Δ` the `leb` of the wrapping
+//! difference from the previous snapshot's value, 0 before the first):
 //!
 //! ```text
 //!   magic "FLSNAPIR" / "FLSNAPAS" | version u32 | content_hash u64
 //!   mem_size u64 | stack_size u64            (base image is rebuilt, not stored)
 //!   cadence tag u8 + value u64
 //!   HEAD: golden result                      (the layer's payload)
-//!   snapshot count u64
-//!   per snapshot: dyn_insts u64, fault_sites u64,
-//!                 SNAP: state, output length (the layer's payload)
-//!                 page DELTA: record count u64, per record (ascending page):
-//!                   page u32 | fresh mask u16 | base mask u16
-//!                   the fresh blocks' bytes, in block order
-//!   SITES (the capture run's SiteLog, no trace): region count u64,
-//!         per region: mass u64, runs as u64s [sites before, first site]...
+//!   snapshot count leb
+//!   per snapshot: Δdyn_insts, Δfault_sites, Δoutput length
+//!                 SNAP: state, against the previous snapshot's (the layer's payload)
+//!                 page DELTA: record count leb, per record (ascending page):
+//!                   pages skipped since the previous record leb
+//!                   fresh mask u16 | base mask u16
+//!                   each fresh block as RUNS against its previous version
+//!   SITES (the capture run's SiteLog, no trace): region count leb,
+//!         per region: run count leb, per run: sites skipped since the
+//!         region's previous run ended leb, run length leb
 //!   fnv1a-64 checksum over everything above
 //! ```
 //!
+//! RUNS code a byte string, XORed with what the reader holds there, as
+//! (zero run leb, literal run leb, literal bytes) pairs; a literal run
+//! holds no zero byte. The length is the program's, never the file's (a
+//! block's from its page, a frame's slot count from its function, the
+//! register count), and a run past it is refused, so run coding cannot
+//! inflate an allocation. A block is coded against its previous version or
+//! the base image's bytes; the layers code registers and call-stack frames
+//! against the previous snapshot's.
+//!
 //! Page overlays are cumulative and `Arc`-shared across snapshots, so each
-//! snapshot stores only the pages whose version `Arc` differs from the
-//! predecessor's entry. A page version is
-//! [`PAGE_BLOCKS`](crate::interp::memory::PAGE_BLOCKS) blocks of
+//! snapshot stores only the pages whose version `Arc` is new. A page version
+//! is [`PAGE_BLOCKS`](crate::interp::memory::PAGE_BLOCKS) blocks of
 //! [`BLOCK_SIZE`] bytes (a trailing partial page has fewer, the last
-//! possibly short): bit `i` of the fresh mask stores block `i`'s bytes, bit
-//! `i` of the base mask resets it to the base image, and a block in neither
-//! is inherited from the page's previous version (the base's, for a page
-//! new to the overlay). The loader rebuilds each overlay as `prev.clone()`
-//! plus the delta, which round-trips the sharing of pages and of blocks
-//! without duplicating either.
+//! possibly short): bit `i` of the fresh mask stores block `i`, of the base
+//! mask resets it to the base image; any other block is the page's previous
+//! version's. The loader rebuilds each overlay as `prev.clone()` plus the
+//! delta, which round-trips the sharing of pages and of blocks.
 //!
 //! Loading never panics on bad input: the checksum is verified before any
 //! parsing, and every length/index is validated against the program the
-//! executor is bound to.
+//! executor is bound to. Every encoding is canonical (no overlong LEB128,
+//! no needless run or mask bit), so a file that loads re-encodes to itself.
 //!
 //! The base image is rebuilt from that program as a compact [`BaseImage`]
 //! (the globals' pages), so the file's `mem_size` is never allocated: a
@@ -48,11 +59,9 @@ use crate::interp::ExecStatus;
 use crate::module::Module;
 use std::sync::Arc;
 
-/// Version 1 also held a first-execution table, a shared-snapshot count and
-/// a profile option per snapshot; version 2 had no SITES; version 3 stored
-/// every changed page whole (page u32, length u32, bytes). Such files are
-/// refused and recaptured.
-const VERSION: u32 = 4;
+/// Version 1 held per-snapshot profiles and a first-execution table, 2 no
+/// SITES, 3 whole pages, 4 raw blocks and a golden profile: all refused.
+const VERSION: u32 = 5;
 
 // ---- writer helpers -------------------------------------------------------
 
@@ -68,16 +77,41 @@ pub fn w_u64(w: &mut Vec<u8>, v: u64) {
     w.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Unsigned LEB128: seven bits a byte, low first, the top bit set on every
+/// byte but the last.
+pub fn w_leb(w: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        w.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    w.push(v as u8);
+}
+
 pub fn w_bytes(w: &mut Vec<u8>, b: &[u8]) {
-    w_u64(w, b.len() as u64);
+    w_leb(w, b.len() as u64);
     w.extend_from_slice(b);
 }
 
-pub fn w_u64s(w: &mut Vec<u8>, vs: &[u64]) {
-    w_u64(w, vs.len() as u64);
-    for &v in vs {
-        w_u64(w, v);
+/// `x` — what is stored XOR what the reader holds — as RUNS (see the
+/// module docs).
+pub fn w_runs(w: &mut Vec<u8>, x: &[u8]) {
+    let mut at = 0;
+    while at < x.len() {
+        let zeros = x[at..].iter().take_while(|&&b| b == 0).count();
+        let lit = x[at + zeros..].iter().take_while(|&&b| b != 0).count();
+        w_leb(w, zeros as u64);
+        w_leb(w, lit as u64);
+        w.extend_from_slice(&x[at + zeros..at + zeros + lit]);
+        at += zeros + lit;
     }
+}
+
+/// `words` as RUNS of their little-endian bytes against `held` (zeros past
+/// its end).
+pub fn w_words(w: &mut Vec<u8>, words: &[u64], held: &[u64]) {
+    let held = held.iter().chain(std::iter::repeat(&0));
+    let x: Vec<u8> = words.iter().zip(held).flat_map(|(v, h)| (v ^ h).to_le_bytes()).collect();
+    w_runs(w, &x);
 }
 
 /// A presence tag, then the value's own encoding.
@@ -139,28 +173,39 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// A count of items that each occupy at least `elem` bytes — bounds the
-    /// allocation a corrupt length field could otherwise trigger.
-    pub fn count(&mut self, elem: usize) -> Result<usize, String> {
-        let n = self.u64()?;
-        let remaining = (self.b.len() - self.pos) as u64;
-        if n.saturating_mul(elem as u64) > remaining {
+    /// The reader side of [`w_leb`]; refuses an overlong encoding (a last
+    /// byte of 0 after the first, or bits past the 64th).
+    pub fn leb(&mut self) -> Result<u64, String> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            if (shift > 0 && b == 0) || (shift == 63 && b > 1) {
+                break;
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err("snapshot file: bad LEB128".into())
+    }
+
+    /// A [`Cursor::leb`] that must fit a `u32` (an index).
+    pub fn leb32(&mut self) -> Result<u32, String> {
+        u32::try_from(self.leb()?).map_err(|_| "snapshot file: index out of range".to_string())
+    }
+
+    /// A count of items of at least a byte each, bounded by the bytes left.
+    pub fn count(&mut self) -> Result<usize, String> {
+        let n = self.leb()?;
+        if n > (self.b.len() - self.pos) as u64 {
             return Err("snapshot file: length field exceeds file size".into());
         }
         Ok(n as usize)
     }
 
-    pub fn u64s(&mut self) -> Result<Vec<u64>, String> {
-        let n = self.count(8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(out)
-    }
-
     pub fn bytes(&mut self) -> Result<Vec<u8>, String> {
-        let n = self.count(1)?;
+        let n = self.count()?;
         Ok(self.take(n)?.to_vec())
     }
 
@@ -177,35 +222,62 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Fill the empty `log` with the masses and runs of a run of `sites`
-    /// fault sites, refused unless [`SiteLog::index`] is total on them: the
-    /// masses sum to `sites`; run `i` covers the region's sites `[before_i,
-    /// before_{i+1})` (the last ends at the mass) from global site `first_i`,
-    /// and the runs start at 0, are non-empty and ascend inside the run.
+    /// The reader side of [`w_runs`]: XOR the RUNS at the cursor into
+    /// `held`. Refuses a run that passes its end and any pair the writer
+    /// would not emit.
+    pub fn xor_bytes(&mut self, held: &mut [u8]) -> Result<(), String> {
+        let mut at = 0;
+        while at < held.len() {
+            let (zeros, lit) = (self.leb()?, self.leb()?);
+            if zeros.checked_add(lit).is_none_or(|n| n > (held.len() - at) as u64) {
+                return Err("snapshot file: a run passes the end of its field".into());
+            }
+            let (start, lit) = (at + zeros as usize, lit as usize);
+            let bytes = self.take(lit)?;
+            if (at > 0 && zeros == 0) || (lit == 0 && start != held.len()) || bytes.contains(&0) {
+                return Err("snapshot file: bad run coding".into());
+            }
+            held[start..start + lit].iter_mut().zip(bytes).for_each(|(h, b)| *h ^= b);
+            at = start + lit;
+        }
+        Ok(())
+    }
+
+    /// [`Cursor::xor_bytes`] into the little-endian bytes of `held`.
+    pub fn xor_words(&mut self, held: &mut [u64]) -> Result<(), String> {
+        let mut x: Vec<u8> = held.iter().flat_map(|h| h.to_le_bytes()).collect();
+        self.xor_bytes(&mut x)?;
+        held.iter_mut()
+            .zip(x.chunks_exact(8))
+            .for_each(|(h, b)| *h = u64::from_le_bytes(b.try_into().unwrap()));
+        Ok(())
+    }
+
+    /// Fill the empty `log` with the runs of a run of `sites` fault sites,
+    /// refused unless [`SiteLog::index`] is total on them: the runs are
+    /// non-empty, a region's ascend inside `sites`, and the masses (the
+    /// runs' lengths) sum to `sites`.
     fn site_log(&mut self, log: &mut SiteLog, sites: u64) -> Result<(), String> {
         let bad = || "snapshot file: bad site log".to_string();
-        if self.u64()? != log.masses.len() as u64 {
+        if self.count()? != log.masses.len() {
             return Err(bad());
         }
+        let mut total = 0u64;
         for (mass, runs) in log.masses.iter_mut().zip(&mut log.runs) {
-            *mass = self.u64()?;
-            let words = self.u64s()?;
-            *runs = words.chunks_exact(2).map(|w| (w[0], w[1])).collect();
-            let mut ok = words.len() % 2 == 0 && runs.first().map_or(*mass, |r| r.0) == 0;
-            let mut floor = 0;
-            for (i, &(before, first)) in runs.iter().enumerate() {
-                let end = runs.get(i + 1).map_or(*mass, |r| r.0);
-                ok &= before < end && first >= floor;
-                floor = first.saturating_add(end.saturating_sub(before));
+            let mut floor = 0u64;
+            for _ in 0..self.count()? {
+                let (skip, len) = (self.leb()?, self.leb()?);
+                let first = floor.checked_add(skip).ok_or_else(bad)?;
+                floor = first.checked_add(len).filter(|&end| len > 0 && end <= sites).ok_or_else(bad)?;
+                runs.push((*mass, first));
+                *mass += len;
             }
-            if !ok || floor > sites {
-                return Err(bad());
-            }
+            total = total.checked_add(*mass).ok_or_else(bad)?;
         }
-        match log.masses.iter().try_fold(0u64, |total, &m| total.checked_add(m)) {
-            Some(total) if total == sites => Ok(()),
-            _ => Err(bad()),
+        if total != sites {
+            return Err(bad());
         }
+        Ok(())
     }
 
     pub fn status(&mut self) -> Result<ExecStatus, String> {
@@ -219,6 +291,14 @@ impl<'a> Cursor<'a> {
             t => return Err(format!("snapshot file: bad status tag {t}")),
         })
     }
+}
+
+/// What a reader holds for block `i` (`len` bytes) of `page` before its
+/// next version: the block of `old`, its previous version, or the base's.
+fn held<'a>(base: &'a BaseImage, old: &'a Page, page: u32, i: usize, len: usize) -> &'a [u8] {
+    static ZEROS: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
+    let at = page as usize * PAGE_SIZE as usize + i * BLOCK_SIZE;
+    old[i].as_deref().or(base.prefix.get(at..at + len)).unwrap_or(&ZEROS[..len])
 }
 
 impl<S: Substrate> SnapshotSet<S> {
@@ -238,26 +318,32 @@ impl<S: Substrate> SnapshotSet<S> {
         });
         w_u64(&mut w, self.cadence.value());
         S::encode_head(&mut w, &self.golden);
-        w_u64(&mut w, self.snaps.len() as u64);
+        w_leb(&mut w, self.snaps.len() as u64);
         let (empty, unstored) = (PageMap::new(), Page::default());
-        let mut prev = &empty;
+        let mut x = [0u8; BLOCK_SIZE];
+        let mut prev: Option<&Snapshot<S>> = None;
         for s in &self.snaps {
-            w_u64(&mut w, s.dyn_insts);
-            w_u64(&mut w, s.fault_sites);
-            S::encode_snap(&mut w, &s.state, s.output_len);
+            let (dyn_insts, fault_sites, output_len) =
+                prev.map_or((0, 0, 0), |p| (p.dyn_insts, p.fault_sites, p.output_len));
+            w_leb(&mut w, s.dyn_insts.wrapping_sub(dyn_insts));
+            w_leb(&mut w, s.fault_sites.wrapping_sub(fault_sites));
+            w_leb(&mut w, s.output_len.wrapping_sub(output_len) as u64);
+            S::encode_snap(&mut w, &s.state, prev.map(|p| &p.state));
             // Overlays only grow; encode the pages whose version is new,
             // each against its previous version.
-            debug_assert!(prev.keys().all(|k| s.pages.contains_key(k)));
+            let prev_pages = prev.map_or(&empty, |p| &p.pages);
+            debug_assert!(prev_pages.keys().all(|k| s.pages.contains_key(k)));
             let mut delta: Vec<(u32, &Page, &Page)> = s
                 .pages
                 .iter()
-                .filter_map(|(&k, v)| match prev.get(&k) {
+                .filter_map(|(&k, v)| match prev_pages.get(&k) {
                     Some(old) if Arc::ptr_eq(old, v) => None,
                     old => Some((k, &**v, old.map_or(&unstored, |old| &**old))),
                 })
                 .collect();
             delta.sort_unstable_by_key(|&(k, ..)| k);
-            w_u64(&mut w, delta.len() as u64);
+            w_leb(&mut w, delta.len() as u64);
+            let mut next = 0;
             for (k, new, old) in delta {
                 let (mut fresh, mut based) = (0u16, 0u16);
                 for (i, (n, o)) in new.iter().zip(old).enumerate() {
@@ -268,23 +354,30 @@ impl<S: Substrate> SnapshotSet<S> {
                         (None, None) => {}
                     }
                 }
-                w_u32(&mut w, k);
+                w_leb(&mut w, u64::from(k) - next);
+                next = u64::from(k) + 1;
                 w_u16(&mut w, fresh);
                 w_u16(&mut w, based);
-                let stored = new
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, b)| b.as_deref().filter(|_| fresh & 1 << i != 0));
-                for data in stored {
-                    w.extend_from_slice(data);
+                for (i, block) in new.iter().enumerate().filter(|&(i, _)| fresh & 1 << i != 0) {
+                    let data = block.as_deref().expect("a fresh block is stored");
+                    let x = &mut x[..data.len()];
+                    let held = held(&self.base, old, k, i, data.len());
+                    x.iter_mut().zip(data).zip(held).for_each(|((x, d), h)| *x = d ^ h);
+                    w_runs(&mut w, x);
                 }
             }
-            prev = &s.pages;
+            prev = Some(s);
         }
-        w_u64(&mut w, self.sites.masses.len() as u64);
+        w_leb(&mut w, self.sites.masses.len() as u64);
         for (&mass, runs) in self.sites.masses.iter().zip(&self.sites.runs) {
-            w_u64(&mut w, mass);
-            w_u64s(&mut w, &runs.iter().flat_map(|&(before, first)| [before, first]).collect::<Vec<_>>());
+            w_leb(&mut w, runs.len() as u64);
+            let mut floor = 0;
+            for (i, &(before, first)) in runs.iter().enumerate() {
+                let len = runs.get(i + 1).map_or(mass, |r| r.0) - before;
+                w_leb(&mut w, first - floor);
+                w_leb(&mut w, len);
+                floor = first + len;
+            }
         }
         let c = fnv1a(&w);
         w_u64(&mut w, c);
@@ -326,43 +419,50 @@ impl<S: Substrate> SnapshotSet<S> {
         if cadence.value() == 0 {
             return Err("snapshot file: zero cadence".into());
         }
-        let golden = S::decode_head(&mut c, exec)?;
-        let n_snaps = c.count(8)?;
-        let mut snaps = Vec::with_capacity(n_snaps);
-        let mut prev = PageMap::new();
-        for _ in 0..n_snaps {
-            let dyn_insts = c.u64()?;
-            let fault_sites = c.u64()?;
-            let (state, output_len) = S::decode_snap(&mut c, exec)?;
-            if output_len > golden.head().output.len() {
+        let golden = S::decode_head(&mut c)?;
+        let mut snaps: Vec<Snapshot<S>> = Vec::new();
+        for _ in 0..c.count()? {
+            let prev = snaps.last();
+            let (d, f, o) = prev.map_or((0, 0, 0), |p| (p.dyn_insts, p.fault_sites, p.output_len as u64));
+            let (dyn_insts, fault_sites) = (d.wrapping_add(c.leb()?), f.wrapping_add(c.leb()?));
+            let output_len = o.wrapping_add(c.leb()?);
+            if output_len > golden.head().output.len() as u64 {
                 return Err("snapshot file: snapshot output length exceeds golden output".into());
             }
-            let n_delta = c.count(8)?;
-            let mut pages = prev.clone();
-            let mut last = None;
-            for _ in 0..n_delta {
-                let (page, fresh, based) = (c.u32()?, c.u16()?, c.u16()?);
+            let state = S::decode_snap(&mut c, exec, prev.map(|p| &p.state))?;
+            let mut pages = prev.map_or_else(PageMap::new, |p| p.pages.clone());
+            let mut next = 0u64;
+            for _ in 0..c.count()? {
+                let page = u32::try_from(next.saturating_add(c.leb()?))
+                    .ok()
+                    .filter(|&p| u64::from(p) * PAGE_SIZE < base.size)
+                    .ok_or("snapshot file: bad page record")?;
                 let start = u64::from(page) * PAGE_SIZE;
-                if start >= base.size || last >= Some(page) {
-                    return Err("snapshot file: bad page record".into());
-                }
-                last = Some(page);
+                next = u64::from(page) + 1;
+                let (fresh, based) = (c.u16()?, c.u16()?);
                 let len = (base.size - start).min(PAGE_SIZE) as usize;
                 if fresh & based != 0 || u32::from(fresh | based) >> len.div_ceil(BLOCK_SIZE) != 0 {
                     return Err("snapshot file: bad block masks".into());
                 }
-                let mut blocks = prev.get(&page).map_or_else(Page::default, |old| (**old).clone());
-                for (i, block) in blocks.iter_mut().enumerate() {
+                let mut blocks = pages.get(&page).map_or_else(Page::default, |old| (**old).clone());
+                for i in 0..blocks.len() {
                     if based & 1 << i != 0 {
-                        *block = None;
+                        // Only a stored block has a base to go back to.
+                        if blocks[i].take().is_none() {
+                            return Err("snapshot file: bad block masks".into());
+                        }
                     } else if fresh & 1 << i != 0 {
-                        let at = i * BLOCK_SIZE;
-                        *block = Some(Arc::from(c.take(BLOCK_SIZE.min(len - at))?));
+                        let mut x = [0u8; BLOCK_SIZE];
+                        let x = &mut x[..BLOCK_SIZE.min(len - i * BLOCK_SIZE)];
+                        // A stored block was decoded from a page of this length.
+                        x.copy_from_slice(held(&base, &blocks, page, i, x.len()));
+                        c.xor_bytes(x)?;
+                        blocks[i] = Some(Arc::from(&*x));
                     }
                 }
                 pages.insert(page, Arc::new(blocks));
             }
-            prev = pages.clone();
+            let output_len = output_len as usize;
             snaps.push(Snapshot { dyn_insts, fault_sites, output_len, state, pages });
         }
         let mut sites = SiteLog::new(S::site_regions(exec), 0);

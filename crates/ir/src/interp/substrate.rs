@@ -88,15 +88,15 @@ pub trait Substrate: Sized + Debug + 'static {
         pool: &mut Self::Pool,
     ) -> (Self::Golden, Memory);
 
-    /// Set-level file payload: the golden result. The decoder validates
-    /// every shape against `exec`'s program.
+    /// Set-level file payload: the golden result.
     fn encode_head(w: &mut Vec<u8>, golden: &Self::Golden);
-    fn decode_head(c: &mut Cursor, exec: &Self::Exec<'_>) -> Result<Self::Golden, String>;
+    fn decode_head(c: &mut Cursor) -> Result<Self::Golden, String>;
 
-    /// Per-snapshot file payload: the state and the output length (its
-    /// place in the byte order is the layer's).
-    fn encode_snap(w: &mut Vec<u8>, state: &Self::State, output_len: usize);
-    fn decode_snap(c: &mut Cursor, exec: &Self::Exec<'_>) -> Result<(Self::State, usize), String>;
+    /// Per-snapshot file payload: the state, coded against `prev`, the
+    /// previous snapshot's state (`None` for the first), which the decoder
+    /// already holds when it reaches it.
+    fn encode_snap(w: &mut Vec<u8>, state: &Self::State, prev: Option<&Self::State>);
+    fn decode_snap(c: &mut Cursor, exec: &Self::Exec<'_>, prev: Option<&Self::State>) -> Result<Self::State, String>;
 }
 
 /// A substrate whose executor binds a module plus one compiled artifact.

@@ -134,14 +134,15 @@ for leg in store no-store; do
 done
 echo "resume-smoke: sealed study resumed with and without its store, stdout byte-identical"
 
-echo "resume-smoke: resume over a store holding a version-3 set"
+echo "resume-smoke: resume over a store holding a version-4 set"
 # Format version: the u32 after the 8-byte magic; the trailing u64 is the
-# FNV-1a of everything before it.
+# FNV-1a of everything before it. Version 4 is what stores written before
+# format 5 hold.
 STAMPED=$(python3 - "$DIR/stamped.jsonl.snaps" <<'EOF'
 import os, sys
 path = os.path.join(sys.argv[1], sorted(os.listdir(sys.argv[1]))[0])
 body = bytearray(open(path, "rb").read()[:-8])
-body[8:12] = (3).to_bytes(4, "little")
+body[8:12] = (4).to_bytes(4, "little")
 h = 0xcbf29ce484222325
 for b in body:
     h = ((h ^ b) * 0x100000001b3) & 0xFFFFFFFFFFFFFFFF
@@ -151,7 +152,7 @@ EOF
 )
 "$BIN" campaign "${ARGS[@]}" --checkpoint "$DIR/stamped.jsonl" --resume \
     --metrics-json "$DIR/stamped-metrics.json" >/dev/null 2>"$DIR/stamped.log"
-grep -qF "[harness] snapshot set $STAMPED refused: snapshot file: unsupported format version 3 (expected 4); recapturing" \
+grep -qF "[harness] snapshot set $STAMPED refused: snapshot file: unsupported format version 4 (expected 5); recapturing" \
     "$DIR/stamped.log" || { echo "no refusal line for $STAMPED"; cat "$DIR/stamped.log"; exit 1; }
 [ "$(grep -c 'refused:' "$DIR/stamped.log")" -eq 1 ] \
     || { echo "expected exactly one refusal line"; cat "$DIR/stamped.log"; exit 1; }

@@ -3,8 +3,9 @@
 //! between due points; the oracles (`common/{asm,ir}_oracle.rs`) step one
 //! instruction at a time and stop by at each snapshot's instruction count.
 //! There the two must agree on the site counter, the state as the snapshot
-//! file encodes it (output length included), and every page either side
-//! has touched; the golden results and the site traces must agree too.
+//! file encodes it against no predecessor, the output length, and every
+//! page either side has touched; the golden results and the site traces
+//! must agree too.
 //!
 //! Both layers, both cadences (site-spaced with the count cap at 128 and at
 //! a unit's trial count, instruction-spaced with and without a budget trap
@@ -21,6 +22,7 @@ use common::program_strategy;
 use flowery_backend::{compile_module, AsmLayer, AsmProgram, BackendConfig, Machine};
 use flowery_harness::GoldenCache;
 use flowery_ir::interp::memory::BaseImage;
+use flowery_ir::interp::snapio::w_leb;
 use flowery_ir::interp::snapshot::AUTO_SITE_CADENCE;
 use flowery_ir::interp::substrate::{self, RunResult};
 use flowery_ir::interp::{Cadence, ExecConfig, Interpreter, IrLayer, SnapshotSet, Substrate};
@@ -104,7 +106,8 @@ fn check<S: Substrate>(
                 let at = format!("{what}, {label}, snapshot at {dyn_insts} instructions");
                 assert_eq!(snap.fault_sites, sites, "{at}: site counter");
                 let mut encoded = Vec::new();
-                S::encode_snap(&mut encoded, &snap.state, snap.output_len);
+                S::encode_snap(&mut encoded, &snap.state, None);
+                w_leb(&mut encoded, snap.output_len as u64);
                 assert_eq!(encoded, state, "{at}: state");
                 image.reset_to(&base, &snap.pages);
                 for &page in touched.iter().chain(snap.pages.keys()) {

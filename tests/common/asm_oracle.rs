@@ -17,7 +17,7 @@ use flowery_backend::mir::{
 };
 use flowery_backend::{AsmFaultSpec, MachResult};
 use flowery_ir::inst::{BinOp, CastKind, Intrinsic};
-use flowery_ir::interp::snapio::{w_u32, w_u64};
+use flowery_ir::interp::snapio::{w_leb, w_words};
 use flowery_ir::interp::{mem_fault_region, ops, ExecConfig, ExecStatus, FaultEffect, Memory, TrapKind};
 use flowery_ir::module::Module;
 use flowery_ir::types::Type;
@@ -37,8 +37,9 @@ pub type AtPoint<'a> = &'a mut dyn FnMut(u64, u64, Vec<u8>, &mut Memory);
 
 /// A fault-free [`run`] that stops by at each of `points` (ascending
 /// counts of executed instructions): `at` gets the instruction and site
-/// counters, the state as a snapshot file encodes it (cycles, next
-/// instruction, registers, output length) and the memory image, before the
+/// counters, the state as a snapshot file encodes the first snapshot's
+/// (cycles, next instruction, registers), the output length and the memory
+/// image, before the
 /// next instruction starts. `site` gets the position of every fault site
 /// executed, in order.
 pub fn visit(
@@ -85,12 +86,10 @@ fn exec(
         while let Some((_, rest)) = points.split_first().filter(|(&p, _)| p == st.dyn_insts) {
             points = rest;
             let mut state = Vec::new();
-            w_u64(&mut state, st.cycles);
-            w_u32(&mut state, ip);
-            for &r in &st.regs {
-                w_u64(&mut state, r);
-            }
-            w_u64(&mut state, st.output.len() as u64);
+            w_leb(&mut state, st.cycles);
+            w_leb(&mut state, ip.into());
+            w_words(&mut state, &st.regs, &[]);
+            w_leb(&mut state, st.output.len() as u64);
             at(st.dyn_insts, st.fault_sites, state, &mut st.mem);
         }
         if ip as usize >= insts.len() {

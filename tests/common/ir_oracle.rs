@@ -14,7 +14,7 @@
 #![allow(dead_code)]
 
 use flowery_ir::inst::{Callee, InstKind, Intrinsic, Terminator};
-use flowery_ir::interp::snapio::{w_opt, w_u32, w_u64, w_u64s};
+use flowery_ir::interp::snapio::{w_leb, w_opt, w_u64, w_words};
 use flowery_ir::interp::{mem_fault_region, ops, ExecConfig, ExecResult, ExecStatus, FaultEffect, FaultSpec};
 use flowery_ir::interp::{Memory, Profile, TrapKind};
 use flowery_ir::module::Module;
@@ -82,8 +82,9 @@ pub type AtPoint<'a> = &'a mut dyn FnMut(u64, u64, Vec<u8>, &mut Memory);
 
 /// A fault-free [`run`] that stops by at each of `points` (ascending
 /// counts of executed instructions): `at` gets the instruction and site
-/// counters, the state as a snapshot file encodes it (stack pointer, output
-/// length, call stack) and the memory image, before the next instruction
+/// counters, the state as a snapshot file encodes the first snapshot's
+/// (stack pointer, call stack), the output length and the memory image,
+/// before the next instruction
 /// starts. `site` gets the function of every fault site executed, in order.
 pub fn visit(
     m: &Module,
@@ -148,21 +149,21 @@ fn exec(
 
 impl Oracle<'_> {
     /// The state between two instructions, in the layout a snapshot file
-    /// gives it.
+    /// gives a first snapshot's, then the output length.
     fn encoded_state(&self) -> Vec<u8> {
         let mut w = Vec::new();
         w_u64(&mut w, self.sp);
-        w_u64(&mut w, self.output.len() as u64);
-        w_u64(&mut w, self.stack.len() as u64);
+        w_leb(&mut w, self.stack.len() as u64);
         for f in &self.stack {
-            w_u32(&mut w, f.func.0);
-            w_u32(&mut w, f.block.0);
-            w_u64(&mut w, f.ip as u64);
+            w_leb(&mut w, f.func.0.into());
+            w_leb(&mut w, f.block.0.into());
+            w_leb(&mut w, f.ip as u64);
             w_u64(&mut w, f.saved_sp);
-            w_opt(&mut w, f.ret_dest, |w, i| w_u32(w, i.0));
-            w_u64s(&mut w, &f.values);
-            w_u64s(&mut w, &f.params);
+            w_opt(&mut w, f.ret_dest, |w, i| w_leb(w, i.0.into()));
+            w_words(&mut w, &f.values, &[]);
+            w_words(&mut w, &f.params, &[]);
         }
+        w_leb(&mut w, self.output.len() as u64);
         w
     }
 

@@ -1,20 +1,22 @@
 //! Format stability of persisted snapshot sets: the FNV-1a of
-//! `to_bytes(hash)` for one fixed program, at each layer, with the golden
-//! profile on and off. A file written by any build of the same format
-//! version must still load, so these bytes may never change while
-//! `snapio::VERSION` stays 4.
+//! `to_bytes(hash)` for one fixed program, at each layer. A file written by
+//! any build of the same format version must still load, so these bytes
+//! may never change while `snapio::VERSION` stays 5.
 //!
 //! Version 1 was written by every build through PR 17 (pins `ab3a…29dc` /
-//! `5d49…2e8e` IR, `72f9…119f` / `1a2b…d29e` asm): it also held the
-//! first-execution table, a shared-snapshot count and a profile option per
-//! snapshot. Version 2 dropped them (pins `0a12…9b10` / `169c…cf07` IR,
-//! `f406…bed5` / `289a…ec1e` asm). Version 3 appended the capture run's
-//! site log (pins `862a…a2cd` / `8f11…a121` IR, `1bf1…dee0` / `5a54…5dc6`
-//! asm). Version 4 stores a changed page as the 256-byte blocks that differ
-//! from its previous version (a fresh mask, a base mask, the fresh blocks)
-//! instead of the whole page, so no earlier pin carries over; each test
-//! also checks that the pinned bytes decode to a set that encodes back to
-//! them, which holds only if decoding keeps every shared page and block.
+//! `5d49…2e8e` IR, `72f9…119f` / `1a2b…d29e` asm, golden profile off / on):
+//! it also held the first-execution table, a shared-snapshot count and a
+//! profile option per snapshot. Version 2 dropped them (pins `0a12…9b10` /
+//! `169c…cf07` IR, `f406…bed5` / `289a…ec1e` asm). Version 3 appended the
+//! capture run's site log (pins `862a…a2cd` / `8f11…a121` IR, `1bf1…dee0` /
+//! `5a54…5dc6` asm). Version 4 stored a changed page as the 256-byte blocks
+//! that differ from its previous version (pins `7d1b…c918` / `db5a…0293`
+//! IR, `8bd5…9dcd` / `d5fc…2e8a` asm). Version 5 codes each fresh block,
+//! frame and register file as zero-run-coded XOR against what the reader
+//! already holds, counters and site runs as LEB128 deltas, and drops the
+//! golden profile, so no earlier pin carries over; each test also checks
+//! that the pinned bytes decode to a set that encodes back to them, which
+//! holds only if decoding keeps every shared page and block.
 
 use flowery_backend::{compile_module, AsmSnapshotSet, BackendConfig, Machine};
 use flowery_ir::interp::{ExecConfig, Interpreter, IrSnapshotSet};
@@ -40,39 +42,29 @@ const SRC: &str = "global int arr[16] = {3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 
 
 const HASH: u64 = 0x5EED_F10E_0000_0013;
 
-/// Version-4 pins, profile off and on.
-const IR_V4: [u64; 2] = [0x7d1b_c4e2_2348_c918, 0xdb5a_5dea_5167_0293];
-const ASM_V4: [u64; 2] = [0x8bd5_0fd5_3936_9dcd, 0xd5fc_0423_ade9_2e8a];
-
-fn cfg(profile: bool) -> ExecConfig {
-    ExecConfig { profile, ..ExecConfig::default() }
-}
+/// Version-5 pins.
+const IR_V5: u64 = 0x766c_71e1_1121_4c92;
+const ASM_V5: u64 = 0x9918_7b1e_296a_4831;
 
 #[test]
 fn ir_set_bytes_are_pinned() {
     let m = flowery_lang::compile("pins", SRC).unwrap();
-    let interp = Interpreter::new(&m);
-    for (profile, pin) in [false, true].into_iter().zip(IR_V4) {
-        let set = interp.capture_snapshots_auto(&cfg(profile));
-        assert!(set.len() > 8, "the pinned program must snapshot: {}", set.len());
-        let bytes = set.to_bytes(HASH);
-        assert_eq!(flowery_ir::fnv1a(&bytes), pin, "IR set bytes changed (profile {profile})");
-        let decoded = IrSnapshotSet::from_bytes(&bytes, &m, HASH).expect("the pinned file loads");
-        assert!(decoded.to_bytes(HASH) == bytes, "IR decode must keep the sharing (profile {profile})");
-    }
+    let set = Interpreter::new(&m).capture_snapshots_auto(&ExecConfig::default());
+    assert!(set.len() > 8, "the pinned program must snapshot: {}", set.len());
+    let bytes = set.to_bytes(HASH);
+    assert_eq!(flowery_ir::fnv1a(&bytes), IR_V5, "IR set bytes changed");
+    let decoded = IrSnapshotSet::from_bytes(&bytes, &m, HASH).expect("the pinned file loads");
+    assert!(decoded.to_bytes(HASH) == bytes, "IR decode must keep the sharing");
 }
 
 #[test]
 fn asm_set_bytes_are_pinned() {
     let m = flowery_lang::compile("pins", SRC).unwrap();
     let p = compile_module(&m, &BackendConfig::default());
-    let mach = Machine::new(&m, &p);
-    for (profile, pin) in [false, true].into_iter().zip(ASM_V4) {
-        let set = mach.capture_snapshots_auto(&cfg(profile));
-        assert!(set.len() > 8, "the pinned program must snapshot: {}", set.len());
-        let bytes = set.to_bytes(HASH);
-        assert_eq!(flowery_ir::fnv1a(&bytes), pin, "asm set bytes changed (profile {profile})");
-        let decoded = AsmSnapshotSet::from_bytes(&bytes, &m, &p, HASH).expect("the pinned file loads");
-        assert!(decoded.to_bytes(HASH) == bytes, "asm decode must keep the sharing (profile {profile})");
-    }
+    let set = Machine::new(&m, &p).capture_snapshots_auto(&ExecConfig::default());
+    assert!(set.len() > 8, "the pinned program must snapshot: {}", set.len());
+    let bytes = set.to_bytes(HASH);
+    assert_eq!(flowery_ir::fnv1a(&bytes), ASM_V5, "asm set bytes changed");
+    let decoded = AsmSnapshotSet::from_bytes(&bytes, &m, &p, HASH).expect("the pinned file loads");
+    assert!(decoded.to_bytes(HASH) == bytes, "asm decode must keep the sharing");
 }

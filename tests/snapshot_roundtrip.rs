@@ -82,8 +82,8 @@ proptest! {
         let hash = 0xD15C0 ^ (u64::from(outer) << 32) ^ u64::from(inner);
         let prog = flowery_backend::compile_module(&m, &flowery_backend::BackendConfig::default());
 
-        // Unprofiled sets, then profiled ones (which also persist the
-        // per-snapshot profile accumulators).
+        // Unprofiled sets, then profiled ones: a file keeps no golden
+        // profile, so the loaded golden is the captured one without it.
         for profile in [false, true] {
             let exec = ExecConfig { profile, ..ExecConfig::default() };
 
@@ -93,7 +93,8 @@ proptest! {
             let loaded = flowery_ir::interp::IrSnapshotSet::from_bytes(&set.to_bytes(hash), &m, hash);
             prop_assert!(loaded.is_ok(), "round trip must load: {:?}", loaded.err());
             let loaded = loaded.unwrap();
-            prop_assert_eq!(loaded.golden(), set.golden(), "golden run survives the round trip");
+            let golden = flowery_ir::interp::ExecResult { profile: None, ..set.golden().clone() };
+            prop_assert_eq!(loaded.golden(), &golden, "golden run survives the round trip");
             prop_assert_eq!(loaded.len(), set.len());
             let sites = set.golden().fault_sites;
             let step = (sites / 24).max(1);
@@ -117,7 +118,8 @@ proptest! {
             let loaded = flowery_backend::AsmSnapshotSet::from_bytes(&set.to_bytes(hash), &m, &prog, hash);
             prop_assert!(loaded.is_ok(), "asm round trip must load: {:?}", loaded.err());
             let loaded = loaded.unwrap();
-            prop_assert_eq!(loaded.golden(), set.golden());
+            let golden = flowery_backend::MachResult { profile: None, ..set.golden().clone() };
+            prop_assert_eq!(loaded.golden(), &golden);
             let sites = set.golden().fault_sites;
             let step = (sites / 24).max(1);
             let mut scratch = flowery_backend::AsmScratch::new();
@@ -171,7 +173,7 @@ fn corrupted_and_mismatched_files_are_rejected() {
     );
     let mut bytes = set.to_bytes(42);
     assert!(bytes.len() < 96 << 10, "keep the sweep cheap: {} bytes", bytes.len());
-    assert_eq!(bytes[8..12], 4u32.to_le_bytes(), "the sweep covers the current format, version 4");
+    assert_eq!(bytes[8..12], 5u32.to_le_bytes(), "the sweep covers the current format, version 5");
     let load = |b: &[u8]| flowery_ir::interp::IrSnapshotSet::from_bytes(b, &m, 42).is_ok();
 
     // Wrong module hash: the file is intact but belongs to another program.
@@ -219,12 +221,44 @@ fn resealed(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     body
 }
 
+/// Decode `bad` with `load`, demanding an `Err` naming one of `words`, no
+/// panic, and no allocation larger than the file or `shape`, the largest
+/// that loading the intact file makes (the snapshot list, a frame's slots).
+fn refused_cheaply<T>(what: &str, bad: &[u8], words: &[&str], shape: usize, load: impl Fn(&[u8]) -> Result<T, String>) {
+    let (loaded, largest) = largest_allocation(|| catch_unwind(AssertUnwindSafe(|| load(bad))));
+    let Err(err) = loaded.unwrap_or_else(|_| panic!("{what}: the decoder panicked")) else {
+        panic!("{what}: loaded");
+    };
+    assert!(words.iter().any(|w| err.contains(w)), "{what}: {err}");
+    assert!(
+        largest <= bad.len().max(shape),
+        "{what}: a {largest}-byte allocation from a {}-byte file",
+        bad.len()
+    );
+}
+
+/// RUNS of `x` (see `snapio`).
+fn runs(x: &[u8]) -> Vec<u8> {
+    let mut w = Vec::new();
+    flowery_ir::interp::snapio::w_runs(&mut w, x);
+    w
+}
+
+/// One (zero run, literal run) pair and its literal bytes.
+fn pair(zeros: usize, literal: &[u8]) -> Vec<u8> {
+    let mut w = Vec::new();
+    flowery_ir::interp::snapio::w_leb(&mut w, zeros as u64);
+    flowery_ir::interp::snapio::w_bytes(&mut w, literal);
+    w
+}
+
 /// Block records a writer never emits, each in a file whose checksum is
 /// valid: the decoder must return `Err` — no panic — and allocate nothing
-/// larger than the file. The memory size leaves a trailing partial page of
+/// larger than the file or than loading the intact file does. The memory size leaves a trailing partial page of
 /// 1,000 bytes (four blocks, the last 232 bytes long) at the stack top; a
-/// record of that page is found by its page index, its masks and its first
-/// fresh block's bytes.
+/// record of that page, the last of its snapshot's, is found by its bytes:
+/// the pages skipped since the snapshot's previous record, its masks, and
+/// its fresh blocks coded against their previous versions.
 #[test]
 fn crafted_block_records_are_refused() {
     let m = flowery_lang::compile("snapio", &program(30, 6, 251)).unwrap();
@@ -233,55 +267,204 @@ fn crafted_block_records_are_refused() {
     let set = interp.capture_snapshots(&cfg, interp.run(&cfg, None).dyn_insts / 32);
     let bytes = set.to_bytes(42);
     let load = |b: &[u8]| IrSnapshotSet::from_bytes(b, &m, 42);
-    assert!(load(&bytes).is_ok_and(|l| l.matches_geometry(cfg.mem_size, cfg.stack_size)));
+    let (intact, shape) = largest_allocation(|| load(&bytes));
+    assert!(intact.is_ok_and(|l| l.matches_geometry(cfg.mem_size, cfg.stack_size)));
 
     // The last snapshot that re-stores the stack top, so that a cut inside
     // its record leaves most of the file.
     let top = (cfg.mem_size / PAGE_SIZE) as u32;
     let snaps = set.snapshots();
-    let (old, new) = (1..snaps.len())
+    let k = (1..snaps.len())
         .rev()
-        .map(|k| (&snaps[k - 1].pages[&top], &snaps[k].pages[&top]))
-        .find(|(old, new)| !Arc::ptr_eq(old, new))
+        .find(|&k| !Arc::ptr_eq(&snaps[k - 1].pages[&top], &snaps[k].pages[&top]))
         .expect("test premise: the stack top changes between snapshots");
+    let (old, new) = (&snaps[k - 1].pages[&top], &snaps[k].pages[&top]);
+    let below = snaps[k]
+        .pages
+        .iter()
+        .filter(|&(&p, v)| p < top && snaps[k - 1].pages.get(&p).is_none_or(|o| !Arc::ptr_eq(o, v)))
+        .map(|(&p, _)| p + 1)
+        .max()
+        .unwrap_or(0);
     let (mut fresh, mut based) = (0u16, 0u16);
+    let mut coded = Vec::new();
     for (i, (n, o)) in new.iter().zip(old.iter()).enumerate() {
         match (n, o) {
             (Some(n), Some(o)) if Arc::ptr_eq(n, o) => {}
-            (Some(_), _) => fresh |= 1 << i,
+            (Some(n), _) => {
+                fresh |= 1 << i;
+                let x: Vec<u8> = match o {
+                    Some(o) => n.iter().zip(o.iter()).map(|(a, b)| a ^ b).collect(),
+                    None => n.to_vec(),
+                };
+                coded.push((n.len(), runs(&x)));
+            }
             (None, Some(_)) => based |= 1 << i,
             (None, None) => {}
         }
     }
-    let first = new[fresh.trailing_zeros() as usize]
-        .as_ref()
-        .expect("test premise: a fresh block");
-    let mut record = [top.to_le_bytes().as_slice(), &fresh.to_le_bytes(), &based.to_le_bytes()].concat();
-    record.extend_from_slice(first);
+    let mut record = Vec::new();
+    flowery_ir::interp::snapio::w_leb(&mut record, u64::from(top - below));
+    record.extend_from_slice(&[fresh.to_le_bytes(), based.to_le_bytes()].concat());
+    let head = record.len();
+    record.extend(coded.iter().flat_map(|(_, c)| c.clone()));
     let at = bytes
         .windows(record.len())
         .position(|w| w == record)
         .expect("the record is in the file");
     let masks = |fresh: u16, based: u16| {
         resealed(&bytes, |b| {
-            b[at + 4..at + 6].copy_from_slice(&fresh.to_le_bytes());
-            b[at + 6..at + 8].copy_from_slice(&based.to_le_bytes());
+            b[at + head - 4..at + head - 2].copy_from_slice(&fresh.to_le_bytes());
+            b[at + head - 2..at + head].copy_from_slice(&based.to_le_bytes());
         })
     };
+    let (first_len, first) = &coded[0];
+    let first_block = |runs: Vec<u8>| resealed(&bytes, |b| drop(b.splice(at + head..at + head + first.len(), runs)));
     let cases = [
         ("a fresh bit past the partial page's four blocks", masks(fresh | 1 << 4, based)),
         ("a base bit past the partial page's four blocks", masks(fresh, based | 1 << 15)),
         ("overlapping fresh and base masks", masks(fresh, based | fresh)),
-        ("a truncated fresh block", resealed(&bytes, |b| b.truncate(at + 8 + first.len() / 2))),
+        ("a truncated fresh block", resealed(&bytes, |b| b.truncate(at + head + first.len() / 2))),
+        ("a zero run past the block's end", first_block(pair(first_len + 1, &[]))),
+        ("a literal run past the block's end", first_block(pair(0, &vec![7; first_len + 1]))),
     ];
     for (what, bad) in cases {
-        let (loaded, largest) = largest_allocation(|| catch_unwind(AssertUnwindSafe(|| load(&bad))));
-        let err = loaded
-            .unwrap_or_else(|_| panic!("{what}: the decoder panicked"))
-            .expect_err(what);
-        assert!(err.contains("block") || err.contains("truncated"), "{what}: {err}");
-        assert!(largest <= bad.len(), "{what}: a {largest}-byte allocation from a {}-byte file", bad.len());
+        refused_cheaply(what, &bad, &["block", "truncated", "run"], shape, load);
     }
+}
+
+/// A tiny reader over a v5 IR file, for finding a field to craft.
+struct Fields<'a>(&'a [u8], usize);
+
+impl Fields<'_> {
+    fn skip(&mut self, n: usize) {
+        self.1 += n;
+    }
+
+    fn leb(&mut self) -> u64 {
+        let mut v = 0;
+        for shift in (0..).step_by(7) {
+            let b = self.0[self.1];
+            self.1 += 1;
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return v;
+            }
+        }
+        unreachable!()
+    }
+
+    /// Step over RUNS coding `len` bytes.
+    fn runs(&mut self, len: usize) {
+        let mut at = 0;
+        while at < len {
+            let (zeros, lit) = (self.leb() as usize, self.leb() as usize);
+            self.skip(lit);
+            at += zeros + lit;
+        }
+    }
+}
+
+/// Frames a writer never emits: the first snapshot's bottom frame, `main`,
+/// with its value runs replaced. The file holds no slot count — the reader
+/// takes `main`'s — so a frame coded with a slot more or fewer than its
+/// function has leaves a run that passes the end or stops short of it. A
+/// literal run split in two codes the right bytes, but not as the writer
+/// would: it is refused too, so that every file that loads re-encodes to
+/// itself.
+#[test]
+fn crafted_frames_are_refused() {
+    let m = flowery_lang::compile("snapio", &program(30, 6, 251)).unwrap();
+    let cfg = ExecConfig::default();
+    let interp = Interpreter::new(&m);
+    let set = interp.capture_snapshots(&cfg, interp.run(&cfg, None).dyn_insts / 32);
+    let bytes = set.to_bytes(42);
+    let load = |b: &[u8]| IrSnapshotSet::from_bytes(b, &m, 42);
+    let shape = largest_allocation(|| load(&bytes)).1;
+    let golden = set.golden();
+    // The envelope, the head (completed status, output, counters, no
+    // injection), the snapshot count and the first snapshot's counters,
+    // stack pointer and frame count.
+    let mut f = Fields(&bytes, 45);
+    assert!(matches!(golden.status, flowery_ir::interp::ExecStatus::Completed(_)));
+    f.skip(9);
+    let out = f.leb() as usize;
+    f.skip(out + 17);
+    for _ in 0..4 {
+        f.leb();
+    }
+    f.skip(8);
+    f.leb();
+    let main = f.leb() as usize;
+    assert_eq!(m.functions[main].name, "main", "test premise: the bottom frame runs main");
+    f.leb();
+    f.leb();
+    f.skip(9);
+    let (start, slots) = (f.1, m.functions[main].insts.len());
+    f.runs(slots * 8);
+    let values = |runs: Vec<u8>| resealed(&bytes, |b| drop(b.splice(start..f.1, runs)));
+    assert_eq!(values(bytes[start..f.1].to_vec()), bytes, "test premise: the runs found are the frame's");
+    let cases = [
+        ("a literal run past the frame's slot count", values(pair(0, &vec![1; slots * 8 + 1]))),
+        (
+            "a frame coded with one slot more than its function",
+            values(runs(&vec![0; slots * 8 + 8])),
+        ),
+        (
+            "a frame coded with one slot fewer than its function",
+            values(runs(&vec![0; slots * 8 - 8])),
+        ),
+        (
+            "a literal run split in two",
+            values([pair(0, &[1; 4]), pair(0, &vec![1; slots * 8 - 4])].concat()),
+        ),
+    ];
+    for (what, bad) in cases {
+        refused_cheaply(what, &bad, &["run"], shape, load);
+    }
+}
+
+/// Every single-byte edit of a small file at each layer, resealed so the
+/// checksum passes: the decoder refuses the mutant, or loads a set that
+/// encodes back to the mutant byte for byte (every encoding is canonical).
+/// It never panics, and allocates no more than the file or twice what
+/// loading the intact file does.
+#[test]
+fn resealed_mutants_are_refused_or_reencode_to_themselves() {
+    fn sweep(what: &str, bytes: &[u8], load: impl Fn(&[u8]) -> Result<Vec<u8>, String>) {
+        let (intact, shape) = largest_allocation(|| load(bytes));
+        assert_eq!(intact.as_deref(), Ok(bytes), "{what}: the intact file re-encodes to itself");
+        let mut loaded = 0;
+        for i in 0..bytes.len() - 8 {
+            for edit in [0x01u8, 0x80, 0xff] {
+                let bad = resealed(bytes, |b| b[i] ^= edit);
+                let (out, largest) = largest_allocation(|| catch_unwind(AssertUnwindSafe(|| load(&bad))));
+                let out = out.unwrap_or_else(|_| panic!("{what}: byte {i} ^ {edit:#x} panicked"));
+                if let Ok(again) = out {
+                    assert!(again == bad, "{what}: byte {i} ^ {edit:#x} loaded but re-encodes otherwise");
+                    loaded += 1;
+                }
+                assert!(
+                    largest <= bad.len().max(2 * shape),
+                    "{what}: byte {i} ^ {edit:#x}: a {largest}-byte allocation"
+                );
+            }
+        }
+        assert!(loaded > 0, "{what}: some mutants (a literal byte, a stack pointer) load");
+    }
+    let m = flowery_lang::compile("snapio", &program(6, 4, 251)).unwrap();
+    let exec = ExecConfig::default();
+    let interp = Interpreter::new(&m);
+    let set = interp.capture_snapshots(&exec, interp.run(&exec, None).dyn_insts / 4);
+    assert!(set.len() >= 3, "want several snapshots, got {}", set.len());
+    sweep("ir", &set.to_bytes(42), |b| IrSnapshotSet::from_bytes(b, &m, 42).map(|s| s.to_bytes(42)));
+    let prog = flowery_backend::compile_module(&m, &flowery_backend::BackendConfig::default());
+    let mach = flowery_backend::Machine::new(&m, &prog);
+    let set = mach.capture_snapshots(&exec, mach.run(&exec, None).dyn_insts / 4);
+    assert!(set.len() >= 3, "want several snapshots, got {}", set.len());
+    sweep("asm", &set.to_bytes(42), |b| {
+        flowery_backend::AsmSnapshotSet::from_bytes(b, &m, &prog, 42).map(|s| s.to_bytes(42))
+    });
 }
 
 /// `bytes` with its memory geometry (bytes 20..36: after the magic, the

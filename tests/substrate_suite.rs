@@ -6,6 +6,7 @@
 
 use flowery_backend::{compile_module, AsmLayer, AsmProgram, BackendConfig, MachResult, Machine};
 use flowery_harness::{GoldenCache, SnapshotStore};
+use flowery_ir::interp::snapio::w_leb;
 use flowery_ir::interp::snapshot::{AUTO_MAX_SNAPS, AUTO_SITE_CADENCE};
 use flowery_ir::interp::substrate::{self, RunResult};
 use flowery_ir::interp::{Cadence, ExecConfig, ExecResult, ExecStatus, FaultSpec, Interpreter, IrLayer};
@@ -234,9 +235,15 @@ fn round_trip_is_bit_identical<S: Layer>() {
 fn round_trips<S: Layer>(m: &Module) -> usize {
     let p = S::compile(m);
     let exec = S::bind(m, &p);
-    let cfg = ExecConfig { profile: true, ..limits(10_000) };
+    let cfg = limits(10_000);
     let set = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(16), None, 0);
     assert!(set.len() > 2);
+    let profiled = ExecConfig { profile: true, ..cfg.clone() };
+    let with_profile = substrate::capture::<S>(&exec, &profiled, Cadence::Insts(16), None, 0);
+    assert!(
+        with_profile.to_bytes(HASH) == set.to_bytes(HASH),
+        "the golden profile must not reach the file"
+    );
     let loaded = SnapshotSet::<S>::decode(&set.to_bytes(HASH), &exec, HASH).unwrap();
     assert_eq!(loaded.golden(), set.golden());
     assert_eq!(loaded.cadence(), set.cadence());
@@ -359,16 +366,17 @@ fn rejects_corruption_and_mismatches<S: Layer>() {
     // Wrong content hash.
     let err = load(&bytes, HASH ^ 1).unwrap_err();
     assert!(err.contains("hash"), "{err}");
-    // Another format version — the next, version 3 of the builds that
-    // stored whole pages, version 2 of the builds that kept no site log,
-    // and version 1 of the builds that still wrote a first-execution table
-    // and per-snapshot profiles — is refused before anything past it is
-    // read, even with a valid checksum.
-    let err = load(&stamped(&bytes, 5), HASH).unwrap_err();
-    assert!(err.contains("version 5"), "{err}");
-    for old in [1, 2, 3] {
+    // Another format version — the next, version 4 of the builds that
+    // stored blocks raw, version 3 of the builds that stored whole pages,
+    // version 2 of the builds that kept no site log, and version 1 of the
+    // builds that still wrote a first-execution table and per-snapshot
+    // profiles — is refused before anything past it is read, even with a
+    // valid checksum.
+    let err = load(&stamped(&bytes, 6), HASH).unwrap_err();
+    assert!(err.contains("version 6"), "{err}");
+    for old in [1, 2, 3, 4] {
         let err = load(&stamped(&bytes, old), HASH).unwrap_err();
-        assert!(err.contains(&format!("version {old}")) && err.contains("expected 4"), "{err}");
+        assert!(err.contains(&format!("version {old}")) && err.contains("expected 5"), "{err}");
     }
     // The other layer's magic is refused even with a valid checksum.
     let other = if S::MAGIC == b"FLSNAPIR" { b"FLSNAPAS" } else { b"FLSNAPIR" };
@@ -376,15 +384,15 @@ fn rejects_corruption_and_mismatches<S: Layer>() {
     let err = load(&wrong, HASH).unwrap_err();
     assert!(err.contains("magic"), "{err}");
 
-    // A store holding a version-3 file: the cache refuses it, captures once,
+    // A store holding a version-4 file: the cache refuses it, captures once,
     // overwrites the file, and serves the trials a fresh capture serves.
-    let dir = std::env::temp_dir().join(format!("flsuite-v3-{}-{}", S::NAME, std::process::id()));
+    let dir = std::env::temp_dir().join(format!("flsuite-v4-{}-{}", S::NAME, std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = limits(10_000);
     let fresh = S::cached(&GoldenCache::with_store(SnapshotStore::at(&dir)), &m, &p, &cfg);
     let file = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
     let written = std::fs::read(&file).unwrap();
-    std::fs::write(&file, stamped(&written, 3)).unwrap();
+    std::fs::write(&file, stamped(&written, 4)).unwrap();
     let cache = GoldenCache::with_store(SnapshotStore::at(&dir));
     let recaptured = S::cached(&cache, &m, &p, &cfg);
     assert_eq!((cache.stats().snap_loads, cache.stats().snap_captures), (0, 1));
@@ -415,15 +423,24 @@ fn same_log(a: &SiteLog, b: &SiteLog, regions: usize) {
     }
 }
 
-/// Byte length of the SITES tail `log` encodes to: the region count, then
-/// per region its mass, its run count and two words per run (a run ends
-/// where the next region-local index stops being consecutive).
-fn sites_tail_len(log: &SiteLog, regions: usize) -> usize {
-    let runs = |r: usize| {
+/// The fields of the SITES tail `log` encodes to: the region count, then
+/// per region its run count and, per run, the sites skipped since the
+/// region's previous run ended and its length (a run ends where the next
+/// region-local index stops being consecutive).
+fn sites_tail(log: &SiteLog, regions: usize) -> Vec<u64> {
+    let mut fields = vec![regions as u64];
+    for r in 0..regions {
         let idx: Vec<u64> = (0..log.mass(r)).map(|k| log.index(r, k).unwrap()).collect();
-        idx.iter().enumerate().filter(|&(k, &i)| k == 0 || idx[k - 1] + 1 != i).count()
-    };
-    8 + (0..regions).map(|r| 16 + 16 * runs(r)).sum::<usize>()
+        let starts: Vec<usize> = (0..idx.len()).filter(|&k| k == 0 || idx[k - 1] + 1 != idx[k]).collect();
+        fields.push(starts.len() as u64);
+        let mut floor = 0;
+        for (j, &k) in starts.iter().enumerate() {
+            let len = starts.get(j + 1).unwrap_or(&idx.len()) - k;
+            fields.extend([idx[k] - floor, len as u64]);
+            floor = idx[k] + len as u64;
+        }
+    }
+    fields
 }
 
 fn capture_log_is_the_observation<S: Layer>() {
@@ -457,7 +474,7 @@ fn capture_log_is_the_observation<S: Layer>() {
 }
 
 fn site_log_tail_never_decodes_to_a_panic<S: Layer>() {
-    // Every word of the SITES tail, re-sealed with a valid checksum and
+    // Every field of the SITES tail, re-sealed with a valid checksum and
     // set to a hostile value, is refused or decodes to a log whose every
     // index lies inside the run — `SiteLog::index` never panics.
     let m = loop_module();
@@ -466,27 +483,37 @@ fn site_log_tail_never_decodes_to_a_panic<S: Layer>() {
     let set = substrate::capture::<S>(&exec, &limits(10_000), Cadence::Insts(16), None, 0);
     let (n, sites) = (regions::<S>(&exec), set.golden().head().fault_sites);
     let bytes = set.to_bytes(HASH);
-    let tail = bytes.len() - 8 - sites_tail_len(set.sites(), n);
-    assert_eq!(bytes[tail..tail + 8], (n as u64).to_le_bytes(), "the tail starts with the region count");
+    let fields = sites_tail(set.sites(), n);
+    let coded = |fields: &[u64]| {
+        let mut w = Vec::new();
+        fields.iter().for_each(|&v| w_leb(&mut w, v));
+        w
+    };
+    let tail = bytes.len() - 8 - coded(&fields).len();
+    assert!(bytes[tail..bytes.len() - 8] == coded(&fields), "the file ends with the SITES tail");
     let mut refused = 0;
-    for word in (tail..bytes.len() - 8).step_by(8) {
-        let was = u64::from_le_bytes(bytes[word..word + 8].try_into().unwrap());
+    for field in 0..fields.len() {
+        let was = fields[field];
         for v in [0, 1, was.wrapping_sub(1), was + 1, sites, u64::MAX] {
-            let bad = resealed(&bytes, |b| b[word..word + 8].copy_from_slice(&v.to_le_bytes()));
+            let mut hostile = fields.clone();
+            hostile[field] = v;
+            let mut bad = [&bytes[..tail], &coded(&hostile)].concat();
+            bad.extend_from_slice(&flowery_ir::fnv1a(&bad).to_le_bytes());
             let Ok(loaded) = SnapshotSet::<S>::decode(&bad, &exec, HASH) else {
                 refused += 1;
                 continue;
             };
             for r in 0..=n {
                 for k in 0..=loaded.sites().mass(r).min(sites) {
-                    assert!(loaded.sites().index(r, k).is_none_or(|i| i < sites), "word {word} = {v}");
+                    assert!(loaded.sites().index(r, k).is_none_or(|i| i < sites), "field {field} = {v}");
                 }
             }
         }
     }
     assert!(refused > 0, "hostile tails must be refused");
     // A cut inside the tail, or a run dropped from it, is refused too.
-    assert!(SnapshotSet::<S>::decode(&resealed(&bytes[..bytes.len() - 16], |_| ()), &exec, HASH).is_err());
+    let cut = bytes.len() - (bytes.len() - tail) / 2;
+    assert!(SnapshotSet::<S>::decode(&resealed(&bytes[..cut], |_| ()), &exec, HASH).is_err());
 }
 
 fn region_sites_index_the_golden_stream<S: Layer>() {
