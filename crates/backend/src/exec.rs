@@ -1075,10 +1075,11 @@ fn exec_op(op: &Op, st: &mut State, ip: u32, max_out: usize, gens: &[GenOp]) -> 
 }
 
 /// One fully bookkept dispatch iteration: bounds check, instruction
-/// accounting, budget trap, profile, cycles, injection. The bookkept loop
-/// runs every iteration through here; the fast loop delegates only the
-/// iteration whose fault-site counter matches the armed trap, and the JIT
-/// one instruction each time a block-entry guard trips.
+/// accounting, budget trap, profile, cycles, injection (a pruning machine's
+/// proven-masked flip stops the run there instead). The bookkept loop runs
+/// every iteration through here; the fast loop delegates only the iteration
+/// whose fault-site counter matches the armed trap, and the JIT one
+/// instruction each time a block-entry guard trips.
 pub(crate) fn step(
     machine: &Machine<'_>,
     config: &ExecConfig,
@@ -1103,6 +1104,11 @@ pub(crate) fn step(
     st.cycles += (meta & !META_SITE) as u64;
 
     let inject_now = is_site && armed.is_some_and(|f| st.fault_sites == f.site_index);
+    if inject_now && armed.is_some_and(|f| machine.proven_masked(*ip, &f)) {
+        // Proven masked: the rest of the run would be the golden one.
+        (st.injected_inst, st.pruned) = (Some(*ip), true);
+        return Err(ExecStatus::Completed(0));
+    }
 
     st.last_ip = *ip;
     st.last_mem_write = None;

@@ -38,14 +38,11 @@ pub struct MachResult {
     pub cycles: u64,
     /// Program index of the instruction the fault landed on, if any.
     pub injected_inst: Option<u32>,
+    /// The drawn flip is proven masked at `injected_inst`, where the run
+    /// stopped ([`Machine::pruning`]; status `Completed(0)`): Benign by proof.
+    pub pruned: bool,
     /// Per-instruction execution counts (when profiling).
     pub profile: Option<Vec<u64>>,
-}
-
-impl MachResult {
-    pub fn matches_output(&self, golden: &MachResult) -> bool {
-        self.status == golden.status && self.output == golden.output
-    }
 }
 
 /// Reusable machine for one program+module pair. Which engine executes
@@ -59,6 +56,9 @@ pub struct Machine<'p> {
     /// Host machine code for the native engine, or the reason it is
     /// unavailable for this program/host (see [`Machine::jit`]).
     jit: std::sync::OnceLock<Result<crate::jit::JitProgram, crate::jit::FallbackReason>>,
+    /// Per instruction index, the sampled bits proven masked there; empty
+    /// on a machine that does not prune ([`Machine::pruning`]).
+    masked: Box<[u64]>,
 }
 
 impl<'p> Machine<'p> {
@@ -68,7 +68,22 @@ impl<'p> Machine<'p> {
             module,
             compiled: std::sync::OnceLock::new(),
             jit: std::sync::OnceLock::new(),
+            masked: Box::default(),
         }
+    }
+
+    /// This machine, pruning: bit `b` of `masked[i]` proves a flip of sampled
+    /// bit `b` (mod 64) at instruction `i` masked, and a [`FaultEffect::Bits`]
+    /// fault proven so (both bits of a double) stops the run at its site.
+    pub fn pruning(self, masked: Vec<u64>) -> Machine<'p> {
+        Machine { masked: masked.into(), ..self }
+    }
+
+    /// Whether `spec`, landing on instruction `ip`, is proven masked.
+    pub(crate) fn proven_masked(&self, ip: u32, spec: &AsmFaultSpec) -> bool {
+        let m = self.masked.get(ip as usize).copied().unwrap_or(0);
+        let masked = |bit: u32| (m >> (bit % 64)) & 1 == 1;
+        spec.effect == FaultEffect::Bits && masked(spec.bit) && spec.second_bit.is_none_or(masked)
     }
 
     /// The program this machine executes.
@@ -100,12 +115,12 @@ impl<'p> Machine<'p> {
     /// One fault-free run that captures a snapshot every `interval` dynamic
     /// instructions (see [`substrate::capture`]).
     pub fn capture_snapshots(&self, config: &ExecConfig, interval: u64) -> AsmSnapshotSet {
-        substrate::capture(self, config, Cadence::Insts(interval), None, 0)
+        substrate::capture(self, config, Cadence::Insts(interval), None)
     }
 
-    /// Self-tuning site-spaced capture (see [`substrate::capture_auto`]).
+    /// Self-tuning site-spaced capture (see [`substrate::capture_for`]).
     pub fn capture_snapshots_auto(&self, config: &ExecConfig) -> AsmSnapshotSet {
-        substrate::capture_auto(self, config, 0)
+        substrate::capture_for(self, config, u64::MAX)
     }
 
     /// Run one faulty trial from the nearest snapshot at-or-before the
@@ -141,6 +156,7 @@ impl<'p> Machine<'p> {
             fault_sites: start.fault_sites,
             cycles,
             injected_inst: None,
+            pruned: false,
             profile: config.profile.then(|| vec![0u64; self.program.insts.len()]),
             last_ip: 0,
             last_mem_write: None,
@@ -156,6 +172,8 @@ impl<'p> Machine<'p> {
     /// of the `i`-th fault site the golden run executes — the map from a
     /// `FaultSpec::site_index` to the static instruction a fault would
     /// land on, for the first `cap` sites (one [`substrate::observe`] pass).
+    /// Kept for `benchmark/src/trace.rs` until ROADMAP 1(a); a campaign
+    /// prunes in the run instead ([`Machine::pruning`]).
     pub fn site_trace(&self, config: &ExecConfig, cap: usize) -> Vec<u32> {
         substrate::observe::<AsmLayer>(self, config, cap).1.trace().to_vec()
     }
@@ -169,6 +187,7 @@ pub(crate) struct State {
     pub(crate) fault_sites: u64,
     pub(crate) cycles: u64,
     pub(crate) injected_inst: Option<u32>,
+    pub(crate) pruned: bool,
     pub(crate) profile: Option<Vec<u64>>,
     pub(crate) last_ip: u32,
     /// (addr, width) of the most recent memory write, for MemVal injection.
@@ -187,6 +206,7 @@ impl State {
                 fault_sites: self.fault_sites,
                 cycles: self.cycles,
                 injected_inst: self.injected_inst,
+                pruned: self.pruned,
                 profile: self.profile,
             },
             self.mem,

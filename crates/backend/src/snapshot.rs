@@ -115,6 +115,7 @@ impl Substrate for AsmLayer {
             fault_sites: c.u64()?,
             cycles: c.u64()?,
             injected_inst: c.opt("injected_inst", Cursor::u32)?,
+            pruned: false,
             profile: None,
         })
     }

@@ -172,13 +172,13 @@ impl GoldenCache {
         GoldenCache { store: Some(store), ..GoldenCache::default() }
     }
 
-    /// `map[key]` when `serves` accepts it, else made by `make` and stored.
-    /// The slot stays locked while `make` runs, so a racing asker waits
-    /// for the value instead of executing it twice.
-    fn memo<T>(&self, map: &Memo<T>, key: u64, serves: impl Fn(&T) -> bool, make: impl FnOnce() -> Arc<T>) -> Arc<T> {
+    /// `map[key]`, else made by `make` and stored. The slot stays locked
+    /// while `make` runs, so a racing asker waits for the value instead of
+    /// executing it twice.
+    fn memo<T>(&self, map: &Memo<T>, key: u64, make: impl FnOnce() -> Arc<T>) -> Arc<T> {
         let slot = map.lock().unwrap().entry(key).or_default().clone();
         let mut slot = slot.lock().unwrap();
-        if let Some(v) = slot.as_ref().filter(|v| serves(v)) {
+        if let Some(v) = slot.as_ref() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return v.clone();
         }
@@ -214,7 +214,7 @@ impl GoldenCache {
                 Arc::new(substrate::run::<S>(exec, cfg, None))
             }
         };
-        self.memo(&S::maps(self).goldens, key, |_| true, make)
+        self.memo(&S::maps(self).goldens, key, make)
     }
 
     /// The set for `key` in the snapshot map, unless it is being made.
@@ -234,32 +234,22 @@ impl GoldenCache {
         self.golden::<AsmLayer>(&Machine::new(m, p), self.printed(asm_hash(m, p)), exec)
     }
 
-    /// The site observation of `exec`'s program (content key `key`) with a
-    /// per-site trace of up to `trace_cap` entries, from the memo, a set in
-    /// memory, the store, or else one fault-free pass ([`substrate::observe`];
-    /// never a capture, which costs more) that seeds the golden map. A log
-    /// recorded with a smaller cap never serves.
-    pub(crate) fn observation<S: CacheLayer>(
-        &self,
-        exec: &S::Exec<'_>,
-        key: u64,
-        cfg: &ExecConfig,
-        trace_cap: usize,
-    ) -> Arc<SiteLog> {
+    /// The site observation of `exec`'s program (content key `key`), from
+    /// the memo, a set in memory, the store, or else one fault-free pass
+    /// ([`substrate::observe`]; never a capture, which costs more) that
+    /// seeds the golden map.
+    pub(crate) fn observation<S: CacheLayer>(&self, exec: &S::Exec<'_>, key: u64, cfg: &ExecConfig) -> Arc<SiteLog> {
         let maps = S::maps(self);
         let make = || {
             let set = self.in_memory::<S>(key).or_else(|| self.load_set::<S>(exec, key, cfg));
-            match set.map(|set| set.sites().clone()).filter(|log| log.serves(trace_cap)) {
-                Some(log) => log,
-                None => {
-                    self.observations.fetch_add(1, Ordering::Relaxed);
-                    let (golden, log) = substrate::observe::<S>(exec, cfg, trace_cap);
-                    Self::seed(&maps.goldens, key, || Arc::new(golden));
-                    log
-                }
-            }
+            set.map(|set| set.sites().clone()).unwrap_or_else(|| {
+                self.observations.fetch_add(1, Ordering::Relaxed);
+                let (golden, log) = substrate::observe::<S>(exec, cfg, 0);
+                Self::seed(&maps.goldens, key, || Arc::new(golden));
+                log
+            })
         };
-        self.memo(&maps.sites, key, |log| log.serves(trace_cap), make)
+        self.memo(&maps.sites, key, make)
     }
 
     /// The per-instruction execution counts of `m`'s golden run: one
@@ -271,10 +261,10 @@ impl GoldenCache {
         golden.profile.expect("a profiled run returns its counts")
     }
 
-    /// Upper bound on prunable dynamic sites per program: past this many,
-    /// the site trace stops and later sites simply go unpruned (sound —
-    /// pruning is an optimization, never a requirement). Region masses and
-    /// indices are never cut short by it.
+    /// Upper bound on the site trace a trace-fed prune oracle
+    /// ([`crate::StaticPrior`]) is given: past this many sites, its draws go
+    /// unpruned. Campaigns keep no trace and have no such bound. Kept for
+    /// `benchmark/src/trace.rs` until ROADMAP 1(a).
     pub const SITE_TRACE_CAP: usize = 1 << 22;
 
     /// Static bit-verdict table for `p`, whose content key is `key`,
@@ -287,33 +277,31 @@ impl GoldenCache {
             self.bits_nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
             Arc::new(table)
         };
-        self.memo(&self.bit_tables, key, |_| true, make)
+        self.memo(&self.bit_tables, key, make)
     }
 
     /// A trial runner for `exec`'s program (content key `key`) on the cached
     /// golden, or why none can run ([`TrialRunner::refusal`]). With
     /// `snapshots` on, the set is fetched first: its capture run doubles as
-    /// the golden run and the observation (keeping `trace_cap` entries of
-    /// trace) and keeps at most `trials` snapshots. Without, the observation
-    /// pass is the golden run.
+    /// the golden run and the observation and keeps at most `trials`
+    /// snapshots. Without, the observation pass is the golden run.
     pub(crate) fn runner<'u, S: CacheLayer + InjectLayer>(
         &self,
         exec: S::Exec<'u>,
         key: u64,
         snapshots: bool,
         cfg: &ExecConfig,
-        trace_cap: usize,
         trials: u64,
     ) -> Result<TrialRunner<'u, S>, String> {
         let refused = |golden| TrialRunner::<S>::refusal(golden).map_or(Ok(()), Err);
         if snapshots {
-            let set = self.snapshots_for::<S>(&exec, key, cfg, trace_cap, trials);
+            let set = self.snapshots_for::<S>(&exec, key, cfg, trials);
             refused(set.golden())?;
             let mut r = TrialRunner::from_golden(exec, set.golden().clone(), cfg);
             r.attach_snapshots(set);
             Ok(r)
         } else {
-            self.observation::<S>(&exec, key, cfg, trace_cap);
+            self.observation::<S>(&exec, key, cfg);
             let g = self.golden::<S>(&exec, key, cfg);
             refused(&g)?;
             Ok(TrialRunner::from_golden(exec, (*g).clone(), cfg))
@@ -338,9 +326,9 @@ impl GoldenCache {
 
     /// Snapshot set for fast-forwarded trials over `exec`'s program (content
     /// key `key`), obtained (in order of preference) from the in-memory
-    /// cache, the persistent store, or a fresh capture whose site log keeps
-    /// `trace_cap` entries of trace and at most `trials` snapshots. A set in memory or
-    /// in the store serves any trial count (a trial is bit-identical from
+    /// cache, the persistent store, or a fresh capture that keeps at most
+    /// `trials` snapshots. A set in memory or in the store serves any trial
+    /// count (a trial is bit-identical from
     /// any snapshot). The set's golden result and site log seed the
     /// golden and observation maps, so later lookups of either are free.
     pub(crate) fn snapshots_for<S: CacheLayer>(
@@ -348,14 +336,13 @@ impl GoldenCache {
         exec: &S::Exec<'_>,
         key: u64,
         cfg: &ExecConfig,
-        trace_cap: usize,
         trials: u64,
     ) -> Arc<SnapshotSet<S>> {
         let maps = S::maps(self);
         let make = || {
             let set = self.load_set::<S>(exec, key, cfg).unwrap_or_else(|| {
                 let start = std::time::Instant::now();
-                let set = substrate::capture_for::<S>(exec, cfg, trace_cap, trials);
+                let set = substrate::capture_for::<S>(exec, cfg, trials);
                 self.snap_capture_nanos
                     .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 self.snaps_kept.fetch_add(set.len() as u64, Ordering::Relaxed);
@@ -369,7 +356,7 @@ impl GoldenCache {
             Self::seed(&maps.sites, key, || set.sites().clone());
             set
         };
-        self.memo(&maps.snaps, key, |_| true, make)
+        self.memo(&maps.snaps, key, make)
     }
 
     /// Snapshot set for fast-forwarded IR trials over `m`: from the cache,
@@ -377,13 +364,13 @@ impl GoldenCache {
     /// Prints `m` to key it, every call.
     pub fn ir_snapshots_for(&self, m: &Module, exec: &ExecConfig) -> Arc<IrSnapshotSet> {
         let key = self.printed(module_hash(m));
-        self.snapshots_for::<IrLayer>(&Interpreter::new(m), key, exec, 0, u64::MAX)
+        self.snapshots_for::<IrLayer>(&Interpreter::new(m), key, exec, u64::MAX)
     }
 
     /// [`GoldenCache::ir_snapshots_for`] at the assembly layer.
     pub fn asm_snapshots_for(&self, m: &Module, p: &AsmProgram, exec: &ExecConfig) -> Arc<AsmSnapshotSet> {
         let key = self.printed(asm_hash(m, p));
-        self.snapshots_for::<AsmLayer>(&Machine::new(m, p), key, exec, 0, u64::MAX)
+        self.snapshots_for::<AsmLayer>(&Machine::new(m, p), key, exec, u64::MAX)
     }
 
     /// Sample every counter at once.
@@ -515,17 +502,15 @@ mod tests {
         // The loaded sets also seeded the golden maps.
         assert_eq!(resumed.ir_golden(&m, &exec).dyn_insts, s1.golden().dyn_insts);
         assert_eq!(resumed.stats().goldens_run, 0);
-        // Their site logs answer masses without executing; the trace a
-        // pruned unit asks for was never stored, so that lookup observes.
-        let mach = Machine::new(&m, &p);
+        // Their site logs answer masses without executing — a pruning
+        // machine's lookup too: no campaign lookup asks for a trace.
         let (ir_key, asm_key) = (module_hash(&m), asm_hash(&m, &p));
-        let log = resumed.observation::<AsmLayer>(&mach, asm_key, &exec, 0);
-        assert_eq!(resumed.stats().observations, 0, "a stored log serves an untraced lookup");
-        let traced = resumed.observation::<AsmLayer>(&mach, asm_key, &exec, GoldenCache::SITE_TRACE_CAP);
-        assert_eq!(resumed.stats().observations, 1, "a stored log keeps no trace");
-        assert_eq!(traced.trace().len() as u64, a1.golden().fault_sites);
-        assert_eq!(log.mass(0), traced.mass(0));
-        assert!(Arc::ptr_eq(&resumed.observation::<AsmLayer>(&mach, asm_key, &exec, 0), &traced));
+        let mach = Machine::new(&m, &p).pruning(vec![u64::MAX; p.insts.len()]);
+        let log = resumed.observation::<AsmLayer>(&mach, asm_key, &exec);
+        assert_eq!(resumed.stats().observations, 0, "a stored log serves a pruned unit's lookup");
+        assert!(log.trace().is_empty(), "a stored log keeps no trace");
+        assert_eq!(log.mass(0), a1.sites().mass(0));
+        assert!(Arc::ptr_eq(&resumed.observation::<AsmLayer>(&mach, asm_key, &exec), &log));
 
         // A replay with no golden records asks the store: each golden
         // lookup loads its stored set, which then serves the seal's site
@@ -533,8 +518,8 @@ mod tests {
         let replay = GoldenCache::with_store(SnapshotStore::at(&dir));
         assert_eq!(replay.ir_golden(&m, &exec).dyn_insts, s1.golden().dyn_insts);
         assert_eq!(replay.asm_golden(&m, &p, &exec).cycles, a1.golden().cycles);
-        let ir_log = replay.observation::<IrLayer>(&Interpreter::new(&m), ir_key, &exec, 0);
-        let asm_log = replay.observation::<AsmLayer>(&mach, asm_key, &exec, 0);
+        let ir_log = replay.observation::<IrLayer>(&Interpreter::new(&m), ir_key, &exec);
+        let asm_log = replay.observation::<AsmLayer>(&mach, asm_key, &exec);
         let st = replay.stats();
         assert_eq!((st.snap_loads, st.observations, st.goldens_run), (2, 0, 0));
         assert_eq!(ir_log.mass(0), s1.sites().mass(0));

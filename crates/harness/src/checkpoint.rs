@@ -291,8 +291,8 @@ pub struct BatchRecord {
     /// which proofs every batch trusted.
     #[serde(default)]
     pub prune_table: u64,
-    /// Trials of this batch resolved virtually (proven-masked pair →
-    /// Benign without execution). Subset of `counts.benign`.
+    /// Trials of this batch resolved by the static prune (proven-masked
+    /// pair → Benign, stopped at its site). Subset of `counts.benign`.
     #[serde(default)]
     pub pruned: u64,
 }

@@ -25,7 +25,6 @@ use crate::checkpoint::{BatchRecord, CheckpointLog, GoldenRecord, Header};
 use crate::incremental::{observed, Scope};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::plan::{Layer, TrialUnit, UnitKey};
-use crate::prior::StaticPrior;
 use crate::progress::{BatchOutcome, UnitProgress};
 use flowery_backend::AsmLayer;
 use flowery_faultmodel::{DetectorSpec, ModelSpec};
@@ -182,7 +181,7 @@ pub struct UnitResult {
     /// it; `flowery_regions::OTHER_REGION` collects unattributable trials.
     #[serde(default)]
     pub region_counts: Vec<(String, OutcomeCounts)>,
-    /// Trials resolved virtually by the static prune (subset of
+    /// Trials resolved by the static prune (subset of
     /// `counts.benign`); 0 when pruning was off.
     #[serde(default)]
     pub pruned: u64,
@@ -343,9 +342,8 @@ enum RunnerInner<'u> {
 pub struct UnitRunner<'u> {
     inner: RunnerInner<'u>,
     unit: &'u TrialUnit,
-    /// Static prune oracle, present when `cfg.static_prune` and this is an
-    /// assembly unit (the bit lattice is an assembly-layer analysis).
-    prior: Option<StaticPrior>,
+    /// Batch records' fingerprint of the machine's bit table; 0 unpruned.
+    prune_table: u64,
     scope: Option<Scope>,
 }
 
@@ -371,28 +369,28 @@ impl<'u> UnitRunner<'u> {
         cfg: &HarnessConfig,
         scope: Option<&Scope>,
     ) -> Result<UnitRunner<'u>, String> {
-        let (exec, pruned) = (&cfg.exec, cfg.static_prune && unit.key.layer == Layer::Asm);
-        let trace_cap = if pruned { GoldenCache::SITE_TRACE_CAP } else { 0 };
+        let (exec, mut prune_table) = (&cfg.exec, 0);
         let trials = scope.map_or(cfg.max_trials, |s| s.trials);
         let key = unit.content_key(cache);
-        let inner = match unit.key.layer {
-            Layer::Ir => cache
-                .runner(Interpreter::new(&unit.module), key, cfg.snapshots, exec, trace_cap, trials)
+        let inner = match &unit.program {
+            Some(p) => {
+                let mut machine = unit.machine();
+                if cfg.static_prune {
+                    // The machine decides each draw where it lands.
+                    let table = cache.asm_bits(&unit.module, p, key);
+                    prune_table = table.fingerprint(key);
+                    machine = machine.pruning(table.verdicts.iter().map(|v| v.proven_masked).collect());
+                }
+                cache.runner(machine, key, cfg.snapshots, exec, trials).map(RunnerInner::Asm)
+            }
+            None => cache
+                .runner(Interpreter::new(&unit.module), key, cfg.snapshots, exec, trials)
                 .map(RunnerInner::Ir),
-            Layer::Asm => cache
-                .runner(unit.machine(), key, cfg.snapshots, exec, trace_cap, trials)
-                .map(RunnerInner::Asm),
         };
         let inner = inner.map_err(|e| format!("{}: {e}", unit.key))?;
-        let prior = pruned.then(|| {
-            let p = unit.program.as_ref().expect("asm unit has a program");
-            let table = cache.asm_bits(&unit.module, p, key);
-            let hash = table.fingerprint(key);
-            StaticPrior::new(table, observed(unit, cache, cfg, trace_cap).trace().clone(), hash)
-        });
-        let mut runner = UnitRunner { inner, unit, prior, scope: None };
+        let mut runner = UnitRunner { inner, unit, prune_table, scope: None };
         let Some(scope) = scope else { return Ok(runner) };
-        let sites = observed(unit, cache, cfg, 0);
+        let sites = observed(unit, cache, cfg);
         let region = unit.region_id(&scope.region).unwrap_or(usize::MAX);
         let mass = sites.mass(region);
         if mass == 0 || mass != scope.mass {
@@ -420,19 +418,11 @@ impl<'u> UnitRunner<'u> {
         let start = batch * cfg.batch_size;
         let end = (start + cfg.batch_size).min(trials);
         let (model, detectors) = (cfg.fault_model, cfg.detectors.as_slice());
-        let mut data = BatchOutcome {
-            prune_table: self.prior.as_ref().map_or(0, |p| p.table_hash()),
-            ..BatchOutcome::default()
-        };
+        let mut data = BatchOutcome { prune_table: self.prune_table, ..BatchOutcome::default() };
         for i in start..end {
             let t = match &mut self.inner {
                 RunnerInner::Ir(r) => r.run_trial_model(seed, i, model, detectors),
-                RunnerInner::Asm(r) => {
-                    let prune = |s: &_| self.prior.as_ref().and_then(|p| p.masked_inst(s));
-                    let (t, pruned) = r.run_trial_model_pruned(seed, i, model, detectors, &prune);
-                    data.pruned += u64::from(pruned);
-                    t
-                }
+                RunnerInner::Asm(r) => r.run_trial_model(seed, i, model, detectors),
             };
             // Attribute the trial to its scope, else to the region (function)
             // holding its injection site; a fault that never landed (e.g.

@@ -57,14 +57,13 @@ pub fn unit_salt(key: &UnitKey, cfg: &HarnessConfig) -> u64 {
     h
 }
 
-/// The site observation of `unit`'s program, with a per-site trace of up
-/// to `trace_cap` entries — what only the prune oracle reads, so every
-/// other caller passes 0 and is served by any log, a stored one included.
-pub(crate) fn observed(unit: &TrialUnit, cache: &GoldenCache, cfg: &HarnessConfig, trace_cap: usize) -> Arc<SiteLog> {
+/// The site observation of `unit`'s program, served by any log, a stored
+/// one included.
+pub(crate) fn observed(unit: &TrialUnit, cache: &GoldenCache, cfg: &HarnessConfig) -> Arc<SiteLog> {
     let key = unit.content_key(cache);
     match unit.key.layer {
-        Layer::Ir => cache.observation::<IrLayer>(&Interpreter::new(&unit.module), key, &cfg.exec, trace_cap),
-        Layer::Asm => cache.observation::<AsmLayer>(&unit.machine(), key, &cfg.exec, trace_cap),
+        Layer::Ir => cache.observation::<IrLayer>(&Interpreter::new(&unit.module), key, &cfg.exec),
+        Layer::Asm => cache.observation::<AsmLayer>(&unit.machine(), key, &cfg.exec),
     }
 }
 
@@ -73,7 +72,7 @@ pub(crate) fn observed(unit: &TrialUnit, cache: &GoldenCache, cfg: &HarnessConfi
 /// content, none when a snapshot set has it).
 pub fn unit_region_set(unit: &TrialUnit, cache: &GoldenCache, cfg: &HarnessConfig) -> RegionSet {
     let salt = unit_salt(&unit.key, cfg);
-    let sites = &observed(unit, cache, cfg, 0);
+    let sites = &observed(unit, cache, cfg);
     match &unit.program {
         None => flowery_regions::ir_region_set(&unit.module, sites, salt),
         Some(program) => flowery_regions::asm_region_set(&unit.module, program, sites, salt),

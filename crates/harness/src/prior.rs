@@ -1,17 +1,18 @@
-//! The static-prune layer: a per-unit oracle mapping sampled fault specs
-//! to bit-lattice masking proofs.
+//! The static-prune recipe and its trace-fed oracle.
 //!
-//! [`StaticPrior`] pairs the per-program [`BitTable`] (which sampled bits
-//! of which *static* instruction are proven masked) with the golden site
-//! trace (which static instruction the `n`-th *dynamic* fault site is).
-//! The harness consults it per trial: when the sampled (site, bit) pair is
-//! proven masked, the trial resolves as Benign with golden-identical
-//! attribution and zero execution. Crucially the sample draw itself is
-//! untouched — pruned and unpruned campaigns consume the identical trial
-//! stream, so outcome counts, Wilson intervals, SDC attributions, and
-//! checkpoint records are bit-for-bit equal; only the work is skipped.
+//! A pruned campaign hands each assembly unit's machine the per-program
+//! [`BitTable`]'s proven-masked bits (`Machine::pruning`): when a trial's
+//! sampled (site, bit) pair is proven masked at the instruction it lands
+//! on, the run stops there and the trial resolves as Benign with
+//! golden-identical attribution. The sample draw itself is untouched —
+//! pruned and unpruned campaigns consume the identical trial stream, so
+//! outcome counts, Wilson intervals, SDC attributions, and checkpoint
+//! records are bit-for-bit equal; only the work past the site is skipped.
 //! (No mass is moved between bins, so estimates stay unbiased by
 //! construction — "renormalization" is the no-op of keeping the stream.)
+//!
+//! [`StaticPrior`] decides the same draws before a trial runs, from the
+//! golden site trace: the independent check of the in-engine prune.
 
 use flowery_analysis::statline::bits::{BitTable, BITS_VERSION};
 use flowery_backend::AsmFaultSpec;
@@ -20,16 +21,19 @@ use flowery_ir::interp::FaultEffect;
 use std::sync::Arc;
 
 /// Provenance signature of the prune recipe itself: analyzer version plus
-/// the engine's virtual-benign contract. Recorded (combined with each
-/// unit's table fingerprint) in checkpoint headers and batch records;
-/// resumes across differing signatures are refused rather than silently
-/// mixed. `asm-key-2`: table fingerprints fold [`crate::cache::asm_hash`],
-/// so a log pruned under the listing-only key is refused.
+/// the engine's contract. Recorded (combined with each unit's table
+/// fingerprint) in checkpoint headers and batch records; resumes across
+/// differing signatures are refused rather than silently mixed.
+/// `asm-key-2`: table fingerprints fold [`crate::cache::asm_hash`], so a
+/// log pruned under the listing-only key is refused. `in-step`: the prune
+/// is decided where the fault lands, with no site-trace cap, so a program
+/// past the old 2^22-site trace prunes draws a trace-capped log executed.
 pub fn prune_signature() -> u64 {
-    fnv1a(b"static-prune/virtual-benign/asm-key-2/") ^ fnv1a(BITS_VERSION.as_bytes())
+    fnv1a(b"static-prune/in-step/asm-key-2/") ^ fnv1a(BITS_VERSION.as_bytes())
 }
 
-/// Per-unit prune oracle (assembly layer only).
+/// Per-unit prune oracle fed by the golden site trace (assembly layer
+/// only). Kept for `benchmark/src/trace.rs` until ROADMAP 1(a).
 pub struct StaticPrior {
     table: Arc<BitTable>,
     /// `site_map[i]` = static instruction index of dynamic fault site `i`
@@ -49,37 +53,21 @@ impl StaticPrior {
         self.table_hash
     }
 
-    /// Mean vulnerable fraction of the table (flagged-first ordering key).
-    pub fn mean_vulnerable(&self) -> f64 {
-        self.table.mean_vulnerable()
-    }
-
-    /// Total proven-masked (site, bit) pairs in the table.
-    pub fn proven_pairs(&self) -> u64 {
-        self.table.proven_pairs
-    }
-
     /// If `spec` is provably masked, the instruction index it would land
-    /// on (the virtual trial's attribution); `None` means run it for real.
+    /// on (the pruned trial's attribution); `None` means run it for real.
     ///
     /// Only the plain bit-flip effect is prunable: the proofs are about
     /// destination bit flips, not bursts, flag strikes, memory-cell hits,
     /// or control-edge redirects. A double-bit flip is masked iff both
     /// bits are individually masked (tracked deviations compose
-    /// pointwise). Sites past the golden run's site count never fire —
-    /// the sampler draws within it — and sites past the trace cap stay
-    /// unpruned.
+    /// pointwise). Sites past the golden run's site count never fire (the
+    /// sampler draws within it); past the trace cap they stay unpruned,
+    /// where a pruning machine, deciding the same draws in its run, has no cap.
     pub fn masked_inst(&self, spec: &AsmFaultSpec) -> Option<u32> {
-        if spec.effect != FaultEffect::Bits {
-            return None;
-        }
         let inst = *self.site_map.get(usize::try_from(spec.site_index).ok()?)?;
         let v = self.table.verdicts.get(inst as usize)?;
-        if v.masked(spec.bit) && spec.second_bit.is_none_or(|b2| v.masked(b2)) {
-            Some(inst)
-        } else {
-            None
-        }
+        let masked = v.masked(spec.bit) && spec.second_bit.is_none_or(|b2| v.masked(b2));
+        (spec.effect == FaultEffect::Bits && masked).then_some(inst)
     }
 }
 
@@ -112,7 +100,8 @@ mod tests {
 
     #[test]
     fn signature_is_stable_and_version_bound() {
-        assert_eq!(prune_signature(), prune_signature());
-        assert_ne!(prune_signature(), 0);
+        // Pinned: a recipe change must move it on purpose, so a log pruned
+        // under the old recipe is refused on resume.
+        assert_eq!(prune_signature(), 0x3dff_df53_f9ac_6d2c);
     }
 }

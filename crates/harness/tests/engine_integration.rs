@@ -251,6 +251,44 @@ fn each_program_content_executes_fault_free_once() {
 }
 
 #[test]
+fn a_pruned_resume_executes_nothing_fault_free() {
+    // A pruned campaign cut to its first half, as an interrupted run leaves
+    // it, resumes from its stored sets alone: the machine decides the prune
+    // where each fault lands, so no lookup asks for a per-site trace.
+    let units = small_matrix();
+    let hcfg = HarnessConfig { static_prune: true, ..cfg(200, 50, 2) };
+    let (path, dir) = (tmp("pruned-resume"), tmp("pruned-resume.snaps"));
+    std::fs::remove_dir_all(&dir).ok();
+    let campaign = |resume: bool| {
+        let (log, preloaded, ..) = open(&path, &hcfg.header(), resume).unwrap();
+        let cache = GoldenCache::with_store(SnapshotStore::at(dir.clone()));
+        let report = run_units(
+            &units,
+            &hcfg,
+            &cache,
+            RunOptions { checkpoint: Some(&log), preloaded, ..Default::default() },
+        );
+        assert!(report.units.iter().any(|u| u.pruned > 0), "the campaign prunes");
+        seal(&path, log, &region_records(&units, &report.units, &cache, &hcfg)).unwrap();
+        cache.stats()
+    };
+    campaign(false);
+    let uninterrupted = std::fs::read(&path).unwrap();
+    let (header, batches, _) = flowery_harness::load_checkpoint_full(&path).unwrap();
+    let half = header.max_batches() / 2;
+    let kept: Vec<_> = batches.into_iter().filter(|b| b.batch < half).collect();
+    write_canonical(&path, &header, &kept).unwrap();
+    let st = campaign(true);
+    assert_eq!((st.observations, st.goldens_run, st.snap_captures), (0, 0, 0), "{st:?}");
+    assert!(
+        std::fs::read(&path).unwrap() == uninterrupted,
+        "the resumed seal is the uninterrupted one"
+    );
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn a_campaign_prints_each_unit_once_and_units_keep_their_keys() {
     // Cold, through the selection profile pass: one print per unit, the
     // Raw@Ir units' made by the profile pass and kept in the matrix.

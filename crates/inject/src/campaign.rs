@@ -48,6 +48,9 @@ pub struct TrialOutcome {
     pub ff_insts: u64,
     /// Instructions actually executed by this trial.
     pub exec_insts: u64,
+    /// Assembly layer: the drawn flip is proven masked where it lands, so
+    /// the trial is Benign by proof (see [`Machine::pruning`]).
+    pub pruned: bool,
 }
 
 pub type AsmTrialOutcome = TrialOutcome;
@@ -60,7 +63,7 @@ pub trait InjectLayer: Substrate {
     const STREAM: u64;
 
     /// Record where `result`'s injection landed in the layer's field of
-    /// `out`.
+    /// `out`; a run pruned there is Benign by proof.
     fn locate(result: &Self::Golden, out: &mut TrialOutcome);
 
     /// Whether one of `detectors` covers `fault` as it landed in `result`.
@@ -84,6 +87,10 @@ impl InjectLayer for AsmLayer {
 
     fn locate(result: &MachResult, out: &mut TrialOutcome) {
         out.injected_inst = result.injected_inst;
+        out.pruned = result.pruned;
+        if result.pruned {
+            out.outcome = Outcome::Benign;
+        }
     }
 
     /// Detector coverage is decided against the *architected destination*
@@ -154,7 +161,8 @@ impl<'p> AsmTrialRunner<'p> {
     /// without executing — the sample draw itself is unchanged, so the
     /// trial stream (and therefore every count and Wilson interval) stays
     /// bit-identical to the unpruned campaign. Returns the outcome and
-    /// whether the trial was pruned.
+    /// whether the trial was pruned. Kept for `benchmark/src/trace.rs` until
+    /// ROADMAP 1(a), as the check of the in-run prune ([`Machine::pruning`]).
     pub fn run_trial_model_pruned(
         &mut self,
         seed: u64,
@@ -171,6 +179,7 @@ impl<'p> AsmTrialRunner<'p> {
                 injected_inst: Some(inst),
                 ff_insts: 0,
                 exec_insts: 0,
+                pruned: true,
             };
             return (out, true);
         }
@@ -224,7 +233,7 @@ impl<'a, S: InjectLayer> TrialRunner<'a, S> {
     /// self-tuning site-spaced cadence. The set can be shared across the
     /// campaign's worker threads via [`TrialRunner::attach_snapshots`].
     pub fn build_snapshots(&self) -> SnapshotSet<S> {
-        let set = substrate::capture_auto::<S>(&self.exec, &self.cfg, 0);
+        let set = substrate::capture_for::<S>(&self.exec, &self.cfg, u64::MAX);
         debug_assert_eq!(set.golden().head().output, self.golden.head().output, "capture run diverged from golden");
         set
     }
@@ -300,6 +309,7 @@ impl<'a, S: InjectLayer> TrialRunner<'a, S> {
             injected_inst: None,
             ff_insts: skipped,
             exec_insts: head.dyn_insts - skipped,
+            pruned: false,
         };
         S::locate(&r, &mut out);
         if out.outcome == Outcome::Sdc && !detectors.is_empty() && S::caught(&self.exec, detectors, &spec, &r) {
@@ -330,9 +340,9 @@ pub struct BatchOutcome {
     pub ff_insts: u64,
     /// Instructions actually executed.
     pub exec_insts: u64,
-    /// Trials resolved virtually by the static prune (proven-masked
-    /// (site, bit) pair → Benign without execution). Checkpointed: the
-    /// saved work is part of the run's provenance, not a transient metric.
+    /// Trials resolved by the static prune (proven-masked (site, bit) pair
+    /// → Benign without executing the suffix). Checkpointed: the saved work
+    /// is part of the run's provenance, not a transient metric.
     pub pruned: u64,
     /// Fingerprint of the bit-verdict table the batch was pruned against;
     /// 0 when the unit ran unpruned.
@@ -346,6 +356,7 @@ impl BatchOutcome {
         self.counts.record(t.outcome);
         self.ff_insts += t.ff_insts;
         self.exec_insts += t.exec_insts;
+        self.pruned += u64::from(t.pruned);
         if let Some(name) = region {
             region_slot(&mut self.region_counts, name).record(t.outcome);
         }
@@ -421,6 +432,7 @@ mod tests {
             injected_inst: Some(inst),
             ff_insts: 10,
             exec_insts: 5,
+            pruned: false,
         };
         let trials = [
             (trial(Outcome::Sdc, 7), "main"),

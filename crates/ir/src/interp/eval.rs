@@ -129,12 +129,12 @@ impl<'m> Interpreter<'m> {
     /// One fault-free run that captures a snapshot every `interval` dynamic
     /// instructions (see [`substrate::capture`]).
     pub fn capture_snapshots(&self, config: &ExecConfig, interval: u64) -> IrSnapshotSet {
-        substrate::capture(self, config, Cadence::Insts(interval), None, 0)
+        substrate::capture(self, config, Cadence::Insts(interval), None)
     }
 
-    /// Self-tuning site-spaced capture (see [`substrate::capture_auto`]).
+    /// Self-tuning site-spaced capture (see [`substrate::capture_for`]).
     pub fn capture_snapshots_auto(&self, config: &ExecConfig) -> IrSnapshotSet {
-        substrate::capture_auto(self, config, 0)
+        substrate::capture_for(self, config, u64::MAX)
     }
 
     /// Run one faulty trial from the nearest snapshot at-or-before the
@@ -320,7 +320,8 @@ impl Substrate for IrLayer {
             return Err("snapshot file: empty call stack".into());
         }
         let prev = prev.map_or(&[][..], |p| &p.stack[..]);
-        let mut stack: Vec<Frame> = Vec::new();
+        // Sized by the previous stack, never by the file's count alone.
+        let mut stack: Vec<Frame> = Vec::with_capacity(n_frames.min(prev.len() + 1));
         for depth in 0..n_frames {
             let func = FuncId(c.leb32()?);
             let block = BlockId(c.leb32()?);

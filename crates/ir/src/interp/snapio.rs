@@ -53,7 +53,7 @@
 
 use crate::fnv1a;
 use crate::interp::memory::{trap_code, trap_from, BaseImage, Page, PageMap, BLOCK_SIZE, PAGE_SIZE};
-use crate::interp::snapshot::{Cadence, SiteLog, Snapshot, SnapshotSet};
+use crate::interp::snapshot::{Cadence, SiteLog, Snapshot, SnapshotSet, AUTO_MAX_SNAPS};
 use crate::interp::substrate::{Linked, RunResult, Substrate};
 use crate::interp::ExecStatus;
 use crate::module::Module;
@@ -420,8 +420,10 @@ impl<S: Substrate> SnapshotSet<S> {
             return Err("snapshot file: zero cadence".into());
         }
         let golden = S::decode_head(&mut c)?;
-        let mut snaps: Vec<Snapshot<S>> = Vec::new();
-        for _ in 0..c.count()? {
+        // A campaign's set holds at most `AUTO_MAX_SNAPS`: no file reserves more.
+        let count = c.count()?;
+        let mut snaps: Vec<Snapshot<S>> = Vec::with_capacity(count.min(AUTO_MAX_SNAPS));
+        for _ in 0..count {
             let prev = snaps.last();
             let (d, f, o) = prev.map_or((0, 0, 0), |p| (p.dyn_insts, p.fault_sites, p.output_len as u64));
             let (dyn_insts, fault_sites) = (d.wrapping_add(c.leb()?), f.wrapping_add(c.leb()?));

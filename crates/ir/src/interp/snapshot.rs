@@ -160,7 +160,9 @@ impl<S: Substrate> SnapshotSet<S> {
 /// stream onto the global one that sampling, snapshot restore points and
 /// the static prune share — the `k`-th site executed inside a region is an
 /// ordinary global site index ([`SiteLog::index`]). Holds O(region
-/// transitions), plus the per-site trace up to the cap its maker asked for.
+/// transitions); only an observation
+/// ([`observe`](crate::interp::substrate::observe)) also keeps a per-site
+/// trace, up to the cap its caller asks for.
 #[derive(Debug)]
 pub struct SiteLog {
     /// Region of each code position ([`Substrate::site_regions`]); empty
@@ -173,9 +175,8 @@ pub struct SiteLog {
     pub(crate) masses: Vec<u64>,
     /// Region of the latest site (`u32::MAX` before the first).
     last: u32,
-    /// The trace while recording; [`SiteLog::close`] moves it to `trace`.
-    recording: Vec<u32>,
-    trace: Arc<Vec<u32>>,
+    /// Code position of each site, up to `trace_cap` of them.
+    trace: Vec<u32>,
     trace_cap: usize,
 }
 
@@ -187,8 +188,7 @@ impl SiteLog {
             runs: vec![Vec::new(); regions],
             masses: vec![0; regions],
             last: u32::MAX,
-            recording: Vec::new(),
-            trace: Arc::default(),
+            trace: Vec::new(),
             trace_cap,
         }
     }
@@ -199,8 +199,8 @@ impl SiteLog {
         if self.last != region {
             self.turn(region, site);
         }
-        if self.recording.len() < self.trace_cap {
-            self.recording.push(pos);
+        if self.trace.len() < self.trace_cap {
+            self.trace.push(pos);
         }
     }
 
@@ -218,10 +218,9 @@ impl SiteLog {
     }
 
     /// End the recording of a run of `sites` fault sites: close the last
-    /// run, seal the trace, and drop the position table only recording needs.
+    /// run, and drop the position table only recording needs.
     pub(crate) fn close(&mut self, sites: u64) {
         self.turn(u32::MAX, sites);
-        self.trace = Arc::new(std::mem::take(&mut self.recording));
         self.region_of = Vec::new();
     }
 
@@ -243,15 +242,10 @@ impl SiteLog {
     }
 
     /// Code position of each fault site in execution order, up to the cap
-    /// the log was made with (later sites go unmapped).
-    pub fn trace(&self) -> &Arc<Vec<u32>> {
+    /// the log was made with (later sites go unmapped); empty for a
+    /// capture's log and a stored one.
+    pub fn trace(&self) -> &[u32] {
         &self.trace
-    }
-
-    /// True when the log was recorded with a trace cap of at least
-    /// `trace_cap`; a persisted log keeps no trace and serves only `0`.
-    pub fn serves(&self, trace_cap: usize) -> bool {
-        self.trace_cap >= trace_cap
     }
 }
 

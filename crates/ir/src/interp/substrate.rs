@@ -177,7 +177,7 @@ pub fn run<S: Substrate>(exec: &S::Exec<'_>, config: &ExecConfig, fault: Option<
 /// snapshot; honors `config.profile`, so the same pass can be the profiled
 /// run.
 pub fn observe<S: Substrate>(exec: &S::Exec<'_>, config: &ExecConfig, trace_cap: usize) -> (S::Golden, Arc<SiteLog>) {
-    let set = capture::<S>(exec, config, Cadence::Insts(u64::MAX), None, trace_cap);
+    let set = record::<S>(exec, config, Cadence::Insts(u64::MAX), None, trace_cap);
     (set.golden, set.sites)
 }
 
@@ -228,11 +228,21 @@ pub fn trial<S: Substrate>(
 }
 
 /// One fault-free run that captures a snapshot on `cadence` and logs the
-/// golden order of fault sites by region (see [`SiteLog`]), keeping the
-/// per-site trace up to `trace_cap` entries. Honors `config.profile` for the
-/// golden result only. `max_snaps` caps the set by widening the cadence
-/// (`None` keeps `cadence` exact).
+/// golden order of fault sites by region (see [`SiteLog`]), keeping no
+/// per-site trace. Honors `config.profile` for the golden result only.
+/// `max_snaps` caps the set by widening the cadence (`None` keeps
+/// `cadence` exact).
 pub fn capture<S: Substrate>(
+    exec: &S::Exec<'_>,
+    config: &ExecConfig,
+    cadence: Cadence,
+    max_snaps: Option<usize>,
+) -> SnapshotSet<S> {
+    record(exec, config, cadence, max_snaps, 0)
+}
+
+/// [`capture`], keeping the per-site trace up to `trace_cap` entries.
+fn record<S: Substrate>(
     exec: &S::Exec<'_>,
     config: &ExecConfig,
     cadence: Cadence,
@@ -253,23 +263,14 @@ fn pristine<S: Substrate>(exec: &S::Exec<'_>, config: &ExecConfig) -> BaseImage 
     BaseImage::new(S::module(exec), config.mem_size, config.stack_size).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Self-tuning capture: a snapshot every [`AUTO_SITE_CADENCE`] fault sites,
-/// the cadence doubling whenever the set would exceed [`AUTO_MAX_SNAPS`].
-pub fn capture_auto<S: Substrate>(exec: &S::Exec<'_>, config: &ExecConfig, trace_cap: usize) -> SnapshotSet<S> {
-    capture_for(exec, config, trace_cap, u64::MAX)
-}
-
-/// [`capture_auto`] for a unit that runs `trials` trials: the cap is
-/// `min(AUTO_MAX_SNAPS, trials)`. A trial restores at most one snapshot, so
-/// a larger set keeps snapshots no trial of the unit will use.
-pub fn capture_for<S: Substrate>(
-    exec: &S::Exec<'_>,
-    config: &ExecConfig,
-    trace_cap: usize,
-    trials: u64,
-) -> SnapshotSet<S> {
+/// Self-tuning capture for a unit that runs `trials` trials: a snapshot
+/// every [`AUTO_SITE_CADENCE`] fault sites, the cadence doubling whenever
+/// the set would exceed `min(AUTO_MAX_SNAPS, trials)`. A trial restores at
+/// most one snapshot, so a larger set keeps snapshots no trial of the unit
+/// will use; `u64::MAX` trials caps it at [`AUTO_MAX_SNAPS`].
+pub fn capture_for<S: Substrate>(exec: &S::Exec<'_>, config: &ExecConfig, trials: u64) -> SnapshotSet<S> {
     let cap = usize::try_from(trials).map_or(AUTO_MAX_SNAPS, |t| t.clamp(1, AUTO_MAX_SNAPS));
-    capture(exec, config, Cadence::Sites(AUTO_SITE_CADENCE), Some(cap), trace_cap)
+    capture(exec, config, Cadence::Sites(AUTO_SITE_CADENCE), Some(cap))
 }
 
 #[cfg(test)]

@@ -2,11 +2,12 @@
 # Static-prune smoke test: `--static-prune` must (a) prove a nonzero
 # number of (site, bit) pairs and actually skip trials on every
 # benchmark, timing the bit analysis in `bits_secs` (0 unpruned), (b)
-# leave per-unit results *identical* to the unpruned campaign — the
-# virtual-benign design makes the Wilson CIs not merely overlapping but
-# bit-equal — and (c) checkpoint with prune provenance:
-# a `--resume` of a finished pruned run is a byte-identical pure replay,
-# and a resume that drops (or adds) `--static-prune` is refused.
+# leave per-unit results *identical* to the unpruned campaign — a pruned
+# draw keeps its place in the trial stream, so the Wilson CIs are not
+# merely overlapping but bit-equal — and (c) checkpoint with prune
+# provenance: a `--resume` of a finished pruned run is a byte-identical
+# pure replay, and a resume that drops (or adds) `--static-prune`, or
+# that meets a log pruned under another recipe, is refused.
 set -euo pipefail
 
 BIN=${FLOWERY_BIN:-target/release/flowery}
@@ -73,5 +74,19 @@ if "$BIN" campaign "${ARGS[@]}" --resume --checkpoint "$DIR/ckpt.jsonl" \
 fi
 grep -q "static_prune" "$DIR/mixed.log" \
     || { echo "refusal does not name static_prune"; cat "$DIR/mixed.log"; exit 1; }
+# The signature of the previous recipe, which decided each draw before it
+# ran from a per-site trace capped at 2^22 sites: a log it pruned must not
+# be mixed into one pruned where the fault lands, with no cap.
+OLD_SIG=13537977836176066103
+sed "1s/\"static_prune\":[0-9]*/\"static_prune\":$OLD_SIG/" "$DIR/ckpt.before" >"$DIR/old.jsonl"
+head -1 "$DIR/old.jsonl" | grep -q "\"static_prune\":$OLD_SIG" \
+    || { echo "could not stamp the previous signature"; head -1 "$DIR/old.jsonl"; exit 1; }
+if "$BIN" campaign "${ARGS[@]}" --static-prune --resume --checkpoint "$DIR/old.jsonl" \
+    >/dev/null 2>"$DIR/old.log"; then
+    echo "resume accepted a checkpoint pruned under the previous recipe"
+    exit 1
+fi
+grep -q "static_prune" "$DIR/old.log" \
+    || { echo "refusal of the previous recipe does not name static_prune"; cat "$DIR/old.log"; exit 1; }
 
 echo "prune-smoke: ok"

@@ -4,13 +4,15 @@
 //! instruction at a time and stop by at each snapshot's instruction count.
 //! There the two must agree on the site counter, the state as the snapshot
 //! file encodes it against no predecessor, the output length, and every
-//! page either side has touched; the golden results and the site traces
-//! must agree too.
+//! page either side has touched; the golden results must agree too. A
+//! capture keeps no site trace: its site log's masses and runs must be the
+//! oracle's site stream mapped through `site_regions`, and an observation's
+//! trace (`substrate::observe`, what `Machine::site_trace` reads) must be
+//! that stream itself.
 //!
 //! Both layers, both cadences (site-spaced with the count cap at 128 and at
 //! a unit's trial count, instruction-spaced with and without a budget trap
-//! on a due point), trace caps 0 and 2²², on the Tiny workloads and on
-//! random programs.
+//! on a due point), on the Tiny workloads and on random programs.
 
 #[path = "common/asm_oracle.rs"]
 mod asm_oracle;
@@ -45,49 +47,50 @@ fn points_every(every: u64, end: u64, cfg: &ExecConfig) -> Vec<u64> {
 }
 
 /// The captures of one program under `cfg`: the self-tuning cadence capped
-/// at 128 and at 40 trials, and an instruction cadence of about 40 steps,
-/// each at trace caps 0 and 2²². Checks where each takes its first (site
-/// cadence) or every (instruction cadence) snapshot, so that a recording
-/// loop that stops nowhere cannot pass unseen.
+/// at 128 and at 40 trials, and an instruction cadence of about 40 steps.
+/// Checks where each takes its first (site cadence) or every (instruction
+/// cadence) snapshot, so that a recording loop that stops nowhere cannot
+/// pass unseen.
 fn captures<S: Substrate>(exec: &S::Exec<'_>, cfg: &ExecConfig) -> Vec<(String, SnapshotSet<S>)> {
     let golden = substrate::run::<S>(exec, cfg, None);
     let (end, sites) = (golden.head().dyn_insts, golden.head().fault_sites);
     let every = (end / 40).max(1);
     let mut out = Vec::new();
-    for trace_cap in [0, GoldenCache::SITE_TRACE_CAP] {
-        for trials in [u64::MAX, 40] {
-            let set = substrate::capture_for::<S>(exec, cfg, trace_cap, trials);
-            let label = format!("sites, {trials} trials, trace cap {trace_cap}");
-            // Widening keeps the first snapshot, due at the first cadence step.
-            let first = set.snapshots().first().map(|s| s.fault_sites);
-            assert!(
-                sites <= AUTO_SITE_CADENCE || first == Some(AUTO_SITE_CADENCE),
-                "{label}: first at {first:?}"
-            );
-            out.push((label, set));
-        }
-        let set = substrate::capture::<S>(exec, cfg, Cadence::Insts(every), None, trace_cap);
-        let at: Vec<u64> = set.snapshots().iter().map(|s| s.dyn_insts).collect();
-        assert_eq!(at, points_every(every, end, cfg), "every {every} instructions: snapshot points");
-        out.push((format!("every {every} instructions, trace cap {trace_cap}"), set));
+    for trials in [u64::MAX, 40] {
+        let set = substrate::capture_for::<S>(exec, cfg, trials);
+        let label = format!("sites, {trials} trials");
+        // Widening keeps the first snapshot, due at the first cadence step.
+        let first = set.snapshots().first().map(|s| s.fault_sites);
+        assert!(
+            sites <= AUTO_SITE_CADENCE || first == Some(AUTO_SITE_CADENCE),
+            "{label}: first at {first:?}"
+        );
+        out.push((label, set));
     }
+    let set = substrate::capture::<S>(exec, cfg, Cadence::Insts(every), None);
+    let at: Vec<u64> = set.snapshots().iter().map(|s| s.dyn_insts).collect();
+    assert_eq!(at, points_every(every, end, cfg), "every {every} instructions: snapshot points");
+    out.push((format!("every {every} instructions"), set));
     out
 }
 
 /// Hold every snapshot of `sets` against the oracle's state at its point,
-/// and each set's golden result and site trace against the oracle's run.
+/// each set's golden result and site log against the oracle's run, and an
+/// observation's trace against the oracle's site stream.
 fn check<S: Substrate>(
     what: &str,
-    m: &Module,
+    exec: &S::Exec<'_>,
     cfg: &ExecConfig,
     sets: &[(String, SnapshotSet<S>)],
     visit: Visit<'_, S::Golden>,
 ) {
+    let m = S::module(exec);
     let points: BTreeSet<u64> = sets
         .iter()
         .flat_map(|(_, set)| set.snapshots().iter().map(|s| s.dyn_insts))
         .collect();
     let points: Vec<u64> = points.into_iter().collect();
+    let region_of = S::site_regions(exec);
     let base = BaseImage::new(m, cfg.mem_size, cfg.stack_size).unwrap();
     let mut image = base.image();
     let mut next = vec![0usize; sets.len()];
@@ -124,19 +127,31 @@ fn check<S: Substrate>(
             "{what}, {label}: order"
         );
         assert_eq!(set.golden(), &golden, "{what}, {label}: golden result");
-        let want = if set.sites().serves(GoldenCache::SITE_TRACE_CAP) {
-            &trace[..]
-        } else {
-            &[]
-        };
-        assert_eq!(&set.sites().trace()[..], want, "{what}, {label}: site trace");
+        let log = set.sites();
+        assert!(log.trace().is_empty(), "{what}, {label}: a capture keeps no site trace");
+        // The k-th site of each region, in the oracle's stream, is the one
+        // the log indexes as such; past the last, each region's mass ends.
+        let mut seen = vec![0u64; region_of.iter().max().map_or(0, |&r| r as usize + 1)];
+        for (global, &pos) in trace.iter().enumerate() {
+            let r = region_of[pos as usize] as usize;
+            assert_eq!(log.index(r, seen[r]), Some(global as u64), "{what}, {label}: site {global}");
+            seen[r] += 1;
+        }
+        for (r, &n) in seen.iter().enumerate() {
+            assert_eq!(log.mass(r), n, "{what}, {label}: mass of region {r}");
+        }
     }
+    let (observed, log) = substrate::observe::<S>(exec, cfg, GoldenCache::SITE_TRACE_CAP);
+    assert_eq!(observed, golden, "{what}: observed golden result");
+    assert_eq!(log.trace(), &trace[..], "{what}: observed site trace");
+    let (_, capped) = substrate::observe::<S>(exec, cfg, 5);
+    assert_eq!(capped.trace(), &trace[..trace.len().min(5)], "{what}: capped site trace");
 }
 
 fn check_ir(what: &str, m: &Module, cfg: &ExecConfig) {
     let interp = Interpreter::new(m);
     let sets = captures::<IrLayer>(&interp, cfg);
-    check(&format!("{what} (ir)"), m, cfg, &sets, &|cfg, points, at, site| {
+    check(&format!("{what} (ir)"), &interp, cfg, &sets, &|cfg, points, at, site| {
         ir_oracle::visit(m, cfg, points, at, site)
     });
 }
@@ -144,7 +159,7 @@ fn check_ir(what: &str, m: &Module, cfg: &ExecConfig) {
 fn check_asm(what: &str, m: &Module, p: &AsmProgram, cfg: &ExecConfig) {
     let mach = Machine::new(m, p);
     let sets = captures::<AsmLayer>(&mach, cfg);
-    check(&format!("{what} (asm)"), m, cfg, &sets, &|cfg, points, at, site| {
+    check(&format!("{what} (asm)"), &mach, cfg, &sets, &|cfg, points, at, site| {
         asm_oracle::visit(m, p, cfg, points, at, site)
     });
 }
@@ -183,11 +198,11 @@ fn a_capture_due_where_the_budget_traps_is_taken_before_the_trap() {
         let (ir_cfg, asm_cfg) = (budget(ir_end), budget(asm_end));
         let ir = vec![(
             "every 100".to_string(),
-            substrate::capture::<IrLayer>(&interp, &ir_cfg, Cadence::Insts(100), None, 0),
+            substrate::capture::<IrLayer>(&interp, &ir_cfg, Cadence::Insts(100), None),
         )];
         let asm = vec![(
             "every 100".to_string(),
-            substrate::capture::<AsmLayer>(&mach, &asm_cfg, Cadence::Insts(100), None, 0),
+            substrate::capture::<AsmLayer>(&mach, &asm_cfg, Cadence::Insts(100), None),
         )];
         let ir_at: Vec<u64> = ir[0].1.snapshots().iter().map(|s| s.dyn_insts).collect();
         let asm_at: Vec<u64> = asm[0].1.snapshots().iter().map(|s| s.dyn_insts).collect();
@@ -198,14 +213,14 @@ fn a_capture_due_where_the_budget_traps_is_taken_before_the_trap() {
         assert!(!asm[0].1.golden().head().status.is_completed(), "test premise: the budget traps");
         check(
             &format!("budget {} (ir)", ir_cfg.max_dyn_insts),
-            &m,
+            &interp,
             &ir_cfg,
             &ir,
             &|cfg, points, at, site| ir_oracle::visit(&m, cfg, points, at, site),
         );
         check(
             &format!("budget {} (asm)", asm_cfg.max_dyn_insts),
-            &m,
+            &mach,
             &asm_cfg,
             &asm,
             &|cfg, points, at, site| asm_oracle::visit(&m, &p, cfg, points, at, site),

@@ -139,6 +139,7 @@ fn exec(
         fault_sites: st.fault_sites,
         cycles: st.cycles,
         injected_inst: st.injected_inst,
+        pruned: false,
         profile: st.profile,
     }
 }

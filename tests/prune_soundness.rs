@@ -15,6 +15,12 @@
 //!    must reproduce the unpruned campaign's per-unit counts, Wilson CI,
 //!    SDC attributions, and region tallies bit-for-bit, while actually
 //!    pruning a nonzero number of trials (so the equality is not vacuous).
+//!    The prune is decided inside the run, where the fault lands; the
+//!    trace-fed oracle (`Machine::site_trace` + `StaticPrior::masked_inst`,
+//!    deciding each draw before a trial runs) must reproduce every pruned
+//!    unit's tally under all three engines, with snapshots on and off,
+//!    under the bit models and the ones no proof covers, and scoped to one
+//!    region.
 //! 4. **Verdict pins** — the same 48 workload programs must reproduce
 //!    pinned `(sites, proven pairs, table fingerprint)` triples, recorded
 //!    from the per-path walk the joined fixpoint replaced.
@@ -27,14 +33,16 @@ mod common;
 use common::program_strategy;
 use flowery_analysis::statline::analyze_bits;
 use flowery_analysis::{predict_program, StaticReport};
-use flowery_backend::{compile_module, AsmFaultSpec, BackendConfig, Machine};
-use flowery_harness::{build_matrix, program_hash, run_units, GoldenCache, HarnessConfig, MatrixSpec, RunOptions};
-use flowery_inject::{classify, Outcome};
-use flowery_ir::interp::ExecConfig;
+use flowery_backend::{compile_module, AsmFaultSpec, AsmLayer, AsmProgram, BackendConfig, Machine};
+use flowery_harness::{asm_hash, build_matrix, program_hash, run_units, GoldenCache, HarnessConfig, MatrixSpec};
+use flowery_harness::{Layer, RunOptions, StaticPrior, TrialUnit, UnitKey, Variant};
+use flowery_inject::{classify, AsmTrialRunner, BatchOutcome, ModelSpec, Outcome};
+use flowery_ir::interp::{substrate, ExecConfig, ExecMode, SiteLog};
 use flowery_ir::{fnv1a, Module};
 use flowery_passes::{apply_flowery, duplicate_module, DupConfig, FloweryConfig, ProtectionPlan};
 use flowery_workloads::{workload, Scale, NAMES};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn protect(mut m: Module, pass: &str) -> Module {
     if pass != "raw" {
@@ -172,6 +180,165 @@ fn pruned_campaign_agrees_with_full_campaign() {
     // the Wilson early-stop prefix that the unit tally drops — so >=.
     assert!(pruned.metrics.bits_pruned_trials_saved >= pruned_total, "metrics cover the unit tallies");
     assert_eq!(full.metrics.bits_pruned_trials_saved, 0);
+}
+
+/// The assembly units the engine-level checks run: Tiny `crc32`,
+/// `quicksort` and `stringsearch`, raw and fully duplicated.
+fn asm_units() -> Vec<TrialUnit> {
+    let mut units = Vec::new();
+    for name in ["crc32", "quicksort", "stringsearch"] {
+        let raw = workload(name, Scale::Tiny).compile();
+        for (pass, variant) in [("raw", Variant::Raw), ("id", Variant::Id)] {
+            let m = Arc::new(protect(raw.clone(), pass));
+            let p = Arc::new(compile_module(&m, &BackendConfig::default()));
+            units.push(TrialUnit::asm(UnitKey::new(name, variant, 1.0, Layer::Asm), m, p));
+        }
+    }
+    units
+}
+
+/// The trace-fed prune oracle of `m`'s program `p`.
+fn oracle(m: &Module, p: &AsmProgram, exec: &ExecConfig) -> StaticPrior {
+    let table = analyze_bits(m, p);
+    let hash = table.fingerprint(asm_hash(m, p));
+    let trace = Machine::new(m, p).site_trace(exec, GoldenCache::SITE_TRACE_CAP);
+    StaticPrior::new(Arc::new(table), Arc::new(trace), hash)
+}
+
+/// The proven-masked bits a pruning machine for `m`'s program `p` carries.
+fn masks(m: &Module, p: &AsmProgram) -> Vec<u64> {
+    analyze_bits(m, p).verdicts.iter().map(|v| v.proven_masked).collect()
+}
+
+/// Trials `0..trials` of `runner`, each attributed to the function holding
+/// its injection site as the engine attributes them, folded in order.
+/// `prior` decides draws before they run; without it the runner's machine
+/// decides.
+fn tally(
+    runner: &mut AsmTrialRunner<'_>,
+    p: &AsmProgram,
+    cfg: &HarnessConfig,
+    prior: Option<&StaticPrior>,
+) -> BatchOutcome {
+    let mut total = BatchOutcome::default();
+    for i in 0..cfg.max_trials {
+        let t = match prior {
+            Some(prior) => {
+                let (t, pruned) =
+                    runner.run_trial_model_pruned(cfg.seed, i, cfg.fault_model, &[], &|s| prior.masked_inst(s));
+                assert_eq!(t.pruned, pruned, "trial {i}");
+                t
+            }
+            None => runner.run_trial_model(cfg.seed, i, cfg.fault_model, &[]),
+        };
+        let func = t
+            .injected_inst
+            .and_then(|idx| p.funcs.iter().find(|f| (f.entry..f.end).contains(&idx)));
+        total.record(&t, Some(func.map_or(flowery_regions::OTHER_REGION, |f| f.name.as_str())));
+    }
+    total
+}
+
+/// `cfg` with `executor` and snapshots `on` or off.
+fn on(cfg: &HarnessConfig, executor: ExecMode, snapshots: bool) -> HarnessConfig {
+    HarnessConfig {
+        snapshots,
+        exec: ExecConfig { executor, ..cfg.exec.clone() },
+        ..cfg.clone()
+    }
+}
+
+const ENGINES: [ExecMode; 3] = [ExecMode::Native, ExecMode::Compiled, ExecMode::Interp];
+
+#[test]
+fn the_in_run_prune_matches_the_trace_oracle_on_every_engine() {
+    let units = asm_units();
+    let mut pruned_total = 0;
+    for (model, trials) in [
+        (ModelSpec::SingleBitReg, 300),
+        (ModelSpec::DoubleBitReg, 200),
+        (ModelSpec::MultiBit(2), 100),
+    ] {
+        let cfg = HarnessConfig {
+            max_trials: trials,
+            batch_size: 50,
+            ci_target: None,
+            threads: 2,
+            static_prune: true,
+            fault_model: model,
+            ..Default::default()
+        };
+        // The oracle: unpruned machines, each draw decided from the trace.
+        let want: Vec<BatchOutcome> = units
+            .iter()
+            .map(|u| {
+                let p = u.program.as_deref().unwrap();
+                let mut runner = AsmTrialRunner::new(&u.module, p, &cfg.exec);
+                tally(&mut runner, p, &cfg, Some(&oracle(&u.module, p, &cfg.exec)))
+            })
+            .collect();
+        let engines = if model == ModelSpec::SingleBitReg {
+            &ENGINES[..]
+        } else {
+            &ENGINES[..1]
+        };
+        for (&executor, snapshots) in engines.iter().flat_map(|e| [(e, true), (e, false)]) {
+            let run = on(&cfg, executor, snapshots);
+            let report = run_units(&units, &run, &GoldenCache::new(), RunOptions::default());
+            for (got, want) in report.units.iter().zip(&want) {
+                let at = format!("{} under {model:?}, {executor:?}, snapshots {snapshots}", got.key.id());
+                assert_eq!(got.trials, cfg.max_trials, "{at}");
+                assert_eq!(got.counts, want.counts, "{at}: counts");
+                assert_eq!(got.pruned, want.pruned, "{at}: pruned");
+                assert_eq!(got.sdc_insts, want.sdc_insts, "{at}: SDC attributions");
+                assert_eq!(got.region_counts, want.region_counts, "{at}: region tallies");
+            }
+        }
+        let pruned: u64 = want.iter().map(|w| w.pruned).sum();
+        match model {
+            ModelSpec::MultiBit(_) => assert_eq!(pruned, 0, "no proof covers a burst"),
+            _ => assert!(pruned > 0, "{model:?}: the agreement must not be vacuous"),
+        }
+        pruned_total += pruned;
+    }
+    assert!(pruned_total > 0);
+}
+
+#[test]
+fn a_region_scoped_runner_prunes_as_the_trace_oracle_does() {
+    // Confined to one region (`TrialRunner::restrict`), a pruning machine's
+    // trials are the oracle's, under every engine, with snapshots on and off.
+    let cfg = HarnessConfig { max_trials: 200, static_prune: true, ..Default::default() };
+    let mut pruned_total = 0;
+    for u in asm_units() {
+        let (m, p) = (&*u.module, u.program.as_deref().unwrap());
+        let log: Arc<SiteLog> = substrate::observe::<AsmLayer>(&Machine::new(m, p), &cfg.exec, 0).1;
+        // The function executing the fewest sites, of those executing any.
+        let region = (0..p.funcs.len())
+            .filter(|&r| log.mass(r) > 0)
+            .min_by_key(|&r| log.mass(r))
+            .unwrap();
+        let golden = Machine::new(m, p).run(&cfg.exec, None);
+        let mut runner = AsmTrialRunner::with_golden(m, p, golden.clone(), &cfg.exec);
+        runner.restrict(log.clone(), region);
+        let want = tally(&mut runner, p, &cfg, Some(&oracle(m, p, &cfg.exec)));
+        for (&executor, snapshots) in ENGINES.iter().flat_map(|e| [(e, true), (e, false)]) {
+            let exec = ExecConfig { executor, ..cfg.exec.clone() };
+            let machine = Machine::new(m, p).pruning(masks(m, p));
+            let mut runner = AsmTrialRunner::from_golden(machine, golden.clone(), &exec);
+            runner.restrict(log.clone(), region);
+            if snapshots {
+                runner.enable_snapshots();
+            }
+            let got = tally(&mut runner, p, &cfg, None);
+            assert_eq!(got.counts, want.counts, "{} under {executor:?}, snapshots {snapshots}", u.key.id());
+            assert_eq!(got.pruned, want.pruned);
+            assert_eq!(got.sdc_insts, want.sdc_insts);
+            assert_eq!(got.region_counts, want.region_counts);
+        }
+        pruned_total += want.pruned;
+    }
+    assert!(pruned_total > 0, "the agreement must not be vacuous");
 }
 
 /// `(sites, proven_pairs, BitTable::fingerprint(program_hash))` of one

@@ -127,7 +127,7 @@ fn fast_forward_is_bit_identical<S: Layer>() {
     let p = S::compile(&m);
     let exec = S::bind(&m, &p);
     let cfg = limits(10_000);
-    let set = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(16), None, 0);
+    let set = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(16), None);
     assert!(set.len() > 2, "expected several snapshots");
     assert_eq!(set.golden().head().status, ExecStatus::Completed(140));
     let mut scratch = Scratch::new();
@@ -149,7 +149,7 @@ fn capture_golden_matches_plain_run<S: Layer>() {
     let exec = S::bind(&m, &p);
     let cfg = ExecConfig::default();
     let plain = substrate::run::<S>(&exec, &cfg, None);
-    let set = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(32), None, 0);
+    let set = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(32), None);
     assert_eq!(set.golden(), &plain);
 }
 
@@ -161,7 +161,7 @@ fn profiled_fast_forward_matches_scratch<S: Layer>() {
     let p = S::compile(&m);
     let exec = S::bind(&m, &p);
     let cfg = ExecConfig { profile: true, ..limits(100_000) };
-    let set = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(64), None, 0);
+    let set = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(64), None);
     assert!(set.len() > 2, "expected several snapshots");
     assert_eq!(set.golden(), &substrate::run::<S>(&exec, &cfg, None));
     let mut scratch = Scratch::new();
@@ -182,7 +182,7 @@ fn profiled_trials_restore_nothing<S: Layer>() {
     let exec = S::bind(&m, &p);
     let plain_cfg = limits(100_000);
     let prof_cfg = ExecConfig { profile: true, ..plain_cfg.clone() };
-    let set = substrate::capture::<S>(&exec, &plain_cfg, Cadence::Insts(64), None, 0);
+    let set = substrate::capture::<S>(&exec, &plain_cfg, Cadence::Insts(64), None);
     let mut scratch = Scratch::new();
     let spec = FaultSpec::single(set.golden().head().fault_sites - 1, 1);
     let (_, skipped) = substrate::trial(&exec, &plain_cfg, spec, Some(&set), &mut scratch);
@@ -197,7 +197,7 @@ fn auto_capture_is_site_spaced_and_capped<S: Layer>() {
     let p = S::compile(&m);
     let exec = S::bind(&m, &p);
     let cfg = limits(2_000_000);
-    let set = substrate::capture_auto::<S>(&exec, &cfg, 0);
+    let set = substrate::capture_for::<S>(&exec, &cfg, u64::MAX);
     assert!(matches!(set.cadence(), Cadence::Sites(_)), "auto capture spaces by fault sites");
     assert!(set.len() <= AUTO_MAX_SNAPS, "{} snapshots over the cap", set.len());
     assert!(set.len() > AUTO_MAX_SNAPS / 4, "self-tuning should land near the cap, got {}", set.len());
@@ -236,10 +236,10 @@ fn round_trips<S: Layer>(m: &Module) -> usize {
     let p = S::compile(m);
     let exec = S::bind(m, &p);
     let cfg = limits(10_000);
-    let set = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(16), None, 0);
+    let set = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(16), None);
     assert!(set.len() > 2);
     let profiled = ExecConfig { profile: true, ..cfg.clone() };
-    let with_profile = substrate::capture::<S>(&exec, &profiled, Cadence::Insts(16), None, 0);
+    let with_profile = substrate::capture::<S>(&exec, &profiled, Cadence::Insts(16), None);
     assert!(
         with_profile.to_bytes(HASH) == set.to_bytes(HASH),
         "the golden profile must not reach the file"
@@ -307,7 +307,7 @@ fn identical_rewrites_keep_the_page_version<S: Layer>() {
     let exec = S::bind(&m, &p);
     let cfg = limits(100_000);
     let page = (flowery_ir::interp::Memory::layout_globals(&m)[0] / PAGE_SIZE) as u32;
-    let set = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(16), None, 0);
+    let set = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(16), None);
     let holding: Vec<_> = set.snapshots().iter().filter_map(|s| s.pages.get(&page)).collect();
     assert!(holding.len() > 8, "test premise: the global's page is in the overlays");
     for pair in holding.windows(2) {
@@ -343,7 +343,7 @@ fn rejects_corruption_and_mismatches<S: Layer>() {
     let m = loop_module();
     let p = S::compile(&m);
     let exec = S::bind(&m, &p);
-    let set = substrate::capture::<S>(&exec, &limits(10_000), Cadence::Insts(16), None, 0);
+    let set = substrate::capture::<S>(&exec, &limits(10_000), Cadence::Insts(16), None);
     let bytes = set.to_bytes(HASH);
     let load = |b: &[u8], hash: u64| SnapshotSet::<S>::decode(b, &exec, hash);
     assert!(load(&bytes, HASH).is_ok());
@@ -445,32 +445,28 @@ fn sites_tail(log: &SiteLog, regions: usize) -> Vec<u64> {
 
 fn capture_log_is_the_observation<S: Layer>() {
     // One recorder pass captures and logs: the capture's site log is the
-    // observation's — masses, every index, and the trace up to its cap —
-    // and its snapshots do not depend on the cap.
+    // observation's — masses and every index — but keeps no trace, which
+    // only an observation records, up to its cap.
     let m = loop_module();
     let p = S::compile(&m);
     let exec = S::bind(&m, &p);
     let cfg = limits(10_000);
     let n = regions::<S>(&exec);
     let (golden, observed) = substrate::observe::<S>(&exec, &cfg, usize::MAX);
-    let set = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(16), None, usize::MAX);
+    let set = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(16), None);
     assert!(set.len() > 2, "expected several snapshots");
     assert_eq!(set.golden(), &golden);
     same_log(set.sites(), &observed, n);
-    assert_eq!(set.sites().trace(), observed.trace());
+    assert!(set.sites().trace().is_empty(), "a capture keeps no trace");
     assert_eq!(observed.trace().len() as u64, golden.head().fault_sites);
-    let capped = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(16), None, 5);
-    assert_eq!(capped.sites().trace()[..], observed.trace()[..5]);
-    assert!(capped.sites().serves(5) && !capped.sites().serves(6));
-    let untraced = substrate::capture::<S>(&exec, &cfg, Cadence::Insts(16), None, 0);
-    assert_eq!(untraced.to_bytes(HASH), set.to_bytes(HASH), "the trace cap must not reach the file");
+    let (_, capped) = substrate::observe::<S>(&exec, &cfg, 5);
+    assert_eq!(capped.trace()[..], observed.trace()[..5]);
+    same_log(&capped, &observed, n);
 
-    // A stored set round-trips masses and indices, but no trace: its log
-    // serves a lookup that asks for none, never one that asks for some.
+    // A stored set round-trips masses and indices, and no trace.
     let loaded = SnapshotSet::<S>::decode(&set.to_bytes(HASH), &exec, HASH).unwrap();
     same_log(loaded.sites(), &observed, n);
     assert!(loaded.sites().trace().is_empty());
-    assert!(loaded.sites().serves(0) && !loaded.sites().serves(1));
 }
 
 fn site_log_tail_never_decodes_to_a_panic<S: Layer>() {
@@ -480,7 +476,7 @@ fn site_log_tail_never_decodes_to_a_panic<S: Layer>() {
     let m = loop_module();
     let p = S::compile(&m);
     let exec = S::bind(&m, &p);
-    let set = substrate::capture::<S>(&exec, &limits(10_000), Cadence::Insts(16), None, 0);
+    let set = substrate::capture::<S>(&exec, &limits(10_000), Cadence::Insts(16), None);
     let (n, sites) = (regions::<S>(&exec), set.golden().head().fault_sites);
     let bytes = set.to_bytes(HASH);
     let fields = sites_tail(set.sites(), n);
