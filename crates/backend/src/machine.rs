@@ -9,7 +9,7 @@
 
 use crate::exec::TrialRun;
 use crate::mir::{flags, AInst, AsmProgram, FaultDest, Reg};
-use crate::snapshot::{AsmLayer, AsmScratch, AsmSnapshotSet, AsmState};
+use crate::snapshot::{AsmLayer, AsmSnapshotSet, AsmState};
 use flowery_ir::interp::snapshot::Recorder;
 use flowery_ir::interp::substrate::{self, Start};
 use flowery_ir::interp::{mem_fault_region, Cadence, ExecConfig, ExecMode, ExecStatus, FaultEffect, Memory};
@@ -121,19 +121,6 @@ impl<'p> Machine<'p> {
     /// Self-tuning site-spaced capture (see [`substrate::capture_for`]).
     pub fn capture_snapshots_auto(&self, config: &ExecConfig) -> AsmSnapshotSet {
         substrate::capture_for(self, config, u64::MAX)
-    }
-
-    /// Run one faulty trial from the nearest snapshot at-or-before the
-    /// injection site (see [`substrate::trial`]); bit-identical to
-    /// `run(config, Some(fault))`.
-    pub fn run_fast_forward(
-        &self,
-        config: &ExecConfig,
-        fault: AsmFaultSpec,
-        set: &AsmSnapshotSet,
-        scratch: &mut AsmScratch,
-    ) -> (MachResult, u64) {
-        substrate::trial(self, config, fault, Some(set), scratch)
     }
 
     /// Execute from `start` (fresh or restored), optionally capturing

@@ -312,7 +312,7 @@ impl Shared<'_> {
             }
         }
         let engine = unit.engine(&self.cfg.exec);
-        self.metrics.record_batch(&data.counts, data.ff_insts, data.exec_insts, engine);
+        self.metrics.record_batch(&data, engine);
         self.metrics.record_pruned(data.pruned);
         let st = &self.states[ii];
         st.recorded.fetch_add(1, Ordering::Relaxed);

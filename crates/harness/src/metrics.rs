@@ -4,7 +4,7 @@
 
 use crate::cache::CacheStats;
 use flowery_backend::jit_stats;
-use flowery_inject::OutcomeCounts;
+use flowery_inject::{BatchOutcome, OutcomeCounts};
 use flowery_ir::interp::ExecMode;
 use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
@@ -40,19 +40,20 @@ impl Metrics {
         f(&mut self.live.lock().unwrap());
     }
 
-    /// An executed batch. `ff_insts`/`exec_insts` are its skipped/executed
-    /// dynamic instruction totals; `engine` is the engine the unit's
-    /// substrate ran them on (see `TrialUnit::engine`).
-    pub fn record_batch(&self, counts: &OutcomeCounts, ff_insts: u64, exec_insts: u64, engine: ExecMode) {
+    /// An executed batch: its outcomes, skipped/executed dynamic
+    /// instruction totals and rejoined trials; `engine` is the engine the
+    /// unit's substrate ran them on (see `TrialUnit::engine`).
+    pub fn record_batch(&self, batch: &BatchOutcome, engine: ExecMode) {
         self.update(|m| {
-            m.counts.merge(counts);
+            m.counts.merge(&batch.counts);
             m.batches += 1;
-            m.ff_insts += ff_insts;
-            m.exec_insts += exec_insts;
+            m.ff_insts += batch.ff_insts;
+            m.exec_insts += batch.exec_insts;
+            m.rejoined += batch.rejoined;
             match engine {
-                ExecMode::Interp => m.interp_insts += exec_insts,
-                ExecMode::Compiled => m.compiled_insts += exec_insts,
-                ExecMode::Native => m.native_insts += exec_insts,
+                ExecMode::Interp => m.interp_insts += batch.exec_insts,
+                ExecMode::Compiled => m.compiled_insts += batch.exec_insts,
+                ExecMode::Native => m.native_insts += batch.exec_insts,
             }
         });
     }
@@ -202,6 +203,10 @@ pub struct MetricsSnapshot {
     /// Fraction of total trial work (skipped + executed) that snapshot
     /// fast-forward avoided re-executing.
     pub ff_ratio: f64,
+    /// Executed trials that ended at a snapshot where they had rejoined the
+    /// golden run (their skipped tails are in `ff_insts`).
+    #[serde(default)]
+    pub rejoined: u64,
     /// Configured machine-layer engine (`interp`, `compiled` or `native`).
     /// Engines are bit-identical; this is provenance, not schedule.
     #[serde(default)]
@@ -320,7 +325,7 @@ impl MetricsSnapshot {
             String::new()
         };
         format!(
-            "{}/{} units | {} trials @ {:.0}/s | sdc {} due {} det {} | cache {:.0}% ff {:.0}%{}{}{}{}",
+            "{}/{} units | {} trials @ {:.0}/s | sdc {} due {} det {} | cache {:.0}% ff {:.0}% rejoined {}{}{}{}{}",
             self.units_done,
             self.units_total,
             self.trials,
@@ -330,6 +335,7 @@ impl MetricsSnapshot {
             self.counts.detected,
             self.cache_hit_rate * 100.0,
             self.ff_ratio * 100.0,
+            self.rejoined,
             eta,
             regions,
             prune,
@@ -346,7 +352,14 @@ mod tests {
     fn snapshot_aggregates_counters() {
         let m = Metrics::with_mode(ExecMode::Compiled);
         let c = OutcomeCounts { benign: 7, sdc: 2, detected: 1, due: 0 };
-        m.record_batch(&c, 300, 100, ExecMode::Compiled);
+        let batch = BatchOutcome {
+            counts: c,
+            ff_insts: 300,
+            exec_insts: 100,
+            rejoined: 2,
+            ..Default::default()
+        };
+        m.record_batch(&batch, ExecMode::Compiled);
         m.record_reused(&c);
         m.record_unit_done();
         let cache = CacheStats {
@@ -382,6 +395,8 @@ mod tests {
         assert_eq!(s.ff_insts, 300);
         assert_eq!(s.exec_insts, 100);
         assert!((s.ff_ratio - 0.75).abs() < 1e-12);
+        assert_eq!(s.rejoined, 2);
+        assert!(s.render().contains("ff 75% rejoined 2"), "{}", s.render());
         assert_eq!(s.exec_mode, "compiled");
         assert_eq!(s.compiled_insts, 100);
         assert_eq!(s.interp_insts, 0);
@@ -396,9 +411,10 @@ mod tests {
         // interpreter whatever the configured machine-layer engine is.
         let m = Metrics::with_mode(ExecMode::Native);
         let c = OutcomeCounts { benign: 5, ..Default::default() };
-        m.record_batch(&c, 0, 40, ExecMode::Interp);
-        m.record_batch(&c, 0, 60, ExecMode::Compiled);
-        m.record_batch(&c, 0, 900, ExecMode::Native);
+        let batch = |exec_insts| BatchOutcome { counts: c, exec_insts, ..Default::default() };
+        m.record_batch(&batch(40), ExecMode::Interp);
+        m.record_batch(&batch(60), ExecMode::Compiled);
+        m.record_batch(&batch(900), ExecMode::Native);
         let s = m.snapshot(1, 0, CacheStats::default());
         assert_eq!(s.exec_mode, "native");
         assert_eq!(s.exec_insts, 1000);

@@ -140,6 +140,7 @@ mod tests {
             sdc_insts: vec![4, 4, 9],
             ff_insts: 1000,
             exec_insts: 500,
+            rejoined: 4,
             pruned: 3,
             prune_table: 0xfeed,
             ..Default::default()
@@ -152,7 +153,7 @@ mod tests {
         let back = rec.outcome();
         assert_eq!(back.counts, out.counts);
         assert_eq!(back.sdc_insts, out.sdc_insts);
-        assert_eq!(back.ff_insts, 0, "metrics counters are not checkpointed");
+        assert_eq!((back.ff_insts, back.rejoined), (0, 0), "metrics counters are not checkpointed");
         assert_eq!(back.pruned, 3, "prune provenance survives the roundtrip");
         assert_eq!(back.prune_table, 0xfeed);
     }

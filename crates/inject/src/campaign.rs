@@ -48,6 +48,9 @@ pub struct TrialOutcome {
     pub ff_insts: u64,
     /// Instructions actually executed by this trial.
     pub exec_insts: u64,
+    /// The trial ended at a snapshot where it had rejoined the golden run
+    /// (its tail is in `ff_insts`).
+    pub rejoined: bool,
     /// Assembly layer: the drawn flip is proven masked where it lands, so
     /// the trial is Benign by proof (see [`Machine::pruning`]).
     pub pruned: bool,
@@ -179,6 +182,7 @@ impl<'p> AsmTrialRunner<'p> {
                 injected_inst: Some(inst),
                 ff_insts: 0,
                 exec_insts: 0,
+                rejoined: false,
                 pruned: true,
             };
             return (out, true);
@@ -206,9 +210,8 @@ impl<'a, S: InjectLayer> TrialRunner<'a, S> {
         if let Some(why) = Self::refusal(&golden) {
             panic!("{why}");
         }
-        let head = golden.head();
         let cfg = ExecConfig {
-            max_dyn_insts: head.dyn_insts.saturating_mul(4).max(100_000),
+            max_dyn_insts: ExecConfig::with_budget_for(golden.head().dyn_insts).max_dyn_insts,
             ..cfg.clone()
         };
         TrialRunner {
@@ -301,7 +304,8 @@ impl<'a, S: InjectLayer> TrialRunner<'a, S> {
     }
 
     fn run_spec(&mut self, spec: FaultSpec, detectors: &[DetectorSpec]) -> TrialOutcome {
-        let (r, skipped) = substrate::trial(&self.exec, &self.cfg, spec, self.snapshots.as_deref(), &mut self.scratch);
+        let (r, skipped, rejoined) =
+            substrate::trial(&self.exec, &self.cfg, spec, self.snapshots.as_deref(), &mut self.scratch);
         let (head, golden) = (r.head(), self.golden.head());
         let mut out = TrialOutcome {
             outcome: classify(head.status, head.output, golden.status, golden.output),
@@ -309,6 +313,7 @@ impl<'a, S: InjectLayer> TrialRunner<'a, S> {
             injected_inst: None,
             ff_insts: skipped,
             exec_insts: head.dyn_insts - skipped,
+            rejoined,
             pruned: false,
         };
         S::locate(&r, &mut out);
@@ -340,6 +345,9 @@ pub struct BatchOutcome {
     pub ff_insts: u64,
     /// Instructions actually executed.
     pub exec_insts: u64,
+    /// Trials that ended where they rejoined the golden run. Metrics-only,
+    /// like `ff_insts`.
+    pub rejoined: u64,
     /// Trials resolved by the static prune (proven-masked (site, bit) pair
     /// → Benign without executing the suffix). Checkpointed: the saved work
     /// is part of the run's provenance, not a transient metric.
@@ -356,6 +364,7 @@ impl BatchOutcome {
         self.counts.record(t.outcome);
         self.ff_insts += t.ff_insts;
         self.exec_insts += t.exec_insts;
+        self.rejoined += u64::from(t.rejoined);
         self.pruned += u64::from(t.pruned);
         if let Some(name) = region {
             region_slot(&mut self.region_counts, name).record(t.outcome);
@@ -381,6 +390,7 @@ impl BatchOutcome {
         }
         self.ff_insts += later.ff_insts;
         self.exec_insts += later.exec_insts;
+        self.rejoined += later.rejoined;
         self.pruned += later.pruned;
     }
 }
@@ -432,6 +442,7 @@ mod tests {
             injected_inst: Some(inst),
             ff_insts: 10,
             exec_insts: 5,
+            rejoined: outcome == Outcome::Benign,
             pruned: false,
         };
         let trials = [
@@ -456,7 +467,7 @@ mod tests {
         assert_eq!(whole.sdc_by_inst[&(FuncId(0), InstId(7))], 2);
         let names: Vec<&str> = whole.region_counts.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["aux", "helper", "main"]);
-        assert_eq!((whole.ff_insts, whole.exec_insts), (50, 25));
+        assert_eq!((whole.ff_insts, whole.exec_insts, whole.rejoined), (50, 25, 1));
         // Without a region the split is simply not kept.
         let mut plain = BatchOutcome::default();
         plain.record(&trials[0].0, None);

@@ -7,7 +7,8 @@
 //!
 //! One loop runs the ops, monomorphized four ways on `MODE`:
 //! - [`FAST`] keeps the counters in locals and nothing else: golden runs,
-//!   and a trial once its fault has landed.
+//!   and a trial once its fault has landed, which stops at each snapshot
+//!   ahead to ask whether it has rejoined the golden run.
 //! - [`ARMED`] adds one `sites == trap_site` compare per fault site and
 //!   stops before the trap site.
 //! - [`REC`], the recording loop, is [`FAST`] plus the profile count when
@@ -161,11 +162,13 @@ impl<'m> Compiled<'m> {
     /// Run from `run` until it ends (`Err` with its status) or stops early
     /// (`Ok`, with `run` at the next op): [`ARMED`] before `fault`'s site,
     /// [`BOOK`] after that site's op unless the run is profiled, [`REC`] at
-    /// the recorder's next due point ([`Recorder::stretch_end`]).
+    /// the recorder's next due point ([`Recorder::stretch_end`]), [`FAST`]
+    /// with `stop` instructions executed when that is under the budget.
     pub(crate) fn run<const MODE: u8>(
         &self,
         config: &ExecConfig,
         fault: Option<FaultSpec>,
+        stop: u64,
         run: &mut Start<IrLayer>,
         pool: &mut FramePool,
         book: &mut Book<'_>,
@@ -174,7 +177,7 @@ impl<'m> Compiled<'m> {
         let (max_dyn, max_out, max_depth) = (config.max_dyn_insts, config.max_output, config.max_call_depth);
         let trap_site = fault.map_or(0, |f| f.site_index);
         let rec = book.recorder.as_deref().filter(|_| MODE == REC);
-        let (limit, stop_site) = rec.map_or((max_dyn, u64::MAX), |r| r.stretch_end(max_dyn));
+        let (limit, stop_site) = rec.map_or((max_dyn.min(stop), u64::MAX), |r| r.stretch_end(max_dyn));
         let Start { mem, output, state, .. } = run;
         let stack = &mut state.stack;
         let stack_limit = mem.stack_limit();
@@ -226,7 +229,12 @@ impl<'m> Compiled<'m> {
             }
             dyn_insts += 1;
             if dyn_insts > limit {
-                if MODE == REC && book.recorder.as_deref().is_some_and(|r| r.due(dyn_insts - 1, sites)) {
+                // Only the budget traps; a limit short of it is a stop point.
+                let stops = match MODE {
+                    REC => book.recorder.as_deref().is_some_and(|r| r.due(dyn_insts - 1, sites)),
+                    _ => limit < max_dyn,
+                };
+                if stops {
                     dyn_insts -= 1;
                     break Ok(());
                 }

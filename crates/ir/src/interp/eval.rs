@@ -7,15 +7,15 @@ use crate::interp::memory::{Memory, TrapKind, GLOBAL_BASE};
 use crate::interp::snapio::{w_bytes, w_leb, w_opt, w_status, w_u32, w_u64, w_words, Cursor};
 use crate::interp::snapshot::{Cadence, Recorder};
 use crate::interp::substrate::{self, RunHead, RunResult, Start, Substrate};
+use crate::interp::IrSnapshotSet;
 use crate::interp::{ExecConfig, ExecMode, ExecResult, ExecStatus, FaultSpec, Profile};
-use crate::interp::{IrScratch, IrSnapshotSet};
 use crate::module::Module;
 use crate::value::{BlockId, FuncId, InstId};
 use std::sync::OnceLock;
 
 /// One activation record. `Clone` deep-copies the value/param vectors —
 /// used when a snapshot captures the call stack.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Frame {
     pub(crate) func: FuncId,
     pub(crate) block: BlockId,
@@ -97,7 +97,7 @@ pub struct IrLayer;
 
 /// What an IR snapshot holds besides counters and memory: the stack pointer
 /// and the call stack, deep-cloned.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct IrState {
     pub(crate) sp: u64,
     pub(crate) stack: Vec<Frame>,
@@ -137,35 +137,24 @@ impl<'m> Interpreter<'m> {
         substrate::capture_for(self, config, u64::MAX)
     }
 
-    /// Run one faulty trial from the nearest snapshot at-or-before the
-    /// injection site (see [`substrate::trial`]); bit-identical to
-    /// `run(config, Some(fault))`.
-    pub fn run_fast_forward(
-        &self,
-        config: &ExecConfig,
-        fault: FaultSpec,
-        set: &IrSnapshotSet,
-        scratch: &mut IrScratch,
-    ) -> (ExecResult, u64) {
-        substrate::trial(self, config, fault, Some(set), scratch)
-    }
-
     /// Execute from `start` (fresh or restored), optionally capturing
-    /// snapshots into `recorder`. Returns the result plus the memory image
-    /// so callers can recycle it.
+    /// snapshots into `recorder`, and ending where the run has rejoined the
+    /// golden run of `rejoin` (see [`Substrate::run_suffix`]).
     fn exec(
         &self,
         config: &ExecConfig,
         fault: Option<FaultSpec>,
         mut run: Start<IrLayer>,
         recorder: Option<&mut Recorder<IrLayer>>,
+        rejoin: Option<&IrSnapshotSet>,
         pool: &mut FramePool,
-    ) -> (ExecResult, Memory) {
+    ) -> (ExecResult, Memory, u64) {
         let profile = config.profile.then(|| Profile {
             counts: self.module.functions.iter().map(|f| vec![0u64; f.insts.len()]).collect(),
         });
         let mut book = Book { injected_at: None, profile, recorder };
         let code = self.compiled();
+        let (mut ahead, mut tail) = (rejoin.map_or(&[][..], |set| set.snapshots()), 0);
         let status = loop {
             if run.state.stack.is_empty() {
                 break ExecStatus::Trapped(TrapKind::BadControl);
@@ -173,19 +162,32 @@ impl<'m> Interpreter<'m> {
             // Recorder runs take the recording loop, capturing between its
             // stretches; profile runs take the bookkept loop throughout;
             // plain runs take the fast loop, armed until the injection is
-            // due, and the bookkept loop for that one op.
+            // due, and the bookkept loop for that one op; after it, the fast
+            // loop stops at each snapshot ahead, where a run that has
+            // rejoined the golden run ends.
             let stretch = if let Some(rec) = book.recorder.as_deref_mut() {
                 if rec.due(run.dyn_insts, run.fault_sites) {
                     rec.capture(run.dyn_insts, run.fault_sites, run.output.len(), run.state.clone(), &mut run.mem);
                 }
-                code.run::<REC>(config, fault, &mut run, pool, &mut book)
+                code.run::<REC>(config, fault, u64::MAX, &mut run, pool, &mut book)
             } else if book.profile.is_some() {
-                code.run::<BOOK>(config, fault, &mut run, pool, &mut book)
+                code.run::<BOOK>(config, fault, u64::MAX, &mut run, pool, &mut book)
             } else if fault.is_some() && book.injected_at.is_none() {
-                code.run::<ARMED>(config, fault, &mut run, pool, &mut book)
-                    .and_then(|()| code.run::<BOOK>(config, fault, &mut run, pool, &mut book))
+                code.run::<ARMED>(config, fault, u64::MAX, &mut run, pool, &mut book)
+                    .and_then(|()| code.run::<BOOK>(config, fault, u64::MAX, &mut run, pool, &mut book))
             } else {
-                code.run::<FAST>(config, fault, &mut run, pool, &mut book)
+                ahead = &ahead[ahead.partition_point(|s| s.dyn_insts < run.dyn_insts)..];
+                let stop = ahead.first().map_or(u64::MAX, |s| s.dyn_insts);
+                let stretch = code.run::<FAST>(config, fault, stop, &mut run, pool, &mut book);
+                if let (Ok(()), Some(set)) = (stretch, rejoin) {
+                    let at = run.dyn_insts;
+                    if let Some(status) = substrate::rejoined(set, &ahead[0], &mut run) {
+                        tail = run.dyn_insts - at;
+                        break status;
+                    }
+                    ahead = &ahead[1..];
+                }
+                stretch
             };
             if let Err(s) = stretch {
                 break s;
@@ -194,7 +196,7 @@ impl<'m> Interpreter<'m> {
         let Start { mem, output, dyn_insts, fault_sites, state } = run;
         pool.free_stack(state.stack);
         let Book { injected_at, profile, .. } = book;
-        (ExecResult { status, output, dyn_insts, fault_sites, injected_at, profile }, mem)
+        (ExecResult { status, output, dyn_insts, fault_sites, injected_at, profile }, mem, tail)
     }
 
     /// Count fault sites and dynamic instructions of a fault-free run.
@@ -266,9 +268,10 @@ impl Substrate for IrLayer {
         fault: Option<FaultSpec>,
         start: Start<IrLayer>,
         recorder: Option<&mut Recorder<IrLayer>>,
+        rejoin: Option<&IrSnapshotSet>,
         pool: &mut FramePool,
-    ) -> (ExecResult, Memory) {
-        exec.exec(config, fault, start, recorder, pool)
+    ) -> (ExecResult, Memory, u64) {
+        exec.exec(config, fault, start, recorder, rejoin, pool)
     }
 
     fn encode_head(w: &mut Vec<u8>, r: &ExecResult) {
@@ -374,7 +377,7 @@ mod tests {
     use super::*;
     use crate::builder::{FuncBuilder, ModuleBuilder};
     use crate::inst::{BinOp, IPred, InstKind, Intrinsic};
-    use crate::interp::{ExecStatus, TrapKind};
+    use crate::interp::{ExecStatus, IrScratch, TrapKind};
     use crate::types::Type;
     use crate::value::Op;
     use crate::verify::verify_module;
@@ -707,7 +710,7 @@ mod tests {
         for site in (0..golden.fault_sites).step_by(31) {
             let spec = FaultSpec::double(site, 3, 41);
             let scratch_res = interp.run(&cfg, Some(spec));
-            let (ff_res, _) = interp.run_fast_forward(&cfg, spec, &set, &mut scratch);
+            let (ff_res, ..) = substrate::trial(&interp, &cfg, spec, Some(&set), &mut scratch);
             assert_eq!(ff_res.status, scratch_res.status, "site {site}");
             assert_eq!(ff_res.output, scratch_res.output, "site {site}");
             assert_eq!(ff_res.dyn_insts, scratch_res.dyn_insts, "site {site}");

@@ -112,6 +112,9 @@ pub struct Memory {
     /// scratch image between trials; plain executions pay only the two
     /// bit-set operations per store.
     dirty: Vec<u64>,
+    /// Length of the prefix of the base this image was made from or
+    /// [rebased](Memory::rebase) to.
+    based: usize,
 }
 
 /// The pristine post-init image in compact form: the geometry plus the
@@ -178,8 +181,8 @@ impl BaseImage {
     pub fn image(&self) -> Memory {
         let mut bytes = vec![0u8; self.size as usize];
         bytes[..self.prefix.len()].copy_from_slice(&self.prefix);
-        let dirty = vec![0u64; self.size.div_ceil(PAGE_SIZE).div_ceil(64) as usize];
-        Memory { bytes, stack_limit: self.stack_limit, dirty }
+        let (dirty, based) = (vec![0u64; self.size.div_ceil(PAGE_SIZE).div_ceil(64) as usize], self.prefix.len());
+        Memory { bytes, stack_limit: self.stack_limit, dirty, based }
     }
 }
 
@@ -326,17 +329,49 @@ impl Memory {
     /// Pages written since the last drain, in ascending order; clears the
     /// dirty set.
     pub fn drain_dirty_pages(&mut self) -> Vec<u32> {
-        let mut out = Vec::new();
-        for (w, word) in self.dirty.iter_mut().enumerate() {
-            let mut bits = *word;
-            *word = 0;
-            while bits != 0 {
-                let b = bits.trailing_zeros();
-                out.push((w as u32) * 64 + b);
-                bits &= bits - 1;
-            }
-        }
+        let out = self.dirty_pages().collect();
+        self.dirty.fill(0);
         out
+    }
+
+    /// Pages written since the last drain, in ascending order.
+    fn dirty_pages(&self) -> impl Iterator<Item = u32> + '_ {
+        let words = self.dirty.iter().enumerate().filter(|&(_, &word)| word != 0);
+        words.flat_map(|(w, &word)| (0..64).filter(move |b| word >> b & 1 != 0).map(move |b| w as u32 * 64 + b))
+    }
+
+    fn mark_page(&mut self, page: u32) {
+        self.dirty[page as usize >> 6] |= 1 << (page & 63);
+    }
+
+    /// Revert this image, made from any base of the same geometry, to
+    /// `base`'s own: the pages under either base's prefix are reverted with
+    /// the dirty ones, and every other page is zero in both.
+    pub(crate) fn rebase(&mut self, base: &BaseImage) {
+        (0..self.based.max(base.prefix.len()).div_ceil(PAGE_SIZE as usize) as u32).for_each(|p| self.mark_page(p));
+        self.reset_to(base, &PageMap::new());
+        self.based = base.prefix.len();
+    }
+
+    /// True when this image equals `base` overlaid with `pages` (see
+    /// [`Memory::reset_to`]), compared on every dirty page and every page
+    /// of the overlay: any other page equals the base on both sides. The
+    /// dirty set is left as it is.
+    pub(crate) fn matches(&self, base: &BaseImage, pages: &PageMap) -> bool {
+        let overlay_only = pages
+            .keys()
+            .copied()
+            .filter(|&page| self.dirty[page as usize >> 6] & 1 << (page & 63) == 0);
+        self.dirty_pages().chain(overlay_only).all(|page| {
+            let range = self.page_range(page);
+            let version = pages.get(&page);
+            self.bytes[range.clone()].chunks(BLOCK_SIZE).enumerate().all(|(i, bytes)| {
+                match version.and_then(|v| v[i].as_deref()) {
+                    Some(stored) => stored == bytes,
+                    None => base.holds(bytes, range.start + i * BLOCK_SIZE),
+                }
+            })
+        })
     }
 
     /// Revert this image to `base` overlaid with `pages`, touching only
@@ -366,7 +401,7 @@ impl Memory {
                     None => base.fill(dst, range.start + i * BLOCK_SIZE),
                 }
             }
-            self.dirty[page as usize >> 6] |= 1 << (page & 63);
+            self.mark_page(page);
         }
     }
 }
@@ -415,6 +450,12 @@ impl PageRecorder {
             }
         }
         self.cum.clone()
+    }
+
+    /// Mark dirty again every page of `mem` that differs from the base
+    /// (a sync drains them), as [`Memory::rebase`] needs.
+    pub(crate) fn redirty(&self, mem: &mut Memory) {
+        self.cum.keys().for_each(|&page| mem.mark_page(page));
     }
 }
 
@@ -485,6 +526,31 @@ mod tests {
     }
 
     use crate::module::Module;
+
+    #[test]
+    fn a_recorded_image_rebases_to_any_base_of_its_geometry() {
+        // Initialised globals ending on different pages; an image of each,
+        // written before and after a recorder's sync drained its dirty set,
+        // must come back as the other's base, page for page.
+        let globals = |n: usize| {
+            let mut mb = ModuleBuilder::new("m");
+            mb.global_i64("g", &vec![7; n]);
+            BaseImage::new(&mb.finish(), 1 << 20, 1 << 16).unwrap()
+        };
+        let (long, short) = (globals(2000), globals(2));
+        for (from, to) in [(&long, &short), (&short, &long)] {
+            let mut mem = from.image();
+            let mut rec = PageRecorder::default();
+            mem.store(GLOBAL_BASE + 5 * PAGE_SIZE, 8, 1).unwrap();
+            rec.sync(&mut mem, from);
+            mem.store(GLOBAL_BASE + 9 * PAGE_SIZE, 8, 2).unwrap();
+            rec.redirty(&mut mem);
+            mem.rebase(to);
+            let fresh = to.image();
+            assert!((0..(to.size / PAGE_SIZE) as u32).all(|p| mem.page_slice(p) == fresh.page_slice(p)));
+            assert!(mem.drain_dirty_pages().is_empty(), "a rebased image is pristine");
+        }
+    }
 
     #[test]
     fn align_up_works() {

@@ -423,14 +423,18 @@ impl<S: Substrate> SnapshotSet<S> {
         // A campaign's set holds at most `AUTO_MAX_SNAPS`: no file reserves more.
         let count = c.count()?;
         let mut snaps: Vec<Snapshot<S>> = Vec::with_capacity(count.min(AUTO_MAX_SNAPS));
+        let head = golden.head();
         for _ in 0..count {
             let prev = snaps.last();
             let (d, f, o) = prev.map_or((0, 0, 0), |p| (p.dyn_insts, p.fault_sites, p.output_len as u64));
-            let (dyn_insts, fault_sites) = (d.wrapping_add(c.leb()?), f.wrapping_add(c.leb()?));
-            let output_len = o.wrapping_add(c.leb()?);
-            if output_len > golden.head().output.len() as u64 {
-                return Err("snapshot file: snapshot output length exceeds golden output".into());
-            }
+            // Time moves forward (a Δ that wraps went back), never past the
+            // golden run's end: what `nearest` and the rejoin walk rely on.
+            let dyn_insts = d.checked_add(c.leb()?).filter(|&n| n > d && n <= head.dyn_insts);
+            let fault_sites = f.checked_add(c.leb()?).filter(|&n| n <= head.fault_sites);
+            let output_len = o.checked_add(c.leb()?).filter(|&n| n <= head.output.len() as u64);
+            let (Some(dyn_insts), Some(fault_sites), Some(output_len)) = (dyn_insts, fault_sites, output_len) else {
+                return Err("snapshot file: snapshot counters out of order or past the golden run's".into());
+            };
             let state = S::decode_snap(&mut c, exec, prev.map(|p| &p.state))?;
             let mut pages = prev.map_or_else(PageMap::new, |p| p.pages.clone());
             let mut next = 0u64;
@@ -468,8 +472,8 @@ impl<S: Substrate> SnapshotSet<S> {
             snaps.push(Snapshot { dyn_insts, fault_sites, output_len, state, pages });
         }
         let mut sites = SiteLog::new(S::site_regions(exec), 0);
-        c.site_log(&mut sites, golden.head().fault_sites)?;
-        sites.close(golden.head().fault_sites);
+        c.site_log(&mut sites, head.fault_sites)?;
+        sites.close(head.fault_sites);
         let sites = Arc::new(sites);
         if c.pos != body.len() {
             return Err("snapshot file: trailing garbage".into());
@@ -487,5 +491,78 @@ impl<S: Linked> SnapshotSet<S> {
         content_hash: u64,
     ) -> Result<SnapshotSet<S>, String> {
         Self::decode(bytes, &S::bind(module, program), content_hash)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::builder::{FuncBuilder, ModuleBuilder};
+    use crate::inst::{BinOp, IPred};
+    use crate::interp::{ExecConfig, Interpreter, IrSnapshotSet};
+    use crate::module::Module;
+    use crate::types::Type;
+    use crate::value::Op;
+
+    /// `main` prints `i * 3` for `i` in `0..50`.
+    fn printing_loop() -> Module {
+        let mut mb = ModuleBuilder::new("m");
+        let mut fb = FuncBuilder::new("main", vec![], None);
+        let i = fb.alloca(Type::I64, 1);
+        fb.store(Type::I64, Op::ci64(0), Op::inst(i));
+        let (head, body, exit) = (fb.new_block("head"), fb.new_block("body"), fb.new_block("exit"));
+        fb.jmp(head);
+        fb.switch_to(head);
+        let iv = fb.load(Type::I64, Op::inst(i));
+        let more = fb.icmp(IPred::Slt, Type::I64, Op::inst(iv), Op::ci64(50));
+        fb.br(Op::inst(more), body, exit);
+        fb.switch_to(body);
+        let iv = fb.load(Type::I64, Op::inst(i));
+        let v = fb.bin(BinOp::Mul, Type::I64, Op::inst(iv), Op::ci64(3));
+        fb.output_i64(Op::inst(v));
+        let next = fb.bin(BinOp::Add, Type::I64, Op::inst(iv), Op::ci64(1));
+        fb.store(Type::I64, Op::inst(next), Op::inst(i));
+        fb.jmp(head);
+        fb.switch_to(exit);
+        fb.ret(None);
+        mb.add_func(fb.finish());
+        mb.finish()
+    }
+
+    /// Sets whose counters a writer never emits, sealed with a valid
+    /// checksum: the decoder refuses each.
+    #[test]
+    fn sealed_files_that_reorder_time_are_refused() {
+        let m = printing_loop();
+        let interp = Interpreter::new(&m);
+        let capture = || interp.capture_snapshots(&ExecConfig::default(), 40);
+        let load = |set: &IrSnapshotSet| IrSnapshotSet::from_bytes(&set.to_bytes(7), &m, 7);
+        let set = capture();
+        assert!(set.len() >= 4, "test premise: several snapshots");
+        assert!(load(&set).is_ok(), "the intact file loads");
+        type Edit = fn(&mut IrSnapshotSet);
+        let edits: [(&str, Edit); 5] = [
+            ("two snapshots' counters swapped", |set| {
+                let (a, b) = set.snaps.split_at_mut(2);
+                let (a, b) = (&mut a[1], &mut b[0]);
+                std::mem::swap(&mut a.dyn_insts, &mut b.dyn_insts);
+                std::mem::swap(&mut a.fault_sites, &mut b.fault_sites);
+                std::mem::swap(&mut a.output_len, &mut b.output_len);
+            }),
+            ("a snapshot at its predecessor's instruction count", |set| {
+                set.snaps[2].dyn_insts = set.snaps[1].dyn_insts;
+            }),
+            ("fault sites that descend", |set| set.snaps[2].fault_sites = set.snaps[1].fault_sites - 1),
+            ("output that shrinks", |set| set.snaps[2].output_len = set.snaps[1].output_len - 1),
+            ("a snapshot past the golden run's end", |set| {
+                let last = set.snaps.last_mut().unwrap();
+                (last.dyn_insts, last.fault_sites) = (set.golden.dyn_insts + 1, set.golden.fault_sites);
+            }),
+        ];
+        for (what, edit) in edits {
+            let mut bad = capture();
+            edit(&mut bad);
+            let err = load(&bad).expect_err(what);
+            assert!(err.contains("snapshot counters"), "{what}: {err}");
+        }
     }
 }

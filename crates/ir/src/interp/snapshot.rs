@@ -331,10 +331,12 @@ impl<S: Substrate> Recorder<S> {
         });
     }
 
-    /// Close the capture run into a set. The recorded cadence is the one
-    /// after any widening, so the set's reported spacing matches the
+    /// Close the capture run into a set, marking dirty again the pages of
+    /// its image `mem` the captures drained. The recorded cadence is the
+    /// one after any widening, so the set's reported spacing matches the
     /// snapshots it actually holds.
-    pub(crate) fn finish(mut self, golden: S::Golden) -> SnapshotSet<S> {
+    pub(crate) fn finish(mut self, golden: S::Golden, mem: &mut Memory) -> SnapshotSet<S> {
+        self.pages.redirty(mem);
         self.sites.close(golden.head().fault_sites);
         let (base, cadence, snaps, sites) = (self.base, self.cadence, self.snaps, Arc::new(self.sites));
         SnapshotSet { base, golden, cadence, snaps, sites }

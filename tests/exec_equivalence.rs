@@ -33,6 +33,7 @@ use flowery_backend::{compile_module, harden_program, AsmFaultSpec, BackendConfi
 use flowery_faultmodel::ModelSpec;
 use flowery_inject::{classify, AsmTrialRunner};
 use flowery_ir::builder::{FuncBuilder, ModuleBuilder};
+use flowery_ir::interp::substrate;
 use flowery_ir::interp::{ExecConfig, FaultEffect, FaultSpec, Memory};
 use flowery_ir::{BinOp, CastKind, FPred, FuncId, IPred, Intrinsic, IrRole, Module, Op, Type};
 use flowery_passes::{apply_flowery, duplicate_module, DupConfig, FloweryConfig, ProtectionPlan};
@@ -147,16 +148,16 @@ proptest! {
             let plain = asm_oracle::run(&m, &prog, &ec, Some(spec));
             // Cross pairs: each engine fast-forwarding through a set that
             // a different engine captured.
-            let (a, _) = mach.run_fast_forward(&ec, spec, &si, &mut scratch);
+            let (a, ..) = substrate::trial(&mach, &ec, spec, Some(&si), &mut scratch);
             assert_same_result!(a, plain, "compiled ff through interp set @ site {site}\n{}", &src);
             scratch.recycle_output(a.output);
-            let (b, _) = mach.run_fast_forward(&ei, spec, &sc, &mut scratch);
+            let (b, ..) = substrate::trial(&mach, &ei, spec, Some(&sc), &mut scratch);
             assert_same_result!(b, plain, "interp ff through compiled set @ site {site}\n{}", &src);
             scratch.recycle_output(b.output);
-            let (c, _) = mach.run_fast_forward(&en, spec, &si, &mut scratch);
+            let (c, ..) = substrate::trial(&mach, &en, spec, Some(&si), &mut scratch);
             assert_same_result!(c, plain, "native ff through interp set @ site {site}\n{}", &src);
             scratch.recycle_output(c.output);
-            let (d, _) = mach.run_fast_forward(&ei, spec, &sn, &mut scratch);
+            let (d, ..) = substrate::trial(&mach, &ei, spec, Some(&sn), &mut scratch);
             assert_same_result!(d, plain, "interp ff through native set @ site {site}\n{}", &src);
             scratch.recycle_output(d.output);
         }

@@ -5,7 +5,12 @@
 //! on status, output, dynamic instructions, fault sites, injection site
 //! and profile counts, for every fault model: the plain run, the profiled
 //! run, a snapshot capture's golden, and a trial fast-forwarded from a
-//! snapshot.
+//! snapshot — through an instruction-spaced set and the site-spaced set
+//! campaigns capture — which may end where it rejoins the golden run. The
+//! rejoined trials are counted, so the rejoin rule is held against the
+//! oracle on trials that take it, and three programs are built so that a
+//! rejoin rule blind to memory, to output bytes or to the site count would
+//! return a wrong result.
 //!
 //! Two angles, as in `exec_equivalence.rs` for the machine layer:
 //! * a property test over random MiniC programs with faults across every
@@ -20,13 +25,15 @@ mod common;
 mod ir_oracle;
 
 use flowery_faultmodel::ModelSpec;
+use flowery_ir::interp::substrate;
 use flowery_ir::interp::{
-    ExecConfig, ExecResult, ExecStatus, FaultEffect, FaultSpec, Interpreter, IrScratch, TrapKind,
+    ExecConfig, ExecResult, ExecStatus, FaultEffect, FaultSpec, Interpreter, IrLayer, IrScratch, TrapKind,
 };
 use flowery_ir::Module;
 use flowery_passes::{apply_flowery, duplicate_module, DupConfig, FloweryConfig, ProtectionPlan};
 use flowery_workloads::{workload, Scale, NAMES};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn assert_same(got: &ExecResult, want: &ExecResult, ctx: &str) {
     assert_eq!(got.status, want.status, "{ctx}");
@@ -39,8 +46,11 @@ fn assert_same(got: &ExecResult, want: &ExecResult, ctx: &str) {
 
 /// `spec` under `cfg`: the oracle, then the engine's plain run, profiled
 /// run, and trial fast-forwarded through a snapshot set captured every
-/// `interval` instructions — all must agree, as must the captures' goldens.
-fn check(m: &Module, cfg: &ExecConfig, interval: u64, specs: &[FaultSpec], ctx: &str) {
+/// `interval` instructions and through the self-tuning site-spaced set —
+/// all must agree, as must the captures' goldens. Returns how many of the
+/// fast-forwarded trials rejoined the golden run; the oracle's full run of
+/// each must be the golden's but for where its fault landed.
+fn check(m: &Module, cfg: &ExecConfig, interval: u64, specs: &[FaultSpec], ctx: &str) -> u64 {
     let interp = Interpreter::new(m);
     let profiled = ExecConfig { profile: true, ..cfg.clone() };
     for (c, what) in [(cfg, "plain"), (&profiled, "profiled")] {
@@ -48,22 +58,44 @@ fn check(m: &Module, cfg: &ExecConfig, interval: u64, specs: &[FaultSpec], ctx: 
         assert_same(&interp.run(c, None), &want, &format!("{ctx}: fault-free {what} run"));
         let golden = interp.capture_snapshots(c, interval).golden().clone();
         assert_same(&golden, &want, &format!("{ctx}: {what} capture's golden"));
+        let golden = interp.capture_snapshots_auto(c).golden().clone();
+        assert_same(&golden, &want, &format!("{ctx}: {what} site-spaced capture's golden"));
     }
-    let set = interp.capture_snapshots(cfg, interval);
+    let golden = ir_oracle::run(m, cfg, None);
+    let sets = [
+        ("instruction", interp.capture_snapshots(cfg, interval)),
+        ("site", interp.capture_snapshots_auto(cfg)),
+    ];
     let mut scratch = IrScratch::new();
+    let mut rejoined = 0;
     for spec in specs {
         let want = ir_oracle::run(m, cfg, Some(*spec));
         assert_same(&interp.run(cfg, Some(*spec)), &want, &format!("{ctx}: {spec:?}"));
-        let (ff, _) = interp.run_fast_forward(cfg, *spec, &set, &mut scratch);
-        assert_same(&ff, &want, &format!("{ctx}: {spec:?} fast-forwarded"));
-        scratch.recycle_output(ff.output);
+        for (cadence, set) in &sets {
+            let (ff, _, rejoins) = substrate::trial::<IrLayer>(&interp, cfg, *spec, Some(set), &mut scratch);
+            let what = format!("{ctx}: {spec:?} fast-forwarded through the {cadence}-spaced set");
+            assert_same(&ff, &want, &what);
+            if rejoins {
+                rejoined += 1;
+                let as_golden = ExecResult { injected_at: want.injected_at, ..golden.clone() };
+                assert_same(&as_golden, &want, &format!("{what}: rejoined"));
+            }
+            scratch.recycle_output(ff.output);
+        }
         let want = ir_oracle::run(m, &profiled, Some(*spec));
         assert_same(&interp.run(&profiled, Some(*spec)), &want, &format!("{ctx}: {spec:?} profiled"));
     }
+    rejoined
 }
 
+/// Random-program cases run and trials of theirs that rejoined, summed
+/// over the property's cases (which run one after another in one test).
+static RANDOM_CASES: AtomicU64 = AtomicU64::new(0);
+static RANDOM_REJOINS: AtomicU64 = AtomicU64::new(0);
+const RANDOM_CASE_COUNT: u32 = 24;
+
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, max_shrink_iters: 50, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: RANDOM_CASE_COUNT, max_shrink_iters: 50, ..ProptestConfig::default() })]
 
     #[test]
     fn every_path_matches_the_oracle_on_random_programs(
@@ -95,7 +127,10 @@ proptest! {
         }).collect();
         // A tight budget so livelocked trials run it out on every path.
         let cfg = ExecConfig { max_dyn_insts: golden.dyn_insts * 2 + 10_000, ..ExecConfig::default() };
-        check(&m, &cfg, interval, &specs, &src);
+        RANDOM_REJOINS.fetch_add(check(&m, &cfg, interval, &specs, &src), Ordering::Relaxed);
+        if RANDOM_CASES.fetch_add(1, Ordering::Relaxed) + 1 == u64::from(RANDOM_CASE_COUNT) {
+            prop_assert!(RANDOM_REJOINS.load(Ordering::Relaxed) > 0, "no random-program trial rejoined the golden run");
+        }
 
         // Runs cut short: the budget and the output limit trip mid-run.
         let short = ExecConfig { max_dyn_insts: golden.dyn_insts / 2, ..cfg.clone() };
@@ -124,6 +159,7 @@ fn all_models() -> [ModelSpec; 6] {
 fn every_path_matches_the_oracle_on_all_workloads_and_models() {
     const TRIALS: u64 = 4;
     const SEED: u64 = 0x00C0_FFEE;
+    let mut rejoined = 0;
     for name in NAMES {
         let raw = workload(name, Scale::Tiny).compile();
         for variant in ["raw", "id", "flowery"] {
@@ -141,7 +177,7 @@ fn every_path_matches_the_oracle_on_all_workloads_and_models() {
                 .into_iter()
                 .flat_map(|model| (0..TRIALS).map(move |t| model.sample_ir(SEED, t, golden.fault_sites)))
                 .collect();
-            check(&m, &cfg, 4096, &specs, &format!("{name}/{variant}"));
+            rejoined += check(&m, &cfg, 4096, &specs, &format!("{name}/{variant}"));
 
             let shallow = ExecConfig { max_call_depth: 2, ..cfg };
             let r = Interpreter::new(&m).run(&shallow, None);
@@ -149,5 +185,54 @@ fn every_path_matches_the_oracle_on_all_workloads_and_models() {
                 check(&m, &shallow, 4096, &specs[..2], &format!("{name}/{variant} call depth"));
             }
         }
+    }
+    assert!(rejoined > 0, "no workload trial rejoined the golden run");
+}
+
+/// Programs whose faults can leave a trial's frames equal to the golden's
+/// at a later snapshot while one other part of its state differs: memory
+/// (a corrupted value stored, then its slot overwritten), output bytes (a
+/// corrupted value printed, then overwritten) and the site count (a flipped
+/// branch takes an arm of stores only, as long as the other and storing
+/// the same value, so every slot keeps what the golden writes there). A
+/// trial rejoining there would take the golden's result where the oracle's
+/// differs. Every site with a few bits and the flag flip, through sets
+/// spaced every 8 instructions.
+#[test]
+fn rejoins_are_refused_where_memory_output_or_sites_differ() {
+    let programs = [
+        (
+            "memory",
+            "global int arr[64];\n\
+             int main() { int i; int s = 0;\n\
+               for (i = 0; i < 64; i = i + 1) { arr[i] = i * 7; }\n\
+               for (i = 0; i < 64; i = i + 1) { s = s + arr[i]; }\n\
+               output(s); return 0; }",
+        ),
+        (
+            "output",
+            "int main() { int i; for (i = 0; i < 40; i = i + 1) { output(i * 3); } return 0; }",
+        ),
+        (
+            "sites",
+            "int main() { int i; int x = 0;\n\
+               for (i = 0; i < 40; i = i + 1) { if (i >= 0) { x = x + 0; } else { x = 0; x = 0; x = 0; } }\n\
+               output(x); return 0; }",
+        ),
+    ];
+    for (what, src) in programs {
+        let m = flowery_lang::compile(what, src).unwrap();
+        let golden = Interpreter::new(&m).run(&ExecConfig::default(), None);
+        let cfg = ExecConfig::with_budget_for(golden.dyn_insts);
+        let specs: Vec<FaultSpec> = (0..golden.fault_sites)
+            .flat_map(|site| {
+                [0, 1, 40]
+                    .map(|bit| FaultSpec::single(site, bit))
+                    .into_iter()
+                    .chain([FaultSpec::with_effect(site, 0, FaultEffect::Flags)])
+            })
+            .collect();
+        let rejoined = check(&m, &cfg, 8, &specs, what);
+        assert!(rejoined > 0, "{what}: test premise: trials rejoin the golden run");
     }
 }

@@ -19,6 +19,7 @@
 
 use flowery_harness::{module_hash, protect, MatrixSpec};
 use flowery_ir::builder::{FuncBuilder, ModuleBuilder};
+use flowery_ir::interp::substrate;
 use flowery_ir::interp::{ExecConfig, ExecStatus, FaultSpec, Interpreter, IrScratch, TrapKind};
 use flowery_ir::printer::print_function;
 use flowery_ir::{
@@ -519,7 +520,7 @@ fn a_module_without_main_traps_instead_of_panicking() {
     let (interp, cfg, fault) = (Interpreter::new(&m), ExecConfig::default(), FaultSpec::single(0, 1));
     let (snapshots, runs) = catch_unwind(AssertUnwindSafe(|| {
         let set = interp.capture_snapshots_auto(&cfg);
-        let fast_forwarded = interp.run_fast_forward(&cfg, fault, &set, &mut IrScratch::new()).0;
+        let fast_forwarded = substrate::trial(&interp, &cfg, fault, Some(&set), &mut IrScratch::new()).0;
         let runs = [
             ("plain", interp.run(&cfg, None)),
             ("profiled", interp.profile_run(&cfg)),

@@ -8,6 +8,7 @@
 //! range, so late injection sites (the fast-forward win) and pre-snapshot
 //! sites (the fallback path) are both exercised.
 
+use flowery_ir::interp::substrate;
 use flowery_ir::interp::{ExecConfig, FaultSpec, Interpreter};
 use proptest::prelude::*;
 
@@ -68,7 +69,7 @@ proptest! {
             let site = ((frac * golden.fault_sites as f64) as u64).min(golden.fault_sites - 1);
             let spec = FaultSpec::single(site, bit as u32);
             let plain = interp.run(&exec, Some(spec));
-            let (ff, skipped) = interp.run_fast_forward(&exec, spec, &set, &mut scratch);
+            let (ff, skipped, _) = substrate::trial(&interp, &exec, spec, Some(&set), &mut scratch);
             prop_assert_eq!(ff.status, plain.status, "IR status @ site {} bit {}\n{}", site, bit, &src);
             prop_assert_eq!(&ff.output, &plain.output, "IR output @ site {}\n{}", site, &src);
             prop_assert_eq!(ff.dyn_insts, plain.dyn_insts, "IR dyn_insts @ site {}\n{}", site, &src);
@@ -91,7 +92,7 @@ proptest! {
             let site = ((frac * g.fault_sites as f64) as u64).min(g.fault_sites - 1);
             let spec = flowery_backend::AsmFaultSpec::single(site, bit as u32);
             let plain = mach.run(&exec, Some(spec));
-            let (ff, _skipped) = mach.run_fast_forward(&exec, spec, &set, &mut scratch);
+            let (ff, ..) = substrate::trial(&mach, &exec, spec, Some(&set), &mut scratch);
             prop_assert_eq!(ff.status, plain.status, "asm status @ site {} bit {}\n{}", site, bit, &src);
             prop_assert_eq!(&ff.output, &plain.output, "asm output @ site {}\n{}", site, &src);
             prop_assert_eq!(ff.dyn_insts, plain.dyn_insts, "asm dyn_insts @ site {}\n{}", site, &src);

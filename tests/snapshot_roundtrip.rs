@@ -5,6 +5,7 @@
 //! layers. Corrupt, truncated, or mismatched files must be rejected with
 //! an error — never a panic, never a silently wrong set.
 
+use flowery_ir::interp::substrate;
 use flowery_ir::interp::{ExecConfig, FaultSpec, Interpreter, IrScratch, IrSnapshotSet, PAGE_SIZE};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -106,8 +107,8 @@ proptest! {
             let trial = ExecConfig { profile, ..ExecConfig::with_budget_for(set.golden().dyn_insts) };
             for site in (0..sites).step_by(step as usize) {
                 let spec = FaultSpec::single(site, u32::from(bit));
-                let (fresh, s1) = interp.run_fast_forward(&trial, spec, &set, &mut scratch);
-                let (reload, s2) = interp.run_fast_forward(&trial, spec, &loaded, &mut scratch);
+                let (fresh, s1, _) = substrate::trial(&interp, &trial, spec, Some(&set), &mut scratch);
+                let (reload, s2, _) = substrate::trial(&interp, &trial, spec, Some(&loaded), &mut scratch);
                 prop_assert_eq!(s1, s2, "skipped prefix @ site {}", site);
                 prop_assert_eq!(&fresh, &reload, "IR trial @ site {} bit {} profile {}\n{}", site, bit, profile, &src);
             }
@@ -126,8 +127,8 @@ proptest! {
             let trial = ExecConfig { profile, ..ExecConfig::with_budget_for(set.golden().dyn_insts) };
             for site in (0..sites).step_by(step as usize) {
                 let spec = flowery_backend::AsmFaultSpec::single(site, u32::from(bit));
-                let (fresh, s1) = mach.run_fast_forward(&trial, spec, &set, &mut scratch);
-                let (reload, s2) = mach.run_fast_forward(&trial, spec, &loaded, &mut scratch);
+                let (fresh, s1, _) = substrate::trial(&mach, &trial, spec, Some(&set), &mut scratch);
+                let (reload, s2, _) = substrate::trial(&mach, &trial, spec, Some(&loaded), &mut scratch);
                 prop_assert_eq!(s1, s2, "asm skipped prefix @ site {}", site);
                 prop_assert_eq!(&fresh, &reload, "asm trial @ site {} bit {} profile {}\n{}", site, bit, profile, &src);
             }

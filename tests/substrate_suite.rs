@@ -135,7 +135,7 @@ fn fast_forward_is_bit_identical<S: Layer>() {
         for bit in [0u32, 1, 5, 17, 31, 62, 63] {
             let spec = FaultSpec::single(site, bit);
             let scratch_res = substrate::run::<S>(&exec, &cfg, Some(spec));
-            let (ff_res, skipped) = substrate::trial(&exec, &cfg, spec, Some(&set), &mut scratch);
+            let (ff_res, skipped, _) = substrate::trial(&exec, &cfg, spec, Some(&set), &mut scratch);
             assert_eq!(ff_res, scratch_res, "site {site} bit {bit}");
             assert!(skipped <= scratch_res.head().dyn_insts);
             scratch.recycle_output(ff_res.into_output());
@@ -168,7 +168,7 @@ fn profiled_fast_forward_matches_scratch<S: Layer>() {
     for site in 0..set.golden().head().fault_sites {
         let spec = FaultSpec::single(site, 5);
         let scratch_res = substrate::run::<S>(&exec, &cfg, Some(spec));
-        let (ff_res, _) = substrate::trial(&exec, &cfg, spec, Some(&set), &mut scratch);
+        let (ff_res, ..) = substrate::trial(&exec, &cfg, spec, Some(&set), &mut scratch);
         assert_eq!(ff_res, scratch_res, "site {site}: profile counts must match");
     }
 }
@@ -185,9 +185,9 @@ fn profiled_trials_restore_nothing<S: Layer>() {
     let set = substrate::capture::<S>(&exec, &plain_cfg, Cadence::Insts(64), None);
     let mut scratch = Scratch::new();
     let spec = FaultSpec::single(set.golden().head().fault_sites - 1, 1);
-    let (_, skipped) = substrate::trial(&exec, &plain_cfg, spec, Some(&set), &mut scratch);
+    let (_, skipped, _) = substrate::trial(&exec, &plain_cfg, spec, Some(&set), &mut scratch);
     assert!(skipped > 0, "test premise: the unprofiled trial restores a snapshot");
-    let (ff_res, skipped) = substrate::trial(&exec, &prof_cfg, spec, Some(&set), &mut scratch);
+    let (ff_res, skipped, _) = substrate::trial(&exec, &prof_cfg, spec, Some(&set), &mut scratch);
     assert_eq!(skipped, 0, "a profiled trial must start from scratch");
     assert_eq!(ff_res, substrate::run::<S>(&exec, &prof_cfg, Some(spec)));
 }
@@ -214,7 +214,7 @@ fn auto_capture_is_site_spaced_and_capped<S: Layer>() {
     for site in (0..set.golden().head().fault_sites).step_by(1009) {
         let spec = FaultSpec::single(site, 7);
         let scratch_res = substrate::run::<S>(&exec, &cfg, Some(spec));
-        let (ff_res, _) = substrate::trial(&exec, &cfg, spec, Some(&set), &mut scratch);
+        let (ff_res, ..) = substrate::trial(&exec, &cfg, spec, Some(&set), &mut scratch);
         assert_eq!(ff_res, scratch_res, "site {site}");
         scratch.recycle_output(ff_res.into_output());
     }
@@ -319,7 +319,7 @@ fn identical_rewrites_keep_the_page_version<S: Layer>() {
     let mut scratch = Scratch::new();
     for site in (0..set.golden().head().fault_sites).step_by(7) {
         let spec = FaultSpec::single(site, 2);
-        let (ff_res, _) = substrate::trial(&exec, &cfg, spec, Some(&loaded), &mut scratch);
+        let (ff_res, ..) = substrate::trial(&exec, &cfg, spec, Some(&loaded), &mut scratch);
         assert_eq!(ff_res, substrate::run::<S>(&exec, &cfg, Some(spec)), "site {site}");
     }
 }
