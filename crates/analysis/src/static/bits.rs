@@ -626,8 +626,8 @@ impl<'a> BitsEngine<'a> {
             AKind::Mov { dst, src, .. } | AKind::MovSd { dst, src, .. } => t.op(&src).op(&dst),
             AKind::MovSx { dst, src, .. }
             | AKind::Sse { dst, src, .. }
-            | AKind::Cvtsi2f { dst, src, .. }
-            | AKind::Cvtf2si { dst, src, .. } => t.op(&src).regs([dst]),
+            | AKind::Cvtsi2f { dst, src }
+            | AKind::Cvtf2si { dst, src } => t.op(&src).regs([dst]),
             AKind::Lea { dst, mem } => t.regs(mem.base).regs([dst]),
             AKind::Alu { dst, src, .. } | AKind::Cmov { dst, src, .. } => t.op(&src).regs([dst]).with(Touch::FLAGS),
             AKind::Shift { dst, amt, .. } => t.op(&amt).regs([dst]).with(Touch::FLAGS),
@@ -635,7 +635,7 @@ impl<'a> BitsEngine<'a> {
             AKind::ZeroRdx => t.regs([Reg::Rdx]),
             AKind::Div { src, .. } => t.op(&src).regs([Reg::Rax, Reg::Rdx]),
             AKind::Cmp { lhs, rhs, .. } | AKind::Test { lhs, rhs, .. } => t.op(&lhs).op(&rhs).with(Touch::FLAGS),
-            AKind::Ucomi { lhs, rhs, .. } => t.op(&rhs).regs([lhs]).with(Touch::FLAGS),
+            AKind::Ucomi { lhs, rhs } => t.op(&rhs).regs([lhs]).with(Touch::FLAGS),
             AKind::SetCC { dst, .. } => t.regs([dst]).with(Touch::FLAGS),
             AKind::Jcc { .. } => t.with(Touch::FLAGS),
             // Neither reads anything; a trap has no successor to carry to.
@@ -653,7 +653,7 @@ impl<'a> BitsEngine<'a> {
             }
             AKind::Push { src } => t.op(&src).with(Touch::MEM),
             AKind::Pop { dst } => t.regs([dst]),
-            AKind::Cvtff { dst, src, .. } | AKind::MovQ { dst, src, .. } => t.regs([dst, src]),
+            AKind::MovQ { dst, src, .. } => t.regs([dst, src]),
             AKind::Math { dst, a, b, .. } => t.regs([dst, a]).regs(b),
             AKind::Out { src, .. } => t.op(&src),
         }
@@ -1000,9 +1000,9 @@ impl<'a> BitsEngine<'a> {
                     _ => self.compare(j, a, b, t, seen),
                 }
             }
-            AKind::Ucomi { w, lhs, rhs } => {
-                let a = self.read_op(st, &AOp::Reg(lhs), w, fam, seen);
-                let b = self.read_op(st, &rhs, w, fam, seen);
+            AKind::Ucomi { lhs, rhs } => {
+                let a = self.read_op(st, &AOp::Reg(lhs), 8, fam, seen);
+                let b = self.read_op(st, &rhs, 8, fam, seen);
                 self.compare(j, a, b, t, seen);
             }
             AKind::SetCC { cc, dst } => {
@@ -1072,16 +1072,8 @@ impl<'a> BitsEngine<'a> {
                 let b = self.read_op(st, &src, 8, fam, seen);
                 self.write_reg(t, dst, Dev::new(0, a.all() | b.all(), a.def | b.def), seen);
             }
-            AKind::Cvtsi2f { dst, src, .. } => {
+            AKind::Cvtsi2f { dst, src } | AKind::Cvtf2si { dst, src } => {
                 let b = self.read_op(st, &src, 8, fam, seen);
-                self.write_reg(t, dst, Dev::new(0, b.all(), b.def), seen);
-            }
-            AKind::Cvtf2si { wf, dst, src } => {
-                let b = self.read_op(st, &src, wf, fam, seen);
-                self.write_reg(t, dst, Dev::new(0, b.all(), b.def), seen);
-            }
-            AKind::Cvtff { dst, src, .. } => {
-                let b = self.read_op(st, &AOp::Reg(src), 8, fam, seen);
                 self.write_reg(t, dst, Dev::new(0, b.all(), b.def), seen);
             }
             AKind::MovQ { w, dst, src } => {

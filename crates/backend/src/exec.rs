@@ -670,30 +670,6 @@ enum GenOp {
     DivU {
         rd: Rd,
     },
-    /// Scalar single arithmetic (`addss`/`subss`/`mulss`/`divss`).
-    SseS {
-        op: SseOp,
-        di: u8,
-        rd: Rd,
-    },
-    UcomiS {
-        li: u8,
-        rd: Rd,
-    },
-    CvtSiF32 {
-        di: u8,
-        rd: Rd,
-    },
-    CvtF32Si {
-        di: u8,
-        rd: Rd,
-    },
-    /// `cvtss2sd` (`wd == 8`) or `cvtsd2ss`.
-    Cvtff {
-        wd: u8,
-        di: u8,
-        si: u8,
-    },
     OutByte {
         rd: Rd,
     },
@@ -765,38 +741,6 @@ fn exec_gen(g: &GenOp, st: &mut State, next: u32, max_out: usize) -> Result<u32,
             let a = st.regs[RAX];
             st.regs[RAX] = a / b;
             st.regs[RDX] = a % b;
-        }
-        GenOp::SseS { op, di, rd } => {
-            let a = f32::from_bits(st.regs[di as usize] as u32);
-            let b = f32::from_bits(rd.get_w::<4>(st)? as u32);
-            let r = match op {
-                SseOp::AddSs => a + b,
-                SseOp::SubSs => a - b,
-                SseOp::MulSs => a * b,
-                _ => a / b,
-            };
-            st.regs[di as usize] = r.to_bits() as u64;
-        }
-        GenOp::UcomiS { li, rd } => {
-            let a = f32::from_bits(st.regs[li as usize] as u32);
-            let b = f32::from_bits(rd.get_w::<4>(st)? as u32);
-            st.regs[RFLAGS] = ucomi_flags(a as f64, b as f64);
-        }
-        GenOp::CvtSiF32 { di, rd } => {
-            let v = rd.get_w::<8>(st)?;
-            st.regs[di as usize] = ((v as i64) as f32).to_bits() as u64;
-        }
-        GenOp::CvtF32Si { di, rd } => {
-            let v = rd.get_w::<4>(st)?;
-            st.regs[di as usize] = ((f32::from_bits(v as u32) as f64) as i64) as u64;
-        }
-        GenOp::Cvtff { wd, di, si } => {
-            let v = st.regs[si as usize];
-            st.regs[di as usize] = if wd == 8 {
-                (f32::from_bits(v as u32) as f64).to_bits()
-            } else {
-                (f64::from_bits(v) as f32).to_bits() as u64
-            };
         }
         GenOp::OutByte { rd } => {
             let v = rd.get_w::<8>(st)?;
@@ -1368,21 +1312,17 @@ fn translate(kind: &AKind, len: usize, gens: &mut Vec<GenOp>) -> Op {
         AKind::Pop { dst } => Op::Pop { di: dst.index() as u8 },
         AKind::Sse { op, dst, src } => {
             let di = dst.index() as u8;
+            let rd = Rd::new(src, 8);
             match op {
-                SseOp::AddSd => Op::AddSd { di, rd: Rd::new(src, 8) },
-                SseOp::SubSd => Op::SubSd { di, rd: Rd::new(src, 8) },
-                SseOp::MulSd => Op::MulSd { di, rd: Rd::new(src, 8) },
-                SseOp::DivSd => Op::DivSd { di, rd: Rd::new(src, 8) },
-                _ => gen(gens, GenOp::SseS { op, di, rd: Rd::new(src, 4) }),
+                SseOp::AddSd => Op::AddSd { di, rd },
+                SseOp::SubSd => Op::SubSd { di, rd },
+                SseOp::MulSd => Op::MulSd { di, rd },
+                SseOp::DivSd => Op::DivSd { di, rd },
             }
         }
-        AKind::Ucomi { w: 4, lhs, rhs } => gen(gens, GenOp::UcomiS { li: lhs.index() as u8, rd: Rd::new(rhs, 4) }),
-        AKind::Ucomi { lhs, rhs, .. } => Op::UcomiD { li: lhs.index() as u8, rd: Rd::new(rhs, 8) },
-        AKind::Cvtsi2f { wf: 4, dst, src } => gen(gens, GenOp::CvtSiF32 { di: dst.index() as u8, rd: Rd::new(src, 8) }),
-        AKind::Cvtsi2f { dst, src, .. } => Op::CvtSiF64 { di: dst.index() as u8, rd: Rd::new(src, 8) },
-        AKind::Cvtf2si { wf: 4, dst, src } => gen(gens, GenOp::CvtF32Si { di: dst.index() as u8, rd: Rd::new(src, 4) }),
-        AKind::Cvtf2si { dst, src, .. } => Op::CvtF64Si { di: dst.index() as u8, rd: Rd::new(src, 8) },
-        AKind::Cvtff { wd, dst, src } => gen(gens, GenOp::Cvtff { wd, di: dst.index() as u8, si: src.index() as u8 }),
+        AKind::Ucomi { lhs, rhs } => Op::UcomiD { li: lhs.index() as u8, rd: Rd::new(rhs, 8) },
+        AKind::Cvtsi2f { dst, src } => Op::CvtSiF64 { di: dst.index() as u8, rd: Rd::new(src, 8) },
+        AKind::Cvtf2si { dst, src } => Op::CvtF64Si { di: dst.index() as u8, rd: Rd::new(src, 8) },
         AKind::MovQ { w, dst, src } => Op::MovRR {
             di: dst.index() as u8,
             si: src.index() as u8,

@@ -81,7 +81,7 @@ fn check_for(inst: &AInst, cfg: &HardenConfig, stats: &mut HardenStats) -> Optio
             // unordered — the `jne` + `jb` pair after the check covers all
             // three (unordered sets CF).
             stats.arg_checks += 1;
-            Some((AKind::Ucomi { w: *w, lhs: *r, rhs: *src }, *w))
+            Some((AKind::Ucomi { lhs: *r, rhs: *src }, *w))
         }
         // Callee parameter spill / return move / store write: memory
         // destination — read it back against the source register.
@@ -99,7 +99,7 @@ fn check_for(inst: &AInst, cfg: &HardenConfig, stats: &mut HardenStats) -> Optio
         }
         (AKind::MovSd { w, dst: AOp::Mem(m), src: AOp::Reg(r) }, AsmRole::Compute) if cfg.verify_stores => {
             stats.store_checks += 1;
-            Some((AKind::Ucomi { w: *w, lhs: *r, rhs: AOp::Mem(*m) }, *w))
+            Some((AKind::Ucomi { lhs: *r, rhs: AOp::Mem(*m) }, *w))
         }
         // Frame save: `push rbp` -> compare rbp with the just-pushed slot.
         (AKind::Push { src: AOp::Reg(Reg::Rbp) }, AsmRole::Prologue) if cfg.verify_frame_saves => {

@@ -393,7 +393,7 @@ impl<'m> FnLower<'m> {
             }
             InstKind::Bin { op, ty, lhs, rhs } => {
                 if op.is_float() {
-                    self.lower_fbin(iid, *op, *ty, *lhs, *rhs);
+                    self.lower_fbin(iid, *op, *lhs, *rhs);
                 } else {
                     self.lower_ibin(iid, *op, *ty, *lhs, *rhs);
                 }
@@ -411,10 +411,10 @@ impl<'m> FnLower<'m> {
                 self.emit(AKind::SetCC { cc, dst }, AsmRole::FlagMaterialize);
                 self.finish_gpr(iid, dst, AsmRole::ResultSpill);
             }
-            InstKind::FCmp { pred, ty, lhs, rhs } => {
+            InstKind::FCmp { pred, lhs, rhs, .. } => {
                 let a = self.load_xmm(*lhs, AsmRole::OperandReload, &[]);
                 let b = self.load_xmm(*rhs, AsmRole::OperandReload, &[a]);
-                self.emit(AKind::Ucomi { w: ty.size() as u8, lhs: a, rhs: AOp::Reg(b) }, AsmRole::Compute);
+                self.emit(AKind::Ucomi { lhs: a, rhs: AOp::Reg(b) }, AsmRole::Compute);
                 let cc = fcmp_cc(*pred);
                 if self.fusable(iid, is_last, term) {
                     self.pending_cmp = Some((iid, cc));
@@ -585,16 +585,12 @@ impl<'m> FnLower<'m> {
         }
     }
 
-    fn lower_fbin(&mut self, iid: InstId, op: BinOp, ty: Type, lhs: Op, rhs: Op) {
-        let sse = match (op, ty) {
-            (BinOp::FAdd, Type::F64) => SseOp::AddSd,
-            (BinOp::FSub, Type::F64) => SseOp::SubSd,
-            (BinOp::FMul, Type::F64) => SseOp::MulSd,
-            (BinOp::FDiv, Type::F64) => SseOp::DivSd,
-            (BinOp::FAdd, Type::F32) => SseOp::AddSs,
-            (BinOp::FSub, Type::F32) => SseOp::SubSs,
-            (BinOp::FMul, Type::F32) => SseOp::MulSs,
-            (BinOp::FDiv, Type::F32) => SseOp::DivSs,
+    fn lower_fbin(&mut self, iid: InstId, op: BinOp, lhs: Op, rhs: Op) {
+        let sse = match op {
+            BinOp::FAdd => SseOp::AddSd,
+            BinOp::FSub => SseOp::SubSd,
+            BinOp::FMul => SseOp::MulSd,
+            BinOp::FDiv => SseOp::DivSd,
             other => unreachable!("float op {other:?}"),
         };
         let a = self.load_xmm(lhs, AsmRole::OperandReload, &[]);
@@ -641,13 +637,13 @@ impl<'m> FnLower<'m> {
                     a
                 };
                 let dst = self.take_xmm(&[]);
-                self.emit(AKind::Cvtsi2f { wf: to.size() as u8, dst, src: AOp::Reg(src) }, AsmRole::Compute);
+                self.emit(AKind::Cvtsi2f { dst, src: AOp::Reg(src) }, AsmRole::Compute);
                 self.finish_xmm(iid, dst, AsmRole::ResultSpill);
             }
             CastKind::FpToSi => {
                 let a = self.load_xmm(val, AsmRole::OperandReload, &[]);
                 let dst = self.take_gpr(&[]);
-                self.emit(AKind::Cvtf2si { wf: from.size() as u8, dst, src: AOp::Reg(a) }, AsmRole::Compute);
+                self.emit(AKind::Cvtf2si { dst, src: AOp::Reg(a) }, AsmRole::Compute);
                 if to.size() < 8 {
                     self.emit(
                         AKind::Mov { w: to.size() as u8, dst: AOp::Reg(dst), src: AOp::Reg(dst) },
@@ -655,12 +651,6 @@ impl<'m> FnLower<'m> {
                     );
                 }
                 self.finish_gpr(iid, dst, AsmRole::ResultSpill);
-            }
-            CastKind::FpCast => {
-                let a = self.load_xmm(val, AsmRole::OperandReload, &[]);
-                let dst = self.take_xmm(&[a]);
-                self.emit(AKind::Cvtff { wd: to.size() as u8, dst, src: a }, AsmRole::Compute);
-                self.finish_xmm(iid, dst, AsmRole::ResultSpill);
             }
             CastKind::Bitcast => match (from.is_float(), to.is_float()) {
                 (true, false) => {

@@ -532,45 +532,26 @@ impl Asm {
         self.modrm(3, xmm, r);
     }
 
-    /// `movd xmm, r32`.
-    pub fn movd_x_r(&mut self, xmm: u8, r: u8) {
-        self.code.push(0x66);
-        self.rex(false, xmm, 0, r, &[]);
-        self.b(&[0x0F, 0x6E]);
-        self.modrm(3, xmm, r);
-    }
-
-    /// `movd r32, xmm` (zero-extends).
-    pub fn movd_r_x(&mut self, r: u8, xmm: u8) {
-        self.code.push(0x66);
-        self.rex(false, xmm, 0, r, &[]);
-        self.b(&[0x0F, 0x7E]);
-        self.modrm(3, xmm, r);
-    }
-
-    /// Scalar arithmetic `op dst_xmm, src_xmm` with a mandatory prefix
-    /// (0xF2 = sd, 0xF3 = ss); opc 0x58 add, 0x5C sub, 0x59 mul, 0x5E div,
-    /// 0x5A cvt between float widths.
-    pub fn sse_op(&mut self, prefix: u8, opc: u8, dst: u8, src: u8) {
-        self.code.push(prefix);
+    /// Scalar double arithmetic `op dst_xmm, src_xmm`; opc 0x58 add,
+    /// 0x5C sub, 0x59 mul, 0x5E div.
+    pub fn sse_op(&mut self, opc: u8, dst: u8, src: u8) {
+        self.code.push(0xF2);
         self.rex(false, dst, 0, src, &[]);
         self.b(&[0x0F, opc]);
         self.modrm(3, dst, src);
     }
 
-    /// `ucomisd` (w=8) / `ucomiss` (w=4).
-    pub fn ucomi(&mut self, w: u8, dst: u8, src: u8) {
-        if w == 8 {
-            self.code.push(0x66);
-        }
+    /// `ucomisd dst, src`.
+    pub fn ucomisd(&mut self, dst: u8, src: u8) {
+        self.code.push(0x66);
         self.rex(false, dst, 0, src, &[]);
         self.b(&[0x0F, 0x2E]);
         self.modrm(3, dst, src);
     }
 
-    /// `cvtsi2sd` (wf=8) / `cvtsi2ss` (wf=4) from a 64-bit register.
-    pub fn cvtsi2f(&mut self, wf: u8, xmm: u8, r: u8) {
-        self.code.push(if wf == 8 { 0xF2 } else { 0xF3 });
+    /// `cvtsi2sd xmm, r64`.
+    pub fn cvtsi2sd(&mut self, xmm: u8, r: u8) {
+        self.code.push(0xF2);
         self.rex(true, xmm, 0, r, &[]);
         self.b(&[0x0F, 0x2A]);
         self.modrm(3, xmm, r);

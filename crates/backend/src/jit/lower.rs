@@ -965,98 +965,51 @@ fn emit_inst(
             None
         }
         AKind::Sse { op, dst, src } => {
-            let (prefix, opc, is64) = match op {
-                SseOp::AddSd => (0xF2, 0x58, true),
-                SseOp::SubSd => (0xF2, 0x5C, true),
-                SseOp::MulSd => (0xF2, 0x59, true),
-                SseOp::DivSd => (0xF2, 0x5E, true),
-                SseOp::AddSs => (0xF3, 0x58, false),
-                SseOp::SubSs => (0xF3, 0x5C, false),
-                SseOp::MulSs => (0xF3, 0x59, false),
-                SseOp::DivSs => (0xF3, 0x5E, false),
+            let opc = match op {
+                SseOp::AddSd => 0x58,
+                SseOp::SubSd => 0x5C,
+                SseOp::MulSd => 0x59,
+                SseOp::DivSd => 0x5E,
             };
-            if is64 {
-                load_slot_w(a, 8, dst, RAX, avail);
-                a.movq_x_r(0, RAX);
-                // rax now holds dst's full slot value, so the src read may
-                // forward it (src == dst is common in accumulation loops).
-                read_op(a, &src, 8, RDX, ctx, Some(dst));
-                a.movq_x_r(1, RDX);
-                a.sse_op(prefix, opc, 0, 1);
-                a.movq_r_x(RAX, 0);
-            } else {
-                // f32 lane: the guest truncates both operands to their low
-                // 32 bits and zero-extends the result.
-                load_slot_w(a, 4, dst, RAX, avail);
-                a.movd_x_r(0, RAX);
-                read_op(a, &src, 4, RDX, ctx, None);
-                a.movd_x_r(1, RDX);
-                a.sse_op(prefix, opc, 0, 1);
-                a.movd_r_x(RAX, 0);
-            }
+            load_slot_w(a, 8, dst, RAX, avail);
+            a.movq_x_r(0, RAX);
+            // rax now holds dst's full slot value, so the src read may
+            // forward it (src == dst is common in accumulation loops).
+            read_op(a, &src, 8, RDX, ctx, Some(dst));
+            a.movq_x_r(1, RDX);
+            a.sse_op(opc, 0, 1);
+            a.movq_r_x(RAX, 0);
             store_slot(a, dst, RAX);
             Some(dst)
         }
-        AKind::Ucomi { w, lhs, rhs } => {
-            let wm = if w == 8 { 8 } else { 4 };
+        AKind::Ucomi { lhs, rhs } => {
             if flags_live {
-                if w == 8 {
-                    load_slot_w(a, 8, lhs, RAX, avail);
-                    a.movq_x_r(0, RAX);
-                    read_op(a, &rhs, 8, RDX, ctx, Some(lhs));
-                    a.movq_x_r(1, RDX);
-                } else {
-                    load_slot_w(a, 4, lhs, RAX, avail);
-                    a.movd_x_r(0, RAX);
-                    read_op(a, &rhs, 4, RDX, ctx, None);
-                    a.movd_x_r(1, RDX);
-                }
-                a.ucomi(w, 0, 1);
+                load_slot_w(a, 8, lhs, RAX, avail);
+                a.movq_x_r(0, RAX);
+                read_op(a, &rhs, 8, RDX, ctx, Some(lhs));
+                a.movq_x_r(1, RDX);
+                a.ucomisd(0, 1);
                 flags_from_host(a);
             } else if let AOp::Mem(m) = rhs {
                 // Dead flags: only the rhs bounds check is observable.
                 emit_ea(a, &m, avail);
                 let oob = ctx.oob_load(a);
-                bounds_check(a, wm, oob);
+                bounds_check(a, 8, oob);
             }
             None
         }
-        AKind::Cvtsi2f { wf, dst, src } => {
+        AKind::Cvtsi2f { dst, src } => {
             read_op(a, &src, 8, RAX, ctx, avail);
-            a.cvtsi2f(wf, 0, RAX);
-            if wf == 8 {
-                a.movq_r_x(RAX, 0);
-            } else {
-                a.movd_r_x(RAX, 0);
-            }
+            a.cvtsi2sd(0, RAX);
+            a.movq_r_x(RAX, 0);
             store_slot(a, dst, RAX);
             Some(dst)
         }
-        AKind::Cvtf2si { wf, dst, src } => {
+        AKind::Cvtf2si { dst, src } => {
             // Rust saturating-cast semantics (the guest contract) differ
             // from cvttsd2si on overflow/NaN, so convert in a helper.
-            if wf == 8 {
-                read_op(a, &src, 8, RDI, ctx, avail);
-                call_helper(a, helpers.f64_to_i64);
-            } else {
-                read_op(a, &src, 4, RDI, ctx, avail);
-                call_helper(a, helpers.f32_to_i64);
-            }
-            store_slot(a, dst, RAX);
-            Some(dst)
-        }
-        AKind::Cvtff { wd, dst, src } => {
-            if wd == 8 {
-                load_slot_w(a, 4, src, RAX, avail);
-                a.movd_x_r(0, RAX);
-                a.sse_op(0xF3, 0x5A, 0, 0); // cvtss2sd
-                a.movq_r_x(RAX, 0);
-            } else {
-                load_slot_w(a, 8, src, RAX, avail);
-                a.movq_x_r(0, RAX);
-                a.sse_op(0xF2, 0x5A, 0, 0); // cvtsd2ss
-                a.movd_r_x(RAX, 0);
-            }
+            read_op(a, &src, 8, RDI, ctx, avail);
+            call_helper(a, helpers.f64_to_i64);
             store_slot(a, dst, RAX);
             Some(dst)
         }

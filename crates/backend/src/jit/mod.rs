@@ -176,17 +176,12 @@ extern "C" fn h_f64_to_i64(bits: u64) -> u64 {
     (f64::from_bits(bits) as i64) as u64
 }
 
-extern "C" fn h_f32_to_i64(bits: u64) -> u64 {
-    ((f32::from_bits(bits as u32) as f64) as i64) as u64
-}
-
 /// Helper entry addresses handed to the lowering for `movabs; call`.
 pub(crate) struct Helpers {
     pub out: u64,
     pub math1: u64,
     pub math2: u64,
     pub f64_to_i64: u64,
-    pub f32_to_i64: u64,
 }
 
 fn helpers() -> Helpers {
@@ -195,7 +190,6 @@ fn helpers() -> Helpers {
         math1: h_math1 as *const () as usize as u64,
         math2: h_math2 as *const () as usize as u64,
         f64_to_i64: h_f64_to_i64 as *const () as usize as u64,
-        f32_to_i64: h_f32_to_i64 as *const () as usize as u64,
     }
 }
 

@@ -157,17 +157,13 @@ pub enum ShiftOp {
     Sar,
 }
 
-/// SSE scalar arithmetic opcodes (`sd` = f64, `ss` = f32).
+/// SSE scalar double arithmetic opcodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SseOp {
     AddSd,
     SubSd,
     MulSd,
     DivSd,
-    AddSs,
-    SubSs,
-    MulSs,
-    DivSs,
 }
 
 /// Condition codes.
@@ -266,18 +262,17 @@ pub enum AKind {
     Push { src: AOp },
     /// Pop into a register.
     Pop { dst: Reg },
-    /// SSE scalar move (xmm<->xmm/mem, 4 or 8 bytes).
+    /// SSE scalar move (xmm<->xmm/mem). Isel always emits `w` = 8; the
+    /// width stays because the engines run this through `Mov`'s arms.
     MovSd { w: u8, dst: AOp, src: AOp },
     /// SSE scalar arithmetic: `dst = dst op src`.
     Sse { op: SseOp, dst: Reg, src: AOp },
-    /// Float compare -> flags (`ucomisd`/`ucomiss`).
-    Ucomi { w: u8, lhs: Reg, rhs: AOp },
-    /// Int -> float conversion.
-    Cvtsi2f { wf: u8, dst: Reg, src: AOp },
-    /// Float -> int conversion (truncating).
-    Cvtf2si { wf: u8, dst: Reg, src: AOp },
-    /// f32 <-> f64 conversion (`wd` = destination float width).
-    Cvtff { wd: u8, dst: Reg, src: Reg },
+    /// Double compare -> flags (`ucomisd`).
+    Ucomi { lhs: Reg, rhs: AOp },
+    /// Int -> double conversion (`cvtsi2sd`).
+    Cvtsi2f { dst: Reg, src: AOp },
+    /// Double -> int conversion, truncating (`cvttsd2si`).
+    Cvtf2si { dst: Reg, src: AOp },
     /// Bit-move between GPR and XMM (`movq`/`movd`).
     MovQ { w: u8, dst: Reg, src: Reg },
     /// Math pseudo (modelled libm): reads xmm args, writes `dst`.
@@ -425,9 +420,7 @@ impl AKind {
             AKind::Push { .. } => FaultDest::MemVal(8),
             AKind::Pop { dst } => FaultDest::Gpr(dst, 8),
             AKind::Sse { dst, .. } => FaultDest::Gpr(dst, 8),
-            AKind::Cvtsi2f { wf, dst, .. } => FaultDest::Gpr(dst, wf),
-            AKind::Cvtf2si { dst, .. } => FaultDest::Gpr(dst, 8),
-            AKind::Cvtff { wd, dst, .. } => FaultDest::Gpr(dst, wd),
+            AKind::Cvtsi2f { dst, .. } | AKind::Cvtf2si { dst, .. } => FaultDest::Gpr(dst, 8),
             AKind::MovQ { w, dst, .. } => FaultDest::Gpr(dst, w),
             AKind::Math { dst, .. } => FaultDest::Gpr(dst, 8),
             AKind::Out { .. } | AKind::DetectTrap => FaultDest::None,
@@ -457,9 +450,9 @@ impl AKind {
             AKind::Jcc { .. } | AKind::Jmp { .. } => 1,
             AKind::Call { .. } | AKind::Ret => 2,
             AKind::Push { .. } | AKind::Pop { .. } => 1,
-            AKind::Sse { op: SseOp::DivSd | SseOp::DivSs, .. } => 14,
+            AKind::Sse { op: SseOp::DivSd, .. } => 14,
             AKind::Sse { .. } => 4,
-            AKind::Cvtsi2f { .. } | AKind::Cvtf2si { .. } | AKind::Cvtff { .. } => 4,
+            AKind::Cvtsi2f { .. } | AKind::Cvtf2si { .. } => 4,
             AKind::Math { kind: MathKind::Fabs | MathKind::Floor, .. } => 2,
             AKind::Math { kind: MathKind::Sqrt, .. } => 15,
             AKind::Math { .. } => 40,
@@ -586,29 +579,12 @@ impl fmt::Display for AKind {
                     SseOp::SubSd => "subsd",
                     SseOp::MulSd => "mulsd",
                     SseOp::DivSd => "divsd",
-                    SseOp::AddSs => "addss",
-                    SseOp::SubSs => "subss",
-                    SseOp::MulSs => "mulss",
-                    SseOp::DivSs => "divss",
                 };
                 write!(f, "{name} {}, %{}", op_str(src), dst.name())
             }
-            AKind::Ucomi { w, lhs, rhs } => {
-                write!(f, "ucomis{} {}, %{}", if *w == 4 { "s" } else { "d" }, op_str(rhs), lhs.name())
-            }
-            AKind::Cvtsi2f { wf, dst, src } => {
-                write!(f, "cvtsi2s{} {}, %{}", if *wf == 4 { "s" } else { "d" }, op_str(src), dst.name())
-            }
-            AKind::Cvtf2si { wf, dst, src } => {
-                write!(f, "cvtts{}2si {}, %{}", if *wf == 4 { "s" } else { "d" }, op_str(src), dst.name())
-            }
-            AKind::Cvtff { wd, dst, src } => {
-                if *wd == 8 {
-                    write!(f, "cvtss2sd %{}, %{}", src.name(), dst.name())
-                } else {
-                    write!(f, "cvtsd2ss %{}, %{}", src.name(), dst.name())
-                }
-            }
+            AKind::Ucomi { lhs, rhs } => write!(f, "ucomisd {}, %{}", op_str(rhs), lhs.name()),
+            AKind::Cvtsi2f { dst, src } => write!(f, "cvtsi2sd {}, %{}", op_str(src), dst.name()),
+            AKind::Cvtf2si { dst, src } => write!(f, "cvttsd2si {}, %{}", op_str(src), dst.name()),
             AKind::MovQ { dst, src, .. } => write!(f, "movq %{}, %{}", src.name(), dst.name()),
             AKind::Math { kind, dst, a, b } => {
                 let name = match kind {

@@ -163,8 +163,6 @@ pub enum CastKind {
     SiToFp,
     /// Floating point to signed integer (round toward zero).
     FpToSi,
-    /// `f32` <-> `f64` conversion.
-    FpCast,
     /// Reinterpret bits between same-width int/float/ptr.
     Bitcast,
 }

@@ -69,7 +69,7 @@ enum Kind {
     Store8(Src, Src),
     Bin(BinOp, Type, Src, Src),
     ICmp(IPred, Type, Src, Src),
-    FCmp(FPred, Type, Src, Src),
+    FCmp(FPred, Src, Src),
     Cast(CastKind, Type, Type, Src),
     /// Base, index, element size.
     Gep(Src, Src, u8),
@@ -273,11 +273,11 @@ impl<'m> Compiled<'m> {
                     let (a, b) = (rd!(a), rd!(b));
                     folded!(pred, IPred[Eq, Ne, Slt, Sle, Sgt, Sge, Ult, Ule, Ugt, Uge], |p| ops::eval_icmp(p, ty, a, b))
                 }
-                Kind::FCmp(pred, ty, a, b) => ops::eval_fcmp(pred, ty, rd!(a), rd!(b)),
+                Kind::FCmp(pred, a, b) => ops::eval_fcmp(pred, rd!(a), rd!(b)),
                 Kind::Cast(kind, from, to, v) => {
                     let v = rd!(v);
                     use CastKind as C;
-                    folded!(kind, C[Zext, Sext, Trunc, SiToFp, FpToSi, FpCast, Bitcast], |k| ops::eval_cast(k, from, to, v))
+                    folded!(kind, C[Zext, Sext, Trunc, SiToFp, FpToSi, Bitcast], |k| ops::eval_cast(k, from, to, v))
                 }
                 Kind::Gep(base, index, size) => {
                     rd!(base).wrapping_add_signed((rd!(index) as i64).wrapping_mul(size as i64))
@@ -496,7 +496,7 @@ impl Translator<'_> {
             }
             InstKind::ICmp { pred, ty, lhs, rhs } => Kind::ICmp(*pred, *ty, self.src(*lhs)?, self.src(*rhs)?),
             InstKind::FCmp { pred, ty, lhs, rhs } if ty.is_float() => {
-                Kind::FCmp(*pred, *ty, self.src(*lhs)?, self.src(*rhs)?)
+                Kind::FCmp(*pred, self.src(*lhs)?, self.src(*rhs)?)
             }
             InstKind::Cast { kind, from, to, val } if cast_defined(*kind, *from, *to) => {
                 Kind::Cast(*kind, *from, *to, self.src(*val)?)
@@ -549,7 +549,6 @@ fn cast_defined(kind: CastKind, from: Type, to: Type) -> bool {
     match kind {
         CastKind::SiToFp => to.is_float(),
         CastKind::FpToSi => from.is_float(),
-        CastKind::FpCast => from.is_float() && to.is_float() && from != to,
         _ => true,
     }
 }

@@ -16,7 +16,7 @@ use crate::types::Type;
 #[inline(always)]
 pub fn eval_bin(op: BinOp, ty: Type, a: u64, b: u64) -> Result<u64, TrapKind> {
     if op.is_float() {
-        return Ok(eval_fbin(op, ty, a, b));
+        return Ok(eval_fbin(op, a, b));
     }
     let bits = ty.bits();
     let sa = ty.sext(a);
@@ -69,32 +69,16 @@ fn min_signed(bits: u32) -> i64 {
     }
 }
 
-fn eval_fbin(op: BinOp, ty: Type, a: u64, b: u64) -> u64 {
-    match ty {
-        Type::F64 => {
-            let (x, y) = (f64::from_bits(a), f64::from_bits(b));
-            let r = match op {
-                BinOp::FAdd => x + y,
-                BinOp::FSub => x - y,
-                BinOp::FMul => x * y,
-                BinOp::FDiv => x / y,
-                _ => unreachable!(),
-            };
-            r.to_bits()
-        }
-        Type::F32 => {
-            let (x, y) = (f32::from_bits(a as u32), f32::from_bits(b as u32));
-            let r = match op {
-                BinOp::FAdd => x + y,
-                BinOp::FSub => x - y,
-                BinOp::FMul => x * y,
-                BinOp::FDiv => x / y,
-                _ => unreachable!(),
-            };
-            r.to_bits() as u64
-        }
-        _ => unreachable!("float op on non-float type (verifier-rejected)"),
-    }
+fn eval_fbin(op: BinOp, a: u64, b: u64) -> u64 {
+    let (x, y) = (f64::from_bits(a), f64::from_bits(b));
+    let r = match op {
+        BinOp::FAdd => x + y,
+        BinOp::FSub => x - y,
+        BinOp::FMul => x * y,
+        BinOp::FDiv => x / y,
+        _ => unreachable!(),
+    };
+    r.to_bits()
 }
 
 /// Evaluate an integer comparison; returns 0 or 1. Always inlined (see
@@ -117,13 +101,9 @@ pub fn eval_icmp(pred: IPred, ty: Type, a: u64, b: u64) -> u64 {
     r as u64
 }
 
-/// Evaluate a float comparison; unordered inputs compare false.
-pub fn eval_fcmp(pred: FPred, ty: Type, a: u64, b: u64) -> u64 {
-    let (x, y) = match ty {
-        Type::F64 => (f64::from_bits(a), f64::from_bits(b)),
-        Type::F32 => (f32::from_bits(a as u32) as f64, f32::from_bits(b as u32) as f64),
-        _ => unreachable!("fcmp on non-float"),
-    };
+/// Evaluate an `f64` comparison; unordered inputs compare false.
+pub fn eval_fcmp(pred: FPred, a: u64, b: u64) -> u64 {
+    let (x, y) = (f64::from_bits(a), f64::from_bits(b));
     let r = match pred {
         FPred::Oeq => x == y,
         FPred::One => x != y && !x.is_nan() && !y.is_nan(),
@@ -142,31 +122,15 @@ pub fn eval_cast(kind: CastKind, from: Type, to: Type, v: u64) -> u64 {
         CastKind::Zext => to.canon(v),
         CastKind::Sext => to.canon(from.sext(v) as u64),
         CastKind::Trunc => to.canon(v),
-        CastKind::SiToFp => {
-            let s = from.sext(v);
-            match to {
-                Type::F64 => (s as f64).to_bits(),
-                Type::F32 => (s as f32).to_bits() as u64,
-                _ => unreachable!(),
-            }
-        }
+        CastKind::SiToFp => (from.sext(v) as f64).to_bits(),
         CastKind::FpToSi => {
-            let x = match from {
-                Type::F64 => f64::from_bits(v),
-                Type::F32 => f32::from_bits(v as u32) as f64,
-                _ => unreachable!(),
-            };
+            let x = f64::from_bits(v);
             // Saturating conversion (Rust `as` semantics); real x86 cvttsd2si
             // produces INT_MIN on overflow, but no golden-path workload
             // overflows, and saturation keeps faulty paths well defined.
             let s = x as i64;
             to.canon(s as u64)
         }
-        CastKind::FpCast => match (from, to) {
-            (Type::F32, Type::F64) => (f32::from_bits(v as u32) as f64).to_bits(),
-            (Type::F64, Type::F32) => ((f64::from_bits(v) as f32).to_bits()) as u64,
-            _ => unreachable!(),
-        },
         CastKind::Bitcast => to.canon(v),
     }
 }
@@ -242,9 +206,9 @@ mod tests {
     fn fcmp_handles_nan() {
         let nan = f64::NAN.to_bits();
         let one = 1.0f64.to_bits();
-        assert_eq!(eval_fcmp(FPred::Oeq, Type::F64, nan, one), 0);
-        assert_eq!(eval_fcmp(FPred::One, Type::F64, nan, one), 0);
-        assert_eq!(eval_fcmp(FPred::Olt, Type::F64, one, 2.0f64.to_bits()), 1);
+        assert_eq!(eval_fcmp(FPred::Oeq, nan, one), 0);
+        assert_eq!(eval_fcmp(FPred::One, nan, one), 0);
+        assert_eq!(eval_fcmp(FPred::Olt, one, 2.0f64.to_bits()), 1);
     }
 
     #[test]
@@ -257,10 +221,6 @@ mod tests {
             -2.0
         );
         assert_eq!(eval_cast(CastKind::FpToSi, Type::F64, Type::I32, 3.99f64.to_bits()), 3);
-        assert_eq!(
-            f64::from_bits(eval_cast(CastKind::FpCast, Type::F32, Type::F64, 1.5f32.to_bits() as u64)),
-            1.5
-        );
     }
 
     #[test]
@@ -275,8 +235,6 @@ mod tests {
     fn float_arith() {
         let r = eval_bin(BinOp::FMul, Type::F64, 3.0f64.to_bits(), 0.5f64.to_bits()).unwrap();
         assert_eq!(f64::from_bits(r), 1.5);
-        let r32 = eval_bin(BinOp::FAdd, Type::F32, 1.5f32.to_bits() as u64, 0.25f32.to_bits() as u64).unwrap();
-        assert_eq!(f32::from_bits(r32 as u32), 1.75);
     }
 
     #[test]

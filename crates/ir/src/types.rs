@@ -1,7 +1,7 @@
 //! The IR type system.
 //!
 //! Mirrors the subset of LLVM types the paper's benchmarks exercise:
-//! fixed-width integers, IEEE floats, and an opaque byte-addressed pointer.
+//! fixed-width integers, one IEEE double, and an opaque byte-addressed pointer.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -23,8 +23,6 @@ pub enum Type {
     I32,
     /// 64-bit integer.
     I64,
-    /// IEEE-754 single precision.
-    F32,
     /// IEEE-754 double precision.
     F64,
     /// Byte-addressed opaque pointer (64-bit).
@@ -37,7 +35,7 @@ impl Type {
         match self {
             Type::I1 | Type::I8 => 1,
             Type::I16 => 2,
-            Type::I32 | Type::F32 => 4,
+            Type::I32 => 4,
             Type::I64 | Type::F64 | Type::Ptr => 8,
         }
     }
@@ -56,7 +54,7 @@ impl Type {
             Type::I1 => 1,
             Type::I8 => 8,
             Type::I16 => 16,
-            Type::I32 | Type::F32 => 32,
+            Type::I32 => 32,
             Type::I64 | Type::F64 | Type::Ptr => 64,
         }
     }
@@ -66,9 +64,9 @@ impl Type {
         matches!(self, Type::I1 | Type::I8 | Type::I16 | Type::I32 | Type::I64)
     }
 
-    /// True for `F32`/`F64`.
+    /// True for `F64`, the one float type (MiniC's `double`).
     pub fn is_float(self) -> bool {
-        matches!(self, Type::F32 | Type::F64)
+        self == Type::F64
     }
 
     /// True for `Ptr`.
@@ -110,7 +108,6 @@ impl fmt::Display for Type {
             Type::I16 => "i16",
             Type::I32 => "i32",
             Type::I64 => "i64",
-            Type::F32 => "f32",
             Type::F64 => "f64",
             Type::Ptr => "ptr",
         };
@@ -129,7 +126,6 @@ mod tests {
         assert_eq!(Type::I16.size(), 2);
         assert_eq!(Type::I32.size(), 4);
         assert_eq!(Type::I64.size(), 8);
-        assert_eq!(Type::F32.size(), 4);
         assert_eq!(Type::F64.size(), 8);
         assert_eq!(Type::Ptr.size(), 8);
         assert_eq!(Type::I1.bits(), 1);

@@ -61,8 +61,6 @@ pub enum Const {
     /// Integer constant of the given type; the payload is the canonical
     /// (zero-extended) bit pattern.
     Int(Type, u64),
-    /// `f32` constant.
-    F32(f32),
     /// `f64` constant.
     F64(f64),
     /// The null pointer.
@@ -94,7 +92,6 @@ impl Const {
     pub fn ty(self) -> Type {
         match self {
             Const::Int(t, _) => t,
-            Const::F32(_) => Type::F32,
             Const::F64(_) => Type::F64,
             Const::NullPtr => Type::Ptr,
         }
@@ -104,7 +101,6 @@ impl Const {
     pub fn bits(self) -> u64 {
         match self {
             Const::Int(t, v) => t.canon(v),
-            Const::F32(f) => f.to_bits() as u64,
             Const::F64(f) => f.to_bits(),
             Const::NullPtr => 0,
         }
@@ -181,7 +177,6 @@ impl fmt::Display for Const {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Const::Int(t, v) => write!(f, "{} {}", t, t.sext(*v)),
-            Const::F32(x) => write!(f, "f32 {x}"),
             Const::F64(x) => write!(f, "f64 {x}"),
             Const::NullPtr => write!(f, "ptr null"),
         }
@@ -202,7 +197,6 @@ mod tests {
     #[test]
     fn const_float_bits() {
         assert_eq!(Const::F64(1.0).bits(), 1.0f64.to_bits());
-        assert_eq!(Const::F32(2.5).bits(), 2.5f32.to_bits() as u64);
     }
 
     #[test]

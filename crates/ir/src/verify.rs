@@ -220,7 +220,6 @@ fn check_types(m: &Module, fid: FuncId, f: &Function, iid: InstId) -> Result<(),
                 CastKind::Trunc => from.is_int() && to.is_int() && to.bits() < from.bits(),
                 CastKind::SiToFp => from.is_int() && to.is_float(),
                 CastKind::FpToSi => from.is_float() && to.is_int(),
-                CastKind::FpCast => from.is_float() && to.is_float() && from != to,
                 CastKind::Bitcast => from.bits() == to.bits(),
             };
             if !ok {

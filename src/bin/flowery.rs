@@ -419,10 +419,10 @@ fn parse_harness(args: &Args<'_>) -> Result<HarnessConfig, String> {
         static_prune: args.flag("--static-prune"),
         ..Default::default()
     };
-    cfg.ci_target = args
-        .str("--ci-target")
-        .map(|v| v.parse::<f64>().map_err(|_| format!("bad --ci-target '{v}'")))
-        .transpose()?;
+    if let Some(v) = args.str("--ci-target") {
+        let h = v.parse::<f64>().ok().filter(|h| *h > 0.0 && h.is_finite());
+        cfg.ci_target = Some(h.ok_or_else(|| format!("bad --ci-target '{v}' (want a positive half-width)"))?);
+    }
     if let Some(m) = args.str("--fault-model") {
         cfg.fault_model = m.trim().parse::<flowery::faultmodel::ModelSpec>()?;
     }
@@ -432,14 +432,27 @@ fn parse_harness(args: &Args<'_>) -> Result<HarnessConfig, String> {
     Ok(cfg)
 }
 
-fn parse_levels(args: &Args<'_>) -> Result<Vec<f64>, String> {
-    match args.str("--levels") {
-        None => Ok(args.defaults().1.to_vec()),
-        Some(csv) => csv
-            .split(',')
-            .map(|s| s.trim().parse::<f64>().map_err(|_| format!("bad level '{s}'")))
-            .collect(),
+/// A protection level in [0, 1]; a refused value is named.
+fn parse_level(flag: &str, s: &str) -> Result<f64, String> {
+    match s.parse::<f64>() {
+        Ok(level) if (0.0..=1.0).contains(&level) => Ok(level),
+        Ok(_) => Err(format!("{flag} {s} out of range (0..=1)")),
+        Err(_) => Err(format!("bad {flag} '{s}'")),
     }
+}
+
+fn parse_levels(args: &Args<'_>) -> Result<Vec<f64>, String> {
+    let Some(csv) = args.str("--levels") else {
+        return Ok(args.defaults().1.to_vec());
+    };
+    let mut levels = Vec::new();
+    for s in csv.split(',').map(str::trim) {
+        match parse_level("--levels", s)? {
+            level if levels.contains(&level) => return Err(format!("--levels {s} given twice")),
+            level => levels.push(level),
+        }
+    }
+    Ok(levels)
 }
 
 /// Out-of-tree programs from `--src FILE` occurrences: the program name
@@ -737,7 +750,7 @@ fn print_diff_report(args: &Args<'_>, report: &flowery::harness::DiffReport) -> 
 }
 
 fn cmd_explore(rest: &[String]) -> Result<(), String> {
-    use flowery::faultmodel::{DetectorSpec, ModelSpec};
+    use flowery::faultmodel::DetectorSpec;
     use flowery::harness::{explore, render_table, ExploreSpec, GoldenCache};
 
     let args = Args::parse("explore", EXPLORE, rest)?;
@@ -761,20 +774,14 @@ fn cmd_explore(rest: &[String]) -> Result<(), String> {
     };
     let mut spec = ExploreSpec::default();
     if let Some(csv) = args.str("--models") {
-        spec.models = csv
-            .split(',')
-            .map(|s| s.trim().parse::<ModelSpec>())
-            .collect::<Result<_, _>>()?;
+        spec.models = csv.split(',').map(|s| s.trim().parse()).collect::<Result<_, String>>()?;
     }
     if let Some(csv) = args.str("--detectors") {
         spec.detector_sets = csv
             .split(',')
-            .map(|set| {
-                let set = set.trim();
-                if set == "none" {
-                    return Ok(Vec::new());
-                }
-                set.split('+').map(|d| d.trim().parse::<DetectorSpec>()).collect()
+            .map(|set| match set.trim() {
+                "none" => Ok(Vec::new()),
+                set => set.split('+').map(|d| d.trim().parse::<DetectorSpec>()).collect(),
             })
             .collect::<Result<_, String>>()?;
     }
@@ -890,19 +897,10 @@ fn cmd_vuln(rest: &[String]) -> Result<(), String> {
 fn cmd_lint(rest: &[String]) -> Result<(), String> {
     let args = Args::parse("lint", LINT, rest)?;
     let spec = args.input()?;
-    let pass = match args.str("--pass-config") {
-        None => PassConfig::Id,
-        Some(s) => {
-            PassConfig::parse(s).ok_or_else(|| format!("bad --pass-config '{s}' (expected raw, id, or flowery)"))?
-        }
-    };
-    let level: f64 = match args.str("--level") {
-        None => 1.0,
-        Some(s) => s.parse().map_err(|_| format!("bad --level '{s}'"))?,
-    };
-    if !(0.0..=1.0).contains(&level) {
-        return Err(format!("--level {level} out of range (0..=1)"));
-    }
+    let pass_of =
+        |s| PassConfig::parse(s).ok_or_else(|| format!("bad --pass-config '{s}' (expected raw, id, or flowery)"));
+    let pass = args.str("--pass-config").map_or(Ok(PassConfig::Id), pass_of)?;
+    let level = args.str("--level").map_or(Ok(1.0), |s| parse_level("--level", s))?;
     let validate = args.flag("--validate").then(|| args.trials(2000)).transpose()?;
     let m = load(spec)?;
     let outcome = run_lint(spec, &m, pass, level, validate)?;

@@ -197,6 +197,34 @@ fn an_empty_schedule_is_refused_by_name() {
 }
 
 #[test]
+fn bad_levels_and_ci_targets_are_refused_before_any_work() {
+    // `--levels 1.5` used to run the selection profile and then panic in
+    // `passes::select`; `1.0,1.0` ran and reported every unit twice.
+    let commands: [&[&str]; 4] = [
+        &["campaign", "crc32", "--tiny"],
+        &["study", "crc32", "--tiny"],
+        &["diff", "crc32", "--tiny", "--baseline", "x"],
+        &["explore", "crc32", "--tiny"],
+    ];
+    for cmd in commands {
+        for (levels, why) in [
+            ("1.5", "--levels 1.5 out of range"),
+            ("-0.2", "--levels -0.2 out of range"),
+            ("nan", "--levels nan out of range"),
+            ("1.0,1", "--levels 1 given twice"),
+        ] {
+            refused_cleanly(&[cmd, &["--levels", levels]].concat(), &[why]);
+        }
+    }
+    // These used to mean "never stop early"; `nan` went into the header.
+    for v in ["-1", "0", "nan", "inf"] {
+        let why = format!("bad --ci-target '{v}'");
+        refused_cleanly(&["campaign", "crc32", "--tiny", "--ci-target", v], &[&why]);
+        refused_cleanly(&["study", "crc32", "--tiny", "--ci-target", v], &[&why]);
+    }
+}
+
+#[test]
 fn deep_minic_nesting_is_refused_by_name() {
     const DEEP: usize = 100_000;
     let shapes = [

@@ -167,14 +167,6 @@ fn width_ty(w: u8) -> Type {
     }
 }
 
-fn width_fty(w: u8) -> Type {
-    if w == 4 {
-        Type::F32
-    } else {
-        Type::F64
-    }
-}
-
 fn step(st: &mut State, inst: &AInst, ip: &mut u32, len: usize) -> Result<(), ExecStatus> {
     st.last_ip = *ip;
     st.last_mem_write = None;
@@ -322,30 +314,20 @@ fn step(st: &mut State, inst: &AInst, ip: &mut u32, len: usize) -> Result<(), Ex
             st.write_reg(*dst, 8, v);
         }
         AKind::Sse { op, dst, src } => {
-            let (ir_op, ty) = match op {
-                SseOp::AddSd => (BinOp::FAdd, Type::F64),
-                SseOp::SubSd => (BinOp::FSub, Type::F64),
-                SseOp::MulSd => (BinOp::FMul, Type::F64),
-                SseOp::DivSd => (BinOp::FDiv, Type::F64),
-                SseOp::AddSs => (BinOp::FAdd, Type::F32),
-                SseOp::SubSs => (BinOp::FSub, Type::F32),
-                SseOp::MulSs => (BinOp::FMul, Type::F32),
-                SseOp::DivSs => (BinOp::FDiv, Type::F32),
+            let ir_op = match op {
+                SseOp::AddSd => BinOp::FAdd,
+                SseOp::SubSd => BinOp::FSub,
+                SseOp::MulSd => BinOp::FMul,
+                SseOp::DivSd => BinOp::FDiv,
             };
-            let w = ty.size() as u8;
-            let a = st.read_reg(*dst, w);
-            let b = st.read(*src, w)?;
-            let r = ops::eval_bin(ir_op, ty, a, b).expect("float ops cannot trap");
-            st.write_reg(*dst, w, r);
+            let a = st.read_reg(*dst, 8);
+            let b = st.read(*src, 8)?;
+            let r = ops::eval_bin(ir_op, Type::F64, a, b).expect("float ops cannot trap");
+            st.write_reg(*dst, 8, r);
         }
-        AKind::Ucomi { w, lhs, rhs } => {
-            let a = st.read_reg(*lhs, *w);
-            let b = st.read(*rhs, *w)?;
-            let (x, y) = if *w == 4 {
-                (f32::from_bits(a as u32) as f64, f32::from_bits(b as u32) as f64)
-            } else {
-                (f64::from_bits(a), f64::from_bits(b))
-            };
+        AKind::Ucomi { lhs, rhs } => {
+            let x = f64::from_bits(st.read_reg(*lhs, 8));
+            let y = f64::from_bits(st.read(*rhs, 8)?);
             let mut fl = 0u64;
             if x.is_nan() || y.is_nan() {
                 fl |= flags::ZF | flags::CF;
@@ -356,20 +338,14 @@ fn step(st: &mut State, inst: &AInst, ip: &mut u32, len: usize) -> Result<(), Ex
             }
             st.regs[Reg::Rflags.index()] = fl;
         }
-        AKind::Cvtsi2f { wf, dst, src } => {
+        AKind::Cvtsi2f { dst, src } => {
             let v = st.read(*src, 8)?;
-            let r = ops::eval_cast(CastKind::SiToFp, Type::I64, width_fty(*wf), v);
+            let r = ops::eval_cast(CastKind::SiToFp, Type::I64, Type::F64, v);
             st.write_reg(*dst, 8, r);
         }
-        AKind::Cvtf2si { wf, dst, src } => {
-            let v = st.read(*src, *wf)?;
-            let r = ops::eval_cast(CastKind::FpToSi, width_fty(*wf), Type::I64, v);
-            st.write_reg(*dst, 8, r);
-        }
-        AKind::Cvtff { wd, dst, src } => {
-            let v = st.read_reg(*src, 8);
-            let (from, to) = if *wd == 8 { (Type::F32, Type::F64) } else { (Type::F64, Type::F32) };
-            let r = ops::eval_cast(CastKind::FpCast, from, to, v);
+        AKind::Cvtf2si { dst, src } => {
+            let v = st.read(*src, 8)?;
+            let r = ops::eval_cast(CastKind::FpToSi, Type::F64, Type::I64, v);
             st.write_reg(*dst, 8, r);
         }
         AKind::MovQ { w, dst, src } => {

@@ -242,7 +242,7 @@ impl Oracle<'_> {
             }
             InstKind::Bin { op, ty, lhs, rhs } => Some(ops::eval_bin(*op, *ty, opv(*lhs), opv(*rhs)).map_err(Trapped)?),
             InstKind::ICmp { pred, ty, lhs, rhs } => Some(ops::eval_icmp(*pred, *ty, opv(*lhs), opv(*rhs))),
-            InstKind::FCmp { pred, ty, lhs, rhs } => Some(ops::eval_fcmp(*pred, *ty, opv(*lhs), opv(*rhs))),
+            InstKind::FCmp { pred, lhs, rhs, .. } => Some(ops::eval_fcmp(*pred, opv(*lhs), opv(*rhs))),
             InstKind::Cast { kind, from, to, val } => Some(ops::eval_cast(*kind, *from, *to, opv(*val))),
             InstKind::Gep { base, index, elem } => {
                 let i = opv(*index) as i64;

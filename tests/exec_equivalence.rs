@@ -259,10 +259,11 @@ fn engines_agree_on_all_workloads_and_models() {
 }
 
 /// An IR program through `FuncBuilder` whose selection emits the forms no
-/// workload does: i8/i16/i32 and f32 loads and stores, sign extension,
+/// workload does: i8/i16/i32 loads and stores, sign extension,
 /// `or`/`xor` with immediates, shifts by immediate and by register,
-/// unsigned division, `select` lowered to `cmov`, f32 arithmetic,
-/// compares and conversions, byte output, and an unsigned `jae`.
+/// unsigned division, `select` lowered to `cmov`, byte output, and an
+/// unsigned `jae` — next to an f64 store, load, compare and conversions,
+/// whose stores hardening checks with a memory `ucomisd`.
 fn forms_module() -> Module {
     let mut mb = ModuleBuilder::new("forms");
     let seed = mb.global_i64("seed", &[0x1234_5678_9ABC]);
@@ -291,22 +292,20 @@ fn forms_module() -> Module {
     for v in [shr, sar, sel] {
         fb.output_i64(Op::inst(v));
     }
-    let f = Op::inst(fb.cast(CastKind::SiToFp, Type::I64, Type::F32, d));
-    let h = Op::inst(fb.cast(CastKind::FpCast, Type::F64, Type::F32, Op::cf64(1.25)));
+    let f = Op::inst(fb.cast(CastKind::SiToFp, Type::I64, Type::F64, d));
     let mut acc = f;
     for op in [BinOp::FAdd, BinOp::FMul, BinOp::FSub, BinOp::FDiv] {
-        acc = Op::inst(fb.bin(op, Type::F32, acc, h));
+        acc = Op::inst(fb.bin(op, Type::F64, acc, Op::cf64(1.25)));
     }
-    let p = Op::inst(fb.alloca(Type::F32, 1));
-    fb.store(Type::F32, acc, p);
-    let l = Op::inst(fb.load(Type::F32, p));
-    let fc = fb.fcmp(FPred::Olt, Type::F32, l, f);
+    let p = Op::inst(fb.alloca(Type::F64, 1));
+    fb.store(Type::F64, acc, p);
+    let l = Op::inst(fb.load(Type::F64, p));
+    let fc = fb.fcmp(FPred::Olt, Type::F64, l, f);
     let fz = fb.cast(CastKind::Zext, Type::I1, Type::I64, Op::inst(fc));
-    let fi = fb.cast(CastKind::FpToSi, Type::F32, Type::I64, l);
-    let fd = fb.cast(CastKind::FpCast, Type::F32, Type::F64, l);
+    let fi = fb.cast(CastKind::FpToSi, Type::F64, Type::I64, l);
     fb.output_i64(Op::inst(fz));
     fb.output_i64(Op::inst(fi));
-    fb.output_f64(Op::inst(fd));
+    fb.output_f64(l);
     fb.intrinsic(Intrinsic::OutputByte, vec![n]);
     let big = fb.icmp(IPred::Uge, Type::I64, a, Op::ci64(1000));
     let (t, e) = (fb.new_block("big"), fb.new_block("small"));
@@ -325,7 +324,8 @@ fn forms_module() -> Module {
 /// immediates, memory-to-memory moves, sign extension from memory and
 /// immediates, memory and immediate ALU/shift/test/compare/cmov operands,
 /// `push` of an immediate and of memory, unsigned division by memory,
-/// and f32 arithmetic, compares and conversions on memory operands.
+/// and double arithmetic, compares and conversions on memory and
+/// immediate operands.
 fn hand_program() -> (Module, AsmProgram) {
     let mut mb = ModuleBuilder::new("hand");
     let cells = mb.global_i64("cells", &[7, -3, 11, 0x1234]);
@@ -387,18 +387,18 @@ fn hand_program() -> (Module, AsmProgram) {
         ZeroRdx,
         Out { kind: OutKind::I64, src: AOp::Reg(Rdx) },
         Div { w: 8, signed: false, src: cell(0) },
-        Cvtsi2f { wf: 4, dst: Xmm0, src: cell(0) },
-        Cvtsi2f { wf: 4, dst: Xmm1, src: AOp::Imm(3) },
-        Sse { op: SseOp::AddSs, dst: Xmm0, src: AOp::Reg(Xmm1) },
-        MovSd { w: 4, dst: slot(-48), src: AOp::Reg(Xmm0) },
-        Sse { op: SseOp::MulSs, dst: Xmm1, src: slot(-48) },
-        Sse { op: SseOp::DivSs, dst: Xmm1, src: cell(2) },
+        Cvtsi2f { dst: Xmm0, src: cell(0) },
+        Cvtsi2f { dst: Xmm1, src: AOp::Imm(3) },
+        Sse { op: SseOp::AddSd, dst: Xmm0, src: AOp::Reg(Xmm1) },
+        MovSd { w: 8, dst: slot(-48), src: AOp::Reg(Xmm0) },
+        Sse { op: SseOp::MulSd, dst: Xmm1, src: slot(-48) },
+        Sse { op: SseOp::DivSd, dst: Xmm1, src: cell(2) },
         Sse { op: SseOp::SubSd, dst: Xmm2, src: cell(1) },
-        Ucomi { w: 4, lhs: Xmm1, rhs: slot(-48) },
+        Ucomi { lhs: Xmm1, rhs: slot(-48) },
         SetCC { cc: CC::B, dst: R9 },
-        Cvtf2si { wf: 4, dst: Rsi, src: slot(-48) },
-        Cvtff { wd: 8, dst: Xmm3, src: Xmm1 },
-        Cvtff { wd: 4, dst: Xmm4, src: Xmm3 },
+        Cvtf2si { dst: Rsi, src: slot(-48) },
+        Cvtsi2f { dst: Xmm3, src: AOp::Reg(Rsi) },
+        Sse { op: SseOp::AddSd, dst: Xmm4, src: slot(-48) },
         Out { kind: OutKind::Byte, src: slot(-8) },
         Out { kind: OutKind::I64, src: AOp::Imm(77) },
         Out { kind: OutKind::F64, src: cell(2) },
@@ -437,7 +437,7 @@ fn engines_agree_on_every_translated_form() {
     note_if_native_unavailable();
     let forms = forms_module();
     let compiled = compile_module(&forms, &BackendConfig::default());
-    // Hardening adds register-to-memory compares (integer and f32).
+    // Hardening adds register-to-memory compares (integer and f64).
     let (hardened, _) = harden_program(&compiled, &HardenConfig::default());
     let (hand, hand_prog) = hand_program();
     for (name, m, prog) in [

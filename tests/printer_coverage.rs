@@ -102,7 +102,6 @@ const EXPECTED: &[&str] = &[
     "Value::Inst.0",
     "Const::Int.0",
     "Const::Int.1",
-    "Const::F32.0",
     "Const::F64.0",
     "Const::NullPtr",
     "Op::Global.0",
@@ -194,7 +193,6 @@ fn op_edits(m: &Module, fid: FuncId, op: Op) -> Vec<(&'static str, Op)> {
                 ("Const::Int.0", Op::Const(Const::Int(other_type(ty), bits))),
                 ("Const::Int.1", Op::Const(Const::Int(ty, ty.canon(bits ^ 1)))),
             ],
-            Const::F32(x) => vec![("Const::F32.0", Op::Const(Const::F32(f32::from_bits(x.to_bits() ^ 1))))],
             Const::F64(x) => vec![("Const::F64.0", Op::Const(Const::F64(f64::from_bits(x.to_bits() ^ 1))))],
             Const::NullPtr => (!m.globals.is_empty())
                 .then_some(("Const::NullPtr", Op::Global(GlobalId(0))))
@@ -452,16 +450,14 @@ fn sweep_inst(s: &mut Sweep, m: &Module, fid: FuncId, iid: InstId, d: &InstData)
     }
 }
 
-/// The forms no workload emits: a `select`, an `f32` constant and a null
-/// pointer, in one verified function.
+/// The forms no workload emits: a `select` and a null pointer, in one
+/// verified function.
 fn unemitted_forms() -> Module {
     let mut mb = ModuleBuilder::new("unemitted");
     mb.global_i64("cell", &[7]);
     let mut fb = FuncBuilder::new("main", vec![], Some(Type::I64));
     let c = fb.icmp(IPred::Slt, Type::I64, Op::ci64(1), Op::ci64(2));
     let sel = fb.select(Type::I64, Op::inst(c), Op::ci64(3), Op::ci64(4));
-    let f = fb.cast(CastKind::FpCast, Type::F32, Type::F64, Op::Const(Const::F32(1.5)));
-    fb.output_f64(Op::inst(f));
     let null = fb.icmp(IPred::Eq, Type::Ptr, Op::Const(Const::NullPtr), Op::Const(Const::NullPtr));
     fb.output_i64(Op::inst(null));
     fb.ret(Some(Op::inst(sel)));
