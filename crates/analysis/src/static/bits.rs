@@ -624,15 +624,13 @@ impl<'a> BitsEngine<'a> {
         let t = Touch::default();
         match self.prog.insts[j].kind {
             AKind::Mov { dst, src, .. } | AKind::MovSd { dst, src, .. } => t.op(&src).op(&dst),
-            AKind::MovSx { dst, src, .. }
-            | AKind::Sse { dst, src, .. }
-            | AKind::Cvtsi2f { dst, src }
-            | AKind::Cvtf2si { dst, src } => t.op(&src).regs([dst]),
+            AKind::Sse { dst, src, .. } | AKind::Cvtsi2f { dst, src } | AKind::Cvtf2si { dst, src } => {
+                t.op(&src).regs([dst])
+            }
             AKind::Lea { dst, mem } => t.regs(mem.base).regs([dst]),
-            AKind::Alu { dst, src, .. } | AKind::Cmov { dst, src, .. } => t.op(&src).regs([dst]).with(Touch::FLAGS),
+            AKind::Alu { dst, src, .. } => t.op(&src).regs([dst]).with(Touch::FLAGS),
             AKind::Shift { dst, amt, .. } => t.op(&amt).regs([dst]).with(Touch::FLAGS),
             AKind::Cqo { .. } => t.regs([Reg::Rax, Reg::Rdx]),
-            AKind::ZeroRdx => t.regs([Reg::Rdx]),
             AKind::Div { src, .. } => t.op(&src).regs([Reg::Rax, Reg::Rdx]),
             AKind::Cmp { lhs, rhs, .. } | AKind::Test { lhs, rhs, .. } => t.op(&lhs).op(&rhs).with(Touch::FLAGS),
             AKind::Ucomi { lhs, rhs } => t.op(&rhs).regs([lhs]).with(Touch::FLAGS),
@@ -884,14 +882,6 @@ impl<'a> BitsEngine<'a> {
                     AOp::Imm(_) => {}
                 }
             }
-            AKind::MovSx { ws, dst, src, .. } => {
-                let d = self.read_op(st, &src, ws, fam, seen);
-                // Positions below the source sign bit survive sign
-                // extension exactly; a deviated sign bit smears upward.
-                let keep = fam.below(8 * ws as u32 - 1);
-                let sign = fam.low(ws) & !keep;
-                self.write_reg(t, dst, Dev::new(d.pos & keep, d.scr | (d.pos & sign), d.def), seen);
-            }
             AKind::Lea { dst, mem } => {
                 // base + disp is an addition: only an msb deviation
                 // survives carries position-exactly.
@@ -950,7 +940,6 @@ impl<'a> BitsEngine<'a> {
                             // Positions shifted out of the width die; the
                             // rest move (position no longer the family's).
                             ShiftOp::Shl => a.pos & fam.below(wbits - k),
-                            ShiftOp::Shr => a.pos & !fam.below(k),
                             // A deviated sign bit replicates on the way
                             // down; low positions below the shift die.
                             ShiftOp::Sar => (a.pos & !fam.below(k)) | (a.pos & fam.low(w) & !fam.below(wbits - 1)),
@@ -973,11 +962,10 @@ impl<'a> BitsEngine<'a> {
                 let a = get(st, Loc::Reg(Reg::Rax));
                 self.write_reg(t, Reg::Rdx, Dev::new(0, (a.pos & fam.top(8)) | a.scr, a.def), seen);
             }
-            AKind::ZeroRdx => self.write_reg(t, Reg::Rdx, Dev::default(), seen),
             AKind::Div { src, .. } => {
                 // Deviated dividend or divisor risks a divide trap
                 // (divisor 0, signed overflow) on top of a scrambled
-                // quotient: carried. rdx is cqo/zero of rax, so not read.
+                // quotient: carried. rdx is the cqo of rax, so not read.
                 let a = get(st, Loc::Reg(Reg::Rax));
                 let b = self.read_op(st, &src, 8, fam, seen);
                 seen.carried |= a.all() | b.all();
@@ -1010,15 +998,6 @@ impl<'a> BitsEngine<'a> {
                 // 0/1 — tracked, not observed.
                 let f = get(st, Loc::Flags);
                 self.write_reg(t, dst, Dev::new(0, (f.pos & class_mask(cc)) | f.scr, f.def), seen);
-            }
-            AKind::Cmov { cc, w, dst, src } => {
-                let f = get(st, Loc::Flags);
-                let affected = (f.pos & class_mask(cc)) | f.scr;
-                let d = self.read_op(st, &AOp::Reg(dst), w, fam, seen);
-                let s = self.read_op(st, &src, w, fam, seen);
-                // Conditional write: no kill; a deviated condition picks
-                // the wrong source.
-                set(t, Loc::Reg(dst), Dev::new(d.pos | s.pos, d.scr | s.scr | affected, d.def | s.def | f.def));
             }
             AKind::Jcc { cc, .. } => {
                 // Any deviated flag class the condition reads steers the
@@ -1525,9 +1504,9 @@ mod tests {
         (BitVerdict { proven_masked: !vuln, vulnerable: vuln }, steps)
     }
 
-    /// Nested loops, calls, and compares feeding branches, `setcc` and
-    /// `cmov`: many paths per site, so the per-path walk meets many
-    /// distinct states where the fixpoint joins them.
+    /// Nested loops, calls, and compares feeding branches and `setcc`:
+    /// many paths per site, so the per-path walk meets many distinct
+    /// states where the fixpoint joins them.
     const PATHY: &[&str] = &[
         "global int g[8];\n\
          int mix(int a, int b) { if (a < b) { return b - a; } return (a ^ b) & 255; }\n\

@@ -621,12 +621,6 @@ enum GenOp {
         rd: Rd,
         wr: Wr,
     },
-    MovSx {
-        di: u8,
-        rd: Rd,
-        ssh: u32,
-        dmask: u64,
-    },
     Alu {
         op: AluOp,
         di: u8,
@@ -654,20 +648,11 @@ enum GenOp {
         mask: u64,
         sh: u32,
     },
-    Cmov {
-        cc: CC,
-        di: u8,
-        rd: Rd,
-        mask: u64,
-    },
     Jcc {
         cc: CC,
         t: u32,
     },
     Push {
-        rd: Rd,
-    },
-    DivU {
         rd: Rd,
     },
     OutByte {
@@ -683,11 +668,6 @@ fn exec_gen(g: &GenOp, st: &mut State, next: u32, max_out: usize) -> Result<u32,
         GenOp::Mov { rd, wr } => {
             let v = rd.get(st)?;
             wr.put(st, v)?;
-        }
-        GenOp::MovSx { di, rd, ssh, dmask } => {
-            let v = rd.get(st)?;
-            let sx = ((v << ssh) as i64) >> ssh;
-            st.regs[di as usize] = (sx as u64) & dmask;
         }
         GenOp::Alu { op, di, rd, c } => {
             let b = rd.get(st)?;
@@ -705,7 +685,6 @@ fn exec_gen(g: &GenOp, st: &mut State, next: u32, max_out: usize) -> Result<u32,
             let s = (amt.get(st)? & smask) as u32;
             let r = match op {
                 ShiftOp::Shl => (a << s) & mask,
-                ShiftOp::Shr => a >> s,
                 ShiftOp::Sar => ((((a << ssh) as i64 >> ssh) >> s) as u64) & mask,
             };
             st.regs[RFLAGS] = logic_flags(r, sh);
@@ -722,25 +701,10 @@ fn exec_gen(g: &GenOp, st: &mut State, next: u32, max_out: usize) -> Result<u32,
             let b = r.get(st)?;
             st.regs[RFLAGS] = logic_flags(a & b & mask, sh);
         }
-        GenOp::Cmov { cc, di, rd, mask } => {
-            if cond(st.regs[RFLAGS], cc) {
-                let v = rd.get(st)?;
-                st.regs[di as usize] = v & mask;
-            }
-        }
         GenOp::Jcc { cc, t } => return Ok(if cond(st.regs[RFLAGS], cc) { t } else { next }),
         GenOp::Push { rd } => {
             let v = rd.get_w::<8>(st)?;
             push(st, v)?;
-        }
-        GenOp::DivU { rd } => {
-            let b = rd.get_w::<8>(st)?;
-            if b == 0 {
-                return Err(trap(TrapKind::DivFault));
-            }
-            let a = st.regs[RAX];
-            st.regs[RAX] = a / b;
-            st.regs[RDX] = a % b;
         }
         GenOp::OutByte { rd } => {
             let v = rd.get_w::<8>(st)?;
@@ -1221,15 +1185,6 @@ fn mov_op(w: u8, dst: AOp, src: AOp, gens: &mut Vec<GenOp>) -> Op {
 fn translate(kind: &AKind, len: usize, gens: &mut Vec<GenOp>) -> Op {
     match *kind {
         AKind::Mov { w, dst, src } | AKind::MovSd { w, dst, src } => mov_op(w, dst, src, gens),
-        AKind::MovSx { wd, ws, dst, src } => gen(
-            gens,
-            GenOp::MovSx {
-                di: dst.index() as u8,
-                rd: Rd::new(src, ws),
-                ssh: 64 - width_ty(ws).bits(),
-                dmask: width_ty(wd).mask(),
-            },
-        ),
         AKind::Lea { dst, mem } => Op::Lea { di: dst.index() as u8, a: Addr::new(mem) },
         AKind::Alu { op, w, dst, src } => {
             let ty = width_ty(w);
@@ -1267,9 +1222,7 @@ fn translate(kind: &AKind, len: usize, gens: &mut Vec<GenOp>) -> Op {
             }
         }
         AKind::Cqo { .. } => Op::Cqo,
-        AKind::ZeroRdx => gen(gens, GenOp::Mov { rd: Rd::Imm(0), wr: Wr::Reg(RDX as u8, u64::MAX) }),
-        AKind::Div { signed: true, src, .. } => Op::DivS { rd: Rd::new(src, 8) },
-        AKind::Div { signed: false, src, .. } => gen(gens, GenOp::DivU { rd: Rd::new(src, 8) }),
+        AKind::Div { src, .. } => Op::DivS { rd: Rd::new(src, 8) },
         AKind::Cmp { w, lhs, rhs } => {
             let ty = width_ty(w);
             let (mask, sh) = (ty.mask(), ty.bits() - 1);
@@ -1288,10 +1241,6 @@ fn translate(kind: &AKind, len: usize, gens: &mut Vec<GenOp>) -> Op {
             }
         }
         AKind::SetCC { cc, dst } => Op::SetCC { cc, di: dst.index() as u8 },
-        AKind::Cmov { cc, w, dst, src } => {
-            let (di, mask) = (dst.index() as u8, width_ty(w).mask());
-            gen(gens, GenOp::Cmov { cc, di, rd: Rd::new(src, w), mask })
-        }
         AKind::Jcc { cc, target: t } => match cc {
             CC::E => Op::JccE { t },
             CC::Ne => Op::JccNe { t },

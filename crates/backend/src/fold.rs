@@ -70,8 +70,8 @@ fn fold_function(f: &mut Function) -> usize {
                 if same || (both_compares && ops_equiv(f, &epoch_of, *lhs, *rhs, &mut memo)) {
                     // Equal values: resolve the predicate.
                     let result = match pred {
-                        IPred::Eq | IPred::Sle | IPred::Sge | IPred::Ule | IPred::Uge => true,
-                        IPred::Ne | IPred::Slt | IPred::Sgt | IPred::Ult | IPred::Ugt => false,
+                        IPred::Eq | IPred::Sle | IPred::Sge => true,
+                        IPred::Ne | IPred::Slt | IPred::Sgt => false,
                     };
                     replacements.push((iid, result));
                 }
@@ -188,9 +188,6 @@ fn insts_equiv_inner(
         ) => ca == cb && fa == fb && ta == tb && eq(*va, *vb, memo),
         (InstKind::Gep { base: ba, index: ia, elem: ea }, InstKind::Gep { base: bb, index: ib, elem: eb }) => {
             ea == eb && eq(*ba, *bb, memo) && eq(*ia, *ib, memo)
-        }
-        (InstKind::Select { ty: ta, cond: ca, t: xa, f: ya }, InstKind::Select { ty: tb, cond: cb, t: xb, f: yb }) => {
-            ta == tb && eq(*ca, *cb, memo) && eq(*xa, *xb, memo) && eq(*ya, *yb, memo)
         }
         (
             InstKind::Call { callee: Callee::Intrinsic(ia), args: aa },

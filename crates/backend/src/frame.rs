@@ -91,7 +91,7 @@ mod tests {
         let mut fb = FuncBuilder::new("main", vec![Type::I64, Type::F64], Some(Type::I64));
         let a = fb.alloca(Type::I32, 10);
         let l = fb.load(Type::I32, Op::inst(a));
-        let z = fb.cast(flowery_ir::CastKind::Sext, Type::I32, Type::I64, Op::inst(l));
+        let z = fb.cast(flowery_ir::CastKind::Zext, Type::I32, Type::I64, Op::inst(l));
         fb.ret(Some(Op::inst(z)));
         mb.add_func(fb.finish());
         let m = mb.finish();

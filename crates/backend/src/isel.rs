@@ -459,38 +459,6 @@ impl<'m> FnLower<'m> {
                     self.finish_gpr(iid, dst, AsmRole::ResultSpill);
                 }
             }
-            InstKind::Select { ty, cond, t, f } => {
-                let c = self.load_gpr(*cond, AsmRole::OperandReload, &[]);
-                if ty.is_float() {
-                    // Branchless float select via GPR bits.
-                    let tv = self.load_xmm(*t, AsmRole::OperandReload, &[]);
-                    let fv = self.load_xmm(*f, AsmRole::OperandReload, &[tv]);
-                    let tg = self.take_gpr(&[c]);
-                    self.emit(AKind::MovQ { w: 8, dst: tg, src: tv }, AsmRole::Compute);
-                    let fg = self.take_gpr(&[c, tg]);
-                    self.emit(AKind::MovQ { w: 8, dst: fg, src: fv }, AsmRole::Compute);
-                    self.emit(AKind::Test { w: 1, lhs: AOp::Reg(c), rhs: AOp::Imm(1) }, AsmRole::Compute);
-                    self.emit(AKind::Cmov { cc: CC::Ne, w: 8, dst: fg, src: AOp::Reg(tg) }, AsmRole::Compute);
-                    let dst = self.take_xmm(&[]);
-                    self.emit(AKind::MovQ { w: 8, dst, src: fg }, AsmRole::Compute);
-                    self.finish_xmm(iid, dst, AsmRole::ResultSpill);
-                } else {
-                    let fv = self.load_gpr(*f, AsmRole::OperandReload, &[c]);
-                    let dst = self.take_gpr(&[c, fv]);
-                    self.emit(AKind::Mov { w: 8, dst: AOp::Reg(dst), src: AOp::Reg(fv) }, AsmRole::Compute);
-                    let (t_op, _tr) = self.rhs_operand(*t, &[c, dst]);
-                    let t_op = match t_op {
-                        AOp::Imm(_) => {
-                            let r = self.load_gpr(*t, AsmRole::OperandReload, &[c, dst]);
-                            AOp::Reg(r)
-                        }
-                        other => other,
-                    };
-                    self.emit(AKind::Test { w: 1, lhs: AOp::Reg(c), rhs: AOp::Imm(1) }, AsmRole::Compute);
-                    self.emit(AKind::Cmov { cc: CC::Ne, w: 8, dst, src: t_op }, AsmRole::Compute);
-                    self.finish_gpr(iid, dst, AsmRole::ResultSpill);
-                }
-            }
             InstKind::Call { callee, args } => match callee {
                 Callee::Intrinsic(intr) => self.lower_intrinsic(iid, *intr, args),
                 Callee::Func(callee_id) => self.lower_call(iid, *callee_id, args),
@@ -502,46 +470,22 @@ impl<'m> FnLower<'m> {
     fn lower_ibin(&mut self, iid: InstId, op: BinOp, ty: Type, lhs: Op, rhs: Op) {
         let w = ty.size() as u8;
         match op {
-            BinOp::SDiv | BinOp::UDiv | BinOp::SRem | BinOp::URem => {
-                let signed = matches!(op, BinOp::SDiv | BinOp::SRem);
+            BinOp::SDiv | BinOp::SRem => {
+                debug_assert_eq!(w, 8, "the verifier admits division on i64 only: no operand needs widening");
                 self.cache.invalidate_reg(Reg::Rax);
                 self.cache.invalidate_reg(Reg::Rdx);
                 let a = self.load_gpr(lhs, AsmRole::OperandReload, &[Reg::Rax, Reg::Rdx]);
-                if signed && w < 8 {
-                    self.emit(AKind::MovSx { wd: 8, ws: w, dst: Reg::Rax, src: AOp::Reg(a) }, AsmRole::Compute);
-                } else {
-                    self.emit(AKind::Mov { w: 8, dst: AOp::Reg(Reg::Rax), src: AOp::Reg(a) }, AsmRole::Compute);
-                }
+                self.emit(AKind::Mov { w: 8, dst: AOp::Reg(Reg::Rax), src: AOp::Reg(a) }, AsmRole::Compute);
                 let d = self.load_gpr(rhs, AsmRole::OperandReload, &[Reg::Rax, Reg::Rdx, a]);
-                if signed && w < 8 {
-                    self.emit(AKind::MovSx { wd: 8, ws: w, dst: d, src: AOp::Reg(d) }, AsmRole::Compute);
-                    self.cache.invalidate_reg(d);
-                }
-                if signed {
-                    self.emit(AKind::Cqo { w: 8 }, AsmRole::Compute);
-                } else {
-                    self.emit(AKind::ZeroRdx, AsmRole::Compute);
-                }
-                self.emit(AKind::Div { w: 8, signed, src: AOp::Reg(d) }, AsmRole::Compute);
-                let res = if matches!(op, BinOp::SDiv | BinOp::UDiv) {
-                    Reg::Rax
-                } else {
-                    Reg::Rdx
-                };
-                if w < 8 {
-                    // Re-canonicalize at width (e.g. `mov eax, eax`).
-                    self.emit(AKind::Mov { w, dst: AOp::Reg(res), src: AOp::Reg(res) }, AsmRole::Compute);
-                }
+                self.emit(AKind::Cqo { w: 8 }, AsmRole::Compute);
+                self.emit(AKind::Div { w: 8, src: AOp::Reg(d) }, AsmRole::Compute);
+                let res = if op == BinOp::SDiv { Reg::Rax } else { Reg::Rdx };
                 self.cache.invalidate_reg(Reg::Rax);
                 self.cache.invalidate_reg(Reg::Rdx);
                 self.finish_gpr(iid, res, AsmRole::ResultSpill);
             }
-            BinOp::Shl | BinOp::LShr | BinOp::AShr => {
-                let sop = match op {
-                    BinOp::Shl => ShiftOp::Shl,
-                    BinOp::LShr => ShiftOp::Shr,
-                    _ => ShiftOp::Sar,
-                };
+            BinOp::Shl | BinOp::AShr => {
+                let sop = if op == BinOp::Shl { ShiftOp::Shl } else { ShiftOp::Sar };
                 let a = self.load_gpr(lhs, AsmRole::OperandReload, &[Reg::Rcx]);
                 let dst = self.take_gpr(&[a, Reg::Rcx]);
                 self.emit(AKind::Mov { w: 8, dst: AOp::Reg(dst), src: AOp::Reg(a) }, AsmRole::Compute);
@@ -610,34 +554,11 @@ impl<'m> FnLower<'m> {
                 self.emit(AKind::Mov { w: to.size() as u8, dst: AOp::Reg(dst), src: AOp::Reg(a) }, AsmRole::Compute);
                 self.finish_gpr(iid, dst, AsmRole::ResultSpill);
             }
-            CastKind::Sext => {
-                let a = self.load_gpr(val, AsmRole::OperandReload, &[]);
-                let dst = self.take_gpr(&[a]);
-                self.emit(
-                    AKind::MovSx {
-                        wd: to.size() as u8,
-                        ws: from.size() as u8,
-                        dst,
-                        src: AOp::Reg(a),
-                    },
-                    AsmRole::Compute,
-                );
-                self.finish_gpr(iid, dst, AsmRole::ResultSpill);
-            }
             CastKind::SiToFp => {
+                debug_assert_eq!(from, Type::I64, "the verifier admits a conversion from i64 only");
                 let a = self.load_gpr(val, AsmRole::OperandReload, &[]);
-                let src = if from.size() < 8 {
-                    let t = self.take_gpr(&[a]);
-                    self.emit(
-                        AKind::MovSx { wd: 8, ws: from.size() as u8, dst: t, src: AOp::Reg(a) },
-                        AsmRole::Compute,
-                    );
-                    t
-                } else {
-                    a
-                };
                 let dst = self.take_xmm(&[]);
-                self.emit(AKind::Cvtsi2f { dst, src: AOp::Reg(src) }, AsmRole::Compute);
+                self.emit(AKind::Cvtsi2f { dst, src: AOp::Reg(a) }, AsmRole::Compute);
                 self.finish_xmm(iid, dst, AsmRole::ResultSpill);
             }
             CastKind::FpToSi => {
@@ -855,10 +776,6 @@ fn icmp_cc(pred: IPred) -> CC {
         IPred::Sle => CC::Le,
         IPred::Sgt => CC::G,
         IPred::Sge => CC::Ge,
-        IPred::Ult => CC::B,
-        IPred::Ule => CC::Be,
-        IPred::Ugt => CC::A,
-        IPred::Uge => CC::Ae,
     }
 }
 

@@ -272,7 +272,7 @@ impl Asm {
         self.modrm(3, dst, src);
     }
 
-    /// Width-parameterized shift by `cl` (ext: 4 shl, 5 shr, 7 sar).
+    /// Width-parameterized shift by `cl` (ext: 4 shl, 7 sar).
     pub fn shift_cl(&mut self, w: u8, ext: u8, dst: u8) {
         match w {
             1 => {
@@ -383,11 +383,11 @@ impl Asm {
         self.b(&[0x48, 0x99]);
     }
 
-    /// `idiv r` / `div r` (64-bit).
-    pub fn div_r64(&mut self, signed: bool, r: u8) {
+    /// `idiv r` (64-bit).
+    pub fn idiv_r64(&mut self, r: u8) {
         self.rex(true, 0, 0, r, &[]);
         self.code.push(0xF7);
-        self.modrm(3, if signed { 7 } else { 6 }, r);
+        self.modrm(3, 7, r);
     }
 
     /// `bts [base], bitreg` (64-bit bit-string set; marks dirty pages).
@@ -456,30 +456,6 @@ impl Asm {
             4 => {
                 self.rex(false, dst, 0, R12, &[]);
                 self.code.push(0x8B);
-            }
-            _ => {
-                self.rex(true, dst, 0, R12, &[]);
-                self.code.push(0x8B);
-            }
-        }
-        self.guest_sib(dst);
-    }
-
-    /// Sign-extending load from guest memory at `[r12 + rax]` into a
-    /// 64-bit register.
-    pub fn load_guest_sx(&mut self, ws: u8, dst: u8) {
-        match ws {
-            1 => {
-                self.rex(true, dst, 0, R12, &[]);
-                self.b(&[0x0F, 0xBE]);
-            }
-            2 => {
-                self.rex(true, dst, 0, R12, &[]);
-                self.b(&[0x0F, 0xBF]);
-            }
-            4 => {
-                self.rex(true, dst, 0, R12, &[]);
-                self.code.push(0x63);
             }
             _ => {
                 self.rex(true, dst, 0, R12, &[]);

@@ -25,8 +25,8 @@
 //! flags at the guest width (`pushfq`, mask CF|ZF|SF|OF). imul and shifts
 //! are modelled by `exec.rs` as ZF/SF-only logic flags, so the
 //! lowering re-derives them with a `test` of the masked result at the
-//! guest width. Conditional consumers (`jcc`/`setcc`/`cmov`) read the
-//! flags slot and test the guest bits directly; flags never round-trip
+//! guest width. Conditional consumers (`jcc`/`setcc`) read the flags
+//! slot and test the guest bits directly; flags never round-trip
 //! through `popf`. A per-block liveness scan drops the capture for flag
 //! writes that are overwritten before any consumer or block boundary —
 //! inside a block no single-step bail can observe the slot, so those
@@ -185,7 +185,7 @@ fn writes_flags(k: &AKind) -> bool {
 
 /// True when the guest instruction reads the flags slot.
 fn reads_flags(k: &AKind) -> bool {
-    matches!(k, AKind::Jcc { .. } | AKind::SetCC { .. } | AKind::Cmov { .. })
+    matches!(k, AKind::Jcc { .. } | AKind::SetCC { .. })
 }
 
 /// `leaders[i]` = instruction `i` starts a basic block: entry, any branch
@@ -728,38 +728,6 @@ fn emit_inst(
             }
             AOp::Imm(_) => return Err(FallbackReason::Unencodable),
         },
-        AKind::MovSx { wd, ws, dst, src } => {
-            let sty = width_ty(ws);
-            let ssh = (64 - sty.bits()) as u8;
-            match src {
-                AOp::Reg(s) => {
-                    load_slot_w(a, 8, s, RAX, avail);
-                    if ssh > 0 {
-                        a.shift_ri64(4, RAX, ssh); // shl
-                        a.shift_ri64(7, RAX, ssh); // sar
-                    }
-                }
-                AOp::Imm(v) => {
-                    let canon = sty.canon(v as u64);
-                    let sx = (((canon << ssh) as i64) >> ssh) as u64;
-                    a.mov_ri(RAX, sx & width_ty(wd).mask());
-                }
-                AOp::Mem(m) => {
-                    emit_ea(a, &m, avail);
-                    let oob = ctx.oob_load(a);
-                    bounds_check(a, ws, oob);
-                    a.load_guest_sx(ws, RAX);
-                }
-            }
-            match wd {
-                1 => a.movzx_rr8(RAX, RAX),
-                2 => a.movzx_rr16(RAX, RAX),
-                4 => a.mov_rr32(RAX, RAX),
-                _ => {}
-            }
-            store_slot(a, dst, RAX);
-            Some(dst)
-        }
         AKind::Lea { dst, mem } => {
             emit_ea(a, &mem, avail);
             store_slot(a, dst, RAX);
@@ -803,7 +771,6 @@ fn emit_inst(
             load_slot_w(a, w, dst, RAX, av);
             let ext = match op {
                 ShiftOp::Shl => 4,
-                ShiftOp::Shr => 5,
                 ShiftOp::Sar => 7,
             };
             a.shift_cl(w, ext, RAX);
@@ -820,34 +787,24 @@ fn emit_inst(
             store_slot(a, Reg::Rdx, RDX);
             Some(Reg::Rax)
         }
-        AKind::ZeroRdx => {
-            a.mov_ri32(RAX, 0);
-            store_slot(a, Reg::Rdx, RAX);
-            Some(Reg::Rdx)
-        }
-        AKind::Div { signed, src, .. } => {
+        AKind::Div { src, .. } => {
             read_op(a, &src, 8, RCX, ctx, avail);
             let av = if matches!(src, AOp::Mem(_)) { None } else { avail };
             let df = ctx.div_fault(a);
             a.alu_rr(8, 0x84, RCX, RCX); // test rcx, rcx
             a.jcc(CC_E, df);
             load_slot_w(a, 8, Reg::Rax, RAX, av);
-            if signed {
-                // Guard i64::MIN / -1, which the guest reports as a
-                // DivFault and the hardware as #DE.
-                let ok = a.new_label();
-                a.mov_ri64(RDX, i64::MIN as u64);
-                a.alu_rr(8, 0x38, RDX, RAX); // cmp rax, rdx
-                a.jcc(CC_NE, ok);
-                a.alu_ri64_i8(7, RCX, -1); // cmp rcx, -1
-                a.jcc(CC_E, df);
-                a.bind(ok);
-                a.cqo();
-                a.div_r64(true, RCX);
-            } else {
-                a.alu_rr(4, 0x30, RDX, RDX); // xor edx, edx
-                a.div_r64(false, RCX);
-            }
+            // Guard i64::MIN / -1, which the guest reports as a DivFault
+            // and the hardware as #DE.
+            let ok = a.new_label();
+            a.mov_ri64(RDX, i64::MIN as u64);
+            a.alu_rr(8, 0x38, RDX, RAX); // cmp rax, rdx
+            a.jcc(CC_NE, ok);
+            a.alu_ri64_i8(7, RCX, -1); // cmp rcx, -1
+            a.jcc(CC_E, df);
+            a.bind(ok);
+            a.cqo();
+            a.idiv_r64(RCX);
             store_slot(a, Reg::Rax, RAX);
             store_slot(a, Reg::Rdx, RDX);
             Some(Reg::Rax)
@@ -887,22 +844,6 @@ fn emit_inst(
             a.movzx_rr8(RAX, RAX);
             store_slot(a, dst, RAX);
             Some(dst)
-        }
-        AKind::Cmov { cc, w, dst, src } => {
-            // The two paths leave different values in rax, so nothing is
-            // forwardable past the join.
-            let enc = cond_cc(a, cc);
-            let av = if matches!(cc, CC::E | CC::Ne | CC::B | CC::Ae | CC::Be | CC::A) {
-                avail
-            } else {
-                None
-            };
-            let skip = a.new_label();
-            a.jcc(enc ^ 1, skip);
-            read_op(a, &src, w, RAX, ctx, av);
-            store_slot(a, dst, RAX);
-            a.bind(skip);
-            None
         }
         AKind::Jcc { cc, target } => {
             let enc = cond_cc(a, cc);

@@ -310,12 +310,14 @@ mod tests {
 
     #[test]
     fn signed_flags_drive_conditions() {
-        // -5 < 3 signed but not unsigned: both predicates via flags.
+        // -5 < 3 through the signed condition `l` (SF/OF of `cmp`); 3.0 is
+        // not below -5.0 through the unsigned condition `b` (CF of
+        // `ucomisd`): both predicates via flags.
         let r = run_main(|fb| {
             let slt = fb.icmp(flowery_ir::IPred::Slt, Type::I64, Op::ci64(-5), Op::ci64(3));
-            let ult = fb.icmp(flowery_ir::IPred::Ult, Type::I64, Op::ci64(-5), Op::ci64(3));
+            let olt = fb.fcmp(flowery_ir::FPred::Olt, Type::F64, Op::cf64(3.0), Op::cf64(-5.0));
             let z1 = fb.cast(flowery_ir::CastKind::Zext, Type::I1, Type::I64, Op::inst(slt));
-            let z2 = fb.cast(flowery_ir::CastKind::Zext, Type::I1, Type::I64, Op::inst(ult));
+            let z2 = fb.cast(flowery_ir::CastKind::Zext, Type::I1, Type::I64, Op::inst(olt));
             let sh = fb.bin(flowery_ir::BinOp::Shl, Type::I64, Op::inst(z1), Op::ci64(1));
             let s = fb.bin(flowery_ir::BinOp::Or, Type::I64, Op::inst(sh), Op::inst(z2));
             fb.ret(Some(Op::inst(s)));
@@ -358,11 +360,15 @@ mod tests {
     }
 
     #[test]
-    fn float_compare_flags_and_select() {
+    fn float_compare_flags_drive_a_branch() {
         let r = run_main(|fb| {
             let c = fb.fcmp(flowery_ir::FPred::Ogt, Type::F64, Op::cf64(2.5), Op::cf64(1.5));
-            let sel = fb.select(Type::I64, Op::inst(c), Op::ci64(7), Op::ci64(9));
-            fb.ret(Some(Op::inst(sel)));
+            let (t, e) = (fb.new_block("t"), fb.new_block("e"));
+            fb.br(Op::inst(c), t, e);
+            fb.switch_to(t);
+            fb.ret(Some(Op::ci64(7)));
+            fb.switch_to(e);
+            fb.ret(Some(Op::ci64(9)));
         });
         assert_eq!(r.status, ExecStatus::Completed(7));
     }

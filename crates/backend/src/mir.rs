@@ -153,7 +153,6 @@ pub enum AluOp {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ShiftOp {
     Shl,
-    Shr,
     Sar,
 }
 
@@ -227,8 +226,6 @@ pub enum AKind {
     /// `mov` in all its forms (reg<-reg/imm/mem, mem<-reg/imm). Loads
     /// zero-extend to the canonical 64-bit form.
     Mov { w: u8, dst: AOp, src: AOp },
-    /// Sign-extending load/move.
-    MovSx { wd: u8, ws: u8, dst: Reg, src: AOp },
     /// Address computation.
     Lea { dst: Reg, mem: MemRef },
     /// Two-operand ALU op: `dst = dst op src` (width-wrapped). Writes flags.
@@ -237,19 +234,15 @@ pub enum AKind {
     Shift { op: ShiftOp, w: u8, dst: Reg, amt: AOp },
     /// Sign-extend rax into rdx (cqo/cdq family).
     Cqo { w: u8 },
-    /// Zero rdx (before unsigned div).
-    ZeroRdx,
-    /// Signed or unsigned divide of rdx:rax by `src`; quotient -> rax,
-    /// remainder -> rdx.
-    Div { w: u8, signed: bool, src: AOp },
+    /// Signed divide of rdx:rax by `src`; quotient -> rax, remainder ->
+    /// rdx.
+    Div { w: u8, src: AOp },
     /// Compare: sets flags from `lhs - rhs`.
     Cmp { w: u8, lhs: AOp, rhs: AOp },
     /// Bit test: sets flags from `lhs & rhs`.
     Test { w: u8, lhs: AOp, rhs: AOp },
     /// Materialize a condition into a byte register.
     SetCC { cc: CC, dst: Reg },
-    /// Conditional move.
-    Cmov { cc: CC, w: u8, dst: Reg, src: AOp },
     /// Conditional jump (reads flags).
     Jcc { cc: CC, target: u32 },
     /// Unconditional jump.
@@ -404,16 +397,14 @@ impl AKind {
                 AOp::Mem(_) => FaultDest::MemVal(w),
                 AOp::Imm(_) => FaultDest::None,
             },
-            AKind::MovSx { wd, dst, .. } => FaultDest::Gpr(dst, wd),
             AKind::Lea { dst, .. } => FaultDest::Gpr(dst, 8),
             AKind::Alu { w, dst, .. } => FaultDest::Gpr(dst, w),
             AKind::Shift { w, dst, .. } => FaultDest::Gpr(dst, w),
-            AKind::Cqo { .. } | AKind::ZeroRdx => FaultDest::Gpr(Reg::Rdx, 8),
+            AKind::Cqo { .. } => FaultDest::Gpr(Reg::Rdx, 8),
             // div writes both rax and rdx; attribute to rax (quotient).
             AKind::Div { w, .. } => FaultDest::Gpr(Reg::Rax, w),
             AKind::Cmp { .. } | AKind::Test { .. } | AKind::Ucomi { .. } => FaultDest::Flags,
             AKind::SetCC { dst, .. } => FaultDest::Gpr(dst, 1),
-            AKind::Cmov { w, dst, .. } => FaultDest::Gpr(dst, w),
             AKind::Jcc { .. } | AKind::Jmp { .. } | AKind::Ret => FaultDest::None,
             // A call's architected write is the pushed return address.
             AKind::Call { .. } => FaultDest::MemVal(8),
@@ -438,14 +429,12 @@ impl AKind {
     pub fn cycles(&self) -> u64 {
         match self {
             AKind::Mov { dst: AOp::Mem(_), .. } | AKind::MovSd { dst: AOp::Mem(_), .. } => 2,
-            AKind::Mov { src: AOp::Mem(_), .. }
-            | AKind::MovSd { src: AOp::Mem(_), .. }
-            | AKind::MovSx { src: AOp::Mem(_), .. } => 3,
-            AKind::Mov { .. } | AKind::MovSd { .. } | AKind::MovSx { .. } | AKind::Lea { .. } | AKind::MovQ { .. } => 1,
+            AKind::Mov { src: AOp::Mem(_), .. } | AKind::MovSd { src: AOp::Mem(_), .. } => 3,
+            AKind::Mov { .. } | AKind::MovSd { .. } | AKind::Lea { .. } | AKind::MovQ { .. } => 1,
             AKind::Alu { op: AluOp::Imul, .. } => 3,
-            AKind::Alu { .. } | AKind::Shift { .. } | AKind::Cqo { .. } | AKind::ZeroRdx => 1,
+            AKind::Alu { .. } | AKind::Shift { .. } | AKind::Cqo { .. } => 1,
             AKind::Div { .. } => 20,
-            AKind::Cmp { .. } | AKind::Test { .. } | AKind::SetCC { .. } | AKind::Cmov { .. } => 1,
+            AKind::Cmp { .. } | AKind::Test { .. } | AKind::SetCC { .. } => 1,
             AKind::Ucomi { .. } => 2,
             AKind::Jcc { .. } | AKind::Jmp { .. } => 1,
             AKind::Call { .. } | AKind::Ret => 2,
@@ -530,9 +519,6 @@ impl fmt::Display for AKind {
         };
         match self {
             AKind::Mov { w, dst, src } => write!(f, "mov{} {}, {}", sfx(*w), op_str(src), op_str(dst)),
-            AKind::MovSx { wd, ws, dst, src } => {
-                write!(f, "movs{}{} {}, %{}", sfx(*ws), sfx(*wd), op_str(src), dst.name())
-            }
             AKind::Lea { dst, mem } => write!(f, "lea {}, %{}", op_str(&AOp::Mem(*mem)), dst.name()),
             AKind::Alu { op, w, dst, src } => {
                 let name = match op {
@@ -548,22 +534,15 @@ impl fmt::Display for AKind {
             AKind::Shift { op, w, dst, amt } => {
                 let name = match op {
                     ShiftOp::Shl => "shl",
-                    ShiftOp::Shr => "shr",
                     ShiftOp::Sar => "sar",
                 };
                 write!(f, "{name}{} {}, %{}", sfx(*w), op_str(amt), dst.name())
             }
             AKind::Cqo { .. } => write!(f, "cqo"),
-            AKind::ZeroRdx => write!(f, "xorq %rdx, %rdx"),
-            AKind::Div { signed, src, .. } => {
-                write!(f, "{} {}", if *signed { "idiv" } else { "div" }, op_str(src))
-            }
+            AKind::Div { src, .. } => write!(f, "idiv {}", op_str(src)),
             AKind::Cmp { w, lhs, rhs } => write!(f, "cmp{} {}, {}", sfx(*w), op_str(rhs), op_str(lhs)),
             AKind::Test { w, lhs, rhs } => write!(f, "test{} {}, {}", sfx(*w), op_str(rhs), op_str(lhs)),
             AKind::SetCC { cc, dst } => write!(f, "set{} %{}", cc.name(), dst.name()),
-            AKind::Cmov { cc, dst, src, .. } => {
-                write!(f, "cmov{} {}, %{}", cc.name(), op_str(src), dst.name())
-            }
             AKind::Jcc { cc, target } => write!(f, "j{} .L{target}", cc.name()),
             AKind::Jmp { target } => write!(f, "jmp .L{target}"),
             AKind::Call { target, .. } => write!(f, "callq .L{target}"),
@@ -667,7 +646,7 @@ mod tests {
 
     #[test]
     fn cycle_model_sane() {
-        assert!(AKind::Div { w: 8, signed: true, src: AOp::Reg(Reg::Rcx) }.cycles() > 10);
+        assert!(AKind::Div { w: 8, src: AOp::Reg(Reg::Rcx) }.cycles() > 10);
         assert_eq!(AKind::Lea { dst: Reg::Rax, mem: MemRef::rbp(0) }.cycles(), 1);
         let load = AKind::Mov {
             w: 8,

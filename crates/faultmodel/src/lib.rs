@@ -2,12 +2,13 @@
 //!
 //! Pluggable fault models and modeled hardware detectors.
 //!
-//! A [`FaultModel`] turns `(seed, trial_index, site count)` into a concrete
-//! fault spec for either injection layer, drawing deterministically from
-//! the per-trial RNG stream. The default [`SingleBitReg`] model reproduces
-//! the original hard-wired injector draw-for-draw, so campaigns under it
-//! are bit-identical to the pre-refactor harness (pinned by the
-//! differential tests in `flowery-inject`).
+//! A [`ModelSpec`] turns `(seed, trial_index, site count)` into a
+//! concrete fault spec for either injection layer, drawing
+//! deterministically from the per-trial RNG stream. The default,
+//! [`ModelSpec::SingleBitReg`], reproduces the original hard-wired
+//! injector draw-for-draw, so campaigns under it are bit-identical to the
+//! pre-refactor harness (pinned by the differential tests in
+//! `flowery-inject`).
 //!
 //! A [`DetectorSpec`] is a cheap *modeled* hardware detector (register
 //! parity, control-flow signatures) that runs conceptually alongside the
@@ -50,150 +51,62 @@ pub enum FaultClass {
     Control,
 }
 
-/// A deterministic fault sampler. The site and bit draws are common to
-/// every model (and come first, preserving the legacy stream layout);
-/// [`FaultModel::payload`] then draws whatever else the model needs.
-pub trait FaultModel {
-    /// The state class this model's faults primarily perturb.
-    fn class(&self) -> FaultClass;
-
-    /// Draw the model-specific payload: the optional second bit and the
-    /// effect. Any extra randomness must be drawn from `rng` *after* the
-    /// common site/bit draws, which the caller has already made.
-    fn payload(&self, rng: &mut SmallRng) -> (Option<u32>, FaultEffect);
-
-    /// The fault injected by trial `trial_index` of the layer whose stream
-    /// tag is `stream` ([`IR_STREAM`] / [`ASM_STREAM`]) — a pure function of
-    /// `(seed, trial_index, sites)`.
-    fn sample(&self, stream: u64, seed: u64, trial_index: u64, sites: u64) -> FaultSpec {
-        let mut rng = trial_rng(seed, stream, trial_index);
-        let site_index = rng.gen_range(0..sites);
-        let bit: u32 = rng.gen_range(0..64);
-        let (second_bit, effect) = self.payload(&mut rng);
-        FaultSpec { site_index, bit, second_bit, effect }
-    }
-}
-
-/// The classic LLFI/PIN-style single-bit destination flip — the default,
-/// bit-identical to the pre-`FaultModel` injector.
-pub struct SingleBitReg;
-
-impl FaultModel for SingleBitReg {
-    fn class(&self) -> FaultClass {
-        FaultClass::Reg
-    }
-    fn payload(&self, _rng: &mut SmallRng) -> (Option<u32>, FaultEffect) {
-        (None, FaultEffect::Bits)
-    }
-}
-
-/// Two independent bit flips in the same destination (the emerging
-/// multi-bit model the paper cites in §2.2) — bit-identical to the switch
-/// pre-model campaigns carried in their checkpoint headers.
-pub struct DoubleBitReg;
-
-impl FaultModel for DoubleBitReg {
-    fn class(&self) -> FaultClass {
-        FaultClass::Reg
-    }
-    fn payload(&self, rng: &mut SmallRng) -> (Option<u32>, FaultEffect) {
-        (Some(rng.gen_range(0..64)), FaultEffect::Bits)
-    }
-}
-
-/// A contiguous burst of `width` adjacent flipped bits (multi-bit upset).
-pub struct MultiBitUpset {
-    pub width: u8,
-}
-
-impl FaultModel for MultiBitUpset {
-    fn class(&self) -> FaultClass {
-        FaultClass::Reg
-    }
-    fn payload(&self, _rng: &mut SmallRng) -> (Option<u32>, FaultEffect) {
-        (None, FaultEffect::Burst { width: self.width })
-    }
-}
-
-/// Condition-state corruption: the branch-feeding low bit at the IR
-/// level, the condition flags at the assembly level.
-pub struct FlagsPc;
-
-impl FaultModel for FlagsPc {
-    fn class(&self) -> FaultClass {
-        FaultClass::Flags
-    }
-    fn payload(&self, _rng: &mut SmallRng) -> (Option<u32>, FaultEffect) {
-        (None, FaultEffect::Flags)
-    }
-}
-
-/// A single-bit flip in a memory cell at a deterministic address derived
-/// from an extra draw; the site instruction's own result stays intact.
-pub struct MemCell;
-
-impl FaultModel for MemCell {
-    fn class(&self) -> FaultClass {
-        FaultClass::Mem
-    }
-    fn payload(&self, rng: &mut SmallRng) -> (Option<u32>, FaultEffect) {
-        (None, FaultEffect::Mem { offset: rng.next_u64() })
-    }
-}
-
-/// Control-flow edge corruption: after the site executes, control is
-/// redirected to a deterministic wrong target (SET-on-branch-logic model).
-pub struct ControlFlowEdge;
-
-impl FaultModel for ControlFlowEdge {
-    fn class(&self) -> FaultClass {
-        FaultClass::Control
-    }
-    fn payload(&self, rng: &mut SmallRng) -> (Option<u32>, FaultEffect) {
-        (None, FaultEffect::Jump { target: rng.next_u64() })
-    }
-}
-
-/// A value-typed handle on a registered fault model: `Copy`, comparable,
-/// string-serializable — the form configs, checkpoints, and wire formats
-/// carry. Dispatches statically to the trait implementations above.
+/// A registered fault model: `Copy`, comparable, string-serializable —
+/// the form configs, checkpoints, and wire formats carry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ModelSpec {
-    /// `single-bit-reg` — the default, bit-identical to the legacy injector.
+    /// `single-bit-reg` — the classic LLFI/PIN-style single-bit
+    /// destination flip, the default, bit-identical to the legacy injector.
     #[default]
     SingleBitReg,
-    /// `double-bit-reg` — two independent flips in one destination.
+    /// `double-bit-reg` — two independent flips in one destination (the
+    /// multi-bit model the paper cites in §2.2), bit-identical to the
+    /// switch pre-model campaigns carried in their checkpoint headers.
     DoubleBitReg,
-    /// `multi-bit-N` — a burst of N adjacent flips (2 ≤ N ≤ 64).
+    /// `multi-bit-N` — a burst of N adjacent flips (2 ≤ N ≤ 64), a
+    /// multi-bit upset.
     MultiBit(u8),
-    /// `flags-pc` — condition-state corruption.
+    /// `flags-pc` — condition-state corruption: the branch-feeding low
+    /// bit at the IR level, the condition flags at the assembly level.
     FlagsPc,
-    /// `mem-cell` — a memory-cell flip.
+    /// `mem-cell` — a single-bit flip in a memory cell at a deterministic
+    /// address derived from an extra draw; the site instruction's own
+    /// result stays intact.
     MemCell,
-    /// `control-flow` — branch-target redirect.
+    /// `control-flow` — after the site executes, control is redirected
+    /// to a deterministic wrong target (SET-on-branch-logic model).
     ControlFlow,
 }
 
 impl ModelSpec {
-    fn with_model<R>(self, f: impl FnOnce(&dyn FaultModel) -> R) -> R {
+    /// The state class this model's faults primarily perturb.
+    pub fn class(self) -> FaultClass {
         match self {
-            ModelSpec::SingleBitReg => f(&SingleBitReg),
-            ModelSpec::DoubleBitReg => f(&DoubleBitReg),
-            ModelSpec::MultiBit(w) => f(&MultiBitUpset { width: w }),
-            ModelSpec::FlagsPc => f(&FlagsPc),
-            ModelSpec::MemCell => f(&MemCell),
-            ModelSpec::ControlFlow => f(&ControlFlowEdge),
+            ModelSpec::SingleBitReg | ModelSpec::DoubleBitReg | ModelSpec::MultiBit(_) => FaultClass::Reg,
+            ModelSpec::FlagsPc => FaultClass::Flags,
+            ModelSpec::MemCell => FaultClass::Mem,
+            ModelSpec::ControlFlow => FaultClass::Control,
         }
     }
 
-    /// The state class this model's faults primarily perturb.
-    pub fn class(self) -> FaultClass {
-        self.with_model(|m| m.class())
-    }
-
-    /// See [`FaultModel::sample`].
+    /// The fault injected by trial `trial_index` of the layer whose stream
+    /// tag is `stream` ([`IR_STREAM`] / [`ASM_STREAM`]) — a pure function of
+    /// `(seed, trial_index, sites)`. The site and bit draws are common to
+    /// every model and come first (the legacy stream layout); a model's
+    /// extra draws follow them.
     pub fn sample(self, stream: u64, seed: u64, trial_index: u64, sites: u64) -> FaultSpec {
-        self.with_model(|m| m.sample(stream, seed, trial_index, sites))
+        let mut rng = trial_rng(seed, stream, trial_index);
+        let site_index = rng.gen_range(0..sites);
+        let bit: u32 = rng.gen_range(0..64);
+        let (second_bit, effect) = match self {
+            ModelSpec::SingleBitReg => (None, FaultEffect::Bits),
+            ModelSpec::DoubleBitReg => (Some(rng.gen_range(0..64)), FaultEffect::Bits),
+            ModelSpec::MultiBit(width) => (None, FaultEffect::Burst { width }),
+            ModelSpec::FlagsPc => (None, FaultEffect::Flags),
+            ModelSpec::MemCell => (None, FaultEffect::Mem { offset: rng.next_u64() }),
+            ModelSpec::ControlFlow => (None, FaultEffect::Jump { target: rng.next_u64() }),
+        };
+        FaultSpec { site_index, bit, second_bit, effect }
     }
 
     /// The fault injected by IR-level trial `trial_index`.

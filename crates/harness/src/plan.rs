@@ -191,6 +191,15 @@ impl MatrixSpec {
     pub fn needs_profile(&self) -> bool {
         self.levels.iter().any(|&l| !is_full(l))
     }
+
+    /// The built-in workloads the matrix compiles: `benches`, or all of
+    /// them when neither `benches` nor `sources` names a program.
+    pub fn bench_names(&self) -> Vec<&str> {
+        if self.benches.is_empty() && self.sources.is_empty() {
+            return flowery_workloads::NAMES.to_vec();
+        }
+        self.benches.iter().map(String::as_str).collect()
+    }
 }
 
 impl Default for MatrixSpec {
@@ -380,11 +389,6 @@ pub fn plan_matrix(
     stored: &[ProfileRecord],
     opts: RunOptions<'_>,
 ) -> (Vec<TrialUnit>, CampaignReport) {
-    let names: Vec<&str> = if spec.benches.is_empty() && spec.sources.is_empty() {
-        flowery_workloads::NAMES.to_vec()
-    } else {
-        spec.benches.iter().map(|s| s.as_str()).collect()
-    };
     // Each module and program is final once built: shrunk to fit, as the
     // campaign holds it to the end.
     let finished = |mut m: Module| {
@@ -396,10 +400,10 @@ pub fn plan_matrix(
         p.shrink_to_fit();
         Arc::new(p)
     };
-    let mut raw: Vec<TrialUnit> = names
-        .iter()
-        .map(|&name| raw_ir(name, finished(flowery_workloads::workload(name, spec.scale).compile())))
-        .collect();
+    let mut raw = Vec::new();
+    for name in spec.bench_names() {
+        raw.push(raw_ir(name, finished(flowery_workloads::workload(name, spec.scale).compile())));
+    }
     for (name, src) in &spec.sources {
         let m =
             flowery_lang::compile(name, src).unwrap_or_else(|e| panic!("matrix source '{name}' does not compile: {e}"));

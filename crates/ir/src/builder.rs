@@ -111,10 +111,6 @@ impl FuncBuilder {
         self.push_kind(InstKind::Gep { base, index, elem })
     }
 
-    pub fn select(&mut self, ty: Type, cond: Op, t: Op, f: Op) -> InstId {
-        self.push_kind(InstKind::Select { ty, cond, t, f })
-    }
-
     pub fn call(&mut self, callee: FuncId, args: Vec<Op>) -> InstId {
         self.push_kind(InstKind::Call { callee: Callee::Func(callee), args })
     }

@@ -17,19 +17,13 @@ pub enum BinOp {
     Mul,
     /// Signed division (traps on divide-by-zero and INT_MIN / -1).
     SDiv,
-    /// Unsigned division (traps on divide-by-zero).
-    UDiv,
     /// Signed remainder.
     SRem,
-    /// Unsigned remainder.
-    URem,
     And,
     Or,
     Xor,
     /// Shift left (shift amount taken modulo bit width).
     Shl,
-    /// Logical shift right.
-    LShr,
     /// Arithmetic shift right.
     AShr,
     FAdd,
@@ -60,14 +54,11 @@ impl BinOp {
             BinOp::Sub => "sub",
             BinOp::Mul => "mul",
             BinOp::SDiv => "sdiv",
-            BinOp::UDiv => "udiv",
             BinOp::SRem => "srem",
-            BinOp::URem => "urem",
             BinOp::And => "and",
             BinOp::Or => "or",
             BinOp::Xor => "xor",
             BinOp::Shl => "shl",
-            BinOp::LShr => "lshr",
             BinOp::AShr => "ashr",
             BinOp::FAdd => "fadd",
             BinOp::FSub => "fsub",
@@ -86,10 +77,6 @@ pub enum IPred {
     Sle,
     Sgt,
     Sge,
-    Ult,
-    Ule,
-    Ugt,
-    Uge,
 }
 
 impl IPred {
@@ -101,10 +88,6 @@ impl IPred {
             IPred::Sle => "sle",
             IPred::Sgt => "sgt",
             IPred::Sge => "sge",
-            IPred::Ult => "ult",
-            IPred::Ule => "ule",
-            IPred::Ugt => "ugt",
-            IPred::Uge => "uge",
         }
     }
 
@@ -117,10 +100,6 @@ impl IPred {
             IPred::Sle => IPred::Sge,
             IPred::Sgt => IPred::Slt,
             IPred::Sge => IPred::Sle,
-            IPred::Ult => IPred::Ugt,
-            IPred::Ule => IPred::Uge,
-            IPred::Ugt => IPred::Ult,
-            IPred::Uge => IPred::Ule,
         }
     }
 }
@@ -155,8 +134,6 @@ impl FPred {
 pub enum CastKind {
     /// Zero-extend to a wider integer.
     Zext,
-    /// Sign-extend to a wider integer.
-    Sext,
     /// Truncate to a narrower integer.
     Trunc,
     /// Signed integer to floating point.
@@ -274,8 +251,6 @@ pub enum InstKind {
     Cast { kind: CastKind, from: Type, to: Type, val: Op },
     /// `base + index * size_of(elem)`; yields `ptr`. `index` has type `I64`.
     Gep { base: Op, index: Op, elem: Type },
-    /// `cond ? t : f` on values of type `ty`.
-    Select { ty: Type, cond: Op, t: Op, f: Op },
     /// Direct call. Result type comes from the callee signature; `None` for
     /// `void` calls — which therefore are not IR-level fault sites either
     /// (paper §5.2, call penetration).
@@ -380,7 +355,6 @@ impl InstData {
             InstKind::Bin { ty, .. } => Some(*ty),
             InstKind::ICmp { .. } | InstKind::FCmp { .. } => Some(Type::I1),
             InstKind::Cast { to, .. } => Some(*to),
-            InstKind::Select { ty, .. } => Some(*ty),
             InstKind::Call { callee, .. } => match callee {
                 Callee::Func(f) => callee_ret(*f),
                 Callee::Intrinsic(i) => i.ret_ty(),
@@ -399,7 +373,6 @@ impl InstData {
             }
             InstKind::Cast { val, .. } => vec![val],
             InstKind::Gep { base, index, .. } => vec![base, index],
-            InstKind::Select { cond, t, f, .. } => vec![cond, t, f],
             InstKind::Call { args, .. } => args.iter_mut().collect(),
         }
     }
@@ -415,7 +388,6 @@ impl InstData {
             }
             InstKind::Cast { val, .. } => vec![*val],
             InstKind::Gep { base, index, .. } => vec![*base, *index],
-            InstKind::Select { cond, t, f, .. } => vec![*cond, *t, *f],
             InstKind::Call { args, .. } => args.clone(),
         }
     }
@@ -502,7 +474,7 @@ mod tests {
     fn swapped_predicates() {
         assert_eq!(IPred::Slt.swapped(), IPred::Sgt);
         assert_eq!(IPred::Eq.swapped(), IPred::Eq);
-        assert_eq!(IPred::Uge.swapped(), IPred::Ule);
+        assert_eq!(IPred::Sge.swapped(), IPred::Sle);
     }
 
     use crate::value::Const;

@@ -73,7 +73,6 @@ enum Kind {
     Cast(CastKind, Type, Type, Src),
     /// Base, index, element size.
     Gep(Src, Src, u8),
-    Select(Src, Src, Src),
     /// The second argument repeats the first for one-argument intrinsics.
     Math(Intrinsic, Src, Src),
     /// Record tag, value.
@@ -266,23 +265,22 @@ impl<'m> Compiled<'m> {
                     let (a, b) = (rd!(a), rd!(b));
                     use BinOp as B;
                     or_trap!(
-                        folded!(bin, B[Add, Sub, Mul, SDiv, UDiv, SRem, URem, And, Or, Xor, Shl, LShr, AShr, FAdd, FSub, FMul, FDiv], |o| ops::eval_bin(o, ty, a, b))
+                        folded!(bin, B[Add, Sub, Mul, SDiv, SRem, And, Or, Xor, Shl, AShr, FAdd, FSub, FMul, FDiv], |o| ops::eval_bin(o, ty, a, b))
                     )
                 }
                 Kind::ICmp(pred, ty, a, b) => {
                     let (a, b) = (rd!(a), rd!(b));
-                    folded!(pred, IPred[Eq, Ne, Slt, Sle, Sgt, Sge, Ult, Ule, Ugt, Uge], |p| ops::eval_icmp(p, ty, a, b))
+                    folded!(pred, IPred[Eq, Ne, Slt, Sle, Sgt, Sge], |p| ops::eval_icmp(p, ty, a, b))
                 }
                 Kind::FCmp(pred, a, b) => ops::eval_fcmp(pred, rd!(a), rd!(b)),
                 Kind::Cast(kind, from, to, v) => {
                     let v = rd!(v);
                     use CastKind as C;
-                    folded!(kind, C[Zext, Sext, Trunc, SiToFp, FpToSi, Bitcast], |k| ops::eval_cast(k, from, to, v))
+                    folded!(kind, C[Zext, Trunc, SiToFp, FpToSi, Bitcast], |k| ops::eval_cast(k, from, to, v))
                 }
                 Kind::Gep(base, index, size) => {
                     rd!(base).wrapping_add_signed((rd!(index) as i64).wrapping_mul(size as i64))
                 }
-                Kind::Select(c, t, f) => rd!(if rd!(c) & 1 == 1 { t } else { f }),
                 Kind::Math(intr, a, b) => ops::eval_math(intr, &[rd!(a), rd!(b)]),
                 Kind::Output(tag, v) => {
                     let v = rd!(v);
@@ -395,8 +393,8 @@ impl<'m> Compiled<'m> {
                     *v ^= 1u64 << ((spec.bit + k) % bits);
                 }
             }
-            // Condition corruption: the low bit is the one branches and
-            // selects consume.
+            // Condition corruption: the low bit is the one branches
+            // consume.
             FaultEffect::Flags => *v ^= 1,
             FaultEffect::Mem { offset } => {
                 // The result is intact; a memory cell at a deterministic
@@ -502,7 +500,6 @@ impl Translator<'_> {
                 Kind::Cast(*kind, *from, *to, self.src(*val)?)
             }
             InstKind::Gep { base, index, elem } => Kind::Gep(self.src(*base)?, self.src(*index)?, elem.size() as u8),
-            InstKind::Select { cond, t, f, .. } => Kind::Select(self.src(*cond)?, self.src(*t)?, self.src(*f)?),
             InstKind::Call { callee: Callee::Intrinsic(intr), args } => match (intr, &args[..]) {
                 (Intrinsic::DetectError, _) => Kind::Detect,
                 (Intrinsic::OutputI64, &[v]) => Kind::Output(TAG_I64, self.src(v)?),

@@ -89,9 +89,6 @@ fn print_inst(m: &Module, _fid: FuncId, f: &Function, iid: crate::value::InstId)
         InstKind::Gep { base, index, elem } => {
             format!("{lhs}gep {elem}, {}, {}", op_str(base), op_str(index))
         }
-        InstKind::Select { ty, cond, t, f: fv } => {
-            format!("{lhs}select {ty} {}, {}, {}", op_str(cond), op_str(t), op_str(fv))
-        }
         InstKind::Call { callee, args } => {
             let args_s = args.iter().map(op_str).collect::<Vec<_>>().join(", ");
             let (name, has_ret) = match callee {

@@ -63,8 +63,6 @@ pub enum Const {
     Int(Type, u64),
     /// `f64` constant.
     F64(f64),
-    /// The null pointer.
-    NullPtr,
 }
 
 impl Const {
@@ -93,7 +91,6 @@ impl Const {
         match self {
             Const::Int(t, _) => t,
             Const::F64(_) => Type::F64,
-            Const::NullPtr => Type::Ptr,
         }
     }
 
@@ -102,7 +99,6 @@ impl Const {
         match self {
             Const::Int(t, v) => t.canon(v),
             Const::F64(f) => f.to_bits(),
-            Const::NullPtr => 0,
         }
     }
 }
@@ -178,7 +174,6 @@ impl fmt::Display for Const {
         match self {
             Const::Int(t, v) => write!(f, "{} {}", t, t.sext(*v)),
             Const::F64(x) => write!(f, "f64 {x}"),
-            Const::NullPtr => write!(f, "ptr null"),
         }
     }
 }

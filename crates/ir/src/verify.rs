@@ -196,6 +196,11 @@ fn check_types(m: &Module, fid: FuncId, f: &Function, iid: InstId) -> Result<(),
             if matches!(op, BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv) && !ty.is_float() {
                 return Err(err(f, format!("%{}: float op on {}", iid.0, ty)));
             }
+            // The backend divides whole 64-bit registers and has no
+            // sign-extending move to widen a narrower operand first.
+            if matches!(op, BinOp::SDiv | BinOp::SRem) && *ty != Type::I64 {
+                return Err(err(f, format!("%{}: {} on {ty}: division is defined on i64 only", iid.0, op.mnemonic())));
+            }
             expect(lhs, *ty, "lhs")?;
             expect(rhs, *ty, "rhs")?;
         }
@@ -216,9 +221,10 @@ fn check_types(m: &Module, fid: FuncId, f: &Function, iid: InstId) -> Result<(),
         InstKind::Cast { kind, from, to, val } => {
             expect(val, *from, "cast input")?;
             let ok = match kind {
-                CastKind::Zext | CastKind::Sext => from.is_int() && to.is_int() && to.bits() > from.bits(),
+                CastKind::Zext => from.is_int() && to.is_int() && to.bits() > from.bits(),
                 CastKind::Trunc => from.is_int() && to.is_int() && to.bits() < from.bits(),
-                CastKind::SiToFp => from.is_int() && to.is_float(),
+                // Converted from a whole 64-bit register, as division.
+                CastKind::SiToFp => *from == Type::I64 && to.is_float(),
                 CastKind::FpToSi => from.is_float() && to.is_int(),
                 CastKind::Bitcast => from.bits() == to.bits(),
             };
@@ -229,11 +235,6 @@ fn check_types(m: &Module, fid: FuncId, f: &Function, iid: InstId) -> Result<(),
         InstKind::Gep { base, index, .. } => {
             expect(base, Type::Ptr, "gep base")?;
             expect(index, Type::I64, "gep index")?;
-        }
-        InstKind::Select { ty, cond, t, f: fv } => {
-            expect(cond, Type::I1, "select cond")?;
-            expect(t, *ty, "select true value")?;
-            expect(fv, *ty, "select false value")?;
         }
         InstKind::Call { callee, args } => match callee {
             Callee::Func(cf) => {
@@ -375,5 +376,24 @@ mod tests {
         mb.add_func(fb.finish());
         let e = verify_module(&mb.finish()).unwrap_err();
         assert!(e.detail.contains("invalid cast"), "{e}");
+    }
+
+    #[test]
+    fn narrow_division_and_conversion_rejected() {
+        let mut mb = ModuleBuilder::new("m");
+        let mut fb = FuncBuilder::new("main", vec![], Some(Type::I32));
+        let q = fb.bin(BinOp::SRem, Type::I32, Op::ci32(-7), Op::ci32(2));
+        fb.ret(Some(Op::inst(q)));
+        mb.add_func(fb.finish());
+        let e = verify_module(&mb.finish()).unwrap_err();
+        assert!(e.detail.contains("srem on i32: division is defined on i64 only"), "{e}");
+
+        let mut mb = ModuleBuilder::new("m");
+        let mut fb = FuncBuilder::new("main", vec![], Some(Type::F64));
+        let v = fb.cast(CastKind::SiToFp, Type::I32, Type::F64, Op::ci32(-2));
+        fb.ret(Some(Op::inst(v)));
+        mb.add_func(fb.finish());
+        let e = verify_module(&mb.finish()).unwrap_err();
+        assert!(e.detail.contains("invalid cast i32 -> f64 (SiToFp)"), "{e}");
     }
 }

@@ -232,18 +232,13 @@ fn emit_one_checker(m: &mut Module, fid: FuncId, bid: BlockId, pos: usize, orig:
     // Compare (bit-exact: floats are compared through integer bitcasts,
     // which is what LLVM-level duplicators do to avoid NaN/-0.0 pitfalls).
     let (a, b, cmp_ty) = if ty.is_float() {
-        let ity = if ty == Type::F64 { Type::I64 } else { Type::I32 };
-        let ba = f.add_inst(InstData::with_role(
-            InstKind::Cast { kind: CastKind::Bitcast, from: ty, to: ity, val: orig },
-            IrRole::Checker,
-        ));
-        let bb = f.add_inst(InstData::with_role(
-            InstKind::Cast { kind: CastKind::Bitcast, from: ty, to: ity, val: shadow },
-            IrRole::Checker,
-        ));
-        f.block_mut(bid).insts.push(ba);
-        f.block_mut(bid).insts.push(bb);
-        (Op::inst(ba), Op::inst(bb), ity)
+        let [ba, bb] = [orig, shadow].map(|val| {
+            let cast = InstKind::Cast { kind: CastKind::Bitcast, from: ty, to: Type::I64, val };
+            let id = f.add_inst(InstData::with_role(cast, IrRole::Checker));
+            f.block_mut(bid).insts.push(id);
+            Op::inst(id)
+        });
+        (ba, bb, Type::I64)
     } else {
         (orig, shadow, ty)
     };

@@ -22,8 +22,7 @@ pub fn is_duplicable(kind: &InstKind) -> bool {
         | InstKind::ICmp { .. }
         | InstKind::FCmp { .. }
         | InstKind::Cast { .. }
-        | InstKind::Gep { .. }
-        | InstKind::Select { .. } => true,
+        | InstKind::Gep { .. } => true,
         InstKind::Call { callee: Callee::Intrinsic(i), .. } => i.is_math(),
         _ => false,
     }

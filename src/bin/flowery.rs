@@ -587,8 +587,8 @@ fn run_plan(args: &Args<'_>) -> Result<(MatrixSpec, Vec<TrialUnit>, CampaignRepo
     // checkpoint's profile records or run on this campaign's cache, and are
     // appended to its log before any campaign trial starts.
     eprintln!(
-        "[harness] building matrix ({} benches){}",
-        if spec.benches.is_empty() { NAMES.len() } else { spec.benches.len() },
+        "[harness] building matrix ({} program(s)){}",
+        spec.bench_names().len() + spec.sources.len(),
         if spec.needs_profile() { ", profiling" } else { "" }
     );
     let opts = RunOptions {
@@ -670,14 +670,7 @@ fn cmd_diff(rest: &[String]) -> Result<(), String> {
         eprintln!("[diff] {base_path}: no region records of this build's recipe in baseline; every region runs fresh");
     }
 
-    eprintln!(
-        "[diff] building matrix ({} program(s))",
-        if spec.benches.is_empty() && spec.sources.is_empty() {
-            NAMES.len()
-        } else {
-            spec.benches.len() + spec.sources.len()
-        }
-    );
+    eprintln!("[diff] building matrix ({} program(s))", spec.bench_names().len() + spec.sources.len());
     let units = build_matrix(&spec);
     let cache = GoldenCache::new();
 
@@ -788,11 +781,7 @@ fn cmd_explore(rest: &[String]) -> Result<(), String> {
 
     eprintln!(
         "[explore] {} bench(es) x {} model(s) x {} detector set(s), {} trials each",
-        if matrix.benches.is_empty() {
-            NAMES.len()
-        } else {
-            matrix.benches.len()
-        },
+        matrix.bench_names().len() + matrix.sources.len(),
         spec.models.len(),
         spec.detector_sets.len(),
         cfg.max_trials

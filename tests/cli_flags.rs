@@ -186,6 +186,28 @@ fn a_golden_run_that_does_not_complete_is_refused_by_name() {
 }
 
 #[test]
+fn the_matrix_line_counts_the_programs_it_builds() {
+    // It read `(16 benches)` for a matrix of one `--src` program.
+    let path = program(
+        "probe",
+        "int main() { int s = 0; int i; for (i = 0; i < 9; i = i + 1) { s = s + i; } output(s); return 0; }\n",
+    );
+    let p = path.to_str().unwrap();
+    for (benches, want) in [(&[][..], "(1 program(s))"), (&["crc32"][..], "(2 program(s))")] {
+        let args = [&["campaign"], benches, &["--src", p, "--tiny", "--trials", "50", "--levels", "1.0"]].concat();
+        let out = flowery(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "`flowery {}` failed: {err}", args.join(" "));
+        assert!(
+            err.contains(&format!("[harness] building matrix {want}")),
+            "`flowery {}`: {err}",
+            args.join(" ")
+        );
+    }
+    std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+}
+
+#[test]
 fn an_empty_schedule_is_refused_by_name() {
     let why = "bad --trials '0' (want at least 1)";
     refused_cleanly(&["campaign", "crc32", "--tiny", "--trials", "0"], &[why]);

@@ -176,11 +176,6 @@ fn step(st: &mut State, inst: &AInst, ip: &mut u32, len: usize) -> Result<(), Ex
             let v = st.read(*src, *w)?;
             st.write(*dst, *w, v)?;
         }
-        AKind::MovSx { wd, ws, dst, src } => {
-            let v = st.read(*src, *ws)?;
-            let ext = width_ty(*ws).sext(v) as u64;
-            st.write_reg(*dst, *wd, ext);
-        }
         AKind::Lea { dst, mem } => {
             let addr = st.effective(*mem);
             st.write_reg(*dst, 8, addr);
@@ -210,7 +205,6 @@ fn step(st: &mut State, inst: &AInst, ip: &mut u32, len: usize) -> Result<(), Ex
             let b = st.read(*amt, 1)?;
             let ir_op = match op {
                 ShiftOp::Shl => BinOp::Shl,
-                ShiftOp::Shr => BinOp::LShr,
                 ShiftOp::Sar => BinOp::AShr,
             };
             let ty = width_ty(*w);
@@ -222,25 +216,14 @@ fn step(st: &mut State, inst: &AInst, ip: &mut u32, len: usize) -> Result<(), Ex
             let rax = st.regs[Reg::Rax.index()];
             st.regs[Reg::Rdx.index()] = ((rax as i64) >> 63) as u64;
         }
-        AKind::ZeroRdx => st.regs[Reg::Rdx.index()] = 0,
-        AKind::Div { signed, src, .. } => {
-            let b = st.read(*src, 8)?;
-            if *signed {
-                let a = st.regs[Reg::Rax.index()] as i64;
-                let bs = b as i64;
-                if bs == 0 || (a == i64::MIN && bs == -1) {
-                    return Err(ExecStatus::Trapped(TrapKind::DivFault));
-                }
-                st.regs[Reg::Rax.index()] = (a / bs) as u64;
-                st.regs[Reg::Rdx.index()] = (a % bs) as u64;
-            } else {
-                if b == 0 {
-                    return Err(ExecStatus::Trapped(TrapKind::DivFault));
-                }
-                let a = st.regs[Reg::Rax.index()];
-                st.regs[Reg::Rax.index()] = a / b;
-                st.regs[Reg::Rdx.index()] = a % b;
+        AKind::Div { src, .. } => {
+            let a = st.regs[Reg::Rax.index()] as i64;
+            let b = st.read(*src, 8)? as i64;
+            if b == 0 || (a == i64::MIN && b == -1) {
+                return Err(ExecStatus::Trapped(TrapKind::DivFault));
             }
+            st.regs[Reg::Rax.index()] = (a / b) as u64;
+            st.regs[Reg::Rdx.index()] = (a % b) as u64;
         }
         AKind::Cmp { w, lhs, rhs } => {
             let a = st.read(*lhs, *w)?;
@@ -258,12 +241,6 @@ fn step(st: &mut State, inst: &AInst, ip: &mut u32, len: usize) -> Result<(), Ex
         AKind::SetCC { cc, dst } => {
             let v = st.cond(*cc) as u64;
             st.write_reg(*dst, 1, v);
-        }
-        AKind::Cmov { cc, w, dst, src } => {
-            if st.cond(*cc) {
-                let v = st.read(*src, *w)?;
-                st.write_reg(*dst, *w, v);
-            }
         }
         AKind::Jcc { cc, target } => {
             if st.cond(*cc) {

@@ -248,7 +248,6 @@ impl Oracle<'_> {
                 let i = opv(*index) as i64;
                 Some(opv(*base).wrapping_add_signed(i.wrapping_mul(elem.size() as i64)))
             }
-            InstKind::Select { cond, t, f, .. } => Some(if opv(*cond) & 1 == 1 { opv(*t) } else { opv(*f) }),
             InstKind::Call { callee: Callee::Intrinsic(intr), args } => {
                 let record = match intr {
                     Intrinsic::OutputI64 => Some((TAG_I64, opv(args[0]).to_le_bytes().to_vec())),
@@ -318,7 +317,7 @@ impl Oracle<'_> {
                     }
                 }
                 // Condition corruption: the low bit is the one branches
-                // and selects consume.
+                // consume.
                 FaultEffect::Flags => v ^= 1,
                 FaultEffect::Mem { offset } => {
                     // The result is intact; a memory cell at a

@@ -259,11 +259,11 @@ fn engines_agree_on_all_workloads_and_models() {
 }
 
 /// An IR program through `FuncBuilder` whose selection emits the forms no
-/// workload does: i8/i16/i32 loads and stores, sign extension,
-/// `or`/`xor` with immediates, shifts by immediate and by register,
-/// unsigned division, `select` lowered to `cmov`, byte output, and an
-/// unsigned `jae` — next to an f64 store, load, compare and conversions,
-/// whose stores hardening checks with a memory `ucomisd`.
+/// workload does: i8/i16/i32 loads and stores, `or`/`xor` with
+/// immediates, shifts by immediate and by register, byte output, and a
+/// `jae` fused with `ucomisd` — next to division, an f64 store, load,
+/// compare and conversions, whose stores hardening checks with a memory
+/// `ucomisd`.
 fn forms_module() -> Module {
     let mut mb = ModuleBuilder::new("forms");
     let seed = mb.global_i64("seed", &[0x1234_5678_9ABC]);
@@ -275,21 +275,20 @@ fn forms_module() -> Module {
         let v = fb.bin(BinOp::Xor, ty, Op::inst(t), Op::cint(ty, k));
         fb.store(ty, Op::inst(v), p);
         let l = fb.load(ty, p);
-        let sx = fb.cast(CastKind::Sext, ty, Type::I64, Op::inst(l));
-        fb.output_i64(Op::inst(sx));
+        let zx = fb.cast(CastKind::Zext, ty, Type::I64, Op::inst(l));
+        fb.output_i64(Op::inst(zx));
     }
     let o = Op::inst(fb.bin(BinOp::Or, Type::I64, a, Op::ci64(0x55)));
     let n = Op::inst(fb.bin(BinOp::And, Type::I64, a, Op::ci64(7)));
     let d = Op::inst(fb.bin(BinOp::Or, Type::I64, n, Op::ci64(1)));
-    let shr = fb.bin(BinOp::LShr, Type::I64, o, Op::ci64(3));
+    let sari = fb.bin(BinOp::AShr, Type::I64, o, Op::ci64(3));
     let shl = Op::inst(fb.bin(BinOp::Shl, Type::I64, o, n));
-    let shrr = Op::inst(fb.bin(BinOp::LShr, Type::I64, shl, n));
-    let sar = fb.bin(BinOp::AShr, Type::I64, shrr, n);
-    let q = Op::inst(fb.bin(BinOp::UDiv, Type::I64, a, d));
-    let r = Op::inst(fb.bin(BinOp::URem, Type::I64, a, d));
-    let c = fb.icmp(IPred::Ult, Type::I64, n, Op::ci64(4));
-    let sel = fb.select(Type::I64, Op::inst(c), q, r);
-    for v in [shr, sar, sel] {
+    let sar = fb.bin(BinOp::AShr, Type::I64, shl, n);
+    let q = Op::inst(fb.bin(BinOp::SDiv, Type::I64, a, d));
+    let r = Op::inst(fb.bin(BinOp::SRem, Type::I64, a, d));
+    let c = fb.icmp(IPred::Slt, Type::I64, n, Op::ci64(4));
+    let cz = fb.cast(CastKind::Zext, Type::I1, Type::I64, Op::inst(c));
+    for v in [sari, sar, cz] {
         fb.output_i64(Op::inst(v));
     }
     let f = Op::inst(fb.cast(CastKind::SiToFp, Type::I64, Type::F64, d));
@@ -307,7 +306,8 @@ fn forms_module() -> Module {
     fb.output_i64(Op::inst(fi));
     fb.output_f64(l);
     fb.intrinsic(Intrinsic::OutputByte, vec![n]);
-    let big = fb.icmp(IPred::Uge, Type::I64, a, Op::ci64(1000));
+    let fa = fb.cast(CastKind::SiToFp, Type::I64, Type::F64, a);
+    let big = fb.fcmp(FPred::Oge, Type::F64, Op::inst(fa), Op::cf64(1000.0));
     let (t, e) = (fb.new_block("big"), fb.new_block("small"));
     fb.br(Op::inst(big), t, e);
     fb.switch_to(t);
@@ -321,11 +321,10 @@ fn forms_module() -> Module {
 }
 
 /// A hand-assembled program for the forms no IR lowering emits: stored
-/// immediates, memory-to-memory moves, sign extension from memory and
-/// immediates, memory and immediate ALU/shift/test/compare/cmov operands,
-/// `push` of an immediate and of memory, unsigned division by memory,
-/// and double arithmetic, compares and conversions on memory and
-/// immediate operands.
+/// immediates, memory-to-memory moves, narrow loads and immediate moves,
+/// memory and immediate ALU/shift/test/compare operands, `push` of an
+/// immediate and of memory, division by memory, and double arithmetic,
+/// compares and conversions on memory and immediate operands.
 fn hand_program() -> (Module, AsmProgram) {
     let mut mb = ModuleBuilder::new("hand");
     let cells = mb.global_i64("cells", &[7, -3, 11, 0x1234]);
@@ -349,12 +348,12 @@ fn hand_program() -> (Module, AsmProgram) {
         Mov { w: 8, dst: slot(-40), src: cell(1) },
         Mov { w: 2, dst: AOp::Reg(Rsi), src: slot(-16) },
         Mov { w: 4, dst: AOp::Reg(Rdi), src: slot(-24) },
-        MovSx { wd: 8, ws: 1, dst: Rax, src: slot(-8) },
-        MovSx { wd: 8, ws: 2, dst: Rcx, src: slot(-16) },
-        MovSx { wd: 8, ws: 4, dst: Rdx, src: slot(-24) },
-        MovSx { wd: 8, ws: 8, dst: R8, src: slot(-40) },
-        MovSx { wd: 4, ws: 2, dst: R9, src: AOp::Imm(-2) },
-        MovSx { wd: 8, ws: 1, dst: R10, src: AOp::Reg(Rsi) },
+        Mov { w: 1, dst: AOp::Reg(Rax), src: slot(-8) },
+        Mov { w: 2, dst: AOp::Reg(Rcx), src: slot(-16) },
+        Mov { w: 4, dst: AOp::Reg(Rdx), src: slot(-24) },
+        Mov { w: 8, dst: AOp::Reg(R8), src: slot(-40) },
+        Mov { w: 4, dst: AOp::Reg(R9), src: AOp::Imm(-2) },
+        Mov { w: 1, dst: AOp::Reg(R10), src: AOp::Reg(Rsi) },
         Alu { op: AluOp::Add, w: 8, dst: Rax, src: cell(0) },
         Alu { op: AluOp::Sub, w: 4, dst: Rcx, src: slot(-24) },
         Alu { op: AluOp::Imul, w: 2, dst: Rdx, src: slot(-16) },
@@ -362,16 +361,16 @@ fn hand_program() -> (Module, AsmProgram) {
         Alu { op: AluOp::Or, w: 1, dst: R9, src: AOp::Imm(0x40) },
         Alu { op: AluOp::Xor, w: 8, dst: R10, src: cell(2) },
         Shift { op: ShiftOp::Shl, w: 4, dst: Rsi, amt: slot(-32) },
-        Shift { op: ShiftOp::Shr, w: 8, dst: Rdi, amt: AOp::Imm(2) },
+        Shift { op: ShiftOp::Sar, w: 8, dst: Rdi, amt: AOp::Imm(2) },
         Shift { op: ShiftOp::Sar, w: 2, dst: Rcx, amt: cell(0) },
         Test { w: 8, lhs: AOp::Reg(Rax), rhs: AOp::Reg(Rcx) },
         SetCC { cc: CC::E, dst: R11 },
         Out { kind: OutKind::I64, src: AOp::Reg(R11) },
-        Cmov { cc: CC::L, w: 4, dst: Rdx, src: slot(-24) },
+        SetCC { cc: CC::L, dst: Rdx },
         Test { w: 2, lhs: slot(-16), rhs: AOp::Imm(0x02) },
-        Cmov { cc: CC::E, w: 8, dst: R8, src: AOp::Reg(Rdi) },
+        SetCC { cc: CC::E, dst: R8 },
         Cmp { w: 1, lhs: slot(-8), rhs: AOp::Reg(R9) },
-        Cmov { cc: CC::A, w: 8, dst: R10, src: cell(3) },
+        SetCC { cc: CC::A, dst: R10 },
         Cmp { w: 8, lhs: AOp::Reg(Rax), rhs: AOp::Imm(100) },
     ];
     let jae = kinds.len();
@@ -384,9 +383,9 @@ fn hand_program() -> (Module, AsmProgram) {
         Pop { dst: R11 },
         Pop { dst: Rbx },
         Mov { w: 8, dst: AOp::Reg(Rax), src: cell(3) },
-        ZeroRdx,
+        Cqo { w: 8 },
         Out { kind: OutKind::I64, src: AOp::Reg(Rdx) },
-        Div { w: 8, signed: false, src: cell(0) },
+        Div { w: 8, src: cell(0) },
         Cvtsi2f { dst: Xmm0, src: cell(0) },
         Cvtsi2f { dst: Xmm1, src: AOp::Imm(3) },
         Sse { op: SseOp::AddSd, dst: Xmm0, src: AOp::Reg(Xmm1) },

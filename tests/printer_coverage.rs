@@ -18,7 +18,6 @@
 //! `@main`.
 
 use flowery_harness::{module_hash, protect, MatrixSpec};
-use flowery_ir::builder::{FuncBuilder, ModuleBuilder};
 use flowery_ir::interp::substrate;
 use flowery_ir::interp::{ExecConfig, ExecStatus, FaultSpec, Interpreter, IrScratch, TrapKind};
 use flowery_ir::printer::print_function;
@@ -90,10 +89,6 @@ const EXPECTED: &[&str] = &[
     "InstKind::Gep.base",
     "InstKind::Gep.index",
     "InstKind::Gep.elem",
-    "InstKind::Select.ty",
-    "InstKind::Select.cond",
-    "InstKind::Select.t",
-    "InstKind::Select.f",
     "InstKind::Call.callee",
     "InstKind::Call.args",
     "Callee::Func.0",
@@ -103,7 +98,6 @@ const EXPECTED: &[&str] = &[
     "Const::Int.0",
     "Const::Int.1",
     "Const::F64.0",
-    "Const::NullPtr",
     "Op::Global.0",
 ];
 
@@ -194,10 +188,6 @@ fn op_edits(m: &Module, fid: FuncId, op: Op) -> Vec<(&'static str, Op)> {
                 ("Const::Int.1", Op::Const(Const::Int(ty, ty.canon(bits ^ 1)))),
             ],
             Const::F64(x) => vec![("Const::F64.0", Op::Const(Const::F64(f64::from_bits(x.to_bits() ^ 1))))],
-            Const::NullPtr => (!m.globals.is_empty())
-                .then_some(("Const::NullPtr", Op::Global(GlobalId(0))))
-                .into_iter()
-                .collect(),
         },
         Op::Global(g) => other_index(g.0, m.globals.len())
             .map(|h| ("Op::Global.0", Op::Global(GlobalId(h))))
@@ -392,7 +382,7 @@ fn sweep_inst(s: &mut Sweep, m: &Module, fid: FuncId, iid: InstId, d: &InstData)
             }
         }
         InstKind::Cast { kind, from, to, val } => {
-            let other = if kind == CastKind::Zext { CastKind::Sext } else { CastKind::Zext };
+            let other = if kind == CastKind::Zext { CastKind::Trunc } else { CastKind::Zext };
             s.check(&["InstKind::Cast.kind"], at, set(InstKind::Cast { kind: other, from, to, val }));
             s.check(
                 &["InstKind::Cast.from"],
@@ -412,18 +402,6 @@ fn sweep_inst(s: &mut Sweep, m: &Module, fid: FuncId, iid: InstId, d: &InstData)
                 s.check(&["InstKind::Gep.index", field], at, set(InstKind::Gep { base, index, elem }));
             }
             s.check(&["InstKind::Gep.elem"], at, set(InstKind::Gep { base, index, elem: other_type(elem) }));
-        }
-        InstKind::Select { ty, cond, t, f } => {
-            s.check(&["InstKind::Select.ty"], at, set(InstKind::Select { ty: other_type(ty), cond, t, f }));
-            for (field, cond) in op_edits(m, fid, cond) {
-                s.check(&["InstKind::Select.cond", field], at, set(InstKind::Select { ty, cond, t, f }));
-            }
-            for (field, t) in op_edits(m, fid, t) {
-                s.check(&["InstKind::Select.t", field], at, set(InstKind::Select { ty, cond, t, f }));
-            }
-            for (field, f) in op_edits(m, fid, f) {
-                s.check(&["InstKind::Select.f", field], at, set(InstKind::Select { ty, cond, t, f }));
-            }
         }
         InstKind::Call { callee, args } => {
             let other = match callee {
@@ -450,28 +428,10 @@ fn sweep_inst(s: &mut Sweep, m: &Module, fid: FuncId, iid: InstId, d: &InstData)
     }
 }
 
-/// The forms no workload emits: a `select` and a null pointer, in one
-/// verified function.
-fn unemitted_forms() -> Module {
-    let mut mb = ModuleBuilder::new("unemitted");
-    mb.global_i64("cell", &[7]);
-    let mut fb = FuncBuilder::new("main", vec![], Some(Type::I64));
-    let c = fb.icmp(IPred::Slt, Type::I64, Op::ci64(1), Op::ci64(2));
-    let sel = fb.select(Type::I64, Op::inst(c), Op::ci64(3), Op::ci64(4));
-    let null = fb.icmp(IPred::Eq, Type::Ptr, Op::Const(Const::NullPtr), Op::Const(Const::NullPtr));
-    fb.output_i64(Op::inst(null));
-    fb.ret(Some(Op::inst(sel)));
-    mb.add_func(fb.finish());
-    let m = mb.finish();
-    flowery_ir::verify::verify_module(&m).expect("the hand-built module verifies");
-    m
-}
-
-/// Raw, ID-100 and Flowery-100 of every Tiny workload, named, and
-/// [`unemitted_forms`].
+/// Raw, ID-100 and Flowery-100 of every Tiny workload, named.
 fn corpus() -> Vec<Module> {
     let spec = MatrixSpec::default();
-    let mut out = vec![unemitted_forms()];
+    let mut out = Vec::new();
     for w in all_workloads(Scale::Tiny) {
         let raw = w.compile();
         let (_, id, flowery) = protect(&raw, &spec).remove(0);
