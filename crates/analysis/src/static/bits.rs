@@ -262,7 +262,7 @@ impl Seen {
 /// Family-position helpers bound to one site's destination width.
 #[derive(Clone, Copy)]
 struct Fam {
-    /// Destination width in bits (8/16/32/64); family `b` flips `b % w`.
+    /// Destination width in bits (8 or 64); family `b` flips `b % w`.
     w: u32,
 }
 
@@ -623,15 +623,15 @@ impl<'a> BitsEngine<'a> {
     fn touch_of(&self, j: usize) -> Touch {
         let t = Touch::default();
         match self.prog.insts[j].kind {
-            AKind::Mov { dst, src, .. } | AKind::MovSd { dst, src, .. } => t.op(&src).op(&dst),
+            AKind::Mov { dst, src, .. } | AKind::MovSd { dst, src } => t.op(&src).op(&dst),
             AKind::Sse { dst, src, .. } | AKind::Cvtsi2f { dst, src } | AKind::Cvtf2si { dst, src } => {
                 t.op(&src).regs([dst])
             }
             AKind::Lea { dst, mem } => t.regs(mem.base).regs([dst]),
             AKind::Alu { dst, src, .. } => t.op(&src).regs([dst]).with(Touch::FLAGS),
             AKind::Shift { dst, amt, .. } => t.op(&amt).regs([dst]).with(Touch::FLAGS),
-            AKind::Cqo { .. } => t.regs([Reg::Rax, Reg::Rdx]),
-            AKind::Div { src, .. } => t.op(&src).regs([Reg::Rax, Reg::Rdx]),
+            AKind::Cqo => t.regs([Reg::Rax, Reg::Rdx]),
+            AKind::Div { src } => t.op(&src).regs([Reg::Rax, Reg::Rdx]),
             AKind::Cmp { lhs, rhs, .. } | AKind::Test { lhs, rhs, .. } => t.op(&lhs).op(&rhs).with(Touch::FLAGS),
             AKind::Ucomi { lhs, rhs } => t.op(&rhs).regs([lhs]).with(Touch::FLAGS),
             AKind::SetCC { dst, .. } => t.regs([dst]).with(Touch::FLAGS),
@@ -651,7 +651,7 @@ impl<'a> BitsEngine<'a> {
             }
             AKind::Push { src } => t.op(&src).with(Touch::MEM),
             AKind::Pop { dst } => t.regs([dst]),
-            AKind::MovQ { dst, src, .. } => t.regs([dst, src]),
+            AKind::MovQ { dst, src } => t.regs([dst, src]),
             AKind::Math { dst, a, b, .. } => t.regs([dst, a]).regs(b),
             AKind::Out { src, .. } => t.op(&src),
         }
@@ -861,7 +861,8 @@ impl<'a> BitsEngine<'a> {
         t.clear();
         t.extend_from_slice(st);
         match inst.kind {
-            AKind::Mov { w, dst, src } | AKind::MovSd { w, dst, src } => {
+            AKind::Mov { dst, src, .. } | AKind::MovSd { dst, src } => {
+                let w = if let AKind::Mov { w, .. } = inst.kind { w } else { 8 };
                 let dev = self.read_op(st, &src, w, fam, seen);
                 match dst {
                     AOp::Reg(r) => self.write_reg(t, r, dev, seen),
@@ -956,13 +957,12 @@ impl<'a> BitsEngine<'a> {
                 set(t, Loc::Flags, res);
                 self.write_reg(t, dst, res, seen);
             }
-            AKind::Cqo { .. } => {
-                // rdx = sign of rax bit 63 (full-width read regardless of
-                // w): only a bit-63 deviation flips it — into all of rdx.
+            AKind::Cqo => {
+                // rdx = sign of rax bit 63: only a bit-63 deviation flips it — into all of rdx.
                 let a = get(st, Loc::Reg(Reg::Rax));
                 self.write_reg(t, Reg::Rdx, Dev::new(0, (a.pos & fam.top(8)) | a.scr, a.def), seen);
             }
-            AKind::Div { src, .. } => {
+            AKind::Div { src } => {
                 // Deviated dividend or divisor risks a divide trap
                 // (divisor 0, signed overflow) on top of a scrambled
                 // quotient: carried. rdx is the cqo of rax, so not read.
@@ -1055,8 +1055,8 @@ impl<'a> BitsEngine<'a> {
                 let b = self.read_op(st, &src, 8, fam, seen);
                 self.write_reg(t, dst, Dev::new(0, b.all(), b.def), seen);
             }
-            AKind::MovQ { w, dst, src } => {
-                let d = self.read_op(st, &AOp::Reg(src), w, fam, seen);
+            AKind::MovQ { dst, src } => {
+                let d = self.read_op(st, &AOp::Reg(src), 8, fam, seen);
                 self.write_reg(t, dst, d, seen);
             }
             AKind::Math { dst, a, b, .. } => {

@@ -129,8 +129,6 @@ fn store<const W: usize>(st: &mut State, addr: u64, v: u64) -> Result<(), ExecSt
 fn load_var(st: &mut State, addr: u64, w: u8) -> Result<u64, ExecStatus> {
     match w {
         8 => load::<8>(st, addr),
-        4 => load::<4>(st, addr),
-        2 => load::<2>(st, addr),
         _ => load::<1>(st, addr),
     }
 }
@@ -139,8 +137,6 @@ fn load_var(st: &mut State, addr: u64, w: u8) -> Result<u64, ExecStatus> {
 fn store_var(st: &mut State, addr: u64, w: u8, v: u64) -> Result<(), ExecStatus> {
     match w {
         8 => store::<8>(st, addr, v),
-        4 => store::<4>(st, addr, v),
-        2 => store::<2>(st, addr, v),
         _ => store::<1>(st, addr, v),
     }
 }
@@ -1184,7 +1180,8 @@ fn mov_op(w: u8, dst: AOp, src: AOp, gens: &mut Vec<GenOp>) -> Op {
 /// goes to the out-of-line [`GenOp`] table.
 fn translate(kind: &AKind, len: usize, gens: &mut Vec<GenOp>) -> Op {
     match *kind {
-        AKind::Mov { w, dst, src } | AKind::MovSd { w, dst, src } => mov_op(w, dst, src, gens),
+        AKind::Mov { w, dst, src } => mov_op(w, dst, src, gens),
+        AKind::MovSd { dst, src } => mov_op(8, dst, src, gens),
         AKind::Lea { dst, mem } => Op::Lea { di: dst.index() as u8, a: Addr::new(mem) },
         AKind::Alu { op, w, dst, src } => {
             let ty = width_ty(w);
@@ -1221,8 +1218,8 @@ fn translate(kind: &AKind, len: usize, gens: &mut Vec<GenOp>) -> Op {
                 _ => gen(gens, GenOp::Shift { op, di, amt: Rd::new(amt, 1), smask, mask, sh, ssh }),
             }
         }
-        AKind::Cqo { .. } => Op::Cqo,
-        AKind::Div { src, .. } => Op::DivS { rd: Rd::new(src, 8) },
+        AKind::Cqo => Op::Cqo,
+        AKind::Div { src } => Op::DivS { rd: Rd::new(src, 8) },
         AKind::Cmp { w, lhs, rhs } => {
             let ty = width_ty(w);
             let (mask, sh) = (ty.mask(), ty.bits() - 1);
@@ -1272,11 +1269,7 @@ fn translate(kind: &AKind, len: usize, gens: &mut Vec<GenOp>) -> Op {
         AKind::Ucomi { lhs, rhs } => Op::UcomiD { li: lhs.index() as u8, rd: Rd::new(rhs, 8) },
         AKind::Cvtsi2f { dst, src } => Op::CvtSiF64 { di: dst.index() as u8, rd: Rd::new(src, 8) },
         AKind::Cvtf2si { dst, src } => Op::CvtF64Si { di: dst.index() as u8, rd: Rd::new(src, 8) },
-        AKind::MovQ { w, dst, src } => Op::MovRR {
-            di: dst.index() as u8,
-            si: src.index() as u8,
-            mask: width_ty(w).mask(),
-        },
+        AKind::MovQ { dst, src } => Op::MovRR { di: dst.index() as u8, si: src.index() as u8, mask: u64::MAX },
         AKind::Math { kind, dst, a, b } => Op::Math {
             intr: match kind {
                 MathKind::Sqrt => Intrinsic::Sqrt,

@@ -89,9 +89,9 @@ mod tests {
     fn slots_are_distinct_and_frame_aligned() {
         let mut mb = ModuleBuilder::new("m");
         let mut fb = FuncBuilder::new("main", vec![Type::I64, Type::F64], Some(Type::I64));
-        let a = fb.alloca(Type::I32, 10);
-        let l = fb.load(Type::I32, Op::inst(a));
-        let z = fb.cast(flowery_ir::CastKind::Zext, Type::I32, Type::I64, Op::inst(l));
+        let a = fb.alloca(Type::I8, 40);
+        let l = fb.load(Type::I8, Op::inst(a));
+        let z = fb.cast(flowery_ir::CastKind::Zext, Type::I8, Type::I64, Op::inst(l));
         fb.ret(Some(Op::inst(z)));
         mb.add_func(fb.finish());
         let m = mb.finish();

@@ -75,13 +75,13 @@ fn check_for(inst: &AInst, cfg: &HardenConfig, stats: &mut HardenStats) -> Optio
             stats.arg_checks += 1;
             Some((AKind::Cmp { w: *w, lhs: AOp::Reg(*r), rhs: *src }, *w))
         }
-        (AKind::MovSd { w, dst: AOp::Reg(r), src }, AsmRole::ArgMove) if cfg.verify_args => {
+        (AKind::MovSd { dst: AOp::Reg(r), src }, AsmRole::ArgMove) if cfg.verify_args => {
             // Float read-back via ucomi. Equal bit patterns compare
             // equal; a corrupted value compares not-equal, below, or
             // unordered — the `jne` + `jb` pair after the check covers all
             // three (unordered sets CF).
             stats.arg_checks += 1;
-            Some((AKind::Ucomi { lhs: *r, rhs: *src }, *w))
+            Some((AKind::Ucomi { lhs: *r, rhs: *src }, 8))
         }
         // Callee parameter spill / return move / store write: memory
         // destination — read it back against the source register.
@@ -97,9 +97,9 @@ fn check_for(inst: &AInst, cfg: &HardenConfig, stats: &mut HardenStats) -> Optio
             stats.store_checks += 1;
             Some((AKind::Cmp { w: *w, lhs: AOp::Reg(*r), rhs: AOp::Mem(*m) }, *w))
         }
-        (AKind::MovSd { w, dst: AOp::Mem(m), src: AOp::Reg(r) }, AsmRole::Compute) if cfg.verify_stores => {
+        (AKind::MovSd { dst: AOp::Mem(m), src: AOp::Reg(r) }, AsmRole::Compute) if cfg.verify_stores => {
             stats.store_checks += 1;
-            Some((AKind::Ucomi { lhs: *r, rhs: AOp::Mem(*m) }, *w))
+            Some((AKind::Ucomi { lhs: *r, rhs: AOp::Mem(*m) }, 8))
         }
         // Frame save: `push rbp` -> compare rbp with the just-pushed slot.
         (AKind::Push { src: AOp::Reg(Reg::Rbp) }, AsmRole::Prologue) if cfg.verify_frame_saves => {

@@ -211,7 +211,7 @@ impl<'m> FnLower<'m> {
             if pty.is_float() {
                 let r = Reg::FLOAT_ARGS[floats];
                 floats += 1;
-                self.emit(AKind::MovSd { w: 8, dst: AOp::Mem(slot), src: AOp::Reg(r) }, AsmRole::ParamSpill);
+                self.emit(AKind::MovSd { dst: AOp::Mem(slot), src: AOp::Reg(r) }, AsmRole::ParamSpill);
             } else {
                 let r = Reg::INT_ARGS[ints];
                 ints += 1;
@@ -288,7 +288,7 @@ impl<'m> FnLower<'m> {
             Op::Const(c) => {
                 // Models a constant-pool load.
                 let r = self.take_xmm(avoid);
-                self.emit(AKind::MovSd { w: 8, dst: AOp::Reg(r), src: AOp::Imm(c.bits() as i64) }, reload_role);
+                self.emit(AKind::MovSd { dst: AOp::Reg(r), src: AOp::Imm(c.bits() as i64) }, reload_role);
                 r
             }
             Op::Global(_) => unreachable!("globals are pointers, not floats"),
@@ -299,8 +299,7 @@ impl<'m> FnLower<'m> {
                     }
                 }
                 let r = self.take_xmm(avoid);
-                let w = self.op_ty(op).size() as u8;
-                self.emit(AKind::MovSd { w, dst: AOp::Reg(r), src: AOp::Mem(self.slot_of(v)) }, reload_role);
+                self.emit(AKind::MovSd { dst: AOp::Reg(r), src: AOp::Mem(self.slot_of(v)) }, reload_role);
                 self.cache.bind(r, v);
                 r
             }
@@ -329,9 +328,8 @@ impl<'m> FnLower<'m> {
     }
 
     fn finish_xmm(&mut self, iid: InstId, dst: Reg, role: AsmRole) {
-        let w = self.m.result_ty(self.fid, iid).expect("result").size() as u8;
         let slot = MemRef::rbp(self.frame.slot(iid));
-        self.emit(AKind::MovSd { w, dst: AOp::Mem(slot), src: AOp::Reg(dst) }, role);
+        self.emit(AKind::MovSd { dst: AOp::Mem(slot), src: AOp::Reg(dst) }, role);
         self.cache.bind(dst, Value::Inst(iid));
     }
 
@@ -355,10 +353,7 @@ impl<'m> FnLower<'m> {
                 let mem = MemRef { base: Some(p), disp: 0 };
                 if ty.is_float() {
                     let dst = self.take_xmm(&[]);
-                    self.emit(
-                        AKind::MovSd { w: ty.size() as u8, dst: AOp::Reg(dst), src: AOp::Mem(mem) },
-                        AsmRole::Compute,
-                    );
+                    self.emit(AKind::MovSd { dst: AOp::Reg(dst), src: AOp::Mem(mem) }, AsmRole::Compute);
                     self.finish_xmm(iid, dst, AsmRole::ResultSpill);
                 } else {
                     let dst = self.take_gpr(&[p]);
@@ -377,10 +372,7 @@ impl<'m> FnLower<'m> {
                     let v = self.load_xmm(*val, AsmRole::OperandReload, &[]);
                     let p = self.load_gpr(*ptr, AsmRole::OperandReload, &[]);
                     let mem = MemRef { base: Some(p), disp: 0 };
-                    self.emit(
-                        AKind::MovSd { w: ty.size() as u8, dst: AOp::Mem(mem), src: AOp::Reg(v) },
-                        AsmRole::Compute,
-                    );
+                    self.emit(AKind::MovSd { dst: AOp::Mem(mem), src: AOp::Reg(v) }, AsmRole::Compute);
                 } else {
                     let v = self.load_gpr(*val, AsmRole::OperandReload, &[]);
                     let p = self.load_gpr(*ptr, AsmRole::OperandReload, &[v]);
@@ -477,8 +469,8 @@ impl<'m> FnLower<'m> {
                 let a = self.load_gpr(lhs, AsmRole::OperandReload, &[Reg::Rax, Reg::Rdx]);
                 self.emit(AKind::Mov { w: 8, dst: AOp::Reg(Reg::Rax), src: AOp::Reg(a) }, AsmRole::Compute);
                 let d = self.load_gpr(rhs, AsmRole::OperandReload, &[Reg::Rax, Reg::Rdx, a]);
-                self.emit(AKind::Cqo { w: 8 }, AsmRole::Compute);
-                self.emit(AKind::Div { w: 8, src: AOp::Reg(d) }, AsmRole::Compute);
+                self.emit(AKind::Cqo, AsmRole::Compute);
+                self.emit(AKind::Div { src: AOp::Reg(d) }, AsmRole::Compute);
                 let res = if op == BinOp::SDiv { Reg::Rax } else { Reg::Rdx };
                 self.cache.invalidate_reg(Reg::Rax);
                 self.cache.invalidate_reg(Reg::Rdx);
@@ -540,7 +532,7 @@ impl<'m> FnLower<'m> {
         let a = self.load_xmm(lhs, AsmRole::OperandReload, &[]);
         let b = self.load_xmm(rhs, AsmRole::OperandReload, &[a]);
         let dst = self.take_xmm(&[a, b]);
-        self.emit(AKind::MovSd { w: 8, dst: AOp::Reg(dst), src: AOp::Reg(a) }, AsmRole::Compute);
+        self.emit(AKind::MovSd { dst: AOp::Reg(dst), src: AOp::Reg(a) }, AsmRole::Compute);
         self.emit(AKind::Sse { op: sse, dst, src: AOp::Reg(b) }, AsmRole::Compute);
         self.finish_xmm(iid, dst, AsmRole::ResultSpill);
     }
@@ -577,13 +569,13 @@ impl<'m> FnLower<'m> {
                 (true, false) => {
                     let a = self.load_xmm(val, AsmRole::OperandReload, &[]);
                     let dst = self.take_gpr(&[]);
-                    self.emit(AKind::MovQ { w: to.size() as u8, dst, src: a }, AsmRole::Compute);
+                    self.emit(AKind::MovQ { dst, src: a }, AsmRole::Compute);
                     self.finish_gpr(iid, dst, AsmRole::ResultSpill);
                 }
                 (false, true) => {
                     let a = self.load_gpr(val, AsmRole::OperandReload, &[]);
                     let dst = self.take_xmm(&[]);
-                    self.emit(AKind::MovQ { w: to.size() as u8, dst, src: a }, AsmRole::Compute);
+                    self.emit(AKind::MovQ { dst, src: a }, AsmRole::Compute);
                     self.finish_xmm(iid, dst, AsmRole::ResultSpill);
                 }
                 _ => {
@@ -660,7 +652,7 @@ impl<'m> FnLower<'m> {
                     Op::Value(v) => AOp::Mem(self.slot_of(v)),
                     Op::Global(_) => unreachable!(),
                 };
-                self.emit(AKind::MovSd { w: 8, dst: AOp::Reg(dst), src }, AsmRole::ArgMove);
+                self.emit(AKind::MovSd { dst: AOp::Reg(dst), src }, AsmRole::ArgMove);
             } else {
                 assert!(ints < Reg::INT_ARGS.len(), "too many integer arguments");
                 let dst = Reg::INT_ARGS[ints];
@@ -731,10 +723,7 @@ impl<'m> FnLower<'m> {
                         let r = self.load_xmm(*v, AsmRole::OperandReload, &[]);
                         if r != Reg::Xmm0 {
                             self.cache.invalidate_reg(Reg::Xmm0);
-                            self.emit(
-                                AKind::MovSd { w: 8, dst: AOp::Reg(Reg::Xmm0), src: AOp::Reg(r) },
-                                AsmRole::RetMove,
-                            );
+                            self.emit(AKind::MovSd { dst: AOp::Reg(Reg::Xmm0), src: AOp::Reg(r) }, AsmRole::RetMove);
                         }
                     } else {
                         let r = self.load_gpr(*v, AsmRole::OperandReload, &[]);

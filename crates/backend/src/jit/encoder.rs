@@ -1,7 +1,7 @@
 //! A minimal hand-rolled x86-64 instruction encoder.
 //!
 //! Only the forms the lowering in [`super::lower`] actually emits are
-//! implemented: reg-reg ALU at all four widths, loads/stores through
+//! implemented: reg-reg ALU at the byte and quad widths, loads/stores through
 //! `[base + disp]` and the guest-memory form `[r12 + rax]`, rel32 branches
 //! with label fixups, the scalar-SSE subset, and the glue (pushfq, bts,
 //! setcc, cqo, idiv, movabs + indirect call) the runtime scaffolding
@@ -147,31 +147,10 @@ impl Asm {
         self.modrm(3, src, dst);
     }
 
-    /// `mov dst32, src32` — canonicalizing 32-bit move (zeroes bits 32-63).
-    pub fn mov_rr32(&mut self, dst: u8, src: u8) {
-        self.rex(false, src, 0, dst, &[]);
-        self.code.push(0x89);
-        self.modrm(3, src, dst);
-    }
-
     /// `mov dst, [base + disp]` (64-bit).
     pub fn load64(&mut self, dst: u8, base: u8, disp: i32) {
         self.rex(true, dst, 0, base, &[]);
         self.code.push(0x8B);
-        self.mem(dst, base, disp);
-    }
-
-    /// `mov dst32, [base + disp]` (zero-extends).
-    pub fn load32(&mut self, dst: u8, base: u8, disp: i32) {
-        self.rex(false, dst, 0, base, &[]);
-        self.code.push(0x8B);
-        self.mem(dst, base, disp);
-    }
-
-    /// `movzx dst32, word [base + disp]`.
-    pub fn load16z(&mut self, dst: u8, base: u8, disp: i32) {
-        self.rex(false, dst, 0, base, &[]);
-        self.b(&[0x0F, 0xB7]);
         self.mem(dst, base, disp);
     }
 
@@ -214,28 +193,16 @@ impl Asm {
 
     // ---- ALU ---------------------------------------------------------------
 
-    /// Width-parameterized reg-reg ALU in the `op rm, reg` form: `opc8` is
-    /// the 8-bit opcode (0x00 add, 0x28 sub, 0x20 and, 0x08 or, 0x30 xor,
-    /// 0x38 cmp, 0x84 test); wider widths use `opc8 + 1`.
+    /// Reg-reg ALU in the `op rm, reg` form at width 1 or 8: `opc8` is the
+    /// 8-bit opcode (0x00 add, 0x28 sub, 0x20 and, 0x08 or, 0x30 xor,
+    /// 0x38 cmp, 0x84 test); the 64-bit form is REX.W `opc8 + 1`.
     pub fn alu_rr(&mut self, w: u8, opc8: u8, src: u8, dst: u8) {
-        match w {
-            1 => {
-                self.rex(false, src, 0, dst, &[src, dst]);
-                self.code.push(opc8);
-            }
-            2 => {
-                self.code.push(0x66);
-                self.rex(false, src, 0, dst, &[]);
-                self.code.push(opc8 + 1);
-            }
-            4 => {
-                self.rex(false, src, 0, dst, &[]);
-                self.code.push(opc8 + 1);
-            }
-            _ => {
-                self.rex(true, src, 0, dst, &[]);
-                self.code.push(opc8 + 1);
-            }
+        if w == 1 {
+            self.rex(false, src, 0, dst, &[src, dst]);
+            self.code.push(opc8);
+        } else {
+            self.rex(true, src, 0, dst, &[]);
+            self.code.push(opc8 + 1);
         }
         self.modrm(3, src, dst);
     }
@@ -265,33 +232,21 @@ impl Asm {
         self.d32(imm);
     }
 
-    /// `imul dst, src` (0F AF; w = 4 or 8).
-    pub fn imul_rr(&mut self, w: u8, dst: u8, src: u8) {
-        self.rex(w == 8, dst, 0, src, &[]);
+    /// `imul dst, src` (64-bit, REX.W 0F AF).
+    pub fn imul_rr(&mut self, dst: u8, src: u8) {
+        self.rex(true, dst, 0, src, &[]);
         self.b(&[0x0F, 0xAF]);
         self.modrm(3, dst, src);
     }
 
-    /// Width-parameterized shift by `cl` (ext: 4 shl, 7 sar).
+    /// Shift by `cl` at width 1 or 8 (ext: 4 shl, 7 sar).
     pub fn shift_cl(&mut self, w: u8, ext: u8, dst: u8) {
-        match w {
-            1 => {
-                self.rex(false, 0, 0, dst, &[dst]);
-                self.code.push(0xD2);
-            }
-            2 => {
-                self.code.push(0x66);
-                self.rex(false, 0, 0, dst, &[]);
-                self.code.push(0xD3);
-            }
-            4 => {
-                self.rex(false, 0, 0, dst, &[]);
-                self.code.push(0xD3);
-            }
-            _ => {
-                self.rex(true, 0, 0, dst, &[]);
-                self.code.push(0xD3);
-            }
+        if w == 1 {
+            self.rex(false, 0, 0, dst, &[dst]);
+            self.code.push(0xD2);
+        } else {
+            self.rex(true, 0, 0, dst, &[]);
+            self.code.push(0xD3);
         }
         self.modrm(3, ext, dst);
     }
@@ -372,13 +327,6 @@ impl Asm {
         self.modrm(3, dst, src);
     }
 
-    /// `movzx dst32, src16`.
-    pub fn movzx_rr16(&mut self, dst: u8, src: u8) {
-        self.rex(false, dst, 0, src, &[]);
-        self.b(&[0x0F, 0xB7]);
-        self.modrm(3, dst, src);
-    }
-
     pub fn cqo(&mut self) {
         self.b(&[0x48, 0x99]);
     }
@@ -442,50 +390,29 @@ impl Asm {
         self.code.push(0x04);
     }
 
-    /// Zero-extending load from guest memory at `[r12 + rax]`.
+    /// Zero-extending load of width 1 or 8 from guest memory at
+    /// `[r12 + rax]`.
     pub fn load_guest(&mut self, w: u8, dst: u8) {
-        match w {
-            1 => {
-                self.rex(false, dst, 0, R12, &[]);
-                self.b(&[0x0F, 0xB6]);
-            }
-            2 => {
-                self.rex(false, dst, 0, R12, &[]);
-                self.b(&[0x0F, 0xB7]);
-            }
-            4 => {
-                self.rex(false, dst, 0, R12, &[]);
-                self.code.push(0x8B);
-            }
-            _ => {
-                self.rex(true, dst, 0, R12, &[]);
-                self.code.push(0x8B);
-            }
+        if w == 1 {
+            self.rex(false, dst, 0, R12, &[]);
+            self.b(&[0x0F, 0xB6]);
+        } else {
+            self.rex(true, dst, 0, R12, &[]);
+            self.code.push(0x8B);
         }
         self.guest_sib(dst);
     }
 
-    /// Store to guest memory at `[r12 + rax]` (src must be a/c/d for w=1).
+    /// Store of width 1 or 8 to guest memory at `[r12 + rax]` (src must
+    /// be a/c/d for w=1).
     pub fn store_guest(&mut self, w: u8, src: u8) {
-        match w {
-            1 => {
-                debug_assert!(src < 4);
-                self.rex(false, src, 0, R12, &[]);
-                self.code.push(0x88);
-            }
-            2 => {
-                self.code.push(0x66);
-                self.rex(false, src, 0, R12, &[]);
-                self.code.push(0x89);
-            }
-            4 => {
-                self.rex(false, src, 0, R12, &[]);
-                self.code.push(0x89);
-            }
-            _ => {
-                self.rex(true, src, 0, R12, &[]);
-                self.code.push(0x89);
-            }
+        if w == 1 {
+            debug_assert!(src < 4);
+            self.rex(false, src, 0, R12, &[]);
+            self.code.push(0x88);
+        } else {
+            self.rex(true, src, 0, R12, &[]);
+            self.code.push(0x89);
         }
         self.guest_sib(src);
     }
@@ -566,8 +493,8 @@ mod tests {
         assert_eq!(a.code, [0x48, 0x0F, 0xAB, 0x0E]);
 
         let mut a = Asm::new();
-        a.alu_rr(4, 0x00, RDX, RAX); // add eax, edx
-        assert_eq!(a.code, [0x01, 0xD0]);
+        a.alu_rr(8, 0x00, RDX, RAX); // add rax, rdx
+        assert_eq!(a.code, [0x48, 0x01, 0xD0]);
 
         let mut a = Asm::new();
         a.alu_rr(1, 0x38, RDX, RAX); // cmp al, dl

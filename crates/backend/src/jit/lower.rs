@@ -63,8 +63,8 @@ use super::encoder::{
 };
 use super::{
     FallbackReason, Helpers, EXIT_COMPLETED, EXIT_DETECTED, EXIT_STEP, EXIT_TRAP_BASE, OFF_AUX, OFF_CYCLES, OFF_DIRTY,
-    OFF_DYN, OFF_LAST_PAGE, OFF_LIMIT1, OFF_LIMIT2, OFF_LIMIT4, OFF_LIMIT8, OFF_MAX_DYN, OFF_MEM, OFF_REGS, OFF_SITES,
-    OFF_STACK_LIMIT, OFF_TABLE, OFF_TRAP_SITE,
+    OFF_DYN, OFF_LAST_PAGE, OFF_LIMIT1, OFF_LIMIT8, OFF_MAX_DYN, OFF_MEM, OFF_REGS, OFF_SITES, OFF_STACK_LIMIT,
+    OFF_TABLE, OFF_TRAP_SITE,
 };
 use crate::machine::{width_ty, SENTINEL};
 use crate::mir::{AKind, AOp, AluOp, AsmProgram, MathKind, MemRef, OutKind, Reg, ShiftOp, SseOp, CC};
@@ -459,33 +459,23 @@ fn slot(r: Reg) -> i32 {
     (r.index() * 8) as i32
 }
 
-/// Canonical (zero-extended) slot read at width `w` into `dst`. When the
-/// previous instruction forwarded this register's full slot value in rax
-/// (`avail`), the read becomes a register move (or nothing at all),
+/// Canonical (zero-extended) slot read at width `w` (1 or 8) into `dst`.
+/// When the previous instruction forwarded this register's full slot value
+/// in rax (`avail`), the read becomes a register move (or nothing at all),
 /// skipping the slot round-trip.
 fn load_slot_w(a: &mut Asm, w: u8, r: Reg, dst: u8, avail: Option<Reg>) {
     if avail == Some(r) {
-        match w {
-            1 => a.movzx_rr8(dst, RAX),
-            2 => a.movzx_rr16(dst, RAX),
-            4 => a.mov_rr32(dst, RAX),
-            _ => {
-                if dst != RAX {
-                    a.mov_rr(dst, RAX);
-                }
-            }
+        if w == 1 {
+            a.movzx_rr8(dst, RAX);
+        } else if dst != RAX {
+            a.mov_rr(dst, RAX);
         }
-        return;
-    }
-    if r == Reg::Rbp && w == 8 {
+    } else if w == 1 {
+        a.load8z(dst, RBP, slot(r));
+    } else if r == Reg::Rbp {
         a.mov_rr(dst, R14);
-        return;
-    }
-    match w {
-        1 => a.load8z(dst, RBP, slot(r)),
-        2 => a.load16z(dst, RBP, slot(r)),
-        4 => a.load32(dst, RBP, slot(r)),
-        _ => a.load64(dst, RBP, slot(r)),
+    } else {
+        a.load64(dst, RBP, slot(r));
     }
 }
 
@@ -500,11 +490,10 @@ fn store_slot(a: &mut Asm, r: Reg, src: u8) {
 }
 
 fn off_limit(w: u8) -> i32 {
-    match w {
-        1 => OFF_LIMIT1,
-        2 => OFF_LIMIT2,
-        4 => OFF_LIMIT4,
-        _ => OFF_LIMIT8,
+    if w == 1 {
+        OFF_LIMIT1
+    } else {
+        OFF_LIMIT8
     }
 }
 
@@ -713,21 +702,25 @@ fn emit_inst(
     // block may consume (None when rax holds something else at the end,
     // or when control does not fall through).
     let fwd: Option<Reg> = match *kind {
-        AKind::Mov { w, dst, src } | AKind::MovSd { w, dst, src } => match dst {
-            AOp::Reg(d) => {
-                read_op(a, &src, w, RAX, ctx, avail);
-                store_slot(a, d, RAX);
-                Some(d)
+        AKind::Mov { dst, src, .. } | AKind::MovSd { dst, src } => {
+            // `movsd` runs as the 8-byte `mov` it is.
+            let w = if let AKind::Mov { w, .. } = *kind { w } else { 8 };
+            match dst {
+                AOp::Reg(d) => {
+                    read_op(a, &src, w, RAX, ctx, avail);
+                    store_slot(a, d, RAX);
+                    Some(d)
+                }
+                AOp::Mem(m) => {
+                    read_op(a, &src, w, RDX, ctx, avail);
+                    let av = if matches!(src, AOp::Mem(_)) { None } else { avail };
+                    emit_ea(a, &m, av);
+                    store_to_guest(a, w, ctx);
+                    None
+                }
+                AOp::Imm(_) => return Err(FallbackReason::Unencodable),
             }
-            AOp::Mem(m) => {
-                read_op(a, &src, w, RDX, ctx, avail);
-                let av = if matches!(src, AOp::Mem(_)) { None } else { avail };
-                emit_ea(a, &m, av);
-                store_to_guest(a, w, ctx);
-                None
-            }
-            AOp::Imm(_) => return Err(FallbackReason::Unencodable),
-        },
+        }
         AKind::Lea { dst, mem } => {
             emit_ea(a, &mem, avail);
             store_slot(a, dst, RAX);
@@ -740,11 +733,9 @@ fn emit_inst(
             if op == AluOp::Imul {
                 // The guest models imul flags as ZF/SF of the masked
                 // result; host imul leaves them undefined, so re-test.
-                a.imul_rr(if w == 8 { 8 } else { 4 }, RAX, RDX);
-                match w {
-                    1 => a.movzx_rr8(RAX, RAX),
-                    2 => a.movzx_rr16(RAX, RAX),
-                    _ => {}
+                a.imul_rr(RAX, RDX);
+                if w == 1 {
+                    a.movzx_rr8(RAX, RAX);
                 }
                 if flags_live {
                     test_self(a, w);
@@ -781,13 +772,13 @@ fn emit_inst(
             store_slot(a, dst, RAX);
             Some(dst)
         }
-        AKind::Cqo { .. } => {
+        AKind::Cqo => {
             load_slot_w(a, 8, Reg::Rax, RAX, avail);
             a.cqo();
             store_slot(a, Reg::Rdx, RDX);
             Some(Reg::Rax)
         }
-        AKind::Div { src, .. } => {
+        AKind::Div { src } => {
             read_op(a, &src, 8, RCX, ctx, avail);
             let av = if matches!(src, AOp::Mem(_)) { None } else { avail };
             let df = ctx.div_fault(a);
@@ -954,8 +945,8 @@ fn emit_inst(
             store_slot(a, dst, RAX);
             Some(dst)
         }
-        AKind::MovQ { w, dst, src } => {
-            load_slot_w(a, w, src, RAX, avail);
+        AKind::MovQ { dst, src } => {
+            load_slot_w(a, 8, src, RAX, avail);
             store_slot(a, dst, RAX);
             Some(dst)
         }

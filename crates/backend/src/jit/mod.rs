@@ -52,8 +52,8 @@ use std::sync::Mutex;
 /// Shared state block between the Rust driver and the generated code. The
 /// generated code addresses fields as `[rbx + OFF_*]`, so the layout is
 /// frozen by `repr(C)` and pinned by the `env_offsets` test. Fields the
-/// assembly touches sit in the first 0x78 bytes so every access encodes
-/// with a disp8.
+/// assembly touches sit below offset 0x80 so every access encodes with a
+/// disp8.
 #[repr(C)]
 pub(crate) struct Env {
     /// `State::regs` base (held in host rbp).
@@ -62,11 +62,10 @@ pub(crate) struct Env {
     pub mem: *mut u8,
     /// Dirty-page bitset base.
     pub dirty: *mut u64,
-    /// `size - GLOBAL_BASE - w` for w = 1, 2, 4, 8: the bounds-check
-    /// limits (`addr - GLOBAL_BASE` must be <= limit, unsigned).
+    /// `size - GLOBAL_BASE - w` for the two access widths w = 1 and 8: the
+    /// bounds-check limits (`addr - GLOBAL_BASE` must be <= limit,
+    /// unsigned).
     pub limit1: u64,
-    pub limit2: u64,
-    pub limit4: u64,
     pub limit8: u64,
     pub stack_limit: u64,
     pub max_dyn: u64,
@@ -95,18 +94,16 @@ pub(crate) const OFF_REGS: i32 = 0x00;
 pub(crate) const OFF_MEM: i32 = 0x08;
 pub(crate) const OFF_DIRTY: i32 = 0x10;
 pub(crate) const OFF_LIMIT1: i32 = 0x18;
-pub(crate) const OFF_LIMIT2: i32 = 0x20;
-pub(crate) const OFF_LIMIT4: i32 = 0x28;
-pub(crate) const OFF_LIMIT8: i32 = 0x30;
-pub(crate) const OFF_STACK_LIMIT: i32 = 0x38;
-pub(crate) const OFF_MAX_DYN: i32 = 0x40;
-pub(crate) const OFF_TRAP_SITE: i32 = 0x48;
-pub(crate) const OFF_DYN: i32 = 0x50;
-pub(crate) const OFF_CYCLES: i32 = 0x58;
-pub(crate) const OFF_SITES: i32 = 0x60;
-pub(crate) const OFF_AUX: i32 = 0x68;
-pub(crate) const OFF_LAST_PAGE: i32 = 0x70;
-pub(crate) const OFF_TABLE: i32 = 0x78;
+pub(crate) const OFF_LIMIT8: i32 = 0x20;
+pub(crate) const OFF_STACK_LIMIT: i32 = 0x28;
+pub(crate) const OFF_MAX_DYN: i32 = 0x30;
+pub(crate) const OFF_TRAP_SITE: i32 = 0x38;
+pub(crate) const OFF_DYN: i32 = 0x40;
+pub(crate) const OFF_CYCLES: i32 = 0x48;
+pub(crate) const OFF_SITES: i32 = 0x50;
+pub(crate) const OFF_AUX: i32 = 0x58;
+pub(crate) const OFF_LAST_PAGE: i32 = 0x60;
+pub(crate) const OFF_TABLE: i32 = 0x68;
 
 /// Exit codes returned in `rax` by the generated code.
 pub(crate) const EXIT_COMPLETED: u64 = 0;
@@ -522,8 +519,6 @@ pub(crate) fn exec_native(run: TrialRun<'_, '_>) -> (MachResult, Memory) {
                 mem: raw.bytes,
                 dirty: raw.dirty,
                 limit1: raw.len - GLOBAL_BASE - 1,
-                limit2: raw.len - GLOBAL_BASE - 2,
-                limit4: raw.len - GLOBAL_BASE - 4,
                 limit8: raw.len - GLOBAL_BASE - 8,
                 stack_limit: raw.stack_limit,
                 max_dyn: config.max_dyn_insts,
@@ -580,8 +575,6 @@ mod tests {
         assert_eq!(offset_of!(Env, mem), OFF_MEM as usize);
         assert_eq!(offset_of!(Env, dirty), OFF_DIRTY as usize);
         assert_eq!(offset_of!(Env, limit1), OFF_LIMIT1 as usize);
-        assert_eq!(offset_of!(Env, limit2), OFF_LIMIT2 as usize);
-        assert_eq!(offset_of!(Env, limit4), OFF_LIMIT4 as usize);
         assert_eq!(offset_of!(Env, limit8), OFF_LIMIT8 as usize);
         assert_eq!(offset_of!(Env, stack_limit), OFF_STACK_LIMIT as usize);
         assert_eq!(offset_of!(Env, max_dyn), OFF_MAX_DYN as usize);

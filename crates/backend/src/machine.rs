@@ -282,11 +282,10 @@ impl Machine<'_> {
 }
 
 pub(crate) fn width_ty(w: u8) -> Type {
-    match w {
-        1 => Type::I8,
-        2 => Type::I16,
-        4 => Type::I32,
-        _ => Type::I64,
+    if w == 1 {
+        Type::I8
+    } else {
+        Type::I64
     }
 }
 

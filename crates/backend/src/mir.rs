@@ -218,9 +218,10 @@ pub enum MathKind {
     Pow,
 }
 
-/// One machine instruction. `w` fields are operand widths in bytes
-/// (1/2/4/8). Control-flow targets are absolute instruction indices after
-/// linking.
+/// One machine instruction. `w` fields are operand widths in bytes: 1
+/// (MiniC's `byte` and the booleans) or 8 (everything else); the forms
+/// with no `w` are 8-byte. Control-flow targets are absolute instruction
+/// indices after linking.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum AKind {
     /// `mov` in all its forms (reg<-reg/imm/mem, mem<-reg/imm). Loads
@@ -232,11 +233,11 @@ pub enum AKind {
     Alu { op: AluOp, w: u8, dst: Reg, src: AOp },
     /// Shift: `dst = dst shift amt` (amt = imm or cl).
     Shift { op: ShiftOp, w: u8, dst: Reg, amt: AOp },
-    /// Sign-extend rax into rdx (cqo/cdq family).
-    Cqo { w: u8 },
+    /// Sign-extend rax into rdx (`cqo`).
+    Cqo,
     /// Signed divide of rdx:rax by `src`; quotient -> rax, remainder ->
     /// rdx.
-    Div { w: u8, src: AOp },
+    Div { src: AOp },
     /// Compare: sets flags from `lhs - rhs`.
     Cmp { w: u8, lhs: AOp, rhs: AOp },
     /// Bit test: sets flags from `lhs & rhs`.
@@ -255,9 +256,8 @@ pub enum AKind {
     Push { src: AOp },
     /// Pop into a register.
     Pop { dst: Reg },
-    /// SSE scalar move (xmm<->xmm/mem). Isel always emits `w` = 8; the
-    /// width stays because the engines run this through `Mov`'s arms.
-    MovSd { w: u8, dst: AOp, src: AOp },
+    /// SSE scalar double move (xmm<->xmm/mem/imm bits).
+    MovSd { dst: AOp, src: AOp },
     /// SSE scalar arithmetic: `dst = dst op src`.
     Sse { op: SseOp, dst: Reg, src: AOp },
     /// Double compare -> flags (`ucomisd`).
@@ -266,8 +266,8 @@ pub enum AKind {
     Cvtsi2f { dst: Reg, src: AOp },
     /// Double -> int conversion, truncating (`cvttsd2si`).
     Cvtf2si { dst: Reg, src: AOp },
-    /// Bit-move between GPR and XMM (`movq`/`movd`).
-    MovQ { w: u8, dst: Reg, src: Reg },
+    /// Bit-move between GPR and XMM (`movq`).
+    MovQ { dst: Reg, src: Reg },
     /// Math pseudo (modelled libm): reads xmm args, writes `dst`.
     Math { kind: MathKind, dst: Reg, a: Reg, b: Option<Reg> },
     /// Output-port pseudo (no destination).
@@ -392,17 +392,20 @@ impl AKind {
     /// The architected destination of this instruction (static view).
     pub fn fault_dest(&self) -> FaultDest {
         match *self {
-            AKind::Mov { w, dst, .. } | AKind::MovSd { w, dst, .. } => match dst {
-                AOp::Reg(r) => FaultDest::Gpr(r, w),
-                AOp::Mem(_) => FaultDest::MemVal(w),
-                AOp::Imm(_) => FaultDest::None,
-            },
+            AKind::Mov { dst, .. } | AKind::MovSd { dst, .. } => {
+                let w = if let AKind::Mov { w, .. } = *self { w } else { 8 };
+                match dst {
+                    AOp::Reg(r) => FaultDest::Gpr(r, w),
+                    AOp::Mem(_) => FaultDest::MemVal(w),
+                    AOp::Imm(_) => FaultDest::None,
+                }
+            }
             AKind::Lea { dst, .. } => FaultDest::Gpr(dst, 8),
             AKind::Alu { w, dst, .. } => FaultDest::Gpr(dst, w),
             AKind::Shift { w, dst, .. } => FaultDest::Gpr(dst, w),
-            AKind::Cqo { .. } => FaultDest::Gpr(Reg::Rdx, 8),
+            AKind::Cqo => FaultDest::Gpr(Reg::Rdx, 8),
             // div writes both rax and rdx; attribute to rax (quotient).
-            AKind::Div { w, .. } => FaultDest::Gpr(Reg::Rax, w),
+            AKind::Div { .. } => FaultDest::Gpr(Reg::Rax, 8),
             AKind::Cmp { .. } | AKind::Test { .. } | AKind::Ucomi { .. } => FaultDest::Flags,
             AKind::SetCC { dst, .. } => FaultDest::Gpr(dst, 1),
             AKind::Jcc { .. } | AKind::Jmp { .. } | AKind::Ret => FaultDest::None,
@@ -412,7 +415,7 @@ impl AKind {
             AKind::Pop { dst } => FaultDest::Gpr(dst, 8),
             AKind::Sse { dst, .. } => FaultDest::Gpr(dst, 8),
             AKind::Cvtsi2f { dst, .. } | AKind::Cvtf2si { dst, .. } => FaultDest::Gpr(dst, 8),
-            AKind::MovQ { w, dst, .. } => FaultDest::Gpr(dst, w),
+            AKind::MovQ { dst, .. } => FaultDest::Gpr(dst, 8),
             AKind::Math { dst, .. } => FaultDest::Gpr(dst, 8),
             AKind::Out { .. } | AKind::DetectTrap => FaultDest::None,
         }
@@ -432,7 +435,7 @@ impl AKind {
             AKind::Mov { src: AOp::Mem(_), .. } | AKind::MovSd { src: AOp::Mem(_), .. } => 3,
             AKind::Mov { .. } | AKind::MovSd { .. } | AKind::Lea { .. } | AKind::MovQ { .. } => 1,
             AKind::Alu { op: AluOp::Imul, .. } => 3,
-            AKind::Alu { .. } | AKind::Shift { .. } | AKind::Cqo { .. } => 1,
+            AKind::Alu { .. } | AKind::Shift { .. } | AKind::Cqo => 1,
             AKind::Div { .. } => 20,
             AKind::Cmp { .. } | AKind::Test { .. } | AKind::SetCC { .. } => 1,
             AKind::Ucomi { .. } => 2,
@@ -511,12 +514,7 @@ fn op_str(op: &AOp) -> String {
 
 impl fmt::Display for AKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let sfx = |w: u8| match w {
-            1 => "b",
-            2 => "w",
-            4 => "l",
-            _ => "q",
-        };
+        let sfx = |w: u8| if w == 1 { "b" } else { "q" };
         match self {
             AKind::Mov { w, dst, src } => write!(f, "mov{} {}, {}", sfx(*w), op_str(src), op_str(dst)),
             AKind::Lea { dst, mem } => write!(f, "lea {}, %{}", op_str(&AOp::Mem(*mem)), dst.name()),
@@ -538,7 +536,7 @@ impl fmt::Display for AKind {
                 };
                 write!(f, "{name}{} {}, %{}", sfx(*w), op_str(amt), dst.name())
             }
-            AKind::Cqo { .. } => write!(f, "cqo"),
+            AKind::Cqo => write!(f, "cqo"),
             AKind::Div { src, .. } => write!(f, "idiv {}", op_str(src)),
             AKind::Cmp { w, lhs, rhs } => write!(f, "cmp{} {}, {}", sfx(*w), op_str(rhs), op_str(lhs)),
             AKind::Test { w, lhs, rhs } => write!(f, "test{} {}, {}", sfx(*w), op_str(rhs), op_str(lhs)),
@@ -549,9 +547,7 @@ impl fmt::Display for AKind {
             AKind::Ret => write!(f, "retq"),
             AKind::Push { src } => write!(f, "push {}", op_str(src)),
             AKind::Pop { dst } => write!(f, "pop %{}", dst.name()),
-            AKind::MovSd { w, dst, src } => {
-                write!(f, "movs{} {}, {}", if *w == 4 { "s" } else { "d" }, op_str(src), op_str(dst))
-            }
+            AKind::MovSd { dst, src } => write!(f, "movsd {}, {}", op_str(src), op_str(dst)),
             AKind::Sse { op, dst, src } => {
                 let name = match op {
                     SseOp::AddSd => "addsd",
@@ -564,7 +560,7 @@ impl fmt::Display for AKind {
             AKind::Ucomi { lhs, rhs } => write!(f, "ucomisd {}, %{}", op_str(rhs), lhs.name()),
             AKind::Cvtsi2f { dst, src } => write!(f, "cvtsi2sd {}, %{}", op_str(src), dst.name()),
             AKind::Cvtf2si { dst, src } => write!(f, "cvttsd2si {}, %{}", op_str(src), dst.name()),
-            AKind::MovQ { dst, src, .. } => write!(f, "movq %{}, %{}", src.name(), dst.name()),
+            AKind::MovQ { dst, src } => write!(f, "movq %{}, %{}", src.name(), dst.name()),
             AKind::Math { kind, dst, a, b } => {
                 let name = match kind {
                     MathKind::Sqrt => "sqrtsd",
@@ -632,11 +628,13 @@ mod tests {
         };
         assert_eq!(mov_rm.fault_dest(), FaultDest::Gpr(Reg::Rax, 8));
         let mov_mr = AKind::Mov {
-            w: 4,
+            w: 1,
             dst: AOp::Mem(MemRef::rbp(-16)),
             src: AOp::Reg(Reg::Rcx),
         };
-        assert_eq!(mov_mr.fault_dest(), FaultDest::MemVal(4));
+        assert_eq!(mov_mr.fault_dest(), FaultDest::MemVal(1));
+        let movsd_mr = AKind::MovSd { dst: AOp::Mem(MemRef::rbp(-16)), src: AOp::Reg(Reg::Xmm0) };
+        assert_eq!(movsd_mr.fault_dest(), FaultDest::MemVal(8));
         let cmp = AKind::Cmp { w: 8, lhs: AOp::Reg(Reg::Rax), rhs: AOp::Imm(0) };
         assert_eq!(cmp.fault_dest(), FaultDest::Flags);
         assert_eq!(AKind::Ret.fault_dest(), FaultDest::None);
@@ -646,7 +644,7 @@ mod tests {
 
     #[test]
     fn cycle_model_sane() {
-        assert!(AKind::Div { w: 8, src: AOp::Reg(Reg::Rcx) }.cycles() > 10);
+        assert!(AKind::Div { src: AOp::Reg(Reg::Rcx) }.cycles() > 10);
         assert_eq!(AKind::Lea { dst: Reg::Rax, mem: MemRef::rbp(0) }.cycles(), 1);
         let load = AKind::Mov {
             w: 8,
@@ -669,8 +667,10 @@ mod tests {
             src: AOp::Mem(MemRef::rbp(-0x40)),
         };
         assert_eq!(i.to_string(), "movq -0x40(%rbp), %rax");
-        let c = AKind::Cmp { w: 4, lhs: AOp::Reg(Reg::Rax), rhs: AOp::Imm(10) };
-        assert_eq!(c.to_string(), "cmpl $10, %rax");
+        let c = AKind::Cmp { w: 8, lhs: AOp::Reg(Reg::Rax), rhs: AOp::Imm(10) };
+        assert_eq!(c.to_string(), "cmpq $10, %rax");
+        let m = AKind::MovSd { dst: AOp::Mem(MemRef::rbp(-8)), src: AOp::Reg(Reg::Xmm0) };
+        assert_eq!(m.to_string(), "movsd %xmm0, -0x8(%rbp)");
         let t = AKind::Test { w: 1, lhs: AOp::Reg(Reg::Rax), rhs: AOp::Imm(1) };
         assert_eq!(t.to_string(), "testb $1, %rax");
     }

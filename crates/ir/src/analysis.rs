@@ -180,18 +180,18 @@ mod tests {
 
     /// Diamond: entry -> {l, r} -> join
     fn diamond() -> Function {
-        let mut fb = FuncBuilder::new("d", vec![Type::I32], Some(Type::I32));
+        let mut fb = FuncBuilder::new("d", vec![Type::I64], Some(Type::I64));
         let l = fb.new_block("l");
         let r = fb.new_block("r");
         let j = fb.new_block("j");
-        let c = fb.icmp(IPred::Slt, Type::I32, Op::param(0), Op::ci32(0));
+        let c = fb.icmp(IPred::Slt, Type::I64, Op::param(0), Op::ci64(0));
         fb.br(Op::inst(c), l, r);
         fb.switch_to(l);
         fb.jmp(j);
         fb.switch_to(r);
         fb.jmp(j);
         fb.switch_to(j);
-        fb.ret(Some(Op::ci32(0)));
+        fb.ret(Some(Op::ci64(0)));
         fb.finish()
     }
 
@@ -212,7 +212,7 @@ mod tests {
     fn unreachable_blocks_are_not_reachable() {
         let mut f = diamond();
         let dead = f.add_block("dead");
-        f.block_mut(dead).term = Terminator::Ret { val: Some(Op::ci32(1)) };
+        f.block_mut(dead).term = Terminator::Ret { val: Some(Op::ci64(1)) };
         let dt = DomTree::compute(&f);
         assert!(!dt.reachable(dead));
         assert!(!dt.dominates(BlockId(0), dead));
@@ -257,13 +257,13 @@ mod tests {
     #[test]
     fn loop_dominators() {
         // entry -> header <-> body, header -> exit
-        let mut fb = FuncBuilder::new("l", vec![Type::I32], None);
+        let mut fb = FuncBuilder::new("l", vec![Type::I64], None);
         let header = fb.new_block("header");
         let body = fb.new_block("body");
         let exit = fb.new_block("exit");
         fb.jmp(header);
         fb.switch_to(header);
-        let c = fb.icmp(IPred::Slt, Type::I32, Op::param(0), Op::ci32(10));
+        let c = fb.icmp(IPred::Slt, Type::I64, Op::param(0), Op::ci64(10));
         fb.br(Op::inst(c), body, exit);
         fb.switch_to(body);
         fb.jmp(header);

@@ -240,32 +240,32 @@ mod tests {
     #[test]
     fn builds_loop_function() {
         // sum = 0; for (i = 0; i < n; i++) sum += i; return sum;
-        let mut fb = FuncBuilder::new("sum_to_n", vec![Type::I32], Some(Type::I32));
-        let sum = fb.alloca(Type::I32, 1);
-        let i = fb.alloca(Type::I32, 1);
-        fb.store(Type::I32, Op::ci32(0), Op::inst(sum));
-        fb.store(Type::I32, Op::ci32(0), Op::inst(i));
+        let mut fb = FuncBuilder::new("sum_to_n", vec![Type::I64], Some(Type::I64));
+        let sum = fb.alloca(Type::I64, 1);
+        let i = fb.alloca(Type::I64, 1);
+        fb.store(Type::I64, Op::ci64(0), Op::inst(sum));
+        fb.store(Type::I64, Op::ci64(0), Op::inst(i));
         let header = fb.new_block("header");
         let body = fb.new_block("body");
         let exit = fb.new_block("exit");
         fb.jmp(header);
 
         fb.switch_to(header);
-        let iv = fb.load(Type::I32, Op::inst(i));
-        let c = fb.icmp(IPred::Slt, Type::I32, Op::inst(iv), Op::param(0));
+        let iv = fb.load(Type::I64, Op::inst(i));
+        let c = fb.icmp(IPred::Slt, Type::I64, Op::inst(iv), Op::param(0));
         fb.br(Op::inst(c), body, exit);
 
         fb.switch_to(body);
-        let s = fb.load(Type::I32, Op::inst(sum));
-        let iv2 = fb.load(Type::I32, Op::inst(i));
-        let ns = fb.bin(BinOp::Add, Type::I32, Op::inst(s), Op::inst(iv2));
-        fb.store(Type::I32, Op::inst(ns), Op::inst(sum));
-        let ni = fb.bin(BinOp::Add, Type::I32, Op::inst(iv2), Op::ci32(1));
-        fb.store(Type::I32, Op::inst(ni), Op::inst(i));
+        let s = fb.load(Type::I64, Op::inst(sum));
+        let iv2 = fb.load(Type::I64, Op::inst(i));
+        let ns = fb.bin(BinOp::Add, Type::I64, Op::inst(s), Op::inst(iv2));
+        fb.store(Type::I64, Op::inst(ns), Op::inst(sum));
+        let ni = fb.bin(BinOp::Add, Type::I64, Op::inst(iv2), Op::ci64(1));
+        fb.store(Type::I64, Op::inst(ni), Op::inst(i));
         fb.jmp(header);
 
         fb.switch_to(exit);
-        let r = fb.load(Type::I32, Op::inst(sum));
+        let r = fb.load(Type::I64, Op::inst(sum));
         fb.ret(Some(Op::inst(r)));
 
         let f = fb.finish();
@@ -281,11 +281,11 @@ mod tests {
     fn module_builder_declares_and_defines() {
         let mut mb = ModuleBuilder::new("m");
         let g = mb.global_i64("data", &[1, 2, 3]);
-        let fid = mb.declare_func("main", vec![], Some(Type::I32));
-        let mut fb = FuncBuilder::new("main", vec![], Some(Type::I32));
+        let fid = mb.declare_func("main", vec![], Some(Type::I8));
+        let mut fb = FuncBuilder::new("main", vec![], Some(Type::I8));
         let p = fb.gep(Op::Global(g), Op::ci64(1), Type::I64);
         let v = fb.load(Type::I64, Op::inst(p));
-        let t = fb.cast(CastKind::Trunc, Type::I64, Type::I32, Op::inst(v));
+        let t = fb.cast(CastKind::Trunc, Type::I64, Type::I8, Op::inst(v));
         fb.ret(Some(Op::inst(t)));
         mb.define_func(fid, fb.finish());
         let m = mb.finish();
@@ -298,6 +298,6 @@ mod tests {
     fn pushing_after_terminate_panics() {
         let mut fb = FuncBuilder::new("f", vec![], None);
         fb.ret(None);
-        fb.alloca(Type::I32, 1);
+        fb.alloca(Type::I64, 1);
     }
 }

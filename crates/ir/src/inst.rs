@@ -413,15 +413,15 @@ mod tests {
     #[test]
     fn result_types() {
         let none = |_| None;
-        let load = InstData::new(InstKind::Load { ptr: Op::param(0), ty: Type::I32 });
-        assert_eq!(load.result_ty(none), Some(Type::I32));
-        let store = InstData::new(InstKind::Store { val: Op::ci32(1), ptr: Op::param(0), ty: Type::I32 });
+        let load = InstData::new(InstKind::Load { ptr: Op::param(0), ty: Type::I64 });
+        assert_eq!(load.result_ty(none), Some(Type::I64));
+        let store = InstData::new(InstKind::Store { val: Op::ci64(1), ptr: Op::param(0), ty: Type::I64 });
         assert_eq!(store.result_ty(none), None);
         let icmp = InstData::new(InstKind::ICmp {
             pred: IPred::Slt,
-            ty: Type::I32,
-            lhs: Op::ci32(1),
-            rhs: Op::ci32(2),
+            ty: Type::I64,
+            lhs: Op::ci64(1),
+            rhs: Op::ci64(2),
         });
         assert_eq!(icmp.result_ty(none), Some(Type::I1));
         let call_detect = InstData::new(InstKind::Call {
@@ -453,9 +453,9 @@ mod tests {
     fn side_effects() {
         let add = InstData::new(InstKind::Bin {
             op: BinOp::Add,
-            ty: Type::I32,
-            lhs: Op::ci32(1),
-            rhs: Op::ci32(2),
+            ty: Type::I64,
+            lhs: Op::ci64(1),
+            rhs: Op::ci64(2),
         });
         assert!(!add.has_side_effects());
         let sqrt = InstData::new(InstKind::Call {

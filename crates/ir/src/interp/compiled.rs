@@ -60,12 +60,8 @@ enum Kind {
     /// Element size, count.
     Alloca(u8, u32),
     Load1(Src),
-    Load2(Src),
-    Load4(Src),
     Load8(Src),
     Store1(Src, Src),
-    Store2(Src, Src),
-    Store4(Src, Src),
     Store8(Src, Src),
     Bin(BinOp, Type, Src, Src),
     ICmp(IPred, Type, Src, Src),
@@ -254,12 +250,8 @@ impl<'m> Compiled<'m> {
                     sp
                 }
                 Kind::Load1(ptr) => or_trap!(mem.load_w::<1>(rd!(ptr))),
-                Kind::Load2(ptr) => or_trap!(mem.load_w::<2>(rd!(ptr))),
-                Kind::Load4(ptr) => or_trap!(mem.load_w::<4>(rd!(ptr))),
                 Kind::Load8(ptr) => or_trap!(mem.load_w::<8>(rd!(ptr))),
                 Kind::Store1(val, ptr) => store!(1, val, ptr, op.shift),
-                Kind::Store2(val, ptr) => store!(2, val, ptr, op.shift),
-                Kind::Store4(val, ptr) => store!(4, val, ptr, op.shift),
                 Kind::Store8(val, ptr) => store!(8, val, ptr, op.shift),
                 Kind::Bin(bin, ty, a, b) => {
                     let (a, b) = (rd!(a), rd!(b));
@@ -481,12 +473,12 @@ impl Translator<'_> {
         let kind = match &data.kind {
             InstKind::Alloca { elem, count } => Kind::Alloca(elem.size() as u8, *count),
             InstKind::Load { ptr, ty } => {
-                let width = [Kind::Load1, Kind::Load2, Kind::Load4, Kind::Load8];
-                width[ty.size().trailing_zeros() as usize](self.src(*ptr)?)
+                let load = if ty.size() == 1 { Kind::Load1 } else { Kind::Load8 };
+                load(self.src(*ptr)?)
             }
             InstKind::Store { val, ptr, ty } => {
-                let width = [Kind::Store1, Kind::Store2, Kind::Store4, Kind::Store8];
-                let kind = width[ty.size().trailing_zeros() as usize](self.src(*val)?, self.src(*ptr)?);
+                let store = if ty.size() == 1 { Kind::Store1 } else { Kind::Store8 };
+                let kind = store(self.src(*val)?, self.src(*ptr)?);
                 return Some(COp { kind, dst: iid.0, shift: 64 - ty.bits() as u8, site: false });
             }
             InstKind::Bin { op, ty, lhs, rhs } if !op.is_float() || ty.is_float() => {

@@ -141,45 +141,49 @@ mod tests {
     #[test]
     fn add_wraps_at_width() {
         assert_eq!(eval_bin(BinOp::Add, Type::I8, 0xFF, 1).unwrap(), 0);
-        assert_eq!(eval_bin(BinOp::Add, Type::I32, 0xFFFF_FFFF, 1).unwrap(), 0);
+        assert_eq!(eval_bin(BinOp::Add, Type::I1, 1, 1).unwrap(), 0);
         assert_eq!(eval_bin(BinOp::Add, Type::I64, u64::MAX, 1).unwrap(), 0);
     }
 
     #[test]
     fn sdiv_semantics() {
         assert_eq!(
-            eval_bin(BinOp::SDiv, Type::I32, Type::I32.canon(-7i64 as u64), 2).unwrap(),
-            Type::I32.canon(-3i64 as u64)
+            eval_bin(BinOp::SDiv, Type::I8, Type::I8.canon(-7i64 as u64), 2).unwrap(),
+            Type::I8.canon(-3i64 as u64)
         );
-        assert_eq!(eval_bin(BinOp::SDiv, Type::I32, 5, 0), Err(TrapKind::DivFault));
-        let int_min = Type::I32.canon(i32::MIN as i64 as u64);
-        let neg1 = Type::I32.canon(-1i64 as u64);
-        assert_eq!(eval_bin(BinOp::SDiv, Type::I32, int_min, neg1), Err(TrapKind::DivFault));
+        assert_eq!(eval_bin(BinOp::SDiv, Type::I64, 5, 0), Err(TrapKind::DivFault));
+        let int_min = Type::I8.canon(i8::MIN as i64 as u64);
+        let neg1 = Type::I8.canon(-1i64 as u64);
+        assert_eq!(eval_bin(BinOp::SDiv, Type::I8, int_min, neg1), Err(TrapKind::DivFault));
+        assert_eq!(eval_bin(BinOp::SDiv, Type::I64, i64::MIN as u64, u64::MAX), Err(TrapKind::DivFault));
     }
 
     #[test]
     fn srem_semantics() {
         assert_eq!(
-            eval_bin(BinOp::SRem, Type::I32, Type::I32.canon(-7i64 as u64), 3).unwrap(),
-            Type::I32.canon(-1i64 as u64)
+            eval_bin(BinOp::SRem, Type::I8, Type::I8.canon(-7i64 as u64), 3).unwrap(),
+            Type::I8.canon(-1i64 as u64)
         );
-        assert_eq!(eval_bin(BinOp::SRem, Type::I32, 7, 0), Err(TrapKind::DivFault));
+        assert_eq!(eval_bin(BinOp::SRem, Type::I64, 7, 0), Err(TrapKind::DivFault));
     }
 
     #[test]
     fn shifts_mask_amount() {
         // x86 masks the shift amount by width-1.
-        assert_eq!(eval_bin(BinOp::Shl, Type::I32, 1, 33).unwrap(), 2);
-        assert_eq!(eval_bin(BinOp::AShr, Type::I32, 0x8000_0000, 31).unwrap(), 0xFFFF_FFFF);
+        assert_eq!(eval_bin(BinOp::Shl, Type::I64, 1, 65).unwrap(), 2);
+        assert_eq!(eval_bin(BinOp::AShr, Type::I64, 1 << 63, 63).unwrap(), u64::MAX);
+        assert_eq!(eval_bin(BinOp::Shl, Type::I8, 1, 9).unwrap(), 2);
+        assert_eq!(eval_bin(BinOp::AShr, Type::I8, 0x80, 7).unwrap(), 0xFF);
     }
 
     #[test]
     fn icmp_signedness() {
-        let m1 = Type::I32.canon(-1i64 as u64);
-        assert_eq!(eval_icmp(IPred::Slt, Type::I32, m1, 0), 1);
-        assert_eq!(eval_icmp(IPred::Sgt, Type::I32, m1, 0), 0);
-        assert_eq!(eval_icmp(IPred::Eq, Type::I32, 5, 5), 1);
-        assert_eq!(eval_icmp(IPred::Sge, Type::I32, 5, 5), 1);
+        let m1 = Type::I8.canon(-1i64 as u64);
+        assert_eq!(eval_icmp(IPred::Slt, Type::I8, m1, 0), 1);
+        assert_eq!(eval_icmp(IPred::Sgt, Type::I8, m1, 0), 0);
+        assert_eq!(eval_icmp(IPred::Eq, Type::I8, 5, 5), 1);
+        assert_eq!(eval_icmp(IPred::Sge, Type::I64, 5, 5), 1);
+        assert_eq!(eval_icmp(IPred::Slt, Type::I64, u64::MAX, 0), 1);
     }
 
     #[test]
@@ -193,21 +197,15 @@ mod tests {
 
     #[test]
     fn casts() {
-        assert_eq!(eval_cast(CastKind::Zext, Type::I8, Type::I32, 0xFF), 0xFF);
-        assert_eq!(eval_cast(CastKind::Trunc, Type::I32, Type::I8, 0x1FF), 0xFF);
-        assert_eq!(
-            f64::from_bits(eval_cast(CastKind::SiToFp, Type::I32, Type::F64, Type::I32.canon(-2i64 as u64))),
-            -2.0
-        );
-        assert_eq!(eval_cast(CastKind::FpToSi, Type::F64, Type::I32, 3.99f64.to_bits()), 3);
+        assert_eq!(eval_cast(CastKind::Zext, Type::I8, Type::I64, 0xFF), 0xFF);
+        assert_eq!(eval_cast(CastKind::Trunc, Type::I64, Type::I8, 0x1FF), 0xFF);
+        assert_eq!(f64::from_bits(eval_cast(CastKind::SiToFp, Type::I64, Type::F64, -2i64 as u64)), -2.0);
+        assert_eq!(eval_cast(CastKind::FpToSi, Type::F64, Type::I64, 3.99f64.to_bits()), 3);
     }
 
     #[test]
     fn fp_to_si_saturates() {
-        assert_eq!(
-            eval_cast(CastKind::FpToSi, Type::F64, Type::I32, 1e300f64.to_bits()),
-            Type::I32.canon(i64::MAX as u64)
-        );
+        assert_eq!(eval_cast(CastKind::FpToSi, Type::F64, Type::I64, 1e300f64.to_bits()), i64::MAX as u64);
     }
 
     #[test]

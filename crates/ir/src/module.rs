@@ -265,23 +265,23 @@ mod tests {
     fn tiny_func() -> Function {
         let mut f = Function {
             name: "f".into(),
-            params: vec![Type::I32],
-            ret_ty: Some(Type::I32),
+            params: vec![Type::I64],
+            ret_ty: Some(Type::I64),
             insts: vec![],
             blocks: vec![],
         };
         let b0 = f.add_block("entry");
         let add = f.add_inst(InstData::new(InstKind::Bin {
             op: BinOp::Add,
-            ty: Type::I32,
+            ty: Type::I64,
             lhs: Op::param(0),
-            rhs: Op::ci32(1),
+            rhs: Op::ci64(1),
         }));
         let mul = f.add_inst(InstData::new(InstKind::Bin {
             op: BinOp::Mul,
-            ty: Type::I32,
+            ty: Type::I64,
             lhs: Op::inst(add),
-            rhs: Op::ci32(2),
+            rhs: Op::ci64(2),
         }));
         f.block_mut(b0).insts = vec![add, mul];
         f.block_mut(b0).term = Terminator::Ret { val: Some(Op::inst(mul)) };
@@ -302,15 +302,15 @@ mod tests {
     fn replace_all_uses_rewrites_operands_and_terminators() {
         let mut f = tiny_func();
         let add = InstId(0);
-        let n = f.replace_all_uses(Value::Inst(add), Op::ci32(42));
+        let n = f.replace_all_uses(Value::Inst(add), Op::ci64(42));
         assert_eq!(n, 1);
         match &f.inst(InstId(1)).kind {
-            InstKind::Bin { lhs, .. } => assert_eq!(*lhs, Op::ci32(42)),
+            InstKind::Bin { lhs, .. } => assert_eq!(*lhs, Op::ci64(42)),
             other => panic!("unexpected {other:?}"),
         }
-        let n2 = f.replace_all_uses(Value::Inst(InstId(1)), Op::ci32(7));
+        let n2 = f.replace_all_uses(Value::Inst(InstId(1)), Op::ci64(7));
         assert_eq!(n2, 1);
-        assert!(matches!(f.block(BlockId(0)).term, Terminator::Ret { val: Some(v) } if v == Op::ci32(7)));
+        assert!(matches!(f.block(BlockId(0)).term, Terminator::Ret { val: Some(v) } if v == Op::ci64(7)));
     }
 
     #[test]
@@ -320,8 +320,8 @@ mod tests {
         let fid = m.add_function(f);
         assert_eq!(m.find_func("f"), Some(fid));
         assert_eq!(m.find_func("g"), None);
-        assert_eq!(m.result_ty(fid, InstId(0)), Some(Type::I32));
-        assert_eq!(m.op_ty(fid, Op::param(0)), Some(Type::I32));
+        assert_eq!(m.result_ty(fid, InstId(0)), Some(Type::I64));
+        assert_eq!(m.op_ty(fid, Op::param(0)), Some(Type::I64));
         assert_eq!(m.op_ty(fid, Op::cf64(1.0)), Some(Type::F64));
     }
 

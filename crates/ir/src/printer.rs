@@ -134,30 +134,30 @@ mod tests {
     fn prints_module_shape() {
         let mut mb = ModuleBuilder::new("demo");
         mb.global_i64("tbl", &[1, 2, 3]);
-        let mut fb = FuncBuilder::new("main", vec![], Some(Type::I32));
-        let a = fb.bin(BinOp::Add, Type::I32, Op::ci32(1), Op::ci32(2));
-        let c = fb.icmp(IPred::Slt, Type::I32, Op::inst(a), Op::ci32(10));
+        let mut fb = FuncBuilder::new("main", vec![], Some(Type::I64));
+        let a = fb.bin(BinOp::Add, Type::I64, Op::ci64(1), Op::ci64(2));
+        let c = fb.icmp(IPred::Slt, Type::I64, Op::inst(a), Op::ci64(10));
         let t = fb.new_block("t");
         let e = fb.new_block("e");
         fb.br(Op::inst(c), t, e);
         fb.switch_to(t);
-        fb.ret(Some(Op::ci32(1)));
+        fb.ret(Some(Op::ci64(1)));
         fb.switch_to(e);
-        fb.ret(Some(Op::ci32(0)));
+        fb.ret(Some(Op::ci64(0)));
         mb.add_func(fb.finish());
         let text = print_module(&mb.finish());
         assert!(text.contains("; module demo"));
         assert!(text.contains("@tbl = global [3 x i64]"));
-        assert!(text.contains("define i32 @main()"));
+        assert!(text.contains("define i64 @main()"));
         assert!(text.contains("icmp slt"));
         assert!(text.contains("br %1 , label %t, label %e"));
-        assert!(text.contains("ret i32 1"));
+        assert!(text.contains("ret i64 1"));
     }
 
     #[test]
     fn prints_roles() {
         let mut fb = FuncBuilder::new("f", vec![], None);
-        let id = fb.bin(BinOp::Add, Type::I32, Op::ci32(1), Op::ci32(1));
+        let id = fb.bin(BinOp::Add, Type::I64, Op::ci64(1), Op::ci64(1));
         fb.ret(None);
         let mut f = fb.finish();
         f.inst_mut(id).role = crate::inst::IrRole::Shadow;

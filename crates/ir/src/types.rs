@@ -1,7 +1,8 @@
 //! The IR type system.
 //!
 //! Mirrors the subset of LLVM types the paper's benchmarks exercise:
-//! fixed-width integers, one IEEE double, and an opaque byte-addressed pointer.
+//! MiniC's two integer widths (`i8` and `i64`) plus the `i1` booleans
+//! comparisons produce, one IEEE double, and an opaque byte-addressed pointer.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -17,10 +18,6 @@ pub enum Type {
     I1,
     /// 8-bit integer.
     I8,
-    /// 16-bit integer.
-    I16,
-    /// 32-bit integer.
-    I32,
     /// 64-bit integer.
     I64,
     /// IEEE-754 double precision.
@@ -34,8 +31,6 @@ impl Type {
     pub fn size(self) -> u64 {
         match self {
             Type::I1 | Type::I8 => 1,
-            Type::I16 => 2,
-            Type::I32 => 4,
             Type::I64 | Type::F64 | Type::Ptr => 8,
         }
     }
@@ -53,15 +48,13 @@ impl Type {
         match self {
             Type::I1 => 1,
             Type::I8 => 8,
-            Type::I16 => 16,
-            Type::I32 => 32,
             Type::I64 | Type::F64 | Type::Ptr => 64,
         }
     }
 
-    /// True for `I1`..`I64`.
+    /// True for `I1`, `I8` and `I64`.
     pub fn is_int(self) -> bool {
-        matches!(self, Type::I1 | Type::I8 | Type::I16 | Type::I32 | Type::I64)
+        matches!(self, Type::I1 | Type::I8 | Type::I64)
     }
 
     /// True for `F64`, the one float type (MiniC's `double`).
@@ -105,8 +98,6 @@ impl fmt::Display for Type {
         let s = match self {
             Type::I1 => "i1",
             Type::I8 => "i8",
-            Type::I16 => "i16",
-            Type::I32 => "i32",
             Type::I64 => "i64",
             Type::F64 => "f64",
             Type::Ptr => "ptr",
@@ -123,8 +114,6 @@ mod tests {
     fn sizes_and_bits() {
         assert_eq!(Type::I1.size(), 1);
         assert_eq!(Type::I8.size(), 1);
-        assert_eq!(Type::I16.size(), 2);
-        assert_eq!(Type::I32.size(), 4);
         assert_eq!(Type::I64.size(), 8);
         assert_eq!(Type::F64.size(), 8);
         assert_eq!(Type::Ptr.size(), 8);
@@ -136,7 +125,7 @@ mod tests {
     fn canon_masks_high_bits() {
         assert_eq!(Type::I8.canon(0x1_FF), 0xFF);
         assert_eq!(Type::I1.canon(3), 1);
-        assert_eq!(Type::I32.canon(u64::MAX), 0xFFFF_FFFF);
+        assert_eq!(Type::I8.canon(u64::MAX), 0xFF);
         assert_eq!(Type::I64.canon(u64::MAX), u64::MAX);
     }
 
@@ -144,15 +133,16 @@ mod tests {
     fn sext_round_trips_sign() {
         assert_eq!(Type::I8.sext(0xFF), -1);
         assert_eq!(Type::I8.sext(0x7F), 127);
-        assert_eq!(Type::I32.sext(0xFFFF_FFFF), -1);
-        assert_eq!(Type::I32.sext(5), 5);
+        assert_eq!(Type::I8.sext(0x80), -128);
+        assert_eq!(Type::I8.sext(5), 5);
         assert_eq!(Type::I64.sext(u64::MAX), -1);
         assert_eq!(Type::I1.sext(1), -1);
     }
 
     #[test]
     fn display_matches_llvm_flavor() {
-        assert_eq!(Type::I32.to_string(), "i32");
+        assert_eq!(Type::I8.to_string(), "i8");
+        assert_eq!(Type::I64.to_string(), "i64");
         assert_eq!(Type::F64.to_string(), "f64");
         assert_eq!(Type::Ptr.to_string(), "ptr");
     }

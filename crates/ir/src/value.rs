@@ -71,11 +71,6 @@ impl Const {
         Const::Int(Type::I1, v as u64)
     }
 
-    /// `i32` constant from a signed value.
-    pub fn i32(v: i32) -> Const {
-        Const::Int(Type::I32, Type::I32.canon(v as i64 as u64))
-    }
-
     /// `i64` constant from a signed value.
     pub fn i64(v: i64) -> Const {
         Const::Int(Type::I64, v as u64)
@@ -140,11 +135,6 @@ impl Op {
         Op::Const(Const::Int(ty, ty.canon(v)))
     }
 
-    /// Shorthand for an `i32` constant operand.
-    pub fn ci32(v: i32) -> Op {
-        Op::Const(Const::i32(v))
-    }
-
     /// Shorthand for an `i64` constant operand.
     pub fn ci64(v: i64) -> Op {
         Op::Const(Const::i64(v))
@@ -184,9 +174,9 @@ mod tests {
 
     #[test]
     fn const_canonicalizes() {
-        let c = Const::i32(-1);
-        assert_eq!(c.bits(), 0xFFFF_FFFF);
-        assert_eq!(c.ty(), Type::I32);
+        let c = Const::i8(-1);
+        assert_eq!(c.bits(), 0xFF);
+        assert_eq!(c.ty(), Type::I8);
     }
 
     #[test]
@@ -198,7 +188,7 @@ mod tests {
     fn op_accessors() {
         let id = InstId(7);
         assert_eq!(Op::inst(id).as_inst(), Some(id));
-        assert_eq!(Op::ci32(3).as_inst(), None);
+        assert_eq!(Op::ci64(3).as_inst(), None);
         assert!(Op::param(0).is_value());
         assert!(!Op::cf64(0.0).is_value());
     }
@@ -207,8 +197,8 @@ mod tests {
     fn const_eq_hash_consistent() {
         use std::collections::HashSet;
         let mut s = HashSet::new();
-        s.insert(Const::i32(4));
-        assert!(s.contains(&Const::i32(4)));
+        s.insert(Const::i8(4));
+        assert!(s.contains(&Const::i8(4)));
         assert!(!s.contains(&Const::i64(4)));
     }
 }

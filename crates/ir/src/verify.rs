@@ -273,13 +273,14 @@ mod tests {
     use super::*;
     use crate::builder::{FuncBuilder, ModuleBuilder};
     use crate::inst::IPred;
+    use crate::value::Const;
 
     fn ok_module() -> Module {
         let mut mb = ModuleBuilder::new("m");
-        let mut fb = FuncBuilder::new("main", vec![], Some(Type::I32));
-        let a = fb.alloca(Type::I32, 4);
-        fb.store(Type::I32, Op::ci32(5), Op::inst(a));
-        let v = fb.load(Type::I32, Op::inst(a));
+        let mut fb = FuncBuilder::new("main", vec![], Some(Type::I64));
+        let a = fb.alloca(Type::I64, 4);
+        fb.store(Type::I64, Op::ci64(5), Op::inst(a));
+        let v = fb.load(Type::I64, Op::inst(a));
         fb.ret(Some(Op::inst(v)));
         mb.add_func(fb.finish());
         mb.finish()
@@ -293,7 +294,7 @@ mod tests {
     #[test]
     fn type_mismatch_rejected() {
         let mut m = ok_module();
-        // store f64 into an i32-typed store
+        // store f64 into an i64-typed store
         let f = &mut m.functions[0];
         if let InstKind::Store { val, .. } = &mut f.insts[1].kind {
             *val = Op::cf64(1.0);
@@ -308,7 +309,7 @@ mod tests {
         let mut fb = FuncBuilder::new("main", vec![], None);
         let t = fb.new_block("t");
         let e = fb.new_block("e");
-        fb.br(Op::ci32(1), t, e);
+        fb.br(Op::ci64(1), t, e);
         fb.switch_to(t);
         fb.ret(None);
         fb.switch_to(e);
@@ -334,14 +335,14 @@ mod tests {
     fn non_dominating_def_rejected() {
         // entry -> {l, r} -> j ; value defined in l used in j
         let mut mb = ModuleBuilder::new("m");
-        let mut fb = FuncBuilder::new("main", vec![Type::I32], Some(Type::I32));
+        let mut fb = FuncBuilder::new("main", vec![Type::I64], Some(Type::I64));
         let l = fb.new_block("l");
         let r = fb.new_block("r");
         let j = fb.new_block("j");
-        let c = fb.icmp(IPred::Slt, Type::I32, Op::param(0), Op::ci32(0));
+        let c = fb.icmp(IPred::Slt, Type::I64, Op::param(0), Op::ci64(0));
         fb.br(Op::inst(c), l, r);
         fb.switch_to(l);
-        let v = fb.bin(crate::inst::BinOp::Add, Type::I32, Op::param(0), Op::ci32(1));
+        let v = fb.bin(crate::inst::BinOp::Add, Type::I64, Op::param(0), Op::ci64(1));
         fb.jmp(j);
         fb.switch_to(r);
         fb.jmp(j);
@@ -355,12 +356,12 @@ mod tests {
     #[test]
     fn call_arity_checked() {
         let mut mb = ModuleBuilder::new("m");
-        let callee = mb.declare_func("f", vec![Type::I32, Type::I32], Some(Type::I32));
-        let mut fb = FuncBuilder::new("f", vec![Type::I32, Type::I32], Some(Type::I32));
+        let callee = mb.declare_func("f", vec![Type::I64, Type::I64], Some(Type::I64));
+        let mut fb = FuncBuilder::new("f", vec![Type::I64, Type::I64], Some(Type::I64));
         fb.ret(Some(Op::param(0)));
         mb.define_func(callee, fb.finish());
-        let mut fb = FuncBuilder::new("main", vec![], Some(Type::I32));
-        let c = fb.call(callee, vec![Op::ci32(1)]); // wrong arity
+        let mut fb = FuncBuilder::new("main", vec![], Some(Type::I64));
+        let c = fb.call(callee, vec![Op::ci64(1)]); // wrong arity
         fb.ret(Some(Op::inst(c)));
         mb.add_func(fb.finish());
         let e = verify_module(&mb.finish()).unwrap_err();
@@ -370,8 +371,8 @@ mod tests {
     #[test]
     fn invalid_cast_rejected() {
         let mut mb = ModuleBuilder::new("m");
-        let mut fb = FuncBuilder::new("main", vec![], Some(Type::I32));
-        let v = fb.cast(CastKind::Zext, Type::I64, Type::I32, Op::ci64(1)); // narrowing zext
+        let mut fb = FuncBuilder::new("main", vec![], Some(Type::I8));
+        let v = fb.cast(CastKind::Zext, Type::I64, Type::I8, Op::ci64(1)); // narrowing zext
         fb.ret(Some(Op::inst(v)));
         mb.add_func(fb.finish());
         let e = verify_module(&mb.finish()).unwrap_err();
@@ -381,19 +382,19 @@ mod tests {
     #[test]
     fn narrow_division_and_conversion_rejected() {
         let mut mb = ModuleBuilder::new("m");
-        let mut fb = FuncBuilder::new("main", vec![], Some(Type::I32));
-        let q = fb.bin(BinOp::SRem, Type::I32, Op::ci32(-7), Op::ci32(2));
+        let mut fb = FuncBuilder::new("main", vec![], Some(Type::I8));
+        let q = fb.bin(BinOp::SRem, Type::I8, Op::Const(Const::i8(-7)), Op::Const(Const::i8(2)));
         fb.ret(Some(Op::inst(q)));
         mb.add_func(fb.finish());
         let e = verify_module(&mb.finish()).unwrap_err();
-        assert!(e.detail.contains("srem on i32: division is defined on i64 only"), "{e}");
+        assert!(e.detail.contains("srem on i8: division is defined on i64 only"), "{e}");
 
         let mut mb = ModuleBuilder::new("m");
         let mut fb = FuncBuilder::new("main", vec![], Some(Type::F64));
-        let v = fb.cast(CastKind::SiToFp, Type::I32, Type::F64, Op::ci32(-2));
+        let v = fb.cast(CastKind::SiToFp, Type::I8, Type::F64, Op::Const(Const::i8(-2)));
         fb.ret(Some(Op::inst(v)));
         mb.add_func(fb.finish());
         let e = verify_module(&mb.finish()).unwrap_err();
-        assert!(e.detail.contains("invalid cast i32 -> f64 (SiToFp)"), "{e}");
+        assert!(e.detail.contains("invalid cast i8 -> f64 (SiToFp)"), "{e}");
     }
 }

@@ -136,9 +136,9 @@ flags are parsed strictly: an unknown flag or an unparsable number is an error
                                       regions reused/re-run and trials
                                       saved; --src adds an out-of-tree
                                       MiniC program to the matrix (name =
-                                      file stem; repeatable) — edit the
-                                      file between runs and only the
-                                      changed functions re-execute
+                                      file stem; repeatable) — edit it and
+                                      regions whose hardened code changed
+                                      re-run (partial --levels: maybe all)
   explore [bench ...] [--models a,b,..] [--detectors none,parity,..]
           [--levels a,b] [--trials N] [--seed S] [--threads N]
           [--tiny] [--no-snapshots] [--out DIR] [--json]
@@ -275,10 +275,10 @@ impl<'a> Args<'a> {
         self.str(name).map_or(Ok(default), parse)
     }
 
-    /// `--trials`, which must schedule at least one trial.
-    fn trials(&self, default: u64) -> Result<u64, String> {
-        match self.u64("--trials", default)? {
-            0 => Err("bad --trials '0' (want at least 1)".into()),
+    /// A count that must be at least 1: `--trials` and `--batch`.
+    fn count(&self, name: &'static str, default: u64) -> Result<u64, String> {
+        match self.u64(name, default)? {
+            0 => Err(format!("bad {name} '0' (want at least 1)")),
             n => Ok(n),
         }
     }
@@ -355,7 +355,7 @@ fn cmd_run(rest: &[String]) -> Result<(), String> {
 fn cmd_inject(rest: &[String]) -> Result<(), String> {
     use std::sync::Arc;
     let args = Args::parse("inject", INJECT, rest)?;
-    let trials = args.trials(1000)?;
+    let trials = args.count("--trials", 1000)?;
     let name = args.input()?;
     let raw = Arc::new(load(name)?);
     let mut m = (*raw).clone();
@@ -408,10 +408,10 @@ fn cmd_study(rest: &[String]) -> Result<(), String> {
 
 /// The trial schedule `campaign`, `study` and `diff` share.
 fn parse_harness(args: &Args<'_>) -> Result<HarnessConfig, String> {
-    let trials = args.trials(args.defaults().0)?;
+    let trials = args.count("--trials", args.defaults().0)?;
     let mut cfg = HarnessConfig {
         max_trials: trials,
-        batch_size: args.u64("--batch", 250)?.clamp(1, trials.max(1)),
+        batch_size: args.count("--batch", 250)?.min(trials),
         min_trials: args.u64("--min-trials", 500)?.min(trials),
         threads: args.u64("--threads", 0)? as usize,
         seed: args.u64("--seed", 0x51C2_3001)?,
@@ -748,7 +748,7 @@ fn cmd_explore(rest: &[String]) -> Result<(), String> {
 
     let args = Args::parse("explore", EXPLORE, rest)?;
     let mut cfg = HarnessConfig {
-        max_trials: args.trials(args.defaults().0)?,
+        max_trials: args.count("--trials", args.defaults().0)?,
         seed: args.u64("--seed", 0x0F10_EE41)?,
         threads: args.u64("--threads", 0)? as usize,
         snapshots: !args.flag("--no-snapshots"),
@@ -819,7 +819,7 @@ fn cmd_explore(rest: &[String]) -> Result<(), String> {
 
 fn cmd_vuln(rest: &[String]) -> Result<(), String> {
     let args = Args::parse("vuln", VULN, rest)?;
-    let trials = args.trials(2000)?;
+    let trials = args.count("--trials", 2000)?;
     let top = args.u64("--top", 15)? as usize;
     let name = args.input()?;
     let m = std::sync::Arc::new(load(name)?);
@@ -890,7 +890,7 @@ fn cmd_lint(rest: &[String]) -> Result<(), String> {
         |s| PassConfig::parse(s).ok_or_else(|| format!("bad --pass-config '{s}' (expected raw, id, or flowery)"));
     let pass = args.str("--pass-config").map_or(Ok(PassConfig::Id), pass_of)?;
     let level = args.str("--level").map_or(Ok(1.0), |s| parse_level("--level", s))?;
-    let validate = args.flag("--validate").then(|| args.trials(2000)).transpose()?;
+    let validate = args.flag("--validate").then(|| args.count("--trials", 2000)).transpose()?;
     let m = load(spec)?;
     let outcome = run_lint(spec, &m, pass, level, validate)?;
     if args.str("--format") == Some("json") {

@@ -216,6 +216,10 @@ fn an_empty_schedule_is_refused_by_name() {
     refused_cleanly(&["vuln", "crc32", "--trials", "0"], &[why]);
     refused_cleanly(&["inject", "crc32", "--trials", "0"], &[why]);
     refused_cleanly(&["lint", "crc32", "--validate", "--trials", "0"], &[why]);
+    refused_cleanly(
+        &["campaign", "crc32", "--tiny", "--trials", "10", "--levels", "1.0", "--batch", "0"],
+        &["bad --batch '0' (want at least 1)"],
+    );
 }
 
 #[test]

@@ -159,11 +159,10 @@ struct State {
 }
 
 fn width_ty(w: u8) -> Type {
-    match w {
-        1 => Type::I8,
-        2 => Type::I16,
-        4 => Type::I32,
-        _ => Type::I64,
+    if w == 1 {
+        Type::I8
+    } else {
+        Type::I64
     }
 }
 
@@ -172,9 +171,11 @@ fn step(st: &mut State, inst: &AInst, ip: &mut u32, len: usize) -> Result<(), Ex
     st.last_mem_write = None;
     let next = *ip + 1;
     match &inst.kind {
-        AKind::Mov { w, dst, src } | AKind::MovSd { w, dst, src } => {
-            let v = st.read(*src, *w)?;
-            st.write(*dst, *w, v)?;
+        AKind::Mov { dst, src, .. } | AKind::MovSd { dst, src } => {
+            // `movsd` is the 8-byte `mov`.
+            let w = if let AKind::Mov { w, .. } = inst.kind { w } else { 8 };
+            let v = st.read(*src, w)?;
+            st.write(*dst, w, v)?;
         }
         AKind::Lea { dst, mem } => {
             let addr = st.effective(*mem);
@@ -212,11 +213,11 @@ fn step(st: &mut State, inst: &AInst, ip: &mut u32, len: usize) -> Result<(), Ex
             st.set_logic_flags(ty, r);
             st.write_reg(*dst, *w, r);
         }
-        AKind::Cqo { .. } => {
+        AKind::Cqo => {
             let rax = st.regs[Reg::Rax.index()];
             st.regs[Reg::Rdx.index()] = ((rax as i64) >> 63) as u64;
         }
-        AKind::Div { src, .. } => {
+        AKind::Div { src } => {
             let a = st.regs[Reg::Rax.index()] as i64;
             let b = st.read(*src, 8)? as i64;
             if b == 0 || (a == i64::MIN && b == -1) {
@@ -325,9 +326,9 @@ fn step(st: &mut State, inst: &AInst, ip: &mut u32, len: usize) -> Result<(), Ex
             let r = ops::eval_cast(CastKind::FpToSi, Type::F64, Type::I64, v);
             st.write_reg(*dst, 8, r);
         }
-        AKind::MovQ { w, dst, src } => {
-            let v = st.read_reg(*src, *w);
-            st.write_reg(*dst, *w, v);
+        AKind::MovQ { dst, src } => {
+            let v = st.read_reg(*src, 8);
+            st.write_reg(*dst, 8, v);
         }
         AKind::Math { kind, dst, a, b } => {
             let intr = match kind {

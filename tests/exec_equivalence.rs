@@ -259,7 +259,7 @@ fn engines_agree_on_all_workloads_and_models() {
 }
 
 /// An IR program through `FuncBuilder` whose selection emits the forms no
-/// workload does: i8/i16/i32 loads and stores, `or`/`xor` with
+/// workload does: i8 loads and stores, `or`/`xor` with
 /// immediates, shifts by immediate and by register, byte output, and a
 /// `jae` fused with `ucomisd` — next to division, an f64 store, load,
 /// compare and conversions, whose stores hardening checks with a memory
@@ -269,14 +269,22 @@ fn forms_module() -> Module {
     let seed = mb.global_i64("seed", &[0x1234_5678_9ABC]);
     let mut fb = FuncBuilder::new("main", vec![], Some(Type::I64));
     let a = Op::inst(fb.load(Type::I64, Op::Global(seed)));
-    for (ty, k) in [(Type::I8, 0xF3), (Type::I16, 0xFFF3), (Type::I32, 0xFFFF_FFF3)] {
+    for (ty, k) in [(Type::I8, 0xF3), (Type::I64, -13i64 as u64)] {
         let p = Op::inst(fb.alloca(ty, 1));
-        let t = fb.cast(CastKind::Trunc, Type::I64, ty, a);
-        let v = fb.bin(BinOp::Xor, ty, Op::inst(t), Op::cint(ty, k));
+        let t = if ty == Type::I64 {
+            a
+        } else {
+            Op::inst(fb.cast(CastKind::Trunc, Type::I64, ty, a))
+        };
+        let v = fb.bin(BinOp::Xor, ty, t, Op::cint(ty, k));
         fb.store(ty, Op::inst(v), p);
-        let l = fb.load(ty, p);
-        let zx = fb.cast(CastKind::Zext, ty, Type::I64, Op::inst(l));
-        fb.output_i64(Op::inst(zx));
+        let l = Op::inst(fb.load(ty, p));
+        let zx = if ty == Type::I64 {
+            l
+        } else {
+            Op::inst(fb.cast(CastKind::Zext, ty, Type::I64, l))
+        };
+        fb.output_i64(zx);
     }
     let o = Op::inst(fb.bin(BinOp::Or, Type::I64, a, Op::ci64(0x55)));
     let n = Op::inst(fb.bin(BinOp::And, Type::I64, a, Op::ci64(7)));
@@ -342,32 +350,32 @@ fn hand_program() -> (Module, AsmProgram) {
         Mov { w: 8, dst: AOp::Reg(Rbp), src: AOp::Reg(Rsp) },
         Alu { op: AluOp::Sub, w: 8, dst: Rsp, src: AOp::Imm(64) },
         Mov { w: 1, dst: slot(-8), src: AOp::Imm(-3) },
-        Mov { w: 2, dst: slot(-16), src: AOp::Imm(-300) },
-        Mov { w: 4, dst: slot(-24), src: AOp::Imm(-70_000) },
+        Mov { w: 8, dst: slot(-16), src: AOp::Imm(-300) },
+        Mov { w: 1, dst: slot(-24), src: AOp::Imm(-70_000) },
         Mov { w: 8, dst: slot(-32), src: AOp::Imm(5) },
         Mov { w: 8, dst: slot(-40), src: cell(1) },
-        Mov { w: 2, dst: AOp::Reg(Rsi), src: slot(-16) },
-        Mov { w: 4, dst: AOp::Reg(Rdi), src: slot(-24) },
+        Mov { w: 8, dst: AOp::Reg(Rsi), src: slot(-16) },
+        Mov { w: 1, dst: AOp::Reg(Rdi), src: slot(-24) },
         Mov { w: 1, dst: AOp::Reg(Rax), src: slot(-8) },
-        Mov { w: 2, dst: AOp::Reg(Rcx), src: slot(-16) },
-        Mov { w: 4, dst: AOp::Reg(Rdx), src: slot(-24) },
+        Mov { w: 1, dst: AOp::Reg(Rcx), src: slot(-16) },
+        Mov { w: 8, dst: AOp::Reg(Rdx), src: slot(-24) },
         Mov { w: 8, dst: AOp::Reg(R8), src: slot(-40) },
-        Mov { w: 4, dst: AOp::Reg(R9), src: AOp::Imm(-2) },
+        Mov { w: 1, dst: AOp::Reg(R9), src: AOp::Imm(-2) },
         Mov { w: 1, dst: AOp::Reg(R10), src: AOp::Reg(Rsi) },
         Alu { op: AluOp::Add, w: 8, dst: Rax, src: cell(0) },
-        Alu { op: AluOp::Sub, w: 4, dst: Rcx, src: slot(-24) },
-        Alu { op: AluOp::Imul, w: 2, dst: Rdx, src: slot(-16) },
+        Alu { op: AluOp::Sub, w: 1, dst: Rcx, src: slot(-24) },
+        Alu { op: AluOp::Imul, w: 1, dst: Rdx, src: slot(-16) },
         Alu { op: AluOp::And, w: 8, dst: R8, src: cell(3) },
         Alu { op: AluOp::Or, w: 1, dst: R9, src: AOp::Imm(0x40) },
         Alu { op: AluOp::Xor, w: 8, dst: R10, src: cell(2) },
-        Shift { op: ShiftOp::Shl, w: 4, dst: Rsi, amt: slot(-32) },
+        Shift { op: ShiftOp::Shl, w: 1, dst: Rsi, amt: slot(-32) },
         Shift { op: ShiftOp::Sar, w: 8, dst: Rdi, amt: AOp::Imm(2) },
-        Shift { op: ShiftOp::Sar, w: 2, dst: Rcx, amt: cell(0) },
+        Shift { op: ShiftOp::Sar, w: 8, dst: Rcx, amt: cell(0) },
         Test { w: 8, lhs: AOp::Reg(Rax), rhs: AOp::Reg(Rcx) },
         SetCC { cc: CC::E, dst: R11 },
         Out { kind: OutKind::I64, src: AOp::Reg(R11) },
         SetCC { cc: CC::L, dst: Rdx },
-        Test { w: 2, lhs: slot(-16), rhs: AOp::Imm(0x02) },
+        Test { w: 1, lhs: slot(-16), rhs: AOp::Imm(0x02) },
         SetCC { cc: CC::E, dst: R8 },
         Cmp { w: 1, lhs: slot(-8), rhs: AOp::Reg(R9) },
         SetCC { cc: CC::A, dst: R10 },
@@ -383,13 +391,13 @@ fn hand_program() -> (Module, AsmProgram) {
         Pop { dst: R11 },
         Pop { dst: Rbx },
         Mov { w: 8, dst: AOp::Reg(Rax), src: cell(3) },
-        Cqo { w: 8 },
+        Cqo,
         Out { kind: OutKind::I64, src: AOp::Reg(Rdx) },
-        Div { w: 8, src: cell(0) },
+        Div { src: cell(0) },
         Cvtsi2f { dst: Xmm0, src: cell(0) },
         Cvtsi2f { dst: Xmm1, src: AOp::Imm(3) },
         Sse { op: SseOp::AddSd, dst: Xmm0, src: AOp::Reg(Xmm1) },
-        MovSd { w: 8, dst: slot(-48), src: AOp::Reg(Xmm0) },
+        MovSd { dst: slot(-48), src: AOp::Reg(Xmm0) },
         Sse { op: SseOp::MulSd, dst: Xmm1, src: slot(-48) },
         Sse { op: SseOp::DivSd, dst: Xmm1, src: cell(2) },
         Sse { op: SseOp::SubSd, dst: Xmm2, src: cell(1) },

@@ -2,7 +2,9 @@
 //! system can be given: the Tiny workloads and [`EVERY_OPERATOR`], each
 //! raw, at ID-100 and at Flowery-100, selected under the six ablation
 //! backend configurations, plain and hardened. Every variant of every
-//! enum listed in [`forms!`] must be emitted by it somewhere.
+//! enum listed in [`forms!`] must be emitted by it somewhere, IR types
+//! included, and the machine operand widths must be exactly MiniC's two
+//! (1 and 8 bytes).
 //!
 //! A form no input can reach still costs its arms in both IR engines, both
 //! machine engines, the bit engine and both test oracles. `forms!` names
@@ -15,7 +17,7 @@ use flowery_backend::mir::{AluOp, MathKind, OutKind, ShiftOp, SseOp, CC};
 use flowery_backend::{compile_module, harden_program, AKind, AsmProgram, HardenConfig};
 use flowery_core::ablation::ablation_configs;
 use flowery_harness::{protect, MatrixSpec};
-use flowery_ir::{BinOp, Callee, CastKind, Const, FPred, IPred, InstKind, Intrinsic, Module, Op};
+use flowery_ir::{BinOp, Callee, CastKind, Const, FPred, IPred, InstKind, Intrinsic, Module, Op, Type};
 use flowery_workloads::{all_workloads, Scale};
 use std::collections::BTreeSet;
 
@@ -75,6 +77,7 @@ forms! {
     CastKind { Zext, Trunc, SiToFp, FpToSi, Bitcast }
     Intrinsic { OutputI64, OutputF64, OutputByte, DetectError, Sqrt, Sin, Cos, Exp, Log, Fabs, Floor, Pow }
     Const { Int, F64 }
+    Type { I1, I8, I64, F64, Ptr }
     AKind {
         Mov, Lea, Alu, Shift, Cqo, Div, Cmp, Test, SetCC, Jcc, Jmp, Call, Ret, Push, Pop, MovSd, Sse, Ucomi,
         Cvtsi2f, Cvtf2si, MovQ, Math, Out, DetectTrap,
@@ -88,9 +91,12 @@ forms! {
 }
 
 /// The forms of `m`'s placed instructions, their opcodes, and every
-/// constant operand, terminators' included.
+/// constant operand, terminators' included; and the types of globals,
+/// parameters, returns, constants and instructions.
 fn ir_forms(m: &Module, seen: &mut BTreeSet<&'static str>) {
+    seen.extend(m.globals.iter().map(|g| g.elem.form()));
     for f in &m.functions {
+        seen.extend(f.params.iter().chain(&f.ret_ty).map(Type::form));
         for (_, block) in f.iter_blocks() {
             let mut operands: Vec<Op> = block.term.operand().into_iter().collect();
             for &iid in &block.insts {
@@ -105,20 +111,41 @@ fn ir_forms(m: &Module, seen: &mut BTreeSet<&'static str>) {
                     InstKind::Call { callee: Callee::Intrinsic(i), .. } => Some(i.form()),
                     _ => None,
                 };
-                seen.extend([kind.form()].into_iter().chain(detail));
+                let types = match kind {
+                    InstKind::Alloca { elem, .. } | InstKind::Gep { elem, .. } => vec![elem],
+                    InstKind::Load { ty, .. } | InstKind::Store { ty, .. } => vec![ty],
+                    InstKind::Bin { ty, .. } | InstKind::ICmp { ty, .. } | InstKind::FCmp { ty, .. } => vec![ty],
+                    InstKind::Cast { from, to, .. } => vec![from, to],
+                    InstKind::Call { .. } => vec![],
+                };
+                seen.extend([kind.form()].into_iter().chain(detail).chain(types.into_iter().map(Type::form)));
             }
-            seen.extend(operands.iter().filter_map(|op| match op {
-                Op::Const(c) => Some(c.form()),
-                _ => None,
-            }));
+            seen.extend(
+                operands
+                    .iter()
+                    .filter_map(|op| match op {
+                        Op::Const(c) => Some([c.form(), c.ty().form()]),
+                        _ => None,
+                    })
+                    .flatten(),
+            );
         }
     }
 }
 
-/// The forms of `prog`'s instructions and their opcodes.
-fn asm_forms(prog: &AsmProgram, seen: &mut BTreeSet<&'static str>) {
+/// The forms of `prog`'s instructions and their opcodes, and the operand
+/// widths each form carries.
+fn asm_forms(prog: &AsmProgram, seen: &mut BTreeSet<&'static str>, widths: &mut BTreeSet<(u8, &'static str)>) {
     for inst in &prog.insts {
         let kind = &inst.kind;
+        if let AKind::Mov { w, .. }
+        | AKind::Alu { w, .. }
+        | AKind::Shift { w, .. }
+        | AKind::Cmp { w, .. }
+        | AKind::Test { w, .. } = *kind
+        {
+            widths.insert((w, kind.form()));
+        }
         let detail = match kind {
             AKind::Alu { op, .. } => Some(op.form()),
             AKind::Shift { op, .. } => Some(op.form()),
@@ -141,18 +168,22 @@ fn every_form_is_emitted_by_some_input() {
         .chain([every_operator]);
     let configs = ablation_configs();
     assert_eq!(configs.len(), 6, "the six ablation configurations");
-    let mut seen = BTreeSet::new();
+    let (mut seen, mut widths) = (BTreeSet::new(), BTreeSet::new());
     for raw in raws {
         let (_, id, flowery) = protect(&raw, &MatrixSpec::default()).remove(0);
         for m in [raw, id, flowery] {
             ir_forms(&m, &mut seen);
             for (_, cfg) in &configs {
                 let prog = compile_module(&m, cfg);
-                asm_forms(&prog, &mut seen);
-                asm_forms(&harden_program(&prog, &HardenConfig::default()).0, &mut seen);
+                asm_forms(&prog, &mut seen, &mut widths);
+                asm_forms(&harden_program(&prog, &HardenConfig::default()).0, &mut seen, &mut widths);
             }
         }
     }
     let never: Vec<_> = ALL.iter().filter(|f| !seen.contains(*f)).collect();
     assert!(never.is_empty(), "forms no input emits: {never:?}");
+    let other: Vec<_> = widths.iter().filter(|(w, _)| ![1, 8].contains(w)).collect();
+    assert!(other.is_empty(), "operand widths other than 1 and 8, as (width, form): {other:?}");
+    let carried: BTreeSet<u8> = widths.iter().map(|&(w, _)| w).collect();
+    assert_eq!(carried, BTreeSet::from([1, 8]), "operand widths carried by Mov/Alu/Shift/Cmp/Test");
 }

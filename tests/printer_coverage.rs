@@ -158,7 +158,7 @@ impl Sweep<'_> {
 /// A type other than `t`.
 fn other_type(t: Type) -> Type {
     if t == Type::I64 {
-        Type::I32
+        Type::I8
     } else {
         Type::I64
     }
